@@ -3,10 +3,11 @@
 //! Three measurements per circuit, each over the full `update_timing` TDG:
 //!
 //! 1. **plain** — the non-recovering `Executor::run_tdg` path;
-//! 2. **recovering, no faults** — `run_recovering` with [`FaultPlan::none`];
-//!    the gap to (1) is the price of fault transparency (per-task
-//!    `catch_unwind` + an empty fault-plan probe) and must stay ~zero;
-//! 3. **recovering, seeded faults** — `run_recovering` under a fixed seed
+//! 2. **recovering, no faults** — `run_recovering_bounded` with
+//!    [`FaultPlan::none`] and [`RunBudget::unbounded`]; the gap to (1) is
+//!    the price of fault transparency (per-task `catch_unwind`, an empty
+//!    fault-plan probe, one budget poll per task) and must stay ~zero;
+//! 3. **recovering, seeded faults** — the same entry point under a fixed seed
 //!    matrix, followed by `mark_unknown` + `heal`; the healed analysis is
 //!    asserted bit-identical to the fault-free reference every time.
 //!
@@ -19,7 +20,7 @@
 
 use gpasta_bench::{write_csv, write_json, BenchConfig, OutputError, Row};
 use gpasta_circuits::PaperCircuit;
-use gpasta_sched::{Executor, FaultKind, FaultPlan, RetryPolicy};
+use gpasta_sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget};
 use gpasta_sta::{CellLibrary, Timer};
 use std::time::Duration;
 
@@ -55,6 +56,7 @@ fn run() -> Result<(), OutputError> {
         let netlist = circuit.build(cfg.scale);
         let library = CellLibrary::typical();
         let exec = Executor::new(cfg.workers);
+        let unbounded = RunBudget::unbounded();
 
         // Fault-free reference analysis, snapshotted bit-exactly.
         let mut timer = Timer::new(netlist, library);
@@ -78,7 +80,7 @@ fn run() -> Result<(), OutputError> {
             let mut recovering = Vec::with_capacity(cfg.runs);
             for _ in 0..cfg.runs {
                 plain.push(exec.run_tdg(tdg, &payload).elapsed.as_secs_f64() * 1e3);
-                let rec = update.run_recovering(&exec, &no_faults, &policy);
+                let rec = update.run_recovering_bounded(&exec, &no_faults, &policy, &unbounded);
                 assert!(rec.is_clean(), "no plan, no faults");
                 recovering.push(rec.outcome.report.elapsed.as_secs_f64() * 1e3);
             }
@@ -119,7 +121,7 @@ fn run() -> Result<(), OutputError> {
                 let update = timer.update_timing();
                 tasks = update.tdg().num_tasks();
                 let plan = FaultPlan::random(seed, RATE, &kinds);
-                let rec = update.run_recovering(&exec, &plan, &retry);
+                let rec = update.run_recovering_bounded(&exec, &plan, &retry, &unbounded);
                 update.mark_unknown(&rec);
                 let t0 = std::time::Instant::now();
                 let healed = update.heal(&rec);

@@ -4,7 +4,7 @@
 //!
 //! | harness | protocol (production site) | property |
 //! |---|---|---|
-//! | [`poison_publication`] | Release-before-decrement poison publication (`gpasta-sched::executor::run_stealing_recovering`) | poisoned set = exact forward closure of the failed unit; a poisoned unit never runs its payload |
+//! | [`poison_publication`] | Release-before-decrement poison publication (`gpasta-sched::bounded::run_stealing_bounded`) | poisoned set = exact forward closure of the failed unit; a poisoned unit never runs its payload |
 //! | [`watchdog_claim`] | pending→stalled CAS claim (`gpasta-sched::bounded`) | a unit is claimed by at most one of worker/watchdog, and the winner's claim publishes its payload |
 //! | [`cancel_generation`] | generation-counted `CancelToken` (`gpasta-tdg::cancel`), at the `u64` wrap boundary | cancellation latches per observer; a cancel consumed by run *k* never re-delivers to run *k+1* |
 //! | [`slack_min`] | NaN-preserving `AtomicF32` slack-min (`gpasta-sta::atomic_f32`) | concurrent min-reduction is order-insensitive and NaN-preserving |

@@ -1,10 +1,17 @@
-//! Bounded-time recovering runners: wall-clock deadlines, cooperative
-//! cancellation, and a hung-task watchdog on top of the fault-tolerant
-//! wavefront from `executor.rs`.
+//! The recovering wavefront: fault containment, wall-clock deadlines,
+//! cooperative cancellation, and a hung-task watchdog — the one executor
+//! path that never unwinds into its caller.
 //!
-//! The bounded runners keep the PR 3 recovery contract intact — poison is
-//! still the exact forward closure of permanently failed units, worker-count
-//! independent — and add a third, disjoint unit class: *unfinished*. When
+//! The dispatch unit is a node of a [`UnitGraph`]: a quotient's partition,
+//! or a single task. Every attempt of every member task runs under
+//! `catch_unwind`; transient failures retry with the [`RetryPolicy`]'s
+//! backoff; a task that fails permanently (panic, fatal error, retries
+//! exhausted) *poisons* its unit (remaining members are skipped) and the
+//! unit's forward closure, while the wavefront keeps scheduling everything
+//! else. Poison is the exact forward closure of the failed units at any
+//! worker count, so salvage is its exact complement.
+//!
+//! A [`RunBudget`] adds a third, disjoint unit class: *unfinished*. When
 //! the budget expires or a [`CancelToken`] fires, the scheduler stops
 //! *admitting* units (already-running payloads finish normally) and drains
 //! the remaining wavefront administratively: each drained unit either
@@ -28,22 +35,25 @@
 //! pins its worker thread (threads cannot be killed safely) — that is what
 //! the crash-safe checkpoint/resume path is for.
 //!
-//! Budget polling happens once per unit admission: one `Instant::now()`
-//! plus one atomic load. Unbounded runs keep using the original runners and
-//! pay nothing.
+//! The budget is polled once per unit admission. With
+//! [`RunBudget::unbounded`] that poll is two register tests and the watchdog
+//! bookkeeping is skipped (`fault_recovery` bench: ≤ 5 % over the plain run).
 
-use crate::executor::{Executor, RecoveryState, TaskWork};
-use crate::outcome::{RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError};
+use crate::executor::Executor;
+use crate::outcome::{
+    FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError,
+};
 use crate::report::RunReport;
 use crossbeam_deque::{Injector, Stealer, Worker};
 use crossbeam_utils::Backoff;
-use gpasta_check::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use gpasta_check::sync::{
+    AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering,
+};
 use gpasta_tdg::{CancelObserver, CancelToken, PartitionId, QuotientTdg, TaskId, Tdg};
 use std::time::{Duration, Instant};
 
-/// The time bounds attached to one bounded run. All three knobs are
-/// optional and independent; [`RunBudget::unbounded`] makes the bounded
-/// runners behave like their unbounded counterparts.
+/// The time bounds attached to one recovering run. All three knobs are
+/// optional and independent; [`RunBudget::unbounded`] sets none.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Wall-clock budget for the run. When it expires the scheduler stops
@@ -86,21 +96,10 @@ impl RunBudget {
         self.stall_window = Some(window);
         self
     }
-
-    /// `true` when no bound is set: the bounded runners then behave
-    /// identically to the unbounded ones (modulo one deadline poll per
-    /// unit, which is how the `deadline_overhead` bench pins the cost).
-    pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none() && self.stall_window.is_none()
-    }
-
-    fn observe_cancel(&self) -> Option<CancelObserver> {
-        self.cancel.as_ref().map(CancelToken::observe)
-    }
 }
 
-/// Raw result of a bounded wavefront: per-unit poison and unfinished flags
-/// plus why admission stopped.
+/// Raw result of a recovering wavefront: per-unit poison and unfinished
+/// flags plus why admission stopped.
 struct BoundedRun {
     dispatches: u64,
     poisoned: Vec<bool>,
@@ -108,14 +107,51 @@ struct BoundedRun {
     stop: StopCause,
 }
 
+/// What the recovering wavefront schedules: a DAG of dispatch units, each
+/// running its member tasks in order.
+trait UnitGraph: Sync {
+    /// The unit-level dependency DAG.
+    fn units(&self) -> &Tdg;
+    /// The tasks `unit` runs, in execution order.
+    fn members(&self, unit: u32) -> impl Iterator<Item = u32>;
+    /// Total member tasks over all units.
+    fn num_tasks(&self) -> usize;
+}
+
+/// A plain TDG is the quotient of singletons: every task is its own unit.
+impl UnitGraph for Tdg {
+    fn units(&self) -> &Tdg {
+        self
+    }
+    fn members(&self, unit: u32) -> impl Iterator<Item = u32> {
+        std::iter::once(unit)
+    }
+    fn num_tasks(&self) -> usize {
+        Tdg::num_tasks(self)
+    }
+}
+
+impl UnitGraph for QuotientTdg {
+    fn units(&self) -> &Tdg {
+        self.graph()
+    }
+    fn members(&self, unit: u32) -> impl Iterator<Item = u32> {
+        self.execution_order(PartitionId(unit)).iter().copied()
+    }
+    fn num_tasks(&self) -> usize {
+        QuotientTdg::num_tasks(self)
+    }
+}
+
 impl Executor {
-    /// Bounded variant of
-    /// [`run_tdg_recovering`](Executor::run_tdg_recovering): same recovery
-    /// contract, plus `budget`'s deadline / cancellation / watchdog. On an
-    /// early stop the returned outcome's `unfinished_tasks` is exactly the
-    /// forward closure of the unadmitted units (minus the poison cone) and
-    /// [`RunOutcome::stop`] says why; with an unbounded budget the result
-    /// is behaviourally identical to the unbounded runner.
+    /// Execute every task of `tdg` through the recovering wavefront: never
+    /// unwinds into the caller. Failures are contained to their forward
+    /// closure (`poisoned_tasks`), an expired `budget` leaves the forward
+    /// closure of the unadmitted tasks in `unfinished_tasks` with
+    /// [`RunOutcome::stop`] saying why, and everything else is salvaged.
+    /// With a payload that never fails and [`RunBudget::unbounded`] the
+    /// result is behaviourally identical to
+    /// [`run_tdg`](Executor::run_tdg).
     pub fn run_tdg_recovering_bounded<W: RecoverableWork>(
         &self,
         tdg: &Tdg,
@@ -123,67 +159,19 @@ impl Executor {
         policy: &RetryPolicy,
         budget: &RunBudget,
     ) -> RunOutcome {
-        let n = tdg.num_tasks();
-        let start = Instant::now();
-        let deadline = budget.deadline.map(|d| start + d);
-        let cancel = budget.observe_cancel();
-        let state = RecoveryState::new(policy);
-        let run_unit = |t: u32| state.attempt_task(work, t, t);
-        let run = if self.num_workers() == 1 && budget.stall_window.is_none() {
-            run_sequential_bounded(
-                n,
-                &tdg.in_degrees(),
-                |t| tdg.successors(TaskId(t)),
-                run_unit,
-                deadline,
-                cancel.as_ref(),
-            )
-        } else {
-            run_stealing_bounded(
-                self.num_workers(),
-                n,
-                &tdg.in_degrees(),
-                &|t| tdg.successors(TaskId(t)),
-                &run_unit,
-                &|u| u,
-                deadline,
-                cancel.as_ref(),
-                budget.stall_window,
-                &state,
-            )
-        };
-        let poisoned_units: Vec<u32> = (0..n as u32)
-            .filter(|&t| run.poisoned[t as usize])
-            .collect();
-        let unfinished_units: Vec<u32> = (0..n as u32)
-            .filter(|&t| run.unfinished[t as usize])
-            .collect();
-        let salvaged = n - poisoned_units.len() - unfinished_units.len();
-        let (failures, retries) = state.into_parts();
-        RunOutcome {
-            report: RunReport {
-                elapsed: start.elapsed(),
-                tasks_executed: salvaged,
-                dispatches: run.dispatches,
-                num_workers: self.num_workers(),
-            },
-            salvaged_tasks: salvaged,
-            poisoned_tasks: poisoned_units.clone(),
-            poisoned_units,
-            unfinished_tasks: unfinished_units.clone(),
-            unfinished_units,
-            failures,
-            retries,
-            stop: run.stop,
-        }
+        self.run_units(tdg, work, policy, budget)
     }
 
-    /// Bounded variant of
-    /// [`run_partitioned_recovering`](Executor::run_partitioned_recovering):
-    /// the dispatch (and budget-polling) unit is the quotient node, so
-    /// cancellation and deadline expiry act at partition boundaries and an
-    /// unfinished partition contributes all its member tasks to
-    /// `unfinished_tasks`.
+    /// Recovering variant of
+    /// [`run_partitioned`](Executor::run_partitioned) with **partition
+    /// quarantine**: the dispatch (and budget-polling) unit is the quotient
+    /// node, so a member task that fails permanently poisons its whole
+    /// partition (remaining members are skipped — their in-partition
+    /// inputs are suspect) plus the partition's forward closure in the
+    /// quotient graph, and deadline expiry or cancellation acts at
+    /// partition boundaries. `poisoned_units` / `unfinished_units` hold
+    /// partition ids; `poisoned_tasks` / `unfinished_tasks` their member
+    /// tasks (sorted).
     pub fn run_partitioned_recovering_bounded<W: RecoverableWork>(
         &self,
         quotient: &QuotientTdg,
@@ -191,33 +179,28 @@ impl Executor {
         policy: &RetryPolicy,
         budget: &RunBudget,
     ) -> RunOutcome {
-        let q = quotient.graph();
-        let np = q.num_tasks();
-        let total_tasks = quotient.num_tasks();
+        self.run_units(quotient, work, policy, budget)
+    }
+
+    fn run_units<G: UnitGraph, W: RecoverableWork>(
+        &self,
+        graph: &G,
+        work: &W,
+        policy: &RetryPolicy,
+        budget: &RunBudget,
+    ) -> RunOutcome {
+        let units = graph.units();
+        let n = units.num_tasks();
         let start = Instant::now();
         let deadline = budget.deadline.map(|d| start + d);
-        let cancel = budget.observe_cancel();
+        let cancel = budget.cancel.as_ref().map(CancelToken::observe);
         let state = RecoveryState::new(policy);
-        let run_unit = |p: u32| {
-            for &t in quotient.execution_order(PartitionId(p)) {
-                if !state.attempt_task(work, p, t) {
-                    return false;
-                }
-            }
-            true
-        };
-        let repr_task = |p: u32| {
-            quotient
-                .execution_order(PartitionId(p))
-                .first()
-                .copied()
-                .unwrap_or(p)
-        };
+        let run_unit = |u: u32| graph.members(u).all(|t| state.attempt_task(work, u, t));
         let run = if self.num_workers() == 1 && budget.stall_window.is_none() {
             run_sequential_bounded(
-                np,
-                &q.in_degrees(),
-                |p| q.successors(TaskId(p)),
+                n,
+                &units.in_degrees(),
+                |u| units.successors(TaskId(u)),
                 run_unit,
                 deadline,
                 cancel.as_ref(),
@@ -225,34 +208,27 @@ impl Executor {
         } else {
             run_stealing_bounded(
                 self.num_workers(),
-                np,
-                &q.in_degrees(),
-                &|p| q.successors(TaskId(p)),
+                n,
+                &units.in_degrees(),
+                &|u| units.successors(TaskId(u)),
                 &run_unit,
-                &repr_task,
+                &|u| graph.members(u).next().unwrap_or(u),
                 deadline,
                 cancel.as_ref(),
                 budget.stall_window,
                 &state,
             )
         };
-        let member_tasks = |units: &[u32]| -> Vec<u32> {
-            let mut tasks: Vec<u32> = units
-                .iter()
-                .flat_map(|&p| quotient.execution_order(PartitionId(p)).iter().copied())
-                .collect();
+        // Flagged units in id order, and their member tasks sorted.
+        let expand = |flags: &[bool]| {
+            let units: Vec<u32> = (0..n as u32).filter(|&u| flags[u as usize]).collect();
+            let mut tasks: Vec<u32> = units.iter().flat_map(|&u| graph.members(u)).collect();
             tasks.sort_unstable();
-            tasks
+            (units, tasks)
         };
-        let poisoned_units: Vec<u32> = (0..np as u32)
-            .filter(|&p| run.poisoned[p as usize])
-            .collect();
-        let unfinished_units: Vec<u32> = (0..np as u32)
-            .filter(|&p| run.unfinished[p as usize])
-            .collect();
-        let poisoned_tasks = member_tasks(&poisoned_units);
-        let unfinished_tasks = member_tasks(&unfinished_units);
-        let salvaged = total_tasks - poisoned_tasks.len() - unfinished_tasks.len();
+        let (poisoned_units, poisoned_tasks) = expand(&run.poisoned);
+        let (unfinished_units, unfinished_tasks) = expand(&run.unfinished);
+        let salvaged = graph.num_tasks() - poisoned_tasks.len() - unfinished_tasks.len();
         let (failures, retries) = state.into_parts();
         RunOutcome {
             report: RunReport {
@@ -271,22 +247,85 @@ impl Executor {
             stop: run.stop,
         }
     }
+}
 
-    /// Bounded, recovering plain-TDG run for infallible payloads: lifts a
-    /// [`TaskWork`] payload (no faults, no retries) into the bounded
-    /// runner. Convenience for callers that only want deadline /
-    /// cancellation semantics.
-    pub fn run_tdg_bounded<W: TaskWork>(
-        &self,
-        tdg: &Tdg,
-        work: &W,
-        budget: &RunBudget,
-    ) -> RunOutcome {
-        let lifted = |t: TaskId, _attempt: u32| -> Result<(), TaskError> {
-            work.execute(t);
-            Ok(())
-        };
-        self.run_tdg_recovering_bounded(tdg, &lifted, &RetryPolicy::no_retries(), budget)
+/// Shared bookkeeping of one recovering run: retry loop, failure records,
+/// retry counter.
+struct RecoveryState<'p> {
+    policy: &'p RetryPolicy,
+    retries: AtomicU64,
+    failures: Mutex<Vec<FailureRecord>>,
+}
+
+impl<'p> RecoveryState<'p> {
+    fn new(policy: &'p RetryPolicy) -> Self {
+        RecoveryState {
+            policy,
+            retries: AtomicU64::new(0),
+            failures: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Run `task` (dispatched as part of `unit`) with bounded retries.
+    /// Returns `true` on success; on permanent failure records a
+    /// [`FailureRecord`] and returns `false`.
+    fn attempt_task<W: RecoverableWork>(&self, work: &W, unit: u32, task: u32) -> bool {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut attempt = 0u32;
+        loop {
+            match catch_unwind(AssertUnwindSafe(|| work.execute(TaskId(task), attempt))) {
+                Ok(Ok(())) => return true,
+                Ok(Err(TaskError::Transient(msg))) => {
+                    if attempt >= self.policy.max_retries {
+                        self.record(unit, task, attempt + 1, TaskError::Transient(msg));
+                        return false;
+                    }
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    let pause = self.policy.backoff(attempt);
+                    if !pause.is_zero() {
+                        std::thread::sleep(pause);
+                    }
+                    attempt += 1;
+                }
+                Ok(Err(err)) => {
+                    self.record(unit, task, attempt + 1, err);
+                    return false;
+                }
+                Err(payload) => {
+                    let msg = panic_message(payload.as_ref());
+                    self.record(unit, task, attempt + 1, TaskError::Fatal(msg));
+                    return false;
+                }
+            }
+        }
+    }
+
+    fn record(&self, unit: u32, task: u32, attempts: u32, error: TaskError) {
+        self.failures.lock().push(FailureRecord {
+            unit,
+            task,
+            attempts,
+            error,
+        });
+    }
+
+    /// Failure records (sorted by unit then task, so parallel runs report
+    /// deterministically) plus the retry count.
+    fn into_parts(self) -> (Vec<FailureRecord>, u64) {
+        let mut failures = self.failures.into_inner();
+        failures.sort_by_key(|f| (f.unit, f.task));
+        (failures, self.retries.into_inner())
+    }
+}
+
+/// Best-effort text of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "payload panicked".to_string()
     }
 }
 
@@ -345,31 +384,20 @@ where
         if stop == STOP_RUNNING {
             stop = poll_budget(deadline, cancel);
         }
-        if stop != STOP_RUNNING {
+        let poison = if stop == STOP_RUNNING {
+            dispatches += 1;
+            poisoned[t as usize] || !run_unit(t)
+        } else {
             // Drain: never admit. Poison (decided before the stop) still
             // propagates; everything else becomes unfinished.
-            let was_poisoned = poisoned[t as usize];
-            if !was_poisoned {
-                unfinished[t as usize] = true;
-            }
-            for &s in successors(t) {
-                if was_poisoned {
-                    poisoned[s as usize] = true;
-                }
-                dep[s as usize] -= 1;
-                if dep[s as usize] == 0 {
-                    ready.push(s);
-                }
-            }
-            continue;
-        }
-        dispatches += 1;
-        let ok = !poisoned[t as usize] && run_unit(t);
-        if !ok {
+            unfinished[t as usize] = !poisoned[t as usize];
+            poisoned[t as usize]
+        };
+        if poison {
             poisoned[t as usize] = true;
         }
         for &s in successors(t) {
-            if !ok {
+            if poison {
                 poisoned[s as usize] = true;
             }
             dep[s as usize] -= 1;
@@ -408,8 +436,10 @@ const UNIT_STALLED: u8 = 2;
 /// publication, successor decrements, and completion increment; the loser
 /// discards its result. Poison is always stored (`Release`) before the
 /// dependency decrement (`AcqRel`) that can ready a successor, so the
-/// inherited-poison check (`Acquire`) observes every parent failure — the
-/// same ordering argument as the unbounded recovering runner.
+/// inherited-poison check (`Acquire`) observes every parent failure
+/// regardless of interleaving: a unit is only popped after every
+/// predecessor decremented its fan-in count. Weakening that decrement to
+/// `Relaxed` is the mutation the model checker catches (see gpasta-check).
 #[allow(clippy::too_many_arguments)]
 fn run_stealing_bounded<'a, S, R, P>(
     workers: usize,
@@ -439,8 +469,7 @@ where
     let run_start = Instant::now();
     // Watchdog bookkeeping (in-flight slots, per-unit claim states, and the
     // per-unit clock read that stamps them) is only paid when a stall window
-    // is armed; without one, no other claimant exists and the admission path
-    // stays as lean as the unbounded runner's.
+    // is armed; without one, no other claimant exists.
     let watching = stall_window.is_some();
     let dep: Vec<AtomicU32> = in_degrees.iter().map(|&d| AtomicU32::new(d)).collect();
     let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
@@ -668,6 +697,15 @@ mod tests {
     use gpasta_tdg::TdgBuilder;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
 
+    fn diamond() -> Tdg {
+        let mut b = TdgBuilder::new(4);
+        b.add_edge(TaskId(0), TaskId(1));
+        b.add_edge(TaskId(0), TaskId(2));
+        b.add_edge(TaskId(1), TaskId(3));
+        b.add_edge(TaskId(2), TaskId(3));
+        b.build().expect("diamond DAG")
+    }
+
     fn chain(n: usize) -> Tdg {
         let mut b = TdgBuilder::new(n);
         for i in 1..n {
@@ -712,24 +750,240 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_budget_matches_unbounded_runner() {
+    fn recovering_with_no_faults_matches_plain_run() {
+        let tdg = layered(32, 10);
+        let plan = FaultPlan::none();
+        for workers in [1usize, 4] {
+            let count = StdAtomicU64::new(0);
+            let payload = |_t: TaskId| {
+                count.fetch_add(1, Ordering::Relaxed);
+            };
+            let work = FaultyWork::new(&payload, &plan);
+            let exec = Executor::new(workers);
+            let outcome = exec.run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::default(),
+                &RunBudget::unbounded(),
+            );
+            assert!(outcome.is_clean(), "workers={workers}");
+            assert_eq!(outcome.salvaged_tasks, tdg.num_tasks());
+            assert_eq!(outcome.retries, 0);
+            assert_eq!(outcome.report.dispatches as usize, tdg.num_tasks());
+            assert_eq!(count.load(Ordering::Relaxed) as usize, tdg.num_tasks());
+        }
+        assert_eq!(plan.fired(), 0);
+    }
+
+    #[test]
+    fn fatal_fault_poisons_exactly_the_forward_closure() {
         let tdg = layered(16, 8);
-        let plan = FaultPlan::random(0xFA17, 0.02, &[FaultKind::WrongResult]);
+        let seed = 20u32; // a task in level 1: real downstream cone
+        let expected = closure_of(&tdg, &[seed]);
+        assert!(expected.len() > 1, "seed must have successors");
+        let plan = FaultPlan::none().inject(seed, 0, FaultKind::WrongResult);
         for workers in [1usize, 4] {
             let payload = |_t: TaskId| {};
             let work = FaultyWork::new(&payload, &plan);
             let exec = Executor::new(workers);
-            let reference = exec.run_tdg_recovering(&tdg, &work, &RetryPolicy::no_retries());
-            let bounded = exec.run_tdg_recovering_bounded(
+            let outcome = exec.run_tdg_recovering_bounded(
                 &tdg,
                 &work,
                 &RetryPolicy::no_retries(),
                 &RunBudget::unbounded(),
             );
-            assert_eq!(bounded.stop, StopCause::Completed);
-            assert_eq!(bounded.poisoned_tasks, reference.poisoned_tasks);
-            assert_eq!(bounded.salvaged_tasks, reference.salvaged_tasks);
-            assert!(bounded.unfinished_tasks.is_empty());
+            assert_eq!(outcome.poisoned_tasks, expected, "workers={workers}");
+            assert_eq!(
+                outcome.salvaged_tasks,
+                tdg.num_tasks() - expected.len(),
+                "salvage is the exact complement"
+            );
+            assert_eq!(outcome.failures.len(), 1);
+            assert_eq!(outcome.failures[0].task, seed);
+        }
+    }
+
+    #[test]
+    fn panic_fault_is_contained_not_propagated() {
+        let tdg = layered(8, 4);
+        let plan = FaultPlan::none().inject(7, 0, FaultKind::Panic);
+        for workers in [1usize, 3] {
+            let payload = |_t: TaskId| {};
+            let work = FaultyWork::new(&payload, &plan);
+            let exec = Executor::new(workers);
+            // Must NOT unwind — that is the whole point.
+            let outcome = exec.run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::no_retries(),
+                &RunBudget::unbounded(),
+            );
+            assert!(!outcome.is_clean());
+            assert_eq!(outcome.failures[0].task, 7);
+            assert!(matches!(outcome.failures[0].error, TaskError::Fatal(_)));
+            assert_eq!(outcome.poisoned_tasks, closure_of(&tdg, &[7]));
+        }
+    }
+
+    #[test]
+    fn transient_fault_recovers_via_retry() {
+        let tdg = diamond();
+        // Fails twice, succeeds on the third attempt.
+        let plan =
+            FaultPlan::none()
+                .inject(1, 0, FaultKind::Transient)
+                .inject(1, 1, FaultKind::Transient);
+        let count = StdAtomicU64::new(0);
+        let payload = |_t: TaskId| {
+            count.fetch_add(1, Ordering::Relaxed);
+        };
+        let work = FaultyWork::new(&payload, &plan);
+        let exec = Executor::new(1);
+        let policy = RetryPolicy {
+            max_retries: 3,
+            base_backoff: std::time::Duration::ZERO,
+            max_backoff: std::time::Duration::ZERO,
+        };
+        let outcome =
+            exec.run_tdg_recovering_bounded(&tdg, &work, &policy, &RunBudget::unbounded());
+        assert!(outcome.poisoned_tasks.is_empty());
+        assert_eq!(outcome.salvaged_tasks, 4);
+        assert_eq!(outcome.retries, 2);
+        assert_eq!(count.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn transient_fault_exhausting_retries_is_quarantined() {
+        let tdg = diamond();
+        let plan =
+            FaultPlan::none()
+                .inject(0, 0, FaultKind::Transient)
+                .inject(0, 1, FaultKind::Transient);
+        let payload = |_t: TaskId| {};
+        let work = FaultyWork::new(&payload, &plan);
+        let exec = Executor::new(1);
+        let policy = RetryPolicy {
+            max_retries: 1,
+            base_backoff: std::time::Duration::ZERO,
+            max_backoff: std::time::Duration::ZERO,
+        };
+        let outcome =
+            exec.run_tdg_recovering_bounded(&tdg, &work, &policy, &RunBudget::unbounded());
+        // Task 0 is the diamond's source: everything is in its closure.
+        assert_eq!(outcome.poisoned_tasks, vec![0, 1, 2, 3]);
+        assert_eq!(outcome.salvaged_tasks, 0);
+        assert_eq!(outcome.failures[0].attempts, 2);
+        assert_eq!(outcome.retries, 1);
+    }
+
+    #[test]
+    fn delay_fault_slows_but_never_fails() {
+        let tdg = diamond();
+        let plan = FaultPlan::none().inject(2, 0, FaultKind::Delay { micros: 50 });
+        let count = StdAtomicU64::new(0);
+        let payload = |_t: TaskId| {
+            count.fetch_add(1, Ordering::Relaxed);
+        };
+        let work = FaultyWork::new(&payload, &plan);
+        let outcome = Executor::new(2).run_tdg_recovering_bounded(
+            &tdg,
+            &work,
+            &RetryPolicy::default(),
+            &RunBudget::unbounded(),
+        );
+        assert!(outcome.poisoned_tasks.is_empty());
+        assert_eq!(count.load(Ordering::Relaxed), 4);
+        assert_eq!(plan.fired(), 1);
+    }
+
+    #[test]
+    fn partitioned_recovery_quarantines_the_whole_partition() {
+        use gpasta_tdg::Partition;
+        // Chain 0 -> 1 -> 2 -> 3 grouped {0} -> {1,2} -> {3}: member order
+        // inside partition 1 is dependency-forced, so failing member 1 must
+        // skip member 2 and poison partitions 1 and 2.
+        let mut b = TdgBuilder::new(4);
+        b.add_edge(TaskId(0), TaskId(1));
+        b.add_edge(TaskId(1), TaskId(2));
+        b.add_edge(TaskId(2), TaskId(3));
+        let tdg = b.build().expect("chain DAG");
+        let p = Partition::new(vec![0, 1, 1, 2]);
+        let q = QuotientTdg::build(&tdg, &p).expect("valid partition");
+        let plan = FaultPlan::none().inject(1, 0, FaultKind::WrongResult);
+        for workers in [1usize, 2] {
+            let ran = parking_lot::Mutex::new(Vec::new());
+            let payload = |t: TaskId| {
+                ran.lock().push(t.0);
+            };
+            let work = FaultyWork::new(&payload, &plan);
+            let exec = Executor::new(workers);
+            let outcome = exec.run_partitioned_recovering_bounded(
+                &q,
+                &work,
+                &RetryPolicy::no_retries(),
+                &RunBudget::unbounded(),
+            );
+            assert_eq!(outcome.poisoned_units, vec![1, 2], "workers={workers}");
+            assert_eq!(outcome.poisoned_tasks, vec![1, 2, 3]);
+            assert_eq!(outcome.salvaged_tasks, 1);
+            assert_eq!(outcome.failures[0].unit, 1);
+            assert_eq!(outcome.failures[0].task, 1);
+            let ran = ran.into_inner();
+            assert!(ran.contains(&0), "unaffected partition still runs");
+            assert!(!ran.contains(&2), "members after the failure are skipped");
+        }
+    }
+
+    #[test]
+    fn salvage_set_is_identical_across_worker_counts() {
+        let tdg = layered(24, 12);
+        let kinds = [
+            FaultKind::Panic,
+            FaultKind::Transient,
+            FaultKind::WrongResult,
+        ];
+        let plan = FaultPlan::random(0xFA17, 0.02, &kinds);
+        let policy = RetryPolicy {
+            max_retries: 2,
+            base_backoff: std::time::Duration::ZERO,
+            max_backoff: std::time::Duration::ZERO,
+        };
+        let mut reference: Option<Vec<u32>> = None;
+        for workers in [1usize, 2, 4] {
+            let payload = |_t: TaskId| {};
+            let work = FaultyWork::new(&payload, &plan);
+            let outcome = Executor::new(workers).run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &policy,
+                &RunBudget::unbounded(),
+            );
+            assert!(!outcome.poisoned_tasks.is_empty(), "plan should fire");
+            match &reference {
+                None => reference = Some(outcome.poisoned_tasks),
+                Some(r) => assert_eq!(
+                    &outcome.poisoned_tasks, r,
+                    "poison set must not depend on worker count (workers={workers})"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn recovering_empty_graph_is_clean() {
+        let tdg = TdgBuilder::new(0).build().expect("empty DAG");
+        let plan = FaultPlan::none();
+        let payload = |_t: TaskId| {};
+        let work = FaultyWork::new(&payload, &plan);
+        for workers in [1usize, 2] {
+            let outcome = Executor::new(workers).run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::default(),
+                &RunBudget::unbounded(),
+            );
+            assert!(outcome.is_clean());
+            assert_eq!(outcome.salvaged_tasks, 0);
         }
     }
 
@@ -999,20 +1253,5 @@ mod tests {
                 Some(r) => assert_eq!(&outcome.poisoned_tasks, r, "workers={workers}"),
             }
         }
-    }
-
-    #[test]
-    fn run_tdg_bounded_lifts_infallible_payloads() {
-        let tdg = chain(5);
-        let count = StdAtomicU64::new(0);
-        let outcome = Executor::new(2).run_tdg_bounded(
-            &tdg,
-            &|_t: TaskId| {
-                count.fetch_add(1, Ordering::Relaxed);
-            },
-            &RunBudget::unbounded(),
-        );
-        assert!(outcome.is_clean());
-        assert_eq!(count.load(Ordering::Relaxed), 5);
     }
 }

@@ -1,6 +1,9 @@
-//! The work-stealing TDG executor.
+//! The work-stealing TDG executor: the [`Executor`] handle and its plain
+//! wavefront (chunked dependency decrements, payload panics re-raised on
+//! the caller). The recovering wavefront (`bounded.rs`) is deliberately a
+//! separate loop: this one is the oracle the differential suites compare
+//! it against.
 
-use crate::outcome::{FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, TaskError};
 use crate::report::RunReport;
 use crossbeam_deque::{Injector, Stealer, Worker};
 use crossbeam_utils::Backoff;
@@ -201,215 +204,6 @@ impl Executor {
             num_workers: self.num_workers,
         }
     }
-
-    /// Fault-tolerant variant of [`run_tdg`](Executor::run_tdg): never
-    /// unwinds into the caller.
-    ///
-    /// Each attempt runs under `catch_unwind`; transient failures retry
-    /// with `policy`'s exponential backoff; a task that fails permanently
-    /// (panic, fatal error, or retries exhausted) is *poisoned* together
-    /// with its entire forward closure, while the wavefront keeps
-    /// scheduling every unaffected task. The returned [`RunOutcome`] lists
-    /// the salvaged count and the poisoned set — the exact closure of the
-    /// failed tasks, so salvage is its exact complement.
-    ///
-    /// With a payload that never fails, the result is behaviourally
-    /// identical to [`run_tdg`](Executor::run_tdg) (a property the
-    /// `fault_recovery` bench pins at ≤ 5% overhead).
-    pub fn run_tdg_recovering<W: RecoverableWork>(
-        &self,
-        tdg: &Tdg,
-        work: &W,
-        policy: &RetryPolicy,
-    ) -> RunOutcome {
-        let n = tdg.num_tasks();
-        let start = Instant::now();
-        let state = RecoveryState::new(policy);
-        let run_unit = |t: u32| state.attempt_task(work, t, t);
-        let (dispatches, poisoned) = if self.num_workers == 1 {
-            run_sequential_recovering(
-                n,
-                &tdg.in_degrees(),
-                |t| tdg.successors(TaskId(t)),
-                run_unit,
-            )
-        } else {
-            run_stealing_recovering(
-                self.num_workers,
-                n,
-                &tdg.in_degrees(),
-                &|t| tdg.successors(TaskId(t)),
-                &run_unit,
-            )
-        };
-        let poisoned_units: Vec<u32> = (0..n as u32).filter(|&t| poisoned[t as usize]).collect();
-        let salvaged = n - poisoned_units.len();
-        let (failures, retries) = state.into_parts();
-        RunOutcome {
-            report: RunReport {
-                elapsed: start.elapsed(),
-                tasks_executed: salvaged,
-                dispatches,
-                num_workers: self.num_workers,
-            },
-            salvaged_tasks: salvaged,
-            poisoned_tasks: poisoned_units.clone(),
-            poisoned_units,
-            unfinished_tasks: Vec::new(),
-            unfinished_units: Vec::new(),
-            failures,
-            retries,
-            stop: crate::outcome::StopCause::Completed,
-        }
-    }
-
-    /// Fault-tolerant variant of
-    /// [`run_partitioned`](Executor::run_partitioned) with **partition
-    /// quarantine**: the dispatch unit is the quotient node, so a member
-    /// task that fails permanently poisons its whole partition (remaining
-    /// members are skipped — their in-partition inputs are suspect) plus
-    /// the partition's forward closure in the quotient graph. Every
-    /// partition outside that closure is salvaged in full.
-    ///
-    /// `poisoned_units` holds quarantined partition ids; `poisoned_tasks`
-    /// their member tasks (sorted).
-    pub fn run_partitioned_recovering<W: RecoverableWork>(
-        &self,
-        quotient: &QuotientTdg,
-        work: &W,
-        policy: &RetryPolicy,
-    ) -> RunOutcome {
-        let q = quotient.graph();
-        let np = q.num_tasks();
-        let total_tasks = quotient.num_tasks();
-        let start = Instant::now();
-        let state = RecoveryState::new(policy);
-        let run_unit = |p: u32| {
-            for &t in quotient.execution_order(PartitionId(p)) {
-                if !state.attempt_task(work, p, t) {
-                    return false;
-                }
-            }
-            true
-        };
-        let (dispatches, poisoned) = if self.num_workers == 1 {
-            run_sequential_recovering(np, &q.in_degrees(), |p| q.successors(TaskId(p)), run_unit)
-        } else {
-            run_stealing_recovering(
-                self.num_workers,
-                np,
-                &q.in_degrees(),
-                &|p| q.successors(TaskId(p)),
-                &run_unit,
-            )
-        };
-        let poisoned_units: Vec<u32> = (0..np as u32).filter(|&p| poisoned[p as usize]).collect();
-        let mut poisoned_tasks: Vec<u32> = poisoned_units
-            .iter()
-            .flat_map(|&p| quotient.execution_order(PartitionId(p)).iter().copied())
-            .collect();
-        poisoned_tasks.sort_unstable();
-        let salvaged = total_tasks - poisoned_tasks.len();
-        let (failures, retries) = state.into_parts();
-        RunOutcome {
-            report: RunReport {
-                elapsed: start.elapsed(),
-                tasks_executed: salvaged,
-                dispatches,
-                num_workers: self.num_workers,
-            },
-            salvaged_tasks: salvaged,
-            poisoned_tasks,
-            poisoned_units,
-            unfinished_tasks: Vec::new(),
-            unfinished_units: Vec::new(),
-            failures,
-            retries,
-            stop: crate::outcome::StopCause::Completed,
-        }
-    }
-}
-
-/// Shared bookkeeping for the recovering runners: retry loop, failure
-/// records, retry counter. Crate-visible so the bounded runners (deadline /
-/// cancellation / watchdog, `bounded.rs`) reuse the identical retry loop —
-/// keeping failure semantics byte-for-byte the same across both paths.
-pub(crate) struct RecoveryState<'p> {
-    policy: &'p RetryPolicy,
-    retries: AtomicU64,
-    failures: Mutex<Vec<FailureRecord>>,
-}
-
-impl<'p> RecoveryState<'p> {
-    pub(crate) fn new(policy: &'p RetryPolicy) -> Self {
-        RecoveryState {
-            policy,
-            retries: AtomicU64::new(0),
-            failures: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Run `task` (dispatched as part of `unit`) with bounded retries.
-    /// Returns `true` on success; on permanent failure records a
-    /// [`FailureRecord`] and returns `false`.
-    pub(crate) fn attempt_task<W: RecoverableWork>(&self, work: &W, unit: u32, task: u32) -> bool {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut attempt = 0u32;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| work.execute(TaskId(task), attempt))) {
-                Ok(Ok(())) => return true,
-                Ok(Err(TaskError::Transient(msg))) => {
-                    if attempt >= self.policy.max_retries {
-                        self.record(unit, task, attempt + 1, TaskError::Transient(msg));
-                        return false;
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    let pause = self.policy.backoff(attempt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                    attempt += 1;
-                }
-                Ok(Err(err)) => {
-                    self.record(unit, task, attempt + 1, err);
-                    return false;
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    self.record(unit, task, attempt + 1, TaskError::Fatal(msg));
-                    return false;
-                }
-            }
-        }
-    }
-
-    pub(crate) fn record(&self, unit: u32, task: u32, attempts: u32, error: TaskError) {
-        self.failures.lock().push(FailureRecord {
-            unit,
-            task,
-            attempts,
-            error,
-        });
-    }
-
-    /// Failure records (sorted by unit then task, so parallel runs report
-    /// deterministically) plus the retry count.
-    pub(crate) fn into_parts(self) -> (Vec<FailureRecord>, u64) {
-        let mut failures = self.failures.into_inner();
-        failures.sort_by_key(|f| (f.unit, f.task));
-        (failures, self.retries.into_inner())
-    }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "payload panicked".to_string()
-    }
 }
 
 /// Single-threaded execution through an explicit ready queue. Returns the
@@ -594,152 +388,6 @@ fn run_stealing<'a>(
         resume_unwind(payload);
     }
     dispatches.load(Ordering::Relaxed)
-}
-
-/// Single-threaded recovering wavefront. `run_unit` returns `false` on
-/// permanent failure; poison spreads to every successor (computing the
-/// forward closure on the fly) while unaffected units keep executing.
-/// Returns `(dispatches, poisoned)`.
-fn run_sequential_recovering<'a, S, R>(
-    n: usize,
-    in_degrees: &[u32],
-    successors: S,
-    run_unit: R,
-) -> (u64, Vec<bool>)
-where
-    S: Fn(u32) -> &'a [u32],
-    R: Fn(u32) -> bool,
-{
-    let mut poisoned = vec![false; n];
-    let mut dep: Vec<u32> = in_degrees.to_vec();
-    let mut ready: Vec<u32> = (0..n as u32).filter(|&t| dep[t as usize] == 0).collect();
-    let mut dispatches = 0u64;
-    while let Some(t) = ready.pop() {
-        dispatches += 1;
-        let ok = !poisoned[t as usize] && run_unit(t);
-        if !ok {
-            poisoned[t as usize] = true;
-        }
-        for &s in successors(t) {
-            if !ok {
-                poisoned[s as usize] = true;
-            }
-            dep[s as usize] -= 1;
-            if dep[s as usize] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    debug_assert_eq!(dispatches as usize, n, "every unit is dispatched once");
-    (dispatches, poisoned)
-}
-
-/// Work-stealing recovering wavefront: the parallel counterpart of
-/// [`run_sequential_recovering`]. Unlike [`run_stealing`] there is no abort
-/// path — `run_unit` contains every failure (it catches panics internally),
-/// so the pool always drains all `n` units.
-///
-/// A unit is only popped after every predecessor decremented its fan-in
-/// count; each predecessor publishes its poison mark (`Release`) before
-/// that decrement (`AcqRel`), so the inherited-poison check (`Acquire`)
-/// observes all parent failures regardless of interleaving.
-fn run_stealing_recovering<'a, S, R>(
-    workers: usize,
-    n: usize,
-    in_degrees: &[u32],
-    successors: &S,
-    run_unit: &R,
-) -> (u64, Vec<bool>)
-where
-    S: Fn(u32) -> &'a [u32] + Sync,
-    R: Fn(u32) -> bool + Sync,
-{
-    use gpasta_check::sync::AtomicBool;
-
-    if n == 0 {
-        return (0, Vec::new());
-    }
-    let dep: Vec<AtomicU32> = in_degrees.iter().map(|&d| AtomicU32::new(d)).collect();
-    let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let injector = Injector::new();
-    for t in 0..n as u32 {
-        if dep[t as usize].load(Ordering::Relaxed) == 0 {
-            injector.push(t);
-        }
-    }
-    let completed = AtomicUsize::new(0);
-    let dispatches = AtomicU64::new(0);
-
-    let locals: Vec<Worker<u32>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<u32>> = locals.iter().map(Worker::stealer).collect();
-
-    std::thread::scope(|scope| {
-        for (w, local) in locals.into_iter().enumerate() {
-            let dep = &dep;
-            let poisoned = &poisoned;
-            let injector = &injector;
-            let stealers = &stealers;
-            let completed = &completed;
-            let dispatches = &dispatches;
-            scope.spawn(move || {
-                let backoff = Backoff::new();
-                loop {
-                    let unit = local.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector.steal_batch_and_pop(&local).or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(i, _)| i != w)
-                                    .map(|(_, s)| s.steal())
-                                    .collect()
-                            })
-                        })
-                        .find(|s| !s.is_retry())
-                        .and_then(|s| s.success())
-                    });
-                    match unit {
-                        Some(t) => {
-                            backoff.reset();
-                            dispatches.fetch_add(1, Ordering::Relaxed);
-                            // hb: poison-publish
-                            let ok = !poisoned[t as usize].load(Ordering::Acquire) && run_unit(t);
-                            if !ok {
-                                // hb: poison-publish
-                                poisoned[t as usize].store(true, Ordering::Release);
-                            }
-                            for &s in successors(t) {
-                                if !ok {
-                                    // hb: poison-publish
-                                    poisoned[s as usize].store(true, Ordering::Release);
-                                }
-                                // The AcqRel decrement is the poison handoff:
-                                // it orders each parent's Release poison mark
-                                // before the successor's Acquire check above.
-                                // Weakening it to Relaxed is the mutation the
-                                // model checker catches (see gpasta-check).
-                                // hb: dep-handoff
-                                if dep[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    local.push(s);
-                                }
-                            }
-                            completed.fetch_add(1, Ordering::Release); // hb: run-complete
-                        }
-                        None => {
-                            // hb: run-complete
-                            if completed.load(Ordering::Acquire) == n {
-                                break;
-                            }
-                            backoff.snooze();
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let poisoned = poisoned.into_iter().map(AtomicBool::into_inner).collect();
-    (dispatches.load(Ordering::Relaxed), poisoned)
 }
 
 #[cfg(test)]
@@ -985,246 +633,6 @@ mod tests {
                 });
             }));
             assert!(result.is_err(), "workers={workers}: panic must propagate");
-        }
-    }
-
-    /// Reference forward closure over raw TDG successors (BFS).
-    fn closure_of(tdg: &Tdg, seeds: &[u32]) -> Vec<u32> {
-        let mut seen = vec![false; tdg.num_tasks()];
-        let mut stack: Vec<u32> = seeds.to_vec();
-        for &s in seeds {
-            seen[s as usize] = true;
-        }
-        while let Some(t) = stack.pop() {
-            for &s in tdg.successors(TaskId(t)) {
-                if !seen[s as usize] {
-                    seen[s as usize] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        (0..tdg.num_tasks() as u32)
-            .filter(|&t| seen[t as usize])
-            .collect()
-    }
-
-    #[test]
-    fn recovering_with_no_faults_matches_plain_run() {
-        use crate::fault::{FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = layered(32, 10);
-        let plan = FaultPlan::none();
-        for workers in [1usize, 4] {
-            let count = StdAtomicU64::new(0);
-            let payload = |_t: TaskId| {
-                count.fetch_add(1, Ordering::Relaxed);
-            };
-            let work = FaultyWork::new(&payload, &plan);
-            let exec = Executor::new(workers);
-            let outcome = exec.run_tdg_recovering(&tdg, &work, &RetryPolicy::default());
-            assert!(outcome.is_clean(), "workers={workers}");
-            assert_eq!(outcome.salvaged_tasks, tdg.num_tasks());
-            assert_eq!(outcome.retries, 0);
-            assert_eq!(outcome.report.dispatches as usize, tdg.num_tasks());
-            assert_eq!(count.load(Ordering::Relaxed) as usize, tdg.num_tasks());
-        }
-        assert_eq!(plan.fired(), 0);
-    }
-
-    #[test]
-    fn fatal_fault_poisons_exactly_the_forward_closure() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = layered(16, 8);
-        let seed = 20u32; // a task in level 1: real downstream cone
-        let expected = closure_of(&tdg, &[seed]);
-        assert!(expected.len() > 1, "seed must have successors");
-        let plan = FaultPlan::none().inject(seed, 0, FaultKind::WrongResult);
-        for workers in [1usize, 4] {
-            let payload = |_t: TaskId| {};
-            let work = FaultyWork::new(&payload, &plan);
-            let exec = Executor::new(workers);
-            let outcome = exec.run_tdg_recovering(&tdg, &work, &RetryPolicy::no_retries());
-            assert_eq!(outcome.poisoned_tasks, expected, "workers={workers}");
-            assert_eq!(
-                outcome.salvaged_tasks,
-                tdg.num_tasks() - expected.len(),
-                "salvage is the exact complement"
-            );
-            assert_eq!(outcome.failures.len(), 1);
-            assert_eq!(outcome.failures[0].task, seed);
-        }
-    }
-
-    #[test]
-    fn panic_fault_is_contained_not_propagated() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = layered(8, 4);
-        let plan = FaultPlan::none().inject(7, 0, FaultKind::Panic);
-        for workers in [1usize, 3] {
-            let payload = |_t: TaskId| {};
-            let work = FaultyWork::new(&payload, &plan);
-            let exec = Executor::new(workers);
-            // Must NOT unwind — that is the whole point.
-            let outcome = exec.run_tdg_recovering(&tdg, &work, &RetryPolicy::no_retries());
-            assert!(!outcome.is_clean());
-            assert_eq!(outcome.failures[0].task, 7);
-            assert!(matches!(outcome.failures[0].error, TaskError::Fatal(_)));
-            assert_eq!(outcome.poisoned_tasks, closure_of(&tdg, &[7]));
-        }
-    }
-
-    #[test]
-    fn transient_fault_recovers_via_retry() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = diamond();
-        // Fails twice, succeeds on the third attempt.
-        let plan =
-            FaultPlan::none()
-                .inject(1, 0, FaultKind::Transient)
-                .inject(1, 1, FaultKind::Transient);
-        let count = StdAtomicU64::new(0);
-        let payload = |_t: TaskId| {
-            count.fetch_add(1, Ordering::Relaxed);
-        };
-        let work = FaultyWork::new(&payload, &plan);
-        let exec = Executor::new(1);
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff: std::time::Duration::ZERO,
-            max_backoff: std::time::Duration::ZERO,
-        };
-        let outcome = exec.run_tdg_recovering(&tdg, &work, &policy);
-        assert!(outcome.poisoned_tasks.is_empty());
-        assert_eq!(outcome.salvaged_tasks, 4);
-        assert_eq!(outcome.retries, 2);
-        assert_eq!(count.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn transient_fault_exhausting_retries_is_quarantined() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = diamond();
-        let plan =
-            FaultPlan::none()
-                .inject(0, 0, FaultKind::Transient)
-                .inject(0, 1, FaultKind::Transient);
-        let payload = |_t: TaskId| {};
-        let work = FaultyWork::new(&payload, &plan);
-        let exec = Executor::new(1);
-        let policy = RetryPolicy {
-            max_retries: 1,
-            base_backoff: std::time::Duration::ZERO,
-            max_backoff: std::time::Duration::ZERO,
-        };
-        let outcome = exec.run_tdg_recovering(&tdg, &work, &policy);
-        // Task 0 is the diamond's source: everything is in its closure.
-        assert_eq!(outcome.poisoned_tasks, vec![0, 1, 2, 3]);
-        assert_eq!(outcome.salvaged_tasks, 0);
-        assert_eq!(outcome.failures[0].attempts, 2);
-        assert_eq!(outcome.retries, 1);
-    }
-
-    #[test]
-    fn delay_fault_slows_but_never_fails() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = diamond();
-        let plan = FaultPlan::none().inject(2, 0, FaultKind::Delay { micros: 50 });
-        let count = StdAtomicU64::new(0);
-        let payload = |_t: TaskId| {
-            count.fetch_add(1, Ordering::Relaxed);
-        };
-        let work = FaultyWork::new(&payload, &plan);
-        let outcome = Executor::new(2).run_tdg_recovering(&tdg, &work, &RetryPolicy::default());
-        assert!(outcome.poisoned_tasks.is_empty());
-        assert_eq!(count.load(Ordering::Relaxed), 4);
-        assert_eq!(plan.fired(), 1);
-    }
-
-    #[test]
-    fn partitioned_recovery_quarantines_the_whole_partition() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        use gpasta_tdg::Partition;
-        // Chain 0 -> 1 -> 2 -> 3 grouped {0} -> {1,2} -> {3}: member order
-        // inside partition 1 is dependency-forced, so failing member 1 must
-        // skip member 2 and poison partitions 1 and 2.
-        let mut b = TdgBuilder::new(4);
-        b.add_edge(TaskId(0), TaskId(1));
-        b.add_edge(TaskId(1), TaskId(2));
-        b.add_edge(TaskId(2), TaskId(3));
-        let tdg = b.build().expect("chain DAG");
-        let p = Partition::new(vec![0, 1, 1, 2]);
-        let q = QuotientTdg::build(&tdg, &p).expect("valid partition");
-        let plan = FaultPlan::none().inject(1, 0, FaultKind::WrongResult);
-        for workers in [1usize, 2] {
-            let ran = parking_lot::Mutex::new(Vec::new());
-            let payload = |t: TaskId| {
-                ran.lock().push(t.0);
-            };
-            let work = FaultyWork::new(&payload, &plan);
-            let exec = Executor::new(workers);
-            let outcome = exec.run_partitioned_recovering(&q, &work, &RetryPolicy::no_retries());
-            assert_eq!(outcome.poisoned_units, vec![1, 2], "workers={workers}");
-            assert_eq!(outcome.poisoned_tasks, vec![1, 2, 3]);
-            assert_eq!(outcome.salvaged_tasks, 1);
-            assert_eq!(outcome.failures[0].unit, 1);
-            assert_eq!(outcome.failures[0].task, 1);
-            let ran = ran.into_inner();
-            assert!(ran.contains(&0), "unaffected partition still runs");
-            assert!(!ran.contains(&2), "members after the failure are skipped");
-        }
-    }
-
-    #[test]
-    fn salvage_set_is_identical_across_worker_counts() {
-        use crate::fault::{FaultKind, FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = layered(24, 12);
-        let kinds = [
-            FaultKind::Panic,
-            FaultKind::Transient,
-            FaultKind::WrongResult,
-        ];
-        let plan = FaultPlan::random(0xFA17, 0.02, &kinds);
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_backoff: std::time::Duration::ZERO,
-            max_backoff: std::time::Duration::ZERO,
-        };
-        let mut reference: Option<Vec<u32>> = None;
-        for workers in [1usize, 2, 4] {
-            let payload = |_t: TaskId| {};
-            let work = FaultyWork::new(&payload, &plan);
-            let outcome = Executor::new(workers).run_tdg_recovering(&tdg, &work, &policy);
-            assert!(!outcome.poisoned_tasks.is_empty(), "plan should fire");
-            match &reference {
-                None => reference = Some(outcome.poisoned_tasks),
-                Some(r) => assert_eq!(
-                    &outcome.poisoned_tasks, r,
-                    "poison set must not depend on worker count (workers={workers})"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn recovering_empty_graph_is_clean() {
-        use crate::fault::{FaultPlan, FaultyWork};
-        use crate::outcome::RetryPolicy;
-        let tdg = TdgBuilder::new(0).build().expect("empty DAG");
-        let plan = FaultPlan::none();
-        let payload = |_t: TaskId| {};
-        let work = FaultyWork::new(&payload, &plan);
-        for workers in [1usize, 2] {
-            let outcome =
-                Executor::new(workers).run_tdg_recovering(&tdg, &work, &RetryPolicy::default());
-            assert!(outcome.is_clean());
-            assert_eq!(outcome.salvaged_tasks, 0);
         }
     }
 

@@ -74,10 +74,12 @@ impl std::str::FromStr for FaultKind {
     }
 }
 
-/// SplitMix64 — tiny, high-quality mixer; enough for fault sampling and
-/// avoids pulling the `rand` stack into this crate.
+/// SplitMix64 — tiny, high-quality mixer: the one hash behind every seeded
+/// schedule in the workspace (fault sampling here; modifier batches, shard
+/// kill points and run fingerprints in `gpasta`), so none of them pulls in
+/// the `rand` stack and all keep their bits across refactors.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

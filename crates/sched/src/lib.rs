@@ -22,20 +22,19 @@
 //!   allocations;
 //! * [`RunReport`] — wall-clock plus scheduling-op counts, so benchmarks can
 //!   attribute time to scheduling vs. payload;
-//! * fault tolerance — [`Executor::run_tdg_recovering`] /
-//!   [`Executor::run_partitioned_recovering`] contain payload failures
-//!   instead of unwinding: per-attempt `catch_unwind`, bounded retry with
-//!   exponential backoff ([`RetryPolicy`]), and partition quarantine (a
-//!   permanent failure poisons its dispatch unit's forward closure while
-//!   everything else is salvaged — reported in a [`RunOutcome`]);
+//! * the recovering wavefront — [`Executor::run_tdg_recovering_bounded`] /
+//!   [`Executor::run_partitioned_recovering_bounded`] contain payload
+//!   failures instead of unwinding: per-attempt `catch_unwind`, bounded
+//!   retry with exponential backoff ([`RetryPolicy`]), and partition
+//!   quarantine (a permanent failure poisons its dispatch unit's forward
+//!   closure while everything else is salvaged). Every run takes a
+//!   [`RunBudget`] (wall-clock deadline, [`CancelToken`] cooperative
+//!   cancellation, hung-task watchdog stall window;
+//!   [`RunBudget::unbounded`] sets none) and reports an early stop as a
+//!   structured partial [`RunOutcome`] whose *unfinished* set is the exact
+//!   forward closure of the unadmitted units ([`StopCause`]);
 //! * [`FaultPlan`] / [`FaultyWork`] — deterministic fault injection keyed
 //!   by `(task, attempt)`, the test oracle for the recovering path;
-//! * bounded-time execution — [`Executor::run_tdg_recovering_bounded`] /
-//!   [`Executor::run_partitioned_recovering_bounded`] accept a
-//!   [`RunBudget`] (wall-clock deadline, [`CancelToken`] cooperative
-//!   cancellation, hung-task watchdog stall window) and report early stops
-//!   as a structured partial [`RunOutcome`] whose *unfinished* set is the
-//!   exact forward closure of the unadmitted units ([`StopCause`]);
 //! * [`measure_sched_overhead`] — calibrates the per-task scheduling cost on
 //!   the host, reproducing the paper's 0.2–3 µs observation;
 //! * [`sim`] — a deterministic Graham list-scheduling simulator for
@@ -82,7 +81,7 @@ mod taskflow;
 pub use arena::FlowArena;
 pub use bounded::RunBudget;
 pub use executor::{Executor, ExecutorError, TaskWork, DEFAULT_CHUNK_SIZE};
-pub use fault::{FaultKind, FaultPlan, FaultyWork};
+pub use fault::{splitmix64, FaultKind, FaultPlan, FaultyWork};
 pub use gpasta_tdg::{CancelObserver, CancelToken};
 pub use outcome::{FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError};
 pub use overhead::{measure_sched_overhead, OverheadProfile};

@@ -20,17 +20,15 @@
 //!   backward-propagation task per affected node, plus design modifiers
 //!   ([`Timer::repower_gate`], [`Timer::set_net_cap`]) that drive the
 //!   incremental-timing experiment (Figure 7);
-//! * graceful degradation — [`TimingUpdateTdg::run_recovering`] /
-//!   [`TimingUpdateTdg::run_partitioned_recovering`] execute the update
-//!   through the fault-tolerant scheduler: values outside the poisoned
-//!   cone are salvaged bit-exactly, poisoned endpoints read *unknown*
-//!   (NaN) after [`TimingUpdateTdg::mark_unknown`], and
-//!   [`TimingUpdateTdg::heal`] re-runs just the quarantined cone to
-//!   converge to the fault-free answer ([`RecoveredUpdate`]);
-//! * bounded time — [`TimingUpdateTdg::run_recovering_bounded`] accepts a
-//!   deadline/cancellation budget and projects an early stop into a
-//!   NaN-marked *partial* timing report whose unfinished region heals to
-//!   the bit-identical complete answer; [`Timer::snapshot`] /
+//! * graceful degradation — [`TimingUpdateTdg::run_recovering_bounded`] /
+//!   [`TimingUpdateTdg::run_partitioned_recovering_bounded`] execute the
+//!   update through the fault-tolerant scheduler under a
+//!   deadline/cancellation budget: values outside the poisoned cone are
+//!   salvaged bit-exactly, poisoned endpoints and the unfinished region of
+//!   an early stop read *unknown* (NaN) after
+//!   [`TimingUpdateTdg::mark_unknown`], and [`TimingUpdateTdg::heal`]
+//!   re-runs just that region to converge to the bit-identical complete
+//!   answer ([`RecoveredUpdate`]); [`Timer::snapshot`] /
 //!   [`Timer::restore_snapshot`] capture the whole mutable timing state
 //!   bit-exactly for crash-safe checkpointing ([`TimingSnapshot`]);
 //! * [`TimingReport`] — setup and hold WNS/TNS and per-endpoint slack

@@ -57,47 +57,15 @@ impl RecoveredUpdate {
 impl<'a> TimingUpdateTdg<'a> {
     /// Run this update through the recovering executor with faults drawn
     /// from `plan` (use [`FaultPlan::none`] in production for a
-    /// fault-transparent run). Never unwinds: failures are contained to
+    /// fault-transparent run) under `budget` (use [`RunBudget::unbounded`]
+    /// to run to completion). Never unwinds: failures are contained to
     /// their forward closure and reported in the returned
-    /// [`RecoveredUpdate`]; all other timing values are salvaged.
-    pub fn run_recovering(
-        &self,
-        exec: &Executor,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> RecoveredUpdate {
-        let payload = self.task_fn();
-        let work = FaultyWork::new(&payload, plan);
-        let outcome = exec.run_tdg_recovering(self.tdg(), &work, policy);
-        self.project(outcome)
-    }
-
-    /// Partitioned variant of
-    /// [`run_recovering`](TimingUpdateTdg::run_recovering): dispatches
-    /// `quotient` nodes, so a failure quarantines the whole partition plus
-    /// its quotient-graph forward closure. `quotient` must be built over
-    /// this update's TDG.
-    pub fn run_partitioned_recovering(
-        &self,
-        exec: &Executor,
-        quotient: &QuotientTdg,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> RecoveredUpdate {
-        let payload = self.task_fn();
-        let work = FaultyWork::new(&payload, plan);
-        let outcome = exec.run_partitioned_recovering(quotient, &work, policy);
-        self.project(outcome)
-    }
-
-    /// Bounded-time variant of
-    /// [`run_recovering`](TimingUpdateTdg::run_recovering): the run stops
-    /// admitting tasks when `budget` expires (deadline or cancellation) and
-    /// the forward closure of everything unadmitted is reported as
-    /// *unfinished* in the returned [`RecoveredUpdate`]. Everything admitted
-    /// before the stop carries its exact fault-free value, so a later
-    /// [`heal`](TimingUpdateTdg::heal) (with a fresh budget) converges to
-    /// the bit-identical complete answer.
+    /// [`RecoveredUpdate`]; when `budget` expires (deadline or
+    /// cancellation) the run stops admitting tasks and the forward closure
+    /// of everything unadmitted is reported as *unfinished*. Every other
+    /// timing value is salvaged — it carries its exact fault-free value, so
+    /// a later [`heal`](TimingUpdateTdg::heal) converges to the
+    /// bit-identical complete answer.
     pub fn run_recovering_bounded(
         &self,
         exec: &Executor,
@@ -111,10 +79,13 @@ impl<'a> TimingUpdateTdg<'a> {
         self.project(outcome)
     }
 
-    /// Bounded-time variant of
-    /// [`run_partitioned_recovering`](TimingUpdateTdg::run_partitioned_recovering):
-    /// the budget is polled at partition boundaries, so the stop latency is
-    /// one partition's worth of propagation work.
+    /// Partitioned variant of
+    /// [`run_recovering_bounded`](TimingUpdateTdg::run_recovering_bounded):
+    /// dispatches `quotient` nodes, so a failure quarantines the whole
+    /// partition plus its quotient-graph forward closure, and the budget is
+    /// polled at partition boundaries (the stop latency is one partition's
+    /// worth of propagation work). `quotient` must be built over this
+    /// update's TDG.
     pub fn run_partitioned_recovering_bounded(
         &self,
         exec: &Executor,
@@ -276,10 +247,11 @@ mod tests {
     fn clean_plan_recovers_everything() {
         let mut timer = two_cone_timer();
         let update = timer.update_timing();
-        let rec = update.run_recovering(
+        let rec = update.run_recovering_bounded(
             &Executor::new(2),
             &FaultPlan::none(),
             &RetryPolicy::default(),
+            &RunBudget::unbounded(),
         );
         assert!(rec.is_clean());
         assert_eq!(rec.outcome.salvaged_tasks, update.tdg().num_tasks());
@@ -309,7 +281,12 @@ mod tests {
             })
             .expect("an interior fprop task exists");
         let plan = FaultPlan::none().inject(seed_task.0, 0, FaultKind::WrongResult);
-        let rec = update.run_recovering(&Executor::new(2), &plan, &RetryPolicy::no_retries());
+        let rec = update.run_recovering_bounded(
+            &Executor::new(2),
+            &plan,
+            &RetryPolicy::no_retries(),
+            &RunBudget::unbounded(),
+        );
         assert!(!rec.is_clean());
         assert!(!rec.poisoned_endpoints.is_empty(), "cone reaches endpoints");
         assert!(
@@ -454,7 +431,7 @@ mod tests {
             FaultKind::WrongResult,
         ];
         let plan = FaultPlan::random(0xBEEF, 0.08, &kinds);
-        let rec = update.run_recovering(
+        let rec = update.run_recovering_bounded(
             &Executor::new(2),
             &plan,
             &RetryPolicy {
@@ -462,6 +439,7 @@ mod tests {
                 base_backoff: std::time::Duration::ZERO,
                 max_backoff: std::time::Duration::ZERO,
             },
+            &RunBudget::unbounded(),
         );
         update.mark_unknown(&rec);
         let healed = update.heal(&rec);

@@ -374,7 +374,7 @@ fn sanitize_cmd(args: &[String]) -> Result<(), Error> {
 
 /// Determinism audit of the fault-recovery path itself: partition the
 /// graph once (deterministic partitioner), then replay a fixed
-/// [`FaultPlan`] through `run_partitioned_recovering` under every audited
+/// [`FaultPlan`] through `run_partitioned_recovering_bounded` under every audited
 /// worker count, fingerprinting the salvage/poison sets. Recovery is
 /// sound only if the fingerprint is independent of scheduling — the audit
 /// must report `Deterministic`.
@@ -407,7 +407,12 @@ fn audit_recovery(
         let payload = |_t: TaskId| {};
         let work = FaultyWork::new(&payload, &plan);
         let exec = Executor::new(dev.num_threads());
-        let outcome = exec.run_partitioned_recovering(&quotient, &work, &policy);
+        let outcome = exec.run_partitioned_recovering_bounded(
+            &quotient,
+            &work,
+            &policy,
+            &RunBudget::unbounded(),
+        );
         // Fingerprint: poisoned units, poisoned tasks, then the counters.
         let mut fp = outcome.poisoned_units.clone();
         fp.push(u32::MAX);
@@ -615,7 +620,8 @@ fn faults_cmd(args: &[String]) -> Result<(), Error> {
     // keep the default hook's per-panic stderr lines out of the output.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let outcome = exec.run_partitioned_recovering(&quotient, &work, &policy);
+    let outcome =
+        exec.run_partitioned_recovering_bounded(&quotient, &work, &policy, &RunBudget::unbounded());
     std::panic::set_hook(default_hook);
 
     println!(

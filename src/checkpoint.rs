@@ -1,24 +1,25 @@
-//! Crash-safe checkpoint/resume for the incremental timing-update flow.
+//! Crash-safe checkpoint/resume: the `GPCKPT01` file format, and the
+//! `gpasta update` flow that exercises it.
 //!
-//! A checkpoint captures everything the `gpasta update` loop needs to
-//! continue bit-identically after a crash: the design identity (circuit
-//! name, scale, modifier seed), the iteration counter, the complete
-//! mutable timing state ([`TimingSnapshot`] — raw `f32` bit patterns, so
-//! NaN payloads and signed zeros survive), and the incremental
-//! partitioner's cache ([`CacheExport`]). The netlist, timing graph, and
-//! cell library are *not* stored: they are deterministic functions of the
-//! circuit name and scale, and the flow mutates timing state only through
-//! [`Timer::repower_gate`] (whose drive multipliers live in the snapshot),
-//! never through netlist-mutating modifiers, so a rebuild plus a snapshot
-//! restore reproduces the pre-crash state exactly.
+//! A checkpoint captures everything a [`Session`] needs to continue
+//! bit-identically after a crash or an eviction: the session identity
+//! (name plus FNV fingerprints of its netlist and constraints), the update
+//! counter, the complete mutable timing state ([`TimingSnapshot`] — raw
+//! `f32` bit patterns, so NaN payloads and signed zeros survive), and the
+//! incremental partitioner's cache ([`CacheExport`]). The netlist, timing
+//! graph, and cell library are *not* stored: the session rebuilds them
+//! from its sources, so a rebuild plus a snapshot restore reproduces the
+//! pre-crash state exactly. [`Session::evict_to`] writes checkpoints and
+//! [`DormantSession::restore`] reads them; [`run_update_flow`] is a thin
+//! loop over both.
 //!
 //! The on-disk format is a little-endian binary record:
 //!
 //! ```text
 //! magic "GPCKPT" + version "01"          8 bytes
-//! circuit name                           u32 length + UTF-8 bytes
-//! scale (f64 bits), modifier seed        2 × u64
-//! iterations completed                   u32
+//! session name                           u32 length + UTF-8 bytes
+//! netlist, constraint fingerprints       2 × u64
+//! updates completed                      u32
 //! design shape (gates, nets, inputs,
 //!   outputs, graph nodes)                5 × u32   (early mismatch check)
 //! timing snapshot                        clock-period bits + 9 u32 arrays
@@ -42,12 +43,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::circuits::PaperCircuit;
-use crate::core::{
-    CacheExport, IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta,
-};
-use crate::sched::{Executor, FaultPlan, RetryPolicy, RunBudget, StopCause};
-use crate::sta::{CellLibrary, GateId, Timer, TimingSnapshot};
-use crate::tdg::{QuotientArena, QuotientTdg, ValidatePartitionError};
+use crate::core::CacheExport;
+use crate::sched::{splitmix64, RunBudget, StopCause};
+use crate::session::{DesignSources, DormantSession, Edit, Session, SessionError};
+use crate::sta::{write_verilog, GateId, Timer, TimingSnapshot};
 
 const MAGIC: &[u8; 6] = b"GPCKPT";
 const VERSION: &[u8; 2] = b"01";
@@ -76,8 +75,9 @@ pub enum CheckpointError {
     /// The file is structurally damaged: checksum mismatch, truncation,
     /// or a section length pointing past the end of the file.
     Corrupt(String),
-    /// The checkpoint is intact but was taken against a different run:
-    /// circuit, scale, seed, or design shape disagree with the caller's.
+    /// The checkpoint is intact but was taken against a different session:
+    /// name, source fingerprints, or design shape disagree with the
+    /// caller's.
     Mismatch(String),
 }
 
@@ -128,8 +128,7 @@ pub struct DesignShape {
 
 impl DesignShape {
     /// The shape of the design a [`Timer`] analyses — the identity check
-    /// both the update flow and [`Session`](crate::session::Session)
-    /// eviction stamp into their checkpoints.
+    /// [`Session`] eviction stamps into its checkpoints.
     pub fn of(timer: &Timer) -> DesignShape {
         let nl = timer.netlist();
         DesignShape {
@@ -142,16 +141,17 @@ impl DesignShape {
     }
 }
 
-/// Everything the update flow persists between iterations.
+/// Everything a [`Session`] persists. The identity field names predate
+/// sessions (the format is unchanged); each doc says what it holds now.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateCheckpoint {
-    /// Paper name of the circuit (`vga_lcd`, …).
+    /// The session name.
     pub circuit: String,
-    /// Circuit scale as `f64` bits (bit-exact round trip).
+    /// [`DesignSources::netlist_bits`]: fingerprint of the netlist text.
     pub scale_bits: u64,
-    /// Seed of the deterministic modifier schedule.
+    /// [`DesignSources::constraint_bits`]: fingerprint of the constraints.
     pub seed: u64,
-    /// Number of update iterations already completed.
+    /// [`Session::updates_done`] at the time of the write.
     pub iterations_done: u32,
     /// Shape of the design the snapshot was taken against.
     pub shape: DesignShape,
@@ -418,55 +418,9 @@ pub fn read_checkpoint(path: &Path) -> Result<UpdateCheckpoint, CheckpointError>
 // The update flow
 // ---------------------------------------------------------------------------
 
-/// An error from [`run_update_flow`].
-#[derive(Debug)]
-pub enum FlowError {
-    /// Reading or writing a checkpoint failed.
-    Checkpoint(CheckpointError),
-    /// The incremental partitioner rejected an install, repair, or
-    /// restored cache.
-    Partition(IncrementalError),
-    /// A repaired partition failed quotient-graph construction. The
-    /// repair contract certifies an acyclic quotient, so this indicates
-    /// a library bug — reported as a typed error (rather than a panic)
-    /// so long-running callers can fail one request, not the process.
-    Quotient(ValidatePartitionError),
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowError::Checkpoint(e) => write!(f, "{e}"),
-            FlowError::Partition(e) => write!(f, "partition maintenance failed: {e}"),
-            FlowError::Quotient(e) => write!(
-                f,
-                "repaired partition has no valid quotient (library bug): {e}"
-            ),
-        }
-    }
-}
-
-impl Error for FlowError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            FlowError::Checkpoint(e) => Some(e),
-            FlowError::Partition(e) => Some(e),
-            FlowError::Quotient(e) => Some(e),
-        }
-    }
-}
-
-impl From<CheckpointError> for FlowError {
-    fn from(e: CheckpointError) -> Self {
-        FlowError::Checkpoint(e)
-    }
-}
-
-impl From<IncrementalError> for FlowError {
-    fn from(e: IncrementalError) -> Self {
-        FlowError::Partition(e)
-    }
-}
+/// An error from [`run_update_flow`]: the flow is a loop over a
+/// [`Session`], so its failures are the session's.
+pub type FlowError = SessionError;
 
 /// Configuration of one `gpasta update` run.
 #[derive(Debug, Clone)]
@@ -532,164 +486,96 @@ pub struct UpdateFlowOutcome {
     pub epoch: u64,
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Apply iteration `i`'s deterministic modifier batch: one to three gate
-/// repowers drawn from `splitmix64(seed, i)`. Only [`Timer::repower_gate`]
-/// is used — drive multipliers live in the timing snapshot, so a resumed
-/// run rebuilds the netlist from the circuit spec and still sees the full
-/// modifier history. Netlist-mutating modifiers (`set_net_cap`) would be
-/// lost by that rebuild and are deliberately excluded.
-pub(crate) fn apply_modifier_schedule(timer: &mut Timer, seed: u64, iteration: u32) {
+/// Iteration `i`'s deterministic modifier batch for a design of
+/// `num_gates` gates: one to three `(gate, drive)` repowers drawn from
+/// `splitmix64(seed, i)`. Repowers only — drive multipliers live in the
+/// timing snapshot, so a resumed run that rebuilds the netlist from the
+/// circuit spec still sees the full modifier history.
+pub fn modifier_batch(
+    num_gates: usize,
+    seed: u64,
+    iteration: u32,
+) -> impl Iterator<Item = (GateId, f32)> {
     const DRIVES: [f32; 4] = [0.5, 1.0, 2.0, 4.0];
-    let num_gates = timer.netlist().num_gates() as u64;
     let h = splitmix64(seed ^ splitmix64(u64::from(iteration)));
-    let count = 1 + (h % 3);
-    for k in 0..count {
+    (0..1 + (h % 3)).map(move |k| {
         let hk = splitmix64(h ^ splitmix64(0x4B1D ^ k));
-        let g = GateId((hk % num_gates) as u32);
-        let drive = DRIVES[(hk >> 32) as usize % DRIVES.len()];
-        timer.repower_gate(g, drive);
-    }
+        let gate = GateId((hk % num_gates as u64) as u32);
+        (gate, DRIVES[(hk >> 32) as usize % DRIVES.len()])
+    })
 }
 
-/// Run the incremental timing-update flow: build the circuit, install the
-/// partition cache on the full update TDG (or restore timer + cache from
-/// `resume_from`), then per iteration apply the deterministic modifier
-/// schedule, repair the dirty cone, execute the partitioned update through
-/// the bounded recovering executor, and checkpoint. The flow is
-/// bit-deterministic: the same config reaches the same WNS/TNS bits and
-/// partition assignment whether run straight through or killed and
-/// resumed at any iteration boundary, at any worker count.
+/// Run the incremental timing-update flow: a [`Session`] over the
+/// circuit's netlist (created fresh, or restored from `resume_from`), fed
+/// one [`modifier_batch`] of repower edits and one
+/// [`Session::update_timing`] per iteration, checkpointed through
+/// [`Session::evict_to`]. The flow is bit-deterministic: the same config
+/// reaches the same WNS/TNS bits and partition assignment whether run
+/// straight through or killed and resumed at any iteration boundary, at
+/// any worker count.
 ///
 /// # Errors
 ///
-/// [`FlowError::Checkpoint`] for unreadable/unwritable or mismatched
-/// checkpoints, [`FlowError::Partition`] if partition maintenance fails.
+/// [`SessionError::Checkpoint`] for unreadable/unwritable checkpoints and
+/// for a resume against a different circuit, scale or seed
+/// ([`CheckpointError::Mismatch`]); [`SessionError::Partition`] if
+/// partition maintenance fails.
 ///
 /// # Panics
 ///
-/// Panics if `scale` is not positive or `workers` is zero.
+/// Panics if `scale` is not positive.
 pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, FlowError> {
-    let mut timer = Timer::new(cfg.circuit.build(cfg.scale), CellLibrary::typical());
-    let exec = Executor::new(cfg.workers);
-    let opts = PartitionerOptions::default();
-    let policy = RetryPolicy::default();
     let budget = match cfg.deadline {
         Some(d) => RunBudget::unbounded().with_deadline(d),
         None => RunBudget::unbounded(),
     };
-    let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-
-    let start_iter = match &cfg.resume_from {
+    // The session name spells the whole run identity, so a checkpoint
+    // taken under another circuit, scale or seed belongs to "another
+    // session" and the restore rejects it as a mismatch.
+    let name = format!(
+        "{} scale {} seed {:#x}",
+        cfg.circuit.name(),
+        cfg.scale,
+        cfg.seed
+    );
+    let sources = DesignSources::verilog_only(write_verilog(
+        &cfg.circuit.build(cfg.scale),
+        cfg.circuit.name(),
+    ));
+    let mut session = match &cfg.resume_from {
         Some(path) => {
-            let ckpt = read_checkpoint(path)?;
-            let mismatch = |why: String| FlowError::Checkpoint(CheckpointError::Mismatch(why));
-            if ckpt.circuit != cfg.circuit.name() {
-                return Err(mismatch(format!(
-                    "checkpoint is for circuit `{}`, run is for `{}`",
-                    ckpt.circuit,
-                    cfg.circuit.name()
-                )));
-            }
-            if ckpt.scale_bits != cfg.scale.to_bits() {
-                return Err(mismatch(format!(
-                    "checkpoint scale {} differs from run scale {}",
-                    f64::from_bits(ckpt.scale_bits),
-                    cfg.scale
-                )));
-            }
-            if ckpt.seed != cfg.seed {
-                return Err(mismatch(format!(
-                    "checkpoint modifier seed {:#x} differs from run seed {:#x}",
-                    ckpt.seed, cfg.seed
-                )));
-            }
-            let shape = DesignShape::of(&timer);
-            if ckpt.shape != shape {
-                return Err(mismatch(format!(
-                    "design shape {:?} differs from the checkpoint's {:?}",
-                    shape, ckpt.shape
-                )));
-            }
-            // The full-space TDG is a pure function of the (rebuilt)
-            // design, so it can host the restored cache; building it also
-            // clears the fresh timer's full-dirty flag, which the snapshot
-            // restore below would do anyway.
-            let full_tdg = timer.update_timing().tdg().clone();
-            timer
-                .restore_snapshot(&ckpt.snapshot)
-                .map_err(|e| mismatch(e.to_string()))?;
-            match ckpt.cache {
-                Some(cache) => inc.restore_cache(&full_tdg, cache)?,
-                // A cache-less checkpoint (not produced by this flow, but
-                // legal in the format) degrades to a fresh install on the
-                // restored timing state.
-                None => inc.install(&full_tdg, &opts)?,
-            }
-            ckpt.iterations_done
+            DormantSession::from_checkpoint(name, sources, path.clone()).restore(cfg.workers)?
         }
-        None => {
-            let full = timer.update_timing();
-            inc.install(full.tdg(), &opts)?;
-            full.run_sequential();
-            0
-        }
+        None => Session::create(name, sources, cfg.workers)?,
     };
+    let num_gates = session.shape().gates as usize;
 
+    // `done` counts completed iterations only; `Session::updates_done`
+    // would also count a stopped one.
+    let start_iter = session.updates_done();
     let mut done = start_iter;
     let mut killed = false;
     let mut stop = StopCause::Completed;
     let mut unknown_endpoints = 0u32;
-    // Every iteration rebuilds the quotient; the arena keeps the scratch
-    // and output buffers warm so steady-state iterations stop touching
-    // the allocator (output is bit-identical to the plain build).
-    let mut quotient_arena = QuotientArena::new();
     for i in start_iter..cfg.iterations {
-        apply_modifier_schedule(&mut timer, cfg.seed, i);
-        let update = timer.update_timing();
-        let ids = update.full_space_ids();
-        let (_stats, sub) = inc.repair_and_project(&ids)?;
-        let quotient = QuotientTdg::build_in(update.tdg(), &sub, &mut quotient_arena)
-            .map_err(FlowError::Quotient)?;
-        let rec = update.run_partitioned_recovering_bounded(
-            &exec,
-            &quotient,
-            &FaultPlan::none(),
-            &policy,
-            &budget,
-        );
-        quotient_arena.recycle(quotient);
-        if rec.outcome.stop != StopCause::Completed {
-            // Budget expired mid-iteration: degrade explicitly (stale
-            // values read as NaN) and stop without checkpointing the
-            // partial state — the last checkpoint is the resume point.
-            update.mark_unknown(&rec);
-            stop = rec.outcome.stop;
-            unknown_endpoints =
-                (rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len()) as u32;
+        for (gate, drive) in modifier_batch(num_gates, cfg.seed, i) {
+            session.apply_edit(&Edit::Repower {
+                gate: gate.0.to_string(),
+                drive,
+            })?;
+        }
+        let out = session.update_timing(&budget)?;
+        if out.stop != StopCause::Completed {
+            // Budget expired mid-iteration: the session degraded the
+            // stale values to NaN. Stop without checkpointing the partial
+            // state — the last checkpoint is the resume point.
+            stop = out.stop;
+            unknown_endpoints = out.unknown_endpoints;
             break;
         }
-        drop(update);
         done = i + 1;
         if let Some(path) = &cfg.checkpoint_to {
-            write_checkpoint(
-                path,
-                &UpdateCheckpoint {
-                    circuit: cfg.circuit.name().to_string(),
-                    scale_bits: cfg.scale.to_bits(),
-                    seed: cfg.seed,
-                    iterations_done: done,
-                    shape: DesignShape::of(&timer),
-                    snapshot: timer.snapshot(),
-                    cache: inc.export_cache().ok(),
-                },
-            )?;
+            session.evict_to(path)?;
         }
         if cfg.kill_after == Some(done) {
             killed = true;
@@ -697,7 +583,7 @@ pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, Flow
         }
     }
 
-    let report = timer.report(1);
+    let report = session.report(1);
     Ok(UpdateFlowOutcome {
         iterations_done: done,
         killed,
@@ -705,17 +591,18 @@ pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, Flow
         wns_bits: report.wns_ps.to_bits(),
         tns_bits: report.tns_ps.to_bits(),
         unknown_endpoints,
-        assignment: inc
-            .raw_assignment()
+        assignment: session
+            .partition_assignment()
             .map(<[u32]>::to_vec)
             .unwrap_or_default(),
-        epoch: inc.epoch(),
+        epoch: session.epoch(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sta::CellLibrary;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -863,9 +750,13 @@ mod tests {
         let mut b = Timer::new(PaperCircuit::AesCore.build(0.002), CellLibrary::typical());
         a.update_timing().run_sequential();
         b.update_timing().run_sequential();
+        let num_gates = a.netlist().num_gates();
         for i in 0..4 {
-            apply_modifier_schedule(&mut a, 0xABCD, i);
-            apply_modifier_schedule(&mut b, 0xABCD, i);
+            for timer in [&mut a, &mut b] {
+                for (gate, drive) in modifier_batch(num_gates, 0xABCD, i) {
+                    timer.repower_gate(gate, drive);
+                }
+            }
         }
         a.update_timing().run_sequential();
         b.update_timing().run_sequential();

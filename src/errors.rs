@@ -17,7 +17,6 @@ use std::error::Error as StdError;
 use std::fmt;
 use std::path::PathBuf;
 
-use crate::checkpoint::FlowError;
 use crate::serve::ServeError;
 use crate::session::SessionError;
 
@@ -137,10 +136,8 @@ impl StdError for OutputError {
 pub enum Error {
     /// The command line itself is malformed (usage error, exit 2).
     Cli(CliError),
-    /// The crash-safe update flow failed (checkpoint or partition
-    /// maintenance).
-    Flow(FlowError),
-    /// A [`Session`](crate::session::Session) operation failed.
+    /// A [`Session`](crate::session::Session) operation failed (`sta`,
+    /// and the `update` flow, which is a loop over a session).
     Session(SessionError),
     /// The `serve` daemon failed to start or run.
     Serve(ServeError),
@@ -169,7 +166,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Cli(e) => write!(f, "{e}"),
-            Error::Flow(e) => write!(f, "{e}"),
             Error::Session(e) => write!(f, "{e}"),
             Error::Serve(e) => write!(f, "{e}"),
             Error::Runtime(msg) => f.write_str(msg),
@@ -181,7 +177,6 @@ impl StdError for Error {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
             Error::Cli(e) => Some(e),
-            Error::Flow(e) => Some(e),
             Error::Session(e) => Some(e),
             Error::Serve(e) => Some(e),
             Error::Runtime(_) => None,
@@ -192,12 +187,6 @@ impl StdError for Error {
 impl From<CliError> for Error {
     fn from(e: CliError) -> Self {
         Error::Cli(e)
-    }
-}
-
-impl From<FlowError> for Error {
-    fn from(e: FlowError) -> Self {
-        Error::Flow(e)
     }
 }
 

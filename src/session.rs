@@ -297,6 +297,23 @@ pub struct DormantSession {
 }
 
 impl DormantSession {
+    /// The residue of a session another process checkpointed at
+    /// `checkpoint` (the `gpasta update` resume path). The net-cap journal
+    /// lives only in memory, so this is exact only for a session that
+    /// never applied an [`Edit::SetNetCap`].
+    pub fn from_checkpoint(
+        name: impl Into<String>,
+        sources: DesignSources,
+        checkpoint: PathBuf,
+    ) -> Self {
+        DormantSession {
+            name: name.into(),
+            sources,
+            net_cap_journal: Vec::new(),
+            checkpoint,
+        }
+    }
+
     /// The session's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -523,6 +540,12 @@ impl Session {
     /// The partition cache's repair epoch.
     pub fn epoch(&self) -> u64 {
         self.inc.epoch()
+    }
+
+    /// The partition cache's raw per-task assignment over the full-space
+    /// update TDG.
+    pub fn partition_assignment(&self) -> Option<&[u32]> {
+        self.inc.raw_assignment()
     }
 
     /// Executor worker-thread count.

@@ -42,10 +42,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::checkpoint::{fnv1a64, splitmix64};
+use crate::checkpoint::{fnv1a64, modifier_batch};
 use crate::circuits::PaperCircuit;
 use crate::core::{PartitionError, Partitioner, PartitionerOptions, SeqGPasta};
-use crate::sched::{FaultPlan, RetryPolicy};
+use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
 use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg};
 use crate::tdg::{
     PartitionId, QuotientTdg, ShardPlan, ShardPlanError, ShardPlanOptions, Tdg,
@@ -240,7 +240,9 @@ pub struct ShardRunOutcome {
 /// netlist at `scale`, typical library, and the seed's modifier schedule.
 pub(crate) fn build_timer(circuit: PaperCircuit, scale: f64, seed: u64) -> Timer {
     let mut timer = Timer::new(circuit.build(scale), CellLibrary::typical());
-    crate::checkpoint::apply_modifier_schedule(&mut timer, seed, 0);
+    for (gate, drive) in modifier_batch(timer.netlist().num_gates(), seed, 0) {
+        timer.repower_gate(gate, drive);
+    }
     timer
 }
 

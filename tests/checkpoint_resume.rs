@@ -10,9 +10,11 @@
 //! seeds and worker counts, and one chain kills the run twice to prove
 //! checkpoints compose.
 
-use gpasta::checkpoint::{run_update_flow, UpdateFlowConfig, UpdateFlowOutcome};
+use gpasta::checkpoint::{modifier_batch, run_update_flow, UpdateFlowConfig, UpdateFlowOutcome};
 use gpasta::circuits::PaperCircuit;
-use gpasta::sched::StopCause;
+use gpasta::sched::{RunBudget, StopCause};
+use gpasta::session::{DesignSources, Edit, Session};
+use gpasta::sta::write_verilog;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
@@ -99,6 +101,46 @@ fn vga_lcd_kill_resume_is_bit_identical_seed_c() {
     for workers in [2, 4] {
         differential(PaperCircuit::VgaLcd, 0.001, 0xCAFE, workers);
     }
+}
+
+#[test]
+fn a_hand_driven_session_matches_the_flow() {
+    // The flow is a thin loop over `Session`: the same modifier schedule
+    // fed to a session by hand must land on the same bits.
+    let mut cfg = UpdateFlowConfig::small(PaperCircuit::AesCore);
+    cfg.scale = 0.002;
+    cfg.iterations = 6;
+    cfg.seed = 0x5E55;
+    let flow = run_update_flow(&cfg).expect("flow run");
+
+    let sources = DesignSources::verilog_only(write_verilog(
+        &cfg.circuit.build(cfg.scale),
+        cfg.circuit.name(),
+    ));
+    let mut session = Session::create("by-hand", sources, cfg.workers).expect("session");
+    let num_gates = session.shape().gates as usize;
+    for i in 0..cfg.iterations {
+        for (gate, drive) in modifier_batch(num_gates, cfg.seed, i) {
+            let gate = gate.0.to_string();
+            session
+                .apply_edit(&Edit::Repower { gate, drive })
+                .expect("valid repower");
+        }
+        let out = session
+            .update_timing(&RunBudget::unbounded())
+            .expect("update");
+        assert_eq!(out.stop, StopCause::Completed);
+    }
+    let report = session.report(1);
+    assert_eq!(report.wns_ps.to_bits(), flow.wns_bits, "WNS bits");
+    assert_eq!(report.tns_ps.to_bits(), flow.tns_bits, "TNS bits");
+    assert_eq!(
+        session.partition_assignment(),
+        Some(&flow.assignment[..]),
+        "partition assignment"
+    );
+    assert_eq!(session.epoch(), flow.epoch, "repair epoch");
+    assert_eq!(session.updates_done(), flow.iterations_done);
 }
 
 #[test]

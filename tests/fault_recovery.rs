@@ -6,7 +6,7 @@
 
 use gpasta::circuits::{generate_netlist, CircuitSpec};
 use gpasta::core::{GPasta, Partitioner, PartitionerOptions};
-use gpasta::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunOutcome};
+use gpasta::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, RunOutcome};
 use gpasta::sta::{CellLibrary, NodeId, Timer};
 use gpasta::tdg::{QuotientTdg, TaskId, Tdg};
 use std::time::Duration;
@@ -94,7 +94,12 @@ fn every_fault_class_is_contained_on_the_plain_path() {
         let plan = FaultPlan::none()
             .inject(victim, 0, kind)
             .inject(victim, 1, kind);
-        let rec = update.run_recovering(&Executor::new(3), &plan, &policy);
+        let rec = update.run_recovering_bounded(
+            &Executor::new(3),
+            &plan,
+            &policy,
+            &RunBudget::unbounded(),
+        );
         match kind {
             // A delay is not a failure: everything completes.
             FaultKind::Delay { .. } => assert!(rec.is_clean(), "{kind:?} must salvage all"),
@@ -119,7 +124,12 @@ fn transient_faults_heal_through_retries() {
     let plan = FaultPlan::none()
         .inject(victim, 0, FaultKind::Transient)
         .inject(victim, 1, FaultKind::Transient);
-    let rec = update.run_recovering(&Executor::new(2), &plan, &RetryPolicy::default());
+    let rec = update.run_recovering_bounded(
+        &Executor::new(2),
+        &plan,
+        &RetryPolicy::default(),
+        &RunBudget::unbounded(),
+    );
     assert!(rec.is_clean(), "retries absorb a transient fault");
     assert_eq!(rec.outcome.retries, 2);
     drop(update);
@@ -143,7 +153,8 @@ fn salvage_is_exact_complement_under_a_fault_storm() {
     };
     let mut timer = test_timer();
     let update = timer.update_timing();
-    let rec = update.run_recovering(&Executor::new(4), &plan, &policy);
+    let rec =
+        update.run_recovering_bounded(&Executor::new(4), &plan, &policy, &RunBudget::unbounded());
     assert!(!rec.is_clean(), "a 50% fault rate certainly fires");
     assert_exact_quarantine(update.tdg(), &rec.outcome);
     // Degrade, then heal back to the exact fault-free analysis.
@@ -172,7 +183,12 @@ fn heal_is_bit_identical_across_seeds_and_worker_counts() {
             let plan = FaultPlan::random(seed, 0.1, &kinds);
             let mut timer = test_timer();
             let update = timer.update_timing();
-            let rec = update.run_recovering(&Executor::new(workers), &plan, &policy);
+            let rec = update.run_recovering_bounded(
+                &Executor::new(workers),
+                &plan,
+                &policy,
+                &RunBudget::unbounded(),
+            );
             update.mark_unknown(&rec);
             update.heal(&rec);
             drop(update);
@@ -204,7 +220,13 @@ fn partition_quarantine_poisons_whole_partitions_and_heals() {
         base_backoff: Duration::ZERO,
         max_backoff: Duration::ZERO,
     };
-    let rec = update.run_partitioned_recovering(&Executor::new(3), &quotient, &plan, &policy);
+    let rec = update.run_partitioned_recovering_bounded(
+        &Executor::new(3),
+        &quotient,
+        &plan,
+        &policy,
+        &RunBudget::unbounded(),
+    );
     assert!(!rec.is_clean());
 
     // Units are quotient nodes: the poisoned unit set is the forward
@@ -248,13 +270,20 @@ fn plain_and_partitioned_salvage_agree_on_task_failures() {
         base_backoff: Duration::ZERO,
         max_backoff: Duration::ZERO,
     };
-    let plain = update.run_recovering(&Executor::new(2), &plan, &policy);
+    let plain =
+        update.run_recovering_bounded(&Executor::new(2), &plan, &policy, &RunBudget::unbounded());
 
     let partition = GPasta::new()
         .partition(update.tdg(), &PartitionerOptions::default())
         .expect("valid options");
     let quotient = QuotientTdg::build(update.tdg(), &partition).expect("schedulable");
-    let part = update.run_partitioned_recovering(&Executor::new(2), &quotient, &plan, &policy);
+    let part = update.run_partitioned_recovering_bounded(
+        &Executor::new(2),
+        &quotient,
+        &plan,
+        &policy,
+        &RunBudget::unbounded(),
+    );
 
     for t in &plain.outcome.poisoned_tasks {
         assert!(
