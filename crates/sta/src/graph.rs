@@ -84,6 +84,13 @@ pub struct TimingGraph {
     gate_out_base: u32,
     /// Index of the first primary-output node.
     po_base: u32,
+    /// Node ids sorted by `(longest-path level, node id)`: a topological
+    /// order of the arcs, kept from the acyclicity drain of
+    /// [`TimingGraph::build`]. `Timer::update_timing` numbers its tasks
+    /// along it.
+    level_order: Vec<u32>,
+    /// Inverse of `level_order`: the position of every node in it.
+    level_rank: Vec<u32>,
     /// Lazily built flat arc view for the propagation hot path.
     soa: OnceLock<ArcSoa>,
 }
@@ -186,6 +193,8 @@ impl PartialEq for TimingGraph {
             && self.gate_in_off == other.gate_in_off
             && self.gate_out_base == other.gate_out_base
             && self.po_base == other.po_base
+            && self.level_order == other.level_order
+            && self.level_rank == other.level_rank
     }
 }
 
@@ -204,6 +213,8 @@ impl Serialize for TimingGraph {
             (String::from("gate_in_off"), self.gate_in_off.to_value()),
             (String::from("gate_out_base"), self.gate_out_base.to_value()),
             (String::from("po_base"), self.po_base.to_value()),
+            (String::from("level_order"), self.level_order.to_value()),
+            (String::from("level_rank"), self.level_rank.to_value()),
         ]))
     }
 }
@@ -223,6 +234,8 @@ impl Deserialize for TimingGraph {
             gate_in_off: Deserialize::from_value(v.expect_field("gate_in_off")?)?,
             gate_out_base: Deserialize::from_value(v.expect_field("gate_out_base")?)?,
             po_base: Deserialize::from_value(v.expect_field("po_base")?)?,
+            level_order: Deserialize::from_value(v.expect_field("level_order")?)?,
+            level_rank: Deserialize::from_value(v.expect_field("level_rank")?)?,
             soa: OnceLock::new(),
         })
     }
@@ -352,7 +365,7 @@ impl TimingGraph {
             }
         }
 
-        let graph = TimingGraph {
+        let mut graph = TimingGraph {
             node_kind,
             arcs,
             fwd_off,
@@ -365,19 +378,25 @@ impl TimingGraph {
             gate_in_off,
             gate_out_base,
             po_base,
+            level_order: Vec::new(),
+            level_rank: Vec::new(),
             soa: OnceLock::new(),
         };
 
-        // Acyclicity check (combinational loops).
+        // Acyclicity check (combinational loops). A node is popped only
+        // after all its fan-in, so its longest-path level is final then.
         let mut indeg: Vec<u32> = (0..n)
             .map(|v| graph.fanin(NodeId(v as u32)).len() as u32)
             .collect();
         let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        let mut level = vec![0u32; n];
         let mut visited = 0;
         while let Some(u) = queue.pop() {
             visited += 1;
+            let below = level[u as usize] + 1;
             for &a in graph.fanout(NodeId(u)) {
                 let v = graph.arcs[a as usize].to.0;
+                level[v as usize] = level[v as usize].max(below);
                 indeg[v as usize] -= 1;
                 if indeg[v as usize] == 0 {
                     queue.push(v);
@@ -389,7 +408,39 @@ impl TimingGraph {
             return Err(BuildTdgError::Cycle { witness });
         }
 
+        // Level order: a counting sort of the nodes by level, ascending
+        // node id within a level.
+        let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
+        let mut cursor = vec![0u32; depth + 1];
+        for &l in &level {
+            cursor[l as usize + 1] += 1;
+        }
+        for l in 0..depth {
+            cursor[l + 1] += cursor[l];
+        }
+        graph.level_order = vec![0; n];
+        graph.level_rank = vec![0; n];
+        for (v, &l) in level.iter().enumerate() {
+            let r = &mut cursor[l as usize];
+            graph.level_order[*r as usize] = v as u32;
+            graph.level_rank[v] = *r;
+            *r += 1;
+        }
+
         Ok(graph)
+    }
+
+    /// Node ids sorted by `(longest-path level, node id)`; every arc goes
+    /// from an earlier to a later position.
+    #[inline]
+    pub(crate) fn level_order(&self) -> &[u32] {
+        &self.level_order
+    }
+
+    /// The position of every node in [`level_order`](Self::level_order).
+    #[inline]
+    pub(crate) fn level_rank(&self) -> &[u32] {
+        &self.level_rank
     }
 
     /// Number of nodes (pins).

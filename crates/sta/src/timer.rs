@@ -336,12 +336,16 @@ impl Timer {
         self.dirty.clear();
         self.full_dirty = false;
 
-        // Task numbering: fprop tasks for F, then bprop tasks for B.
+        // Task numbering: fprop tasks for F along the graph's level order,
+        // then bprop tasks for B against it. An arc goes up the level
+        // order, fprop follows arcs, bprop runs against them and after its
+        // own fprop, so every TDG edge has `u < v`.
         const NONE: u32 = u32::MAX;
+        let order = self.graph.level_order();
         let f_task = &mut self.scratch.f_task;
         f_task.clear();
         f_task.resize(n, NONE);
-        for v in 0..n as u32 {
+        for &v in order {
             if in_f[v as usize] {
                 f_task[v as usize] = task_node.len() as u32;
                 task_node.push(v);
@@ -351,7 +355,7 @@ impl Timer {
         let b_task = &mut self.scratch.b_task;
         b_task.clear();
         b_task.resize(n, NONE);
-        for v in 0..n as u32 {
+        for &v in order.iter().rev() {
             if in_b[v as usize] {
                 b_task[v as usize] = task_node.len() as u32;
                 task_node.push(v);
@@ -474,9 +478,21 @@ impl Timer {
 /// The product of [`Timer::update_timing`]: a task dependency graph plus
 /// the context needed to execute its tasks.
 ///
-/// Task ids `0..num_fprop_tasks` are forward-propagation tasks; the rest
-/// are backward-propagation tasks. The struct implements the task payload
-/// via [`execute_task`](TimingUpdateTdg::execute_task); adapt it to the
+/// # Task numbering
+///
+/// Task ids `0..num_fprop_tasks` are forward-propagation tasks, in
+/// ascending order of their node's position in the timing graph's *level
+/// order* (nodes sorted by longest-path level, then node id); the rest are
+/// backward-propagation tasks, in descending order of that position. A
+/// timing arc goes up the level order, fprop tasks depend along arcs, and
+/// a bprop task depends on its node's fprop task and against arcs — so
+/// **every edge `(u, v)` of every update TDG, full or cone, has `u < v`**:
+/// ascending task id is a topological order, which
+/// [`QuotientTdg::build_in`](gpasta_tdg::QuotientTdg::build_in) checks and
+/// then uses in place of a graph traversal.
+///
+/// The struct implements the task payload via
+/// [`execute_task`](TimingUpdateTdg::execute_task); adapt it to the
 /// scheduler with [`task_fn`](TimingUpdateTdg::task_fn).
 #[derive(Debug)]
 pub struct TimingUpdateTdg<'a> {
@@ -556,20 +572,24 @@ impl<'a> TimingUpdateTdg<'a> {
         2 * self.prop.graph.num_nodes()
     }
 
-    /// The stable full-space id of task `t`: `node` for an fprop task and
-    /// `num_nodes + node` for a bprop task. A *full* update (after
-    /// [`Timer::invalidate_all`]) numbers its tasks exactly this way, so
-    /// its TDG is the full-space TDG and incremental update TDGs map into
-    /// it via this function.
+    /// The stable full-space id of task `t`: the id the same task has in a
+    /// *full* update (after [`Timer::invalidate_all`]). With `r` the
+    /// position of the task's node in the level order of an `n`-node
+    /// graph, that is `r` for an fprop task and `2n - 1 - r` for a bprop
+    /// task. It is the identity on a full update, whose TDG is therefore
+    /// the full-space TDG; on a cone update it is strictly increasing in
+    /// `t` and embeds the cone TDG as an induced subgraph of the
+    /// full-space TDG.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range.
     pub fn full_space_id(&self, t: TaskId) -> u32 {
-        let node = self.node(t).0;
+        let graph = self.prop.graph;
+        let rank = graph.level_rank()[self.node(t).index()];
         match self.kind(t) {
-            TaskKind::Fprop => node,
-            TaskKind::Bprop => node + self.prop.graph.num_nodes() as u32,
+            TaskKind::Fprop => rank,
+            TaskKind::Bprop => 2 * graph.num_nodes() as u32 - 1 - rank,
         }
     }
 
@@ -691,8 +711,7 @@ mod tests {
         let update = timer.update_timing();
         let n = update.prop.graph.num_nodes();
         assert_eq!(update.full_space_len(), 2 * n);
-        // A full update numbers tasks exactly as the full space does:
-        // fprop task of node v is task v, bprop task of node v is n + v.
+        // A full update numbers tasks exactly as the full space does.
         let ids = update.full_space_ids();
         for (t, &id) in ids.iter().enumerate() {
             assert_eq!(id, t as u32, "full update is the identity embedding");
@@ -705,6 +724,9 @@ mod tests {
         // Capture the full-space TDG from the initial full update.
         let full_update = timer.update_timing();
         let full_tdg = full_update.tdg().clone();
+        let full_kind_node: Vec<(TaskKind, NodeId)> = (0..full_tdg.num_tasks() as u32)
+            .map(|t| (full_update.kind(TaskId(t)), full_update.node(TaskId(t))))
+            .collect();
         full_update.run_sequential();
         drop(full_update);
 
@@ -716,15 +738,18 @@ mod tests {
             ids.len() < full_tdg.num_tasks(),
             "incremental update must be a strict subset"
         );
-        // Ids are consistent with kind/node and within the full space.
-        let n = update.prop.graph.num_nodes() as u32;
+        // Ids are consistent with kind/node and within the full space:
+        // the full-space id is the id the same (kind, node) task had in
+        // the full update.
         for (t, &id) in ids.iter().enumerate() {
+            let t = TaskId(t as u32);
             assert!((id as usize) < update.full_space_len());
-            match update.kind(TaskId(t as u32)) {
-                TaskKind::Fprop => assert_eq!(id, update.node(TaskId(t as u32)).0),
-                TaskKind::Bprop => assert_eq!(id, update.node(TaskId(t as u32)).0 + n),
-            }
+            assert_eq!(
+                full_kind_node[id as usize],
+                (update.kind(t), update.node(t))
+            );
         }
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "embedding is monotone");
         // Every edge of the incremental TDG exists in the full-space TDG:
         // the incremental TDG is an induced subgraph under this embedding.
         for (u, v) in update.tdg().edges() {

@@ -5,6 +5,31 @@
 //! sequentially in topological order (§1 of the paper). The quotient graph
 //! has one node per partition and a deduplicated edge `P -> Q` whenever some
 //! task in `P` precedes some task in `Q`.
+//!
+//! # Certificates
+//!
+//! [`QuotientTdg::build_in`] has to establish two orders: that the quotient
+//! is acyclic, and a topological order of each partition's members. Both
+//! can be derived with a Kahn drain, and both are usually already a
+//! property of the numbering, so the one scan that touches every edge also
+//! checks, with one comparison each:
+//!
+//! * **pids rise along every cross edge** (`pid(u) < pid(v)` whenever they
+//!   differ). Then ascending pid is a topological order of the quotient,
+//!   which is therefore acyclic. This is what §3.2's rule
+//!   `pid(i) = max{pid(j) | j ∈ PRE(i)}` produces and what
+//!   `IncrementalPartitioner` maintains. *Fallback:* the Kahn drain over
+//!   the quotient, which decides acyclicity for any numbering.
+//! * **task ids rise along every edge** (`u < v`). Then ascending task id
+//!   is a topological order of the TDG, and the member order is a
+//!   sequential counting sort of `0..n` by partition. This is how
+//!   `Timer::update_timing` numbers its tasks. *Fallback:* the Kahn drain
+//!   over the whole TDG, scattered by partition.
+//!
+//! A certificate is recomputed on every call and never carried over or
+//! taken from the caller; an input that fails one (a CLI edge list, GDCA or
+//! Sarkar ids, Figure 2(a)) gets exactly the drain, result and typed error
+//! it would get without them.
 
 use crate::error::ValidatePartitionError;
 use crate::graph::{TaskId, Tdg};
@@ -77,6 +102,12 @@ impl QuotientArena {
             exec_flat,
             exec_off,
         } = quotient;
+        self.recycle_graph(graph);
+        self.exec_flat = exec_flat;
+        self.exec_off = exec_off;
+    }
+
+    fn recycle_graph(&mut self, graph: Tdg) {
         let (fwd_off, fwd_adj, rev_off, rev_adj, weights) = graph.into_buffers();
         self.fwd_off = fwd_off;
         self.fwd_adj = fwd_adj;
@@ -85,17 +116,37 @@ impl QuotientArena {
         if weights.capacity() > self.weights.capacity() {
             self.weights = weights;
         }
-        self.exec_flat = exec_flat;
-        self.exec_off = exec_off;
+    }
+}
+
+/// LIFO Kahn drain of `graph` on recycled scratch: appends the pop order
+/// to `order`, which holds every node iff the drain met no cycle, and
+/// leaves the residual in-degrees in `indeg`.
+fn kahn_drain(graph: &Tdg, indeg: &mut Vec<u32>, stack: &mut Vec<u32>, order: &mut Vec<u32>) {
+    let n = graph.num_tasks() as u32;
+    indeg.clear();
+    indeg.extend((0..n).map(|t| graph.in_degree(TaskId(t))));
+    stack.clear();
+    stack.extend((0..n).filter(|&t| indeg[t as usize] == 0));
+    order.clear();
+    while let Some(t) = stack.pop() {
+        order.push(t);
+        for &s in graph.successors(TaskId(t)) {
+            indeg[s as usize] -= 1;
+            if indeg[s as usize] == 0 {
+                stack.push(s);
+            }
+        }
     }
 }
 
 impl QuotientTdg {
     /// Build the quotient of `tdg` under `partition`.
     ///
-    /// Member execution order within each partition follows the levelised
-    /// topological order of the original TDG, which is always consistent for
-    /// convex partitions.
+    /// Member execution order within each partition follows one
+    /// topological order of the original TDG (ascending task id when that
+    /// is one, see the [module docs](self)), which is always consistent
+    /// for convex partitions.
     ///
     /// # Errors
     ///
@@ -131,14 +182,19 @@ impl QuotientTdg {
 
         // Forward CSR over cross-partition edges via counting sort by
         // source partition, then per-bucket sort + dedup (buckets are
-        // small, so this beats one global edge sort on large TDGs).
+        // small, so this beats one global edge sort on large TDGs). The
+        // scan also checks the two certificates of the module docs.
         let cross = &mut arena.cross;
         cross.clear();
+        let mut ids_rise = true;
+        let mut pids_rise = true;
         for u in 0..n as u32 {
             let pu = assignment[u as usize];
             for &v in tdg.successors(TaskId(u)) {
+                ids_rise &= u < v;
                 let pv = assignment[v as usize];
                 if pu != pv {
+                    pids_rise &= pu < pv;
                     cross.push((pu, pv));
                 }
             }
@@ -215,41 +271,6 @@ impl QuotientTdg {
             }
         }
 
-        // Acyclicity check (Kahn) on the quotient.
-        {
-            let indeg = &mut arena.indeg;
-            indeg.clear();
-            indeg.extend((0..np).map(|p| rev_off[p + 1] - rev_off[p]));
-            let stack = &mut arena.stack;
-            stack.clear();
-            stack.extend((0..np as u32).filter(|&p| indeg[p as usize] == 0));
-            let mut visited = 0usize;
-            while let Some(p) = stack.pop() {
-                visited += 1;
-                let (lo, hi) = (
-                    fwd_off[p as usize] as usize,
-                    fwd_off[p as usize + 1] as usize,
-                );
-                for &v in &fwd_adj[lo..hi] {
-                    indeg[v as usize] -= 1;
-                    if indeg[v as usize] == 0 {
-                        stack.push(v);
-                    }
-                }
-            }
-            if visited != np {
-                let witness = indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
-                // Reclaim the taken buffers before bailing.
-                arena.fwd_off = fwd_off;
-                arena.fwd_adj = fwd_adj;
-                arena.rev_off = rev_off;
-                arena.rev_adj = rev_adj;
-                return Err(ValidatePartitionError::QuotientCycle {
-                    witness_pid: witness,
-                });
-            }
-        }
-
         // Partition weights: sum of member task weights.
         let mut weights = std::mem::take(&mut arena.weights);
         weights.clear();
@@ -260,28 +281,25 @@ impl QuotientTdg {
 
         let graph = Tdg::from_csr(fwd_off, fwd_adj, rev_off, rev_adj, weights);
 
-        // Member execution order: one sort-free Kahn pass over the
-        // original TDG yields a global topological order (deterministic
-        // for a given graph); counting-sorting it by partition preserves
-        // the relative order within each partition, which is all a worker
-        // needs. Flattened storage avoids one Vec per partition.
-        let topo = &mut arena.topo;
-        topo.clear();
-        let indeg = &mut arena.indeg;
-        indeg.clear();
-        indeg.extend((0..n as u32).map(|t| tdg.predecessors(TaskId(t)).len() as u32));
-        let stack = &mut arena.stack;
-        stack.clear();
-        stack.extend((0..n as u32).filter(|&t| indeg[t as usize] == 0));
-        while let Some(t) = stack.pop() {
-            topo.push(t);
-            for &s in tdg.successors(TaskId(t)) {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    stack.push(s);
-                }
+        // Acyclicity: rising pids are a topological order of the quotient;
+        // any other numbering is decided by a drain.
+        if !pids_rise {
+            kahn_drain(&graph, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
+            if arena.topo.len() != np {
+                let witness = arena.indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
+                arena.recycle_graph(graph);
+                return Err(ValidatePartitionError::QuotientCycle {
+                    witness_pid: witness,
+                });
             }
         }
+
+        // Member execution order: a counting sort by partition of one
+        // topological order of the original TDG keeps that order within
+        // each partition, which is all a worker needs. Rising ids make
+        // `0..n` such an order; otherwise one sort-free Kahn pass yields
+        // it (deterministic for a given graph). Flattened storage avoids
+        // one Vec per partition.
         let mut exec_off = std::mem::take(&mut arena.exec_off);
         exec_off.clear();
         exec_off.resize(np + 1, 0);
@@ -294,15 +312,19 @@ impl QuotientTdg {
         let mut exec_flat = std::mem::take(&mut arena.exec_flat);
         exec_flat.clear();
         exec_flat.resize(n, 0);
-        {
-            let cursor = &mut arena.cursor;
-            cursor.clear();
-            cursor.extend_from_slice(&exec_off);
-            for &t in topo.iter() {
-                let c = &mut cursor[assignment[t as usize] as usize];
-                exec_flat[*c as usize] = t;
-                *c += 1;
-            }
+        let cursor = &mut arena.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&exec_off);
+        let place = |t: u32| {
+            let c = &mut cursor[assignment[t as usize] as usize];
+            exec_flat[*c as usize] = t;
+            *c += 1;
+        };
+        if ids_rise {
+            (0..n as u32).for_each(place);
+        } else {
+            kahn_drain(tdg, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
+            arena.topo.iter().copied().for_each(place);
         }
 
         Ok(QuotientTdg {

@@ -200,6 +200,7 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(limits.read_timeout);
     let _ = stream.set_write_timeout(limits.write_timeout);
+    let _ = stream.set_nodelay(true);
     // `&TcpStream` implements both `Read` and `Write`, so the buffered
     // reader can hold its borrow across requests while responses go out
     // through a second shared borrow of the raw stream.
@@ -523,12 +524,14 @@ fn write_response(
         None => String::new(),
     };
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    // Head and body go out in one write: a second small segment would
+    // wait on a kept-alive connection for the client's delayed ACK.
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry}Connection: {conn}\r\n\r\n",
         text.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(text.as_bytes());
+    response.push_str(&text);
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 

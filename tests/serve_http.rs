@@ -423,6 +423,29 @@ fn keep_alive_reuses_a_connection_up_to_the_request_cap() {
 }
 
 #[test]
+fn keep_alive_round_trips_do_not_wait_for_a_delayed_ack() {
+    // A response written as two small segments stalls on a kept-alive
+    // connection: the second waits (Nagle) for the ACK of the first, and
+    // the client delays that ACK ~40 ms because it has nothing to send.
+    let server = Server::start("nodelay");
+    let stream = TcpStream::connect(&server.addr).expect("connect");
+    let mut reader = BufReader::new(&stream);
+    const ROUND_TRIPS: u32 = 20;
+    let started = std::time::Instant::now();
+    for i in 0..ROUND_TRIPS {
+        send_keep_alive(&stream, &server.addr, "GET", "/healthz", None);
+        let (status, connection, _) = read_framed_response(&mut reader).expect("response");
+        assert_eq!(status, 200);
+        assert_eq!(connection, "keep-alive", "round trip {i}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(u64::from(ROUND_TRIPS) * 40 / 2),
+        "{ROUND_TRIPS} kept-alive round trips took {elapsed:?}"
+    );
+}
+
+#[test]
 fn idle_keep_alive_connections_are_closed_silently() {
     let server = Server::start_with("idle", &["--idle-timeout-ms", "250"]);
     let stream = TcpStream::connect(&server.addr).expect("connect");
