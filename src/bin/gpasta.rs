@@ -876,12 +876,14 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
         },
     );
     println!(
-        "salvaged {} shard(s), poisoned {:?}, unfinished {:?}; {} respawn(s), {} task(s) healed",
+        "salvaged {} shard(s), poisoned {:?}, unfinished {:?}; {} respawn(s), {} task(s) healed, \
+         {} worker process(es) spawned",
         out.salvaged.len(),
         out.poisoned,
         out.unfinished,
         out.respawns,
         out.healed_tasks,
+        out.workers_spawned,
     );
     println!(
         "WNS {} ps, TNS {} ps; worker exec total {:.3} ms",
@@ -939,9 +941,10 @@ fn parse_kill(raw: &str) -> Result<(u32, u32, FaultKind), Error> {
     Ok((shard, attempt, kind))
 }
 
-/// The hidden `shard-worker` subcommand: rebuild the context, speak the
-/// wire protocol on stdio, exit nonzero on any violation. Spawned only
-/// by the shard supervisor — not part of the public CLI surface.
+/// The hidden `shard-worker` subcommand: rebuild the context once, then
+/// serve shard rounds on stdio until stdin closes; exit nonzero on any
+/// protocol violation. Spawned only by the shard supervisor — not part
+/// of the public CLI surface.
 fn shard_worker_cmd(args: &[String]) -> Result<(), Error> {
     use gpasta::shard::{run_worker, WorkerArgs};
 
@@ -951,13 +954,6 @@ fn shard_worker_cmd(args: &[String]) -> Result<(), Error> {
         seed: 0,
         shards: 1,
         max_tasks_per_shard: 0,
-        shard: 0,
-        attempt: 0,
-        beat_every: 64,
-        beat_interval_micros: 0,
-        die_after: None,
-        exit_after: None,
-        stall_after: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -969,15 +965,6 @@ fn shard_worker_cmd(args: &[String]) -> Result<(), Error> {
             "--max-shard-tasks" => {
                 wa.max_tasks_per_shard = parse::<usize>("--max-shard-tasks", it.next())?
             }
-            "--shard" => wa.shard = parse::<u32>("--shard", it.next())?,
-            "--attempt" => wa.attempt = parse::<u32>("--attempt", it.next())?,
-            "--beat-every" => wa.beat_every = parse::<u64>("--beat-every", it.next())?,
-            "--beat-interval-micros" => {
-                wa.beat_interval_micros = parse::<u64>("--beat-interval-micros", it.next())?
-            }
-            "--die-after" => wa.die_after = Some(parse::<u64>("--die-after", it.next())?),
-            "--exit-after" => wa.exit_after = Some(parse::<u64>("--exit-after", it.next())?),
-            "--stall-after" => wa.stall_after = Some(parse::<u64>("--stall-after", it.next())?),
             other => return Err(unexpected(other)),
         }
     }

@@ -1,20 +1,22 @@
 //! Sharded multi-process execution with a shard supervisor.
 //!
-//! One timing update is split across K OS processes: the quotient graph's
+//! One timing update is split across OS processes: the quotient graph's
 //! partitions are grouped into contiguous, acyclic *shards*
 //! ([`ShardPlan`](crate::tdg::ShardPlan)), and each shard's fprop/bprop
-//! tasks execute inside a dedicated worker process
-//! (`gpasta shard-worker`, [`run_worker`]) while the parent supervisor
-//! ([`run_sharded`]) streams boundary timing values in and shard deltas
-//! out over `GPCKPT01`-framed pipes ([`wire`]).
+//! tasks execute inside a long-lived worker process
+//! (`gpasta shard-worker`, [`run_worker`]) that serves one shard after
+//! another while the parent supervisor ([`run_sharded`]) streams boundary
+//! timing values in and shard deltas out over `GPCKPT01`-framed pipes
+//! ([`wire`]).
 //!
 //! The process boundary is what buys fault tolerance: a worker that
 //! panics, exits, or is `SIGKILL`ed takes down only its own address
-//! space. The supervisor detects the death (by `wait` or by heartbeat
-//! silence), drains the shard's forward closure, respawns the worker with
-//! bounded retry/backoff, and — when retries are exhausted — poisons the
-//! shard at shard granularity and *heals* the poisoned cone in-process at
-//! the end, so the final report is bit-identical to a single-process run.
+//! space. The supervisor detects the death (by a closed pipe or by
+//! heartbeat silence), fails the one shard attempt that was in flight on
+//! it, retries that shard on another worker with bounded retry/backoff,
+//! and — when retries are exhausted — poisons the shard, drains its
+//! forward closure, and *heals* the poisoned cone in-process at the end,
+//! so the final report is bit-identical to a single-process run.
 //!
 //! # Determinism contract
 //!
@@ -30,6 +32,7 @@
 
 pub mod wire;
 
+mod pool;
 mod supervisor;
 mod worker;
 
@@ -150,7 +153,11 @@ pub struct ShardRunConfig {
     pub seed: u64,
     /// Requested shard count (clamped to the partition count).
     pub shards: usize,
-    /// Worker processes alive at once; `0` means one per shard.
+    /// Cap on worker processes alive at once; `0` means one per shard.
+    /// It is a ceiling, not a target: workers are long-lived and serve
+    /// one shard after another, and another process is launched only
+    /// while a shard is ready and every live worker is busy — which never
+    /// happens when the shard graph is a chain.
     pub max_workers: usize,
     /// Member-task cap per shard; `0` disables the cap.
     pub max_tasks_per_shard: usize,
@@ -222,8 +229,11 @@ pub struct ShardRunOutcome {
     pub unfinished: Vec<u32>,
     /// Worker attempts per shard (0 = completed from checkpoint).
     pub attempts: Vec<u32>,
-    /// Workers respawned after a death or stall.
+    /// Shard attempts after the first (each follows a death or stall).
     pub respawns: u64,
+    /// Worker processes launched. A fault-free run launches one; every
+    /// death, stall or protocol violation costs one more.
+    pub workers_spawned: u64,
     /// Tasks the supervisor re-executed in-process while healing.
     pub healed_tasks: u64,
     /// Sum of worker task-loop nanoseconds (overhead accounting).
@@ -367,10 +377,13 @@ impl ShardCheckpoint {
         if bytes[8] != CKPT_KIND {
             return Err(corrupt("not a shard checkpoint"));
         }
-        let len = u64::from_le_bytes(bytes[9..17].try_into().expect("8 bytes")) as usize;
-        if bytes.len() != head + len + 8 {
+        // The length is as untrusted as the rest: compare without adding
+        // to it (a hostile value would overflow).
+        let len = u64::from_le_bytes(bytes[9..17].try_into().expect("8 bytes"));
+        if len != (bytes.len() - head - 8) as u64 {
             return Err(corrupt("payload length disagrees with the file size"));
         }
+        let len = len as usize;
         let payload = &bytes[head..head + len];
         let stored = u64::from_le_bytes(bytes[head + len..].try_into().expect("8 bytes"));
         if stored != fnv1a64(payload) {
@@ -531,7 +544,7 @@ pub fn run_in_plan_order(
 mod tests {
     use super::*;
 
-    fn sample_checkpoint() -> ShardCheckpoint {
+    pub(super) fn sample_checkpoint() -> ShardCheckpoint {
         ShardCheckpoint {
             circuit: "aes_core".into(),
             scale_bits: 1.5f64.to_bits(),

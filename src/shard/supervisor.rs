@@ -2,18 +2,33 @@
 //! worker processes.
 //!
 //! [`run_sharded`] owns the master [`Timer`](crate::sta::Timer) state and
-//! dispatches shards to `gpasta shard-worker` children in the shard
-//! graph's topological order (shard ids), at most `max_workers` at once.
-//! Per child it streams the boundary inputs down stdin and collects
-//! `Hello`/`Heartbeat`/`Delta`/`Done` frames from stdout via a reader
-//! thread feeding one mpsc event loop; every event is tagged
-//! `(shard, attempt)` so stragglers from a killed attempt are discarded.
+//! a small pool of long-lived `gpasta shard-worker` children. A worker
+//! rebuilds the context and says `Hello` once; after that each shard it
+//! serves is one round — `Assign` and the shard's boundary inputs down
+//! its stdin, `Heartbeat`/`Delta`/`Done` back up its stdout. Shards are
+//! dispatched in the shard graph's topological order (shard ids) to an
+//! idle worker, and a new process is launched only while a shard is
+//! ready, no worker is idle and fewer than `max_workers` are alive. The
+//! first worker is launched before the supervisor's own rebuild, so the
+//! two rebuilds overlap.
+//!
+//! Which shard goes where, what a death costs and when a retry is due is
+//! decided by the pure [`Pool`]; this module carries its decisions out.
+//! Per child, one writer thread feeds stdin from a channel (the event
+//! loop never blocks on a boundary larger than the pipe buffer) and one
+//! reader thread turns stdout into events for one mpsc event loop. Every
+//! event is tagged with the worker's slot and never-reused serial, so a
+//! straggler from a killed process cannot be mistaken for its successor.
 //!
 //! Failure handling is crash-only, at shard granularity:
 //!
 //! * a child that dies (SIGKILL, panic, nonzero exit — observed as a
-//!   closed pipe without `Done`) or goes silent past the heartbeat stall
-//!   window is killed, reaped, and respawned with bounded retry/backoff;
+//!   closed pipe), breaks the protocol, or goes silent past the heartbeat
+//!   stall window between launch and `Hello` or inside a round is killed
+//!   and reaped. That fails exactly the `(shard, attempt)` in flight on
+//!   it — deltas of shards it completed earlier are already in the master
+//!   state — and the retry goes to an idle or new worker after a bounded
+//!   backoff. An idle worker is not monitored;
 //! * a shard that exhausts its retries is *poisoned* and its forward
 //!   closure in the shard graph drains as *unfinished* — exactly the
 //!   salvage semantics of the in-process recovering executor, one level
@@ -26,126 +41,59 @@
 //!   [`ShardCheckpoint`], and a *new* supervisor — even one with a
 //!   different shard count — resumes from it, re-running only partially
 //!   covered shards (idempotent: re-execution is bit-identical).
+//!
+//! Every worker is killed and reaped before [`run_sharded`] returns, on
+//! every path.
 
-use std::collections::HashMap;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::wire::{Frame, WireError};
+use super::pool::{Action, Event, Pool, State};
+use super::wire::{Frame, InjectedFault, WireError};
 use super::{
     build_timer, fault_point, plan_shards, run_fingerprint, shard_tasks, ShardCheckpoint,
     ShardError, ShardRunConfig, ShardRunOutcome,
 };
-use crate::core::forward_closure;
 use crate::sched::{FaultKind, HeartbeatMonitor};
 use crate::sta::{BoundaryValues, TimingUpdateTdg, ValueSet};
 use crate::tdg::{ShardPlan, TaskId};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Not all shard-graph predecessors have completed.
-    Waiting,
-    /// Dispatchable (a pending retry may gate it behind a backoff).
-    Ready,
-    /// A worker process is serving it.
-    Running,
-    /// Its delta is applied to the master state.
-    Completed,
-    /// Retries exhausted.
-    Poisoned,
-    /// Drained: a poisoned shard sits upstream.
-    Unfinished,
-}
+/// What a reader thread heard on its child's stdout — a frame, or why
+/// the pipe is finished ([`WireError::Eof`] when it closed cleanly) —
+/// tagged with the worker's slot and serial.
+type Tagged = (usize, u64, Result<Frame, WireError>);
 
-/// What the reader thread distils a child's stdout into.
-enum Event {
-    Frame(Frame),
-    /// The pipe closed: `None` cleanly (after `Done`), `Some` with the
-    /// wire error a crash or corruption produced.
-    Closed(Option<WireError>),
-}
-
-struct Running {
-    child: Child,
-    attempt: u32,
-    /// Stashed on `Delta`, applied on `Done`.
-    delta: Option<BoundaryValues>,
+/// The round a worker is serving.
+struct Round {
     /// The shard's write set, for validating the delta.
     writes: ValueSet,
+    /// Stashed on `Delta`, applied on `Done`.
+    delta: Option<BoundaryValues>,
 }
 
-struct Supervisor<'a, 'b> {
-    cfg: &'a ShardRunConfig,
-    update: &'a TimingUpdateTdg<'b>,
-    plan: &'a ShardPlan,
-    /// Per-shard task lists in execution order.
-    tasks: &'a [Vec<u32>],
-    fingerprint: u64,
-    state: Vec<State>,
-    deps_left: Vec<u32>,
-    /// Worker attempts started per shard.
-    attempts: Vec<u32>,
-    retry_at: Vec<Option<Instant>>,
-    running: HashMap<u32, Running>,
-    monitor: HeartbeatMonitor,
-    tx: Sender<(u32, u32, Event)>,
-    rx: Receiver<(u32, u32, Event)>,
-    max_workers: usize,
-    respawns: u64,
-    worker_exec_nanos: u64,
-    /// Shards completed by workers this run (excludes checkpoint-restored
-    /// ones) — the `kill_after_shards` counter.
-    completed_new: u32,
-    killed: bool,
+/// One live worker process and its two pipe threads.
+struct Proc {
+    child: Child,
+    /// Feeds the writer thread; dropping it closes the child's stdin.
+    to_child: Sender<Frame>,
+    threads: [JoinHandle<()>; 2],
+    greeted: bool,
+    round: Option<Round>,
 }
 
-impl Supervisor<'_, '_> {
-    fn num_shards(&self) -> usize {
-        self.state.len()
-    }
-
-    fn all_settled(&self) -> bool {
-        self.state
-            .iter()
-            .all(|s| matches!(s, State::Completed | State::Poisoned | State::Unfinished))
-    }
-
-    /// Spawn workers for every dispatchable shard, in shard-id
-    /// (topological) order, up to the worker cap.
-    fn dispatch(&mut self, now: Instant) -> Result<(), ShardError> {
-        for s in 0..self.num_shards() as u32 {
-            if self.running.len() >= self.max_workers {
-                break;
-            }
-            if self.state[s as usize] != State::Ready {
-                continue;
-            }
-            if let Some(at) = self.retry_at[s as usize] {
-                if now < at {
-                    continue;
-                }
-            }
-            self.retry_at[s as usize] = None;
-            self.spawn(s, now)?;
-        }
-        Ok(())
-    }
-
-    fn spawn(&mut self, shard: u32, now: Instant) -> Result<(), ShardError> {
-        let attempt = self.attempts[shard as usize];
-        self.attempts[shard as usize] += 1;
-        if attempt > 0 {
-            self.respawns += 1;
-        }
-        let tasks = &self.tasks[shard as usize];
-        let writes = ValueSet::writes_of(self.update, tasks);
-        let needed = ValueSet::reads_of(self.update, tasks).minus(&writes);
-        let boundary = BoundaryValues::export(self.update.data(), needed);
-
-        let cfg = self.cfg;
-        let mut cmd = Command::new(&cfg.worker_exe);
-        cmd.arg("shard-worker")
+impl Proc {
+    /// Launch `gpasta shard-worker` and its pipe threads; everything the
+    /// reader hears arrives on `tx` tagged `(slot, serial)`.
+    fn launch(
+        cfg: &ShardRunConfig,
+        slot: usize,
+        serial: u64,
+        tx: &Sender<Tagged>,
+    ) -> Result<Proc, ShardError> {
+        let mut child = Command::new(&cfg.worker_exe)
+            .arg("shard-worker")
             .arg("--circuit")
             .arg(cfg.circuit.name())
             .arg("--scale-bits")
@@ -156,226 +104,272 @@ impl Supervisor<'_, '_> {
             .arg(cfg.shards.to_string())
             .arg("--max-shard-tasks")
             .arg(cfg.max_tasks_per_shard.to_string())
-            .arg("--shard")
-            .arg(shard.to_string())
-            .arg("--attempt")
-            .arg(attempt.to_string())
-            .arg("--beat-every")
-            .arg(1.max(tasks.len() / 64).to_string())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|source| ShardError::Io {
+                op: "spawn shard worker",
+                source,
+            })?;
+
+        // One writer for the worker's whole life: a boundary larger than
+        // the pipe buffer must not block the event loop (the child reads
+        // its first one only after its own rebuild).
+        let mut stdin = child.stdin.take().expect("stdin was piped");
+        let (to_child, frames) = mpsc::channel::<Frame>();
+        let writer = std::thread::spawn(move || {
+            for frame in frames {
+                if frame.write_to(&mut stdin).is_err() {
+                    return;
+                }
+            }
+        });
+
+        // Frames become events; a closed pipe is the death notification.
+        let mut stdout = child.stdout.take().expect("stdout was piped");
+        let tx = tx.clone();
+        let reader = std::thread::spawn(move || loop {
+            let heard = Frame::read_from(&mut stdout);
+            let closed = heard.is_err();
+            if tx.send((slot, serial, heard)).is_err() || closed {
+                return;
+            }
+        });
+
+        Ok(Proc {
+            child,
+            to_child,
+            threads: [writer, reader],
+            greeted: false,
+            round: None,
+        })
+    }
+
+    /// Kill the process, reap it, and join its threads (both end once
+    /// the pipes are dead).
+    fn reap(mut self) {
+        drop(self.to_child);
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// The live processes by slot; dropping the table reaps them all, so no
+/// return path of [`run_sharded`] leaves a worker or a zombie behind.
+struct Procs(Vec<Option<Proc>>);
+
+impl Drop for Procs {
+    fn drop(&mut self) {
+        for proc in self.0.iter_mut().filter_map(Option::take) {
+            proc.reap();
+        }
+    }
+}
+
+struct Supervisor<'a, 'b> {
+    cfg: &'a ShardRunConfig,
+    update: &'a TimingUpdateTdg<'b>,
+    plan: &'a ShardPlan,
+    /// Per-shard task lists in execution order.
+    tasks: &'a [Vec<u32>],
+    fingerprint: u64,
+    pool: Pool<'a>,
+    procs: Procs,
+    /// Keyed by worker slot.
+    monitor: HeartbeatMonitor,
+    tx: Sender<Tagged>,
+    rx: Receiver<Tagged>,
+    worker_exec_nanos: u64,
+    /// Shards completed by workers this run (excludes checkpoint-restored
+    /// ones) — the `kill_after_shards` counter.
+    completed_new: u32,
+    killed: bool,
+}
+
+impl Supervisor<'_, '_> {
+    fn perform(&mut self, actions: Vec<Action>, now: Instant) -> Result<(), ShardError> {
+        for action in actions {
+            match action {
+                Action::Kill { slot } => {
+                    self.monitor.stop(slot as u32);
+                    self.procs.0[slot]
+                        .take()
+                        .expect("the pool kills live workers")
+                        .reap();
+                }
+                Action::Spawn { slot, serial } => {
+                    self.procs.0[slot] = Some(Proc::launch(self.cfg, slot, serial, &self.tx)?);
+                    self.monitor.start(slot as u32, now);
+                }
+                Action::Assign {
+                    slot,
+                    shard,
+                    attempt,
+                } => self.assign(slot, shard, attempt, now),
+            }
+        }
+        Ok(())
+    }
+
+    /// Open a round: queue `Assign` and the shard's boundary for the
+    /// worker in `slot` (it reads them once it has said `Hello`).
+    fn assign(&mut self, slot: usize, shard: u32, attempt: u32, now: Instant) {
+        let cfg = self.cfg;
+        let tasks = &self.tasks[shard as usize];
+        let writes = ValueSet::writes_of(self.update, tasks);
+        let needed = ValueSet::reads_of(self.update, tasks).minus(&writes);
+        let boundary = BoundaryValues::export(self.update.data(), needed);
+        let fault = cfg.faults.fault_at(shard, attempt).map(|kind| {
+            let how = match kind {
+                FaultKind::Panic | FaultKind::WrongResult => InjectedFault::Die,
+                FaultKind::Transient => InjectedFault::Exit,
+                FaultKind::Delay { .. } => InjectedFault::Stall,
+            };
+            let at = fault_point(cfg.chaos_seed, shard, attempt, tasks.len() as u64);
+            (how, at)
+        });
+        let assign = Frame::Assign {
+            shard,
+            attempt,
+            beat_every: 1.max(tasks.len() as u64 / 64),
             // Beats throttled to an eighth of the stall deadline: dense
             // enough that the watchdog never false-fires, sparse enough
             // that frame wakeups don't preempt the task loop on small
             // machines.
-            .arg("--beat-interval-micros")
-            .arg(1.max(cfg.stall_after.as_micros() / 8).to_string())
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped());
-        if let Some(kind) = cfg.faults.fault_at(shard, attempt) {
-            let point = fault_point(cfg.chaos_seed, shard, attempt, tasks.len() as u64);
-            let flag = match kind {
-                FaultKind::Panic | FaultKind::WrongResult => "--die-after",
-                FaultKind::Transient => "--exit-after",
-                FaultKind::Delay { .. } => "--stall-after",
-            };
-            cmd.arg(flag).arg(point.to_string());
-        }
-        let mut child = cmd.spawn().map_err(|source| ShardError::Io {
-            op: "spawn shard worker",
-            source,
-        })?;
-
-        // Dedicated writer: a boundary larger than the pipe buffer must
-        // not block the event loop (the child reads it only after its
-        // own rebuild). Closing stdin afterwards is the end-of-input.
-        let stdin = child.stdin.take().expect("stdin was piped");
-        std::thread::spawn(move || {
-            let mut w = stdin;
-            let _ = Frame::Boundary(boundary).write_to(&mut w);
+            beat_interval_micros: 1.max(cfg.stall_after.as_micros() as u64 / 8),
+            fault,
+        };
+        let proc = self.procs.0[slot]
+            .as_mut()
+            .expect("the pool assigns to live workers");
+        // A send fails only when the writer already saw the pipe die; the
+        // reader reports that death.
+        let _ = proc.to_child.send(assign);
+        let _ = proc.to_child.send(Frame::Boundary(boundary));
+        proc.round = Some(Round {
+            writes,
+            delta: None,
         });
-
-        // Dedicated reader: frames become events; a closed pipe is the
-        // death notification for everything short of `Done`.
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let tx = self.tx.clone();
-        std::thread::spawn(move || {
-            let mut r = stdout;
-            loop {
-                match Frame::read_from(&mut r) {
-                    Ok(f) => {
-                        if tx.send((shard, attempt, Event::Frame(f))).is_err() {
-                            return;
-                        }
-                    }
-                    Err(WireError::Eof) => {
-                        let _ = tx.send((shard, attempt, Event::Closed(None)));
-                        return;
-                    }
-                    Err(e) => {
-                        let _ = tx.send((shard, attempt, Event::Closed(Some(e))));
-                        return;
-                    }
-                }
-            }
-        });
-
-        self.running.insert(
-            shard,
-            Running {
-                child,
-                attempt,
-                delta: None,
-                writes,
-            },
-        );
-        self.monitor.start(shard, now);
-        self.state[shard as usize] = State::Running;
-        Ok(())
-    }
-
-    /// Whether `(shard, attempt)` identifies the currently running
-    /// worker (stale events from killed attempts are discarded).
-    fn is_current(&self, shard: u32, attempt: u32) -> bool {
-        self.state[shard as usize] == State::Running
-            && self
-                .running
-                .get(&shard)
-                .is_some_and(|r| r.attempt == attempt)
+        self.monitor.start(slot as u32, now);
     }
 
     fn handle(
         &mut self,
-        shard: u32,
-        attempt: u32,
-        ev: Event,
+        slot: usize,
+        serial: u64,
+        heard: Result<Frame, WireError>,
         now: Instant,
     ) -> Result<(), ShardError> {
-        if !self.is_current(shard, attempt) {
+        if self.pool.serial(slot) != Some(serial) {
+            // A straggler from a process that was already killed.
             return Ok(());
         }
-        match ev {
-            Event::Frame(Frame::Hello {
-                fingerprint,
-                num_shards,
-                ..
-            }) => {
-                if fingerprint != self.fingerprint || num_shards as usize != self.num_shards() {
+        let unit = slot as u32;
+        let proc = self.procs.0[slot].as_mut().expect("the serial is current");
+        match (heard, proc.round.as_mut()) {
+            (
+                Ok(Frame::Hello {
+                    fingerprint,
+                    num_shards,
+                    ..
+                }),
+                round,
+            ) if !proc.greeted => {
+                if fingerprint != self.fingerprint || num_shards as usize != self.tasks.len() {
                     // A deterministic-rebuild disagreement can never
                     // succeed on retry; fail the whole run loudly.
-                    self.shutdown();
                     return Err(ShardError::Protocol(format!(
-                        "worker for shard {shard} rebuilt a different plan \
+                        "worker {serial} rebuilt a different plan \
                          (fingerprint {fingerprint:#018x} vs {:#018x})",
                         self.fingerprint
                     )));
                 }
-                self.monitor.beat(shard, now);
-            }
-            Event::Frame(Frame::Heartbeat { .. }) => self.monitor.beat(shard, now),
-            Event::Frame(Frame::Delta(delta)) => {
-                let r = self.running.get_mut(&shard).expect("is_current");
-                if delta.set == r.writes {
-                    r.delta = Some(delta);
-                    self.monitor.beat(shard, now);
-                } else {
-                    self.fail_attempt(shard, now, "sent a delta for the wrong cell set");
+                proc.greeted = true;
+                match round {
+                    Some(_) => self.monitor.beat(unit, now),
+                    None => self.monitor.stop(unit),
                 }
             }
-            Event::Frame(Frame::Done { exec_nanos, .. }) => {
-                let r = self.running.get_mut(&shard).expect("is_current");
-                if r.delta.is_some() {
-                    self.complete(shard, exec_nanos)?;
+            (Ok(Frame::Heartbeat { .. }), Some(_)) => self.monitor.beat(unit, now),
+            (Ok(Frame::Delta(delta)), Some(round)) => {
+                if delta.set == round.writes {
+                    round.delta = Some(delta);
+                    self.monitor.beat(unit, now);
                 } else {
-                    self.fail_attempt(shard, now, "reported done without a delta");
+                    self.lose(slot, serial, now, "sent a delta for the wrong cell set")?;
                 }
             }
-            Event::Frame(other) => {
-                let what = match other {
-                    Frame::Boundary(_) => "a boundary frame",
-                    _ => "an unexpected frame",
-                };
-                let why = format!("sent {what} upstream");
-                self.fail_attempt(shard, now, &why);
-            }
-            Event::Closed(err) => {
-                // Death before `Done`: SIGKILL, panic, nonzero exit, or a
-                // corrupt tail — all the same symptom, all retried.
-                let why = match err {
-                    Some(e) => format!("pipe closed before done: {e}"),
-                    None => "pipe closed before done".to_string(),
-                };
-                self.fail_attempt(shard, now, &why);
-            }
+            (Ok(Frame::Done { exec_nanos, .. }), Some(round)) => match round.delta.take() {
+                Some(delta) => {
+                    proc.round = None;
+                    self.complete(slot, serial, delta, exec_nanos, now)?;
+                }
+                None => self.lose(slot, serial, now, "reported done without a delta")?,
+            },
+            (Ok(_), _) => self.lose(slot, serial, now, "sent a frame out of turn")?,
+            // SIGKILL, panic, nonzero exit, or a corrupt tail — all the
+            // same symptom, all retried.
+            (Err(e), _) => self.lose(slot, serial, now, &e.to_string())?,
         }
         Ok(())
     }
 
-    /// Reap the worker and either schedule a respawn (with backoff) or
-    /// poison the shard and drain its forward closure.
-    fn fail_attempt(&mut self, shard: u32, now: Instant, why: &str) {
-        let mut r = self.running.remove(&shard).expect("running");
-        let _ = r.child.kill();
-        let _ = r.child.wait();
-        self.monitor.stop(shard);
-        let attempt = r.attempt;
-        if self.attempts[shard as usize] > self.cfg.retry.max_retries {
-            eprintln!(
-                "gpasta shard: shard {shard} attempt {attempt} failed ({why}); retries exhausted, poisoning"
-            );
-            self.poison(shard);
-        } else {
-            eprintln!("gpasta shard: shard {shard} attempt {attempt} failed ({why}); respawning");
-            self.state[shard as usize] = State::Ready;
-            self.retry_at[shard as usize] = Some(now + self.cfg.retry.backoff(attempt));
-        }
-    }
-
-    fn poison(&mut self, shard: u32) {
-        self.state[shard as usize] = State::Poisoned;
-        for t in forward_closure(self.plan.graph(), &[shard]) {
-            if t == shard {
-                continue;
+    /// The worker in `slot` is gone for `why`: kill and reap it, and fail
+    /// the round it was serving, if any.
+    fn lose(
+        &mut self,
+        slot: usize,
+        serial: u64,
+        now: Instant,
+        why: &str,
+    ) -> Result<(), ShardError> {
+        let job = self.pool.job(slot);
+        let actions = self.pool.on(Event::Lost { slot, serial }, now);
+        match job {
+            Some((shard, attempt)) => {
+                let next = match self.pool.states()[shard as usize] {
+                    State::Poisoned => "retries exhausted, poisoning",
+                    _ => "respawning",
+                };
+                eprintln!("gpasta shard: shard {shard} attempt {attempt} failed ({why}); {next}");
             }
-            debug_assert_eq!(
-                self.state[t as usize],
-                State::Waiting,
-                "a descendant of an incomplete shard cannot have started"
-            );
-            self.state[t as usize] = State::Unfinished;
+            None => eprintln!("gpasta shard: idle worker {serial} lost ({why})"),
         }
+        self.perform(actions, now)
     }
 
-    fn complete(&mut self, shard: u32, exec_nanos: u64) -> Result<(), ShardError> {
-        let mut r = self.running.remove(&shard).expect("running");
-        let delta = r.delta.take().expect("checked by caller");
+    /// The worker in `slot` closed its round with `delta`.
+    fn complete(
+        &mut self,
+        slot: usize,
+        serial: u64,
+        delta: BoundaryValues,
+        exec_nanos: u64,
+        now: Instant,
+    ) -> Result<(), ShardError> {
         delta.apply(self.update.data());
-        let _ = r.child.wait();
-        self.monitor.stop(shard);
-        self.state[shard as usize] = State::Completed;
+        self.monitor.stop(slot as u32);
+        let actions = self.pool.on(Event::Done { slot, serial }, now);
+        debug_assert!(actions.is_empty(), "dispatch waits for the next tick");
         self.worker_exec_nanos += exec_nanos;
         self.completed_new += 1;
-        for &succ in self.plan.graph().successors(TaskId(shard)) {
-            let d = &mut self.deps_left[succ as usize];
-            *d -= 1;
-            if *d == 0 && self.state[succ as usize] == State::Waiting {
-                self.state[succ as usize] = State::Ready;
-            }
-        }
         if let Some(path) = &self.cfg.checkpoint_to {
             self.checkpoint().write_to_path(path)?;
         }
-        if self.cfg.kill_after_shards == Some(self.completed_new) {
-            // Simulate the supervisor's own death: abandon everything
-            // that is still running and stop without healing.
-            self.shutdown();
-            self.killed = true;
-        }
+        // Simulate the supervisor's own death: stop without dispatching
+        // or healing (the caller reaps whatever is still running).
+        self.killed = self.cfg.kill_after_shards == Some(self.completed_new);
         Ok(())
     }
 
     fn checkpoint(&self) -> ShardCheckpoint {
-        let mut completed: Vec<u32> = (0..self.num_shards() as u32)
-            .filter(|&s| self.state[s as usize] == State::Completed)
-            .flat_map(|s| self.plan.members(s).iter().copied())
+        let states = self.pool.states();
+        let mut completed: Vec<u32> = (0..states.len())
+            .filter(|&s| states[s] == State::Completed)
+            .flat_map(|s| self.plan.members(s as u32).iter().copied())
             .collect();
         completed.sort_unstable();
         ShardCheckpoint {
@@ -388,40 +382,27 @@ impl Supervisor<'_, '_> {
         }
     }
 
-    /// Kill and reap every running worker.
-    fn shutdown(&mut self) {
-        for (&s, _) in self.running.iter() {
-            self.monitor.stop(s);
-        }
-        for (_, mut r) in self.running.drain() {
-            let _ = r.child.kill();
-            let _ = r.child.wait();
-        }
-    }
-
     fn event_loop(&mut self) -> Result<(), ShardError> {
         loop {
-            if self.killed || (self.all_settled() && self.running.is_empty()) {
+            if self.killed || self.pool.settled() {
                 return Ok(());
             }
             let now = Instant::now();
-            for s in self.monitor.stalled(now) {
-                self.fail_attempt(s, now, "heartbeat stall (hung worker)");
-            }
-            self.dispatch(now)?;
-            let mut timeout = Duration::from_millis(100);
-            if let Some(d) = self.monitor.next_deadline(now) {
-                timeout = timeout.min(d);
-            }
-            for at in self.retry_at.iter().flatten() {
-                timeout = timeout.min(at.saturating_duration_since(now));
-            }
-            let timeout = timeout.max(Duration::from_millis(1));
-            match self.rx.recv_timeout(timeout) {
-                Ok((shard, attempt, ev)) => {
-                    let now = Instant::now();
-                    self.handle(shard, attempt, ev, now)?;
+            for unit in self.monitor.stalled(now) {
+                let slot = unit as usize;
+                if let Some(serial) = self.pool.serial(slot) {
+                    self.lose(slot, serial, now, "heartbeat stall (hung worker)")?;
                 }
+            }
+            let actions = self.pool.on(Event::Tick, now);
+            self.perform(actions, now)?;
+            let timeout = [self.monitor.next_deadline(now), self.pool.next_retry(now)]
+                .into_iter()
+                .flatten()
+                .fold(Duration::from_millis(100), Duration::min)
+                .max(Duration::from_millis(1));
+            match self.rx.recv_timeout(timeout) {
+                Ok((slot, serial, heard)) => self.handle(slot, serial, heard, Instant::now())?,
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     unreachable!("the supervisor keeps a sender alive")
@@ -431,8 +412,9 @@ impl Supervisor<'_, '_> {
     }
 }
 
-/// Execute one full timing update across `cfg.shards` worker processes
-/// and report the result (see the module docs for the failure model).
+/// Execute one full timing update across `cfg.shards` shards on a pool of
+/// worker processes and report the result (see the module docs for the
+/// failure model).
 ///
 /// # Errors
 ///
@@ -441,6 +423,11 @@ impl Supervisor<'_, '_> {
 /// cannot be written/read. Worker *deaths* are not errors — they are
 /// retried, then poisoned and healed.
 pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> {
+    // The first worker goes up before anything else, so its rebuild
+    // overlaps the supervisor's own; `procs` reaps it on every return.
+    let (tx, rx) = mpsc::channel();
+    let mut procs = Procs(vec![Some(Proc::launch(cfg, 0, 0, &tx)?)]);
+
     let mut timer = build_timer(cfg.circuit, cfg.scale, cfg.seed);
     let resume = match &cfg.resume_from {
         Some(p) => Some(ShardCheckpoint::read_from_path(p)?),
@@ -479,71 +466,62 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         .map(|s| shard_tasks(&quotient, &plan, s))
         .collect();
 
-    let mut deps_left: Vec<u32> = (0..k)
-        .map(|s| plan.graph().predecessors(TaskId(s as u32)).len() as u32)
-        .collect();
-    let mut state = vec![State::Waiting; k];
     // Shards fully covered by the checkpoint are already complete: their
     // values were restored with the snapshot. Partially covered shards
     // re-run from scratch.
+    let mut restored = vec![false; k];
     if let Some(ck) = &resume {
         let done: std::collections::HashSet<u32> =
             ck.completed_partitions.iter().copied().collect();
-        for s in 0..k as u32 {
-            let members = plan.members(s);
-            if !members.is_empty() && members.iter().all(|p| done.contains(p)) {
-                state[s as usize] = State::Completed;
-                for &succ in plan.graph().successors(TaskId(s)) {
-                    deps_left[succ as usize] -= 1;
-                }
-            }
-        }
-    }
-    for s in 0..k {
-        if state[s] == State::Waiting && deps_left[s] == 0 {
-            state[s] = State::Ready;
+        for (s, restored) in restored.iter_mut().enumerate() {
+            let members = plan.members(s as u32);
+            *restored = !members.is_empty() && members.iter().all(|p| done.contains(p));
         }
     }
 
-    let (tx, rx) = mpsc::channel();
+    let max_workers = match cfg.max_workers {
+        0 => k.max(1),
+        n => n,
+    };
+    procs.0.resize_with(max_workers, || None);
+    let mut monitor = HeartbeatMonitor::new(max_workers, cfg.stall_after);
+    // The early worker has had the supervisor's whole rebuild to get
+    // going; its window to `Hello` counts from here.
+    monitor.start(0, Instant::now());
     let mut sup = Supervisor {
         cfg,
         update: &update,
         plan: &plan,
         tasks: &tasks,
         fingerprint: run_fingerprint(update.tdg(), &plan),
-        state,
-        deps_left,
-        attempts: vec![0; k],
-        retry_at: vec![None; k],
-        running: HashMap::new(),
-        monitor: HeartbeatMonitor::new(k, cfg.stall_after),
+        pool: Pool::new(plan.graph(), &restored, max_workers, cfg.retry.clone()),
+        procs,
+        monitor,
         tx,
         rx,
-        max_workers: if cfg.max_workers == 0 {
-            k
-        } else {
-            cfg.max_workers.max(1)
-        },
-        respawns: 0,
         worker_exec_nanos: 0,
         completed_new: 0,
         killed: false,
     };
-    let result = sup.event_loop();
-    if result.is_err() {
-        sup.shutdown();
-    }
-    result?;
+    sup.event_loop()?;
+    let Supervisor {
+        pool,
+        procs,
+        worker_exec_nanos,
+        killed,
+        ..
+    } = sup;
+    drop(procs);
+    let states = pool.states();
 
     // Heal: execute every non-completed shard's tasks in-process, in
     // shard-id (topological) order — bit-identical to what a healthy
     // worker would have computed. Without healing, mark the stale cone
     // unknown so nobody mistakes it for a result.
     let mut healed_tasks = 0u64;
-    if !sup.killed {
-        for (s, shard_tasks) in tasks.iter().enumerate().take(k) {
-            if sup.state[s] == State::Completed {
+    if !killed {
+        for (s, shard_tasks) in tasks.iter().enumerate() {
+            if states[s] == State::Completed {
                 continue;
             }
             if cfg.heal {
@@ -567,7 +545,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
     let mut poisoned = Vec::new();
     let mut unfinished = Vec::new();
     for s in 0..k as u32 {
-        match sup.state[s as usize] {
+        match states[s as usize] {
             State::Completed => salvaged.push(s),
             State::Poisoned => poisoned.push(s),
             State::Unfinished => unfinished.push(s),
@@ -575,17 +553,20 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
             _ => unfinished.push(s),
         }
     }
-    let mut completed_partitions: Vec<u32> = salvaged
-        .iter()
-        .flat_map(|&s| plan.members(s).iter().copied())
-        .collect();
+    // Sized exactly: callers keep outcomes around, and a `collect` over
+    // a `flat_map` leaves up to twice the capacity behind.
+    let total = salvaged.iter().map(|&s| plan.members(s).len()).sum();
+    let mut completed_partitions = Vec::with_capacity(total);
+    for &s in &salvaged {
+        completed_partitions.extend_from_slice(plan.members(s));
+    }
     completed_partitions.sort_unstable();
 
-    let outcome_attempts = sup.attempts.clone();
-    let respawns = sup.respawns;
-    let worker_exec_nanos = sup.worker_exec_nanos;
-    let killed = sup.killed;
-    drop(sup);
+    let (attempts, respawns, workers_spawned) = (
+        pool.attempts().to_vec(),
+        pool.respawns(),
+        pool.workers_spawned(),
+    );
     drop(update);
     let report = timer.report(1);
     Ok(ShardRunOutcome {
@@ -596,8 +577,9 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         salvaged,
         poisoned,
         unfinished,
-        attempts: outcome_attempts,
+        attempts,
         respawns,
+        workers_spawned,
         healed_tasks,
         worker_exec_nanos,
         killed,

@@ -14,12 +14,14 @@
 //! FNV-1a 64 of the payload          u64 LE
 //! ```
 //!
-//! Frames flow in both directions: the supervisor sends [`Frame::Boundary`]
-//! (the worker's boundary inputs) down the child's stdin; the worker sends
-//! [`Frame::Hello`], [`Frame::Heartbeat`], [`Frame::Delta`], and
-//! [`Frame::Done`] up its stdout. Values travel as raw `f32` bit patterns
-//! inside [`BoundaryValues`], never as rounded text, so a value that
-//! crossed the pipe is bit-identical to one computed locally.
+//! Frames flow in both directions. A worker sends [`Frame::Hello`] up its
+//! stdout once, after its rebuild; from then on every shard it serves is
+//! one *round*: the supervisor sends [`Frame::Assign`] and
+//! [`Frame::Boundary`] (the shard's boundary inputs) down the child's
+//! stdin, and the worker answers with [`Frame::Heartbeat`]s,
+//! [`Frame::Delta`] and [`Frame::Done`]. Values travel as raw `f32` bit
+//! patterns inside [`BoundaryValues`], never as rounded text, so a value
+//! that crossed the pipe is bit-identical to one computed locally.
 
 use crate::checkpoint::fnv1a64;
 use crate::sta::{BoundaryValues, ValueSet};
@@ -27,26 +29,40 @@ use std::io::{Read, Write};
 
 const MAGIC: &[u8; 8] = b"GPCKPT01";
 
-/// Refuse to allocate for a frame larger than this (a corrupt length
-/// header must not demand gigabytes).
+/// Refuse a frame that claims more than this.
 const MAX_PAYLOAD: u64 = 1 << 30;
+
+/// What a frame body may reserve before its bytes arrive: a corrupt
+/// length under [`MAX_PAYLOAD`] must cost what was sent, not what it
+/// claims.
+const BODY_RESERVE: u64 = 64 << 10;
 
 const KIND_HELLO: u8 = 1;
 const KIND_BOUNDARY: u8 = 2;
 const KIND_HEARTBEAT: u8 = 3;
 const KIND_DELTA: u8 = 4;
 const KIND_DONE: u8 = 5;
+const KIND_ASSIGN: u8 = 6;
+
+/// How an assigned round must fail (deterministic fault injection; the
+/// supervisor only ever observes the symptom).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectedFault {
+    /// `SIGKILL` self.
+    Die,
+    /// `exit(1)`.
+    Exit,
+    /// Go silent without exiting, for the heartbeat watchdog to reap.
+    Stall,
+}
 
 /// A message between supervisor and shard worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Worker → supervisor: identity and plan agreement, sent once after
-    /// the worker rebuilt the design and its shard plan.
+    /// Worker → supervisor: plan agreement, sent once per process after
+    /// the worker rebuilt the design and its shard plan and before it
+    /// reads its first [`Frame::Assign`].
     Hello {
-        /// The worker's assigned shard.
-        shard: u32,
-        /// The attempt this worker serves.
-        attempt: u32,
         /// Shards in the worker's plan.
         num_shards: u32,
         /// Tasks in the worker's update TDG.
@@ -54,6 +70,25 @@ pub enum Frame {
         /// Combined TDG + shard-plan fingerprint; both sides must agree
         /// before values are exchanged.
         fingerprint: u64,
+    },
+    /// Supervisor → worker: serve one attempt of one shard; opens a round
+    /// and is always followed by that shard's [`Frame::Boundary`].
+    Assign {
+        /// The shard to execute.
+        shard: u32,
+        /// Which attempt of the shard this round is.
+        attempt: u32,
+        /// Check the heartbeat clock every this many tasks (min 1).
+        beat_every: u64,
+        /// Minimum microseconds between heartbeat frames; `0` beats at
+        /// every check point. Throttling by *time* matters on small
+        /// machines: each frame wakes the supervisor's reader thread,
+        /// and on one core that preempts the task loop itself.
+        beat_interval_micros: u64,
+        /// Injected fault and the number of executed tasks it fires
+        /// after: `0` before the first task, the shard's task count after
+        /// the last one (before the delta is sent).
+        fault: Option<(InjectedFault, u64)>,
     },
     /// Supervisor → worker: the boundary inputs (values the shard reads
     /// but does not compute).
@@ -66,7 +101,7 @@ pub enum Frame {
     /// Worker → supervisor: the shard's write set (its delta).
     Delta(BoundaryValues),
     /// Worker → supervisor: the shard finished; always follows its
-    /// [`Frame::Delta`].
+    /// [`Frame::Delta`] and closes the round.
     Done {
         /// Nanoseconds spent in the task-execution loop only (excludes
         /// design rebuild), for overhead accounting.
@@ -217,6 +252,7 @@ impl Frame {
     fn kind(&self) -> u8 {
         match self {
             Frame::Hello { .. } => KIND_HELLO,
+            Frame::Assign { .. } => KIND_ASSIGN,
             Frame::Boundary(_) => KIND_BOUNDARY,
             Frame::Heartbeat { .. } => KIND_HEARTBEAT,
             Frame::Delta(_) => KIND_DELTA,
@@ -228,17 +264,33 @@ impl Frame {
         let mut buf = Vec::new();
         match self {
             Frame::Hello {
-                shard,
-                attempt,
                 num_shards,
                 num_tasks,
                 fingerprint,
             } => {
-                put_u32(&mut buf, *shard);
-                put_u32(&mut buf, *attempt);
                 put_u32(&mut buf, *num_shards);
                 put_u64(&mut buf, *num_tasks);
                 put_u64(&mut buf, *fingerprint);
+            }
+            Frame::Assign {
+                shard,
+                attempt,
+                beat_every,
+                beat_interval_micros,
+                fault,
+            } => {
+                put_u32(&mut buf, *shard);
+                put_u32(&mut buf, *attempt);
+                put_u64(&mut buf, *beat_every);
+                put_u64(&mut buf, *beat_interval_micros);
+                let (code, point) = match fault {
+                    None => (0, 0),
+                    Some((InjectedFault::Die, at)) => (1, *at),
+                    Some((InjectedFault::Exit, at)) => (2, *at),
+                    Some((InjectedFault::Stall, at)) => (3, *at),
+                };
+                buf.push(code);
+                put_u64(&mut buf, point);
             }
             Frame::Boundary(v) | Frame::Delta(v) => encode_values(&mut buf, v),
             Frame::Heartbeat { done } => put_u64(&mut buf, *done),
@@ -251,17 +303,31 @@ impl Frame {
     }
 
     fn decode(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
+        let mut r = Reader::new(payload);
         let frame = match kind {
             KIND_HELLO => Frame::Hello {
-                shard: r.u32("shard")?,
-                attempt: r.u32("attempt")?,
                 num_shards: r.u32("shard count")?,
                 num_tasks: r.u64("task count")?,
                 fingerprint: r.u64("fingerprint")?,
+            },
+            KIND_ASSIGN => Frame::Assign {
+                shard: r.u32("shard")?,
+                attempt: r.u32("attempt")?,
+                beat_every: r.u64("beat cadence")?,
+                beat_interval_micros: r.u64("beat interval")?,
+                fault: {
+                    let code = r.take(1, "fault kind")?[0];
+                    let point = r.u64("fault point")?;
+                    match code {
+                        0 => None,
+                        1 => Some((InjectedFault::Die, point)),
+                        2 => Some((InjectedFault::Exit, point)),
+                        3 => Some((InjectedFault::Stall, point)),
+                        other => {
+                            return Err(WireError::Corrupt(format!("unknown fault kind {other}")));
+                        }
+                    }
+                },
             },
             KIND_BOUNDARY => Frame::Boundary(decode_values(&mut r)?),
             KIND_HEARTBEAT => Frame::Heartbeat {
@@ -336,14 +402,17 @@ impl Frame {
                 "frame claims {len} payload bytes (cap {MAX_PAYLOAD})"
             )));
         }
-        let mut body = vec![0u8; len as usize + 8];
-        r.read_exact(&mut body).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                WireError::Corrupt("pipe closed mid-payload".into())
-            } else {
-                WireError::Io(e)
-            }
-        })?;
+        // `read_to_end` grows the buffer as bytes arrive, so a lying
+        // length reserves no more than about twice what the peer sent.
+        let want = len + 8;
+        let mut body = Vec::with_capacity(want.min(BODY_RESERVE) as usize);
+        r.by_ref()
+            .take(want)
+            .read_to_end(&mut body)
+            .map_err(WireError::Io)?;
+        if (body.len() as u64) < want {
+            return Err(WireError::Corrupt("pipe closed mid-payload".into()));
+        }
         let (payload, sum_bytes) = body.split_at(len as usize);
         let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
         let computed = fnv1a64(payload);
@@ -358,7 +427,10 @@ impl Frame {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::sample_checkpoint;
+    use super::super::{ShardCheckpoint, ShardError};
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_values() -> BoundaryValues {
         BoundaryValues {
@@ -374,16 +446,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = [
+    /// One frame of every kind (and every fault code).
+    fn sample_frames() -> Vec<Frame> {
+        let assign = |fault| Frame::Assign {
+            shard: 3,
+            attempt: 1,
+            beat_every: 64,
+            beat_interval_micros: 1_250_000,
+            fault,
+        };
+        vec![
             Frame::Hello {
-                shard: 3,
-                attempt: 1,
                 num_shards: 4,
                 num_tasks: 1000,
                 fingerprint: 0xDEAD_BEEF,
             },
+            assign(None),
+            assign(Some((InjectedFault::Die, 0))),
+            assign(Some((InjectedFault::Exit, 17))),
+            assign(Some((InjectedFault::Stall, u64::MAX))),
             Frame::Boundary(sample_values()),
             Frame::Heartbeat { done: 42 },
             Frame::Delta(sample_values()),
@@ -391,7 +472,12 @@ mod tests {
                 exec_nanos: 123_456,
                 tasks: 500,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let frames = sample_frames();
         let mut pipe = Vec::new();
         for f in &frames {
             f.write_to(&mut pipe).expect("write");
@@ -442,6 +528,144 @@ mod tests {
         bytes[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = Frame::read_from(&mut std::io::Cursor::new(bytes)).expect_err("cap");
         assert!(matches!(err, WireError::Corrupt(_)));
+    }
+
+    /// Counts what `read_from` pulled out of a stream that stays open
+    /// but never delivers the payload its header promised.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_lying_length_under_the_cap_costs_only_what_was_sent() {
+        let mut bytes = Frame::Heartbeat { done: 7 }.to_bytes();
+        bytes[9..17].copy_from_slice(&(MAX_PAYLOAD - 1).to_le_bytes());
+        let mut r = Trickle {
+            bytes: &bytes,
+            reads: 0,
+        };
+        let err = Frame::read_from(&mut r).expect_err("the payload never arrives");
+        assert!(matches!(err, WireError::Corrupt(_)), "got {err:?}");
+        assert!(
+            r.reads < 8,
+            "{} reads for a {}-byte stream: the claimed length was not pre-filled",
+            r.reads,
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn unknown_fault_codes_are_rejected() {
+        let frame = Frame::Assign {
+            shard: 0,
+            attempt: 0,
+            beat_every: 1,
+            beat_interval_micros: 0,
+            fault: None,
+        };
+        let mut payload = frame.encode_payload();
+        payload[24] = 9;
+        let err = Frame::decode(KIND_ASSIGN, &payload).expect_err("fault code 9");
+        assert!(matches!(err, WireError::Corrupt(_)));
+    }
+
+    /// Apply a script of hostile edits to a valid byte image.
+    fn mangle(mut bytes: Vec<u8>, edits: &[(u8, u32, u8)], other: &[u8]) -> Vec<u8> {
+        for &(op, at, val) in edits {
+            let at = at as usize;
+            match op {
+                // Truncate anywhere.
+                0 => bytes.truncate(at % (bytes.len() + 1)),
+                // Flip bits anywhere.
+                1 if !bytes.is_empty() => {
+                    let i = at % bytes.len();
+                    bytes[i] ^= val | 1;
+                }
+                // A hostile length: huge, just under the cap, or small.
+                2 if bytes.len() >= 17 => {
+                    let len = match val % 4 {
+                        0 => u64::MAX,
+                        1 => MAX_PAYLOAD - u64::from(val),
+                        2 => MAX_PAYLOAD + 1,
+                        _ => u64::from(val),
+                    };
+                    bytes[9..17].copy_from_slice(&len.to_le_bytes());
+                }
+                // An unknown kind.
+                3 if bytes.len() > 8 => bytes[8] = val,
+                // Another image glued on.
+                4 => bytes.extend_from_slice(other),
+                // Raw noise inserted.
+                5 => {
+                    let i = at % (bytes.len() + 1);
+                    bytes.splice(i..i, std::iter::repeat_n(val, at % 23));
+                }
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever arrives on the pipe, `read_from` yields frames or one
+        /// typed error — never a panic, never an endless read — and an
+        /// unedited stream of concatenated frames reads back exactly.
+        #[test]
+        fn frame_byte_soup_decodes_or_fails_typed(
+            picks in proptest::collection::vec(0usize..64, 1..4),
+            edits in proptest::collection::vec((0u8..6, any::<u32>(), any::<u8>()), 0..4),
+        ) {
+            let samples = sample_frames();
+            let frames: Vec<&Frame> = picks.iter().map(|&i| &samples[i % samples.len()]).collect();
+            let clean: Vec<u8> = frames.iter().flat_map(|f| f.to_bytes()).collect();
+            let other = samples[picks[0] % samples.len()].to_bytes();
+            let bytes = mangle(clean.clone(), &edits, &other);
+            let mut cursor = std::io::Cursor::new(&bytes);
+            let mut read = Vec::new();
+            let end = loop {
+                match Frame::read_from(&mut cursor) {
+                    Ok(f) => read.push(f),
+                    Err(e) => break e,
+                }
+                prop_assert!(read.len() <= bytes.len() / 25, "frames out of thin air");
+            };
+            if bytes == clean {
+                prop_assert!(matches!(end, WireError::Eof), "got {end:?}");
+                prop_assert!(read.iter().eq(frames.iter().copied()));
+            } else {
+                prop_assert!(matches!(end, WireError::Eof | WireError::Corrupt(_)), "got {end:?}");
+            }
+        }
+
+        /// The same adversary against the supervisor hand-off file.
+        #[test]
+        fn checkpoint_byte_soup_decodes_or_fails_typed(
+            edits in proptest::collection::vec((0u8..6, any::<u32>(), any::<u8>()), 0..4),
+        ) {
+            let ck = sample_checkpoint();
+            let clean = ck.encode();
+            let bytes = mangle(clean.clone(), &edits, &clean);
+            match ShardCheckpoint::decode(&bytes) {
+                Ok(back) => prop_assert!(bytes == clean && back == ck),
+                Err(e) => {
+                    prop_assert!(bytes != clean);
+                    prop_assert!(matches!(e, ShardError::Checkpoint(_)), "got {e:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! tests exercise the production code path end to end.
 
 use std::path::PathBuf;
+use std::sync::{RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use gpasta::circuits::PaperCircuit;
@@ -56,6 +57,33 @@ fn assert_bit_identical(outcome: &ShardRunOutcome, scale: f64, seed: u64, label:
     );
 }
 
+/// Tests share this process, and with it the set of child processes:
+/// the one test that counts children takes this exclusively, every other
+/// test that spawns workers takes it shared.
+static CHILDREN: RwLock<()> = RwLock::new(());
+
+fn spawning_workers() -> RwLockReadGuard<'static, ()> {
+    CHILDREN.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Children of this process that are (or were) `gpasta` workers, zombies
+/// included.
+fn worker_children() -> usize {
+    let me = std::process::id().to_string();
+    let Ok(proc) = std::fs::read_dir("/proc") else {
+        return 0; // not Linux: nothing to inspect
+    };
+    proc.filter_map(|e| std::fs::read_to_string(e.ok()?.path().join("stat")).ok())
+        .filter(|stat| {
+            // `pid (comm) state ppid ...`; comm may contain spaces.
+            let Some((head, tail)) = stat.rsplit_once(") ") else {
+                return false;
+            };
+            head.ends_with("(gpasta") && tail.split(' ').nth(1) == Some(me.as_str())
+        })
+        .count()
+}
+
 /// The three disposition sets must partition `0..num_shards` exactly:
 /// disjoint, complete, no stray ids.
 fn assert_partitions_shard_set(outcome: &ShardRunOutcome, label: &str) {
@@ -80,6 +108,7 @@ fn assert_partitions_shard_set(outcome: &ShardRunOutcome, label: &str) {
 /// respawn its victims and still match the oracle bit for bit.
 #[test]
 fn kill_matrix_respawns_and_heals_bit_identical() {
+    let _shared = spawning_workers();
     const SCALE: f64 = 0.005;
     for &seed in &[3u64, 0xC0FFEE] {
         for &shards in &[2usize, 4] {
@@ -96,6 +125,10 @@ fn kill_matrix_respawns_and_heals_bit_identical() {
                 c.chaos_seed = chaos_seed;
                 let outcome = run_sharded(&c).expect("sharded run");
                 assert!(outcome.respawns >= 2, "{label}: both victims respawn");
+                assert_eq!(
+                    outcome.workers_spawned, 3,
+                    "{label}: each victim takes one process with it, nothing else does"
+                );
                 assert!(outcome.poisoned.is_empty(), "{label}: retries suffice");
                 assert_eq!(outcome.salvaged.len(), outcome.num_shards, "{label}");
                 assert_partitions_shard_set(&outcome, &label);
@@ -105,11 +138,74 @@ fn kill_matrix_respawns_and_heals_bit_identical() {
     }
 }
 
+/// Fault-free, one long-lived worker serves every shard whatever the
+/// shard count and worker cap: contiguous level-major shards form a
+/// chain, so no second shard is ever ready while the first worker is
+/// busy. Only a plan that is not a chain (eight shards of a design this
+/// small) grows the pool, and then only up to the cap.
+#[test]
+fn a_fault_free_run_spawns_one_worker_and_is_bit_identical() {
+    let _shared = spawning_workers();
+    const SEED: u64 = 0x0DD;
+    let chain = [1usize, 2, 4, 8]
+        .into_iter()
+        .flat_map(|shards| [(0.01, shards, 1, 1), (0.01, shards, 2, 1)]);
+    let wide = [(0.005, 8, 1, 1), (0.005, 8, 2, 2)];
+    for (scale, shards, max_workers, spawned) in chain.chain(wide) {
+        let label = format!("scale={scale} shards={shards} max_workers={max_workers}");
+        let mut c = cfg(scale, SEED, shards);
+        c.max_workers = max_workers;
+        let outcome = run_sharded(&c).expect("sharded run");
+        assert_eq!(outcome.num_shards, shards, "{label}");
+        assert_eq!(outcome.workers_spawned, spawned, "{label}");
+        assert_eq!(outcome.respawns, 0, "{label}");
+        assert_eq!(outcome.salvaged.len(), outcome.num_shards, "{label}");
+        assert!(outcome.attempts.iter().all(|&a| a == 1), "{label}");
+        assert_partitions_shard_set(&outcome, &label);
+        assert_bit_identical(&outcome, scale, SEED, &label);
+    }
+}
+
+/// A worker that already completed earlier shards dies (SIGKILL, exit,
+/// hang) somewhere inside a later one: only the round in flight is lost —
+/// the earlier shards' deltas are in the master state and are not redone.
+#[test]
+fn a_worker_that_served_earlier_shards_loses_only_the_round_in_flight() {
+    let _shared = spawning_workers();
+    const SCALE: f64 = 0.005;
+    const SEED: u64 = 0xACE;
+    let kinds = [
+        FaultKind::Panic,
+        FaultKind::Transient,
+        FaultKind::Delay { micros: 1_000_000 },
+    ];
+    for kind in kinds {
+        // The chaos seed moves the kill point across `[0, tasks]`.
+        for chaos_seed in [0u64, 1, 0x9E37] {
+            let label = format!("{kind:?} chaos={chaos_seed:#x}");
+            let mut c = cfg(SCALE, SEED, 4);
+            c.max_workers = 2;
+            c.stall_after = Duration::from_millis(200);
+            c.chaos_seed = chaos_seed;
+            c.faults = FaultPlan::none().inject(2, 0, kind);
+            let outcome = run_sharded(&c).expect("sharded run");
+            assert_eq!(outcome.num_shards, 4, "{label}");
+            assert_eq!(outcome.attempts, vec![1, 1, 2, 1], "{label}");
+            assert_eq!(outcome.respawns, 1, "{label}");
+            assert_eq!(outcome.workers_spawned, 2, "{label}");
+            assert_eq!(outcome.salvaged.len(), 4, "{label}");
+            assert_partitions_shard_set(&outcome, &label);
+            assert_bit_identical(&outcome, SCALE, SEED, &label);
+        }
+    }
+}
+
 /// A worker that dies on every attempt exhausts its retries, poisons its
 /// forward closure, and the supervisor heals the whole cone in-process —
 /// still bit-identical.
 #[test]
 fn retry_exhaustion_poisons_then_heals_bit_identical() {
+    let _shared = spawning_workers();
     const SCALE: f64 = 0.005;
     const SEED: u64 = 0xBAD5EED;
     let mut c = cfg(SCALE, SEED, 4);
@@ -132,6 +228,7 @@ fn retry_exhaustion_poisons_then_heals_bit_identical() {
 /// watchdog, reaped, and respawned — still bit-identical.
 #[test]
 fn hung_workers_are_reaped_by_the_watchdog() {
+    let _shared = spawning_workers();
     const SCALE: f64 = 0.005;
     const SEED: u64 = 7;
     let mut c = cfg(SCALE, SEED, 3);
@@ -150,6 +247,7 @@ fn hung_workers_are_reaped_by_the_watchdog() {
 /// partitions — final state bit-identical to the oracle.
 #[test]
 fn shard_count_change_across_a_supervisor_kill_resumes_bit_identical() {
+    let _alone = CHILDREN.write().unwrap_or_else(|e| e.into_inner());
     const SCALE: f64 = 0.008;
     const SEED: u64 = 0xFACADE;
     let dir = std::env::temp_dir().join(format!("gpasta-shard-recovery-{}", std::process::id()));
@@ -189,6 +287,10 @@ fn shard_count_change_across_a_supervisor_kill_resumes_bit_identical() {
     assert_partitions_shard_set(&hardened, "resume+kill");
     assert_bit_identical(&hardened, SCALE, SEED, "resume+kill");
 
+    // Every worker of all three supervisors — the one that "died"
+    // included — was killed and reaped before `run_sharded` returned.
+    assert_eq!(worker_children(), 0, "no live or zombie worker is left");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -207,6 +309,7 @@ proptest! {
         max_retries in 0u32..3,
     ) {
         const SCALE: f64 = 0.002;
+        let _shared = spawning_workers();
         let mut c = cfg(SCALE, seed, shards);
         c.retry.max_retries = max_retries;
         c.chaos_seed = chaos_seed;
