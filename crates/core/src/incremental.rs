@@ -866,6 +866,15 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
                 ));
             }
         }
+        // Repair renormalises the id space before it grows past this, so no
+        // export exceeds it — and the per-pid tables below are sized by
+        // `max_pid`, which must not be whatever a damaged file says.
+        if export.max_pid as usize > 4 * n + RENORM_SLACK {
+            return snap(format!(
+                "max_pid {} is beyond what {n} tasks can reach",
+                export.max_pid
+            ));
+        }
         if let Err(e) = validate::check_edge_monotone(tdg, &export.raw) {
             return snap(format!("edge-monotone certificate failed: {e}"));
         }
@@ -1524,6 +1533,15 @@ mod tests {
                 ..good.clone()
             },
             "above Ps",
+        );
+        // A max_pid no repair history can produce would size the per-pid
+        // tables; it is refused before they are allocated.
+        reject(
+            CacheExport {
+                max_pid: u32::MAX,
+                ..good.clone()
+            },
+            "beyond what 4 tasks can reach",
         );
     }
 

@@ -89,8 +89,6 @@ pub struct TimingGraph {
     /// [`TimingGraph::build`]. `Timer::update_timing` numbers its tasks
     /// along it.
     level_order: Vec<u32>,
-    /// Inverse of `level_order`: the position of every node in it.
-    level_rank: Vec<u32>,
     /// Lazily built flat arc view for the propagation hot path.
     soa: OnceLock<ArcSoa>,
 }
@@ -194,7 +192,6 @@ impl PartialEq for TimingGraph {
             && self.gate_out_base == other.gate_out_base
             && self.po_base == other.po_base
             && self.level_order == other.level_order
-            && self.level_rank == other.level_rank
     }
 }
 
@@ -214,7 +211,6 @@ impl Serialize for TimingGraph {
             (String::from("gate_out_base"), self.gate_out_base.to_value()),
             (String::from("po_base"), self.po_base.to_value()),
             (String::from("level_order"), self.level_order.to_value()),
-            (String::from("level_rank"), self.level_rank.to_value()),
         ]))
     }
 }
@@ -235,7 +231,6 @@ impl Deserialize for TimingGraph {
             gate_out_base: Deserialize::from_value(v.expect_field("gate_out_base")?)?,
             po_base: Deserialize::from_value(v.expect_field("po_base")?)?,
             level_order: Deserialize::from_value(v.expect_field("level_order")?)?,
-            level_rank: Deserialize::from_value(v.expect_field("level_rank")?)?,
             soa: OnceLock::new(),
         })
     }
@@ -379,7 +374,6 @@ impl TimingGraph {
             gate_out_base,
             po_base,
             level_order: Vec::new(),
-            level_rank: Vec::new(),
             soa: OnceLock::new(),
         };
 
@@ -419,11 +413,9 @@ impl TimingGraph {
             cursor[l + 1] += cursor[l];
         }
         graph.level_order = vec![0; n];
-        graph.level_rank = vec![0; n];
         for (v, &l) in level.iter().enumerate() {
             let r = &mut cursor[l as usize];
             graph.level_order[*r as usize] = v as u32;
-            graph.level_rank[v] = *r;
             *r += 1;
         }
 
@@ -435,12 +427,6 @@ impl TimingGraph {
     #[inline]
     pub(crate) fn level_order(&self) -> &[u32] {
         &self.level_order
-    }
-
-    /// The position of every node in [`level_order`](Self::level_order).
-    #[inline]
-    pub(crate) fn level_rank(&self) -> &[u32] {
-        &self.level_rank
     }
 
     /// Number of nodes (pins).

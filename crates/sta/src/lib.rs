@@ -105,5 +105,5 @@ pub use path::{trace_worst_path, PathStep, TimingPath};
 pub use recover::RecoveredUpdate;
 pub use report::{EndpointSlack, TimingReport};
 pub use sdc::{apply_sdc, write_sdc, ParseSdcError};
-pub use timer::{TaskKind, Timer, TimingUpdateTdg};
+pub use timer::{DirtyCone, TaskKind, Timer, TimingUpdateTdg};
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};

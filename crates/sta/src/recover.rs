@@ -14,8 +14,9 @@
 //!   state, so re-running the poisoned tasks in topological order (after
 //!   the salvage) converges to the same bits a fault-free run produces.
 
-use crate::graph::NodeId;
-use crate::timer::{TaskKind, TimingUpdateTdg};
+use crate::analysis::TimingData;
+use crate::graph::{NodeId, TimingGraph};
+use crate::timer::{DirtyCone, TaskKind, TimingUpdateTdg};
 use gpasta_sched::{Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome};
 use gpasta_tdg::{QuotientTdg, TaskId};
 
@@ -51,6 +52,93 @@ impl RecoveredUpdate {
     /// value is the fault-free value.
     pub fn is_clean(&self) -> bool {
         self.outcome.is_clean()
+    }
+}
+
+/// Project an executor outcome onto the timing graph: split the poisoned
+/// and unfinished task sets by propagation direction and collect the
+/// affected endpoints. `decode` names a task's `(kind, node)` in whichever
+/// id space the run was dispatched in.
+fn project(
+    graph: &TimingGraph,
+    outcome: RunOutcome,
+    decode: impl Fn(u32) -> (TaskKind, NodeId),
+) -> RecoveredUpdate {
+    let split = |tasks: &[u32]| {
+        let mut fprop = Vec::new();
+        let mut bprop = Vec::new();
+        let mut endpoints = Vec::new();
+        for &t in tasks {
+            let (kind, v) = decode(t);
+            match kind {
+                TaskKind::Fprop => fprop.push(v),
+                TaskKind::Bprop => bprop.push(v),
+            }
+            if graph.is_endpoint(v) {
+                endpoints.push(v);
+            }
+        }
+        fprop.sort_unstable_by_key(|v| v.0);
+        bprop.sort_unstable_by_key(|v| v.0);
+        endpoints.sort_unstable_by_key(|v| v.0);
+        endpoints.dedup();
+        (fprop, bprop, endpoints)
+    };
+    let (poisoned_fprop_nodes, poisoned_bprop_nodes, poisoned_endpoints) =
+        split(&outcome.poisoned_tasks);
+    let (unfinished_fprop_nodes, unfinished_bprop_nodes, unfinished_endpoints) =
+        split(&outcome.unfinished_tasks);
+    RecoveredUpdate {
+        outcome,
+        poisoned_fprop_nodes,
+        poisoned_bprop_nodes,
+        poisoned_endpoints,
+        unfinished_fprop_nodes,
+        unfinished_bprop_nodes,
+        unfinished_endpoints,
+    }
+}
+
+/// Store NaN into every poisoned *and unfinished* value of `rec`: arrival
+/// and slew for affected fprop nodes, required times for affected bprop
+/// nodes. Salvaged values are untouched.
+fn mark_unknown(data: &TimingData, rec: &RecoveredUpdate) {
+    for nodes in [&rec.poisoned_fprop_nodes, &rec.unfinished_fprop_nodes] {
+        for &v in nodes {
+            data.mark_arrival_unknown(v);
+        }
+    }
+    for nodes in [&rec.poisoned_bprop_nodes, &rec.unfinished_bprop_nodes] {
+        for &v in nodes {
+            data.mark_required_unknown(v);
+        }
+    }
+}
+
+impl DirtyCone<'_> {
+    /// Run this cone through the recovering executor, dispatching the nodes
+    /// of `quotient` — a quotient whose members are this cone's full-space
+    /// ids, i.e. one built over the full-space TDG restricted to
+    /// [`ids`](DirtyCone::ids). Faults, budget and the returned
+    /// [`RecoveredUpdate`] are exactly as for
+    /// [`TimingUpdateTdg::run_partitioned_recovering_bounded`].
+    pub fn run_partitioned_recovering_bounded(
+        &self,
+        exec: &Executor,
+        quotient: &QuotientTdg,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        budget: &RunBudget,
+    ) -> RecoveredUpdate {
+        let payload = self.task_fn();
+        let work = FaultyWork::new(&payload, plan);
+        let outcome = exec.run_partitioned_recovering_bounded(quotient, &work, policy, budget);
+        project(self.graph(), outcome, |id| self.decode(id))
+    }
+
+    /// Degrade explicitly, as [`TimingUpdateTdg::mark_unknown`].
+    pub fn mark_unknown(&self, rec: &RecoveredUpdate) {
+        mark_unknown(self.data(), rec);
     }
 }
 
@@ -100,45 +188,10 @@ impl<'a> TimingUpdateTdg<'a> {
         self.project(outcome)
     }
 
-    /// Project an executor outcome onto the timing graph: split the
-    /// poisoned task set by propagation direction and collect the affected
-    /// endpoints.
     fn project(&self, outcome: RunOutcome) -> RecoveredUpdate {
-        let graph = self.graph();
-        let split = |tasks: &[u32]| {
-            let mut fprop = Vec::new();
-            let mut bprop = Vec::new();
-            let mut endpoints = Vec::new();
-            for &t in tasks {
-                let t = TaskId(t);
-                let v = self.node(t);
-                match self.kind(t) {
-                    TaskKind::Fprop => fprop.push(v),
-                    TaskKind::Bprop => bprop.push(v),
-                }
-                if graph.is_endpoint(v) {
-                    endpoints.push(v);
-                }
-            }
-            fprop.sort_unstable_by_key(|v| v.0);
-            bprop.sort_unstable_by_key(|v| v.0);
-            endpoints.sort_unstable_by_key(|v| v.0);
-            endpoints.dedup();
-            (fprop, bprop, endpoints)
-        };
-        let (poisoned_fprop_nodes, poisoned_bprop_nodes, poisoned_endpoints) =
-            split(&outcome.poisoned_tasks);
-        let (unfinished_fprop_nodes, unfinished_bprop_nodes, unfinished_endpoints) =
-            split(&outcome.unfinished_tasks);
-        RecoveredUpdate {
-            outcome,
-            poisoned_fprop_nodes,
-            poisoned_bprop_nodes,
-            poisoned_endpoints,
-            unfinished_fprop_nodes,
-            unfinished_bprop_nodes,
-            unfinished_endpoints,
-        }
+        project(self.graph(), outcome, |t| {
+            (self.kind(TaskId(t)), self.node(TaskId(t)))
+        })
     }
 
     /// Degrade explicitly: store NaN into every poisoned *and unfinished*
@@ -150,17 +203,7 @@ impl<'a> TimingUpdateTdg<'a> {
     /// A subsequent [`heal`](TimingUpdateTdg::heal) overwrites the NaNs
     /// with the converged values.
     pub fn mark_unknown(&self, rec: &RecoveredUpdate) {
-        let data = self.data();
-        for nodes in [&rec.poisoned_fprop_nodes, &rec.unfinished_fprop_nodes] {
-            for &v in nodes {
-                data.mark_arrival_unknown(v);
-            }
-        }
-        for nodes in [&rec.poisoned_bprop_nodes, &rec.unfinished_bprop_nodes] {
-            for &v in nodes {
-                data.mark_required_unknown(v);
-            }
-        }
+        mark_unknown(self.data(), rec);
     }
 
     /// Re-run exactly the degraded region — the poisoned cone plus the

@@ -45,19 +45,21 @@ pub struct Timer {
     /// Recycled TDG buffers: steady-state `update_timing` calls build the
     /// task graph into the previous update's allocations.
     arena: TdgArena,
-    /// Buffers handed out to in-flight [`TimingUpdateTdg`]s come back here
-    /// when they drop (shared so the update can outlive `&mut self`).
+    /// Buffers handed out to in-flight [`DirtyCone`]s and
+    /// [`TimingUpdateTdg`]s come back here when they drop (shared so the
+    /// update can outlive `&mut self`).
     bin: Arc<Mutex<RecycleBin>>,
     /// Cone flags, task maps, and traversal stack reused across updates.
     scratch: UpdateScratch,
 }
 
-/// Buffers returned by dropped [`TimingUpdateTdg`]s, awaiting reuse by the
-/// next [`Timer::update_timing`] call.
+/// Buffers returned by dropped [`DirtyCone`]s and [`TimingUpdateTdg`]s,
+/// awaiting reuse by the next update.
 #[derive(Debug, Default)]
 struct RecycleBin {
     tdgs: Vec<Tdg>,
     task_nodes: Vec<Vec<u32>>,
+    cone_ids: Vec<Vec<u32>>,
 }
 
 /// Scratch buffers for `update_timing`; they grow to the design's
@@ -264,8 +266,119 @@ impl Timer {
         Ok(())
     }
 
+    /// Free what [`update_timing`](Timer::update_timing) keeps between
+    /// calls to build the next task graph into: the recycled TDG (with any
+    /// view cached on it), its task map, the edge staging and the
+    /// numbering scratch. For an owner that from here on takes only
+    /// [`dirty_cone`](Timer::dirty_cone) — a `Session` once its partition
+    /// cache is installed — they would never be used again. A later
+    /// `update_timing` simply allocates afresh.
+    pub fn release_tdg_buffers(&mut self) {
+        let mut bin = self.bin.lock();
+        bin.tdgs = Vec::new();
+        bin.task_nodes = Vec::new();
+        drop(bin);
+        self.arena = TdgArena::new();
+        self.scratch.f_task = Vec::new();
+        self.scratch.b_task = Vec::new();
+    }
+
+    /// The one cone-discovery body: the dirty cone as ascending full-space
+    /// task ids (see [`DirtyCone`]) plus how many of them are fprop tasks.
+    /// F is the forward closure of the dirty nodes, B ⊇ F the backward
+    /// closure of F. Clears the dirty set.
+    fn discover_cone(&mut self) -> (Vec<u32>, usize) {
+        let n = self.graph.num_nodes();
+        let mut ids = self.bin.lock().cone_ids.pop().unwrap_or_default();
+        ids.clear();
+        if std::mem::take(&mut self.full_dirty) {
+            self.dirty.clear();
+            ids.extend(0..2 * n as u32);
+            return (ids, n);
+        }
+
+        let in_f = &mut self.scratch.in_f;
+        let in_b = &mut self.scratch.in_b;
+        in_f.clear();
+        in_b.clear();
+        in_f.resize(n, false);
+        let stack = &mut self.scratch.stack;
+        let f_members = &mut self.scratch.f_members;
+        stack.clear();
+        f_members.clear();
+        stack.extend_from_slice(&self.dirty);
+        for &v in stack.iter() {
+            in_f[v as usize] = true;
+        }
+        f_members.extend_from_slice(stack);
+        while let Some(u) = stack.pop() {
+            for &a in self.graph.fanout(NodeId(u)) {
+                let v = self.graph.arc(a).to.0;
+                if !in_f[v as usize] {
+                    in_f[v as usize] = true;
+                    stack.push(v);
+                    f_members.push(v);
+                }
+            }
+        }
+        in_b.extend_from_slice(in_f);
+        // Seed the backward cone from the collected F members — same
+        // set the old `(0..n).filter(in_f)` scan produced, without the
+        // O(n) membership sweep (seed order does not change the
+        // resulting in_b set).
+        stack.extend_from_slice(f_members);
+        while let Some(u) = stack.pop() {
+            for &a in self.graph.fanin(NodeId(u)) {
+                let v = self.graph.arc(a).from.0;
+                if !in_b[v as usize] {
+                    in_b[v as usize] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        self.dirty.clear();
+
+        // Fprop tasks for F along the graph's level order, then bprop
+        // tasks for B against it: ascending full-space id.
+        let order = self.graph.level_order();
+        ids.extend((0..n as u32).filter(|&r| in_f[order[r as usize] as usize]));
+        let num_fprop = ids.len();
+        ids.extend(
+            (n as u32..2 * n as u32).filter(|&id| in_b[order[2 * n - 1 - id as usize] as usize]),
+        );
+        (ids, num_fprop)
+    }
+
+    fn cone(&self, ids: Vec<u32>, num_fprop: usize) -> DirtyCone<'_> {
+        DirtyCone {
+            ids,
+            num_fprop,
+            prop: TimingPropagator {
+                graph: &self.graph,
+                netlist: &self.netlist,
+                library: &self.library,
+                data: &self.data,
+            },
+            bin: Arc::clone(&self.bin),
+        }
+    }
+
+    /// Stage one of an update, on its own: discover the dirty cone and
+    /// clear the dirty set. The returned [`DirtyCone`] names and executes
+    /// its tasks by *full-space* id, so a caller that already holds a
+    /// partition of the full task space over the full-space TDG (a
+    /// `Session`) can schedule the cone without the per-update [`Tdg`] that
+    /// [`update_timing`](Timer::update_timing) materialises on top of it.
+    /// *The timing values are not updated until the cone's tasks run.*
+    pub fn dirty_cone(&mut self) -> DirtyCone<'_> {
+        let (ids, num_fprop) = self.discover_cone();
+        self.cone(ids, num_fprop)
+    }
+
     /// Build the task dependency graph that brings timing up to date —
-    /// OpenTimer's `update_timing`.
+    /// OpenTimer's `update_timing`: the [dirty cone](Timer::dirty_cone),
+    /// its tasks renumbered `0..num_tasks` in full-space id order, and
+    /// their dependencies materialised as a [`Tdg`].
     ///
     /// Returns a [`TimingUpdateTdg`]; *the timing values are not updated
     /// until it runs* (sequentially via
@@ -286,80 +399,27 @@ impl Timer {
         };
         task_node.clear();
 
-        // Affected regions: F = forward cone of the dirty set,
-        // B = backward cone of F (B ⊇ F).
-        let in_f = &mut self.scratch.in_f;
-        let in_b = &mut self.scratch.in_b;
-        in_f.clear();
-        in_b.clear();
-        if self.full_dirty {
-            in_f.resize(n, true);
-            in_b.resize(n, true);
-        } else {
-            in_f.resize(n, false);
-            let stack = &mut self.scratch.stack;
-            let f_members = &mut self.scratch.f_members;
-            stack.clear();
-            f_members.clear();
-            stack.extend_from_slice(&self.dirty);
-            for &v in stack.iter() {
-                in_f[v as usize] = true;
-            }
-            f_members.extend_from_slice(stack);
-            while let Some(u) = stack.pop() {
-                for &a in self.graph.fanout(NodeId(u)) {
-                    let v = self.graph.arc(a).to.0;
-                    if !in_f[v as usize] {
-                        in_f[v as usize] = true;
-                        stack.push(v);
-                        f_members.push(v);
-                    }
-                }
-            }
-            in_b.extend_from_slice(in_f);
-            // Seed the backward cone from the collected F members — same
-            // set the old `(0..n).filter(in_f)` scan produced, without the
-            // O(n) membership sweep (seed order does not change the
-            // resulting in_b set).
-            stack.extend_from_slice(f_members);
-            while let Some(u) = stack.pop() {
-                for &a in self.graph.fanin(NodeId(u)) {
-                    let v = self.graph.arc(a).from.0;
-                    if !in_b[v as usize] {
-                        in_b[v as usize] = true;
-                        stack.push(v);
-                    }
-                }
-            }
-        }
-        let (in_f, in_b) = (&self.scratch.in_f, &self.scratch.in_b);
-        self.dirty.clear();
-        self.full_dirty = false;
+        let (ids, num_fprop) = self.discover_cone();
 
-        // Task numbering: fprop tasks for F along the graph's level order,
-        // then bprop tasks for B against it. An arc goes up the level
-        // order, fprop follows arcs, bprop runs against them and after its
-        // own fprop, so every TDG edge has `u < v`.
+        // Task numbering: task `t` is the cone's `t`-th full-space id —
+        // fprop tasks along the graph's level order, then bprop tasks
+        // against it. An arc goes up the level order, fprop follows arcs,
+        // bprop runs against them and after its own fprop, so every TDG
+        // edge has `u < v`.
         const NONE: u32 = u32::MAX;
-        let order = self.graph.level_order();
         let f_task = &mut self.scratch.f_task;
         f_task.clear();
         f_task.resize(n, NONE);
-        for &v in order {
-            if in_f[v as usize] {
-                f_task[v as usize] = task_node.len() as u32;
-                task_node.push(v);
-            }
-        }
-        let num_fprop = task_node.len();
         let b_task = &mut self.scratch.b_task;
         b_task.clear();
         b_task.resize(n, NONE);
-        for &v in order.iter().rev() {
-            if in_b[v as usize] {
-                b_task[v as usize] = task_node.len() as u32;
-                task_node.push(v);
+        for (t, &id) in ids.iter().enumerate() {
+            let (kind, v) = decode(&self.graph, id);
+            match kind {
+                TaskKind::Fprop => f_task[v.index()] = t as u32,
+                TaskKind::Bprop => b_task[v.index()] = t as u32,
             }
+            task_node.push(v.0);
         }
         let num_tasks = task_node.len();
         let (f_task, b_task) = (&self.scratch.f_task, &self.scratch.b_task);
@@ -408,17 +468,10 @@ impl Timer {
         let build_time = build_start.elapsed();
 
         TimingUpdateTdg {
+            cone: self.cone(ids, num_fprop),
             tdg: Some(tdg),
             task_node,
-            num_fprop,
-            prop: TimingPropagator {
-                graph: &self.graph,
-                netlist: &self.netlist,
-                library: &self.library,
-                data: &self.data,
-            },
             build_time,
-            bin: Arc::clone(&self.bin),
         }
     }
 
@@ -436,6 +489,43 @@ impl Timer {
     }
 
     fn report_mode(&self, k: usize, slack_of: impl Fn(NodeId) -> f32) -> TimingReport {
+        // Rank `(slack, endpoint index)` keys and name only the `k`
+        // winners. The index breaks ties in endpoint order, as a stable
+        // sort by slack would.
+        let endpoints = self.graph.endpoints();
+        let mut ranked: Vec<(f32, u32)> = endpoints
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (slack_of(NodeId(v)), i as u32))
+            .collect();
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let wns_ps = ranked.first().map_or(f32::INFINITY, |e| e.0);
+        let tns_ps = ranked.iter().map(|e| e.0.min(0.0)).sum();
+        let worst = ranked
+            .iter()
+            .take(k)
+            .map(|&(slack_ps, i)| {
+                let node = NodeId(endpoints[i as usize]);
+                EndpointSlack {
+                    node,
+                    name: self.endpoint_name(node),
+                    slack_ps,
+                }
+            })
+            .collect();
+        TimingReport {
+            wns_ps,
+            tns_ps,
+            num_endpoints: ranked.len(),
+            worst,
+        }
+    }
+
+    /// The report as it was first written — every endpoint named, the
+    /// named structs sorted stably by slack, then truncated to `k`: the
+    /// oracle [`report_mode`](Timer::report_mode) is diffed against.
+    #[cfg(test)]
+    fn report_mode_oracle(&self, k: usize, slack_of: impl Fn(NodeId) -> f32) -> TimingReport {
         let mut endpoints: Vec<EndpointSlack> = self
             .graph
             .endpoints()
@@ -475,19 +565,115 @@ impl Timer {
     }
 }
 
-/// The product of [`Timer::update_timing`]: a task dependency graph plus
-/// the context needed to execute its tasks.
+/// The `(kind, node)` behind full-space task id `id`: with `r` the position
+/// of a node in the level order of an `n`-node graph, its fprop task is
+/// `r` and its bprop task `2n - 1 - r`.
+fn decode(graph: &TimingGraph, id: u32) -> (TaskKind, NodeId) {
+    let order = graph.level_order();
+    match order.get(id as usize) {
+        Some(&v) => (TaskKind::Fprop, NodeId(v)),
+        None => (
+            TaskKind::Bprop,
+            NodeId(order[2 * order.len() - 1 - id as usize]),
+        ),
+    }
+}
+
+/// The product of [`Timer::dirty_cone`]: the tasks an update has to run,
+/// and the context needed to execute them — without their dependency graph.
+///
+/// # The full task space
+///
+/// Every timing-graph node has one fprop and one bprop task, and the *full
+/// task space* numbers all `2n` of them the way a full update does: with
+/// `r` the position of a node in the graph's level order (nodes sorted by
+/// longest-path level, then node id), its fprop task is `r` and its bprop
+/// task is `2n - 1 - r`. A timing arc goes up the level order, fprop tasks
+/// depend along arcs, and a bprop task depends on its node's fprop task
+/// and against arcs, so every dependency goes from a lower id to a higher
+/// one. Full-space ids are stable across updates, which is what lets a
+/// partition cached over the full-space TDG serve every later update.
+///
+/// A cone is *successor-closed* in that space: F is forward-closed and
+/// B ⊇ F backward-closed, so every task depending on a cone task is in the
+/// cone. The dependencies among the cone's tasks are therefore exactly the
+/// out-edges of those tasks in the full-space TDG — the cone's own TDG is
+/// an induced subgraph that never has to be built to be scheduled.
+#[derive(Debug)]
+pub struct DirtyCone<'a> {
+    /// Ascending full-space ids: `num_fprop` fprop tasks, then bprop tasks.
+    ids: Vec<u32>,
+    num_fprop: usize,
+    prop: TimingPropagator<'a>,
+    bin: Arc<Mutex<RecycleBin>>,
+}
+
+impl Drop for DirtyCone<'_> {
+    fn drop(&mut self) {
+        let ids = std::mem::take(&mut self.ids);
+        self.bin.lock().cone_ids.push(ids);
+    }
+}
+
+impl<'a> DirtyCone<'a> {
+    /// The cone's tasks as ascending full-space ids — the dirty set to feed
+    /// an incremental partition cache, and the members of the quotient that
+    /// schedules this cone.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Number of tasks in the cone (0 when nothing was dirty).
+    pub fn num_tasks(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The pin-level timing graph this update propagates over.
+    pub fn graph(&self) -> &'a TimingGraph {
+        self.prop.graph
+    }
+
+    /// The shared timing state this update writes into.
+    pub fn data(&self) -> &'a TimingData {
+        self.prop.data
+    }
+
+    /// What the task with full-space id `id` does, and on which node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the full task space.
+    pub fn decode(&self, id: u32) -> (TaskKind, NodeId) {
+        decode(self.prop.graph, id)
+    }
+
+    /// Execute the task with full-space id `id` (the payload the scheduler
+    /// dispatches).
+    pub fn execute_task(&self, id: TaskId) {
+        match decode(self.prop.graph, id.0) {
+            (TaskKind::Fprop, v) => self.prop.fprop(v),
+            (TaskKind::Bprop, v) => self.prop.bprop(v),
+        }
+    }
+
+    /// Borrow the payload as a closure suitable for
+    /// `gpasta_sched::Executor`.
+    pub fn task_fn(&self) -> impl Fn(TaskId) + Sync + '_ {
+        move |id| self.execute_task(id)
+    }
+}
+
+/// The product of [`Timer::update_timing`]: a [`DirtyCone`] with its tasks
+/// renumbered `0..num_tasks` and their task dependency graph materialised.
 ///
 /// # Task numbering
 ///
-/// Task ids `0..num_fprop_tasks` are forward-propagation tasks, in
-/// ascending order of their node's position in the timing graph's *level
-/// order* (nodes sorted by longest-path level, then node id); the rest are
-/// backward-propagation tasks, in descending order of that position. A
-/// timing arc goes up the level order, fprop tasks depend along arcs, and
-/// a bprop task depends on its node's fprop task and against arcs — so
-/// **every edge `(u, v)` of every update TDG, full or cone, has `u < v`**:
-/// ascending task id is a topological order, which
+/// Task `t` is the cone's `t`-th full-space id (see [`DirtyCone`]): ids
+/// `0..num_fprop_tasks` are forward-propagation tasks, in ascending order
+/// of their node's position in the timing graph's *level order*; the rest
+/// are backward-propagation tasks, in descending order of that position.
+/// So **every edge `(u, v)` of every update TDG, full or cone, has
+/// `u < v`**: ascending task id is a topological order, which
 /// [`QuotientTdg::build_in`](gpasta_tdg::QuotientTdg::build_in) checks and
 /// then uses in place of a graph traversal.
 ///
@@ -496,20 +682,19 @@ impl Timer {
 /// scheduler with [`task_fn`](TimingUpdateTdg::task_fn).
 #[derive(Debug)]
 pub struct TimingUpdateTdg<'a> {
+    cone: DirtyCone<'a>,
     /// `Some` until [`Drop`] hands the graph back to the recycle bin.
     tdg: Option<Tdg>,
+    /// The node of every task, indexed by task id.
     task_node: Vec<u32>,
-    num_fprop: usize,
-    prop: TimingPropagator<'a>,
     build_time: Duration,
-    bin: Arc<Mutex<RecycleBin>>,
 }
 
 impl Drop for TimingUpdateTdg<'_> {
     fn drop(&mut self) {
         // Return the TDG storage and task map to the timer so the next
         // update builds into them instead of allocating.
-        let mut bin = self.bin.lock();
+        let mut bin = self.cone.bin.lock();
         if let Some(tdg) = self.tdg.take() {
             bin.tdgs.push(tdg);
         }
@@ -525,18 +710,18 @@ impl<'a> TimingUpdateTdg<'a> {
 
     /// The pin-level timing graph this update propagates over.
     pub fn graph(&self) -> &'a TimingGraph {
-        self.prop.graph
+        self.cone.prop.graph
     }
 
     /// The shared timing state this update writes into.
     pub fn data(&self) -> &'a TimingData {
-        self.prop.data
+        self.cone.prop.data
     }
 
     /// Number of forward-propagation tasks (they occupy ids
     /// `0..num_fprop_tasks`).
     pub fn num_fprop_tasks(&self) -> usize {
-        self.num_fprop
+        self.cone.num_fprop
     }
 
     /// Wall-clock spent *building* this TDG (the 59 % slice of Figure 1(a)).
@@ -551,7 +736,7 @@ impl<'a> TimingUpdateTdg<'a> {
     /// Panics if `t` is out of range.
     pub fn kind(&self, t: TaskId) -> TaskKind {
         assert!(t.index() < self.task_node.len(), "task {t} out of range");
-        if t.index() < self.num_fprop {
+        if t.index() < self.cone.num_fprop {
             TaskKind::Fprop
         } else {
             TaskKind::Bprop
@@ -569,7 +754,7 @@ impl<'a> TimingUpdateTdg<'a> {
     /// what lets a partition cache (keyed on a full update's TDG) survive
     /// incremental updates whose TDGs are induced subgraphs of it.
     pub fn full_space_len(&self) -> usize {
-        2 * self.prop.graph.num_nodes()
+        2 * self.cone.prop.graph.num_nodes()
     }
 
     /// The stable full-space id of task `t`: the id the same task has in a
@@ -585,29 +770,22 @@ impl<'a> TimingUpdateTdg<'a> {
     ///
     /// Panics if `t` is out of range.
     pub fn full_space_id(&self, t: TaskId) -> u32 {
-        let graph = self.prop.graph;
-        let rank = graph.level_rank()[self.node(t).index()];
-        match self.kind(t) {
-            TaskKind::Fprop => rank,
-            TaskKind::Bprop => 2 * graph.num_nodes() as u32 - 1 - rank,
-        }
+        self.cone.ids[t.index()]
     }
 
     /// The full-space ids of every task of this update, indexed by task id
     /// — the dirty set to feed an incremental partition cache.
     pub fn full_space_ids(&self) -> Vec<u32> {
-        (0..self.tdg().num_tasks() as u32)
-            .map(|t| self.full_space_id(TaskId(t)))
-            .collect()
+        self.cone.ids.clone()
     }
 
     /// Execute one task (the payload the scheduler dispatches).
     pub fn execute_task(&self, t: TaskId) {
         let v = NodeId(self.task_node[t.index()]);
-        if t.index() < self.num_fprop {
-            self.prop.fprop(v);
+        if t.index() < self.cone.num_fprop {
+            self.cone.prop.fprop(v);
         } else {
-            self.prop.bprop(v);
+            self.cone.prop.bprop(v);
         }
     }
 
@@ -635,10 +813,10 @@ impl<'a> TimingUpdateTdg<'a> {
         for &t in self.tdg().levels().order() {
             let t = TaskId(t);
             let v = NodeId(self.task_node[t.index()]);
-            if t.index() < self.num_fprop {
-                self.prop.fprop_reference(v);
+            if t.index() < self.cone.num_fprop {
+                self.cone.prop.fprop_reference(v);
             } else {
-                self.prop.bprop_reference(v);
+                self.cone.prop.bprop_reference(v);
             }
         }
     }
@@ -672,7 +850,7 @@ mod tests {
     fn full_update_covers_every_node_twice() {
         let mut timer = chain_timer(5);
         let update = timer.update_timing();
-        let n = update.prop.graph.num_nodes();
+        let n = update.graph().num_nodes();
         assert_eq!(update.tdg().num_tasks(), 2 * n);
         assert_eq!(update.num_fprop_tasks(), n);
         update.run_sequential();
@@ -691,7 +869,7 @@ mod tests {
         let mut timer = chain_timer(2);
         let update = timer.update_timing();
         let n_tasks = update.tdg().num_tasks();
-        let mut fprop_seen = vec![false; update.prop.graph.num_nodes()];
+        let mut fprop_seen = vec![false; update.graph().num_nodes()];
         for t in 0..n_tasks as u32 {
             let t = TaskId(t);
             match update.kind(t) {
@@ -709,7 +887,7 @@ mod tests {
     fn full_update_task_ids_are_the_full_space_ids() {
         let mut timer = chain_timer(4);
         let update = timer.update_timing();
-        let n = update.prop.graph.num_nodes();
+        let n = update.graph().num_nodes();
         assert_eq!(update.full_space_len(), 2 * n);
         // A full update numbers tasks exactly as the full space does.
         let ids = update.full_space_ids();
@@ -774,6 +952,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dirty_cone_is_the_update_without_its_graph() {
+        let mut with_tdg = chain_timer(8);
+        let mut cone_only = chain_timer(8);
+        // A full update, two cones, and nothing pending.
+        for edit in [None, Some((4, 3.0)), Some((7, 0.5)), None] {
+            if let Some((g, drive)) = edit {
+                with_tdg.repower_gate(GateId(g), drive);
+                cone_only.repower_gate(GateId(g), drive);
+            }
+            let update = with_tdg.update_timing();
+            let cone = cone_only.dirty_cone();
+            assert_eq!(cone.ids(), &update.full_space_ids()[..]);
+            assert_eq!(cone.num_tasks(), update.tdg().num_tasks());
+            for (t, &id) in cone.ids().iter().enumerate() {
+                let t = TaskId(t as u32);
+                assert_eq!(cone.decode(id), (update.kind(t), update.node(t)));
+            }
+            update.run_sequential();
+            // Ascending full-space id is a topological order of the cone.
+            for &id in cone.ids() {
+                cone.execute_task(TaskId(id));
+            }
+            drop(update);
+            drop(cone);
+            assert_eq!(cone_only.snapshot(), with_tdg.snapshot());
+            assert!(!cone_only.has_pending_changes());
+        }
+        assert_eq!(cone_only.dirty_cone().num_tasks(), 0, "nothing was dirty");
+        assert_eq!(cone_only.bin.lock().cone_ids.len(), 1, "ids are recycled");
+
+        // Releasing the task-graph buffers costs a later update nothing but
+        // the allocation.
+        with_tdg.release_tdg_buffers();
+        assert!(with_tdg.bin.lock().tdgs.is_empty());
+        with_tdg.repower_gate(GateId(2), 2.0);
+        cone_only.repower_gate(GateId(2), 2.0);
+        with_tdg.update_timing().run_sequential();
+        let cone = cone_only.dirty_cone();
+        cone.ids()
+            .iter()
+            .for_each(|&id| cone.execute_task(TaskId(id)));
+        drop(cone);
+        assert_eq!(cone_only.snapshot(), with_tdg.snapshot());
     }
 
     #[test]
@@ -947,6 +1171,172 @@ mod tests {
             "longer path is more critical"
         );
         assert!(report.worst[0].slack_ps < report.worst[1].slack_ps);
+    }
+
+    /// A seeded layered design: every gate draws its inputs from earlier
+    /// layers (the first from the primary inputs) and comes with a twin on
+    /// the same fan-in, so slacks tie; every fourth pair feeds flip-flops
+    /// and the last layer feeds primary outputs, so endpoints of both
+    /// kinds sit at many depths.
+    fn seeded_timer(seed: u64, layers: usize, width: usize) -> Timer {
+        const KINDS: [CellKind; 6] = [
+            CellKind::Inv,
+            CellKind::Buf,
+            CellKind::Nand2,
+            CellKind::Nor2,
+            CellKind::Xor2,
+            CellKind::Nand3,
+        ];
+        let mut state = seed;
+        let mut draw = move || {
+            state = gpasta_sched::splitmix64(state);
+            state as usize
+        };
+        let mut nb = NetlistBuilder::new();
+        let inputs: Vec<_> = (0..width)
+            .map(|i| nb.add_primary_input(format!("i{i}")))
+            .collect();
+        let mut earlier: Vec<GateId> = Vec::new();
+        let mut last_layer = 0;
+        for layer in 0..layers {
+            last_layer = earlier.len();
+            for w in 0..width {
+                let kind = KINDS[draw() % KINDS.len()];
+                let picks: Vec<usize> = (0..kind.num_inputs()).map(|_| draw()).collect();
+                for twin in 0..2 {
+                    let g = nb.add_gate(format!("u{layer}_{w}_{twin}"), kind);
+                    for (pin, &pick) in picks.iter().enumerate() {
+                        if layer == 0 {
+                            nb.connect_to_gate(inputs[pick % width], g, pin as u8)
+                        } else {
+                            nb.connect_gates(earlier[pick % last_layer], g, pin as u8)
+                        }
+                        .expect("valid");
+                    }
+                    if w % 4 == 0 {
+                        let ff = nb.add_gate(format!("ff{layer}_{w}_{twin}"), CellKind::Dff);
+                        nb.connect_gates(g, ff, 0).expect("valid");
+                    }
+                    earlier.push(g);
+                }
+            }
+        }
+        for (o, &g) in earlier[last_layer..].iter().enumerate() {
+            let y = nb.add_primary_output(format!("o{o}"));
+            nb.connect_to_output(g, y).expect("valid");
+        }
+        Timer::new(nb.build().expect("well-formed"), CellLibrary::typical())
+    }
+
+    /// Field by field, slacks and sums by bit pattern.
+    fn assert_same_report(got: &TimingReport, want: &TimingReport, what: &str) {
+        assert_eq!(got.wns_ps.to_bits(), want.wns_ps.to_bits(), "{what}: WNS");
+        assert_eq!(got.tns_ps.to_bits(), want.tns_ps.to_bits(), "{what}: TNS");
+        assert_eq!(got.num_endpoints, want.num_endpoints, "{what}");
+        assert_eq!(got.worst.len(), want.worst.len(), "{what}");
+        for (g, w) in got.worst.iter().zip(&want.worst) {
+            assert_eq!((g.node, &g.name), (w.node, &w.name), "{what}: order");
+            assert_eq!(g.slack_ps.to_bits(), w.slack_ps.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn report_equals_its_first_implementation_on_seeded_designs() {
+        for seed in 0..6u64 {
+            let mut timer = seeded_timer(seed, 6, 12);
+            // From comfortable to hopeless: no, some and only violations.
+            for period_ps in [2_000.0, 300.0, 120.0, 10.0] {
+                timer.set_clock_period(period_ps);
+                timer.update_timing().run_sequential();
+                let e = timer.graph().endpoints().len();
+                assert!(e > 30, "the design has endpoints to rank ({e})");
+                for k in [0, 1, 3, e / 2, e, e + 5] {
+                    let what = format!("seed {seed}, period {period_ps}, k {k}");
+                    let late = |v| timer.data().slack_late(v);
+                    assert_same_report(&timer.report(k), &timer.report_mode_oracle(k, late), &what);
+                    let early = |v| timer.data().slack_early(v);
+                    assert_same_report(
+                        &timer.report_hold(k),
+                        &timer.report_mode_oracle(k, early),
+                        &what,
+                    );
+                }
+            }
+            let tied = timer.report(usize::MAX);
+            assert!(
+                tied.worst
+                    .windows(2)
+                    .any(|w| w[0].slack_ps.to_bits() == w[1].slack_ps.to_bits()),
+                "twin gates give tied slacks"
+            );
+        }
+    }
+
+    #[test]
+    fn report_equals_its_first_implementation_on_a_degraded_design() {
+        let mut timer = seeded_timer(7, 5, 10);
+        timer.set_clock_period(150.0);
+        timer.update_timing().run_sequential();
+        // Degrade as a stopped run does: unknown arrivals on some
+        // endpoints, unknown required times on others.
+        let endpoints = timer.graph().endpoints().to_vec();
+        for (i, &v) in endpoints.iter().enumerate() {
+            match i % 5 {
+                0 => timer.data().mark_arrival_unknown(NodeId(v)),
+                3 => timer.data().mark_required_unknown(NodeId(v)),
+                _ => {}
+            }
+        }
+        let unknown = endpoints
+            .iter()
+            .filter(|&&v| timer.data().slack_late(NodeId(v)).is_nan())
+            .count();
+        assert!(
+            unknown >= endpoints.len() / 3,
+            "{unknown} unknown endpoints"
+        );
+        for k in [0, 1, 4, endpoints.len()] {
+            let late = |v| timer.data().slack_late(v);
+            assert_same_report(
+                &timer.report(k),
+                &timer.report_mode_oracle(k, late),
+                &format!("degraded, k {k}"),
+            );
+        }
+
+        // Every special value at once, NaNs of both signs included.
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -3.5,
+            -3.5,
+            7.25,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        for shift in 0..specials.len() {
+            let synthetic = |v: NodeId| specials[(v.index() + shift) % specials.len()];
+            for k in [0, 2, endpoints.len()] {
+                assert_same_report(
+                    &timer.report_mode(k, synthetic),
+                    &timer.report_mode_oracle(k, synthetic),
+                    &format!("synthetic shift {shift}, k {k}"),
+                );
+            }
+        }
+        // With nothing but non-negative slacks the sum is still a zero of
+        // the same sign.
+        for zero in [0.0f32, -0.0] {
+            assert_same_report(
+                &timer.report_mode(1, |_| zero),
+                &timer.report_mode_oracle(1, |_| zero),
+                &format!("all slacks {zero:?}"),
+            );
+        }
     }
 
     #[test]

@@ -30,6 +30,21 @@
 //! taken from the caller; an input that fails one (a CLI edge list, GDCA or
 //! Sarkar ids, Figure 2(a)) gets exactly the drain, result and typed error
 //! it would get without them.
+//!
+//! # Induced quotients
+//!
+//! [`QuotientTdg::build_induced_in`] builds the quotient of the subgraph a
+//! task subset *induces* in a larger TDG, without extracting that
+//! subgraph. The subset must be **successor-closed** (every successor of a
+//! member is a member), which makes the construction exact: the edges of
+//! the induced subgraph are then precisely the out-edges of the members,
+//! so the same scan over `tdg.successors(member)` sees every edge once and
+//! no edge that is not there. The result is the quotient
+//! [`build_in`](QuotientTdg::build_in) would give on the extracted
+//! subgraph, except that members keep their ids in the larger graph — a
+//! warm `Session` runs an update this way, straight off the full-space TDG
+//! its partition cache was installed on. `build_in` is the same scan with
+//! every task a member.
 
 use crate::error::ValidatePartitionError;
 use crate::graph::{TaskId, Tdg};
@@ -78,6 +93,9 @@ pub struct QuotientArena {
     stack: Vec<u32>,
     /// Global topological order of the original TDG.
     topo: Vec<u32>,
+    /// Partition id of every member of an induced build, by task id of the
+    /// larger graph; [`NOT_A_MEMBER`] everywhere between builds.
+    slot: Vec<u32>,
     /// Recycled output buffers, if a quotient has been returned.
     fwd_off: Vec<u32>,
     fwd_adj: Vec<u32>,
@@ -119,15 +137,31 @@ impl QuotientArena {
     }
 }
 
-/// LIFO Kahn drain of `graph` on recycled scratch: appends the pop order
-/// to `order`, which holds every node iff the drain met no cycle, and
-/// leaves the residual in-degrees in `indeg`.
-fn kahn_drain(graph: &Tdg, indeg: &mut Vec<u32>, stack: &mut Vec<u32>, order: &mut Vec<u32>) {
-    let n = graph.num_tasks() as u32;
+/// [`QuotientArena::slot`] value of a task outside the member set.
+const NOT_A_MEMBER: u32 = u32::MAX;
+
+/// LIFO Kahn drain, on recycled scratch, of the subgraph `nodes` induce in
+/// `graph`; `nodes` must be successor-closed and `in_degree` count a node's
+/// predecessors among them. Appends the pop order to `order`, which holds
+/// every node iff the drain met no cycle, and leaves the residual
+/// in-degrees in `indeg` (indexed by `graph` id).
+fn kahn_drain(
+    graph: &Tdg,
+    nodes: impl Iterator<Item = u32> + Clone,
+    in_degree: impl Fn(u32) -> u32,
+    indeg: &mut Vec<u32>,
+    stack: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) {
     indeg.clear();
-    indeg.extend((0..n).map(|t| graph.in_degree(TaskId(t))));
+    indeg.resize(graph.num_tasks(), 0);
     stack.clear();
-    stack.extend((0..n).filter(|&t| indeg[t as usize] == 0));
+    for t in nodes {
+        indeg[t as usize] = in_degree(t);
+        if indeg[t as usize] == 0 {
+            stack.push(t);
+        }
+    }
     order.clear();
     while let Some(t) = stack.pop() {
         order.push(t);
@@ -176,24 +210,129 @@ impl QuotientTdg {
                 assignment_len: partition.num_tasks(),
             });
         }
-        let n = tdg.num_tasks();
-        let np = partition.num_partitions();
-        let assignment = partition.assignment();
+        // Every task is a member: the identity embedding of the scan.
+        Self::scan(
+            tdg,
+            0..tdg.num_tasks() as u32,
+            true,
+            partition.assignment(),
+            partition.num_partitions(),
+            arena,
+        )
+    }
 
+    /// Build the quotient of the subgraph that `members` induce in `tdg`,
+    /// under `partition` — `partition.pid_of(i)` is the partition of
+    /// `members[i]` — without extracting the subgraph (see the
+    /// [module docs](self)). `members` must be duplicate-free and
+    /// successor-closed in `tdg`.
+    ///
+    /// The result equals [`build_in`](Self::build_in) on the extracted
+    /// subgraph (task `i` = `members[i]`) with every member `i` of every
+    /// execution order replaced by `members[i]`: same partitions, same
+    /// deduplicated edges, same weights, and — when `members` ascend and
+    /// task ids rise along every edge of `tdg` — the same member order.
+    /// Both certificates and both Kahn fallbacks apply unchanged; members
+    /// that do not ascend take the member-order fallback.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidatePartitionError::LengthMismatch`] if the partition does not
+    /// cover `members`; [`MemberOutOfRange`], [`DuplicateMember`] and
+    /// [`MembersNotClosed`] if `members` is not a duplicate-free
+    /// successor-closed subset of `tdg`'s tasks; and
+    /// [`ValidatePartitionError::QuotientCycle`] as [`build`](Self::build).
+    ///
+    /// [`MemberOutOfRange`]: ValidatePartitionError::MemberOutOfRange
+    /// [`DuplicateMember`]: ValidatePartitionError::DuplicateMember
+    /// [`MembersNotClosed`]: ValidatePartitionError::MembersNotClosed
+    pub fn build_induced_in(
+        tdg: &Tdg,
+        members: &[u32],
+        partition: &Partition,
+        arena: &mut QuotientArena,
+    ) -> Result<Self, ValidatePartitionError> {
+        if partition.num_tasks() != members.len() {
+            return Err(ValidatePartitionError::LengthMismatch {
+                num_tasks: members.len(),
+                assignment_len: partition.num_tasks(),
+            });
+        }
+        let n = tdg.num_tasks();
+        let mut slot = std::mem::take(&mut arena.slot);
+        if slot.len() < n {
+            slot.resize(n, NOT_A_MEMBER);
+        }
+        // Scatter the pids to the members' own ids, so the scan reads the
+        // pid of a successor — or that it is no member — in one load.
+        let mut placed = 0;
+        let mut rejected = None;
+        for (&t, &pid) in members.iter().zip(partition.assignment()) {
+            if t as usize >= n {
+                rejected = Some(ValidatePartitionError::MemberOutOfRange {
+                    task: t,
+                    num_tasks: n,
+                });
+                break;
+            }
+            if slot[t as usize] != NOT_A_MEMBER {
+                rejected = Some(ValidatePartitionError::DuplicateMember { task: t });
+                break;
+            }
+            slot[t as usize] = pid;
+            placed += 1;
+        }
+        let built = match rejected {
+            Some(err) => Err(err),
+            None => Self::scan(
+                tdg,
+                members.iter().copied(),
+                members.windows(2).all(|w| w[0] < w[1]),
+                &slot,
+                partition.num_partitions(),
+                arena,
+            ),
+        };
+        for &t in &members[..placed] {
+            slot[t as usize] = NOT_A_MEMBER;
+        }
+        arena.slot = slot;
+        built
+    }
+
+    /// The one quotient scan: the quotient of the subgraph `members` induce
+    /// in `tdg`, with `pid_of[t]` the dense partition id (below `np`) of
+    /// member `t` and [`NOT_A_MEMBER`] for any other task a member's edge
+    /// can reach. `members_ascend` says the iterator yields ascending ids.
+    fn scan(
+        tdg: &Tdg,
+        members: impl Iterator<Item = u32> + Clone,
+        members_ascend: bool,
+        pid_of: &[u32],
+        np: usize,
+        arena: &mut QuotientArena,
+    ) -> Result<Self, ValidatePartitionError> {
         // Forward CSR over cross-partition edges via counting sort by
         // source partition, then per-bucket sort + dedup (buckets are
         // small, so this beats one global edge sort on large TDGs). The
-        // scan also checks the two certificates of the module docs.
+        // scan also checks the two certificates of the module docs, and
+        // that no edge leaves the member set.
         let cross = &mut arena.cross;
         cross.clear();
-        let mut ids_rise = true;
+        let mut ids_rise = members_ascend;
         let mut pids_rise = true;
-        for u in 0..n as u32 {
-            let pu = assignment[u as usize];
+        for u in members.clone() {
+            let pu = pid_of[u as usize];
             for &v in tdg.successors(TaskId(u)) {
                 ids_rise &= u < v;
-                let pv = assignment[v as usize];
+                let pv = pid_of[v as usize];
                 if pu != pv {
+                    if pv == NOT_A_MEMBER {
+                        return Err(ValidatePartitionError::MembersNotClosed {
+                            task: u,
+                            successor: v,
+                        });
+                    }
                     pids_rise &= pu < pv;
                     cross.push((pu, pv));
                 }
@@ -271,12 +410,18 @@ impl QuotientTdg {
             }
         }
 
-        // Partition weights: sum of member task weights.
+        // Partition weights (sum of member task weights, in member order)
+        // and sizes.
         let mut weights = std::mem::take(&mut arena.weights);
         weights.clear();
         weights.resize(np, 0.0);
-        for (t, &p) in assignment.iter().enumerate() {
-            weights[p as usize] += tdg.weight(TaskId(t as u32));
+        let mut exec_off = std::mem::take(&mut arena.exec_off);
+        exec_off.clear();
+        exec_off.resize(np + 1, 0);
+        for t in members.clone() {
+            let p = pid_of[t as usize] as usize;
+            weights[p] += tdg.weight(TaskId(t));
+            exec_off[p + 1] += 1;
         }
 
         let graph = Tdg::from_csr(fwd_off, fwd_adj, rev_off, rev_adj, weights);
@@ -284,10 +429,18 @@ impl QuotientTdg {
         // Acyclicity: rising pids are a topological order of the quotient;
         // any other numbering is decided by a drain.
         if !pids_rise {
-            kahn_drain(&graph, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
+            kahn_drain(
+                &graph,
+                0..np as u32,
+                |p| graph.in_degree(TaskId(p)),
+                &mut arena.indeg,
+                &mut arena.stack,
+                &mut arena.topo,
+            );
             if arena.topo.len() != np {
                 let witness = arena.indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
                 arena.recycle_graph(graph);
+                arena.exec_off = exec_off;
                 return Err(ValidatePartitionError::QuotientCycle {
                     witness_pid: witness,
                 });
@@ -295,35 +448,48 @@ impl QuotientTdg {
         }
 
         // Member execution order: a counting sort by partition of one
-        // topological order of the original TDG keeps that order within
-        // each partition, which is all a worker needs. Rising ids make
-        // `0..n` such an order; otherwise one sort-free Kahn pass yields
-        // it (deterministic for a given graph). Flattened storage avoids
-        // one Vec per partition.
-        let mut exec_off = std::mem::take(&mut arena.exec_off);
-        exec_off.clear();
-        exec_off.resize(np + 1, 0);
-        for &p in assignment {
-            exec_off[p as usize + 1] += 1;
-        }
+        // topological order of the members keeps that order within each
+        // partition, which is all a worker needs. Rising ids make the
+        // ascending members such an order; otherwise one sort-free Kahn
+        // pass yields it (deterministic for a given graph). Flattened
+        // storage avoids one Vec per partition.
         for p in 0..np {
             exec_off[p + 1] += exec_off[p];
         }
         let mut exec_flat = std::mem::take(&mut arena.exec_flat);
         exec_flat.clear();
-        exec_flat.resize(n, 0);
+        exec_flat.resize(exec_off[np] as usize, 0);
         let cursor = &mut arena.cursor;
         cursor.clear();
         cursor.extend_from_slice(&exec_off);
         let place = |t: u32| {
-            let c = &mut cursor[assignment[t as usize] as usize];
+            let c = &mut cursor[pid_of[t as usize] as usize];
             exec_flat[*c as usize] = t;
             *c += 1;
         };
         if ids_rise {
-            (0..n as u32).for_each(place);
+            members.for_each(place);
         } else {
-            kahn_drain(tdg, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
+            // Successor-closed members: a member's induced in-degree counts
+            // its member predecessors — all of them when every task is one.
+            let all_members = exec_off[np] as usize == tdg.num_tasks();
+            let member_preds = |t: u32| {
+                if all_members {
+                    return tdg.in_degree(TaskId(t));
+                }
+                let preds = tdg.predecessors(TaskId(t)).iter();
+                preds
+                    .filter(|&&u| pid_of[u as usize] != NOT_A_MEMBER)
+                    .count() as u32
+            };
+            kahn_drain(
+                tdg,
+                members,
+                member_preds,
+                &mut arena.indeg,
+                &mut arena.stack,
+                &mut arena.topo,
+            );
             arena.topo.iter().copied().for_each(place);
         }
 
@@ -511,6 +677,38 @@ mod tests {
         let q = QuotientTdg::build_in(&tdg, &Partition::new(vec![0, 1, 1, 2]), &mut arena)
             .expect("arena is reusable after a rejection");
         assert_eq!(q.num_partitions(), 3);
+    }
+
+    #[test]
+    fn induced_quotient_keeps_the_larger_graph_ids() {
+        // Tasks {1, 2, 3} of the diamond are successor-closed; {1, 2} | {3}.
+        let tdg = diamond();
+        let mut arena = QuotientArena::new();
+        let part = Partition::new(vec![0, 0, 1]);
+        let q = QuotientTdg::build_induced_in(&tdg, &[1, 2, 3], &part, &mut arena)
+            .expect("closed subset, valid partition");
+        assert_eq!(q.num_partitions(), 2);
+        assert_eq!(q.num_tasks(), 3);
+        assert_eq!(q.graph().num_deps(), 1, "1 -> 3 and 2 -> 3 are one edge");
+        assert_eq!(q.execution_order(PartitionId(0)), &[1, 2]);
+        assert_eq!(q.execution_order(PartitionId(1)), &[3]);
+
+        // {0, 1, 3} is not closed: 0 -> 2 leaves it.
+        let err = QuotientTdg::build_induced_in(&tdg, &[0, 1, 3], &part, &mut arena)
+            .expect_err("open subset");
+        assert_eq!(
+            err,
+            ValidatePartitionError::MembersNotClosed {
+                task: 0,
+                successor: 2
+            }
+        );
+        // Every task a member is `build_in`, and the arena is clean again.
+        let all = Partition::new(vec![0, 1, 1, 2]);
+        assert_eq!(
+            QuotientTdg::build_induced_in(&tdg, &[0, 1, 2, 3], &all, &mut arena).expect("valid"),
+            QuotientTdg::build(&tdg, &all).expect("valid")
+        );
     }
 
     #[test]

@@ -233,7 +233,10 @@ impl<'a> Reader<'a> {
         let len = self.u32(what)? as usize;
         // Length-check before allocating so a corrupt length cannot demand
         // gigabytes; the 4-byte stride bounds it to what is actually there.
-        if self.buf.len() - self.pos < len * 4 {
+        if len
+            .checked_mul(4)
+            .is_none_or(|need| self.buf.len() - self.pos < need)
+        {
             return Err(CheckpointError::Corrupt(format!(
                 "{what} claims {len} entries but only {} bytes remain",
                 self.buf.len() - self.pos
@@ -603,6 +606,7 @@ pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, Flow
 mod tests {
     use super::*;
     use crate::sta::CellLibrary;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -726,6 +730,127 @@ mod tests {
         match decode(&bytes) {
             Err(CheckpointError::Corrupt(why)) => assert!(why.contains("slew"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Recompute the trailing checksum, so an edit reaches the section
+    /// reader instead of stopping at the checksum test.
+    fn reseal(bytes: &mut Vec<u8>) {
+        let body_len = bytes.len().saturating_sub(8);
+        bytes.truncate(body_len);
+        let sum = fnv1a64(bytes);
+        put_u64(bytes, sum);
+    }
+
+    /// Decode-or-typed-error: a file that is not a sealed checkpoint fails
+    /// as damage (never as I/O or mismatch), and one that decodes is
+    /// exactly the file's bytes — nothing was skipped or made up.
+    fn assert_decodes_or_fails_typed(bytes: &[u8], what: &str) {
+        match decode(bytes) {
+            Ok(back) => assert_eq!(encode(&back), bytes, "{what}: decoded a non-canonical file"),
+            Err(
+                CheckpointError::Corrupt(_)
+                | CheckpointError::BadMagic
+                | CheckpointError::BadVersion { .. },
+            ) => {}
+            Err(other) => panic!("{what}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn section_reader_survives_every_resealed_truncation_and_bit_flip() {
+        for cache in [true, false] {
+            let mut ckpt = sample_checkpoint();
+            if !cache {
+                ckpt.cache = None;
+            }
+            let good = encode(&ckpt);
+            let body_len = good.len() - 8;
+            // Cut the payload anywhere, then seal what is left: the
+            // checksum holds, so every section's own length check is what
+            // stops the read.
+            for cut in 0..body_len {
+                let mut bytes = good[..cut].to_vec();
+                bytes.extend_from_slice(&[0; 8]);
+                reseal(&mut bytes);
+                assert!(
+                    decode(&bytes).is_err(),
+                    "a payload cut at {cut} of {body_len} decoded"
+                );
+                assert_decodes_or_fails_typed(&bytes, &format!("cut at {cut}"));
+            }
+            // Flip every payload bit, sealed: lengths, counts, the cache
+            // flag and the values all take every single-bit error.
+            for bit in 0..body_len * 8 {
+                let mut bytes = good.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                reseal(&mut bytes);
+                assert_decodes_or_fails_typed(&bytes, &format!("bit {bit}"));
+            }
+        }
+    }
+
+    /// Apply a script of hostile edits to a sealed checkpoint image.
+    fn mangle(mut bytes: Vec<u8>, edits: &[(u8, u32, u8)], other: &[u8]) -> Vec<u8> {
+        for &(op, at, val) in edits {
+            let at = at as usize;
+            match op {
+                // Truncate anywhere.
+                0 => bytes.truncate(at % (bytes.len() + 1)),
+                // Flip bits anywhere.
+                1 if !bytes.is_empty() => {
+                    let i = at % bytes.len();
+                    bytes[i] ^= val | 1;
+                }
+                // A hostile length or count over any four bytes: huge, just
+                // past what is left, or small.
+                2 if bytes.len() >= 4 => {
+                    let i = at % (bytes.len() - 3);
+                    let left = (bytes.len() - i) as u32;
+                    let len = match val % 4 {
+                        0 => u32::MAX,
+                        1 => left / 4 + u32::from(val),
+                        2 => left,
+                        _ => u32::from(val),
+                    };
+                    bytes[i..i + 4].copy_from_slice(&len.to_le_bytes());
+                }
+                // Another image glued on.
+                3 => bytes.extend_from_slice(other),
+                // Raw noise inserted.
+                4 => {
+                    let i = at % (bytes.len() + 1);
+                    bytes.splice(i..i, std::iter::repeat_n(val, at % 23));
+                }
+                // Seal whatever the edits so far left.
+                _ => reseal(&mut bytes),
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever is on disk, `decode` yields the checkpoint those bytes
+        /// spell or one typed error — never a panic, and (a `u32::MAX`
+        /// count is in the script) never an allocation sized by a length
+        /// it has not checked against the bytes that are there.
+        #[test]
+        fn checkpoint_byte_soup_decodes_or_fails_typed(
+            cache in any::<bool>(),
+            edits in proptest::collection::vec((0u8..7, any::<u32>(), any::<u8>()), 0..5),
+        ) {
+            let mut ckpt = sample_checkpoint();
+            if !cache {
+                ckpt.cache = None;
+            }
+            let clean = encode(&ckpt);
+            let bytes = mangle(clean.clone(), &edits, &clean);
+            assert_decodes_or_fails_typed(&bytes, "byte soup");
+            if bytes == clean {
+                prop_assert_eq!(decode(&bytes).expect("unedited"), ckpt);
+            }
         }
     }
 

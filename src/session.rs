@@ -54,6 +54,7 @@
 
 use std::error::Error as StdError;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{
@@ -62,8 +63,9 @@ use crate::checkpoint::{
 use crate::core::{IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopCause};
 use crate::sta::{
-    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, GateId, ParseLibertyError,
-    ParseSdcError, ParseVerilogError, PortId, SnapshotMismatch, Timer, TimingPath, TimingReport,
+    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, GateId, Netlist,
+    ParseLibertyError, ParseSdcError, ParseVerilogError, PortId, SnapshotMismatch, Timer,
+    TimingPath, TimingReport,
 };
 use crate::tdg::{BuildTdgError, QuotientArena, QuotientTdg, ValidatePartitionError};
 
@@ -271,7 +273,7 @@ pub struct UpdateOutcome {
     /// Why the run stopped; [`StopCause::Completed`] unless the budget
     /// expired.
     pub stop: StopCause,
-    /// Tasks in this update's TDG (0 when nothing was dirty).
+    /// Tasks in this update's dirty cone (0 when nothing was dirty).
     pub tasks: usize,
     /// Tasks the dirty-cone repair moved between partitions.
     pub repair_moved: usize,
@@ -369,6 +371,7 @@ impl DormantSession {
         // timer's full-dirty flag (the snapshot restore resets dirtiness
         // anyway).
         let full_tdg = timer.update_timing().tdg().clone();
+        timer.release_tdg_buffers();
         // Net caps live in the netlist, outside the snapshot: replay the
         // journal bit-exactly before installing the snapshot values.
         for &(net, cap_bits) in &self.net_cap_journal {
@@ -396,6 +399,7 @@ impl DormantSession {
         Ok(Session {
             name: self.name.clone(),
             sources: self.sources.clone(),
+            names: NameIndex::of(timer.netlist()),
             timer,
             library,
             inc,
@@ -423,6 +427,67 @@ fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary), SessionE
     Ok((timer, library))
 }
 
+/// A by-name index of a design's gates and ports, built once per session
+/// so an edit resolves its target without scanning the netlist: one
+/// `(name hash, id)` pair per object, sorted, and the names stay where the
+/// netlist keeps them. The hash is keyed per session ([`RandomState`]),
+/// so names crafted to collide cannot be prepared in advance; equal hashes
+/// are told apart by comparing names, in id order — of objects sharing a
+/// name the first wins, as a scan would find it.
+struct NameIndex {
+    hasher: RandomState,
+    gates: Vec<(u64, u32)>,
+    inputs: Vec<(u64, u32)>,
+    outputs: Vec<(u64, u32)>,
+}
+
+impl NameIndex {
+    fn of(netlist: &Netlist) -> Self {
+        let hasher = RandomState::new();
+        let hashed = |names: &mut dyn Iterator<Item = &String>| {
+            let mut pairs: Vec<(u64, u32)> = names
+                .enumerate()
+                .map(|(i, name)| (hasher.hash_one(name.as_str()), i as u32))
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        NameIndex {
+            gates: hashed(&mut netlist.gates().iter().map(|g| &g.name)),
+            inputs: hashed(&mut netlist.input_names().iter()),
+            outputs: hashed(&mut netlist.output_names().iter()),
+            hasher,
+        }
+    }
+
+    /// Resolve `name` among the objects `index` covers, `name_of(id)`
+    /// being the name of object `id`: an exact name first, then a decimal
+    /// index.
+    fn resolve<'a>(
+        &self,
+        name: &str,
+        index: &[(u64, u32)],
+        name_of: impl Fn(u32) -> &'a str,
+        what: &str,
+    ) -> Result<u32, SessionError> {
+        let hash = self.hasher.hash_one(name);
+        let first = index.partition_point(|&(h, _)| h < hash);
+        let mut same_hash = index[first..].iter().take_while(|&&(h, _)| h == hash);
+        if let Some(&(_, id)) = same_hash.find(|&&(_, id)| name_of(id) == name) {
+            return Ok(id);
+        }
+        if let Ok(i) = name.parse::<u32>() {
+            if (i as usize) < index.len() {
+                return Ok(i);
+            }
+        }
+        Err(SessionError::BadEdit(format!(
+            "no {what} named `{name}` (and it is not a valid index below {})",
+            index.len()
+        )))
+    }
+}
+
 /// An owned unit of timing-analysis state: parsed design, [`Timer`],
 /// warm [`IncrementalPartitioner`] cache, and [`Executor`] handle.
 /// `Send + 'static`, so it can live behind a mutex in a server registry
@@ -432,6 +497,8 @@ pub struct Session {
     name: String,
     sources: DesignSources,
     timer: Timer,
+    /// Gate and port names → ids, for [`Session::apply_edit`].
+    names: NameIndex,
     library: CellLibrary,
     inc: IncrementalPartitioner<SeqGPasta>,
     exec: Executor,
@@ -500,10 +567,13 @@ impl Session {
         let full = timer.update_timing();
         inc.install(full.tdg(), &opts)?;
         full.run_sequential();
-        drop(full); // returns its buffers to the timer before the move
+        drop(full);
+        // Updates take only the dirty cone from here on.
+        timer.release_tdg_buffers();
         Ok(Session {
             name: name.into(),
             sources,
+            names: NameIndex::of(timer.netlist()),
             timer,
             library,
             inc,
@@ -604,8 +674,12 @@ impl Session {
                 if !drive.is_finite() || *drive <= 0.0 {
                     return bad(format!("drive {drive} must be positive and finite"));
                 }
-                let g = self.resolve_gate(gate)?;
-                self.timer.repower_gate(g, *drive);
+                let gates = self.timer.netlist().gates();
+                let name_of = |i: u32| gates[i as usize].name.as_str();
+                let g = self
+                    .names
+                    .resolve(gate, &self.names.gates, name_of, "gate")?;
+                self.timer.repower_gate(GateId(g), *drive);
             }
             Edit::SetNetCap { net, cap_ff } => {
                 if !cap_ff.is_finite() || *cap_ff < 0.0 {
@@ -624,15 +698,23 @@ impl Session {
                 if !delay_ps.is_finite() {
                     return bad(format!("input delay {delay_ps} must be finite"));
                 }
-                let p = resolve_name(port, self.timer.netlist().input_names(), "input port")?;
-                self.timer.set_input_delay(p, *delay_ps);
+                let inputs = self.timer.netlist().input_names();
+                let name_of = |i: u32| inputs[i as usize].as_str();
+                let p = self
+                    .names
+                    .resolve(port, &self.names.inputs, name_of, "input port")?;
+                self.timer.set_input_delay(PortId(p), *delay_ps);
             }
             Edit::SetOutputDelay { port, delay_ps } => {
                 if !delay_ps.is_finite() {
                     return bad(format!("output delay {delay_ps} must be finite"));
                 }
-                let p = resolve_name(port, self.timer.netlist().output_names(), "output port")?;
-                self.timer.set_output_delay(p, *delay_ps);
+                let outputs = self.timer.netlist().output_names();
+                let name_of = |i: u32| outputs[i as usize].as_str();
+                let p = self
+                    .names
+                    .resolve(port, &self.names.outputs, name_of, "output port")?;
+                self.timer.set_output_delay(PortId(p), *delay_ps);
             }
             Edit::SetClockPeriod { period_ps } => {
                 if !period_ps.is_finite() || *period_ps <= 0.0 {
@@ -646,26 +728,13 @@ impl Session {
         Ok(())
     }
 
-    fn resolve_gate(&self, gate: &str) -> Result<GateId, SessionError> {
-        let gates = self.timer.netlist().gates();
-        if let Some(i) = gates.iter().position(|g| g.name == gate) {
-            return Ok(GateId(i as u32));
-        }
-        if let Ok(i) = gate.parse::<u32>() {
-            if (i as usize) < gates.len() {
-                return Ok(GateId(i));
-            }
-        }
-        Err(SessionError::BadEdit(format!(
-            "no gate named `{gate}` (and it is not a valid index below {})",
-            gates.len()
-        )))
-    }
-
-    /// Bring timing up to date under `budget`: build the incremental
-    /// update TDG, repair the cached partition inside the dirty cone,
-    /// and execute the partitioned update through the bounded
-    /// recovering executor.
+    /// Bring timing up to date under `budget`: discover the dirty cone,
+    /// repair the cached partition inside it, build the cone's quotient
+    /// straight from the cache — the cone is successor-closed in the full
+    /// task space, so its dependencies are the out-edges of its tasks in
+    /// the full-space TDG the cache was installed on, and no per-update
+    /// task graph is built — and execute the partitioned update through
+    /// the bounded recovering executor.
     ///
     /// On an early stop ([`StopCause::DeadlineExpired`] /
     /// [`StopCause::Cancelled`]) the unfinished region's endpoints are
@@ -679,10 +748,10 @@ impl Session {
     /// [`SessionError::Quotient`] if the repaired partition has no
     /// valid quotient.
     pub fn update_timing(&mut self, budget: &RunBudget) -> Result<UpdateOutcome, SessionError> {
-        let update = self.timer.update_timing();
-        let tasks = update.tdg().num_tasks();
+        let cone = self.timer.dirty_cone();
+        let tasks = cone.num_tasks();
         if tasks == 0 {
-            drop(update);
+            drop(cone);
             self.updates_done += 1;
             return Ok(UpdateOutcome {
                 stop: StopCause::Completed,
@@ -693,12 +762,16 @@ impl Session {
                 unknown_endpoints: 0,
             });
         }
-        let ids = update.full_space_ids();
-        let (stats, sub) = self.inc.repair_and_project(&ids)?;
+        let (stats, sub) = self.inc.repair_and_project(cone.ids())?;
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
-        let quotient = QuotientTdg::build_in(update.tdg(), &sub, &mut self.quotient_arena)
-            .map_err(SessionError::Quotient)?;
-        let rec = update.run_partitioned_recovering_bounded(
+        let full_tdg = self
+            .inc
+            .cached_tdg()
+            .ok_or(IncrementalError::NotInstalled)?;
+        let quotient =
+            QuotientTdg::build_induced_in(full_tdg, cone.ids(), &sub, &mut self.quotient_arena)
+                .map_err(SessionError::Quotient)?;
+        let rec = cone.run_partitioned_recovering_bounded(
             &self.exec,
             &quotient,
             &FaultPlan::none(),
@@ -712,11 +785,11 @@ impl Session {
             // Degrade explicitly: everything the stopped run left stale
             // reads unknown, and the design is re-marked dirty so the
             // next (fresh-budget) update recomputes it.
-            update.mark_unknown(&rec);
+            cone.mark_unknown(&rec);
             (rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len()) as u32
         };
         let stop = rec.outcome.stop;
-        drop(update);
+        drop(cone);
         if stop != StopCause::Completed {
             self.timer.invalidate_all();
         }
@@ -806,21 +879,6 @@ impl Session {
     }
 }
 
-fn resolve_name(name: &str, names: &[String], what: &str) -> Result<PortId, SessionError> {
-    if let Some(i) = names.iter().position(|n| n == name) {
-        return Ok(PortId(i as u32));
-    }
-    if let Ok(i) = name.parse::<u32>() {
-        if (i as usize) < names.len() {
-            return Ok(PortId(i));
-        }
-    }
-    Err(SessionError::BadEdit(format!(
-        "no {what} named `{name}` (and it is not a valid index below {})",
-        names.len()
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,6 +936,52 @@ endmodule
             by_name.report(1).wns_ps.to_bits(),
             by_index.report(1).wns_ps.to_bits()
         );
+    }
+
+    #[test]
+    fn names_resolve_before_indices_and_the_first_of_a_name_wins() {
+        use crate::sta::{CellKind, NetlistBuilder};
+        let mut nb = NetlistBuilder::new();
+        let a = nb.add_primary_input("a");
+        let y = nb.add_primary_output("y");
+        // Gate 0 is called "2", and gates 1 and 2 share a name.
+        let mut prev = None;
+        for name in ["2", "dup", "dup", "tail"] {
+            let g = nb.add_gate(name, CellKind::Inv);
+            match prev {
+                None => nb.connect_to_gate(a, g, 0).expect("valid"),
+                Some(p) => nb.connect_gates(p, g, 0).expect("valid"),
+            }
+            prev = Some(g);
+        }
+        nb.connect_to_output(prev.expect("four gates"), y)
+            .expect("valid");
+        let netlist = nb.build().expect("well-formed");
+        let names = NameIndex::of(&netlist);
+        let gate_name = |i: u32| netlist.gates()[i as usize].name.as_str();
+        let gate = |name: &str| names.resolve(name, &names.gates, gate_name, "gate");
+        assert_eq!(gate("2").expect("a name"), 0, "the name, not index 2");
+        assert_eq!(gate("dup").expect("a name"), 1, "the first `dup`");
+        assert_eq!(gate("tail").expect("a name"), 3);
+        assert_eq!(gate("3").expect("an index"), 3);
+        match gate("4") {
+            Err(SessionError::BadEdit(why)) => assert_eq!(
+                why,
+                "no gate named `4` (and it is not a valid index below 4)"
+            ),
+            other => panic!("expected BadEdit, got {other:?}"),
+        }
+        let output_name = |i: u32| netlist.output_names()[i as usize].as_str();
+        let input_name = |i: u32| netlist.input_names()[i as usize].as_str();
+        assert_eq!(
+            names
+                .resolve("y", &names.outputs, output_name, "output port")
+                .expect("a name"),
+            0
+        );
+        assert!(names
+            .resolve("y", &names.inputs, input_name, "input port")
+            .is_err());
     }
 
     #[test]

@@ -293,3 +293,25 @@ fn a_cache_exported_under_another_numbering_is_refused() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_hostile_cache_max_pid_is_refused_before_it_sizes_a_table() {
+    // A sealed, well-formed checkpoint whose cache section claims the
+    // largest pid a u32 holds: the restored cache keeps per-pid tables, so
+    // taking the claim at its word would ask for 16 GiB of them.
+    let circuit = PaperCircuit::AesCore;
+    let sources = DesignSources::verilog_only(write_verilog(&circuit.build(0.002), circuit.name()));
+    let mut session = Session::create("hostile", sources, 1).expect("session");
+    let path = tmp_ckpt("max-pid");
+    let dormant = session.evict_to(&path).expect("evict");
+    let mut ckpt = read_checkpoint(&path).expect("readable");
+    ckpt.cache.as_mut().expect("warm cache").max_pid = u32::MAX;
+    write_checkpoint(&path, &ckpt).expect("rewrite");
+    match dormant.restore(1) {
+        Err(SessionError::Partition(IncrementalError::InvalidSnapshot(why))) => {
+            assert!(why.contains("max_pid"), "{why}");
+        }
+        other => panic!("expected the max_pid InvalidSnapshot, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}

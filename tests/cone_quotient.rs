@@ -1,0 +1,359 @@
+//! The quotient a warm `Session` builds straight from its partition cache
+//! is the quotient of the public-step path.
+//!
+//! Three lanes receive the identical seeded Fig. 7 edit stream (gate
+//! repowers and net-capacitance changes), with a clock edit (whole design
+//! dirty) and a zero-deadline update (degrade, then heal) mixed in:
+//!
+//! * the **public-step** lane is the update as it was before the session
+//!   took the short cut, spelled through the layers' public functions:
+//!   `Timer::update_timing` → `full_space_ids` → `repair_and_project` →
+//!   `QuotientTdg::build_in(update.tdg(), ..)` → run;
+//! * the **direct** lane takes only stage one, `Timer::dirty_cone`, and
+//!   builds the quotient over the cache's own full-space TDG with
+//!   `QuotientTdg::build_induced_in` — what `Session::update_timing` does,
+//!   with the quotient in hand to compare;
+//! * the **session** lane is the product.
+//!
+//! Every update asserts that the direct quotient equals the public-step
+//! one mapped through `full_space_ids()` (same partitions, same
+//! deduplicated edges and weights, same member order), that the session's
+//! `UpdateOutcome` counts equal the public-step lane's, and that all three
+//! `TimingSnapshot`s are bit-identical.
+
+use std::time::Duration;
+
+use gpasta::circuits::PaperCircuit;
+use gpasta::core::{IncrementalPartitioner, PartitionerOptions, SeqGPasta};
+use gpasta::sched::{Executor, FaultPlan, RetryPolicy, RunBudget, StopCause};
+use gpasta::session::{DesignSources, Edit, Session};
+use gpasta::sta::{parse_verilog, write_verilog, CellLibrary, GateId, RecoveredUpdate, Timer};
+use gpasta::tdg::{QuotientArena, QuotientTdg};
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
+
+/// What one lane's update reports, in `UpdateOutcome`'s terms.
+#[derive(Debug, PartialEq, Eq)]
+struct Counts {
+    stop: StopCause,
+    tasks: usize,
+    repair_moved: usize,
+    repair_fresh: usize,
+    epoch: u64,
+    unknown_endpoints: u32,
+}
+
+fn unknown_endpoints(rec: &RecoveredUpdate) -> u32 {
+    if rec.outcome.stop == StopCause::Completed {
+        0
+    } else {
+        (rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len()) as u32
+    }
+}
+
+/// A timer with the cache installed on its full-space TDG, as
+/// `Session::create` leaves them.
+struct Lane {
+    timer: Timer,
+    inc: IncrementalPartitioner<SeqGPasta>,
+    arena: QuotientArena,
+}
+
+/// One lane's quotient, flattened: the coarse graph and every partition's
+/// members as full-space ids.
+type Flat = (gpasta::tdg::Tdg, Vec<Vec<u32>>);
+
+impl Lane {
+    fn new(verilog: &str) -> Lane {
+        let netlist = parse_verilog(verilog).expect("generated netlists parse");
+        let mut timer = Timer::new(netlist, CellLibrary::typical());
+        timer.set_clock_period(1_000.0);
+        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
+        let full = timer.update_timing();
+        inc.install(full.tdg(), &PartitionerOptions::default())
+            .expect("install on the full-space TDG");
+        full.run_sequential();
+        drop(full);
+        Lane {
+            timer,
+            inc,
+            arena: QuotientArena::new(),
+        }
+    }
+
+    /// The update through every public step, per-update TDG included.
+    fn public_step(&mut self, exec: &Executor, budget: &RunBudget) -> (Counts, Option<Flat>) {
+        let update = self.timer.update_timing();
+        let tasks = update.tdg().num_tasks();
+        if tasks == 0 {
+            drop(update);
+            return (self.idle(), None);
+        }
+        let ids = update.full_space_ids();
+        let (stats, sub) = self.inc.repair_and_project(&ids).expect("closed cone");
+        let quotient =
+            QuotientTdg::build_in(update.tdg(), &sub, &mut self.arena).expect("schedulable");
+        let rec = update.run_partitioned_recovering_bounded(
+            exec,
+            &quotient,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+            budget,
+        );
+        let flat = (
+            quotient.graph().clone(),
+            quotient
+                .execution_orders()
+                .map(|order| order.iter().map(|&t| ids[t as usize]).collect())
+                .collect(),
+        );
+        self.arena.recycle(quotient);
+        if rec.outcome.stop != StopCause::Completed {
+            update.mark_unknown(&rec);
+        }
+        drop(update);
+        (self.finish(tasks, stats, &rec), Some(flat))
+    }
+
+    /// The update from stage one alone: cone ids, and the quotient induced
+    /// in the cache's full-space TDG.
+    fn direct(&mut self, exec: &Executor, budget: &RunBudget) -> (Counts, Option<Flat>) {
+        let cone = self.timer.dirty_cone();
+        let tasks = cone.num_tasks();
+        if tasks == 0 {
+            drop(cone);
+            return (self.idle(), None);
+        }
+        let (stats, sub) = self
+            .inc
+            .repair_and_project(cone.ids())
+            .expect("closed cone");
+        let full_tdg = self.inc.cached_tdg().expect("warm cache");
+        let quotient = QuotientTdg::build_induced_in(full_tdg, cone.ids(), &sub, &mut self.arena)
+            .expect("schedulable");
+        assert_eq!(quotient.num_tasks(), tasks);
+        let rec = cone.run_partitioned_recovering_bounded(
+            exec,
+            &quotient,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+            budget,
+        );
+        let flat = (
+            quotient.graph().clone(),
+            quotient.execution_orders().map(<[u32]>::to_vec).collect(),
+        );
+        self.arena.recycle(quotient);
+        if rec.outcome.stop != StopCause::Completed {
+            cone.mark_unknown(&rec);
+        }
+        drop(cone);
+        (self.finish(tasks, stats, &rec), Some(flat))
+    }
+
+    fn idle(&self) -> Counts {
+        Counts {
+            stop: StopCause::Completed,
+            tasks: 0,
+            repair_moved: 0,
+            repair_fresh: 0,
+            epoch: self.inc.epoch(),
+            unknown_endpoints: 0,
+        }
+    }
+
+    fn finish(
+        &mut self,
+        tasks: usize,
+        stats: gpasta::core::RepairStats,
+        rec: &RecoveredUpdate,
+    ) -> Counts {
+        if rec.outcome.stop != StopCause::Completed {
+            self.timer.invalidate_all();
+        }
+        Counts {
+            stop: rec.outcome.stop,
+            tasks,
+            repair_moved: stats.moved,
+            repair_fresh: stats.fresh_partitions,
+            epoch: self.inc.epoch(),
+            unknown_endpoints: unknown_endpoints(rec),
+        }
+    }
+}
+
+/// One step of the stream, in a form every lane can take.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Repower {
+        gate: u32,
+        drive: f32,
+    },
+    NetCap {
+        net: u32,
+        cap_ff: f32,
+    },
+    Clock {
+        period_ps: f32,
+    },
+    /// No edit: update whatever is pending (nothing, or a healing rerun).
+    Nothing,
+}
+
+impl Step {
+    fn apply_to_timer(self, timer: &mut Timer) {
+        match self {
+            Step::Repower { gate, drive } => timer.repower_gate(GateId(gate), drive),
+            Step::NetCap { net, cap_ff } => timer.set_net_cap(net, cap_ff),
+            Step::Clock { period_ps } => timer.set_clock_period(period_ps),
+            Step::Nothing => {}
+        }
+    }
+
+    fn apply_to_session(self, session: &mut Session) {
+        let edit = match self {
+            Step::Repower { gate, drive } => Edit::Repower {
+                gate: session.timer().netlist().gates()[gate as usize]
+                    .name
+                    .clone(),
+                drive,
+            },
+            Step::NetCap { net, cap_ff } => Edit::SetNetCap { net, cap_ff },
+            Step::Clock { period_ps } => Edit::SetClockPeriod { period_ps },
+            Step::Nothing => return,
+        };
+        session
+            .apply_edit(&edit)
+            .expect("generated edits are valid");
+    }
+}
+
+/// `edits` Fig. 7 edits on `circuit`, every 29th op a clock flip and every
+/// 37th a zero-deadline update followed by the update that heals it.
+fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
+    let verilog = write_verilog(&circuit.build(scale), circuit.name());
+    let exec = Executor::new(2);
+    let mut public = Lane::new(&verilog);
+    let mut direct = Lane::new(&verilog);
+    let mut session =
+        Session::create("product", DesignSources::verilog_only(verilog), 2).expect("session");
+    let (num_gates, num_nets) = {
+        let netlist = public.timer.netlist();
+        (netlist.num_gates() as u32, netlist.num_nets() as u32)
+    };
+
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut steps: Vec<(Step, RunBudget)> = Vec::new();
+    for op in 0..edits {
+        let edit = if op % 29 == 28 {
+            Step::Clock {
+                period_ps: if op % 2 == 0 { 900.0 } else { 1_000.0 },
+            }
+        } else if rng.gen_bool(0.5) {
+            Step::Repower {
+                gate: rng.gen_range(0..num_gates),
+                drive: *[0.5f32, 1.0, 2.0, 4.0].choose(&mut rng).expect("non-empty"),
+            }
+        } else {
+            Step::NetCap {
+                net: rng.gen_range(0..num_nets),
+                cap_ff: rng.gen_range(0.0..6.0),
+            }
+        };
+        if op % 37 == 36 {
+            let expired = RunBudget::unbounded().with_deadline(Duration::ZERO);
+            steps.push((edit, expired));
+            steps.push((Step::Nothing, RunBudget::unbounded()));
+        } else {
+            steps.push((edit, RunBudget::unbounded()));
+        }
+    }
+    // Idle at the end: nothing pending, an empty cone on every lane.
+    steps.push((Step::Nothing, RunBudget::unbounded()));
+
+    let (mut cones, mut full, mut stopped) = (0, 0, 0);
+    for (i, (step, budget)) in steps.iter().enumerate() {
+        let what = format!("{circuit} seed {seed:#x}, step {i} ({step:?})");
+        step.apply_to_timer(&mut public.timer);
+        step.apply_to_timer(&mut direct.timer);
+        step.apply_to_session(&mut session);
+
+        let (want, want_quotient) = public.public_step(&exec, budget);
+        let (got, got_quotient) = direct.direct(&exec, budget);
+        assert_eq!(got, want, "{what}: direct lane counts");
+        match (&got_quotient, &want_quotient) {
+            (Some((graph, members)), Some((want_graph, want_members))) => {
+                assert!(graph == want_graph, "{what}: quotient partitions and edges");
+                assert_eq!(members, want_members, "{what}: member order");
+            }
+            (None, None) => {}
+            _ => panic!("{what}: one lane had an empty cone"),
+        }
+
+        let outcome = session.update_timing(budget).expect("update");
+        let product = Counts {
+            stop: outcome.stop,
+            tasks: outcome.tasks,
+            repair_moved: outcome.repair_moved,
+            repair_fresh: outcome.repair_fresh,
+            epoch: outcome.epoch,
+            unknown_endpoints: outcome.unknown_endpoints,
+        };
+        assert_eq!(product, want, "{what}: UpdateOutcome");
+
+        let snapshot = public.timer.snapshot();
+        assert!(direct.timer.snapshot() == snapshot, "{what}: direct bits");
+        assert!(
+            session.timer().snapshot() == snapshot,
+            "{what}: session bits"
+        );
+        assert_eq!(
+            session.partition_assignment(),
+            public.inc.raw_assignment(),
+            "{what}: cached partition"
+        );
+
+        let full_space = 2 * public.timer.graph().num_nodes();
+        stopped += usize::from(want.stop != StopCause::Completed);
+        full += usize::from(want.tasks == full_space);
+        cones += usize::from(want.tasks > 0 && want.tasks < full_space);
+    }
+    assert!(cones >= edits * 3 / 4, "{cones} proper cones in {edits}");
+    assert!(full >= edits / 29, "{full} full-dirty updates");
+    assert!(stopped >= edits / 37, "{stopped} zero-deadline updates");
+
+    // The members of the last non-trivial quotient really are partitions
+    // of the cache: spot-check the flattening itself on one more cone.
+    public.timer.repower_gate(GateId(0), 2.0);
+    direct.timer.repower_gate(GateId(0), 2.0);
+    let (_, flat) = direct.direct(&exec, &RunBudget::unbounded());
+    let (_, members) = flat.expect("a repower dirties a cone");
+    let raw = direct.inc.raw_assignment().expect("warm cache");
+    for part in &members {
+        assert!(part.windows(2).all(|w| w[0] < w[1]), "members ascend");
+        assert!(
+            part.iter()
+                .all(|&t| raw[t as usize] == raw[part[0] as usize]),
+            "a quotient node is one cached partition"
+        );
+    }
+}
+
+/// Edits per circuit: 110 (220 over the suite), or `PROPTEST_CASES` when
+/// that is larger (the nightly CI job raises it).
+fn edits() -> usize {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map_or(110, |cases: usize| cases.max(110))
+}
+
+#[test]
+fn aes_core_direct_quotient_equals_the_public_step_path() {
+    differential(PaperCircuit::AesCore, 0.004, 0xC0DE, edits());
+}
+
+#[test]
+fn vga_lcd_direct_quotient_equals_the_public_step_path() {
+    differential(PaperCircuit::VgaLcd, 0.002, 0x7A57E, edits());
+}
