@@ -18,10 +18,10 @@
 //!   `// hb:` labels on every release/acquire half, and an exhaustive
 //!   allowlist for `unwrap`/`expect` on non-test library paths.
 //!
-//! [`protocols`] contains the bounded model-check harnesses for the four
-//! scheduler protocols (poison publication, watchdog stall claim, cancel
-//! generations, slack-min), each with seeded ordering mutations proving
-//! the checker catches real weakenings.
+//! [`protocols`] contains the bounded model-check harnesses for the five
+//! scheduler protocols (poison publication, chunked decrement flush,
+//! watchdog stall claim, cancel generations, slack-min), with seeded
+//! mutations proving the checker catches real weakenings.
 
 pub mod lint;
 pub mod model;

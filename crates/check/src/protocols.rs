@@ -1,10 +1,11 @@
-//! Bounded model-check harnesses for the four lock-free scheduler
+//! Bounded model-check harnesses for the five lock-free scheduler
 //! protocols, each stated as a small instance (2–3 threads, 2–4 units)
 //! and explored to exhaustion by [`crate::model`].
 //!
 //! | harness | protocol (production site) | property |
 //! |---|---|---|
 //! | [`poison_publication`] | Release-before-decrement poison publication (`gpasta-sched::bounded::run_stealing_bounded`) | poisoned set = exact forward closure of the failed unit; a poisoned unit never runs its payload |
+//! | [`chunked_flush`] | worker-local decrement batches, flushed before a worker steals or parks (`gpasta-sched`'s stealing wavefront) | every unit is admitted exactly once, after all its predecessors; a poisoned unit never runs its payload; the run terminates |
 //! | [`watchdog_claim`] | pending→stalled CAS claim (`gpasta-sched::bounded`) | a unit is claimed by at most one of worker/watchdog, and the winner's claim publishes its payload |
 //! | [`cancel_generation`] | generation-counted `CancelToken` (`gpasta-tdg::cancel`), at the `u64` wrap boundary | cancellation latches per observer; a cancel consumed by run *k* never re-delivers to run *k+1* |
 //! | [`slack_min`] | NaN-preserving `AtomicF32` slack-min (`gpasta-sta::atomic_f32`) | concurrent min-reduction is order-insensitive and NaN-preserving |
@@ -15,9 +16,11 @@
 //!
 //! # Mutation gate
 //!
-//! [`Mutation`] seeds two deliberate ordering downgrades (available only
-//! under `cfg(test)`): the poison path's dependency-decrement `AcqRel` →
-//! `Relaxed` (severing the release half of the handoff edge) and the
+//! [`Mutation`] seeds four deliberate weakenings (available only under
+//! `cfg(test)`): the poison path's dependency-decrement `AcqRel` →
+//! `Relaxed` (severing the release half of the handoff edge), the same
+//! downgrade on the *batched* decrement, a batch that is published only
+//! after a successful steal (so a worker can park on it), and the
 //! watchdog's claim-CAS success ordering `AcqRel` → `Relaxed` (severing
 //! the claim's publication). Tests assert the explorer produces a
 //! replayable counterexample for each — proof the checker has teeth.
@@ -29,6 +32,13 @@ use crate::sync::Ordering;
 /// Pinned bounds for the poison-publication harness (CI uses exactly
 /// these; tests assert exhaustion under them).
 pub const POISON_BOUNDS: Bounds = Bounds {
+    max_schedules: 400_000,
+    max_steps: 2_000,
+    preemption_bound: None,
+};
+
+/// Pinned bounds for the chunked-flush harness.
+pub const CHUNK_BOUNDS: Bounds = Bounds {
     max_schedules: 400_000,
     max_steps: 2_000,
     preemption_bound: None,
@@ -76,6 +86,18 @@ pub enum Mutation {
     /// `Acquire`-loads the STALLED state races on the evidence cell.
     #[cfg(test)]
     WatchdogClaimRelaxed,
+    /// Publish a worker's decrement batch only after a steal *succeeds*
+    /// instead of before the steal is attempted. A worker whose steal
+    /// finds nothing then parks on its batch: the shared successor's
+    /// counter never reaches zero and the run never completes.
+    #[cfg(test)]
+    FlushAfterSteal,
+    /// Downgrade the *batched* `fetch_sub(count)` from `AcqRel` to
+    /// `Relaxed`: the worker whose batch brings the counter to zero no
+    /// longer acquires the other worker's `Release`-published poison, so
+    /// a poisoned unit can run.
+    #[cfg(test)]
+    ChunkDecrementRelaxed,
 }
 
 // ---------------------------------------------------------------------------
@@ -141,12 +163,10 @@ impl PoisonInstance {
 /// [`explore`]/[`crate::model::replay`]).
 pub fn poison_once(mutation: Mutation) {
     let dep_sub_ord = match mutation {
-        // hb: dep-handoff
-        Mutation::None => Ordering::AcqRel,
         #[cfg(test)]
         Mutation::PoisonDecrementRelaxed => Ordering::Relaxed,
-        #[cfg(test)]
-        Mutation::WatchdogClaimRelaxed => Ordering::AcqRel,
+        // hb: dep-handoff
+        _ => Ordering::AcqRel,
     };
     let inst = PoisonInstance {
         poisoned: [
@@ -208,7 +228,217 @@ pub fn poison_publication(bounds: &Bounds, mutation: Mutation) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Watchdog stall claim
+// 2. Chunked decrement flush
+// ---------------------------------------------------------------------------
+
+/// Units a worker runs before the chunk rule publishes its batch.
+const CHUNK: u32 = 2;
+const CHUNK_UNITS: u32 = 4;
+
+/// Bounded instance: sources `0`, `1`, `3` all feed the shared successor
+/// `2`; unit 0 fails its payload, so unit 2 is poisoned and must be
+/// admitted (exactly once, after all three predecessors) but never run.
+struct ChunkInstance {
+    poisoned: [AtomicBool; 4],
+    /// Fan-in countdown of the shared successor (the sources have none).
+    dep2: AtomicU32,
+    completed: AtomicU32,
+    output: [TrackedCell<u32>; 4],
+    /// Which worker's flush readied unit 2.
+    unit2_admitter: TrackedCell<u32>,
+    dep_sub_ord: Ordering,
+    flush_before_steal: bool,
+}
+
+fn chunk_succ(unit: usize) -> &'static [usize] {
+    match unit {
+        0 | 1 | 3 => &[2],
+        _ => &[],
+    }
+}
+
+/// Mirror of one stealing worker: a private LIFO of ready units and the
+/// `DecrementBatch` (`note` / `flush`) it accumulates between flushes.
+struct ChunkWorker<'a> {
+    inst: &'a ChunkInstance,
+    id: u32,
+    local: Vec<usize>,
+    pending: Vec<(usize, u32)>,
+    executed: u32,
+}
+
+impl ChunkWorker<'_> {
+    fn note(&mut self, succ: usize) {
+        match self.pending.iter_mut().find(|e| e.0 == succ) {
+            Some(e) => e.1 += 1,
+            None => self.pending.push((succ, 1)),
+        }
+    }
+
+    /// One `fetch_sub(count)` per distinct successor; the flush whose
+    /// operand is everything that was left claims the successor.
+    fn flush(&mut self) {
+        for &(s, c) in &self.pending {
+            debug_assert_eq!(s, 2, "only unit 2 has predecessors");
+            // The release half of `hb: dep-handoff` is what the
+            // `ChunkDecrementRelaxed` mutation severs.
+            if self.inst.dep2.fetch_sub(c, self.inst.dep_sub_ord) == c {
+                self.local.push(s);
+            }
+        }
+        self.pending.clear();
+        if self.executed > 0 {
+            // hb: run-complete
+            self.inst
+                .completed
+                .fetch_add(self.executed, Ordering::Release);
+            self.executed = 0;
+        }
+    }
+
+    /// Admit one unit: inherit poison or run the payload, publish poison
+    /// on failure, and batch (not publish) the successor decrements.
+    fn admit(&mut self, unit: usize) {
+        let inst = self.inst;
+        // hb: poison-publish
+        let is_poisoned = inst.poisoned[unit].load(Ordering::Acquire);
+        if unit == 2 {
+            inst.unit2_admitter.write(self.id);
+            // Admission happens-after every predecessor, poisoned or not:
+            // reading their outputs makes the race detector prove it.
+            check(
+                inst.output[1].read() == 101 && inst.output[3].read() == 103,
+                "a unit must be admitted after all its predecessors",
+            );
+        }
+        // Unit 0's payload fails; everything else succeeds when clean.
+        let ok = !is_poisoned && unit != 0;
+        if ok {
+            inst.output[unit].write(100 + unit as u32);
+        }
+        for &s in chunk_succ(unit) {
+            if !ok {
+                // hb: poison-publish
+                inst.poisoned[s].store(true, Ordering::Release);
+            }
+            self.note(s);
+        }
+        self.executed += 1;
+    }
+
+    fn run(mut self) {
+        loop {
+            let unit = match self.local.pop() {
+                Some(unit) => unit,
+                None => {
+                    // Out of local work. The seeds are already dealt out,
+                    // so the steal that follows finds nothing and the
+                    // worker parks; the mutant only flushes once a steal
+                    // has succeeded, i.e. never.
+                    if self.inst.flush_before_steal {
+                        self.flush();
+                    }
+                    match self.local.pop() {
+                        Some(unit) => unit,
+                        None => return,
+                    }
+                }
+            };
+            self.admit(unit);
+            if self.executed >= CHUNK {
+                self.flush();
+            }
+        }
+    }
+}
+
+/// One execution of the chunked-flush instance: worker 1 is dealt the
+/// failing unit 0 (its batch is published by the flush-before-steal
+/// rule), worker 2 the clean units 1 and 3 (its batch merges their two
+/// decrements of unit 2 into one `fetch_sub(2)`, published by the chunk
+/// rule).
+pub fn chunked_flush_once(mutation: Mutation) {
+    let dep_sub_ord = match mutation {
+        #[cfg(test)]
+        Mutation::ChunkDecrementRelaxed => Ordering::Relaxed,
+        // hb: dep-handoff
+        _ => Ordering::AcqRel,
+    };
+    let flush_before_steal = match mutation {
+        #[cfg(test)]
+        Mutation::FlushAfterSteal => false,
+        _ => true,
+    };
+    let inst = ChunkInstance {
+        poisoned: [
+            AtomicBool::named("poisoned0", false),
+            AtomicBool::named("poisoned1", false),
+            AtomicBool::named("poisoned2", false),
+            AtomicBool::named("poisoned3", false),
+        ],
+        dep2: AtomicU32::named("dep2", 3),
+        completed: AtomicU32::named("completed", 0),
+        output: [
+            TrackedCell::named("output0", 0),
+            TrackedCell::named("output1", 0),
+            TrackedCell::named("output2", 0),
+            TrackedCell::named("output3", 0),
+        ],
+        unit2_admitter: TrackedCell::named("unit2_admitter", u32::MAX),
+        dep_sub_ord,
+        flush_before_steal,
+    };
+    let worker = |id: u32, local: Vec<usize>| ChunkWorker {
+        inst: &inst,
+        id,
+        local,
+        pending: Vec::new(),
+        executed: 0,
+    };
+    let (w1, w2) = (worker(1, vec![0]), worker(2, vec![1, 3]));
+    run_threads(vec![Box::new(move || w1.run()), Box::new(move || w2.run())]);
+    // A parked worker exits once `completed` reaches the unit count; with
+    // both workers parked, anything short of it is a run that never ends.
+    check(
+        inst.completed.load(Ordering::Relaxed) == CHUNK_UNITS,
+        "the run must terminate with every unit accounted for exactly once",
+    );
+    check(
+        inst.dep2.load(Ordering::Relaxed) == 0,
+        "every batched decrement must be published",
+    );
+    check(
+        inst.poisoned[2].load(Ordering::Relaxed),
+        "failed parent must poison the shared successor",
+    );
+    check(
+        !inst.poisoned[1].load(Ordering::Relaxed) && !inst.poisoned[3].load(Ordering::Relaxed),
+        "poison must not leak outside the forward closure",
+    );
+    check(
+        inst.output[2].read() == 0,
+        "poisoned unit must never run its payload",
+    );
+    check(
+        inst.output[1].read() == 101 && inst.output[3].read() == 103,
+        "unpoisoned units must run",
+    );
+    match inst.unit2_admitter.read() {
+        1 => count("unit2-readied-by-failing-worker"),
+        2 => count("unit2-readied-by-batched-decrement"),
+        _ => count("unit2-never-reached"),
+    }
+}
+
+/// Explore the chunked-flush instance. With [`Mutation::None`] this must
+/// be exhausted with zero violations; each of its two mutations must
+/// produce a counterexample.
+pub fn chunked_flush(bounds: &Bounds, mutation: Mutation) -> Report {
+    explore(bounds, || chunked_flush_once(mutation))
+}
+
+// ---------------------------------------------------------------------------
+// 3. Watchdog stall claim
 // ---------------------------------------------------------------------------
 
 const PENDING: u8 = 0;
@@ -220,12 +450,10 @@ const STALLED: u8 = 2;
 /// STALLED, and an observer consumes whichever claim it sees.
 pub fn watchdog_once(mutation: Mutation) {
     let (claim_ok, claim_err) = match mutation {
-        // hb: unit-claim
-        Mutation::None => (Ordering::AcqRel, Ordering::Acquire),
         #[cfg(test)]
         Mutation::WatchdogClaimRelaxed => (Ordering::Relaxed, Ordering::Relaxed),
-        #[cfg(test)]
-        Mutation::PoisonDecrementRelaxed => (Ordering::AcqRel, Ordering::Acquire),
+        // hb: unit-claim
+        _ => (Ordering::AcqRel, Ordering::Acquire),
     };
     let inflight = AtomicU32::named("inflight", 0);
     let state = AtomicU8::named("unit_state", PENDING);
@@ -298,7 +526,7 @@ pub fn watchdog_claim(bounds: &Bounds, mutation: Mutation) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Cancel generations at the wrap boundary
+// 4. Cancel generations at the wrap boundary
 // ---------------------------------------------------------------------------
 
 /// One execution of the cancel-generation instance. The counter starts at
@@ -368,7 +596,7 @@ pub fn cancel_generation(bounds: &Bounds) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// 4. NaN-preserving slack-min
+// 5. NaN-preserving slack-min
 // ---------------------------------------------------------------------------
 
 fn nan_min(a: f32, b: f32) -> f32 {
@@ -459,6 +687,67 @@ mod tests {
         assert!(!v.trace.is_empty(), "counterexample carries a trace");
         let replayed = replay(&v.decisions, || {
             poison_once(Mutation::PoisonDecrementRelaxed)
+        });
+        let rv = replayed.violation.expect("replay reproduces the violation");
+        assert_eq!(rv.message, v.message, "replay is deterministic");
+    }
+
+    #[test]
+    fn chunked_flush_exhaustive_no_violation() {
+        let report = chunked_flush(&CHUNK_BOUNDS, Mutation::None);
+        assert!(
+            report.violation.is_none(),
+            "unexpected violation:\n{}",
+            report.violation.unwrap()
+        );
+        assert!(report.exhausted, "must drain the DFS frontier");
+        // Either worker's flush must be the one that readies unit 2 in
+        // some schedule: the lone decrement acquiring the batched one and
+        // the batched `fetch_sub(2)` acquiring the poison.
+        for key in [
+            "unit2-readied-by-failing-worker",
+            "unit2-readied-by-batched-decrement",
+        ] {
+            assert!(
+                report.counters.contains_key(key),
+                "handoff coverage: {:?}",
+                report.counters
+            );
+        }
+        assert!(!report.counters.contains_key("unit2-never-reached"));
+    }
+
+    #[test]
+    fn flush_after_steal_mutation_caught_with_replayable_trace() {
+        let report = chunked_flush(&CHUNK_BOUNDS, Mutation::FlushAfterSteal);
+        let v = report
+            .violation
+            .expect("a worker parking on its batch must yield a counterexample");
+        assert!(
+            v.message.contains("terminate"),
+            "counterexample should be the run that never ends: {}",
+            v.message
+        );
+        let replayed = replay(&v.decisions, || {
+            chunked_flush_once(Mutation::FlushAfterSteal)
+        });
+        let rv = replayed.violation.expect("replay reproduces the violation");
+        assert_eq!(rv.message, v.message, "replay is deterministic");
+    }
+
+    #[test]
+    fn chunk_decrement_mutation_caught_with_replayable_trace() {
+        let report = chunked_flush(&CHUNK_BOUNDS, Mutation::ChunkDecrementRelaxed);
+        let v = report
+            .violation
+            .expect("Relaxed batched decrement must yield a counterexample");
+        assert!(
+            v.message.contains("poisoned unit") || v.message.contains("data race"),
+            "counterexample should be the stale poison read: {}",
+            v.message
+        );
+        let replayed = replay(&v.decisions, || {
+            chunked_flush_once(Mutation::ChunkDecrementRelaxed)
         });
         let rv = replayed.violation.expect("replay reproduces the violation");
         assert_eq!(rv.message, v.message, "replay is deterministic");
