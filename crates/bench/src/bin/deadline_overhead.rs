@@ -2,9 +2,10 @@
 //! each circuit:
 //!
 //! 1. **full-run baseline** — `run_recovering_bounded` with
-//!    [`RunBudget::unbounded`], best of `--runs`. (Its cost over the plain
-//!    `Executor::run_tdg` path is policed at ≤ 5 % by the `fault_recovery`
-//!    bench; there is no other recovering runner to compare against.)
+//!    [`RunBudget::unbounded`], best of `--runs`. (The plain
+//!    `Executor::run_tdg` is a wrapper over the same wavefront, so there is
+//!    no other loop to compare against; the `fault_recovery` bench polices
+//!    the two entry points at ≤ 5 % of each other.)
 //! 2. **budget sweep** — re-run the same update under deadlines set to
 //!    fractions of that baseline, recording how much of the task set each
 //!    budget salvages; every partial run is then `heal`ed with a fresh

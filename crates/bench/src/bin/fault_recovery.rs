@@ -2,11 +2,13 @@
 //!
 //! Three measurements per circuit, each over the full `update_timing` TDG:
 //!
-//! 1. **plain** — the non-recovering `Executor::run_tdg` path;
+//! 1. **plain** — `Executor::run_tdg`, which lifts the infallible payload
+//!    into the one wavefront and re-raises a contained panic;
 //! 2. **recovering, no faults** — `run_recovering_bounded` with
-//!    [`FaultPlan::none`] and [`RunBudget::unbounded`]; the gap to (1) is
-//!    the price of fault transparency (per-task `catch_unwind`, an empty
-//!    fault-plan probe, one budget poll per task) and must stay ~zero;
+//!    [`FaultPlan::none`] and [`RunBudget::unbounded`]: the same wavefront
+//!    behind an empty fault-plan probe per task. Both columns pay the
+//!    per-task `catch_unwind` and budget poll, so the gap to (1) is the
+//!    probe against the lift and must stay ~zero;
 //! 3. **recovering, seeded faults** — the same entry point under a fixed seed
 //!    matrix, followed by `mark_unknown` + `heal`; the healed analysis is
 //!    asserted bit-identical to the fault-free reference every time.
@@ -74,15 +76,26 @@ fn run() -> Result<(), OutputError> {
             let no_faults = FaultPlan::none();
             let policy = RetryPolicy::default();
 
-            // Interleave the two paths so clock drift and cache warm-up
-            // cannot bias the comparison either way.
+            // Interleave the two paths, swapping which goes first every
+            // round, so clock drift and cache warm-up cannot bias the
+            // comparison either way.
             let mut plain = Vec::with_capacity(cfg.runs);
             let mut recovering = Vec::with_capacity(cfg.runs);
-            for _ in 0..cfg.runs {
-                plain.push(exec.run_tdg(tdg, &payload).elapsed.as_secs_f64() * 1e3);
+            let mut run_plain =
+                || plain.push(exec.run_tdg(tdg, &payload).elapsed.as_secs_f64() * 1e3);
+            let mut run_recovering = || {
                 let rec = update.run_recovering_bounded(&exec, &no_faults, &policy, &unbounded);
                 assert!(rec.is_clean(), "no plan, no faults");
                 recovering.push(rec.outcome.report.elapsed.as_secs_f64() * 1e3);
+            };
+            for round in 0..cfg.runs {
+                if round % 2 == 0 {
+                    run_plain();
+                    run_recovering();
+                } else {
+                    run_recovering();
+                    run_plain();
+                }
             }
             (median(plain), median(recovering))
         };

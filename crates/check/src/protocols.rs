@@ -5,7 +5,7 @@
 //! | harness | protocol (production site) | property |
 //! |---|---|---|
 //! | [`poison_publication`] | Release-before-decrement poison publication (`gpasta-sched::bounded::run_stealing_bounded`) | poisoned set = exact forward closure of the failed unit; a poisoned unit never runs its payload |
-//! | [`chunked_flush`] | worker-local decrement batches, flushed before a worker steals or parks (`gpasta-sched`'s stealing wavefront) | every unit is admitted exactly once, after all its predecessors; a poisoned unit never runs its payload; the run terminates |
+//! | [`chunked_flush`] | worker-local decrement batches, flushed before a worker steals or parks (`DecrementBatch` in `gpasta-sched::bounded::run_stealing_bounded`) | every unit is admitted exactly once, after all its predecessors; a poisoned unit never runs its payload; the run terminates |
 //! | [`watchdog_claim`] | pending→stalled CAS claim (`gpasta-sched::bounded`) | a unit is claimed by at most one of worker/watchdog, and the winner's claim publishes its payload |
 //! | [`cancel_generation`] | generation-counted `CancelToken` (`gpasta-tdg::cancel`), at the `u64` wrap boundary | cancellation latches per observer; a cancel consumed by run *k* never re-delivers to run *k+1* |
 //! | [`slack_min`] | NaN-preserving `AtomicF32` slack-min (`gpasta-sta::atomic_f32`) | concurrent min-reduction is order-insensitive and NaN-preserving |

@@ -1,6 +1,9 @@
-//! The recovering wavefront: fault containment, wall-clock deadlines,
-//! cooperative cancellation, and a hung-task watchdog — the one executor
-//! path that never unwinds into its caller.
+//! The wavefront: the one sequential and the one work-stealing dispatch
+//! body behind every `Executor::run_*` entry point, with fault
+//! containment, wall-clock deadlines, cooperative cancellation, and a
+//! hung-task watchdog. It never unwinds into its caller; the plain entry
+//! points ([`Executor::run_tdg`], [`Executor::run_partitioned`]) re-raise
+//! a contained payload panic themselves.
 //!
 //! The dispatch unit is a node of a [`UnitGraph`]: a quotient's partition,
 //! or a single task. Every attempt of every member task runs under
@@ -22,6 +25,13 @@
 //! `poisoned ∪ unfinished` later and converge to the bit-identical full
 //! analysis.
 //!
+//! Stealing workers batch their successor decrements ([`DecrementBatch`]):
+//! run, poisoned and drained units alike note their fan-out locally, and
+//! one `fetch_sub(count)` per distinct successor publishes units worth up
+//! to [`Executor::chunk_size`] member tasks at once. A batch is always
+//! flushed before its worker steals or parks, so no readiness is ever
+//! stranded.
+//!
 //! The watchdog is a sibling thread inside the same scope. Workers publish
 //! their in-flight unit in a per-worker slot (`(unit+1) << 32 | start_µs`);
 //! the watchdog polls those slots at a fraction of the stall window and
@@ -33,13 +43,17 @@
 //! wavefront keeps flowing around the hole. A *finite* stall therefore
 //! completes degraded within ~2× the window; a truly infinite hang still
 //! pins its worker thread (threads cannot be killed safely) — that is what
-//! the crash-safe checkpoint/resume path is for.
+//! the crash-safe checkpoint/resume path is for. With a window armed, a
+//! worker flushes its batch before *entering* every unit: a hung worker
+//! must not sit on other units' readiness.
 //!
 //! The budget is polled once per unit admission. With
 //! [`RunBudget::unbounded`] that poll is two register tests and the watchdog
-//! bookkeeping is skipped (`fault_recovery` bench: ≤ 5 % over the plain run).
+//! bookkeeping is skipped, so the plain entry points cost what the
+//! recovering ones do plus a payload lift (`fault_recovery` bench: within
+//! ± 5 % of each other).
 
-use crate::executor::Executor;
+use crate::executor::{Executor, TaskWork};
 use crate::outcome::{
     FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError,
 };
@@ -113,7 +127,7 @@ trait UnitGraph: Sync {
     /// The unit-level dependency DAG.
     fn units(&self) -> &Tdg;
     /// The tasks `unit` runs, in execution order.
-    fn members(&self, unit: u32) -> impl Iterator<Item = u32>;
+    fn members(&self, unit: u32) -> impl ExactSizeIterator<Item = u32>;
     /// Total member tasks over all units.
     fn num_tasks(&self) -> usize;
 }
@@ -123,7 +137,7 @@ impl UnitGraph for Tdg {
     fn units(&self) -> &Tdg {
         self
     }
-    fn members(&self, unit: u32) -> impl Iterator<Item = u32> {
+    fn members(&self, unit: u32) -> impl ExactSizeIterator<Item = u32> {
         std::iter::once(unit)
     }
     fn num_tasks(&self) -> usize {
@@ -135,7 +149,7 @@ impl UnitGraph for QuotientTdg {
     fn units(&self) -> &Tdg {
         self.graph()
     }
-    fn members(&self, unit: u32) -> impl Iterator<Item = u32> {
+    fn members(&self, unit: u32) -> impl ExactSizeIterator<Item = u32> {
         self.execution_order(PartitionId(unit)).iter().copied()
     }
     fn num_tasks(&self) -> usize {
@@ -144,6 +158,32 @@ impl UnitGraph for QuotientTdg {
 }
 
 impl Executor {
+    /// Execute every task of `tdg` exactly once, respecting dependencies.
+    ///
+    /// Returns a [`RunReport`] with the wall-clock time and the number of
+    /// scheduling operations (task dispatches) performed.
+    ///
+    /// # Panics
+    ///
+    /// A payload panic is contained while the wavefront finishes every
+    /// task outside the panicking task's forward closure, then re-raised
+    /// here as `task <t> (unit <u>) fatal: <original message>` for the
+    /// lowest failing `(unit, task)` — the same one at any worker count.
+    pub fn run_tdg<W: TaskWork>(&self, tdg: &Tdg, work: &W) -> RunReport {
+        self.run_infallible(tdg, work)
+    }
+
+    /// Execute a *partitioned* TDG: each quotient node is dispatched once
+    /// and runs its member tasks sequentially in topological order.
+    ///
+    /// The underlying task payloads are identical to
+    /// [`run_tdg`](Executor::run_tdg); only the scheduling granularity
+    /// changes, so results must be bit-identical (a property the test suite
+    /// checks). Panics like [`run_tdg`](Executor::run_tdg).
+    pub fn run_partitioned<W: TaskWork>(&self, quotient: &QuotientTdg, work: &W) -> RunReport {
+        self.run_infallible(quotient, work)
+    }
+
     /// Execute every task of `tdg` through the recovering wavefront: never
     /// unwinds into the caller. Failures are contained to their forward
     /// closure (`poisoned_tasks`), an expired `budget` leaves the forward
@@ -182,6 +222,26 @@ impl Executor {
         self.run_units(quotient, work, policy, budget)
     }
 
+    /// The plain entry points: an infallible payload's only failure is a
+    /// panic, which the wavefront contains as [`TaskError::Fatal`]; the
+    /// first one (records are sorted by `(unit, task)`) is re-raised here.
+    fn run_infallible<G: UnitGraph, W: TaskWork>(&self, graph: &G, work: &W) -> RunReport {
+        let lifted = |task: TaskId, _attempt: u32| -> Result<(), TaskError> {
+            work.execute(task);
+            Ok(())
+        };
+        let outcome = self.run_units(
+            graph,
+            &lifted,
+            &RetryPolicy::no_retries(),
+            &RunBudget::unbounded(),
+        );
+        if let Some(first) = outcome.failures.first() {
+            panic!("task {} (unit {}) {}", first.task, first.unit, first.error);
+        }
+        outcome.report
+    }
+
     fn run_units<G: UnitGraph, W: RecoverableWork>(
         &self,
         graph: &G,
@@ -207,12 +267,10 @@ impl Executor {
             )
         } else {
             run_stealing_bounded(
+                graph,
                 self.num_workers(),
-                n,
-                &units.in_degrees(),
-                &|u| units.successors(TaskId(u)),
+                self.chunk_size(),
                 &run_unit,
-                &|u| graph.members(u).next().unwrap_or(u),
                 deadline,
                 cancel.as_ref(),
                 budget.stall_window,
@@ -428,6 +486,49 @@ const UNIT_PENDING: u8 = 0;
 const UNIT_DONE: u8 = 1;
 const UNIT_STALLED: u8 = 2;
 
+/// Worker-local batch of dependency decrements: `(successor, count)` pairs
+/// accumulated across finished units worth up to `chunk_size` member tasks,
+/// published with one `fetch_sub(count)` per *distinct* successor instead of
+/// one per edge. A flush also publishes the finished-unit count, so the
+/// shared `completed` counter only moves once per batch. Exactly one worker
+/// observes a counter cross zero: the `fetch_sub` that returns its own
+/// operand is that worker's claim on the successor.
+struct DecrementBatch {
+    pending: Vec<(u32, u32)>,
+    finished: usize,
+    /// Member tasks of the finished units: what `chunk_size` bounds. A
+    /// partition already amortises its dispatch over its members, so a
+    /// coarse quotient publishes (nearly) per unit and only task-sized
+    /// units are held back.
+    tasks: usize,
+}
+
+impl DecrementBatch {
+    fn note(&mut self, succ: u32) {
+        // Linear merge: fan-out batches are tiny (≤ chunk_size ·
+        // mean-degree with heavy duplication), so a scan beats hashing.
+        match self.pending.iter_mut().find(|e| e.0 == succ) {
+            Some(e) => e.1 += 1,
+            None => self.pending.push((succ, 1)),
+        }
+    }
+
+    fn flush(&mut self, dep: &[AtomicU32], local: &Worker<u32>, completed: &AtomicUsize) {
+        for &(s, c) in &self.pending {
+            // hb: dep-handoff
+            if dep[s as usize].fetch_sub(c, Ordering::AcqRel) == c {
+                local.push(s);
+            }
+        }
+        self.pending.clear();
+        if self.finished > 0 {
+            completed.fetch_add(self.finished, Ordering::Release); // hb: run-complete
+            self.finished = 0;
+            self.tasks = 0;
+        }
+    }
+}
+
 /// Work-stealing bounded recovering wavefront with an optional watchdog.
 ///
 /// Per-unit completion is arbitrated by a `pending → done|stalled` CAS so
@@ -435,29 +536,26 @@ const UNIT_STALLED: u8 = 2;
 /// never both account for it. The CAS winner performs the unit's poison
 /// publication, successor decrements, and completion increment; the loser
 /// discards its result. Poison is always stored (`Release`) before the
-/// dependency decrement (`AcqRel`) that can ready a successor, so the
-/// inherited-poison check (`Acquire`) observes every parent failure
-/// regardless of interleaving: a unit is only popped after every
-/// predecessor decremented its fan-in count. Weakening that decrement to
-/// `Relaxed` is the mutation the model checker catches (see gpasta-check).
+/// dependency decrement (`AcqRel`, batched or not) that can ready a
+/// successor, so the inherited-poison check (`Acquire`) observes every
+/// parent failure regardless of interleaving: a unit is only popped after
+/// every predecessor decremented its fan-in count. Weakening that decrement
+/// to `Relaxed`, or letting a worker park on an unflushed batch, are the
+/// mutations the model checker catches (gpasta-check `chunked_flush`).
 #[allow(clippy::too_many_arguments)]
-fn run_stealing_bounded<'a, S, R, P>(
+fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
+    graph: &G,
     workers: usize,
-    n: usize,
-    in_degrees: &[u32],
-    successors: &S,
+    chunk_size: usize,
     run_unit: &R,
-    repr_task: &P,
     deadline: Option<Instant>,
     cancel: Option<&CancelObserver>,
     stall_window: Option<Duration>,
     state: &RecoveryState<'_>,
-) -> BoundedRun
-where
-    S: Fn(u32) -> &'a [u32] + Sync,
-    R: Fn(u32) -> bool + Sync,
-    P: Fn(u32) -> u32 + Sync,
-{
+) -> BoundedRun {
+    let units = graph.units();
+    let n = units.num_tasks();
+    let successors = |u: u32| units.successors(TaskId(u));
     if n == 0 {
         return BoundedRun {
             dispatches: 0,
@@ -471,7 +569,7 @@ where
     // per-unit clock read that stamps them) is only paid when a stall window
     // is armed; without one, no other claimant exists.
     let watching = stall_window.is_some();
-    let dep: Vec<AtomicU32> = in_degrees.iter().map(|&d| AtomicU32::new(d)).collect();
+    let dep: Vec<AtomicU32> = units.in_degrees().into_iter().map(AtomicU32::new).collect();
     let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let unfinished: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let unit_state: Vec<AtomicU8> = (0..if watching { n } else { 0 })
@@ -505,116 +603,128 @@ where
             let stop = &stop;
             scope.spawn(move || {
                 let backoff = Backoff::new();
+                let mut batch = DecrementBatch {
+                    pending: Vec::with_capacity(chunk_size.min(n) * 2),
+                    finished: 0,
+                    tasks: 0,
+                };
+                let mut dispatched = 0u64;
                 loop {
                     let unit = local.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector.steal_batch_and_pop(&local).or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(i, _)| i != w)
-                                    .map(|(_, s)| s.steal())
-                                    .collect()
+                        // Publish pending decrements before going looking
+                        // for work elsewhere: a batched edge may be the
+                        // only thing standing between the pool and either
+                        // new ready units or the termination condition.
+                        batch.flush(dep, &local, completed);
+                        local.pop().or_else(|| {
+                            std::iter::repeat_with(|| {
+                                injector.steal_batch_and_pop(&local).or_else(|| {
+                                    stealers
+                                        .iter()
+                                        .enumerate()
+                                        .filter(|&(i, _)| i != w)
+                                        .map(|(_, s)| s.steal())
+                                        .collect()
+                                })
                             })
+                            .find(|s| !s.is_retry())
+                            .and_then(|s| s.success())
                         })
-                        .find(|s| !s.is_retry())
-                        .and_then(|s| s.success())
                     });
-                    match unit {
-                        Some(t) => {
-                            backoff.reset();
-                            let mut cause = stop.load(Ordering::Acquire); // hb: stop-latch
-                            if cause == STOP_RUNNING {
-                                cause = poll_budget(deadline, cancel);
-                                if cause != STOP_RUNNING {
-                                    // First observer wins; losers just see
-                                    // a non-zero stop and drain too.
-                                    let _ = stop.compare_exchange(
-                                        STOP_RUNNING,
-                                        cause,
-                                        Ordering::AcqRel, // hb: stop-latch
-                                        Ordering::Acquire,
-                                    );
-                                }
-                            }
-                            if cause != STOP_RUNNING {
-                                // Drain without admitting (see the
-                                // sequential runner for the semantics).
-                                // hb: poison-publish
-                                let was_poisoned = poisoned[t as usize].load(Ordering::Acquire);
-                                if !was_poisoned {
-                                    // Only read after the scope join (which
-                                    // synchronises); no release edge needed.
-                                    unfinished[t as usize].store(true, Ordering::Relaxed);
-                                }
-                                for &s in successors(t) {
-                                    if was_poisoned {
-                                        // hb: poison-publish
-                                        poisoned[s as usize].store(true, Ordering::Release);
-                                    }
-                                    // hb: dep-handoff
-                                    if dep[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                        local.push(s);
-                                    }
-                                }
-                                completed.fetch_add(1, Ordering::Release); // hb: run-complete
-                                continue;
-                            }
-                            dispatches.fetch_add(1, Ordering::Relaxed);
-                            if watching {
-                                let started = run_start.elapsed().as_micros() as u32;
-                                // hb: inflight-publish
-                                inflight[w].store(encode_inflight(t, started), Ordering::Release);
-                            }
-                            // hb: poison-publish
-                            let ok = !poisoned[t as usize].load(Ordering::Acquire) && run_unit(t);
-                            if watching {
-                                // hb: inflight-publish
-                                inflight[w].store(0, Ordering::Release);
-                                // Success must be AcqRel: the winner's claim
-                                // publishes the unit's result to whoever
-                                // observes the DONE state (the model checker
-                                // catches a Relaxed downgrade here).
-                                if unit_state[t as usize]
-                                    .compare_exchange(
-                                        UNIT_PENDING,
-                                        UNIT_DONE,
-                                        Ordering::AcqRel, // hb: unit-claim
-                                        Ordering::Acquire,
-                                    )
-                                    .is_err()
-                                {
-                                    // The watchdog claimed this unit stalled
-                                    // and already did its bookkeeping; the
-                                    // late result is discarded.
-                                    continue;
-                                }
-                            }
-                            if !ok {
-                                // hb: poison-publish
-                                poisoned[t as usize].store(true, Ordering::Release);
-                            }
-                            for &s in successors(t) {
-                                if !ok {
-                                    // hb: poison-publish
-                                    poisoned[s as usize].store(true, Ordering::Release);
-                                }
-                                // hb: dep-handoff
-                                if dep[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    local.push(s);
-                                }
-                            }
-                            completed.fetch_add(1, Ordering::Release); // hb: run-complete
+                    let Some(t) = unit else {
+                        // The batch was flushed before the steal above, so
+                        // `completed` reflects this worker fully.
+                        // hb: run-complete
+                        if completed.load(Ordering::Acquire) == n {
+                            break;
                         }
-                        None => {
-                            // hb: run-complete
-                            if completed.load(Ordering::Acquire) == n {
-                                break;
-                            }
-                            backoff.snooze();
+                        backoff.snooze();
+                        continue;
+                    };
+                    backoff.reset();
+                    let mut cause = stop.load(Ordering::Acquire); // hb: stop-latch
+                    if cause == STOP_RUNNING {
+                        cause = poll_budget(deadline, cancel);
+                        if cause != STOP_RUNNING {
+                            // First observer wins; losers just see a
+                            // non-zero stop and drain too.
+                            let _ = stop.compare_exchange(
+                                STOP_RUNNING,
+                                cause,
+                                Ordering::AcqRel, // hb: stop-latch
+                                Ordering::Acquire,
+                            );
                         }
                     }
+                    let poison = if cause != STOP_RUNNING {
+                        // Drain without admitting (see the sequential
+                        // runner for the semantics).
+                        // hb: poison-publish
+                        let was_poisoned = poisoned[t as usize].load(Ordering::Acquire);
+                        if !was_poisoned {
+                            // Only read after the scope join (which
+                            // synchronises); no release edge needed.
+                            unfinished[t as usize].store(true, Ordering::Relaxed);
+                        }
+                        was_poisoned
+                    } else {
+                        dispatched += 1;
+                        if watching {
+                            // A hung worker must not sit on other units'
+                            // readiness: enter every unit with an empty
+                            // batch.
+                            batch.flush(dep, &local, completed);
+                            let started = run_start.elapsed().as_micros() as u32;
+                            // hb: inflight-publish
+                            inflight[w].store(encode_inflight(t, started), Ordering::Release);
+                        }
+                        // hb: poison-publish
+                        let ok = !poisoned[t as usize].load(Ordering::Acquire) && run_unit(t);
+                        if watching {
+                            // hb: inflight-publish
+                            inflight[w].store(0, Ordering::Release);
+                            // Success must be AcqRel: the winner's claim
+                            // publishes the unit's result to whoever
+                            // observes the DONE state (the model checker
+                            // catches a Relaxed downgrade here).
+                            if unit_state[t as usize]
+                                .compare_exchange(
+                                    UNIT_PENDING,
+                                    UNIT_DONE,
+                                    Ordering::AcqRel, // hb: unit-claim
+                                    Ordering::Acquire,
+                                )
+                                .is_err()
+                            {
+                                // The watchdog claimed this unit stalled
+                                // and already did its bookkeeping; the
+                                // late result is discarded.
+                                continue;
+                            }
+                        }
+                        if !ok {
+                            // hb: poison-publish
+                            poisoned[t as usize].store(true, Ordering::Release);
+                        }
+                        !ok
+                    };
+                    // Poison reaches a successor before the (batched)
+                    // decrement that can ready it.
+                    for &s in successors(t) {
+                        if poison {
+                            // hb: poison-publish
+                            poisoned[s as usize].store(true, Ordering::Release);
+                        }
+                        batch.note(s);
+                    }
+                    batch.finished += 1;
+                    batch.tasks += graph.members(t).len();
+                    if batch.tasks >= chunk_size {
+                        batch.flush(dep, &local, completed);
+                    }
                 }
+                // One shared RMW per worker per run, not one per unit.
+                dispatches.fetch_add(dispatched, Ordering::Relaxed);
             });
         }
 
@@ -660,7 +770,7 @@ where
                         }
                         state.record(
                             unit,
-                            repr_task(unit),
+                            graph.members(unit).next().unwrap_or(unit),
                             1,
                             TaskError::Stalled(format!(
                                 "no progress within the {} µs stall window (in flight {} µs)",
@@ -1129,46 +1239,67 @@ mod tests {
 
     #[test]
     fn watchdog_claims_a_hung_unit_and_the_run_completes() {
-        // Task 1 sleeps far beyond the stall window; the watchdog must
-        // quarantine it (and its closure) while the rest completes.
+        // The hung task sleeps far beyond the stall window; the watchdog
+        // must quarantine it (and its closure) while the rest completes.
+        // The first worker to reach the injector runs task 1 and then
+        // task 0, so with task 0 hung it enters the hang holding task 1's
+        // decrements: only a batch flushed *before* admission lets the
+        // other worker run tasks 4 and 6 while it is still hung.
         let tdg = layered(4, 4);
         let window = Duration::from_millis(5);
-        let started = Instant::now();
-        let work = |t: TaskId, _a: u32| -> Result<(), TaskError> {
-            if t.0 == 1 {
-                std::thread::sleep(Duration::from_millis(60));
+        for hung in [1u32, 0] {
+            let started = Instant::now();
+            let finished = parking_lot::Mutex::new(vec![None; tdg.num_tasks()]);
+            let work = |t: TaskId, _a: u32| -> Result<(), TaskError> {
+                if t.0 == hung {
+                    std::thread::sleep(Duration::from_millis(60));
+                }
+                finished.lock()[t.index()] = Some(started.elapsed());
+                Ok(())
+            };
+            let outcome = Executor::new(2).run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::no_retries(),
+                &RunBudget::unbounded().with_stall_window(window),
+            );
+            assert_eq!(outcome.stop, StopCause::Completed, "the run must not hang");
+            assert_eq!(outcome.failures.len(), 1);
+            assert_eq!(outcome.failures[0].unit, hung);
+            assert!(
+                matches!(outcome.failures[0].error, TaskError::Stalled(_)),
+                "got {:?}",
+                outcome.failures[0].error
+            );
+            assert_eq!(outcome.poisoned_tasks, closure_of(&tdg, &[hung]));
+            assert_eq!(
+                outcome.salvaged_tasks,
+                tdg.num_tasks() - outcome.poisoned_tasks.len()
+            );
+            // Everything outside the hung task's closure ran while its
+            // worker was still hung — including units readied by that
+            // worker's own earlier completions.
+            let finished = finished.into_inner();
+            let hang_returned = finished[hung as usize].expect("the hung payload returns");
+            for t in (0..tdg.num_tasks()).filter(|&t| !outcome.poisoned_tasks.contains(&(t as u32)))
+            {
+                let at = finished[t].expect("salvaged tasks ran");
+                assert!(
+                    at < hang_returned,
+                    "hung={hung}: task {t} finished at {at:?}, after the hang returned at {hang_returned:?}"
+                );
             }
-            Ok(())
-        };
-        let outcome = Executor::new(2).run_tdg_recovering_bounded(
-            &tdg,
-            &work,
-            &RetryPolicy::no_retries(),
-            &RunBudget::unbounded().with_stall_window(window),
-        );
-        assert_eq!(outcome.stop, StopCause::Completed, "the run must not hang");
-        assert_eq!(outcome.failures.len(), 1);
-        assert_eq!(outcome.failures[0].unit, 1);
-        assert!(
-            matches!(outcome.failures[0].error, TaskError::Stalled(_)),
-            "got {:?}",
-            outcome.failures[0].error
-        );
-        assert_eq!(outcome.poisoned_tasks, closure_of(&tdg, &[1]));
-        assert_eq!(
-            outcome.salvaged_tasks,
-            tdg.num_tasks() - outcome.poisoned_tasks.len()
-        );
-        // Detection latency: the stall must be claimed well before the
-        // sleeping payload returns on its own. The run still joins the
-        // sleeping thread (~60 ms), so bound the *claim*, not the join:
-        // the claim happened iff the failure record exists, and the whole
-        // run is bounded by the payload sleep plus slack.
-        assert!(
-            started.elapsed() < Duration::from_millis(500),
-            "run took {:?}",
-            started.elapsed()
-        );
+            // Detection latency: the stall must be claimed well before the
+            // sleeping payload returns on its own. The run still joins the
+            // sleeping thread (~60 ms), so bound the *claim*, not the join:
+            // the claim happened iff the failure record exists, and the
+            // whole run is bounded by the payload sleep plus slack.
+            assert!(
+                started.elapsed() < Duration::from_millis(500),
+                "run took {:?}",
+                started.elapsed()
+            );
+        }
     }
 
     #[test]

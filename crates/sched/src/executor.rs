@@ -1,16 +1,9 @@
-//! The work-stealing TDG executor: the [`Executor`] handle and its plain
-//! wavefront (chunked dependency decrements, payload panics re-raised on
-//! the caller). The recovering wavefront (`bounded.rs`) is deliberately a
-//! separate loop: this one is the oracle the differential suites compare
-//! it against.
+//! The [`Executor`] handle: worker count, decrement chunk size, and the
+//! [`TaskWork`] payload hook. The `run_*` entry points and the one
+//! wavefront behind them live in `bounded.rs`.
 
-use crate::report::RunReport;
-use crossbeam_deque::{Injector, Stealer, Worker};
-use crossbeam_utils::Backoff;
-use gpasta_check::sync::{AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering};
-use gpasta_tdg::{PartitionId, QuotientTdg, TaskId, Tdg};
+use gpasta_tdg::TaskId;
 use std::fmt;
-use std::time::Instant;
 
 /// Typed construction error for [`Executor::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,16 +43,16 @@ impl<F: Fn(TaskId) + Sync> TaskWork for F {
 
 /// A Taskflow-like work-stealing executor.
 ///
-/// Each [`run_tdg`](Executor::run_tdg) call spawns `num_workers` scoped
-/// worker threads, seeds the ready queue with the TDG's source tasks, and
-/// counts down fan-in dependencies as tasks complete — the same dynamic
-/// scheduling model as OpenTimer's Taskflow backend. Every dispatch of a
-/// task to a worker incurs real queue traffic; that per-task cost is what
-/// partitioning reduces.
+/// Each `run_*` call spawns `num_workers` scoped worker threads, seeds the
+/// ready queue with the graph's source units, and counts down fan-in
+/// dependencies as units complete — the same dynamic scheduling model as
+/// OpenTimer's Taskflow backend. Every dispatch of a unit to a worker
+/// incurs real queue traffic; that per-dispatch cost is what partitioning
+/// reduces.
 ///
-/// With `num_workers == 1` the executor runs on the calling thread with a
-/// plain ready queue (still paying per-task queue operations, so scheduling
-/// cost remains observable on single-core hosts).
+/// With `num_workers == 1` (and no watchdog) the executor runs on the
+/// calling thread with a plain ready queue (still paying per-unit queue
+/// operations, so scheduling cost remains observable on single-core hosts).
 #[derive(Debug, Clone)]
 pub struct Executor {
     num_workers: usize,
@@ -98,13 +91,17 @@ impl Executor {
 
     /// Set the dependency-decrement batch size (clamping zero to one).
     ///
-    /// Workers accumulate the fan-out decrements of up to `chunk_size`
-    /// executed tasks locally and publish them with **one atomic
-    /// `fetch_sub` per distinct successor** instead of one per edge —
-    /// GRAPHOPT-style batching that trades a bounded release delay
-    /// (at most `chunk_size` tasks, and always flushed before the worker
-    /// steals or parks) for far less cross-core contention on hot
-    /// fan-in counters. `1` restores the per-edge behaviour.
+    /// On every multi-worker run path, workers accumulate the fan-out
+    /// decrements of finished dispatch units (run, poisoned or drained
+    /// alike) until those units hold `chunk_size` member tasks, then
+    /// publish them with **one atomic `fetch_sub` per distinct
+    /// successor** instead of one per edge — GRAPHOPT-style batching that
+    /// trades a bounded release delay (at most `chunk_size` tasks of work,
+    /// always flushed before the worker steals or parks, and before every
+    /// unit when a watchdog is armed) for far less cross-core contention
+    /// on hot fan-in counters. A partition already amortises its dispatch
+    /// over its members, so partitioned runs hold back few units; `1`
+    /// publishes after every unit.
     #[must_use]
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);
@@ -130,270 +127,14 @@ impl Executor {
     pub fn num_workers(&self) -> usize {
         self.num_workers
     }
-
-    /// Execute every task of `tdg` exactly once, respecting dependencies.
-    ///
-    /// Returns a [`RunReport`] with the wall-clock time and the number of
-    /// scheduling operations (task dispatches) performed.
-    pub fn run_tdg<W: TaskWork>(&self, tdg: &Tdg, work: &W) -> RunReport {
-        let n = tdg.num_tasks();
-        let start = Instant::now();
-        let dispatches = if self.num_workers == 1 {
-            run_sequential(
-                n,
-                &tdg.in_degrees(),
-                |t| tdg.successors(TaskId(t)),
-                |t| work.execute(TaskId(t)),
-            )
-        } else {
-            run_stealing(
-                self.num_workers,
-                n,
-                &tdg.in_degrees(),
-                &|t| tdg.successors(TaskId(t)),
-                &|t| work.execute(TaskId(t)),
-                self.chunk_size,
-            )
-        };
-        RunReport {
-            elapsed: start.elapsed(),
-            tasks_executed: n,
-            dispatches,
-            num_workers: self.num_workers,
-        }
-    }
-
-    /// Execute a *partitioned* TDG: each quotient node is dispatched once
-    /// and runs its member tasks sequentially in topological order.
-    ///
-    /// The underlying task payloads are identical to
-    /// [`run_tdg`](Executor::run_tdg); only the scheduling granularity
-    /// changes, so results must be bit-identical (a property the test suite
-    /// checks).
-    pub fn run_partitioned<W: TaskWork>(&self, quotient: &QuotientTdg, work: &W) -> RunReport {
-        let q = quotient.graph();
-        let np = q.num_tasks();
-        let total_tasks = quotient.num_tasks();
-        let start = Instant::now();
-        let run_members = |p: u32| {
-            for &t in quotient.execution_order(PartitionId(p)) {
-                work.execute(TaskId(t));
-            }
-        };
-        let dispatches = if self.num_workers == 1 {
-            run_sequential(
-                np,
-                &q.in_degrees(),
-                |p| q.successors(TaskId(p)),
-                run_members,
-            )
-        } else {
-            run_stealing(
-                self.num_workers,
-                np,
-                &q.in_degrees(),
-                &|p| q.successors(TaskId(p)),
-                &run_members,
-                self.chunk_size,
-            )
-        };
-        RunReport {
-            elapsed: start.elapsed(),
-            tasks_executed: total_tasks,
-            dispatches,
-            num_workers: self.num_workers,
-        }
-    }
-}
-
-/// Single-threaded execution through an explicit ready queue. Returns the
-/// number of dispatches.
-fn run_sequential<'a, S, E>(n: usize, in_degrees: &[u32], successors: S, execute: E) -> u64
-where
-    S: Fn(u32) -> &'a [u32],
-    E: Fn(u32),
-{
-    let mut dep: Vec<u32> = in_degrees.to_vec();
-    let mut ready: Vec<u32> = (0..n as u32).filter(|&t| dep[t as usize] == 0).collect();
-    let mut dispatches = 0u64;
-    while let Some(t) = ready.pop() {
-        dispatches += 1;
-        execute(t);
-        for &s in successors(t) {
-            dep[s as usize] -= 1;
-            if dep[s as usize] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    debug_assert_eq!(dispatches as usize, n, "every task runs exactly once");
-    dispatches
-}
-
-/// Work-stealing execution across `workers` scoped threads. Returns the
-/// number of dispatches.
-///
-/// Panics in task payloads are caught on the worker, drain the pool, and
-/// re-raise on the calling thread — otherwise a dead task would never add
-/// to the completion count and the remaining workers would spin forever.
-fn run_stealing<'a>(
-    workers: usize,
-    n: usize,
-    in_degrees: &[u32],
-    successors: &(dyn Fn(u32) -> &'a [u32] + Sync),
-    execute: &(dyn Fn(u32) + Sync),
-    chunk_size: usize,
-) -> u64 {
-    use gpasta_check::sync::AtomicBool;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-    if n == 0 {
-        return 0;
-    }
-    let chunk_size = chunk_size.max(1);
-    let dep: Vec<AtomicU32> = in_degrees.iter().map(|&d| AtomicU32::new(d)).collect();
-    let injector = Injector::new();
-    for t in 0..n as u32 {
-        if dep[t as usize].load(Ordering::Relaxed) == 0 {
-            injector.push(t);
-        }
-    }
-    let completed = AtomicUsize::new(0);
-    let dispatches = AtomicU64::new(0);
-    let panicked = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let locals: Vec<Worker<u32>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<u32>> = locals.iter().map(Worker::stealer).collect();
-
-    // Worker-local batch of dependency decrements: `(successor, count)`
-    // pairs accumulated across up to `chunk_size` executed tasks, published
-    // with one `fetch_sub(count)` per *distinct* successor instead of one
-    // per edge. A flush also publishes the executed-task count, so the
-    // global `completed` counter only moves once per batch. Correctness
-    // hinges on exactly one worker observing the counter cross zero: the
-    // `fetch_sub` that returns its own operand is that worker's claim.
-    struct DecrementBatch {
-        pending: Vec<(u32, u32)>,
-        executed: usize,
-    }
-
-    impl DecrementBatch {
-        fn note(&mut self, succ: u32) {
-            // Linear merge: fan-out batches are tiny (≤ chunk_size ·
-            // mean-degree with heavy duplication), so a scan beats hashing.
-            match self.pending.iter_mut().find(|e| e.0 == succ) {
-                Some(e) => e.1 += 1,
-                None => self.pending.push((succ, 1)),
-            }
-        }
-
-        fn flush(&mut self, dep: &[AtomicU32], local: &Worker<u32>, completed: &AtomicUsize) {
-            for &(s, c) in &self.pending {
-                // hb: dep-handoff
-                if dep[s as usize].fetch_sub(c, Ordering::AcqRel) == c {
-                    local.push(s);
-                }
-            }
-            self.pending.clear();
-            if self.executed > 0 {
-                completed.fetch_add(self.executed, Ordering::Release); // hb: run-complete
-                self.executed = 0;
-            }
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for (w, local) in locals.into_iter().enumerate() {
-            let dep = &dep;
-            let injector = &injector;
-            let stealers = &stealers;
-            let completed = &completed;
-            let dispatches = &dispatches;
-            let panicked = &panicked;
-            let panic_payload = &panic_payload;
-            scope.spawn(move || {
-                let backoff = Backoff::new();
-                let mut batch = DecrementBatch {
-                    pending: Vec::with_capacity(chunk_size.min(n) * 2),
-                    executed: 0,
-                };
-                loop {
-                    let task = local.pop().or_else(|| {
-                        // Publish pending decrements before going looking
-                        // for work elsewhere: a batched edge may be the
-                        // only thing standing between the pool and either
-                        // new ready tasks or the termination condition.
-                        batch.flush(dep, &local, completed);
-                        local.pop().or_else(|| {
-                            std::iter::repeat_with(|| {
-                                injector.steal_batch_and_pop(&local).or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|&(i, _)| i != w)
-                                        .map(|(_, s)| s.steal())
-                                        .collect()
-                                })
-                            })
-                            .find(|s| !s.is_retry())
-                            .and_then(|s| s.success())
-                        })
-                    });
-                    match task {
-                        Some(t) => {
-                            backoff.reset();
-                            dispatches.fetch_add(1, Ordering::Relaxed);
-                            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| execute(t))) {
-                                *panic_payload.lock() = Some(payload);
-                                // The payload travels through the mutex
-                                // above; the flag's Release pairs with the
-                                // Acquire loads below, so a worker that sees
-                                // it set also sees the stored payload. The
-                                // batch is deliberately *not* flushed: every
-                                // worker aborts on the flag, so the run never
-                                // waits on the stranded decrements.
-                                panicked.store(true, Ordering::Release); // hb: panic-flag
-                                break;
-                            }
-                            for &s in successors(t) {
-                                batch.note(s);
-                            }
-                            batch.executed += 1;
-                            if batch.executed >= chunk_size {
-                                batch.flush(dep, &local, completed);
-                            }
-                            // hb: panic-flag
-                            if panicked.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        None => {
-                            // The batch was flushed before the steal above,
-                            // so `completed` reflects this worker fully.
-                            let all_done = completed.load(Ordering::Acquire) == n; // hb: run-complete
-                            let aborted = panicked.load(Ordering::Acquire); // hb: panic-flag
-                            if all_done || aborted {
-                                break;
-                            }
-                            backoff.snooze();
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(payload) = panic_payload.into_inner() {
-        resume_unwind(payload);
-    }
-    dispatches.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpasta_tdg::TdgBuilder;
+    use crate::{RetryPolicy, RunBudget, TaskError};
+    use gpasta_check::sync::Ordering;
+    use gpasta_tdg::{QuotientTdg, Tdg, TdgBuilder};
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
     use std::sync::Mutex;
 
@@ -471,30 +212,46 @@ mod tests {
 
     #[test]
     fn chunked_decrements_respect_dependencies_at_every_chunk_size() {
-        // chunk 1 restores per-edge decrements; 4096 exceeds the whole
-        // graph so every batch is flushed only on local-queue exhaustion.
+        // chunk 1 publishes after every task; 4096 exceeds the whole graph
+        // so every batch is flushed only on local-queue exhaustion. Both
+        // entry points share the loop, so both are driven.
         let tdg = layered(16, 8);
         for chunk in [1usize, 2, DEFAULT_CHUNK_SIZE, 4096] {
-            let order = Mutex::new(Vec::new());
-            let exec = Executor::new(4).with_chunk_size(chunk);
-            let report = exec.run_tdg(&tdg, &|t: TaskId| {
-                order.lock().expect("poisoned").push(t.0);
-            });
-            assert_eq!(
-                report.dispatches as usize,
-                tdg.num_tasks(),
-                "chunk {chunk}: every task dispatched once"
-            );
-            let order = order.into_inner().expect("poisoned");
-            let mut pos = vec![usize::MAX; tdg.num_tasks()];
-            for (i, &t) in order.iter().enumerate() {
-                pos[t as usize] = i;
-            }
-            for (u, v) in tdg.edges() {
-                assert!(
-                    pos[u.index()] < pos[v.index()],
-                    "chunk {chunk}: dependency {u}->{v} violated"
+            for recovering in [false, true] {
+                let order = Mutex::new(Vec::new());
+                let exec = Executor::new(4).with_chunk_size(chunk);
+                let record = |t: TaskId| order.lock().expect("poisoned").push(t.0);
+                let report = if recovering {
+                    let outcome = exec.run_tdg_recovering_bounded(
+                        &tdg,
+                        &|t: TaskId, _a: u32| -> Result<(), TaskError> {
+                            record(t);
+                            Ok(())
+                        },
+                        &RetryPolicy::no_retries(),
+                        &RunBudget::unbounded(),
+                    );
+                    assert!(outcome.is_clean(), "chunk {chunk}");
+                    outcome.report
+                } else {
+                    exec.run_tdg(&tdg, &record)
+                };
+                assert_eq!(
+                    report.dispatches as usize,
+                    tdg.num_tasks(),
+                    "chunk {chunk}: every task dispatched once"
                 );
+                let order = order.into_inner().expect("poisoned");
+                let mut pos = vec![usize::MAX; tdg.num_tasks()];
+                for (i, &t) in order.iter().enumerate() {
+                    pos[t as usize] = i;
+                }
+                for (u, v) in tdg.edges() {
+                    assert!(
+                        pos[u.index()] < pos[v.index()],
+                        "chunk {chunk}: dependency {u}->{v} violated"
+                    );
+                }
             }
         }
     }
@@ -513,18 +270,43 @@ mod tests {
 
     #[test]
     fn chunked_panic_still_propagates_and_drains() {
-        // A panic mid-batch must abort the pool without waiting on the
-        // stranded (unflushed) decrements of other workers.
+        // A panic mid-batch must neither hang the pool nor strand another
+        // worker's unflushed decrements: the wavefront drains (everything
+        // outside the panicking task's forward closure runs), and only
+        // then does the plain entry point re-raise.
         let tdg = layered(32, 10);
         let exec = Executor::new(4).with_chunk_size(64);
+        let ran = StdAtomicU64::new(0);
+        let payload = |t: TaskId| {
+            if t.0 == 150 {
+                panic!("payload failure in task {t}");
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        let outcome = exec.run_tdg_recovering_bounded(
+            &tdg,
+            &|t: TaskId, _a: u32| -> Result<(), TaskError> {
+                payload(t);
+                Ok(())
+            },
+            &RetryPolicy::no_retries(),
+            &RunBudget::unbounded(),
+        );
+        assert_eq!(outcome.failures.len(), 1, "contained, not propagated");
+        assert_eq!(outcome.failures[0].task, 150);
+        let salvaged = ran.swap(0, Ordering::Relaxed) as usize;
+        assert_eq!(salvaged, outcome.salvaged_tasks);
+        assert_eq!(salvaged + outcome.poisoned_tasks.len(), tdg.num_tasks());
+
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.run_tdg(&tdg, &|t: TaskId| {
-                if t.0 == 150 {
-                    panic!("payload failure in task {t}");
-                }
-            });
+            exec.run_tdg(&tdg, &payload);
         }));
         assert!(result.is_err(), "the payload panic reaches the caller");
+        assert_eq!(
+            ran.load(Ordering::Relaxed) as usize,
+            salvaged,
+            "the plain run drains the same salvage set before re-raising"
+        );
     }
 
     #[test]
@@ -622,17 +404,26 @@ mod tests {
 
     #[test]
     fn payload_panic_propagates_to_the_caller() {
-        // A panicking task must not hang the executor or get swallowed:
-        // scoped workers re-raise at join.
+        // A panicking task must not hang the executor or get swallowed,
+        // and which panic surfaces must not depend on the schedule: tasks
+        // 5 and 7 are both sources, so both always run and fail, and the
+        // re-raised message names the lower one.
         let tdg = layered(8, 4);
         for workers in [1usize, 3] {
             let exec = Executor::new(workers);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 exec.run_tdg(&tdg, &|t: TaskId| {
-                    assert!(t.0 != 7, "payload failure on task 7");
+                    assert!(t.0 != 5 && t.0 != 7, "payload failure on task {}", t.0);
                 });
             }));
-            assert!(result.is_err(), "workers={workers}: panic must propagate");
+            let payload = result.expect_err("panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("re-raised with a formatted message");
+            assert_eq!(
+                msg, "task 5 (unit 5) fatal: payload failure on task 5",
+                "workers={workers}"
+            );
         }
     }
 

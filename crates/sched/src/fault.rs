@@ -163,6 +163,7 @@ impl FaultPlan {
 
     /// The fault (if any) for attempt `attempt` of `task`. Pure: depends
     /// only on the plan and the key.
+    #[inline]
     pub fn fault_at(&self, task: u32, attempt: u32) -> Option<FaultKind> {
         if let Some(&k) = self.targeted.get(&(task, attempt)) {
             return Some(k);

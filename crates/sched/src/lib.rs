@@ -22,7 +22,11 @@
 //!   allocations;
 //! * [`RunReport`] — wall-clock plus scheduling-op counts, so benchmarks can
 //!   attribute time to scheduling vs. payload;
-//! * the recovering wavefront — [`Executor::run_tdg_recovering_bounded`] /
+//! * the wavefront — one sequential and one work-stealing dispatch body
+//!   (chunked dependency decrements, flushed before a worker steals or
+//!   parks) behind all four entry points. The plain ones lift an
+//!   infallible payload and re-raise a contained panic on the caller;
+//!   [`Executor::run_tdg_recovering_bounded`] /
 //!   [`Executor::run_partitioned_recovering_bounded`] contain payload
 //!   failures instead of unwinding: per-attempt `catch_unwind`, bounded
 //!   retry with exponential backoff ([`RetryPolicy`]), and partition

@@ -1,14 +1,16 @@
 //! Property tests for the bounded recovering executor's outcome algebra.
 //!
-//! On arbitrary DAGs under arbitrary fault plans, budgets, and worker
-//! counts, a [`RunOutcome`] must partition the task set exactly:
-//! `salvaged ∪ poisoned ∪ unfinished = tasks` with the three sets pairwise
-//! disjoint. The poisoned and unfinished sets must each be closed under
-//! successors (modulo each other), and the stop cause must agree with the
-//! unfinished set being empty.
+//! On arbitrary DAGs under arbitrary fault plans, budgets, worker counts
+//! and decrement chunk sizes, a [`RunOutcome`] must partition the task set
+//! exactly: `salvaged ∪ poisoned ∪ unfinished = tasks` with the three sets
+//! pairwise disjoint. The poisoned set must be the exact forward closure of
+//! the failed units, the unfinished set closed under successors (modulo
+//! poison), and the stop cause must agree with the unfinished set being
+//! empty.
 
 use gpasta::sched::{
     Executor, FaultKind, FaultPlan, FaultyWork, RetryPolicy, RunBudget, StopCause,
+    DEFAULT_CHUNK_SIZE,
 };
 use gpasta::tdg::{TaskId, Tdg, TdgBuilder};
 use proptest::prelude::*;
@@ -42,6 +44,10 @@ fn arb_dag(max_n: usize) -> impl Strategy<Value = Tdg> {
         })
 }
 
+/// Chunk 1 publishes after every unit; 4096 exceeds every generated graph,
+/// so batches are flushed only when a worker runs out of local work.
+const CHUNK_SIZES: [usize; 4] = [1, 2, DEFAULT_CHUNK_SIZE, 4096];
+
 /// Assert the outcome algebra on one run.
 fn check_outcome_partition(tdg: &Tdg, outcome: &gpasta::sched::RunOutcome) {
     let n = tdg.num_tasks();
@@ -65,6 +71,22 @@ fn check_outcome_partition(tdg: &Tdg, outcome: &gpasta::sched::RunOutcome) {
         n - outcome.poisoned_tasks.len() - outcome.unfinished_tasks.len(),
         "salvaged ∪ poisoned ∪ unfinished must equal the task set"
     );
+    // Poison is exactly the forward closure of the failed units (on a
+    // plain TDG a unit is its task), however the decrements were batched.
+    let mut closure = vec![false; n];
+    let mut stack: Vec<u32> = outcome.failures.iter().map(|f| f.unit).collect();
+    while let Some(t) = stack.pop() {
+        if !std::mem::replace(&mut closure[t as usize], true) {
+            stack.extend_from_slice(tdg.successors(TaskId(t)));
+        }
+    }
+    for t in 0..n {
+        assert_eq!(
+            mark[t] == 1,
+            closure[t],
+            "poisoned set must be the exact forward closure of the failures (task {t})"
+        );
+    }
     // Both quarantine classes are closed under successors: a task whose
     // predecessor is poisoned or unfinished cannot have been salvaged.
     for t in 0..n as u32 {
@@ -105,12 +127,12 @@ proptest! {
         rate in 0.0f64..0.4,
         bounded in any::<bool>(),
         deadline_us in 0u64..500,
-        workers in 1usize..4,
+        (workers, chunk) in (1usize..4, 0usize..CHUNK_SIZES.len()),
     ) {
         let plan = FaultPlan::random(seed, rate, &[FaultKind::Panic, FaultKind::Transient]);
         let payload = |_: TaskId| {};
         let work = FaultyWork::new(&payload, &plan);
-        let exec = Executor::new(workers);
+        let exec = Executor::new(workers).with_chunk_size(CHUNK_SIZES[chunk]);
         let budget = if bounded {
             RunBudget::unbounded().with_deadline(Duration::from_micros(deadline_us))
         } else {
@@ -129,12 +151,12 @@ proptest! {
     fn unbounded_runs_always_complete(
         tdg in arb_dag(32),
         seed in any::<u64>(),
-        workers in 1usize..4,
+        (workers, chunk) in (1usize..4, 0usize..CHUNK_SIZES.len()),
     ) {
         let plan = FaultPlan::random(seed, 0.2, &[FaultKind::Transient]);
         let payload = |_: TaskId| {};
         let work = FaultyWork::new(&payload, &plan);
-        let exec = Executor::new(workers);
+        let exec = Executor::new(workers).with_chunk_size(CHUNK_SIZES[chunk]);
         let outcome = exec.run_tdg_recovering_bounded(
             &tdg,
             &work,
