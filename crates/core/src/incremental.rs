@@ -28,12 +28,15 @@
 //! whether the wavefront could move the task, and a cone with no candidate
 //! set (and no capacity violation) is already at the wavefront's fixed
 //! point — the repair is provably the identity and skips the vacate / sort
-//! / re-place / patch passes outright. Wavefront partitioners emit
+//! / re-place passes outright. Wavefront partitioners emit
 //! edge-monotone ids natively, so install adopts their assignment directly
 //! (it *is* the fixed point, every bit starts false) and steady-state
-//! repairs stay on the identity path. Auxiliary structures that only the
-//! re-placing path needs (topological ranks, the patchable quotient) are
-//! built lazily on first use. Callers whose dirty sets are closed by
+//! repairs stay on the identity path. An assignment that does not change
+//! keeps its quotient: the cache builds the full-space quotient once, on
+//! the first [`IncrementalPartitioner::cone_quotient`], hands out
+//! restrictions of it, and drops it only where a repair moves a task. The
+//! topological ranks only the re-placing path needs are likewise built on
+//! first use. Callers whose dirty sets are closed by
 //! construction can additionally skip the verification passes via
 //! [`IncrementalPartitioner::repair_and_project_trusted`].
 //!
@@ -59,9 +62,10 @@
 
 use crate::{check_opts, PartitionError, Partitioner, PartitionerOptions};
 use gpasta_tdg::{
-    topo_order, validate, CancelObserver, Partition, PatchableQuotient, QuotientTdg, TaskId,
-    TaskMove, Tdg,
+    topo_order, validate, Partition, QuotientArena, QuotientTdg, TaskId, Tdg,
+    ValidatePartitionError,
 };
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -88,10 +92,6 @@ pub enum IncrementalError {
         /// …with this clean successor.
         clean_successor: u32,
     },
-    /// A [`CancelToken`](gpasta_tdg::CancelToken) fired during a
-    /// cancellable repair. The cache is unchanged: cancellation is only
-    /// polled before the first cache mutation.
-    Cancelled,
     /// A [`CacheExport`] snapshot failed validation against the target TDG
     /// (shape, fingerprint, or the edge-monotone certificate); the cache is
     /// unchanged.
@@ -117,7 +117,6 @@ impl fmt::Display for IncrementalError {
                 "dirty set is not successor-closed: dirty task {task} has clean successor \
                  {clean_successor}"
             ),
-            IncrementalError::Cancelled => f.write_str("repair was cancelled"),
             IncrementalError::InvalidSnapshot(ref why) => {
                 write!(f, "cache snapshot rejected: {why}")
             }
@@ -177,17 +176,16 @@ struct Cache {
     /// Built lazily on the first repair that actually re-places tasks
     /// (empty = unbuilt); identity repairs never sort.
     topo_rank: Vec<u32>,
-    /// Incrementally patched quotient structure. Built lazily on first
-    /// access or first patch opportunity after a build: `None` means "derive
-    /// from `raw` on demand", which is always consistent.
-    quotient: Option<PatchableQuotient>,
+    /// The quotient of `tdg` under `raw`, and `raw` compacted to the dense
+    /// pids that number its nodes. Built by the first
+    /// [`IncrementalPartitioner::cone_quotient`] and dropped wherever `raw`
+    /// changes, so `Some` always means "of the current assignment".
+    quotient: Option<(Partition, QuotientTdg)>,
     /// Per-task visit stamp for O(dirty) dedup without clearing.
     stamp: Vec<u32>,
     stamp_cur: u32,
     /// Scratch: deduped dirty tasks, sorted by `topo_rank`.
     order: Vec<u32>,
-    /// Scratch: moves of the latest repair, fed to the quotient patch.
-    moves: Vec<TaskMove>,
     /// Per-task merge-candidate bit: the task could commit into its seed
     /// partition (`seed < pid` with genuine slack), i.e. re-running the
     /// wavefront over it would *move* it. Recomputed for every dirty task
@@ -220,8 +218,8 @@ fn merge_candidate(tdg: &Tdg, raw: &[u32], sizes: &[u32], ps: usize, t: u32) -> 
 /// state from which [`IncrementalPartitioner::restore_cache`] can rebuild
 /// a warm cache bit-identical (in every observable way) to the one that
 /// was exported. Only the durable fields are captured; everything lazy or
-/// derivable (sizes, merge bits, topological ranks, the patched quotient)
-/// is recomputed on restore, which keeps snapshots small and makes a
+/// derivable (sizes, merge bits, topological ranks, the quotient) is
+/// recomputed on restore, which keeps snapshots small and makes a
 /// corrupted snapshot detectable by re-validation rather than trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheExport {
@@ -274,6 +272,7 @@ pub struct IncrementalPartitioner<P> {
     inner: P,
     cache: Option<Cache>,
     epoch: u64,
+    quotient_builds: u64,
 }
 
 impl<P: Partitioner> IncrementalPartitioner<P> {
@@ -283,6 +282,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             inner,
             cache: None,
             epoch: 0,
+            quotient_builds: 0,
         }
     }
 
@@ -316,16 +316,60 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
         self.cache.as_ref().map(|c| c.raw.as_slice())
     }
 
-    /// The incrementally patched quotient structure, if warm. Built lazily
-    /// from the cached assignment on first access and patched in place by
-    /// every subsequent repair that moves tasks.
-    pub fn patched_quotient(&mut self) -> Option<&PatchableQuotient> {
+    /// The quotient that schedules `members` — strictly ascending ids of
+    /// the cached TDG, a dirty cone that [`Self::repair`] accepted — under
+    /// the cached assignment, if warm:
+    /// [`QuotientTdg::restrict_in`] of the cache's one full-space quotient.
+    /// That quotient is built here on first use
+    /// ([`QuotientTdg::build_in`] over [`Self::cached_tdg`]) and kept until
+    /// a repair moves a task, so an update whose repair is the identity
+    /// never scans the TDG's edges; when `members` is the whole task space
+    /// it is returned borrowed, so a full update copies nothing either. An
+    /// owned result can go back to `arena` with [`QuotientArena::recycle`].
+    ///
+    /// # Errors
+    ///
+    /// [`ValidatePartitionError::QuotientCycle`] if the cached assignment
+    /// has no acyclic quotient — which the edge-monotone certificate rules
+    /// out, so it reports a bug of this module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is not a strictly ascending list of task ids.
+    pub fn cone_quotient(
+        &mut self,
+        members: &[u32],
+        arena: &mut QuotientArena,
+    ) -> Option<Result<Cow<'_, QuotientTdg>, ValidatePartitionError>> {
         let cache = self.cache.as_mut()?;
-        Some(
-            cache
-                .quotient
-                .get_or_insert_with(|| PatchableQuotient::build(&cache.tdg, &cache.raw)),
-        )
+        let (dense, quotient) = match &mut cache.quotient {
+            Some(kept) => kept,
+            vacant => {
+                let dense = Partition::new(cache.raw.clone());
+                match QuotientTdg::build_in(&cache.tdg, &dense, arena) {
+                    Ok(quotient) => {
+                        self.quotient_builds += 1;
+                        vacant.insert((dense, quotient))
+                    }
+                    Err(e) => return Some(Err(e)),
+                }
+            }
+        };
+        #[cfg(debug_assertions)]
+        if cache.tdg.num_tasks() <= 4096 {
+            let scratch = QuotientTdg::build(&cache.tdg, &Partition::new(cache.raw.clone()));
+            assert!(
+                scratch.as_ref() == Ok(&*quotient),
+                "cached quotient outlived the assignment it was built from"
+            );
+        }
+        Some(Ok(quotient.restrict_in(&cache.tdg, dense, members, arena)))
+    }
+
+    /// How many times the cache has built its full-space quotient: once per
+    /// assignment that an update ran on, not once per update.
+    pub fn quotient_builds(&self) -> u64 {
+        self.quotient_builds
     }
 
     /// Drop the cache, forcing the next [`Self::install`] (or trait
@@ -408,7 +452,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             stamp: vec![0; n],
             stamp_cur: 0,
             order: Vec::new(),
-            moves: Vec::new(),
             merge_bit,
             sort_keys: Vec::new(),
             proj: Vec::new(),
@@ -428,7 +471,8 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
     /// the task keeps its cached slot when that is still consistent
     /// (`old >= seed`) and has room, and only otherwise takes a fresh pid
     /// above the cached `max_pid`. A dirty source task keeps its cached
-    /// pid. The patched quotient is updated in place from the move log.
+    /// pid. A repair that moves a task or mints a pid drops the cached
+    /// quotient; an identity repair keeps it.
     ///
     /// In debug builds every repair re-proves validity: the `O(E)`
     /// monotone-id certificate plus quotient acyclicity and the `Ps` bound
@@ -441,27 +485,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
     /// [`IncrementalError::DirtySetNotClosed`] if some successor of a dirty
     /// task is clean (the cache is left unchanged in every error case).
     pub fn repair(&mut self, dirty: &[u32]) -> Result<RepairStats, IncrementalError> {
-        self.repair_impl(dirty, false, None)
-    }
-
-    /// Cancellable [`Self::repair`]: polls `cancel` at the pre-mutation
-    /// boundaries of the repair (entry, after dedup, after the
-    /// closedness check — all before the first write to the cached
-    /// assignment) and returns [`IncrementalError::Cancelled`] with the
-    /// cache **unchanged** if the observer has tripped. A repair that has
-    /// started mutating always runs to completion, so cancellation can
-    /// never leave a half-repaired partition behind; the latency bound is
-    /// one dirty-cone re-place pass.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Self::repair`], plus [`IncrementalError::Cancelled`].
-    pub fn repair_cancellable(
-        &mut self,
-        dirty: &[u32],
-        cancel: &CancelObserver,
-    ) -> Result<RepairStats, IncrementalError> {
-        self.repair_impl(dirty, false, Some(cancel))
+        self.repair_impl(dirty, false)
     }
 
     /// [`Self::repair`] and [`Self::sub_partition`] over the same ids, fused:
@@ -477,7 +501,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
         &mut self,
         ids: &[u32],
     ) -> Result<(RepairStats, Partition), IncrementalError> {
-        let stats = self.repair_impl(ids, true, None)?;
+        let stats = self.repair_impl(ids, true)?;
         let cache = self
             .cache
             .as_mut()
@@ -557,12 +581,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
         &mut self,
         dirty: &[u32],
         project: bool,
-        cancel: Option<&CancelObserver>,
     ) -> Result<RepairStats, IncrementalError> {
-        let cancelled = |c: Option<&CancelObserver>| c.is_some_and(|c| c.is_cancelled());
-        if cancelled(cancel) {
-            return Err(IncrementalError::Cancelled);
-        }
         let cache = self.cache.as_mut().ok_or(IncrementalError::NotInstalled)?;
         let n = cache.tdg.num_tasks();
 
@@ -602,12 +621,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             }
         }
 
-        // Dedup only touched scratch state (stamps, order, projection), so
-        // the partition itself is still exactly the cached one here.
-        if cancelled(cancel) {
-            return Err(IncrementalError::Cancelled);
-        }
-
         // Successor-closedness: an edge from a re-placed dirty task to a
         // clean task could otherwise end up decreasing.
         for &t in &cache.order {
@@ -619,12 +632,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
                     });
                 }
             }
-        }
-
-        // Last poll before the vacate pass, which is the first write to the
-        // cached assignment; past this point the repair runs to completion.
-        if cancelled(cancel) {
-            return Err(IncrementalError::Cancelled);
         }
 
         let mut fresh = 0usize;
@@ -664,7 +671,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             cache
                 .order
                 .extend(cache.sort_keys.iter().map(|&k| k as u32));
-            cache.moves.clear();
             let ps = cache.ps as u32;
             for i in 0..cache.order.len() {
                 let t = cache.order[i];
@@ -698,19 +704,11 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
                 };
                 cache.sizes[fp as usize] += 1;
                 cache.raw[t as usize] = fp;
-                if fp != old {
-                    cache.moves.push(TaskMove {
-                        task: t,
-                        old_pid: old,
-                        new_pid: fp,
-                    });
-                }
+                moved += usize::from(fp != old);
             }
-
-            if let Some(q) = cache.quotient.as_mut() {
-                q.apply(&cache.tdg, &cache.raw, &cache.moves);
+            if moved > 0 {
+                cache.quotient = None;
             }
-            moved = cache.moves.len();
 
             // Refresh the candidate bits over the cone: every moved task
             // and every task whose seed could have changed (successors of
@@ -736,8 +734,8 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
         // with `seed < old` because `sizes[seed] + reserved[seed]` equals
         // the (full) steady-state occupancy of `seed` throughout an
         // identity repair — no genuine slack — while the cached slot always
-        // has room for its returning owner. Nothing is vacated, sorted,
-        // re-placed, or patched.
+        // has room for its returning owner. Nothing is vacated, sorted or
+        // re-placed, and the cached quotient stands.
 
         #[cfg(debug_assertions)]
         {
@@ -746,18 +744,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             let p = Partition::new(cache.raw.clone());
             validate::check_acyclic(&cache.tdg, &p).expect("repair produced a cyclic quotient");
             validate::check_size_bound(&p, cache.ps).expect("repair overfilled a partition");
-            if let Some(q) = &cache.quotient {
-                assert!(
-                    q.is_edge_monotone(),
-                    "patched quotient lost the monotone certificate"
-                );
-                if n <= 4096 {
-                    assert!(
-                        q.matches(&cache.tdg, &cache.raw),
-                        "patched quotient diverged from a from-scratch rebuild"
-                    );
-                }
-            }
             if n <= 4096 {
                 validate::check_convex(&cache.tdg, &p)
                     .expect("repair produced a non-convex partition");
@@ -791,9 +777,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             cache.sizes = sizes;
             cache.reserved = vec![0; next as usize];
             cache.max_pid = next.saturating_sub(1);
-            if let Some(q) = cache.quotient.as_mut() {
-                *q = PatchableQuotient::build(&cache.tdg, &cache.raw);
-            }
+            cache.quotient = None;
         }
 
         self.epoch += 1;
@@ -827,7 +811,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
     /// restored partition convex with an acyclic quotient — so a truncated
     /// or bit-flipped snapshot is rejected with the cache unchanged.
     /// Derived state (sizes, merge bits) is recomputed; lazy state
-    /// (topological ranks, the patched quotient) starts unbuilt, exactly as
+    /// (topological ranks, the quotient) starts unbuilt, exactly as
     /// after [`Self::install`]. The partitioner's epoch is set to the
     /// snapshot's, so repair stats after a restore match an uninterrupted
     /// run's.
@@ -910,7 +894,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             stamp: vec![0; n],
             stamp_cur: 0,
             order: Vec::new(),
-            moves: Vec::new(),
             merge_bit,
             sort_keys: Vec::new(),
             proj: Vec::new(),
@@ -1017,7 +1000,7 @@ pub fn forward_closure(tdg: &Tdg, seeds: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::SeqGPasta;
-    use gpasta_tdg::{validate, TdgBuilder};
+    use gpasta_tdg::TdgBuilder;
 
     fn diamond() -> Tdg {
         let mut b = TdgBuilder::new(4);
@@ -1048,6 +1031,24 @@ mod tests {
         }
     }
 
+    /// The next cone quotient must be the restriction of a from-scratch
+    /// quotient of the current assignment — whatever the cache kept.
+    fn assert_cone_quotient_is_fresh<P: Partitioner>(
+        inc: &mut IncrementalPartitioner<P>,
+        members: &[u32],
+    ) {
+        let tdg = inc.cached_tdg().expect("warm").clone();
+        let dense = inc.full_partition().expect("warm");
+        let scratch = QuotientTdg::build(&tdg, &dense).expect("valid");
+        let mut arena = QuotientArena::new();
+        let want = scratch.restrict_in(&tdg, &dense, members, &mut arena);
+        let got = inc
+            .cone_quotient(members, &mut QuotientArena::new())
+            .expect("warm")
+            .expect("schedulable");
+        assert_eq!(*got, *want);
+    }
+
     #[test]
     fn cold_cache_errors() {
         let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
@@ -1062,6 +1063,8 @@ mod tests {
             inc.export_cache(),
             Err(IncrementalError::NotInstalled)
         ));
+        assert!(inc.cone_quotient(&[0], &mut QuotientArena::new()).is_none());
+        assert_eq!(inc.quotient_builds(), 0);
     }
 
     #[test]
@@ -1103,7 +1106,10 @@ mod tests {
         assert_eq!(stats.fresh_partitions, 0);
         // Task 1 merged into its predecessor's partition.
         assert_eq!(inc.raw_assignment().expect("warm"), &[0, 0]);
-        assert_eq!(inc.patched_quotient().expect("warm").num_partitions(), 1);
+        assert_cone_quotient_is_fresh(&mut inc, &[0, 1]);
+        let mut arena = QuotientArena::new();
+        let q = inc.cone_quotient(&[0, 1], &mut arena).expect("warm");
+        assert_eq!(q.expect("schedulable").num_partitions(), 1);
     }
 
     #[test]
@@ -1164,13 +1170,18 @@ mod tests {
             cache.sizes = vec![2, 0];
             cache.reserved = vec![0, 0];
             cache.max_pid = 0;
-            cache.quotient = Some(PatchableQuotient::build(&cache.tdg, &cache.raw));
         }
+        // The quotient of the crammed assignment: one partition.
+        assert_cone_quotient_is_fresh(&mut inc, &[1]);
+        assert_eq!(inc.quotient_builds(), 1);
         let stats = inc.repair(&[1]).expect("repair");
         assert_eq!(stats.fresh_partitions, 1);
         assert_eq!(stats.moved, 1);
         assert_eq!(inc.raw_assignment().expect("warm"), &[0, 1]);
         validate::check_all(&tdg, &inc.full_partition().expect("warm")).expect("valid");
+        // A fresh pid is a move: the kept quotient went with it.
+        assert_cone_quotient_is_fresh(&mut inc, &[1]);
+        assert_eq!(inc.quotient_builds(), 2);
     }
 
     #[test]
@@ -1350,14 +1361,16 @@ mod tests {
             for t in 0..3 {
                 cache.sizes[cache.raw[t] as usize] += 1;
             }
-            cache.quotient = Some(PatchableQuotient::build(&cache.tdg, &cache.raw));
         }
+        assert_cone_quotient_is_fresh(&mut inc, &[1, 2]);
         let stats = inc.repair(&[]).expect("repair");
         assert_eq!(stats.moved, 0);
         let raw = inc.raw_assignment().expect("warm");
         assert_eq!(raw, &[0, 1, 2], "order-preserving remap back to dense ids");
-        assert!(inc.patched_quotient().expect("warm").is_edge_monotone());
         validate::check_all(&tdg, &inc.full_partition().expect("warm")).expect("valid");
+        // Renormalisation rewrote every raw pid: the quotient is rebuilt.
+        assert_cone_quotient_is_fresh(&mut inc, &[1, 2]);
+        assert_eq!(inc.quotient_builds(), 2);
     }
 
     #[test]
@@ -1386,49 +1399,50 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_repair_matches_plain_repair_when_not_cancelled() {
-        use gpasta_tdg::CancelToken;
+    fn quotient_is_built_once_and_dropped_only_by_a_moving_repair() {
+        // A warm cache at its fixed point: cones and the whole space, again
+        // and again, are one build.
         let tdg = diamond();
         let opts = PartitionerOptions::with_max_size(2);
-        let mut a = IncrementalPartitioner::new(SeqGPasta::new());
-        let mut b = IncrementalPartitioner::new(SeqGPasta::new());
-        a.install(&tdg, &opts).expect("install");
-        b.install(&tdg, &opts).expect("install");
-        let dirty = forward_closure(&tdg, &[1]);
-        let token = CancelToken::new();
-        let sa = a.repair(&dirty).expect("plain");
-        let sb = b
-            .repair_cancellable(&dirty, &token.observe())
-            .expect("uncancelled");
-        assert_eq!(sa, sb);
-        assert_eq!(a.raw_assignment(), b.raw_assignment());
-    }
-
-    #[test]
-    fn tripped_observer_cancels_repair_and_leaves_cache_unchanged() {
-        use gpasta_tdg::CancelToken;
-        let tdg = diamond();
         let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        inc.install(&tdg, &PartitionerOptions::default())
+        inc.install(&tdg, &opts).expect("install");
+        assert_eq!(inc.quotient_builds(), 0, "install builds no quotient");
+        let mut arena = QuotientArena::new();
+        for dirty in [vec![1, 3], vec![0, 1, 2, 3], vec![3], vec![2, 3]] {
+            let stats = inc.repair(&dirty).expect("repair");
+            assert_eq!((stats.moved, stats.fresh_partitions), (0, 0));
+            assert_cone_quotient_is_fresh(&mut inc, &dirty);
+            let q = inc.cone_quotient(&dirty, &mut arena).expect("warm");
+            let whole = matches!(q.expect("schedulable"), Cow::Borrowed(_));
+            assert_eq!(whole, dirty.len() == 4, "only the whole space borrows");
+        }
+        assert_eq!(inc.quotient_builds(), 1);
+
+        // A moving repair (the merge of `repair_merges_…`) drops it.
+        let chain = chain(2);
+        let mut inc = IncrementalPartitioner::new(Fixed(vec![0, 1]));
+        inc.install(&chain, &PartitionerOptions::with_max_size(2))
             .expect("install");
-        let before = inc.raw_assignment().expect("warm").to_vec();
-        let e0 = inc.epoch();
-        let token = CancelToken::new();
-        let obs = token.observe();
-        token.cancel();
-        assert_eq!(
-            inc.repair_cancellable(&forward_closure(&tdg, &[0]), &obs),
-            Err(IncrementalError::Cancelled)
-        );
-        assert_eq!(inc.raw_assignment().expect("warm"), before.as_slice());
-        assert_eq!(
-            inc.epoch(),
-            e0,
-            "cancelled repair does not advance the epoch"
-        );
-        // The cache is still fully usable afterwards.
-        inc.repair(&forward_closure(&tdg, &[0])).expect("repair");
-        validate::check_all(&tdg, &inc.full_partition().expect("warm")).expect("valid");
+        assert_cone_quotient_is_fresh(&mut inc, &[1]);
+        assert_eq!(inc.repair(&[1]).expect("repair").moved, 1);
+        assert_cone_quotient_is_fresh(&mut inc, &[1]);
+        assert_eq!(inc.quotient_builds(), 2);
+
+        // So does an install over a warm cache…
+        inc.install(&chain, &PartitionerOptions::with_max_size(1))
+            .expect("reinstall");
+        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 1]);
+        assert_cone_quotient_is_fresh(&mut inc, &[1]);
+        assert_eq!(inc.quotient_builds(), 3);
+
+        // …and an export -> restore round trip starts without one.
+        let export = inc.export_cache().expect("warm");
+        inc.restore_cache(&chain, export).expect("restore");
+        assert_cone_quotient_is_fresh(&mut inc, &[1]);
+        assert_eq!(inc.quotient_builds(), 4);
+        assert_eq!(inc.repair(&[1]).expect("identity repair").moved, 0);
+        assert_cone_quotient_is_fresh(&mut inc, &[0, 1]);
+        assert_eq!(inc.quotient_builds(), 4, "identity repairs keep it");
     }
 
     #[test]

@@ -116,26 +116,6 @@ pub enum ValidatePartitionError {
         /// The configured maximum.
         max_size: usize,
     },
-    /// A member of an induced quotient is not a task of the TDG.
-    MemberOutOfRange {
-        /// The offending member.
-        task: u32,
-        /// Tasks in the TDG.
-        num_tasks: usize,
-    },
-    /// A task is listed twice among the members of an induced quotient.
-    DuplicateMember {
-        /// The repeated member.
-        task: u32,
-    },
-    /// The members of an induced quotient are not successor-closed, so
-    /// their out-edges are not the edges of the subgraph they induce.
-    MembersNotClosed {
-        /// A member…
-        task: u32,
-        /// …with this successor outside the member set.
-        successor: u32,
-    },
 }
 
 impl fmt::Display for ValidatePartitionError {
@@ -167,17 +147,6 @@ impl fmt::Display for ValidatePartitionError {
             ValidatePartitionError::PartitionTooLarge { pid, size, max_size } => write!(
                 f,
                 "partition {pid} has {size} tasks, exceeding the maximum partition size {max_size}"
-            ),
-            ValidatePartitionError::MemberOutOfRange { task, num_tasks } => write!(
-                f,
-                "member task {task} out of range (the TDG has {num_tasks} tasks)"
-            ),
-            ValidatePartitionError::DuplicateMember { task } => {
-                write!(f, "task {task} is listed twice among the members")
-            }
-            ValidatePartitionError::MembersNotClosed { task, successor } => write!(
-                f,
-                "members are not successor-closed: member {task} has successor {successor} outside the set"
             ),
         }
     }

@@ -13,9 +13,8 @@
 //! * [`Partition`] — a clustering of tasks into partitions, the output type
 //!   of every partitioner, plus [`PartitionStats`];
 //! * [`quotient`] — construction of the *partitioned TDG*
-//!   (quotient graph) that the scheduler actually runs, and
-//!   [`patch`] — in-place maintenance of the quotient's structure under
-//!   incremental partition repair;
+//!   (quotient graph) that the scheduler actually runs, and its
+//!   restriction to the tasks of one update;
 //! * [`shard`] — grouping of quotient partitions into contiguous, acyclic
 //!   shards ([`ShardPlan`]), the unit of multi-process distribution;
 //! * [`validate`] — the paper's validity conditions:
@@ -54,7 +53,6 @@ mod graph;
 pub mod io;
 mod level;
 mod partition;
-pub mod patch;
 pub mod quotient;
 mod recycle;
 mod reduce;
@@ -70,7 +68,6 @@ pub use graph::{TaskId, Tdg, TdgBuilder};
 pub use io::{parse_edge_list, write_edge_list, ParseEdgeListError};
 pub use level::Levels;
 pub use partition::{Partition, PartitionId, PartitionStats};
-pub use patch::{PatchableQuotient, TaskMove};
 pub use quotient::{QuotientArena, QuotientTdg};
 pub use recycle::{ArenaTdgBuilder, TdgArena};
 pub use reduce::transitive_reduction;

@@ -31,25 +31,40 @@
 //! Sarkar ids, Figure 2(a)) gets exactly the drain, result and typed error
 //! it would get without them.
 //!
-//! # Induced quotients
+//! # Restriction
 //!
-//! [`QuotientTdg::build_induced_in`] builds the quotient of the subgraph a
-//! task subset *induces* in a larger TDG, without extracting that
-//! subgraph. The subset must be **successor-closed** (every successor of a
-//! member is a member), which makes the construction exact: the edges of
-//! the induced subgraph are then precisely the out-edges of the members,
-//! so the same scan over `tdg.successors(member)` sees every edge once and
-//! no edge that is not there. The result is the quotient
-//! [`build_in`](QuotientTdg::build_in) would give on the extracted
-//! subgraph, except that members keep their ids in the larger graph — a
-//! warm `Session` runs an update this way, straight off the full-space TDG
-//! its partition cache was installed on. `build_in` is the same scan with
-//! every task a member.
+//! [`QuotientTdg::restrict_in`] derives, from a quotient that already
+//! exists, the quotient that schedules a subset of its tasks — no edge of
+//! the TDG is read. The partitions holding a member stay, renumbered in
+//! ascending pid order; the edges between them stay; each keeps the members
+//! it holds. A warm `Session` runs an update this way, off the one
+//! full-space quotient its partition cache keeps: a full update *is* that
+//! quotient (borrowed, not copied), a dirty cone is a restriction of it.
+//!
+//! The restricted edge set is a **superset** of the exact one — what
+//! [`build_in`](QuotientTdg::build_in) gives on the extracted subgraph: an
+//! edge between two surviving partitions that only non-members carried
+//! survives too. Every dependency between members is still there (both
+//! ends of a member edge sit in surviving partitions), the restriction is
+//! a subgraph of an acyclic graph, and a member order that is a subsequence
+//! of the full one is still topological — so every execution the
+//! restriction admits is one the exact quotient admits, and the results
+//! are the same; the schedule is at most as parallel.
+//!
+//! Renumbering the survivors in ascending order keeps what the full
+//! quotient's numbering had — rows of the forward CSR stay sorted and
+//! deduplicated, pids that rose along every edge still rise, ascending
+//! members stay ascending — but the restriction leans on none of it: a
+//! subgraph of a DAG needs no acyclicity proof, and each surviving
+//! partition's ascending members are checked to be a subsequence of the
+//! order the full quotient runs that partition in (one pass over the
+//! survivors), with that order, filtered down, as the fallback.
 
 use crate::error::ValidatePartitionError;
 use crate::graph::{TaskId, Tdg};
 use crate::partition::{Partition, PartitionId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A quotient TDG: the coarse graph over partitions, plus the sequential
 /// member order of every partition.
@@ -89,13 +104,13 @@ pub struct QuotientArena {
     raw_off: Vec<u32>,
     /// Kahn residual in-degrees.
     indeg: Vec<u32>,
-    /// Kahn ready stack.
+    /// Kahn ready stack; the surviving partitions of a restriction.
     stack: Vec<u32>,
     /// Global topological order of the original TDG.
     topo: Vec<u32>,
-    /// Partition id of every member of an induced build, by task id of the
-    /// larger graph; [`NOT_A_MEMBER`] everywhere between builds.
-    slot: Vec<u32>,
+    /// Per partition of the quotient being restricted: its member count,
+    /// then its new id plus one. All zero between restrictions.
+    kept: Vec<u32>,
     /// Recycled output buffers, if a quotient has been returned.
     fwd_off: Vec<u32>,
     fwd_adj: Vec<u32>,
@@ -135,33 +150,52 @@ impl QuotientArena {
             self.weights = weights;
         }
     }
+
+    /// The quotient graph over `weights.len()` partitions whose forward
+    /// CSR is `fwd_off` / `fwd_adj` (rows sorted and deduplicated): the
+    /// reverse CSR is a counting sort of the forward one, on recycled
+    /// buffers.
+    fn graph_from_forward(
+        &mut self,
+        fwd_off: Vec<u32>,
+        fwd_adj: Vec<u32>,
+        weights: Vec<f32>,
+    ) -> Tdg {
+        let np = weights.len();
+        let mut rev_off = std::mem::take(&mut self.rev_off);
+        rev_off.clear();
+        rev_off.resize(np + 1, 0);
+        for &v in &fwd_adj {
+            rev_off[v as usize + 1] += 1;
+        }
+        for p in 0..np {
+            rev_off[p + 1] += rev_off[p];
+        }
+        let mut rev_adj = std::mem::take(&mut self.rev_adj);
+        rev_adj.clear();
+        rev_adj.resize(fwd_adj.len(), 0);
+        let cursor = &mut self.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&rev_off);
+        for p in 0..np {
+            for &v in &fwd_adj[fwd_off[p] as usize..fwd_off[p + 1] as usize] {
+                rev_adj[cursor[v as usize] as usize] = p as u32;
+                cursor[v as usize] += 1;
+            }
+        }
+        Tdg::from_csr(fwd_off, fwd_adj, rev_off, rev_adj, weights)
+    }
 }
 
-/// [`QuotientArena::slot`] value of a task outside the member set.
-const NOT_A_MEMBER: u32 = u32::MAX;
-
-/// LIFO Kahn drain, on recycled scratch, of the subgraph `nodes` induce in
-/// `graph`; `nodes` must be successor-closed and `in_degree` count a node's
-/// predecessors among them. Appends the pop order to `order`, which holds
-/// every node iff the drain met no cycle, and leaves the residual
-/// in-degrees in `indeg` (indexed by `graph` id).
-fn kahn_drain(
-    graph: &Tdg,
-    nodes: impl Iterator<Item = u32> + Clone,
-    in_degree: impl Fn(u32) -> u32,
-    indeg: &mut Vec<u32>,
-    stack: &mut Vec<u32>,
-    order: &mut Vec<u32>,
-) {
+/// LIFO Kahn drain of `graph` on recycled scratch: appends the pop order
+/// to `order`, which holds every node iff the drain met no cycle, and
+/// leaves the residual in-degrees in `indeg`.
+fn kahn_drain(graph: &Tdg, indeg: &mut Vec<u32>, stack: &mut Vec<u32>, order: &mut Vec<u32>) {
+    let n = graph.num_tasks() as u32;
     indeg.clear();
-    indeg.resize(graph.num_tasks(), 0);
+    indeg.extend((0..n).map(|t| graph.in_degree(TaskId(t))));
     stack.clear();
-    for t in nodes {
-        indeg[t as usize] = in_degree(t);
-        if indeg[t as usize] == 0 {
-            stack.push(t);
-        }
-    }
+    stack.extend((0..n).filter(|&t| indeg[t as usize] == 0));
     order.clear();
     while let Some(t) = stack.pop() {
         order.push(t);
@@ -210,129 +244,24 @@ impl QuotientTdg {
                 assignment_len: partition.num_tasks(),
             });
         }
-        // Every task is a member: the identity embedding of the scan.
-        Self::scan(
-            tdg,
-            0..tdg.num_tasks() as u32,
-            true,
-            partition.assignment(),
-            partition.num_partitions(),
-            arena,
-        )
-    }
-
-    /// Build the quotient of the subgraph that `members` induce in `tdg`,
-    /// under `partition` — `partition.pid_of(i)` is the partition of
-    /// `members[i]` — without extracting the subgraph (see the
-    /// [module docs](self)). `members` must be duplicate-free and
-    /// successor-closed in `tdg`.
-    ///
-    /// The result equals [`build_in`](Self::build_in) on the extracted
-    /// subgraph (task `i` = `members[i]`) with every member `i` of every
-    /// execution order replaced by `members[i]`: same partitions, same
-    /// deduplicated edges, same weights, and — when `members` ascend and
-    /// task ids rise along every edge of `tdg` — the same member order.
-    /// Both certificates and both Kahn fallbacks apply unchanged; members
-    /// that do not ascend take the member-order fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidatePartitionError::LengthMismatch`] if the partition does not
-    /// cover `members`; [`MemberOutOfRange`], [`DuplicateMember`] and
-    /// [`MembersNotClosed`] if `members` is not a duplicate-free
-    /// successor-closed subset of `tdg`'s tasks; and
-    /// [`ValidatePartitionError::QuotientCycle`] as [`build`](Self::build).
-    ///
-    /// [`MemberOutOfRange`]: ValidatePartitionError::MemberOutOfRange
-    /// [`DuplicateMember`]: ValidatePartitionError::DuplicateMember
-    /// [`MembersNotClosed`]: ValidatePartitionError::MembersNotClosed
-    pub fn build_induced_in(
-        tdg: &Tdg,
-        members: &[u32],
-        partition: &Partition,
-        arena: &mut QuotientArena,
-    ) -> Result<Self, ValidatePartitionError> {
-        if partition.num_tasks() != members.len() {
-            return Err(ValidatePartitionError::LengthMismatch {
-                num_tasks: members.len(),
-                assignment_len: partition.num_tasks(),
-            });
-        }
         let n = tdg.num_tasks();
-        let mut slot = std::mem::take(&mut arena.slot);
-        if slot.len() < n {
-            slot.resize(n, NOT_A_MEMBER);
-        }
-        // Scatter the pids to the members' own ids, so the scan reads the
-        // pid of a successor — or that it is no member — in one load.
-        let mut placed = 0;
-        let mut rejected = None;
-        for (&t, &pid) in members.iter().zip(partition.assignment()) {
-            if t as usize >= n {
-                rejected = Some(ValidatePartitionError::MemberOutOfRange {
-                    task: t,
-                    num_tasks: n,
-                });
-                break;
-            }
-            if slot[t as usize] != NOT_A_MEMBER {
-                rejected = Some(ValidatePartitionError::DuplicateMember { task: t });
-                break;
-            }
-            slot[t as usize] = pid;
-            placed += 1;
-        }
-        let built = match rejected {
-            Some(err) => Err(err),
-            None => Self::scan(
-                tdg,
-                members.iter().copied(),
-                members.windows(2).all(|w| w[0] < w[1]),
-                &slot,
-                partition.num_partitions(),
-                arena,
-            ),
-        };
-        for &t in &members[..placed] {
-            slot[t as usize] = NOT_A_MEMBER;
-        }
-        arena.slot = slot;
-        built
-    }
+        let np = partition.num_partitions();
+        let assignment = partition.assignment();
 
-    /// The one quotient scan: the quotient of the subgraph `members` induce
-    /// in `tdg`, with `pid_of[t]` the dense partition id (below `np`) of
-    /// member `t` and [`NOT_A_MEMBER`] for any other task a member's edge
-    /// can reach. `members_ascend` says the iterator yields ascending ids.
-    fn scan(
-        tdg: &Tdg,
-        members: impl Iterator<Item = u32> + Clone,
-        members_ascend: bool,
-        pid_of: &[u32],
-        np: usize,
-        arena: &mut QuotientArena,
-    ) -> Result<Self, ValidatePartitionError> {
         // Forward CSR over cross-partition edges via counting sort by
         // source partition, then per-bucket sort + dedup (buckets are
         // small, so this beats one global edge sort on large TDGs). The
-        // scan also checks the two certificates of the module docs, and
-        // that no edge leaves the member set.
+        // scan also checks the two certificates of the module docs.
         let cross = &mut arena.cross;
         cross.clear();
-        let mut ids_rise = members_ascend;
+        let mut ids_rise = true;
         let mut pids_rise = true;
-        for u in members.clone() {
-            let pu = pid_of[u as usize];
+        for u in 0..n as u32 {
+            let pu = assignment[u as usize];
             for &v in tdg.successors(TaskId(u)) {
                 ids_rise &= u < v;
-                let pv = pid_of[v as usize];
+                let pv = assignment[v as usize];
                 if pu != pv {
-                    if pv == NOT_A_MEMBER {
-                        return Err(ValidatePartitionError::MembersNotClosed {
-                            task: u,
-                            successor: v,
-                        });
-                    }
                     pids_rise &= pu < pv;
                     cross.push((pu, pv));
                 }
@@ -381,66 +310,23 @@ impl QuotientTdg {
         }
         fwd_adj.truncate(write);
 
-        // Reverse CSR from the deduplicated forward CSR.
-        let mut rev_off = std::mem::take(&mut arena.rev_off);
-        rev_off.clear();
-        rev_off.resize(np + 1, 0);
-        for &v in &fwd_adj {
-            rev_off[v as usize + 1] += 1;
-        }
-        for p in 0..np {
-            rev_off[p + 1] += rev_off[p];
-        }
-        let mut rev_adj = std::mem::take(&mut arena.rev_adj);
-        rev_adj.clear();
-        rev_adj.resize(fwd_adj.len(), 0);
-        {
-            let cursor = &mut arena.cursor;
-            cursor.clear();
-            cursor.extend_from_slice(&rev_off);
-            for p in 0..np as u32 {
-                let (lo, hi) = (
-                    fwd_off[p as usize] as usize,
-                    fwd_off[p as usize + 1] as usize,
-                );
-                for &v in &fwd_adj[lo..hi] {
-                    rev_adj[cursor[v as usize] as usize] = p;
-                    cursor[v as usize] += 1;
-                }
-            }
-        }
-
-        // Partition weights (sum of member task weights, in member order)
-        // and sizes.
+        // Partition weights: sum of member task weights.
         let mut weights = std::mem::take(&mut arena.weights);
         weights.clear();
         weights.resize(np, 0.0);
-        let mut exec_off = std::mem::take(&mut arena.exec_off);
-        exec_off.clear();
-        exec_off.resize(np + 1, 0);
-        for t in members.clone() {
-            let p = pid_of[t as usize] as usize;
-            weights[p] += tdg.weight(TaskId(t));
-            exec_off[p + 1] += 1;
+        for (t, &p) in assignment.iter().enumerate() {
+            weights[p as usize] += tdg.weight(TaskId(t as u32));
         }
 
-        let graph = Tdg::from_csr(fwd_off, fwd_adj, rev_off, rev_adj, weights);
+        let graph = arena.graph_from_forward(fwd_off, fwd_adj, weights);
 
         // Acyclicity: rising pids are a topological order of the quotient;
         // any other numbering is decided by a drain.
         if !pids_rise {
-            kahn_drain(
-                &graph,
-                0..np as u32,
-                |p| graph.in_degree(TaskId(p)),
-                &mut arena.indeg,
-                &mut arena.stack,
-                &mut arena.topo,
-            );
+            kahn_drain(&graph, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
             if arena.topo.len() != np {
                 let witness = arena.indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
                 arena.recycle_graph(graph);
-                arena.exec_off = exec_off;
                 return Err(ValidatePartitionError::QuotientCycle {
                     witness_pid: witness,
                 });
@@ -448,48 +334,35 @@ impl QuotientTdg {
         }
 
         // Member execution order: a counting sort by partition of one
-        // topological order of the members keeps that order within each
-        // partition, which is all a worker needs. Rising ids make the
-        // ascending members such an order; otherwise one sort-free Kahn
-        // pass yields it (deterministic for a given graph). Flattened
-        // storage avoids one Vec per partition.
+        // topological order of the original TDG keeps that order within
+        // each partition, which is all a worker needs. Rising ids make
+        // `0..n` such an order; otherwise one sort-free Kahn pass yields
+        // it (deterministic for a given graph). Flattened storage avoids
+        // one Vec per partition.
+        let mut exec_off = std::mem::take(&mut arena.exec_off);
+        exec_off.clear();
+        exec_off.resize(np + 1, 0);
+        for &p in assignment {
+            exec_off[p as usize + 1] += 1;
+        }
         for p in 0..np {
             exec_off[p + 1] += exec_off[p];
         }
         let mut exec_flat = std::mem::take(&mut arena.exec_flat);
         exec_flat.clear();
-        exec_flat.resize(exec_off[np] as usize, 0);
+        exec_flat.resize(n, 0);
         let cursor = &mut arena.cursor;
         cursor.clear();
         cursor.extend_from_slice(&exec_off);
         let place = |t: u32| {
-            let c = &mut cursor[pid_of[t as usize] as usize];
+            let c = &mut cursor[assignment[t as usize] as usize];
             exec_flat[*c as usize] = t;
             *c += 1;
         };
         if ids_rise {
-            members.for_each(place);
+            (0..n as u32).for_each(place);
         } else {
-            // Successor-closed members: a member's induced in-degree counts
-            // its member predecessors — all of them when every task is one.
-            let all_members = exec_off[np] as usize == tdg.num_tasks();
-            let member_preds = |t: u32| {
-                if all_members {
-                    return tdg.in_degree(TaskId(t));
-                }
-                let preds = tdg.predecessors(TaskId(t)).iter();
-                preds
-                    .filter(|&&u| pid_of[u as usize] != NOT_A_MEMBER)
-                    .count() as u32
-            };
-            kahn_drain(
-                tdg,
-                members,
-                member_preds,
-                &mut arena.indeg,
-                &mut arena.stack,
-                &mut arena.topo,
-            );
+            kahn_drain(tdg, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
             arena.topo.iter().copied().for_each(place);
         }
 
@@ -500,6 +373,141 @@ impl QuotientTdg {
         })
     }
 
+    /// The quotient that schedules `members` alone, derived from `self` —
+    /// which must be the quotient of `tdg` under `partition` — without
+    /// reading an edge of `tdg` (see the [module docs](self)). The
+    /// partitions holding a member survive, renumbered in ascending pid
+    /// order, with the edges `self` has between them; each runs the members
+    /// it holds, in the order `self` runs them, and weighs their sum.
+    /// Members keep their task ids, as in `self`.
+    ///
+    /// Against [`build_in`](Self::build_in) on the subgraph `members`
+    /// induce (task `i` = `members[i]`): the same partitions, weights and —
+    /// whenever `self` runs every surviving partition in ascending id
+    /// order — member orders; an edge set that contains the exact one and
+    /// is contained in `self`'s. Whether running `members` alone is
+    /// meaningful is the caller's concern: a successor-closed set (a dirty
+    /// cone) depends on nothing outside itself.
+    ///
+    /// When every task is a member the restriction is `self`, borrowed.
+    /// Otherwise it costs `O(members + a log a + tasks and edges of the a
+    /// surviving partitions)` on `arena`'s buffers, and the owned result
+    /// can go back to [`QuotientArena::recycle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tdg` and `partition` do not have `self`'s task and
+    /// partition counts, or if `members` is not a strictly ascending list
+    /// of task ids.
+    pub fn restrict_in<'q>(
+        &'q self,
+        tdg: &Tdg,
+        partition: &Partition,
+        members: &[u32],
+        arena: &mut QuotientArena,
+    ) -> Cow<'q, QuotientTdg> {
+        let n = self.num_tasks();
+        assert!(
+            tdg.num_tasks() == n
+                && partition.num_tasks() == n
+                && partition.num_partitions() == self.num_partitions(),
+            "restriction needs the TDG and partition the quotient was built from"
+        );
+        assert!(
+            members.windows(2).all(|w| w[0] < w[1])
+                && members.last().is_none_or(|&t| (t as usize) < n),
+            "members must be strictly ascending task ids"
+        );
+        if members.len() == n {
+            return Cow::Borrowed(self);
+        }
+        let pid_of = partition.assignment();
+
+        // The surviving partitions, ascending, and how many members each
+        // holds.
+        let mut kept = std::mem::take(&mut arena.kept);
+        if kept.len() < self.num_partitions() {
+            kept.resize(self.num_partitions(), 0);
+        }
+        let mut survivors = std::mem::take(&mut arena.stack);
+        survivors.clear();
+        for &t in members {
+            let p = pid_of[t as usize];
+            if kept[p as usize] == 0 {
+                survivors.push(p);
+            }
+            kept[p as usize] += 1;
+        }
+        survivors.sort_unstable();
+        let np = survivors.len();
+        let mut exec_off = std::mem::take(&mut arena.exec_off);
+        exec_off.clear();
+        exec_off.push(0);
+        for (new, &p) in survivors.iter().enumerate() {
+            exec_off.push(exec_off[new] + kept[p as usize]);
+            kept[p as usize] = new as u32 + 1;
+        }
+
+        // A surviving row of the full forward CSR, filtered to survivors
+        // and renumbered, is still sorted and deduplicated: the new ids
+        // ascend with the old ones.
+        let mut fwd_off = std::mem::take(&mut arena.fwd_off);
+        fwd_off.clear();
+        fwd_off.push(0);
+        let mut fwd_adj = std::mem::take(&mut arena.fwd_adj);
+        fwd_adj.clear();
+        for &p in &survivors {
+            let row = self.graph.successors(TaskId(p)).iter();
+            fwd_adj.extend(row.filter_map(|&s| kept[s as usize].checked_sub(1)));
+            fwd_off.push(fwd_adj.len() as u32);
+        }
+
+        // Members and weights: the counting sort of `build_in`, over the
+        // ascending members.
+        let mut weights = std::mem::take(&mut arena.weights);
+        weights.clear();
+        weights.resize(np, 0.0);
+        let mut exec_flat = std::mem::take(&mut arena.exec_flat);
+        exec_flat.clear();
+        exec_flat.resize(members.len(), 0);
+        let cursor = &mut arena.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&exec_off);
+        for &t in members {
+            let new = (kept[pid_of[t as usize] as usize] - 1) as usize;
+            weights[new] += tdg.weight(TaskId(t));
+            exec_flat[cursor[new] as usize] = t;
+            cursor[new] += 1;
+        }
+
+        // Ascending members are a valid order of a partition when they are
+        // a subsequence of the full quotient's order of it (always, where
+        // that order ascends); otherwise the full order, filtered, is.
+        for (new, &p) in survivors.iter().enumerate() {
+            let full = self.execution_order(PartitionId(p));
+            let mine = &mut exec_flat[exec_off[new] as usize..exec_off[new + 1] as usize];
+            let mut matched = 0;
+            for &t in full {
+                matched += usize::from(mine.get(matched) == Some(&t));
+            }
+            if matched != mine.len() {
+                let in_order = full.iter().filter(|t| mine.binary_search(t).is_ok());
+                arena.topo.clear();
+                arena.topo.extend(in_order);
+                mine.copy_from_slice(&arena.topo);
+            }
+            kept[p as usize] = 0;
+        }
+        arena.kept = kept;
+        arena.stack = survivors;
+
+        let graph = arena.graph_from_forward(fwd_off, fwd_adj, weights);
+        Cow::Owned(QuotientTdg {
+            graph,
+            exec_flat,
+            exec_off,
+        })
+    }
     /// The coarse DAG over partitions. Node ids are [`PartitionId`] values
     /// reinterpreted as task ids of this graph.
     #[inline]
@@ -680,35 +688,51 @@ mod tests {
     }
 
     #[test]
-    fn induced_quotient_keeps_the_larger_graph_ids() {
-        // Tasks {1, 2, 3} of the diamond are successor-closed; {1, 2} | {3}.
+    fn restriction_keeps_task_ids_and_borrows_the_whole() {
+        // {0} | {1, 2} | {3} restricted to the successor-closed {1, 2, 3}.
         let tdg = diamond();
+        let part = Partition::new(vec![0, 1, 1, 2]);
+        let full = QuotientTdg::build(&tdg, &part).expect("valid");
         let mut arena = QuotientArena::new();
-        let part = Partition::new(vec![0, 0, 1]);
-        let q = QuotientTdg::build_induced_in(&tdg, &[1, 2, 3], &part, &mut arena)
-            .expect("closed subset, valid partition");
-        assert_eq!(q.num_partitions(), 2);
-        assert_eq!(q.num_tasks(), 3);
-        assert_eq!(q.graph().num_deps(), 1, "1 -> 3 and 2 -> 3 are one edge");
-        assert_eq!(q.execution_order(PartitionId(0)), &[1, 2]);
-        assert_eq!(q.execution_order(PartitionId(1)), &[3]);
+        let cone = full.restrict_in(&tdg, &part, &[1, 2, 3], &mut arena);
+        assert!(matches!(cone, Cow::Owned(_)));
+        assert_eq!(cone.num_partitions(), 2);
+        assert_eq!(cone.num_tasks(), 3);
+        assert_eq!(cone.graph().num_deps(), 1, "P1 -> P2 survives, P0 is gone");
+        assert_eq!(cone.execution_order(PartitionId(0)), &[1, 2]);
+        assert_eq!(cone.execution_order(PartitionId(1)), &[3]);
+        assert_eq!(
+            cone.graph().weight(TaskId(0)),
+            tdg.weight(TaskId(1)) + tdg.weight(TaskId(2))
+        );
 
-        // {0, 1, 3} is not closed: 0 -> 2 leaves it.
-        let err = QuotientTdg::build_induced_in(&tdg, &[0, 1, 3], &part, &mut arena)
-            .expect_err("open subset");
-        assert_eq!(
-            err,
-            ValidatePartitionError::MembersNotClosed {
-                task: 0,
-                successor: 2
-            }
-        );
-        // Every task a member is `build_in`, and the arena is clean again.
-        let all = Partition::new(vec![0, 1, 1, 2]);
-        assert_eq!(
-            QuotientTdg::build_induced_in(&tdg, &[0, 1, 2, 3], &all, &mut arena).expect("valid"),
-            QuotientTdg::build(&tdg, &all).expect("valid")
-        );
+        // An edge only non-members carry survives: with the single
+        // dependency 0 -> 2 and {0, 1} | {2, 3}, the closed set {1, 3} has
+        // no dependency at all, and its restriction still orders P0 -> P1.
+        let mut b = TdgBuilder::new(4);
+        b.add_edge(TaskId(0), TaskId(2));
+        let loose = b.build().expect("one-edge DAG");
+        let halves = Partition::new(vec![0, 0, 1, 1]);
+        let q = QuotientTdg::build(&loose, &halves).expect("valid");
+        let extra = q.restrict_in(&loose, &halves, &[1, 3], &mut arena);
+        assert_eq!(extra.graph().successors(TaskId(0)), &[1]);
+        assert_eq!(extra.execution_order(PartitionId(0)), &[1]);
+        assert_eq!(extra.execution_order(PartitionId(1)), &[3]);
+
+        // Every task a member: the quotient itself, not a copy, and the
+        // arena is clean again.
+        let all = full.restrict_in(&tdg, &part, &[0, 1, 2, 3], &mut arena);
+        assert!(matches!(all, Cow::Borrowed(q) if std::ptr::eq(q, &full)));
+        assert!(arena.kept.iter().all(|&k| k == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn restriction_refuses_members_that_do_not_ascend() {
+        let tdg = diamond();
+        let part = Partition::new(vec![0, 1, 1, 2]);
+        let full = QuotientTdg::build(&tdg, &part).expect("valid");
+        let _ = full.restrict_in(&tdg, &part, &[3, 1], &mut QuotientArena::new());
     }
 
     #[test]

@@ -67,7 +67,8 @@ use crate::sta::{
     ParseLibertyError, ParseSdcError, ParseVerilogError, PortId, SnapshotMismatch, Timer,
     TimingPath, TimingReport,
 };
-use crate::tdg::{BuildTdgError, QuotientArena, QuotientTdg, ValidatePartitionError};
+use crate::tdg::{BuildTdgError, QuotientArena, ValidatePartitionError};
+use std::borrow::Cow;
 
 /// The textual inputs a session is built from. Owning the *sources*
 /// (rather than only the parsed design) is what makes eviction cheap:
@@ -512,9 +513,11 @@ pub struct Session {
     /// (see [`Session::set_chaos`]). Never serialized; the supervisor
     /// reinstalls it after create, restore, and crash recovery.
     chaos: Option<SessionChaos>,
-    /// Recycled scratch and output buffers for the per-update quotient
-    /// rebuild, so steady-state [`Session::update_timing`] calls stop
-    /// touching the allocator once the high-water mark is established.
+    /// Recycled scratch and output buffers for the cone quotients that
+    /// [`Session::update_timing`] restricts from the partition cache's
+    /// full-space quotient (and for building that one, once), so
+    /// steady-state updates stop touching the allocator once the
+    /// high-water mark is established.
     quotient_arena: QuotientArena,
 }
 
@@ -729,12 +732,18 @@ impl Session {
     }
 
     /// Bring timing up to date under `budget`: discover the dirty cone,
-    /// repair the cached partition inside it, build the cone's quotient
-    /// straight from the cache — the cone is successor-closed in the full
-    /// task space, so its dependencies are the out-edges of its tasks in
-    /// the full-space TDG the cache was installed on, and no per-update
-    /// task graph is built — and execute the partitioned update through
-    /// the bounded recovering executor.
+    /// repair the cached partition inside it, take the cone's quotient from
+    /// the cache — a restriction of the one full-space quotient the cache
+    /// keeps while its assignment stands, and that quotient itself when the
+    /// whole design is dirty; no per-update task graph is built and no task
+    /// edge is scanned — and execute the partitioned update through the
+    /// bounded recovering executor.
+    ///
+    /// A restriction keeps every edge the full quotient has between the
+    /// cone's partitions, which can be more than the cone's own tasks
+    /// carry: results and dispatch counts are those of the exact quotient,
+    /// the schedule is at most as parallel, and a *stopped* run may mark a
+    /// few more endpoints unknown than the exact quotient would.
     ///
     /// On an early stop ([`StopCause::DeadlineExpired`] /
     /// [`StopCause::Cancelled`]) the unfinished region's endpoints are
@@ -762,15 +771,13 @@ impl Session {
                 unknown_endpoints: 0,
             });
         }
-        let (stats, sub) = self.inc.repair_and_project(cone.ids())?;
+        let stats = self.inc.repair(cone.ids())?;
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
-        let full_tdg = self
+        let quotient = self
             .inc
-            .cached_tdg()
-            .ok_or(IncrementalError::NotInstalled)?;
-        let quotient =
-            QuotientTdg::build_induced_in(full_tdg, cone.ids(), &sub, &mut self.quotient_arena)
-                .map_err(SessionError::Quotient)?;
+            .cone_quotient(cone.ids(), &mut self.quotient_arena)
+            .ok_or(IncrementalError::NotInstalled)?
+            .map_err(SessionError::Quotient)?;
         let rec = cone.run_partitioned_recovering_bounded(
             &self.exec,
             &quotient,
@@ -778,7 +785,9 @@ impl Session {
             &self.policy,
             budget,
         );
-        self.quotient_arena.recycle(quotient);
+        if let Cow::Owned(restricted) = quotient {
+            self.quotient_arena.recycle(restricted);
+        }
         let unknown_endpoints = if rec.outcome.stop == StopCause::Completed {
             0
         } else {
@@ -1055,6 +1064,61 @@ endmodule
             .update_timing(&RunBudget::unbounded())
             .expect("update");
         assert_eq!(healed.to_bits(), reference.report(1).wns_ps.to_bits());
+    }
+
+    #[test]
+    fn warm_updates_share_one_full_space_quotient() {
+        let mut s = fixture_session("one-quotient");
+        assert_eq!(s.inc.quotient_builds(), 0, "create builds no quotient");
+        let unbounded = RunBudget::unbounded();
+        for i in 0..20 {
+            let period_ps = if i % 2 == 0 { 900.0 } else { 1_000.0 };
+            s.apply_edit(&Edit::SetClockPeriod { period_ps })
+                .expect("valid");
+            let out = s.update_timing(&unbounded).expect("update");
+            assert_eq!(out.tasks, 2 * s.shape().nodes as usize, "the whole design");
+        }
+        for i in 0..20u32 {
+            s.apply_edit(&Edit::Repower {
+                gate: format!("u{}", i % 4),
+                drive: [0.5, 1.0, 2.0, 4.0][(i / 4 % 4) as usize],
+            })
+            .expect("valid");
+            let out = s.update_timing(&unbounded).expect("update");
+            assert_eq!((out.repair_moved, out.repair_fresh), (0, 0));
+        }
+        assert_eq!(s.inc.quotient_builds(), 1, "40 updates, one build");
+
+        // Every task alone is a valid cache (full-space ids rise along
+        // every edge) that the wavefront wants to merge: the next repair
+        // moves tasks, and exactly that costs one more build.
+        let mut singletons = s.inc.export_cache().expect("warm");
+        singletons.raw = (0..singletons.raw.len() as u32).collect();
+        singletons.max_pid = singletons.raw.len() as u32 - 1;
+        let full_tdg = s.inc.cached_tdg().expect("warm").clone();
+        s.inc
+            .restore_cache(&full_tdg, singletons)
+            .expect("singletons");
+        s.apply_edit(&Edit::Repower {
+            gate: "u0".into(),
+            drive: 3.0,
+        })
+        .expect("valid");
+        let out = s.update_timing(&unbounded).expect("update");
+        assert!(out.repair_moved > 0, "a moving repair");
+        assert_eq!(s.inc.quotient_builds(), 2);
+
+        // The moved partition computes the same bits: the last loop left
+        // every gate at drive 0.5.
+        let mut reference = fixture_session("one-quotient-ref");
+        for (gate, drive) in [("u0", 3.0), ("u1", 0.5), ("u2", 0.5), ("u3", 0.5)] {
+            let gate = gate.into();
+            reference
+                .apply_edit(&Edit::Repower { gate, drive })
+                .expect("valid");
+        }
+        reference.update_timing(&unbounded).expect("update");
+        assert!(s.timer().snapshot() == reference.timer().snapshot());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The quotient a warm `Session` builds straight from its partition cache
-//! is the quotient of the public-step path.
+//! The quotient a warm `Session` restricts from its partition cache
+//! schedules the update the public-step path schedules.
 //!
 //! Three lanes receive the identical seeded Fig. 7 edit stream (gate
 //! repowers and net-capacitance changes), with a clock edit (whole design
@@ -9,17 +9,21 @@
 //!   took the short cut, spelled through the layers' public functions:
 //!   `Timer::update_timing` → `full_space_ids` → `repair_and_project` →
 //!   `QuotientTdg::build_in(update.tdg(), ..)` → run;
-//! * the **direct** lane takes only stage one, `Timer::dirty_cone`, and
-//!   builds the quotient over the cache's own full-space TDG with
-//!   `QuotientTdg::build_induced_in` — what `Session::update_timing` does,
-//!   with the quotient in hand to compare;
+//! * the **restriction** lane takes only stage one, `Timer::dirty_cone`,
+//!   repairs, and asks the cache for the cone's quotient
+//!   (`IncrementalPartitioner::cone_quotient`: the one full-space quotient
+//!   the cache keeps, restricted to the cone) — what
+//!   `Session::update_timing` does, with the quotient in hand to compare;
 //! * the **session** lane is the product.
 //!
-//! Every update asserts that the direct quotient equals the public-step
-//! one mapped through `full_space_ids()` (same partitions, same
-//! deduplicated edges and weights, same member order), that the session's
-//! `UpdateOutcome` counts equal the public-step lane's, and that all three
-//! `TimingSnapshot`s are bit-identical.
+//! Every update asserts that the restricted quotient has the public-step
+//! one's partitions, weights and member orders (mapped through
+//! `full_space_ids()`) and every one of its edges — all of them and no
+//! other when the whole design is dirty, where the cache's quotient is
+//! borrowed as it is — that the session's `UpdateOutcome` counts equal the
+//! public-step lane's, and that all three `TimingSnapshot`s and cached
+//! assignments are bit-identical. A last case evicts a session, restores
+//! it, and checks that its rebuilt quotient computes the same bits.
 
 use std::time::Duration;
 
@@ -31,6 +35,7 @@ use gpasta::sta::{parse_verilog, write_verilog, CellLibrary, GateId, RecoveredUp
 use gpasta::tdg::{QuotientArena, QuotientTdg};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// What one lane's update reports, in `UpdateOutcome`'s terms.
 #[derive(Debug, PartialEq, Eq)]
@@ -115,23 +120,28 @@ impl Lane {
         (self.finish(tasks, stats, &rec), Some(flat))
     }
 
-    /// The update from stage one alone: cone ids, and the quotient induced
-    /// in the cache's full-space TDG.
-    fn direct(&mut self, exec: &Executor, budget: &RunBudget) -> (Counts, Option<Flat>) {
+    /// The update from stage one alone: cone ids, and the cache's quotient
+    /// restricted to them.
+    fn restriction(&mut self, exec: &Executor, budget: &RunBudget) -> (Counts, Option<Flat>) {
         let cone = self.timer.dirty_cone();
         let tasks = cone.num_tasks();
         if tasks == 0 {
             drop(cone);
             return (self.idle(), None);
         }
-        let (stats, sub) = self
+        let stats = self.inc.repair(cone.ids()).expect("closed cone");
+        let full_space = 2 * cone.graph().num_nodes();
+        let quotient = self
             .inc
-            .repair_and_project(cone.ids())
-            .expect("closed cone");
-        let full_tdg = self.inc.cached_tdg().expect("warm cache");
-        let quotient = QuotientTdg::build_induced_in(full_tdg, cone.ids(), &sub, &mut self.arena)
+            .cone_quotient(cone.ids(), &mut self.arena)
+            .expect("warm cache")
             .expect("schedulable");
         assert_eq!(quotient.num_tasks(), tasks);
+        assert_eq!(
+            matches!(quotient, Cow::Borrowed(_)),
+            tasks == full_space,
+            "the whole design borrows the cache's quotient, a cone copies out of it"
+        );
         let rec = cone.run_partitioned_recovering_bounded(
             exec,
             &quotient,
@@ -143,7 +153,9 @@ impl Lane {
             quotient.graph().clone(),
             quotient.execution_orders().map(<[u32]>::to_vec).collect(),
         );
-        self.arena.recycle(quotient);
+        if let Cow::Owned(restricted) = quotient {
+            self.arena.recycle(restricted);
+        }
         if rec.outcome.stop != StopCause::Completed {
             cone.mark_unknown(&rec);
         }
@@ -234,7 +246,7 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
     let verilog = write_verilog(&circuit.build(scale), circuit.name());
     let exec = Executor::new(2);
     let mut public = Lane::new(&verilog);
-    let mut direct = Lane::new(&verilog);
+    let mut restricted = Lane::new(&verilog);
     let mut session =
         Session::create("product", DesignSources::verilog_only(verilog), 2).expect("session");
     let (num_gates, num_nets) = {
@@ -275,16 +287,27 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
     for (i, (step, budget)) in steps.iter().enumerate() {
         let what = format!("{circuit} seed {seed:#x}, step {i} ({step:?})");
         step.apply_to_timer(&mut public.timer);
-        step.apply_to_timer(&mut direct.timer);
+        step.apply_to_timer(&mut restricted.timer);
         step.apply_to_session(&mut session);
 
+        let full_space = 2 * public.timer.graph().num_nodes();
         let (want, want_quotient) = public.public_step(&exec, budget);
-        let (got, got_quotient) = direct.direct(&exec, budget);
-        assert_eq!(got, want, "{what}: direct lane counts");
+        let (got, got_quotient) = restricted.restriction(&exec, budget);
+        assert_eq!(got, want, "{what}: restriction lane counts");
         match (&got_quotient, &want_quotient) {
             (Some((graph, members)), Some((want_graph, want_members))) => {
-                assert!(graph == want_graph, "{what}: quotient partitions and edges");
-                assert_eq!(members, want_members, "{what}: member order");
+                assert_eq!(members, want_members, "{what}: partitions, member order");
+                assert!(graph.weights() == want_graph.weights(), "{what}: weights");
+                for (a, b) in want_graph.edges() {
+                    assert!(
+                        graph.successors(a).contains(&b.0),
+                        "{what}: lost {a} -> {b}"
+                    );
+                }
+                assert!(
+                    want.tasks < full_space || graph == want_graph,
+                    "{what}: a full update runs the exact quotient"
+                );
             }
             (None, None) => {}
             _ => panic!("{what}: one lane had an empty cone"),
@@ -302,7 +325,10 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
         assert_eq!(product, want, "{what}: UpdateOutcome");
 
         let snapshot = public.timer.snapshot();
-        assert!(direct.timer.snapshot() == snapshot, "{what}: direct bits");
+        assert!(
+            restricted.timer.snapshot() == snapshot,
+            "{what}: restriction bits"
+        );
         assert!(
             session.timer().snapshot() == snapshot,
             "{what}: session bits"
@@ -312,8 +338,12 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
             public.inc.raw_assignment(),
             "{what}: cached partition"
         );
+        assert_eq!(
+            restricted.inc.raw_assignment(),
+            public.inc.raw_assignment(),
+            "{what}: restriction lane's cached partition"
+        );
 
-        let full_space = 2 * public.timer.graph().num_nodes();
         stopped += usize::from(want.stop != StopCause::Completed);
         full += usize::from(want.tasks == full_space);
         cones += usize::from(want.tasks > 0 && want.tasks < full_space);
@@ -325,10 +355,10 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
     // The members of the last non-trivial quotient really are partitions
     // of the cache: spot-check the flattening itself on one more cone.
     public.timer.repower_gate(GateId(0), 2.0);
-    direct.timer.repower_gate(GateId(0), 2.0);
-    let (_, flat) = direct.direct(&exec, &RunBudget::unbounded());
+    restricted.timer.repower_gate(GateId(0), 2.0);
+    let (_, flat) = restricted.restriction(&exec, &RunBudget::unbounded());
     let (_, members) = flat.expect("a repower dirties a cone");
-    let raw = direct.inc.raw_assignment().expect("warm cache");
+    let raw = restricted.inc.raw_assignment().expect("warm cache");
     for part in &members {
         assert!(part.windows(2).all(|w| w[0] < w[1]), "members ascend");
         assert!(
@@ -337,6 +367,11 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
             "a quotient node is one cached partition"
         );
     }
+    assert_eq!(
+        restricted.inc.quotient_builds(),
+        1,
+        "every cone and every full update of the stream, off one quotient"
+    );
 }
 
 /// Edits per circuit: 110 (220 over the suite), or `PROPTEST_CASES` when
@@ -356,4 +391,70 @@ fn aes_core_direct_quotient_equals_the_public_step_path() {
 #[test]
 fn vga_lcd_direct_quotient_equals_the_public_step_path() {
     differential(PaperCircuit::VgaLcd, 0.002, 0x7A57E, edits());
+}
+
+/// Evict → restore → full update → cone update: the restored cache starts
+/// without a quotient, rebuilds it on the first update, and every bit
+/// matches a session that never left memory.
+#[test]
+fn restored_session_matches_one_that_was_never_evicted() {
+    let circuit = PaperCircuit::AesCore;
+    let verilog = write_verilog(&circuit.build(0.004), circuit.name());
+    let sources = DesignSources::verilog_only(verilog);
+    let mut kept = Session::create("evicted", sources.clone(), 2).expect("session");
+    let mut evicted = Session::create("evicted", sources, 2).expect("session");
+    let unbounded = RunBudget::unbounded();
+    let warm_up = [
+        Step::Repower {
+            gate: 3,
+            drive: 2.0,
+        },
+        Step::NetCap {
+            net: 5,
+            cap_ff: 3.5,
+        },
+    ];
+    for step in warm_up {
+        for session in [&mut kept, &mut evicted] {
+            step.apply_to_session(session);
+            session.update_timing(&unbounded).expect("update");
+        }
+    }
+
+    let path =
+        std::env::temp_dir().join(format!("gpasta-cone-quotient-{}.ckpt", std::process::id()));
+    let dormant = evicted.evict_to(&path).expect("evict");
+    drop(evicted);
+    let mut restored = dormant.restore(2).expect("restore");
+    std::fs::remove_file(&path).ok();
+
+    let full_space = 2 * kept.timer().graph().num_nodes();
+    let after = [
+        Step::Clock { period_ps: 900.0 },
+        Step::Repower {
+            gate: 11,
+            drive: 0.5,
+        },
+    ];
+    for (i, step) in after.into_iter().enumerate() {
+        step.apply_to_session(&mut kept);
+        step.apply_to_session(&mut restored);
+        let want = kept.update_timing(&unbounded).expect("update");
+        let got = restored.update_timing(&unbounded).expect("update");
+        assert_eq!(got, want, "step {i}: UpdateOutcome");
+        assert_eq!(
+            want.tasks == full_space,
+            i == 0,
+            "a full update, then a cone"
+        );
+        assert!(
+            restored.timer().snapshot() == kept.timer().snapshot(),
+            "step {i}: bits"
+        );
+        assert_eq!(
+            restored.partition_assignment(),
+            kept.partition_assignment(),
+            "step {i}: cached partition"
+        );
+    }
 }
