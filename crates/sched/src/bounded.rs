@@ -376,8 +376,9 @@ impl<'p> RecoveryState<'p> {
     }
 }
 
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort text of a caught panic payload — what a contained payload
+/// panic carries in its [`TaskError::Fatal`].
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

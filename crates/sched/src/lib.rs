@@ -83,7 +83,7 @@ mod supervise;
 mod taskflow;
 
 pub use arena::FlowArena;
-pub use bounded::RunBudget;
+pub use bounded::{panic_message, RunBudget};
 pub use executor::{Executor, ExecutorError, TaskWork, DEFAULT_CHUNK_SIZE};
 pub use fault::{splitmix64, FaultKind, FaultPlan, FaultyWork};
 pub use gpasta_tdg::{CancelObserver, CancelToken};

@@ -17,7 +17,9 @@
 use crate::analysis::TimingData;
 use crate::graph::{NodeId, TimingGraph};
 use crate::timer::{DirtyCone, TaskKind, TimingUpdateTdg};
-use gpasta_sched::{Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome};
+use gpasta_sched::{
+    panic_message, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, TaskError,
+};
 use gpasta_tdg::{QuotientTdg, TaskId};
 
 /// Result of a recovering timing update: the executor's [`RunOutcome`]
@@ -115,7 +117,36 @@ fn mark_unknown(data: &TimingData, rec: &RecoveredUpdate) {
     }
 }
 
+/// Run `ids` through `payload` on the calling thread, in the order given.
+/// The first panic stops the loop and is reported as the executor reports a
+/// contained payload panic.
+fn run_in_order(ids: &[u32], payload: impl Fn(TaskId)) -> Result<(), TaskError> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    catch_unwind(AssertUnwindSafe(|| {
+        for &id in ids {
+            payload(TaskId(id));
+        }
+    }))
+    .map_err(|panic| TaskError::Fatal(panic_message(panic.as_ref())))
+}
+
 impl DirtyCone<'_> {
+    /// Run this cone unscheduled: every task on the calling thread, in
+    /// ascending full-space id — a topological order of the cone (see
+    /// [`DirtyCone`]), so no dependency graph, quotient or executor is
+    /// involved. Bit-identical to any scheduled run of the same cone.
+    ///
+    /// # Errors
+    ///
+    /// [`TaskError::Fatal`] with the text of the first payload panic; the
+    /// tasks after it have not run. The payload is idempotent, so the
+    /// whole cone can be run again — through
+    /// [`run_partitioned_recovering_bounded`](DirtyCone::run_partitioned_recovering_bounded)
+    /// when the failure should be contained to its forward closure.
+    pub fn run_in_order(&self) -> Result<(), TaskError> {
+        run_in_order(self.ids(), self.task_fn())
+    }
+
     /// Run this cone through the recovering executor, dispatching the nodes
     /// of `quotient` — a quotient whose members are this cone's full-space
     /// ids, i.e. one built over the full-space TDG restricted to
@@ -355,6 +386,86 @@ mod tests {
                 assert_eq!(damaged[i], reference[i], "salvaged endpoint {v}");
             }
         }
+    }
+
+    #[test]
+    fn in_order_run_of_a_cone_matches_the_sequential_run() {
+        let mut ref_timer = two_cone_timer();
+        let mut timer = two_cone_timer();
+        for t in [&mut ref_timer, &mut timer] {
+            t.update_timing().run_sequential();
+            t.repower_gate(crate::GateId(2), 4.0);
+        }
+        ref_timer.update_timing().run_sequential();
+        let cone = timer.dirty_cone();
+        assert!(cone.num_tasks() < 2 * cone.graph().num_nodes(), "a cone");
+        assert_eq!(cone.run_in_order(), Ok(()));
+        drop(cone);
+        assert!(timer.snapshot() == ref_timer.snapshot());
+    }
+
+    #[test]
+    fn in_order_panic_then_scheduled_rerun_equals_a_scheduled_only_run() {
+        use gpasta_core::{Partitioner, PartitionerOptions, SeqGPasta};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // A fresh timer's cone is the whole task space, so a twin's full
+        // update TDG hosts the quotient that schedules it.
+        let mut twin = two_cone_timer();
+        let full = twin.update_timing();
+        let p = SeqGPasta::new()
+            .partition(full.tdg(), &PartitionerOptions::default())
+            .expect("valid options");
+        let quotient = QuotientTdg::build(full.tdg(), &p).expect("acyclic");
+        let k = (0..full.num_fprop_tasks() as u32)
+            .find(|&t| {
+                let v = full.node(TaskId(t));
+                !full.graph().fanin(v).is_empty() && !full.graph().is_endpoint(v)
+            })
+            .expect("an interior fprop task exists");
+        drop(full);
+
+        let exec = Executor::new(2);
+        let plan = FaultPlan::none().inject(k, 0, FaultKind::Panic);
+        let policy = RetryPolicy::no_retries();
+        let budget = RunBudget::unbounded();
+
+        let mut want_timer = two_cone_timer();
+        let cone = want_timer.dirty_cone();
+        let want =
+            cone.run_partitioned_recovering_bounded(&exec, &quotient, &plan, &policy, &budget);
+        cone.mark_unknown(&want);
+        drop(cone);
+        assert!(
+            !want.poisoned_endpoints.is_empty(),
+            "cone reaches endpoints"
+        );
+
+        // The same task panics in order: the loop stops there, the text is
+        // the executor's, and the scheduled rerun of the whole cone
+        // contains it exactly as if the in-order attempt never happened.
+        let mut timer = two_cone_timer();
+        let cone = timer.dirty_cone();
+        let ran = AtomicUsize::new(0);
+        let err = run_in_order(cone.ids(), |t| {
+            assert!(t.0 != k, "task {k} exploded");
+            ran.fetch_add(1, Ordering::Relaxed);
+            cone.execute_task(t);
+        })
+        .expect_err("task k panics");
+        assert_eq!(err, TaskError::Fatal(format!("task {k} exploded")));
+        assert_eq!(ran.into_inner(), k as usize, "nothing after task k ran");
+        let got =
+            cone.run_partitioned_recovering_bounded(&exec, &quotient, &plan, &policy, &budget);
+        cone.mark_unknown(&got);
+        drop(cone);
+        assert_eq!(got.outcome.poisoned_tasks, want.outcome.poisoned_tasks);
+        assert_eq!(got.poisoned_endpoints, want.poisoned_endpoints);
+        assert_eq!(got.outcome.failures, want.outcome.failures);
+        assert!(
+            timer.snapshot() == want_timer.snapshot(),
+            "same salvaged bits, same NaNs"
+        );
     }
 
     #[test]

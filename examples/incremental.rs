@@ -7,7 +7,11 @@
 //! compares running those incremental TDGs raw vs. scheduled through the
 //! dirty-cone partition cache — installed once on the full task space,
 //! then *repaired* inside each iteration's cone instead of re-partitioned
-//! — and verifies the timing results agree at every step.
+//! — vs. not scheduling at all: the cone's tasks in ascending full-space
+//! id on the calling thread, with no TDG, quotient or executor. It
+//! verifies the timing results agree at every step. Which column wins
+//! depends on cone size, worker count and host; a `Session` measures that
+//! for itself and picks per update.
 //!
 //! ```text
 //! cargo run --release --example incremental
@@ -40,10 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exec = Executor::host_parallel();
     let opts = PartitionerOptions::default();
 
-    // Two timers fed the identical modifier stream.
+    // Three timers fed the identical modifier stream.
     let mut plain_timer = Timer::new(netlist.clone(), library.clone());
-    let mut part_timer = Timer::new(netlist, library);
+    let mut part_timer = Timer::new(netlist.clone(), library.clone());
+    let mut order_timer = Timer::new(netlist, library);
     plain_timer.update_timing().run_sequential();
+    order_timer.update_timing().run_sequential();
 
     // Install the partition cache once, on the initial full update: its
     // TDG spans the full task space, which is the cache's key domain.
@@ -57,7 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rng_a = ChaCha8Rng::seed_from_u64(7);
     let mut rng_b = ChaCha8Rng::seed_from_u64(7);
+    let mut rng_c = ChaCha8Rng::seed_from_u64(7);
     let (mut plain_total, mut part_total) = (Duration::ZERO, install);
+    let mut order_total = Duration::ZERO;
     let mut total_tasks = 0usize;
     let mut total_dispatches_plain = 0u64;
     let mut total_dispatches_part = 0u64;
@@ -66,6 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..ITERATIONS {
         modify(&mut plain_timer, &mut rng_a);
         modify(&mut part_timer, &mut rng_b);
+        modify(&mut order_timer, &mut rng_c);
 
         // Raw incremental TDG.
         {
@@ -93,9 +102,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             total_moved += stats.moved;
         }
 
-        // Both policies must agree after every iteration.
-        let (a, b) = (plain_timer.report(1), part_timer.report(1));
-        assert_eq!(a.wns_ps, b.wns_ps, "divergence at iteration {i}");
+        // The cone alone, in ascending full-space id: a topological
+        // order, so nothing has to be built to run it.
+        {
+            let t0 = std::time::Instant::now();
+            let cone = order_timer.dirty_cone();
+            cone.run_in_order()?;
+            order_total += t0.elapsed();
+        }
+
+        // All three policies must agree, bit for bit, after every iteration.
+        let a = plain_timer.report(1);
+        for (other, lane) in [(&part_timer, "partitioned"), (&order_timer, "in-order")] {
+            let b = other.report(1);
+            assert_eq!(
+                (a.wns_ps.to_bits(), a.tns_ps.to_bits()),
+                (b.wns_ps.to_bits(), b.tns_ps.to_bits()),
+                "{lane} lane diverged at iteration {i}"
+            );
+        }
     }
 
     let final_report = plain_timer.report(3);
@@ -113,6 +138,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         part_total.as_secs_f64() * 1e3,
         install.as_secs_f64() * 1e3,
         total_dispatches_part
+    );
+    println!(
+        "cone in id order: {:>8.2} ms cumulative, no TDG, no dispatch",
+        order_total.as_secs_f64() * 1e3
     );
     println!(
         "repairs touched {} dirty task(s) total, moved {} (epoch {})",

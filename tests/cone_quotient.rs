@@ -22,8 +22,16 @@
 //! other when the whole design is dirty, where the cache's quotient is
 //! borrowed as it is — that the session's `UpdateOutcome` counts equal the
 //! public-step lane's, and that all three `TimingSnapshot`s and cached
-//! assignments are bit-identical. A last case evicts a session, restores
+//! assignments are bit-identical. Another case evicts a session, restores
 //! it, and checks that its rebuilt quotient computes the same bits.
+//!
+//! The last cases are about *how* the session executes a cone, which it
+//! decides from its own timings: the same stream goes to a session free to
+//! choose (in order on the calling thread, or the restricted quotient
+//! through the executor), to a session pinned to the executor by a far
+//! deadline, and to a bare `Timer` run sequentially, on 1, 2 and 4 workers
+//! — the choice must not show in any bit, outcome field or cached pid, nor
+//! across an evict → restore that forgets what the session had measured.
 
 use std::time::Duration;
 
@@ -240,20 +248,10 @@ impl Step {
     }
 }
 
-/// `edits` Fig. 7 edits on `circuit`, every 29th op a clock flip and every
-/// 37th a zero-deadline update followed by the update that heals it.
-fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
-    let verilog = write_verilog(&circuit.build(scale), circuit.name());
-    let exec = Executor::new(2);
-    let mut public = Lane::new(&verilog);
-    let mut restricted = Lane::new(&verilog);
-    let mut session =
-        Session::create("product", DesignSources::verilog_only(verilog), 2).expect("session");
-    let (num_gates, num_nets) = {
-        let netlist = public.timer.netlist();
-        (netlist.num_gates() as u32, netlist.num_nets() as u32)
-    };
-
+/// `edits` Fig. 7 edits, every 29th op a clock flip and every 37th a
+/// zero-deadline update followed by the update that heals it; idle at the
+/// end.
+fn stream(num_gates: u32, num_nets: u32, seed: u64, edits: usize) -> Vec<(Step, RunBudget)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut steps: Vec<(Step, RunBudget)> = Vec::new();
     for op in 0..edits {
@@ -282,6 +280,22 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
     }
     // Idle at the end: nothing pending, an empty cone on every lane.
     steps.push((Step::Nothing, RunBudget::unbounded()));
+    steps
+}
+
+/// The [`stream`] on `circuit`, through the three quotient lanes.
+fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
+    let verilog = write_verilog(&circuit.build(scale), circuit.name());
+    let exec = Executor::new(2);
+    let mut public = Lane::new(&verilog);
+    let mut restricted = Lane::new(&verilog);
+    let mut session =
+        Session::create("product", DesignSources::verilog_only(verilog), 2).expect("session");
+    let (num_gates, num_nets) = {
+        let netlist = public.timer.netlist();
+        (netlist.num_gates() as u32, netlist.num_nets() as u32)
+    };
+    let steps = stream(num_gates, num_nets, seed, edits);
 
     let (mut cones, mut full, mut stopped) = (0, 0, 0);
     for (i, (step, budget)) in steps.iter().enumerate() {
@@ -456,5 +470,96 @@ fn restored_session_matches_one_that_was_never_evicted() {
             kept.partition_assignment(),
             "step {i}: cached partition"
         );
+    }
+}
+
+/// The [`stream`]'s edits (every update unbounded, so nothing degrades)
+/// through a session free to pick its path, a session pinned to the
+/// scheduled path, and an unpartitioned sequential twin. Half way the free
+/// session is evicted and restored, which empties its cost table.
+fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize, workers: usize) {
+    let verilog = write_verilog(&circuit.build(scale), circuit.name());
+    let sources = DesignSources::verilog_only(verilog.clone());
+    let mut free = Session::create("lane", sources.clone(), workers).expect("session");
+    let mut pinned = Session::create("lane", sources, workers).expect("session");
+    let mut twin = Lane::new(&verilog).timer;
+    let netlist = twin.netlist();
+    let steps = stream(
+        netlist.num_gates() as u32,
+        netlist.num_nets() as u32,
+        seed,
+        edits,
+    );
+    let unbounded = RunBudget::unbounded();
+    // Never expires, but a budget with a deadline is the executor's to keep.
+    let far = RunBudget::unbounded().with_deadline(Duration::from_secs(3_600));
+
+    let mut with_tasks = 0;
+    let mut before_eviction = (0, 0);
+    for (i, (step, _)) in steps.iter().enumerate() {
+        let what = format!("{circuit} seed {seed:#x}, {workers} worker(s), step {i} ({step:?})");
+        if i == steps.len() / 2 {
+            let path = std::env::temp_dir().join(format!(
+                "gpasta-path-independence-{}-{circuit}-{workers}.ckpt",
+                std::process::id()
+            ));
+            before_eviction = free.path_counts();
+            free = free
+                .evict_to(&path)
+                .expect("evict")
+                .restore(workers)
+                .expect("restore");
+            std::fs::remove_file(&path).ok();
+            assert_eq!(
+                free.path_counts(),
+                (0, 0),
+                "{what}: the table is not restored"
+            );
+        }
+        step.apply_to_session(&mut free);
+        step.apply_to_session(&mut pinned);
+        step.apply_to_timer(&mut twin);
+
+        let got = free.update_timing(&unbounded).expect("update");
+        let want = pinned.update_timing(&far).expect("update");
+        twin.update_timing().run_sequential();
+        assert_eq!(got, want, "{what}: UpdateOutcome");
+        assert_eq!(got.stop, StopCause::Completed, "{what}");
+        with_tasks += u64::from(got.tasks > 0);
+
+        let snapshot = twin.snapshot();
+        assert!(free.timer().snapshot() == snapshot, "{what}: free bits");
+        assert!(pinned.timer().snapshot() == snapshot, "{what}: pinned bits");
+        assert_eq!(
+            free.partition_assignment(),
+            pinned.partition_assignment(),
+            "{what}: cached partition"
+        );
+    }
+
+    assert_eq!(pinned.path_counts(), (0, with_tasks), "a deadline pins");
+    let (in_order, scheduled) = free.path_counts();
+    assert_eq!(
+        before_eviction.0 + before_eviction.1 + in_order + scheduled,
+        with_tasks,
+        "every update with tasks took exactly one path"
+    );
+    // An unsampled path is tried first, so each half of the stream ran both.
+    for (in_order, scheduled) in [before_eviction, (in_order, scheduled)] {
+        assert!(in_order > 0 && scheduled > 0, "{in_order} / {scheduled}");
+    }
+}
+
+#[test]
+fn aes_core_updates_do_not_depend_on_the_path_taken() {
+    for workers in [1, 2, 4] {
+        path_independence(PaperCircuit::AesCore, 0.004, 0xC0DE, edits(), workers);
+    }
+}
+
+#[test]
+fn vga_lcd_updates_do_not_depend_on_the_path_taken() {
+    for workers in [1, 2, 4] {
+        path_independence(PaperCircuit::VgaLcd, 0.002, 0x7A57E, edits(), workers);
     }
 }
