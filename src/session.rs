@@ -24,12 +24,11 @@
 //!   panic inside the timer;
 //! * [`Session::update_timing`] repairs the cached partition inside the
 //!   dirty cone and executes the cone under a caller-supplied
-//!   [`RunBudget`] — unscheduled on the calling thread or partitioned
-//!   through the bounded recovering executor, whichever the session has
-//!   measured to be cheaper at that cone size (a bounded budget is always
-//!   the executor's) — and degrades explicitly on an expired deadline
-//!   (affected endpoints read NaN; the whole design is re-marked dirty so
-//!   a later update converges);
+//!   [`RunBudget`] — unscheduled on the calling thread when the budget
+//!   is unbounded, partitioned through the bounded recovering executor
+//!   when it has a deadline, cancel token or stall window — and degrades
+//!   explicitly on an expired deadline (affected endpoints read NaN; the
+//!   whole design is re-marked dirty so a later update converges);
 //! * [`Session::evict_to`] persists the session through the existing
 //!   `GPCKPT01` checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
@@ -58,7 +57,6 @@ use std::error::Error as StdError;
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use crate::checkpoint::{
     fnv1a64, read_checkpoint, write_checkpoint, CheckpointError, DesignShape, UpdateCheckpoint,
@@ -413,7 +411,7 @@ impl DormantSession {
             updates_done: ckpt.iterations_done,
             chaos: None,
             quotient_arena: QuotientArena::new(),
-            paths: PathTable::new(),
+            paths_taken: [0; 2],
         })
     }
 }
@@ -523,114 +521,9 @@ pub struct Session {
     /// steady-state updates stop touching the allocator once the
     /// high-water mark is established.
     quotient_arena: QuotientArena,
-    /// What each way of executing a cone has cost so far, by cone size.
-    /// Learnt from this session's own updates on this host; never
-    /// serialized, so a restored session starts it empty.
-    paths: PathTable,
-}
-
-/// The two ways [`Session::update_timing`] can execute a repaired cone.
-/// Both compute the same bits; which one ran depends on wall-clock
-/// measurements and is therefore visible nowhere but in
-/// [`Session::path_counts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConePath {
-    /// [`DirtyCone::run_in_order`](crate::sta::DirtyCone::run_in_order):
-    /// ascending full-space id on the calling thread.
-    InOrder = 0,
-    /// The cone's quotient restricted from the partition cache, through
-    /// the recovering executor.
-    Scheduled = 1,
-}
-
-impl ConePath {
-    fn other(self) -> ConePath {
-        match self {
-            ConePath::InOrder => ConePath::Scheduled,
-            ConePath::Scheduled => ConePath::InOrder,
-        }
-    }
-}
-
-/// One power-of-two range of cone sizes.
-#[derive(Debug, Clone, Copy, Default)]
-struct Bucket {
-    /// Estimated ns per task of each path (indexed by [`ConePath`]);
-    /// `None` until the path has been sampled.
-    ns_per_task: [Option<f64>; 2],
-    /// Updates that asked this bucket for a path.
-    updates: u32,
-}
-
-/// The measured per-size cost table behind the choice of [`ConePath`]:
-/// whether scheduling pays depends on the cone's size, the worker count
-/// and the host, so the session times both paths on its own updates and
-/// takes the cheaper one. Plain data on the session's own thread.
-#[derive(Debug, Clone)]
-struct PathTable {
-    /// Indexed by `ilog2` of the cone's task count.
-    buckets: [Bucket; usize::BITS as usize],
-    /// Updates completed on each path (indexed by [`ConePath`]).
-    taken: [u64; 2],
-}
-
-impl PathTable {
-    /// The path that looks dearer is taken on every this-many-th update of
-    /// its bucket, so that an estimate gone wrong or stale is measured
-    /// again.
-    const RESAMPLE_EVERY: u32 = 16;
-
-    fn new() -> Self {
-        PathTable {
-            buckets: [Bucket::default(); usize::BITS as usize],
-            taken: [0; 2],
-        }
-    }
-
-    /// The bucket of a non-empty cone.
-    fn bucket(&mut self, tasks: usize) -> &mut Bucket {
-        &mut self.buckets[tasks.ilog2() as usize]
-    }
-
-    /// The path for a cone of `tasks` tasks: one not yet sampled at this
-    /// size, else the cheaper estimate — except on every
-    /// [`RESAMPLE_EVERY`](Self::RESAMPLE_EVERY)-th update of the bucket,
-    /// which takes the other.
-    fn choose(&mut self, tasks: usize) -> ConePath {
-        let bucket = self.bucket(tasks);
-        bucket.updates = bucket.updates.wrapping_add(1);
-        match bucket.ns_per_task {
-            [None, _] => ConePath::InOrder,
-            [_, None] => ConePath::Scheduled,
-            [Some(in_order), Some(scheduled)] => {
-                let cheaper = if scheduled < in_order {
-                    ConePath::Scheduled
-                } else {
-                    ConePath::InOrder
-                };
-                if bucket.updates.is_multiple_of(Self::RESAMPLE_EVERY) {
-                    cheaper.other()
-                } else {
-                    cheaper
-                }
-            }
-        }
-    }
-
-    /// Fold one measured update into the estimate of `path`. A slower
-    /// sample moves the estimate a quarter of the way (an exponentially
-    /// weighted average); a quicker one replaces it, because interference
-    /// — a preemption, a cold cache, the one update that builds the
-    /// cache's quotient — only ever adds time, so one re-sample is enough
-    /// to correct an estimate that such a sample inflated.
-    fn record(&mut self, tasks: usize, path: ConePath, elapsed: Duration) {
-        let sample = elapsed.as_nanos() as f64 / tasks as f64;
-        let estimate = &mut self.bucket(tasks).ns_per_task[path as usize];
-        *estimate = Some(match *estimate {
-            Some(old) if sample > old => old + (sample - old) / 4.0,
-            _ => sample,
-        });
-    }
+    /// Updates that ran `[in order, scheduled]` since create or restore
+    /// (see [`Session::path_counts`]); never serialized.
+    paths_taken: [u64; 2],
 }
 
 /// A session-layer fault schedule: the shared [`FaultPlan`] plus the
@@ -698,7 +591,7 @@ impl Session {
             updates_done: 0,
             chaos: None,
             quotient_arena: QuotientArena::new(),
-            paths: PathTable::new(),
+            paths_taken: [0; 2],
         })
     }
 
@@ -846,25 +739,24 @@ impl Session {
 
     /// Bring timing up to date under `budget`: discover the dirty cone,
     /// repair the cached partition inside it, and execute it one of two
-    /// ways, whichever this session has measured to be cheaper for a cone
-    /// of this size (see [`path_counts`](Session::path_counts)):
+    /// ways:
     ///
     /// * *in order* — every task on the calling thread in ascending
     ///   full-space id, which is a topological order: no quotient, no
-    ///   executor;
+    ///   executor. An update under [`RunBudget::unbounded`] runs this way;
     /// * *scheduled* — take the cone's quotient from the cache (a
     ///   restriction of the one full-space quotient the cache keeps while
     ///   its assignment stands, and that quotient itself when the whole
     ///   design is dirty; no per-update task graph is built and no task
     ///   edge is scanned) and run it through the bounded recovering
-    ///   executor.
+    ///   executor. A `budget` with a deadline, a cancel token or a stall
+    ///   window runs this way — admission control and the unfinished
+    ///   closure are the executor's — and so does the rerun of a cone in
+    ///   which a task panicked in order.
     ///
     /// The repair runs on both paths and the results are bit-identical, so
     /// nothing this function returns or the session persists depends on the
-    /// path. A `budget` with a deadline, a cancel token or a stall window
-    /// is always scheduled — admission control and the unfinished closure
-    /// are the executor's — and so is the rerun of a cone in which a task
-    /// panicked in order.
+    /// path.
     ///
     /// A restriction keeps every edge the full quotient has between the
     /// cone's partitions, which can be more than the cone's own tasks
@@ -907,54 +799,41 @@ impl Session {
             stall_window,
         } = budget;
         let bounded = deadline.is_some() || cancel.is_some() || stall_window.is_some();
-        // A bounded run is the executor's, and its time says nothing about
-        // either path's cost: the table is neither asked nor told.
-        let choice = (!bounded).then(|| self.paths.choose(tasks));
-        let started = Instant::now();
-        // When a task panics in order, the whole cone runs again (the
-        // payload is idempotent) where a panic is contained to its forward
-        // closure.
-        let path = if choice == Some(ConePath::InOrder) && cone.run_in_order().is_ok() {
-            ConePath::InOrder
+        // A bounded run is the executor's. When a task panics in order, the
+        // whole cone runs again (the payload is idempotent) where a panic is
+        // contained to its forward closure.
+        let in_order = !bounded && cone.run_in_order().is_ok();
+        let (stop, unknown_endpoints) = if in_order {
+            (StopCause::Completed, 0)
         } else {
-            ConePath::Scheduled
-        };
-        let (stop, unknown_endpoints) = match path {
-            ConePath::InOrder => (StopCause::Completed, 0),
-            ConePath::Scheduled => {
-                let quotient = self
-                    .inc
-                    .cone_quotient(cone.ids(), &mut self.quotient_arena)
-                    .ok_or(IncrementalError::NotInstalled)?
-                    .map_err(SessionError::Quotient)?;
-                let rec = cone.run_partitioned_recovering_bounded(
-                    &self.exec,
-                    &quotient,
-                    &FaultPlan::none(),
-                    &self.policy,
-                    budget,
-                );
-                if let Cow::Owned(restricted) = quotient {
-                    self.quotient_arena.recycle(restricted);
-                }
-                let stop = rec.outcome.stop;
-                if stop == StopCause::Completed {
-                    (stop, 0)
-                } else {
-                    // Degrade explicitly: everything the stopped run left
-                    // stale reads unknown, and the design is re-marked
-                    // dirty so the next (fresh-budget) update recomputes it.
-                    cone.mark_unknown(&rec);
-                    let unknown = rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len();
-                    (stop, unknown as u32)
-                }
+            let quotient = self
+                .inc
+                .cone_quotient(cone.ids(), &mut self.quotient_arena)
+                .ok_or(IncrementalError::NotInstalled)?
+                .map_err(SessionError::Quotient)?;
+            let rec = cone.run_partitioned_recovering_bounded(
+                &self.exec,
+                &quotient,
+                &FaultPlan::none(),
+                &self.policy,
+                budget,
+            );
+            if let Cow::Owned(restricted) = quotient {
+                self.quotient_arena.recycle(restricted);
+            }
+            let stop = rec.outcome.stop;
+            if stop == StopCause::Completed {
+                (stop, 0)
+            } else {
+                // Degrade explicitly: everything the stopped run left
+                // stale reads unknown, and the design is re-marked
+                // dirty so the next (fresh-budget) update recomputes it.
+                cone.mark_unknown(&rec);
+                let unknown = rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len();
+                (stop, unknown as u32)
             }
         };
-        // A sample only when the chosen path is the one that ran.
-        if choice == Some(path) {
-            self.paths.record(tasks, path, started.elapsed());
-        }
-        self.paths.taken[path as usize] += 1;
+        self.paths_taken[usize::from(!in_order)] += 1;
         drop(cone);
         if stop != StopCause::Completed {
             self.timer.invalidate_all();
@@ -972,11 +851,10 @@ impl Session {
 
     /// How many updates ran `(in order, scheduled)` since this session was
     /// created or restored; their sum is the number of updates that had
-    /// tasks to run. A diagnostic: the split depends on wall-clock
-    /// measurements, so it differs between runs and hosts and is not part
-    /// of any outcome, wire message or checkpoint.
+    /// tasks to run. A diagnostic, not part of any outcome, wire message or
+    /// checkpoint.
     pub fn path_counts(&self) -> (u64, u64) {
-        let [in_order, scheduled] = self.paths.taken;
+        let [in_order, scheduled] = self.paths_taken;
         (in_order, scheduled)
     }
 
@@ -1238,7 +1116,8 @@ endmodule
         let mut s = fixture_session("one-quotient");
         assert_eq!(s.inc.quotient_builds(), 0, "create builds no quotient");
         // A far deadline: every update takes the scheduled path, the one
-        // that needs the quotient.
+        // that needs the quotient (an unbounded update builds none, see
+        // `a_bounded_budget_is_scheduled_and_an_unbounded_one_runs_in_order`).
         let scheduled = RunBudget::unbounded().with_deadline(Duration::from_secs(3_600));
         for i in 0..20 {
             let period_ps = if i % 2 == 0 { 900.0 } else { 1_000.0 };
@@ -1292,100 +1171,8 @@ endmodule
         assert!(s.timer().snapshot() == reference.timer().snapshot());
     }
 
-    /// A table in which both paths of `tasks`' bucket have been sampled,
-    /// at `in_order` and `scheduled` ns per task.
-    fn sampled_table(tasks: usize, in_order: u64, scheduled: u64) -> PathTable {
-        let mut table = PathTable::new();
-        for (path, ns) in [
-            (ConePath::InOrder, in_order),
-            (ConePath::Scheduled, scheduled),
-        ] {
-            assert_eq!(table.choose(tasks), path, "an unsampled path goes first");
-            table.record(tasks, path, Duration::from_nanos(ns * tasks as u64));
-        }
-        table
-    }
-
     #[test]
-    fn the_cheaper_path_runs_and_the_other_is_resampled_every_16th_update() {
-        for (in_order, scheduled, cheaper) in [
-            (30, 20, ConePath::Scheduled),
-            (20, 30, ConePath::InOrder),
-            (20, 20, ConePath::InOrder),
-        ] {
-            let mut table = sampled_table(100, in_order, scheduled);
-            // `sampled_table` made the bucket's updates 1 and 2.
-            for update in 3..=64u32 {
-                let want = if update % 16 == 0 {
-                    cheaper.other()
-                } else {
-                    cheaper
-                };
-                let path = table.choose(100);
-                assert_eq!(path, want, "update {update} at {in_order}/{scheduled}");
-                let ns = [in_order, scheduled][path as usize];
-                table.record(100, path, Duration::from_nanos(ns * 100));
-            }
-        }
-    }
-
-    #[test]
-    fn one_absurd_sample_is_out_voted_within_16_updates() {
-        // In order really costs 10 ns a task, scheduled 14. The absurd
-        // sample is the first the bucket sees, or arrives on a settled one.
-        let mut first = PathTable::new();
-        assert_eq!(first.choose(100), ConePath::InOrder);
-        first.record(100, ConePath::InOrder, Duration::from_nanos(1_000 * 100));
-        let mut settled = sampled_table(100, 10, 14);
-        assert_eq!(settled.choose(100), ConePath::InOrder);
-        settled.record(100, ConePath::InOrder, Duration::from_nanos(1_000 * 100));
-
-        for mut table in [first, settled] {
-            let mut wrong = 0;
-            loop {
-                let path = table.choose(100);
-                let ns = [10, 14][path as usize];
-                table.record(100, path, Duration::from_nanos(ns * 100));
-                if path == ConePath::InOrder {
-                    break;
-                }
-                wrong += 1;
-                assert!(wrong < 16, "the dearer-looking path is never re-sampled");
-            }
-            assert!(wrong > 0, "the sample was absurd enough to mislead");
-            assert_eq!(
-                table.choose(100),
-                ConePath::InOrder,
-                "one re-sample corrects"
-            );
-        }
-    }
-
-    #[test]
-    fn buckets_are_independent() {
-        let mut table = sampled_table(100, 30, 20);
-        assert_eq!(
-            table.choose(127),
-            ConePath::Scheduled,
-            "64..=127 is one bucket"
-        );
-        // Its neighbours have seen nothing, and learn the opposite.
-        for tasks in [63, 128] {
-            assert_eq!(table.choose(tasks), ConePath::InOrder);
-            table.record(tasks, ConePath::InOrder, Duration::from_nanos(tasks as u64));
-            assert_eq!(table.choose(tasks), ConePath::Scheduled);
-            table.record(
-                tasks,
-                ConePath::Scheduled,
-                Duration::from_micros(tasks as u64),
-            );
-            assert_eq!(table.choose(tasks), ConePath::InOrder);
-        }
-        assert_eq!(table.choose(100), ConePath::Scheduled);
-    }
-
-    #[test]
-    fn a_bounded_budget_is_scheduled_without_consulting_the_table() {
+    fn a_bounded_budget_is_scheduled_and_an_unbounded_one_runs_in_order() {
         let mut s = fixture_session("pinned");
         let token = crate::sched::CancelToken::new();
         let bounded = [
@@ -1393,36 +1180,39 @@ endmodule
             RunBudget::unbounded().with_cancel(token),
             RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600)),
         ];
-        for (i, budget) in bounded.iter().cycle().take(9).enumerate() {
+        let unbounded = RunBudget::unbounded();
+        let edit = |s: &mut Session, i: usize| {
             s.apply_edit(&Edit::Repower {
                 gate: "u1".into(),
                 drive: [2.0, 4.0][i % 2],
             })
             .expect("valid");
+        };
+
+        // In order there is no quotient to build, whole design or cone.
+        s.apply_edit(&Edit::SetClockPeriod { period_ps: 900.0 })
+            .expect("valid");
+        s.update_timing(&unbounded).expect("update");
+        for i in 0..4 {
+            edit(&mut s, i);
+            let out = s.update_timing(&unbounded).expect("update");
+            assert_eq!(out.stop, StopCause::Completed);
+        }
+        assert_eq!(s.path_counts(), (5, 0));
+        assert_eq!(s.inc.quotient_builds(), 0);
+
+        for (i, budget) in bounded.iter().cycle().take(9).enumerate() {
+            edit(&mut s, i);
             let out = s.update_timing(budget).expect("update");
             assert_eq!(out.stop, StopCause::Completed);
         }
-        assert_eq!(s.path_counts(), (0, 9));
-        for bucket in &s.paths.buckets {
-            assert_eq!(bucket.updates, 0);
-            assert_eq!(bucket.ns_per_task, [None, None]);
-        }
+        assert_eq!(s.path_counts(), (5, 9));
+        assert_eq!(s.inc.quotient_builds(), 1);
 
-        // Free to choose, the same session tries both; an idle update
-        // takes neither.
-        let unbounded = RunBudget::unbounded();
-        for i in 0..2 {
-            s.apply_edit(&Edit::Repower {
-                gate: "u1".into(),
-                drive: [0.5, 1.0][i],
-            })
-            .expect("valid");
-            s.update_timing(&unbounded).expect("update");
-        }
-        assert_eq!(s.path_counts(), (1, 10));
+        // An idle update takes neither path.
         let idle = s.update_timing(&unbounded).expect("update");
         assert_eq!(idle.tasks, 0);
-        assert_eq!(s.path_counts(), (1, 10));
+        assert_eq!(s.path_counts(), (5, 9));
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! assignments are bit-identical. Another case evicts a session, restores
 //! it, and checks that its rebuilt quotient computes the same bits.
 //!
-//! The last cases are about *how* the session executes a cone, which it
-//! decides from its own timings: the same stream goes to a session free to
-//! choose (in order on the calling thread, or the restricted quotient
-//! through the executor), to a session pinned to the executor by a far
-//! deadline, and to a bare `Timer` run sequentially, on 1, 2 and 4 workers
-//! — the choice must not show in any bit, outcome field or cached pid, nor
-//! across an evict → restore that forgets what the session had measured.
+//! The last cases are about *how* the session executes a cone: the same
+//! stream goes to a session under an unbounded budget (in order on the
+//! calling thread), to a session pinned to the restricted quotient and the
+//! executor by a far deadline, and to a bare `Timer` run sequentially, on
+//! 1, 2 and 4 workers — the path must not show in any bit, outcome field
+//! or cached pid, nor across an evict → restore.
 
 use std::time::Duration;
 
@@ -473,10 +472,10 @@ fn restored_session_matches_one_that_was_never_evicted() {
     }
 }
 
-/// The [`stream`]'s edits (every update unbounded, so nothing degrades)
-/// through a session free to pick its path, a session pinned to the
-/// scheduled path, and an unpartitioned sequential twin. Half way the free
-/// session is evicted and restored, which empties its cost table.
+/// The [`stream`]'s edits (no update stops early, so nothing degrades)
+/// through a session under an unbounded budget, which runs every cone in
+/// order, a session pinned to the scheduled path, and an unpartitioned
+/// sequential twin. Half way the unbounded session is evicted and restored.
 fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize, workers: usize) {
     let verilog = write_verilog(&circuit.build(scale), circuit.name());
     let sources = DesignSources::verilog_only(verilog.clone());
@@ -513,7 +512,7 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
             assert_eq!(
                 free.path_counts(),
                 (0, 0),
-                "{what}: the table is not restored"
+                "{what}: the counts are not checkpointed"
             );
         }
         step.apply_to_session(&mut free);
@@ -540,14 +539,11 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
     assert_eq!(pinned.path_counts(), (0, with_tasks), "a deadline pins");
     let (in_order, scheduled) = free.path_counts();
     assert_eq!(
-        before_eviction.0 + before_eviction.1 + in_order + scheduled,
-        with_tasks,
-        "every update with tasks took exactly one path"
+        (before_eviction.0 + in_order, before_eviction.1 + scheduled),
+        (with_tasks, 0),
+        "an unbounded update runs in order"
     );
-    // An unsampled path is tried first, so each half of the stream ran both.
-    for (in_order, scheduled) in [before_eviction, (in_order, scheduled)] {
-        assert!(in_order > 0 && scheduled > 0, "{in_order} / {scheduled}");
-    }
+    assert!(before_eviction.0 > 0 && in_order > 0, "both halves ran");
 }
 
 #[test]
