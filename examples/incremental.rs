@@ -9,9 +9,9 @@
 //! then *repaired* inside each iteration's cone instead of re-partitioned
 //! — vs. not scheduling at all: the cone's tasks in ascending full-space
 //! id on the calling thread, with no TDG, quotient or executor. It
-//! verifies the timing results agree at every step. Which column wins
-//! depends on cone size, worker count and host; a `Session` measures that
-//! for itself and picks per update.
+//! verifies the timing results agree at every step. On the 2-core
+//! development host the last column wins at every cone size, which is why
+//! a `Session` runs an update without a deadline that way.
 //!
 //! ```text
 //! cargo run --release --example incremental
