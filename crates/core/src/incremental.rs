@@ -193,10 +193,66 @@ struct Cache {
     /// bit stale, which costs at most a missed merge or one redundant full
     /// pass — never an invalid repair.
     merge_bit: Vec<bool>,
+    /// No repair of a successor-closed cone can do anything but bump the
+    /// epoch: see [`Cache::at_fixed_point`], of which this is the value as
+    /// of the last time `merge_bit` was computed.
+    settled: bool,
     /// Scratch: `(topo_rank << 32) | task` sort keys for the dirty cone.
     sort_keys: Vec<u64>,
     /// Scratch: projected raw pids for [`IncrementalPartitioner::repair_and_project`].
     proj: Vec<u32>,
+}
+
+impl Cache {
+    /// A warm cache over `tdg` under the edge-monotone assignment `raw`,
+    /// with `sizes[p]` members in pid `p`. Derived state (merge bits, the
+    /// settled fact) is computed here; lazy state (topological ranks, the
+    /// quotient) starts unbuilt.
+    fn new(
+        tdg: &Tdg,
+        fingerprint: u64,
+        ps: usize,
+        raw: Vec<u32>,
+        sizes: Vec<u32>,
+        max_pid: u32,
+    ) -> Cache {
+        let n = tdg.num_tasks();
+        let merge_bit = (0..n as u32)
+            .map(|t| merge_candidate(tdg, &raw, &sizes, ps, t))
+            .collect();
+        let mut cache = Cache {
+            fingerprint,
+            tdg: tdg.clone(),
+            ps,
+            raw,
+            reserved: vec![0; sizes.len()],
+            sizes,
+            max_pid,
+            topo_rank: Vec::new(),
+            quotient: None,
+            stamp: vec![0; n],
+            stamp_cur: 0,
+            order: Vec::new(),
+            merge_bit,
+            settled: false,
+            sort_keys: Vec::new(),
+            proj: Vec::new(),
+        };
+        cache.settled = cache.at_fixed_point();
+        cache
+    }
+
+    /// Whether nothing anywhere in the cache would send a repair off its
+    /// identity fast path: no merge-candidate bit set, no partition above
+    /// `Ps`, the id space below the renormalisation bound. These are the
+    /// facts [`IncrementalPartitioner::repair`] reads per dirty task (stale
+    /// bits included) before it decides to re-place; false for the whole
+    /// cache, they are false in every cone.
+    fn at_fixed_point(&self) -> bool {
+        !self.merge_bit.contains(&true)
+            && self.sizes.iter().all(|&s| s as usize <= self.ps)
+            && self.max_pid as usize <= 4 * self.raw.len() + RENORM_SLACK
+    }
 }
 
 /// Would the wavefront rule move task `t` out of its cached slot? True
@@ -434,28 +490,9 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             (raw, sizes)
         };
 
-        let np = sizes.len();
-        let merge_bit = (0..n as u32)
-            .map(|t| merge_candidate(tdg, &raw, &sizes, ps, t))
-            .collect();
+        let max_pid = (sizes.len() as u32).saturating_sub(1);
         self.epoch += 1;
-        self.cache = Some(Cache {
-            fingerprint: tdg.fingerprint(),
-            tdg: tdg.clone(),
-            ps,
-            raw,
-            sizes,
-            reserved: vec![0; np],
-            max_pid: (np as u32).saturating_sub(1),
-            topo_rank: Vec::new(),
-            quotient: None,
-            stamp: vec![0; n],
-            stamp_cur: 0,
-            order: Vec::new(),
-            merge_bit,
-            sort_keys: Vec::new(),
-            proj: Vec::new(),
-        });
+        self.cache = Some(Cache::new(tdg, tdg.fingerprint(), ps, raw, sizes, max_pid));
         Ok(())
     }
 
@@ -575,6 +612,52 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             },
             Partition::new(proj),
         ))
+    }
+
+    /// [`Self::repair`] for a cone the caller *knows* is in range,
+    /// duplicate-free and successor-closed (an STA timer's own dirty cone),
+    /// at the cost of the cone only when the cache could change.
+    ///
+    /// `repair` re-places a cone only if some dirty task has its
+    /// merge-candidate bit set or sits in a partition above `Ps`. A
+    /// *settled* cache has neither anywhere (nor an id space due for
+    /// renormalisation), so it has neither in any cone: every repair is the
+    /// identity fast path, whose one effect is the epoch. On a settled
+    /// cache this function therefore advances the epoch and reports
+    /// `moved == 0`, `fresh_partitions == 0` without reading `dirty`; an
+    /// unsettled cache — a restored assignment the wavefront would still
+    /// merge, or the state a moving repair left — takes the checked
+    /// `repair`. The fact is derived where the merge bits are: at
+    /// [`Self::install`] (a seq-G-PASTA install is settled by construction:
+    /// a seed partition that was full when a task was placed stays full),
+    /// at [`Self::restore_cache`], and after every re-placing repair.
+    ///
+    /// Debug builds run the checked `repair` regardless and assert that it
+    /// did exactly what the skip reports.
+    ///
+    /// # Errors
+    ///
+    /// [`IncrementalError::NotInstalled`] on a cold cache; on an unsettled
+    /// cache (and in debug builds) those of [`Self::repair`].
+    pub fn repair_trusted(&mut self, dirty: &[u32]) -> Result<RepairStats, IncrementalError> {
+        let cache = self.cache.as_ref().ok_or(IncrementalError::NotInstalled)?;
+        let settled = cache.settled;
+        let skipped = RepairStats {
+            num_dirty: dirty.len(),
+            moved: 0,
+            fresh_partitions: 0,
+            epoch: self.epoch + 1,
+        };
+        if settled && !cfg!(debug_assertions) {
+            self.epoch += 1;
+            return Ok(skipped);
+        }
+        let stats = self.repair(dirty)?;
+        debug_assert!(
+            !settled || stats == skipped,
+            "a settled cache repaired {stats:?}, the skip reports {skipped:?}"
+        );
+        Ok(stats)
     }
 
     fn repair_impl(
@@ -779,6 +862,11 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             cache.max_pid = next.saturating_sub(1);
             cache.quotient = None;
         }
+        if needs_full {
+            // Sizes and merge bits changed; an identity repair changes
+            // neither (and an unsettled cache stays unsettled through it).
+            cache.settled = cache.at_fixed_point();
+        }
 
         self.epoch += 1;
         Ok(stats)
@@ -877,27 +965,15 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
                 export.ps
             ));
         }
-        let merge_bit = (0..n as u32)
-            .map(|t| merge_candidate(tdg, &export.raw, &sizes, export.ps, t))
-            .collect();
         self.epoch = export.epoch;
-        self.cache = Some(Cache {
-            fingerprint: export.fingerprint,
-            tdg: tdg.clone(),
-            ps: export.ps,
-            raw: export.raw,
+        self.cache = Some(Cache::new(
+            tdg,
+            export.fingerprint,
+            export.ps,
+            export.raw,
             sizes,
-            reserved: vec![0; np],
-            max_pid: export.max_pid,
-            topo_rank: Vec::new(),
-            quotient: None,
-            stamp: vec![0; n],
-            stamp_cur: 0,
-            order: Vec::new(),
-            merge_bit,
-            sort_keys: Vec::new(),
-            proj: Vec::new(),
-        });
+            export.max_pid,
+        ));
         Ok(())
     }
 
@@ -999,8 +1075,11 @@ pub fn forward_closure(tdg: &Tdg, seeds: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeqGPasta;
+    use crate::{DeterGPasta, GPasta, Gdca, SeqGPasta};
+    use gpasta_circuits::{dag, PaperCircuit};
+    use gpasta_gpu::Device;
     use gpasta_tdg::TdgBuilder;
+    use proptest::prelude::*;
 
     fn diamond() -> Tdg {
         let mut b = TdgBuilder::new(4);
@@ -1557,6 +1636,175 @@ mod tests {
             },
             "beyond what 4 tasks can reach",
         );
+    }
+
+    fn is_settled<P: Partitioner>(inc: &IncrementalPartitioner<P>) -> bool {
+        inc.cache.as_ref().expect("warm").settled
+    }
+
+    /// The lemma behind [`IncrementalPartitioner::repair_trusted`], on one
+    /// install: while the cache reports settled, the checked repair of any
+    /// successor-closed cone is the identity plus one epoch — what the skip
+    /// reports — and keeps the quotient. A twin restored from the same
+    /// assignment takes `repair_trusted` and must never differ.
+    fn check_settled_lemma<P: Partitioner>(
+        inner: P,
+        tdg: &Tdg,
+        ps: usize,
+        seed_sets: &[Vec<u32>],
+    ) -> Result<bool, TestCaseError> {
+        let n = tdg.num_tasks() as u32;
+        let mut checked = IncrementalPartitioner::new(inner);
+        checked
+            .install(tdg, &PartitionerOptions::with_max_size(ps))
+            .expect("install");
+        let settled_at_install = is_settled(&checked);
+        let mut trusted = IncrementalPartitioner::new(SeqGPasta::new());
+        let export = checked.export_cache().expect("warm");
+        trusted.restore_cache(tdg, export).expect("restore");
+        prop_assert_eq!(is_settled(&trusted), settled_at_install);
+
+        let all: Vec<u32> = (0..n).collect();
+        let mut arena = QuotientArena::new();
+        for seeds in seed_sets {
+            let seeds: Vec<u32> = seeds.iter().map(|s| s % n).collect();
+            let cone = forward_closure(tdg, &seeds);
+            let settled = is_settled(&checked);
+            let kept = checked.cone_quotient(&all, &mut arena).expect("warm");
+            kept.expect("schedulable");
+            let builds = checked.quotient_builds();
+            let raw = checked.raw_assignment().expect("warm").to_vec();
+            let epoch = checked.epoch();
+
+            let stats = checked.repair(&cone).expect("closed cone");
+            if settled {
+                let skip = RepairStats {
+                    num_dirty: cone.len(),
+                    moved: 0,
+                    fresh_partitions: 0,
+                    epoch: epoch + 1,
+                };
+                prop_assert_eq!(stats, skip);
+                prop_assert_eq!(checked.raw_assignment().expect("warm"), &raw[..]);
+                prop_assert!(
+                    is_settled(&checked),
+                    "an identity repair settles nothing anew"
+                );
+                let kept = checked.cone_quotient(&cone, &mut arena).expect("warm");
+                kept.expect("schedulable");
+                prop_assert_eq!(checked.quotient_builds(), builds, "quotient kept");
+            }
+            prop_assert_eq!(checked.epoch(), epoch + 1);
+            let cache = checked.cache.as_ref().expect("warm");
+            prop_assert_eq!(
+                cache.settled,
+                cache.at_fixed_point(),
+                "settled must be what repair would read off the arrays"
+            );
+
+            prop_assert_eq!(trusted.repair_trusted(&cone), Ok(stats));
+            prop_assert_eq!(trusted.epoch(), checked.epoch());
+            prop_assert_eq!(trusted.raw_assignment(), checked.raw_assignment());
+        }
+        Ok(settled_at_install)
+    }
+
+    /// Case count of the lemma property, overridable via `PROPTEST_CASES`
+    /// (the nightly CI job raises it).
+    fn lemma_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(lemma_cases()))]
+
+        #[test]
+        fn a_settled_cache_repairs_every_closed_cone_to_itself(
+            n in 2usize..150,
+            avg_degree in 0.5f64..3.0,
+            dag_seed in any::<u64>(),
+            ps in 1usize..9,
+            seed_sets in proptest::collection::vec(
+                proptest::collection::vec(any::<u32>(), 0..5),
+                1..6,
+            ),
+        ) {
+            let tdg = dag::random_dag(n, avg_degree, dag_seed);
+            let seq = check_settled_lemma(SeqGPasta::new(), &tdg, ps, &seed_sets)?;
+            prop_assert!(seq, "a seq-G-PASTA install is settled by construction");
+            check_settled_lemma(GPasta::with_device(Device::new(2)), &tdg, ps, &seed_sets)?;
+            check_settled_lemma(DeterGPasta::with_device(Device::new(2)), &tdg, ps, &seed_sets)?;
+            check_settled_lemma(Gdca::new(), &tdg, ps, &seed_sets)?;
+        }
+    }
+
+    #[test]
+    fn an_unsettled_restore_still_repairs_and_a_moving_repair_rederives_the_fact() {
+        // Singletons are a legal assignment the wavefront would merge.
+        let tdg = chain(4);
+        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
+        inc.install(&tdg, &PartitionerOptions::with_max_size(2))
+            .expect("install");
+        assert!(is_settled(&inc));
+        let singletons = CacheExport {
+            raw: vec![0, 1, 2, 3],
+            max_pid: 3,
+            ..inc.export_cache().expect("warm")
+        };
+        inc.restore_cache(&tdg, singletons).expect("legal");
+        assert!(!is_settled(&inc), "tasks 1..3 are merge candidates");
+
+        // The tail cone moves task 2 and leaves task 1's bit set: a moving
+        // repair does not settle what it did not touch.
+        let stats = inc.repair_trusted(&[2, 3]).expect("closed");
+        assert_eq!((stats.moved, stats.fresh_partitions), (1, 0));
+        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 1, 1, 3]);
+        assert!(!is_settled(&inc));
+
+        // Repairing the rest reaches the fixed point, and from there the
+        // trusted step and the checked repair are the same identity.
+        let stats = inc.repair_trusted(&[1, 2, 3]).expect("closed");
+        assert_eq!(stats.moved, 2);
+        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 0, 1, 1]);
+        assert!(is_settled(&inc));
+        let epoch = inc.epoch();
+        let skip = inc.repair_trusted(&[1, 2, 3]).expect("settled");
+        let checked = inc.repair(&[1, 2, 3]).expect("closed");
+        assert_eq!(
+            (skip.moved, skip.fresh_partitions, skip.epoch),
+            (0, 0, epoch + 1)
+        );
+        assert_eq!(
+            checked,
+            RepairStats {
+                epoch: epoch + 2,
+                ..skip
+            }
+        );
+        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 0, 1, 1]);
+
+        let mut cold = IncrementalPartitioner::new(SeqGPasta::new());
+        assert_eq!(
+            cold.repair_trusted(&[0]),
+            Err(IncrementalError::NotInstalled)
+        );
+    }
+
+    /// The product path really skips: what `Session::create` installs.
+    #[test]
+    fn seq_gpasta_installs_on_the_paper_circuits_are_settled() {
+        for &circuit in PaperCircuit::all() {
+            let netlist = circuit.build(0.002);
+            let mut timer = gpasta_sta::Timer::new(netlist, gpasta_sta::CellLibrary::typical());
+            let full = timer.update_timing();
+            let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
+            inc.install(full.tdg(), &PartitionerOptions::default())
+                .expect("install");
+            assert!(is_settled(&inc), "{circuit}: install is not settled");
+        }
     }
 
     #[test]

@@ -91,6 +91,78 @@ pub struct TimingGraph {
     level_order: Vec<u32>,
     /// Lazily built flat arc view for the propagation hot path.
     soa: OnceLock<ArcSoa>,
+    /// Lazily built position-space adjacency for cone discovery.
+    level_view: OnceLock<LevelView>,
+}
+
+/// The arcs in *position space*: node `v` is named by its position
+/// `rank[v]` in [`TimingGraph::level_order`], and the node at position `r`
+/// lists the positions of its fan-out (all above `r`) and fan-in (all below
+/// `r`) nodes, CSR. Cone discovery sweeps positions in order, so it reads
+/// these arrays front to back (or back to front) instead of chasing
+/// `rev_off -> rev_arc -> arcs[a]` per step.
+///
+/// Derived state like [`ArcSoa`]: a pure function of the graph, built by
+/// the first partial cone (a whole-design update never asks for it), about
+/// `12 n + 8 arcs` bytes, off the wire and out of equality.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelView {
+    /// Node id to position in the level order (its inverse).
+    pub(crate) rank: Vec<u32>,
+    succ_off: Vec<u32>,
+    succ: Vec<u32>,
+    pred_off: Vec<u32>,
+    pred: Vec<u32>,
+}
+
+impl LevelView {
+    fn build(graph: &TimingGraph) -> Self {
+        let order = &graph.level_order;
+        let mut rank = vec![0u32; order.len()];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        let (succ_off, succ) = position_csr(graph, &rank, |v| graph.fanout(v), |arc| arc.to);
+        let (pred_off, pred) = position_csr(graph, &rank, |v| graph.fanin(v), |arc| arc.from);
+        LevelView {
+            rank,
+            succ_off,
+            succ,
+            pred_off,
+            pred,
+        }
+    }
+
+    /// Positions of the fan-out nodes of the node at position `r`.
+    #[inline]
+    pub(crate) fn succ(&self, r: usize) -> &[u32] {
+        &self.succ[self.succ_off[r] as usize..self.succ_off[r + 1] as usize]
+    }
+
+    /// Positions of the fan-in nodes of the node at position `r`.
+    #[inline]
+    pub(crate) fn pred(&self, r: usize) -> &[u32] {
+        &self.pred[self.pred_off[r] as usize..self.pred_off[r + 1] as usize]
+    }
+}
+
+/// One direction of [`LevelView`]: per position, the positions at the far
+/// ends of the arcs `arcs_of` lists for the node there.
+fn position_csr<'g>(
+    graph: &'g TimingGraph,
+    rank: &[u32],
+    arcs_of: impl Fn(NodeId) -> &'g [u32],
+    far_end: impl Fn(&TimingArcRef) -> NodeId,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut off = Vec::with_capacity(rank.len() + 1);
+    let mut adj = Vec::with_capacity(graph.arcs.len());
+    off.push(0);
+    for &v in &graph.level_order {
+        let arcs = arcs_of(NodeId(v)).iter();
+        adj.extend(arcs.map(|&a| rank[far_end(graph.arc(a)).index()]));
+        off.push(adj.len() as u32);
+    }
+    (off, adj)
 }
 
 /// Flat structure-of-arrays view of the timing arcs, column per field.
@@ -175,7 +247,7 @@ impl ArcSoa {
     }
 }
 
-// Manual impls: the cached SoA view is derived state and must stay off
+// Manual impls: the cached views are derived state and must stay off
 // the wire and out of equality (mirrors `Tdg` and its CSR cache).
 impl PartialEq for TimingGraph {
     fn eq(&self, other: &Self) -> bool {
@@ -232,6 +304,7 @@ impl Deserialize for TimingGraph {
             po_base: Deserialize::from_value(v.expect_field("po_base")?)?,
             level_order: Deserialize::from_value(v.expect_field("level_order")?)?,
             soa: OnceLock::new(),
+            level_view: OnceLock::new(),
         })
     }
 }
@@ -375,6 +448,7 @@ impl TimingGraph {
             po_base,
             level_order: Vec::new(),
             soa: OnceLock::new(),
+            level_view: OnceLock::new(),
         };
 
         // Acyclicity check (combinational loops). A node is popped only
@@ -427,6 +501,17 @@ impl TimingGraph {
     #[inline]
     pub(crate) fn level_order(&self) -> &[u32] {
         &self.level_order
+    }
+
+    /// The arcs in position space, built on first use.
+    #[inline]
+    pub(crate) fn level_view(&self) -> &LevelView {
+        self.level_view.get_or_init(|| LevelView::build(self))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn has_level_view(&self) -> bool {
+        self.level_view.get().is_some()
     }
 
     /// Number of nodes (pins).

@@ -49,7 +49,7 @@ pub struct Timer {
     /// [`TimingUpdateTdg`]s come back here when they drop (shared so the
     /// update can outlive `&mut self`).
     bin: Arc<Mutex<RecycleBin>>,
-    /// Cone flags, task maps, and traversal stack reused across updates.
+    /// Cone-membership bitsets and task maps reused across updates.
     scratch: UpdateScratch,
 }
 
@@ -66,14 +66,13 @@ struct RecycleBin {
 /// high-water mark once, after which updates allocate nothing.
 #[derive(Debug, Default)]
 struct UpdateScratch {
-    in_f: Vec<bool>,
-    in_b: Vec<bool>,
+    /// Membership in F and in B, one bit per *position in the level
+    /// order*, `n.div_ceil(64)` words each. All zero between updates:
+    /// [`Timer::discover_cone`] zeroes every word as it reads it.
+    f_bits: Vec<u64>,
+    b_bits: Vec<u64>,
     f_task: Vec<u32>,
     b_task: Vec<u32>,
-    stack: Vec<u32>,
-    /// F members in forward-DFS visit order (unsorted); seeds the
-    /// backward traversal without an O(n) membership scan.
-    f_members: Vec<u32>,
 }
 
 impl Timer {
@@ -287,6 +286,13 @@ impl Timer {
     /// task ids (see [`DirtyCone`]) plus how many of them are fprop tasks.
     /// F is the forward closure of the dirty nodes, B ⊇ F the backward
     /// closure of F. Clears the dirty set.
+    ///
+    /// Both closures are one sweep over the level order, in the position
+    /// space of [`TimingGraph::level_view`]: an arc goes up the order, so by
+    /// the time an ascending sweep reaches a position every fan-in that
+    /// could put it in F has been visited, and likewise descending for B.
+    /// No stack, no visited array, no sort — and the ids come out ascending,
+    /// because fprop ids rise and bprop ids fall with the position.
     fn discover_cone(&mut self) -> (Vec<u32>, usize) {
         let n = self.graph.num_nodes();
         let mut ids = self.bin.lock().cone_ids.pop().unwrap_or_default();
@@ -296,56 +302,53 @@ impl Timer {
             ids.extend(0..2 * n as u32);
             return (ids, n);
         }
+        if self.dirty.is_empty() {
+            return (ids, 0);
+        }
 
-        let in_f = &mut self.scratch.in_f;
-        let in_b = &mut self.scratch.in_b;
-        in_f.clear();
-        in_b.clear();
-        in_f.resize(n, false);
-        let stack = &mut self.scratch.stack;
-        let f_members = &mut self.scratch.f_members;
-        stack.clear();
-        f_members.clear();
-        stack.extend_from_slice(&self.dirty);
-        for &v in stack.iter() {
-            in_f[v as usize] = true;
+        let view = self.graph.level_view();
+        let f = &mut self.scratch.f_bits;
+        let b = &mut self.scratch.b_bits;
+        f.resize(n.div_ceil(64), 0);
+        b.resize(n.div_ceil(64), 0);
+        let set = |bits: &mut [u64], r: u32| bits[r as usize / 64] |= 1 << (r % 64);
+        for v in self.dirty.drain(..) {
+            set(f, view.rank[v as usize]);
         }
-        f_members.extend_from_slice(stack);
-        while let Some(u) = stack.pop() {
-            for &a in self.graph.fanout(NodeId(u)) {
-                let v = self.graph.arc(a).to.0;
-                if !in_f[v as usize] {
-                    in_f[v as usize] = true;
-                    stack.push(v);
-                    f_members.push(v);
-                }
-            }
-        }
-        in_b.extend_from_slice(in_f);
-        // Seed the backward cone from the collected F members — same
-        // set the old `(0..n).filter(in_f)` scan produced, without the
-        // O(n) membership sweep (seed order does not change the
-        // resulting in_b set).
-        stack.extend_from_slice(f_members);
-        while let Some(u) = stack.pop() {
-            for &a in self.graph.fanin(NodeId(u)) {
-                let v = self.graph.arc(a).from.0;
-                if !in_b[v as usize] {
-                    in_b[v as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        self.dirty.clear();
 
-        // Fprop tasks for F along the graph's level order, then bprop
-        // tasks for B against it: ascending full-space id.
-        let order = self.graph.level_order();
-        ids.extend((0..n as u32).filter(|&r| in_f[order[r as usize] as usize]));
+        // F, ascending: fprop task of position `r` is `r`.
+        for w in 0..f.len() {
+            let mut todo = f[w];
+            while todo != 0 {
+                let bit = todo.trailing_zeros();
+                let r = w as u32 * 64 + bit;
+                ids.push(r);
+                for &s in view.succ(r as usize) {
+                    set(f, s);
+                }
+                // A successor may share this word; it sits above `bit`.
+                todo = f[w] & (!1 << bit);
+            }
+            b[w] = std::mem::take(&mut f[w]);
+        }
         let num_fprop = ids.len();
-        ids.extend(
-            (n as u32..2 * n as u32).filter(|&id| in_b[order[2 * n - 1 - id as usize] as usize]),
-        );
+
+        // B, descending: bprop task of position `r` is `2n - 1 - r`.
+        let top = 2 * n as u32 - 1;
+        for w in (0..b.len()).rev() {
+            let mut todo = b[w];
+            while todo != 0 {
+                let bit = 63 - todo.leading_zeros();
+                let r = w as u32 * 64 + bit;
+                ids.push(top - r);
+                for &p in view.pred(r as usize) {
+                    set(b, p);
+                }
+                // A predecessor may share this word; it sits below `bit`.
+                todo = b[w] & ((1 << bit) - 1);
+            }
+            b[w] = 0;
+        }
         (ids, num_fprop)
     }
 
@@ -998,6 +1001,104 @@ mod tests {
             .for_each(|&id| cone.execute_task(TaskId(id)));
         drop(cone);
         assert_eq!(cone_only.snapshot(), with_tdg.snapshot());
+    }
+
+    /// Dirty the nodes at `positions` of the level order and check the cone
+    /// against its definition: the successor closure, in the full-space TDG,
+    /// of the dirty nodes' fprop tasks (the task of position `r` is `r`).
+    fn assert_cone_is_the_closure(timer: &mut Timer, full_tdg: &Tdg, positions: &[u32]) {
+        let n = timer.graph.num_nodes();
+        let order = timer.graph.level_order();
+        timer
+            .dirty
+            .extend(positions.iter().map(|&r| order[r as usize]));
+        let (ids, num_fprop) = timer.discover_cone();
+        assert_eq!(
+            ids,
+            gpasta_core::forward_closure(full_tdg, positions),
+            "cone of positions {positions:?}"
+        );
+        assert_eq!(
+            num_fprop,
+            ids.iter().filter(|&&id| (id as usize) < n).count()
+        );
+        assert!(!timer.has_pending_changes());
+        let scratch = &timer.scratch;
+        assert_eq!(scratch.f_bits.len(), n.div_ceil(64));
+        assert!(
+            scratch
+                .f_bits
+                .iter()
+                .chain(&scratch.b_bits)
+                .all(|&w| w == 0),
+            "the sweeps leave both bitsets zero"
+        );
+    }
+
+    #[test]
+    fn cone_discovery_is_the_successor_closure_at_every_word_boundary() {
+        // A chain puts position r at depth r: its one successor shares its
+        // word unless r is the word's last bit. 82 nodes: a 64-bit word and
+        // an 18-bit tail.
+        let mut chain = chain_timer(40);
+        let full = chain.update_timing();
+        let full_tdg = full.tdg().clone();
+        drop(full);
+        let n = chain.graph.num_nodes() as u32;
+        assert_eq!(n, 82);
+        let cases: [&[u32]; 8] = [
+            &[62],
+            &[63],
+            &[64],
+            &[n - 1],
+            &[0],
+            &[63, 64, n - 1],
+            &[70, 5, 70, 5],
+            &[n - 1, 0],
+        ];
+        for positions in cases {
+            assert_cone_is_the_closure(&mut chain, &full_tdg, positions);
+        }
+
+        // Reconvergent fan-out over several words, every position as a seed.
+        let mut wide = seeded_timer(3, 6, 12);
+        let full = wide.update_timing();
+        let full_tdg = full.tdg().clone();
+        drop(full);
+        let n = wide.graph.num_nodes() as u32;
+        assert!(n > 3 * 64 && !n.is_multiple_of(64), "{n} nodes");
+        for r in 0..n {
+            assert_cone_is_the_closure(&mut wide, &full_tdg, &[r]);
+        }
+        assert_cone_is_the_closure(&mut wide, &full_tdg, &[n / 2, 63, 64, n / 2, 7]);
+    }
+
+    #[test]
+    fn only_a_partial_cone_builds_the_position_view_and_a_release_keeps_it() {
+        let mut timer = seeded_timer(11, 5, 10);
+        // Whole design, then nothing: neither needs the view, and neither
+        // evaluates `2n - 1`.
+        let full_space = 2 * timer.graph.num_nodes();
+        assert_eq!(timer.dirty_cone().num_tasks(), full_space, "full update");
+        assert_eq!(timer.dirty_cone().num_tasks(), 0, "nothing is dirty");
+        assert!(!timer.graph.has_level_view());
+        assert!(timer.scratch.f_bits.is_empty());
+        let mut empty = Timer::new(
+            NetlistBuilder::new().build().expect("empty is fine"),
+            CellLibrary::typical(),
+        );
+        assert_eq!(empty.dirty_cone().num_tasks(), 0, "full update of nothing");
+        assert_eq!(empty.dirty_cone().num_tasks(), 0);
+
+        timer.repower_gate(GateId(7), 2.0);
+        let before = timer.dirty_cone().ids().to_vec();
+        assert!(!before.is_empty() && before.len() < full_space);
+        assert!(timer.graph.has_level_view());
+
+        timer.release_tdg_buffers();
+        assert!(timer.graph.has_level_view(), "the view is the graph's");
+        timer.repower_gate(GateId(7), 0.5);
+        assert_eq!(timer.dirty_cone().ids(), before, "same edit, same cone");
     }
 
     #[test]

@@ -15,15 +15,16 @@
 //!   Verilog, optional Liberty library, optional SDC constraints), runs
 //!   the initial full analysis, and installs the incremental partition
 //!   cache on the full-space update TDG — after this every
-//!   [`Session::update_timing`] pays only dirty-cone repair, exactly the
-//!   warm path the paper's Figure 7 measures;
+//!   [`Session::update_timing`] pays only for its dirty cone, the warm
+//!   path the paper's Figure 7 measures;
 //! * [`Session::apply_edit`] applies validated incremental edits
 //!   ([`Edit`]): gate repower, net-capacitance change, I/O-delay and
 //!   clock-period constraint changes. Validation happens *here*, so bad
 //!   client input surfaces as a typed [`SessionError`] instead of a
 //!   panic inside the timer;
-//! * [`Session::update_timing`] repairs the cached partition inside the
-//!   dirty cone and executes the cone under a caller-supplied
+//! * [`Session::update_timing`] discovers the dirty cone (repairing the
+//!   cached partition inside it only if the cache is not settled) and
+//!   executes the cone under a caller-supplied
 //!   [`RunBudget`] — unscheduled on the calling thread when the budget
 //!   is unbounded, partitioned through the bounded recovering executor
 //!   when it has a deadline, cancel token or stall window — and degrades
@@ -136,7 +137,10 @@ pub enum SessionError {
     /// An [`Edit`] referenced a missing object or carried an invalid
     /// value; the message names both.
     BadEdit(String),
-    /// Partition-cache maintenance (install, repair, restore) failed.
+    /// Partition-cache maintenance failed: the install at create, the
+    /// re-validation at restore, or the dirty-cone repair an update runs
+    /// while the cached assignment is unsettled (on a settled one an update
+    /// repairs nothing, so it cannot fail here).
     Partition(IncrementalError),
     /// A repaired partition failed quotient construction — a library
     /// bug, reported instead of panicking so one request fails, not the
@@ -277,9 +281,10 @@ pub struct UpdateOutcome {
     pub stop: StopCause,
     /// Tasks in this update's dirty cone (0 when nothing was dirty).
     pub tasks: usize,
-    /// Tasks the dirty-cone repair moved between partitions.
+    /// Tasks the dirty-cone repair moved between partitions; zero on a
+    /// settled cache, where no repair runs.
     pub repair_moved: usize,
-    /// Fresh partitions the repair allocated.
+    /// Fresh partitions the repair allocated; zero on a settled cache.
     pub repair_fresh: usize,
     /// The partition cache's epoch after the run.
     pub epoch: u64,
@@ -639,12 +644,13 @@ impl Session {
 
     /// Install (or clear) a session-layer chaos schedule. The plan is
     /// consulted once per [`update_timing`](Session::update_timing) at
-    /// the key `(updates_done, attempt)` — *after* the dirty-cone
-    /// partition repair, so an injected panic leaves the session in the
-    /// genuinely inconsistent mid-operation state crash-only recovery
-    /// must cope with. `attempt` is the hosting supervisor's recovery
-    /// count for this session: a fault that fired before a crash keys
-    /// differently on the healed session, exactly like executor retries.
+    /// the key `(updates_done, attempt)` — *after* the partition cache
+    /// has accounted for the dirty cone (its epoch has advanced), so an
+    /// injected panic leaves the session in the genuinely inconsistent
+    /// mid-operation state crash-only recovery must cope with. `attempt`
+    /// is the hosting supervisor's recovery count for this session: a
+    /// fault that fired before a crash keys differently on the healed
+    /// session, exactly like executor retries.
     ///
     /// Only [`FaultKind::Panic`] and [`FaultKind::Delay`] are meaningful
     /// at session granularity; `Transient`/`WrongResult` model executor
@@ -738,8 +744,9 @@ impl Session {
     }
 
     /// Bring timing up to date under `budget`: discover the dirty cone,
-    /// repair the cached partition inside it, and execute it one of two
-    /// ways:
+    /// account for it in the partition cache
+    /// ([`IncrementalPartitioner::repair_trusted`]), and execute it one of
+    /// two ways:
     ///
     /// * *in order* — every task on the calling thread in ascending
     ///   full-space id, which is a topological order: no quotient, no
@@ -754,9 +761,15 @@ impl Session {
     ///   closure are the executor's — and so does the rerun of a cone in
     ///   which a task panicked in order.
     ///
-    /// The repair runs on both paths and the results are bit-identical, so
-    /// nothing this function returns or the session persists depends on the
-    /// path.
+    /// The cache step comes before the choice and the results are
+    /// bit-identical, so nothing this function returns or the session
+    /// persists depends on the path. It is a *repair* only when the cached
+    /// assignment is not settled — a restored assignment the wavefront
+    /// would still merge, or one a repair has just moved. Every edit a
+    /// session accepts is delay-only, so the task graph is the one the
+    /// cache was installed on, the installed seq-G-PASTA assignment is
+    /// settled, and the step is an epoch bump that never reads the cone;
+    /// debug builds run the checked repair anyway and assert it agreed.
     ///
     /// A restriction keeps every edge the full quotient has between the
     /// cone's partitions, which can be more than the cone's own tasks
@@ -772,9 +785,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Partition`] if the dirty-cone repair fails,
-    /// [`SessionError::Quotient`] if the repaired partition has no
-    /// valid quotient.
+    /// [`SessionError::Partition`] if the cache is unsettled and the
+    /// dirty-cone repair fails, [`SessionError::Quotient`] if the cached
+    /// partition has no valid quotient.
     pub fn update_timing(&mut self, budget: &RunBudget) -> Result<UpdateOutcome, SessionError> {
         let cone = self.timer.dirty_cone();
         let tasks = cone.num_tasks();
@@ -790,7 +803,7 @@ impl Session {
                 unknown_endpoints: 0,
             });
         }
-        let stats = self.inc.repair(cone.ids())?;
+        let stats = self.inc.repair_trusted(cone.ids())?;
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
 
         let RunBudget {

@@ -30,7 +30,10 @@
 //! calling thread), to a session pinned to the restricted quotient and the
 //! executor by a far deadline, and to a bare `Timer` run sequentially, on
 //! 1, 2 and 4 workers — the path must not show in any bit, outcome field
-//! or cached pid, nor across an evict → restore.
+//! or cached pid, nor across an evict → restore. Beside the bare timer sits
+//! a bare `IncrementalPartitioner` fed the checked `repair(cone ids)` on
+//! every step: the sessions, which skip the repair on their settled cache,
+//! must report its counts and its epoch all the same.
 
 use std::time::Duration;
 
@@ -475,13 +478,18 @@ fn restored_session_matches_one_that_was_never_evicted() {
 /// The [`stream`]'s edits (no update stops early, so nothing degrades)
 /// through a session under an unbounded budget, which runs every cone in
 /// order, a session pinned to the scheduled path, and an unpartitioned
-/// sequential twin. Half way the unbounded session is evicted and restored.
+/// sequential twin whose cones a bare partition cache repairs, checked,
+/// every step. Half way the unbounded session is evicted and restored.
 fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize, workers: usize) {
     let verilog = write_verilog(&circuit.build(scale), circuit.name());
     let sources = DesignSources::verilog_only(verilog.clone());
     let mut free = Session::create("lane", sources.clone(), workers).expect("session");
     let mut pinned = Session::create("lane", sources, workers).expect("session");
-    let mut twin = Lane::new(&verilog).timer;
+    let Lane {
+        timer: mut twin,
+        inc: mut repaired,
+        ..
+    } = Lane::new(&verilog);
     let netlist = twin.netlist();
     let steps = stream(
         netlist.num_gates() as u32,
@@ -521,9 +529,24 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
 
         let got = free.update_timing(&unbounded).expect("update");
         let want = pinned.update_timing(&far).expect("update");
-        twin.update_timing().run_sequential();
+        let update = twin.update_timing();
+        let ids = update.full_space_ids();
+        update.run_sequential();
+        drop(update);
+        // An idle update repairs nothing on any lane.
+        let (moved, fresh) = if ids.is_empty() {
+            (0, 0)
+        } else {
+            let stats = repaired.repair(&ids).expect("closed cone");
+            (stats.moved, stats.fresh_partitions)
+        };
         assert_eq!(got, want, "{what}: UpdateOutcome");
         assert_eq!(got.stop, StopCause::Completed, "{what}");
+        assert_eq!(
+            (got.tasks, got.repair_moved, got.repair_fresh, got.epoch),
+            (ids.len(), moved, fresh, repaired.epoch()),
+            "{what}: the session's cache step against a checked repair"
+        );
         with_tasks += u64::from(got.tasks > 0);
 
         let snapshot = twin.snapshot();

@@ -3,10 +3,10 @@
 //! execution equivalence.
 
 use gpasta::circuits::{generate_netlist, CircuitSpec};
-use gpasta::core::{Partitioner, PartitionerOptions, SeqGPasta};
+use gpasta::core::{forward_closure, Partitioner, PartitionerOptions, SeqGPasta};
 use gpasta::sched::Executor;
-use gpasta::sta::{CellLibrary, GateId, Mode, NodeId, Timer, Tr};
-use gpasta::tdg::QuotientTdg;
+use gpasta::sta::{CellLibrary, GateId, Mode, NodeId, NodeKind, PinRef, PortId, Timer, Tr};
+use gpasta::tdg::{QuotientTdg, TaskId};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = CircuitSpec> {
@@ -25,6 +25,153 @@ fn analysed_timer(spec: &CircuitSpec) -> Timer {
     let mut timer = Timer::new(generate_netlist(spec), CellLibrary::typical());
     timer.update_timing().run_sequential();
     timer
+}
+
+/// One design modifier on the objects it names.
+#[derive(Debug, Clone, Copy)]
+enum Modifier {
+    Repower(GateId, f32),
+    NetCap(u32, f32),
+    InputDelay(PortId, f32),
+    OutputDelay(PortId, f32),
+}
+
+/// A modifier as drawn: `(kind, index, value)`, the index still to be
+/// reduced modulo the design by [`Modifier::resolve`].
+fn arb_modifier() -> impl Strategy<Value = (u8, u32, f32)> {
+    (0u8..5, any::<u32>(), 0.5f32..4.0)
+}
+
+impl Modifier {
+    /// Kind 1 repowers the `i`-th flip-flop (any gate when the design has
+    /// none); the others take the `i`-th gate, net or port.
+    fn resolve((kind, i, x): (u8, u32, f32), timer: &Timer) -> Modifier {
+        let netlist = timer.netlist();
+        let num_gates = netlist.num_gates() as u32;
+        match kind {
+            0 => Modifier::Repower(GateId(i % num_gates), x),
+            1 => {
+                let dffs: Vec<u32> = (0..num_gates)
+                    .filter(|&g| netlist.gates()[g as usize].cell.is_sequential())
+                    .collect();
+                let g = match dffs.len() {
+                    0 => i % num_gates,
+                    len => dffs[i as usize % len],
+                };
+                Modifier::Repower(GateId(g), x)
+            }
+            2 => Modifier::NetCap(i % netlist.num_nets() as u32, x),
+            3 => Modifier::InputDelay(PortId(i % netlist.num_inputs() as u32), 10.0 * x),
+            _ => Modifier::OutputDelay(PortId(i % netlist.num_outputs() as u32), 10.0 * x),
+        }
+    }
+
+    fn apply(self, timer: &mut Timer) {
+        match self {
+            Modifier::Repower(g, drive) => timer.repower_gate(g, drive),
+            Modifier::NetCap(net, cap_ff) => timer.set_net_cap(net, cap_ff),
+            Modifier::InputDelay(p, delay_ps) => timer.set_input_delay(p, delay_ps),
+            Modifier::OutputDelay(p, delay_ps) => timer.set_output_delay(p, delay_ps),
+        }
+    }
+
+    /// The nodes the modifier dirties, read off the netlist by what it
+    /// means: a repower changes the gate's own delay (its output pin) and
+    /// the load on whatever drives its inputs; a net capacitance changes
+    /// the load on the net's driver; an I/O delay changes the port it
+    /// constrains.
+    fn dirties(self, timer: &Timer) -> Vec<NodeId> {
+        let (netlist, graph) = (timer.netlist(), timer.graph());
+        let port_node = |kind: NodeKind| {
+            let v = (0..graph.num_nodes() as u32).find(|&v| graph.node_kind(NodeId(v)) == kind);
+            NodeId(v.expect("every port has a node"))
+        };
+        let driver_node = |pin: PinRef| match pin {
+            PinRef::PrimaryInput(p) => port_node(NodeKind::PrimaryInput(p.0)),
+            PinRef::GateOutput(g) => graph.gate_output_node(g),
+            sink => panic!("{sink:?} drives nothing"),
+        };
+        match self {
+            Modifier::Repower(g, _) => {
+                let feeds_g = |pin: &PinRef| matches!(*pin, PinRef::GateInput(to, _) if to == g);
+                let drivers = netlist
+                    .nets()
+                    .iter()
+                    .filter(|net| net.sinks.iter().any(feeds_g));
+                std::iter::once(graph.gate_output_node(g))
+                    .chain(drivers.map(|net| driver_node(net.driver)))
+                    .collect()
+            }
+            Modifier::NetCap(net, _) => vec![driver_node(netlist.nets()[net as usize].driver)],
+            Modifier::InputDelay(p, _) => vec![port_node(NodeKind::PrimaryInput(p.0))],
+            Modifier::OutputDelay(p, _) => vec![port_node(NodeKind::PrimaryOutput(p.0))],
+        }
+    }
+}
+
+/// Case count of the cone-discovery property, overridable via
+/// `PROPTEST_CASES` (the nightly CI job raises it).
+fn discovery_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(discovery_cases()))]
+
+    /// The dirty cone is, by definition, the successor closure of the dirty
+    /// nodes' fprop tasks in the full-space TDG: fprop follows arcs, every
+    /// node's bprop follows its fprop, bprop runs against arcs.
+    #[test]
+    fn dirty_cone_is_the_successor_closure_of_the_dirty_fprop_tasks(
+        spec in arb_spec(),
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(arb_modifier(), 1..=8), any::<bool>()),
+            1..4,
+        ),
+    ) {
+        let mut cone_timer = Timer::new(generate_netlist(&spec), CellLibrary::typical());
+        let mut tdg_timer = Timer::new(generate_netlist(&spec), CellLibrary::typical());
+        cone_timer.update_timing().run_sequential();
+        let full = tdg_timer.update_timing();
+        let full_tdg = full.tdg().clone();
+        let n = full.num_fprop_tasks();
+        prop_assert_eq!(full_tdg.num_tasks(), 2 * n);
+        let mut fprop_of = vec![0u32; n];
+        for t in 0..n as u32 {
+            fprop_of[full.node(TaskId(t)).index()] = t;
+        }
+        full.run_sequential();
+        drop(full);
+
+        for (mut batch, repeat_first) in batches {
+            if repeat_first {
+                batch.push(batch[0]);
+            }
+            let mut seeds = Vec::new();
+            for &drawn in &batch {
+                let m = Modifier::resolve(drawn, &cone_timer);
+                seeds.extend(m.dirties(&cone_timer).iter().map(|v| fprop_of[v.index()]));
+                m.apply(&mut cone_timer);
+                m.apply(&mut tdg_timer);
+            }
+            let want = forward_closure(&full_tdg, &seeds);
+            let want_fprop = want.iter().filter(|&&id| (id as usize) < n).count();
+
+            let cone = cone_timer.dirty_cone();
+            prop_assert_eq!(cone.ids(), &want[..], "batch {:?}", &batch);
+            cone.run_in_order().expect("no task panics");
+            drop(cone);
+            let update = tdg_timer.update_timing();
+            prop_assert_eq!(update.full_space_ids(), want);
+            prop_assert_eq!(update.num_fprop_tasks(), want_fprop);
+            update.run_sequential();
+            drop(update);
+            prop_assert!(cone_timer.snapshot() == tdg_timer.snapshot());
+        }
+    }
 }
 
 proptest! {
