@@ -144,6 +144,50 @@ impl LevelView {
     pub(crate) fn pred(&self, r: usize) -> &[u32] {
         &self.pred[self.pred_off[r] as usize..self.pred_off[r + 1] as usize]
     }
+
+    /// One sweep over the level order: `visit` every position set in
+    /// `bits` — ascending when `UP`, else descending — and, where it
+    /// returns `true`, set the positions of that node's fan-out (`UP`) or
+    /// fan-in. An arc goes up the order, so those lie strictly ahead and
+    /// the same sweep reaches them. Every word is zeroed once it is read
+    /// out: `bits` ends all zero.
+    pub(crate) fn sweep<const UP: bool>(
+        &self,
+        bits: &mut [u64],
+        mut visit: impl FnMut(u32) -> bool,
+    ) {
+        for i in 0..bits.len() {
+            let w = if UP { i } else { bits.len() - 1 - i };
+            let mut todo = bits[w];
+            while todo != 0 {
+                let bit = if UP {
+                    todo.trailing_zeros()
+                } else {
+                    63 - todo.leading_zeros()
+                };
+                let r = w as u32 * 64 + bit;
+                if visit(r) {
+                    let ahead = if UP {
+                        self.succ(r as usize)
+                    } else {
+                        self.pred(r as usize)
+                    };
+                    for &s in ahead {
+                        set_bit(bits, s);
+                    }
+                }
+                // A neighbour may share this word; it sits beyond `bit`.
+                todo = bits[w] & if UP { !1 << bit } else { (1 << bit) - 1 };
+            }
+            bits[w] = 0;
+        }
+    }
+}
+
+/// Set position `r` in a position bitset.
+#[inline]
+pub(crate) fn set_bit(bits: &mut [u64], r: u32) {
+    bits[r as usize / 64] |= 1 << (r % 64);
 }
 
 /// One direction of [`LevelView`]: per position, the positions at the far

@@ -15,8 +15,8 @@
 //!   the salvage) converges to the same bits a fault-free run produces.
 
 use crate::analysis::TimingData;
-use crate::graph::{NodeId, TimingGraph};
-use crate::timer::{DirtyCone, TaskKind, TimingUpdateTdg};
+use crate::graph::{set_bit, NodeId, TimingGraph};
+use crate::timer::{ConeBits, DirtyCone, TaskKind, TimingUpdateTdg};
 use gpasta_sched::{
     panic_message, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, TaskError,
 };
@@ -117,34 +117,109 @@ fn mark_unknown(data: &TimingData, rec: &RecoveredUpdate) {
     }
 }
 
-/// Run `ids` through `payload` on the calling thread, in the order given.
-/// The first panic stops the loop and is reported as the executor reports a
-/// contained payload panic.
-fn run_in_order(ids: &[u32], payload: impl Fn(TaskId)) -> Result<(), TaskError> {
+/// Run `cone` through `payload` on the calling thread and return how many
+/// tasks ran: a whole-design cone front to back, a partial one by
+/// [`run_changed`]. The first panic stops the run and is reported as the
+/// executor reports a contained payload panic.
+fn run_in_order(cone: &DirtyCone<'_>, payload: impl Fn(TaskId)) -> Result<usize, TaskError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    catch_unwind(AssertUnwindSafe(|| {
-        for &id in ids {
-            payload(TaskId(id));
+    let mut bits = cone.bits.lock();
+    let partial = !bits.seeds.is_empty();
+    let executed = catch_unwind(AssertUnwindSafe(|| {
+        if partial {
+            return run_changed(cone, &mut bits, &payload);
         }
+        cone.ids().iter().for_each(|&id| payload(TaskId(id)));
+        cone.num_tasks()
     }))
-    .map_err(|panic| TaskError::Fatal(panic_message(panic.as_ref())))
+    .map_err(|panic| {
+        // A sweep that stopped half way leaves bits set.
+        *bits = ConeBits::default();
+        TaskError::Fatal(panic_message(panic.as_ref()))
+    })?;
+    // The referee of every skip, outside the net that would turn its panic
+    // into a scheduled rerun: the whole cone stores the bits it finds.
+    if partial && cfg!(debug_assertions) {
+        let settled = cone.data().snapshot();
+        cone.ids().iter().for_each(|&id| payload(TaskId(id)));
+        debug_assert!(settled == cone.data().snapshot(), "a skipped task was due");
+    }
+    Ok(executed)
+}
+
+/// Run only what changed: the two sweeps of cone discovery, reaching a
+/// task's neighbours only if it stored a different bit than it found. So a
+/// task runs if its node is a seed or an input of it changed — for fprop a
+/// fan-in's arrival or slew; for bprop a fan-out's required time, or a
+/// fan-out's fprop having changed its arrival, its slew or a delay it
+/// caches on its fan-in arcs. A seed counts as changed whatever it stores:
+/// what the edit wrote (a net's delay and load, a drive, a port constraint)
+/// is read by the seed's tasks *and its neighbours'*, and is not a value
+/// compared here. Sound because, on entry, every other node's stored
+/// values are the function of its stored inputs (DESIGN.md §8). Bit
+/// patterns compare: an unknown (NaN) equals itself, `-0.0` is not `0.0`.
+fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(TaskId)) -> usize {
+    let ConeBits { seeds, f, b, arcs } = bits;
+    let (graph, data) = (cone.graph(), cone.data());
+    let (view, order) = (graph.level_view(), graph.level_order());
+    let is_seed = |r: u32| seeds[r as usize / 64] >> (r % 64) & 1 == 1;
+    let delays = |v| graph.fanin(v).iter().map(|&a| data.arc_delay_bits(a));
+    f.copy_from_slice(seeds);
+    b.copy_from_slice(seeds);
+    let mut executed = 0;
+    view.sweep::<true>(f, |r| {
+        let v = NodeId(order[r as usize]);
+        let found = data.fprop_bits(v);
+        arcs.clear();
+        arcs.extend(delays(v));
+        payload(TaskId(r));
+        executed += 1;
+        let moved = is_seed(r) || found != data.fprop_bits(v);
+        if moved || delays(v).ne(arcs.iter().copied()) {
+            view.pred(r as usize).iter().for_each(|&p| set_bit(b, p));
+        }
+        moved
+    });
+    let top = 2 * order.len() as u32 - 1;
+    view.sweep::<false>(b, |r| {
+        let v = NodeId(order[r as usize]);
+        let found = data.required_bits(v);
+        payload(TaskId(top - r));
+        executed += 1;
+        is_seed(r) || found != data.required_bits(v)
+    });
+    executed
 }
 
 impl DirtyCone<'_> {
-    /// Run this cone unscheduled: every task on the calling thread, in
-    /// ascending full-space id — a topological order of the cone (see
-    /// [`DirtyCone`]), so no dependency graph, quotient or executor is
-    /// involved. Bit-identical to any scheduled run of the same cone.
+    /// Run this cone unscheduled, on the calling thread, in ascending
+    /// full-space id — a topological order of the cone (see [`DirtyCone`]),
+    /// so no dependency graph, quotient or executor is involved — and
+    /// return the number of tasks executed: all
+    /// [`num_tasks`](DirtyCone::num_tasks) of a whole-design cone, and of a
+    /// partial one only the tasks a changed value reaches, which assumes
+    /// the timing state was consistent before the edits (as it is after any
+    /// completed update or restore). Bit-identical to any scheduled run of
+    /// the same cone; debug builds then run every task and assert that.
     ///
     /// # Errors
     ///
     /// [`TaskError::Fatal`] with the text of the first payload panic; the
     /// tasks after it have not run. The payload is idempotent, so the
     /// whole cone can be run again — through
-    /// [`run_partitioned_recovering_bounded`](DirtyCone::run_partitioned_recovering_bounded)
-    /// when the failure should be contained to its forward closure.
-    pub fn run_in_order(&self) -> Result<(), TaskError> {
-        run_in_order(self.ids(), self.task_fn())
+    /// [`run_partitioned_recovering_bounded`](DirtyCone::run_partitioned_recovering_bounded),
+    /// which runs every task of it, when the failure should be contained
+    /// to its forward closure.
+    pub fn run_in_order(&self) -> Result<usize, TaskError> {
+        run_in_order(self, self.task_fn())
+    }
+
+    /// Whether both sweep bitsets are all zero, as discovery and every run
+    /// leave them.
+    #[doc(hidden)]
+    pub fn sweep_bits_are_zero(&self) -> bool {
+        let bits = self.bits.lock();
+        bits.f.iter().chain(&bits.b).all(|&w| w == 0)
     }
 
     /// Run this cone through the recovering executor, dispatching the nodes
@@ -399,9 +474,227 @@ mod tests {
         ref_timer.update_timing().run_sequential();
         let cone = timer.dirty_cone();
         assert!(cone.num_tasks() < 2 * cone.graph().num_nodes(), "a cone");
-        assert_eq!(cone.run_in_order(), Ok(()));
+        let executed = cone.run_in_order().expect("no task panics");
+        assert!(0 < executed && executed <= cone.num_tasks());
+        assert!(cone.sweep_bits_are_zero());
         drop(cone);
         assert!(timer.snapshot() == ref_timer.snapshot());
+    }
+
+    /// Settle `make()` and a twin, apply `edit` to both, run the twin's
+    /// update TDG sequentially and the timer's cone in order: the same bits
+    /// everywhere. Returns the timer and `(executed, structural)`.
+    fn in_order_against_a_twin(
+        make: fn() -> Timer,
+        edit: impl Fn(&mut Timer),
+    ) -> (Timer, usize, usize) {
+        let (mut timer, mut twin) = (make(), make());
+        for t in [&mut timer, &mut twin] {
+            t.update_timing().run_sequential();
+            edit(t);
+        }
+        twin.update_timing().run_sequential();
+        let cone = timer.dirty_cone();
+        let structural = cone.num_tasks();
+        let executed = cone.run_in_order().expect("no task panics");
+        assert!(cone.sweep_bits_are_zero());
+        drop(cone);
+        assert!(
+            timer.snapshot() == twin.snapshot(),
+            "a skipped task was due"
+        );
+        (timer, executed, structural)
+    }
+
+    /// The net driven by `pin`.
+    fn net_of(timer: &Timer, pin: crate::PinRef) -> u32 {
+        let nets = timer.netlist().nets();
+        nets.iter().position(|n| n.driver == pin).expect("driven") as u32
+    }
+
+    // Mutation `seed-compared` (a seed's stored bits decide like any other
+    // task's: drop `is_seed(r) ||` from both sweeps) fails this test.
+    #[test]
+    fn a_net_edit_on_a_primary_input_reaches_the_sinks_of_the_net() {
+        let a = crate::PortId(0);
+        let (timer, executed, structural) = in_order_against_a_twin(two_cone_timer, |t| {
+            t.set_net_cap(net_of(t, crate::PinRef::PrimaryInput(a)), 35.0)
+        });
+        assert!(executed < structural, "{executed} of {structural}");
+        assert!(
+            structural < 2 * timer.graph().num_nodes(),
+            "one cone of two"
+        );
+        // The premise: the input's own arrival and slew did not move.
+        let mut settled = two_cone_timer();
+        settled.update_timing().run_sequential();
+        let port = NodeId(a.0);
+        assert_eq!(
+            timer.data().fprop_bits(port),
+            settled.data().fprop_bits(port)
+        );
+    }
+
+    // Mutation `seed-forward-only` (`b` starts empty instead of as a copy
+    // of the seeds) fails this test.
+    #[test]
+    fn an_output_delay_alone_reruns_the_backward_cone() {
+        let (mut timer, executed, structural) = in_order_against_a_twin(two_cone_timer, |t| {
+            t.set_output_delay(crate::PortId(1), 120.0)
+        });
+        // fprop of the output stores what it found; every bprop up its
+        // chain stores a new required time.
+        let chain = structural - 1;
+        assert_eq!(executed, structural, "1 fprop + {chain} bprop tasks");
+        let before = timer.report(1);
+        timer.set_output_delay(crate::PortId(1), 0.0);
+        timer.dirty_cone().run_in_order().expect("no task panics");
+        assert!(timer.report(1).wns_ps > before.wns_ps, "the margin is back");
+    }
+
+    /// `long`, `mid` and `short` paths into one NAND3: with the wire caps
+    /// set below, pin 0 carries the latest and slowest edge, pin 2 the
+    /// earliest and sharpest, in every corner.
+    fn dominated_pin_timer() -> Timer {
+        let mut nb = NetlistBuilder::new();
+        let y = nb.add_primary_output("y");
+        let nand = nb.add_gate("nand", CellKind::Nand3);
+        for (pin, len) in [4, 2, 0].into_iter().enumerate() {
+            let port = nb.add_primary_input(format!("i{pin}"));
+            let mut prev = None;
+            for i in 0..len {
+                let g = nb.add_gate(format!("u{pin}_{i}"), CellKind::Buf);
+                match prev {
+                    None => nb.connect_to_gate(port, g, 0).expect("valid"),
+                    Some(p) => nb.connect_gates(p, g, 0).expect("valid"),
+                }
+                prev = Some(g);
+            }
+            match prev {
+                None => nb.connect_to_gate(port, nand, pin as u8),
+                Some(p) => nb.connect_gates(p, nand, pin as u8),
+            }
+            .expect("valid");
+        }
+        nb.connect_to_output(nand, y).expect("valid");
+        let mut timer = Timer::new(nb.build().expect("well-formed"), CellLibrary::typical());
+        let nand = crate::GateId(0);
+        for (pin, cap_ff) in [(0, 40.0), (1, 20.0)] {
+            let driver = timer.graph().gate_input_node(nand, pin);
+            let driver = timer.graph().arc(timer.graph().fanin(driver)[0]).from;
+            let crate::NodeKind::GateOutput(g) = timer.graph().node_kind(driver) else {
+                unreachable!("pins 0 and 1 hang off buffers");
+            };
+            let net = net_of(&timer, crate::PinRef::GateOutput(crate::GateId(g)));
+            timer.set_net_cap(net, cap_ff);
+        }
+        timer
+    }
+
+    // Mutation `arc-delays-unseen` (drop the `delays(v)` comparison:
+    // `if moved {`) fails this test.
+    #[test]
+    fn a_dominated_fan_in_still_reruns_the_bprop_behind_its_arc() {
+        let nand = crate::GateId(0);
+        let mid_net = |t: &Timer| {
+            let pin = t.graph().gate_input_node(nand, 1);
+            let from = t.graph().arc(t.graph().fanin(pin)[0]).from;
+            let crate::NodeKind::GateOutput(g) = t.graph().node_kind(from) else {
+                unreachable!("pin 1 hangs off a buffer");
+            };
+            net_of(t, crate::PinRef::GateOutput(crate::GateId(g)))
+        };
+        let settled = {
+            let mut t = dominated_pin_timer();
+            t.update_timing().run_sequential();
+            t
+        };
+        let (timer, executed, structural) =
+            in_order_against_a_twin(dominated_pin_timer, |t| t.set_net_cap(mid_net(t), 21.0));
+        assert!(executed < structural, "{executed} of {structural}");
+
+        // The premise: the NAND's output holds its merged bits, the cached
+        // delay of the arc from pin 1 moved, and so did pin 1's required time.
+        let (graph, was, now) = (timer.graph(), settled.data(), timer.data());
+        let out = graph.gate_output_node(nand);
+        assert_eq!(now.fprop_bits(out), was.fprop_bits(out), "dominated");
+        let arc = graph.fanin(out)[1];
+        assert_eq!(graph.arc(arc).from, graph.gate_input_node(nand, 1));
+        assert_ne!(now.arc_delay_bits(arc), was.arc_delay_bits(arc));
+        let pin = graph.gate_input_node(nand, 1);
+        assert_ne!(now.required_bits(pin), was.required_bits(pin));
+    }
+
+    #[test]
+    fn an_edit_to_the_value_already_there_runs_the_seeds_and_their_neighbours() {
+        let edit = |t: &mut Timer| t.repower_gate(crate::GateId(2), 4.0);
+        let (mut timer, _, structural) = in_order_against_a_twin(two_cone_timer, edit);
+        let settled = timer.snapshot();
+        edit(&mut timer);
+        let cone = timer.dirty_cone();
+        assert_eq!(cone.num_tasks(), structural, "the same structural cone");
+        // A shared driver is dirtied once per pin it feeds: count positions.
+        let view = cone.graph().level_view();
+        let seeds: std::collections::BTreeSet<u32> = {
+            let bits = cone.bits.lock();
+            let n = cone.graph().num_nodes() as u32;
+            let set = |r: &u32| bits.seeds[*r as usize / 64] >> (r % 64) & 1 == 1;
+            (0..n).filter(set).collect()
+        };
+        let with = |neighbours: Vec<u32>| {
+            let mut all = seeds.clone();
+            all.extend(neighbours);
+            all.len()
+        };
+        let succ = seeds.iter().flat_map(|&r| view.succ(r as usize));
+        let pred = seeds.iter().flat_map(|&r| view.pred(r as usize));
+        let want = with(succ.copied().collect()) + with(pred.copied().collect());
+        assert_eq!(cone.run_in_order(), Ok(want), "seeds and neighbours");
+        assert!(want < structural);
+        drop(cone);
+        assert!(timer.snapshot() == settled, "no bit changed");
+    }
+
+    #[test]
+    fn stored_values_compare_as_bit_patterns() {
+        // Edits to the value already there, and payloads that store what
+        // they find: only the seed counts as changed.
+        let mut timer = two_cone_timer();
+        timer.update_timing().run_sequential();
+        let far_end = |graph: &TimingGraph, arcs: &[u32]| *graph.arc(arcs[0]);
+
+        // An unknown mark equals itself. Seed: input `a`; its fprop, the
+        // fprop of its one sink, its bprop. NaN != NaN would run one more.
+        let graph = timer.graph();
+        let sink = far_end(graph, graph.fanout(NodeId(0))).to;
+        timer.data().mark_arrival_unknown(sink);
+        timer.set_input_delay(crate::PortId(0), 0.0);
+        let cone = timer.dirty_cone();
+        assert_eq!(run_in_order(&cone, |_| {}), Ok(3));
+        drop(cone);
+
+        // -0.0 is not 0.0. Seed: output `y0`; its fprop, its bprop, the
+        // bprop of its driver — which turns one zero into the other the
+        // first time, and so reaches *its* fan-in, and not the second time.
+        let graph = timer.graph();
+        let n = graph.num_nodes() as u32;
+        let y0 = NodeId(n - 2);
+        let driver = far_end(graph, graph.fanin(y0)).from;
+        let bprop_of_driver = 2 * n - 1 - graph.level_view().rank[driver.index()];
+        timer
+            .data()
+            .set_required_bits(driver, [0.0f32.to_bits(); 4]);
+        for want in [4, 3] {
+            timer.set_output_delay(crate::PortId(0), 0.0);
+            let cone = timer.dirty_cone();
+            let minus_zero = |t: TaskId| {
+                if t.0 == bprop_of_driver {
+                    let bits = [(-0.0f32).to_bits(); 4];
+                    cone.data().set_required_bits(driver, bits);
+                }
+            };
+            assert_eq!(run_in_order(&cone, minus_zero), Ok(want));
+        }
     }
 
     #[test]
@@ -447,7 +740,7 @@ mod tests {
         let mut timer = two_cone_timer();
         let cone = timer.dirty_cone();
         let ran = AtomicUsize::new(0);
-        let err = run_in_order(cone.ids(), |t| {
+        let err = run_in_order(&cone, |t| {
             assert!(t.0 != k, "task {k} exploded");
             ran.fetch_add(1, Ordering::Relaxed);
             cone.execute_task(t);

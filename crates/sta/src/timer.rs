@@ -9,7 +9,7 @@
 //! consume.
 
 use crate::analysis::{TimingData, TimingPropagator};
-use crate::graph::{NodeId, TimingGraph};
+use crate::graph::{set_bit, NodeId, TimingGraph};
 use crate::library::CellLibrary;
 use crate::netlist::{GateId, Netlist, PinRef};
 use crate::report::{EndpointSlack, TimingReport};
@@ -49,7 +49,7 @@ pub struct Timer {
     /// [`TimingUpdateTdg`]s come back here when they drop (shared so the
     /// update can outlive `&mut self`).
     bin: Arc<Mutex<RecycleBin>>,
-    /// Cone-membership bitsets and task maps reused across updates.
+    /// Task maps reused across updates.
     scratch: UpdateScratch,
 }
 
@@ -60,17 +60,32 @@ struct RecycleBin {
     tdgs: Vec<Tdg>,
     task_nodes: Vec<Vec<u32>>,
     cone_ids: Vec<Vec<u32>>,
+    cone_bits: Vec<ConeBits>,
+}
+
+/// The position bitsets of a cone, `n.div_ceil(64)` words each, one bit per
+/// *position in the level order*. They travel with the [`DirtyCone`] —
+/// discovery sweeps `f` and `b`, and so does a
+/// [`run_in_order`](DirtyCone::run_in_order) of a partial cone — and come
+/// back through the [`RecycleBin`].
+#[derive(Debug, Default)]
+pub(crate) struct ConeBits {
+    /// The nodes the edits dirtied. Empty unless the cone is partial: a
+    /// whole-design update has no seeds, every task of it runs.
+    pub(crate) seeds: Vec<u64>,
+    /// Sweep state, all zero between sweeps: a sweep zeroes every word as
+    /// it reads it.
+    pub(crate) f: Vec<u64>,
+    pub(crate) b: Vec<u64>,
+    /// The cached fan-in arc delays a forward task found, to compare with
+    /// what it left.
+    pub(crate) arcs: Vec<[u32; 4]>,
 }
 
 /// Scratch buffers for `update_timing`; they grow to the design's
 /// high-water mark once, after which updates allocate nothing.
 #[derive(Debug, Default)]
 struct UpdateScratch {
-    /// Membership in F and in B, one bit per *position in the level
-    /// order*, `n.div_ceil(64)` words each. All zero between updates:
-    /// [`Timer::discover_cone`] zeroes every word as it reads it.
-    f_bits: Vec<u64>,
-    b_bits: Vec<u64>,
     f_task: Vec<u32>,
     b_task: Vec<u32>,
 }
@@ -283,79 +298,70 @@ impl Timer {
     }
 
     /// The one cone-discovery body: the dirty cone as ascending full-space
-    /// task ids (see [`DirtyCone`]) plus how many of them are fprop tasks.
-    /// F is the forward closure of the dirty nodes, B ⊇ F the backward
-    /// closure of F. Clears the dirty set.
+    /// task ids (see [`DirtyCone`]), how many of them are fprop tasks, and
+    /// the cone's bitsets with the dirty nodes kept as `seeds`. F is the
+    /// forward closure of the dirty nodes, B ⊇ F the backward closure of F.
+    /// Clears the dirty set.
     ///
-    /// Both closures are one sweep over the level order, in the position
-    /// space of [`TimingGraph::level_view`]: an arc goes up the order, so by
-    /// the time an ascending sweep reaches a position every fan-in that
-    /// could put it in F has been visited, and likewise descending for B.
-    /// No stack, no visited array, no sort — and the ids come out ascending,
-    /// because fprop ids rise and bprop ids fall with the position.
-    fn discover_cone(&mut self) -> (Vec<u32>, usize) {
+    /// Both closures are one [sweep](crate::graph::LevelView::sweep) over
+    /// the level order, in the position space of
+    /// [`TimingGraph::level_view`]: an arc goes up the order, so by the time
+    /// an ascending sweep reaches a position every fan-in that could put it
+    /// in F has been visited, and likewise descending for B. No stack, no
+    /// visited array, no sort — and the ids come out ascending, because
+    /// fprop ids rise and bprop ids fall with the position.
+    fn discover_cone(&mut self) -> (Vec<u32>, usize, ConeBits) {
         let n = self.graph.num_nodes();
-        let mut ids = self.bin.lock().cone_ids.pop().unwrap_or_default();
+        let (mut ids, mut bits) = {
+            let mut bin = self.bin.lock();
+            (
+                bin.cone_ids.pop().unwrap_or_default(),
+                bin.cone_bits.pop().unwrap_or_default(),
+            )
+        };
         ids.clear();
+        bits.seeds.clear();
         if std::mem::take(&mut self.full_dirty) {
             self.dirty.clear();
             ids.extend(0..2 * n as u32);
-            return (ids, n);
+            return (ids, n, bits);
         }
         if self.dirty.is_empty() {
-            return (ids, 0);
+            return (ids, 0, bits);
         }
 
         let view = self.graph.level_view();
-        let f = &mut self.scratch.f_bits;
-        let b = &mut self.scratch.b_bits;
-        f.resize(n.div_ceil(64), 0);
-        b.resize(n.div_ceil(64), 0);
-        let set = |bits: &mut [u64], r: u32| bits[r as usize / 64] |= 1 << (r % 64);
+        let ConeBits { seeds, f, b, .. } = &mut bits;
+        for set in [&mut *seeds, &mut *f, &mut *b] {
+            set.resize(n.div_ceil(64), 0);
+        }
+        // A bitset, not the list: an edit may dirty a node more than once.
         for v in self.dirty.drain(..) {
-            set(f, view.rank[v as usize]);
+            set_bit(seeds, view.rank[v as usize]);
         }
+        f.copy_from_slice(seeds);
 
-        // F, ascending: fprop task of position `r` is `r`.
-        for w in 0..f.len() {
-            let mut todo = f[w];
-            while todo != 0 {
-                let bit = todo.trailing_zeros();
-                let r = w as u32 * 64 + bit;
-                ids.push(r);
-                for &s in view.succ(r as usize) {
-                    set(f, s);
-                }
-                // A successor may share this word; it sits above `bit`.
-                todo = f[w] & (!1 << bit);
-            }
-            b[w] = std::mem::take(&mut f[w]);
-        }
+        // F, ascending: fprop task of position `r` is `r`. F ⊆ B.
+        view.sweep::<true>(f, |r| {
+            ids.push(r);
+            set_bit(b, r);
+            true
+        });
         let num_fprop = ids.len();
-
         // B, descending: bprop task of position `r` is `2n - 1 - r`.
         let top = 2 * n as u32 - 1;
-        for w in (0..b.len()).rev() {
-            let mut todo = b[w];
-            while todo != 0 {
-                let bit = 63 - todo.leading_zeros();
-                let r = w as u32 * 64 + bit;
-                ids.push(top - r);
-                for &p in view.pred(r as usize) {
-                    set(b, p);
-                }
-                // A predecessor may share this word; it sits below `bit`.
-                todo = b[w] & ((1 << bit) - 1);
-            }
-            b[w] = 0;
-        }
-        (ids, num_fprop)
+        view.sweep::<false>(b, |r| {
+            ids.push(top - r);
+            true
+        });
+        (ids, num_fprop, bits)
     }
 
-    fn cone(&self, ids: Vec<u32>, num_fprop: usize) -> DirtyCone<'_> {
+    fn cone(&self, (ids, num_fprop, bits): (Vec<u32>, usize, ConeBits)) -> DirtyCone<'_> {
         DirtyCone {
             ids,
             num_fprop,
+            bits: Mutex::new(bits),
             prop: TimingPropagator {
                 graph: &self.graph,
                 netlist: &self.netlist,
@@ -374,8 +380,8 @@ impl Timer {
     /// [`update_timing`](Timer::update_timing) materialises on top of it.
     /// *The timing values are not updated until the cone's tasks run.*
     pub fn dirty_cone(&mut self) -> DirtyCone<'_> {
-        let (ids, num_fprop) = self.discover_cone();
-        self.cone(ids, num_fprop)
+        let found = self.discover_cone();
+        self.cone(found)
     }
 
     /// Build the task dependency graph that brings timing up to date —
@@ -402,7 +408,8 @@ impl Timer {
         };
         task_node.clear();
 
-        let (ids, num_fprop) = self.discover_cone();
+        let found = self.discover_cone();
+        let (ids, num_fprop) = (&found.0, found.1);
 
         // Task numbering: task `t` is the cone's `t`-th full-space id —
         // fprop tasks along the graph's level order, then bprop tasks
@@ -471,7 +478,7 @@ impl Timer {
         let build_time = build_start.elapsed();
 
         TimingUpdateTdg {
-            cone: self.cone(ids, num_fprop),
+            cone: self.cone(found),
             tdg: Some(tdg),
             task_node,
             build_time,
@@ -607,14 +614,17 @@ pub struct DirtyCone<'a> {
     /// Ascending full-space ids: `num_fprop` fprop tasks, then bprop tasks.
     ids: Vec<u32>,
     num_fprop: usize,
+    /// Behind a lock only because a run takes `&self`.
+    pub(crate) bits: Mutex<ConeBits>,
     prop: TimingPropagator<'a>,
     bin: Arc<Mutex<RecycleBin>>,
 }
 
 impl Drop for DirtyCone<'_> {
     fn drop(&mut self) {
-        let ids = std::mem::take(&mut self.ids);
-        self.bin.lock().cone_ids.push(ids);
+        let mut bin = self.bin.lock();
+        bin.cone_ids.push(std::mem::take(&mut self.ids));
+        bin.cone_bits.push(std::mem::take(self.bits.get_mut()));
     }
 }
 
@@ -1012,7 +1022,7 @@ mod tests {
         timer
             .dirty
             .extend(positions.iter().map(|&r| order[r as usize]));
-        let (ids, num_fprop) = timer.discover_cone();
+        let (ids, num_fprop, bits) = timer.discover_cone();
         assert_eq!(
             ids,
             gpasta_core::forward_closure(full_tdg, positions),
@@ -1023,16 +1033,20 @@ mod tests {
             ids.iter().filter(|&&id| (id as usize) < n).count()
         );
         assert!(!timer.has_pending_changes());
-        let scratch = &timer.scratch;
-        assert_eq!(scratch.f_bits.len(), n.div_ceil(64));
+        assert_eq!(bits.f.len(), n.div_ceil(64));
         assert!(
-            scratch
-                .f_bits
-                .iter()
-                .chain(&scratch.b_bits)
-                .all(|&w| w == 0),
+            bits.f.iter().chain(&bits.b).all(|&w| w == 0),
             "the sweeps leave both bitsets zero"
         );
+        let seeds = |r: &u32| bits.seeds[*r as usize / 64] >> (r % 64) & 1 == 1;
+        assert_eq!(
+            (0..n as u32).filter(seeds).collect::<Vec<_>>(),
+            std::collections::BTreeSet::from_iter(positions.iter().copied())
+                .into_iter()
+                .collect::<Vec<_>>(),
+            "the seeds are the dirty positions, once each"
+        );
+        timer.bin.lock().cone_bits.push(bits);
     }
 
     #[test]
@@ -1082,7 +1096,7 @@ mod tests {
         assert_eq!(timer.dirty_cone().num_tasks(), full_space, "full update");
         assert_eq!(timer.dirty_cone().num_tasks(), 0, "nothing is dirty");
         assert!(!timer.graph.has_level_view());
-        assert!(timer.scratch.f_bits.is_empty());
+        assert!(timer.bin.lock().cone_bits.iter().all(|b| b.f.is_empty()));
         let mut empty = Timer::new(
             NetlistBuilder::new().build().expect("empty is fine"),
             CellLibrary::typical(),

@@ -7,9 +7,10 @@
 //! compares running those incremental TDGs raw vs. scheduled through the
 //! dirty-cone partition cache — installed once on the full task space,
 //! then *repaired* inside each iteration's cone instead of re-partitioned
-//! — vs. not scheduling at all: the cone's tasks in ascending full-space
-//! id on the calling thread, with no TDG, quotient or executor (the time
-//! that lane spends finding the cone, `Timer::dirty_cone`, is printed
+//! — vs. not scheduling at all: the cone in ascending full-space id on
+//! the calling thread, with no TDG, quotient or executor, running only the
+//! tasks a changed value reaches (executed / structural is printed, and so
+//! is the time that lane spends finding the cone, `Timer::dirty_cone`,
 //! beside its total). It verifies the timing results agree at every step.
 //! On the 2-core development host the last column wins at every cone
 //! size, which is why a `Session` runs an update without a deadline that
@@ -68,6 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng_c = ChaCha8Rng::seed_from_u64(7);
     let (mut plain_total, mut part_total) = (Duration::ZERO, install);
     let (mut order_total, mut discover_total) = (Duration::ZERO, Duration::ZERO);
+    let (mut order_executed, mut order_structural) = (0usize, 0usize);
     let mut total_tasks = 0usize;
     let mut total_dispatches_plain = 0u64;
     let mut total_dispatches_part = 0u64;
@@ -105,13 +107,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         // The cone alone, in ascending full-space id: a topological
-        // order, so nothing has to be built to run it.
+        // order, so nothing has to be built to run it — and what no
+        // changed value reaches is not run at all.
         {
             let t0 = std::time::Instant::now();
             let cone = order_timer.dirty_cone();
             discover_total += t0.elapsed();
-            cone.run_in_order()?;
+            order_executed += cone.run_in_order()?;
             order_total += t0.elapsed();
+            order_structural += cone.num_tasks();
         }
 
         // All three policies must agree, bit for bit, after every iteration.
@@ -143,7 +147,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_dispatches_part
     );
     println!(
-        "cone in id order: {:>8.2} ms cumulative ({:.2} ms in dirty_cone()), no TDG, no dispatch",
+        "cone in id order: {:>8.2} ms cumulative ({:.2} ms in dirty_cone()), \
+         {order_executed} / {order_structural} tasks executed, no TDG, no dispatch",
         order_total.as_secs_f64() * 1e3,
         discover_total.as_secs_f64() * 1e3
     );

@@ -26,8 +26,11 @@
 //!   cached partition inside it only if the cache is not settled) and
 //!   executes the cone under a caller-supplied
 //!   [`RunBudget`] — unscheduled on the calling thread when the budget
-//!   is unbounded, partitioned through the bounded recovering executor
-//!   when it has a deadline, cancel token or stall window — and degrades
+//!   is unbounded (running only the tasks whose inputs changed; the
+//!   outcome's `tasks` stays the cone's structural size and
+//!   [`Session::task_counts`] has the executed count), partitioned
+//!   through the bounded recovering executor when it has a deadline,
+//!   cancel token or stall window — and degrades
 //!   explicitly on an expired deadline (affected endpoints read NaN; the
 //!   whole design is re-marked dirty so a later update converges);
 //! * [`Session::evict_to`] persists the session through the existing
@@ -279,7 +282,10 @@ pub struct UpdateOutcome {
     /// Why the run stopped; [`StopCause::Completed`] unless the budget
     /// expired.
     pub stop: StopCause,
-    /// Tasks in this update's dirty cone (0 when nothing was dirty).
+    /// Tasks in this update's dirty cone (0 when nothing was dirty): its
+    /// *structural* size, the closure of the edits, whichever way it ran.
+    /// How many of them an update executed is
+    /// [`Session::task_counts`]'s to tell.
     pub tasks: usize,
     /// Tasks the dirty-cone repair moved between partitions; zero on a
     /// settled cache, where no repair runs.
@@ -417,6 +423,7 @@ impl DormantSession {
             chaos: None,
             quotient_arena: QuotientArena::new(),
             paths_taken: [0; 2],
+            tasks_run: [0; 2],
         })
     }
 }
@@ -529,6 +536,9 @@ pub struct Session {
     /// Updates that ran `[in order, scheduled]` since create or restore
     /// (see [`Session::path_counts`]); never serialized.
     paths_taken: [u64; 2],
+    /// Tasks `[in the cones of those updates, executed]`
+    /// (see [`Session::task_counts`]); never serialized.
+    tasks_run: [u64; 2],
 }
 
 /// A session-layer fault schedule: the shared [`FaultPlan`] plus the
@@ -597,6 +607,7 @@ impl Session {
             chaos: None,
             quotient_arena: QuotientArena::new(),
             paths_taken: [0; 2],
+            tasks_run: [0; 2],
         })
     }
 
@@ -748,9 +759,11 @@ impl Session {
     /// ([`IncrementalPartitioner::repair_trusted`]), and execute it one of
     /// two ways:
     ///
-    /// * *in order* — every task on the calling thread in ascending
-    ///   full-space id, which is a topological order: no quotient, no
-    ///   executor. An update under [`RunBudget::unbounded`] runs this way;
+    /// * *in order* — on the calling thread in ascending full-space id,
+    ///   which is a topological order: no quotient, no executor, and of a
+    ///   partial cone only the tasks a changed value reaches
+    ///   ([`DirtyCone::run_in_order`](crate::sta::DirtyCone::run_in_order)).
+    ///   An update under [`RunBudget::unbounded`] runs this way;
     /// * *scheduled* — take the cone's quotient from the cache (a
     ///   restriction of the one full-space quotient the cache keeps while
     ///   its assignment stands, and that quotient itself when the whole
@@ -815,9 +828,9 @@ impl Session {
         // A bounded run is the executor's. When a task panics in order, the
         // whole cone runs again (the payload is idempotent) where a panic is
         // contained to its forward closure.
-        let in_order = !bounded && cone.run_in_order().is_ok();
-        let (stop, unknown_endpoints) = if in_order {
-            (StopCause::Completed, 0)
+        let in_order = (!bounded).then(|| cone.run_in_order().ok()).flatten();
+        let (stop, unknown_endpoints, executed) = if let Some(executed) = in_order {
+            (StopCause::Completed, 0, executed)
         } else {
             let quotient = self
                 .inc
@@ -834,19 +847,21 @@ impl Session {
             if let Cow::Owned(restricted) = quotient {
                 self.quotient_arena.recycle(restricted);
             }
-            let stop = rec.outcome.stop;
+            let (stop, executed) = (rec.outcome.stop, rec.outcome.salvaged_tasks);
             if stop == StopCause::Completed {
-                (stop, 0)
+                (stop, 0, executed)
             } else {
                 // Degrade explicitly: everything the stopped run left
                 // stale reads unknown, and the design is re-marked
                 // dirty so the next (fresh-budget) update recomputes it.
                 cone.mark_unknown(&rec);
                 let unknown = rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len();
-                (stop, unknown as u32)
+                (stop, unknown as u32, executed)
             }
         };
-        self.paths_taken[usize::from(!in_order)] += 1;
+        self.paths_taken[usize::from(in_order.is_none())] += 1;
+        self.tasks_run[0] += tasks as u64;
+        self.tasks_run[1] += executed as u64;
         drop(cone);
         if stop != StopCause::Completed {
             self.timer.invalidate_all();
@@ -869,6 +884,15 @@ impl Session {
     pub fn path_counts(&self) -> (u64, u64) {
         let [in_order, scheduled] = self.paths_taken;
         (in_order, scheduled)
+    }
+
+    /// Over the updates [`path_counts`](Session::path_counts) counts: the
+    /// tasks in their cones (the sum of [`UpdateOutcome::tasks`]) and the
+    /// tasks executed — fewer where an in-order run skipped what no changed
+    /// value reached, or a scheduled run stopped early. Reset with it.
+    pub fn task_counts(&self) -> (u64, u64) {
+        let [structural, executed] = self.tasks_run;
+        (structural, executed)
     }
 
     /// Setup (late-mode) WNS/TNS and the `k` worst endpoints.

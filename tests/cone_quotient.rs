@@ -503,6 +503,7 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
 
     let mut with_tasks = 0;
     let mut before_eviction = (0, 0);
+    let mut pinned_tasks = 0;
     for (i, (step, _)) in steps.iter().enumerate() {
         let what = format!("{circuit} seed {seed:#x}, {workers} worker(s), step {i} ({step:?})");
         if i == steps.len() / 2 {
@@ -522,7 +523,9 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
                 (0, 0),
                 "{what}: the counts are not checkpointed"
             );
+            assert_eq!(free.task_counts(), (0, 0), "{what}: nor are these");
         }
+        let ran_before = free.task_counts();
         step.apply_to_session(&mut free);
         step.apply_to_session(&mut pinned);
         step.apply_to_timer(&mut twin);
@@ -548,6 +551,19 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
             "{what}: the session's cache step against a checked repair"
         );
         with_tasks += u64::from(got.tasks > 0);
+        // In order, a partial cone runs only what changed; `tasks` is the
+        // structural size either way.
+        let ran = free.task_counts();
+        let (structural, executed) = (ran.0 - ran_before.0, ran.1 - ran_before.1);
+        assert_eq!(structural, got.tasks as u64, "{what}: structural count");
+        match step {
+            Step::Clock { .. } => assert_eq!(executed, structural, "{what}: all of it"),
+            Step::Repower { .. } | Step::NetCap { .. } => {
+                assert!(executed < structural, "{what}: {executed} of {structural}");
+            }
+            Step::Nothing => assert_eq!((structural, executed), (0, 0), "{what}: idle"),
+        }
+        pinned_tasks += got.tasks as u64;
 
         let snapshot = twin.snapshot();
         assert!(free.timer().snapshot() == snapshot, "{what}: free bits");
@@ -567,6 +583,11 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         "an unbounded update runs in order"
     );
     assert!(before_eviction.0 > 0 && in_order > 0, "both halves ran");
+    assert_eq!(
+        pinned.task_counts(),
+        (pinned_tasks, pinned_tasks),
+        "the executor runs the whole structural cone"
+    );
 }
 
 #[test]

@@ -175,6 +175,59 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(discovery_cases()))]
+
+    /// An in-order run of a partial cone executes only the tasks a changed
+    /// value reaches, and leaves the bits of a run of the whole cone; a
+    /// whole-design cone (the first update, a clock flip) runs every task.
+    #[test]
+    fn in_order_run_of_what_changed_equals_the_sequential_run_of_the_cone(
+        spec in arb_spec(),
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(arb_modifier(), 1..=8), any::<bool>(), any::<bool>()),
+            1..4,
+        ),
+    ) {
+        let mut cone_timer = Timer::new(generate_netlist(&spec), CellLibrary::typical());
+        let mut twin = Timer::new(generate_netlist(&spec), CellLibrary::typical());
+        let full_space = 2 * twin.graph().num_nodes();
+        let mut period_ps = 1_000.0;
+        // The first update, then one per batch.
+        for batch in std::iter::once(None).chain(batches.into_iter().map(Some)) {
+            let mut whole_design = batch.is_none();
+            if let Some((mut drawn, repeat_first, flip_clock)) = batch {
+                if repeat_first {
+                    drawn.push(drawn[0]);
+                }
+                for m in drawn {
+                    let m = Modifier::resolve(m, &twin);
+                    m.apply(&mut cone_timer);
+                    m.apply(&mut twin);
+                }
+                if flip_clock {
+                    period_ps = 1_500.0 - period_ps;
+                    cone_timer.set_clock_period(period_ps);
+                    twin.set_clock_period(period_ps);
+                    whole_design = true;
+                }
+            }
+            let cone = cone_timer.dirty_cone();
+            let structural = cone.num_tasks();
+            prop_assert!(cone.sweep_bits_are_zero(), "after discovery");
+            let executed = cone.run_in_order().expect("no task panics");
+            prop_assert!(cone.sweep_bits_are_zero(), "after the run");
+            prop_assert!(executed <= structural, "{} of {}", executed, structural);
+            if whole_design {
+                prop_assert_eq!((executed, structural), (full_space, full_space));
+            }
+            drop(cone);
+            twin.update_timing().run_sequential();
+            prop_assert!(cone_timer.snapshot() == twin.snapshot());
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
