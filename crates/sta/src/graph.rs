@@ -190,6 +190,12 @@ pub(crate) fn set_bit(bits: &mut [u64], r: u32) {
     bits[r as usize / 64] |= 1 << (r % 64);
 }
 
+/// Whether position `r` is set in a position bitset.
+#[inline]
+pub(crate) fn bit_is_set(bits: &[u64], r: u32) -> bool {
+    bits[r as usize / 64] >> (r % 64) & 1 == 1
+}
+
 /// One direction of [`LevelView`]: per position, the positions at the far
 /// ends of the arcs `arcs_of` lists for the node there.
 fn position_csr<'g>(

@@ -15,7 +15,7 @@
 //!   the salvage) converges to the same bits a fault-free run produces.
 
 use crate::analysis::TimingData;
-use crate::graph::{set_bit, NodeId, TimingGraph};
+use crate::graph::{bit_is_set, set_bit, NodeId, TimingGraph};
 use crate::timer::{ConeBits, DirtyCone, TaskKind, TimingUpdateTdg};
 use gpasta_sched::{
     panic_message, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, TaskError,
@@ -162,7 +162,7 @@ fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(Task
     let ConeBits { seeds, f, b, arcs } = bits;
     let (graph, data) = (cone.graph(), cone.data());
     let (view, order) = (graph.level_view(), graph.level_order());
-    let is_seed = |r: u32| seeds[r as usize / 64] >> (r % 64) & 1 == 1;
+    let is_seed = |r| bit_is_set(seeds, r);
     let delays = |v| graph.fanin(v).iter().map(|&a| data.arc_delay_bits(a));
     f.copy_from_slice(seeds);
     b.copy_from_slice(seeds);
@@ -638,8 +638,7 @@ mod tests {
         let seeds: std::collections::BTreeSet<u32> = {
             let bits = cone.bits.lock();
             let n = cone.graph().num_nodes() as u32;
-            let set = |r: &u32| bits.seeds[*r as usize / 64] >> (r % 64) & 1 == 1;
-            (0..n).filter(set).collect()
+            (0..n).filter(|&r| bit_is_set(&bits.seeds, r)).collect()
         };
         let with = |neighbours: Vec<u32>| {
             let mut all = seeds.clone();

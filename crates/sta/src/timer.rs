@@ -636,7 +636,9 @@ impl<'a> DirtyCone<'a> {
         &self.ids
     }
 
-    /// Number of tasks in the cone (0 when nothing was dirty).
+    /// Number of tasks in the cone (0 when nothing was dirty): the closure
+    /// of the edits, of which [`run_in_order`](DirtyCone::run_in_order)
+    /// executes only those a changed value reaches.
     pub fn num_tasks(&self) -> usize {
         self.ids.len()
     }
@@ -1038,14 +1040,11 @@ mod tests {
             bits.f.iter().chain(&bits.b).all(|&w| w == 0),
             "the sweeps leave both bitsets zero"
         );
-        let seeds = |r: &u32| bits.seeds[*r as usize / 64] >> (r % 64) & 1 == 1;
-        assert_eq!(
-            (0..n as u32).filter(seeds).collect::<Vec<_>>(),
-            std::collections::BTreeSet::from_iter(positions.iter().copied())
-                .into_iter()
-                .collect::<Vec<_>>(),
-            "the seeds are the dirty positions, once each"
-        );
+        let mut want = positions.to_vec();
+        want.sort_unstable();
+        want.dedup();
+        let seeds = (0..n as u32).filter(|&r| crate::graph::bit_is_set(&bits.seeds, r));
+        assert_eq!(seeds.collect::<Vec<_>>(), want, "the dirty positions, once");
         timer.bin.lock().cone_bits.push(bits);
     }
 

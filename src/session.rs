@@ -828,7 +828,11 @@ impl Session {
         // A bounded run is the executor's. When a task panics in order, the
         // whole cone runs again (the payload is idempotent) where a panic is
         // contained to its forward closure.
-        let in_order = (!bounded).then(|| cone.run_in_order().ok()).flatten();
+        let in_order = if bounded {
+            None
+        } else {
+            cone.run_in_order().ok()
+        };
         let (stop, unknown_endpoints, executed) = if let Some(executed) = in_order {
             (StopCause::Completed, 0, executed)
         } else {
