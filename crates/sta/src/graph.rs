@@ -630,13 +630,20 @@ impl TimingGraph {
         NodeId(self.gate_in_off[g.index()] + u32::from(pin))
     }
 
+    /// Where `v` is in [`endpoints`](TimingGraph::endpoints), if it is a
+    /// path endpoint.
+    pub fn endpoint_index(&self, v: NodeId) -> Option<u32> {
+        match self.node_kind(v) {
+            NodeKind::PrimaryOutput(_) | NodeKind::GateInput(_, 0) => {
+                self.endpoints.binary_search(&v.0).ok().map(|i| i as u32)
+            }
+            _ => None,
+        }
+    }
+
     /// Whether `v` is a path endpoint.
     pub fn is_endpoint(&self, v: NodeId) -> bool {
-        match self.node_kind(v) {
-            NodeKind::PrimaryOutput(_) => true,
-            NodeKind::GateInput(_, 0) => self.endpoints.binary_search(&v.0).is_ok(),
-            _ => false,
-        }
+        self.endpoint_index(v).is_some()
     }
 
     /// The flat arc view for the propagation hot path, built on first use.

@@ -103,7 +103,7 @@ pub use library::{CellKind, CellLibrary, Lut2D, TimingSense};
 pub use netlist::{GateId, Netlist, NetlistBuilder, PinRef, PortId};
 pub use path::{trace_worst_path, PathStep, TimingPath};
 pub use recover::RecoveredUpdate;
-pub use report::{EndpointSlack, TimingReport};
+pub use report::{EndpointSlack, EndpointSummary, TimingReport};
 pub use sdc::{apply_sdc, write_sdc, ParseSdcError};
 pub use timer::{DirtyCone, TaskKind, Timer, TimingUpdateTdg};
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};

@@ -16,6 +16,7 @@
 
 use crate::analysis::TimingData;
 use crate::graph::{bit_is_set, set_bit, NodeId, TimingGraph};
+use crate::report::EndpointSummary;
 use crate::timer::{ConeBits, DirtyCone, TaskKind, TimingUpdateTdg};
 use gpasta_sched::{
     panic_message, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, TaskError,
@@ -158,8 +159,23 @@ fn run_in_order(cone: &DirtyCone<'_>, payload: impl Fn(TaskId)) -> Result<usize,
 /// compared here. Sound because, on entry, every other node's stored
 /// values are the function of its stored inputs (DESIGN.md §8). Bit
 /// patterns compare: an unknown (NaN) equals itself, `-0.0` is not `0.0`.
+///
+/// Every endpoint whose fprop ran is noted in `bits.endpoints`, for
+/// [`DirtyCone::point_update`] to re-read: ran, not changed — the slack is
+/// compared there, once, instead of eight stored values here. The forward
+/// sweep's note covers the backward sweep: an endpoint has no fan-out, so its
+/// bprop runs only as a seed, and a seed's fprop runs too. Mutation
+/// `fed-if-stored` (note an endpoint only `if found != data.fprop_bits(v)`)
+/// fails `an_output_delay_alone_reruns_the_backward_cone`.
 fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(TaskId)) -> usize {
-    let ConeBits { seeds, f, b, arcs } = bits;
+    let ConeBits {
+        seeds,
+        f,
+        b,
+        arcs,
+        endpoints,
+    } = bits;
+    endpoints.clear();
     let (graph, data) = (cone.graph(), cone.data());
     let (view, order) = (graph.level_view(), graph.level_order());
     let is_seed = |r| bit_is_set(seeds, r);
@@ -174,6 +190,7 @@ fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(Task
         arcs.extend(delays(v));
         payload(TaskId(r));
         executed += 1;
+        endpoints.extend(graph.endpoint_index(v));
         let moved = is_seed(r) || found != data.fprop_bits(v);
         if moved || delays(v).ne(arcs.iter().copied()) {
             view.pred(r as usize).iter().for_each(|&p| set_bit(b, p));
@@ -212,6 +229,26 @@ impl DirtyCone<'_> {
     /// to its forward closure.
     pub fn run_in_order(&self) -> Result<usize, TaskError> {
         run_in_order(self, self.task_fn())
+    }
+
+    /// After a [`run_in_order`](DirtyCone::run_in_order) that returned
+    /// `Ok`: bring `summary` — the late-mode summary of the design as it
+    /// stood before that run — up to date by re-reading the slack of the
+    /// endpoints a task ran on (nothing else writes an endpoint's arrival or
+    /// required time) and
+    /// [`set`](EndpointSummary::set)ting those that moved. Returns `false`,
+    /// with `summary` untouched, if the run was of a whole-design cone and
+    /// kept no such list: every endpoint may have moved.
+    pub fn point_update(&self, summary: &mut EndpointSummary) -> bool {
+        let bits = self.bits.lock();
+        if bits.seeds.is_empty() {
+            return false;
+        }
+        for &i in &bits.endpoints {
+            let v = NodeId(self.graph().endpoints()[i as usize]);
+            summary.set(i as usize, self.data().slack_late(v));
+        }
+        true
     }
 
     /// Whether both sweep bitsets are all zero, as discovery and every run
@@ -483,7 +520,9 @@ mod tests {
 
     /// Settle `make()` and a twin, apply `edit` to both, run the twin's
     /// update TDG sequentially and the timer's cone in order: the same bits
-    /// everywhere. Returns the timer and `(executed, structural)`.
+    /// everywhere, and the settled design's endpoint summary, point-updated
+    /// by the cone, is the summary of the new values. Returns the timer and
+    /// `(executed, structural)`.
     fn in_order_against_a_twin(
         make: fn() -> Timer,
         edit: impl Fn(&mut Timer),
@@ -494,14 +533,20 @@ mod tests {
             edit(t);
         }
         twin.update_timing().run_sequential();
+        let mut summary = timer.endpoint_summary();
         let cone = timer.dirty_cone();
         let structural = cone.num_tasks();
         let executed = cone.run_in_order().expect("no task panics");
         assert!(cone.sweep_bits_are_zero());
+        assert!(cone.point_update(&mut summary), "a partial cone");
         drop(cone);
         assert!(
             timer.snapshot() == twin.snapshot(),
             "a skipped task was due"
+        );
+        assert!(
+            summary == twin.endpoint_summary(),
+            "an endpoint that moved was not re-read"
         );
         (timer, executed, structural)
     }
@@ -536,7 +581,9 @@ mod tests {
     }
 
     // Mutation `seed-forward-only` (`b` starts empty instead of as a copy
-    // of the seeds) fails this test.
+    // of the seeds) fails this test. The slack that moves here moves with a
+    // required time alone; the output is re-read because its fprop, a
+    // seed's, ran — storing what it found.
     #[test]
     fn an_output_delay_alone_reruns_the_backward_cone() {
         let (mut timer, executed, structural) = in_order_against_a_twin(two_cone_timer, |t| {

@@ -12,7 +12,7 @@ use crate::analysis::{TimingData, TimingPropagator};
 use crate::graph::{set_bit, NodeId, TimingGraph};
 use crate::library::CellLibrary;
 use crate::netlist::{GateId, Netlist, PinRef};
-use crate::report::{EndpointSlack, TimingReport};
+use crate::report::{EndpointSlack, EndpointSummary, TimingReport};
 use gpasta_check::sync::Mutex;
 use gpasta_tdg::{TaskId, Tdg, TdgArena};
 use std::sync::Arc;
@@ -80,6 +80,10 @@ pub(crate) struct ConeBits {
     /// The cached fan-in arc delays a forward task found, to compare with
     /// what it left.
     pub(crate) arcs: Vec<[u32; 4]>,
+    /// Where in [`TimingGraph::endpoints`] each endpoint is whose fprop the
+    /// last value-aware run executed: the only ones whose slack it can have
+    /// moved.
+    pub(crate) endpoints: Vec<u32>,
 }
 
 /// Scratch buffers for `update_timing`; they grow to the design's
@@ -487,35 +491,38 @@ impl Timer {
 
     /// Summarise setup (late-mode) endpoint slacks after an update has
     /// run: worst (WNS) and total (TNS) negative slack plus the `k` worst
-    /// endpoints.
+    /// endpoints. A pure function of the timing values: the
+    /// [`EndpointSummary`] is built afresh and read, nothing is cached. TNS
+    /// is that tree's pairwise sum in endpoint order
+    /// ([`TimingReport::tns_ps`]).
     pub fn report(&self, k: usize) -> TimingReport {
-        self.report_mode(k, |v| self.data.slack_late(v))
+        self.report_from(&self.endpoint_summary(), k)
     }
 
     /// Summarise hold (early-mode) endpoint slacks: the earliest arrivals
     /// checked against the hold window.
     pub fn report_hold(&self, k: usize) -> TimingReport {
-        self.report_mode(k, |v| self.data.slack_early(v))
+        self.report_from(&self.summary_of(|v| self.data.slack_early(v)), k)
     }
 
-    fn report_mode(&self, k: usize, slack_of: impl Fn(NodeId) -> f32) -> TimingReport {
-        // Rank `(slack, endpoint index)` keys and name only the `k`
-        // winners. The index breaks ties in endpoint order, as a stable
-        // sort by slack would.
-        let endpoints = self.graph.endpoints();
-        let mut ranked: Vec<(f32, u32)> = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (slack_of(NodeId(v)), i as u32))
-            .collect();
-        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let wns_ps = ranked.first().map_or(f32::INFINITY, |e| e.0);
-        let tns_ps = ranked.iter().map(|e| e.0.min(0.0)).sum();
-        let worst = ranked
-            .iter()
-            .take(k)
-            .map(|&(slack_ps, i)| {
-                let node = NodeId(endpoints[i as usize]);
+    /// The late-mode summary [`report`](Timer::report) reads, for an owner
+    /// that keeps it up to date across updates (a `Session`).
+    pub fn endpoint_summary(&self) -> EndpointSummary {
+        self.summary_of(|v| self.data.slack_late(v))
+    }
+
+    fn summary_of(&self, slack_of: impl Fn(NodeId) -> f32) -> EndpointSummary {
+        EndpointSummary::build(self.graph.endpoints().iter().map(|&v| slack_of(NodeId(v))))
+    }
+
+    /// The read half of [`report`](Timer::report): name the `k` worst
+    /// endpoints of `summary`, a summary over this timer's endpoints.
+    pub fn report_from(&self, summary: &EndpointSummary, k: usize) -> TimingReport {
+        let worst = summary
+            .worst(k)
+            .into_iter()
+            .map(|(slack_ps, i)| {
+                let node = NodeId(self.graph.endpoints()[i as usize]);
                 EndpointSlack {
                     node,
                     name: self.endpoint_name(node),
@@ -524,16 +531,17 @@ impl Timer {
             })
             .collect();
         TimingReport {
-            wns_ps,
-            tns_ps,
-            num_endpoints: ranked.len(),
+            wns_ps: summary.wns_ps(),
+            tns_ps: summary.tns_ps(),
+            num_endpoints: summary.num_endpoints(),
             worst,
         }
     }
 
     /// The report as it was first written — every endpoint named, the
     /// named structs sorted stably by slack, then truncated to `k`: the
-    /// oracle [`report_mode`](Timer::report_mode) is diffed against.
+    /// oracle [`report_from`](Timer::report_from) is diffed against. TNS is
+    /// summed by [`halved`], in endpoint order.
     #[cfg(test)]
     fn report_mode_oracle(&self, k: usize, slack_of: impl Fn(NodeId) -> f32) -> TimingReport {
         let mut endpoints: Vec<EndpointSlack> = self
@@ -549,9 +557,9 @@ impl Timer {
                 }
             })
             .collect();
+        let tns_ps = halved(&endpoints.iter().map(|e| e.slack_ps).collect::<Vec<f32>>());
         endpoints.sort_by(|a, b| a.slack_ps.total_cmp(&b.slack_ps));
         let wns_ps = endpoints.first().map_or(f32::INFINITY, |e| e.slack_ps);
-        let tns_ps = endpoints.iter().map(|e| e.slack_ps.min(0.0)).sum();
         let num_endpoints = endpoints.len();
         endpoints.truncate(k);
         TimingReport {
@@ -573,6 +581,27 @@ impl Timer {
             other => format!("{other:?}"),
         }
     }
+}
+
+/// Total negative slack the naive way: pad `slacks` with zeros to a power of
+/// two, then add the sum of the first half to the sum of the second.
+#[cfg(test)]
+fn halved(slacks: &[f32]) -> f32 {
+    fn sum(padded: &[f32]) -> f32 {
+        match padded {
+            [x] => *x,
+            _ => {
+                let (lo, hi) = padded.split_at(padded.len() / 2);
+                sum(lo) + sum(hi)
+            }
+        }
+    }
+    let mut padded: Vec<f32> = slacks
+        .iter()
+        .map(|&s| if s < 0.0 { s } else { 0.0 })
+        .collect();
+    padded.resize(slacks.len().next_power_of_two(), 0.0);
+    sum(&padded)
 }
 
 /// The `(kind, node)` behind full-space task id `id`: with `r` the position
@@ -1436,7 +1465,7 @@ mod tests {
             let synthetic = |v: NodeId| specials[(v.index() + shift) % specials.len()];
             for k in [0, 2, endpoints.len()] {
                 assert_same_report(
-                    &timer.report_mode(k, synthetic),
+                    &timer.report_from(&timer.summary_of(synthetic), k),
                     &timer.report_mode_oracle(k, synthetic),
                     &format!("synthetic shift {shift}, k {k}"),
                 );
@@ -1446,7 +1475,7 @@ mod tests {
         // the same sign.
         for zero in [0.0f32, -0.0] {
             assert_same_report(
-                &timer.report_mode(1, |_| zero),
+                &timer.report_from(&timer.summary_of(|_| zero), 1),
                 &timer.report_mode_oracle(1, |_| zero),
                 &format!("all slacks {zero:?}"),
             );

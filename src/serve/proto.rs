@@ -485,7 +485,9 @@ pub fn dispatch(registry: &Registry, method: &str, params: &Value) -> Result<Val
                 None => RunBudget::unbounded(),
             };
             // Supervised: a panic mid-update (the long pole for crash
-            // exposure) is caught and the session auto-restored.
+            // exposure) is caught and the session auto-restored. The
+            // `report(0)` is a read of the root of the summary the update
+            // just left, not a pass over the endpoints.
             let (out, report) = registry.with_live(name, |session| {
                 session
                     .update_timing(&budget)

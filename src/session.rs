@@ -68,9 +68,9 @@ use crate::checkpoint::{
 use crate::core::{IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopCause};
 use crate::sta::{
-    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, GateId, Netlist,
-    ParseLibertyError, ParseSdcError, ParseVerilogError, PortId, SnapshotMismatch, Timer,
-    TimingPath, TimingReport,
+    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, DirtyCone,
+    EndpointSummary, GateId, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
+    PortId, SnapshotMismatch, Timer, TimingPath, TimingReport,
 };
 use crate::tdg::{BuildTdgError, QuotientArena, ValidatePartitionError};
 use std::borrow::Cow;
@@ -413,6 +413,7 @@ impl DormantSession {
             name: self.name.clone(),
             sources: self.sources.clone(),
             names: NameIndex::of(timer.netlist()),
+            summary: timer.endpoint_summary(),
             timer,
             library,
             inc,
@@ -512,6 +513,11 @@ pub struct Session {
     name: String,
     sources: DesignSources,
     timer: Timer,
+    /// What [`Session::report`] reads: the late-mode endpoint summary of
+    /// `timer`'s values, kept equal to [`Timer::endpoint_summary`] by every
+    /// [`Session::update_timing`] — point-updated after a value-aware run,
+    /// rebuilt after any other. Never serialized.
+    summary: EndpointSummary,
     /// Gate and port names → ids, for [`Session::apply_edit`].
     names: NameIndex,
     library: CellLibrary,
@@ -597,6 +603,7 @@ impl Session {
             name: name.into(),
             sources,
             names: NameIndex::of(timer.netlist()),
+            summary: timer.endpoint_summary(),
             timer,
             library,
             inc,
@@ -790,6 +797,15 @@ impl Session {
     /// the schedule is at most as parallel, and a *stopped* run may mark a
     /// few more endpoints unknown than the exact quotient would.
     ///
+    /// Whichever way the cone ran, and also when this function returns an
+    /// error after a task may have run, the endpoint summary
+    /// [`Session::report`] reads is the summary of the timing values as they
+    /// now are: after an in-order run of a partial cone, the endpoints that
+    /// run executed a task on are re-read and the moved ones point-updated
+    /// ([`DirtyCone::point_update`]); after anything else it is built again.
+    /// Debug builds build it again regardless and assert the two equal, node
+    /// for node.
+    ///
     /// On an early stop ([`StopCause::DeadlineExpired`] /
     /// [`StopCause::Cancelled`]) the unfinished region's endpoints are
     /// marked *unknown* (NaN) — never stale-but-plausible — and the
@@ -833,40 +849,32 @@ impl Session {
         } else {
             cone.run_in_order().ok()
         };
-        let (stop, unknown_endpoints, executed) = if let Some(executed) = in_order {
-            (StopCause::Completed, 0, executed)
-        } else {
-            let quotient = self
-                .inc
-                .cone_quotient(cone.ids(), &mut self.quotient_arena)
-                .ok_or(IncrementalError::NotInstalled)?
-                .map_err(SessionError::Quotient)?;
-            let rec = cone.run_partitioned_recovering_bounded(
+        let ran = match in_order {
+            Some(executed) => Ok((StopCause::Completed, 0, executed)),
+            None => Self::run_scheduled(
+                &cone,
+                &mut self.inc,
+                &mut self.quotient_arena,
                 &self.exec,
-                &quotient,
-                &FaultPlan::none(),
                 &self.policy,
                 budget,
-            );
-            if let Cow::Owned(restricted) = quotient {
-                self.quotient_arena.recycle(restricted);
-            }
-            let (stop, executed) = (rec.outcome.stop, rec.outcome.salvaged_tasks);
-            if stop == StopCause::Completed {
-                (stop, 0, executed)
-            } else {
-                // Degrade explicitly: everything the stopped run left
-                // stale reads unknown, and the design is re-marked
-                // dirty so the next (fresh-budget) update recomputes it.
-                cone.mark_unknown(&rec);
-                let unknown = rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len();
-                (stop, unknown as u32, executed)
-            }
+            ),
         };
+        // Tasks may have run, whatever `ran` says: the summary follows the
+        // values. Only a value-aware run knows which endpoints to re-read.
+        let fed = in_order.is_some() && cone.point_update(&mut self.summary);
+        drop(cone);
+        if !fed {
+            self.summary = self.timer.endpoint_summary();
+        }
+        debug_assert!(
+            self.summary == self.timer.endpoint_summary(),
+            "the point-updated summary is not the summary of the values"
+        );
+        let (stop, unknown_endpoints, executed) = ran?;
         self.paths_taken[usize::from(in_order.is_none())] += 1;
         self.tasks_run[0] += tasks as u64;
         self.tasks_run[1] += executed as u64;
-        drop(cone);
         if stop != StopCause::Completed {
             self.timer.invalidate_all();
         }
@@ -879,6 +887,43 @@ impl Session {
             epoch: self.inc.epoch(),
             unknown_endpoints,
         })
+    }
+
+    /// The scheduled way to run `cone`: its quotient from the cache, through
+    /// the bounded recovering executor; a stopped run degrades explicitly.
+    /// Returns `(stop, unknown endpoints, tasks executed)`.
+    fn run_scheduled(
+        cone: &DirtyCone<'_>,
+        inc: &mut IncrementalPartitioner<SeqGPasta>,
+        arena: &mut QuotientArena,
+        exec: &Executor,
+        policy: &RetryPolicy,
+        budget: &RunBudget,
+    ) -> Result<(StopCause, u32, usize), SessionError> {
+        let quotient = inc
+            .cone_quotient(cone.ids(), arena)
+            .ok_or(IncrementalError::NotInstalled)?
+            .map_err(SessionError::Quotient)?;
+        let rec = cone.run_partitioned_recovering_bounded(
+            exec,
+            &quotient,
+            &FaultPlan::none(),
+            policy,
+            budget,
+        );
+        if let Cow::Owned(restricted) = quotient {
+            arena.recycle(restricted);
+        }
+        let (stop, executed) = (rec.outcome.stop, rec.outcome.salvaged_tasks);
+        if stop == StopCause::Completed {
+            return Ok((stop, 0, executed));
+        }
+        // Degrade explicitly: everything the stopped run left stale reads
+        // unknown, and the caller re-marks the design dirty so the next
+        // (fresh-budget) update recomputes it.
+        cone.mark_unknown(&rec);
+        let unknown = rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len();
+        Ok((stop, unknown as u32, executed))
     }
 
     /// How many updates ran `(in order, scheduled)` since this session was
@@ -899,9 +944,11 @@ impl Session {
         (structural, executed)
     }
 
-    /// Setup (late-mode) WNS/TNS and the `k` worst endpoints.
+    /// Setup (late-mode) WNS/TNS and the `k` worst endpoints: a read of the
+    /// summary the last update left, `k log E` — `report(0)` is its root.
+    /// Bit-identical to [`Timer::report`] on [`Session::timer`].
     pub fn report(&self, k: usize) -> TimingReport {
-        self.timer.report(k)
+        self.timer.report_from(&self.summary, k)
     }
 
     /// Hold (early-mode) WNS/TNS and the `k` worst endpoints.
@@ -912,13 +959,12 @@ impl Session {
     /// The `k` worst paths through the most critical endpoint, worst
     /// first; empty when the design has no endpoints.
     pub fn worst_paths(&self, k: usize) -> Vec<TimingPath> {
-        let report = self.timer.report(1);
-        match report.worst.first() {
-            Some(endpoint) => k_worst_paths(
+        match self.summary.worst(1).first() {
+            Some(&(_, critical)) => k_worst_paths(
                 self.timer.graph(),
                 self.timer.netlist(),
                 self.timer.data(),
-                endpoint.node,
+                NodeId(self.timer.graph().endpoints()[critical as usize]),
                 k,
             ),
             None => Vec::new(),

@@ -34,6 +34,13 @@
 //! a bare `IncrementalPartitioner` fed the checked `repair(cone ids)` on
 //! every step: the sessions, which skip the repair on their settled cache,
 //! must report its counts and its epoch all the same.
+//!
+//! On every one of those sessions, after every step, `Session::report` — a
+//! read of the endpoint summary the session keeps across updates — is
+//! `Timer::report` on the same values, which builds its summary from
+//! scratch: names, order and bits. In `--release`, where the session's own
+//! debug assertion is off, these are the checks that fail under the two
+//! mutations named at `assert_report_is_from_scratch`.
 
 use std::time::Duration;
 
@@ -41,7 +48,9 @@ use gpasta::circuits::PaperCircuit;
 use gpasta::core::{IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use gpasta::sched::{Executor, FaultPlan, RetryPolicy, RunBudget, StopCause};
 use gpasta::session::{DesignSources, Edit, Session};
-use gpasta::sta::{parse_verilog, write_verilog, CellLibrary, GateId, RecoveredUpdate, Timer};
+use gpasta::sta::{
+    parse_verilog, write_verilog, CellLibrary, GateId, RecoveredUpdate, Timer, TimingReport,
+};
 use gpasta::tdg::{QuotientArena, QuotientTdg};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -204,6 +213,44 @@ impl Lane {
     }
 }
 
+/// A report field by field, slacks and sums by bit pattern (an unknown
+/// endpoint is a NaN, which `==` would not find equal to itself).
+fn report_bits(report: &TimingReport) -> (u32, u32, usize, Vec<(u32, &str, u32)>) {
+    let worst = report.worst.iter();
+    (
+        report.wns_ps.to_bits(),
+        report.tns_ps.to_bits(),
+        report.num_endpoints,
+        worst
+            .map(|e| (e.node.0, e.name.as_str(), e.slack_ps.to_bits()))
+            .collect(),
+    )
+}
+
+/// The summary `session` kept up to date reads as one built from its
+/// timer's values, for no, one, a few and all endpoints.
+///
+/// Mutation `fed-if-stored` (`run_changed` notes an endpoint only if its
+/// fprop stored a new bit, so a slack that moves with a required time alone
+/// is not re-read) fails
+/// `a_lone_output_delay_moves_the_report_through_a_required_time`;
+/// mutation `scheduled-not-rebuilt` (`Session::update_timing` rebuilds only
+/// after an in-order run: `if !fed && in_order.is_some()`) fails them on the
+/// pinned lane and fails the two `*_direct_quotient_*` tests at their first
+/// zero-deadline step. Both with `--release`; a debug build stops earlier,
+/// at the session's own assertion.
+fn assert_report_is_from_scratch(session: &Session, what: &str) {
+    let all = session.timer().graph().endpoints().len();
+    for k in [0, 1, 5, all] {
+        let (kept, scratch) = (session.report(k), session.timer().report(k));
+        assert_eq!(
+            report_bits(&kept),
+            report_bits(&scratch),
+            "{what}: report({k})"
+        );
+    }
+}
+
 /// One step of the stream, in a form every lane can take.
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -339,6 +386,14 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
             unknown_endpoints: outcome.unknown_endpoints,
         };
         assert_eq!(product, want, "{what}: UpdateOutcome");
+        assert_report_is_from_scratch(&session, &what);
+        let all = session.timer().graph().endpoints().len();
+        let ranked = session.report(all).worst;
+        let unknown = ranked.iter().filter(|e| e.slack_ps.is_nan()).count();
+        assert!(
+            unknown >= outcome.unknown_endpoints as usize,
+            "{what}: a stopped update's endpoints read unknown"
+        );
 
         let snapshot = public.timer.snapshot();
         assert!(
@@ -524,6 +579,7 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
                 "{what}: the counts are not checkpointed"
             );
             assert_eq!(free.task_counts(), (0, 0), "{what}: nor are these");
+            assert_report_is_from_scratch(&free, &format!("{what}, restored"));
         }
         let ran_before = free.task_counts();
         step.apply_to_session(&mut free);
@@ -545,6 +601,8 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         };
         assert_eq!(got, want, "{what}: UpdateOutcome");
         assert_eq!(got.stop, StopCause::Completed, "{what}");
+        assert_report_is_from_scratch(&free, &format!("{what}, unbounded"));
+        assert_report_is_from_scratch(&pinned, &format!("{what}, pinned"));
         assert_eq!(
             (got.tasks, got.repair_moved, got.repair_fresh, got.epoch),
             (ids.len(), moved, fresh, repaired.epoch()),
@@ -602,4 +660,47 @@ fn vga_lcd_updates_do_not_depend_on_the_path_taken() {
     for workers in [1, 2, 4] {
         path_independence(PaperCircuit::VgaLcd, 0.002, 0x7A57E, edits(), workers);
     }
+}
+
+/// A `set_output_delay` on its own moves no arrival: the output's slack
+/// moves with its required time, and the kept summary has to follow — as it
+/// has to stand still through an idle update, and through an edit to the
+/// value already there.
+#[test]
+fn a_lone_output_delay_moves_the_report_through_a_required_time() {
+    let circuit = PaperCircuit::AesCore;
+    let verilog = write_verilog(&circuit.build(0.004), circuit.name());
+    let mut session =
+        Session::create("outputs", DesignSources::verilog_only(verilog), 2).expect("session");
+    assert_report_is_from_scratch(&session, "created");
+    let unbounded = RunBudget::unbounded();
+    let outputs = session.timer().netlist().num_outputs();
+    assert!(outputs > 1, "{outputs} outputs");
+    let full_space = 2 * session.timer().graph().num_nodes();
+    let mut moved = 0;
+    for (i, delay_ps) in [400.0f32, 400.0, 900.0, 0.0].into_iter().enumerate() {
+        for port in 0..outputs {
+            let what = format!("output {port}, delay {delay_ps}");
+            let before = session.report(1).tns_ps.to_bits();
+            let edit = Edit::SetOutputDelay {
+                port: port.to_string(),
+                delay_ps,
+            };
+            session.apply_edit(&edit).expect("valid edit");
+            let outcome = session.update_timing(&unbounded).expect("update");
+            assert!(
+                0 < outcome.tasks && outcome.tasks < full_space,
+                "{what}: a cone"
+            );
+            assert_report_is_from_scratch(&session, &what);
+            let after = session.report(1).tns_ps.to_bits();
+            assert!(i != 1 || after == before, "{what}: the same delay again");
+            moved += usize::from(after != before);
+        }
+        let idle = session.update_timing(&unbounded).expect("update");
+        assert_eq!(idle.tasks, 0);
+        assert_report_is_from_scratch(&session, "idle");
+    }
+    assert!(moved > 0, "a 900 ps output delay breaks a 1 ns clock");
+    assert_eq!(session.path_counts().1, 0, "every cone ran in order");
 }

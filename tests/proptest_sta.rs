@@ -5,7 +5,9 @@
 use gpasta::circuits::{generate_netlist, CircuitSpec};
 use gpasta::core::{forward_closure, Partitioner, PartitionerOptions, SeqGPasta};
 use gpasta::sched::Executor;
-use gpasta::sta::{CellLibrary, GateId, Mode, NodeId, NodeKind, PinRef, PortId, Timer, Tr};
+use gpasta::sta::{
+    CellLibrary, EndpointSummary, GateId, Mode, NodeId, NodeKind, PinRef, PortId, Timer, Tr,
+};
 use gpasta::tdg::{QuotientTdg, TaskId};
 use proptest::prelude::*;
 
@@ -192,6 +194,7 @@ proptest! {
         let mut twin = Timer::new(generate_netlist(&spec), CellLibrary::typical());
         let full_space = 2 * twin.graph().num_nodes();
         let mut period_ps = 1_000.0;
+        let mut summary = cone_timer.endpoint_summary();
         // The first update, then one per batch.
         for batch in std::iter::once(None).chain(batches.into_iter().map(Some)) {
             let mut whole_design = batch.is_none();
@@ -220,10 +223,99 @@ proptest! {
             if whole_design {
                 prop_assert_eq!((executed, structural), (full_space, full_space));
             }
+            // The endpoints the run names are all that moved — unless it
+            // names none, which only a whole-design run may.
+            let fed = cone.point_update(&mut summary);
+            prop_assert!(fed || whole_design, "a partial cone keeps the list");
             drop(cone);
             twin.update_timing().run_sequential();
             prop_assert!(cone_timer.snapshot() == twin.snapshot());
+            if !fed {
+                summary = cone_timer.endpoint_summary();
+            }
+            prop_assert!(summary == twin.endpoint_summary(), "point update");
         }
+    }
+}
+
+/// A slack of any kind: finite, from a small pool so that ties are heavy,
+/// either zero, either infinity, a NaN of either sign.
+fn arb_slack() -> impl Strategy<Value = f32> {
+    (0u8..16, any::<u32>()).prop_map(|(kind, raw)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::NAN,
+        5 => -f32::NAN,
+        6 => f32::from_bits(0x7FFF_FFFF),
+        7..=11 => [-3.5f32, 7.25, -0.125, -3.5e6, 1.0e-40][raw as usize % 5],
+        _ => (raw % 4_001) as f32 / 16.0 - 125.0,
+    })
+}
+
+/// Total negative slack by halving: zeros up to a power of two, then the
+/// first half's sum plus the second half's.
+fn tns_by_halves(slacks: &[f32]) -> f32 {
+    fn sum(padded: &[f32]) -> f32 {
+        if let [x] = padded {
+            return *x;
+        }
+        let (lo, hi) = padded.split_at(padded.len() / 2);
+        sum(lo) + sum(hi)
+    }
+    let negative = |&s: &f32| if s < 0.0 { s } else { 0.0 };
+    let mut padded: Vec<f32> = slacks.iter().map(negative).collect();
+    padded.resize(slacks.len().next_power_of_two(), 0.0);
+    sum(&padded)
+}
+
+/// `summary` reads as `slacks` sorted stably by `total_cmp`, for every `k`.
+fn reads_as_a_stable_sort(summary: &EndpointSummary, slacks: &[f32]) -> Result<(), TestCaseError> {
+    let mut ranked: Vec<(f32, u32)> = slacks.iter().copied().zip(0..).collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let bits = |ranked: &[(f32, u32)]| -> Vec<(u32, u32)> {
+        ranked.iter().map(|&(s, i)| (s.to_bits(), i)).collect()
+    };
+    for k in 0..=slacks.len() + 1 {
+        let want = &ranked[..k.min(slacks.len())];
+        prop_assert_eq!(bits(&summary.worst(k)), bits(want), "k {}", k);
+    }
+    let wns = ranked.first().map_or(f32::INFINITY, |e| e.0);
+    prop_assert_eq!(summary.wns_ps().to_bits(), wns.to_bits());
+    prop_assert_eq!(summary.tns_ps().to_bits(), tns_by_halves(slacks).to_bits());
+    prop_assert_eq!(summary.num_endpoints(), slacks.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(discovery_cases().max(64)))]
+
+    /// The endpoint summary is a function of the slack vector: however it
+    /// was reached, it is the `build` of what it holds, bit for bit, and
+    /// reads as the sort it replaced. Lengths 0, 1, 2^m and 2^m ± 1.
+    #[test]
+    fn endpoint_summary_after_any_sets_is_a_build_of_the_same_slacks(
+        (mut slacks, sets) in (0u32..8, 0usize..3).prop_flat_map(|(m, d)| (
+            proptest::collection::vec(arb_slack(), ((1usize << m) + d).saturating_sub(1)),
+            proptest::collection::vec((any::<usize>(), arb_slack()), 0..48),
+        )),
+    ) {
+        let mut summary = EndpointSummary::build(slacks.iter().copied());
+        reads_as_a_stable_sort(&summary, &slacks)?;
+        if slacks.is_empty() {
+            prop_assert_eq!(summary.wns_ps(), f32::INFINITY);
+            prop_assert_eq!(summary.tns_ps().to_bits(), 0.0f32.to_bits());
+            return Ok(());
+        }
+        for (at, slack) in sets {
+            let i = at % slacks.len();
+            let moved = slacks[i].to_bits() != slack.to_bits();
+            slacks[i] = slack;
+            prop_assert_eq!(summary.set(i, slack), moved);
+            prop_assert!(summary == EndpointSummary::build(slacks.iter().copied()));
+        }
+        reads_as_a_stable_sort(&summary, &slacks)?;
     }
 }
 
