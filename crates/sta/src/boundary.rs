@@ -97,6 +97,72 @@ impl ValueSet {
         set
     }
 
+    /// For each shard `s < k`, what [`writes_of`](Self::writes_of) and
+    /// `reads_of(..).minus(writes)` (the references) give for the tasks
+    /// `t` with `owner[t] == s` — in one ascending pass over the nodes and
+    /// one over the arcs, so every set comes out sorted without a sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `owner` names a shard below `k` for each task.
+    pub fn per_shard(update: &TimingUpdateTdg<'_>, owner: &[u32], k: usize) -> Vec<(Self, Self)> {
+        const NONE: u32 = u32::MAX;
+        let graph = update.graph();
+        assert_eq!(owner.len(), update.tdg().num_tasks(), "one owner per task");
+        // The shard of each node's fprop and bprop task (NONE: no task).
+        let mut f_shard = vec![NONE; graph.num_nodes()];
+        let mut b_shard = vec![NONE; graph.num_nodes()];
+        for (t, &s) in owner.iter().enumerate() {
+            assert!((s as usize) < k, "task {t} owned by shard {s} of {k}");
+            let t = TaskId(t as u32);
+            match update.kind(t) {
+                TaskKind::Fprop => f_shard[update.node(t).index()] = s,
+                TaskKind::Bprop => b_shard[update.node(t).index()] = s,
+            }
+        }
+        let mut out = vec![(ValueSet::default(), ValueSet::default()); k];
+        // The last node each shard's boundary took, per component: a node
+        // read through several arcs of a shard goes in once.
+        let (mut last_f, mut last_r) = (vec![NONE; k], vec![NONE; k]);
+        for v in 0..graph.num_nodes() as u32 {
+            let (fv, bv) = (f_shard[v as usize], b_shard[v as usize]);
+            if fv != NONE {
+                out[fv as usize].0.fprop_nodes.push(v);
+            }
+            if bv != NONE {
+                out[bv as usize].0.req_nodes.push(v);
+            }
+            // fprop(w) reads the forward state of each fanin node v.
+            for &a in graph.fanout(NodeId(v)) {
+                let s = f_shard[graph.arc(a).to.index()];
+                if s != NONE && s != fv && last_f[s as usize] != v {
+                    last_f[s as usize] = v;
+                    out[s as usize].1.fprop_nodes.push(v);
+                }
+            }
+            // bprop(u) reads the required time of each fanout node v.
+            for &a in graph.fanin(NodeId(v)) {
+                let s = b_shard[graph.arc(a).from.index()];
+                if s != NONE && s != bv && last_r[s as usize] != v {
+                    last_r[s as usize] = v;
+                    out[s as usize].1.req_nodes.push(v);
+                }
+            }
+        }
+        // fprop(to) writes arc a's delay, bprop(from) reads it.
+        for a in 0..graph.num_arcs() as u32 {
+            let arc = graph.arc(a);
+            let (w, r) = (f_shard[arc.to.index()], b_shard[arc.from.index()]);
+            if w != NONE {
+                out[w as usize].0.arcs.push(a);
+            }
+            if r != NONE && r != w {
+                out[r as usize].1.arcs.push(a);
+            }
+        }
+        out
+    }
+
     /// Set difference `self \ other` (all three components).
     pub fn minus(&self, other: &ValueSet) -> ValueSet {
         fn diff(a: &[u32], b: &[u32]) -> Vec<u32> {

@@ -165,13 +165,33 @@ pub struct UpdateCheckpoint {
 // Binary encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64 fed in pieces: the hash of the concatenated pieces.
+#[derive(Clone, Copy)]
+pub(crate) struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    pub(crate) const fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {

@@ -49,7 +49,7 @@ use crate::checkpoint::{fnv1a64, modifier_batch};
 use crate::circuits::PaperCircuit;
 use crate::core::{PartitionError, Partitioner, PartitionerOptions, SeqGPasta};
 use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
-use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg};
+use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg, ValueSet};
 use crate::tdg::{
     PartitionId, QuotientTdg, ShardPlan, ShardPlanError, ShardPlanOptions, Tdg,
     ValidatePartitionError,
@@ -276,13 +276,43 @@ pub(crate) fn plan_shards(
     Ok((quotient, plan))
 }
 
-/// Shard `shard`'s member tasks in a valid topological execution order
-/// (members are in quotient level order; each member in TDG topo order).
-pub(crate) fn shard_tasks(quotient: &QuotientTdg, plan: &ShardPlan, shard: u32) -> Vec<u32> {
-    plan.members(shard)
-        .iter()
-        .flat_map(|&p| quotient.execution_order(PartitionId(p)).iter().copied())
-        .collect()
+/// One shard's share of an update, worked out once per plan.
+#[derive(Debug)]
+pub(crate) struct ShardWork {
+    /// Member tasks in ascending id — topological: update-TDG edges go up.
+    pub(crate) tasks: Vec<u32>,
+    /// Every cell the tasks write: what the delta must name.
+    pub(crate) writes: ValueSet,
+    /// What the tasks read and do not write: what the boundary must name.
+    pub(crate) needed: ValueSet,
+}
+
+/// Every shard's [`ShardWork`] — a pure function, like the plan, on every
+/// side of the process boundary.
+pub(crate) fn shard_work(
+    update: &TimingUpdateTdg<'_>,
+    quotient: &QuotientTdg,
+    plan: &ShardPlan,
+) -> Vec<ShardWork> {
+    let mut owner = vec![0u32; update.tdg().num_tasks()];
+    for (p, &s) in plan.assignment().iter().enumerate() {
+        for &t in quotient.execution_order(PartitionId(p as u32)) {
+            owner[t as usize] = s;
+        }
+    }
+    let mut work: Vec<ShardWork> = ValueSet::per_shard(update, &owner, plan.num_shards())
+        .into_iter()
+        .zip(0..)
+        .map(|((writes, needed), s)| ShardWork {
+            tasks: Vec::with_capacity(plan.tasks_of(s) as usize),
+            writes,
+            needed,
+        })
+        .collect();
+    for (t, &s) in owner.iter().enumerate() {
+        work[s as usize].tasks.push(t as u32);
+    }
+    work
 }
 
 /// The agreement fingerprint exchanged in `Hello`: TDG identity mixed
@@ -389,12 +419,11 @@ impl ShardCheckpoint {
         if stored != fnv1a64(payload) {
             return Err(corrupt("checksum mismatch"));
         }
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(payload, len as u64);
         let take = |e: WireError| ShardError::Checkpoint(e.to_string());
         let name_len = r.u32("circuit name length").map_err(take)? as usize;
         let name = r.take(name_len, "circuit name").map_err(take)?;
-        let circuit =
-            String::from_utf8(name.to_vec()).map_err(|_| corrupt("circuit name is not UTF-8"))?;
+        let circuit = String::from_utf8(name).map_err(|_| corrupt("circuit name is not UTF-8"))?;
         let scale_bits = r.u64("scale bits").map_err(take)?;
         let seed = r.u64("seed").map_err(take)?;
         let tdg_fingerprint = r.u64("tdg fingerprint").map_err(take)?;
@@ -520,14 +549,13 @@ pub fn run_in_plan_order(
     let mut timer = build_timer(circuit, scale, seed);
     let update = timer.update_timing();
     let (quotient, plan) = plan_shards(&update, shards, 0)?;
+    let work = shard_work(&update, &quotient, &plan);
     // Shard ids are topological, so id order is a valid schedule.
-    let mut order: Vec<u32> = Vec::with_capacity(update.tdg().num_tasks());
-    for s in 0..plan.num_shards() as u32 {
-        order.extend(shard_tasks(&quotient, &plan, s));
-    }
     let start = std::time::Instant::now();
-    for &t in &order {
-        update.execute_task(crate::tdg::TaskId(t));
+    for w in &work {
+        for &t in &w.tasks {
+            update.execute_task(crate::tdg::TaskId(t));
+        }
     }
     let exec_nanos = start.elapsed().as_nanos() as u64;
     drop(update);
@@ -616,6 +644,35 @@ mod tests {
             fault_point(42, 3, 1, tasks),
             "deterministic"
         );
+    }
+
+    /// Each shard's cached sets are the reference projection of its task
+    /// list, its tasks ascend, and the shards cover the update once.
+    #[test]
+    fn shard_work_matches_the_reference_projection() {
+        for circuit in [PaperCircuit::AesCore, PaperCircuit::Leon2] {
+            let mut timer = build_timer(circuit, 0.002, 7);
+            let update = timer.update_timing();
+            for shards in [1, 2, 3, 4, 7] {
+                let (quotient, plan) = plan_shards(&update, shards, 0).expect("plan");
+                let work = shard_work(&update, &quotient, &plan);
+                assert_eq!(work.len(), plan.num_shards());
+                let mut seen = vec![false; update.tdg().num_tasks()];
+                for (s, w) in work.iter().enumerate() {
+                    let what = format!("{} shard {s} of {shards}", circuit.name());
+                    assert_eq!(w.tasks.len() as u64, plan.tasks_of(s as u32), "{what}");
+                    assert!(w.tasks.windows(2).all(|p| p[0] < p[1]), "{what}");
+                    for &t in &w.tasks {
+                        assert!(!std::mem::replace(&mut seen[t as usize], true), "{what}");
+                    }
+                    let writes = ValueSet::writes_of(&update, &w.tasks);
+                    let needed = ValueSet::reads_of(&update, &w.tasks).minus(&writes);
+                    assert_eq!(w.writes, writes, "{what}");
+                    assert_eq!(w.needed, needed, "{what}");
+                }
+                assert!(seen.iter().all(|&s| s), "every task in some shard");
+            }
+        }
     }
 
     #[test]

@@ -53,11 +53,11 @@ use std::time::{Duration, Instant};
 use super::pool::{Action, Event, Pool, State};
 use super::wire::{Frame, InjectedFault, WireError};
 use super::{
-    build_timer, fault_point, plan_shards, run_fingerprint, shard_tasks, ShardCheckpoint,
-    ShardError, ShardRunConfig, ShardRunOutcome,
+    build_timer, fault_point, plan_shards, run_fingerprint, shard_work, ShardCheckpoint,
+    ShardError, ShardRunConfig, ShardRunOutcome, ShardWork,
 };
 use crate::sched::{FaultKind, HeartbeatMonitor};
-use crate::sta::{BoundaryValues, TimingUpdateTdg, ValueSet};
+use crate::sta::{BoundaryValues, TimingUpdateTdg};
 use crate::tdg::{ShardPlan, TaskId};
 
 /// What a reader thread heard on its child's stdout — a frame, or why
@@ -67,8 +67,8 @@ type Tagged = (usize, u64, Result<Frame, WireError>);
 
 /// The round a worker is serving.
 struct Round {
-    /// The shard's write set, for validating the delta.
-    writes: ValueSet,
+    /// The shard; its write set validates the delta.
+    shard: u32,
     /// Stashed on `Delta`, applied on `Done`.
     delta: Option<BoundaryValues>,
 }
@@ -173,8 +173,8 @@ struct Supervisor<'a, 'b> {
     cfg: &'a ShardRunConfig,
     update: &'a TimingUpdateTdg<'b>,
     plan: &'a ShardPlan,
-    /// Per-shard task lists in execution order.
-    tasks: &'a [Vec<u32>],
+    /// Per-shard task lists and read/write sets.
+    work: &'a [ShardWork],
     fingerprint: u64,
     pool: Pool<'a>,
     procs: Procs,
@@ -218,23 +218,21 @@ impl Supervisor<'_, '_> {
     /// worker in `slot` (it reads them once it has said `Hello`).
     fn assign(&mut self, slot: usize, shard: u32, attempt: u32, now: Instant) {
         let cfg = self.cfg;
-        let tasks = &self.tasks[shard as usize];
-        let writes = ValueSet::writes_of(self.update, tasks);
-        let needed = ValueSet::reads_of(self.update, tasks).minus(&writes);
-        let boundary = BoundaryValues::export(self.update.data(), needed);
+        let work = &self.work[shard as usize];
+        let boundary = BoundaryValues::export(self.update.data(), work.needed.clone());
         let fault = cfg.faults.fault_at(shard, attempt).map(|kind| {
             let how = match kind {
                 FaultKind::Panic | FaultKind::WrongResult => InjectedFault::Die,
                 FaultKind::Transient => InjectedFault::Exit,
                 FaultKind::Delay { .. } => InjectedFault::Stall,
             };
-            let at = fault_point(cfg.chaos_seed, shard, attempt, tasks.len() as u64);
+            let at = fault_point(cfg.chaos_seed, shard, attempt, work.tasks.len() as u64);
             (how, at)
         });
         let assign = Frame::Assign {
             shard,
             attempt,
-            beat_every: 1.max(tasks.len() as u64 / 64),
+            beat_every: 1.max(work.tasks.len() as u64 / 64),
             // Beats throttled to an eighth of the stall deadline: dense
             // enough that the watchdog never false-fires, sparse enough
             // that frame wakeups don't preempt the task loop on small
@@ -249,10 +247,7 @@ impl Supervisor<'_, '_> {
         // reader reports that death.
         let _ = proc.to_child.send(assign);
         let _ = proc.to_child.send(Frame::Boundary(boundary));
-        proc.round = Some(Round {
-            writes,
-            delta: None,
-        });
+        proc.round = Some(Round { shard, delta: None });
         self.monitor.start(slot as u32, now);
     }
 
@@ -278,7 +273,7 @@ impl Supervisor<'_, '_> {
                 }),
                 round,
             ) if !proc.greeted => {
-                if fingerprint != self.fingerprint || num_shards as usize != self.tasks.len() {
+                if fingerprint != self.fingerprint || num_shards as usize != self.work.len() {
                     // A deterministic-rebuild disagreement can never
                     // succeed on retry; fail the whole run loudly.
                     return Err(ShardError::Protocol(format!(
@@ -295,7 +290,7 @@ impl Supervisor<'_, '_> {
             }
             (Ok(Frame::Heartbeat { .. }), Some(_)) => self.monitor.beat(unit, now),
             (Ok(Frame::Delta(delta)), Some(round)) => {
-                if delta.set == round.writes {
+                if delta.set == self.work[round.shard as usize].writes {
                     round.delta = Some(delta);
                     self.monitor.beat(unit, now);
                 } else {
@@ -462,9 +457,8 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
     }
     let (quotient, plan) = plan_shards(&update, cfg.shards, cfg.max_tasks_per_shard)?;
     let k = plan.num_shards();
-    let tasks: Vec<Vec<u32>> = (0..k as u32)
-        .map(|s| shard_tasks(&quotient, &plan, s))
-        .collect();
+    let work = shard_work(&update, &quotient, &plan);
+    drop(quotient);
 
     // Shards fully covered by the checkpoint are already complete: their
     // values were restored with the snapshot. Partially covered shards
@@ -492,7 +486,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         cfg,
         update: &update,
         plan: &plan,
-        tasks: &tasks,
+        work: &work,
         fingerprint: run_fingerprint(update.tdg(), &plan),
         pool: Pool::new(plan.graph(), &restored, max_workers, cfg.retry.clone()),
         procs,
@@ -520,17 +514,17 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
     // unknown so nobody mistakes it for a result.
     let mut healed_tasks = 0u64;
     if !killed {
-        for (s, shard_tasks) in tasks.iter().enumerate() {
+        for (s, ShardWork { tasks, .. }) in work.iter().enumerate() {
             if states[s] == State::Completed {
                 continue;
             }
             if cfg.heal {
-                for &t in shard_tasks {
+                for &t in tasks {
                     update.execute_task(TaskId(t));
                 }
-                healed_tasks += shard_tasks.len() as u64;
+                healed_tasks += tasks.len() as u64;
             } else {
-                for &t in shard_tasks {
+                for &t in tasks {
                     let v = update.node(TaskId(t));
                     match update.kind(TaskId(t)) {
                         crate::sta::TaskKind::Fprop => update.data().mark_arrival_unknown(v),

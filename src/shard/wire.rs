@@ -22,20 +22,24 @@
 //! [`Frame::Delta`] and [`Frame::Done`]. Values travel as raw `f32` bit
 //! patterns inside [`BoundaryValues`], never as rounded text, so a value
 //! that crossed the pipe is bit-identical to one computed locally.
+//!
+//! Frames are streamed: the length follows from the array lengths, so the
+//! payload goes out and comes in [`CHUNK`] by `CHUNK`, hashed on the way,
+//! and a frame is returned only once its trailer matches.
 
-use crate::checkpoint::fnv1a64;
+use crate::checkpoint::Fnv1a64;
 use crate::sta::{BoundaryValues, ValueSet};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"GPCKPT01";
 
 /// Refuse a frame that claims more than this.
 const MAX_PAYLOAD: u64 = 1 << 30;
 
-/// What a frame body may reserve before its bytes arrive: a corrupt
-/// length under [`MAX_PAYLOAD`] must cost what was sent, not what it
-/// claims.
-const BODY_RESERVE: u64 = 64 << 10;
+/// The bytes a frame crosses the pipe in, and an array is read and
+/// reserved in: a corrupt count under [`MAX_PAYLOAD`] costs what was
+/// sent, not what it claims.
+const CHUNK: usize = 32 << 10;
 
 const KIND_HELLO: u8 = 1;
 const KIND_BOUNDARY: u8 = 2;
@@ -114,12 +118,13 @@ pub enum Frame {
 /// Reading or decoding a frame failed.
 #[derive(Debug)]
 pub enum WireError {
-    /// The pipe closed mid-frame or failed outright.
+    /// The pipe failed outright.
     Io(std::io::Error),
     /// The peer closed the pipe cleanly between frames.
     Eof,
-    /// The bytes are not a `GPCKPT01` frame, the checksum disagrees, or a
-    /// section is malformed; the string names the defect.
+    /// The bytes are not a `GPCKPT01` frame, the pipe closed mid-frame,
+    /// the checksum disagrees, or a section is malformed; the string
+    /// names the defect.
     Corrupt(String),
 }
 
@@ -157,73 +162,160 @@ pub(crate) fn put_arr(buf: &mut Vec<u8>, arr: &[u32]) {
     }
 }
 
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Frame bytes on their way in: read from `inner` never past the declared
+/// length, and hashed as they pass.
+pub(crate) struct Reader<R> {
+    inner: R,
+    /// Declared bytes not read yet.
+    left: u64,
+    hash: Fnv1a64,
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+impl<R: Read> Reader<R> {
+    pub(crate) fn new(inner: R, len: u64) -> Self {
+        Reader {
+            inner,
+            left: len,
+            hash: Fnv1a64::new(),
+        }
     }
 
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
+    fn need(&self, n: usize, what: &str) -> Result<(), WireError> {
+        if self.left < n as u64 {
             return Err(WireError::Corrupt(format!(
                 "truncated while reading {what} ({} bytes left, {n} needed)",
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn arr(&mut self, what: &str) -> Result<Vec<u32>, WireError> {
-        let len = self.u32(what)? as usize;
-        if self.buf.len() - self.pos < len * 4 {
-            return Err(WireError::Corrupt(format!(
-                "{what} claims {len} entries but only {} bytes remain",
-                self.buf.len() - self.pos
-            )));
-        }
-        (0..len).map(|_| self.u32(what)).collect()
-    }
-
-    pub(crate) fn done(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::Corrupt(format!(
-                "{} trailing bytes after the last section",
-                self.buf.len() - self.pos
+                self.left
             )));
         }
         Ok(())
     }
+
+    fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<(), WireError> {
+        self.need(buf.len(), what)?;
+        self.inner.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => WireError::Corrupt("pipe closed mid-frame".into()),
+            _ => WireError::Io(e),
+        })?;
+        self.left -= buf.len() as u64;
+        self.hash.update(buf);
+        Ok(())
+    }
+
+    fn bytes<const N: usize>(&mut self, what: &str) -> Result<[u8; N], WireError> {
+        let mut b = [0u8; N];
+        self.fill(&mut b, what)?;
+        Ok(b)
+    }
+
+    /// `n` raw bytes, allocated only once the declared length covers them.
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<Vec<u8>, WireError> {
+        self.need(n, what)?;
+        let mut b = vec![0; n];
+        self.fill(&mut b, what)?;
+        Ok(b)
+    }
+
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, WireError> {
+        self.bytes(what).map(u32::from_le_bytes)
+    }
+
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, WireError> {
+        self.bytes(what).map(u64::from_le_bytes)
+    }
+
+    pub(crate) fn arr(&mut self, what: &str) -> Result<Vec<u32>, WireError> {
+        let len = self.u32(what)? as usize;
+        if self.left < 4 * len as u64 {
+            return Err(WireError::Corrupt(format!(
+                "{what} claims {len} entries but only {} bytes remain",
+                self.left
+            )));
+        }
+        let mut out = Vec::new();
+        let mut piece = [0u8; CHUNK];
+        let mut todo = 4 * len;
+        while todo > 0 {
+            let n = todo.min(CHUNK);
+            self.fill(&mut piece[..n], what)?;
+            // Room for this piece once it is here: at most double what
+            // arrived, never past the claimed count.
+            if out.capacity() - out.len() < n / 4 {
+                out.reserve_exact(out.len().max(n / 4).min(len - out.len()));
+            }
+            out.extend(
+                piece[..n]
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            );
+            todo -= n;
+        }
+        Ok(out)
+    }
+
+    /// The hash of the whole payload, once every declared byte was read.
+    pub(crate) fn done(&self) -> Result<u64, WireError> {
+        if self.left != 0 {
+            return Err(WireError::Corrupt(format!(
+                "{} trailing bytes after the last section",
+                self.left
+            )));
+        }
+        Ok(self.hash.finish())
+    }
 }
 
-fn encode_values(buf: &mut Vec<u8>, values: &BoundaryValues) {
-    put_u32(buf, values.clock_period_bits);
-    put_arr(buf, &values.set.fprop_nodes);
-    put_arr(buf, &values.set.req_nodes);
-    put_arr(buf, &values.set.arcs);
-    put_arr(buf, &values.fprop_bits);
-    put_arr(buf, &values.req_bits);
-    put_arr(buf, &values.arc_bits);
+/// A frame on its way out: staged in a buffer that is written whenever it
+/// passes [`CHUNK`], the payload hashed as it leaves.
+struct Sink<'w, W> {
+    w: &'w mut W,
+    buf: Vec<u8>,
+    /// Where the payload not hashed yet starts in `buf`.
+    from: usize,
+    hash: Fnv1a64,
 }
 
-fn decode_values(r: &mut Reader<'_>) -> Result<BoundaryValues, WireError> {
+impl<W: Write> Sink<'_, W> {
+    fn spill(&mut self) -> io::Result<()> {
+        self.hash.update(&self.buf[self.from..]);
+        self.w.write_all(&self.buf)?;
+        self.buf.clear();
+        self.from = 0;
+        Ok(())
+    }
+
+    fn arr(&mut self, arr: &[u32]) -> io::Result<()> {
+        put_u32(&mut self.buf, arr.len() as u32);
+        for &v in arr {
+            put_u32(&mut self.buf, v);
+            if self.buf.len() >= CHUNK {
+                self.spill()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Hash and write what is staged, then the trailer, and flush.
+    fn finish(mut self) -> io::Result<()> {
+        self.hash.update(&self.buf[self.from..]);
+        put_u64(&mut self.buf, self.hash.finish());
+        self.w.write_all(&self.buf)?;
+        self.w.flush()
+    }
+}
+
+/// A values frame's arrays, in wire order.
+fn arrays(v: &BoundaryValues) -> [&[u32]; 6] {
+    [
+        &v.set.fprop_nodes,
+        &v.set.req_nodes,
+        &v.set.arcs,
+        &v.fprop_bits,
+        &v.req_bits,
+        &v.arc_bits,
+    ]
+}
+
+fn decode_values<R: Read>(r: &mut Reader<R>) -> Result<BoundaryValues, WireError> {
     let clock_period_bits = r.u32("clock period")?;
     let set = ValueSet {
         fprop_nodes: r.arr("fprop node set")?,
@@ -260,17 +352,33 @@ impl Frame {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+    /// Payload bytes, known before the first one is written.
+    fn payload_len(&self) -> u64 {
+        match self {
+            Frame::Hello { .. } => 4 + 8 + 8,
+            Frame::Assign { .. } => 4 + 4 + 8 + 8 + 1 + 8,
+            Frame::Boundary(v) | Frame::Delta(v) => {
+                4 + arrays(v)
+                    .iter()
+                    .map(|a| 4 + 4 * a.len() as u64)
+                    .sum::<u64>()
+            }
+            Frame::Heartbeat { .. } => 8,
+            Frame::Done { .. } => 8 + 8,
+        }
+    }
+
+    fn encode_payload<W: Write>(&self, s: &mut Sink<'_, W>) -> io::Result<()> {
+        let buf = &mut s.buf;
         match self {
             Frame::Hello {
                 num_shards,
                 num_tasks,
                 fingerprint,
             } => {
-                put_u32(&mut buf, *num_shards);
-                put_u64(&mut buf, *num_tasks);
-                put_u64(&mut buf, *fingerprint);
+                put_u32(buf, *num_shards);
+                put_u64(buf, *num_tasks);
+                put_u64(buf, *fingerprint);
             }
             Frame::Assign {
                 shard,
@@ -279,10 +387,10 @@ impl Frame {
                 beat_interval_micros,
                 fault,
             } => {
-                put_u32(&mut buf, *shard);
-                put_u32(&mut buf, *attempt);
-                put_u64(&mut buf, *beat_every);
-                put_u64(&mut buf, *beat_interval_micros);
+                put_u32(buf, *shard);
+                put_u32(buf, *attempt);
+                put_u64(buf, *beat_every);
+                put_u64(buf, *beat_interval_micros);
                 let (code, point) = match fault {
                     None => (0, 0),
                     Some((InjectedFault::Die, at)) => (1, *at),
@@ -290,21 +398,26 @@ impl Frame {
                     Some((InjectedFault::Stall, at)) => (3, *at),
                 };
                 buf.push(code);
-                put_u64(&mut buf, point);
+                put_u64(buf, point);
             }
-            Frame::Boundary(v) | Frame::Delta(v) => encode_values(&mut buf, v),
-            Frame::Heartbeat { done } => put_u64(&mut buf, *done),
+            Frame::Boundary(v) | Frame::Delta(v) => {
+                put_u32(buf, v.clock_period_bits);
+                for arr in arrays(v) {
+                    s.arr(arr)?;
+                }
+            }
+            Frame::Heartbeat { done } => put_u64(buf, *done),
             Frame::Done { exec_nanos, tasks } => {
-                put_u64(&mut buf, *exec_nanos);
-                put_u64(&mut buf, *tasks);
+                put_u64(buf, *exec_nanos);
+                put_u64(buf, *tasks);
             }
         }
-        buf
+        Ok(())
     }
 
-    fn decode(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader::new(payload);
-        let frame = match kind {
+    /// Decode a payload of `kind`; the caller checks that `r` is done.
+    fn decode<R: Read>(kind: u8, r: &mut Reader<R>) -> Result<Frame, WireError> {
+        Ok(match kind {
             KIND_HELLO => Frame::Hello {
                 num_shards: r.u32("shard count")?,
                 num_tasks: r.u64("task count")?,
@@ -316,7 +429,7 @@ impl Frame {
                 beat_every: r.u64("beat cadence")?,
                 beat_interval_micros: r.u64("beat interval")?,
                 fault: {
-                    let code = r.take(1, "fault kind")?[0];
+                    let [code] = r.bytes("fault kind")?;
                     let point = r.u64("fault point")?;
                     match code {
                         0 => None,
@@ -329,11 +442,11 @@ impl Frame {
                     }
                 },
             },
-            KIND_BOUNDARY => Frame::Boundary(decode_values(&mut r)?),
+            KIND_BOUNDARY => Frame::Boundary(decode_values(r)?),
             KIND_HEARTBEAT => Frame::Heartbeat {
                 done: r.u64("progress")?,
             },
-            KIND_DELTA => Frame::Delta(decode_values(&mut r)?),
+            KIND_DELTA => Frame::Delta(decode_values(r)?),
             KIND_DONE => Frame::Done {
                 exec_nanos: r.u64("exec nanos")?,
                 tasks: r.u64("task count")?,
@@ -341,57 +454,55 @@ impl Frame {
             other => {
                 return Err(WireError::Corrupt(format!("unknown frame kind {other}")));
             }
-        };
-        r.done()?;
-        Ok(frame)
+        })
     }
 
-    /// Serialize this frame — magic, kind, length, payload, checksum.
+    /// Serialize this frame — magic, kind, length, payload, checksum:
+    /// [`write_to`](Self::write_to) into a `Vec`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut buf = Vec::with_capacity(MAGIC.len() + 1 + 8 + payload.len() + 8);
-        buf.extend_from_slice(MAGIC);
-        buf.push(self.kind());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let mut buf = Vec::new();
+        self.write_to(&mut buf).expect("a Vec takes every byte");
         buf
     }
 
-    /// Write this frame to `w` and flush it (frames cross pipes; an
-    /// unflushed frame would deadlock both sides).
+    /// Write this frame to `w` in [`CHUNK`]-sized pieces and flush it
+    /// (frames cross pipes; an unflushed frame would deadlock both sides).
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] when the pipe fails.
-    pub fn write_to(&self, w: &mut impl Write) -> Result<(), WireError> {
-        w.write_all(&self.to_bytes()).map_err(WireError::Io)?;
-        w.flush().map_err(WireError::Io)
+    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
+        let len = self.payload_len();
+        let mut buf = Vec::with_capacity((17 + len as usize + 8).min(CHUNK + 16));
+        buf.extend_from_slice(MAGIC);
+        buf.push(self.kind());
+        put_u64(&mut buf, len);
+        let mut sink = Sink {
+            w,
+            from: buf.len(),
+            buf,
+            hash: Fnv1a64::new(),
+        };
+        self.encode_payload(&mut sink)
+            .and_then(|()| sink.finish())
+            .map_err(WireError::Io)
     }
 
     /// Read one frame from `r`, verifying magic, length, and checksum.
+    /// The payload is decoded as it arrives; the frame is returned only
+    /// once its trailer matches.
     ///
     /// # Errors
     ///
     /// [`WireError::Eof`] on a clean close before the first byte,
-    /// [`WireError::Io`] on a mid-frame close or pipe failure, and
-    /// [`WireError::Corrupt`] for malformed bytes.
+    /// [`WireError::Io`] on a pipe failure, and [`WireError::Corrupt`]
+    /// for malformed bytes or a close mid-frame.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, WireError> {
         let mut head = [0u8; 8 + 1 + 8];
-        let mut filled = 0;
-        while filled < head.len() {
-            let n = r.read(&mut head[filled..]).map_err(WireError::Io)?;
-            if n == 0 {
-                return if filled == 0 {
-                    Err(WireError::Eof)
-                } else {
-                    Err(WireError::Corrupt(format!(
-                        "pipe closed {filled} bytes into a frame header"
-                    )))
-                };
-            }
-            filled += n;
+        if r.read(&mut head[..1]).map_err(WireError::Io)? == 0 {
+            return Err(WireError::Eof);
         }
+        Reader::new(&mut *r, 16).fill(&mut head[1..], "frame header")?;
         if &head[..8] != MAGIC {
             return Err(WireError::Corrupt("bad frame magic".into()));
         }
@@ -402,26 +513,17 @@ impl Frame {
                 "frame claims {len} payload bytes (cap {MAX_PAYLOAD})"
             )));
         }
-        // `read_to_end` grows the buffer as bytes arrive, so a lying
-        // length reserves no more than about twice what the peer sent.
-        let want = len + 8;
-        let mut body = Vec::with_capacity(want.min(BODY_RESERVE) as usize);
-        r.by_ref()
-            .take(want)
-            .read_to_end(&mut body)
-            .map_err(WireError::Io)?;
-        if (body.len() as u64) < want {
-            return Err(WireError::Corrupt("pipe closed mid-payload".into()));
-        }
-        let (payload, sum_bytes) = body.split_at(len as usize);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
+        let mut body = Reader::new(r, len);
+        let frame = Frame::decode(kind, &mut body)?;
+        let computed = body.done()?;
+        body.left = 8;
+        let stored = body.u64("checksum")?;
         if stored != computed {
             return Err(WireError::Corrupt(format!(
                 "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
             )));
         }
-        Frame::decode(kind, payload)
+        Ok(frame)
     }
 }
 
@@ -574,9 +676,11 @@ mod tests {
             beat_interval_micros: 0,
             fault: None,
         };
-        let mut payload = frame.encode_payload();
+        let bytes = frame.to_bytes();
+        let mut payload = bytes[17..bytes.len() - 8].to_vec();
         payload[24] = 9;
-        let err = Frame::decode(KIND_ASSIGN, &payload).expect_err("fault code 9");
+        let mut r = Reader::new(&payload[..], payload.len() as u64);
+        let err = Frame::decode(KIND_ASSIGN, &mut r).expect_err("fault code 9");
         assert!(matches!(err, WireError::Corrupt(_)));
     }
 
@@ -675,5 +779,123 @@ mod tests {
         let bytes = Frame::Delta(v).to_bytes();
         let err = Frame::read_from(&mut std::io::Cursor::new(bytes)).expect_err("length check");
         assert!(matches!(err, WireError::Corrupt(_)));
+    }
+
+    /// A values frame whose arrays together span several chunks.
+    fn large_delta() -> Frame {
+        let nodes = (3 * CHUNK / 4 / 8) as u32;
+        let words = |n: u32, salt: u32| (0..n).map(move |i| i.wrapping_mul(2_654_435_761) ^ salt);
+        Frame::Delta(BoundaryValues {
+            clock_period_bits: 1000.0f32.to_bits(),
+            set: ValueSet {
+                fprop_nodes: (0..nodes).collect(),
+                req_nodes: (0..nodes).map(|v| 2 * v).collect(),
+                arcs: (0..nodes).map(|a| 3 * a).collect(),
+            },
+            fprop_bits: words(8 * nodes, 1).collect(),
+            req_bits: words(4 * nodes, 2).collect(),
+            arc_bits: words(4 * nodes, 3).collect(),
+        })
+    }
+
+    /// Accepts at most `most` bytes per call and records each request.
+    struct Dribble {
+        bytes: Vec<u8>,
+        most: usize,
+        largest: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.most);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_bytes_equal_to_bytes_for_every_kind() {
+        for frame in sample_frames().into_iter().chain([large_delta()]) {
+            let mut w = Dribble {
+                bytes: Vec::new(),
+                most: 4093,
+                largest: 0,
+            };
+            frame.write_to(&mut w).expect("write");
+            assert_eq!(w.bytes, frame.to_bytes(), "{:?}", frame.kind());
+            // A chunk plus a count, a value and the trailer, at most.
+            assert!(
+                w.largest <= CHUNK + 16,
+                "a {}-byte frame went out in a {}-byte write",
+                w.bytes.len(),
+                w.largest
+            );
+        }
+    }
+
+    #[test]
+    fn a_delta_spanning_several_chunks_round_trips() {
+        let frame = large_delta();
+        let bytes = frame.to_bytes();
+        assert!(bytes.len() > 4 * CHUNK, "{} bytes", bytes.len());
+        // Small, uneven reads: every array piece straddles read calls.
+        let mut r = std::io::BufReader::with_capacity(1021, &bytes[..]);
+        assert_eq!(Frame::read_from(&mut r).expect("read"), frame);
+        assert!(matches!(Frame::read_from(&mut r), Err(WireError::Eof)));
+    }
+
+    #[test]
+    fn the_delta_layout_and_its_trailer_are_pinned() {
+        // Magic, kind 4, u64 length, clock bits, six counted u32 arrays,
+        // FNV-1a 64 of the payload; hashed whole by an independent
+        // transcription of that layout.
+        let bytes = Frame::Delta(sample_values()).to_bytes();
+        assert_eq!(bytes.len(), 205);
+        assert_eq!(crate::checkpoint::fnv1a64(&bytes), 0x41f1_1f0e_c7f0_08ce);
+    }
+
+    #[test]
+    fn a_lying_inner_count_reads_only_what_was_sent() {
+        // A Delta that claims a payload just under the cap and a first
+        // array filling it, then stops after a few hundred bytes.
+        let claimed = MAX_PAYLOAD - 1;
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(KIND_DELTA);
+        put_u64(&mut bytes, claimed);
+        put_u32(&mut bytes, 1000.0f32.to_bits());
+        put_u32(&mut bytes, ((claimed - 8) / 4) as u32);
+        bytes.extend(std::iter::repeat_n(0xA5, 300));
+        let mut r = Trickle {
+            bytes: &bytes,
+            reads: 0,
+        };
+        let err = Frame::read_from(&mut r).expect_err("the array never arrives");
+        assert!(matches!(err, WireError::Corrupt(_)), "got {err:?}");
+        assert!(
+            r.reads < 8,
+            "{} reads for a {}-byte stream: the claimed count was not pre-filled",
+            r.reads,
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn a_flip_in_the_last_chunk_of_a_large_delta_is_a_checksum_error() {
+        let bytes = large_delta().to_bytes();
+        let mut bad = bytes.clone();
+        // Inside the last value array, well past the first chunk.
+        let at = bytes.len() - 8 - 5;
+        assert!(at > 3 * CHUNK);
+        bad[at] ^= 0x10;
+        let err = Frame::read_from(&mut std::io::Cursor::new(bad)).expect_err("flip");
+        assert!(
+            matches!(&err, WireError::Corrupt(why) if why.contains("checksum")),
+            "got {err:?}"
+        );
     }
 }

@@ -31,9 +31,9 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use super::wire::{Frame, InjectedFault, WireError};
-use super::{build_timer, plan_shards, run_fingerprint, shard_tasks, ShardError};
+use super::{build_timer, plan_shards, run_fingerprint, shard_work, ShardError};
 use crate::circuits::PaperCircuit;
-use crate::sta::{BoundaryValues, ValueSet};
+use crate::sta::BoundaryValues;
 use crate::tdg::TaskId;
 
 /// What a worker process is launched with (parsed from the hidden
@@ -93,6 +93,8 @@ pub(crate) fn run_worker_io(
     let mut timer = build_timer(args.circuit, f64::from_bits(args.scale_bits), args.seed);
     let update = timer.update_timing();
     let (quotient, plan) = plan_shards(&update, args.shards, args.max_tasks_per_shard)?;
+    let work = shard_work(&update, &quotient, &plan);
+    drop(quotient);
     let data = update.data();
 
     Frame::Hello {
@@ -126,7 +128,8 @@ pub(crate) fn run_worker_io(
                 plan.num_shards()
             )));
         }
-        let tasks = shard_tasks(&quotient, &plan, shard);
+        let job = &work[shard as usize];
+        let tasks = &job.tasks;
 
         let frame = Frame::read_from(inp)?;
         let Frame::Boundary(boundary) = frame else {
@@ -139,13 +142,11 @@ pub(crate) fn run_worker_io(
                 "clock period disagrees with the supervisor".into(),
             ));
         }
-        let writes = ValueSet::writes_of(&update, &tasks);
-        let needed = ValueSet::reads_of(&update, &tasks).minus(&writes);
-        if boundary.set != needed {
+        if boundary.set != job.needed {
             return Err(ShardError::Protocol(format!(
                 "boundary names {} cells but shard {shard} (attempt {attempt}) needs {}",
                 boundary.set.len(),
-                needed.len()
+                job.needed.len()
             )));
         }
         boundary.apply(data);
@@ -187,7 +188,7 @@ pub(crate) fn run_worker_io(
         }
         let exec_nanos = start.elapsed().as_nanos() as u64;
 
-        Frame::Delta(BoundaryValues::export(data, writes)).write_to(out)?;
+        Frame::Delta(BoundaryValues::export(data, job.writes.clone())).write_to(out)?;
         Frame::Done {
             exec_nanos,
             tasks: done,
@@ -210,8 +211,9 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), ShardError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::run_single_process;
+    use super::super::{run_single_process, ShardWork};
     use super::*;
+    use crate::sta::ValueSet;
 
     const CIRCUIT: PaperCircuit = PaperCircuit::AesCore;
     const SCALE: f64 = 0.002;
@@ -254,15 +256,16 @@ mod tests {
         assert!(plan.num_shards() >= 2, "test needs state carried over");
         let mut inbox = Vec::new();
         let mut write_sets = Vec::new();
-        for s in 0..plan.num_shards() as u32 {
-            let tasks = shard_tasks(&quotient, &plan, s);
-            let writes = ValueSet::writes_of(&twin, &tasks);
-            let needed = ValueSet::reads_of(&twin, &tasks).minus(&writes);
+        // The reference projection over the shared task lists.
+        for (s, ShardWork { tasks, .. }) in shard_work(&twin, &quotient, &plan).iter().enumerate() {
+            let s = s as u32;
+            let writes = ValueSet::writes_of(&twin, tasks);
+            let needed = ValueSet::reads_of(&twin, tasks).minus(&writes);
             assign(s).write_to(&mut inbox).expect("frame");
             Frame::Boundary(BoundaryValues::export(twin.data(), needed))
                 .write_to(&mut inbox)
                 .expect("frame");
-            for &t in &tasks {
+            for &t in tasks {
                 twin.execute_task(TaskId(t));
             }
             write_sets.push((writes, tasks.len() as u64));
