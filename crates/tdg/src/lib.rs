@@ -15,8 +15,9 @@
 //! * [`quotient`] — construction of the *partitioned TDG*
 //!   (quotient graph) that the scheduler actually runs, and its
 //!   restriction to the tasks of one update;
-//! * [`shard`] — grouping of quotient partitions into contiguous, acyclic
-//!   shards ([`ShardPlan`]), the unit of multi-process distribution;
+//! * [`shard`] — a cut of a topologically numbered TDG's task ids into
+//!   contiguous, acyclic shards ([`ShardPlan`]), the unit of multi-process
+//!   distribution;
 //! * [`validate`] — the paper's validity conditions:
 //!   acyclic quotient, convex partitions, bounded partition size;
 //! * [`transitive_reduction`] — the minimal equivalent DAG, and
@@ -71,5 +72,5 @@ pub use partition::{Partition, PartitionId, PartitionStats};
 pub use quotient::{QuotientArena, QuotientTdg};
 pub use recycle::{ArenaTdgBuilder, TdgArena};
 pub use reduce::transitive_reduction;
-pub use shard::{ShardPlan, ShardPlanError, ShardPlanOptions};
+pub use shard::{ShardPlan, ShardPlanError};
 pub use topo::{critical_path_len, topo_order, ParallelismProfile};

@@ -1,72 +1,57 @@
-//! Sharding: grouping quotient-graph partitions into K *shards*, the unit
+//! Sharding: cutting a TDG's task ids into K contiguous *shards*, the unit
 //! of multi-process distribution.
 //!
-//! A [`crate::QuotientTdg`] is already the paper's unit of dispatch inside
-//! one process; a [`ShardPlan`] lifts that one level — each shard owns a
-//! contiguous run of partitions in level order and is executed by one OS
-//! worker process, with only boundary timing values crossing shard edges.
+//! A [`ShardPlan`] is a cut of `0..n`: shard `s` owns the task ids
+//! [`range(s)`](ShardPlan::range) and is executed by one OS worker
+//! process, with only boundary timing values crossing shard edges. No
+//! partition or quotient is involved. A timing update's TDG is numbered so
+//! that every edge goes from a lower to a higher id (fprop by level, then
+//! bprop in reverse level order), so the ids are already a topological
+//! order and any cut of them into runs is a coarser convex partition
+//! (Theorem 1's max-pid rule).
 //!
 //! # Invariants
 //!
-//! 1. **Contiguity by topo rank**: partitions are laid out in the quotient
-//!    graph's level-major order (ascending id within a level); every shard
-//!    owns one contiguous run of that order. Because every quotient edge
-//!    goes to a strictly later level, the shard id is monotone
-//!    non-decreasing along the order, so every shard edge points from a
-//!    lower to a higher shard id — the shard graph is acyclic *and* its
-//!    ids are already a topological order.
-//! 2. **Coverage**: every partition belongs to exactly one shard;
-//!    [`ShardPlan::members`] concatenated over shards is a permutation of
-//!    the partition ids.
-//! 3. **Determinism**: the plan is a pure function of the quotient and the
-//!    options — two processes that build the same quotient compute the
-//!    same plan, which is what lets a worker rediscover its own task set
-//!    from `(design, shards, shard)` alone.
-//!
-//! The size constraint (`max_tasks_per_shard`) caps how many member tasks
-//! a shard may accumulate, and the edge-cut-aware refinement slides shard
-//! boundaries by whole partitions when that strictly reduces the number
-//! of quotient edges crossing shards (boundary traffic) without starving
-//! or overfilling a shard.
+//! 1. **Contiguity**: the ranges are non-empty and concatenate to `0..n`.
+//! 2. **Shard ids are topological**: every TDG edge goes up, so every
+//!    shard edge goes from a lower to a higher shard id — the shard graph
+//!    is acyclic. [`ShardPlan::build`] refuses a TDG with an edge that
+//!    goes down.
+//! 3. **Determinism**: the plan is a pure function of the TDG and the
+//!    options — two processes that build the same TDG compute the same
+//!    plan, which is what lets a worker rediscover its own task set from
+//!    `(design, shards, shard)` alone.
 
-use crate::graph::Tdg;
-use crate::partition::PartitionId;
-use crate::quotient::QuotientTdg;
+use std::ops::Range;
 
-/// Tuning knobs for [`ShardPlan::build`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardPlanOptions {
-    /// Hard cap on member *tasks* per shard; `0` disables the cap. The
-    /// greedy pass cuts a shard early rather than exceed it (the final
-    /// shard may still exceed the cap when the trailing partitions leave
-    /// it no choice — a plan always exists).
-    pub max_tasks_per_shard: usize,
-    /// Boundary-refinement sweeps over all shard cuts; `0` keeps the raw
-    /// greedy plan.
-    pub refine_passes: usize,
-}
-
-impl Default for ShardPlanOptions {
-    fn default() -> Self {
-        ShardPlanOptions {
-            max_tasks_per_shard: 0,
-            refine_passes: 2,
-        }
-    }
-}
+use crate::graph::{TaskId, Tdg, TdgBuilder};
 
 /// [`ShardPlan::build`] rejected its inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardPlanError {
-    /// A shard count of zero was requested for a non-empty quotient.
+    /// A shard count of zero was requested for a non-empty TDG.
     NoShards,
+    /// The edge `from -> to` goes to a lower id, so runs of ids are not a
+    /// topological cut.
+    EdgeGoesDown {
+        /// Source task.
+        from: u32,
+        /// Target task, below `from`.
+        to: u32,
+    },
 }
 
 impl std::fmt::Display for ShardPlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardPlanError::NoShards => {
-                write!(f, "cannot shard a non-empty quotient into zero shards")
+                write!(f, "cannot shard a non-empty TDG into zero shards")
+            }
+            ShardPlanError::EdgeGoesDown { from, to } => {
+                write!(
+                    f,
+                    "edge {from} -> {to} goes down: task ids are not topological"
+                )
             }
         }
     }
@@ -74,216 +59,80 @@ impl std::fmt::Display for ShardPlanError {
 
 impl std::error::Error for ShardPlanError {}
 
-/// A grouping of quotient partitions into contiguous, acyclic shards.
+/// A cut of a TDG's task ids into contiguous, acyclic shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// Per-partition shard assignment.
-    shard_of: Vec<u32>,
-    /// Partition ids grouped by shard, each group in quotient level order:
-    /// shard `s` owns `members_flat[members_off[s]..members_off[s+1]]`.
-    members_flat: Vec<u32>,
-    members_off: Vec<u32>,
-    /// Member-task totals per shard.
-    tasks_of: Vec<u64>,
-    /// The coarse DAG over shards (deduplicated shard-crossing quotient
-    /// edges). Shard ids are already topologically ordered.
+    /// Shard `s` owns task ids `bounds[s]..bounds[s + 1]`.
+    bounds: Vec<u32>,
+    /// The coarse DAG over shards (deduplicated shard-crossing TDG edges).
+    /// Shard ids are already topologically ordered.
     graph: Tdg,
-    /// Quotient edges crossing shard boundaries (the boundary traffic the
-    /// refinement minimises).
+    /// TDG edges crossing shard boundaries.
     edge_cut: usize,
 }
 
 impl ShardPlan {
-    /// Group `quotient`'s partitions into (at most) `shards` shards.
+    /// Cut `tdg`'s task ids into (at most) `shards` contiguous runs.
     ///
-    /// The shard count is clamped to the partition count — asking for more
-    /// shards than partitions yields singleton shards, not empty ones. An
-    /// empty quotient produces an empty plan for any requested count.
+    /// The shard count is clamped to the task count — asking for more
+    /// shards than tasks yields singleton shards, not empty ones. Each
+    /// shard takes an equal share of the tasks still left, so sizes differ
+    /// by at most one. `max_tasks_per_shard` (`0`: no cap) cuts a shard
+    /// early rather than exceed it; the last shard takes whatever is left,
+    /// so a plan always exists. An empty TDG produces an empty plan for
+    /// any requested count.
     ///
     /// # Errors
     ///
-    /// [`ShardPlanError::NoShards`] when `shards == 0` and the quotient is
-    /// non-empty.
+    /// [`ShardPlanError::NoShards`] when `shards == 0` and the TDG is
+    /// non-empty, and [`ShardPlanError::EdgeGoesDown`] when an edge goes
+    /// from a higher id to a lower one.
     pub fn build(
-        quotient: &QuotientTdg,
+        tdg: &Tdg,
         shards: usize,
-        opts: &ShardPlanOptions,
+        max_tasks_per_shard: usize,
     ) -> Result<Self, ShardPlanError> {
-        let np = quotient.num_partitions();
-        if np == 0 {
-            return Ok(ShardPlan {
-                shard_of: Vec::new(),
-                members_flat: Vec::new(),
-                members_off: vec![0],
-                tasks_of: Vec::new(),
-                graph: Tdg::from_csr(vec![0], Vec::new(), vec![0], Vec::new(), Vec::new()),
-                edge_cut: 0,
-            });
-        }
-        if shards == 0 {
+        let n = tdg.num_tasks();
+        if n > 0 && shards == 0 {
             return Err(ShardPlanError::NoShards);
         }
-        let k = shards.min(np);
-
-        // Level-major order of partitions: every quotient edge points to a
-        // strictly later level, so any monotone grouping of this order is
-        // acyclic at shard granularity.
-        let levels = quotient.graph().levels();
-        let order: Vec<u32> = levels.order().to_vec();
-        let weight = |p: u32| quotient.execution_order(PartitionId(p)).len() as u64;
-
-        // Greedy contiguous chunking balanced by member-task weight: each
-        // cut targets an equal share of the *remaining* weight, so early
-        // heavy partitions do not starve the trailing shards.
-        let total: u64 = order.iter().map(|&p| weight(p)).sum();
-        let max = opts.max_tasks_per_shard as u64;
-        let mut cuts: Vec<usize> = Vec::with_capacity(k + 1);
-        cuts.push(0);
-        let mut i = 0usize;
-        let mut spent = 0u64;
+        let k = shards.min(n);
+        let mut bounds = Vec::with_capacity(k + 1);
+        bounds.push(0u32);
+        let mut lo = 0usize;
         for s in 0..k {
-            let shards_left = k - s;
-            // Equal share of the *remaining* weight, so early heavy
-            // partitions do not starve the trailing shards.
-            let target = (total - spent).div_ceil(shards_left as u64);
-            // Leave at least one partition for every shard still to come.
-            let last_allowed = np - (shards_left - 1);
-            let mut acc = 0u64;
-            while i < last_allowed {
-                let w = weight(order[i]);
-                if acc > 0 && (acc >= target || (max > 0 && acc + w > max)) {
-                    break;
-                }
-                acc += w;
-                spent += w;
-                i += 1;
+            let left = k - s;
+            let mut size = (n - lo).div_ceil(left);
+            if max_tasks_per_shard > 0 {
+                size = size.min(max_tasks_per_shard);
             }
-            cuts.push(i);
+            // Leave at least one task for every shard still to come.
+            lo += size.min(n - lo - (left - 1));
+            bounds.push(lo as u32);
         }
-        // The final shard takes whatever the cap left over — a plan
-        // always exists even when the cap is infeasible.
-        cuts[k] = np;
+        // The last shard takes whatever the cap left over.
+        bounds[k] = n as u32;
 
-        let mut shard_of = vec![0u32; np];
+        let mut graph = TdgBuilder::new(k);
+        let mut edge_cut = 0;
         for s in 0..k {
-            for &p in &order[cuts[s]..cuts[s + 1]] {
-                shard_of[p as usize] = s as u32;
-            }
-        }
-
-        // Edge-cut-aware boundary refinement: slide whole partitions
-        // across adjacent cuts when that strictly reduces the number of
-        // shard-crossing quotient edges. Moves preserve contiguity (only
-        // the partition at a boundary moves) and hence acyclicity.
-        let g = quotient.graph();
-        let cut_delta = |p: u32, from: u32, to: u32, shard_of: &[u32]| -> i64 {
-            let mut delta = 0i64;
-            let t = crate::graph::TaskId(p);
-            for &n in g.successors(t).iter().chain(g.predecessors(t)) {
-                let sn = shard_of[n as usize];
-                delta += i64::from(sn != to) - i64::from(sn != from);
-            }
-            delta
-        };
-        let tasks_of_cut = |cuts: &[usize], s: usize| -> u64 {
-            order[cuts[s]..cuts[s + 1]].iter().map(|&p| weight(p)).sum()
-        };
-        for _ in 0..opts.refine_passes {
-            let mut improved = false;
-            for s in 0..k.saturating_sub(1) {
-                // Tail of shard `s` into `s + 1`.
-                if cuts[s + 1] - cuts[s] > 1 {
-                    let p = order[cuts[s + 1] - 1];
-                    let fits = max == 0 || tasks_of_cut(&cuts, s + 1) + weight(p) <= max;
-                    if fits && cut_delta(p, s as u32, s as u32 + 1, &shard_of) < 0 {
-                        shard_of[p as usize] = s as u32 + 1;
-                        cuts[s + 1] -= 1;
-                        improved = true;
-                        continue;
+            let hi = bounds[s + 1];
+            for u in bounds[s]..hi {
+                for &v in tdg.successors(TaskId(u)) {
+                    if v < u {
+                        return Err(ShardPlanError::EdgeGoesDown { from: u, to: v });
                     }
-                }
-                // Head of shard `s + 1` into `s`.
-                if cuts[s + 2] - cuts[s + 1] > 1 {
-                    let p = order[cuts[s + 1]];
-                    let fits = max == 0 || tasks_of_cut(&cuts, s) + weight(p) <= max;
-                    if fits && cut_delta(p, s as u32 + 1, s as u32, &shard_of) < 0 {
-                        shard_of[p as usize] = s as u32;
-                        cuts[s + 1] += 1;
-                        improved = true;
+                    if v >= hi {
+                        edge_cut += 1;
+                        let t = bounds.partition_point(|&b| b <= v) - 1;
+                        graph.add_edge(TaskId(s as u32), TaskId(t as u32));
                     }
                 }
             }
-            if !improved {
-                break;
-            }
         }
-
-        // Materialise member lists, per-shard task totals, the shard
-        // graph, and the final edge cut.
-        let mut members_off = vec![0u32; k + 1];
-        for s in 0..k {
-            members_off[s + 1] = cuts[s + 1] as u32;
-        }
-        let members_flat = order;
-        let mut tasks_of = vec![0u64; k];
-        for s in 0..k {
-            tasks_of[s] = members_flat[cuts[s]..cuts[s + 1]]
-                .iter()
-                .map(|&p| weight(p))
-                .sum();
-        }
-
-        let mut cross: Vec<(u32, u32)> = Vec::new();
-        let mut edge_cut = 0usize;
-        for p in 0..np as u32 {
-            let sp = shard_of[p as usize];
-            for &q in g.successors(crate::graph::TaskId(p)) {
-                let sq = shard_of[q as usize];
-                if sp != sq {
-                    edge_cut += 1;
-                    cross.push((sp, sq));
-                }
-            }
-        }
-        cross.sort_unstable();
-        cross.dedup();
-        let mut fwd_off = vec![0u32; k + 1];
-        let mut rev_off = vec![0u32; k + 1];
-        for &(a, b) in &cross {
-            fwd_off[a as usize + 1] += 1;
-            rev_off[b as usize + 1] += 1;
-        }
-        for s in 0..k {
-            fwd_off[s + 1] += fwd_off[s];
-            rev_off[s + 1] += rev_off[s];
-        }
-        let mut fwd_adj = vec![0u32; cross.len()];
-        let mut rev_adj = vec![0u32; cross.len()];
-        {
-            let mut fc = fwd_off.clone();
-            let mut rc = rev_off.clone();
-            // `cross` is sorted by (a, b), so per-source adjacency comes
-            // out sorted; the reverse side needs a per-target pass in
-            // source order, which the same iteration provides.
-            for &(a, b) in &cross {
-                fwd_adj[fc[a as usize] as usize] = b;
-                fc[a as usize] += 1;
-                rev_adj[rc[b as usize] as usize] = a;
-                rc[b as usize] += 1;
-            }
-        }
-        let mut weights = vec![0.0f32; k];
-        for p in 0..np as u32 {
-            weights[shard_of[p as usize] as usize] += g.weight(crate::graph::TaskId(p));
-        }
-        let graph = Tdg::from_csr(fwd_off, fwd_adj, rev_off, rev_adj, weights);
-
         Ok(ShardPlan {
-            shard_of,
-            members_flat,
-            members_off,
-            tasks_of,
-            graph,
+            bounds,
+            graph: graph.build().expect("shard edges go up"),
             edge_cut,
         })
     }
@@ -291,41 +140,27 @@ impl ShardPlan {
     /// Number of shards.
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.members_off.len() - 1
+        self.bounds.len() - 1
     }
 
-    /// The shard owning partition `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    #[inline]
-    pub fn shard_of(&self, p: PartitionId) -> u32 {
-        self.shard_of[p.index()]
-    }
-
-    /// Per-partition shard assignment, indexed by partition id.
-    #[inline]
-    pub fn assignment(&self) -> &[u32] {
-        &self.shard_of
-    }
-
-    /// Member partitions of shard `s`, in quotient level order (a valid
-    /// partition execution order for the shard).
+    /// The task ids shard `s` owns — ascending, so a valid execution
+    /// order for the shard.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
     #[inline]
-    pub fn members(&self, s: u32) -> &[u32] {
-        &self.members_flat
-            [self.members_off[s as usize] as usize..self.members_off[s as usize + 1] as usize]
+    pub fn range(&self, s: u32) -> Range<u32> {
+        self.bounds[s as usize]..self.bounds[s as usize + 1]
     }
 
-    /// Total member tasks of shard `s`.
-    #[inline]
-    pub fn tasks_of(&self, s: u32) -> u64 {
-        self.tasks_of[s as usize]
+    /// The shard of every task, indexed by task id.
+    pub fn owners(&self) -> Vec<u32> {
+        let mut owner = Vec::with_capacity(self.bounds[self.num_shards()] as usize);
+        for s in 0..self.num_shards() as u32 {
+            owner.extend(self.range(s).map(|_| s));
+        }
+        owner
     }
 
     /// The coarse DAG over shards. Shard ids are already a topological
@@ -335,15 +170,15 @@ impl ShardPlan {
         &self.graph
     }
 
-    /// Quotient edges crossing shard boundaries.
+    /// TDG edges crossing shard boundaries.
     #[inline]
     pub fn edge_cut(&self) -> usize {
         self.edge_cut
     }
 
-    /// A structural fingerprint covering the assignment and the shard
-    /// graph — two processes must agree on this before exchanging
-    /// boundary values keyed to the plan.
+    /// A structural fingerprint covering the cut and the shard graph —
+    /// two processes must agree on this before exchanging boundary values
+    /// keyed to the plan.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -355,8 +190,8 @@ impl ShardPlan {
             }
         };
         mix(self.num_shards() as u32);
-        for &s in &self.shard_of {
-            mix(s);
+        for &b in &self.bounds {
+            mix(b);
         }
         h ^ self.graph.fingerprint()
     }
@@ -365,14 +200,12 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{TaskId, TdgBuilder};
-    use crate::partition::Partition;
+    use proptest::prelude::*;
 
-    /// A layered DAG: `width` chains of length `depth`, plus cross links,
-    /// partitioned one-partition-per-(level, chain-pair).
-    fn layered_quotient(width: u32, depth: u32) -> QuotientTdg {
-        let n = width * depth;
-        let mut b = TdgBuilder::new(n as usize);
+    /// A layered DAG: `width` chains of length `depth` plus cross links,
+    /// numbered level by level, so every edge goes up.
+    fn layered(width: u32, depth: u32) -> Tdg {
+        let mut b = TdgBuilder::new((width * depth) as usize);
         let id = |l: u32, c: u32| TaskId(l * width + c);
         for l in 0..depth - 1 {
             for c in 0..width {
@@ -380,137 +213,169 @@ mod tests {
                 b.add_edge(id(l, c), id(l + 1, (c + 1) % width));
             }
         }
-        let tdg = b.build().expect("layered DAG");
-        let assignment: Vec<u32> = (0..n).map(|t| t / 2).collect();
-        QuotientTdg::build(&tdg, &Partition::compact(assignment)).expect("valid quotient")
+        b.build().expect("layered DAG")
     }
 
-    fn check_invariants(plan: &ShardPlan, quotient: &QuotientTdg) {
-        let np = quotient.num_partitions();
-        // Coverage: members are a permutation of partition ids.
-        let mut seen = vec![false; np];
+    /// Contiguity and coverage, every TDG edge mapped up, and the shard
+    /// graph and cut equal to the crossing pairs.
+    fn check_invariants(plan: &ShardPlan, tdg: &Tdg) -> Result<(), TestCaseError> {
+        let mut next = 0;
         for s in 0..plan.num_shards() as u32 {
-            for &p in plan.members(s) {
-                assert_eq!(plan.shard_of(PartitionId(p)), s);
-                assert!(!seen[p as usize], "partition {p} in two shards");
-                seen[p as usize] = true;
+            let r = plan.range(s);
+            prop_assert_eq!(
+                r.start,
+                next,
+                "shard {} starts where the one before ends",
+                s
+            );
+            prop_assert!(!r.is_empty(), "shard {} is empty", s);
+            next = r.end;
+        }
+        prop_assert_eq!(next as usize, tdg.num_tasks(), "the ranges cover 0..n");
+        let owner = plan.owners();
+        let mut crossing = std::collections::BTreeSet::new();
+        let mut cut = 0;
+        for (u, v) in tdg.edges() {
+            let (su, sv) = (owner[u.index()], owner[v.index()]);
+            prop_assert!(su <= sv, "edge {:?} -> {:?} maps down", u, v);
+            if su != sv {
+                cut += 1;
+                crossing.insert((su, sv));
             }
-            assert!(!plan.members(s).is_empty(), "shard {s} is empty");
         }
-        assert!(seen.iter().all(|&x| x), "every partition is owned");
-        // Acyclicity via monotone ids: every shard edge points forward.
-        for s in 0..plan.graph().num_tasks() as u32 {
-            for &t in plan.graph().successors(TaskId(s)) {
-                assert!(s < t, "shard edge {s} -> {t} must point forward");
-            }
-        }
-        // Contiguity: shard ids are monotone along the level-major order.
-        let levels = quotient.graph().levels();
-        let mut prev = 0u32;
-        for &p in levels.order() {
-            let s = plan.shard_of(PartitionId(p));
-            assert!(s >= prev, "shard ids must be monotone in level order");
-            prev = s;
-        }
+        let shard_edges: std::collections::BTreeSet<(u32, u32)> =
+            plan.graph().edges().map(|(a, b)| (a.0, b.0)).collect();
+        prop_assert_eq!(shard_edges, crossing);
+        prop_assert_eq!(plan.edge_cut(), cut);
+        Ok(())
     }
 
     #[test]
     fn plans_cover_and_stay_acyclic() {
-        let q = layered_quotient(4, 6);
+        let tdg = layered(4, 6);
         for k in [1, 2, 3, 5, usize::MAX >> 1] {
-            let plan = ShardPlan::build(&q, k, &ShardPlanOptions::default()).expect("plan");
-            assert!(plan.num_shards() <= q.num_partitions());
-            assert!(plan.num_shards() >= 1);
-            check_invariants(&plan, &q);
+            let plan = ShardPlan::build(&tdg, k, 0).expect("plan");
+            assert_eq!(plan.num_shards(), k.min(tdg.num_tasks()));
+            check_invariants(&plan, &tdg).expect("invariants");
         }
     }
 
     #[test]
     fn zero_shards_rejected_nonempty() {
-        let q = layered_quotient(2, 2);
-        assert_eq!(
-            ShardPlan::build(&q, 0, &ShardPlanOptions::default()),
-            Err(ShardPlanError::NoShards)
-        );
+        let tdg = layered(2, 2);
+        assert_eq!(ShardPlan::build(&tdg, 0, 0), Err(ShardPlanError::NoShards));
     }
 
     #[test]
-    fn empty_quotient_is_an_empty_plan() {
+    fn empty_tdg_is_an_empty_plan() {
         let tdg = TdgBuilder::new(0).build().expect("empty");
-        let q = QuotientTdg::build(&tdg, &Partition::new(Vec::new())).expect("empty quotient");
-        let plan = ShardPlan::build(&q, 4, &ShardPlanOptions::default()).expect("plan");
-        assert_eq!(plan.num_shards(), 0);
-        assert_eq!(plan.edge_cut(), 0);
-    }
-
-    #[test]
-    fn plans_are_deterministic() {
-        let q = layered_quotient(6, 8);
-        let a = ShardPlan::build(&q, 3, &ShardPlanOptions::default()).expect("plan");
-        let b = ShardPlan::build(&q, 3, &ShardPlanOptions::default()).expect("plan");
-        assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn task_totals_sum_to_the_quotient() {
-        let q = layered_quotient(4, 6);
-        let plan = ShardPlan::build(&q, 3, &ShardPlanOptions::default()).expect("plan");
-        let total: u64 = (0..plan.num_shards() as u32)
-            .map(|s| plan.tasks_of(s))
-            .sum();
-        assert_eq!(total, q.num_tasks() as u64);
-    }
-
-    #[test]
-    fn size_cap_is_respected_where_possible() {
-        let q = layered_quotient(4, 8);
-        let per = q.num_tasks() / q.num_partitions(); // uniform members
-        let cap = 3 * per;
-        let opts = ShardPlanOptions {
-            max_tasks_per_shard: cap,
-            refine_passes: 2,
-        };
-        let plan = ShardPlan::build(&q, 8, &opts).expect("plan");
-        check_invariants(&plan, &q);
-        for s in 0..plan.num_shards() as u32 {
-            assert!(
-                plan.tasks_of(s) <= cap as u64,
-                "shard {s} holds {} tasks over the cap {cap}",
-                plan.tasks_of(s)
-            );
+        for k in [0, 4] {
+            let plan = ShardPlan::build(&tdg, k, 0).expect("plan");
+            assert_eq!(plan.num_shards(), 0);
+            assert_eq!(plan.edge_cut(), 0);
+            assert!(plan.owners().is_empty());
         }
     }
 
     #[test]
-    fn refinement_never_increases_the_cut() {
-        let q = layered_quotient(6, 10);
-        let raw = ShardPlan::build(
-            &q,
-            4,
-            &ShardPlanOptions {
-                refine_passes: 0,
-                ..Default::default()
-            },
-        )
-        .expect("raw plan");
-        let refined = ShardPlan::build(&q, 4, &ShardPlanOptions::default()).expect("refined plan");
-        check_invariants(&refined, &q);
-        assert!(
-            refined.edge_cut() <= raw.edge_cut(),
-            "refined cut {} vs raw {}",
-            refined.edge_cut(),
-            raw.edge_cut()
-        );
+    fn plans_are_deterministic() {
+        let tdg = layered(6, 8);
+        let a = ShardPlan::build(&tdg, 3, 0).expect("plan");
+        let b = ShardPlan::build(&tdg, 3, 0).expect("plan");
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let c = ShardPlan::build(&tdg, 3, 10).expect("plan");
+        assert_ne!(a.fingerprint(), c.fingerprint(), "another cut");
     }
 
     #[test]
-    fn more_shards_than_partitions_clamps_to_singletons() {
-        let q = layered_quotient(2, 3);
-        let plan = ShardPlan::build(&q, 100, &ShardPlanOptions::default()).expect("plan");
-        assert_eq!(plan.num_shards(), q.num_partitions());
+    fn sizes_differ_by_at_most_one_without_a_cap() {
+        let tdg = layered(5, 7); // 35 tasks
+        for k in 1..=35 {
+            let plan = ShardPlan::build(&tdg, k, 0).expect("plan");
+            let sizes: Vec<usize> = (0..k as u32).map(|s| plan.range(s).len()).collect();
+            let (min, max) = (sizes.iter().min(), sizes.iter().max());
+            assert!(max.unwrap() - min.unwrap() <= 1, "k={k}: {sizes:?}");
+            assert_eq!(sizes.iter().sum::<usize>(), 35);
+        }
+    }
+
+    #[test]
+    fn size_cap_is_respected_where_possible() {
+        let tdg = layered(4, 8); // 32 tasks
+        for (k, cap) in [(8, 3), (4, 5), (3, 20)] {
+            let plan = ShardPlan::build(&tdg, k, cap).expect("plan");
+            check_invariants(&plan, &tdg).expect("invariants");
+            let last = plan.num_shards() as u32 - 1;
+            for s in 0..last {
+                assert!(plan.range(s).len() <= cap, "k={k} cap={cap} shard {s}");
+            }
+            // Cutting early leaves the rest to the last shard.
+            if k * cap < 32 {
+                assert_eq!(plan.range(last).len(), 32 - last as usize * cap);
+            }
+        }
+    }
+
+    #[test]
+    fn more_shards_than_tasks_clamps_to_singletons() {
+        let tdg = layered(2, 3);
+        let plan = ShardPlan::build(&tdg, 100, 0).expect("plan");
+        assert_eq!(plan.num_shards(), tdg.num_tasks());
         for s in 0..plan.num_shards() as u32 {
-            assert_eq!(plan.members(s).len(), 1);
+            assert_eq!(plan.range(s), s..s + 1);
+        }
+    }
+
+    #[test]
+    fn an_edge_that_goes_down_is_refused() {
+        let mut b = TdgBuilder::new(3);
+        b.add_edge(TaskId(0), TaskId(2));
+        b.add_edge(TaskId(2), TaskId(1));
+        let tdg = b.build().expect("acyclic");
+        assert_eq!(
+            ShardPlan::build(&tdg, 2, 0),
+            Err(ShardPlanError::EdgeGoesDown { from: 2, to: 1 })
+        );
+    }
+
+    /// Case count, overridable via `PROPTEST_CASES` (the nightly CI job
+    /// raises it).
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+    }
+
+    /// A random DAG on `0..n` whose edges all go up.
+    fn rising_dag() -> impl Strategy<Value = Tdg> {
+        (1u32..80).prop_flat_map(|n| {
+            proptest::collection::vec((0..n, 0..n), 0..4 * n as usize).prop_map(move |pairs| {
+                let mut b = TdgBuilder::new(n as usize);
+                for (a, c) in pairs.into_iter().filter(|(a, c)| a != c) {
+                    b.add_edge(TaskId(a.min(c)), TaskId(a.max(c)));
+                }
+                b.build().expect("edges go up")
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// On any DAG numbered topologically, every shard count and cap
+        /// cuts a plan whose TDG edges map to `owner[u] <= owner[v]` and
+        /// whose shard graph is exactly the crossing pairs.
+        #[test]
+        fn range_plans_agree_with_the_tdg_edges(
+            tdg in rising_dag(),
+            shards in 1usize..12,
+            cap in 0usize..24,
+        ) {
+            let plan = ShardPlan::build(&tdg, shards, cap).expect("plan");
+            prop_assert_eq!(plan.num_shards(), shards.min(tdg.num_tasks()));
+            check_invariants(&plan, &tdg)?;
         }
     }
 }

@@ -1,13 +1,14 @@
 //! Sharded multi-process execution with a shard supervisor.
 //!
-//! One timing update is split across OS processes: the quotient graph's
-//! partitions are grouped into contiguous, acyclic *shards*
+//! One timing update is split across OS processes: the update's task ids
+//! are cut into contiguous runs, one per *shard*
 //! ([`ShardPlan`](crate::tdg::ShardPlan)), and each shard's fprop/bprop
 //! tasks execute inside a long-lived worker process
 //! (`gpasta shard-worker`, [`run_worker`]) that serves one shard after
 //! another while the parent supervisor ([`run_sharded`]) streams boundary
 //! timing values in and shard deltas out over `GPCKPT01`-framed pipes
-//! ([`wire`]).
+//! ([`wire`]). A worker is sent only the boundary cells it does not
+//! already hold (`boundary_set`).
 //!
 //! The process boundary is what buys fault tolerance: a worker that
 //! panics, exits, or is `SIGKILL`ed takes down only its own address
@@ -22,13 +23,14 @@
 //!
 //! Supervisor, worker, and the single-process oracle all rebuild the same
 //! context from `(circuit, scale, seed)`: netlist → timer → modifier
-//! schedule → full-update TDG → seq-G-PASTA partition → quotient → shard
-//! plan. Every step is a pure function of those inputs, and both sides
-//! prove agreement by exchanging a combined TDG + plan fingerprint before
-//! any value crosses the pipe. Timing values travel as raw `f32` bit
-//! patterns, and any topological execution order of the update tasks
-//! produces identical bits — which together make "killed anywhere,
-//! recovered bit-identical" testable with `assert_eq!` on snapshots.
+//! schedule → full-update TDG → shard plan (a cut of the TDG's task ids)
+//! → per-shard sets. Every step is a pure function of those inputs, and
+//! both sides prove agreement by exchanging a combined TDG + plan
+//! fingerprint before any value crosses the pipe. Timing values travel as
+//! raw `f32` bit patterns, and any topological execution order of the
+//! update tasks produces identical bits — which together make "killed
+//! anywhere, recovered bit-identical" testable with `assert_eq!` on
+//! snapshots.
 
 pub mod wire;
 
@@ -42,27 +44,20 @@ pub use worker::{run_worker, WorkerArgs};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::checkpoint::{fnv1a64, modifier_batch};
 use crate::circuits::PaperCircuit;
-use crate::core::{PartitionError, Partitioner, PartitionerOptions, SeqGPasta};
 use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
 use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg, ValueSet};
-use crate::tdg::{
-    PartitionId, QuotientTdg, ShardPlan, ShardPlanError, ShardPlanOptions, Tdg,
-    ValidatePartitionError,
-};
+use crate::tdg::{ShardPlan, ShardPlanError, Tdg};
 use wire::{put_arr, put_u32, put_u64, Reader, WireError};
 
 /// A sharded run failed.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Partitioning the update TDG failed.
-    Partition(PartitionError),
-    /// The quotient graph rejected the partition.
-    Quotient(ValidatePartitionError),
     /// The shard plan rejected its inputs.
     Plan(ShardPlanError),
     /// A frame could not be read or written.
@@ -86,8 +81,6 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardError::Partition(e) => write!(f, "partitioning failed: {e}"),
-            ShardError::Quotient(e) => write!(f, "quotient build failed: {e}"),
             ShardError::Plan(e) => write!(f, "shard planning failed: {e}"),
             ShardError::Wire(e) => write!(f, "shard wire failed: {e}"),
             ShardError::Io { op, source } => write!(f, "cannot {op}: {source}"),
@@ -101,26 +94,12 @@ impl fmt::Display for ShardError {
 impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ShardError::Partition(e) => Some(e),
-            ShardError::Quotient(e) => Some(e),
             ShardError::Plan(e) => Some(e),
             ShardError::Wire(e) => Some(e),
             ShardError::Io { source, .. } => Some(source),
             ShardError::Snapshot(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<PartitionError> for ShardError {
-    fn from(e: PartitionError) -> Self {
-        ShardError::Partition(e)
-    }
-}
-
-impl From<ValidatePartitionError> for ShardError {
-    fn from(e: ValidatePartitionError) -> Self {
-        ShardError::Quotient(e)
     }
 }
 
@@ -151,7 +130,7 @@ pub struct ShardRunConfig {
     pub scale: f64,
     /// Seed of the deterministic design-modifier schedule.
     pub seed: u64,
-    /// Requested shard count (clamped to the partition count).
+    /// Requested shard count (clamped to the update's task count).
     pub shards: usize,
     /// Cap on worker processes alive at once; `0` means one per shard.
     /// It is a ceiling, not a target: workers are long-lived and serve
@@ -219,7 +198,7 @@ pub struct ShardRunOutcome {
     pub tns_bits: u32,
     /// Shards in the plan.
     pub num_shards: usize,
-    /// Quotient edges crossing shard boundaries.
+    /// Update-TDG edges crossing shard boundaries.
     pub edge_cut: usize,
     /// Shards whose workers completed (possibly after respawns).
     pub salvaged: Vec<u32>,
@@ -240,8 +219,9 @@ pub struct ShardRunOutcome {
     pub worker_exec_nanos: u64,
     /// The run stopped early via `kill_after_shards`.
     pub killed: bool,
-    /// Partitions whose values are final (members of salvaged shards).
-    pub completed_partitions: Vec<u32>,
+    /// Task-id ranges whose values are final (salvaged shards), sorted
+    /// and merged.
+    pub completed_ranges: Vec<Range<u32>>,
     /// Final timing state, when `capture_snapshot` was set.
     pub snapshot: Option<TimingSnapshot>,
 }
@@ -256,63 +236,56 @@ pub(crate) fn build_timer(circuit: PaperCircuit, scale: f64, seed: u64) -> Timer
     timer
 }
 
-/// Partition `update`'s TDG and group the quotient into shards — the same
-/// pure function on every side of the process boundary.
-pub(crate) fn plan_shards(
-    update: &TimingUpdateTdg<'_>,
-    shards: usize,
-    max_tasks_per_shard: usize,
-) -> Result<(QuotientTdg, ShardPlan), ShardError> {
-    let partition = SeqGPasta::new().partition(update.tdg(), &PartitionerOptions::default())?;
-    let quotient = QuotientTdg::build(update.tdg(), &partition)?;
-    let plan = ShardPlan::build(
-        &quotient,
-        shards,
-        &ShardPlanOptions {
-            max_tasks_per_shard,
-            ..ShardPlanOptions::default()
-        },
-    )?;
-    Ok((quotient, plan))
-}
-
 /// One shard's share of an update, worked out once per plan.
 #[derive(Debug)]
 pub(crate) struct ShardWork {
-    /// Member tasks in ascending id — topological: update-TDG edges go up.
-    pub(crate) tasks: Vec<u32>,
+    /// Member tasks, in ascending id — topological: update-TDG edges go up.
+    pub(crate) tasks: Range<u32>,
     /// Every cell the tasks write: what the delta must name.
     pub(crate) writes: ValueSet,
-    /// What the tasks read and do not write: what the boundary must name.
+    /// What the tasks read and do not write: the boundary of a worker
+    /// that holds nothing.
     pub(crate) needed: ValueSet,
 }
 
 /// Every shard's [`ShardWork`] — a pure function, like the plan, on every
 /// side of the process boundary.
-pub(crate) fn shard_work(
-    update: &TimingUpdateTdg<'_>,
-    quotient: &QuotientTdg,
-    plan: &ShardPlan,
-) -> Vec<ShardWork> {
-    let mut owner = vec![0u32; update.tdg().num_tasks()];
-    for (p, &s) in plan.assignment().iter().enumerate() {
-        for &t in quotient.execution_order(PartitionId(p as u32)) {
-            owner[t as usize] = s;
-        }
-    }
-    let mut work: Vec<ShardWork> = ValueSet::per_shard(update, &owner, plan.num_shards())
+pub(crate) fn shard_work(update: &TimingUpdateTdg<'_>, plan: &ShardPlan) -> Vec<ShardWork> {
+    ValueSet::per_shard(update, &plan.owners(), plan.num_shards())
         .into_iter()
         .zip(0..)
         .map(|((writes, needed), s)| ShardWork {
-            tasks: Vec::with_capacity(plan.tasks_of(s) as usize),
+            tasks: plan.range(s),
             writes,
             needed,
         })
-        .collect();
-    for (t, &s) in owner.iter().enumerate() {
-        work[s as usize].tasks.push(t as u32);
+        .collect()
+}
+
+/// What the boundary of `shard` names for a worker process that completed
+/// the shards in `held`: its `needed` set minus every cell those shards
+/// wrote. Each cell has exactly one writer task, and a worker whose delta
+/// the supervisor refused is killed, so a live worker already holds the
+/// final value of every cell a shard it completed wrote. A fresh worker
+/// holds nothing and gets the whole set. Supervisor and worker both call
+/// this; the worker refuses a boundary that names any other set.
+pub(crate) fn boundary_set(work: &[ShardWork], shard: u32, held: &[u32]) -> ValueSet {
+    held.iter()
+        .fold(work[shard as usize].needed.clone(), |set, &h| {
+            set.minus(&work[h as usize].writes)
+        })
+}
+
+/// The task ranges of `shards` (ascending ids), adjacent ones merged.
+pub(crate) fn covered(plan: &ShardPlan, shards: impl IntoIterator<Item = u32>) -> Vec<Range<u32>> {
+    let mut out: Vec<Range<u32>> = Vec::new();
+    for r in shards.into_iter().map(|s| plan.range(s)) {
+        match out.last_mut() {
+            Some(last) if last.end == r.start => last.end = r.end,
+            _ => out.push(r),
+        }
     }
-    work
+    out
 }
 
 /// The agreement fingerprint exchanged in `Hello`: TDG identity mixed
@@ -335,16 +308,18 @@ pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64)
 // ---------------------------------------------------------------------------
 
 const CKPT_MAGIC: &[u8; 8] = b"GPCKPT01";
-const CKPT_KIND: u8 = 16; // disjoint from the wire frame kinds
+// Disjoint from the wire frame kinds. Kind 16 held completed partition
+// ids; a file of that kind is refused, not misread as task ranges.
+const CKPT_KIND: u8 = 17;
 
 /// What the supervisor persists after each shard completion: enough for a
 /// *new* supervisor — even one using a different shard count — to pick up
-/// without redoing the completed partitions' work.
+/// without redoing the completed tasks' work.
 ///
-/// The payload is the completed-partition set plus the full timing
-/// snapshot; partitions (not shards) are the unit because the partition
-/// set is a pure function of the design alone, while shards depend on the
-/// requested count.
+/// The payload is the completed task-id ranges plus the full timing
+/// snapshot; task ids (not shards) are the unit because they are a pure
+/// function of the design alone, while shards depend on the requested
+/// count. A shard of the new plan is restored iff one range covers it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// Paper name of the circuit.
@@ -356,8 +331,9 @@ pub struct ShardCheckpoint {
     /// Fingerprint of the update TDG (plan-independent, so the resuming
     /// supervisor may choose a different shard count).
     pub tdg_fingerprint: u64,
-    /// Partitions whose values in `snapshot` are final.
-    pub completed_partitions: Vec<u32>,
+    /// Task-id ranges whose values in `snapshot` are final: non-empty,
+    /// sorted, merged.
+    pub completed_ranges: Vec<Range<u32>>,
     /// The master timing state at checkpoint time.
     pub snapshot: TimingSnapshot,
 }
@@ -370,7 +346,12 @@ impl ShardCheckpoint {
         put_u64(&mut p, self.scale_bits);
         put_u64(&mut p, self.seed);
         put_u64(&mut p, self.tdg_fingerprint);
-        put_arr(&mut p, &self.completed_partitions);
+        let flat: Vec<u32> = self
+            .completed_ranges
+            .iter()
+            .flat_map(|r| [r.start, r.end])
+            .collect();
+        put_arr(&mut p, &flat);
         let s = &self.snapshot;
         put_u32(&mut p, s.clock_period_bits);
         for arr in [
@@ -427,7 +408,18 @@ impl ShardCheckpoint {
         let scale_bits = r.u64("scale bits").map_err(take)?;
         let seed = r.u64("seed").map_err(take)?;
         let tdg_fingerprint = r.u64("tdg fingerprint").map_err(take)?;
-        let completed_partitions = r.arr("completed partitions").map_err(take)?;
+        let flat = r.arr("completed ranges").map_err(take)?;
+        if flat.len() % 2 != 0 {
+            return Err(corrupt("a completed range without an end"));
+        }
+        let completed_ranges: Vec<Range<u32>> = flat.chunks(2).map(|p| p[0]..p[1]).collect();
+        if completed_ranges.iter().any(Range::is_empty)
+            || completed_ranges.windows(2).any(|w| w[0].end >= w[1].start)
+        {
+            return Err(corrupt(
+                "completed ranges are not non-empty, sorted and merged",
+            ));
+        }
         let clock_period_bits = r.u32("clock period").map_err(take)?;
         let slew = r.arr("slew").map_err(take)?;
         let arrival = r.arr("arrival").map_err(take)?;
@@ -444,7 +436,7 @@ impl ShardCheckpoint {
             scale_bits,
             seed,
             tdg_fingerprint,
-            completed_partitions,
+            completed_ranges,
             snapshot: TimingSnapshot {
                 clock_period_bits,
                 slew,
@@ -538,8 +530,8 @@ pub fn run_single_process(circuit: PaperCircuit, scale: f64, seed: u64) -> Singl
 ///
 /// # Errors
 ///
-/// Propagates [`ShardError`] from partitioning/planning, exactly as
-/// [`run_sharded`] would for the same inputs.
+/// Propagates [`ShardError`] from planning, exactly as [`run_sharded`]
+/// would for the same inputs.
 pub fn run_in_plan_order(
     circuit: PaperCircuit,
     scale: f64,
@@ -548,12 +540,11 @@ pub fn run_in_plan_order(
 ) -> Result<SingleProcessRun, ShardError> {
     let mut timer = build_timer(circuit, scale, seed);
     let update = timer.update_timing();
-    let (quotient, plan) = plan_shards(&update, shards, 0)?;
-    let work = shard_work(&update, &quotient, &plan);
+    let plan = ShardPlan::build(update.tdg(), shards, 0)?;
     // Shard ids are topological, so id order is a valid schedule.
     let start = std::time::Instant::now();
-    for w in &work {
-        for &t in &w.tasks {
+    for s in 0..plan.num_shards() as u32 {
+        for t in plan.range(s) {
             update.execute_task(crate::tdg::TaskId(t));
         }
     }
@@ -578,7 +569,7 @@ mod tests {
             scale_bits: 1.5f64.to_bits(),
             seed: 0xFEED,
             tdg_fingerprint: 0xABCD_EF01,
-            completed_partitions: vec![0, 2, 3],
+            completed_ranges: vec![0..2, 3..7],
             snapshot: TimingSnapshot {
                 clock_period_bits: 1000.0f32.to_bits(),
                 slew: vec![1, 2, 3, 4],
@@ -625,6 +616,23 @@ mod tests {
         );
     }
 
+    /// A checkpoint of the old kind (completed partition ids) is refused,
+    /// not read as task ranges; so are ranges that are empty, unsorted or
+    /// not merged, even under an intact checksum.
+    #[test]
+    fn old_kind_checkpoints_and_unmerged_ranges_are_refused() {
+        let mut old = sample_checkpoint().encode();
+        old[8] = 16;
+        let err = ShardCheckpoint::decode(&old).expect_err("old kind");
+        assert!(err.to_string().contains("not a shard checkpoint"), "{err}");
+        for ranges in [vec![0..2, 2..5], vec![3..7, 0..2], vec![1..3, 4..4]] {
+            let mut ck = sample_checkpoint();
+            ck.completed_ranges = ranges;
+            let err = ShardCheckpoint::decode(&ck.encode()).expect_err("malformed ranges");
+            assert!(err.to_string().contains("sorted and merged"), "{err}");
+        }
+    }
+
     #[test]
     fn fault_points_cover_the_whole_shard_range() {
         // Keyed by (shard, attempt): different keys reach different
@@ -647,30 +655,28 @@ mod tests {
     }
 
     /// Each shard's cached sets are the reference projection of its task
-    /// list, its tasks ascend, and the shards cover the update once.
+    /// list, and the shards' ranges cut the update once, in order.
     #[test]
     fn shard_work_matches_the_reference_projection() {
         for circuit in [PaperCircuit::AesCore, PaperCircuit::Leon2] {
             let mut timer = build_timer(circuit, 0.002, 7);
             let update = timer.update_timing();
             for shards in [1, 2, 3, 4, 7] {
-                let (quotient, plan) = plan_shards(&update, shards, 0).expect("plan");
-                let work = shard_work(&update, &quotient, &plan);
+                let plan = ShardPlan::build(update.tdg(), shards, 0).expect("plan");
+                let work = shard_work(&update, &plan);
                 assert_eq!(work.len(), plan.num_shards());
-                let mut seen = vec![false; update.tdg().num_tasks()];
+                let mut next = 0;
                 for (s, w) in work.iter().enumerate() {
                     let what = format!("{} shard {s} of {shards}", circuit.name());
-                    assert_eq!(w.tasks.len() as u64, plan.tasks_of(s as u32), "{what}");
-                    assert!(w.tasks.windows(2).all(|p| p[0] < p[1]), "{what}");
-                    for &t in &w.tasks {
-                        assert!(!std::mem::replace(&mut seen[t as usize], true), "{what}");
-                    }
-                    let writes = ValueSet::writes_of(&update, &w.tasks);
-                    let needed = ValueSet::reads_of(&update, &w.tasks).minus(&writes);
+                    assert_eq!(w.tasks.start, next, "{what}");
+                    next = w.tasks.end;
+                    let tasks: Vec<u32> = w.tasks.clone().collect();
+                    let writes = ValueSet::writes_of(&update, &tasks);
+                    let needed = ValueSet::reads_of(&update, &tasks).minus(&writes);
                     assert_eq!(w.writes, writes, "{what}");
                     assert_eq!(w.needed, needed, "{what}");
                 }
-                assert!(seen.iter().all(|&s| s), "every task in some shard");
+                assert_eq!(next as usize, update.tdg().num_tasks(), "every task once");
             }
         }
     }
@@ -679,8 +685,8 @@ mod tests {
     fn fingerprints_depend_on_the_plan() {
         let mut timer = build_timer(PaperCircuit::AesCore, 0.002, 7);
         let update = timer.update_timing();
-        let (_, plan2) = plan_shards(&update, 2, 0).expect("plan");
-        let (_, plan4) = plan_shards(&update, 4, 0).expect("plan");
+        let plan2 = ShardPlan::build(update.tdg(), 2, 0).expect("plan");
+        let plan4 = ShardPlan::build(update.tdg(), 4, 0).expect("plan");
         let f2 = run_fingerprint(update.tdg(), &plan2);
         assert_eq!(f2, run_fingerprint(update.tdg(), &plan2), "pure");
         if plan2.num_shards() != plan4.num_shards() {

@@ -4,13 +4,13 @@
 //! [`run_sharded`] owns the master [`Timer`](crate::sta::Timer) state and
 //! a small pool of long-lived `gpasta shard-worker` children. A worker
 //! rebuilds the context and says `Hello` once; after that each shard it
-//! serves is one round — `Assign` and the shard's boundary inputs down
-//! its stdin, `Heartbeat`/`Delta`/`Done` back up its stdout. Shards are
-//! dispatched in the shard graph's topological order (shard ids) to an
-//! idle worker, and a new process is launched only while a shard is
-//! ready, no worker is idle and fewer than `max_workers` are alive. The
-//! first worker is launched before the supervisor's own rebuild, so the
-//! two rebuilds overlap.
+//! serves is one round — `Assign` and the shard's boundary inputs it does
+//! not already hold down its stdin, `Heartbeat`/`Delta`/`Done` back up its
+//! stdout. Shards are dispatched in the shard graph's topological order
+//! (shard ids) to an idle worker, and a new process is launched only
+//! while a shard is ready, no worker is idle and fewer than `max_workers`
+//! are alive. The first worker is launched before the supervisor's own
+//! rebuild, so the two rebuilds overlap.
 //!
 //! Which shard goes where, what a death costs and when a retry is due is
 //! decided by the pure [`Pool`]; this module carries its decisions out.
@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use super::pool::{Action, Event, Pool, State};
 use super::wire::{Frame, InjectedFault, WireError};
 use super::{
-    build_timer, fault_point, plan_shards, run_fingerprint, shard_work, ShardCheckpoint,
+    boundary_set, build_timer, covered, fault_point, run_fingerprint, shard_work, ShardCheckpoint,
     ShardError, ShardRunConfig, ShardRunOutcome, ShardWork,
 };
 use crate::sched::{FaultKind, HeartbeatMonitor};
@@ -81,6 +81,9 @@ struct Proc {
     threads: [JoinHandle<()>; 2],
     greeted: bool,
     round: Option<Round>,
+    /// Shards this process completed: it holds every cell they wrote, so
+    /// its boundaries leave those cells out ([`boundary_set`]).
+    held: Vec<u32>,
 }
 
 impl Proc {
@@ -142,6 +145,7 @@ impl Proc {
             threads: [writer, reader],
             greeted: false,
             round: None,
+            held: Vec::new(),
         })
     }
 
@@ -219,7 +223,11 @@ impl Supervisor<'_, '_> {
     fn assign(&mut self, slot: usize, shard: u32, attempt: u32, now: Instant) {
         let cfg = self.cfg;
         let work = &self.work[shard as usize];
-        let boundary = BoundaryValues::export(self.update.data(), work.needed.clone());
+        let proc = self.procs.0[slot]
+            .as_mut()
+            .expect("the pool assigns to live workers");
+        let set = boundary_set(self.work, shard, &proc.held);
+        let boundary = BoundaryValues::export(self.update.data(), set);
         let fault = cfg.faults.fault_at(shard, attempt).map(|kind| {
             let how = match kind {
                 FaultKind::Panic | FaultKind::WrongResult => InjectedFault::Die,
@@ -240,9 +248,6 @@ impl Supervisor<'_, '_> {
             beat_interval_micros: 1.max(cfg.stall_after.as_micros() as u64 / 8),
             fault,
         };
-        let proc = self.procs.0[slot]
-            .as_mut()
-            .expect("the pool assigns to live workers");
         // A send fails only when the writer already saw the pipe die; the
         // reader reports that death.
         let _ = proc.to_child.send(assign);
@@ -299,6 +304,7 @@ impl Supervisor<'_, '_> {
             }
             (Ok(Frame::Done { exec_nanos, .. }), Some(round)) => match round.delta.take() {
                 Some(delta) => {
+                    proc.held.push(round.shard);
                     proc.round = None;
                     self.complete(slot, serial, delta, exec_nanos, now)?;
                 }
@@ -362,17 +368,14 @@ impl Supervisor<'_, '_> {
 
     fn checkpoint(&self) -> ShardCheckpoint {
         let states = self.pool.states();
-        let mut completed: Vec<u32> = (0..states.len())
-            .filter(|&s| states[s] == State::Completed)
-            .flat_map(|s| self.plan.members(s as u32).iter().copied())
-            .collect();
-        completed.sort_unstable();
+        let completed =
+            (0..states.len() as u32).filter(|&s| states[s as usize] == State::Completed);
         ShardCheckpoint {
             circuit: self.cfg.circuit.name().to_string(),
             scale_bits: self.cfg.scale.to_bits(),
             seed: self.cfg.seed,
             tdg_fingerprint: self.update.tdg().fingerprint(),
-            completed_partitions: completed,
+            completed_ranges: covered(self.plan, completed),
             snapshot: self.update.data().snapshot(),
         }
     }
@@ -455,23 +458,22 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
             ));
         }
     }
-    let (quotient, plan) = plan_shards(&update, cfg.shards, cfg.max_tasks_per_shard)?;
+    let plan = ShardPlan::build(update.tdg(), cfg.shards, cfg.max_tasks_per_shard)?;
     let k = plan.num_shards();
-    let work = shard_work(&update, &quotient, &plan);
-    drop(quotient);
+    let work = shard_work(&update, &plan);
 
-    // Shards fully covered by the checkpoint are already complete: their
+    // Shards covered by a checkpointed range are already complete: their
     // values were restored with the snapshot. Partially covered shards
     // re-run from scratch.
-    let mut restored = vec![false; k];
-    if let Some(ck) = &resume {
-        let done: std::collections::HashSet<u32> =
-            ck.completed_partitions.iter().copied().collect();
-        for (s, restored) in restored.iter_mut().enumerate() {
-            let members = plan.members(s as u32);
-            *restored = !members.is_empty() && members.iter().all(|p| done.contains(p));
-        }
-    }
+    let restored: Vec<bool> = (0..k as u32)
+        .map(|s| {
+            let r = plan.range(s);
+            resume
+                .iter()
+                .flat_map(|ck| &ck.completed_ranges)
+                .any(|c| c.start <= r.start && r.end <= c.end)
+        })
+        .collect();
 
     let max_workers = match cfg.max_workers {
         0 => k.max(1),
@@ -519,12 +521,12 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
                 continue;
             }
             if cfg.heal {
-                for &t in tasks {
+                for t in tasks.clone() {
                     update.execute_task(TaskId(t));
                 }
                 healed_tasks += tasks.len() as u64;
             } else {
-                for &t in tasks {
+                for t in tasks.clone() {
                     let v = update.node(TaskId(t));
                     match update.kind(TaskId(t)) {
                         crate::sta::TaskKind::Fprop => update.data().mark_arrival_unknown(v),
@@ -547,14 +549,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
             _ => unfinished.push(s),
         }
     }
-    // Sized exactly: callers keep outcomes around, and a `collect` over
-    // a `flat_map` leaves up to twice the capacity behind.
-    let total = salvaged.iter().map(|&s| plan.members(s).len()).sum();
-    let mut completed_partitions = Vec::with_capacity(total);
-    for &s in &salvaged {
-        completed_partitions.extend_from_slice(plan.members(s));
-    }
-    completed_partitions.sort_unstable();
+    let completed_ranges = covered(&plan, salvaged.iter().copied());
 
     let (attempts, respawns, workers_spawned) = (
         pool.attempts().to_vec(),
@@ -577,7 +572,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         healed_tasks,
         worker_exec_nanos,
         killed,
-        completed_partitions,
+        completed_ranges,
         snapshot: cfg.capture_snapshot.then(|| timer.snapshot()),
     })
 }

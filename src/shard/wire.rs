@@ -95,7 +95,7 @@ pub enum Frame {
         fault: Option<(InjectedFault, u64)>,
     },
     /// Supervisor → worker: the boundary inputs (values the shard reads
-    /// but does not compute).
+    /// but does not compute, less those the worker already holds).
     Boundary(BoundaryValues),
     /// Worker → supervisor: liveness plus progress.
     Heartbeat {

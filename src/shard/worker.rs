@@ -10,15 +10,19 @@
 //! 1. receive `Assign` (which shard, which attempt, the heartbeat
 //!    cadence, the injected fault if any);
 //! 2. receive `Boundary` (the values the shard's tasks read but do not
-//!    compute), verify the set against its own projection, and apply it;
+//!    compute, less those this process already holds), verify the set
+//!    against its own [`boundary_set`], and apply it;
 //! 3. execute the shard's tasks in topological order, sending
 //!    `Heartbeat` frames as progress proof for the supervisor's
 //!    hung-worker watchdog;
 //! 4. send `Delta` (every value the tasks wrote) followed by `Done`.
 //!
-//! The timing state survives from round to round, which is harmless:
-//! every value a round reads is either in its boundary or written
-//! earlier in the same round.
+//! The timing state survives from round to round, and the boundary relies
+//! on it: every cell has exactly one writer task, so once this process has
+//! completed a shard it holds the final value of every cell that shard
+//! wrote, and the supervisor leaves those cells out of later boundaries.
+//! Every other value a round reads is in its boundary or written earlier
+//! in the same round.
 //!
 //! Fault injection happens *here*, in the victim process: the supervisor
 //! translates a shard-level [`FaultKind`](crate::sched::FaultKind) into
@@ -31,10 +35,10 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use super::wire::{Frame, InjectedFault, WireError};
-use super::{build_timer, plan_shards, run_fingerprint, shard_work, ShardError};
+use super::{boundary_set, build_timer, run_fingerprint, shard_work, ShardError};
 use crate::circuits::PaperCircuit;
 use crate::sta::BoundaryValues;
-use crate::tdg::TaskId;
+use crate::tdg::{ShardPlan, TaskId};
 
 /// What a worker process is launched with (parsed from the hidden
 /// `gpasta shard-worker` command line): the inputs of the context
@@ -92,10 +96,11 @@ pub(crate) fn run_worker_io(
 ) -> Result<(), ShardError> {
     let mut timer = build_timer(args.circuit, f64::from_bits(args.scale_bits), args.seed);
     let update = timer.update_timing();
-    let (quotient, plan) = plan_shards(&update, args.shards, args.max_tasks_per_shard)?;
-    let work = shard_work(&update, &quotient, &plan);
-    drop(quotient);
+    let plan = ShardPlan::build(update.tdg(), args.shards, args.max_tasks_per_shard)?;
+    let work = shard_work(&update, &plan);
     let data = update.data();
+    // Shards this process completed, in the order it served them.
+    let mut held: Vec<u32> = Vec::new();
 
     Frame::Hello {
         num_shards: plan.num_shards() as u32,
@@ -129,7 +134,7 @@ pub(crate) fn run_worker_io(
             )));
         }
         let job = &work[shard as usize];
-        let tasks = &job.tasks;
+        let expected = boundary_set(&work, shard, &held);
 
         let frame = Frame::read_from(inp)?;
         let Frame::Boundary(boundary) = frame else {
@@ -142,11 +147,11 @@ pub(crate) fn run_worker_io(
                 "clock period disagrees with the supervisor".into(),
             ));
         }
-        if boundary.set != job.needed {
+        if boundary.set != expected {
             return Err(ShardError::Protocol(format!(
                 "boundary names {} cells but shard {shard} (attempt {attempt}) needs {}",
                 boundary.set.len(),
-                job.needed.len()
+                expected.len()
             )));
         }
         boundary.apply(data);
@@ -157,7 +162,8 @@ pub(crate) fn run_worker_io(
         // point: the fault-free path pays no per-task bookkeeping at all.
         let beat_every = beat_every.max(1);
         let beat_interval = Duration::from_micros(beat_interval_micros);
-        let total = tasks.len() as u64;
+        let first = job.tasks.start;
+        let total = job.tasks.len() as u64;
         let start = Instant::now();
         let mut last_beat = start;
         let mut done = 0u64;
@@ -176,7 +182,7 @@ pub(crate) fn run_worker_io(
                     stop = at;
                 }
             }
-            for &t in &tasks[done as usize..stop as usize] {
+            for t in first + done as u32..first + stop as u32 {
                 update.execute_task(TaskId(t));
             }
             done = stop;
@@ -194,6 +200,7 @@ pub(crate) fn run_worker_io(
             tasks: done,
         }
         .write_to(out)?;
+        held.push(shard);
     }
 }
 
@@ -211,9 +218,11 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), ShardError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{run_single_process, ShardWork};
+    use std::io::Cursor;
+
+    use super::super::run_single_process;
     use super::*;
-    use crate::sta::ValueSet;
+    use crate::sta::{TimingUpdateTdg, ValueSet};
 
     const CIRCUIT: PaperCircuit = PaperCircuit::AesCore;
     const SCALE: f64 = 0.002;
@@ -239,77 +248,192 @@ mod tests {
         }
     }
 
-    /// Drive *one* worker stream through every shard's round, playing the
-    /// supervisor by hand, and check the assembled result against the
-    /// single-process oracle bit for bit. The worker's timing state
-    /// survives from shard `s` to `s + 1`; only its deltas reach the
-    /// timer that is compared.
+    /// Every shard's `(writes, needed)` from the reference projection of
+    /// its task range — not from `shard_work` or `boundary_set`.
+    fn reference_sets(update: &TimingUpdateTdg<'_>, plan: &ShardPlan) -> Vec<(ValueSet, ValueSet)> {
+        (0..plan.num_shards() as u32)
+            .map(|s| {
+                let tasks: Vec<u32> = plan.range(s).collect();
+                let writes = ValueSet::writes_of(update, &tasks);
+                let needed = ValueSet::reads_of(update, &tasks).minus(&writes);
+                (writes, needed)
+            })
+            .collect()
+    }
+
+    /// Queue one round — `Assign`, then a boundary of `set` exported from
+    /// `data` — on `inbox`.
+    fn send_round(inbox: &mut Vec<u8>, shard: u32, data: &crate::sta::TimingData, set: ValueSet) {
+        assign(shard).write_to(inbox).expect("frame");
+        Frame::Boundary(BoundaryValues::export(data, set))
+            .write_to(inbox)
+            .expect("frame");
+    }
+
+    /// The fingerprint of the `Hello` a worker opens its output with.
+    fn read_hello(cursor: &mut Cursor<Vec<u8>>) -> u64 {
+        match Frame::read_from(cursor).expect("hello") {
+            Frame::Hello { fingerprint, .. } => fingerprint,
+            other => panic!("expected Hello, got {other:?}"),
+        }
+    }
+
+    /// One round's output — heartbeats, the delta, `Done` — checked to
+    /// name `writes` and to count `tasks`; returns the delta.
+    fn read_round(cursor: &mut Cursor<Vec<u8>>, writes: &ValueSet, tasks: u64) -> BoundaryValues {
+        let mut delta = None;
+        loop {
+            match Frame::read_from(cursor).expect("frame") {
+                Frame::Heartbeat { .. } => {}
+                Frame::Delta(d) => {
+                    assert_eq!(&d.set, writes);
+                    delta = Some(d);
+                }
+                Frame::Done { tasks: done, .. } => {
+                    assert_eq!(done, tasks);
+                    return delta.expect("Done follows Delta");
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+
+    /// Two worker streams serve four shards — one takes 0 and 2, the other
+    /// 1 and 3 — with the supervisor played by hand. Each boundary leaves
+    /// out what its stream completed earlier, worked out from the
+    /// reference sets. Only the deltas reach the timer that is compared,
+    /// so the bits of an elided cell come from the worker's own earlier
+    /// round; the result must equal the single-process oracle bit for bit.
     #[test]
     fn workers_reassemble_the_oracle_bit_for_bit() {
-        let shards = 3;
+        let shards = 4;
+        let streams: [&[u32]; 2] = [&[0, 2], &[1, 3]];
         // A supervisor-side twin computes each round's boundary: shard
         // ids are topological, so after running shards `< s` in place it
         // holds exactly what a supervisor would export for shard `s`.
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
         let twin = twin.update_timing();
-        let (quotient, plan) = plan_shards(&twin, shards, 0).expect("plan");
-        assert!(plan.num_shards() >= 2, "test needs state carried over");
-        let mut inbox = Vec::new();
-        let mut write_sets = Vec::new();
-        // The reference projection over the shared task lists.
-        for (s, ShardWork { tasks, .. }) in shard_work(&twin, &quotient, &plan).iter().enumerate() {
-            let s = s as u32;
-            let writes = ValueSet::writes_of(&twin, tasks);
-            let needed = ValueSet::reads_of(&twin, tasks).minus(&writes);
-            assign(s).write_to(&mut inbox).expect("frame");
-            Frame::Boundary(BoundaryValues::export(twin.data(), needed))
-                .write_to(&mut inbox)
-                .expect("frame");
-            for &t in tasks {
+        let plan = ShardPlan::build(twin.tdg(), shards, 0).expect("plan");
+        assert_eq!(plan.num_shards(), shards);
+        let sets = reference_sets(&twin, &plan);
+        let mut inboxes = [Vec::new(), Vec::new()];
+        let mut partly_elided = false;
+        for s in 0..shards as u32 {
+            let w = usize::from(streams[1].contains(&s));
+            let held = streams[w].iter().filter(|&&h| h < s);
+            let full = &sets[s as usize].1;
+            let set = held.fold(full.clone(), |set, &h| set.minus(&sets[h as usize].0));
+            partly_elided |= !set.is_empty() && set.len() < full.len();
+            send_round(&mut inboxes[w], s, twin.data(), set);
+            for t in plan.range(s) {
                 twin.execute_task(TaskId(t));
             }
-            write_sets.push((writes, tasks.len() as u64));
-        }
-
-        let mut outbox = Vec::new();
-        run_worker_io(&args(shards), &mut std::io::Cursor::new(inbox), &mut outbox)
-            .expect("worker");
-
-        // One Hello, then per round heartbeats, the delta, and Done.
-        let mut master = build_timer(CIRCUIT, SCALE, SEED);
-        let update = master.update_timing();
-        let mut cursor = std::io::Cursor::new(outbox);
-        let hello = Frame::read_from(&mut cursor).expect("hello");
-        let Frame::Hello { fingerprint, .. } = hello else {
-            panic!("expected Hello, got {hello:?}");
-        };
-        assert_eq!(fingerprint, run_fingerprint(update.tdg(), &plan));
-        for (writes, num_tasks) in &write_sets {
-            let mut delta = None;
-            loop {
-                match Frame::read_from(&mut cursor).expect("frame") {
-                    Frame::Heartbeat { .. } => {}
-                    Frame::Delta(d) => {
-                        assert_eq!(&d.set, writes);
-                        delta = Some(d);
-                    }
-                    Frame::Done { tasks, .. } => {
-                        assert_eq!(tasks, *num_tasks);
-                        break;
-                    }
-                    other => panic!("unexpected frame {other:?}"),
-                }
-            }
-            delta.expect("Done follows Delta").apply(update.data());
         }
         assert!(
-            matches!(Frame::read_from(&mut cursor), Err(WireError::Eof)),
-            "the worker stops at end of input without another frame"
+            partly_elided,
+            "some boundary is cut, but not emptied, by what its stream holds"
         );
+
+        let mut master = build_timer(CIRCUIT, SCALE, SEED);
+        let update = master.update_timing();
+        for (inbox, stream) in inboxes.into_iter().zip(streams) {
+            let mut outbox = Vec::new();
+            run_worker_io(&args(shards), &mut Cursor::new(inbox), &mut outbox).expect("worker");
+            let mut cursor = Cursor::new(outbox);
+            assert_eq!(
+                read_hello(&mut cursor),
+                run_fingerprint(update.tdg(), &plan)
+            );
+            for &s in stream {
+                let tasks = plan.range(s).len() as u64;
+                read_round(&mut cursor, &sets[s as usize].0, tasks).apply(update.data());
+            }
+            assert!(
+                matches!(Frame::read_from(&mut cursor), Err(WireError::Eof)),
+                "the worker stops at end of input without another frame"
+            );
+        }
 
         drop(update);
         let oracle = run_single_process(CIRCUIT, SCALE, SEED);
         assert_eq!(master.snapshot(), oracle.snapshot, "bit-identical");
+    }
+
+    /// The worker's check is exact both ways: a worker that completed
+    /// shard 0 refuses shard 1's whole boundary, and a fresh worker
+    /// refuses shard 1's boundary cut as if it held shard 0.
+    #[test]
+    fn a_full_boundary_to_a_worker_that_holds_it_is_refused() {
+        let shards = 2;
+        let mut twin = build_timer(CIRCUIT, SCALE, SEED);
+        let twin = twin.update_timing();
+        let plan = ShardPlan::build(twin.tdg(), shards, 0).expect("plan");
+        let sets = reference_sets(&twin, &plan);
+        let cut = sets[1].1.minus(&sets[0].0);
+        assert!(
+            cut.len() < sets[1].1.len(),
+            "shard 1 reads what shard 0 writes"
+        );
+
+        let mut holds = Vec::new();
+        send_round(&mut holds, 0, twin.data(), sets[0].1.clone());
+        send_round(&mut holds, 1, twin.data(), sets[1].1.clone());
+        let mut fresh = Vec::new();
+        send_round(&mut fresh, 1, twin.data(), cut);
+        // The first worker serves shard 0 before it refuses; the second
+        // refuses its first round.
+        for (inbox, served_shard_0) in [(holds, true), (fresh, false)] {
+            let mut outbox = Vec::new();
+            let err = run_worker_io(&args(shards), &mut Cursor::new(inbox), &mut outbox)
+                .expect_err("the boundary names the wrong set");
+            assert!(matches!(err, ShardError::Protocol(_)), "got {err:?}");
+            let mut cursor = Cursor::new(outbox);
+            read_hello(&mut cursor);
+            if served_shard_0 {
+                read_round(&mut cursor, &sets[0].0, plan.range(0).len() as u64);
+            }
+            assert!(matches!(Frame::read_from(&mut cursor), Err(WireError::Eof)));
+        }
+    }
+
+    /// A worker that holds nothing is owed a shard's whole `needed` set;
+    /// a fresh worker whose first round is the last shard, sent that set,
+    /// returns the in-process bits of every cell the shard writes.
+    #[test]
+    fn a_fresh_worker_gets_the_whole_boundary() {
+        let shards = 3;
+        let mut twin = build_timer(CIRCUIT, SCALE, SEED);
+        let twin = twin.update_timing();
+        let plan = ShardPlan::build(twin.tdg(), shards, 0).expect("plan");
+        let work = shard_work(&twin, &plan);
+        for (s, job) in work.iter().enumerate() {
+            assert_eq!(boundary_set(&work, s as u32, &[]), job.needed, "shard {s}");
+        }
+        let last = &work[shards - 1];
+        assert!(!last.needed.is_empty(), "the last shard reads earlier ones");
+        for t in 0..last.tasks.start {
+            twin.execute_task(TaskId(t));
+        }
+        let mut inbox = Vec::new();
+        send_round(
+            &mut inbox,
+            shards as u32 - 1,
+            twin.data(),
+            last.needed.clone(),
+        );
+        for t in last.tasks.clone() {
+            twin.execute_task(TaskId(t));
+        }
+
+        let mut outbox = Vec::new();
+        run_worker_io(&args(shards), &mut Cursor::new(inbox), &mut outbox).expect("worker");
+        let mut cursor = Cursor::new(outbox);
+        read_hello(&mut cursor);
+        let delta = read_round(&mut cursor, &last.writes, last.tasks.len() as u64);
+        assert_eq!(
+            delta,
+            BoundaryValues::export(twin.data(), last.writes.clone())
+        );
     }
 
     #[test]
@@ -317,7 +441,7 @@ mod tests {
         let shards = 2;
         let mut timer = build_timer(CIRCUIT, SCALE, SEED);
         let update = timer.update_timing();
-        let (_, plan) = plan_shards(&update, shards, 0).expect("plan");
+        let plan = ShardPlan::build(update.tdg(), shards, 0).expect("plan");
         assert!(plan.num_shards() >= 2, "test needs a real split");
 
         // Send shard 1 an empty boundary: its read set is not empty (it

@@ -19,6 +19,8 @@ use std::time::Duration;
 use gpasta::circuits::PaperCircuit;
 use gpasta::sched::{FaultKind, FaultPlan, RetryPolicy};
 use gpasta::shard::{run_sharded, run_single_process, ShardRunConfig, ShardRunOutcome};
+use gpasta::sta::{CellLibrary, Timer};
+use gpasta::tdg::{ShardPlan, TaskId};
 use proptest::prelude::*;
 
 const CIRCUIT: PaperCircuit = PaperCircuit::AesCore;
@@ -138,11 +140,21 @@ fn kill_matrix_respawns_and_heals_bit_identical() {
     }
 }
 
+/// Whether some shard of the plan for `(scale, shards)` does not depend
+/// on the shard just before it — the plan is not a chain, so a second
+/// shard can be ready while the first worker is busy.
+fn plan_is_not_a_chain(scale: f64, shards: usize) -> bool {
+    let mut timer = Timer::new(CIRCUIT.build(scale), CellLibrary::typical());
+    let update = timer.update_timing();
+    let plan = ShardPlan::build(update.tdg(), shards, 0).expect("plan");
+    (1..plan.num_shards() as u32).any(|s| !plan.graph().predecessors(TaskId(s)).contains(&(s - 1)))
+}
+
 /// Fault-free, one long-lived worker serves every shard whatever the
-/// shard count and worker cap: contiguous level-major shards form a
-/// chain, so no second shard is ever ready while the first worker is
-/// busy. Only a plan that is not a chain (eight shards of a design this
-/// small) grows the pool, and then only up to the cap.
+/// shard count and worker cap: contiguous runs of task ids form a chain,
+/// so no second shard is ever ready while the first worker is busy. Only
+/// a plan that is not a chain (fifteen shards of a design this small)
+/// grows the pool, and then only up to the cap.
 #[test]
 fn a_fault_free_run_spawns_one_worker_and_is_bit_identical() {
     let _shared = spawning_workers();
@@ -150,7 +162,8 @@ fn a_fault_free_run_spawns_one_worker_and_is_bit_identical() {
     let chain = [1usize, 2, 4, 8]
         .into_iter()
         .flat_map(|shards| [(0.01, shards, 1, 1), (0.01, shards, 2, 1)]);
-    let wide = [(0.005, 8, 1, 1), (0.005, 8, 2, 2)];
+    let wide = [(0.001, 15, 1, 1), (0.001, 15, 2, 2)];
+    assert!(plan_is_not_a_chain(0.001, 15), "the wide plan's premise");
     for (scale, shards, max_workers, spawned) in chain.chain(wide) {
         let label = format!("scale={scale} shards={shards} max_workers={max_workers}");
         let mut c = cfg(scale, SEED, shards);
@@ -260,7 +273,7 @@ fn shard_count_change_across_a_supervisor_kill_resumes_bit_identical() {
     let interrupted = run_sharded(&first).expect("first run");
     assert!(interrupted.killed, "the first supervisor dies mid-run");
     assert!(
-        !interrupted.completed_partitions.is_empty(),
+        !interrupted.completed_ranges.is_empty(),
         "progress was persisted before the kill"
     );
 
