@@ -323,9 +323,6 @@ fn run() -> Result<(), OutputError> {
 
     for &circuit in &[PaperCircuit::VgaLcd, PaperCircuit::Leon2] {
         println!("== {} ==", circuit.name());
-        // The measurement core is shared with `perf_smoke` and the
-        // perf-regression test, so a committed baseline and a fresh run
-        // are always method-identical.
         let rows = fig7_circuit_rows(circuit, cfg.scale, cfg.workers);
 
         let final_row = rows.last().expect("at least 20 iterations");

@@ -14,9 +14,9 @@
 //!   multi-core shape on any machine and is what the printed table shows.
 //!
 //! The measurement itself lives in
-//! [`gpasta_bench::figs::fig8_circuit_rows`], shared with the
-//! perf-regression harness so the committed baselines and fresh runs are
-//! method-identical.
+//! [`gpasta_bench::figs::fig8_circuit_rows`]; the harness smoke tests pin
+//! its column list on a fresh run and on the committed `results/fig8_*`
+//! files.
 //!
 //! ```text
 //! cargo run --release -p gpasta-bench --bin fig8 -- --scale 0.05

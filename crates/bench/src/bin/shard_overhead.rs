@@ -91,7 +91,7 @@ fn run() -> Result<(), OutputError> {
         let mut shard_ns = Vec::with_capacity(cfg.runs);
         let mut wall_ms = Vec::with_capacity(cfg.runs);
         for _ in 0..cfg.runs.max(2) {
-            let raw = run_in_plan_order(circuit, cfg.scale, SEED, 1).expect("plan-order run");
+            let raw = run_in_plan_order(circuit, cfg.scale, SEED);
             raw_ns.push(raw.exec_nanos as f64);
             assert_eq!(
                 raw.wns_bits,

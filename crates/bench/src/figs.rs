@@ -1,10 +1,9 @@
 //! Shared measurement cores for the Figure 7 / Figure 8 emitters.
 //!
-//! The `fig7` and `fig8` binaries, the `perf_smoke` binary, and the
-//! perf-regression test all consume these functions, so a fresh
-//! measurement is schema- and method-identical to the committed
-//! baselines in `results/` — the tolerance comparison in
-//! [`crate::regress`] never compares apples to oranges.
+//! The `fig7` and `fig8` binaries emit these rows as they are, so the
+//! committed `results/fig{7,8}_<circuit>.{csv,json}` files carry exactly
+//! the columns built here; the harness smoke tests pin that list for a
+//! fresh run and for the committed files alike.
 
 use crate::tuning::{gpasta_for, tune_gdca_ps, DISPATCH_NS, SIM_WORKERS};
 use crate::Row;

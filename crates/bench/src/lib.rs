@@ -26,10 +26,9 @@ pub mod cli;
 pub mod figs;
 pub mod flow;
 pub mod output;
-pub mod regress;
 pub mod tuning;
 
 pub use cli::{BenchConfig, CliError};
 pub use flow::{measure_partitioned_update, measure_plain_update, FlowTiming};
-pub use output::{read_json, to_markdown, write_csv, write_json, OutputError, Row};
+pub use output::{to_markdown, write_csv, write_json, OutputError, Row};
 pub use tuning::tune_gdca_ps;

@@ -108,58 +108,6 @@ pub fn to_markdown(rows: &[Row]) -> String {
     out
 }
 
-/// Read rows back from a JSON file written by [`write_json`] — the
-/// committed-baseline loader of the perf-regression harness
-/// ([`crate::regress`]).
-///
-/// # Errors
-///
-/// [`OutputError::Io`] if the file is unreadable, or
-/// [`OutputError::Parse`] if its contents are not a row array.
-pub fn read_json(path: &Path) -> Result<Vec<Row>, OutputError> {
-    let text = fs::read_to_string(path).map_err(|source| OutputError::Io {
-        path: path.to_path_buf(),
-        op: "read",
-        source,
-    })?;
-    let parse_err = |message: &str| OutputError::Parse {
-        path: path.to_path_buf(),
-        message: message.to_owned(),
-    };
-    let value: serde::value::Value =
-        serde_json::from_str(&text).map_err(|e| parse_err(&e.to_string()))?;
-    let rows = value
-        .as_array()
-        .ok_or_else(|| parse_err("expected a row array"))?;
-    rows.iter()
-        .map(|row| {
-            let label = row
-                .get("label")
-                .and_then(|l| l.as_str())
-                .ok_or_else(|| parse_err("row is missing a string `label`"))?;
-            let values = row
-                .get("values")
-                .and_then(|v| v.as_array())
-                .ok_or_else(|| parse_err("row is missing a `values` array"))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array().filter(|p| p.len() == 2);
-                    let key = pair.and_then(|p| p[0].as_str());
-                    let num = pair.and_then(|p| p[1].as_f64());
-                    match (key, num) {
-                        (Some(k), Some(n)) => Ok((k.to_owned(), n)),
-                        _ => Err(parse_err("`values` entry is not a [name, number] pair")),
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Row {
-                label: label.to_owned(),
-                values,
-            })
-        })
-        .collect()
-}
-
 /// Write rows as pretty JSON.
 ///
 /// # Errors

@@ -1,11 +1,18 @@
-//! Smoke tests for the harness binaries: run `fig7` (both modes) and
-//! `table1` at a tiny `--scale` inside `cargo test` and pin the CSV/JSON
-//! schemas their consumers (plot scripts, CI artifact checks) rely on.
+//! Smoke tests for the harness binaries: run `fig7` (both modes), `fig8`,
+//! `fault_recovery` and `table1` at a tiny `--scale` inside `cargo test`
+//! and pin the CSV/JSON schemas their consumers (plot scripts, CI
+//! artifact checks) rely on. For `fig7` and `fig8` the committed files of
+//! record in `results/` are held to the same column list as a fresh run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::{Mutex, PoisonError};
 
+/// Run one harness binary at a time: `fault_recovery` polices a wall-clock
+/// overhead budget, and a figure sweep on the other core skews it.
 fn run(bin: &str, args: &[&str]) -> Output {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     Command::new(bin)
         .args(args)
         .output()
@@ -61,12 +68,13 @@ fn json_columns(row: &serde_json::Value) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn fig7_scratch_mode_writes_the_documented_schema() {
-    let out = out_dir("fig7_scratch");
+/// Run a figure emitter at a tiny scale into `out`, then check that every
+/// `<figure>_<circuit>` file it wrote — CSV header and JSON rows — and
+/// the committed file of record in `results/` carry `columns`, in order.
+fn assert_figure_schema(bin: &str, out: &Path, figure: &str, circuits: &[&str], columns: &[&str]) {
     let dir = out.to_str().expect("utf8");
     let res = run(
-        env!("CARGO_BIN_EXE_fig7"),
+        bin,
         &[
             "--scale",
             "0.0006",
@@ -84,30 +92,62 @@ fn fig7_scratch_mode_writes_the_documented_schema() {
         String::from_utf8_lossy(&res.stderr)
     );
 
-    for circuit in ["vga_lcd", "leon2"] {
-        let csv = out.join(format!("fig7_{circuit}.csv"));
-        assert_eq!(
-            csv_header(&csv),
-            "label,original_wall_ms,gdca_wall_ms,gpasta_wall_ms,\
-             original_sim_ms,gdca_sim_ms,gpasta_sim_ms"
-        );
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for circuit in circuits {
+        let csv = out.join(format!("{figure}_{circuit}.csv"));
+        assert_eq!(csv_header(&csv), format!("label,{}", columns.join(",")));
         assert_csv_rows(&csv);
 
-        let rows = json_rows(&out.join(format!("fig7_{circuit}.json")));
-        let rows = rows.as_array().expect("row array");
-        assert!(!rows.is_empty());
-        assert_eq!(
-            json_columns(&rows[0]),
-            [
-                "original_wall_ms",
-                "gdca_wall_ms",
-                "gpasta_wall_ms",
-                "original_sim_ms",
-                "gdca_sim_ms",
-                "gpasta_sim_ms"
-            ]
-        );
+        for json in [out, committed.as_path()].map(|d| d.join(format!("{figure}_{circuit}.json"))) {
+            let rows = json_rows(&json);
+            let rows = rows.as_array().expect("row array");
+            assert!(!rows.is_empty(), "{} has no rows", json.display());
+            assert_eq!(
+                json_columns(&rows[0]),
+                columns,
+                "{} column schema",
+                json.display()
+            );
+        }
     }
+}
+
+#[test]
+fn fig7_scratch_mode_writes_the_documented_schema() {
+    assert_figure_schema(
+        env!("CARGO_BIN_EXE_fig7"),
+        &out_dir("fig7_scratch"),
+        "fig7",
+        &["vga_lcd", "leon2"],
+        &[
+            "original_wall_ms",
+            "gdca_wall_ms",
+            "gpasta_wall_ms",
+            "original_sim_ms",
+            "gdca_sim_ms",
+            "gpasta_sim_ms",
+        ],
+    );
+}
+
+#[test]
+fn fig8_writes_the_documented_schema() {
+    assert_figure_schema(
+        env!("CARGO_BIN_EXE_fig8"),
+        &out_dir("fig8"),
+        "fig8",
+        &["des_perf", "leon2"],
+        &[
+            "gdca_sim_ms",
+            "seq_gpasta_sim_ms",
+            "gpasta_sim_ms",
+            "deter_gpasta_sim_ms",
+            "gdca_wall_ms",
+            "seq_gpasta_wall_ms",
+            "gpasta_wall_ms",
+            "deter_gpasta_wall_ms",
+        ],
+    );
 }
 
 #[test]

@@ -591,6 +591,73 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
     let stealers: Vec<Stealer<u32>> = locals.iter().map(Worker::stealer).collect();
 
     std::thread::scope(|scope| {
+        // Spawned first so every worker can wake it on its way out: it
+        // polls at a quarter of the window, and a run that completes
+        // between polls must not wait out the rest of that sleep.
+        let watchdog = stall_window.map(|window| {
+            let dep = &dep;
+            let poisoned = &poisoned;
+            let unit_state = &unit_state;
+            let inflight = &inflight;
+            let injector = &injector;
+            let completed = &completed;
+            let handle = scope.spawn(move || {
+                let window_us = window.as_micros().min(u128::from(u32::MAX / 2)) as u64;
+                let poll = Duration::from_micros((window_us / 4).max(50));
+                // hb: run-complete
+                while completed.load(Ordering::Acquire) < n {
+                    std::thread::park_timeout(poll);
+                    // hb: run-complete
+                    if completed.load(Ordering::Acquire) >= n {
+                        break;
+                    }
+                    let now = run_start.elapsed().as_micros() as u32;
+                    for slot in inflight {
+                        let v = slot.load(Ordering::Acquire); // hb: inflight-publish
+                        if v == 0 {
+                            continue;
+                        }
+                        let unit = ((v >> 32) - 1) as u32;
+                        let started = v as u32;
+                        let age = u64::from(now.wrapping_sub(started));
+                        if age <= window_us {
+                            continue;
+                        }
+                        if unit_state[unit as usize]
+                            .compare_exchange(
+                                UNIT_PENDING,
+                                UNIT_STALLED,
+                                Ordering::AcqRel, // hb: unit-claim
+                                Ordering::Acquire,
+                            )
+                            .is_err()
+                        {
+                            continue;
+                        }
+                        state.record(
+                            unit,
+                            graph.members(unit).next().unwrap_or(unit),
+                            1,
+                            TaskError::Stalled(format!(
+                                "no progress within the {} µs stall window (in flight {} µs)",
+                                window_us, age
+                            )),
+                        );
+                        poisoned[unit as usize].store(true, Ordering::Release); // hb: poison-publish
+                        for &s in successors(unit) {
+                            poisoned[s as usize].store(true, Ordering::Release); // hb: poison-publish
+                                                                                 // hb: dep-handoff
+                            if dep[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                injector.push(s);
+                            }
+                        }
+                        completed.fetch_add(1, Ordering::Release); // hb: run-complete
+                    }
+                }
+            });
+            handle.thread().clone()
+        });
+
         for (w, local) in locals.into_iter().enumerate() {
             let dep = &dep;
             let poisoned = &poisoned;
@@ -602,6 +669,7 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
             let completed = &completed;
             let dispatches = &dispatches;
             let stop = &stop;
+            let watchdog = watchdog.clone();
             scope.spawn(move || {
                 let backoff = Backoff::new();
                 let mut batch = DecrementBatch {
@@ -726,68 +794,8 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                 }
                 // One shared RMW per worker per run, not one per unit.
                 dispatches.fetch_add(dispatched, Ordering::Relaxed);
-            });
-        }
-
-        if let Some(window) = stall_window {
-            let dep = &dep;
-            let poisoned = &poisoned;
-            let unit_state = &unit_state;
-            let inflight = &inflight;
-            let injector = &injector;
-            let completed = &completed;
-            scope.spawn(move || {
-                let window_us = window.as_micros().min(u128::from(u32::MAX / 2)) as u64;
-                let poll = Duration::from_micros((window_us / 4).max(50));
-                // hb: run-complete
-                while completed.load(Ordering::Acquire) < n {
-                    std::thread::sleep(poll);
-                    // hb: run-complete
-                    if completed.load(Ordering::Acquire) >= n {
-                        break;
-                    }
-                    let now = run_start.elapsed().as_micros() as u32;
-                    for slot in inflight {
-                        let v = slot.load(Ordering::Acquire); // hb: inflight-publish
-                        if v == 0 {
-                            continue;
-                        }
-                        let unit = ((v >> 32) - 1) as u32;
-                        let started = v as u32;
-                        let age = u64::from(now.wrapping_sub(started));
-                        if age <= window_us {
-                            continue;
-                        }
-                        if unit_state[unit as usize]
-                            .compare_exchange(
-                                UNIT_PENDING,
-                                UNIT_STALLED,
-                                Ordering::AcqRel, // hb: unit-claim
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        state.record(
-                            unit,
-                            graph.members(unit).next().unwrap_or(unit),
-                            1,
-                            TaskError::Stalled(format!(
-                                "no progress within the {} µs stall window (in flight {} µs)",
-                                window_us, age
-                            )),
-                        );
-                        poisoned[unit as usize].store(true, Ordering::Release); // hb: poison-publish
-                        for &s in successors(unit) {
-                            poisoned[s as usize].store(true, Ordering::Release); // hb: poison-publish
-                                                                                 // hb: dep-handoff
-                            if dep[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                injector.push(s);
-                            }
-                        }
-                        completed.fetch_add(1, Ordering::Release); // hb: run-complete
-                    }
+                if let Some(watchdog) = watchdog {
+                    watchdog.unpark();
                 }
             });
         }
@@ -1336,6 +1344,30 @@ mod tests {
             &RunBudget::unbounded().with_stall_window(Duration::from_millis(200)),
         );
         assert!(outcome.is_clean(), "got {:?}", outcome.failures);
+    }
+
+    /// The watchdog polls at a quarter of its window (here ~9 minutes); a
+    /// run that completes must wake it rather than wait out that sleep.
+    #[test]
+    fn a_long_stall_window_does_not_outlive_the_run() {
+        let tdg = layered(16, 8);
+        let work = |_t: TaskId, _a: u32| -> Result<(), TaskError> {
+            std::thread::sleep(Duration::from_millis(1));
+            Ok(())
+        };
+        let started = Instant::now();
+        let outcome = Executor::new(2).run_tdg_recovering_bounded(
+            &tdg,
+            &work,
+            &RetryPolicy::no_retries(),
+            &RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600)),
+        );
+        assert!(outcome.is_clean(), "got {:?}", outcome.failures);
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "run took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -404,24 +404,40 @@ fn io_err<'a>(
     }
 }
 
-/// Write `ckpt` to `path` crash-safely: serialize to `<path>.tmp`, flush
-/// with `sync_all`, and atomically rename into place. A crash at any
-/// point leaves either the previous checkpoint or the complete new one.
+/// The sibling temp file [`write_atomically`] stages `path` in: the file
+/// name with `.tmp` appended. Appending rather than swapping the extension
+/// keeps it distinct from `path` for every name (`x.tmp` stages in
+/// `x.tmp.tmp`) and distinct between `a.ckpt` and `a.json`.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Write `bytes` to `path` crash-safely: write [`temp_path`], flush with
+/// `sync_all`, and atomically rename into place. A crash at any point
+/// leaves either the previous file or the complete new one.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] naming the failed operation and the file it
+/// touched.
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let tmp = temp_path(path);
+    let mut f = File::create(&tmp).map_err(io_err(&tmp, "create"))?;
+    f.write_all(bytes).map_err(io_err(&tmp, "write"))?;
+    f.sync_all().map_err(io_err(&tmp, "sync"))?;
+    drop(f);
+    fs::rename(&tmp, path).map_err(io_err(path, "rename"))
+}
+
+/// Write `ckpt` to `path` crash-safely ([`write_atomically`]).
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Io`] naming the failed operation and path.
 pub fn write_checkpoint(path: &Path, ckpt: &UpdateCheckpoint) -> Result<(), CheckpointError> {
-    let bytes = encode(ckpt);
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    let mut f = File::create(&tmp).map_err(io_err(&tmp, "create"))?;
-    f.write_all(&bytes).map_err(io_err(&tmp, "write"))?;
-    f.sync_all().map_err(io_err(&tmp, "sync"))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(io_err(path, "rename"))?;
-    Ok(())
+    write_atomically(path, &encode(ckpt))
 }
 
 /// Read and fully validate a checkpoint written by [`write_checkpoint`].
@@ -692,10 +708,23 @@ mod tests {
     fn write_leaves_no_temp_file_behind() {
         let path = tmp_path("notmp");
         write_checkpoint(&path, &sample_checkpoint()).expect("write");
-        let mut tmp_name = path.file_name().expect("file name").to_os_string();
-        tmp_name.push(".tmp");
-        assert!(!path.with_file_name(tmp_name).exists());
+        assert!(!temp_path(&path).exists());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The staging file is never the destination (a `.tmp` destination
+    /// would be truncated before the new bytes are synced), and two
+    /// destinations that differ only in extension never share one.
+    #[test]
+    fn temp_file_differs_from_the_destination_and_between_extensions() {
+        for name in ["a.ckpt", "a.json", "hand_off.tmp", "a"] {
+            let path = Path::new("/spool").join(name);
+            assert_ne!(temp_path(&path), path, "{name}");
+            assert_eq!(temp_path(&path).parent(), path.parent(), "{name}");
+        }
+        let ckpt = temp_path(Path::new("/spool/a.ckpt"));
+        assert_ne!(ckpt, temp_path(Path::new("/spool/a.json")));
+        assert_eq!(ckpt, Path::new("/spool/a.ckpt.tmp"));
     }
 
     #[test]

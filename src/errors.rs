@@ -85,14 +85,6 @@ pub enum OutputError {
         /// The serializer's error.
         source: serde_json::Error,
     },
-    /// A result file exists but does not parse as a row array (the
-    /// perf-regression baseline loader reads committed JSON back).
-    Parse {
-        /// File that failed to parse.
-        path: PathBuf,
-        /// What was wrong with its contents.
-        message: String,
-    },
 }
 
 impl fmt::Display for OutputError {
@@ -112,9 +104,6 @@ impl fmt::Display for OutputError {
             OutputError::Serialize { path, source } => {
                 write!(f, "cannot serialize rows for {}: {source}", path.display())
             }
-            OutputError::Parse { path, message } => {
-                write!(f, "cannot parse {}: {message}", path.display())
-            }
         }
     }
 }
@@ -124,7 +113,7 @@ impl StdError for OutputError {
         match self {
             OutputError::Io { source, .. } => Some(source),
             OutputError::Serialize { source, .. } => Some(source),
-            OutputError::InconsistentColumns { .. } | OutputError::Parse { .. } => None,
+            OutputError::InconsistentColumns { .. } => None,
         }
     }
 }

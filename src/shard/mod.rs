@@ -43,12 +43,11 @@ pub use worker::{run_worker, WorkerArgs};
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::checkpoint::{fnv1a64, modifier_batch};
+use crate::checkpoint::{fnv1a64, modifier_batch, write_atomically};
 use crate::circuits::PaperCircuit;
 use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
 use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg, ValueSet};
@@ -452,22 +451,19 @@ impl ShardCheckpoint {
         })
     }
 
-    /// Write atomically (temp file + fsync + rename): a supervisor killed
-    /// mid-write leaves either the old checkpoint or the new one, never a
-    /// torn file.
+    /// Write atomically (temp file + fsync + rename, the same writer as
+    /// [`write_checkpoint`](crate::checkpoint::write_checkpoint)): a
+    /// supervisor killed mid-write leaves either the old checkpoint or the
+    /// new one, never a torn file.
     ///
     /// # Errors
     ///
     /// [`ShardError::Io`] when the filesystem fails.
     pub fn write_to_path(&self, path: &Path) -> Result<(), ShardError> {
-        let io = |op: &'static str| move |source| ShardError::Io { op, source };
-        let tmp = path.with_extension("tmp");
-        let mut f = fs::File::create(&tmp).map_err(io("create checkpoint temp file"))?;
-        f.write_all(&self.encode())
-            .map_err(io("write checkpoint"))?;
-        f.sync_all().map_err(io("sync checkpoint"))?;
-        drop(f);
-        fs::rename(&tmp, path).map_err(io("rename checkpoint into place"))
+        write_atomically(path, &self.encode()).map_err(|e| ShardError::Io {
+            op: "write checkpoint",
+            source: std::io::Error::other(e),
+        })
     }
 
     /// Read and verify a checkpoint written by [`write_to_path`](Self::write_to_path).
@@ -520,43 +516,32 @@ pub fn run_single_process(circuit: PaperCircuit, scale: f64, seed: u64) -> Singl
 
 /// Run the identical update in one process but in *shard-plan task
 /// order* — the exact order a sharded run's workers execute, with no
-/// pipes, heartbeats, or fault hooks.
+/// pipes, heartbeats, or fault hooks. Every shard plan cuts the task ids
+/// into ascending contiguous ranges, so that order is ascending task id
+/// for any shard count.
 ///
 /// This is the order-fair baseline for overhead benchmarking: comparing
 /// a worker's task loop against [`run_single_process`] (level order)
 /// conflates process overhead with cache effects of the different
 /// execution order, which swing tens of percent either way. Comparing
 /// against this function isolates what sharding itself costs.
-///
-/// # Errors
-///
-/// Propagates [`ShardError`] from planning, exactly as [`run_sharded`]
-/// would for the same inputs.
-pub fn run_in_plan_order(
-    circuit: PaperCircuit,
-    scale: f64,
-    seed: u64,
-    shards: usize,
-) -> Result<SingleProcessRun, ShardError> {
+pub fn run_in_plan_order(circuit: PaperCircuit, scale: f64, seed: u64) -> SingleProcessRun {
     let mut timer = build_timer(circuit, scale, seed);
     let update = timer.update_timing();
-    let plan = ShardPlan::build(update.tdg(), shards, 0)?;
-    // Shard ids are topological, so id order is a valid schedule.
+    // Task ids are topological, so id order is a valid schedule.
     let start = std::time::Instant::now();
-    for s in 0..plan.num_shards() as u32 {
-        for t in plan.range(s) {
-            update.execute_task(crate::tdg::TaskId(t));
-        }
+    for t in 0..update.tdg().num_tasks() as u32 {
+        update.execute_task(crate::tdg::TaskId(t));
     }
     let exec_nanos = start.elapsed().as_nanos() as u64;
     drop(update);
     let report = timer.report(1);
-    Ok(SingleProcessRun {
+    SingleProcessRun {
         wns_bits: report.wns_ps.to_bits(),
         tns_bits: report.tns_ps.to_bits(),
         exec_nanos,
         snapshot: timer.snapshot(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -594,6 +579,33 @@ mod tests {
         ck.write_to_path(&path).expect("write");
         let back = ShardCheckpoint::read_from_path(&path).expect("read");
         assert_eq!(back, ck);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A destination whose name ends in `.tmp` round-trips, and a write
+    /// that fails before the rename leaves the previous checkpoint there
+    /// intact: the staging file is never the destination itself.
+    #[test]
+    fn checkpoints_round_trip_at_a_tmp_path() {
+        let dir = std::env::temp_dir().join(format!("gpasta-shard-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("hand_off.tmp");
+        let old = sample_checkpoint();
+        old.write_to_path(&path).expect("write");
+        assert_eq!(ShardCheckpoint::read_from_path(&path).expect("read"), old);
+        let entries = || std::fs::read_dir(&dir).expect("list").count();
+        assert_eq!(entries(), 1, "nothing staged is left behind");
+
+        // Block the staging name: the next write fails at `create`.
+        std::fs::create_dir(dir.join("hand_off.tmp.tmp")).expect("blocker");
+        let mut new = sample_checkpoint();
+        new.completed_ranges.push(9..12);
+        let err = new
+            .write_to_path(&path)
+            .expect_err("staging file is blocked");
+        assert!(matches!(err, ShardError::Io { .. }), "{err}");
+        assert!(err.to_string().contains("hand_off.tmp.tmp"), "{err}");
+        assert_eq!(ShardCheckpoint::read_from_path(&path).expect("read"), old);
         std::fs::remove_dir_all(&dir).ok();
     }
 

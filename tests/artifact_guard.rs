@@ -1,6 +1,6 @@
 //! Guard: `tests/` holds Rust sources only, plus committed design
 //! fixtures under `tests/fixtures/`; `results/` commits only the
-//! sanctioned scale-of-record artefacts and the perf baseline.
+//! sanctioned scale-of-record artefacts.
 //!
 //! Integration tests in this repo write their scratch files (checkpoints,
 //! CSVs, logs) to the system temp directory, never next to the sources.
@@ -11,9 +11,10 @@
 //! artifacts are still banned there.
 //!
 //! For `results/` the committed (git-tracked) set is the contract: the
-//! figure/table files of record plus `perf_baseline.json`. Bench runs
-//! may drop fresh `BENCH_*.json` summaries there locally — those are CI
-//! upload artifacts and must never be committed.
+//! figure/table files of record, nothing else. Bench runs may drop fresh
+//! `BENCH_*.json` summaries there locally — those are CI upload artifacts
+//! and must never be committed. Perf is gated by `perf_ledger` against
+//! `BENCHMARK.json`, not by a committed baseline file.
 
 #[test]
 fn tests_directory_contains_only_rust_sources() {
@@ -53,12 +54,8 @@ fn tests_directory_contains_only_rust_sources() {
 }
 
 /// Whether a committed `results/` file name is sanctioned: the paper
-/// figure/table artefacts of record (`fig*` / `table1`, CSV + JSON) and
-/// the perf-regression baseline.
+/// figure/table artefacts of record (`fig*` / `table1`, CSV + JSON).
 fn sanctioned_result(name: &str) -> bool {
-    if name == "perf_baseline.json" {
-        return true;
-    }
     let Some((stem, ext)) = name.rsplit_once('.') else {
         return false;
     };
@@ -91,13 +88,13 @@ fn results_directory_commits_only_sanctioned_artifacts() {
         let name = path.rsplit('/').next().expect("non-empty path");
         assert!(
             !name.starts_with("BENCH_"),
-            "{path} is committed — BENCH_* summaries are generated CI artifacts, \
-             refresh results/perf_baseline.json instead (DESIGN.md §13)"
+            "{path} is committed — BENCH_* summaries are generated CI artifacts; \
+             perf numbers belong to perf_ledger runs, not to results/"
         );
         assert!(
             sanctioned_result(name),
             "{path} is committed but not a sanctioned results/ artefact \
-             (fig*/table1 .csv/.json or perf_baseline.json)"
+             (fig*/table1 .csv/.json)"
         );
         count += 1;
     }
