@@ -878,7 +878,7 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
     ///
     /// [`IncrementalError::NotInstalled`] on a cold cache. Callers that
     /// treat a cold cache as "nothing to persist" (e.g. cache-less
-    /// checkpoints, which the `GPCKPT01` format permits) can map the
+    /// checkpoints, which the `GPCKPT02` format permits) can map the
     /// error away with `.ok()`; long-running services surface it as a
     /// structured error instead of panicking on a missing cache.
     pub fn export_cache(&self) -> Result<CacheExport, IncrementalError> {

@@ -92,9 +92,10 @@ impl CellKind {
     }
 }
 
-impl fmt::Display for CellKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl CellKind {
+    /// The cell's library / Verilog name (`"NAND2"`, `"DFF"`, …).
+    pub fn name(self) -> &'static str {
+        match self {
             CellKind::Inv => "INV",
             CellKind::Buf => "BUF",
             CellKind::Nand2 => "NAND2",
@@ -106,8 +107,13 @@ impl fmt::Display for CellKind {
             CellKind::Mux2 => "MUX2",
             CellKind::Aoi21 => "AOI21",
             CellKind::Dff => "DFF",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CellKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

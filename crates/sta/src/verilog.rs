@@ -23,7 +23,7 @@
 
 use crate::library::CellKind;
 use crate::netlist::{GateId, Netlist, NetlistBuilder, PinRef, PortId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -220,10 +220,7 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
 }
 
 fn kind_from_name(name: &str) -> Option<CellKind> {
-    CellKind::all()
-        .iter()
-        .copied()
-        .find(|k| k.to_string() == name)
+    CellKind::all().iter().copied().find(|k| k.name() == name)
 }
 
 /// Parse the structural-Verilog subset back into a [`Netlist`].
@@ -437,11 +434,15 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
     // instance pin (`.y(y)`) instead of via `assign`; synthesise the
     // implied output connection for any output that has a driver under its
     // own name but no explicit sink yet.
+    let connected: HashSet<PortId> = sinks
+        .iter()
+        .filter_map(|&(_, _, s)| match s {
+            PinRef::PrimaryOutput(port) => Some(port),
+            _ => None,
+        })
+        .collect();
     for (name, &port) in &outputs {
-        let already_connected = sinks
-            .iter()
-            .any(|&(_, _, s)| s == PinRef::PrimaryOutput(port));
-        if !already_connected {
+        if !connected.contains(&port) {
             if let Some(PinRef::GateOutput(_)) = drivers.get(name) {
                 sinks.push((0, name.clone(), PinRef::PrimaryOutput(port)));
             }

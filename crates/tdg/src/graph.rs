@@ -1,5 +1,6 @@
 //! The immutable CSR task-dependency graph and its builder.
 
+use crate::checksum::Checksum;
 use crate::csr::CsrTdg;
 use crate::error::BuildTdgError;
 use crate::level::Levels;
@@ -240,8 +241,8 @@ impl Tdg {
         Levels::new(self)
     }
 
-    /// A 64-bit structural fingerprint of the graph (FNV-1a over the task
-    /// count and the forward CSR arrays).
+    /// A 64-bit structural fingerprint of the graph (the [`Checksum`] of
+    /// the task count and the forward CSR arrays, as little-endian `u32`s).
     ///
     /// Two graphs with the same task ids and edge set share a fingerprint;
     /// weights are deliberately excluded, so re-weighting a TDG (as
@@ -249,23 +250,11 @@ impl Tdg {
     /// the structure. This is the epoch key used by
     /// `gpasta-core`'s incremental partition cache.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u32| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.num_tasks() as u32);
-        for &off in &self.fwd_off {
-            mix(off);
-        }
-        for &v in &self.fwd_adj {
-            mix(v);
-        }
-        h
+        let mut h = Checksum::default();
+        h.update_words(&[self.num_tasks() as u32]);
+        h.update_words(&self.fwd_off);
+        h.update_words(&self.fwd_adj);
+        h.finish()
     }
 
     /// Iterate over all edges as `(from, to)` pairs.

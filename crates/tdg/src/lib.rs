@@ -18,6 +18,8 @@
 //! * [`shard`] — a cut of a topologically numbered TDG's task ids into
 //!   contiguous, acyclic shards ([`ShardPlan`]), the unit of multi-process
 //!   distribution;
+//! * [`Checksum`] — the one 64-bit checksum behind every fingerprint,
+//!   checkpoint and shard frame;
 //! * [`validate`] — the paper's validity conditions:
 //!   acyclic quotient, convex partitions, bounded partition size;
 //! * [`transitive_reduction`] — the minimal equivalent DAG, and
@@ -47,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod cancel;
+mod checksum;
 pub mod csr;
 mod dot;
 mod error;
@@ -62,6 +65,7 @@ mod topo;
 pub mod validate;
 
 pub use cancel::{CancelObserver, CancelToken};
+pub use checksum::{checksum, Checksum};
 pub use csr::{CsrArena, CsrTdg};
 pub use dot::{partition_to_dot, quotient_to_dot, tdg_to_dot};
 pub use error::{BuildTdgError, ValidatePartitionError};

@@ -24,6 +24,7 @@
 
 use std::ops::Range;
 
+use crate::checksum::Checksum;
 use crate::graph::{TaskId, Tdg, TdgBuilder};
 
 /// [`ShardPlan::build`] rejected its inputs.
@@ -180,20 +181,10 @@ impl ShardPlan {
     /// two processes must agree on this before exchanging boundary values
     /// keyed to the plan.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u32| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.num_shards() as u32);
-        for &b in &self.bounds {
-            mix(b);
-        }
-        h ^ self.graph.fingerprint()
+        let mut h = Checksum::default();
+        h.update_words(&[self.num_shards() as u32]);
+        h.update_words(&self.bounds);
+        h.finish() ^ self.graph.fingerprint()
     }
 }
 

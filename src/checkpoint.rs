@@ -1,9 +1,9 @@
-//! Crash-safe checkpoint/resume: the `GPCKPT01` file format, and the
+//! Crash-safe checkpoint/resume: the `GPCKPT02` file format, and the
 //! `gpasta update` flow that exercises it.
 //!
 //! A checkpoint captures everything a [`Session`] needs to continue
 //! bit-identically after a crash or an eviction: the session identity
-//! (name plus FNV fingerprints of its netlist and constraints), the update
+//! (name plus checksums of its netlist and constraints), the update
 //! counter, the complete mutable timing state ([`TimingSnapshot`] — raw
 //! `f32` bit patterns, so NaN payloads and signed zeros survive), and the
 //! incremental partitioner's cache ([`CacheExport`]). The netlist, timing
@@ -16,7 +16,7 @@
 //! The on-disk format is a little-endian binary record:
 //!
 //! ```text
-//! magic "GPCKPT" + version "01"          8 bytes
+//! magic "GPCKPT" + version "02"          8 bytes
 //! session name                           u32 length + UTF-8 bytes
 //! netlist, constraint fingerprints       2 × u64
 //! updates completed                      u32
@@ -25,8 +25,13 @@
 //! timing snapshot                        clock-period bits + 9 u32 arrays
 //! partition cache                        present flag + fingerprint, Ps,
 //!                                        max pid, epoch, raw assignment
-//! FNV-1a 64 checksum of all above        u64
+//! checksum of all above                  u64
 //! ```
+//!
+//! The checksum is [`checksum`](crate::tdg::checksum()), the lane-wise
+//! hash every fingerprint and shard frame also uses; a `GPCKPT01` file
+//! (byte-serial FNV-1a trailer) is refused as
+//! [`CheckpointError::BadVersion`], never read as this format.
 //!
 //! Writes are crash-safe: the record is serialized to a sibling temporary
 //! file, flushed with `File::sync_all`, and atomically renamed over the
@@ -46,10 +51,13 @@ use crate::circuits::PaperCircuit;
 use crate::core::CacheExport;
 use crate::sched::{splitmix64, RunBudget, StopCause};
 use crate::session::{DesignSources, DormantSession, Edit, Session, SessionError};
+use crate::shard::wire::{Reader, WireError};
 use crate::sta::{write_verilog, GateId, Timer, TimingSnapshot};
+use crate::tdg::checksum;
 
-const MAGIC: &[u8; 6] = b"GPCKPT";
-const VERSION: &[u8; 2] = b"01";
+/// The magic and format version every checkpoint file and shard frame
+/// starts with.
+pub(crate) const FORMAT: &[u8; 8] = b"GPCKPT02";
 
 /// A checkpoint read from or written to disk failed.
 #[derive(Debug)]
@@ -67,7 +75,8 @@ pub enum CheckpointError {
     /// The file does not start with the checkpoint magic — it is not a
     /// gpasta checkpoint at all.
     BadMagic,
-    /// The file is a gpasta checkpoint of an unsupported format version.
+    /// The file is a gpasta checkpoint (or frame) of another format
+    /// version.
     BadVersion {
         /// The version bytes found after the magic.
         found: [u8; 2],
@@ -87,12 +96,12 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io { path, op, source } => {
                 write!(f, "cannot {op} {}: {source}", path.display())
             }
-            CheckpointError::BadMagic => write!(f, "not a gpasta checkpoint (bad magic)"),
+            CheckpointError::BadMagic => write!(f, "not a gpasta checkpoint or frame (bad magic)"),
             CheckpointError::BadVersion { found } => write!(
                 f,
-                "unsupported checkpoint version {:?} (expected {:?})",
+                "unsupported format version {:?} (expected {:?})",
                 String::from_utf8_lossy(found),
-                String::from_utf8_lossy(VERSION)
+                String::from_utf8_lossy(&FORMAT[6..])
             ),
             CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
             CheckpointError::Mismatch(why) => write!(f, "checkpoint mismatch: {why}"),
@@ -165,111 +174,95 @@ pub struct UpdateCheckpoint {
 // Binary encoding
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64 fed in pieces: the hash of the concatenated pieces.
-#[derive(Clone, Copy)]
-pub(crate) struct Fnv1a64(u64);
-
-impl Fnv1a64 {
-    pub(crate) const fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
+/// `Ok` when `head` (8 bytes or more) starts with [`FORMAT`];
+/// [`CheckpointError::BadMagic`] for foreign bytes and
+/// [`CheckpointError::BadVersion`] for another version of this format.
+pub(crate) fn check_format(head: &[u8]) -> Result<(), CheckpointError> {
+    if head[..6] != FORMAT[..6] {
+        return Err(CheckpointError::BadMagic);
     }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
+    let found = [head[6], head[7]];
+    if found != FORMAT[6..] {
+        return Err(CheckpointError::BadVersion { found });
     }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
+    Ok(())
 }
 
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
-    h.finish()
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+/// `words` as little-endian bytes, in bulk.
+pub(crate) fn put_words(buf: &mut Vec<u8>, words: &[u32]) {
+    let at = buf.len();
+    buf.resize(at + 4 * words.len(), 0);
+    for (b, w) in buf[at..].chunks_exact_mut(4).zip(words) {
+        b.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// A counted array: the length, then [`put_words`].
+pub(crate) fn put_arr(buf: &mut Vec<u8>, arr: &[u32]) {
+    put_u32(buf, arr.len() as u32);
+    put_words(buf, arr);
+}
+
+pub(crate) fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(buf, bytes.len() as u32);
     buf.extend_from_slice(bytes);
 }
 
-fn put_arr(buf: &mut Vec<u8>, arr: &[u32]) {
-    put_u32(buf, arr.len() as u32);
-    for &v in arr {
-        put_u32(buf, v);
+/// The timing snapshot as both checkpoint kinds store it: clock-period
+/// bits, then nine counted arrays.
+pub(crate) fn put_snapshot(buf: &mut Vec<u8>, s: &TimingSnapshot) {
+    put_u32(buf, s.clock_period_bits);
+    for arr in [
+        &s.slew,
+        &s.arrival,
+        &s.required,
+        &s.arc_delay,
+        &s.drive,
+        &s.gate_load,
+        &s.net_delay,
+        &s.input_delay,
+        &s.output_delay,
+    ] {
+        put_arr(buf, arr);
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The section [`put_snapshot`] wrote.
+pub(crate) fn read_snapshot(r: &mut Reader<&[u8]>) -> Result<TimingSnapshot, WireError> {
+    Ok(TimingSnapshot {
+        clock_period_bits: r.u32("clock period")?,
+        slew: r.arr("slew")?,
+        arrival: r.arr("arrival")?,
+        required: r.arr("required")?,
+        arc_delay: r.arr("arc delay")?,
+        drive: r.arr("drive")?,
+        gate_load: r.arr("gate load")?,
+        net_delay: r.arr("net delay")?,
+        input_delay: r.arr("input delay")?,
+        output_delay: r.arr("output delay")?,
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CheckpointError::Corrupt(format!(
-                "truncated while reading {what} ({} bytes left, {n} needed)",
-                self.buf.len() - self.pos
-            )));
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Corrupt(why) => CheckpointError::Corrupt(why),
+            other => CheckpointError::Corrupt(other.to_string()),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<&'a [u8], CheckpointError> {
-        let len = self.u32(what)? as usize;
-        self.take(len, what)
-    }
-
-    fn arr(&mut self, what: &str) -> Result<Vec<u32>, CheckpointError> {
-        let len = self.u32(what)? as usize;
-        // Length-check before allocating so a corrupt length cannot demand
-        // gigabytes; the 4-byte stride bounds it to what is actually there.
-        if len
-            .checked_mul(4)
-            .is_none_or(|need| self.buf.len() - self.pos < need)
-        {
-            return Err(CheckpointError::Corrupt(format!(
-                "{what} claims {len} entries but only {} bytes remain",
-                self.buf.len() - self.pos
-            )));
-        }
-        (0..len).map(|_| self.u32(what)).collect()
     }
 }
 
 fn encode(ckpt: &UpdateCheckpoint) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(VERSION);
+    buf.extend_from_slice(FORMAT);
     put_bytes(&mut buf, ckpt.circuit.as_bytes());
     put_u64(&mut buf, ckpt.scale_bits);
     put_u64(&mut buf, ckpt.seed);
@@ -283,21 +276,7 @@ fn encode(ckpt: &UpdateCheckpoint) -> Vec<u8> {
     ] {
         put_u32(&mut buf, v);
     }
-    let s = &ckpt.snapshot;
-    put_u32(&mut buf, s.clock_period_bits);
-    for arr in [
-        &s.slew,
-        &s.arrival,
-        &s.required,
-        &s.arc_delay,
-        &s.drive,
-        &s.gate_load,
-        &s.net_delay,
-        &s.input_delay,
-        &s.output_delay,
-    ] {
-        put_arr(&mut buf, arr);
-    }
+    put_snapshot(&mut buf, &ckpt.snapshot);
     match &ckpt.cache {
         None => buf.push(0),
         Some(c) => {
@@ -309,35 +288,30 @@ fn encode(ckpt: &UpdateCheckpoint) -> Vec<u8> {
             put_arr(&mut buf, &c.raw);
         }
     }
-    let sum = fnv1a64(&buf);
+    let sum = checksum(&buf);
     put_u64(&mut buf, sum);
     buf
 }
 
 fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
-    if buf.len() < MAGIC.len() + VERSION.len() + 8 {
+    if buf.len() < FORMAT.len() + 8 {
         return Err(CheckpointError::Corrupt("file shorter than header".into()));
     }
-    if &buf[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let found = [buf[6], buf[7]];
-    if &found != VERSION {
-        return Err(CheckpointError::BadVersion { found });
-    }
+    check_format(buf)?;
     let (payload, sum_bytes) = buf.split_at(buf.len() - 8);
     let stored = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-    let computed = fnv1a64(payload);
+    let computed = checksum(payload);
     if stored != computed {
         return Err(CheckpointError::Corrupt(format!(
             "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
         )));
     }
-    let mut r = Reader {
-        buf: payload,
-        pos: MAGIC.len() + VERSION.len(),
-    };
-    let circuit = String::from_utf8(r.bytes("circuit name")?.to_vec())
+    let mut r = Reader::new(
+        &payload[FORMAT.len()..],
+        (payload.len() - FORMAT.len()) as u64,
+    );
+    let name_len = r.u32("circuit name")? as usize;
+    let circuit = String::from_utf8(r.take(name_len, "circuit name")?)
         .map_err(|_| CheckpointError::Corrupt("circuit name is not UTF-8".into()))?;
     let scale_bits = r.u64("scale")?;
     let seed = r.u64("seed")?;
@@ -349,18 +323,7 @@ fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
         outputs: r.u32("shape")?,
         nodes: r.u32("shape")?,
     };
-    let snapshot = TimingSnapshot {
-        clock_period_bits: r.u32("clock period")?,
-        slew: r.arr("slew")?,
-        arrival: r.arr("arrival")?,
-        required: r.arr("required")?,
-        arc_delay: r.arr("arc delay")?,
-        drive: r.arr("drive")?,
-        gate_load: r.arr("gate load")?,
-        net_delay: r.arr("net delay")?,
-        input_delay: r.arr("input delay")?,
-        output_delay: r.arr("output delay")?,
-    };
+    let snapshot = read_snapshot(&mut r)?;
     let cache = match r.take(1, "cache flag")?[0] {
         0 => None,
         1 => Some(CacheExport {
@@ -376,12 +339,7 @@ fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
             )))
         }
     };
-    if r.pos != payload.len() {
-        return Err(CheckpointError::Corrupt(format!(
-            "{} trailing bytes after the last section",
-            payload.len() - r.pos
-        )));
-    }
+    r.done()?;
     Ok(UpdateCheckpoint {
         circuit,
         scale_bits,
@@ -765,6 +723,31 @@ mod tests {
         }
     }
 
+    /// A record sealed as the previous format did: "GPCKPT01" and a
+    /// byte-serial FNV-1a 64 trailer.
+    fn as_gpckpt01(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes[..8].copy_from_slice(b"GPCKPT01");
+        let body = bytes.len() - 8;
+        let sum = bytes[..body]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_gpckpt01_checkpoint_is_refused_as_another_format_version() {
+        let old = as_gpckpt01(encode(&sample_checkpoint()));
+        assert!(matches!(
+            decode(&old),
+            Err(CheckpointError::BadVersion {
+                found: [b'0', b'1']
+            })
+        ));
+    }
+
     #[test]
     fn corrupt_array_length_is_rejected_without_huge_allocation() {
         let mut bytes = encode(&sample_checkpoint());
@@ -774,7 +757,7 @@ mod tests {
         let off = 8 + name_len + 8 + 8 + 4 + 5 * 4 + 4;
         bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len]);
+        let sum = checksum(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         match decode(&bytes) {
             Err(CheckpointError::Corrupt(why)) => assert!(why.contains("slew"), "{why}"),
@@ -787,7 +770,7 @@ mod tests {
     fn reseal(bytes: &mut Vec<u8>) {
         let body_len = bytes.len().saturating_sub(8);
         bytes.truncate(body_len);
-        let sum = fnv1a64(bytes);
+        let sum = checksum(bytes);
         put_u64(bytes, sum);
     }
 

@@ -16,7 +16,7 @@
 //!   port.
 //!
 //! Capacity is managed by eviction: `DELETE /sessions/{name}` flushes
-//! the session to a `GPCKPT01` checkpoint in the spool directory and
+//! the session to a `GPCKPT02` checkpoint in the spool directory and
 //! keeps only the light [`DormantSession`](crate::session::DormantSession)
 //! residue; `POST /sessions/{name}/restore` re-admits it bit-identically.
 //! Shutdown (via `POST /shutdown`, the `shutdown` RPC, or stdin EOF)

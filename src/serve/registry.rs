@@ -9,7 +9,7 @@
 //! * **live** — an `Arc<Mutex<Session>>` (warm timer, warm partition
 //!   cache) plus its [`Supervisor`]: the crash-recovery bookkeeping that
 //!   outlives any particular `Session` value;
-//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT01`
+//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT02`
 //!   checkpoint in the spool directory), produced by eviction;
 //! * **quarantined** — the session crashed repeatedly inside the crash
 //!   window (or could not be rebuilt); only an explicit restore or
@@ -58,9 +58,9 @@ use std::time::{Duration, Instant};
 
 use gpasta_check::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
-use crate::checkpoint::fnv1a64;
 use crate::sched::{FaultKind, FaultPlan};
 use crate::session::{DesignSources, DormantSession, Edit, Session, SessionError};
+use crate::tdg::checksum;
 
 /// A live slot as one consistent read: the shared session, its
 /// supervisor, and the generation the pair was observed at (all under
@@ -188,7 +188,7 @@ impl From<SessionError> for RegistryError {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosConfig {
     /// Seed of the per-session random rule (each session derives its own
-    /// stream: `seed ^ fnv1a64(name)`).
+    /// stream: `seed ^ checksum(name)`).
     pub seed: u64,
     /// Fire probability per `(update, attempt)` key, in [0, 1].
     pub rate: f64,
@@ -516,7 +516,7 @@ impl Registry {
             return None;
         }
         let plan = FaultPlan::random(
-            self.chaos.seed ^ fnv1a64(name.as_bytes()),
+            self.chaos.seed ^ checksum(name.as_bytes()),
             self.chaos.rate,
             &self.chaos.kinds,
         )
@@ -871,7 +871,7 @@ impl Registry {
         rows
     }
 
-    /// Evict a session: flush pending edits, write the `GPCKPT01`
+    /// Evict a session: flush pending edits, write the `GPCKPT02`
     /// checkpoint into the spool, and swap the slot to dormant.
     /// Idempotent — evicting a dormant session returns its existing
     /// residue. The flush runs supervised: a panic during it is handled

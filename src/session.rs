@@ -34,14 +34,14 @@
 //!   explicitly on an expired deadline (affected endpoints read NaN; the
 //!   whole design is re-marked dirty so a later update converges);
 //! * [`Session::evict_to`] persists the session through the existing
-//!   `GPCKPT01` checkpoint format ([`crate::checkpoint`]) and returns a
+//!   `GPCKPT02` checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
 //!   the net-capacitance journal) from which
 //!   [`DormantSession::restore`] rebuilds a bit-identical live session.
 //!
 //! # Eviction and bit-identity
 //!
-//! A `GPCKPT01` checkpoint stores timing *values*, not netlist state, so
+//! A `GPCKPT02` checkpoint stores timing *values*, not netlist state, so
 //! two pieces of bookkeeping make evict/restore bit-exact:
 //!
 //! * pending edits are flushed (one unbounded update) before the
@@ -53,7 +53,7 @@
 //!
 //! The checkpoint's identity fields are reused rather than extended (the
 //! on-disk format is unchanged): `circuit` holds the session name,
-//! `scale_bits` an FNV-1a64 fingerprint of the Verilog text, and `seed`
+//! `scale_bits` the [`checksum`] of the Verilog text, and `seed`
 //! a fingerprint of the constraints (Liberty + SDC + clock period), so a
 //! restore against edited sources is rejected with a typed error.
 
@@ -63,7 +63,7 @@ use std::hash::{BuildHasher, RandomState};
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{
-    fnv1a64, read_checkpoint, write_checkpoint, CheckpointError, DesignShape, UpdateCheckpoint,
+    read_checkpoint, write_checkpoint, CheckpointError, DesignShape, UpdateCheckpoint,
 };
 use crate::core::{IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopCause};
@@ -72,7 +72,7 @@ use crate::sta::{
     EndpointSummary, GateId, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
     PortId, SnapshotMismatch, Timer, TimingPath, TimingReport,
 };
-use crate::tdg::{BuildTdgError, QuotientArena, ValidatePartitionError};
+use crate::tdg::{checksum, BuildTdgError, QuotientArena, ValidatePartitionError};
 use std::borrow::Cow;
 
 /// The textual inputs a session is built from. Owning the *sources*
@@ -103,13 +103,13 @@ impl DesignSources {
         }
     }
 
-    /// FNV-1a64 fingerprint of the netlist text (stored in the
+    /// [`checksum`] of the netlist text (stored in the
     /// checkpoint's `scale_bits` identity field).
     pub fn netlist_bits(&self) -> u64 {
-        fnv1a64(self.verilog.as_bytes())
+        checksum(self.verilog.as_bytes())
     }
 
-    /// FNV-1a64 fingerprint of the constraints: Liberty text, SDC text,
+    /// [`checksum`] of the constraints: Liberty text, SDC text,
     /// and clock-period bits (stored in the checkpoint's `seed` field).
     pub fn constraint_bits(&self) -> u64 {
         let mut buf = Vec::new();
@@ -119,7 +119,7 @@ impl DesignSources {
             buf.extend_from_slice(bytes);
         }
         buf.extend_from_slice(&self.clock_period_ps.to_bits().to_le_bytes());
-        fnv1a64(&buf)
+        checksum(&buf)
     }
 }
 
@@ -300,7 +300,7 @@ pub struct UpdateOutcome {
 }
 
 /// The in-memory residue of an evicted session: design sources, the
-/// net-capacitance journal, and the path of the `GPCKPT01` checkpoint
+/// net-capacitance journal, and the path of the `GPCKPT02` checkpoint
 /// holding the heavy state. [`DormantSession::restore`] turns it back
 /// into a live [`Session`] with bit-identical timing state.
 #[derive(Debug, Clone)]
@@ -971,7 +971,7 @@ impl Session {
         }
     }
 
-    /// Persist the session through the `GPCKPT01` checkpoint format and
+    /// Persist the session through the `GPCKPT02` checkpoint format and
     /// return the [`DormantSession`] residue to restore from. Pending
     /// edits are flushed (one unbounded update) first — the snapshot
     /// stores values, not the dirty set — which preserves bit-identity

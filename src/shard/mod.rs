@@ -6,7 +6,7 @@
 //! tasks execute inside a long-lived worker process
 //! (`gpasta shard-worker`, [`run_worker`]) that serves one shard after
 //! another while the parent supervisor ([`run_sharded`]) streams boundary
-//! timing values in and shard deltas out over `GPCKPT01`-framed pipes
+//! timing values in and shard deltas out over `GPCKPT02`-framed pipes
 //! ([`wire`]). A worker is sent only the boundary cells it does not
 //! already hold (`boundary_set`).
 //!
@@ -47,12 +47,15 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::checkpoint::{fnv1a64, modifier_batch, write_atomically};
+use crate::checkpoint::{
+    check_format, modifier_batch, put_arr, put_bytes, put_snapshot, put_u64, read_snapshot,
+    write_atomically, FORMAT,
+};
 use crate::circuits::PaperCircuit;
 use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
 use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg, ValueSet};
-use crate::tdg::{ShardPlan, ShardPlanError, Tdg};
-use wire::{put_arr, put_u32, put_u64, Reader, WireError};
+use crate::tdg::{checksum, ShardPlan, ShardPlanError, Tdg};
+use wire::{Reader, WireError};
 
 /// A sharded run failed.
 #[derive(Debug)]
@@ -306,7 +309,6 @@ pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64)
 // Shard checkpoint: supervisor hand-off across its own death
 // ---------------------------------------------------------------------------
 
-const CKPT_MAGIC: &[u8; 8] = b"GPCKPT01";
 // Disjoint from the wire frame kinds. Kind 16 held completed partition
 // ids; a file of that kind is refused, not misread as task ranges.
 const CKPT_KIND: u8 = 17;
@@ -340,8 +342,7 @@ pub struct ShardCheckpoint {
 impl ShardCheckpoint {
     fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        put_u32(&mut p, self.circuit.len() as u32);
-        p.extend_from_slice(self.circuit.as_bytes());
+        put_bytes(&mut p, self.circuit.as_bytes());
         put_u64(&mut p, self.scale_bits);
         put_u64(&mut p, self.seed);
         put_u64(&mut p, self.tdg_fingerprint);
@@ -351,27 +352,12 @@ impl ShardCheckpoint {
             .flat_map(|r| [r.start, r.end])
             .collect();
         put_arr(&mut p, &flat);
-        let s = &self.snapshot;
-        put_u32(&mut p, s.clock_period_bits);
-        for arr in [
-            &s.slew,
-            &s.arrival,
-            &s.required,
-            &s.arc_delay,
-            &s.drive,
-            &s.gate_load,
-            &s.net_delay,
-            &s.input_delay,
-            &s.output_delay,
-        ] {
-            put_arr(&mut p, arr);
-        }
-        let mut buf = Vec::with_capacity(CKPT_MAGIC.len() + 1 + 8 + p.len() + 8);
-        buf.extend_from_slice(CKPT_MAGIC);
+        put_snapshot(&mut p, &self.snapshot);
+        let mut buf = FORMAT.to_vec();
         buf.push(CKPT_KIND);
-        buf.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        put_u64(&mut buf, p.len() as u64);
         buf.extend_from_slice(&p);
-        buf.extend_from_slice(&fnv1a64(&p).to_le_bytes());
+        put_u64(&mut buf, checksum(&p));
         buf
     }
 
@@ -381,9 +367,7 @@ impl ShardCheckpoint {
         if bytes.len() < head + 8 {
             return Err(corrupt("file shorter than a checkpoint header"));
         }
-        if &bytes[..8] != CKPT_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
+        check_format(bytes).map_err(|e| ShardError::Checkpoint(e.to_string()))?;
         if bytes[8] != CKPT_KIND {
             return Err(corrupt("not a shard checkpoint"));
         }
@@ -396,7 +380,7 @@ impl ShardCheckpoint {
         let len = len as usize;
         let payload = &bytes[head..head + len];
         let stored = u64::from_le_bytes(bytes[head + len..].try_into().expect("8 bytes"));
-        if stored != fnv1a64(payload) {
+        if stored != checksum(payload) {
             return Err(corrupt("checksum mismatch"));
         }
         let mut r = Reader::new(payload, len as u64);
@@ -419,16 +403,7 @@ impl ShardCheckpoint {
                 "completed ranges are not non-empty, sorted and merged",
             ));
         }
-        let clock_period_bits = r.u32("clock period").map_err(take)?;
-        let slew = r.arr("slew").map_err(take)?;
-        let arrival = r.arr("arrival").map_err(take)?;
-        let required = r.arr("required").map_err(take)?;
-        let arc_delay = r.arr("arc delay").map_err(take)?;
-        let drive = r.arr("drive").map_err(take)?;
-        let gate_load = r.arr("gate load").map_err(take)?;
-        let net_delay = r.arr("net delay").map_err(take)?;
-        let input_delay = r.arr("input delay").map_err(take)?;
-        let output_delay = r.arr("output delay").map_err(take)?;
+        let snapshot = read_snapshot(&mut r).map_err(take)?;
         r.done().map_err(take)?;
         Ok(ShardCheckpoint {
             circuit,
@@ -436,18 +411,7 @@ impl ShardCheckpoint {
             seed,
             tdg_fingerprint,
             completed_ranges,
-            snapshot: TimingSnapshot {
-                clock_period_bits,
-                slew,
-                arrival,
-                required,
-                arc_delay,
-                drive,
-                gate_load,
-                net_delay,
-                input_delay,
-                output_delay,
-            },
+            snapshot,
         })
     }
 
@@ -625,6 +589,27 @@ mod tests {
         assert!(
             ShardCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err(),
             "truncation must be detected"
+        );
+    }
+
+    /// A hand-off file sealed as the previous format did ("GPCKPT01", a
+    /// byte-serial FNV-1a 64 trailer) is refused as another format
+    /// version, not read as this one.
+    #[test]
+    fn a_gpckpt01_checkpoint_is_refused_as_another_format_version() {
+        let mut old = sample_checkpoint().encode();
+        old[..8].copy_from_slice(b"GPCKPT01");
+        let body = old.len() - 8;
+        let sum = old[17..body]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        old[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = ShardCheckpoint::decode(&old).expect_err("old format");
+        assert!(
+            matches!(&err, ShardError::Checkpoint(why) if why.contains("format version \"01\"")),
+            "{err}"
         );
     }
 

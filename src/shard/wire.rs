@@ -1,17 +1,18 @@
-//! `GPCKPT01`-framed messages between the shard supervisor and its
+//! `GPCKPT02`-framed messages between the shard supervisor and its
 //! worker processes.
 //!
 //! Every frame shares the checkpoint format's magic + version prefix and
-//! its FNV-1a 64 integrity checksum, so a truncated pipe, an interleaved
-//! foreign write, or a worker killed mid-frame is detected as corruption
-//! rather than parsed as garbage:
+//! its integrity [`checksum`](crate::tdg::checksum()), so a truncated
+//! pipe, an interleaved foreign write, or a worker killed mid-frame is
+//! detected as corruption rather than parsed as garbage, and a frame of
+//! another format version is refused as such:
 //!
 //! ```text
-//! magic "GPCKPT" + version "01"     8 bytes
+//! magic "GPCKPT" + version "02"     8 bytes
 //! frame kind                        u8
 //! payload length                    u64 LE
 //! payload                           length bytes
-//! FNV-1a 64 of the payload          u64 LE
+//! checksum of the payload           u64 LE
 //! ```
 //!
 //! Frames flow in both directions. A worker sends [`Frame::Hello`] up its
@@ -27,11 +28,10 @@
 //! payload goes out and comes in [`CHUNK`] by `CHUNK`, hashed on the way,
 //! and a frame is returned only once its trailer matches.
 
-use crate::checkpoint::Fnv1a64;
+use crate::checkpoint::{check_format, put_u32, put_u64, put_words, FORMAT};
 use crate::sta::{BoundaryValues, ValueSet};
+use crate::tdg::Checksum;
 use std::io::{self, Read, Write};
-
-const MAGIC: &[u8; 8] = b"GPCKPT01";
 
 /// Refuse a frame that claims more than this.
 const MAX_PAYLOAD: u64 = 1 << 30;
@@ -122,9 +122,10 @@ pub enum WireError {
     Io(std::io::Error),
     /// The peer closed the pipe cleanly between frames.
     Eof,
-    /// The bytes are not a `GPCKPT01` frame, the pipe closed mid-frame,
-    /// the checksum disagrees, or a section is malformed; the string
-    /// names the defect.
+    /// The bytes are not a `GPCKPT02` frame (a `GPCKPT01` one is an
+    /// "unsupported format version"), the pipe closed mid-frame, the
+    /// checksum disagrees, or a section is malformed; the string names
+    /// the defect.
     Corrupt(String),
 }
 
@@ -147,28 +148,13 @@ impl std::error::Error for WireError {
     }
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_arr(buf: &mut Vec<u8>, arr: &[u32]) {
-    put_u32(buf, arr.len() as u32);
-    for &v in arr {
-        put_u32(buf, v);
-    }
-}
-
 /// Frame bytes on their way in: read from `inner` never past the declared
 /// length, and hashed as they pass.
 pub(crate) struct Reader<R> {
     inner: R,
     /// Declared bytes not read yet.
     left: u64,
-    hash: Fnv1a64,
+    hash: Checksum,
 }
 
 impl<R: Read> Reader<R> {
@@ -176,7 +162,7 @@ impl<R: Read> Reader<R> {
         Reader {
             inner,
             left: len,
-            hash: Fnv1a64::new(),
+            hash: Checksum::default(),
         }
     }
 
@@ -271,7 +257,7 @@ struct Sink<'w, W> {
     buf: Vec<u8>,
     /// Where the payload not hashed yet starts in `buf`.
     from: usize,
-    hash: Fnv1a64,
+    hash: Checksum,
 }
 
 impl<W: Write> Sink<'_, W> {
@@ -283,15 +269,22 @@ impl<W: Write> Sink<'_, W> {
         Ok(())
     }
 
-    fn arr(&mut self, arr: &[u32]) -> io::Result<()> {
+    /// A counted array, encoded in pieces that fill the buffer to
+    /// [`CHUNK`].
+    fn arr(&mut self, mut arr: &[u32]) -> io::Result<()> {
         put_u32(&mut self.buf, arr.len() as u32);
-        for &v in arr {
-            put_u32(&mut self.buf, v);
+        loop {
             if self.buf.len() >= CHUNK {
                 self.spill()?;
             }
+            if arr.is_empty() {
+                return Ok(());
+            }
+            let room = (CHUNK - self.buf.len()).div_ceil(4);
+            let (piece, rest) = arr.split_at(room.min(arr.len()));
+            put_words(&mut self.buf, piece);
+            arr = rest;
         }
-        Ok(())
     }
 
     /// Hash and write what is staged, then the trailer, and flush.
@@ -474,21 +467,22 @@ impl Frame {
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
         let len = self.payload_len();
         let mut buf = Vec::with_capacity((17 + len as usize + 8).min(CHUNK + 16));
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(FORMAT);
         buf.push(self.kind());
         put_u64(&mut buf, len);
         let mut sink = Sink {
             w,
             from: buf.len(),
             buf,
-            hash: Fnv1a64::new(),
+            hash: Checksum::default(),
         };
         self.encode_payload(&mut sink)
             .and_then(|()| sink.finish())
             .map_err(WireError::Io)
     }
 
-    /// Read one frame from `r`, verifying magic, length, and checksum.
+    /// Read one frame from `r`, verifying magic, version, length, and
+    /// checksum.
     /// The payload is decoded as it arrives; the frame is returned only
     /// once its trailer matches.
     ///
@@ -503,9 +497,7 @@ impl Frame {
             return Err(WireError::Eof);
         }
         Reader::new(&mut *r, 16).fill(&mut head[1..], "frame header")?;
-        if &head[..8] != MAGIC {
-            return Err(WireError::Corrupt("bad frame magic".into()));
-        }
+        check_format(&head).map_err(|e| WireError::Corrupt(e.to_string()))?;
         let kind = head[8];
         let len = u64::from_le_bytes(head[9..17].try_into().expect("8 bytes"));
         if len > MAX_PAYLOAD {
@@ -852,11 +844,79 @@ mod tests {
     #[test]
     fn the_delta_layout_and_its_trailer_are_pinned() {
         // Magic, kind 4, u64 length, clock bits, six counted u32 arrays,
-        // FNV-1a 64 of the payload; hashed whole by an independent
-        // transcription of that layout.
+        // then the checksum of the payload: pinned, and re-derived by an
+        // independent transcription of the lane rule.
         let bytes = Frame::Delta(sample_values()).to_bytes();
         assert_eq!(bytes.len(), 205);
-        assert_eq!(crate::checkpoint::fnv1a64(&bytes), 0x41f1_1f0e_c7f0_08ce);
+        assert_eq!(&bytes[..9], b"GPCKPT02\x04");
+        let (payload, trailer) = bytes[17..].split_at(bytes.len() - 17 - 8);
+        let step = |h: u64, lane: u64| ((h ^ lane).wrapping_mul(0x100_0000_01b3)).rotate_left(23);
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for lane in payload.chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..lane.len()].copy_from_slice(lane);
+            h = step(h, u64::from_le_bytes(padded));
+        }
+        h = step(h, payload.len() as u64);
+        assert_eq!(u64::from_le_bytes(trailer.try_into().unwrap()), h);
+        assert_eq!(h, 0xeb07_027d_581d_9baf);
+    }
+
+    #[test]
+    fn a_gpckpt01_frame_is_refused_as_another_format_version() {
+        for frame in sample_frames() {
+            let mut old = frame.to_bytes();
+            old[..8].copy_from_slice(b"GPCKPT01");
+            let err = Frame::read_from(&mut std::io::Cursor::new(old)).expect_err("old format");
+            assert!(
+                matches!(&err, WireError::Corrupt(why) if why.contains("format version \"01\"")),
+                "got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_of_a_multi_chunk_delta_is_detected() {
+        let frame = Frame::Delta(BoundaryValues {
+            clock_period_bits: 7,
+            set: ValueSet {
+                fprop_nodes: (0..1100).collect(),
+                req_nodes: vec![],
+                arcs: vec![],
+            },
+            fprop_bits: (0..8800u32)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect(),
+            req_bits: vec![],
+            arc_bits: vec![],
+        });
+        let bytes = frame.to_bytes();
+        assert!(bytes.len() > CHUNK, "{} bytes", bytes.len());
+        let (payload, trailer) = bytes[17..].split_at(bytes.len() - 17 - 8);
+        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
+        // The hash state before each lane, so a flip rehashes only what
+        // follows it.
+        let mut before = vec![Checksum::default()];
+        for lane in payload.chunks(8) {
+            let mut h = *before.last().unwrap();
+            h.update(lane);
+            before.push(h);
+        }
+        let mut lane = [0u8; 8];
+        for at in 0..payload.len() {
+            let start = at / 8 * 8;
+            let end = (start + 8).min(payload.len());
+            lane[..end - start].copy_from_slice(&payload[start..end]);
+            lane[at - start] ^= 0xFF;
+            let mut h = before[at / 8];
+            h.update(&lane[..end - start]);
+            h.update(&payload[end..]);
+            assert_ne!(
+                h.finish(),
+                stored,
+                "a flip of payload byte {at} went unseen"
+            );
+        }
     }
 
     #[test]
@@ -864,7 +924,7 @@ mod tests {
         // A Delta that claims a payload just under the cap and a first
         // array filling it, then stops after a few hundred bytes.
         let claimed = MAX_PAYLOAD - 1;
-        let mut bytes = MAGIC.to_vec();
+        let mut bytes = FORMAT.to_vec();
         bytes.push(KIND_DELTA);
         put_u64(&mut bytes, claimed);
         put_u32(&mut bytes, 1000.0f32.to_bits());
