@@ -92,10 +92,6 @@ pub enum IncrementalError {
         /// …with this clean successor.
         clean_successor: u32,
     },
-    /// A [`CacheExport`] snapshot failed validation against the target TDG
-    /// (shape, fingerprint, or the edge-monotone certificate); the cache is
-    /// unchanged.
-    InvalidSnapshot(String),
 }
 
 impl fmt::Display for IncrementalError {
@@ -117,9 +113,6 @@ impl fmt::Display for IncrementalError {
                 "dirty set is not successor-closed: dirty task {task} has clean successor \
                  {clean_successor}"
             ),
-            IncrementalError::InvalidSnapshot(ref why) => {
-                write!(f, "cache snapshot rejected: {why}")
-            }
         }
     }
 }
@@ -193,66 +186,10 @@ struct Cache {
     /// bit stale, which costs at most a missed merge or one redundant full
     /// pass — never an invalid repair.
     merge_bit: Vec<bool>,
-    /// No repair of a successor-closed cone can do anything but bump the
-    /// epoch: see [`Cache::at_fixed_point`], of which this is the value as
-    /// of the last time `merge_bit` was computed.
-    settled: bool,
     /// Scratch: `(topo_rank << 32) | task` sort keys for the dirty cone.
     sort_keys: Vec<u64>,
     /// Scratch: projected raw pids for [`IncrementalPartitioner::repair_and_project`].
     proj: Vec<u32>,
-}
-
-impl Cache {
-    /// A warm cache over `tdg` under the edge-monotone assignment `raw`,
-    /// with `sizes[p]` members in pid `p`. Derived state (merge bits, the
-    /// settled fact) is computed here; lazy state (topological ranks, the
-    /// quotient) starts unbuilt.
-    fn new(
-        tdg: &Tdg,
-        fingerprint: u64,
-        ps: usize,
-        raw: Vec<u32>,
-        sizes: Vec<u32>,
-        max_pid: u32,
-    ) -> Cache {
-        let n = tdg.num_tasks();
-        let merge_bit = (0..n as u32)
-            .map(|t| merge_candidate(tdg, &raw, &sizes, ps, t))
-            .collect();
-        let mut cache = Cache {
-            fingerprint,
-            tdg: tdg.clone(),
-            ps,
-            raw,
-            reserved: vec![0; sizes.len()],
-            sizes,
-            max_pid,
-            topo_rank: Vec::new(),
-            quotient: None,
-            stamp: vec![0; n],
-            stamp_cur: 0,
-            order: Vec::new(),
-            merge_bit,
-            settled: false,
-            sort_keys: Vec::new(),
-            proj: Vec::new(),
-        };
-        cache.settled = cache.at_fixed_point();
-        cache
-    }
-
-    /// Whether nothing anywhere in the cache would send a repair off its
-    /// identity fast path: no merge-candidate bit set, no partition above
-    /// `Ps`, the id space below the renormalisation bound. These are the
-    /// facts [`IncrementalPartitioner::repair`] reads per dirty task (stale
-    /// bits included) before it decides to re-place; false for the whole
-    /// cache, they are false in every cone.
-    fn at_fixed_point(&self) -> bool {
-        !self.merge_bit.contains(&true)
-            && self.sizes.iter().all(|&s| s as usize <= self.ps)
-            && self.max_pid as usize <= 4 * self.raw.len() + RENORM_SLACK
-    }
 }
 
 /// Would the wavefront rule move task `t` out of its cached slot? True
@@ -268,29 +205,6 @@ fn merge_candidate(tdg: &Tdg, raw: &[u32], sizes: &[u32], ps: usize, t: u32) -> 
         .max()
         .unwrap_or(old);
     seed < old && (sizes[seed as usize] as usize) < ps
-}
-
-/// A portable snapshot of the incremental partition cache — the minimal
-/// state from which [`IncrementalPartitioner::restore_cache`] can rebuild
-/// a warm cache bit-identical (in every observable way) to the one that
-/// was exported. Only the durable fields are captured; everything lazy or
-/// derivable (sizes, merge bits, topological ranks, the quotient) is
-/// recomputed on restore, which keeps snapshots small and makes a
-/// corrupted snapshot detectable by re-validation rather than trusted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheExport {
-    /// Structural [`fingerprint`](Tdg::fingerprint) of the cached TDG.
-    pub fingerprint: u64,
-    /// Resolved `Ps` of the cached partition.
-    pub ps: usize,
-    /// Raw (sparse, edge-monotone) partition id per task.
-    pub raw: Vec<u32>,
-    /// Largest raw pid ever allocated — preserved so fresh pids minted
-    /// after a restore are numbered exactly as they would have been
-    /// without the export/restore round trip.
-    pub max_pid: u32,
-    /// Cache epoch at export time.
-    pub epoch: u64,
 }
 
 /// Wraps any [`Partitioner`] with a partition + quotient cache that is
@@ -373,8 +287,8 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
     }
 
     /// The quotient that schedules `members` — strictly ascending ids of
-    /// the cached TDG, a dirty cone that [`Self::repair`] accepted — under
-    /// the cached assignment, if warm:
+    /// the cached TDG, such as a dirty cone — under the cached assignment,
+    /// if warm:
     /// [`QuotientTdg::restrict_in`] of the cache's one full-space quotient.
     /// That quotient is built here on first use
     /// ([`QuotientTdg::build_in`] over [`Self::cached_tdg`]) and kept until
@@ -491,8 +405,27 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
         };
 
         let max_pid = (sizes.len() as u32).saturating_sub(1);
+        let merge_bit = (0..n as u32)
+            .map(|t| merge_candidate(tdg, &raw, &sizes, ps, t))
+            .collect();
         self.epoch += 1;
-        self.cache = Some(Cache::new(tdg, tdg.fingerprint(), ps, raw, sizes, max_pid));
+        self.cache = Some(Cache {
+            tdg: tdg.clone(),
+            fingerprint: tdg.fingerprint(),
+            ps,
+            raw,
+            reserved: vec![0; sizes.len()],
+            sizes,
+            max_pid,
+            topo_rank: Vec::new(),
+            quotient: None,
+            stamp: vec![0; n],
+            stamp_cur: 0,
+            order: Vec::new(),
+            merge_bit,
+            sort_keys: Vec::new(),
+            proj: Vec::new(),
+        });
         Ok(())
     }
 
@@ -612,52 +545,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             },
             Partition::new(proj),
         ))
-    }
-
-    /// [`Self::repair`] for a cone the caller *knows* is in range,
-    /// duplicate-free and successor-closed (an STA timer's own dirty cone),
-    /// at the cost of the cone only when the cache could change.
-    ///
-    /// `repair` re-places a cone only if some dirty task has its
-    /// merge-candidate bit set or sits in a partition above `Ps`. A
-    /// *settled* cache has neither anywhere (nor an id space due for
-    /// renormalisation), so it has neither in any cone: every repair is the
-    /// identity fast path, whose one effect is the epoch. On a settled
-    /// cache this function therefore advances the epoch and reports
-    /// `moved == 0`, `fresh_partitions == 0` without reading `dirty`; an
-    /// unsettled cache — a restored assignment the wavefront would still
-    /// merge, or the state a moving repair left — takes the checked
-    /// `repair`. The fact is derived where the merge bits are: at
-    /// [`Self::install`] (a seq-G-PASTA install is settled by construction:
-    /// a seed partition that was full when a task was placed stays full),
-    /// at [`Self::restore_cache`], and after every re-placing repair.
-    ///
-    /// Debug builds run the checked `repair` regardless and assert that it
-    /// did exactly what the skip reports.
-    ///
-    /// # Errors
-    ///
-    /// [`IncrementalError::NotInstalled`] on a cold cache; on an unsettled
-    /// cache (and in debug builds) those of [`Self::repair`].
-    pub fn repair_trusted(&mut self, dirty: &[u32]) -> Result<RepairStats, IncrementalError> {
-        let cache = self.cache.as_ref().ok_or(IncrementalError::NotInstalled)?;
-        let settled = cache.settled;
-        let skipped = RepairStats {
-            num_dirty: dirty.len(),
-            moved: 0,
-            fresh_partitions: 0,
-            epoch: self.epoch + 1,
-        };
-        if settled && !cfg!(debug_assertions) {
-            self.epoch += 1;
-            return Ok(skipped);
-        }
-        let stats = self.repair(dirty)?;
-        debug_assert!(
-            !settled || stats == skipped,
-            "a settled cache repaired {stats:?}, the skip reports {skipped:?}"
-        );
-        Ok(stats)
     }
 
     fn repair_impl(
@@ -862,119 +749,8 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             cache.max_pid = next.saturating_sub(1);
             cache.quotient = None;
         }
-        if needs_full {
-            // Sizes and merge bits changed; an identity repair changes
-            // neither (and an unsettled cache stays unsettled through it).
-            cache.settled = cache.at_fixed_point();
-        }
-
         self.epoch += 1;
         Ok(stats)
-    }
-
-    /// Snapshot the warm cache into a [`CacheExport`].
-    ///
-    /// # Errors
-    ///
-    /// [`IncrementalError::NotInstalled`] on a cold cache. Callers that
-    /// treat a cold cache as "nothing to persist" (e.g. cache-less
-    /// checkpoints, which the `GPCKPT02` format permits) can map the
-    /// error away with `.ok()`; long-running services surface it as a
-    /// structured error instead of panicking on a missing cache.
-    pub fn export_cache(&self) -> Result<CacheExport, IncrementalError> {
-        let c = self.cache.as_ref().ok_or(IncrementalError::NotInstalled)?;
-        Ok(CacheExport {
-            fingerprint: c.fingerprint,
-            ps: c.ps,
-            raw: c.raw.clone(),
-            max_pid: c.max_pid,
-            epoch: self.epoch,
-        })
-    }
-
-    /// Rebuild a warm cache from a [`CacheExport`] taken against (a TDG
-    /// structurally identical to) `tdg`. The snapshot is fully re-validated
-    /// before anything is touched — shape, fingerprint, `Ps` bound, pid
-    /// range, and the `O(E)` edge-monotone certificate that proves the
-    /// restored partition convex with an acyclic quotient — so a truncated
-    /// or bit-flipped snapshot is rejected with the cache unchanged.
-    /// Derived state (sizes, merge bits) is recomputed; lazy state
-    /// (topological ranks, the quotient) starts unbuilt, exactly as
-    /// after [`Self::install`]. The partitioner's epoch is set to the
-    /// snapshot's, so repair stats after a restore match an uninterrupted
-    /// run's.
-    ///
-    /// # Errors
-    ///
-    /// [`IncrementalError::InvalidSnapshot`] if any validation fails.
-    pub fn restore_cache(
-        &mut self,
-        tdg: &Tdg,
-        export: CacheExport,
-    ) -> Result<(), IncrementalError> {
-        let n = tdg.num_tasks();
-        let snap = |why: String| Err(IncrementalError::InvalidSnapshot(why));
-        if export.ps == 0 {
-            return snap("partition size Ps is zero".to_string());
-        }
-        if export.raw.len() != n {
-            return snap(format!(
-                "assignment covers {} tasks but the TDG has {n}",
-                export.raw.len()
-            ));
-        }
-        if export.fingerprint != tdg.fingerprint() {
-            return snap(format!(
-                "TDG fingerprint {:#018x} does not match the snapshot's {:#018x}",
-                tdg.fingerprint(),
-                export.fingerprint
-            ));
-        }
-        if let Some(&m) = export.raw.iter().max() {
-            if m > export.max_pid {
-                return snap(format!(
-                    "assignment uses pid {m} above the recorded max_pid {}",
-                    export.max_pid
-                ));
-            }
-        }
-        // Repair renormalises the id space before it grows past this, so no
-        // export exceeds it — and the per-pid tables below are sized by
-        // `max_pid`, which must not be whatever a damaged file says.
-        if export.max_pid as usize > 4 * n + RENORM_SLACK {
-            return snap(format!(
-                "max_pid {} is beyond what {n} tasks can reach",
-                export.max_pid
-            ));
-        }
-        if let Err(e) = validate::check_edge_monotone(tdg, &export.raw) {
-            return snap(format!("edge-monotone certificate failed: {e}"));
-        }
-        let np = export.max_pid as usize + 1;
-        let mut sizes = vec![0u32; np];
-        for &r in &export.raw {
-            sizes[r as usize] += 1;
-        }
-        if let Some((pid, &s)) = sizes
-            .iter()
-            .enumerate()
-            .find(|&(_, &s)| s as usize > export.ps)
-        {
-            return snap(format!(
-                "partition {pid} holds {s} tasks, above Ps = {}",
-                export.ps
-            ));
-        }
-        self.epoch = export.epoch;
-        self.cache = Some(Cache::new(
-            tdg,
-            export.fingerprint,
-            export.ps,
-            export.raw,
-            sizes,
-            export.max_pid,
-        ));
-        Ok(())
     }
 
     /// The full cached partition (raw ids compacted).
@@ -1075,9 +851,8 @@ pub fn forward_closure(tdg: &Tdg, seeds: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeterGPasta, GPasta, Gdca, SeqGPasta};
+    use crate::SeqGPasta;
     use gpasta_circuits::{dag, PaperCircuit};
-    use gpasta_gpu::Device;
     use gpasta_tdg::TdgBuilder;
     use proptest::prelude::*;
 
@@ -1136,10 +911,6 @@ mod tests {
         assert_eq!(inc.sub_partition(&[0]), Err(IncrementalError::NotInstalled));
         assert!(matches!(
             inc.full_partition(),
-            Err(IncrementalError::NotInstalled)
-        ));
-        assert!(matches!(
-            inc.export_cache(),
             Err(IncrementalError::NotInstalled)
         ));
         assert!(inc.cone_quotient(&[0], &mut QuotientArena::new()).is_none());
@@ -1513,204 +1284,87 @@ mod tests {
         assert_eq!(inc.raw_assignment().expect("warm"), &[0, 1]);
         assert_cone_quotient_is_fresh(&mut inc, &[1]);
         assert_eq!(inc.quotient_builds(), 3);
-
-        // …and an export -> restore round trip starts without one.
-        let export = inc.export_cache().expect("warm");
-        inc.restore_cache(&chain, export).expect("restore");
-        assert_cone_quotient_is_fresh(&mut inc, &[1]);
-        assert_eq!(inc.quotient_builds(), 4);
         assert_eq!(inc.repair(&[1]).expect("identity repair").moved, 0);
         assert_cone_quotient_is_fresh(&mut inc, &[0, 1]);
-        assert_eq!(inc.quotient_builds(), 4, "identity repairs keep it");
+        assert_eq!(inc.quotient_builds(), 3, "identity repairs keep it");
     }
 
+    /// Every task alone: a valid (edge-monotone) assignment that the
+    /// wavefront wants to merge wherever a task has a predecessor.
+    struct Singletons;
+    impl Partitioner for Singletons {
+        fn name(&self) -> &'static str {
+            "singletons"
+        }
+        fn partition(
+            &self,
+            tdg: &Tdg,
+            _: &PartitionerOptions,
+        ) -> Result<Partition, PartitionError> {
+            Ok(Partition::new((0..tdg.num_tasks() as u32).collect()))
+        }
+    }
+
+    /// On a timing TDG: identity repairs share one full-space quotient, a
+    /// repair that moves tasks drops it, and exactly that costs one more
+    /// build.
     #[test]
-    fn export_restore_round_trip_is_observably_identical() {
-        let tdg = diamond();
-        let opts = PartitionerOptions::with_max_size(2);
-        let mut orig = IncrementalPartitioner::new(SeqGPasta::new());
-        orig.install(&tdg, &opts).expect("install");
-        orig.repair(&forward_closure(&tdg, &[1])).expect("repair");
-        let export = orig.export_cache().expect("warm cache exports");
-        assert_eq!(export.epoch, orig.epoch());
+    fn a_moving_repair_of_a_timing_tdg_costs_one_more_quotient_build() {
+        let netlist = PaperCircuit::AesCore.build(0.002);
+        let mut timer = gpasta_sta::Timer::new(netlist, gpasta_sta::CellLibrary::typical());
+        let tdg = timer.update_timing().tdg().clone();
+        let all: Vec<u32> = (0..tdg.num_tasks() as u32).collect();
+        let opts = PartitionerOptions::with_max_size(8);
 
-        let mut restored = IncrementalPartitioner::new(SeqGPasta::new());
-        assert!(
-            matches!(restored.export_cache(), Err(IncrementalError::NotInstalled)),
-            "cold cache must refuse to export"
-        );
-        restored
-            .restore_cache(&tdg, export.clone())
-            .expect("restore");
-        assert!(restored.is_warm());
-        assert_eq!(restored.epoch(), orig.epoch());
-        assert_eq!(restored.ps(), orig.ps());
-        assert_eq!(restored.raw_assignment(), orig.raw_assignment());
+        let mut settled = IncrementalPartitioner::new(SeqGPasta::new());
+        settled.install(&tdg, &opts).expect("install");
+        for seed in [0, all.len() as u32 / 2, all.len() as u32 - 1] {
+            let cone = forward_closure(&tdg, &[seed]);
+            assert_eq!(settled.repair(&cone).expect("closed").moved, 0);
+            assert_cone_quotient_is_fresh(&mut settled, &cone);
+        }
+        assert_eq!(settled.quotient_builds(), 1, "identity repairs, one build");
 
-        // Subsequent identical repairs evolve both caches identically —
-        // including fresh-pid numbering, which `max_pid` preserves.
-        let dirty = forward_closure(&tdg, &[0]);
-        let so = orig.repair(&dirty).expect("repair original");
-        let sr = restored.repair(&dirty).expect("repair restored");
-        assert_eq!(so, sr);
-        assert_eq!(restored.raw_assignment(), orig.raw_assignment());
-        validate::check_all(&tdg, &restored.full_partition().expect("warm")).expect("valid");
+        let mut inc = IncrementalPartitioner::new(Singletons);
+        inc.install(&tdg, &opts).expect("install");
+        assert_cone_quotient_is_fresh(&mut inc, &all);
+        assert_eq!(inc.quotient_builds(), 1);
+        let stats = inc.repair(&all).expect("the whole space is closed");
+        assert!(stats.moved > 0, "a moving repair");
+        validate::check_all(&tdg, &inc.full_partition().expect("warm")).expect("valid");
+        assert_cone_quotient_is_fresh(&mut inc, &all);
+        assert_eq!(inc.quotient_builds(), 2);
     }
 
-    #[test]
-    fn restore_rejects_invalid_snapshots() {
-        let tdg = diamond();
-        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        inc.install(&tdg, &PartitionerOptions::with_max_size(2))
-            .expect("install");
-        let good = inc.export_cache().expect("warm");
-
-        let reject = |export: CacheExport, needle: &str| {
-            let mut fresh = IncrementalPartitioner::new(SeqGPasta::new());
-            let err = fresh
-                .restore_cache(&tdg, export)
-                .expect_err("snapshot must be rejected");
-            assert!(
-                err.to_string().contains(needle),
-                "expected {needle:?} in {err}"
-            );
-            assert!(
-                !fresh.is_warm(),
-                "rejected restore must leave the cache cold"
-            );
-        };
-
-        reject(
-            CacheExport {
-                ps: 0,
-                ..good.clone()
-            },
-            "Ps is zero",
-        );
-        reject(
-            CacheExport {
-                raw: vec![0; 3],
-                ..good.clone()
-            },
-            "covers 3 tasks",
-        );
-        reject(
-            CacheExport {
-                fingerprint: good.fingerprint ^ 1,
-                ..good.clone()
-            },
-            "fingerprint",
-        );
-        reject(
-            CacheExport {
-                max_pid: 0,
-                raw: vec![0, 0, 1, 1],
-                ..good.clone()
-            },
-            "above the recorded max_pid",
-        );
-        // Anti-monotone assignment: valid shape, broken certificate.
-        reject(
-            CacheExport {
-                raw: vec![1, 0, 0, 0],
-                max_pid: 1,
-                ..good.clone()
-            },
-            "edge-monotone",
-        );
-        // Overfilled partition under the snapshot's Ps.
-        reject(
-            CacheExport {
-                raw: vec![0, 0, 0, 0],
-                ps: 2,
-                ..good.clone()
-            },
-            "above Ps",
-        );
-        // A max_pid no repair history can produce would size the per-pid
-        // tables; it is refused before they are allocated.
-        reject(
-            CacheExport {
-                max_pid: u32::MAX,
-                ..good.clone()
-            },
-            "beyond what 4 tasks can reach",
-        );
-    }
-
-    fn is_settled<P: Partitioner>(inc: &IncrementalPartitioner<P>) -> bool {
-        inc.cache.as_ref().expect("warm").settled
-    }
-
-    /// The lemma behind [`IncrementalPartitioner::repair_trusted`], on one
-    /// install: while the cache reports settled, the checked repair of any
-    /// successor-closed cone is the identity plus one epoch — what the skip
-    /// reports — and keeps the quotient. A twin restored from the same
-    /// assignment takes `repair_trusted` and must never differ.
-    fn check_settled_lemma<P: Partitioner>(
-        inner: P,
-        tdg: &Tdg,
-        ps: usize,
-        seed_sets: &[Vec<u32>],
-    ) -> Result<bool, TestCaseError> {
+    /// A seq-G-PASTA install is settled — the wavefront's own fixed point:
+    /// the checked repair of any successor-closed cone moves nothing, mints
+    /// nothing and keeps the quotient. A session's partition is its
+    /// install's and is never repaired; this is why
+    /// `UpdateOutcome::{repair_moved, repair_fresh}` read zero.
+    fn check_settled(tdg: &Tdg, ps: usize, seed_sets: &[Vec<u32>]) -> Result<(), TestCaseError> {
         let n = tdg.num_tasks() as u32;
-        let mut checked = IncrementalPartitioner::new(inner);
-        checked
-            .install(tdg, &PartitionerOptions::with_max_size(ps))
+        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
+        inc.install(tdg, &PartitionerOptions::with_max_size(ps))
             .expect("install");
-        let settled_at_install = is_settled(&checked);
-        let mut trusted = IncrementalPartitioner::new(SeqGPasta::new());
-        let export = checked.export_cache().expect("warm");
-        trusted.restore_cache(tdg, export).expect("restore");
-        prop_assert_eq!(is_settled(&trusted), settled_at_install);
-
+        let raw = inc.raw_assignment().expect("warm").to_vec();
         let all: Vec<u32> = (0..n).collect();
         let mut arena = QuotientArena::new();
+        let whole = inc.cone_quotient(&all, &mut arena).expect("warm");
+        whole.expect("schedulable");
         for seeds in seed_sets {
             let seeds: Vec<u32> = seeds.iter().map(|s| s % n).collect();
             let cone = forward_closure(tdg, &seeds);
-            let settled = is_settled(&checked);
-            let kept = checked.cone_quotient(&all, &mut arena).expect("warm");
+            let stats = inc.repair(&cone).expect("closed cone");
+            prop_assert_eq!((stats.moved, stats.fresh_partitions), (0, 0));
+            prop_assert_eq!(inc.raw_assignment().expect("warm"), &raw[..]);
+            let kept = inc.cone_quotient(&cone, &mut arena).expect("warm");
             kept.expect("schedulable");
-            let builds = checked.quotient_builds();
-            let raw = checked.raw_assignment().expect("warm").to_vec();
-            let epoch = checked.epoch();
-
-            let stats = checked.repair(&cone).expect("closed cone");
-            if settled {
-                let skip = RepairStats {
-                    num_dirty: cone.len(),
-                    moved: 0,
-                    fresh_partitions: 0,
-                    epoch: epoch + 1,
-                };
-                prop_assert_eq!(stats, skip);
-                prop_assert_eq!(checked.raw_assignment().expect("warm"), &raw[..]);
-                prop_assert!(
-                    is_settled(&checked),
-                    "an identity repair settles nothing anew"
-                );
-                let kept = checked.cone_quotient(&cone, &mut arena).expect("warm");
-                kept.expect("schedulable");
-                prop_assert_eq!(checked.quotient_builds(), builds, "quotient kept");
-            }
-            prop_assert_eq!(checked.epoch(), epoch + 1);
-            let cache = checked.cache.as_ref().expect("warm");
-            prop_assert_eq!(
-                cache.settled,
-                cache.at_fixed_point(),
-                "settled must be what repair would read off the arrays"
-            );
-
-            prop_assert_eq!(trusted.repair_trusted(&cone), Ok(stats));
-            prop_assert_eq!(trusted.epoch(), checked.epoch());
-            prop_assert_eq!(trusted.raw_assignment(), checked.raw_assignment());
+            prop_assert_eq!(inc.quotient_builds(), 1, "quotient kept");
         }
-        Ok(settled_at_install)
+        Ok(())
     }
 
-    /// Case count of the lemma property, overridable via `PROPTEST_CASES`
-    /// (the nightly CI job raises it).
+    /// Case count of the lemma property, overridable via `PROPTEST_CASES`.
     fn lemma_cases() -> u32 {
         std::env::var("PROPTEST_CASES")
             .ok()
@@ -1733,67 +1387,12 @@ mod tests {
             ),
         ) {
             let tdg = dag::random_dag(n, avg_degree, dag_seed);
-            let seq = check_settled_lemma(SeqGPasta::new(), &tdg, ps, &seed_sets)?;
-            prop_assert!(seq, "a seq-G-PASTA install is settled by construction");
-            check_settled_lemma(GPasta::with_device(Device::new(2)), &tdg, ps, &seed_sets)?;
-            check_settled_lemma(DeterGPasta::with_device(Device::new(2)), &tdg, ps, &seed_sets)?;
-            check_settled_lemma(Gdca::new(), &tdg, ps, &seed_sets)?;
+            check_settled(&tdg, ps, &seed_sets)?;
         }
     }
 
-    #[test]
-    fn an_unsettled_restore_still_repairs_and_a_moving_repair_rederives_the_fact() {
-        // Singletons are a legal assignment the wavefront would merge.
-        let tdg = chain(4);
-        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        inc.install(&tdg, &PartitionerOptions::with_max_size(2))
-            .expect("install");
-        assert!(is_settled(&inc));
-        let singletons = CacheExport {
-            raw: vec![0, 1, 2, 3],
-            max_pid: 3,
-            ..inc.export_cache().expect("warm")
-        };
-        inc.restore_cache(&tdg, singletons).expect("legal");
-        assert!(!is_settled(&inc), "tasks 1..3 are merge candidates");
-
-        // The tail cone moves task 2 and leaves task 1's bit set: a moving
-        // repair does not settle what it did not touch.
-        let stats = inc.repair_trusted(&[2, 3]).expect("closed");
-        assert_eq!((stats.moved, stats.fresh_partitions), (1, 0));
-        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 1, 1, 3]);
-        assert!(!is_settled(&inc));
-
-        // Repairing the rest reaches the fixed point, and from there the
-        // trusted step and the checked repair are the same identity.
-        let stats = inc.repair_trusted(&[1, 2, 3]).expect("closed");
-        assert_eq!(stats.moved, 2);
-        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 0, 1, 1]);
-        assert!(is_settled(&inc));
-        let epoch = inc.epoch();
-        let skip = inc.repair_trusted(&[1, 2, 3]).expect("settled");
-        let checked = inc.repair(&[1, 2, 3]).expect("closed");
-        assert_eq!(
-            (skip.moved, skip.fresh_partitions, skip.epoch),
-            (0, 0, epoch + 1)
-        );
-        assert_eq!(
-            checked,
-            RepairStats {
-                epoch: epoch + 2,
-                ..skip
-            }
-        );
-        assert_eq!(inc.raw_assignment().expect("warm"), &[0, 0, 1, 1]);
-
-        let mut cold = IncrementalPartitioner::new(SeqGPasta::new());
-        assert_eq!(
-            cold.repair_trusted(&[0]),
-            Err(IncrementalError::NotInstalled)
-        );
-    }
-
-    /// The product path really skips: what `Session::create` installs.
+    /// What `Session::create` installs is settled on every paper circuit:
+    /// repairing the whole task space is the identity.
     #[test]
     fn seq_gpasta_installs_on_the_paper_circuits_are_settled() {
         for &circuit in PaperCircuit::all() {
@@ -1803,7 +1402,13 @@ mod tests {
             let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
             inc.install(full.tdg(), &PartitionerOptions::default())
                 .expect("install");
-            assert!(is_settled(&inc), "{circuit}: install is not settled");
+            let all: Vec<u32> = (0..full.tdg().num_tasks() as u32).collect();
+            let stats = inc.repair(&all).expect("the whole space is closed");
+            assert_eq!(
+                (stats.moved, stats.fresh_partitions),
+                (0, 0),
+                "{circuit}: install is not settled"
+            );
         }
     }
 

@@ -70,9 +70,7 @@ mod seq;
 pub use deter::DeterGPasta;
 pub use gdca::Gdca;
 pub use gpasta::GPasta;
-pub use incremental::{
-    forward_closure, CacheExport, IncrementalError, IncrementalPartitioner, RepairStats,
-};
+pub use incremental::{forward_closure, IncrementalError, IncrementalPartitioner, RepairStats};
 pub use refine::merge_chains;
 pub use sarkar::Sarkar;
 pub use seq::SeqGPasta;

@@ -56,52 +56,6 @@ pub struct CsrTdg {
     rev_adj: Vec<u32>,
 }
 
-/// Reusable buffers for repeated [`CsrTdg`] construction — the
-/// [`crate::TdgArena`] lifecycle applied to the level-ordered view.
-/// Incremental flows rebuild the view for every fresh TDG; the arena
-/// takes finished views back via [`CsrArena::recycle`] so steady-state
-/// rebuilds reuse the previous iteration's capacity. Arena-built views
-/// are bit-identical to [`CsrTdg::from_levels`] output (which delegates
-/// here).
-#[derive(Debug, Default)]
-pub struct CsrArena {
-    perm: Vec<u32>,
-    rank: Vec<u32>,
-    level_off: Vec<u32>,
-    fwd_off: Vec<u32>,
-    fwd_adj: Vec<u32>,
-    rev_off: Vec<u32>,
-    rev_adj: Vec<u32>,
-}
-
-impl CsrArena {
-    /// An empty arena; buffers grow to the workload's high-water mark and
-    /// are reused from then on.
-    pub fn new() -> Self {
-        CsrArena::default()
-    }
-
-    /// Take a finished view's buffers back for the next build.
-    pub fn recycle(&mut self, csr: CsrTdg) {
-        let CsrTdg {
-            perm,
-            rank,
-            level_off,
-            fwd_off,
-            fwd_adj,
-            rev_off,
-            rev_adj,
-        } = csr;
-        self.perm = perm;
-        self.rank = rank;
-        self.level_off = level_off;
-        self.fwd_off = fwd_off;
-        self.fwd_adj = fwd_adj;
-        self.rev_off = rev_off;
-        self.rev_adj = rev_adj;
-    }
-}
-
 impl CsrTdg {
     /// Build the level-ordered view of `tdg`. Prefer [`Tdg::csr`], which
     /// amortises this over every consumer of the same graph.
@@ -113,43 +67,23 @@ impl CsrTdg {
     /// Build from a precomputed levelisation (avoids recomputing it when
     /// the caller already holds one).
     pub fn from_levels(tdg: &Tdg, levels: &Levels) -> Self {
-        Self::from_levels_in(tdg, levels, &mut CsrArena::new())
-    }
-
-    /// [`from_levels`](Self::from_levels) on recycled buffers: the same
-    /// view, bit-identical, with every allocation served from (and
-    /// returnable to, via [`CsrArena::recycle`]) `arena`.
-    pub fn from_levels_in(tdg: &Tdg, levels: &Levels, arena: &mut CsrArena) -> Self {
         let n = tdg.num_tasks();
-        let mut perm = std::mem::take(&mut arena.perm);
-        perm.clear();
-        perm.extend_from_slice(levels.order());
-        let mut rank = std::mem::take(&mut arena.rank);
-        rank.clear();
-        rank.resize(n, 0);
+        let perm = levels.order().to_vec();
+        let mut rank = vec![0u32; n];
         for (new, &old) in perm.iter().enumerate() {
             rank[old as usize] = new as u32;
         }
-        let mut level_off = std::mem::take(&mut arena.level_off);
-        level_off.clear();
+        let mut level_off = Vec::with_capacity(levels.depth() + 1);
         level_off.push(0u32);
         for l in 0..levels.depth() {
             level_off.push(level_off[l] + levels.width(l) as u32);
         }
 
         let num_edges = tdg.num_deps();
-        let mut fwd_off = std::mem::take(&mut arena.fwd_off);
-        let mut fwd_adj = std::mem::take(&mut arena.fwd_adj);
-        let mut rev_off = std::mem::take(&mut arena.rev_off);
-        let mut rev_adj = std::mem::take(&mut arena.rev_adj);
-        fwd_off.clear();
-        fwd_off.reserve(n + 1);
-        fwd_adj.clear();
-        fwd_adj.reserve(num_edges);
-        rev_off.clear();
-        rev_off.reserve(n + 1);
-        rev_adj.clear();
-        rev_adj.reserve(num_edges);
+        let mut fwd_off = Vec::with_capacity(n + 1);
+        let mut fwd_adj = Vec::with_capacity(num_edges);
+        let mut rev_off = Vec::with_capacity(n + 1);
+        let mut rev_adj = Vec::with_capacity(num_edges);
         fwd_off.push(0u32);
         rev_off.push(0u32);
         for &old in &perm {
@@ -411,37 +345,6 @@ mod tests {
         assert_eq!(c.depth(), 0);
         assert_eq!(c.num_sources(), 0);
         assert_eq!(c.level_offsets(), &[0]);
-    }
-
-    #[test]
-    fn arena_build_is_bit_identical_and_reuses_capacity() {
-        let g = scrambled();
-        let levels = g.levels();
-        let fresh = CsrTdg::from_levels(&g, &levels);
-        let mut arena = CsrArena::new();
-        let first = CsrTdg::from_levels_in(&g, &levels, &mut arena);
-        assert_eq!(fresh, first, "arena path must be bit-identical");
-        arena.recycle(first);
-        let caps = |a: &CsrArena| {
-            (
-                a.perm.capacity(),
-                a.rank.capacity(),
-                a.level_off.capacity(),
-                a.fwd_off.capacity(),
-                a.fwd_adj.capacity(),
-                a.rev_off.capacity(),
-                a.rev_adj.capacity(),
-            )
-        };
-        let before = caps(&arena);
-        let second = CsrTdg::from_levels_in(&g, &levels, &mut arena);
-        assert_eq!(fresh, second, "recycled rebuild must be bit-identical");
-        arena.recycle(second);
-        assert_eq!(
-            before,
-            caps(&arena),
-            "no buffer grew on a same-size rebuild"
-        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod validate;
 
 pub use cancel::{CancelObserver, CancelToken};
 pub use checksum::{checksum, Checksum};
-pub use csr::{CsrArena, CsrTdg};
+pub use csr::CsrTdg;
 pub use dot::{partition_to_dot, quotient_to_dot, tdg_to_dot};
 pub use error::{BuildTdgError, ValidatePartitionError};
 pub use graph::{TaskId, Tdg, TdgBuilder};

@@ -18,7 +18,7 @@
 //!    is acyclic. [`ShardPlan::build`] refuses a TDG with an edge that
 //!    goes down.
 //! 3. **Determinism**: the plan is a pure function of the TDG and the
-//!    options — two processes that build the same TDG compute the same
+//!    shard count — two processes that build the same TDG compute the same
 //!    plan, which is what lets a worker rediscover its own task set from
 //!    `(design, shards, shard)` alone.
 
@@ -78,21 +78,15 @@ impl ShardPlan {
     /// The shard count is clamped to the task count — asking for more
     /// shards than tasks yields singleton shards, not empty ones. Each
     /// shard takes an equal share of the tasks still left, so sizes differ
-    /// by at most one. `max_tasks_per_shard` (`0`: no cap) cuts a shard
-    /// early rather than exceed it; the last shard takes whatever is left,
-    /// so a plan always exists. An empty TDG produces an empty plan for
-    /// any requested count.
+    /// by at most one. An empty TDG produces an empty plan for any
+    /// requested count.
     ///
     /// # Errors
     ///
     /// [`ShardPlanError::NoShards`] when `shards == 0` and the TDG is
     /// non-empty, and [`ShardPlanError::EdgeGoesDown`] when an edge goes
     /// from a higher id to a lower one.
-    pub fn build(
-        tdg: &Tdg,
-        shards: usize,
-        max_tasks_per_shard: usize,
-    ) -> Result<Self, ShardPlanError> {
+    pub fn build(tdg: &Tdg, shards: usize) -> Result<Self, ShardPlanError> {
         let n = tdg.num_tasks();
         if n > 0 && shards == 0 {
             return Err(ShardPlanError::NoShards);
@@ -102,17 +96,9 @@ impl ShardPlan {
         bounds.push(0u32);
         let mut lo = 0usize;
         for s in 0..k {
-            let left = k - s;
-            let mut size = (n - lo).div_ceil(left);
-            if max_tasks_per_shard > 0 {
-                size = size.min(max_tasks_per_shard);
-            }
-            // Leave at least one task for every shard still to come.
-            lo += size.min(n - lo - (left - 1));
+            lo += (n - lo).div_ceil(k - s);
             bounds.push(lo as u32);
         }
-        // The last shard takes whatever the cap left over.
-        bounds[k] = n as u32;
 
         let mut graph = TdgBuilder::new(k);
         let mut edge_cut = 0;
@@ -245,7 +231,7 @@ mod tests {
     fn plans_cover_and_stay_acyclic() {
         let tdg = layered(4, 6);
         for k in [1, 2, 3, 5, usize::MAX >> 1] {
-            let plan = ShardPlan::build(&tdg, k, 0).expect("plan");
+            let plan = ShardPlan::build(&tdg, k).expect("plan");
             assert_eq!(plan.num_shards(), k.min(tdg.num_tasks()));
             check_invariants(&plan, &tdg).expect("invariants");
         }
@@ -254,14 +240,14 @@ mod tests {
     #[test]
     fn zero_shards_rejected_nonempty() {
         let tdg = layered(2, 2);
-        assert_eq!(ShardPlan::build(&tdg, 0, 0), Err(ShardPlanError::NoShards));
+        assert_eq!(ShardPlan::build(&tdg, 0), Err(ShardPlanError::NoShards));
     }
 
     #[test]
     fn empty_tdg_is_an_empty_plan() {
         let tdg = TdgBuilder::new(0).build().expect("empty");
         for k in [0, 4] {
-            let plan = ShardPlan::build(&tdg, k, 0).expect("plan");
+            let plan = ShardPlan::build(&tdg, k).expect("plan");
             assert_eq!(plan.num_shards(), 0);
             assert_eq!(plan.edge_cut(), 0);
             assert!(plan.owners().is_empty());
@@ -271,11 +257,11 @@ mod tests {
     #[test]
     fn plans_are_deterministic() {
         let tdg = layered(6, 8);
-        let a = ShardPlan::build(&tdg, 3, 0).expect("plan");
-        let b = ShardPlan::build(&tdg, 3, 0).expect("plan");
+        let a = ShardPlan::build(&tdg, 3).expect("plan");
+        let b = ShardPlan::build(&tdg, 3).expect("plan");
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = ShardPlan::build(&tdg, 3, 10).expect("plan");
+        let c = ShardPlan::build(&tdg, 4).expect("plan");
         assert_ne!(a.fingerprint(), c.fingerprint(), "another cut");
     }
 
@@ -283,7 +269,7 @@ mod tests {
     fn sizes_differ_by_at_most_one_without_a_cap() {
         let tdg = layered(5, 7); // 35 tasks
         for k in 1..=35 {
-            let plan = ShardPlan::build(&tdg, k, 0).expect("plan");
+            let plan = ShardPlan::build(&tdg, k).expect("plan");
             let sizes: Vec<usize> = (0..k as u32).map(|s| plan.range(s).len()).collect();
             let (min, max) = (sizes.iter().min(), sizes.iter().max());
             assert!(max.unwrap() - min.unwrap() <= 1, "k={k}: {sizes:?}");
@@ -292,26 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn size_cap_is_respected_where_possible() {
-        let tdg = layered(4, 8); // 32 tasks
-        for (k, cap) in [(8, 3), (4, 5), (3, 20)] {
-            let plan = ShardPlan::build(&tdg, k, cap).expect("plan");
-            check_invariants(&plan, &tdg).expect("invariants");
-            let last = plan.num_shards() as u32 - 1;
-            for s in 0..last {
-                assert!(plan.range(s).len() <= cap, "k={k} cap={cap} shard {s}");
-            }
-            // Cutting early leaves the rest to the last shard.
-            if k * cap < 32 {
-                assert_eq!(plan.range(last).len(), 32 - last as usize * cap);
-            }
-        }
-    }
-
-    #[test]
     fn more_shards_than_tasks_clamps_to_singletons() {
         let tdg = layered(2, 3);
-        let plan = ShardPlan::build(&tdg, 100, 0).expect("plan");
+        let plan = ShardPlan::build(&tdg, 100).expect("plan");
         assert_eq!(plan.num_shards(), tdg.num_tasks());
         for s in 0..plan.num_shards() as u32 {
             assert_eq!(plan.range(s), s..s + 1);
@@ -325,7 +294,7 @@ mod tests {
         b.add_edge(TaskId(2), TaskId(1));
         let tdg = b.build().expect("acyclic");
         assert_eq!(
-            ShardPlan::build(&tdg, 2, 0),
+            ShardPlan::build(&tdg, 2),
             Err(ShardPlanError::EdgeGoesDown { from: 2, to: 1 })
         );
     }
@@ -355,16 +324,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-        /// On any DAG numbered topologically, every shard count and cap
-        /// cuts a plan whose TDG edges map to `owner[u] <= owner[v]` and
+        /// On any DAG numbered topologically, every shard count cuts a plan whose TDG edges map to `owner[u] <= owner[v]` and
         /// whose shard graph is exactly the crossing pairs.
         #[test]
         fn range_plans_agree_with_the_tdg_edges(
             tdg in rising_dag(),
             shards in 1usize..12,
-            cap in 0usize..24,
         ) {
-            let plan = ShardPlan::build(&tdg, shards, cap).expect("plan");
+            let plan = ShardPlan::build(&tdg, shards).expect("plan");
             prop_assert_eq!(plan.num_shards(), shards.min(tdg.num_tasks()));
             check_invariants(&plan, &tdg)?;
         }

@@ -53,8 +53,7 @@ usage:
                [--kill <shard:attempt[:kind]> ..]
                [--chaos-seed <n>] [--chaos-rate <f>]
                [--checkpoint <file>] [--resume <file>]
-               [--kill-after-shards <n>] [--no-heal]
-               [--max-shard-tasks <n>] [--bits]
+               [--kill-after-shards <n>] [--no-heal] [--bits]
   gpasta serve [--addr <host:port>] [--stdio] [--spool <dir>]
                [--workers <n>] [--max-sessions <n>]
                [--checkpoint-ms <n>] [--max-inflight <n>]
@@ -519,12 +518,9 @@ fn sta_cmd(args: &[String]) -> Result<(), Error> {
     if !repowers.is_empty() {
         let out = session.update_timing(&RunBudget::unbounded())?;
         println!(
-            "applied {} repower edit(s); incremental update: {} task(s), \
-             {} moved, epoch {}",
+            "applied {} repower edit(s); incremental update: {} task(s)",
             repowers.len(),
-            out.tasks,
-            out.repair_moved,
-            out.epoch
+            out.tasks
         );
     }
 
@@ -719,12 +715,11 @@ fn update_cmd(args: &[String]) -> Result<(), Error> {
 
     let out = run_update_flow(&cfg)?;
     println!(
-        "update({}, scale {}): {}/{} iteration(s), epoch {}, WNS {} ps, TNS {} ps",
+        "update({}, scale {}): {}/{} iteration(s), WNS {} ps, TNS {} ps",
         cfg.circuit.name(),
         cfg.scale,
         out.iterations_done,
         cfg.iterations,
-        out.epoch,
         f32::from_bits(out.wns_bits),
         f32::from_bits(out.tns_bits),
     );
@@ -791,7 +786,6 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
     let mut resume = None;
     let mut kill_after_shards = None;
     let mut heal = true;
-    let mut max_shard_tasks = 0usize;
     let mut bits = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -827,9 +821,6 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
                 kill_after_shards = Some(parse::<u32>("--kill-after-shards", it.next())?)
             }
             "--no-heal" => heal = false,
-            "--max-shard-tasks" => {
-                max_shard_tasks = parse::<usize>("--max-shard-tasks", it.next())?
-            }
             "--bits" => bits = true,
             other => return Err(unexpected(other)),
         }
@@ -845,7 +836,6 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
 
     let mut cfg = ShardRunConfig::new(circuit, scale, seed, shards);
     cfg.max_workers = workers;
-    cfg.max_tasks_per_shard = max_shard_tasks;
     cfg.retry.max_retries = retries;
     cfg.stall_after = std::time::Duration::from_millis(stall_ms.max(1));
     // Random chaos draws only prompt-killable kinds; a random stall would
@@ -953,7 +943,6 @@ fn shard_worker_cmd(args: &[String]) -> Result<(), Error> {
         scale_bits: 1.0f64.to_bits(),
         seed: 0,
         shards: 1,
-        max_tasks_per_shard: 0,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -962,9 +951,6 @@ fn shard_worker_cmd(args: &[String]) -> Result<(), Error> {
             "--scale-bits" => wa.scale_bits = parse::<u64>("--scale-bits", it.next())?,
             "--seed" => wa.seed = parse::<u64>("--seed", it.next())?,
             "--shards" => wa.shards = parse::<usize>("--shards", it.next())?,
-            "--max-shard-tasks" => {
-                wa.max_tasks_per_shard = parse::<usize>("--max-shard-tasks", it.next())?
-            }
             other => return Err(unexpected(other)),
         }
     }

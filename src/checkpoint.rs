@@ -1,36 +1,35 @@
-//! Crash-safe checkpoint/resume: the `GPCKPT02` file format, and the
+//! Crash-safe checkpoint/resume: the `GPCKPT03` file format, and the
 //! `gpasta update` flow that exercises it.
 //!
 //! A checkpoint captures everything a [`Session`] needs to continue
 //! bit-identically after a crash or an eviction: the session identity
 //! (name plus checksums of its netlist and constraints), the update
-//! counter, the complete mutable timing state ([`TimingSnapshot`] — raw
-//! `f32` bit patterns, so NaN payloads and signed zeros survive), and the
-//! incremental partitioner's cache ([`CacheExport`]). The netlist, timing
-//! graph, and cell library are *not* stored: the session rebuilds them
-//! from its sources, so a rebuild plus a snapshot restore reproduces the
-//! pre-crash state exactly. [`Session::evict_to`] writes checkpoints and
+//! counter, and the complete mutable timing state ([`TimingSnapshot`] —
+//! raw `f32` bit patterns, so NaN payloads and signed zeros survive). The
+//! netlist, timing graph, cell library and partition are *not* stored:
+//! the session rebuilds them from its sources (the partition is a function
+//! of the timing graph), so a rebuild plus a snapshot restore reproduces
+//! the pre-crash state exactly. [`Session::evict_to`] writes checkpoints and
 //! [`DormantSession::restore`] reads them; [`run_update_flow`] is a thin
 //! loop over both.
 //!
 //! The on-disk format is a little-endian binary record:
 //!
 //! ```text
-//! magic "GPCKPT" + version "02"          8 bytes
+//! magic "GPCKPT" + version "03"          8 bytes
 //! session name                           u32 length + UTF-8 bytes
 //! netlist, constraint fingerprints       2 × u64
 //! updates completed                      u32
 //! design shape (gates, nets, inputs,
 //!   outputs, graph nodes)                5 × u32   (early mismatch check)
 //! timing snapshot                        clock-period bits + 9 u32 arrays
-//! partition cache                        present flag + fingerprint, Ps,
-//!                                        max pid, epoch, raw assignment
 //! checksum of all above                  u64
 //! ```
 //!
 //! The checksum is [`checksum`](crate::tdg::checksum()), the lane-wise
-//! hash every fingerprint and shard frame also uses; a `GPCKPT01` file
-//! (byte-serial FNV-1a trailer) is refused as
+//! hash every fingerprint and shard frame also uses. Files of an earlier
+//! version — `GPCKPT02` (which also stored the partition) and `GPCKPT01`
+//! (byte-serial FNV-1a trailer) — are refused as
 //! [`CheckpointError::BadVersion`], never read as this format.
 //!
 //! Writes are crash-safe: the record is serialized to a sibling temporary
@@ -48,7 +47,6 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::circuits::PaperCircuit;
-use crate::core::CacheExport;
 use crate::sched::{splitmix64, RunBudget, StopCause};
 use crate::session::{DesignSources, DormantSession, Edit, Session, SessionError};
 use crate::shard::wire::{Reader, WireError};
@@ -57,7 +55,7 @@ use crate::tdg::checksum;
 
 /// The magic and format version every checkpoint file and shard frame
 /// starts with.
-pub(crate) const FORMAT: &[u8; 8] = b"GPCKPT02";
+pub(crate) const FORMAT: &[u8; 8] = b"GPCKPT03";
 
 /// A checkpoint read from or written to disk failed.
 #[derive(Debug)]
@@ -150,24 +148,21 @@ impl DesignShape {
     }
 }
 
-/// Everything a [`Session`] persists. The identity field names predate
-/// sessions (the format is unchanged); each doc says what it holds now.
+/// Everything a [`Session`] persists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateCheckpoint {
     /// The session name.
-    pub circuit: String,
+    pub session: String,
     /// [`DesignSources::netlist_bits`]: fingerprint of the netlist text.
-    pub scale_bits: u64,
+    pub netlist_bits: u64,
     /// [`DesignSources::constraint_bits`]: fingerprint of the constraints.
-    pub seed: u64,
+    pub constraint_bits: u64,
     /// [`Session::updates_done`] at the time of the write.
-    pub iterations_done: u32,
+    pub updates_done: u32,
     /// Shape of the design the snapshot was taken against.
     pub shape: DesignShape,
     /// The complete mutable timing state, bit-exact.
     pub snapshot: TimingSnapshot,
-    /// The incremental partitioner's cache, when warm.
-    pub cache: Option<CacheExport>,
 }
 
 // ---------------------------------------------------------------------------
@@ -263,10 +258,10 @@ impl From<WireError> for CheckpointError {
 fn encode(ckpt: &UpdateCheckpoint) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(FORMAT);
-    put_bytes(&mut buf, ckpt.circuit.as_bytes());
-    put_u64(&mut buf, ckpt.scale_bits);
-    put_u64(&mut buf, ckpt.seed);
-    put_u32(&mut buf, ckpt.iterations_done);
+    put_bytes(&mut buf, ckpt.session.as_bytes());
+    put_u64(&mut buf, ckpt.netlist_bits);
+    put_u64(&mut buf, ckpt.constraint_bits);
+    put_u32(&mut buf, ckpt.updates_done);
     for v in [
         ckpt.shape.gates,
         ckpt.shape.nets,
@@ -277,17 +272,6 @@ fn encode(ckpt: &UpdateCheckpoint) -> Vec<u8> {
         put_u32(&mut buf, v);
     }
     put_snapshot(&mut buf, &ckpt.snapshot);
-    match &ckpt.cache {
-        None => buf.push(0),
-        Some(c) => {
-            buf.push(1);
-            put_u64(&mut buf, c.fingerprint);
-            put_u64(&mut buf, c.ps as u64);
-            put_u32(&mut buf, c.max_pid);
-            put_u64(&mut buf, c.epoch);
-            put_arr(&mut buf, &c.raw);
-        }
-    }
     let sum = checksum(&buf);
     put_u64(&mut buf, sum);
     buf
@@ -310,12 +294,12 @@ fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
         &payload[FORMAT.len()..],
         (payload.len() - FORMAT.len()) as u64,
     );
-    let name_len = r.u32("circuit name")? as usize;
-    let circuit = String::from_utf8(r.take(name_len, "circuit name")?)
-        .map_err(|_| CheckpointError::Corrupt("circuit name is not UTF-8".into()))?;
-    let scale_bits = r.u64("scale")?;
-    let seed = r.u64("seed")?;
-    let iterations_done = r.u32("iteration counter")?;
+    let name_len = r.u32("session name")? as usize;
+    let session = String::from_utf8(r.take(name_len, "session name")?)
+        .map_err(|_| CheckpointError::Corrupt("session name is not UTF-8".into()))?;
+    let netlist_bits = r.u64("netlist fingerprint")?;
+    let constraint_bits = r.u64("constraint fingerprint")?;
+    let updates_done = r.u32("update counter")?;
     let shape = DesignShape {
         gates: r.u32("shape")?,
         nets: r.u32("shape")?,
@@ -324,30 +308,14 @@ fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
         nodes: r.u32("shape")?,
     };
     let snapshot = read_snapshot(&mut r)?;
-    let cache = match r.take(1, "cache flag")?[0] {
-        0 => None,
-        1 => Some(CacheExport {
-            fingerprint: r.u64("cache fingerprint")?,
-            ps: r.u64("cache Ps")? as usize,
-            max_pid: r.u32("cache max pid")?,
-            epoch: r.u64("cache epoch")?,
-            raw: r.arr("cache assignment")?,
-        }),
-        other => {
-            return Err(CheckpointError::Corrupt(format!(
-                "cache presence flag is {other}, expected 0 or 1"
-            )))
-        }
-    };
     r.done()?;
     Ok(UpdateCheckpoint {
-        circuit,
-        scale_bits,
-        seed,
-        iterations_done,
+        session,
+        netlist_bits,
+        constraint_bits,
+        updates_done,
         shape,
         snapshot,
-        cache,
     })
 }
 
@@ -477,10 +445,8 @@ pub struct UpdateFlowOutcome {
     /// Endpoints whose slack reads *unknown* (NaN) because the last
     /// iteration stopped early; zero for completed runs.
     pub unknown_endpoints: u32,
-    /// The incremental partitioner's raw per-task assignment.
+    /// The session's partition: its raw per-task assignment.
     pub assignment: Vec<u32>,
-    /// The partitioner's repair epoch.
-    pub epoch: u64,
 }
 
 /// Iteration `i`'s deterministic modifier batch for a design of
@@ -516,7 +482,7 @@ pub fn modifier_batch(
 /// [`SessionError::Checkpoint`] for unreadable/unwritable checkpoints and
 /// for a resume against a different circuit, scale or seed
 /// ([`CheckpointError::Mismatch`]); [`SessionError::Partition`] if
-/// partition maintenance fails.
+/// the partition install fails.
 ///
 /// # Panics
 ///
@@ -592,7 +558,6 @@ pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, Flow
             .partition_assignment()
             .map(<[u32]>::to_vec)
             .unwrap_or_default(),
-        epoch: session.epoch(),
     })
 }
 
@@ -614,10 +579,10 @@ mod tests {
 
     fn sample_checkpoint() -> UpdateCheckpoint {
         UpdateCheckpoint {
-            circuit: "aes_core".into(),
-            scale_bits: 0.01f64.to_bits(),
-            seed: 0x5EED,
-            iterations_done: 3,
+            session: "aes_core".into(),
+            netlist_bits: 0.01f64.to_bits(),
+            constraint_bits: 0x5EED,
+            updates_done: 3,
             shape: DesignShape {
                 gates: 7,
                 nets: 9,
@@ -637,29 +602,17 @@ mod tests {
                 input_delay: vec![12],
                 output_delay: vec![13],
             },
-            cache: Some(CacheExport {
-                fingerprint: 0xFEED_BEEF,
-                ps: 64,
-                raw: vec![0, 0, 1, 2],
-                max_pid: 2,
-                epoch: 5,
-            }),
         }
     }
 
     #[test]
     fn checkpoint_round_trips_bit_exactly() {
-        for cache in [true, false] {
-            let mut ckpt = sample_checkpoint();
-            if !cache {
-                ckpt.cache = None;
-            }
-            let path = tmp_path("roundtrip");
-            write_checkpoint(&path, &ckpt).expect("write");
-            let back = read_checkpoint(&path).expect("read");
-            assert_eq!(back, ckpt);
-            std::fs::remove_file(&path).ok();
-        }
+        let ckpt = sample_checkpoint();
+        let path = tmp_path("roundtrip");
+        write_checkpoint(&path, &ckpt).expect("write");
+        let back = read_checkpoint(&path).expect("read");
+        assert_eq!(back, ckpt);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -723,27 +676,16 @@ mod tests {
         }
     }
 
-    /// A record sealed as the previous format did: "GPCKPT01" and a
-    /// byte-serial FNV-1a 64 trailer.
-    fn as_gpckpt01(mut bytes: Vec<u8>) -> Vec<u8> {
-        bytes[..8].copy_from_slice(b"GPCKPT01");
-        let body = bytes.len() - 8;
-        let sum = bytes[..body]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            });
-        bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        bytes
-    }
-
     #[test]
-    fn a_gpckpt01_checkpoint_is_refused_as_another_format_version() {
-        let old = as_gpckpt01(encode(&sample_checkpoint()));
+    fn a_gpckpt02_checkpoint_is_refused_as_another_format_version() {
+        // Sealed under the previous format's magic, with a valid checksum.
+        let mut old = encode(&sample_checkpoint());
+        old[..8].copy_from_slice(b"GPCKPT02");
+        reseal(&mut old);
         assert!(matches!(
             decode(&old),
             Err(CheckpointError::BadVersion {
-                found: [b'0', b'1']
+                found: [b'0', b'2']
             })
         ));
     }
@@ -791,34 +733,28 @@ mod tests {
 
     #[test]
     fn section_reader_survives_every_resealed_truncation_and_bit_flip() {
-        for cache in [true, false] {
-            let mut ckpt = sample_checkpoint();
-            if !cache {
-                ckpt.cache = None;
-            }
-            let good = encode(&ckpt);
-            let body_len = good.len() - 8;
-            // Cut the payload anywhere, then seal what is left: the
-            // checksum holds, so every section's own length check is what
-            // stops the read.
-            for cut in 0..body_len {
-                let mut bytes = good[..cut].to_vec();
-                bytes.extend_from_slice(&[0; 8]);
-                reseal(&mut bytes);
-                assert!(
-                    decode(&bytes).is_err(),
-                    "a payload cut at {cut} of {body_len} decoded"
-                );
-                assert_decodes_or_fails_typed(&bytes, &format!("cut at {cut}"));
-            }
-            // Flip every payload bit, sealed: lengths, counts, the cache
-            // flag and the values all take every single-bit error.
-            for bit in 0..body_len * 8 {
-                let mut bytes = good.clone();
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                reseal(&mut bytes);
-                assert_decodes_or_fails_typed(&bytes, &format!("bit {bit}"));
-            }
+        let good = encode(&sample_checkpoint());
+        let body_len = good.len() - 8;
+        // Cut the payload anywhere, then seal what is left: the
+        // checksum holds, so every section's own length check is what
+        // stops the read.
+        for cut in 0..body_len {
+            let mut bytes = good[..cut].to_vec();
+            bytes.extend_from_slice(&[0; 8]);
+            reseal(&mut bytes);
+            assert!(
+                decode(&bytes).is_err(),
+                "a payload cut at {cut} of {body_len} decoded"
+            );
+            assert_decodes_or_fails_typed(&bytes, &format!("cut at {cut}"));
+        }
+        // Flip every payload bit, sealed: lengths, counts and the
+        // values all take every single-bit error.
+        for bit in 0..body_len * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            reseal(&mut bytes);
+            assert_decodes_or_fails_typed(&bytes, &format!("bit {bit}"));
         }
     }
 
@@ -870,13 +806,9 @@ mod tests {
         /// it has not checked against the bytes that are there.
         #[test]
         fn checkpoint_byte_soup_decodes_or_fails_typed(
-            cache in any::<bool>(),
             edits in proptest::collection::vec((0u8..7, any::<u32>(), any::<u8>()), 0..5),
         ) {
-            let mut ckpt = sample_checkpoint();
-            if !cache {
-                ckpt.cache = None;
-            }
+            let ckpt = sample_checkpoint();
             let clean = encode(&ckpt);
             let bytes = mangle(clean.clone(), &edits, &clean);
             assert_decodes_or_fails_typed(&bytes, "byte soup");
@@ -944,7 +876,6 @@ mod tests {
         assert_eq!(resumed.wns_bits, straight.wns_bits);
         assert_eq!(resumed.tns_bits, straight.tns_bits);
         assert_eq!(resumed.assignment, straight.assignment);
-        assert_eq!(resumed.epoch, straight.epoch);
         std::fs::remove_file(&path).ok();
     }
 

@@ -19,7 +19,7 @@
 //! * [`checkpoint`] — crash-safe checkpoint/resume for the incremental
 //!   timing-update flow (`gpasta update`);
 //! * [`session`] — the owned `Session` unit: a loaded design plus its
-//!   timer, warm partition cache, and executor, movable across threads
+//!   timer, partition and executor, movable across threads
 //!   and evictable to a checkpoint;
 //! * [`serve`] — `gpasta serve`: an HTTP/JSON daemon (and JSON-RPC
 //!   stdio mode) hosting warm concurrent sessions;

@@ -4,7 +4,7 @@
 //! parse, build the timing graph, partition, propagate. This module
 //! keeps that state *warm* instead: named [`Session`]s
 //! ([`crate::session`]) live in a shared [`Registry`], each owning its
-//! timer, incremental-partition cache, and executor, and clients apply
+//! timer, partition and executor, and clients apply
 //! edits and re-run `update_timing` over the wire for the incremental
 //! price. Two frontends share one protocol layer ([`proto`]):
 //!
@@ -16,7 +16,7 @@
 //!   port.
 //!
 //! Capacity is managed by eviction: `DELETE /sessions/{name}` flushes
-//! the session to a `GPCKPT02` checkpoint in the spool directory and
+//! the session to a `GPCKPT03` checkpoint in the spool directory and
 //! keeps only the light [`DormantSession`](crate::session::DormantSession)
 //! residue; `POST /sessions/{name}/restore` re-admits it bit-identically.
 //! Shutdown (via `POST /shutdown`, the `shutdown` RPC, or stdin EOF)

@@ -227,9 +227,6 @@ fn outcome_value(out: &UpdateOutcome) -> Value {
     obj(vec![
         ("stop", string(stop_str(&out.stop))),
         ("tasks", num(out.tasks as f64)),
-        ("repair_moved", num(out.repair_moved as f64)),
-        ("repair_fresh", num(out.repair_fresh as f64)),
-        ("epoch", num(out.epoch as f64)),
         ("unknown_endpoints", num(f64::from(out.unknown_endpoints))),
     ])
 }
@@ -436,7 +433,6 @@ pub fn dispatch(registry: &Registry, method: &str, params: &Value) -> Result<Val
                 ("name", string(name)),
                 ("state", string("live")),
                 ("updates_done", num(f64::from(session.updates_done()))),
-                ("epoch", num(session.epoch() as f64)),
             ]))
         }
         "edit_session" => {

@@ -9,7 +9,7 @@
 //! * **live** — an `Arc<Mutex<Session>>` (warm timer, warm partition
 //!   cache) plus its [`Supervisor`]: the crash-recovery bookkeeping that
 //!   outlives any particular `Session` value;
-//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT02`
+//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT03`
 //!   checkpoint in the spool directory), produced by eviction;
 //! * **quarantined** — the session crashed repeatedly inside the crash
 //!   window (or could not be rebuilt); only an explicit restore or
@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use gpasta_check::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
-use crate::sched::{FaultKind, FaultPlan};
+use crate::sched::{panic_message, FaultKind, FaultPlan};
 use crate::session::{DesignSources, DormantSession, Edit, Session, SessionError};
 use crate::tdg::checksum;
 
@@ -549,8 +549,8 @@ impl Registry {
         true
     }
 
-    /// Create a session: parse the sources, run the initial full
-    /// analysis, install the partition cache, and register the result
+    /// Create a session: parse the sources, install the partition, run
+    /// the initial full analysis, and register the result
     /// live. The analysis runs outside the registry lock, so concurrent
     /// creates (of different names) proceed in parallel.
     ///
@@ -661,7 +661,7 @@ impl Registry {
             Ok(value) => Ok(value),
             Err(payload) => {
                 drop(session);
-                Err(self.handle_crash(name, &sup, generation, panic_message(payload)))
+                Err(self.handle_crash(name, &sup, generation, panic_message(&*payload)))
             }
         }
     }
@@ -702,7 +702,7 @@ impl Registry {
             }),
             Err(payload) => {
                 drop(session);
-                Err(self.handle_crash(name, &sup, generation, panic_message(payload)))
+                Err(self.handle_crash(name, &sup, generation, panic_message(&*payload)))
             }
         }
     }
@@ -774,7 +774,7 @@ impl Registry {
                 };
             }
             Err(payload) => {
-                let why = panic_message(payload);
+                let why = panic_message(&*payload);
                 self.swap_slot_if(
                     name,
                     sup,
@@ -871,7 +871,7 @@ impl Registry {
         rows
     }
 
-    /// Evict a session: flush pending edits, write the `GPCKPT02`
+    /// Evict a session: flush pending edits, write the `GPCKPT03`
     /// checkpoint into the spool, and swap the slot to dormant.
     /// Idempotent — evicting a dormant session returns its existing
     /// residue. The flush runs supervised: a panic during it is handled
@@ -907,7 +907,12 @@ impl Registry {
                 Ok(Err(e)) => return Err(RegistryError::Session(e)),
                 Err(payload) => {
                     drop(session);
-                    return Err(self.handle_crash(name, &sup, generation, panic_message(payload)));
+                    return Err(self.handle_crash(
+                        name,
+                        &sup,
+                        generation,
+                        panic_message(&*payload),
+                    ));
                 }
             };
             // The checkpoint captures every journaled edit (appends need
@@ -1095,7 +1100,7 @@ impl Registry {
                 }
                 Err(payload) => {
                     drop(session);
-                    let _ = self.handle_crash(&name, &sup, generation, panic_message(payload));
+                    let _ = self.handle_crash(&name, &sup, generation, panic_message(&*payload));
                 }
             }
         }
@@ -1134,7 +1139,7 @@ impl Registry {
                     Ok(result) => result,
                     Err(payload) => Err(SessionError::BadEdit(format!(
                         "session panicked during the persist flush: {}",
-                        panic_message(payload)
+                        panic_message(&*payload)
                     ))),
                 }
             };
@@ -1149,17 +1154,6 @@ impl Registry {
         }
         results.sort_by(|a, b| a.0.cmp(&b.0));
         results
-    }
-}
-
-/// Render a `catch_unwind` payload as text for the wire error and logs.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic payload of unknown type".to_string()
     }
 }
 

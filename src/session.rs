@@ -4,44 +4,50 @@
 //! CLI subcommand built it: a [`Timer`] here, an
 //! [`IncrementalPartitioner`] there, an [`Executor`] somewhere else,
 //! wired together ad hoc per command. A [`Session`] packages all of it —
-//! the parsed design, its timer, the warm partition cache, and the
-//! executor handle — into one `Send + 'static` value that can be created,
-//! handed to another thread, parked behind a mutex in a server registry
-//! ([`crate::serve`]), evicted to disk, and re-admitted later.
+//! the parsed design, its timer, its partition, and the executor handle —
+//! into one `Send + 'static` value that can be created, handed to another
+//! thread, parked behind a mutex in a server registry ([`crate::serve`]),
+//! evicted to disk, and re-admitted later.
 //!
 //! The lifecycle:
 //!
 //! * [`Session::create`] parses the [`DesignSources`] (structural
-//!   Verilog, optional Liberty library, optional SDC constraints), runs
-//!   the initial full analysis, and installs the incremental partition
-//!   cache on the full-space update TDG — after this every
-//!   [`Session::update_timing`] pays only for its dirty cone, the warm
-//!   path the paper's Figure 7 measures;
+//!   Verilog, optional Liberty library, optional SDC constraints),
+//!   installs seq-G-PASTA on the full-space update TDG, and runs the
+//!   initial full analysis — after this every [`Session::update_timing`]
+//!   pays only for its dirty cone, the warm path the paper's Figure 7
+//!   measures;
 //! * [`Session::apply_edit`] applies validated incremental edits
 //!   ([`Edit`]): gate repower, net-capacitance change, I/O-delay and
 //!   clock-period constraint changes. Validation happens *here*, so bad
 //!   client input surfaces as a typed [`SessionError`] instead of a
 //!   panic inside the timer;
-//! * [`Session::update_timing`] discovers the dirty cone (repairing the
-//!   cached partition inside it only if the cache is not settled) and
-//!   executes the cone under a caller-supplied
-//!   [`RunBudget`] — unscheduled on the calling thread when the budget
-//!   is unbounded (running only the tasks whose inputs changed; the
-//!   outcome's `tasks` stays the cone's structural size and
-//!   [`Session::task_counts`] has the executed count), partitioned
-//!   through the bounded recovering executor when it has a deadline,
-//!   cancel token or stall window — and degrades
-//!   explicitly on an expired deadline (affected endpoints read NaN; the
-//!   whole design is re-marked dirty so a later update converges);
-//! * [`Session::evict_to`] persists the session through the existing
-//!   `GPCKPT02` checkpoint format ([`crate::checkpoint`]) and returns a
+//! * [`Session::update_timing`] discovers the dirty cone and executes it
+//!   under a caller-supplied [`RunBudget`] — unscheduled on the calling
+//!   thread when the budget is unbounded (running only the tasks whose
+//!   inputs changed; the outcome's `tasks` stays the cone's structural
+//!   size and [`Session::task_counts`] has the executed count),
+//!   partitioned through the bounded recovering executor when it has a
+//!   deadline, cancel token or stall window — and degrades explicitly on
+//!   an expired deadline (affected endpoints read NaN; the whole design
+//!   is re-marked dirty so a later update converges);
+//! * [`Session::evict_to`] persists the session through the `GPCKPT03`
+//!   checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
 //!   the net-capacitance journal) from which
 //!   [`DormantSession::restore`] rebuilds a bit-identical live session.
 //!
+//! # The partition is derived, not kept
+//!
+//! The partition G-PASTA computes depends only on the TDG (Theorem 1),
+//! and every edit a session accepts changes delays, never the task graph.
+//! So a session's partition is a pure function of its design: create and
+//! restore install it the same way, no update repairs it, and no
+//! checkpoint stores it.
+//!
 //! # Eviction and bit-identity
 //!
-//! A `GPCKPT02` checkpoint stores timing *values*, not netlist state, so
+//! A `GPCKPT03` checkpoint stores timing *values*, not netlist state, so
 //! two pieces of bookkeeping make evict/restore bit-exact:
 //!
 //! * pending edits are flushed (one unbounded update) before the
@@ -51,11 +57,9 @@
 //!   net-cap edit (bit-exact `f32` patterns) and the restore replays the
 //!   journal before installing the snapshot.
 //!
-//! The checkpoint's identity fields are reused rather than extended (the
-//! on-disk format is unchanged): `circuit` holds the session name,
-//! `scale_bits` the [`checksum`] of the Verilog text, and `seed`
-//! a fingerprint of the constraints (Liberty + SDC + clock period), so a
-//! restore against edited sources is rejected with a typed error.
+//! The checkpoint names its session and carries the [`checksum`]s of the
+//! netlist text and of the constraints, so a restore against edited
+//! sources is rejected with a typed error.
 
 use std::error::Error as StdError;
 use std::fmt;
@@ -65,7 +69,9 @@ use std::path::{Path, PathBuf};
 use crate::checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointError, DesignShape, UpdateCheckpoint,
 };
-use crate::core::{IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta};
+use crate::core::{
+    forward_closure, IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta,
+};
 use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopCause};
 use crate::sta::{
     apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, DirtyCone,
@@ -78,7 +84,7 @@ use std::borrow::Cow;
 /// The textual inputs a session is built from. Owning the *sources*
 /// (rather than only the parsed design) is what makes eviction cheap:
 /// a [`DormantSession`] keeps these strings and a checkpoint path, and
-/// the heavy timer/cache state is rebuilt on restore.
+/// the heavy timer state is rebuilt on restore.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignSources {
     /// Structural Verilog netlist (the subset of
@@ -103,14 +109,14 @@ impl DesignSources {
         }
     }
 
-    /// [`checksum`] of the netlist text (stored in the
-    /// checkpoint's `scale_bits` identity field).
+    /// [`checksum`] of the netlist text (the checkpoint's
+    /// `netlist_bits`).
     pub fn netlist_bits(&self) -> u64 {
         checksum(self.verilog.as_bytes())
     }
 
     /// [`checksum`] of the constraints: Liberty text, SDC text,
-    /// and clock-period bits (stored in the checkpoint's `seed` field).
+    /// and clock-period bits (the checkpoint's `constraint_bits`).
     pub fn constraint_bits(&self) -> u64 {
         let mut buf = Vec::new();
         for text in [self.liberty.as_deref(), self.sdc.as_deref()] {
@@ -140,13 +146,10 @@ pub enum SessionError {
     /// An [`Edit`] referenced a missing object or carried an invalid
     /// value; the message names both.
     BadEdit(String),
-    /// Partition-cache maintenance failed: the install at create, the
-    /// re-validation at restore, or the dirty-cone repair an update runs
-    /// while the cached assignment is unsettled (on a settled one an update
-    /// repairs nothing, so it cannot fail here).
+    /// Installing the partition at create or restore failed.
     Partition(IncrementalError),
-    /// A repaired partition failed quotient construction — a library
-    /// bug, reported instead of panicking so one request fails, not the
+    /// The partition failed quotient construction — a library bug,
+    /// reported instead of panicking so one request fails, not the
     /// process.
     Quotient(ValidatePartitionError),
     /// A checkpoint's timing snapshot does not fit this design.
@@ -193,11 +196,10 @@ impl fmt::Display for SessionError {
             SessionError::Sdc(e) => write!(f, "sdc: {e}"),
             SessionError::Graph(e) => write!(f, "netlist has no timing graph: {e}"),
             SessionError::BadEdit(why) => write!(f, "bad edit: {why}"),
-            SessionError::Partition(e) => write!(f, "partition maintenance failed: {e}"),
-            SessionError::Quotient(e) => write!(
-                f,
-                "repaired partition has no valid quotient (library bug): {e}"
-            ),
+            SessionError::Partition(e) => write!(f, "partition install failed: {e}"),
+            SessionError::Quotient(e) => {
+                write!(f, "partition has no valid quotient (library bug): {e}")
+            }
             SessionError::Snapshot(e) => write!(f, "snapshot mismatch: {e}"),
             SessionError::Checkpoint(e) => write!(f, "{e}"),
         }
@@ -287,20 +289,19 @@ pub struct UpdateOutcome {
     /// How many of them an update executed is
     /// [`Session::task_counts`]'s to tell.
     pub tasks: usize,
-    /// Tasks the dirty-cone repair moved between partitions; zero on a
-    /// settled cache, where no repair runs.
+    /// Always 0: a session's partition is derived from its design and
+    /// never repaired. Read only by `perf_ledger`'s mirror-fidelity test,
+    /// which holds its own repair's count to it.
     pub repair_moved: usize,
-    /// Fresh partitions the repair allocated; zero on a settled cache.
+    /// Always 0, like [`UpdateOutcome::repair_moved`].
     pub repair_fresh: usize,
-    /// The partition cache's epoch after the run.
-    pub epoch: u64,
     /// Endpoints left reading *unknown* (NaN) by an early stop; zero
     /// for completed runs.
     pub unknown_endpoints: u32,
 }
 
 /// The in-memory residue of an evicted session: design sources, the
-/// net-capacitance journal, and the path of the `GPCKPT02` checkpoint
+/// net-capacitance journal, and the path of the `GPCKPT03` checkpoint
 /// holding the heavy state. [`DormantSession::restore`] turns it back
 /// into a live [`Session`] with bit-identical timing state.
 #[derive(Debug, Clone)]
@@ -339,94 +340,77 @@ impl DormantSession {
         &self.checkpoint
     }
 
-    /// Rebuild the live session: reparse the sources, replay the
-    /// net-cap journal, restore the timing snapshot and the partition
-    /// cache from the checkpoint. The result is bit-identical to the
-    /// session as it was at eviction.
+    /// Rebuild the live session: reparse the sources, install the
+    /// partition as [`Session::create`] does, replay the net-cap journal
+    /// and restore the timing snapshot from the checkpoint. No analysis
+    /// runs. The result is bit-identical to the session as it was at
+    /// eviction.
     ///
     /// # Errors
     ///
     /// [`SessionError::Checkpoint`] for unreadable, corrupt, or
     /// mismatched checkpoints (including sources edited since
     /// eviction), the parse variants if the sources no longer parse,
-    /// [`SessionError::Snapshot`] / [`SessionError::Partition`] if the
-    /// snapshot or cache does not fit the rebuilt design.
+    /// [`SessionError::Partition`] if the install fails, and
+    /// [`SessionError::Snapshot`] if the snapshot does not fit the rebuilt
+    /// design.
     pub fn restore(&self, workers: usize) -> Result<Session, SessionError> {
         let ckpt = read_checkpoint(&self.checkpoint)?;
         let mismatch = |why: String| SessionError::Checkpoint(CheckpointError::Mismatch(why));
-        if ckpt.circuit != self.name {
+        if ckpt.session != self.name {
             return Err(mismatch(format!(
                 "checkpoint belongs to session `{}`, not `{}`",
-                ckpt.circuit, self.name
+                ckpt.session, self.name
             )));
         }
-        if ckpt.scale_bits != self.sources.netlist_bits() {
+        if ckpt.netlist_bits != self.sources.netlist_bits() {
             return Err(mismatch(
                 "netlist text changed since eviction (fingerprint mismatch)".into(),
             ));
         }
-        if ckpt.seed != self.sources.constraint_bits() {
+        if ckpt.constraint_bits != self.sources.constraint_bits() {
             return Err(mismatch(
                 "constraints changed since eviction (fingerprint mismatch)".into(),
             ));
         }
+        Session::open(
+            self.name.clone(),
+            self.sources.clone(),
+            workers,
+            Some((&ckpt, &self.net_cap_journal)),
+        )
+    }
+}
 
-        let (mut timer, library) = build_timer(&self.sources)?;
-        let shape = DesignShape::of(&timer);
-        if ckpt.shape != shape {
-            return Err(mismatch(format!(
+/// Put `ckpt`'s values into `timer`, a fresh build of the checkpointed
+/// design: replay the net-cap journal first (net caps live in the netlist,
+/// outside the snapshot), then install the snapshot.
+fn restore_values(
+    timer: &mut Timer,
+    ckpt: &UpdateCheckpoint,
+    net_cap_journal: &[(u32, u32)],
+) -> Result<(), SessionError> {
+    let shape = DesignShape::of(timer);
+    if ckpt.shape != shape {
+        return Err(SessionError::Checkpoint(CheckpointError::Mismatch(
+            format!(
                 "design shape {shape:?} differs from the checkpoint's {:?}",
                 ckpt.shape
+            ),
+        )));
+    }
+    for &(net, cap_bits) in net_cap_journal {
+        if net as usize >= timer.netlist().num_nets() {
+            return Err(SessionError::BadEdit(format!(
+                "journaled net {net} out of range (design has {} nets)",
+                timer.netlist().num_nets()
             )));
         }
-        // The full-space TDG is a pure function of the rebuilt design; it
-        // hosts the restored cache, and building it clears the fresh
-        // timer's full-dirty flag (the snapshot restore resets dirtiness
-        // anyway).
-        let full_tdg = timer.update_timing().tdg().clone();
-        timer.release_tdg_buffers();
-        // Net caps live in the netlist, outside the snapshot: replay the
-        // journal bit-exactly before installing the snapshot values.
-        for &(net, cap_bits) in &self.net_cap_journal {
-            if net as usize >= timer.netlist().num_nets() {
-                return Err(SessionError::BadEdit(format!(
-                    "journaled net {net} out of range (design has {} nets)",
-                    timer.netlist().num_nets()
-                )));
-            }
-            timer.set_net_cap(net, f32::from_bits(cap_bits));
-        }
-        timer
-            .restore_snapshot(&ckpt.snapshot)
-            .map_err(SessionError::Snapshot)?;
-
-        let opts = PartitionerOptions::default();
-        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        match ckpt.cache {
-            Some(cache) => inc.restore_cache(&full_tdg, cache)?,
-            // Cache-less checkpoints are legal in the format; degrade to
-            // a fresh install on the restored timing state.
-            None => inc.install(&full_tdg, &opts)?,
-        }
-
-        Ok(Session {
-            name: self.name.clone(),
-            sources: self.sources.clone(),
-            names: NameIndex::of(timer.netlist()),
-            summary: timer.endpoint_summary(),
-            timer,
-            library,
-            inc,
-            exec: Executor::new(workers.max(1)),
-            policy: RetryPolicy::default(),
-            net_cap_journal: self.net_cap_journal.clone(),
-            updates_done: ckpt.iterations_done,
-            chaos: None,
-            quotient_arena: QuotientArena::new(),
-            paths_taken: [0; 2],
-            tasks_run: [0; 2],
-        })
+        timer.set_net_cap(net, f32::from_bits(cap_bits));
     }
+    timer
+        .restore_snapshot(&ckpt.snapshot)
+        .map_err(SessionError::Snapshot)
 }
 
 fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary), SessionError> {
@@ -505,7 +489,8 @@ impl NameIndex {
 }
 
 /// An owned unit of timing-analysis state: parsed design, [`Timer`],
-/// warm [`IncrementalPartitioner`] cache, and [`Executor`] handle.
+/// its partition (an [`IncrementalPartitioner`] installed once), and
+/// [`Executor`] handle.
 /// `Send + 'static`, so it can live behind a mutex in a server registry
 /// and move between worker threads. See the [module docs](self) for the
 /// lifecycle.
@@ -521,6 +506,8 @@ pub struct Session {
     /// Gate and port names → ids, for [`Session::apply_edit`].
     names: NameIndex,
     library: CellLibrary,
+    /// Seq-G-PASTA installed on the full-space update TDG: the partition
+    /// scheduled updates restrict, never repaired.
     inc: IncrementalPartitioner<SeqGPasta>,
     exec: Executor,
     policy: RetryPolicy,
@@ -534,7 +521,7 @@ pub struct Session {
     /// reinstalls it after create, restore, and crash recovery.
     chaos: Option<SessionChaos>,
     /// Recycled scratch and output buffers for the cone quotients that
-    /// [`Session::update_timing`] restricts from the partition cache's
+    /// [`Session::update_timing`] restricts from the partition's
     /// full-space quotient (and for building that one, once), so
     /// steady-state updates stop touching the allocator once the
     /// high-water mark is established.
@@ -570,37 +557,58 @@ impl fmt::Debug for Session {
             .field("name", &self.name)
             .field("shape", &self.shape())
             .field("updates_done", &self.updates_done)
-            .field("epoch", &self.inc.epoch())
             .field("workers", &self.exec.num_workers())
             .finish_non_exhaustive()
     }
 }
 
 impl Session {
-    /// Parse `sources`, run the initial full analysis, and install the
-    /// incremental partition cache on the full-space update TDG.
+    /// Parse `sources`, install seq-G-PASTA on the full-space update TDG,
+    /// and run the initial full analysis.
     ///
     /// # Errors
     ///
     /// The parse variants of [`SessionError`] for bad sources,
     /// [`SessionError::Graph`] for combinational loops, and
-    /// [`SessionError::Partition`] if the cache install fails.
+    /// [`SessionError::Partition`] if the install fails.
     pub fn create(
         name: impl Into<String>,
         sources: DesignSources,
         workers: usize,
     ) -> Result<Session, SessionError> {
+        Session::open(name.into(), sources, workers, None)
+    }
+
+    /// The one construction of a live session: build the timer from
+    /// `sources` and install seq-G-PASTA on its full-space update TDG.
+    /// Then either run the initial full analysis on that TDG, or — given
+    /// `restore`, a checkpoint of this design and the net-cap journal —
+    /// run nothing and take the checkpoint's values.
+    fn open(
+        name: String,
+        sources: DesignSources,
+        workers: usize,
+        restore: Option<(&UpdateCheckpoint, &[(u32, u32)])>,
+    ) -> Result<Session, SessionError> {
         let (mut timer, library) = build_timer(&sources)?;
-        let opts = PartitionerOptions::default();
         let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
         let full = timer.update_timing();
-        inc.install(full.tdg(), &opts)?;
-        full.run_sequential();
+        inc.install(full.tdg(), &PartitionerOptions::default())?;
+        if restore.is_none() {
+            full.run_sequential();
+        }
         drop(full);
         // Updates take only the dirty cone from here on.
         timer.release_tdg_buffers();
+        let (net_cap_journal, updates_done) = match restore {
+            None => (Vec::new(), 0),
+            Some((ckpt, journal)) => {
+                restore_values(&mut timer, ckpt, journal)?;
+                (journal.to_vec(), ckpt.updates_done)
+            }
+        };
         Ok(Session {
-            name: name.into(),
+            name,
             sources,
             names: NameIndex::of(timer.netlist()),
             summary: timer.endpoint_summary(),
@@ -609,8 +617,8 @@ impl Session {
             inc,
             exec: Executor::new(workers.max(1)),
             policy: RetryPolicy::default(),
-            net_cap_journal: Vec::new(),
-            updates_done: 0,
+            net_cap_journal,
+            updates_done,
             chaos: None,
             quotient_arena: QuotientArena::new(),
             paths_taken: [0; 2],
@@ -639,13 +647,8 @@ impl Session {
         self.updates_done
     }
 
-    /// The partition cache's repair epoch.
-    pub fn epoch(&self) -> u64 {
-        self.inc.epoch()
-    }
-
-    /// The partition cache's raw per-task assignment over the full-space
-    /// update TDG.
+    /// The partition's raw per-task assignment over the full-space update
+    /// TDG.
     pub fn partition_assignment(&self) -> Option<&[u32]> {
         self.inc.raw_assignment()
     }
@@ -662,10 +665,10 @@ impl Session {
 
     /// Install (or clear) a session-layer chaos schedule. The plan is
     /// consulted once per [`update_timing`](Session::update_timing) at
-    /// the key `(updates_done, attempt)` — *after* the partition cache
-    /// has accounted for the dirty cone (its epoch has advanced), so an
-    /// injected panic leaves the session in the genuinely inconsistent
-    /// mid-operation state crash-only recovery must cope with. `attempt`
+    /// the key `(updates_done, attempt)` — *after* the dirty cone has been
+    /// discovered, so an injected panic leaves the session in the
+    /// genuinely inconsistent mid-operation state crash-only recovery must
+    /// cope with. `attempt`
     /// is the hosting supervisor's recovery count for this session: a
     /// fault that fired before a crash keys differently on the healed
     /// session, exactly like executor retries.
@@ -761,35 +764,31 @@ impl Session {
         Ok(())
     }
 
-    /// Bring timing up to date under `budget`: discover the dirty cone,
-    /// account for it in the partition cache
-    /// ([`IncrementalPartitioner::repair_trusted`]), and execute it one of
-    /// two ways:
+    /// Bring timing up to date under `budget`: discover the dirty cone and
+    /// execute it one of two ways:
     ///
     /// * *in order* — on the calling thread in ascending full-space id,
     ///   which is a topological order: no quotient, no executor, and of a
     ///   partial cone only the tasks a changed value reaches
     ///   ([`DirtyCone::run_in_order`](crate::sta::DirtyCone::run_in_order)).
     ///   An update under [`RunBudget::unbounded`] runs this way;
-    /// * *scheduled* — take the cone's quotient from the cache (a
-    ///   restriction of the one full-space quotient the cache keeps while
-    ///   its assignment stands, and that quotient itself when the whole
-    ///   design is dirty; no per-update task graph is built and no task
-    ///   edge is scanned) and run it through the bounded recovering
+    /// * *scheduled* — take the cone's quotient from the partition (a
+    ///   restriction of its one full-space quotient, built on first use,
+    ///   and that quotient itself when the whole design is dirty; no
+    ///   per-update task graph is built and no task edge is scanned) and run it through the bounded recovering
     ///   executor. A `budget` with a deadline, a cancel token or a stall
     ///   window runs this way — admission control and the unfinished
     ///   closure are the executor's — and so does the rerun of a cone in
     ///   which a task panicked in order.
     ///
-    /// The cache step comes before the choice and the results are
-    /// bit-identical, so nothing this function returns or the session
-    /// persists depends on the path. It is a *repair* only when the cached
-    /// assignment is not settled — a restored assignment the wavefront
-    /// would still merge, or one a repair has just moved. Every edit a
-    /// session accepts is delay-only, so the task graph is the one the
-    /// cache was installed on, the installed seq-G-PASTA assignment is
-    /// settled, and the step is an epoch bump that never reads the cone;
-    /// debug builds run the checked repair anyway and assert it agreed.
+    /// The results are bit-identical, so nothing this function returns or
+    /// the session persists depends on the path. The partition is the one
+    /// installed at create or restore: every edit a session accepts is
+    /// delay-only, so the task graph never changes and neither does the
+    /// partition. Debug builds assert that each cone is successor-closed in
+    /// that task graph (the check the repair made when updates ran one):
+    /// running only the cone is exact because nothing outside it depends
+    /// on a task inside it.
     ///
     /// A restriction keeps every edge the full quotient has between the
     /// cone's partitions, which can be more than the cone's own tasks
@@ -814,9 +813,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Partition`] if the cache is unsettled and the
-    /// dirty-cone repair fails, [`SessionError::Quotient`] if the cached
-    /// partition has no valid quotient.
+    /// [`SessionError::Quotient`] if the partition has no valid quotient.
     pub fn update_timing(&mut self, budget: &RunBudget) -> Result<UpdateOutcome, SessionError> {
         let cone = self.timer.dirty_cone();
         let tasks = cone.num_tasks();
@@ -828,11 +825,15 @@ impl Session {
                 tasks: 0,
                 repair_moved: 0,
                 repair_fresh: 0,
-                epoch: self.inc.epoch(),
                 unknown_endpoints: 0,
             });
         }
-        let stats = self.inc.repair_trusted(cone.ids())?;
+        debug_assert!(
+            self.inc
+                .cached_tdg()
+                .is_some_and(|tdg| forward_closure(tdg, cone.ids()) == cone.ids()),
+            "a dirty cone is not successor-closed in the full-space TDG"
+        );
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
 
         let RunBudget {
@@ -882,14 +883,13 @@ impl Session {
         Ok(UpdateOutcome {
             stop,
             tasks,
-            repair_moved: stats.moved,
-            repair_fresh: stats.fresh_partitions,
-            epoch: self.inc.epoch(),
+            repair_moved: 0,
+            repair_fresh: 0,
             unknown_endpoints,
         })
     }
 
-    /// The scheduled way to run `cone`: its quotient from the cache, through
+    /// The scheduled way to run `cone`: its quotient from the partition, through
     /// the bounded recovering executor; a stopped run degrades explicitly.
     /// Returns `(stop, unknown endpoints, tasks executed)`.
     fn run_scheduled(
@@ -971,7 +971,7 @@ impl Session {
         }
     }
 
-    /// Persist the session through the `GPCKPT02` checkpoint format and
+    /// Persist the session through the `GPCKPT03` checkpoint format and
     /// return the [`DormantSession`] residue to restore from. Pending
     /// edits are flushed (one unbounded update) first — the snapshot
     /// stores values, not the dirty set — which preserves bit-identity
@@ -992,13 +992,12 @@ impl Session {
             self.update_timing(&RunBudget::unbounded())?;
         }
         let ckpt = UpdateCheckpoint {
-            circuit: self.name.clone(),
-            scale_bits: self.sources.netlist_bits(),
-            seed: self.sources.constraint_bits(),
-            iterations_done: self.updates_done,
+            session: self.name.clone(),
+            netlist_bits: self.sources.netlist_bits(),
+            constraint_bits: self.sources.constraint_bits(),
+            updates_done: self.updates_done,
             shape: DesignShape::of(&self.timer),
             snapshot: self.timer.snapshot(),
-            cache: self.inc.export_cache().ok(),
         };
         write_checkpoint(path, &ckpt)?;
         Ok(DormantSession {
@@ -1219,43 +1218,9 @@ endmodule
                 drive: [0.5, 1.0, 2.0, 4.0][(i / 4 % 4) as usize],
             })
             .expect("valid");
-            let out = s.update_timing(&scheduled).expect("update");
-            assert_eq!((out.repair_moved, out.repair_fresh), (0, 0));
+            s.update_timing(&scheduled).expect("update");
         }
         assert_eq!(s.inc.quotient_builds(), 1, "40 updates, one build");
-
-        // Every task alone is a valid cache (full-space ids rise along
-        // every edge) that the wavefront wants to merge: the next repair
-        // moves tasks, and exactly that costs one more build.
-        let mut singletons = s.inc.export_cache().expect("warm");
-        singletons.raw = (0..singletons.raw.len() as u32).collect();
-        singletons.max_pid = singletons.raw.len() as u32 - 1;
-        let full_tdg = s.inc.cached_tdg().expect("warm").clone();
-        s.inc
-            .restore_cache(&full_tdg, singletons)
-            .expect("singletons");
-        s.apply_edit(&Edit::Repower {
-            gate: "u0".into(),
-            drive: 3.0,
-        })
-        .expect("valid");
-        let out = s.update_timing(&scheduled).expect("update");
-        assert!(out.repair_moved > 0, "a moving repair");
-        assert_eq!(s.inc.quotient_builds(), 2);
-
-        // The moved partition computes the same bits: the last loop left
-        // every gate at drive 0.5.
-        let mut reference = fixture_session("one-quotient-ref");
-        for (gate, drive) in [("u0", 3.0), ("u1", 0.5), ("u2", 0.5), ("u3", 0.5)] {
-            let gate = gate.into();
-            reference
-                .apply_edit(&Edit::Repower { gate, drive })
-                .expect("valid");
-        }
-        reference
-            .update_timing(&RunBudget::unbounded())
-            .expect("update");
-        assert!(s.timer().snapshot() == reference.timer().snapshot());
     }
 
     #[test]
@@ -1352,7 +1317,64 @@ endmodule
 
         assert_eq!(got.wns_ps.to_bits(), want.wns_ps.to_bits());
         assert_eq!(got.tns_ps.to_bits(), want.tns_ps.to_bits());
-        assert_eq!(restored.epoch(), reference.epoch());
+        assert_eq!(
+            restored.partition_assignment(),
+            reference.partition_assignment()
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The partition is derived from the design: a session restored
+    /// mid-stream holds the one it would have kept, and a stopped scheduled
+    /// run — which endpoints it leaves unknown depends on the partition —
+    /// leaves it the same bits as the session never evicted, NaN marks
+    /// included.
+    #[test]
+    fn a_restored_session_has_the_partition_of_one_never_evicted() {
+        use crate::circuits::PaperCircuit;
+        use crate::sta::write_verilog;
+        let sources = DesignSources::verilog_only(write_verilog(
+            &PaperCircuit::AesCore.build(0.002),
+            "aes_core",
+        ));
+        let repower = |s: &mut Session, gate: u32, drive: f32| {
+            s.apply_edit(&Edit::Repower {
+                gate: gate.to_string(),
+                drive,
+            })
+            .expect("valid");
+        };
+        let mut kept = Session::create("derived", sources.clone(), 2).expect("create");
+        let mut evicted = Session::create("derived", sources, 2).expect("create");
+        for s in [&mut kept, &mut evicted] {
+            repower(s, 3, 2.0);
+            s.update_timing(&RunBudget::unbounded()).expect("update");
+        }
+        let path = tmp_ckpt("derived");
+        let dormant = evicted.evict_to(&path).expect("evict");
+        drop(evicted);
+        let mut restored = dormant.restore(2).expect("restore");
+        assert!(kept.partition_assignment().is_some());
+        assert_eq!(restored.partition_assignment(), kept.partition_assignment());
+
+        let stop_now = RunBudget::unbounded().with_deadline(Duration::ZERO);
+        for s in [&mut kept, &mut restored] {
+            repower(s, 0, 4.0);
+            let out = s.update_timing(&stop_now).expect("bounded update");
+            assert_eq!(out.stop, StopCause::DeadlineExpired);
+            assert!(out.unknown_endpoints > 0);
+        }
+        let all = kept.timer().graph().endpoints().len();
+        let unknown = |s: &Session| {
+            let worst = s.report(all).worst;
+            worst.iter().filter(|e| e.slack_ps.is_nan()).count()
+        };
+        assert!(unknown(&kept) > 0);
+        assert_eq!(unknown(&restored), unknown(&kept));
+        assert!(
+            restored.timer().snapshot() == kept.timer().snapshot(),
+            "the same bits, NaN marks included"
+        );
         std::fs::remove_file(&path).ok();
     }
 

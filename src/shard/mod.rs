@@ -6,7 +6,7 @@
 //! tasks execute inside a long-lived worker process
 //! (`gpasta shard-worker`, [`run_worker`]) that serves one shard after
 //! another while the parent supervisor ([`run_sharded`]) streams boundary
-//! timing values in and shard deltas out over `GPCKPT02`-framed pipes
+//! timing values in and shard deltas out over `GPCKPT03`-framed pipes
 //! ([`wire`]). A worker is sent only the boundary cells it does not
 //! already hold (`boundary_set`).
 //!
@@ -140,8 +140,6 @@ pub struct ShardRunConfig {
     /// while a shard is ready and every live worker is busy — which never
     /// happens when the shard graph is a chain.
     pub max_workers: usize,
-    /// Member-task cap per shard; `0` disables the cap.
-    pub max_tasks_per_shard: usize,
     /// Respawn policy for dead or hung workers.
     pub retry: RetryPolicy,
     /// Heartbeat silence after which a worker counts as hung.
@@ -176,7 +174,6 @@ impl ShardRunConfig {
             seed,
             shards,
             max_workers: 0,
-            max_tasks_per_shard: 0,
             retry: RetryPolicy::default(),
             stall_after: Duration::from_secs(10),
             faults: FaultPlan::none(),
@@ -592,23 +589,16 @@ mod tests {
         );
     }
 
-    /// A hand-off file sealed as the previous format did ("GPCKPT01", a
-    /// byte-serial FNV-1a 64 trailer) is refused as another format
-    /// version, not read as this one.
+    /// A hand-off file sealed as the previous format did ("GPCKPT02",
+    /// the same payload checksum) is refused as another format version,
+    /// not read as this one.
     #[test]
-    fn a_gpckpt01_checkpoint_is_refused_as_another_format_version() {
+    fn a_gpckpt02_checkpoint_is_refused_as_another_format_version() {
         let mut old = sample_checkpoint().encode();
-        old[..8].copy_from_slice(b"GPCKPT01");
-        let body = old.len() - 8;
-        let sum = old[17..body]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            });
-        old[body..].copy_from_slice(&sum.to_le_bytes());
+        old[..8].copy_from_slice(b"GPCKPT02");
         let err = ShardCheckpoint::decode(&old).expect_err("old format");
         assert!(
-            matches!(&err, ShardError::Checkpoint(why) if why.contains("format version \"01\"")),
+            matches!(&err, ShardError::Checkpoint(why) if why.contains("format version \"02\"")),
             "{err}"
         );
     }
@@ -659,7 +649,7 @@ mod tests {
             let mut timer = build_timer(circuit, 0.002, 7);
             let update = timer.update_timing();
             for shards in [1, 2, 3, 4, 7] {
-                let plan = ShardPlan::build(update.tdg(), shards, 0).expect("plan");
+                let plan = ShardPlan::build(update.tdg(), shards).expect("plan");
                 let work = shard_work(&update, &plan);
                 assert_eq!(work.len(), plan.num_shards());
                 let mut next = 0;
@@ -682,8 +672,8 @@ mod tests {
     fn fingerprints_depend_on_the_plan() {
         let mut timer = build_timer(PaperCircuit::AesCore, 0.002, 7);
         let update = timer.update_timing();
-        let plan2 = ShardPlan::build(update.tdg(), 2, 0).expect("plan");
-        let plan4 = ShardPlan::build(update.tdg(), 4, 0).expect("plan");
+        let plan2 = ShardPlan::build(update.tdg(), 2).expect("plan");
+        let plan4 = ShardPlan::build(update.tdg(), 4).expect("plan");
         let f2 = run_fingerprint(update.tdg(), &plan2);
         assert_eq!(f2, run_fingerprint(update.tdg(), &plan2), "pure");
         if plan2.num_shards() != plan4.num_shards() {

@@ -105,8 +105,6 @@ impl Proc {
             .arg(cfg.seed.to_string())
             .arg("--shards")
             .arg(cfg.shards.to_string())
-            .arg("--max-shard-tasks")
-            .arg(cfg.max_tasks_per_shard.to_string())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
@@ -458,7 +456,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
             ));
         }
     }
-    let plan = ShardPlan::build(update.tdg(), cfg.shards, cfg.max_tasks_per_shard)?;
+    let plan = ShardPlan::build(update.tdg(), cfg.shards)?;
     let k = plan.num_shards();
     let work = shard_work(&update, &plan);
 

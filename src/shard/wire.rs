@@ -1,4 +1,4 @@
-//! `GPCKPT02`-framed messages between the shard supervisor and its
+//! `GPCKPT03`-framed messages between the shard supervisor and its
 //! worker processes.
 //!
 //! Every frame shares the checkpoint format's magic + version prefix and
@@ -122,7 +122,7 @@ pub enum WireError {
     Io(std::io::Error),
     /// The peer closed the pipe cleanly between frames.
     Eof,
-    /// The bytes are not a `GPCKPT02` frame (a `GPCKPT01` one is an
+    /// The bytes are not a `GPCKPT03` frame (an earlier version's is an
     /// "unsupported format version"), the pipe closed mid-frame, the
     /// checksum disagrees, or a section is malformed; the string names
     /// the defect.
@@ -848,7 +848,7 @@ mod tests {
         // independent transcription of the lane rule.
         let bytes = Frame::Delta(sample_values()).to_bytes();
         assert_eq!(bytes.len(), 205);
-        assert_eq!(&bytes[..9], b"GPCKPT02\x04");
+        assert_eq!(&bytes[..9], b"GPCKPT03\x04");
         let (payload, trailer) = bytes[17..].split_at(bytes.len() - 17 - 8);
         let step = |h: u64, lane: u64| ((h ^ lane).wrapping_mul(0x100_0000_01b3)).rotate_left(23);
         let mut h = 0xcbf2_9ce4_8422_2325;
@@ -863,13 +863,13 @@ mod tests {
     }
 
     #[test]
-    fn a_gpckpt01_frame_is_refused_as_another_format_version() {
+    fn a_gpckpt02_frame_is_refused_as_another_format_version() {
         for frame in sample_frames() {
             let mut old = frame.to_bytes();
-            old[..8].copy_from_slice(b"GPCKPT01");
+            old[..8].copy_from_slice(b"GPCKPT02");
             let err = Frame::read_from(&mut std::io::Cursor::new(old)).expect_err("old format");
             assert!(
-                matches!(&err, WireError::Corrupt(why) if why.contains("format version \"01\"")),
+                matches!(&err, WireError::Corrupt(why) if why.contains("format version \"02\"")),
                 "got {err:?}"
             );
         }

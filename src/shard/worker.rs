@@ -3,9 +3,8 @@
 //! A worker is a long-lived owner of work, not a per-shard spawn. Once
 //! per process it rebuilds the deterministic analysis context from
 //! `(circuit, scale, seed)` (see [`super::build_timer`]) and the shard
-//! plan from `(shards, max_tasks_per_shard)` via the shared pure planning
-//! function, and sends `Hello` (the agreement fingerprint). Then it
-//! serves rounds on its stdio ([`super::wire`]) until its stdin closes:
+//! plan from the shard count via the shared pure planning function, and
+//! sends `Hello` (the agreement fingerprint). Then it serves rounds on its stdio ([`super::wire`]) until its stdin closes:
 //!
 //! 1. receive `Assign` (which shard, which attempt, the heartbeat
 //!    cadence, the injected fault if any);
@@ -55,8 +54,6 @@ pub struct WorkerArgs {
     pub seed: u64,
     /// Shard count the supervisor planned with.
     pub shards: usize,
-    /// Member-task cap the supervisor planned with.
-    pub max_tasks_per_shard: usize,
 }
 
 /// Fire an injected fault.
@@ -96,7 +93,7 @@ pub(crate) fn run_worker_io(
 ) -> Result<(), ShardError> {
     let mut timer = build_timer(args.circuit, f64::from_bits(args.scale_bits), args.seed);
     let update = timer.update_timing();
-    let plan = ShardPlan::build(update.tdg(), args.shards, args.max_tasks_per_shard)?;
+    let plan = ShardPlan::build(update.tdg(), args.shards)?;
     let work = shard_work(&update, &plan);
     let data = update.data();
     // Shards this process completed, in the order it served them.
@@ -234,7 +231,6 @@ mod tests {
             scale_bits: SCALE.to_bits(),
             seed: SEED,
             shards,
-            max_tasks_per_shard: 0,
         }
     }
 
@@ -313,7 +309,7 @@ mod tests {
         // holds exactly what a supervisor would export for shard `s`.
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
         let twin = twin.update_timing();
-        let plan = ShardPlan::build(twin.tdg(), shards, 0).expect("plan");
+        let plan = ShardPlan::build(twin.tdg(), shards).expect("plan");
         assert_eq!(plan.num_shards(), shards);
         let sets = reference_sets(&twin, &plan);
         let mut inboxes = [Vec::new(), Vec::new()];
@@ -367,7 +363,7 @@ mod tests {
         let shards = 2;
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
         let twin = twin.update_timing();
-        let plan = ShardPlan::build(twin.tdg(), shards, 0).expect("plan");
+        let plan = ShardPlan::build(twin.tdg(), shards).expect("plan");
         let sets = reference_sets(&twin, &plan);
         let cut = sets[1].1.minus(&sets[0].0);
         assert!(
@@ -404,7 +400,7 @@ mod tests {
         let shards = 3;
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
         let twin = twin.update_timing();
-        let plan = ShardPlan::build(twin.tdg(), shards, 0).expect("plan");
+        let plan = ShardPlan::build(twin.tdg(), shards).expect("plan");
         let work = shard_work(&twin, &plan);
         for (s, job) in work.iter().enumerate() {
             assert_eq!(boundary_set(&work, s as u32, &[]), job.needed, "shard {s}");
@@ -441,7 +437,7 @@ mod tests {
         let shards = 2;
         let mut timer = build_timer(CIRCUIT, SCALE, SEED);
         let update = timer.update_timing();
-        let plan = ShardPlan::build(update.tdg(), shards, 0).expect("plan");
+        let plan = ShardPlan::build(update.tdg(), shards).expect("plan");
         assert!(plan.num_shards() >= 2, "test needs a real split");
 
         // Send shard 1 an empty boundary: its read set is not empty (it

@@ -32,8 +32,8 @@
 //! 1, 2 and 4 workers — the path must not show in any bit, outcome field
 //! or cached pid, nor across an evict → restore. Beside the bare timer sits
 //! a bare `IncrementalPartitioner` fed the checked `repair(cone ids)` on
-//! every step: the sessions, which skip the repair on their settled cache,
-//! must report its counts and its epoch all the same.
+//! every step: the sessions, which never repair their partition, must
+//! report its counts all the same.
 //!
 //! On every one of those sessions, after every step, `Session::report` — a
 //! read of the endpoint summary the session keeps across updates — is
@@ -63,7 +63,6 @@ struct Counts {
     tasks: usize,
     repair_moved: usize,
     repair_fresh: usize,
-    epoch: u64,
     unknown_endpoints: u32,
 }
 
@@ -188,7 +187,6 @@ impl Lane {
             tasks: 0,
             repair_moved: 0,
             repair_fresh: 0,
-            epoch: self.inc.epoch(),
             unknown_endpoints: 0,
         }
     }
@@ -207,7 +205,6 @@ impl Lane {
             tasks,
             repair_moved: stats.moved,
             repair_fresh: stats.fresh_partitions,
-            epoch: self.inc.epoch(),
             unknown_endpoints: unknown_endpoints(rec),
         }
     }
@@ -382,7 +379,6 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
             tasks: outcome.tasks,
             repair_moved: outcome.repair_moved,
             repair_fresh: outcome.repair_fresh,
-            epoch: outcome.epoch,
             unknown_endpoints: outcome.unknown_endpoints,
         };
         assert_eq!(product, want, "{what}: UpdateOutcome");
@@ -604,8 +600,8 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         assert_report_is_from_scratch(&free, &format!("{what}, unbounded"));
         assert_report_is_from_scratch(&pinned, &format!("{what}, pinned"));
         assert_eq!(
-            (got.tasks, got.repair_moved, got.repair_fresh, got.epoch),
-            (ids.len(), moved, fresh, repaired.epoch()),
+            (got.tasks, got.repair_moved, got.repair_fresh),
+            (ids.len(), moved, fresh),
             "{what}: the session's cache step against a checked repair"
         );
         with_tasks += u64::from(got.tasks > 0);

@@ -2,7 +2,7 @@
 //! the library level: no processes, no sockets, so the whole file is
 //! safe to run under ThreadSanitizer (the nightly `tsan-smoke` job
 //! does). The two properties under test are the ones `gpasta serve`
-//! sells: eviction through a `GPCKPT02` checkpoint is invisible to
+//! sells: eviction through a `GPCKPT03` checkpoint is invisible to
 //! timing results, and disjoint sessions serve concurrent clients
 //! without interference.
 
@@ -104,7 +104,6 @@ fn evict_restore_is_invisible_to_timing_results() {
         bits(&subject),
         "WNS/TNS must be bit-identical across evict/restore"
     );
-    assert_eq!(reference.epoch(), subject.epoch(), "cache epochs agree");
     let ref_paths = reference.worst_paths(1);
     let sub_paths = subject.worst_paths(1);
     assert_eq!(ref_paths, sub_paths, "worst paths agree step for step");

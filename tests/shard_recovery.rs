@@ -146,7 +146,7 @@ fn kill_matrix_respawns_and_heals_bit_identical() {
 fn plan_is_not_a_chain(scale: f64, shards: usize) -> bool {
     let mut timer = Timer::new(CIRCUIT.build(scale), CellLibrary::typical());
     let update = timer.update_timing();
-    let plan = ShardPlan::build(update.tdg(), shards, 0).expect("plan");
+    let plan = ShardPlan::build(update.tdg(), shards).expect("plan");
     (1..plan.num_shards() as u32).any(|s| !plan.graph().predecessors(TaskId(s)).contains(&(s - 1)))
 }
 
