@@ -18,10 +18,6 @@ pub struct BenchConfig {
     pub workers: usize,
     /// Output directory for CSV/JSON results.
     pub out_dir: PathBuf,
-    /// Run the incremental-partition-maintenance variant (fig7 only):
-    /// cached partition repaired inside the dirty cone instead of
-    /// re-partitioning from scratch each iteration.
-    pub incremental: bool,
 }
 
 impl Default for BenchConfig {
@@ -33,14 +29,13 @@ impl Default for BenchConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             out_dir: PathBuf::from("results"),
-            incremental: false,
         }
     }
 }
 
 impl BenchConfig {
-    /// Parse `--scale <f> | --full | --runs <n> | --workers <n> | --out <dir>
-    /// | --incremental` from the process arguments, ignoring the binary name.
+    /// Parse `--scale <f> | --full | --runs <n> | --workers <n> | --out <dir>`
+    /// from the process arguments, ignoring the binary name.
     /// This is the harness binaries' process boundary: a malformed command
     /// line prints the typed error plus usage and exits with status 2
     /// instead of panicking.
@@ -57,7 +52,7 @@ impl BenchConfig {
 
     /// Usage line shared by `--help` and error reporting.
     pub const USAGE: &'static str =
-        "usage: [--scale <f>] [--full] [--runs <n>] [--workers <n>] [--out <dir>] [--incremental]";
+        "usage: [--scale <f>] [--full] [--runs <n>] [--workers <n>] [--out <dir>]";
 
     /// Parse from an explicit argument iterator (testable).
     ///
@@ -98,7 +93,6 @@ impl BenchConfig {
                     })?;
                 }
                 "--out" => cfg.out_dir = PathBuf::from(value("--out", &mut it)?),
-                "--incremental" => cfg.incremental = true,
                 "--help" | "-h" => {
                     eprintln!("{}", Self::USAGE);
                     std::process::exit(0);
@@ -133,14 +127,6 @@ mod tests {
         assert_eq!(cfg.scale, 0.05);
         assert_eq!(cfg.runs, 3);
         assert!(cfg.workers >= 1);
-        assert!(!cfg.incremental);
-    }
-
-    #[test]
-    fn incremental_flag() {
-        let cfg = parse(&["--incremental", "--scale", "0.5"]).expect("valid");
-        assert!(cfg.incremental);
-        assert_eq!(cfg.scale, 0.5);
     }
 
     #[test]

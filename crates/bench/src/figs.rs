@@ -22,7 +22,7 @@ pub const FIG8_PARTITION_SIZES: &[usize] = &[1, 2, 3, 5, 8, 15, 30, 60, 120, 240
 
 /// Seed of the deterministic per-iteration modifier stream (shared by
 /// every fig7 policy so all policies time the identical workload).
-pub const FIG7_SEED: u64 = 0x5EED;
+const FIG7_SEED: u64 = 0x5EED;
 
 /// Iteration count of the Figure 7 loop at `scale` (the paper runs 8 K).
 pub fn fig7_iterations(scale: f64) -> usize {
@@ -31,7 +31,7 @@ pub fn fig7_iterations(scale: f64) -> usize {
 
 /// One deterministic design modifier per iteration: repower a random
 /// gate or change a random net's capacitance.
-pub fn apply_modifier(timer: &mut Timer, rng: &mut ChaCha8Rng) {
+fn apply_modifier(timer: &mut Timer, rng: &mut ChaCha8Rng) {
     let num_gates = timer.netlist().num_gates();
     let num_nets = timer.netlist().num_nets() as u32;
     if rng.gen_bool(0.5) && num_gates > 0 {

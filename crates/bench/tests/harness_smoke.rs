@@ -1,4 +1,4 @@
-//! Smoke tests for the harness binaries: run `fig7` (both modes), `fig8`,
+//! Smoke tests for the harness binaries: run `fig7`, `fig8`,
 //! `fault_recovery` and `table1` at a tiny `--scale` inside `cargo test`
 //! and pin the CSV/JSON schemas their consumers (plot scripts, CI
 //! artifact checks) rely on. For `fig7` and `fig8` the committed files of
@@ -148,63 +148,6 @@ fn fig8_writes_the_documented_schema() {
             "deter_gpasta_wall_ms",
         ],
     );
-}
-
-#[test]
-fn fig7_incremental_mode_writes_the_documented_schema() {
-    let out = out_dir("fig7_incremental");
-    let dir = out.to_str().expect("utf8");
-    let res = run(
-        env!("CARGO_BIN_EXE_fig7"),
-        &[
-            "--incremental",
-            "--scale",
-            "0.0006",
-            "--workers",
-            "2",
-            "--out",
-            dir,
-        ],
-    );
-    assert!(
-        res.status.success(),
-        "{}",
-        String::from_utf8_lossy(&res.stderr)
-    );
-
-    for circuit in ["vga_lcd", "leon2"] {
-        let csv = out.join(format!("fig7_{circuit}_incremental.csv"));
-        assert_eq!(
-            csv_header(&csv),
-            "label,scratch_part_ms,inc_part_ms,scratch_wall_ms,\
-             inc_wall_ms,scratch_sim_ms,inc_sim_ms"
-        );
-        assert_csv_rows(&csv);
-    }
-
-    // The machine-readable summary: one row per circuit with the fields
-    // CI uploads and downstream dashboards key on.
-    let summary = json_rows(&out.join("BENCH_incremental.json"));
-    let rows = summary.as_array().expect("summary array");
-    let labels: Vec<&str> = rows
-        .iter()
-        .map(|r| r["label"].as_str().expect("label"))
-        .collect();
-    assert_eq!(labels, ["vga_lcd", "leon2"]);
-    for row in rows {
-        assert_eq!(
-            json_columns(row),
-            [
-                "iterations",
-                "install_ms",
-                "scratch_part_ms",
-                "incremental_part_ms",
-                "speedup",
-                "scratch_wall_ms",
-                "incremental_wall_ms"
-            ]
-        );
-    }
 }
 
 #[test]

@@ -36,9 +36,7 @@
 //! the first [`IncrementalPartitioner::cone_quotient`], hands out
 //! restrictions of it, and drops it only where a repair moves a task. The
 //! topological ranks only the re-placing path needs are likewise built on
-//! first use. Callers whose dirty sets are closed by
-//! construction can additionally skip the verification passes via
-//! [`IncrementalPartitioner::repair_and_project_trusted`].
+//! first use.
 //!
 //! # Soundness
 //!
@@ -254,11 +252,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             epoch: 0,
             quotient_builds: 0,
         }
-    }
-
-    /// The wrapped partitioner.
-    pub fn inner(&self) -> &P {
-        &self.inner
     }
 
     /// Whether a cache is installed.
@@ -478,73 +471,6 @@ impl<P: Partitioner> IncrementalPartitioner<P> {
             .expect("repair succeeded on a warm cache");
         let proj = std::mem::take(&mut cache.proj);
         Ok((stats, Partition::new(proj)))
-    }
-
-    /// [`Self::repair_and_project`] for ids the caller *knows* are
-    /// successor-closed and duplicate-free — the two properties the checked
-    /// entry point spends its per-task verification passes on. Dirty cones
-    /// built by forward invalidation (an STA timer's `update_timing` set,
-    /// or [`forward_closure`]) satisfy both by construction, and for them
-    /// the identity fast path drops to two cache-array reads per task.
-    ///
-    /// Debug builds still verify the contract by delegating to the checked
-    /// path. In release builds a violated contract can leave the cache with
-    /// a non-monotone assignment — an *invalid partition*, never memory
-    /// unsafety — exactly as if the caller had forced a non-closed repair.
-    /// The fast path also trusts the cache's own invariants (which the
-    /// public API cannot weaken): any cone containing a merge candidate is
-    /// handed to the fully checked repair.
-    ///
-    /// # Errors
-    ///
-    /// [`IncrementalError::NotInstalled`] on a cold cache and
-    /// [`IncrementalError::TaskOutOfRange`] for an invalid id.
-    pub fn repair_and_project_trusted(
-        &mut self,
-        ids: &[u32],
-    ) -> Result<(RepairStats, Partition), IncrementalError> {
-        if cfg!(debug_assertions) {
-            let (stats, p) = self.repair_and_project(ids)?;
-            debug_assert_eq!(
-                stats.num_dirty,
-                ids.len(),
-                "trusted ids must be duplicate-free"
-            );
-            return Ok((stats, p));
-        }
-        let needs_full = {
-            let cache = self.cache.as_mut().ok_or(IncrementalError::NotInstalled)?;
-            let n = cache.tdg.num_tasks();
-            cache.proj.clear();
-            cache.proj.reserve(ids.len());
-            let mut needs_full = false;
-            for &t in ids {
-                if (t as usize) >= n {
-                    return Err(IncrementalError::TaskOutOfRange {
-                        task: t,
-                        num_tasks: n,
-                    });
-                }
-                cache.proj.push(cache.raw[t as usize]);
-                needs_full |= cache.merge_bit[t as usize];
-            }
-            needs_full
-        };
-        if needs_full {
-            return self.repair_and_project(ids);
-        }
-        self.epoch += 1;
-        let cache = self.cache.as_mut().expect("checked above");
-        let proj = std::mem::take(&mut cache.proj);
-        Ok((
-            RepairStats {
-                num_dirty: ids.len(),
-                moved: 0,
-                fresh_partitions: 0,
-                epoch: self.epoch,
-            },
-            Partition::new(proj),
-        ))
     }
 
     fn repair_impl(

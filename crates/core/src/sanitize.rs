@@ -45,46 +45,6 @@ where
     })
 }
 
-/// Audit the incremental repair kernel: `make` builds a fresh inner
-/// partitioner around each perturbed sanitized [`Device`], which is then
-/// wrapped in an [`IncrementalPartitioner`](crate::IncrementalPartitioner);
-/// the audited output is the raw assignment *after* installing the cache
-/// and repairing `dirty`. The classification therefore covers the whole
-/// install → repair path: an order-sensitive inner partitioner (GPasta)
-/// taints the repaired cache, while a [`crate::DeterGPasta`]-backed
-/// incremental partitioner must audit as [`Verdict::Deterministic`]
-/// because the repair loop itself is sequential and seeded only by the
-/// cached pids.
-///
-/// # Panics
-///
-/// Panics if install or repair fails under audit — the audit perturbs
-/// scheduling, not inputs, so a failing run is a bug (e.g. a dirty set
-/// that is not successor-closed).
-pub fn audit_incremental_repair<P, F>(
-    make: F,
-    tdg: &Tdg,
-    opts: &PartitionerOptions,
-    dirty: &[u32],
-    workers: &[usize],
-    repeats: usize,
-) -> AuditOutcome
-where
-    P: Partitioner,
-    F: Fn(Device) -> P,
-{
-    audit_determinism(workers, repeats, |dev| {
-        let mut inc = crate::IncrementalPartitioner::new(make(dev.clone()));
-        inc.install(tdg, opts)
-            .expect("incremental install must succeed under audit");
-        inc.repair(dirty)
-            .expect("incremental repair must succeed under audit");
-        inc.raw_assignment()
-            .expect("cache is warm after install")
-            .to_vec()
-    })
-}
-
 /// Audit a host-only partitioner (no device involvement). Still runs the
 /// full perturbation matrix; a correct host partitioner is trivially
 /// [`Verdict::Deterministic`], which makes this a useful control.
@@ -178,35 +138,6 @@ mod tests {
         assert_eq!(outcome.report.race_count(), 0, "{}", outcome.report);
         assert_eq!(outcome.report.uninit_count(), 0, "{}", outcome.report);
         assert_eq!(outcome.report.bounds_count(), 0, "{}", outcome.report);
-    }
-
-    /// Satellite pin: the incremental repair kernel is Deterministic when
-    /// backed by DeterGPasta — across worker counts and repeated runs.
-    #[test]
-    fn incremental_repair_backed_by_deter_gpasta_audits_as_deterministic() {
-        let tdg = contended_fan();
-        let opts = PartitionerOptions::with_max_size(2);
-        let dirty = crate::forward_closure(&tdg, &[0]);
-        let outcome =
-            audit_incremental_repair(DeterGPasta::with_device, &tdg, &opts, &dirty, &[1, 2, 4], 2);
-        assert_eq!(outcome.verdict, Verdict::Deterministic, "{outcome}");
-        assert!(outcome.report.is_clean(), "{}", outcome.report);
-    }
-
-    /// The audit sees through the cache: an order-sensitive inner
-    /// partitioner taints the installed assignment, so the incremental
-    /// wrapper inherits the classification. The dirty cone is a single
-    /// sink; the clean region keeps the contended (order-dependent) pids,
-    /// which the audit then observes in the repaired output.
-    #[test]
-    fn incremental_repair_backed_by_gpasta_inherits_order_sensitivity() {
-        let tdg = contended_fan();
-        let opts = PartitionerOptions::with_max_size(2);
-        let dirty = crate::forward_closure(&tdg, &[5]);
-        let outcome =
-            audit_incremental_repair(GPasta::with_device, &tdg, &opts, &dirty, &[1, 2, 4], 2);
-        assert_eq!(outcome.verdict, Verdict::AtomicOrderSensitive, "{outcome}");
-        assert_eq!(outcome.report.race_count(), 0, "{}", outcome.report);
     }
 
     #[test]

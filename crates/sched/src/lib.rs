@@ -16,10 +16,6 @@
 //!   node per schedulable unit, which is the "building the TDG" share of
 //!   the paper's Figure 1(a) and the cost that shrinks when the scheduler
 //!   receives partitions instead of tasks;
-//! * [`FlowArena`] — the *reusable* graph-build path: flat CSR buffers
-//!   refilled in place across iterations, pairing with the incremental
-//!   partition cache so repeated updates stop paying construction
-//!   allocations;
 //! * [`RunReport`] — wall-clock plus scheduling-op counts, so benchmarks can
 //!   attribute time to scheduling vs. payload;
 //! * the wavefront — one sequential and one work-stealing dispatch body
@@ -71,7 +67,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod bounded;
 mod executor;
 mod fault;
@@ -82,7 +77,6 @@ pub mod sim;
 mod supervise;
 mod taskflow;
 
-pub use arena::FlowArena;
 pub use bounded::{panic_message, RunBudget};
 pub use executor::{Executor, ExecutorError, TaskWork, DEFAULT_CHUNK_SIZE};
 pub use fault::{splitmix64, FaultKind, FaultPlan, FaultyWork};

@@ -8,8 +8,7 @@
 //! (edge staging, CSR arrays, cycle-check scratch) and takes finished
 //! graphs back via [`TdgArena::recycle`], so steady-state rebuilds touch
 //! the allocator only while a new high-water mark is being established.
-//! This is the `FlowArena` lifecycle (gpasta-sched) applied to the STA
-//! graph itself; DESIGN.md §13 documents the contract.
+//! DESIGN.md §13 documents the contract.
 //!
 //! Edge ordering uses two stable counting sorts (by target, then by
 //! source) instead of `sort_unstable` — O(E) instead of O(E log E), and

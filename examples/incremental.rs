@@ -1,14 +1,14 @@
-//! Incremental timing with a cached, repaired partition (a miniature
-//! `fig7 --incremental`).
+//! Incremental timing with a partition kept for the design's life.
 //!
 //! Applies a sequence of design modifiers (gate repowering, net
 //! capacitance changes) to a vga_lcd-class design. After every modifier,
 //! `update_timing` emits a TDG for just the affected region; the example
-//! compares running those incremental TDGs raw vs. scheduled through the
-//! dirty-cone partition cache — installed once on the full task space,
-//! then *repaired* inside each iteration's cone instead of re-partitioned
-//! — vs. not scheduling at all: the cone in ascending full-space id on
-//! the calling thread, with no TDG, quotient or executor, running only the
+//! compares running those incremental TDGs raw vs. scheduling the same
+//! cone on the partition a `Session` keeps — seq-G-PASTA installed once
+//! on the full task space, each cone run on a restriction of its one
+//! quotient, never repaired because delay edits leave the full-space TDG
+//! unchanged — vs. not scheduling at all: the cone in ascending full-space
+//! id on the calling thread, with no TDG, quotient or executor, running only the
 //! tasks a changed value reaches (executed / structural is printed, and so
 //! is the time that lane spends finding the cone, `Timer::dirty_cone`,
 //! beside its total). It verifies the timing results agree at every step.
@@ -21,10 +21,10 @@
 //! ```
 
 use gpasta::circuits::PaperCircuit;
-use gpasta::core::{GPasta, IncrementalPartitioner, PartitionerOptions};
+use gpasta::core::{IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use gpasta::sched::Executor;
 use gpasta::sta::{CellLibrary, GateId, Timer};
-use gpasta::tdg::QuotientTdg;
+use gpasta::tdg::QuotientArena;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
@@ -54,9 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     plain_timer.update_timing().run_sequential();
     order_timer.update_timing().run_sequential();
 
-    // Install the partition cache once, on the initial full update: its
-    // TDG spans the full task space, which is the cache's key domain.
-    let mut inc = IncrementalPartitioner::new(GPasta::new());
+    // Install the partition once, on the initial full update: its TDG
+    // spans the full task space, which every later cone lives in.
+    let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
+    let mut arena = QuotientArena::new();
     let t0 = std::time::Instant::now();
     let full_update = part_timer.update_timing();
     inc.install(full_update.tdg(), &opts)?;
@@ -73,7 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_tasks = 0usize;
     let mut total_dispatches_plain = 0u64;
     let mut total_dispatches_part = 0u64;
-    let (mut total_dirty, mut total_moved) = (0usize, 0usize);
 
     for i in 0..ITERATIONS {
         modify(&mut plain_timer, &mut rng_a);
@@ -90,20 +90,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             total_dispatches_plain += report.dispatches;
         }
 
-        // Cached partition, repaired inside the dirty cone.
+        // The kept partition, restricted to the dirty cone.
         {
-            let update = part_timer.update_timing();
-            let ids = update.full_space_ids();
             let t0 = std::time::Instant::now();
-            let stats = inc.repair(&ids)?;
-            let sub = inc.sub_partition(&ids)?;
-            let quotient = QuotientTdg::build(update.tdg(), &sub)?;
-            let payload = update.task_fn();
-            let report = exec.run_partitioned(&quotient, &payload);
-            part_total += update.build_time() + t0.elapsed();
+            let cone = part_timer.dirty_cone();
+            let quotient = inc
+                .cone_quotient(cone.ids(), &mut arena)
+                .expect("installed above")?;
+            let report = exec.run_partitioned(&quotient, &cone.task_fn());
+            part_total += t0.elapsed();
             total_dispatches_part += report.dispatches;
-            total_dirty += stats.num_dirty;
-            total_moved += stats.moved;
         }
 
         // The cone alone, in ascending full-space id: a topological
@@ -141,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_dispatches_plain
     );
     println!(
-        "cached partition: {:>8.2} ms cumulative ({:.2} ms install), {} dispatches",
+        "kept partition  : {:>8.2} ms cumulative ({:.2} ms install), {} dispatches",
         part_total.as_secs_f64() * 1e3,
         install.as_secs_f64() * 1e3,
         total_dispatches_part
@@ -151,12 +147,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {order_executed} / {order_structural} tasks executed, no TDG, no dispatch",
         order_total.as_secs_f64() * 1e3,
         discover_total.as_secs_f64() * 1e3
-    );
-    println!(
-        "repairs touched {} dirty task(s) total, moved {} (epoch {})",
-        total_dirty,
-        total_moved,
-        inc.epoch()
     );
     println!("\nfinal timing state:\n{final_report}");
     Ok(())

@@ -17,10 +17,9 @@
 //! Every subcommand funnels into [`gpasta::errors::Error`]: usage
 //! errors print the banner and exit 2, runtime failures exit 1.
 
-use gpasta::core::sanitize::{audit_host_partitioner, audit_incremental_repair, audit_partitioner};
+use gpasta::core::sanitize::{audit_host_partitioner, audit_partitioner};
 use gpasta::core::{
-    forward_closure, DeterGPasta, GPasta, Gdca, IncrementalPartitioner, Partitioner,
-    PartitionerOptions, Sarkar, SeqGPasta,
+    forward_closure, DeterGPasta, GPasta, Gdca, Partitioner, PartitionerOptions, Sarkar, SeqGPasta,
 };
 use gpasta::errors::{CliError, Error};
 use gpasta::sched::{Executor, FaultKind, FaultPlan, FaultyWork, RetryPolicy, RunBudget};
@@ -36,8 +35,7 @@ const USAGE: &str = "\
 usage:
   gpasta partition <edges-file> [--algo gpasta|deter|seq|gdca|sarkar]
                                 [--ps <n>] [--dot <file>] [--csv <file>]
-                                [--incremental]
-  gpasta sanitize <edges-file>  [--algo gpasta|deter|seq|gdca|sarkar|incremental|recovery|all]
+  gpasta sanitize <edges-file>  [--algo gpasta|deter|seq|gdca|sarkar|recovery|all]
                                 [--ps <n>] [--workers <w1,w2,..>] [--runs <n>]
   gpasta stats <edges-file>
   gpasta sta <netlist.v> [--lib <file.lib>] [--sdc <file.sdc>]\n                         [--clock <ps>] [--paths <k>]\n                         [--repower <gate>=<drive> ..] [--bits]
@@ -157,7 +155,6 @@ fn partition_cmd(args: &[String]) -> Result<(), Error> {
     let mut ps = None;
     let mut dot_out = None;
     let mut csv_out = None;
-    let mut incremental = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -165,7 +162,6 @@ fn partition_cmd(args: &[String]) -> Result<(), Error> {
             "--ps" => ps = Some(parse::<usize>("--ps", it.next())?),
             "--dot" => dot_out = Some(need("--dot", it.next())?),
             "--csv" => csv_out = Some(need("--csv", it.next())?),
-            "--incremental" => incremental = true,
             other if file.is_none() => file = Some(other.to_owned()),
             other => return Err(unexpected(other)),
         }
@@ -177,9 +173,6 @@ fn partition_cmd(args: &[String]) -> Result<(), Error> {
         Some(n) => PartitionerOptions::with_max_size(n),
         None => PartitionerOptions::default(),
     };
-    if incremental {
-        return incremental_demo(&tdg, partitioner, &opts);
-    }
 
     let t0 = std::time::Instant::now();
     let partition = partitioner
@@ -213,55 +206,6 @@ fn partition_cmd(args: &[String]) -> Result<(), Error> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    Ok(())
-}
-
-/// The `partition --incremental` demo: install the cache once, then
-/// repair the forward cone of a mid-graph task and compare the repair
-/// cost against the cold install.
-fn incremental_demo(
-    tdg: &Tdg,
-    partitioner: Box<dyn Partitioner>,
-    opts: &PartitionerOptions,
-) -> Result<(), Error> {
-    if tdg.num_tasks() == 0 {
-        return Err("--incremental needs a non-empty graph".to_string().into());
-    }
-    let name = partitioner.name();
-    let mut inc = IncrementalPartitioner::new(partitioner);
-    let t0 = std::time::Instant::now();
-    inc.install(tdg, opts).map_err(|e| e.to_string())?;
-    let install = t0.elapsed();
-
-    let seed = (tdg.num_tasks() / 2) as u32;
-    let dirty = forward_closure(tdg, &[seed]);
-    let t0 = std::time::Instant::now();
-    let stats = inc.repair(&dirty).map_err(|e| e.to_string())?;
-    let repair = t0.elapsed();
-
-    let partition = inc
-        .full_partition()
-        .map_err(|e| format!("incremental cache unusable after repair: {e}"))?;
-    validate::check_all(tdg, &partition).map_err(|e| format!("internal error: {e}"))?;
-
-    println!(
-        "incremental({name}): {} tasks, {} deps -> {}",
-        tdg.num_tasks(),
-        tdg.num_deps(),
-        partition.stats(tdg)
-    );
-    println!(
-        "install (cold {name}): {:.3} ms; repair of task {seed}'s forward cone \
-         ({} dirty): {:.3} ms",
-        install.as_secs_f64() * 1e3,
-        stats.num_dirty,
-        repair.as_secs_f64() * 1e3
-    );
-    println!(
-        "repair moved {} task(s), allocated {} fresh partition(s), epoch {}; \
-         result validated (acyclic, convex)",
-        stats.moved, stats.fresh_partitions, stats.epoch
-    );
     Ok(())
 }
 
@@ -311,22 +255,14 @@ fn sanitize_cmd(args: &[String]) -> Result<(), Error> {
         None => PartitionerOptions::default(),
     };
     let algos: Vec<&str> = if algo == "all" {
-        vec![
-            "gpasta",
-            "deter",
-            "seq",
-            "gdca",
-            "sarkar",
-            "incremental",
-            "recovery",
-        ]
+        vec!["gpasta", "deter", "seq", "gdca", "sarkar", "recovery"]
     } else {
         vec![algo.as_str()]
     };
     if let Some(bad) = algos.iter().find(|a| {
         !matches!(
             **a,
-            "gpasta" | "deter" | "seq" | "gdca" | "sarkar" | "incremental" | "recovery"
+            "gpasta" | "deter" | "seq" | "gdca" | "sarkar" | "recovery"
         )
     }) {
         return Err(format!("unknown algorithm `{bad}`").into());
@@ -344,23 +280,6 @@ fn sanitize_cmd(args: &[String]) -> Result<(), Error> {
             "seq" => audit_host_partitioner(&SeqGPasta::new(), &tdg, &opts, &workers, runs),
             "gdca" => audit_host_partitioner(&Gdca::new(), &tdg, &opts, &workers, runs),
             "sarkar" => audit_host_partitioner(&Sarkar::new(), &tdg, &opts, &workers, runs),
-            // The incremental repair path, backed by the deterministic
-            // partitioner so any nondeterminism is the repair's own.
-            "incremental" => {
-                let dirty = if tdg.num_tasks() == 0 {
-                    Vec::new()
-                } else {
-                    forward_closure(&tdg, &[(tdg.num_tasks() / 2) as u32])
-                };
-                audit_incremental_repair(
-                    DeterGPasta::with_device,
-                    &tdg,
-                    &opts,
-                    &dirty,
-                    &workers,
-                    runs,
-                )
-            }
             // Fault recovery under a fixed plan: same seed + same worker
             // count must yield the identical salvage/poison sets.
             "recovery" => audit_recovery(&tdg, &opts, &workers, runs)?,

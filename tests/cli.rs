@@ -78,48 +78,6 @@ fn partition_pipeline_writes_artifacts() {
 }
 
 #[test]
-fn partition_incremental_reports_install_and_repair() {
-    let edges = tmp("inc_diamond.txt");
-    std::fs::write(&edges, "0 1\n0 2\n1 3\n2 3\n").expect("write edges");
-    let out = gpasta(&[
-        "partition",
-        edges.to_str().expect("utf8"),
-        "--algo",
-        "seq",
-        "--ps",
-        "2",
-        "--incremental",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("incremental(seq-G-PASTA)"), "{text}");
-    assert!(text.contains("install (cold"), "{text}");
-    assert!(text.contains("forward cone"), "{text}");
-    assert!(text.contains("validated"), "{text}");
-}
-
-#[test]
-fn sanitize_incremental_repair_is_deterministic() {
-    let edges = tmp("inc_sanitize.txt");
-    std::fs::write(&edges, "0 1\n0 2\n1 3\n2 3\n").expect("write edges");
-    let out = gpasta(&[
-        "sanitize",
-        edges.to_str().expect("utf8"),
-        "--algo",
-        "incremental",
-        "--workers",
-        "1,2",
-        "--runs",
-        "2",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("incremental"), "{text}");
-    assert!(text.contains("Deterministic"), "{text}");
-    assert!(text.contains("0 race(s)"), "{text}");
-}
-
-#[test]
 fn stats_reports_shape() {
     let edges = tmp("chain.txt");
     std::fs::write(&edges, "0 1\n1 2\n2 3\n").expect("write edges");
