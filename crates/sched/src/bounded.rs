@@ -110,6 +110,44 @@ impl RunBudget {
         self.stall_window = Some(window);
         self
     }
+
+    /// Start one run under this budget: the deadline counts from now, and
+    /// only a cancel issued from now on stops the run.
+    pub fn start(&self) -> BudgetClock {
+        BudgetClock {
+            deadline: self.deadline.map(|d| Instant::now() + d),
+            cancel: self.cancel.as_ref().map(CancelToken::observe),
+        }
+    }
+}
+
+/// A [`RunBudget`]'s deadline and cancel token as one run sees them
+/// ([`RunBudget::start`]): the one poll behind every bounded run, the
+/// executor's and the in-order sweep's alike.
+#[derive(Debug, Clone)]
+pub struct BudgetClock {
+    deadline: Option<Instant>,
+    cancel: Option<CancelObserver>,
+}
+
+impl BudgetClock {
+    /// Why the run must stop now, if it must: a cancel first, then an
+    /// expired deadline. With neither set this is two register tests — an
+    /// unbounded run touches neither the clock nor any shared state here.
+    #[inline]
+    pub fn poll(&self) -> Option<StopCause> {
+        if self
+            .cancel
+            .as_ref()
+            .is_some_and(CancelObserver::is_cancelled)
+        {
+            Some(StopCause::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(StopCause::DeadlineExpired)
+        } else {
+            None
+        }
+    }
 }
 
 /// Raw result of a recovering wavefront: per-unit poison and unfinished
@@ -252,8 +290,7 @@ impl Executor {
         let units = graph.units();
         let n = units.num_tasks();
         let start = Instant::now();
-        let deadline = budget.deadline.map(|d| start + d);
-        let cancel = budget.cancel.as_ref().map(CancelToken::observe);
+        let clock = budget.start();
         let state = RecoveryState::new(policy);
         let run_unit = |u: u32| graph.members(u).all(|t| state.attempt_task(work, u, t));
         let run = if self.num_workers() == 1 && budget.stall_window.is_none() {
@@ -262,8 +299,7 @@ impl Executor {
                 &units.in_degrees(),
                 |u| units.successors(TaskId(u)),
                 run_unit,
-                deadline,
-                cancel.as_ref(),
+                &clock,
             )
         } else {
             run_stealing_bounded(
@@ -271,8 +307,7 @@ impl Executor {
                 self.num_workers(),
                 self.chunk_size(),
                 &run_unit,
-                deadline,
-                cancel.as_ref(),
+                &clock,
                 budget.stall_window,
                 &state,
             )
@@ -401,16 +436,12 @@ fn stop_cause(code: u8) -> StopCause {
 }
 
 /// Poll the budget once: returns the stop code to set (0 = keep running).
-/// With no deadline and no cancel observer this is two register tests —
-/// an unbounded run touches neither the clock nor any shared state here.
 #[inline]
-fn poll_budget(deadline: Option<Instant>, cancel: Option<&CancelObserver>) -> u8 {
-    if cancel.is_some_and(CancelObserver::is_cancelled) {
-        STOP_CANCELLED
-    } else if deadline.is_some_and(|d| Instant::now() >= d) {
-        STOP_DEADLINE
-    } else {
-        STOP_RUNNING
+fn poll_budget(clock: &BudgetClock) -> u8 {
+    match clock.poll() {
+        None | Some(StopCause::Completed) => STOP_RUNNING,
+        Some(StopCause::DeadlineExpired) => STOP_DEADLINE,
+        Some(StopCause::Cancelled) => STOP_CANCELLED,
     }
 }
 
@@ -426,8 +457,7 @@ fn run_sequential_bounded<'a, S, R>(
     in_degrees: &[u32],
     successors: S,
     run_unit: R,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelObserver>,
+    clock: &BudgetClock,
 ) -> BoundedRun
 where
     S: Fn(u32) -> &'a [u32],
@@ -441,7 +471,7 @@ where
     let mut stop = STOP_RUNNING;
     while let Some(t) = ready.pop() {
         if stop == STOP_RUNNING {
-            stop = poll_budget(deadline, cancel);
+            stop = poll_budget(clock);
         }
         let poison = if stop == STOP_RUNNING {
             dispatches += 1;
@@ -549,8 +579,7 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
     workers: usize,
     chunk_size: usize,
     run_unit: &R,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelObserver>,
+    clock: &BudgetClock,
     stall_window: Option<Duration>,
     state: &RecoveryState<'_>,
 ) -> BoundedRun {
@@ -713,7 +742,7 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                     backoff.reset();
                     let mut cause = stop.load(Ordering::Acquire); // hb: stop-latch
                     if cause == STOP_RUNNING {
-                        cause = poll_budget(deadline, cancel);
+                        cause = poll_budget(clock);
                         if cause != STOP_RUNNING {
                             // First observer wins; losers just see a
                             // non-zero stop and drain too.

@@ -32,7 +32,9 @@
 //!   cancellation, hung-task watchdog stall window;
 //!   [`RunBudget::unbounded`] sets none) and reports an early stop as a
 //!   structured partial [`RunOutcome`] whose *unfinished* set is the exact
-//!   forward closure of the unadmitted units ([`StopCause`]);
+//!   forward closure of the unadmitted units ([`StopCause`]); a run polls
+//!   its budget through a [`BudgetClock`] ([`RunBudget::start`]), which an
+//!   unscheduled loop can poll just the same;
 //! * [`FaultPlan`] / [`FaultyWork`] — deterministic fault injection keyed
 //!   by `(task, attempt)`, the test oracle for the recovering path;
 //! * [`measure_sched_overhead`] — calibrates the per-task scheduling cost on
@@ -77,7 +79,7 @@ pub mod sim;
 mod supervise;
 mod taskflow;
 
-pub use bounded::{panic_message, RunBudget};
+pub use bounded::{panic_message, BudgetClock, RunBudget};
 pub use executor::{Executor, ExecutorError, TaskWork, DEFAULT_CHUNK_SIZE};
 pub use fault::{splitmix64, FaultKind, FaultPlan, FaultyWork};
 pub use gpasta_tdg::{CancelObserver, CancelToken};

@@ -28,7 +28,11 @@
 //!   an early stop read *unknown* (NaN) after
 //!   [`TimingUpdateTdg::mark_unknown`], and [`TimingUpdateTdg::heal`]
 //!   re-runs just that region to converge to the bit-identical complete
-//!   answer ([`RecoveredUpdate`]); [`Timer::snapshot`] /
+//!   answer ([`RecoveredUpdate`]); a [`DirtyCone`] honours the same
+//!   budget on the calling thread
+//!   ([`DirtyCone::run_in_order_bounded`]: a stop leaves a suffix of the
+//!   cone unfinished, nothing is ever poisoned — a task panic unwinds);
+//!   [`Timer::snapshot`] /
 //!   [`Timer::restore_snapshot`] capture the whole mutable timing state
 //!   bit-exactly for crash-safe checkpointing ([`TimingSnapshot`]);
 //! * [`TimingReport`] — setup and hold WNS/TNS and per-endpoint slack

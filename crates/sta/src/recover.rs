@@ -1,8 +1,9 @@
-//! Graceful degradation for `update_timing`: run the update TDG through the
-//! recovering executor, salvage every timing value outside the poisoned
-//! cone, mark poisoned endpoints unknown, and optionally *heal* — re-run
-//! just the quarantined cone sequentially to converge to the bit-identical
-//! fault-free answer.
+//! Running an update, and degrading it gracefully: a dirty cone in id order
+//! on the calling thread under a deadline and cancel token, or an update
+//! through the recovering executor; salvage every timing value outside the
+//! poisoned or unfinished region, mark that region unknown, and optionally
+//! *heal* — re-run just that region sequentially to converge to the
+//! bit-identical fault-free answer.
 //!
 //! The recovery contract leans on two properties of the engine:
 //!
@@ -19,9 +20,11 @@ use crate::graph::{bit_is_set, set_bit, NodeId, TimingGraph};
 use crate::report::EndpointSummary;
 use crate::timer::{ConeBits, DirtyCone, TaskKind, TimingUpdateTdg};
 use gpasta_sched::{
-    panic_message, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, TaskError,
+    BudgetClock, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, RunReport,
+    StopCause,
 };
 use gpasta_tdg::{QuotientTdg, TaskId};
+use std::time::Instant;
 
 /// Result of a recovering timing update: the executor's [`RunOutcome`]
 /// plus its projection onto the timing graph.
@@ -118,34 +121,84 @@ fn mark_unknown(data: &TimingData, rec: &RecoveredUpdate) {
     }
 }
 
-/// Run `cone` through `payload` on the calling thread and return how many
-/// tasks ran: a whole-design cone front to back, a partial one by
-/// [`run_changed`]. The first panic stops the run and is reported as the
-/// executor reports a contained payload panic.
-fn run_in_order(cone: &DirtyCone<'_>, payload: impl Fn(TaskId)) -> Result<usize, TaskError> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+/// An in-order run polls its budget before every `POLL`-th task it
+/// executes: at 110–150 ns a task, one clock read per ≈ 30 µs of work, and
+/// a stop that comes about that soon after it is due.
+const POLL: usize = 256;
+
+/// Why an in-order run stopped early, and the first task (by full-space
+/// id) it did not finish.
+type Stop = Option<(StopCause, u32)>;
+
+/// Whether an in-order run that has executed `executed` tasks may run task
+/// `id` next. Once the budget has tripped, `stop` holds why and where.
+#[inline]
+fn admit(clock: &BudgetClock, executed: usize, id: u32, stop: &mut Stop) -> bool {
+    if stop.is_none() && executed.is_multiple_of(POLL) {
+        *stop = clock.poll().map(|cause| (cause, id));
+    }
+    stop.is_none()
+}
+
+/// Run `cone` through `payload` on the calling thread under `budget`'s
+/// deadline and cancel token: a whole-design cone front to back, a partial
+/// one by [`run_changed`]. A run that stops before task `t` leaves the
+/// cone's ids `≥ t` unfinished and every other task exact; that suffix is
+/// successor-closed, because every dependency goes up in id. A payload
+/// panic unwinds through here.
+fn run_in_order(
+    cone: &DirtyCone<'_>,
+    payload: impl Fn(TaskId),
+    budget: &RunBudget,
+) -> RecoveredUpdate {
+    let start = Instant::now();
+    let clock = budget.start();
     let mut bits = cone.bits.lock();
     let partial = !bits.seeds.is_empty();
-    let executed = catch_unwind(AssertUnwindSafe(|| {
-        if partial {
-            return run_changed(cone, &mut bits, &payload);
+    let (executed, stop) = if partial {
+        run_changed(cone, &mut bits, &payload, &clock)
+    } else {
+        let (mut ran, mut stop) = (0, None);
+        for chunk in cone.ids().chunks(POLL) {
+            if let Some(cause) = clock.poll() {
+                stop = Some((cause, chunk[0]));
+                break;
+            }
+            chunk.iter().for_each(|&id| payload(TaskId(id)));
+            ran += chunk.len();
         }
-        cone.ids().iter().for_each(|&id| payload(TaskId(id)));
-        cone.num_tasks()
-    }))
-    .map_err(|panic| {
-        // A sweep that stopped half way leaves bits set.
-        *bits = ConeBits::default();
-        TaskError::Fatal(panic_message(panic.as_ref()))
-    })?;
-    // The referee of every skip, outside the net that would turn its panic
-    // into a scheduled rerun: the whole cone stores the bits it finds.
-    if partial && cfg!(debug_assertions) {
+        (ran, stop)
+    };
+    drop(bits);
+    // The referee of every skip: the whole cone stores the bits it finds.
+    if partial && stop.is_none() && cfg!(debug_assertions) {
         let settled = cone.data().snapshot();
         cone.ids().iter().for_each(|&id| payload(TaskId(id)));
         debug_assert!(settled == cone.data().snapshot(), "a skipped task was due");
     }
-    Ok(executed)
+    let ids = cone.ids();
+    let (stop, done) = match stop {
+        None => (StopCause::Completed, ids.len()),
+        Some((cause, t)) => (cause, ids.partition_point(|&id| id < t)),
+    };
+    let unfinished = ids[done..].to_vec();
+    let outcome = RunOutcome {
+        report: RunReport {
+            elapsed: start.elapsed(),
+            tasks_executed: executed,
+            dispatches: 0,
+            num_workers: 1,
+        },
+        salvaged_tasks: done,
+        poisoned_tasks: Vec::new(),
+        poisoned_units: Vec::new(),
+        unfinished_units: unfinished.clone(),
+        unfinished_tasks: unfinished,
+        failures: Vec::new(),
+        retries: 0,
+        stop,
+    };
+    project(cone.graph(), outcome, |id| cone.decode(id))
 }
 
 /// Run only what changed: the two sweeps of cone discovery, reaching a
@@ -167,7 +220,15 @@ fn run_in_order(cone: &DirtyCone<'_>, payload: impl Fn(TaskId)) -> Result<usize,
 /// bprop runs only as a seed, and a seed's fprop runs too. Mutation
 /// `fed-if-stored` (note an endpoint only `if found != data.fprop_bits(v)`)
 /// fails `an_output_delay_alone_reruns_the_backward_cone`.
-fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(TaskId)) -> usize {
+///
+/// Returns the number of tasks executed and where the budget stopped the
+/// run, if it did; either way both sweep bitsets are left all zero.
+fn run_changed(
+    cone: &DirtyCone<'_>,
+    bits: &mut ConeBits,
+    payload: &impl Fn(TaskId),
+    clock: &BudgetClock,
+) -> (usize, Stop) {
     let ConeBits {
         seeds,
         f,
@@ -182,8 +243,11 @@ fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(Task
     let delays = |v| graph.fanin(v).iter().map(|&a| data.arc_delay_bits(a));
     f.copy_from_slice(seeds);
     b.copy_from_slice(seeds);
-    let mut executed = 0;
+    let (mut executed, mut stop) = (0, None);
     view.sweep::<true>(f, |r| {
+        if !admit(clock, executed, r, &mut stop) {
+            return false;
+        }
         let v = NodeId(order[r as usize]);
         let found = data.fprop_bits(v);
         arcs.clear();
@@ -197,15 +261,23 @@ fn run_changed(cone: &DirtyCone<'_>, bits: &mut ConeBits, payload: &impl Fn(Task
         }
         moved
     });
+    if stop.is_some() {
+        // The backward sweep never starts: clear what the forward one set.
+        b.fill(0);
+        return (executed, stop);
+    }
     let top = 2 * order.len() as u32 - 1;
     view.sweep::<false>(b, |r| {
+        if !admit(clock, executed, top - r, &mut stop) {
+            return false;
+        }
         let v = NodeId(order[r as usize]);
         let found = data.required_bits(v);
         payload(TaskId(top - r));
         executed += 1;
         is_seed(r) || found != data.required_bits(v)
     });
-    executed
+    (executed, stop)
 }
 
 impl DirtyCone<'_> {
@@ -219,20 +291,33 @@ impl DirtyCone<'_> {
     /// completed update or restore). Bit-identical to any scheduled run of
     /// the same cone; debug builds then run every task and assert that.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`TaskError::Fatal`] with the text of the first payload panic; the
-    /// tasks after it have not run. The payload is idempotent, so the
-    /// whole cone can be run again — through
-    /// [`run_partitioned_recovering_bounded`](DirtyCone::run_partitioned_recovering_bounded),
-    /// which runs every task of it, when the failure should be contained
-    /// to its forward closure.
-    pub fn run_in_order(&self) -> Result<usize, TaskError> {
-        run_in_order(self, self.task_fn())
+    /// A payload panic unwinds to the caller with the tasks after it not
+    /// run. The timing values are then those of a half-run update, which no
+    /// dirty set describes: the timer is to be discarded, as a `Session`
+    /// is by crash-only recovery.
+    pub fn run_in_order(&self) -> usize {
+        let rec = self.run_in_order_bounded(&RunBudget::unbounded());
+        rec.outcome.report.tasks_executed
     }
 
-    /// After a [`run_in_order`](DirtyCone::run_in_order) that returned
-    /// `Ok`: bring `summary` — the late-mode summary of the design as it
+    /// [`run_in_order`](DirtyCone::run_in_order) under `budget`'s deadline
+    /// and cancel token, polled before every 256th task executed. A run
+    /// that stops before the cone task `t` reports the cone's ids `≥ t` as
+    /// unfinished: a successor-closed set, since every dependency goes up
+    /// in id, and every value outside it is exact. Nothing is ever
+    /// poisoned, and `outcome.report.tasks_executed` counts the tasks whose
+    /// payload ran. The stall window is not polled: one thread cannot
+    /// outlive its own hung task, so a run that must is scheduled
+    /// ([`run_partitioned_recovering_bounded`](DirtyCone::run_partitioned_recovering_bounded)).
+    /// Panics like [`run_in_order`](DirtyCone::run_in_order).
+    pub fn run_in_order_bounded(&self, budget: &RunBudget) -> RecoveredUpdate {
+        run_in_order(self, self.task_fn(), budget)
+    }
+
+    /// After a [`run_in_order`](DirtyCone::run_in_order) that completed:
+    /// bring `summary` — the late-mode summary of the design as it
     /// stood before that run — up to date by re-reading the slack of the
     /// endpoints a task ran on (nothing else writes an endpoint's arrival or
     /// required time) and
@@ -386,6 +471,15 @@ mod tests {
     use crate::netlist::NetlistBuilder;
     use crate::timer::Timer;
     use gpasta_sched::FaultKind;
+    use proptest::prelude::prop_assert;
+    use proptest::prop_assert_eq;
+    use std::cell::Cell;
+
+    /// How many tasks an unbounded in-order run of `cone` executes.
+    fn executed(cone: &DirtyCone<'_>, payload: impl Fn(TaskId)) -> usize {
+        let rec = run_in_order(cone, payload, &RunBudget::unbounded());
+        rec.outcome.report.tasks_executed
+    }
 
     /// A small multi-cone design: two mostly-independent chains sharing
     /// the input stage, so one cone can be poisoned while the other is
@@ -511,7 +605,7 @@ mod tests {
         ref_timer.update_timing().run_sequential();
         let cone = timer.dirty_cone();
         assert!(cone.num_tasks() < 2 * cone.graph().num_nodes(), "a cone");
-        let executed = cone.run_in_order().expect("no task panics");
+        let executed = cone.run_in_order();
         assert!(0 < executed && executed <= cone.num_tasks());
         assert!(cone.sweep_bits_are_zero());
         drop(cone);
@@ -536,7 +630,7 @@ mod tests {
         let mut summary = timer.endpoint_summary();
         let cone = timer.dirty_cone();
         let structural = cone.num_tasks();
-        let executed = cone.run_in_order().expect("no task panics");
+        let executed = cone.run_in_order();
         assert!(cone.sweep_bits_are_zero());
         assert!(cone.point_update(&mut summary), "a partial cone");
         drop(cone);
@@ -595,7 +689,7 @@ mod tests {
         assert_eq!(executed, structural, "1 fprop + {chain} bprop tasks");
         let before = timer.report(1);
         timer.set_output_delay(crate::PortId(1), 0.0);
-        timer.dirty_cone().run_in_order().expect("no task panics");
+        timer.dirty_cone().run_in_order();
         assert!(timer.report(1).wns_ps > before.wns_ps, "the margin is back");
     }
 
@@ -695,7 +789,7 @@ mod tests {
         let succ = seeds.iter().flat_map(|&r| view.succ(r as usize));
         let pred = seeds.iter().flat_map(|&r| view.pred(r as usize));
         let want = with(succ.copied().collect()) + with(pred.copied().collect());
-        assert_eq!(cone.run_in_order(), Ok(want), "seeds and neighbours");
+        assert_eq!(cone.run_in_order(), want, "seeds and neighbours");
         assert!(want < structural);
         drop(cone);
         assert!(timer.snapshot() == settled, "no bit changed");
@@ -716,7 +810,7 @@ mod tests {
         timer.data().mark_arrival_unknown(sink);
         timer.set_input_delay(crate::PortId(0), 0.0);
         let cone = timer.dirty_cone();
-        assert_eq!(run_in_order(&cone, |_| {}), Ok(3));
+        assert_eq!(executed(&cone, |_| {}), 3);
         drop(cone);
 
         // -0.0 is not 0.0. Seed: output `y0`; its fprop, its bprop, the
@@ -739,72 +833,178 @@ mod tests {
                     cone.data().set_required_bits(driver, bits);
                 }
             };
-            assert_eq!(run_in_order(&cone, minus_zero), Ok(want));
+            assert_eq!(executed(&cone, minus_zero), want);
         }
     }
 
     #[test]
-    fn in_order_panic_then_scheduled_rerun_equals_a_scheduled_only_run() {
-        use gpasta_core::{Partitioner, PartitionerOptions, SeqGPasta};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        // A fresh timer's cone is the whole task space, so a twin's full
-        // update TDG hosts the quotient that schedules it.
-        let mut twin = two_cone_timer();
-        let full = twin.update_timing();
-        let p = SeqGPasta::new()
-            .partition(full.tdg(), &PartitionerOptions::default())
-            .expect("valid options");
-        let quotient = QuotientTdg::build(full.tdg(), &p).expect("acyclic");
-        let k = (0..full.num_fprop_tasks() as u32)
-            .find(|&t| {
-                let v = full.node(TaskId(t));
-                !full.graph().fanin(v).is_empty() && !full.graph().is_endpoint(v)
-            })
-            .expect("an interior fprop task exists");
-        drop(full);
-
-        let exec = Executor::new(2);
-        let plan = FaultPlan::none().inject(k, 0, FaultKind::Panic);
-        let policy = RetryPolicy::no_retries();
-        let budget = RunBudget::unbounded();
-
-        let mut want_timer = two_cone_timer();
-        let cone = want_timer.dirty_cone();
-        let want =
-            cone.run_partitioned_recovering_bounded(&exec, &quotient, &plan, &policy, &budget);
-        cone.mark_unknown(&want);
-        drop(cone);
-        assert!(
-            !want.poisoned_endpoints.is_empty(),
-            "cone reaches endpoints"
-        );
-
-        // The same task panics in order: the loop stops there, the text is
-        // the executor's, and the scheduled rerun of the whole cone
-        // contains it exactly as if the in-order attempt never happened.
+    fn an_in_order_panic_unwinds_with_the_tasks_after_it_not_run() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut timer = two_cone_timer();
         let cone = timer.dirty_cone();
-        let ran = AtomicUsize::new(0);
-        let err = run_in_order(&cone, |t| {
+        let k = cone.num_tasks() as u32 / 2;
+        let ran = Cell::new(0);
+        let payload = |t: TaskId| {
             assert!(t.0 != k, "task {k} exploded");
-            ran.fetch_add(1, Ordering::Relaxed);
-            cone.execute_task(t);
-        })
+            ran.set(ran.get() + 1);
+        };
+        let unbounded = RunBudget::unbounded();
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            run_in_order(&cone, payload, &unbounded)
+        }))
         .expect_err("task k panics");
-        assert_eq!(err, TaskError::Fatal(format!("task {k} exploded")));
-        assert_eq!(ran.into_inner(), k as usize, "nothing after task k ran");
-        let got =
-            cone.run_partitioned_recovering_bounded(&exec, &quotient, &plan, &policy, &budget);
-        cone.mark_unknown(&got);
-        drop(cone);
-        assert_eq!(got.outcome.poisoned_tasks, want.outcome.poisoned_tasks);
-        assert_eq!(got.poisoned_endpoints, want.poisoned_endpoints);
-        assert_eq!(got.outcome.failures, want.outcome.failures);
-        assert!(
-            timer.snapshot() == want_timer.snapshot(),
-            "same salvaged bits, same NaNs"
-        );
+        let text = gpasta_sched::panic_message(panic.as_ref());
+        assert_eq!(text, format!("task {k} exploded"));
+        assert_eq!(ran.get(), k as usize, "nothing after task k ran");
+    }
+
+    /// A random design of `gates` gates: every input pin hangs off a
+    /// primary input or an earlier gate, and every gate nothing reads drives
+    /// a primary output.
+    fn random_timer(gates: usize, seed: u64) -> Timer {
+        const CELLS: [CellKind; 4] = [
+            CellKind::Inv,
+            CellKind::Buf,
+            CellKind::Nand2,
+            CellKind::Nand3,
+        ];
+        let mut state = seed;
+        let mut draw = |below: usize| {
+            state = gpasta_sched::splitmix64(state);
+            (state % below as u64) as usize
+        };
+        let mut nb = NetlistBuilder::new();
+        let inputs: Vec<_> = (0..4)
+            .map(|i| nb.add_primary_input(format!("i{i}")))
+            .collect();
+        let mut read = vec![false; gates];
+        for g in 0..gates {
+            let cell = CELLS[draw(CELLS.len())];
+            let gate = nb.add_gate(format!("u{g}"), cell);
+            for pin in 0..cell.num_inputs() as u8 {
+                let from = draw(inputs.len() + g);
+                match from.checked_sub(inputs.len()) {
+                    None => nb.connect_to_gate(inputs[from], gate, pin),
+                    Some(d) => {
+                        read[d] = true;
+                        nb.connect_gates(crate::GateId(d as u32), gate, pin)
+                    }
+                }
+                .expect("valid");
+            }
+        }
+        for g in (0..gates).filter(|&g| !read[g]) {
+            let y = nb.add_primary_output(format!("y{g}"));
+            nb.connect_to_output(crate::GateId(g as u32), y)
+                .expect("valid");
+        }
+        Timer::new(nb.build().expect("well-formed"), CellLibrary::typical())
+    }
+
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(24)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases()))]
+
+        /// Stop an in-order run of a whole design, or of the cone of a few
+        /// repowers, by a cancel after any number of tasks or by an expired
+        /// deadline: it stops at the next poll. Salvaged ⊎ unfinished is the
+        /// cone and nothing is poisoned; the unfinished set is the cone's
+        /// suffix from the stop and successor-closed in the full-space TDG;
+        /// every value outside it holds the completed update's bits and every
+        /// value in it reads unknown; and a later update of the whole design
+        /// converges to the completed update bit for bit. Mutation
+        /// `stop-task-salvaged` (`partition_point(|&id| id <= t)`) and
+        /// mutation `backward-bits-kept` (drop `b.fill(0)`) fail it.
+        #[test]
+        fn a_stopped_in_order_run_leaves_a_successor_closed_suffix_and_converges(
+            gates in 40usize..300,
+            seed in proptest::prelude::any::<u64>(),
+            edits in proptest::collection::vec((proptest::prelude::any::<u32>(), 0.5f32..4.0), 0..4),
+            expired in proptest::prelude::any::<bool>(),
+            cancel_after in 0usize..1_500,
+        ) {
+            let (mut timer, mut oracle) = (random_timer(gates, seed), random_timer(gates, seed));
+            let full = oracle.update_timing();
+            let tdg = full.tdg().clone();
+            full.run_sequential();
+            drop(full);
+            if !edits.is_empty() {
+                timer.dirty_cone().run_in_order();
+                for &(g, drive) in &edits {
+                    let g = crate::GateId(g % gates as u32);
+                    timer.repower_gate(g, drive);
+                    oracle.repower_gate(g, drive);
+                }
+                oracle.update_timing().run_sequential();
+            }
+
+            let cone = timer.dirty_cone();
+            let token = gpasta_sched::CancelToken::new();
+            let budget = if expired {
+                RunBudget::unbounded().with_deadline(std::time::Duration::ZERO)
+            } else {
+                RunBudget::unbounded().with_cancel(token.clone())
+            };
+            let calls = Cell::new(0);
+            let payload = |t: TaskId| {
+                if calls.get() == cancel_after {
+                    token.cancel();
+                }
+                calls.set(calls.get() + 1);
+                cone.execute_task(t);
+            };
+            let rec = run_in_order(&cone, payload, &budget);
+            let outcome = &rec.outcome;
+            let executed = outcome.report.tasks_executed;
+            // The first poll after the payload cancelled.
+            let next_poll = (cancel_after / POLL + 1) * POLL;
+            match outcome.stop {
+                StopCause::Completed => prop_assert!(expired || executed <= next_poll),
+                StopCause::DeadlineExpired => prop_assert!(expired && executed == 0),
+                StopCause::Cancelled => prop_assert_eq!(executed, next_poll),
+            }
+            prop_assert!(outcome.poisoned_tasks.is_empty() && outcome.failures.is_empty());
+            let ids = cone.ids();
+            prop_assert_eq!(outcome.salvaged_tasks + outcome.unfinished_tasks.len(), ids.len());
+            prop_assert_eq!(&outcome.unfinished_tasks[..], &ids[outcome.salvaged_tasks..]);
+            prop_assert_eq!(outcome.stop == StopCause::Completed, outcome.unfinished_tasks.is_empty());
+            let mut unfinished = vec![false; tdg.num_tasks()];
+            for &t in &outcome.unfinished_tasks {
+                unfinished[t as usize] = true;
+            }
+            for &t in &outcome.unfinished_tasks {
+                for &s in tdg.successors(TaskId(t)) {
+                    prop_assert!(unfinished[s as usize], "{} -> {} leaves the suffix", t, s);
+                }
+            }
+
+            cone.mark_unknown(&rec);
+            let n = cone.graph().num_nodes() as u32;
+            let (data, want) = (cone.data(), oracle.data());
+            for id in 0..2 * n {
+                let (kind, v) = cone.decode(id);
+                let (got, exact) = match kind {
+                    TaskKind::Fprop => (data.fprop_bits(v).to_vec(), want.fprop_bits(v).to_vec()),
+                    TaskKind::Bprop => (data.required_bits(v).to_vec(), want.required_bits(v).to_vec()),
+                };
+                if unfinished[id as usize] {
+                    prop_assert!(got.iter().all(|&b| f32::from_bits(b).is_nan()), "task {} reads unknown", id);
+                } else {
+                    prop_assert_eq!(got, exact, "task {} is exact", id);
+                }
+            }
+            prop_assert!(cone.sweep_bits_are_zero());
+            drop(cone);
+            timer.invalidate_all();
+            timer.dirty_cone().run_in_order();
+            prop_assert!(timer.snapshot() == oracle.snapshot(), "converged");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! is the time that lane spends finding the cone, `Timer::dirty_cone`,
 //! beside its total). It verifies the timing results agree at every step.
 //! On the 2-core development host the last column wins at every cone
-//! size, which is why a `Session` runs an update without a deadline that
-//! way.
+//! size, which is why a `Session` runs every update without a stall
+//! window that way.
 //!
 //! ```text
 //! cargo run --release --example incremental
@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let t0 = std::time::Instant::now();
             let cone = order_timer.dirty_cone();
             discover_total += t0.elapsed();
-            order_executed += cone.run_in_order()?;
+            order_executed += cone.run_in_order();
             order_total += t0.elapsed();
             order_structural += cone.num_tasks();
         }

@@ -24,13 +24,15 @@
 //!   panic inside the timer;
 //! * [`Session::update_timing`] discovers the dirty cone and executes it
 //!   under a caller-supplied [`RunBudget`] — unscheduled on the calling
-//!   thread when the budget is unbounded (running only the tasks whose
-//!   inputs changed; the outcome's `tasks` stays the cone's structural
-//!   size and [`Session::task_counts`] has the executed count),
-//!   partitioned through the bounded recovering executor when it has a
-//!   deadline, cancel token or stall window — and degrades explicitly on
-//!   an expired deadline (affected endpoints read NaN; the whole design
-//!   is re-marked dirty so a later update converges);
+//!   thread unless the budget has a stall window (running only the tasks
+//!   whose inputs changed, and stopping where a deadline or cancel finds
+//!   it; the outcome's `tasks` stays the cone's structural size and
+//!   [`Session::task_counts`] has the executed count), partitioned
+//!   through the bounded recovering executor when it has one — and
+//!   degrades explicitly on an early stop (affected endpoints read NaN;
+//!   the whole design is re-marked dirty so a later update converges). A
+//!   task panic unwinds: a session that panicked is discarded, not
+//!   repaired;
 //! * [`Session::evict_to`] persists the session through the `GPCKPT03`
 //!   checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
@@ -76,7 +78,7 @@ use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopC
 use crate::sta::{
     apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, DirtyCone,
     EndpointSummary, GateId, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
-    PortId, SnapshotMismatch, Timer, TimingPath, TimingReport,
+    PortId, RecoveredUpdate, SnapshotMismatch, Timer, TimingPath, TimingReport,
 };
 use crate::tdg::{checksum, BuildTdgError, QuotientArena, ValidatePartitionError};
 use std::borrow::Cow;
@@ -295,8 +297,8 @@ pub struct UpdateOutcome {
     pub repair_moved: usize,
     /// Always 0, like [`UpdateOutcome::repair_moved`].
     pub repair_fresh: usize,
-    /// Endpoints left reading *unknown* (NaN) by an early stop; zero
-    /// for completed runs.
+    /// Endpoints left reading *unknown* (NaN) by an early stop, or by a
+    /// task the stall watchdog quarantined; zero for clean runs.
     pub unknown_endpoints: u32,
 }
 
@@ -770,50 +772,53 @@ impl Session {
     /// * *in order* — on the calling thread in ascending full-space id,
     ///   which is a topological order: no quotient, no executor, and of a
     ///   partial cone only the tasks a changed value reaches
-    ///   ([`DirtyCone::run_in_order`](crate::sta::DirtyCone::run_in_order)).
-    ///   An update under [`RunBudget::unbounded`] runs this way;
+    ///   ([`DirtyCone::run_in_order_bounded`](crate::sta::DirtyCone::run_in_order_bounded)).
+    ///   Every update without a stall window runs this way: a deadline or a
+    ///   cancel token is polled every few hundred tasks, and a stop before
+    ///   task `t` leaves the cone's ids `≥ t` unfinished;
     /// * *scheduled* — take the cone's quotient from the partition (a
     ///   restriction of its one full-space quotient, built on first use,
     ///   and that quotient itself when the whole design is dirty; no
-    ///   per-update task graph is built and no task edge is scanned) and run it through the bounded recovering
-    ///   executor. A `budget` with a deadline, a cancel token or a stall
-    ///   window runs this way — admission control and the unfinished
-    ///   closure are the executor's — and so does the rerun of a cone in
-    ///   which a task panicked in order.
+    ///   per-update task graph is built and no task edge is scanned) and
+    ///   run it through the bounded recovering executor. Only a budget with
+    ///   a stall window runs this way: one thread cannot outlive its own
+    ///   hung task, and the executor's watchdog can.
     ///
-    /// The results are bit-identical, so nothing this function returns or
-    /// the session persists depends on the path. The partition is the one
-    /// installed at create or restore: every edit a session accepts is
-    /// delay-only, so the task graph never changes and neither does the
-    /// partition. Debug builds assert that each cone is successor-closed in
-    /// that task graph (the check the repair made when updates ran one):
-    /// running only the cone is exact because nothing outside it depends
-    /// on a task inside it.
+    /// A completed run's results are bit-identical either way, so nothing
+    /// this function returns or the session persists depends on the path.
+    /// The partition is the one installed at create or restore: every edit
+    /// a session accepts is delay-only, so the task graph never changes and
+    /// neither does the partition. Debug builds assert that each cone is
+    /// successor-closed in that task graph: running only the cone is exact
+    /// because nothing outside it depends on a task inside it.
     ///
-    /// A restriction keeps every edge the full quotient has between the
-    /// cone's partitions, which can be more than the cone's own tasks
-    /// carry: results and dispatch counts are those of the exact quotient,
-    /// the schedule is at most as parallel, and a *stopped* run may mark a
-    /// few more endpoints unknown than the exact quotient would.
-    ///
-    /// Whichever way the cone ran, and also when this function returns an
-    /// error after a task may have run, the endpoint summary
-    /// [`Session::report`] reads is the summary of the timing values as they
-    /// now are: after an in-order run of a partial cone, the endpoints that
-    /// run executed a task on are re-read and the moved ones point-updated
+    /// Whichever way the cone ran, the endpoint summary [`Session::report`]
+    /// reads is the summary of the timing values as they now are: after a
+    /// completed in-order run of a partial cone, the endpoints that run
+    /// executed a task on are re-read and the moved ones point-updated
     /// ([`DirtyCone::point_update`]); after anything else it is built again.
     /// Debug builds build it again regardless and assert the two equal, node
     /// for node.
     ///
-    /// On an early stop ([`StopCause::DeadlineExpired`] /
-    /// [`StopCause::Cancelled`]) the unfinished region's endpoints are
-    /// marked *unknown* (NaN) — never stale-but-plausible — and the
-    /// whole design is re-marked dirty so a later update (with a fresh
-    /// budget) converges to the exact answer.
+    /// A run that leaves any value stale — stopped early
+    /// ([`StopCause::DeadlineExpired`] / [`StopCause::Cancelled`]), or a
+    /// scheduled run whose watchdog quarantined a stalled task — marks every
+    /// stale value *unknown* (NaN), never stale-but-plausible, and re-marks
+    /// the whole design dirty so a later update (with a fresh budget)
+    /// converges to the exact answer. Which values a stop leaves unknown
+    /// depends on the path and, when scheduled, on the partition.
     ///
     /// # Errors
     ///
     /// [`SessionError::Quotient`] if the partition has no valid quotient.
+    ///
+    /// # Panics
+    ///
+    /// A task panic in order unwinds to the caller, with the session half
+    /// updated: crash-only recovery discards it (the serve registry
+    /// rebuilds it from its last checkpoint and edit journal; `gpasta
+    /// update` resumes from its checkpoint). Under a stall window the
+    /// executor contains a panic to its forward closure, as a stall.
     pub fn update_timing(&mut self, budget: &RunBudget) -> Result<UpdateOutcome, SessionError> {
         let cone = self.timer.dirty_cone();
         let tasks = cone.num_tasks();
@@ -836,34 +841,28 @@ impl Session {
         );
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
 
-        let RunBudget {
-            deadline,
-            cancel,
-            stall_window,
-        } = budget;
-        let bounded = deadline.is_some() || cancel.is_some() || stall_window.is_some();
-        // A bounded run is the executor's. When a task panics in order, the
-        // whole cone runs again (the payload is idempotent) where a panic is
-        // contained to its forward closure.
-        let in_order = if bounded {
-            None
-        } else {
-            cone.run_in_order().ok()
-        };
-        let ran = match in_order {
-            Some(executed) => Ok((StopCause::Completed, 0, executed)),
-            None => Self::run_scheduled(
+        let scheduled = budget.stall_window.is_some();
+        let rec = if scheduled {
+            Self::run_scheduled(
                 &cone,
                 &mut self.inc,
                 &mut self.quotient_arena,
                 &self.exec,
                 &self.policy,
                 budget,
-            ),
+            )?
+        } else {
+            cone.run_in_order_bounded(budget)
         };
-        // Tasks may have run, whatever `ran` says: the summary follows the
-        // values. Only a value-aware run knows which endpoints to re-read.
-        let fed = in_order.is_some() && cone.point_update(&mut self.summary);
+        let clean = rec.is_clean();
+        let unknown_endpoints = if clean {
+            0
+        } else {
+            cone.mark_unknown(&rec);
+            (rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len()) as u32
+        };
+        // Only a completed in-order run knows which endpoints to re-read.
+        let fed = !scheduled && clean && cone.point_update(&mut self.summary);
         drop(cone);
         if !fed {
             self.summary = self.timer.endpoint_summary();
@@ -872,16 +871,15 @@ impl Session {
             self.summary == self.timer.endpoint_summary(),
             "the point-updated summary is not the summary of the values"
         );
-        let (stop, unknown_endpoints, executed) = ran?;
-        self.paths_taken[usize::from(in_order.is_none())] += 1;
+        self.paths_taken[usize::from(scheduled)] += 1;
         self.tasks_run[0] += tasks as u64;
-        self.tasks_run[1] += executed as u64;
-        if stop != StopCause::Completed {
+        self.tasks_run[1] += rec.outcome.report.tasks_executed as u64;
+        if !clean {
             self.timer.invalidate_all();
         }
         self.updates_done += 1;
         Ok(UpdateOutcome {
-            stop,
+            stop: rec.outcome.stop,
             tasks,
             repair_moved: 0,
             repair_fresh: 0,
@@ -889,9 +887,8 @@ impl Session {
         })
     }
 
-    /// The scheduled way to run `cone`: its quotient from the partition, through
-    /// the bounded recovering executor; a stopped run degrades explicitly.
-    /// Returns `(stop, unknown endpoints, tasks executed)`.
+    /// The scheduled way to run `cone`: its quotient from the partition,
+    /// through the bounded recovering executor.
     fn run_scheduled(
         cone: &DirtyCone<'_>,
         inc: &mut IncrementalPartitioner<SeqGPasta>,
@@ -899,7 +896,7 @@ impl Session {
         exec: &Executor,
         policy: &RetryPolicy,
         budget: &RunBudget,
-    ) -> Result<(StopCause, u32, usize), SessionError> {
+    ) -> Result<RecoveredUpdate, SessionError> {
         let quotient = inc
             .cone_quotient(cone.ids(), arena)
             .ok_or(IncrementalError::NotInstalled)?
@@ -914,16 +911,7 @@ impl Session {
         if let Cow::Owned(restricted) = quotient {
             arena.recycle(restricted);
         }
-        let (stop, executed) = (rec.outcome.stop, rec.outcome.salvaged_tasks);
-        if stop == StopCause::Completed {
-            return Ok((stop, 0, executed));
-        }
-        // Degrade explicitly: everything the stopped run left stale reads
-        // unknown, and the caller re-marks the design dirty so the next
-        // (fresh-budget) update recomputes it.
-        cone.mark_unknown(&rec);
-        let unknown = rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len();
-        Ok((stop, unknown as u32, executed))
+        Ok(rec)
     }
 
     /// How many updates ran `(in order, scheduled)` since this session was
@@ -938,7 +926,7 @@ impl Session {
     /// Over the updates [`path_counts`](Session::path_counts) counts: the
     /// tasks in their cones (the sum of [`UpdateOutcome::tasks`]) and the
     /// tasks executed — fewer where an in-order run skipped what no changed
-    /// value reached, or a scheduled run stopped early. Reset with it.
+    /// value reached, or a run stopped early. Reset with it.
     pub fn task_counts(&self) -> (u64, u64) {
         let [structural, executed] = self.tasks_run;
         (structural, executed)
@@ -1201,10 +1189,10 @@ endmodule
     fn warm_updates_share_one_full_space_quotient() {
         let mut s = fixture_session("one-quotient");
         assert_eq!(s.inc.quotient_builds(), 0, "create builds no quotient");
-        // A far deadline: every update takes the scheduled path, the one
-        // that needs the quotient (an unbounded update builds none, see
-        // `a_bounded_budget_is_scheduled_and_an_unbounded_one_runs_in_order`).
-        let scheduled = RunBudget::unbounded().with_deadline(Duration::from_secs(3_600));
+        // A far stall window: every update takes the scheduled path, the
+        // one that needs the quotient (no other budget builds one, see
+        // `a_stall_window_is_scheduled_and_every_other_budget_runs_in_order`).
+        let scheduled = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
         for i in 0..20 {
             let period_ps = if i % 2 == 0 { 900.0 } else { 1_000.0 };
             s.apply_edit(&Edit::SetClockPeriod { period_ps })
@@ -1224,15 +1212,15 @@ endmodule
     }
 
     #[test]
-    fn a_bounded_budget_is_scheduled_and_an_unbounded_one_runs_in_order() {
+    fn a_stall_window_is_scheduled_and_every_other_budget_runs_in_order() {
         let mut s = fixture_session("pinned");
         let token = crate::sched::CancelToken::new();
-        let bounded = [
+        let in_order = [
+            RunBudget::unbounded(),
             RunBudget::unbounded().with_deadline(Duration::from_secs(3_600)),
-            RunBudget::unbounded().with_cancel(token),
-            RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600)),
+            RunBudget::unbounded().with_cancel(token.clone()),
         ];
-        let unbounded = RunBudget::unbounded();
+        let stall_window = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
         let edit = |s: &mut Session, i: usize| {
             s.apply_edit(&Edit::Repower {
                 gate: "u1".into(),
@@ -1244,27 +1232,27 @@ endmodule
         // In order there is no quotient to build, whole design or cone.
         s.apply_edit(&Edit::SetClockPeriod { period_ps: 900.0 })
             .expect("valid");
-        s.update_timing(&unbounded).expect("update");
-        for i in 0..4 {
-            edit(&mut s, i);
-            let out = s.update_timing(&unbounded).expect("update");
-            assert_eq!(out.stop, StopCause::Completed);
-        }
-        assert_eq!(s.path_counts(), (5, 0));
-        assert_eq!(s.inc.quotient_builds(), 0);
-
-        for (i, budget) in bounded.iter().cycle().take(9).enumerate() {
+        s.update_timing(&in_order[1]).expect("update");
+        for (i, budget) in in_order.iter().cycle().take(9).enumerate() {
             edit(&mut s, i);
             let out = s.update_timing(budget).expect("update");
             assert_eq!(out.stop, StopCause::Completed);
         }
-        assert_eq!(s.path_counts(), (5, 9));
+        assert_eq!(s.path_counts(), (10, 0));
+        assert_eq!(s.inc.quotient_builds(), 0);
+
+        for i in 0..4 {
+            edit(&mut s, i);
+            let out = s.update_timing(&stall_window).expect("update");
+            assert_eq!(out.stop, StopCause::Completed);
+        }
+        assert_eq!(s.path_counts(), (10, 4));
         assert_eq!(s.inc.quotient_builds(), 1);
 
         // An idle update takes neither path.
-        let idle = s.update_timing(&unbounded).expect("update");
+        let idle = s.update_timing(&in_order[0]).expect("update");
         assert_eq!(idle.tasks, 0);
-        assert_eq!(s.path_counts(), (5, 9));
+        assert_eq!(s.path_counts(), (10, 4));
     }
 
     #[test]
@@ -1325,10 +1313,10 @@ endmodule
     }
 
     /// The partition is derived from the design: a session restored
-    /// mid-stream holds the one it would have kept, and a stopped scheduled
-    /// run — which endpoints it leaves unknown depends on the partition —
-    /// leaves it the same bits as the session never evicted, NaN marks
-    /// included.
+    /// mid-stream holds the one it would have kept. A stopped update leaves
+    /// it the same bits as the session never evicted, NaN marks included,
+    /// and so does the scheduled update after it, which runs on the
+    /// partition.
     #[test]
     fn a_restored_session_has_the_partition_of_one_never_evicted() {
         use crate::circuits::PaperCircuit;
@@ -1375,6 +1363,20 @@ endmodule
             restored.timer().snapshot() == kept.timer().snapshot(),
             "the same bits, NaN marks included"
         );
+
+        let scheduled = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
+        for s in [&mut kept, &mut restored] {
+            let out = s.update_timing(&scheduled).expect("scheduled update");
+            assert_eq!(out.stop, StopCause::Completed);
+            assert_eq!(
+                out.tasks,
+                2 * s.shape().nodes as usize,
+                "the stop dirtied all"
+            );
+            assert_eq!(s.path_counts().1, 1);
+        }
+        assert_eq!(unknown(&kept), 0);
+        assert!(restored.timer().snapshot() == kept.timer().snapshot());
         std::fs::remove_file(&path).ok();
     }
 

@@ -28,7 +28,7 @@
 //! The last cases are about *how* the session executes a cone: the same
 //! stream goes to a session under an unbounded budget (in order on the
 //! calling thread), to a session pinned to the restricted quotient and the
-//! executor by a far deadline, and to a bare `Timer` run sequentially, on
+//! executor by a far stall window, and to a bare `Timer` run sequentially, on
 //! 1, 2 and 4 workers — the path must not show in any bit, outcome field
 //! or cached pid, nor across an evict → restore. Beside the bare timer sits
 //! a bare `IncrementalPartitioner` fed the checked `repair(cone ids)` on
@@ -39,7 +39,7 @@
 //! read of the endpoint summary the session keeps across updates — is
 //! `Timer::report` on the same values, which builds its summary from
 //! scratch: names, order and bits. In `--release`, where the session's own
-//! debug assertion is off, these are the checks that fail under the two
+//! debug assertion is off, these are the checks that fail under the three
 //! mutations named at `assert_report_is_from_scratch`.
 
 use std::time::Duration;
@@ -232,10 +232,12 @@ fn report_bits(report: &TimingReport) -> (u32, u32, usize, Vec<(u32, &str, u32)>
 /// is not re-read) fails
 /// `a_lone_output_delay_moves_the_report_through_a_required_time`;
 /// mutation `scheduled-not-rebuilt` (`Session::update_timing` rebuilds only
-/// after an in-order run: `if !fed && in_order.is_some()`) fails them on the
-/// pinned lane and fails the two `*_direct_quotient_*` tests at their first
-/// zero-deadline step. Both with `--release`; a debug build stops earlier,
-/// at the session's own assertion.
+/// after an in-order run: `if !fed && !scheduled`) fails them on the pinned
+/// lane, and mutation `stopped-fed` (a stopped in-order run point-updates:
+/// `!scheduled && cone.point_update(..)`) fails the two
+/// `*_direct_quotient_*` tests at their first zero-deadline step. Both with
+/// `--release`; a debug build stops earlier, at the session's own
+/// assertion.
 fn assert_report_is_from_scratch(session: &Session, what: &str) {
     let all = session.timer().graph().endpoints().len();
     for k in [0, 1, 5, all] {
@@ -549,8 +551,8 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         edits,
     );
     let unbounded = RunBudget::unbounded();
-    // Never expires, but a budget with a deadline is the executor's to keep.
-    let far = RunBudget::unbounded().with_deadline(Duration::from_secs(3_600));
+    // Never trips, but a budget with a stall window is the executor's to keep.
+    let far = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
 
     let mut with_tasks = 0;
     let mut before_eviction = (0, 0);
@@ -629,7 +631,7 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         );
     }
 
-    assert_eq!(pinned.path_counts(), (0, with_tasks), "a deadline pins");
+    assert_eq!(pinned.path_counts(), (0, with_tasks), "a stall window pins");
     let (in_order, scheduled) = free.path_counts();
     assert_eq!(
         (before_eviction.0 + in_order, before_eviction.1 + scheduled),
