@@ -284,23 +284,6 @@ impl Timer {
         Ok(())
     }
 
-    /// Free what [`update_timing`](Timer::update_timing) keeps between
-    /// calls to build the next task graph into: the recycled TDG (with any
-    /// view cached on it), its task map, the edge staging and the
-    /// numbering scratch. For an owner that from here on takes only
-    /// [`dirty_cone`](Timer::dirty_cone) — a `Session` once its partition
-    /// cache is installed — they would never be used again. A later
-    /// `update_timing` simply allocates afresh.
-    pub fn release_tdg_buffers(&mut self) {
-        let mut bin = self.bin.lock();
-        bin.tdgs = Vec::new();
-        bin.task_nodes = Vec::new();
-        drop(bin);
-        self.arena = TdgArena::new();
-        self.scratch.f_task = Vec::new();
-        self.scratch.b_task = Vec::new();
-    }
-
     /// The one cone-discovery body: the dirty cone as ascending full-space
     /// task ids (see [`DirtyCone`]), how many of them are fprop tasks, and
     /// the cone's bitsets with the dirty nodes kept as `seeds`. F is the
@@ -399,7 +382,6 @@ impl Timer {
     /// executor, optionally after partitioning). Clears the dirty set.
     pub fn update_timing(&mut self) -> TimingUpdateTdg<'_> {
         let build_start = Instant::now();
-        let n = self.graph.num_nodes();
 
         // Reclaim buffers from updates that have since dropped: their TDG
         // storage seeds the arena, their task maps seed `task_node`.
@@ -410,75 +392,16 @@ impl Timer {
             }
             bin.task_nodes.pop().unwrap_or_default()
         };
-        task_node.clear();
 
         let found = self.discover_cone();
-        let (ids, num_fprop) = (&found.0, found.1);
-
-        // Task numbering: task `t` is the cone's `t`-th full-space id —
-        // fprop tasks along the graph's level order, then bprop tasks
-        // against it. An arc goes up the level order, fprop follows arcs,
-        // bprop runs against them and after its own fprop, so every TDG
-        // edge has `u < v`.
-        const NONE: u32 = u32::MAX;
-        let f_task = &mut self.scratch.f_task;
-        f_task.clear();
-        f_task.resize(n, NONE);
-        let b_task = &mut self.scratch.b_task;
-        b_task.clear();
-        b_task.resize(n, NONE);
-        for (t, &id) in ids.iter().enumerate() {
-            let (kind, v) = decode(&self.graph, id);
-            match kind {
-                TaskKind::Fprop => f_task[v.index()] = t as u32,
-                TaskKind::Bprop => b_task[v.index()] = t as u32,
-            }
-            task_node.push(v.0);
-        }
-        let num_tasks = task_node.len();
-        let (f_task, b_task) = (&self.scratch.f_task, &self.scratch.b_task);
-
-        let mut builder = self.arena.builder(num_tasks);
-        // Cone-local edge discovery: F is forward-closed (a fanout arc of
-        // an F node lands in F) and B is backward-closed (a fanin arc of a
-        // B node starts in B), so walking only the cone members' own
-        // adjacency — `task_node` holds exactly F then B — visits exactly
-        // the arcs the old all-arcs scan kept. The edge multiset is
-        // identical, and the builder's canonicalising sort makes insertion
-        // order irrelevant; an incremental update now costs O(cone)
-        // instead of O(graph) here.
-        for (t, &v) in task_node.iter().enumerate().take(num_fprop) {
-            for &a in self.graph.fanout(NodeId(v)) {
-                let w = self.graph.arc(a).to.0 as usize;
-                builder.add_edge(TaskId(t as u32), TaskId(f_task[w]));
-            }
-            // bprop(v) consumes the arc delays cached by fprop(v)'s
-            // level; anchor it after its own fprop.
-            builder.add_edge(TaskId(t as u32), TaskId(b_task[v as usize]));
-        }
-        for (t, &v) in task_node.iter().enumerate().skip(num_fprop) {
-            for &a in self.graph.fanin(NodeId(v)) {
-                // bprop runs against the arc direction.
-                let u = self.graph.arc(a).from.0 as usize;
-                builder.add_edge(TaskId(t as u32), TaskId(b_task[u]));
-            }
-        }
-        // Estimated cost: table lookups scale with fan-in/fan-out degree.
-        for (t, &v) in task_node.iter().enumerate() {
-            let node = NodeId(v);
-            let degree = if t < num_fprop {
-                self.graph.fanin(node).len()
-            } else {
-                self.graph.fanout(node).len()
-            };
-            builder.set_weight(TaskId(t as u32), 200.0 + 300.0 * degree as f32);
-        }
-
-        // Trusted build: the edges above are derived from the validated
-        // timing DAG (range, self-loop freedom, acyclicity all hold by
-        // construction), so release builds skip re-proving them on every
-        // incremental iteration.
-        let tdg = builder.build_trusted();
+        let tdg = build_tdg(
+            &self.graph,
+            &found.0,
+            found.1,
+            &mut task_node,
+            &mut self.scratch,
+            &mut self.arena,
+        );
         let build_time = build_start.elapsed();
 
         TimingUpdateTdg {
@@ -487,6 +410,26 @@ impl Timer {
             task_node,
             build_time,
         }
+    }
+
+    /// The full-space TDG: the graph [`update_timing`](Timer::update_timing)
+    /// builds for a whole-design update (after
+    /// [`invalidate_all`](Timer::invalidate_all)), same edges, weights and
+    /// fingerprint, built from the timing graph alone. The dirty set, the
+    /// timing values and the recycled update buffers are left as they are,
+    /// so an owner can partition the full task space (a `Session`, on its
+    /// first scheduled update) without consuming pending edits.
+    pub fn full_space_tdg(&self) -> Tdg {
+        let n = self.graph.num_nodes();
+        let ids: Vec<u32> = (0..2 * n as u32).collect();
+        build_tdg(
+            &self.graph,
+            &ids,
+            n,
+            &mut Vec::new(),
+            &mut UpdateScratch::default(),
+            &mut TdgArena::new(),
+        )
     }
 
     /// Summarise setup (late-mode) endpoint slacks after an update has
@@ -604,6 +547,82 @@ fn halved(slacks: &[f32]) -> f32 {
     sum(&padded)
 }
 
+/// The one task-graph body, of [`Timer::update_timing`] and
+/// [`Timer::full_space_tdg`]: number the tasks of `ids` — ascending
+/// full-space ids of a successor-closed set, the first `num_fprop` of them
+/// fprop tasks — `0..ids.len()`, put their nodes in `task_node`, and build
+/// their dependencies and estimated costs into `arena`.
+fn build_tdg(
+    graph: &TimingGraph,
+    ids: &[u32],
+    num_fprop: usize,
+    task_node: &mut Vec<u32>,
+    scratch: &mut UpdateScratch,
+    arena: &mut TdgArena,
+) -> Tdg {
+    let n = graph.num_nodes();
+    // Task numbering: task `t` is the set's `t`-th full-space id — fprop
+    // tasks along the graph's level order, then bprop tasks against it. An
+    // arc goes up the level order, fprop follows arcs, bprop runs against
+    // them and after its own fprop, so every TDG edge has `u < v`.
+    const NONE: u32 = u32::MAX;
+    let UpdateScratch { f_task, b_task } = scratch;
+    for map in [&mut *f_task, &mut *b_task] {
+        map.clear();
+        map.resize(n, NONE);
+    }
+    task_node.clear();
+    for (t, &id) in ids.iter().enumerate() {
+        let (kind, v) = decode(graph, id);
+        match kind {
+            TaskKind::Fprop => f_task[v.index()] = t as u32,
+            TaskKind::Bprop => b_task[v.index()] = t as u32,
+        }
+        task_node.push(v.0);
+    }
+
+    let mut builder = arena.builder(task_node.len());
+    // Cone-local edge discovery: F is forward-closed (a fanout arc of an F
+    // node lands in F) and B is backward-closed (a fanin arc of a B node
+    // starts in B), so walking only the members' own adjacency —
+    // `task_node` holds exactly F then B — visits exactly the arcs an
+    // all-arcs scan would keep. The builder's canonicalising sort makes
+    // insertion order irrelevant; an incremental update costs O(cone)
+    // instead of O(graph) here.
+    for (t, &v) in task_node.iter().enumerate().take(num_fprop) {
+        for &a in graph.fanout(NodeId(v)) {
+            let w = graph.arc(a).to.0 as usize;
+            builder.add_edge(TaskId(t as u32), TaskId(f_task[w]));
+        }
+        // bprop(v) consumes the arc delays cached by fprop(v)'s level;
+        // anchor it after its own fprop.
+        builder.add_edge(TaskId(t as u32), TaskId(b_task[v as usize]));
+    }
+    for (t, &v) in task_node.iter().enumerate().skip(num_fprop) {
+        for &a in graph.fanin(NodeId(v)) {
+            // bprop runs against the arc direction.
+            let u = graph.arc(a).from.0 as usize;
+            builder.add_edge(TaskId(t as u32), TaskId(b_task[u]));
+        }
+    }
+    // Estimated cost: table lookups scale with fan-in/fan-out degree.
+    for (t, &v) in task_node.iter().enumerate() {
+        let node = NodeId(v);
+        let degree = if t < num_fprop {
+            graph.fanin(node).len()
+        } else {
+            graph.fanout(node).len()
+        };
+        builder.set_weight(TaskId(t as u32), 200.0 + 300.0 * degree as f32);
+    }
+
+    // Trusted build: the edges above are derived from the validated timing
+    // DAG (range, self-loop freedom, acyclicity all hold by construction),
+    // so release builds skip re-proving them on every incremental
+    // iteration.
+    builder.build_trusted()
+}
+
 /// The `(kind, node)` behind full-space task id `id`: with `r` the position
 /// of a node in the level order of an `n`-node graph, its fprop task is
 /// `r` and its bprop task `2n - 1 - r`.
@@ -704,6 +723,31 @@ impl<'a> DirtyCone<'a> {
     /// `gpasta_sched::Executor`.
     pub fn task_fn(&self) -> impl Fn(TaskId) + Sync + '_ {
         move |id| self.execute_task(id)
+    }
+
+    /// Whether the cone is successor-closed over the timing graph's arcs:
+    /// with every fprop task its fan-outs' fprop tasks and its own bprop
+    /// task, and with every bprop task its fan-ins' bprop tasks — the
+    /// three kinds of dependency of the full-space TDG, checked without
+    /// building it. A referee for debug builds and tests; O(graph).
+    #[doc(hidden)]
+    pub fn is_successor_closed(&self) -> bool {
+        let graph = self.prop.graph;
+        let n = graph.num_nodes();
+        let (mut f, mut b) = (vec![false; n], vec![false; n]);
+        for &id in &self.ids {
+            match decode(graph, id) {
+                (TaskKind::Fprop, v) => f[v.index()] = true,
+                (TaskKind::Bprop, v) => b[v.index()] = true,
+            }
+        }
+        (0..n).all(|v| {
+            let node = NodeId(v as u32);
+            let mut fanouts = graph.fanout(node).iter().map(|&a| graph.arc(a).to);
+            let mut fanins = graph.fanin(node).iter().map(|&a| graph.arc(a).from);
+            (!f[v] || (b[v] && fanouts.all(|w| f[w.index()])))
+                && (!b[v] || fanins.all(|u| b[u.index()]))
+        })
     }
 }
 
@@ -1029,10 +1073,6 @@ mod tests {
         assert_eq!(cone_only.dirty_cone().num_tasks(), 0, "nothing was dirty");
         assert_eq!(cone_only.bin.lock().cone_ids.len(), 1, "ids are recycled");
 
-        // Releasing the task-graph buffers costs a later update nothing but
-        // the allocation.
-        with_tdg.release_tdg_buffers();
-        assert!(with_tdg.bin.lock().tdgs.is_empty());
         with_tdg.repower_gate(GateId(2), 2.0);
         cone_only.repower_gate(GateId(2), 2.0);
         with_tdg.update_timing().run_sequential();
@@ -1116,7 +1156,7 @@ mod tests {
     }
 
     #[test]
-    fn only_a_partial_cone_builds_the_position_view_and_a_release_keeps_it() {
+    fn only_a_partial_cone_builds_the_position_view() {
         let mut timer = seeded_timer(11, 5, 10);
         // Whole design, then nothing: neither needs the view, and neither
         // evaluates `2n - 1`.
@@ -1137,10 +1177,44 @@ mod tests {
         assert!(!before.is_empty() && before.len() < full_space);
         assert!(timer.graph.has_level_view());
 
-        timer.release_tdg_buffers();
-        assert!(timer.graph.has_level_view(), "the view is the graph's");
         timer.repower_gate(GateId(7), 0.5);
         assert_eq!(timer.dirty_cone().ids(), before, "same edit, same cone");
+    }
+
+    #[test]
+    fn the_closure_referee_follows_the_three_kinds_of_dependency() {
+        let mut timer = seeded_timer(5, 4, 8);
+        let n = timer.graph.num_nodes() as u32;
+        let whole = timer.discover_cone();
+        assert!(timer.cone(whole).is_successor_closed());
+        let subset = |timer: &Timer, ids: Vec<u32>| {
+            let num_fprop = ids.iter().filter(|&&id| id < n).count();
+            timer
+                .cone((ids, num_fprop, ConeBits::default()))
+                .is_successor_closed()
+        };
+        // Fprop 0 depends on nothing, so the rest is still closed; bprop of
+        // position 0 follows its own fprop and the bprops of its fan-outs.
+        assert!(subset(&timer, (1..2 * n).collect()));
+        assert!(!subset(&timer, (0..2 * n - 1).collect()), "fprop → bprop");
+        assert!(!subset(&timer, (0..n).collect()), "no bprop at all");
+
+        for g in [0, 7, 20] {
+            timer.repower_gate(GateId(g), 2.0);
+            let (ids, num_fprop, bits) = timer.discover_cone();
+            let (f, b) = ids.split_at(num_fprop);
+            assert!(timer
+                .cone((ids.clone(), num_fprop, bits))
+                .is_successor_closed());
+            // The last fprop task is a fan-out of one the cone keeps; the
+            // last bprop task is an anchor's or a fan-in's.
+            let mut cut = f[..num_fprop - 1].to_vec();
+            cut.extend_from_slice(b);
+            assert!(!subset(&timer, cut), "gate {g}: fprop → fanout fprop");
+            let mut cut = f.to_vec();
+            cut.extend_from_slice(&b[..b.len() - 1]);
+            assert!(!subset(&timer, cut), "gate {g}: bprop → fanin bprop");
+        }
     }
 
     #[test]

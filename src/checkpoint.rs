@@ -445,8 +445,6 @@ pub struct UpdateFlowOutcome {
     /// Endpoints whose slack reads *unknown* (NaN) because the last
     /// iteration stopped early; zero for completed runs.
     pub unknown_endpoints: u32,
-    /// The session's partition: its raw per-task assignment.
-    pub assignment: Vec<u32>,
 }
 
 /// Iteration `i`'s deterministic modifier batch for a design of
@@ -473,16 +471,15 @@ pub fn modifier_batch(
 /// one [`modifier_batch`] of repower edits and one
 /// [`Session::update_timing`] per iteration, checkpointed through
 /// [`Session::evict_to`]. The flow is bit-deterministic: the same config
-/// reaches the same WNS/TNS bits and partition assignment whether run
-/// straight through or killed and resumed at any iteration boundary, at
-/// any worker count.
+/// reaches the same WNS/TNS bits whether run straight through or killed
+/// and resumed at any iteration boundary, at any worker count. No update
+/// of the flow has a stall window, so it never builds a partition.
 ///
 /// # Errors
 ///
 /// [`SessionError::Checkpoint`] for unreadable/unwritable checkpoints and
 /// for a resume against a different circuit, scale or seed
-/// ([`CheckpointError::Mismatch`]); [`SessionError::Partition`] if
-/// the partition install fails.
+/// ([`CheckpointError::Mismatch`]).
 ///
 /// # Panics
 ///
@@ -554,10 +551,6 @@ pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, Flow
         wns_bits: report.wns_ps.to_bits(),
         tns_bits: report.tns_ps.to_bits(),
         unknown_endpoints,
-        assignment: session
-            .partition_assignment()
-            .map(<[u32]>::to_vec)
-            .unwrap_or_default(),
     })
 }
 
@@ -875,7 +868,6 @@ mod tests {
         assert_eq!(resumed.iterations_done, 6);
         assert_eq!(resumed.wns_bits, straight.wns_bits);
         assert_eq!(resumed.tns_bits, straight.tns_bits);
-        assert_eq!(resumed.assignment, straight.assignment);
         std::fs::remove_file(&path).ok();
     }
 

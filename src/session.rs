@@ -12,11 +12,10 @@
 //! The lifecycle:
 //!
 //! * [`Session::create`] parses the [`DesignSources`] (structural
-//!   Verilog, optional Liberty library, optional SDC constraints),
-//!   installs seq-G-PASTA on the full-space update TDG, and runs the
-//!   initial full analysis — after this every [`Session::update_timing`]
-//!   pays only for its dirty cone, the warm path the paper's Figure 7
-//!   measures;
+//!   Verilog, optional Liberty library, optional SDC constraints) and runs
+//!   the initial full analysis in order, on the calling thread — after
+//!   this every [`Session::update_timing`] pays only for its dirty cone,
+//!   the warm path the paper's Figure 7 measures;
 //! * [`Session::apply_edit`] applies validated incremental edits
 //!   ([`Edit`]): gate repower, net-capacitance change, I/O-delay and
 //!   clock-period constraint changes. Validation happens *here*, so bad
@@ -39,13 +38,19 @@
 //!   the net-capacitance journal) from which
 //!   [`DormantSession::restore`] rebuilds a bit-identical live session.
 //!
-//! # The partition is derived, not kept
+//! # The partition is built on first scheduled use
 //!
 //! The partition G-PASTA computes depends only on the TDG (Theorem 1),
 //! and every edit a session accepts changes delays, never the task graph.
-//! So a session's partition is a pure function of its design: create and
-//! restore install it the same way, no update repairs it, and no
-//! checkpoint stores it.
+//! So a session's partition is a pure function of its design: no update
+//! repairs it and no checkpoint stores it. Only an update whose budget has
+//! a stall window schedules, so only that reads the partition: neither
+//! create nor restore builds a task graph or installs anything. The first
+//! such update — or [`Session::partition_assignment`] — installs
+//! seq-G-PASTA on [`Timer::full_space_tdg`], and the session keeps it from
+//! then on. The pending edits are untouched by that build, and the
+//! assignment is the one a whole-design `Timer::update_timing` would have
+//! been partitioned into.
 //!
 //! # Eviction and bit-identity
 //!
@@ -71,9 +76,7 @@ use std::path::{Path, PathBuf};
 use crate::checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointError, DesignShape, UpdateCheckpoint,
 };
-use crate::core::{
-    forward_closure, IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta,
-};
+use crate::core::{IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopCause};
 use crate::sta::{
     apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, DirtyCone,
@@ -148,7 +151,7 @@ pub enum SessionError {
     /// An [`Edit`] referenced a missing object or carried an invalid
     /// value; the message names both.
     BadEdit(String),
-    /// Installing the partition at create or restore failed.
+    /// Building the partition on its first scheduled use failed.
     Partition(IncrementalError),
     /// The partition failed quotient construction — a library bug,
     /// reported instead of panicking so one request fails, not the
@@ -198,7 +201,7 @@ impl fmt::Display for SessionError {
             SessionError::Sdc(e) => write!(f, "sdc: {e}"),
             SessionError::Graph(e) => write!(f, "netlist has no timing graph: {e}"),
             SessionError::BadEdit(why) => write!(f, "bad edit: {why}"),
-            SessionError::Partition(e) => write!(f, "partition install failed: {e}"),
+            SessionError::Partition(e) => write!(f, "partition build failed: {e}"),
             SessionError::Quotient(e) => {
                 write!(f, "partition has no valid quotient (library bug): {e}")
             }
@@ -342,18 +345,17 @@ impl DormantSession {
         &self.checkpoint
     }
 
-    /// Rebuild the live session: reparse the sources, install the
-    /// partition as [`Session::create`] does, replay the net-cap journal
-    /// and restore the timing snapshot from the checkpoint. No analysis
-    /// runs. The result is bit-identical to the session as it was at
-    /// eviction.
+    /// Rebuild the live session: reparse the sources, replay the net-cap
+    /// journal and restore the timing snapshot from the checkpoint. No
+    /// analysis runs and, as after [`Session::create`], no partition is
+    /// built until a scheduled update needs it. The result is
+    /// bit-identical to the session as it was at eviction.
     ///
     /// # Errors
     ///
     /// [`SessionError::Checkpoint`] for unreadable, corrupt, or
     /// mismatched checkpoints (including sources edited since
-    /// eviction), the parse variants if the sources no longer parse,
-    /// [`SessionError::Partition`] if the install fails, and
+    /// eviction), the parse variants if the sources no longer parse, and
     /// [`SessionError::Snapshot`] if the snapshot does not fit the rebuilt
     /// design.
     pub fn restore(&self, workers: usize) -> Result<Session, SessionError> {
@@ -491,8 +493,8 @@ impl NameIndex {
 }
 
 /// An owned unit of timing-analysis state: parsed design, [`Timer`],
-/// its partition (an [`IncrementalPartitioner`] installed once), and
-/// [`Executor`] handle.
+/// its partition (an [`IncrementalPartitioner`] installed on first
+/// scheduled use), and [`Executor`] handle.
 /// `Send + 'static`, so it can live behind a mutex in a server registry
 /// and move between worker threads. See the [module docs](self) for the
 /// lifecycle.
@@ -508,8 +510,9 @@ pub struct Session {
     /// Gate and port names → ids, for [`Session::apply_edit`].
     names: NameIndex,
     library: CellLibrary,
-    /// Seq-G-PASTA installed on the full-space update TDG: the partition
-    /// scheduled updates restrict, never repaired.
+    /// Seq-G-PASTA on the full-space update TDG: the partition scheduled
+    /// updates restrict, never repaired. Cold until the first scheduled
+    /// update or [`Session::partition_assignment`] installs it, then kept.
     inc: IncrementalPartitioner<SeqGPasta>,
     exec: Executor,
     policy: RetryPolicy,
@@ -565,14 +568,15 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    /// Parse `sources`, install seq-G-PASTA on the full-space update TDG,
-    /// and run the initial full analysis.
+    /// Parse `sources` and run the initial full analysis: the whole-design
+    /// cone in order on the calling thread, as an unbounded update runs it.
+    /// No task graph is built and no partition installed (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     ///
-    /// The parse variants of [`SessionError`] for bad sources,
-    /// [`SessionError::Graph`] for combinational loops, and
-    /// [`SessionError::Partition`] if the install fails.
+    /// The parse variants of [`SessionError`] for bad sources and
+    /// [`SessionError::Graph`] for combinational loops.
     pub fn create(
         name: impl Into<String>,
         sources: DesignSources,
@@ -582,10 +586,10 @@ impl Session {
     }
 
     /// The one construction of a live session: build the timer from
-    /// `sources` and install seq-G-PASTA on its full-space update TDG.
-    /// Then either run the initial full analysis on that TDG, or — given
-    /// `restore`, a checkpoint of this design and the net-cap journal —
-    /// run nothing and take the checkpoint's values.
+    /// `sources`, then either run the initial full analysis in order, or —
+    /// given `restore`, a checkpoint of this design and the net-cap journal
+    /// — run nothing and take the checkpoint's values. The partition stays
+    /// cold either way.
     fn open(
         name: String,
         sources: DesignSources,
@@ -593,17 +597,11 @@ impl Session {
         restore: Option<(&UpdateCheckpoint, &[(u32, u32)])>,
     ) -> Result<Session, SessionError> {
         let (mut timer, library) = build_timer(&sources)?;
-        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        let full = timer.update_timing();
-        inc.install(full.tdg(), &PartitionerOptions::default())?;
-        if restore.is_none() {
-            full.run_sequential();
-        }
-        drop(full);
-        // Updates take only the dirty cone from here on.
-        timer.release_tdg_buffers();
         let (net_cap_journal, updates_done) = match restore {
-            None => (Vec::new(), 0),
+            None => {
+                timer.dirty_cone().run_in_order();
+                (Vec::new(), 0)
+            }
             Some((ckpt, journal)) => {
                 restore_values(&mut timer, ckpt, journal)?;
                 (journal.to_vec(), ckpt.updates_done)
@@ -616,7 +614,7 @@ impl Session {
             summary: timer.endpoint_summary(),
             timer,
             library,
-            inc,
+            inc: IncrementalPartitioner::new(SeqGPasta::new()),
             exec: Executor::new(workers.max(1)),
             policy: RetryPolicy::default(),
             net_cap_journal,
@@ -650,9 +648,22 @@ impl Session {
     }
 
     /// The partition's raw per-task assignment over the full-space update
-    /// TDG.
-    pub fn partition_assignment(&self) -> Option<&[u32]> {
+    /// TDG, built now if no scheduled update has built it yet; `None` only
+    /// if that build fails.
+    pub fn partition_assignment(&mut self) -> Option<&[u32]> {
+        self.build_partition().ok()?;
         self.inc.raw_assignment()
+    }
+
+    /// The lazy builder: install seq-G-PASTA on the timer's full-space TDG
+    /// unless the session holds its partition already. Leaves the dirty
+    /// set and the timing values as they are.
+    fn build_partition(&mut self) -> Result<(), SessionError> {
+        if !self.inc.is_warm() {
+            let tdg = self.timer.full_space_tdg();
+            self.inc.install(&tdg, &PartitionerOptions::default())?;
+        }
+        Ok(())
     }
 
     /// Executor worker-thread count.
@@ -786,11 +797,14 @@ impl Session {
     ///
     /// A completed run's results are bit-identical either way, so nothing
     /// this function returns or the session persists depends on the path.
-    /// The partition is the one installed at create or restore: every edit
-    /// a session accepts is delay-only, so the task graph never changes and
-    /// neither does the partition. Debug builds assert that each cone is
-    /// successor-closed in that task graph: running only the cone is exact
-    /// because nothing outside it depends on a task inside it.
+    /// The first scheduled update builds the partition, before it discovers
+    /// its cone, and every later one reuses it: every edit a session
+    /// accepts is delay-only, so the task graph never changes and neither
+    /// does the partition. Debug builds assert that each cone is
+    /// successor-closed over the timing graph's arcs
+    /// ([`DirtyCone::is_successor_closed`](crate::sta::DirtyCone::is_successor_closed)):
+    /// running only the cone is exact because nothing outside it depends on
+    /// a task inside it.
     ///
     /// Whichever way the cone ran, the endpoint summary [`Session::report`]
     /// reads is the summary of the timing values as they now are: after a
@@ -810,7 +824,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Quotient`] if the partition has no valid quotient.
+    /// [`SessionError::Partition`] if the first scheduled update cannot
+    /// build the partition, and [`SessionError::Quotient`] if the partition
+    /// has no valid quotient.
     ///
     /// # Panics
     ///
@@ -820,6 +836,10 @@ impl Session {
     /// update` resumes from its checkpoint). Under a stall window the
     /// executor contains a panic to its forward closure, as a stall.
     pub fn update_timing(&mut self, budget: &RunBudget) -> Result<UpdateOutcome, SessionError> {
+        let scheduled = budget.stall_window.is_some();
+        if scheduled {
+            self.build_partition()?;
+        }
         let cone = self.timer.dirty_cone();
         let tasks = cone.num_tasks();
         if tasks == 0 {
@@ -834,14 +854,11 @@ impl Session {
             });
         }
         debug_assert!(
-            self.inc
-                .cached_tdg()
-                .is_some_and(|tdg| forward_closure(tdg, cone.ids()) == cone.ids()),
-            "a dirty cone is not successor-closed in the full-space TDG"
+            cone.is_successor_closed(),
+            "a dirty cone is not successor-closed over the timing graph's arcs"
         );
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
 
-        let scheduled = budget.stall_window.is_some();
         let rec = if scheduled {
             Self::run_scheduled(
                 &cone,
@@ -1253,6 +1270,88 @@ endmodule
         let idle = s.update_timing(&in_order[0]).expect("update");
         assert_eq!(idle.tasks, 0);
         assert_eq!(s.path_counts(), (10, 4));
+    }
+
+    #[test]
+    fn a_session_stays_cold_until_a_stall_window() {
+        let cold = |s: &Session| !s.inc.is_warm() && s.inc.quotient_builds() == 0;
+        let mut s = fixture_session("cold");
+        assert!(cold(&s), "create builds no partition");
+        for (i, budget) in [
+            RunBudget::unbounded(),
+            RunBudget::unbounded().with_deadline(Duration::from_secs(3_600)),
+            RunBudget::unbounded().with_deadline(Duration::ZERO),
+            RunBudget::unbounded().with_cancel(crate::sched::CancelToken::new()),
+            RunBudget::unbounded(),
+        ]
+        .iter()
+        .enumerate()
+        {
+            s.apply_edit(&Edit::Repower {
+                gate: format!("u{}", i % 4),
+                drive: 2.0 + i as f32,
+            })
+            .expect("valid");
+            s.update_timing(budget).expect("update");
+            assert!(cold(&s), "budget {i}");
+        }
+        assert_eq!(s.path_counts(), (5, 0));
+
+        let path = tmp_ckpt("cold");
+        let mut restored = s
+            .evict_to(&path)
+            .expect("evict")
+            .restore(2)
+            .expect("restore");
+        std::fs::remove_file(&path).ok();
+        assert!(cold(&s) && cold(&restored), "evict and restore build none");
+        restored
+            .apply_edit(&Edit::SetClockPeriod { period_ps: 900.0 })
+            .expect("valid");
+        restored
+            .update_timing(&RunBudget::unbounded())
+            .expect("update");
+        assert!(cold(&restored));
+    }
+
+    #[test]
+    fn the_first_stall_window_builds_the_partition_once() {
+        let sources = DesignSources::verilog_only(FIXTURE);
+        let mut s = Session::create("lazy", sources.clone(), 2).expect("create");
+        s.apply_edit(&Edit::Repower {
+            gate: "u2".into(),
+            drive: 2.0,
+        })
+        .expect("valid");
+        assert!(!s.inc.is_warm());
+        let scheduled = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
+        for i in 0..6u32 {
+            let out = s.update_timing(&scheduled).expect("update");
+            assert_eq!(out.stop, StopCause::Completed);
+            assert_eq!(s.inc.epoch(), 1, "update {i}: one install");
+            s.apply_edit(&Edit::Repower {
+                gate: format!("u{}", i % 4),
+                drive: [0.5, 4.0][i as usize % 2],
+            })
+            .expect("valid");
+        }
+        assert!(s.has_pending_changes(), "the last edit is still pending");
+        assert_eq!(s.path_counts(), (0, 6));
+        assert_eq!(s.inc.quotient_builds(), 1);
+
+        // The oracle: seq-G-PASTA installed on a full update's own TDG.
+        let (mut timer, _) = build_timer(&sources).expect("fixture parses");
+        let full = timer.update_timing();
+        let mut oracle = IncrementalPartitioner::new(SeqGPasta::new());
+        oracle
+            .install(full.tdg(), &PartitionerOptions::default())
+            .expect("install");
+        assert_eq!(s.partition_assignment(), oracle.raw_assignment());
+        assert_eq!(s.inc.epoch(), 1, "reading it builds nothing more");
+
+        let mut fresh = Session::create("lazy", sources, 2).expect("create");
+        assert_eq!(fresh.partition_assignment(), oracle.raw_assignment());
+        assert_eq!(fresh.inc.quotient_builds(), 0, "a read builds no quotient");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! per-iteration checkpointing, kills it at a randomized iteration
 //! (simulating a crash after the checkpoint's atomic rename), resumes from
 //! the checkpoint file, and asserts the final state is **bit-identical**
-//! to the oracle: WNS and TNS as `f32` bit patterns, the full per-task
-//! partition assignment. Cases sweep
+//! to the oracle: WNS and TNS as `f32` bit patterns. Cases sweep
 //! seeds and worker counts, and one chain kills the run twice to prove
 //! checkpoints compose.
 
@@ -38,10 +37,6 @@ fn assert_same_final_state(oracle: &UpdateFlowOutcome, resumed: &UpdateFlowOutco
     );
     assert_eq!(resumed.wns_bits, oracle.wns_bits, "{what}: WNS bits");
     assert_eq!(resumed.tns_bits, oracle.tns_bits, "{what}: TNS bits");
-    assert_eq!(
-        resumed.assignment, oracle.assignment,
-        "{what}: partition assignment"
-    );
 }
 
 /// One full differential sweep: oracle run, then two randomized kill
@@ -133,11 +128,6 @@ fn a_hand_driven_session_matches_the_flow() {
     let report = session.report(1);
     assert_eq!(report.wns_ps.to_bits(), flow.wns_bits, "WNS bits");
     assert_eq!(report.tns_ps.to_bits(), flow.tns_bits, "TNS bits");
-    assert_eq!(
-        session.partition_assignment(),
-        Some(&flow.assignment[..]),
-        "partition assignment"
-    );
     assert_eq!(session.updates_done(), flow.iterations_done);
 }
 

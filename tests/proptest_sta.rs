@@ -111,6 +111,59 @@ impl Modifier {
     }
 }
 
+/// `Timer::full_space_tdg` on `timer`, with `modifier` pending, against the
+/// TDG `update_timing` builds for the whole design on `twin` (the same
+/// analysed design, the same modifier): same fingerprint, edges and weights.
+/// The call leaves the pending edits, the next cone and the values alone.
+fn assert_full_space_tdg_is_the_full_update_tdg(
+    mut timer: Timer,
+    mut twin: Timer,
+    modifier: Modifier,
+) -> Result<(), TestCaseError> {
+    modifier.apply(&mut timer);
+    modifier.apply(&mut twin);
+    let before = timer.snapshot();
+    let tdg = timer.full_space_tdg();
+    prop_assert!(
+        timer.has_pending_changes(),
+        "{:?} is still pending",
+        modifier
+    );
+    prop_assert!(timer.snapshot() == before, "the values are untouched");
+    let cone = timer.dirty_cone();
+    let want_cone = twin.dirty_cone();
+    prop_assert_eq!(cone.ids(), want_cone.ids(), "the next cone");
+    cone.run_in_order();
+    want_cone.run_in_order();
+    drop((cone, want_cone));
+    prop_assert!(timer.snapshot() == twin.snapshot());
+
+    twin.invalidate_all();
+    let full = twin.update_timing();
+    let want = full.tdg();
+    prop_assert_eq!(tdg.num_tasks(), 2 * full.graph().num_nodes());
+    prop_assert_eq!(tdg.fingerprint(), want.fingerprint());
+    prop_assert!(tdg.edges().eq(want.edges()), "edges");
+    let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(tdg.weights()), bits(want.weights()), "weights");
+    Ok(())
+}
+
+#[test]
+fn full_space_tdg_is_the_full_update_tdg_on_paper_circuits() {
+    use gpasta::circuits::PaperCircuit;
+    for (circuit, scale) in [(PaperCircuit::AesCore, 0.005), (PaperCircuit::Leon2, 0.002)] {
+        let analysed = || {
+            let mut timer = Timer::new(circuit.build(scale), CellLibrary::typical());
+            timer.dirty_cone().run_in_order();
+            timer
+        };
+        let modifier = Modifier::Repower(GateId(3), 2.0);
+        assert_full_space_tdg_is_the_full_update_tdg(analysed(), analysed(), modifier)
+            .unwrap_or_else(|e| panic!("{circuit}: {e}"));
+    }
+}
+
 /// Case count of the cone-discovery property, overridable via
 /// `PROPTEST_CASES` (the nightly CI job raises it).
 fn discovery_cases() -> u32 {
@@ -173,6 +226,13 @@ proptest! {
             drop(update);
             prop_assert!(cone_timer.snapshot() == tdg_timer.snapshot());
         }
+    }
+
+    #[test]
+    fn full_space_tdg_is_the_full_update_tdg(spec in arb_spec(), drawn in arb_modifier()) {
+        let timer = analysed_timer(&spec);
+        let modifier = Modifier::resolve(drawn, &timer);
+        assert_full_space_tdg_is_the_full_update_tdg(timer, analysed_timer(&spec), modifier)?;
     }
 }
 
