@@ -103,10 +103,15 @@ impl TimingData {
                 .map(|_| AtomicF32::new(0.0))
                 .collect(),
         };
-        for net in 0..netlist.num_nets() {
-            data.recompute_net(net as u32, netlist, library);
-        }
+        data.recompute_nets(netlist, library);
         data
+    }
+
+    /// [`recompute_net`](TimingData::recompute_net) for every net.
+    fn recompute_nets(&self, netlist: &Netlist, library: &CellLibrary) {
+        for net in 0..netlist.num_nets() {
+            self.recompute_net(net as u32, netlist, library);
+        }
     }
 
     /// Recompute the total capacitance, interconnect delay, and (if the
@@ -405,29 +410,98 @@ impl std::fmt::Display for SnapshotMismatch {
 
 impl std::error::Error for SnapshotMismatch {}
 
+/// The inputs of the timing values that edits write, bit-exact: the clock
+/// period, per-gate drive, per-net wire capacitance and per-port I/O delays.
+/// After a completed update every [`TimingSnapshot`] array is a function of
+/// these and the design, so a fresh timer of the same design given them
+/// ([`Timer::set_edit_state`](crate::Timer::set_edit_state)) and one
+/// whole-design run reproduces the snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EditState {
+    /// `clock_period_ps` as bits.
+    pub clock_period_bits: u32,
+    /// Per gate drive multipliers.
+    pub drive: Vec<u32>,
+    /// Per net wire capacitances (fF).
+    pub wire_cap: Vec<u32>,
+    /// Per primary input external arrival offsets.
+    pub input_delay: Vec<u32>,
+    /// Per primary output external required-time margins.
+    pub output_delay: Vec<u32>,
+}
+
 fn bits_of(cells: &[AtomicF32]) -> Vec<u32> {
     cells.iter().map(|c| c.load_bits()).collect()
 }
 
-fn restore_bits(
-    cells: &[AtomicF32],
-    bits: &[u32],
-    field: &'static str,
-) -> Result<(), SnapshotMismatch> {
-    if cells.len() != bits.len() {
-        return Err(SnapshotMismatch {
-            field,
-            expected: cells.len(),
-            found: bits.len(),
-        });
+/// `Err` naming `field` unless `bits` holds `expected` entries.
+fn check_len(expected: usize, bits: &[u32], field: &'static str) -> Result<(), SnapshotMismatch> {
+    if expected == bits.len() {
+        return Ok(());
     }
-    for (c, &b) in cells.iter().zip(bits) {
-        c.store_bits(b);
+    Err(SnapshotMismatch {
+        field,
+        expected,
+        found: bits.len(),
+    })
+}
+
+/// Store every `(cells, bits, field)` array once every length is checked,
+/// so a mismatch stores nothing.
+fn store_checked(arrays: &[(&[AtomicF32], &[u32], &'static str)]) -> Result<(), SnapshotMismatch> {
+    for &(cells, bits, field) in arrays {
+        check_len(cells.len(), bits, field)?;
+    }
+    for &(cells, bits, _) in arrays {
+        for (c, &b) in cells.iter().zip(bits) {
+            c.store_bits(b);
+        }
     }
     Ok(())
 }
 
 impl TimingData {
+    /// The edit state of this timing data over `netlist`, which holds the
+    /// wire capacitances.
+    pub(crate) fn edit_state(&self, netlist: &Netlist) -> EditState {
+        EditState {
+            clock_period_bits: self.clock_period_ps.to_bits(),
+            drive: bits_of(&self.drive),
+            wire_cap: netlist
+                .nets()
+                .iter()
+                .map(|n| n.wire_cap_ff.to_bits())
+                .collect(),
+            input_delay: bits_of(&self.input_delay),
+            output_delay: bits_of(&self.output_delay),
+        }
+    }
+
+    /// Write `state`: drives, delays and the clock here, wire capacitances
+    /// into `netlist`, then recompute every net as [`TimingData::new`] does.
+    /// Every length is checked before the first store, so a mismatched
+    /// state leaves both untouched. Slews, arrivals, requireds and arc
+    /// delays are left for the caller's whole-design run.
+    pub(crate) fn set_edit_state(
+        &mut self,
+        state: &EditState,
+        netlist: &mut Netlist,
+        library: &CellLibrary,
+    ) -> Result<(), SnapshotMismatch> {
+        check_len(netlist.num_nets(), &state.wire_cap, "wire_cap")?;
+        store_checked(&[
+            (&self.drive, &state.drive, "drive"),
+            (&self.input_delay, &state.input_delay, "input_delay"),
+            (&self.output_delay, &state.output_delay, "output_delay"),
+        ])?;
+        self.clock_period_ps = f32::from_bits(state.clock_period_bits);
+        for (net, &bits) in netlist.nets.iter_mut().zip(&state.wire_cap) {
+            net.wire_cap_ff = f32::from_bits(bits);
+        }
+        self.recompute_nets(netlist, library);
+        Ok(())
+    }
+
     /// Capture every mutable timing value bit-exactly.
     pub fn snapshot(&self) -> TimingSnapshot {
         TimingSnapshot {
@@ -453,37 +527,18 @@ impl TimingData {
     /// [`SnapshotMismatch`] when any array length disagrees with the
     /// design this state was allocated for.
     pub fn restore(&mut self, snap: &TimingSnapshot) -> Result<(), SnapshotMismatch> {
-        let shape = |cells: &[AtomicF32], bits: &[u32], field: &'static str| {
-            if cells.len() != bits.len() {
-                Err(SnapshotMismatch {
-                    field,
-                    expected: cells.len(),
-                    found: bits.len(),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        shape(&self.slew, &snap.slew, "slew")?;
-        shape(&self.arrival, &snap.arrival, "arrival")?;
-        shape(&self.required, &snap.required, "required")?;
-        shape(&self.arc_delay, &snap.arc_delay, "arc_delay")?;
-        shape(&self.drive, &snap.drive, "drive")?;
-        shape(&self.gate_load, &snap.gate_load, "gate_load")?;
-        shape(&self.net_delay, &snap.net_delay, "net_delay")?;
-        shape(&self.input_delay, &snap.input_delay, "input_delay")?;
-        shape(&self.output_delay, &snap.output_delay, "output_delay")?;
-
+        store_checked(&[
+            (&self.slew, &snap.slew, "slew"),
+            (&self.arrival, &snap.arrival, "arrival"),
+            (&self.required, &snap.required, "required"),
+            (&self.arc_delay, &snap.arc_delay, "arc_delay"),
+            (&self.drive, &snap.drive, "drive"),
+            (&self.gate_load, &snap.gate_load, "gate_load"),
+            (&self.net_delay, &snap.net_delay, "net_delay"),
+            (&self.input_delay, &snap.input_delay, "input_delay"),
+            (&self.output_delay, &snap.output_delay, "output_delay"),
+        ])?;
         self.clock_period_ps = f32::from_bits(snap.clock_period_bits);
-        restore_bits(&self.slew, &snap.slew, "slew")?;
-        restore_bits(&self.arrival, &snap.arrival, "arrival")?;
-        restore_bits(&self.required, &snap.required, "required")?;
-        restore_bits(&self.arc_delay, &snap.arc_delay, "arc_delay")?;
-        restore_bits(&self.drive, &snap.drive, "drive")?;
-        restore_bits(&self.gate_load, &snap.gate_load, "gate_load")?;
-        restore_bits(&self.net_delay, &snap.net_delay, "net_delay")?;
-        restore_bits(&self.input_delay, &snap.input_delay, "input_delay")?;
-        restore_bits(&self.output_delay, &snap.output_delay, "output_delay")?;
         Ok(())
     }
 }

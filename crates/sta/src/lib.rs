@@ -34,7 +34,9 @@
 //!   cone unfinished, nothing is ever poisoned — a task panic unwinds);
 //!   [`Timer::snapshot`] /
 //!   [`Timer::restore_snapshot`] capture the whole mutable timing state
-//!   bit-exactly for crash-safe checkpointing ([`TimingSnapshot`]);
+//!   bit-exactly ([`TimingSnapshot`]), and [`Timer::edit_state`] /
+//!   [`Timer::set_edit_state`] only what edits wrote ([`EditState`]),
+//!   from which one whole-design run derives the rest;
 //! * [`TimingReport`] — setup and hold WNS/TNS and per-endpoint slack
 //!   reporting, plus [`trace_worst_path`] and [`k_worst_paths`] for path
 //!   diagnostics and [`drc`] for electrical design-rule checks;
@@ -95,7 +97,9 @@ pub mod sdc;
 mod timer;
 pub mod verilog;
 
-pub use analysis::{Mode, SnapshotMismatch, TimingData, TimingPropagator, TimingSnapshot, Tr};
+pub use analysis::{
+    EditState, Mode, SnapshotMismatch, TimingData, TimingPropagator, TimingSnapshot, Tr,
+};
 pub use atomic_f32::AtomicF32;
 pub use boundary::{BoundaryValues, ValueSet};
 pub use drc::{check_design_rules, DrcReport, DrcViolation};

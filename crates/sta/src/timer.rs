@@ -284,6 +284,33 @@ impl Timer {
         Ok(())
     }
 
+    /// The edits made so far, as the values they wrote (see
+    /// [`EditState`](crate::analysis::EditState)), pending ones included.
+    pub fn edit_state(&self) -> crate::analysis::EditState {
+        self.data.edit_state(&self.netlist)
+    }
+
+    /// Put `state` in place of this design's edit state — drives, delays
+    /// and the clock into the timing data, wire caps into the netlist —
+    /// recompute every net, and mark the whole design dirty: the next
+    /// update derives every other value from them.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotMismatch`](crate::analysis::SnapshotMismatch) when an
+    /// array's length does not fit this design; the timer is unchanged in
+    /// that case.
+    pub fn set_edit_state(
+        &mut self,
+        state: &crate::analysis::EditState,
+    ) -> Result<(), crate::analysis::SnapshotMismatch> {
+        self.data
+            .set_edit_state(state, &mut self.netlist, &self.library)?;
+        self.dirty.clear();
+        self.full_dirty = true;
+        Ok(())
+    }
+
     /// The one cone-discovery body: the dirty cone as ascending full-space
     /// task ids (see [`DirtyCone`]), how many of them are fprop tasks, and
     /// the cone's bitsets with the dirty nodes kept as `seeds`. F is the

@@ -1,43 +1,47 @@
-//! Crash-safe checkpoint/resume: the `GPCKPT03` file format, and the
+//! Crash-safe checkpoint/resume: the `GPCKPT04` file format, and the
 //! `gpasta update` flow that exercises it.
 //!
-//! A checkpoint captures everything a [`Session`] needs to continue
-//! bit-identically after a crash or an eviction: the session identity
-//! (name plus checksums of its netlist and constraints), the update
-//! counter, and the complete mutable timing state ([`TimingSnapshot`] —
-//! raw `f32` bit patterns, so NaN payloads and signed zeros survive). The
-//! netlist, timing graph, cell library and partition are *not* stored:
-//! the session rebuilds them from its sources (the partition is a function
-//! of the timing graph), so a rebuild plus a snapshot restore reproduces
-//! the pre-crash state exactly. [`Session::evict_to`] writes checkpoints and
-//! [`DormantSession::restore`] reads them; [`run_update_flow`] is a thin
-//! loop over both.
+//! A checkpoint holds what a [`Session`] cannot derive from its sources:
+//! the session identity (name plus checksums of its netlist and
+//! constraints), the update counter, and the edit state ([`EditState`]:
+//! clock period, drives, wire caps and I/O delays as raw `f32` bit
+//! patterns). Everything else is derived: the netlist, timing graph, cell
+//! library and partition from the sources, and every timing value by the
+//! one whole-design run [`Session::create`] also makes. So a restored
+//! session reads the values the live one reaches at its next update,
+//! never stale or unknown ones. [`Session::evict_to`] writes checkpoints
+//! and [`DormantSession::restore`] reads them; [`run_update_flow`] is a
+//! thin loop over both.
 //!
 //! The on-disk format is a little-endian binary record:
 //!
 //! ```text
-//! magic "GPCKPT" + version "03"          8 bytes
+//! magic "GPCKPT" + version "04"          8 bytes
 //! session name                           u32 length + UTF-8 bytes
 //! netlist, constraint fingerprints       2 × u64
 //! updates completed                      u32
 //! design shape (gates, nets, inputs,
 //!   outputs, graph nodes)                5 × u32   (early mismatch check)
-//! timing snapshot                        clock-period bits + 9 u32 arrays
+//! edit state                             clock-period bits + 4 u32 arrays:
+//!                                        drive (gates), wire cap (nets),
+//!                                        input / output delay (ports)
 //! checksum of all above                  u64
 //! ```
 //!
 //! The checksum is [`checksum`](crate::tdg::checksum()), the lane-wise
 //! hash every fingerprint and shard frame also uses. Files of an earlier
-//! version — `GPCKPT02` (which also stored the partition) and `GPCKPT01`
-//! (byte-serial FNV-1a trailer) — are refused as
-//! [`CheckpointError::BadVersion`], never read as this format.
+//! version — `GPCKPT03` (which stored every timing value), `GPCKPT02`
+//! (which also stored the partition) and `GPCKPT01` (byte-serial FNV-1a
+//! trailer) — are refused as [`CheckpointError::BadVersion`], never read
+//! as this format.
 //!
 //! Writes are crash-safe: the record is serialized to a sibling temporary
 //! file, flushed with `File::sync_all`, and atomically renamed over the
 //! destination, so a crash at any point leaves either the old checkpoint
 //! or the new one — never a torn file. Reads verify the checksum before
-//! parsing and every section length before allocating, so truncated or
-//! bit-flipped files are rejected with a typed [`CheckpointError`].
+//! parsing and every section length before allocating — an edit-state
+//! array against the stored design shape — so truncated or bit-flipped
+//! files are rejected with a typed [`CheckpointError`].
 
 use std::error::Error;
 use std::fmt;
@@ -50,12 +54,12 @@ use crate::circuits::PaperCircuit;
 use crate::sched::{splitmix64, RunBudget, StopCause};
 use crate::session::{DesignSources, DormantSession, Edit, Session, SessionError};
 use crate::shard::wire::{Reader, WireError};
-use crate::sta::{write_verilog, GateId, Timer, TimingSnapshot};
+use crate::sta::{write_verilog, EditState, GateId, Timer};
 use crate::tdg::checksum;
 
 /// The magic and format version every checkpoint file and shard frame
 /// starts with.
-pub(crate) const FORMAT: &[u8; 8] = b"GPCKPT03";
+pub(crate) const FORMAT: &[u8; 8] = b"GPCKPT04";
 
 /// A checkpoint read from or written to disk failed.
 #[derive(Debug)]
@@ -117,8 +121,8 @@ impl Error for CheckpointError {
 }
 
 /// The design-shape fingerprint stored in a checkpoint: enough to reject
-/// a resume against the wrong design with a readable message before the
-/// per-array [`TimingSnapshot`] shape checks run.
+/// a resume against the wrong design with a readable message, and the
+/// lengths the stored edit-state arrays must have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignShape {
     /// Gate count of the netlist.
@@ -159,10 +163,10 @@ pub struct UpdateCheckpoint {
     pub constraint_bits: u64,
     /// [`Session::updates_done`] at the time of the write.
     pub updates_done: u32,
-    /// Shape of the design the snapshot was taken against.
+    /// Shape of the design the edits were made to.
     pub shape: DesignShape,
-    /// The complete mutable timing state, bit-exact.
-    pub snapshot: TimingSnapshot,
+    /// The edit state at the time of the write, pending edits included.
+    pub edits: EditState,
 }
 
 // ---------------------------------------------------------------------------
@@ -211,41 +215,6 @@ pub(crate) fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
-/// The timing snapshot as both checkpoint kinds store it: clock-period
-/// bits, then nine counted arrays.
-pub(crate) fn put_snapshot(buf: &mut Vec<u8>, s: &TimingSnapshot) {
-    put_u32(buf, s.clock_period_bits);
-    for arr in [
-        &s.slew,
-        &s.arrival,
-        &s.required,
-        &s.arc_delay,
-        &s.drive,
-        &s.gate_load,
-        &s.net_delay,
-        &s.input_delay,
-        &s.output_delay,
-    ] {
-        put_arr(buf, arr);
-    }
-}
-
-/// The section [`put_snapshot`] wrote.
-pub(crate) fn read_snapshot(r: &mut Reader<&[u8]>) -> Result<TimingSnapshot, WireError> {
-    Ok(TimingSnapshot {
-        clock_period_bits: r.u32("clock period")?,
-        slew: r.arr("slew")?,
-        arrival: r.arr("arrival")?,
-        required: r.arr("required")?,
-        arc_delay: r.arr("arc delay")?,
-        drive: r.arr("drive")?,
-        gate_load: r.arr("gate load")?,
-        net_delay: r.arr("net delay")?,
-        input_delay: r.arr("input delay")?,
-        output_delay: r.arr("output delay")?,
-    })
-}
-
 impl From<WireError> for CheckpointError {
     fn from(e: WireError) -> Self {
         match e {
@@ -271,7 +240,11 @@ fn encode(ckpt: &UpdateCheckpoint) -> Vec<u8> {
     ] {
         put_u32(&mut buf, v);
     }
-    put_snapshot(&mut buf, &ckpt.snapshot);
+    let e = &ckpt.edits;
+    put_u32(&mut buf, e.clock_period_bits);
+    for arr in [&e.drive, &e.wire_cap, &e.input_delay, &e.output_delay] {
+        put_arr(&mut buf, arr);
+    }
     let sum = checksum(&buf);
     put_u64(&mut buf, sum);
     buf
@@ -307,7 +280,13 @@ fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
         outputs: r.u32("shape")?,
         nodes: r.u32("shape")?,
     };
-    let snapshot = read_snapshot(&mut r)?;
+    let edits = EditState {
+        clock_period_bits: r.u32("clock period")?,
+        drive: r.arr_of(Some(shape.gates), "drive")?,
+        wire_cap: r.arr_of(Some(shape.nets), "wire cap")?,
+        input_delay: r.arr_of(Some(shape.inputs), "input delay")?,
+        output_delay: r.arr_of(Some(shape.outputs), "output delay")?,
+    };
     r.done()?;
     Ok(UpdateCheckpoint {
         session,
@@ -315,7 +294,7 @@ fn decode(buf: &[u8]) -> Result<UpdateCheckpoint, CheckpointError> {
         constraint_bits,
         updates_done,
         shape,
-        snapshot,
+        edits,
     })
 }
 
@@ -449,9 +428,9 @@ pub struct UpdateFlowOutcome {
 
 /// Iteration `i`'s deterministic modifier batch for a design of
 /// `num_gates` gates: one to three `(gate, drive)` repowers drawn from
-/// `splitmix64(seed, i)`. Repowers only — drive multipliers live in the
-/// timing snapshot, so a resumed run that rebuilds the netlist from the
-/// circuit spec still sees the full modifier history.
+/// `splitmix64(seed, i)`. The drives a batch writes are part of the
+/// checkpointed edit state, so a resumed run that rebuilds the netlist
+/// from the circuit spec still sees the full modifier history.
 pub fn modifier_batch(
     num_gates: usize,
     seed: u64,
@@ -583,17 +562,12 @@ mod tests {
                 outputs: 1,
                 nodes: 31,
             },
-            snapshot: TimingSnapshot {
+            edits: EditState {
                 clock_period_bits: 1000.0f32.to_bits(),
-                slew: vec![f32::NAN.to_bits(), (-0.0f32).to_bits(), 7],
-                arrival: vec![1, 2, 3],
-                required: vec![4, 5, 6],
-                arc_delay: vec![8],
-                drive: vec![2.0f32.to_bits()],
-                gate_load: vec![9],
-                net_delay: vec![10, 11],
-                input_delay: vec![12],
-                output_delay: vec![13],
+                drive: vec![2.0f32.to_bits(), f32::NAN.to_bits(), 1, 2, 3, 4, 5],
+                wire_cap: vec![(-0.0f32).to_bits(), 6, 7, 8, 9, 10, 11, 12, 13],
+                input_delay: vec![14, 15],
+                output_delay: vec![16],
             },
         }
     }
@@ -671,33 +645,65 @@ mod tests {
 
     #[test]
     fn a_gpckpt02_checkpoint_is_refused_as_another_format_version() {
-        // Sealed under the previous format's magic, with a valid checksum.
-        let mut old = encode(&sample_checkpoint());
-        old[..8].copy_from_slice(b"GPCKPT02");
-        reseal(&mut old);
-        assert!(matches!(
-            decode(&old),
-            Err(CheckpointError::BadVersion {
-                found: [b'0', b'2']
-            })
-        ));
+        // Sealed under an earlier format's magic, with a valid checksum.
+        for (magic, version) in [(b"GPCKPT02", [b'0', b'2']), (b"GPCKPT03", [b'0', b'3'])] {
+            let mut old = encode(&sample_checkpoint());
+            old[..8].copy_from_slice(magic);
+            reseal(&mut old);
+            assert!(matches!(
+                decode(&old),
+                Err(CheckpointError::BadVersion { found }) if found == version
+            ));
+        }
     }
+
+    /// Where the first edit-state array's count (drive) sits: right after
+    /// the fixed-size header sections and the clock bits.
+    const DRIVE_COUNT_AT: usize = 8 + 4 + "aes_core".len() + 8 + 8 + 4 + 5 * 4 + 4;
 
     #[test]
     fn corrupt_array_length_is_rejected_without_huge_allocation() {
         let mut bytes = encode(&sample_checkpoint());
-        // The first array length (slew) sits right after the fixed-size
-        // header sections; stamp an absurd length there and re-checksum.
-        let name_len = 4 + "aes_core".len();
-        let off = 8 + name_len + 8 + 8 + 4 + 5 * 4 + 4;
+        let off = DRIVE_COUNT_AT;
         bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = checksum(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         match decode(&bytes) {
-            Err(CheckpointError::Corrupt(why)) => assert!(why.contains("slew"), "{why}"),
+            Err(CheckpointError::Corrupt(why)) => assert!(why.contains("drive"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// An edit-state array whose length is not the stored shape's is
+    /// refused by its count, before its words are read: whether the shape
+    /// or the array is what changed, and even when the bytes would
+    /// otherwise parse.
+    #[test]
+    fn edit_arrays_must_have_the_stored_shapes_lengths() {
+        let mut longer = sample_checkpoint();
+        longer.edits.wire_cap.push(0);
+        let mut fewer_ports = sample_checkpoint();
+        fewer_ports.shape.outputs = 0;
+        let mut more_gates = sample_checkpoint();
+        more_gates.shape.gates += 1;
+        for (ckpt, array) in [
+            (longer, "wire cap"),
+            (fewer_ports, "output delay"),
+            (more_gates, "drive"),
+        ] {
+            match decode(&encode(&ckpt)) {
+                Err(CheckpointError::Corrupt(why)) => {
+                    assert!(why.contains(array) && why.contains("shape"), "{why}")
+                }
+                other => panic!("{array}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // A count that still fits the remaining bytes is refused too.
+        let mut bytes = encode(&sample_checkpoint());
+        bytes[DRIVE_COUNT_AT..DRIVE_COUNT_AT + 4].copy_from_slice(&6u32.to_le_bytes());
+        reseal(&mut bytes);
+        assert!(
+            matches!(decode(&bytes), Err(CheckpointError::Corrupt(why)) if why.contains("drive"))
+        );
     }
 
     /// Recompute the trailing checksum, so an edit reaches the section

@@ -15,10 +15,12 @@
 //!   stdin/stdout, for embedding under a supervisor without opening a
 //!   port.
 //!
-//! Capacity is managed by eviction: `DELETE /sessions/{name}` flushes
-//! the session to a `GPCKPT03` checkpoint in the spool directory and
-//! keeps only the light [`DormantSession`](crate::session::DormantSession)
-//! residue; `POST /sessions/{name}/restore` re-admits it bit-identically.
+//! Capacity is managed by eviction: `DELETE /sessions/{name}` writes
+//! the session's edit state to a `GPCKPT04` checkpoint in the spool
+//! directory and keeps only the light
+//! [`DormantSession`](crate::session::DormantSession) residue;
+//! `POST /sessions/{name}/restore` re-admits it, re-deriving every timing
+//! value from that state.
 //! Shutdown (via `POST /shutdown`, the `shutdown` RPC, or stdin EOF)
 //! runs a persist pass that spools every live session, so a serve
 //! process can be stopped and restarted without losing timing state.

@@ -9,7 +9,7 @@
 //! * **live** — an `Arc<Mutex<Session>>` (warm timer, warm partition
 //!   cache) plus its [`Supervisor`]: the crash-recovery bookkeeping that
 //!   outlives any particular `Session` value;
-//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT03`
+//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT04`
 //!   checkpoint in the spool directory), produced by eviction;
 //! * **quarantined** — the session crashed repeatedly inside the crash
 //!   window (or could not be rebuilt); only an explicit restore or
@@ -871,11 +871,12 @@ impl Registry {
         rows
     }
 
-    /// Evict a session: flush pending edits, write the `GPCKPT03`
-    /// checkpoint into the spool, and swap the slot to dormant.
-    /// Idempotent — evicting a dormant session returns its existing
-    /// residue. The flush runs supervised: a panic during it is handled
-    /// like any other crash.
+    /// Evict a session: write its `GPCKPT04` checkpoint (the edit state,
+    /// pending edits included) into the spool, and swap the slot to
+    /// dormant. Idempotent — evicting a dormant session returns its
+    /// existing residue. The write runs no update, so no chaos point and
+    /// no task can panic inside it: unlike a request, it is not
+    /// supervised.
     ///
     /// # Errors
     ///
@@ -901,20 +902,8 @@ impl Registry {
             let path = self.ckpt_path(name);
             // Waits for in-flight requests against this session to
             // drain; no registry lock is held across the checkpoint I/O.
-            let mut session = arc.lock();
-            let dormant = match catch_unwind(AssertUnwindSafe(|| session.evict_to(&path))) {
-                Ok(Ok(dormant)) => dormant,
-                Ok(Err(e)) => return Err(RegistryError::Session(e)),
-                Err(payload) => {
-                    drop(session);
-                    return Err(self.handle_crash(
-                        name,
-                        &sup,
-                        generation,
-                        panic_message(&*payload),
-                    ));
-                }
-            };
+            let session = arc.lock();
+            let dormant = session.evict_to(&path)?;
             // The checkpoint captures every journaled edit (appends need
             // the session lock we hold), so the journal restarts empty.
             {
@@ -1044,67 +1033,60 @@ impl Registry {
 
     /// Background-checkpoint every live session: write each to its spool
     /// path via the eviction serializer *without* evicting, then reset
-    /// its supervisor residue/journal. Sessions with nothing new since
-    /// their last checkpoint are skipped. Returns how many checkpoints
-    /// were written.
+    /// its supervisor residue/journal. A session with a residue and an
+    /// empty journal has applied no edit since its last checkpoint and is
+    /// skipped. Returns how many checkpoints were written.
     ///
-    /// The live list is snapshotted under the registry lock; checkpoint
-    /// I/O runs with only the per-session lock held, so a slow disk
-    /// cannot stall unrelated requests. A panic during the flush (e.g.
-    /// injected chaos) is handled like any other crash.
+    /// The checkpointer only reads: it runs no update, so it never
+    /// consumes an update index (or a chaos fault keyed on one) out of
+    /// band, and nothing in it can panic. The live list is snapshotted
+    /// under the registry lock; checkpoint I/O runs with only the
+    /// per-session lock held, so a slow disk cannot stall unrelated
+    /// requests.
     pub fn checkpoint_all(&self) -> usize {
-        let live: Vec<NamedLiveSlot> = {
-            let slots = self.slots.lock();
-            slots
-                .iter()
-                .filter_map(|(name, slot)| match slot {
-                    SessionSlot::Live { arc, sup } => Some((
-                        name.clone(),
-                        arc.clone(),
-                        sup.clone(),
-                        sup.generation.load(Ordering::Relaxed),
-                    )),
-                    _ => None,
-                })
-                .collect()
-        };
         let mut written = 0usize;
-        for (name, arc, sup, generation) in live {
+        for (name, arc, sup, _) in self.live_slots() {
             if self.is_shutting_down() {
                 break;
             }
-            let mut session = arc.lock();
+            let session = arc.lock();
             {
                 let st = sup.state.lock();
-                let fresh = st.residue.is_some() && st.journal.is_empty();
-                if fresh && !session.has_pending_changes() {
+                if st.residue.is_some() && st.journal.is_empty() {
                     continue;
                 }
             }
-            let path = self.ckpt_path(&name);
-            match catch_unwind(AssertUnwindSafe(|| session.evict_to(&path))) {
-                Ok(Ok(dormant)) => {
-                    // Still holding the session lock: no edit can have
-                    // been journaled since the snapshot, so the journal
-                    // restarts empty.
-                    let mut st = sup.state.lock();
-                    st.residue = Some(dormant);
-                    st.journal.clear();
-                    drop(st);
-                    written += 1;
-                    self.checkpoints_total.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(Err(_)) => {
-                    // Disk trouble: keep the old residue + journal; the
-                    // next tick retries.
-                }
-                Err(payload) => {
-                    drop(session);
-                    let _ = self.handle_crash(&name, &sup, generation, panic_message(&*payload));
-                }
+            // On disk trouble the old residue + journal stay; the next
+            // tick retries.
+            if let Ok(dormant) = session.evict_to(&self.ckpt_path(&name)) {
+                // Still holding the session lock: no edit can have been
+                // journaled since the checkpoint, so the journal restarts
+                // empty.
+                let mut st = sup.state.lock();
+                st.residue = Some(dormant);
+                st.journal.clear();
+                written += 1;
+                self.checkpoints_total.fetch_add(1, Ordering::Relaxed);
             }
         }
         written
+    }
+
+    /// Every live slot, as one read under the slots lock.
+    fn live_slots(&self) -> Vec<NamedLiveSlot> {
+        let slots = self.slots.lock();
+        slots
+            .iter()
+            .filter_map(|(name, slot)| match slot {
+                SessionSlot::Live { arc, sup } => Some((
+                    name.clone(),
+                    arc.clone(),
+                    sup.clone(),
+                    sup.generation.load(Ordering::Relaxed),
+                )),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The shutdown persist pass: evict every live session to the
@@ -1112,37 +1094,13 @@ impl Registry {
     /// name. Quarantined sessions are skipped (their last good
     /// checkpoint is already on disk).
     pub fn persist_all(&self) -> Vec<(String, Result<PathBuf, SessionError>)> {
-        let live: Vec<NamedLiveSlot> = {
-            let slots = self.slots.lock();
-            slots
-                .iter()
-                .filter_map(|(name, slot)| match slot {
-                    SessionSlot::Live { arc, sup } => Some((
-                        name.clone(),
-                        arc.clone(),
-                        sup.clone(),
-                        sup.generation.load(Ordering::Relaxed),
-                    )),
-                    _ => None,
-                })
-                .collect()
-        };
-        let mut results = Vec::with_capacity(live.len());
-        for (name, arc, sup, generation) in live {
+        let mut results = Vec::new();
+        for (name, arc, sup, generation) in self.live_slots() {
             let path = self.ckpt_path(&name);
-            // The session guard lives in this inner scope only: it is
-            // dropped before the slots lock is touched, so checkpoint
-            // I/O never overlaps the registry lock.
-            let outcome = {
-                let mut session = arc.lock();
-                match catch_unwind(AssertUnwindSafe(|| session.evict_to(&path))) {
-                    Ok(result) => result,
-                    Err(payload) => Err(SessionError::BadEdit(format!(
-                        "session panicked during the persist flush: {}",
-                        panic_message(&*payload)
-                    ))),
-                }
-            };
+            // The session guard is a temporary, dropped before the slots
+            // lock is touched, so checkpoint I/O never overlaps the
+            // registry lock.
+            let outcome = arc.lock().evict_to(&path);
             let outcome = match outcome {
                 Ok(dormant) => {
                     self.swap_slot_if(&name, &sup, generation, SessionSlot::Dormant(dormant));

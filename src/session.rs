@@ -32,11 +32,11 @@
 //!   the whole design is re-marked dirty so a later update converges). A
 //!   task panic unwinds: a session that panicked is discarded, not
 //!   repaired;
-//! * [`Session::evict_to`] persists the session through the `GPCKPT03`
-//!   checkpoint format ([`crate::checkpoint`]) and returns a
+//! * [`Session::evict_to`] persists the session's edit state through the
+//!   `GPCKPT04` checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
-//!   the net-capacitance journal) from which
-//!   [`DormantSession::restore`] rebuilds a bit-identical live session.
+//!   the checkpoint path) from which [`DormantSession::restore`] rebuilds
+//!   the live session.
 //!
 //! # The partition is built on first scheduled use
 //!
@@ -52,17 +52,18 @@
 //! assignment is the one a whole-design `Timer::update_timing` would have
 //! been partitioned into.
 //!
-//! # Eviction and bit-identity
+//! # A checkpoint stores the edits, not the values
 //!
-//! A `GPCKPT03` checkpoint stores timing *values*, not netlist state, so
-//! two pieces of bookkeeping make evict/restore bit-exact:
-//!
-//! * pending edits are flushed (one unbounded update) before the
-//!   snapshot is taken — the snapshot stores values, not the dirty set;
-//! * [`Edit::SetNetCap`] mutates the netlist itself, which a restore
-//!   rebuilds from source text; the session therefore journals every
-//!   net-cap edit (bit-exact `f32` patterns) and the restore replays the
-//!   journal before installing the snapshot.
+//! Every [`Edit`] writes one entry of the timer's
+//! [`EditState`](crate::sta::EditState) — a drive, a net's wire cap, an
+//! I/O delay, the clock period — and after a completed update every timing
+//! value is a function of the design and that state. So eviction writes
+//! the edit state as it stands, pending edits included, and runs no
+//! update; a restore builds the timer from the sources, puts the edit state
+//! in place and runs the same whole-design analysis [`Session::create`]
+//! runs. The restored session reads the values the evicted one reaches at
+//! its next update: bit-identical to it once that update completes, and
+//! never stale or unknown, even when the evicted session was stopped early.
 //!
 //! The checkpoint names its session and carries the [`checksum`]s of the
 //! netlist text and of the constraints, so a restore against edited
@@ -81,7 +82,7 @@ use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopC
 use crate::sta::{
     apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, DirtyCone,
     EndpointSummary, GateId, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
-    PortId, RecoveredUpdate, SnapshotMismatch, Timer, TimingPath, TimingReport,
+    PortId, RecoveredUpdate, Timer, TimingPath, TimingReport,
 };
 use crate::tdg::{checksum, BuildTdgError, QuotientArena, ValidatePartitionError};
 use std::borrow::Cow;
@@ -157,9 +158,8 @@ pub enum SessionError {
     /// reported instead of panicking so one request fails, not the
     /// process.
     Quotient(ValidatePartitionError),
-    /// A checkpoint's timing snapshot does not fit this design.
-    Snapshot(SnapshotMismatch),
-    /// Reading or writing the eviction checkpoint failed.
+    /// Reading or writing the eviction checkpoint failed, or it does not
+    /// fit this session.
     Checkpoint(CheckpointError),
 }
 
@@ -174,7 +174,6 @@ impl SessionError {
             SessionError::BadEdit(_) => "bad_edit",
             SessionError::Partition(_) => "partition",
             SessionError::Quotient(_) => "quotient",
-            SessionError::Snapshot(_) => "snapshot_mismatch",
             SessionError::Checkpoint(_) => "checkpoint",
         }
     }
@@ -205,7 +204,6 @@ impl fmt::Display for SessionError {
             SessionError::Quotient(e) => {
                 write!(f, "partition has no valid quotient (library bug): {e}")
             }
-            SessionError::Snapshot(e) => write!(f, "snapshot mismatch: {e}"),
             SessionError::Checkpoint(e) => write!(f, "{e}"),
         }
     }
@@ -221,7 +219,6 @@ impl StdError for SessionError {
             SessionError::BadEdit(_) => None,
             SessionError::Partition(e) => Some(e),
             SessionError::Quotient(e) => Some(e),
-            SessionError::Snapshot(e) => Some(e),
             SessionError::Checkpoint(e) => Some(e),
         }
     }
@@ -253,8 +250,8 @@ pub enum Edit {
         /// New drive strength.
         drive: f32,
     },
-    /// Set the wire capacitance of a net (reconnect-class edit: the
-    /// journaled netlist mutation).
+    /// Set the wire capacitance of a net (a reconnect-class edit: it
+    /// writes the netlist).
     SetNetCap {
         /// Net index.
         net: u32,
@@ -305,23 +302,19 @@ pub struct UpdateOutcome {
     pub unknown_endpoints: u32,
 }
 
-/// The in-memory residue of an evicted session: design sources, the
-/// net-capacitance journal, and the path of the `GPCKPT03` checkpoint
-/// holding the heavy state. [`DormantSession::restore`] turns it back
-/// into a live [`Session`] with bit-identical timing state.
+/// The in-memory residue of an evicted session: design sources and the
+/// path of the `GPCKPT04` checkpoint holding its edit state.
+/// [`DormantSession::restore`] turns it back into a live [`Session`].
 #[derive(Debug, Clone)]
 pub struct DormantSession {
     name: String,
     sources: DesignSources,
-    net_cap_journal: Vec<(u32, u32)>,
     checkpoint: PathBuf,
 }
 
 impl DormantSession {
     /// The residue of a session another process checkpointed at
-    /// `checkpoint` (the `gpasta update` resume path). The net-cap journal
-    /// lives only in memory, so this is exact only for a session that
-    /// never applied an [`Edit::SetNetCap`].
+    /// `checkpoint` (the `gpasta update` resume path).
     pub fn from_checkpoint(
         name: impl Into<String>,
         sources: DesignSources,
@@ -330,7 +323,6 @@ impl DormantSession {
         DormantSession {
             name: name.into(),
             sources,
-            net_cap_journal: Vec::new(),
             checkpoint,
         }
     }
@@ -345,19 +337,18 @@ impl DormantSession {
         &self.checkpoint
     }
 
-    /// Rebuild the live session: reparse the sources, replay the net-cap
-    /// journal and restore the timing snapshot from the checkpoint. No
-    /// analysis runs and, as after [`Session::create`], no partition is
-    /// built until a scheduled update needs it. The result is
-    /// bit-identical to the session as it was at eviction.
+    /// Rebuild the live session: reparse the sources, put the
+    /// checkpoint's edit state in place and run [`Session::create`]'s
+    /// whole-design analysis. As after create, no partition is built until
+    /// a scheduled update needs it. The values are those the evicted
+    /// session reaches at its next completed update.
     ///
     /// # Errors
     ///
     /// [`SessionError::Checkpoint`] for unreadable, corrupt, or
-    /// mismatched checkpoints (including sources edited since
-    /// eviction), the parse variants if the sources no longer parse, and
-    /// [`SessionError::Snapshot`] if the snapshot does not fit the rebuilt
-    /// design.
+    /// mismatched checkpoints (including sources edited since eviction,
+    /// and a design whose shape differs from the checkpoint's), and the
+    /// parse variants if the sources no longer parse.
     pub fn restore(&self, workers: usize) -> Result<Session, SessionError> {
         let ckpt = read_checkpoint(&self.checkpoint)?;
         let mismatch = |why: String| SessionError::Checkpoint(CheckpointError::Mismatch(why));
@@ -381,40 +372,9 @@ impl DormantSession {
             self.name.clone(),
             self.sources.clone(),
             workers,
-            Some((&ckpt, &self.net_cap_journal)),
+            Some(&ckpt),
         )
     }
-}
-
-/// Put `ckpt`'s values into `timer`, a fresh build of the checkpointed
-/// design: replay the net-cap journal first (net caps live in the netlist,
-/// outside the snapshot), then install the snapshot.
-fn restore_values(
-    timer: &mut Timer,
-    ckpt: &UpdateCheckpoint,
-    net_cap_journal: &[(u32, u32)],
-) -> Result<(), SessionError> {
-    let shape = DesignShape::of(timer);
-    if ckpt.shape != shape {
-        return Err(SessionError::Checkpoint(CheckpointError::Mismatch(
-            format!(
-                "design shape {shape:?} differs from the checkpoint's {:?}",
-                ckpt.shape
-            ),
-        )));
-    }
-    for &(net, cap_bits) in net_cap_journal {
-        if net as usize >= timer.netlist().num_nets() {
-            return Err(SessionError::BadEdit(format!(
-                "journaled net {net} out of range (design has {} nets)",
-                timer.netlist().num_nets()
-            )));
-        }
-        timer.set_net_cap(net, f32::from_bits(cap_bits));
-    }
-    timer
-        .restore_snapshot(&ckpt.snapshot)
-        .map_err(SessionError::Snapshot)
 }
 
 fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary), SessionError> {
@@ -516,10 +476,6 @@ pub struct Session {
     inc: IncrementalPartitioner<SeqGPasta>,
     exec: Executor,
     policy: RetryPolicy,
-    /// `(net, f32 bits)` of every applied [`Edit::SetNetCap`], in order —
-    /// replayed by [`DormantSession::restore`] because net caps live in
-    /// the netlist, outside the timing snapshot.
-    net_cap_journal: Vec<(u32, u32)>,
     updates_done: u32,
     /// Deterministic chaos schedule, if the hosting daemon installed one
     /// (see [`Session::set_chaos`]). Never serialized; the supervisor
@@ -585,28 +541,35 @@ impl Session {
         Session::open(name.into(), sources, workers, None)
     }
 
-    /// The one construction of a live session: build the timer from
-    /// `sources`, then either run the initial full analysis in order, or —
-    /// given `restore`, a checkpoint of this design and the net-cap journal
-    /// — run nothing and take the checkpoint's values. The partition stays
-    /// cold either way.
+    /// The one construction of a live session, for create and restore
+    /// alike: build the timer from `sources`; given `restore`, a checkpoint
+    /// of this design, put its edit state in place; then run the whole
+    /// design in order. The partition stays cold either way.
     fn open(
         name: String,
         sources: DesignSources,
         workers: usize,
-        restore: Option<(&UpdateCheckpoint, &[(u32, u32)])>,
+        restore: Option<&UpdateCheckpoint>,
     ) -> Result<Session, SessionError> {
         let (mut timer, library) = build_timer(&sources)?;
-        let (net_cap_journal, updates_done) = match restore {
-            None => {
-                timer.dirty_cone().run_in_order();
-                (Vec::new(), 0)
-            }
-            Some((ckpt, journal)) => {
-                restore_values(&mut timer, ckpt, journal)?;
-                (journal.to_vec(), ckpt.updates_done)
+        let updates_done = match restore {
+            None => 0,
+            Some(ckpt) => {
+                let mismatch = |why| SessionError::Checkpoint(CheckpointError::Mismatch(why));
+                let shape = DesignShape::of(&timer);
+                if ckpt.shape != shape {
+                    return Err(mismatch(format!(
+                        "design shape {shape:?} differs from the checkpoint's {:?}",
+                        ckpt.shape
+                    )));
+                }
+                timer
+                    .set_edit_state(&ckpt.edits)
+                    .map_err(|e| mismatch(e.to_string()))?;
+                ckpt.updates_done
             }
         };
+        timer.dirty_cone().run_in_order();
         Ok(Session {
             name,
             sources,
@@ -617,7 +580,6 @@ impl Session {
             inc: IncrementalPartitioner::new(SeqGPasta::new()),
             exec: Executor::new(workers.max(1)),
             policy: RetryPolicy::default(),
-            net_cap_journal,
             updates_done,
             chaos: None,
             quotient_arena: QuotientArena::new(),
@@ -741,7 +703,6 @@ impl Session {
                     ));
                 }
                 self.timer.set_net_cap(*net, *cap_ff);
-                self.net_cap_journal.push((*net, cap_ff.to_bits()));
             }
             Edit::SetInputDelay { port, delay_ps } => {
                 if !delay_ps.is_finite() {
@@ -976,39 +937,30 @@ impl Session {
         }
     }
 
-    /// Persist the session through the `GPCKPT03` checkpoint format and
-    /// return the [`DormantSession`] residue to restore from. Pending
-    /// edits are flushed (one unbounded update) first — the snapshot
-    /// stores values, not the dirty set — which preserves bit-identity
-    /// with a session that was never evicted: propagation is
-    /// deterministic, so updating now or at the next request reaches
-    /// the same bits.
+    /// Persist the session's edit state, pending edits included, through
+    /// the `GPCKPT04` checkpoint format and return the [`DormantSession`]
+    /// residue to restore from. No update runs: the restore derives every
+    /// value from the edit state (see the [module docs](self)).
     ///
-    /// The session itself is left usable; the caller decides whether to
+    /// The session itself is left as it was; the caller decides whether to
     /// drop it (true eviction) or keep both.
     ///
     /// # Errors
     ///
-    /// [`SessionError::Checkpoint`] if the file cannot be written, or
-    /// any [`update_timing`](Session::update_timing) error from the
-    /// pending-edit flush.
-    pub fn evict_to(&mut self, path: &Path) -> Result<DormantSession, SessionError> {
-        if self.timer.has_pending_changes() {
-            self.update_timing(&RunBudget::unbounded())?;
-        }
+    /// [`SessionError::Checkpoint`] if the file cannot be written.
+    pub fn evict_to(&self, path: &Path) -> Result<DormantSession, SessionError> {
         let ckpt = UpdateCheckpoint {
             session: self.name.clone(),
             netlist_bits: self.sources.netlist_bits(),
             constraint_bits: self.sources.constraint_bits(),
             updates_done: self.updates_done,
             shape: DesignShape::of(&self.timer),
-            snapshot: self.timer.snapshot(),
+            edits: self.timer.edit_state(),
         };
         write_checkpoint(path, &ckpt)?;
         Ok(DormantSession {
             name: self.name.clone(),
             sources: self.sources.clone(),
-            net_cap_journal: self.net_cap_journal.clone(),
             checkpoint: path.to_path_buf(),
         })
     }
@@ -1480,22 +1432,60 @@ endmodule
     }
 
     #[test]
-    fn evict_flushes_pending_edits() {
-        let path = tmp_ckpt("flush");
-        let mut s = fixture_session("flush");
-        s.apply_edit(&Edit::Repower {
-            gate: "u0".into(),
-            drive: 3.0,
-        })
-        .expect("valid");
-        assert!(s.has_pending_changes());
+    fn evict_with_pending_edits_restores_to_the_live_sessions_next_update() {
+        let path = tmp_ckpt("pending");
+        let mut s = fixture_session("pending");
+        s.update_timing(&RunBudget::unbounded()).expect("update");
+        for edit in [
+            Edit::Repower {
+                gate: "u0".into(),
+                drive: 3.0,
+            },
+            Edit::SetNetCap {
+                net: 1,
+                cap_ff: 7.5,
+            },
+            Edit::SetInputDelay {
+                port: "a".into(),
+                delay_ps: 25.0,
+            },
+            Edit::SetOutputDelay {
+                port: "y".into(),
+                delay_ps: 40.0,
+            },
+            Edit::SetClockPeriod { period_ps: 800.0 },
+        ] {
+            s.apply_edit(&edit).expect("valid");
+        }
+        let before = s.timer().snapshot();
         let dormant = s.evict_to(&path).expect("evict");
-        assert!(!s.has_pending_changes(), "eviction flushed the edit");
+        assert!(s.has_pending_changes(), "eviction runs no update");
+        assert!(s.timer().snapshot() == before, "nor touches a value");
         let restored = dormant.restore(2).expect("restore");
-        assert_eq!(
-            restored.report(1).wns_ps.to_bits(),
-            s.report(1).wns_ps.to_bits()
-        );
+        std::fs::remove_file(&path).ok();
+        assert!(!restored.has_pending_changes());
+        assert_eq!(restored.updates_done(), 1);
+
+        s.update_timing(&RunBudget::unbounded()).expect("update");
+        assert!(restored.timer().snapshot() == s.timer().snapshot());
+        assert_eq!(restored.report(4), s.report(4));
+    }
+
+    #[test]
+    fn restore_rejects_a_checkpoint_of_another_shape() {
+        let path = tmp_ckpt("shape");
+        let s = fixture_session("shape");
+        let dormant = s.evict_to(&path).expect("evict");
+        let mut ckpt = read_checkpoint(&path).expect("read");
+        ckpt.shape.gates += 1;
+        ckpt.edits.drive.push(1.0f32.to_bits());
+        write_checkpoint(&path, &ckpt).expect("write");
+        match dormant.restore(2) {
+            Err(SessionError::Checkpoint(CheckpointError::Mismatch(why))) => {
+                assert!(why.contains("design shape"), "{why}")
+            }
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,7 +6,7 @@
 //! tasks execute inside a long-lived worker process
 //! (`gpasta shard-worker`, [`run_worker`]) that serves one shard after
 //! another while the parent supervisor ([`run_sharded`]) streams boundary
-//! timing values in and shard deltas out over `GPCKPT03`-framed pipes
+//! timing values in and shard deltas out over `GPCKPT04`-framed pipes
 //! ([`wire`]). A worker is sent only the boundary cells it does not
 //! already hold (`boundary_set`).
 //!
@@ -48,8 +48,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::checkpoint::{
-    check_format, modifier_batch, put_arr, put_bytes, put_snapshot, put_u64, read_snapshot,
-    write_atomically, FORMAT,
+    check_format, modifier_batch, put_arr, put_bytes, put_u32, put_u64, write_atomically, FORMAT,
 };
 use crate::circuits::PaperCircuit;
 use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
@@ -309,6 +308,41 @@ pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64)
 // Disjoint from the wire frame kinds. Kind 16 held completed partition
 // ids; a file of that kind is refused, not misread as task ranges.
 const CKPT_KIND: u8 = 17;
+
+/// The timing snapshot as a shard checkpoint stores it: clock-period bits,
+/// then nine counted arrays.
+fn put_snapshot(buf: &mut Vec<u8>, s: &TimingSnapshot) {
+    put_u32(buf, s.clock_period_bits);
+    for arr in [
+        &s.slew,
+        &s.arrival,
+        &s.required,
+        &s.arc_delay,
+        &s.drive,
+        &s.gate_load,
+        &s.net_delay,
+        &s.input_delay,
+        &s.output_delay,
+    ] {
+        put_arr(buf, arr);
+    }
+}
+
+/// The section [`put_snapshot`] wrote.
+fn read_snapshot(r: &mut Reader<&[u8]>) -> Result<TimingSnapshot, WireError> {
+    Ok(TimingSnapshot {
+        clock_period_bits: r.u32("clock period")?,
+        slew: r.arr("slew")?,
+        arrival: r.arr("arrival")?,
+        required: r.arr("required")?,
+        arc_delay: r.arr("arc delay")?,
+        drive: r.arr("drive")?,
+        gate_load: r.arr("gate load")?,
+        net_delay: r.arr("net delay")?,
+        input_delay: r.arr("input delay")?,
+        output_delay: r.arr("output delay")?,
+    })
+}
 
 /// What the supervisor persists after each shard completion: enough for a
 /// *new* supervisor — even one using a different shard count — to pick up

@@ -1,4 +1,4 @@
-//! `GPCKPT03`-framed messages between the shard supervisor and its
+//! `GPCKPT04`-framed messages between the shard supervisor and its
 //! worker processes.
 //!
 //! Every frame shares the checkpoint format's magic + version prefix and
@@ -8,7 +8,7 @@
 //! another format version is refused as such:
 //!
 //! ```text
-//! magic "GPCKPT" + version "02"     8 bytes
+//! magic "GPCKPT" + version "04"     8 bytes
 //! frame kind                        u8
 //! payload length                    u64 LE
 //! payload                           length bytes
@@ -122,7 +122,7 @@ pub enum WireError {
     Io(std::io::Error),
     /// The peer closed the pipe cleanly between frames.
     Eof,
-    /// The bytes are not a `GPCKPT03` frame (an earlier version's is an
+    /// The bytes are not a `GPCKPT04` frame (an earlier version's is an
     /// "unsupported format version"), the pipe closed mid-frame, the
     /// checksum disagrees, or a section is malformed; the string names
     /// the defect.
@@ -210,7 +210,19 @@ impl<R: Read> Reader<R> {
     }
 
     pub(crate) fn arr(&mut self, what: &str) -> Result<Vec<u32>, WireError> {
-        let len = self.u32(what)? as usize;
+        self.arr_of(None, what)
+    }
+
+    /// A counted array; given `want`, another count is refused before
+    /// anything is allocated.
+    pub(crate) fn arr_of(&mut self, want: Option<u32>, what: &str) -> Result<Vec<u32>, WireError> {
+        let len = self.u32(what)?;
+        if let Some(want) = want.filter(|&want| want != len) {
+            return Err(WireError::Corrupt(format!(
+                "{what} holds {len} entries but the design shape says {want}"
+            )));
+        }
+        let len = len as usize;
         if self.left < 4 * len as u64 {
             return Err(WireError::Corrupt(format!(
                 "{what} claims {len} entries but only {} bytes remain",
@@ -848,7 +860,7 @@ mod tests {
         // independent transcription of the lane rule.
         let bytes = Frame::Delta(sample_values()).to_bytes();
         assert_eq!(bytes.len(), 205);
-        assert_eq!(&bytes[..9], b"GPCKPT03\x04");
+        assert_eq!(&bytes[..9], b"GPCKPT04\x04");
         let (payload, trailer) = bytes[17..].split_at(bytes.len() - 17 - 8);
         let step = |h: u64, lane: u64| ((h ^ lane).wrapping_mul(0x100_0000_01b3)).rotate_left(23);
         let mut h = 0xcbf2_9ce4_8422_2325;

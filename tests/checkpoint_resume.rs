@@ -207,7 +207,7 @@ fn resume_after_a_crash_during_checkpointing_uses_the_previous_checkpoint() {
     let mut tmp_name = path.file_name().expect("file name").to_os_string();
     tmp_name.push(".tmp");
     let torn = path.with_file_name(tmp_name);
-    std::fs::write(&torn, b"GPCKPT03 torn mid-write").expect("write torn temp");
+    std::fs::write(&torn, b"GPCKPT04 torn mid-write").expect("write torn temp");
 
     let mut resume_cfg = cfg.clone();
     resume_cfg.resume_from = Some(path.clone());

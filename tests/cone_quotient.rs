@@ -22,8 +22,13 @@
 //! other when the whole design is dirty, where the cache's quotient is
 //! borrowed as it is — that the session's `UpdateOutcome` counts equal the
 //! public-step lane's, and that all three `TimingSnapshot`s and cached
-//! assignments are bit-identical. Another case evicts a session, restores
-//! it, and checks that its rebuilt quotient computes the same bits.
+//! assignments are bit-identical. After every step the session is also
+//! evicted and a copy restored from the checkpoint's edit state alone: its
+//! whole `TimingSnapshot` equals the session's, except right after a
+//! zero-deadline stop, where the copy reads no unknown endpoint at once and
+//! agrees with the session after the update that heals it. Another case
+//! evicts a session, restores it, and checks that its rebuilt quotient
+//! computes the same bits.
 //!
 //! The last cases are about *how* the session executes a cone: the same
 //! stream goes to a session under an unbounded budget (in order on the
@@ -344,6 +349,12 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
         (netlist.num_gates() as u32, netlist.num_nets() as u32)
     };
     let steps = stream(num_gates, num_nets, seed, edits);
+    let ckpt = std::env::temp_dir().join(format!(
+        "gpasta-differential-{}-{circuit}.ckpt",
+        std::process::id()
+    ));
+    // The copy restored right after a stopped update, kept for one step.
+    let mut restored_after_stop: Option<Session> = None;
 
     let (mut cones, mut full, mut stopped) = (0, 0, 0);
     for (i, (step, budget)) in steps.iter().enumerate() {
@@ -413,10 +424,38 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
             "{what}: restriction lane's cached partition"
         );
 
+        // The step after a stop, on the copy restored at the stop: both
+        // agree once the session's update has healed it.
+        if let Some(mut copy) = restored_after_stop.take() {
+            step.apply_to_session(&mut copy);
+            copy.update_timing(budget).expect("update");
+            assert!(
+                copy.timer().snapshot() == snapshot,
+                "{what}: the copy restored at the stop, updated"
+            );
+        }
+        // Evict → restore a copy: the checkpoint holds only the edit state,
+        // and the restore derives every value from it.
+        let copy = session
+            .evict_to(&ckpt)
+            .expect("evict")
+            .restore(2)
+            .expect("restore");
+        assert_report_is_from_scratch(&copy, &format!("{what}, restored"));
+        if want.stop == StopCause::Completed {
+            assert!(copy.timer().snapshot() == snapshot, "{what}: restored bits");
+        } else {
+            let unknown = copy.report(all).worst;
+            let unknown = unknown.iter().filter(|e| e.slack_ps.is_nan()).count();
+            assert_eq!(unknown, 0, "{what}: the restored copy reads no unknown");
+            restored_after_stop = Some(copy);
+        }
+
         stopped += usize::from(want.stop != StopCause::Completed);
         full += usize::from(want.tasks == full_space);
         cones += usize::from(want.tasks > 0 && want.tasks < full_space);
     }
+    std::fs::remove_file(&ckpt).ok();
     assert!(cones >= edits * 3 / 4, "{cones} proper cones in {edits}");
     assert!(full >= edits / 29, "{full} full-dirty updates");
     assert!(stopped >= edits / 37, "{stopped} zero-deadline updates");

@@ -298,6 +298,57 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(discovery_cases()))]
+
+    /// Beyond the design, a completed update's values are a function of
+    /// the edit state: a fresh timer of the same design given `a`'s, plus
+    /// one whole-design run in order, reproduces `a`'s snapshot after each
+    /// batch of repower / net-cap / I/O-delay / clock edits. A state with
+    /// an array of the wrong length is refused and changes nothing.
+    #[test]
+    fn an_edit_state_and_one_whole_design_run_reproduce_the_snapshot(
+        spec in arb_spec(),
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(arb_modifier(), 1..=8), any::<bool>()),
+            1..4,
+        ),
+        wrong in 0usize..4,
+    ) {
+        let mut a = analysed_timer(&spec);
+        let mut period_ps = 1_000.0;
+        for (drawn, flip_clock) in batches {
+            for m in drawn {
+                Modifier::resolve(m, &a).apply(&mut a);
+            }
+            if flip_clock {
+                period_ps = 1_500.0 - period_ps;
+                a.set_clock_period(period_ps);
+            }
+            a.update_timing().run_sequential();
+            let state = a.edit_state();
+            let mut fresh = Timer::new(generate_netlist(&spec), CellLibrary::typical());
+            fresh.set_edit_state(&state).expect("the same design");
+            prop_assert!(fresh.has_pending_changes(), "the whole design is dirty");
+            let cone = fresh.dirty_cone();
+            prop_assert_eq!(cone.num_tasks(), 2 * a.graph().num_nodes());
+            cone.run_in_order();
+            drop(cone);
+            prop_assert!(fresh.snapshot() == a.snapshot());
+            prop_assert_eq!(fresh.edit_state(), state);
+        }
+
+        let mut bad = a.edit_state();
+        let field = ["drive", "wire_cap", "input_delay", "output_delay"][wrong];
+        [&mut bad.drive, &mut bad.wire_cap, &mut bad.input_delay, &mut bad.output_delay][wrong]
+            .push(0);
+        let before = (a.snapshot(), a.edit_state(), a.has_pending_changes());
+        let err = a.set_edit_state(&bad).expect_err("a wrong length");
+        prop_assert_eq!(err.field, field);
+        prop_assert!((a.snapshot(), a.edit_state(), a.has_pending_changes()) == before);
+    }
+}
+
 /// A slack of any kind: finite, from a small pool so that ties are heavy,
 /// either zero, either infinity, a NaN of either sign.
 fn arb_slack() -> impl Strategy<Value = f32> {

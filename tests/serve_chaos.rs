@@ -228,12 +228,9 @@ fn crash_matrix_heals_bit_identical_to_oracle() {
         create_session(&server, "pipe");
 
         // Three edit+update rounds. The target (update `crash_update`,
-        // attempt 0) fires exactly once — usually in the client's
-        // update, but with background checkpointing on, the
-        // checkpointer's pending-edit flush can consume the targeted
-        // update index instead, in which case the crash recovers out of
-        // band and the client only sees 200s. Both are correct; the
-        // invariants below hold either way.
+        // attempt 0) fires exactly once, in the client's update: the
+        // background checkpointer runs no update, so only the client
+        // consumes update indices.
         let rounds = [("u2", 4.0), ("u6", 0.5), ("u3", 2.0)];
         let mut wire_crashes = 0u32;
         for (i, (gate, drive)) in rounds.iter().enumerate() {
@@ -264,12 +261,12 @@ fn crash_matrix_heals_bit_identical_to_oracle() {
                 thread::sleep(Duration::from_millis(80));
             }
         }
-        if checkpoint_ms == 0 {
-            // Without the checkpointer there is exactly one updater (the
-            // client), so the crash surfaces on the wire at the targeted
-            // round, deterministically.
-            assert_eq!(wire_crashes, 1, "crash_update={crash_update}");
-        }
+        // The client is the one updater, so the crash surfaces on the wire
+        // at the targeted round, deterministically, checkpointer or not.
+        assert_eq!(
+            wire_crashes, 1,
+            "crash_update={crash_update}, checkpoint_ms={checkpoint_ms}"
+        );
 
         let got = report_bits(&server, "pipe");
         let want = cli_bits(&["u2=4.0", "u6=0.5", "u3=2.0"]);
@@ -304,9 +301,8 @@ fn crash_matrix_heals_bit_identical_to_oracle() {
 /// probes never flinch.
 #[test]
 fn daemon_keeps_serving_other_sessions_through_a_crash() {
-    // Checkpointer off: with it on, its pending-edit flush could
-    // consume the targeted update index out of band, making the wire
-    // 500 below racy (the matrix test covers the checkpointer).
+    // Checkpointer off, so recovery replays the whole journal from the
+    // sources (the matrix test covers recovery from a checkpoint).
     let server = Server::start(
         "concurrent",
         &["--chaos-inject", "victim:0:0:panic", "--checkpoint-ms", "0"],
@@ -492,16 +488,16 @@ fn slow_trickle_times_out_with_408() {
     assert_eq!(status, 200, "daemon fine after the timeout");
 }
 
-/// Crash during the shutdown persist pass: every *other* live session
-/// still spools. (The crashed one keeps its last background
-/// checkpoint.)
+/// A session armed to crash at its next update, with an edit pending,
+/// cannot crash the shutdown persist pass: the pass writes edit states and
+/// runs no update, so every live session still spools.
 #[test]
 fn shutdown_persists_around_a_crashing_session() {
     let mut server = Server::start(
         "shutdown",
         &[
-            // The persist flush runs one unbounded update to drain
-            // pending edits; update 1 attempt 0 on `bad` panics there.
+            // Update 1 attempt 0 on `bad` would panic; the persist pass
+            // never runs it.
             "--chaos-inject",
             "bad:1:0:panic",
             "--checkpoint-ms",
@@ -514,7 +510,7 @@ fn shutdown_persists_around_a_crashing_session() {
     edit(&server, "bad", "u2", 4.0);
     let (status, _) = update(&server, "bad"); // update 0: clean
     assert_eq!(status, 200);
-    edit(&server, "bad", "u6", 0.5); // pending → persist will update (index 1 → panic)
+    edit(&server, "bad", "u6", 0.5); // pending: update 1 is armed, never run
 
     let (status, out) = server.request("POST", "/shutdown", None);
     assert_eq!(status, 200, "{out:?}");

@@ -2,7 +2,7 @@
 //! the library level: no processes, no sockets, so the whole file is
 //! safe to run under ThreadSanitizer (the nightly `tsan-smoke` job
 //! does). The two properties under test are the ones `gpasta serve`
-//! sells: eviction through a `GPCKPT03` checkpoint is invisible to
+//! sells: eviction through a `GPCKPT04` checkpoint is invisible to
 //! timing results, and disjoint sessions serve concurrent clients
 //! without interference.
 
