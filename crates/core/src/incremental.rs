@@ -1264,9 +1264,9 @@ mod tests {
 
     /// A seq-G-PASTA install is settled — the wavefront's own fixed point:
     /// the checked repair of any successor-closed cone moves nothing, mints
-    /// nothing and keeps the quotient. A session's partition is its
-    /// install's and is never repaired; this is why
-    /// `UpdateOutcome::{repair_moved, repair_fresh}` read zero.
+    /// nothing and keeps the quotient. This is why a `ScheduledTimer` never
+    /// repairs its install, and why `UpdateOutcome::{repair_moved,
+    /// repair_fresh}` read zero.
     fn check_settled(tdg: &Tdg, ps: usize, seed_sets: &[Vec<u32>]) -> Result<(), TestCaseError> {
         let n = tdg.num_tasks() as u32;
         let mut inc = IncrementalPartitioner::new(SeqGPasta::new());

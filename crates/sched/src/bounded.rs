@@ -48,8 +48,8 @@
 //! must not sit on other units' readiness.
 //!
 //! The budget is polled once per unit admission. With
-//! [`RunBudget::unbounded`] that poll is two register tests and the watchdog
-//! bookkeeping is skipped, so the plain entry points cost what the
+//! [`RunBudget::unbounded`] that poll is two register tests, and without a
+//! stall window the watchdog bookkeeping is skipped, so the plain entry points cost what the
 //! recovering ones do plus a payload lift (`fault_recovery` bench: within
 //! ± 5 % of each other).
 
@@ -66,8 +66,10 @@ use gpasta_check::sync::{
 use gpasta_tdg::{CancelObserver, CancelToken, PartitionId, QuotientTdg, TaskId, Tdg};
 use std::time::{Duration, Instant};
 
-/// The time bounds attached to one recovering run. All three knobs are
-/// optional and independent; [`RunBudget::unbounded`] sets none.
+/// The time bounds of one run: a wall-clock deadline and a cancel token,
+/// both optional; [`RunBudget::unbounded`] sets neither. The in-order
+/// sweep and the executor honour them alike. The hung-task watchdog is the
+/// executor's ([`Executor::with_stall_window`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Wall-clock budget for the run. When it expires the scheduler stops
@@ -79,16 +81,10 @@ pub struct RunBudget {
     /// ([`StopCause::Cancelled`]). The run observes the token's generation
     /// at start, so cancels issued *before* the run are ignored.
     pub cancel: Option<CancelToken>,
-    /// Hung-task watchdog: a unit in flight longer than this window is
-    /// claimed as [`TaskError::Stalled`] and its forward closure poisoned,
-    /// so the run completes (degraded) instead of wedging. Enabling this
-    /// always uses the work-stealing runner (the watchdog needs its own
-    /// thread), even with one worker.
-    pub stall_window: Option<Duration>,
 }
 
 impl RunBudget {
-    /// No deadline, no cancellation, no watchdog.
+    /// No deadline, no cancellation.
     pub fn unbounded() -> Self {
         RunBudget::default()
     }
@@ -102,12 +98,6 @@ impl RunBudget {
     /// Attach a cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Enable the hung-task watchdog with the given stall window.
-    pub fn with_stall_window(mut self, window: Duration) -> Self {
-        self.stall_window = Some(window);
         self
     }
 
@@ -196,6 +186,19 @@ impl UnitGraph for QuotientTdg {
 }
 
 impl Executor {
+    /// Arm the hung-task watchdog on every run of this executor: a unit in
+    /// flight longer than `window` is claimed as [`TaskError::Stalled`] and
+    /// its forward closure poisoned, so the run completes (degraded)
+    /// instead of wedging. A plain entry point re-raises the claim as a
+    /// panic, like any contained failure. Runs always use the
+    /// work-stealing runner then (the watchdog needs its own thread), even
+    /// with one worker.
+    #[must_use]
+    pub fn with_stall_window(mut self, window: Duration) -> Self {
+        self.stall_window = Some(window);
+        self
+    }
+
     /// Execute every task of `tdg` exactly once, respecting dependencies.
     ///
     /// Returns a [`RunReport`] with the wall-clock time and the number of
@@ -293,7 +296,7 @@ impl Executor {
         let clock = budget.start();
         let state = RecoveryState::new(policy);
         let run_unit = |u: u32| graph.members(u).all(|t| state.attempt_task(work, u, t));
-        let run = if self.num_workers() == 1 && budget.stall_window.is_none() {
+        let run = if self.num_workers() == 1 && self.stall_window.is_none() {
             run_sequential_bounded(
                 n,
                 &units.in_degrees(),
@@ -308,7 +311,7 @@ impl Executor {
                 self.chunk_size(),
                 &run_unit,
                 &clock,
-                budget.stall_window,
+                self.stall_window,
                 &state,
             )
         };
@@ -1295,12 +1298,14 @@ mod tests {
                 finished.lock()[t.index()] = Some(started.elapsed());
                 Ok(())
             };
-            let outcome = Executor::new(2).run_tdg_recovering_bounded(
-                &tdg,
-                &work,
-                &RetryPolicy::no_retries(),
-                &RunBudget::unbounded().with_stall_window(window),
-            );
+            let outcome = Executor::new(2)
+                .with_stall_window(window)
+                .run_tdg_recovering_bounded(
+                    &tdg,
+                    &work,
+                    &RetryPolicy::no_retries(),
+                    &RunBudget::unbounded(),
+                );
             assert_eq!(outcome.stop, StopCause::Completed, "the run must not hang");
             assert_eq!(outcome.failures.len(), 1);
             assert_eq!(outcome.failures[0].unit, hung);
@@ -1349,12 +1354,14 @@ mod tests {
             }
             Ok(())
         };
-        let outcome = Executor::new(1).run_tdg_recovering_bounded(
-            &tdg,
-            &work,
-            &RetryPolicy::no_retries(),
-            &RunBudget::unbounded().with_stall_window(Duration::from_millis(4)),
-        );
+        let outcome = Executor::new(1)
+            .with_stall_window(Duration::from_millis(4))
+            .run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::no_retries(),
+                &RunBudget::unbounded(),
+            );
         assert_eq!(outcome.stop, StopCause::Completed);
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].unit, 2);
@@ -1366,12 +1373,14 @@ mod tests {
     fn fast_payloads_never_trip_the_watchdog() {
         let tdg = layered(16, 8);
         let work = |_t: TaskId, _a: u32| -> Result<(), TaskError> { Ok(()) };
-        let outcome = Executor::new(4).run_tdg_recovering_bounded(
-            &tdg,
-            &work,
-            &RetryPolicy::no_retries(),
-            &RunBudget::unbounded().with_stall_window(Duration::from_millis(200)),
-        );
+        let outcome = Executor::new(4)
+            .with_stall_window(Duration::from_millis(200))
+            .run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::no_retries(),
+                &RunBudget::unbounded(),
+            );
         assert!(outcome.is_clean(), "got {:?}", outcome.failures);
     }
 
@@ -1385,12 +1394,14 @@ mod tests {
             Ok(())
         };
         let started = Instant::now();
-        let outcome = Executor::new(2).run_tdg_recovering_bounded(
-            &tdg,
-            &work,
-            &RetryPolicy::no_retries(),
-            &RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600)),
-        );
+        let outcome = Executor::new(2)
+            .with_stall_window(Duration::from_secs(3_600))
+            .run_tdg_recovering_bounded(
+                &tdg,
+                &work,
+                &RetryPolicy::no_retries(),
+                &RunBudget::unbounded(),
+            );
         assert!(outcome.is_clean(), "got {:?}", outcome.failures);
         assert!(
             started.elapsed() < Duration::from_secs(10),

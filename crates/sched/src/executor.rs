@@ -4,6 +4,7 @@
 
 use gpasta_tdg::TaskId;
 use std::fmt;
+use std::time::Duration;
 
 /// Typed construction error for [`Executor::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +58,8 @@ impl<F: Fn(TaskId) + Sync> TaskWork for F {
 pub struct Executor {
     num_workers: usize,
     chunk_size: usize,
+    /// The hung-task watchdog's window ([`Executor::with_stall_window`]).
+    pub(crate) stall_window: Option<Duration>,
 }
 
 /// Default dependency-decrement batch: how many tasks a worker executes
@@ -73,6 +76,7 @@ impl Executor {
         Executor {
             num_workers: num_workers.max(1),
             chunk_size: DEFAULT_CHUNK_SIZE,
+            stall_window: None,
         }
     }
 
@@ -82,10 +86,7 @@ impl Executor {
         if num_workers == 0 {
             Err(ExecutorError::ZeroWorkers)
         } else {
-            Ok(Executor {
-                num_workers,
-                chunk_size: DEFAULT_CHUNK_SIZE,
-            })
+            Ok(Executor::new(num_workers))
         }
     }
 

@@ -29,8 +29,9 @@
 //!   quarantine (a permanent failure poisons its dispatch unit's forward
 //!   closure while everything else is salvaged). Every run takes a
 //!   [`RunBudget`] (wall-clock deadline, [`CancelToken`] cooperative
-//!   cancellation, hung-task watchdog stall window;
-//!   [`RunBudget::unbounded`] sets none) and reports an early stop as a
+//!   cancellation; [`RunBudget::unbounded`] sets neither), honours the
+//!   executor's hung-task watchdog ([`Executor::with_stall_window`]), and
+//!   reports an early stop as a
 //!   structured partial [`RunOutcome`] whose *unfinished* set is the exact
 //!   forward closure of the unadmitted units ([`StopCause`]); a run polls
 //!   its budget through a [`BudgetClock`] ([`RunBudget::start`]), which an

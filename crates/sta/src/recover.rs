@@ -308,10 +308,7 @@ impl DirtyCone<'_> {
     /// unfinished: a successor-closed set, since every dependency goes up
     /// in id, and every value outside it is exact. Nothing is ever
     /// poisoned, and `outcome.report.tasks_executed` counts the tasks whose
-    /// payload ran. The stall window is not polled: one thread cannot
-    /// outlive its own hung task, so a run that must is scheduled
-    /// ([`run_partitioned_recovering_bounded`](DirtyCone::run_partitioned_recovering_bounded)).
-    /// Panics like [`run_in_order`](DirtyCone::run_in_order).
+    /// payload ran. Panics like [`run_in_order`](DirtyCone::run_in_order).
     pub fn run_in_order_bounded(&self, budget: &RunBudget) -> RecoveredUpdate {
         run_in_order(self, self.task_fn(), budget)
     }

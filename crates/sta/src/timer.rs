@@ -390,7 +390,7 @@ impl Timer {
     /// clear the dirty set. The returned [`DirtyCone`] names and executes
     /// its tasks by *full-space* id, so a caller that already holds a
     /// partition of the full task space over the full-space TDG (a
-    /// `Session`) can schedule the cone without the per-update [`Tdg`] that
+    /// `ScheduledTimer`) can schedule the cone without the per-update [`Tdg`] that
     /// [`update_timing`](Timer::update_timing) materialises on top of it.
     /// *The timing values are not updated until the cone's tasks run.*
     pub fn dirty_cone(&mut self) -> DirtyCone<'_> {
@@ -444,8 +444,8 @@ impl Timer {
     /// [`invalidate_all`](Timer::invalidate_all)), same edges, weights and
     /// fingerprint, built from the timing graph alone. The dirty set, the
     /// timing values and the recycled update buffers are left as they are,
-    /// so an owner can partition the full task space (a `Session`, on its
-    /// first scheduled update) without consuming pending edits.
+    /// so an owner can partition the full task space (a `ScheduledTimer`,
+    /// once) without consuming pending edits.
     pub fn full_space_tdg(&self) -> Tdg {
         let n = self.graph.num_nodes();
         let ids: Vec<u32> = (0..2 * n as u32).collect();

@@ -1,30 +1,24 @@
-//! Incremental timing with a partition kept for the design's life.
+//! Incremental timing three ways.
 //!
 //! Applies a sequence of design modifiers (gate repowering, net
-//! capacitance changes) to a vga_lcd-class design. After every modifier,
-//! `update_timing` emits a TDG for just the affected region; the example
-//! compares running those incremental TDGs raw vs. scheduling the same
-//! cone on the partition a `Session` keeps — seq-G-PASTA installed once
-//! on the full task space, each cone run on a restriction of its one
-//! quotient, never repaired because delay edits leave the full-space TDG
-//! unchanged — vs. not scheduling at all: the cone in ascending full-space
-//! id on the calling thread, with no TDG, quotient or executor, running only the
-//! tasks a changed value reaches (executed / structural is printed, and so
-//! is the time that lane spends finding the cone, `Timer::dirty_cone`,
-//! beside its total). It verifies the timing results agree at every step.
-//! On the 2-core development host the last column wins at every cone
-//! size, which is why a `Session` runs every update without a stall
-//! window that way.
+//! capacitance changes) to a vga_lcd-class design, on three timers: raw
+//! incremental TDGs through the executor; a `ScheduledTimer`, which
+//! installs seq-G-PASTA once on the full task space and runs each dirty
+//! cone on a restriction of its one quotient; and the cone in ascending
+//! full-space id on the calling thread, as a `Session` runs it, executing
+//! only the tasks a changed value reaches (executed / structural is
+//! printed, and so is the time spent finding the cone, `Timer::dirty_cone`).
+//! It verifies the timing results agree at every step. On the 2-core
+//! development host the last column wins at every cone size.
 //!
 //! ```text
 //! cargo run --release --example incremental
 //! ```
 
 use gpasta::circuits::PaperCircuit;
-use gpasta::core::{IncrementalPartitioner, PartitionerOptions, SeqGPasta};
-use gpasta::sched::Executor;
+use gpasta::sched::{Executor, RunBudget};
+use gpasta::scheduled::ScheduledTimer;
 use gpasta::sta::{CellLibrary, GateId, Timer};
-use gpasta::tdg::QuotientArena;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
@@ -45,25 +39,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = PaperCircuit::VgaLcd.build(0.01);
     let library = CellLibrary::typical();
     let exec = Executor::host_parallel();
-    let opts = PartitionerOptions::default();
+    let unbounded = RunBudget::unbounded();
 
-    // Three timers fed the identical modifier stream.
+    // Three timers fed the identical modifier stream. The partition is
+    // installed once, on the full task space every later cone lives in.
     let mut plain_timer = Timer::new(netlist.clone(), library.clone());
-    let mut part_timer = Timer::new(netlist.clone(), library.clone());
+    let t0 = std::time::Instant::now();
+    let mut part = ScheduledTimer::new(Timer::new(netlist.clone(), library.clone()), exec.clone())?;
+    let install = t0.elapsed();
     let mut order_timer = Timer::new(netlist, library);
     plain_timer.update_timing().run_sequential();
+    part.update(&unbounded)?;
     order_timer.update_timing().run_sequential();
-
-    // Install the partition once, on the initial full update: its TDG
-    // spans the full task space, which every later cone lives in.
-    let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-    let mut arena = QuotientArena::new();
-    let t0 = std::time::Instant::now();
-    let full_update = part_timer.update_timing();
-    inc.install(full_update.tdg(), &opts)?;
-    let install = t0.elapsed();
-    full_update.run_sequential();
-    drop(full_update);
 
     let mut rng_a = ChaCha8Rng::seed_from_u64(7);
     let mut rng_b = ChaCha8Rng::seed_from_u64(7);
@@ -77,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for i in 0..ITERATIONS {
         modify(&mut plain_timer, &mut rng_a);
-        modify(&mut part_timer, &mut rng_b);
+        modify(part.timer_mut(), &mut rng_b);
         modify(&mut order_timer, &mut rng_c);
 
         // Raw incremental TDG.
@@ -93,13 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The kept partition, restricted to the dirty cone.
         {
             let t0 = std::time::Instant::now();
-            let cone = part_timer.dirty_cone();
-            let quotient = inc
-                .cone_quotient(cone.ids(), &mut arena)
-                .expect("installed above")?;
-            let report = exec.run_partitioned(&quotient, &cone.task_fn());
+            let rec = part.update(&unbounded)?;
             part_total += t0.elapsed();
-            total_dispatches_part += report.dispatches;
+            total_dispatches_part += rec.outcome.report.dispatches;
         }
 
         // The cone alone, in ascending full-space id: a topological
@@ -116,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // All three policies must agree, bit for bit, after every iteration.
         let a = plain_timer.report(1);
-        for (other, lane) in [(&part_timer, "partitioned"), (&order_timer, "in-order")] {
+        for (other, lane) in [(part.timer(), "partitioned"), (&order_timer, "in-order")] {
             let b = other.report(1);
             assert_eq!(
                 (a.wns_ps.to_bits(), a.tns_ps.to_bits()),

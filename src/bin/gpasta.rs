@@ -42,10 +42,9 @@ usage:
   gpasta faults <edges-file>    [--algo gpasta|deter|seq|gdca|sarkar] [--ps <n>]
                                 [--workers <n>] [--seed <n>] [--rate <f>]
                                 [--retries <n>]
-  gpasta update --circuit <name> [--scale <f>] [--iters <n>] [--workers <n>]
-                                [--seed <n>] [--checkpoint <file>]
-                                [--resume <file>] [--kill-after <i>]
-                                [--deadline-ms <n>]
+  gpasta update --circuit <name> [--scale <f>] [--iters <n>] [--seed <n>]
+                                [--checkpoint <file>] [--resume <file>]
+                                [--kill-after <i>] [--deadline-ms <n>]
   gpasta shard --circuit <name> [--scale <f>] [--shards <k>] [--workers <n>]
                [--seed <n>] [--retries <n>] [--stall-ms <n>]
                [--kill <shard:attempt[:kind]> ..]
@@ -603,12 +602,6 @@ fn update_cmd(args: &[String]) -> Result<(), Error> {
                 }
             }
             "--iters" => cfg.iterations = parse::<u32>("--iters", it.next())?,
-            "--workers" => {
-                cfg.workers = parse::<usize>("--workers", it.next())?;
-                if cfg.workers == 0 {
-                    return Err(CliError::NonPositive("--workers").into());
-                }
-            }
             "--seed" => cfg.seed = parse::<u64>("--seed", it.next())?,
             "--checkpoint" => cfg.checkpoint_to = Some(need("--checkpoint", it.next())?.into()),
             "--resume" => cfg.resume_from = Some(need("--resume", it.next())?.into()),

@@ -5,8 +5,8 @@
 //! the session identity (name plus checksums of its netlist and
 //! constraints), the update counter, and the edit state ([`EditState`]:
 //! clock period, drives, wire caps and I/O delays as raw `f32` bit
-//! patterns). Everything else is derived: the netlist, timing graph, cell
-//! library and partition from the sources, and every timing value by the
+//! patterns). Everything else is derived: the netlist, timing graph and
+//! cell library from the sources, and every timing value by the
 //! one whole-design run [`Session::create`] also makes. So a restored
 //! session reads the values the live one reaches at its next update,
 //! never stale or unknown ones. [`Session::evict_to`] writes checkpoints
@@ -375,8 +375,6 @@ pub struct UpdateFlowConfig {
     pub scale: f64,
     /// Total incremental-update iterations the run should reach.
     pub iterations: u32,
-    /// Executor worker-thread count.
-    pub workers: usize,
     /// Seed of the deterministic gate-repower schedule.
     pub seed: u64,
     /// Write a checkpoint here after every completed iteration.
@@ -390,14 +388,13 @@ pub struct UpdateFlowConfig {
 }
 
 impl UpdateFlowConfig {
-    /// A small, fast default: `aes_core` at 1% scale, 8 iterations, two
-    /// workers, no checkpointing.
+    /// A small, fast default: `aes_core` at 1% scale, 8 iterations, no
+    /// checkpointing.
     pub fn small(circuit: PaperCircuit) -> Self {
         UpdateFlowConfig {
             circuit,
             scale: 0.01,
             iterations: 8,
-            workers: 2,
             seed: 0x5EED,
             checkpoint_to: None,
             resume_from: None,
@@ -451,8 +448,7 @@ pub fn modifier_batch(
 /// [`Session::update_timing`] per iteration, checkpointed through
 /// [`Session::evict_to`]. The flow is bit-deterministic: the same config
 /// reaches the same WNS/TNS bits whether run straight through or killed
-/// and resumed at any iteration boundary, at any worker count. No update
-/// of the flow has a stall window, so it never builds a partition.
+/// and resumed at any iteration boundary.
 ///
 /// # Errors
 ///
@@ -482,10 +478,8 @@ pub fn run_update_flow(cfg: &UpdateFlowConfig) -> Result<UpdateFlowOutcome, Flow
         cfg.circuit.name(),
     ));
     let mut session = match &cfg.resume_from {
-        Some(path) => {
-            DormantSession::from_checkpoint(name, sources, path.clone()).restore(cfg.workers)?
-        }
-        None => Session::create(name, sources, cfg.workers)?,
+        Some(path) => DormantSession::from_checkpoint(name, sources, path.clone()).restore(1)?,
+        None => Session::create(name, sources, 1)?,
     };
     let num_gates = session.shape().gates as usize;
 

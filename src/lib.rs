@@ -18,9 +18,10 @@
 //!   seq-G-PASTA, and the GDCA / Sarkar baselines;
 //! * [`checkpoint`] — crash-safe checkpoint/resume for the incremental
 //!   timing-update flow (`gpasta update`);
-//! * [`session`] — the owned `Session` unit: a loaded design plus its
-//!   timer, partition and executor, movable across threads
-//!   and evictable to a checkpoint;
+//! * [`session`] — the owned `Session` unit: a loaded design and its
+//!   timer, movable across threads and evictable to a checkpoint;
+//! * [`scheduled`] — `ScheduledTimer`, the paper's update path: a timer
+//!   whose cones run on a seq-G-PASTA partition, through the executor;
 //! * [`serve`] — `gpasta serve`: an HTTP/JSON daemon (and JSON-RPC
 //!   stdio mode) hosting warm concurrent sessions;
 //! * [`shard`] — `gpasta shard`: sharded multi-process execution with a
@@ -54,6 +55,7 @@
 
 pub mod checkpoint;
 pub mod errors;
+pub mod scheduled;
 pub mod serve;
 pub mod session;
 pub mod shard;

@@ -1,10 +1,9 @@
 //! `gpasta serve` — timing analysis as a long-lived service.
 //!
 //! The CLI flows pay the full price of a design on every invocation:
-//! parse, build the timing graph, partition, propagate. This module
-//! keeps that state *warm* instead: named [`Session`]s
-//! ([`crate::session`]) live in a shared [`Registry`], each owning its
-//! timer, partition and executor, and clients apply
+//! parse, build the timing graph, propagate. This module keeps that
+//! state *warm* instead: named [`Session`]s ([`crate::session`]) live in a
+//! shared [`Registry`], each owning its timer, and clients apply
 //! edits and re-run `update_timing` over the wire for the incremental
 //! price. Two frontends share one protocol layer ([`proto`]):
 //!
@@ -54,7 +53,8 @@ pub struct ServeConfig {
     pub stdio: bool,
     /// Directory for eviction checkpoints.
     pub spool: PathBuf,
-    /// Executor worker threads per session.
+    /// Passed to every session as its `workers`, which configures nothing:
+    /// a session runs each update on the calling thread.
     pub workers: usize,
     /// Maximum number of sessions (live plus dormant).
     pub max_sessions: usize,

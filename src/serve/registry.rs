@@ -6,8 +6,8 @@
 //!
 //! Each slot is one of three states:
 //!
-//! * **live** — an `Arc<Mutex<Session>>` (warm timer, warm partition
-//!   cache) plus its [`Supervisor`]: the crash-recovery bookkeeping that
+//! * **live** — an `Arc<Mutex<Session>>` (warm timer) plus its
+//!   [`Supervisor`]: the crash-recovery bookkeeping that
 //!   outlives any particular `Session` value;
 //! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT04`
 //!   checkpoint in the spool directory), produced by eviction;
@@ -354,9 +354,9 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry spooling checkpoints under `spool`, giving each
-    /// session `workers` executor threads and hosting at most
-    /// `max_sessions` sessions (live or dormant). Default policies: 256
+    /// An empty registry spooling checkpoints under `spool`, passing
+    /// `workers` (which configures nothing) to each session and hosting at
+    /// most `max_sessions` sessions (live or dormant). Default policies: 256
     /// in-flight requests, quarantine after 3 crashes in 60 s, no chaos.
     pub fn new(spool: PathBuf, workers: usize, max_sessions: usize) -> Registry {
         Registry {
@@ -398,7 +398,7 @@ impl Registry {
         self
     }
 
-    /// Executor threads per session.
+    /// The `workers` passed to each session.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -549,9 +549,8 @@ impl Registry {
         true
     }
 
-    /// Create a session: parse the sources, install the partition, run
-    /// the initial full analysis, and register the result
-    /// live. The analysis runs outside the registry lock, so concurrent
+    /// Create a session: parse the sources, run the initial full analysis,
+    /// and register the result live. The analysis runs outside the registry lock, so concurrent
     /// creates (of different names) proceed in parallel.
     ///
     /// # Errors

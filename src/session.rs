@@ -1,13 +1,9 @@
 //! `Session` — an owned, movable unit of timing-analysis state.
 //!
-//! Before this module, analysis state lived on the stack of whichever
-//! CLI subcommand built it: a [`Timer`] here, an
-//! [`IncrementalPartitioner`] there, an [`Executor`] somewhere else,
-//! wired together ad hoc per command. A [`Session`] packages all of it —
-//! the parsed design, its timer, its partition, and the executor handle —
-//! into one `Send + 'static` value that can be created, handed to another
-//! thread, parked behind a mutex in a server registry ([`crate::serve`]),
-//! evicted to disk, and re-admitted later.
+//! A [`Session`] packages a parsed design, its [`Timer`] and a by-name
+//! index of its gates and ports into one `Send + 'static` value that can
+//! be created, handed to another thread, parked behind a mutex in a server
+//! registry ([`crate::serve`]), evicted to disk, and re-admitted later.
 //!
 //! The lifecycle:
 //!
@@ -21,36 +17,18 @@
 //!   clock-period constraint changes. Validation happens *here*, so bad
 //!   client input surfaces as a typed [`SessionError`] instead of a
 //!   panic inside the timer;
-//! * [`Session::update_timing`] discovers the dirty cone and executes it
-//!   under a caller-supplied [`RunBudget`] — unscheduled on the calling
-//!   thread unless the budget has a stall window (running only the tasks
-//!   whose inputs changed, and stopping where a deadline or cancel finds
-//!   it; the outcome's `tasks` stays the cone's structural size and
-//!   [`Session::task_counts`] has the executed count), partitioned
-//!   through the bounded recovering executor when it has one — and
-//!   degrades explicitly on an early stop (affected endpoints read NaN;
-//!   the whole design is re-marked dirty so a later update converges). A
-//!   task panic unwinds: a session that panicked is discarded, not
-//!   repaired;
+//! * [`Session::update_timing`] discovers the dirty cone and runs it in
+//!   order on the calling thread under a caller-supplied [`RunBudget`],
+//!   executing only the tasks whose inputs changed, and degrades
+//!   explicitly on an early stop (affected endpoints read NaN; the whole
+//!   design is re-marked dirty so a later update converges). A task panic
+//!   unwinds: a session that panicked is discarded, not repaired. The
+//!   paper's scheduled path is [`crate::scheduled::ScheduledTimer`];
 //! * [`Session::evict_to`] persists the session's edit state through the
 //!   `GPCKPT04` checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
 //!   the checkpoint path) from which [`DormantSession::restore`] rebuilds
 //!   the live session.
-//!
-//! # The partition is built on first scheduled use
-//!
-//! The partition G-PASTA computes depends only on the TDG (Theorem 1),
-//! and every edit a session accepts changes delays, never the task graph.
-//! So a session's partition is a pure function of its design: no update
-//! repairs it and no checkpoint stores it. Only an update whose budget has
-//! a stall window schedules, so only that reads the partition: neither
-//! create nor restore builds a task graph or installs anything. The first
-//! such update — or [`Session::partition_assignment`] — installs
-//! seq-G-PASTA on [`Timer::full_space_tdg`], and the session keeps it from
-//! then on. The pending edits are untouched by that build, and the
-//! assignment is the one a whole-design `Timer::update_timing` would have
-//! been partitioned into.
 //!
 //! # A checkpoint stores the edits, not the values
 //!
@@ -77,15 +55,13 @@ use std::path::{Path, PathBuf};
 use crate::checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointError, DesignShape, UpdateCheckpoint,
 };
-use crate::core::{IncrementalError, IncrementalPartitioner, PartitionerOptions, SeqGPasta};
-use crate::sched::{Executor, FaultKind, FaultPlan, RetryPolicy, RunBudget, StopCause};
+use crate::sched::{FaultKind, FaultPlan, RunBudget, StopCause};
 use crate::sta::{
-    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, DirtyCone,
-    EndpointSummary, GateId, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
-    PortId, RecoveredUpdate, Timer, TimingPath, TimingReport,
+    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, EndpointSummary, GateId,
+    Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError, PortId, Timer,
+    TimingPath, TimingReport,
 };
-use crate::tdg::{checksum, BuildTdgError, QuotientArena, ValidatePartitionError};
-use std::borrow::Cow;
+use crate::tdg::{checksum, BuildTdgError};
 
 /// The textual inputs a session is built from. Owning the *sources*
 /// (rather than only the parsed design) is what makes eviction cheap:
@@ -152,12 +128,6 @@ pub enum SessionError {
     /// An [`Edit`] referenced a missing object or carried an invalid
     /// value; the message names both.
     BadEdit(String),
-    /// Building the partition on its first scheduled use failed.
-    Partition(IncrementalError),
-    /// The partition failed quotient construction — a library bug,
-    /// reported instead of panicking so one request fails, not the
-    /// process.
-    Quotient(ValidatePartitionError),
     /// Reading or writing the eviction checkpoint failed, or it does not
     /// fit this session.
     Checkpoint(CheckpointError),
@@ -172,8 +142,6 @@ impl SessionError {
             SessionError::Sdc(_) => "parse_sdc",
             SessionError::Graph(_) => "combinational_loop",
             SessionError::BadEdit(_) => "bad_edit",
-            SessionError::Partition(_) => "partition",
-            SessionError::Quotient(_) => "quotient",
             SessionError::Checkpoint(_) => "checkpoint",
         }
     }
@@ -200,10 +168,6 @@ impl fmt::Display for SessionError {
             SessionError::Sdc(e) => write!(f, "sdc: {e}"),
             SessionError::Graph(e) => write!(f, "netlist has no timing graph: {e}"),
             SessionError::BadEdit(why) => write!(f, "bad edit: {why}"),
-            SessionError::Partition(e) => write!(f, "partition build failed: {e}"),
-            SessionError::Quotient(e) => {
-                write!(f, "partition has no valid quotient (library bug): {e}")
-            }
             SessionError::Checkpoint(e) => write!(f, "{e}"),
         }
     }
@@ -217,16 +181,8 @@ impl StdError for SessionError {
             SessionError::Sdc(e) => Some(e),
             SessionError::Graph(e) => Some(e),
             SessionError::BadEdit(_) => None,
-            SessionError::Partition(e) => Some(e),
-            SessionError::Quotient(e) => Some(e),
             SessionError::Checkpoint(e) => Some(e),
         }
-    }
-}
-
-impl From<IncrementalError> for SessionError {
-    fn from(e: IncrementalError) -> Self {
-        SessionError::Partition(e)
     }
 }
 
@@ -287,18 +243,17 @@ pub struct UpdateOutcome {
     /// expired.
     pub stop: StopCause,
     /// Tasks in this update's dirty cone (0 when nothing was dirty): its
-    /// *structural* size, the closure of the edits, whichever way it ran.
-    /// How many of them an update executed is
-    /// [`Session::task_counts`]'s to tell.
+    /// *structural* size, the closure of the edits. How many of them an
+    /// update executed is [`Session::task_counts`]'s to tell.
     pub tasks: usize,
-    /// Always 0: a session's partition is derived from its design and
-    /// never repaired. Read only by `perf_ledger`'s mirror-fidelity test,
-    /// which holds its own repair's count to it.
+    /// Always 0: a session keeps no partition to repair. Read only by
+    /// `perf_ledger`'s mirror-fidelity test, which holds its own repair's
+    /// count to it.
     pub repair_moved: usize,
     /// Always 0, like [`UpdateOutcome::repair_moved`].
     pub repair_fresh: usize,
-    /// Endpoints left reading *unknown* (NaN) by an early stop, or by a
-    /// task the stall watchdog quarantined; zero for clean runs.
+    /// Endpoints left reading *unknown* (NaN) by an early stop; zero for a
+    /// completed run.
     pub unknown_endpoints: u32,
 }
 
@@ -339,9 +294,9 @@ impl DormantSession {
 
     /// Rebuild the live session: reparse the sources, put the
     /// checkpoint's edit state in place and run [`Session::create`]'s
-    /// whole-design analysis. As after create, no partition is built until
-    /// a scheduled update needs it. The values are those the evicted
-    /// session reaches at its next completed update.
+    /// whole-design analysis. The values are those the evicted session
+    /// reaches at its next completed update. `workers` configures nothing
+    /// (see [`Session::create`]).
     ///
     /// # Errors
     ///
@@ -452,10 +407,8 @@ impl NameIndex {
     }
 }
 
-/// An owned unit of timing-analysis state: parsed design, [`Timer`],
-/// its partition (an [`IncrementalPartitioner`] installed on first
-/// scheduled use), and [`Executor`] handle.
-/// `Send + 'static`, so it can live behind a mutex in a server registry
+/// An owned unit of timing-analysis state: parsed design, [`Timer`] and
+/// the by-name index its edits resolve through. `Send + 'static`, so it can live behind a mutex in a server registry
 /// and move between worker threads. See the [module docs](self) for the
 /// lifecycle.
 pub struct Session {
@@ -470,28 +423,15 @@ pub struct Session {
     /// Gate and port names → ids, for [`Session::apply_edit`].
     names: NameIndex,
     library: CellLibrary,
-    /// Seq-G-PASTA on the full-space update TDG: the partition scheduled
-    /// updates restrict, never repaired. Cold until the first scheduled
-    /// update or [`Session::partition_assignment`] installs it, then kept.
-    inc: IncrementalPartitioner<SeqGPasta>,
-    exec: Executor,
-    policy: RetryPolicy,
+    /// The `workers` given to create or restore; configures nothing.
+    workers: usize,
     updates_done: u32,
     /// Deterministic chaos schedule, if the hosting daemon installed one
     /// (see [`Session::set_chaos`]). Never serialized; the supervisor
     /// reinstalls it after create, restore, and crash recovery.
     chaos: Option<SessionChaos>,
-    /// Recycled scratch and output buffers for the cone quotients that
-    /// [`Session::update_timing`] restricts from the partition's
-    /// full-space quotient (and for building that one, once), so
-    /// steady-state updates stop touching the allocator once the
-    /// high-water mark is established.
-    quotient_arena: QuotientArena,
-    /// Updates that ran `[in order, scheduled]` since create or restore
-    /// (see [`Session::path_counts`]); never serialized.
-    paths_taken: [u64; 2],
-    /// Tasks `[in the cones of those updates, executed]`
-    /// (see [`Session::task_counts`]); never serialized.
+    /// Tasks `[in the cones of the updates, executed]` since create or
+    /// restore (see [`Session::task_counts`]).
     tasks_run: [u64; 2],
 }
 
@@ -518,7 +458,7 @@ impl fmt::Debug for Session {
             .field("name", &self.name)
             .field("shape", &self.shape())
             .field("updates_done", &self.updates_done)
-            .field("workers", &self.exec.num_workers())
+            .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
 }
@@ -526,8 +466,8 @@ impl fmt::Debug for Session {
 impl Session {
     /// Parse `sources` and run the initial full analysis: the whole-design
     /// cone in order on the calling thread, as an unbounded update runs it.
-    /// No task graph is built and no partition installed (see the
-    /// [module docs](self)).
+    /// No task graph is built. `workers` configures nothing; it is kept for
+    /// [`Session::workers`] and for callers' source compatibility.
     ///
     /// # Errors
     ///
@@ -544,7 +484,7 @@ impl Session {
     /// The one construction of a live session, for create and restore
     /// alike: build the timer from `sources`; given `restore`, a checkpoint
     /// of this design, put its edit state in place; then run the whole
-    /// design in order. The partition stays cold either way.
+    /// design in order.
     fn open(
         name: String,
         sources: DesignSources,
@@ -577,13 +517,9 @@ impl Session {
             summary: timer.endpoint_summary(),
             timer,
             library,
-            inc: IncrementalPartitioner::new(SeqGPasta::new()),
-            exec: Executor::new(workers.max(1)),
-            policy: RetryPolicy::default(),
+            workers: workers.max(1),
             updates_done,
             chaos: None,
-            quotient_arena: QuotientArena::new(),
-            paths_taken: [0; 2],
             tasks_run: [0; 2],
         })
     }
@@ -609,28 +545,10 @@ impl Session {
         self.updates_done
     }
 
-    /// The partition's raw per-task assignment over the full-space update
-    /// TDG, built now if no scheduled update has built it yet; `None` only
-    /// if that build fails.
-    pub fn partition_assignment(&mut self) -> Option<&[u32]> {
-        self.build_partition().ok()?;
-        self.inc.raw_assignment()
-    }
-
-    /// The lazy builder: install seq-G-PASTA on the timer's full-space TDG
-    /// unless the session holds its partition already. Leaves the dirty
-    /// set and the timing values as they are.
-    fn build_partition(&mut self) -> Result<(), SessionError> {
-        if !self.inc.is_warm() {
-            let tdg = self.timer.full_space_tdg();
-            self.inc.install(&tdg, &PartitionerOptions::default())?;
-        }
-        Ok(())
-    }
-
-    /// Executor worker-thread count.
+    /// The `workers` the session was created or restored with, at least
+    /// one. It configures nothing: every update runs on the calling thread.
     pub fn workers(&self) -> usize {
-        self.exec.num_workers()
+        self.workers
     }
 
     /// Whether edits are pending (the next update has work to do).
@@ -739,68 +657,41 @@ impl Session {
     }
 
     /// Bring timing up to date under `budget`: discover the dirty cone and
-    /// execute it one of two ways:
+    /// run it on the calling thread in ascending full-space id, which is a
+    /// topological order — no task graph, quotient or executor — executing
+    /// of a partial cone only the tasks a changed value reaches
+    /// ([`DirtyCone::run_in_order_bounded`](crate::sta::DirtyCone::run_in_order_bounded)).
+    /// The deadline and cancel token are polled every few hundred tasks. The
+    /// cone's results are bit-identical to any scheduled run of it. Debug
+    /// builds assert that each cone is successor-closed over the timing
+    /// graph's arcs: running only the cone is exact because nothing outside
+    /// it depends on a task inside it.
     ///
-    /// * *in order* — on the calling thread in ascending full-space id,
-    ///   which is a topological order: no quotient, no executor, and of a
-    ///   partial cone only the tasks a changed value reaches
-    ///   ([`DirtyCone::run_in_order_bounded`](crate::sta::DirtyCone::run_in_order_bounded)).
-    ///   Every update without a stall window runs this way: a deadline or a
-    ///   cancel token is polled every few hundred tasks, and a stop before
-    ///   task `t` leaves the cone's ids `≥ t` unfinished;
-    /// * *scheduled* — take the cone's quotient from the partition (a
-    ///   restriction of its one full-space quotient, built on first use,
-    ///   and that quotient itself when the whole design is dirty; no
-    ///   per-update task graph is built and no task edge is scanned) and
-    ///   run it through the bounded recovering executor. Only a budget with
-    ///   a stall window runs this way: one thread cannot outlive its own
-    ///   hung task, and the executor's watchdog can.
+    /// The endpoint summary [`Session::report`] reads is then the summary
+    /// of the values as they now are: after a completed run of a partial
+    /// cone the endpoints it executed a task on are re-read and the moved
+    /// ones point-updated
+    /// ([`DirtyCone::point_update`](crate::sta::DirtyCone::point_update));
+    /// after anything else it is built again. Debug builds build it again
+    /// regardless and assert the two equal.
     ///
-    /// A completed run's results are bit-identical either way, so nothing
-    /// this function returns or the session persists depends on the path.
-    /// The first scheduled update builds the partition, before it discovers
-    /// its cone, and every later one reuses it: every edit a session
-    /// accepts is delay-only, so the task graph never changes and neither
-    /// does the partition. Debug builds assert that each cone is
-    /// successor-closed over the timing graph's arcs
-    /// ([`DirtyCone::is_successor_closed`](crate::sta::DirtyCone::is_successor_closed)):
-    /// running only the cone is exact because nothing outside it depends on
-    /// a task inside it.
-    ///
-    /// Whichever way the cone ran, the endpoint summary [`Session::report`]
-    /// reads is the summary of the timing values as they now are: after a
-    /// completed in-order run of a partial cone, the endpoints that run
-    /// executed a task on are re-read and the moved ones point-updated
-    /// ([`DirtyCone::point_update`]); after anything else it is built again.
-    /// Debug builds build it again regardless and assert the two equal, node
-    /// for node.
-    ///
-    /// A run that leaves any value stale — stopped early
-    /// ([`StopCause::DeadlineExpired`] / [`StopCause::Cancelled`]), or a
-    /// scheduled run whose watchdog quarantined a stalled task — marks every
-    /// stale value *unknown* (NaN), never stale-but-plausible, and re-marks
-    /// the whole design dirty so a later update (with a fresh budget)
-    /// converges to the exact answer. Which values a stop leaves unknown
-    /// depends on the path and, when scheduled, on the partition.
+    /// A run stopped early ([`StopCause::DeadlineExpired`] /
+    /// [`StopCause::Cancelled`]) before task `t` marks every value of the
+    /// cone's ids `≥ t` *unknown* (NaN), never stale-but-plausible, and
+    /// re-marks the whole design dirty so a later update (with a fresh
+    /// budget) converges to the exact answer.
     ///
     /// # Errors
     ///
-    /// [`SessionError::Partition`] if the first scheduled update cannot
-    /// build the partition, and [`SessionError::Quotient`] if the partition
-    /// has no valid quotient.
+    /// None: the `Result` is kept for callers' source compatibility.
     ///
     /// # Panics
     ///
-    /// A task panic in order unwinds to the caller, with the session half
-    /// updated: crash-only recovery discards it (the serve registry
-    /// rebuilds it from its last checkpoint and edit journal; `gpasta
-    /// update` resumes from its checkpoint). Under a stall window the
-    /// executor contains a panic to its forward closure, as a stall.
+    /// A task panic unwinds to the caller, with the session half updated:
+    /// crash-only recovery discards it (the serve registry rebuilds it from
+    /// its last checkpoint and edit journal; `gpasta update` resumes from
+    /// its checkpoint).
     pub fn update_timing(&mut self, budget: &RunBudget) -> Result<UpdateOutcome, SessionError> {
-        let scheduled = budget.stall_window.is_some();
-        if scheduled {
-            self.build_partition()?;
-        }
         let cone = self.timer.dirty_cone();
         let tasks = cone.num_tasks();
         if tasks == 0 {
@@ -820,27 +711,15 @@ impl Session {
         );
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
 
-        let rec = if scheduled {
-            Self::run_scheduled(
-                &cone,
-                &mut self.inc,
-                &mut self.quotient_arena,
-                &self.exec,
-                &self.policy,
-                budget,
-            )?
-        } else {
-            cone.run_in_order_bounded(budget)
-        };
+        let rec = cone.run_in_order_bounded(budget);
         let clean = rec.is_clean();
         let unknown_endpoints = if clean {
             0
         } else {
             cone.mark_unknown(&rec);
-            (rec.unfinished_endpoints.len() + rec.poisoned_endpoints.len()) as u32
+            rec.unfinished_endpoints.len() as u32
         };
-        // Only a completed in-order run knows which endpoints to re-read.
-        let fed = !scheduled && clean && cone.point_update(&mut self.summary);
+        let fed = clean && cone.point_update(&mut self.summary);
         drop(cone);
         if !fed {
             self.summary = self.timer.endpoint_summary();
@@ -849,7 +728,6 @@ impl Session {
             self.summary == self.timer.endpoint_summary(),
             "the point-updated summary is not the summary of the values"
         );
-        self.paths_taken[usize::from(scheduled)] += 1;
         self.tasks_run[0] += tasks as u64;
         self.tasks_run[1] += rec.outcome.report.tasks_executed as u64;
         if !clean {
@@ -865,46 +743,10 @@ impl Session {
         })
     }
 
-    /// The scheduled way to run `cone`: its quotient from the partition,
-    /// through the bounded recovering executor.
-    fn run_scheduled(
-        cone: &DirtyCone<'_>,
-        inc: &mut IncrementalPartitioner<SeqGPasta>,
-        arena: &mut QuotientArena,
-        exec: &Executor,
-        policy: &RetryPolicy,
-        budget: &RunBudget,
-    ) -> Result<RecoveredUpdate, SessionError> {
-        let quotient = inc
-            .cone_quotient(cone.ids(), arena)
-            .ok_or(IncrementalError::NotInstalled)?
-            .map_err(SessionError::Quotient)?;
-        let rec = cone.run_partitioned_recovering_bounded(
-            exec,
-            &quotient,
-            &FaultPlan::none(),
-            policy,
-            budget,
-        );
-        if let Cow::Owned(restricted) = quotient {
-            arena.recycle(restricted);
-        }
-        Ok(rec)
-    }
-
-    /// How many updates ran `(in order, scheduled)` since this session was
-    /// created or restored; their sum is the number of updates that had
-    /// tasks to run. A diagnostic, not part of any outcome, wire message or
-    /// checkpoint.
-    pub fn path_counts(&self) -> (u64, u64) {
-        let [in_order, scheduled] = self.paths_taken;
-        (in_order, scheduled)
-    }
-
-    /// Over the updates [`path_counts`](Session::path_counts) counts: the
-    /// tasks in their cones (the sum of [`UpdateOutcome::tasks`]) and the
-    /// tasks executed — fewer where an in-order run skipped what no changed
-    /// value reached, or a run stopped early. Reset with it.
+    /// Over the updates since create or restore: the tasks in their cones
+    /// (the sum of [`UpdateOutcome::tasks`]) and the tasks executed — fewer
+    /// where a partial cone skipped what no changed value reached, or a run
+    /// stopped early. A diagnostic, never serialized.
     pub fn task_counts(&self) -> (u64, u64) {
         let [structural, executed] = self.tasks_run;
         (structural, executed)
@@ -1155,158 +997,6 @@ endmodule
     }
 
     #[test]
-    fn warm_updates_share_one_full_space_quotient() {
-        let mut s = fixture_session("one-quotient");
-        assert_eq!(s.inc.quotient_builds(), 0, "create builds no quotient");
-        // A far stall window: every update takes the scheduled path, the
-        // one that needs the quotient (no other budget builds one, see
-        // `a_stall_window_is_scheduled_and_every_other_budget_runs_in_order`).
-        let scheduled = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
-        for i in 0..20 {
-            let period_ps = if i % 2 == 0 { 900.0 } else { 1_000.0 };
-            s.apply_edit(&Edit::SetClockPeriod { period_ps })
-                .expect("valid");
-            let out = s.update_timing(&scheduled).expect("update");
-            assert_eq!(out.tasks, 2 * s.shape().nodes as usize, "the whole design");
-        }
-        for i in 0..20u32 {
-            s.apply_edit(&Edit::Repower {
-                gate: format!("u{}", i % 4),
-                drive: [0.5, 1.0, 2.0, 4.0][(i / 4 % 4) as usize],
-            })
-            .expect("valid");
-            s.update_timing(&scheduled).expect("update");
-        }
-        assert_eq!(s.inc.quotient_builds(), 1, "40 updates, one build");
-    }
-
-    #[test]
-    fn a_stall_window_is_scheduled_and_every_other_budget_runs_in_order() {
-        let mut s = fixture_session("pinned");
-        let token = crate::sched::CancelToken::new();
-        let in_order = [
-            RunBudget::unbounded(),
-            RunBudget::unbounded().with_deadline(Duration::from_secs(3_600)),
-            RunBudget::unbounded().with_cancel(token.clone()),
-        ];
-        let stall_window = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
-        let edit = |s: &mut Session, i: usize| {
-            s.apply_edit(&Edit::Repower {
-                gate: "u1".into(),
-                drive: [2.0, 4.0][i % 2],
-            })
-            .expect("valid");
-        };
-
-        // In order there is no quotient to build, whole design or cone.
-        s.apply_edit(&Edit::SetClockPeriod { period_ps: 900.0 })
-            .expect("valid");
-        s.update_timing(&in_order[1]).expect("update");
-        for (i, budget) in in_order.iter().cycle().take(9).enumerate() {
-            edit(&mut s, i);
-            let out = s.update_timing(budget).expect("update");
-            assert_eq!(out.stop, StopCause::Completed);
-        }
-        assert_eq!(s.path_counts(), (10, 0));
-        assert_eq!(s.inc.quotient_builds(), 0);
-
-        for i in 0..4 {
-            edit(&mut s, i);
-            let out = s.update_timing(&stall_window).expect("update");
-            assert_eq!(out.stop, StopCause::Completed);
-        }
-        assert_eq!(s.path_counts(), (10, 4));
-        assert_eq!(s.inc.quotient_builds(), 1);
-
-        // An idle update takes neither path.
-        let idle = s.update_timing(&in_order[0]).expect("update");
-        assert_eq!(idle.tasks, 0);
-        assert_eq!(s.path_counts(), (10, 4));
-    }
-
-    #[test]
-    fn a_session_stays_cold_until_a_stall_window() {
-        let cold = |s: &Session| !s.inc.is_warm() && s.inc.quotient_builds() == 0;
-        let mut s = fixture_session("cold");
-        assert!(cold(&s), "create builds no partition");
-        for (i, budget) in [
-            RunBudget::unbounded(),
-            RunBudget::unbounded().with_deadline(Duration::from_secs(3_600)),
-            RunBudget::unbounded().with_deadline(Duration::ZERO),
-            RunBudget::unbounded().with_cancel(crate::sched::CancelToken::new()),
-            RunBudget::unbounded(),
-        ]
-        .iter()
-        .enumerate()
-        {
-            s.apply_edit(&Edit::Repower {
-                gate: format!("u{}", i % 4),
-                drive: 2.0 + i as f32,
-            })
-            .expect("valid");
-            s.update_timing(budget).expect("update");
-            assert!(cold(&s), "budget {i}");
-        }
-        assert_eq!(s.path_counts(), (5, 0));
-
-        let path = tmp_ckpt("cold");
-        let mut restored = s
-            .evict_to(&path)
-            .expect("evict")
-            .restore(2)
-            .expect("restore");
-        std::fs::remove_file(&path).ok();
-        assert!(cold(&s) && cold(&restored), "evict and restore build none");
-        restored
-            .apply_edit(&Edit::SetClockPeriod { period_ps: 900.0 })
-            .expect("valid");
-        restored
-            .update_timing(&RunBudget::unbounded())
-            .expect("update");
-        assert!(cold(&restored));
-    }
-
-    #[test]
-    fn the_first_stall_window_builds_the_partition_once() {
-        let sources = DesignSources::verilog_only(FIXTURE);
-        let mut s = Session::create("lazy", sources.clone(), 2).expect("create");
-        s.apply_edit(&Edit::Repower {
-            gate: "u2".into(),
-            drive: 2.0,
-        })
-        .expect("valid");
-        assert!(!s.inc.is_warm());
-        let scheduled = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
-        for i in 0..6u32 {
-            let out = s.update_timing(&scheduled).expect("update");
-            assert_eq!(out.stop, StopCause::Completed);
-            assert_eq!(s.inc.epoch(), 1, "update {i}: one install");
-            s.apply_edit(&Edit::Repower {
-                gate: format!("u{}", i % 4),
-                drive: [0.5, 4.0][i as usize % 2],
-            })
-            .expect("valid");
-        }
-        assert!(s.has_pending_changes(), "the last edit is still pending");
-        assert_eq!(s.path_counts(), (0, 6));
-        assert_eq!(s.inc.quotient_builds(), 1);
-
-        // The oracle: seq-G-PASTA installed on a full update's own TDG.
-        let (mut timer, _) = build_timer(&sources).expect("fixture parses");
-        let full = timer.update_timing();
-        let mut oracle = IncrementalPartitioner::new(SeqGPasta::new());
-        oracle
-            .install(full.tdg(), &PartitionerOptions::default())
-            .expect("install");
-        assert_eq!(s.partition_assignment(), oracle.raw_assignment());
-        assert_eq!(s.inc.epoch(), 1, "reading it builds nothing more");
-
-        let mut fresh = Session::create("lazy", sources, 2).expect("create");
-        assert_eq!(fresh.partition_assignment(), oracle.raw_assignment());
-        assert_eq!(fresh.inc.quotient_builds(), 0, "a read builds no quotient");
-    }
-
-    #[test]
     fn evict_restore_is_bit_identical_including_net_caps() {
         let edits = [
             Edit::Repower {
@@ -1356,78 +1046,6 @@ endmodule
 
         assert_eq!(got.wns_ps.to_bits(), want.wns_ps.to_bits());
         assert_eq!(got.tns_ps.to_bits(), want.tns_ps.to_bits());
-        assert_eq!(
-            restored.partition_assignment(),
-            reference.partition_assignment()
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// The partition is derived from the design: a session restored
-    /// mid-stream holds the one it would have kept. A stopped update leaves
-    /// it the same bits as the session never evicted, NaN marks included,
-    /// and so does the scheduled update after it, which runs on the
-    /// partition.
-    #[test]
-    fn a_restored_session_has_the_partition_of_one_never_evicted() {
-        use crate::circuits::PaperCircuit;
-        use crate::sta::write_verilog;
-        let sources = DesignSources::verilog_only(write_verilog(
-            &PaperCircuit::AesCore.build(0.002),
-            "aes_core",
-        ));
-        let repower = |s: &mut Session, gate: u32, drive: f32| {
-            s.apply_edit(&Edit::Repower {
-                gate: gate.to_string(),
-                drive,
-            })
-            .expect("valid");
-        };
-        let mut kept = Session::create("derived", sources.clone(), 2).expect("create");
-        let mut evicted = Session::create("derived", sources, 2).expect("create");
-        for s in [&mut kept, &mut evicted] {
-            repower(s, 3, 2.0);
-            s.update_timing(&RunBudget::unbounded()).expect("update");
-        }
-        let path = tmp_ckpt("derived");
-        let dormant = evicted.evict_to(&path).expect("evict");
-        drop(evicted);
-        let mut restored = dormant.restore(2).expect("restore");
-        assert!(kept.partition_assignment().is_some());
-        assert_eq!(restored.partition_assignment(), kept.partition_assignment());
-
-        let stop_now = RunBudget::unbounded().with_deadline(Duration::ZERO);
-        for s in [&mut kept, &mut restored] {
-            repower(s, 0, 4.0);
-            let out = s.update_timing(&stop_now).expect("bounded update");
-            assert_eq!(out.stop, StopCause::DeadlineExpired);
-            assert!(out.unknown_endpoints > 0);
-        }
-        let all = kept.timer().graph().endpoints().len();
-        let unknown = |s: &Session| {
-            let worst = s.report(all).worst;
-            worst.iter().filter(|e| e.slack_ps.is_nan()).count()
-        };
-        assert!(unknown(&kept) > 0);
-        assert_eq!(unknown(&restored), unknown(&kept));
-        assert!(
-            restored.timer().snapshot() == kept.timer().snapshot(),
-            "the same bits, NaN marks included"
-        );
-
-        let scheduled = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
-        for s in [&mut kept, &mut restored] {
-            let out = s.update_timing(&scheduled).expect("scheduled update");
-            assert_eq!(out.stop, StopCause::Completed);
-            assert_eq!(
-                out.tasks,
-                2 * s.shape().nodes as usize,
-                "the stop dirtied all"
-            );
-            assert_eq!(s.path_counts().1, 1);
-        }
-        assert_eq!(unknown(&kept), 0);
-        assert!(restored.timer().snapshot() == kept.timer().snapshot());
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,8 +6,7 @@
 //! (simulating a crash after the checkpoint's atomic rename), resumes from
 //! the checkpoint file, and asserts the final state is **bit-identical**
 //! to the oracle: WNS and TNS as `f32` bit patterns. Cases sweep
-//! seeds and worker counts, and one chain kills the run twice to prove
-//! checkpoints compose.
+//! seeds, and one chain kills the run twice to prove checkpoints compose.
 
 use gpasta::checkpoint::{modifier_batch, run_update_flow, UpdateFlowConfig, UpdateFlowOutcome};
 use gpasta::circuits::PaperCircuit;
@@ -41,12 +40,11 @@ fn assert_same_final_state(oracle: &UpdateFlowOutcome, resumed: &UpdateFlowOutco
 
 /// One full differential sweep: oracle run, then two randomized kill
 /// points, each killed + resumed and compared bit-for-bit.
-fn differential(circuit: PaperCircuit, scale: f64, seed: u64, workers: usize) {
+fn differential(circuit: PaperCircuit, scale: f64, seed: u64) {
     const ITERS: u32 = 8;
     let mut cfg = UpdateFlowConfig::small(circuit);
     cfg.scale = scale;
     cfg.iterations = ITERS;
-    cfg.workers = workers;
     cfg.seed = seed;
 
     let oracle = run_update_flow(&cfg).expect("oracle run");
@@ -58,7 +56,7 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, workers: usize) {
     let mut kills: Vec<u32> = (0..2).map(|_| rng.gen_range(1..ITERS)).collect();
     kills.dedup();
     for kill in kills {
-        let what = format!("{circuit} seed {seed:#x}, {workers}w, kill@{kill}");
+        let what = format!("{circuit} seed {seed:#x}, kill@{kill}");
         let path = tmp_ckpt("diff");
 
         let mut killed_cfg = cfg.clone();
@@ -78,23 +76,17 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, workers: usize) {
 
 #[test]
 fn aes_core_kill_resume_is_bit_identical_seed_a() {
-    for workers in [1, 3] {
-        differential(PaperCircuit::AesCore, 0.002, 0xA11CE, workers);
-    }
+    differential(PaperCircuit::AesCore, 0.002, 0xA11CE);
 }
 
 #[test]
 fn aes_core_kill_resume_is_bit_identical_seed_b() {
-    for workers in [1, 3] {
-        differential(PaperCircuit::AesCore, 0.002, 0xB0B, workers);
-    }
+    differential(PaperCircuit::AesCore, 0.002, 0xB0B);
 }
 
 #[test]
 fn vga_lcd_kill_resume_is_bit_identical_seed_c() {
-    for workers in [2, 4] {
-        differential(PaperCircuit::VgaLcd, 0.001, 0xCAFE, workers);
-    }
+    differential(PaperCircuit::VgaLcd, 0.001, 0xCAFE);
 }
 
 #[test]
@@ -111,7 +103,7 @@ fn a_hand_driven_session_matches_the_flow() {
         &cfg.circuit.build(cfg.scale),
         cfg.circuit.name(),
     ));
-    let mut session = Session::create("by-hand", sources, cfg.workers).expect("session");
+    let mut session = Session::create("by-hand", sources, 1).expect("session");
     let num_gates = session.shape().gates as usize;
     for i in 0..cfg.iterations {
         for (gate, drive) in modifier_batch(num_gates, cfg.seed, i) {
@@ -129,33 +121,6 @@ fn a_hand_driven_session_matches_the_flow() {
     assert_eq!(report.wns_ps.to_bits(), flow.wns_bits, "WNS bits");
     assert_eq!(report.tns_ps.to_bits(), flow.tns_bits, "TNS bits");
     assert_eq!(session.updates_done(), flow.iterations_done);
-}
-
-#[test]
-fn worker_count_may_change_across_the_crash() {
-    // A resume on a different machine shape (fewer/more workers) still
-    // converges to the oracle bits: the engine is worker-count
-    // deterministic and the checkpoint stores no scheduling state.
-    let mut cfg = UpdateFlowConfig::small(PaperCircuit::AesCore);
-    cfg.scale = 0.002;
-    cfg.iterations = 6;
-    cfg.seed = 0xD00D;
-    cfg.workers = 1;
-    let oracle = run_update_flow(&cfg).expect("oracle run");
-
-    let path = tmp_ckpt("workers");
-    let mut killed_cfg = cfg.clone();
-    killed_cfg.checkpoint_to = Some(path.clone());
-    killed_cfg.kill_after = Some(3);
-    killed_cfg.workers = 4;
-    run_update_flow(&killed_cfg).expect("killed run");
-
-    let mut resume_cfg = cfg.clone();
-    resume_cfg.resume_from = Some(path.clone());
-    resume_cfg.workers = 2;
-    let resumed = run_update_flow(&resume_cfg).expect("resumed run");
-    assert_same_final_state(&oracle, &resumed, "cross-worker resume");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -1,57 +1,42 @@
-//! The quotient a warm `Session` restricts from its partition cache
-//! schedules the update the public-step path schedules.
+//! The quotient a partition cache restricts to a dirty cone schedules the
+//! update the public-step path schedules, and no path shows in a bit.
 //!
-//! Three lanes receive the identical seeded Fig. 7 edit stream (gate
-//! repowers and net-capacitance changes), with a clock edit (whole design
-//! dirty) and a zero-deadline update (degrade, then heal) mixed in:
+//! The **differential** cases feed one seeded Fig. 7 edit stream (gate
+//! repowers and net-capacitance changes, a clock edit now and then, and a
+//! zero-deadline update followed by the one that heals it) to three lanes:
 //!
-//! * the **public-step** lane is the update as it was before the session
-//!   took the short cut, spelled through the layers' public functions:
-//!   `Timer::update_timing` → `full_space_ids` → `repair_and_project` →
-//!   `QuotientTdg::build_in(update.tdg(), ..)` → run;
-//! * the **restriction** lane takes only stage one, `Timer::dirty_cone`,
-//!   repairs, and asks the cache for the cone's quotient
-//!   (`IncrementalPartitioner::cone_quotient`: the one full-space quotient
-//!   the cache keeps, restricted to the cone) — what
-//!   `Session::update_timing` does, with the quotient in hand to compare;
-//! * the **session** lane is the product.
+//! * **public-step**: `Timer::update_timing` → `full_space_ids` →
+//!   `repair_and_project` → `QuotientTdg::build_in` → run;
+//! * **restriction**: `Timer::dirty_cone`, a checked repair, and the
+//!   cache's one full-space quotient restricted to the cone
+//!   (`IncrementalPartitioner::cone_quotient`, what `ScheduledTimer` runs);
+//! * **session**: the product, which runs every cone in order.
 //!
-//! Every update asserts that the restricted quotient has the public-step
-//! one's partitions, weights and member orders (mapped through
-//! `full_space_ids()`) and every one of its edges — all of them and no
-//! other when the whole design is dirty, where the cache's quotient is
-//! borrowed as it is — that the session's `UpdateOutcome` counts equal the
-//! public-step lane's, and that all three `TimingSnapshot`s and cached
-//! assignments are bit-identical. After every step the session is also
-//! evicted and a copy restored from the checkpoint's edit state alone: its
-//! whole `TimingSnapshot` equals the session's, except right after a
-//! zero-deadline stop, where the copy reads no unknown endpoint at once and
-//! agrees with the session after the update that heals it. Another case
-//! evicts a session, restores it, and checks that its rebuilt quotient
-//! computes the same bits.
+//! Every step asserts the two quotients agree (partitions, weights, member
+//! orders, edges), that the two caches hold one assignment, that the
+//! session's `UpdateOutcome` equals the public-step counts, and that all
+//! three `TimingSnapshot`s are bit-identical. After every step the session
+//! is evicted and a copy restored from its edit state alone: the copy
+//! matches, except right after a stop, where it reads no unknown endpoint
+//! and matches once the session's next update heals it.
 //!
-//! The last cases are about *how* the session executes a cone: the same
-//! stream goes to a session under an unbounded budget (in order on the
-//! calling thread), to a session pinned to the restricted quotient and the
-//! executor by a far stall window, and to a bare `Timer` run sequentially, on
-//! 1, 2 and 4 workers — the path must not show in any bit, outcome field
-//! or cached pid, nor across an evict → restore. Beside the bare timer sits
-//! a bare `IncrementalPartitioner` fed the checked `repair(cone ids)` on
-//! every step: the sessions, which never repair their partition, must
-//! report its counts all the same.
+//! The **path-independence** cases feed the stream to a session, to a
+//! `ScheduledTimer` whose executor has a far stall window, and to a bare
+//! `Timer` run sequentially, on 1, 2 and 4 workers: their bits and counts
+//! must agree, across an evict → restore of the session too.
 //!
-//! On every one of those sessions, after every step, `Session::report` — a
-//! read of the endpoint summary the session keeps across updates — is
-//! `Timer::report` on the same values, which builds its summary from
-//! scratch: names, order and bits. In `--release`, where the session's own
-//! debug assertion is off, these are the checks that fail under the three
-//! mutations named at `assert_report_is_from_scratch`.
+//! On every session, after every step, `Session::report` (a read of the
+//! summary the session keeps) is `Timer::report` from scratch: names,
+//! order and bits. In `--release`, where the session's own debug assertion
+//! is off, these checks catch the mutations named at
+//! `assert_report_is_from_scratch`.
 
 use std::time::Duration;
 
 use gpasta::circuits::PaperCircuit;
 use gpasta::core::{IncrementalPartitioner, PartitionerOptions, SeqGPasta};
 use gpasta::sched::{Executor, FaultPlan, RetryPolicy, RunBudget, StopCause};
+use gpasta::scheduled::ScheduledTimer;
 use gpasta::session::{DesignSources, Edit, Session};
 use gpasta::sta::{
     parse_verilog, write_verilog, CellLibrary, GateId, RecoveredUpdate, Timer, TimingReport,
@@ -79,8 +64,8 @@ fn unknown_endpoints(rec: &RecoveredUpdate) -> u32 {
     }
 }
 
-/// A timer with the cache installed on its full-space TDG, as
-/// `Session::create` leaves them.
+/// A timer with the cache installed on its full-space TDG, after the
+/// initial full analysis.
 struct Lane {
     timer: Timer,
     inc: IncrementalPartitioner<SeqGPasta>,
@@ -91,11 +76,17 @@ struct Lane {
 /// members as full-space ids.
 type Flat = (gpasta::tdg::Tdg, Vec<Vec<u32>>);
 
+/// The timer `Session::create` builds from `verilog`, not yet analysed.
+fn timer_of(verilog: &str) -> Timer {
+    let netlist = parse_verilog(verilog).expect("generated netlists parse");
+    let mut timer = Timer::new(netlist, CellLibrary::typical());
+    timer.set_clock_period(1_000.0);
+    timer
+}
+
 impl Lane {
     fn new(verilog: &str) -> Lane {
-        let netlist = parse_verilog(verilog).expect("generated netlists parse");
-        let mut timer = Timer::new(netlist, CellLibrary::typical());
-        timer.set_clock_period(1_000.0);
+        let mut timer = timer_of(verilog);
         let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
         let full = timer.update_timing();
         inc.install(full.tdg(), &PartitionerOptions::default())
@@ -235,14 +226,11 @@ fn report_bits(report: &TimingReport) -> (u32, u32, usize, Vec<(u32, &str, u32)>
 /// Mutation `fed-if-stored` (`run_changed` notes an endpoint only if its
 /// fprop stored a new bit, so a slack that moves with a required time alone
 /// is not re-read) fails
-/// `a_lone_output_delay_moves_the_report_through_a_required_time`;
-/// mutation `scheduled-not-rebuilt` (`Session::update_timing` rebuilds only
-/// after an in-order run: `if !fed && !scheduled`) fails them on the pinned
-/// lane, and mutation `stopped-fed` (a stopped in-order run point-updates:
-/// `!scheduled && cone.point_update(..)`) fails the two
-/// `*_direct_quotient_*` tests at their first zero-deadline step. Both with
-/// `--release`; a debug build stops earlier, at the session's own
-/// assertion.
+/// `a_lone_output_delay_moves_the_report_through_a_required_time`, and
+/// mutation `stopped-fed` (a stopped run point-updates: `let fed =
+/// cone.point_update(..)`) fails the two `*_direct_quotient_*` tests at
+/// their first zero-deadline step. Both with `--release`; a debug build
+/// stops earlier, at the session's own assertion.
 fn assert_report_is_from_scratch(session: &Session, what: &str) {
     let all = session.timer().graph().endpoints().len();
     for k in [0, 1, 5, all] {
@@ -414,11 +402,6 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize) {
             "{what}: session bits"
         );
         assert_eq!(
-            session.partition_assignment(),
-            public.inc.raw_assignment(),
-            "{what}: cached partition"
-        );
-        assert_eq!(
             restricted.inc.raw_assignment(),
             public.inc.raw_assignment(),
             "{what}: restriction lane's cached partition"
@@ -501,9 +484,8 @@ fn vga_lcd_direct_quotient_equals_the_public_step_path() {
     differential(PaperCircuit::VgaLcd, 0.002, 0x7A57E, edits());
 }
 
-/// Evict → restore → full update → cone update: the restored cache starts
-/// without a quotient, rebuilds it on the first update, and every bit
-/// matches a session that never left memory.
+/// Evict → restore → full update → cone update: every bit matches a
+/// session that never left memory.
 #[test]
 fn restored_session_matches_one_that_was_never_evicted() {
     let circuit = PaperCircuit::AesCore;
@@ -559,24 +541,24 @@ fn restored_session_matches_one_that_was_never_evicted() {
             restored.timer().snapshot() == kept.timer().snapshot(),
             "step {i}: bits"
         );
-        assert_eq!(
-            restored.partition_assignment(),
-            kept.partition_assignment(),
-            "step {i}: cached partition"
-        );
     }
 }
 
 /// The [`stream`]'s edits (no update stops early, so nothing degrades)
 /// through a session under an unbounded budget, which runs every cone in
-/// order, a session pinned to the scheduled path, and an unpartitioned
-/// sequential twin whose cones a bare partition cache repairs, checked,
-/// every step. Half way the unbounded session is evicted and restored.
+/// order, a `ScheduledTimer` whose executor has a far stall window, and an
+/// unpartitioned sequential twin whose cones a bare partition cache
+/// repairs, checked, every step. Half way the session is evicted and
+/// restored.
 fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize, workers: usize) {
     let verilog = write_verilog(&circuit.build(scale), circuit.name());
     let sources = DesignSources::verilog_only(verilog.clone());
-    let mut free = Session::create("lane", sources.clone(), workers).expect("session");
-    let mut pinned = Session::create("lane", sources, workers).expect("session");
+    let mut free = Session::create("lane", sources, workers).expect("session");
+    // Never trips, but a watchdog is the executor's to keep.
+    let far = Executor::new(workers).with_stall_window(Duration::from_secs(3_600));
+    let mut pinned = ScheduledTimer::new(timer_of(&verilog), far).expect("install");
+    let unbounded = RunBudget::unbounded();
+    pinned.update(&unbounded).expect("initial analysis");
     let Lane {
         timer: mut twin,
         inc: mut repaired,
@@ -589,13 +571,9 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         seed,
         edits,
     );
-    let unbounded = RunBudget::unbounded();
-    // Never trips, but a budget with a stall window is the executor's to keep.
-    let far = RunBudget::unbounded().with_stall_window(Duration::from_secs(3_600));
 
-    let mut with_tasks = 0;
-    let mut before_eviction = (0, 0);
-    let mut pinned_tasks = 0;
+    let mut before_eviction = 0;
+    let (mut pinned_tasks, mut pinned_executed) = (0, 0);
     for (i, (step, _)) in steps.iter().enumerate() {
         let what = format!("{circuit} seed {seed:#x}, {workers} worker(s), step {i} ({step:?})");
         if i == steps.len() / 2 {
@@ -603,7 +581,7 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
                 "gpasta-path-independence-{}-{circuit}-{workers}.ckpt",
                 std::process::id()
             ));
-            before_eviction = free.path_counts();
+            before_eviction = free.task_counts().0;
             free = free
                 .evict_to(&path)
                 .expect("evict")
@@ -611,20 +589,29 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
                 .expect("restore");
             std::fs::remove_file(&path).ok();
             assert_eq!(
-                free.path_counts(),
+                free.task_counts(),
                 (0, 0),
                 "{what}: the counts are not checkpointed"
             );
-            assert_eq!(free.task_counts(), (0, 0), "{what}: nor are these");
             assert_report_is_from_scratch(&free, &format!("{what}, restored"));
         }
         let ran_before = free.task_counts();
         step.apply_to_session(&mut free);
-        step.apply_to_session(&mut pinned);
+        step.apply_to_timer(pinned.timer_mut());
         step.apply_to_timer(&mut twin);
 
         let got = free.update_timing(&unbounded).expect("update");
-        let want = pinned.update_timing(&far).expect("update");
+        let rec = pinned.update(&unbounded).expect("update");
+        let outcome = &rec.outcome;
+        let want = Counts {
+            stop: outcome.stop,
+            tasks: outcome.salvaged_tasks
+                + outcome.poisoned_tasks.len()
+                + outcome.unfinished_tasks.len(),
+            repair_moved: 0,
+            repair_fresh: 0,
+            unknown_endpoints: unknown_endpoints(&rec),
+        };
         let update = twin.update_timing();
         let ids = update.full_space_ids();
         update.run_sequential();
@@ -636,16 +623,21 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
             let stats = repaired.repair(&ids).expect("closed cone");
             (stats.moved, stats.fresh_partitions)
         };
-        assert_eq!(got, want, "{what}: UpdateOutcome");
+        let product = Counts {
+            stop: got.stop,
+            tasks: got.tasks,
+            repair_moved: got.repair_moved,
+            repair_fresh: got.repair_fresh,
+            unknown_endpoints: got.unknown_endpoints,
+        };
+        assert_eq!(product, want, "{what}: UpdateOutcome");
         assert_eq!(got.stop, StopCause::Completed, "{what}");
         assert_report_is_from_scratch(&free, &format!("{what}, unbounded"));
-        assert_report_is_from_scratch(&pinned, &format!("{what}, pinned"));
         assert_eq!(
             (got.tasks, got.repair_moved, got.repair_fresh),
             (ids.len(), moved, fresh),
             "{what}: the session's cache step against a checked repair"
         );
-        with_tasks += u64::from(got.tasks > 0);
         // In order, a partial cone runs only what changed; `tasks` is the
         // structural size either way.
         let ran = free.task_counts();
@@ -658,29 +650,25 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
             }
             Step::Nothing => assert_eq!((structural, executed), (0, 0), "{what}: idle"),
         }
-        pinned_tasks += got.tasks as u64;
+        pinned_tasks += got.tasks;
+        pinned_executed += outcome.report.tasks_executed;
 
         let snapshot = twin.snapshot();
         assert!(free.timer().snapshot() == snapshot, "{what}: free bits");
         assert!(pinned.timer().snapshot() == snapshot, "{what}: pinned bits");
         assert_eq!(
-            free.partition_assignment(),
-            pinned.partition_assignment(),
+            Some(pinned.partition_assignment()),
+            repaired.raw_assignment(),
             "{what}: cached partition"
         );
     }
 
-    assert_eq!(pinned.path_counts(), (0, with_tasks), "a stall window pins");
-    let (in_order, scheduled) = free.path_counts();
-    assert_eq!(
-        (before_eviction.0 + in_order, before_eviction.1 + scheduled),
-        (with_tasks, 0),
-        "an unbounded update runs in order"
+    assert!(
+        before_eviction > 0 && free.task_counts().0 > 0,
+        "both halves ran"
     );
-    assert!(before_eviction.0 > 0 && in_order > 0, "both halves ran");
     assert_eq!(
-        pinned.task_counts(),
-        (pinned_tasks, pinned_tasks),
+        pinned_executed, pinned_tasks,
         "the executor runs the whole structural cone"
     );
 }
@@ -739,5 +727,4 @@ fn a_lone_output_delay_moves_the_report_through_a_required_time() {
         assert_report_is_from_scratch(&session, "idle");
     }
     assert!(moved > 0, "a 900 ps output delay breaks a 1 ns clock");
-    assert_eq!(session.path_counts().1, 0, "every cone ran in order");
 }
