@@ -177,7 +177,7 @@ pub trait Partitioner {
     ///
     /// The default implementation polls once and delegates, which bounds
     /// cancellation latency by one full partitioning run; partitioners with
-    /// natural internal boundaries (BFS levels, repair passes) override it
+    /// natural internal boundaries (BFS levels, wavefront passes) override it
     /// to poll per boundary (see [`SeqGPasta`]).
     fn partition_cancellable(
         &self,

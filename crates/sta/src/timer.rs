@@ -1053,8 +1053,7 @@ mod tests {
             );
         }
         // The dirty set is successor-closed in the full space: every
-        // full-space successor of a dirty task is itself dirty. This is
-        // the precondition of incremental partition repair.
+        // full-space successor of a dirty task is itself dirty.
         let mut dirty = vec![false; full_tdg.num_tasks()];
         for &id in &ids {
             dirty[id as usize] = true;

@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a shared generation counter: every call to
 //! [`CancelToken::cancel`] bumps the generation, and an observer created
 //! *before* the bump reports cancelled afterwards. Workers poll at unit
-//! boundaries (a partition dispatch, a wavefront level, a repair pass), so
+//! boundaries (a partition dispatch, a wavefront level), so
 //! cancellation is prompt — bounded by one dispatch unit — but costs a
 //! single relaxed-ish atomic load per poll.
 //!

@@ -17,9 +17,8 @@
 //! * **pids rise along every cross edge** (`pid(u) < pid(v)` whenever they
 //!   differ). Then ascending pid is a topological order of the quotient,
 //!   which is therefore acyclic. This is what §3.2's rule
-//!   `pid(i) = max{pid(j) | j ∈ PRE(i)}` produces and what
-//!   `IncrementalPartitioner` maintains. *Fallback:* the Kahn drain over
-//!   the quotient, which decides acyclicity for any numbering.
+//!   `pid(i) = max{pid(j) | j ∈ PRE(i)}` produces. *Fallback:* the Kahn
+//!   drain over the quotient, which decides acyclicity for any numbering.
 //! * **task ids rise along every edge** (`u < v`). Then ascending task id
 //!   is a topological order of the TDG, and the member order is a
 //!   sequential counting sort of `0..n` by partition. This is how
@@ -37,7 +36,7 @@
 //! exists, the quotient that schedules a subset of its tasks — no edge of
 //! the TDG is read. The partitions holding a member stay, renumbered in
 //! ascending pid order; the edges between them stay; each keeps the members
-//! it holds. A warm `Session` runs an update this way, off the one
+//! it holds. A `ScheduledTimer` runs an update this way, off the one
 //! full-space quotient its partition cache keeps: a full update *is* that
 //! quotient (borrowed, not copied), a dirty cone is a restriction of it.
 //!

@@ -143,10 +143,7 @@ pub fn check_all(tdg: &Tdg, p: &Partition) -> Result<(), ValidatePartitionError>
 /// quotient edge points from a smaller id to a larger one (no cycle is
 /// possible), and on any path between two tasks with the same id every
 /// intermediate id is squeezed to that same value (convexity). G-PASTA's
-/// `atomicMax` rule produces monotone ids by construction; the incremental
-/// repair path re-proves this invariant after every patch, where the full
-/// [`check_convex`] reachability sweep would be too slow for a debug-build
-/// hot path.
+/// `atomicMax` rule produces monotone ids by construction.
 ///
 /// The certificate is sufficient, not necessary: a valid partition whose
 /// ids were permuted can fail this check while passing [`check_all`].

@@ -110,6 +110,21 @@ fn need(flag: &'static str, value: Option<&String>) -> Result<String, Error> {
         .ok_or_else(|| CliError::MissingValue(flag).into())
 }
 
+/// Parse `--scale`: a finite factor above zero (a `nan` or `inf` would
+/// reach the netlist generator).
+fn parse_scale(value: Option<&String>) -> Result<f64, Error> {
+    let scale = parse::<f64>("--scale", value)?;
+    if scale.is_finite() && scale > 0.0 {
+        return Ok(scale);
+    }
+    Err(CliError::BadValue {
+        flag: "--scale",
+        value: value.cloned().unwrap_or_default(),
+        why: "must be a finite number above 0".to_string(),
+    }
+    .into())
+}
+
 /// Parse the flag's value, or a typed usage error naming flag and value.
 fn parse<T>(flag: &'static str, value: Option<&String>) -> Result<T, Error>
 where
@@ -595,12 +610,7 @@ fn update_cmd(args: &[String]) -> Result<(), Error> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--circuit" => circuit = Some(parse_circuit(&need("--circuit", it.next())?)?),
-            "--scale" => {
-                cfg.scale = parse::<f64>("--scale", it.next())?;
-                if cfg.scale <= 0.0 {
-                    return Err(CliError::NonPositive("--scale").into());
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(it.next())?,
             "--iters" => cfg.iterations = parse::<u32>("--iters", it.next())?,
             "--seed" => cfg.seed = parse::<u64>("--seed", it.next())?,
             "--checkpoint" => cfg.checkpoint_to = Some(need("--checkpoint", it.next())?.into()),
@@ -703,12 +713,7 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--circuit" => circuit = Some(parse_circuit(&need("--circuit", it.next())?)?),
-            "--scale" => {
-                scale = parse::<f64>("--scale", it.next())?;
-                if scale <= 0.0 {
-                    return Err(CliError::NonPositive("--scale").into());
-                }
-            }
+            "--scale" => scale = parse_scale(it.next())?,
             "--seed" => seed = parse::<u64>("--seed", it.next())?,
             "--shards" => {
                 shards = parse::<usize>("--shards", it.next())?;
@@ -933,7 +938,7 @@ fn serve_cmd(args: &[String]) -> Result<(), Error> {
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| {
-                        s.parse::<FaultKind>().map_err(|why| CliError::BadValue {
+                        session_fault_kind(s).map_err(|why| CliError::BadValue {
                             flag: "--chaos-kinds",
                             value: s.to_string(),
                             why,
@@ -976,8 +981,20 @@ fn parse_chaos_inject(raw: &str) -> Result<(String, u32, u32, FaultKind), Error>
     let attempt = attempt
         .parse::<u32>()
         .map_err(|_| invalid(format!("attempt `{attempt}` is not a u32")))?;
-    let kind = kind.parse::<FaultKind>().map_err(invalid)?;
+    let kind = session_fault_kind(kind).map_err(invalid)?;
     Ok((name.to_string(), update, attempt, kind))
+}
+
+/// A fault kind a session can inject: `panic` or `delay[:<µs>]`. The
+/// other kinds model a failed executor task, and a session runs no task
+/// through an executor.
+fn session_fault_kind(raw: &str) -> Result<FaultKind, String> {
+    match raw.parse::<FaultKind>()? {
+        kind @ (FaultKind::Panic | FaultKind::Delay { .. }) => Ok(kind),
+        _ => Err(format!(
+            "a session injects only `panic` or `delay[:<µs>]`, not `{raw}`"
+        )),
+    }
 }
 
 fn demo_cmd() -> Result<(), Error> {

@@ -4,7 +4,7 @@
 //! [`ScheduledTimer::new`] installs seq-G-PASTA once, on
 //! [`Timer::full_space_tdg`]. Every edit a [`Timer`] accepts changes
 //! delays, never the task graph, so that partition serves every later cone
-//! (Theorem 1) and is never repaired. An update takes its cone's quotient
+//! (Theorem 1) as it was installed. An update takes its cone's quotient
 //! from it — a restriction of its one full-space quotient, built on first
 //! use, or that quotient itself when the whole design is dirty; no
 //! per-update task graph is built — and runs it through the bounded

@@ -192,8 +192,8 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Fire probability per `(update, attempt)` key, in [0, 1].
     pub rate: f64,
-    /// Kinds the random rule chooses among (only `Panic` and `Delay` are
-    /// meaningful at session granularity).
+    /// Kinds the random rule chooses among: `Panic` and `Delay`, the two a
+    /// session fires (`gpasta serve` refuses the others).
     pub kinds: Vec<FaultKind>,
     /// Targeted hits: `(session name, update index, recovery attempt,
     /// kind)`.

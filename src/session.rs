@@ -246,9 +246,9 @@ pub struct UpdateOutcome {
     /// *structural* size, the closure of the edits. How many of them an
     /// update executed is [`Session::task_counts`]'s to tell.
     pub tasks: usize,
-    /// Always 0: a session keeps no partition to repair. Read only by
-    /// `perf_ledger`'s mirror-fidelity test, which holds its own repair's
-    /// count to it.
+    /// Always 0: nothing repairs a partition. Kept, until `perf_ledger`'s
+    /// mirror goes, for its mirror-fidelity test, which holds the mirror's
+    /// (always zero) `RepairStats` to it.
     pub repair_moved: usize,
     /// Always 0, like [`UpdateOutcome::repair_moved`].
     pub repair_fresh: usize,
@@ -566,9 +566,10 @@ impl Session {
     /// fault that fired before a crash keys differently on the healed
     /// session, exactly like executor retries.
     ///
-    /// Only [`FaultKind::Panic`] and [`FaultKind::Delay`] are meaningful
-    /// at session granularity; `Transient`/`WrongResult` model executor
-    /// task failures and are ignored here.
+    /// A session fires [`FaultKind::Panic`] and [`FaultKind::Delay`] only:
+    /// `Transient` and `WrongResult` model a failed executor task, a
+    /// session runs none, and they are ignored here (`gpasta serve`
+    /// refuses them).
     pub fn set_chaos(&mut self, plan: Option<FaultPlan>, attempt: u32) {
         self.chaos = plan.map(|plan| SessionChaos { plan, attempt });
     }

@@ -244,3 +244,41 @@ fn sanitize_recovery_is_deterministic_across_worker_counts() {
     assert!(text.contains("recovery"), "{text}");
     assert!(text.contains("Deterministic"), "{text}");
 }
+
+#[test]
+fn a_scale_that_is_not_finite_is_a_usage_error() {
+    for scale in ["nan", "inf"] {
+        for (cmd, flag, n) in [("update", "--iters", "1"), ("shard", "--shards", "2")] {
+            let args = [cmd, "--circuit", "aes_core", "--scale", scale, flag, n];
+            let out = gpasta(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains("--scale: invalid value"),
+                "{args:?}: {}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
+#[test]
+fn serve_refuses_chaos_kinds_a_session_cannot_inject() {
+    for kinds in ["transient", "panic,wrong_result"] {
+        let out = gpasta(&["serve", "--stdio", "--chaos-kinds", kinds]);
+        assert_eq!(out.status.code(), Some(2), "{kinds}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("--chaos-kinds"), "{kinds}: {err}");
+        assert!(err.contains("`panic` or `delay"), "{kinds}: {err}");
+    }
+}
+
+#[test]
+fn serve_refuses_a_chaos_inject_a_session_cannot_fire() {
+    for spec in ["s:0:0:wrong_result", "s:0:0:transient"] {
+        let out = gpasta(&["serve", "--stdio", "--chaos-inject", spec]);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("--chaos-inject"), "{spec}: {err}");
+        assert!(err.contains("`panic` or `delay"), "{spec}: {err}");
+    }
+}

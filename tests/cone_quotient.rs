@@ -6,14 +6,15 @@
 //! zero-deadline update followed by the one that heals it) to three lanes:
 //!
 //! * **public-step**: `Timer::update_timing` → `full_space_ids` →
-//!   `repair_and_project` → `QuotientTdg::build_in` → run;
-//! * **restriction**: `Timer::dirty_cone`, a checked repair, and the
-//!   cache's one full-space quotient restricted to the cone
+//!   `repair_and_project` (the installed assignment at those ids) →
+//!   `QuotientTdg::build_in` → run;
+//! * **restriction**: `Timer::dirty_cone`, and the cache's one full-space
+//!   quotient restricted to the cone
 //!   (`IncrementalPartitioner::cone_quotient`, what `ScheduledTimer` runs);
 //! * **session**: the product, which runs every cone in order.
 //!
 //! Every step asserts the two quotients agree (partitions, weights, member
-//! orders, edges), that the two caches hold one assignment, that the
+//! orders, edges), that the two caches still hold one assignment, that the
 //! session's `UpdateOutcome` equals the public-step counts, and that all
 //! three `TimingSnapshot`s are bit-identical. After every step the session
 //! is evicted and a copy restored from its edit state alone: the copy
@@ -23,7 +24,8 @@
 //! The **path-independence** cases feed the stream to a session, to a
 //! `ScheduledTimer` whose executor has a far stall window, and to a bare
 //! `Timer` run sequentially, on 1, 2 and 4 workers: their bits and counts
-//! must agree, across an evict → restore of the session too.
+//! must agree, across an evict → restore of the session too, and the
+//! `ScheduledTimer`'s partition must stay the one a bare cache installs.
 //!
 //! On every session, after every step, `Session::report` (a read of the
 //! summary the session keeps) is `Timer::report` from scratch: names,
@@ -34,7 +36,7 @@
 use std::time::Duration;
 
 use gpasta::circuits::PaperCircuit;
-use gpasta::core::{IncrementalPartitioner, PartitionerOptions, SeqGPasta};
+use gpasta::core::{IncrementalPartitioner, PartitionerOptions, RepairStats, SeqGPasta};
 use gpasta::sched::{Executor, FaultPlan, RetryPolicy, RunBudget, StopCause};
 use gpasta::scheduled::ScheduledTimer;
 use gpasta::session::{DesignSources, Edit, Session};
@@ -109,7 +111,7 @@ impl Lane {
             return (self.idle(), None);
         }
         let ids = update.full_space_ids();
-        let (stats, sub) = self.inc.repair_and_project(&ids).expect("closed cone");
+        let (stats, sub) = self.inc.repair_and_project(&ids).expect("ids in range");
         let quotient =
             QuotientTdg::build_in(update.tdg(), &sub, &mut self.arena).expect("schedulable");
         let rec = update.run_partitioned_recovering_bounded(
@@ -143,7 +145,6 @@ impl Lane {
             drop(cone);
             return (self.idle(), None);
         }
-        let stats = self.inc.repair(cone.ids()).expect("closed cone");
         let full_space = 2 * cone.graph().num_nodes();
         let quotient = self
             .inc
@@ -174,7 +175,7 @@ impl Lane {
             cone.mark_unknown(&rec);
         }
         drop(cone);
-        (self.finish(tasks, stats, &rec), Some(flat))
+        (self.finish(tasks, RepairStats::default(), &rec), Some(flat))
     }
 
     fn idle(&self) -> Counts {
@@ -187,12 +188,7 @@ impl Lane {
         }
     }
 
-    fn finish(
-        &mut self,
-        tasks: usize,
-        stats: gpasta::core::RepairStats,
-        rec: &RecoveredUpdate,
-    ) -> Counts {
+    fn finish(&mut self, tasks: usize, stats: RepairStats, rec: &RecoveredUpdate) -> Counts {
         if rec.outcome.stop != StopCause::Completed {
             self.timer.invalidate_all();
         }
@@ -547,9 +543,8 @@ fn restored_session_matches_one_that_was_never_evicted() {
 /// The [`stream`]'s edits (no update stops early, so nothing degrades)
 /// through a session under an unbounded budget, which runs every cone in
 /// order, a `ScheduledTimer` whose executor has a far stall window, and an
-/// unpartitioned sequential twin whose cones a bare partition cache
-/// repairs, checked, every step. Half way the session is evicted and
-/// restored.
+/// unpartitioned sequential twin, beside a bare partition cache installed
+/// once on the same design. Half way the session is evicted and restored.
 fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize, workers: usize) {
     let verilog = write_verilog(&circuit.build(scale), circuit.name());
     let sources = DesignSources::verilog_only(verilog.clone());
@@ -561,7 +556,7 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
     pinned.update(&unbounded).expect("initial analysis");
     let Lane {
         timer: mut twin,
-        inc: mut repaired,
+        inc: installed,
         ..
     } = Lane::new(&verilog);
     let netlist = twin.netlist();
@@ -616,13 +611,6 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         let ids = update.full_space_ids();
         update.run_sequential();
         drop(update);
-        // An idle update repairs nothing on any lane.
-        let (moved, fresh) = if ids.is_empty() {
-            (0, 0)
-        } else {
-            let stats = repaired.repair(&ids).expect("closed cone");
-            (stats.moved, stats.fresh_partitions)
-        };
         let product = Counts {
             stop: got.stop,
             tasks: got.tasks,
@@ -635,8 +623,8 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         assert_report_is_from_scratch(&free, &format!("{what}, unbounded"));
         assert_eq!(
             (got.tasks, got.repair_moved, got.repair_fresh),
-            (ids.len(), moved, fresh),
-            "{what}: the session's cache step against a checked repair"
+            (ids.len(), 0, 0),
+            "{what}: the session's counts against the twin's cone"
         );
         // In order, a partial cone runs only what changed; `tasks` is the
         // structural size either way.
@@ -658,8 +646,8 @@ fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize,
         assert!(pinned.timer().snapshot() == snapshot, "{what}: pinned bits");
         assert_eq!(
             Some(pinned.partition_assignment()),
-            repaired.raw_assignment(),
-            "{what}: cached partition"
+            installed.raw_assignment(),
+            "{what}: the installed partition"
         );
     }
 

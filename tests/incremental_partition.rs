@@ -1,24 +1,26 @@
-//! Differential test layer for incremental partition maintenance.
+//! Differential test layer for the paper's update path against a
+//! from-scratch oracle.
 //!
-//! Two timers receive the identical random modifier stream. One runs the
-//! cached path: a partition installed once on the full task space and
-//! *repaired* inside each iteration's dirty cone, with the incremental
-//! update executed through the projected sub-partition. The other is the
-//! oracle: full invalidation, full re-analysis, from-scratch partition.
-//! Every iteration asserts that
+//! Two timers receive the identical random modifier stream. One is a
+//! `ScheduledTimer`: seq-G-PASTA installed once on the full task space, and
+//! every update's dirty cone run through a restriction of its one quotient
+//! on two workers. The other is the oracle: full invalidation, full
+//! re-analysis, a from-scratch partition — no cone discovery shared with
+//! the first. Every iteration asserts that
 //!
-//! 1. the repaired partition is valid — total, acyclic quotient, convex,
-//!    within the size bound — and edge-monotone (the §3.2 certificate);
-//! 2. executing the repaired partitioned TDG leaves the timer in a state
-//!    **bit-identical** (`f32::to_bits`) to the full re-analysis: arrival,
-//!    slew, and required times for every node, transition, and mode, plus
-//!    both slacks.
+//! 1. the partition installed up front is valid on
+//!    `Timer::full_space_tdg()` — total, acyclic quotient, convex, within
+//!    the size bound — and has not changed since;
+//! 2. the scheduled update leaves the timer in a state **bit-identical**
+//!    (`f32::to_bits`) to the full re-analysis: arrival, slew, and required
+//!    times for every node, transition, and mode, plus both slacks.
 
 use gpasta::circuits::PaperCircuit;
-use gpasta::core::{IncrementalPartitioner, Partitioner, PartitionerOptions, SeqGPasta};
-use gpasta::sched::Executor;
+use gpasta::core::{Partitioner, PartitionerOptions, SeqGPasta};
+use gpasta::sched::{Executor, RunBudget};
+use gpasta::scheduled::ScheduledTimer;
 use gpasta::sta::{CellLibrary, GateId, Mode, NodeId, Timer, Tr};
-use gpasta::tdg::{validate, QuotientTdg};
+use gpasta::tdg::{validate, Partition, QuotientTdg};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -75,23 +77,26 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64) {
     let library = CellLibrary::typical();
     let exec = Executor::new(2);
     let opts = PartitionerOptions::default();
+    let unbounded = RunBudget::unbounded();
 
     let mut reference = Timer::new(netlist.clone(), library.clone());
-    let mut cached = Timer::new(netlist, library);
     reference.update_timing().run_sequential();
-
-    let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-    let full_update = cached.update_timing();
-    inc.install(full_update.tdg(), &opts).expect("install");
-    full_update.run_sequential();
-    drop(full_update);
-    let ps = inc.ps().expect("warm cache");
+    let mut cached =
+        ScheduledTimer::new(Timer::new(netlist, library), Executor::new(2)).expect("install");
+    cached.update(&unbounded).expect("initial analysis");
+    let full_space = cached.timer().full_space_tdg();
+    let ps = opts.resolve_ps(&full_space);
+    let installed = cached.partition_assignment().to_vec();
+    // (1) The installed partition is valid …
+    let full = Partition::new(installed.clone());
+    validate::check_all(&full_space, &full).expect("valid partition");
+    validate::check_size_bound(&full, ps).expect("size bound");
 
     let mut rng_a = ChaCha8Rng::seed_from_u64(seed);
     let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
     for i in 0..ITERATIONS {
         modify(&mut reference, &mut rng_a);
-        modify(&mut cached, &mut rng_b);
+        modify(cached.timer_mut(), &mut rng_b);
 
         // Oracle: full re-analysis with a from-scratch partition.
         {
@@ -105,39 +110,31 @@ fn differential(circuit: PaperCircuit, scale: f64, seed: u64) {
             exec.run_partitioned(&quotient, &payload);
         }
 
-        // Cached path: repair the dirty cone, execute through the
-        // projected sub-partition.
-        {
-            let update = cached.update_timing();
-            let ids = update.full_space_ids();
-            inc.repair(&ids).expect("dirty cone is successor-closed");
-            let sub = inc.sub_partition(&ids).expect("ids in range");
-            let quotient = QuotientTdg::build(update.tdg(), &sub).expect("schedulable");
-            let payload = update.task_fn();
-            exec.run_partitioned(&quotient, &payload);
-        }
+        // Scheduled path: the dirty cone, off the installed partition.
+        let rec = cached.update(&unbounded).expect("schedulable");
+        assert!(
+            rec.is_clean(),
+            "iteration {i}: an unbounded update completes"
+        );
 
-        // (1) The repaired full partition is valid every iteration.
-        let tdg = inc.cached_tdg().expect("warm cache");
-        let full = inc.full_partition().expect("warm cache");
-        validate::check_all(tdg, &full)
-            .unwrap_or_else(|e| panic!("invalid repaired partition at iteration {i}: {e}"));
-        validate::check_size_bound(&full, ps)
-            .unwrap_or_else(|e| panic!("size bound broken at iteration {i}: {e}"));
-        validate::check_edge_monotone(tdg, inc.raw_assignment().expect("warm cache"))
-            .unwrap_or_else(|e| panic!("monotone certificate broken at iteration {i}: {e}"));
+        // (1) … and stays as installed.
+        assert_eq!(
+            cached.partition_assignment(),
+            &installed[..],
+            "the partition changed at iteration {i}"
+        );
 
         // (2) The timing state matches the oracle bit-for-bit.
-        assert_bit_identical(&reference, &cached, i);
+        assert_bit_identical(&reference, cached.timer(), i);
     }
 }
 
 #[test]
-fn vga_lcd_cached_repairs_match_full_reanalysis_bit_for_bit() {
+fn vga_lcd_scheduled_updates_match_full_reanalysis_bit_for_bit() {
     differential(PaperCircuit::VgaLcd, 0.002, 0xD1FF);
 }
 
 #[test]
-fn aes_core_cached_repairs_match_full_reanalysis_bit_for_bit() {
+fn aes_core_scheduled_updates_match_full_reanalysis_bit_for_bit() {
     differential(PaperCircuit::AesCore, 0.004, 0xAE5);
 }

@@ -2,8 +2,8 @@
 //! partitions on arbitrary DAGs, for arbitrary partition sizes.
 
 use gpasta::core::{
-    forward_closure, DeterGPasta, GPasta, Gdca, IncrementalError, IncrementalPartitioner,
-    Partitioner, PartitionerOptions, Sarkar, SeqGPasta,
+    forward_closure, DeterGPasta, GPasta, Gdca, IncrementalPartitioner, Partitioner,
+    PartitionerOptions, Sarkar, SeqGPasta,
 };
 use gpasta::gpu::Device;
 use gpasta::tdg::{validate, Partition, QuotientTdg, TaskId, Tdg, TdgBuilder};
@@ -36,6 +36,23 @@ fn arb_dag(max_n: usize) -> impl Strategy<Value = Tdg> {
             }
             b.build().expect("low->high orientation is acyclic")
         })
+}
+
+/// The subgraph of `tdg` induced by the ascending `ids`: its task `i` is
+/// `ids[i]`.
+fn induced(tdg: &Tdg, ids: &[u32]) -> Tdg {
+    let mut local = vec![u32::MAX; tdg.num_tasks()];
+    for (i, &t) in ids.iter().enumerate() {
+        local[t as usize] = i as u32;
+    }
+    let mut b = TdgBuilder::new(ids.len());
+    for (u, v) in tdg.edges() {
+        let (lu, lv) = (local[u.0 as usize], local[v.0 as usize]);
+        if lu != u32::MAX && lv != u32::MAX {
+            b.add_edge(TaskId(lu), TaskId(lv));
+        }
+    }
+    b.build().expect("a subgraph of a DAG is acyclic")
 }
 
 fn check_partitioner(p: &dyn Partitioner, tdg: &Tdg, opts: &PartitionerOptions) {
@@ -142,36 +159,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
-    fn warm_repair_of_empty_dirty_set_is_identity(tdg in arb_dag(100), ps in 1usize..30) {
-        let opts = PartitionerOptions::with_max_size(ps);
-        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        inc.install(&tdg, &opts).expect("install");
-        let before = inc.raw_assignment().expect("warm").to_vec();
-        let stats = inc.repair(&[]).expect("empty repair");
-        prop_assert_eq!(stats.moved, 0);
-        prop_assert_eq!(stats.fresh_partitions, 0);
-        prop_assert_eq!(inc.raw_assignment().expect("warm"), before.as_slice());
-        // Compacted, the warm cache equals what the trait entry serves —
-        // i.e. the inner partitioner's cold result.
-        let served = inc.partition(&tdg, &opts).expect("served from cache");
-        prop_assert_eq!(served, inc.full_partition().expect("warm"));
-    }
-
-    #[test]
-    fn invalidate_all_forces_a_full_repartition(tdg in arb_dag(80), ps in 1usize..20) {
-        let opts = PartitionerOptions::with_max_size(ps);
-        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
-        inc.install(&tdg, &opts).expect("install");
-        inc.invalidate_all();
-        prop_assert!(!inc.is_warm());
-        prop_assert_eq!(inc.repair(&[]), Err(IncrementalError::NotInstalled));
-        // Cold trait partition falls through to the inner partitioner.
-        let cold = inc.partition(&tdg, &opts).expect("cold");
-        let direct = SeqGPasta::new().partition(&tdg, &opts).expect("direct");
-        prop_assert_eq!(cold, direct);
-    }
-
-    #[test]
     fn repaired_partitions_stay_valid_on_random_dirty_cones(
         tdg in arb_dag(100),
         ps in 1usize..30,
@@ -184,12 +171,12 @@ proptest! {
         for chunk in seeds.chunks(2) {
             let seed_ids: Vec<u32> = chunk.iter().map(|&s| (s % n) as u32).collect();
             let dirty = forward_closure(&tdg, &seed_ids);
-            inc.repair(&dirty).expect("forward closures are successor-closed");
-            let full = inc.full_partition().expect("warm");
-            validate::check_all(&tdg, &full).expect("valid after repair");
-            validate::check_size_bound(&full, ps).expect("size bound after repair");
-            validate::check_edge_monotone(&tdg, inc.raw_assignment().expect("warm"))
-                .expect("monotone certificate after repair");
+            let (_, sub) = inc.repair_and_project(&dirty).expect("ids in range");
+            // A restriction of a valid partition is valid on the cone.
+            validate::check_all(&induced(&tdg, &dirty), &sub).expect("valid on the cone");
+            validate::check_size_bound(&sub, ps).expect("size bound on the cone");
+            let full = Partition::new(inc.raw_assignment().expect("warm").to_vec());
+            validate::check_all(&tdg, &full).expect("the cache stays valid");
         }
     }
 
@@ -199,43 +186,23 @@ proptest! {
         ps in 1usize..30,
         seeds in proptest::collection::vec(0usize..100, 1..6),
     ) {
+        // With no repair, the unfused pair is the inner partitioner's cold
+        // result read at the cone.
         let opts = PartitionerOptions::with_max_size(ps);
-        let mut unfused = IncrementalPartitioner::new(SeqGPasta::new());
-        let mut fused = IncrementalPartitioner::new(SeqGPasta::new());
-        unfused.install(&tdg, &opts).expect("install");
-        fused.install(&tdg, &opts).expect("install");
+        let mut inc = IncrementalPartitioner::new(SeqGPasta::new());
+        inc.install(&tdg, &opts).expect("install");
+        let installed = SeqGPasta::new().partition(&tdg, &opts).expect("seq");
         let n = tdg.num_tasks();
         for chunk in seeds.chunks(2) {
             let seed_ids: Vec<u32> = chunk.iter().map(|&s| (s % n) as u32).collect();
             let dirty = forward_closure(&tdg, &seed_ids);
-            let su = unfused.repair(&dirty).expect("repair");
-            let pu = unfused.sub_partition(&dirty).expect("project");
-            let (sf, pf) = fused.repair_and_project(&dirty).expect("fused");
-            prop_assert_eq!(su, sf);
-            prop_assert_eq!(&pu, &pf);
+            let (stats, sub) = inc.repair_and_project(&dirty).expect("ids in range");
+            prop_assert_eq!((stats.moved, stats.fresh_partitions), (0, 0));
+            let at_cone = dirty
+                .iter()
+                .map(|&t| installed.assignment()[t as usize])
+                .collect();
+            prop_assert_eq!(&sub, &Partition::new(at_cone));
         }
-    }
-
-    #[test]
-    fn deter_backed_incremental_identical_across_workers_and_repeats(
-        tdg in arb_dag(80),
-        ps in 1usize..20,
-        seed in 0usize..80,
-    ) {
-        let opts = PartitionerOptions::with_max_size(ps);
-        let n = tdg.num_tasks();
-        let dirty = forward_closure(&tdg, &[(seed % n) as u32]);
-        let run = |workers: usize| {
-            let mut inc =
-                IncrementalPartitioner::new(DeterGPasta::with_device(Device::new(workers)));
-            inc.install(&tdg, &opts).expect("install");
-            inc.repair(&dirty).expect("repair");
-            inc.raw_assignment().expect("warm").to_vec()
-        };
-        let a = run(1);
-        let b = run(3);
-        let c = run(1);
-        prop_assert_eq!(&a, &b, "worker count changed the incremental result");
-        prop_assert_eq!(&a, &c, "repeated run changed the incremental result");
     }
 }
