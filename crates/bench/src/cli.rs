@@ -71,9 +71,18 @@ impl BenchConfig {
                     let v = value("--scale", &mut it)?;
                     cfg.scale = v.parse().map_err(|e| CliError::BadValue {
                         flag: "--scale",
-                        value: v,
+                        value: v.clone(),
                         why: format!("{e}"),
                     })?;
+                    // `nan` and `inf` parse as `f64`; the sign check below
+                    // catches zero and the negatives.
+                    if !cfg.scale.is_finite() {
+                        return Err(CliError::BadValue {
+                            flag: "--scale",
+                            value: v,
+                            why: "must be a finite number above 0".to_string(),
+                        });
+                    }
                 }
                 "--full" => cfg.scale = 1.0,
                 "--runs" => {
@@ -174,6 +183,23 @@ mod tests {
         assert_eq!(
             parse(&["--workers", "0"]),
             Err(CliError::NonPositive("--workers"))
+        );
+    }
+
+    #[test]
+    fn non_finite_and_negative_zero_scales_are_typed_errors() {
+        for v in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            match parse(&["--scale", v]) {
+                Err(CliError::BadValue { flag, value, .. }) => {
+                    assert_eq!(flag, "--scale");
+                    assert_eq!(value, v);
+                }
+                other => panic!("--scale {v}: expected BadValue, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            parse(&["--scale", "-0"]),
+            Err(CliError::NonPositive("--scale"))
         );
     }
 

@@ -1,6 +1,7 @@
 //! Bounded model-check harnesses for the five lock-free scheduler
-//! protocols, each stated as a small instance (2–3 threads, 2–4 units)
-//! and explored to exhaustion by [`crate::model`].
+//! protocols and the serve frontend's connection-thread handoff, each
+//! stated as a small instance (2–3 threads, 2–4 units) and explored to
+//! exhaustion by [`crate::model`].
 //!
 //! | harness | protocol (production site) | property |
 //! |---|---|---|
@@ -9,6 +10,7 @@
 //! | [`watchdog_claim`] | pending→stalled CAS claim (`gpasta-sched::bounded`) | a unit is claimed by at most one of worker/watchdog, and the winner's claim publishes its payload |
 //! | [`cancel_generation`] | generation-counted `CancelToken` (`gpasta-tdg::cancel`), at the `u64` wrap boundary | cancellation latches per observer; a cancel consumed by run *k* never re-delivers to run *k+1* |
 //! | [`slack_min`] | NaN-preserving `AtomicF32` slack-min (`gpasta-sta::atomic_f32`) | concurrent min-reduction is order-insensitive and NaN-preserving |
+//! | [`park_handoff`] | park-slot claim vs retire CAS and the shutdown drain (`gpasta::serve::http`) | an accepted stream is served by exactly one thread and never dropped unread; shutdown releases a parked thread at once |
 //!
 //! The `hb:` tags on ordering sites here mirror the tags on the
 //! production sites (see DESIGN.md §11), so the lint's pairing check ties
@@ -16,16 +18,18 @@
 //!
 //! # Mutation gate
 //!
-//! [`Mutation`] seeds four deliberate weakenings (available only under
+//! [`Mutation`] seeds six deliberate weakenings (available only under
 //! `cfg(test)`): the poison path's dependency-decrement `AcqRel` →
 //! `Relaxed` (severing the release half of the handoff edge), the same
 //! downgrade on the *batched* decrement, a batch that is published only
-//! after a successful steal (so a worker can park on it), and the
+//! after a successful steal (so a worker can park on it), the
 //! watchdog's claim-CAS success ordering `AcqRel` → `Relaxed` (severing
-//! the claim's publication). Tests assert the explorer produces a
-//! replayable counterexample for each — proof the checker has teeth.
+//! the claim's publication), a park-slot retire by load-then-store
+//! instead of a CAS, and a parked thread that holds a sender to its own
+//! slot. Tests assert the explorer produces a replayable counterexample
+//! for each — proof the checker has teeth.
 
-use crate::model::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, TrackedCell};
+use crate::model::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Mutex, TrackedCell};
 use crate::model::{check, count, explore, run_threads, Bounds, Report};
 use crate::sync::Ordering;
 
@@ -65,6 +69,13 @@ pub const SLACK_BOUNDS: Bounds = Bounds {
     preemption_bound: None,
 };
 
+/// Pinned bounds for the park-handoff harness.
+pub const PARK_BOUNDS: Bounds = Bounds {
+    max_schedules: 400_000,
+    max_steps: 2_000,
+    preemption_bound: None,
+};
+
 /// Seeded ordering weakenings for the mutation gate. The weakened
 /// variants exist only under `cfg(test)`, so no non-test caller can
 /// request them.
@@ -98,6 +109,17 @@ pub enum Mutation {
     /// a poisoned unit can run.
     #[cfg(test)]
     ChunkDecrementRelaxed,
+    /// Retire a parked connection thread by a load of `PARKED` followed
+    /// by a plain store of `RETIRED` instead of one CAS. The accept
+    /// loop's claim can land between the two, so it sends a stream to a
+    /// thread that then leaves, and the stream is dropped unread.
+    #[cfg(test)]
+    RetireByStore,
+    /// The parked thread holds a sender to its own slot, so the accept
+    /// loop's shutdown drain does not close the channel: the thread
+    /// waits out its idle deadline instead of being released.
+    #[cfg(test)]
+    ParkedHoldsSender,
 }
 
 // ---------------------------------------------------------------------------
@@ -647,6 +669,188 @@ pub fn slack_min(bounds: &Bounds, init: f32, inputs: [f32; 2], expected: f32) ->
     explore(bounds, || slack_min_once(init, inputs, expected))
 }
 
+// ---------------------------------------------------------------------------
+// 6. Connection-thread park handoff
+// ---------------------------------------------------------------------------
+
+const SLOT_SERVING: u8 = 0;
+const SLOT_PARKED: u8 = 1;
+const SLOT_RETIRED: u8 = 2;
+
+/// A park slot's `mpsc` channel: whether a stream is queued, the live
+/// senders, whether the receiver is still held, and whether the accept
+/// loop has run its shutdown drain.
+struct SlotChannel {
+    queued: bool,
+    senders: u32,
+    receiver: bool,
+    drained: bool,
+}
+
+/// What became of the parked thread and of the accepted stream. Kept
+/// outside the model (a plain mutex adds no scheduling points) and read
+/// after the join.
+#[derive(Default)]
+struct ParkLog {
+    accepted: bool,
+    /// Who served the stream, once per serve.
+    served: Vec<&'static str>,
+    claim_won: bool,
+    /// Whether the deadline's retire won; a lost retire leaves the
+    /// thread in `recv` for the stream the claim sends.
+    retire: Option<bool>,
+    released: bool,
+}
+
+/// One execution of the park-handoff instance: a connection thread
+/// parked on its slot, whose idle deadline fires unless a stream or the
+/// close reaches it first; the accept loop placing one accepted stream;
+/// and the accept loop's shutdown drain.
+///
+/// The claim's CAS and its send run under the channel lock here. The
+/// parked thread touches the channel only to poll it or to drop its
+/// receiver, and a poll between a claim and its send sees what a poll
+/// before the claim sees, so no production schedule is lost; the lock
+/// also keeps the drain (the same thread as the claim in production)
+/// from landing between them, while either may still run first.
+pub fn park_handoff_once(mutation: Mutation) {
+    let senders = match mutation {
+        #[cfg(test)]
+        Mutation::ParkedHoldsSender => 2,
+        _ => 1,
+    };
+    let retire_by_store = match mutation {
+        #[cfg(test)]
+        Mutation::RetireByStore => true,
+        _ => false,
+    };
+    let state = AtomicU8::named("slot_state", SLOT_PARKED);
+    let channel = Mutex::named(
+        "slot_channel",
+        SlotChannel {
+            queued: false,
+            senders,
+            receiver: true,
+            drained: false,
+        },
+    );
+    let log = std::sync::Mutex::new(ParkLog::default());
+    let record = |f: &dyn Fn(&mut ParkLog)| f(&mut log.lock().unwrap_or_else(|e| e.into_inner()));
+    let (st, ch, rec) = (&state, &channel, &record);
+    run_threads(vec![
+        // The parked connection thread.
+        Box::new(move || {
+            // `recv_timeout`: a queued stream, a closed channel (the
+            // thread exits and drops its receiver), or the deadline.
+            {
+                let mut c = ch.lock();
+                if std::mem::take(&mut c.queued) {
+                    rec(&|l| l.served.push("parked"));
+                    return;
+                }
+                if c.senders == 0 {
+                    c.receiver = false;
+                    rec(&|l| l.released = true);
+                    return;
+                }
+                check(
+                    !c.drained,
+                    "shutdown must release a parked thread at once, not at its idle deadline",
+                );
+            }
+            let retired = if retire_by_store {
+                let parked = st.load(Ordering::Relaxed) == SLOT_PARKED;
+                if parked {
+                    st.store(SLOT_RETIRED, Ordering::Relaxed);
+                }
+                parked
+            } else {
+                st.compare_exchange(
+                    SLOT_PARKED,
+                    SLOT_RETIRED,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+            };
+            rec(&|l| l.retire = Some(retired));
+            if retired {
+                // The thread exits and drops its receiver; a stream
+                // still queued is lost.
+                let mut c = ch.lock();
+                c.receiver = false;
+                check(
+                    !c.queued,
+                    "a stream was dropped unread: sent to a thread that had left",
+                );
+            }
+        }),
+        // The accept loop with one accepted stream.
+        Box::new(move || {
+            let mut c = ch.lock();
+            if c.drained {
+                // The loop has already stopped accepting.
+                return;
+            }
+            rec(&|l| l.accepted = true);
+            let claimed = st
+                .compare_exchange(
+                    SLOT_PARKED,
+                    SLOT_SERVING,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok();
+            rec(&|l| l.claim_won = claimed);
+            // `send` fails once the receiver is gone: the stream comes
+            // back.
+            if claimed && c.receiver {
+                c.queued = true;
+                return;
+            }
+            drop(c);
+            // No parked thread: spawn one for the stream.
+            rec(&|l| l.served.push("spawned"));
+        }),
+        // The accept loop's shutdown drain: drop its sender.
+        Box::new(move || {
+            let mut c = ch.lock();
+            c.senders -= 1;
+            c.drained = true;
+        }),
+    ]);
+    let mut log = log.into_inner().unwrap_or_else(|e| e.into_inner());
+    if log.retire == Some(false) {
+        // The thread whose retire lost is still in `recv`.
+        let sent = std::mem::take(&mut channel.lock().queued);
+        check(sent, "a thread whose retire lost must be sent its stream");
+        log.served.push("parked");
+    }
+    check(
+        log.served.len() == usize::from(log.accepted),
+        "an accepted stream is served by exactly one thread",
+    );
+    let served_by = log.served.first().copied();
+    for (reached, name) in [
+        (log.claim_won, "claim-won"),
+        (log.retire == Some(true), "retire-won"),
+        (log.retire == Some(false), "retire-lost"),
+        (log.released, "released-by-shutdown"),
+        (!log.accepted, "accepted-after-drain"),
+        (served_by == Some("parked"), "served-by-parked-thread"),
+        (served_by == Some("spawned"), "served-by-spawned-thread"),
+    ] {
+        if reached {
+            count(name);
+        }
+    }
+}
+
+/// Explore the park-handoff instance.
+pub fn park_handoff(bounds: &Bounds, mutation: Mutation) -> Report {
+    explore(bounds, || park_handoff_once(mutation))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,5 +1046,68 @@ mod tests {
             report.violation.unwrap()
         );
         assert!(report.exhausted);
+    }
+
+    #[test]
+    fn park_handoff_exhaustive_no_violation() {
+        let report = park_handoff(&PARK_BOUNDS, Mutation::None);
+        assert!(
+            report.violation.is_none(),
+            "unexpected violation:\n{}",
+            report.violation.unwrap()
+        );
+        assert!(report.exhausted, "must drain the DFS frontier");
+        // Both sides of the claim/retire race, a retire that lost and
+        // still served, the drain's release, and an accept loop that had
+        // already stopped must all be reached.
+        for key in [
+            "claim-won",
+            "retire-won",
+            "retire-lost",
+            "released-by-shutdown",
+            "accepted-after-drain",
+            "served-by-parked-thread",
+            "served-by-spawned-thread",
+        ] {
+            assert!(
+                report.counters.contains_key(key),
+                "{key} never reached: {:?}",
+                report.counters
+            );
+        }
+    }
+
+    #[test]
+    fn retire_by_store_mutation_caught_with_replayable_trace() {
+        let report = park_handoff(&PARK_BOUNDS, Mutation::RetireByStore);
+        let v = report
+            .violation
+            .expect("a retire by plain store must yield a counterexample");
+        assert!(
+            v.message.contains("dropped unread"),
+            "counterexample should be the stream sent to a thread that left: {}",
+            v.message
+        );
+        let replayed = replay(&v.decisions, || park_handoff_once(Mutation::RetireByStore));
+        let rv = replayed.violation.expect("replay reproduces the violation");
+        assert_eq!(rv.message, v.message, "replay is deterministic");
+    }
+
+    #[test]
+    fn parked_holds_sender_mutation_caught_with_replayable_trace() {
+        let report = park_handoff(&PARK_BOUNDS, Mutation::ParkedHoldsSender);
+        let v = report
+            .violation
+            .expect("a parked thread holding its own sender must yield a counterexample");
+        assert!(
+            v.message.contains("release a parked thread"),
+            "counterexample should be the drain that leaves the thread parked: {}",
+            v.message
+        );
+        let replayed = replay(&v.decisions, || {
+            park_handoff_once(Mutation::ParkedHoldsSender)
+        });
+        let rv = replayed.violation.expect("replay reproduces the violation");
+        assert_eq!(rv.message, v.message, "replay is deterministic");
     }
 }

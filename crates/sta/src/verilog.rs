@@ -25,7 +25,7 @@ use crate::library::CellKind;
 use crate::netlist::{GateId, Netlist, NetlistBuilder, PinRef, PortId};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error produced by [`parse_verilog`].
 #[derive(Debug, Clone, PartialEq)]
@@ -113,110 +113,125 @@ fn input_pin_index(kind: CellKind, name: &str) -> Option<u8> {
 
 /// Render `netlist` as structural Verilog (module `name`).
 pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
-    let mut out = String::new();
+    let inputs = netlist.input_names();
+    let outputs = netlist.output_names();
+    let num_gates = netlist.num_gates();
     // Wire names must not collide with port names; pick the first prefix
     // whose generated names are all free.
-    let ports: std::collections::HashSet<&str> = netlist
-        .input_names()
-        .iter()
-        .chain(netlist.output_names())
-        .map(String::as_str)
-        .collect();
     let prefix = ["n", "w", "net", "gpasta_n"]
         .into_iter()
-        .find(|pfx| (0..netlist.num_gates()).all(|g| !ports.contains(format!("{pfx}{g}").as_str())))
+        .find(|pfx| {
+            !inputs
+                .iter()
+                .chain(outputs)
+                .any(|port| names_a_wire(port, pfx, num_gates))
+        })
         .unwrap_or("gpasta_wire_");
-    let wire_of_gate = |g: u32| format!("{prefix}{g}");
+    // A driver's net name: the port's own name, or the gate's wire.
+    let put_driver = |out: &mut String, driver: PinRef| match driver {
+        PinRef::PrimaryInput(p) => out.push_str(&inputs[p.index()]),
+        PinRef::GateOutput(GateId(g)) => {
+            let _ = write!(out, "{prefix}{g}");
+        }
+        // Never a driver in a built netlist.
+        PinRef::PrimaryOutput(_) | PinRef::GateInput(..) => {}
+    };
+    // Writing into a `String` cannot fail, so `write!` results are
+    // dropped below.
+    let mut out = String::new();
 
     // Header.
-    let port_list: Vec<&str> = netlist
-        .input_names()
-        .iter()
-        .chain(netlist.output_names())
-        .map(String::as_str)
-        .collect();
-    out.push_str(&format!("module {name} ({});\n", port_list.join(", ")));
-    if !netlist.input_names().is_empty() {
-        out.push_str(&format!("  input {};\n", netlist.input_names().join(", ")));
+    let ports: Vec<&str> = inputs.iter().chain(outputs).map(String::as_str).collect();
+    let _ = writeln!(out, "module {name} ({});", ports.join(", "));
+    if !inputs.is_empty() {
+        let _ = writeln!(out, "  input {};", inputs.join(", "));
     }
-    if !netlist.output_names().is_empty() {
-        out.push_str(&format!(
-            "  output {};\n",
-            netlist.output_names().join(", ")
-        ));
+    if !outputs.is_empty() {
+        let _ = writeln!(out, "  output {};", outputs.join(", "));
     }
-    if netlist.num_gates() > 0 {
-        let wires: Vec<String> = (0..netlist.num_gates() as u32).map(wire_of_gate).collect();
-        out.push_str(&format!("  wire {};\n", wires.join(", ")));
+    if num_gates > 0 {
+        out.push_str("  wire ");
+        for g in 0..num_gates {
+            if g > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{prefix}{g}");
+        }
+        out.push_str(";\n");
     }
     out.push('\n');
 
-    // Resolve, for every gate input pin and PO, the name of its driving
-    // net.
-    let mut driver_name: HashMap<PinRef, String> = HashMap::new();
-    for (i, n) in netlist.input_names().iter().enumerate() {
-        driver_name.insert(PinRef::PrimaryInput(PortId(i as u32)), n.clone());
+    // The driver of every gate input pin (indexed densely: gate `g`'s
+    // pins start at `pin_base[g]`) and of every PO.
+    let gates = netlist.gates();
+    let mut pin_base = Vec::with_capacity(gates.len());
+    let mut pins = 0;
+    for gate in gates {
+        pin_base.push(pins);
+        pins += gate.cell.num_inputs();
     }
-    for g in 0..netlist.num_gates() as u32 {
-        driver_name.insert(PinRef::GateOutput(GateId(g)), wire_of_gate(g));
-    }
-    let mut sink_net: HashMap<PinRef, String> = HashMap::new();
+    let mut pin_driver: Vec<Option<PinRef>> = vec![None; pins];
+    let mut po_driver: Vec<Option<PinRef>> = vec![None; outputs.len()];
     for net in netlist.nets() {
-        let dname = driver_name[&net.driver].clone();
         for &sink in &net.sinks {
-            sink_net.insert(sink, dname.clone());
+            match sink {
+                PinRef::GateInput(g, pin) => {
+                    pin_driver[pin_base[g.index()] + usize::from(pin)] = Some(net.driver);
+                }
+                PinRef::PrimaryOutput(o) => po_driver[o.index()] = Some(net.driver),
+                PinRef::PrimaryInput(_) | PinRef::GateOutput(_) => {}
+            }
         }
     }
 
     // Instances.
-    for (g, gate) in netlist.gates().iter().enumerate() {
-        let g32 = g as u32;
-        let mut pins = Vec::new();
-        for pin in 0..gate.cell.num_inputs() as u8 {
-            let net = sink_net
-                .get(&PinRef::GateInput(GateId(g32), pin))
+    for (g, gate) in gates.iter().enumerate() {
+        let _ = write!(out, "  {} {} (", gate.cell, gate.name);
+        for pin in 0..gate.cell.num_inputs() {
+            let driver = pin_driver[pin_base[g] + pin]
                 .expect("netlist invariant: every input pin is driven");
-            pins.push(format!(".{}({net})", input_pin_name(gate.cell, pin)));
+            let _ = write!(out, ".{}(", input_pin_name(gate.cell, pin as u8));
+            put_driver(&mut out, driver);
+            out.push_str("), ");
         }
-        pins.push(format!(
-            ".{}({})",
-            output_pin_name(gate.cell),
-            wire_of_gate(g32)
-        ));
-        out.push_str(&format!(
-            "  {} {} ({});\n",
-            gate.cell,
-            gate.name,
-            pins.join(", ")
-        ));
+        let _ = writeln!(out, ".{}({prefix}{g}));", output_pin_name(gate.cell));
     }
 
     // Primary outputs.
-    for (o, oname) in netlist.output_names().iter().enumerate() {
-        let net = sink_net
-            .get(&PinRef::PrimaryOutput(PortId(o as u32)))
-            .expect("netlist invariant: every PO is driven");
-        out.push_str(&format!("  assign {oname} = {net};\n"));
+    for (oname, driver) in outputs.iter().zip(po_driver) {
+        let driver = driver.expect("netlist invariant: every PO is driven");
+        let _ = write!(out, "  assign {oname} = ");
+        put_driver(&mut out, driver);
+        out.push_str(";\n");
     }
 
     // Pragmas for state plain Verilog cannot carry.
-    for (g, gate) in netlist.gates().iter().enumerate() {
+    for gate in gates {
         if gate.drive != 1.0 {
-            out.push_str(&format!("  // gpasta drive {} {}\n", gate.name, gate.drive));
+            let _ = writeln!(out, "  // gpasta drive {} {}", gate.name, gate.drive);
         }
-        let _ = g;
     }
     for net in netlist.nets() {
         if net.wire_cap_ff != 0.0 {
-            out.push_str(&format!(
-                "  // gpasta wire_cap {} {}\n",
-                driver_name[&net.driver], net.wire_cap_ff
-            ));
+            out.push_str("  // gpasta wire_cap ");
+            put_driver(&mut out, net.driver);
+            let _ = writeln!(out, " {}", net.wire_cap_ff);
         }
     }
 
     out.push_str("endmodule\n");
     out
+}
+
+/// Whether `port` reads `{prefix}{g}` for a gate index `g < num_gates`
+/// (`g` in canonical decimal, as `format!` renders it).
+fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
+    port.strip_prefix(prefix).is_some_and(|digits| {
+        !digits.is_empty()
+            && digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'))
+            && digits.parse::<usize>().is_ok_and(|g| g < num_gates)
+    })
 }
 
 fn kind_from_name(name: &str) -> Option<CellKind> {
@@ -546,6 +561,49 @@ mod tests {
         assert!(text.contains("// gpasta drive u2 2"));
         assert!(text.contains("// gpasta wire_cap n0 2.5"));
         assert!(text.trim_end().ends_with("endmodule"));
+    }
+
+    #[test]
+    fn output_is_pinned_byte_for_byte() {
+        // Ports named `n1` and `w0` take the `n` and `w` wire prefixes,
+        // so the wires are `net*`; a primary input drives a pragma'd net.
+        let mut nb = NetlistBuilder::new();
+        let a = nb.add_primary_input("a");
+        let n1 = nb.add_primary_input("n1");
+        let y = nb.add_primary_output("y");
+        let w0 = nb.add_primary_output("w0");
+        let g1 = nb.add_gate("u1", CellKind::Nand2);
+        let g2 = nb.add_gate("u2", CellKind::Inv);
+        let ff = nb.add_gate("ff1", CellKind::Dff);
+        nb.connect_to_gate(a, g1, 0).expect("valid");
+        nb.connect_to_gate(n1, g1, 1).expect("valid");
+        nb.connect_gates(g1, g2, 0).expect("valid");
+        nb.connect_to_output(g2, y).expect("valid");
+        nb.connect_gates(g2, ff, 0).expect("valid");
+        nb.connect_to_output(ff, w0).expect("valid");
+        nb.add_wire_cap(PinRef::GateOutput(g1), 2.5);
+        nb.add_wire_cap(PinRef::PrimaryInput(a), 0.125);
+        let mut n = nb.build().expect("valid");
+        n.set_drive(g2, 2.0);
+        n.set_drive(ff, 0.75);
+        let expected = concat!(
+            "module pinned (a, n1, y, w0);\n",
+            "  input a, n1;\n",
+            "  output y, w0;\n",
+            "  wire net0, net1, net2;\n",
+            "\n",
+            "  NAND2 u1 (.a(a), .b(n1), .y(net0));\n",
+            "  INV u2 (.a(net0), .y(net1));\n",
+            "  DFF ff1 (.d(net1), .q(net2));\n",
+            "  assign y = net1;\n",
+            "  assign w0 = net2;\n",
+            "  // gpasta drive u2 2\n",
+            "  // gpasta drive ff1 0.75\n",
+            "  // gpasta wire_cap net0 2.5\n",
+            "  // gpasta wire_cap a 0.125\n",
+            "endmodule\n",
+        );
+        assert_eq!(write_verilog(&n, "pinned"), expected);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A deliberately small server — no external dependencies exist in this
 //! workspace, so it is hand-rolled on [`std::net::TcpListener`]: one
-//! thread per connection, bodies bounded by `Content-Length`. A client
-//! that sends `Connection: keep-alive` may reuse its connection for up
-//! to [`HttpLimits::keep_alive_requests`] requests, idling at most
+//! thread per live connection, bodies bounded by `Content-Length`. A
+//! client that sends `Connection: keep-alive` may reuse its connection
+//! for up to [`HttpLimits::keep_alive_requests`] requests, idling at most
 //! [`HttpLimits::idle_timeout`] between them; anything else (including
 //! any parse error) is answered `Connection: close` and the connection
 //! ends after one response. Every route maps onto a
@@ -31,24 +31,36 @@
 //! unbounded `read_line`), `Content-Length` must be present at most
 //! once, non-UTF-8 anywhere is a clean 400, and a socket that trickles
 //! slower than the read deadline gets 408 — malformed input produces a
-//! status code, never a worker-thread death.
+//! status code, never a connection-thread death.
 //!
-//! Overload: past `max_connections` the accept loop sheds immediately
-//! with `503` + `Retry-After` (never queues); past the in-flight budget
+//! Connection threads outlive their connections. When a connection
+//! ends, its thread *parks* on a slot; the accept loop hands the next
+//! stream to a parked thread and spawns one only when none is parked. A
+//! parked thread retires after the idle deadline (`idle_timeout`, else
+//! `read_timeout`). The slot's state word decides a retire racing a
+//! claim: both are one compare-and-swap from `PARKED`, so exactly one
+//! wins, and a thread whose retire lost still serves the stream it is
+//! sent (the `park_handoff` harness in `gpasta-check` explores it).
+//!
+//! Overload: past `max_connections` live connections the accept loop
+//! sheds immediately with `503` + `Retry-After` (never queues; a parked
+//! thread is no connection); past the in-flight budget
 //! [`super::proto::dispatch`] sheds the same way.
 //!
-//! Shutdown: the handler thread that serves `POST /shutdown` sets the
-//! registry flag, then opens a throwaway connection to the listener to
-//! wake the blocked `accept`; the accept loop observes the flag, drains
-//! its worker threads, and runs the registry's persist pass.
+//! Shutdown: the thread that serves `POST /shutdown` sets the registry
+//! flag, then opens a throwaway connection to the listener to wake the
+//! blocked `accept`; the accept loop observes the flag, drops every
+//! slot's sender (which releases each parked thread at once), joins its
+//! connection threads, and runs the registry's persist pass.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use gpasta_check::sync::{AtomicU64, Ordering};
+use gpasta_check::sync::{AtomicU64, AtomicU8, Ordering};
 use serde_json::Value;
 
 use super::proto::{dispatch, ApiError};
@@ -63,7 +75,7 @@ pub struct HttpLimits {
     /// Largest accepted request body (design uploads).
     pub max_body_bytes: usize,
     /// Socket read deadline; a body trickling in slower than this gets
-    /// 408 instead of parking the worker thread forever. `None`
+    /// 408 instead of holding its connection thread forever. `None`
     /// disables the deadline.
     pub read_timeout: Option<Duration>,
     /// Socket write deadline for the response.
@@ -74,8 +86,9 @@ pub struct HttpLimits {
     pub keep_alive_requests: u64,
     /// How long a keep-alive connection may sit idle *between* requests
     /// before the server closes it. Unlike a mid-request stall (408),
-    /// idling between requests is legal, so the close is silent. `None`
-    /// falls back to `read_timeout`.
+    /// idling between requests is legal, so the close is silent. It is
+    /// also how long a connection thread stays parked without a
+    /// connection before it exits. `None` falls back to `read_timeout`.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -95,8 +108,8 @@ impl Default for HttpLimits {
 /// Run the HTTP frontend until a `POST /shutdown` arrives, then spool
 /// every live session and return. Prints the bound address on stdout
 /// before accepting (tests bind port 0 and parse the line).
-/// `max_connections` bounds concurrent connection threads (`0` =
-/// unlimited); excess connections are shed with 503.
+/// `max_connections` bounds concurrent connections (`0` = unlimited);
+/// excess connections are shed with 503.
 ///
 /// # Errors
 ///
@@ -120,8 +133,8 @@ pub fn run_http(
     println!("gpasta serve listening on http://{local}");
     let _ = std::io::stdout().flush();
 
-    let active = Arc::new(AtomicU64::new(0));
-    let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
+    let counters = Arc::new(Counters::default());
+    let mut threads: Vec<ConnectionThread> = Vec::new();
     for conn in listener.incoming() {
         if registry.is_shutting_down() {
             break;
@@ -130,24 +143,36 @@ pub fn run_http(
             Ok(stream) => stream,
             Err(_) => continue,
         };
-        let now = active.fetch_add(1, Ordering::Relaxed) + 1;
+        let now = counters.active.fetch_add(1, Ordering::Relaxed) + 1;
         if max_connections > 0 && now > max_connections as u64 {
-            active.fetch_sub(1, Ordering::Relaxed);
+            counters.active.fetch_sub(1, Ordering::Relaxed);
             // Off the accept thread: a shed client that never reads
             // must not stall accepts for up to the write timeout.
             let write_timeout = limits.write_timeout;
             thread::spawn(move || shed_connection(&mut stream, max_connections, write_timeout));
             continue;
         }
-        let reg = registry.clone();
-        let act = active.clone();
-        workers.push(thread::spawn(move || {
-            handle_connection(&reg, stream, local, &limits);
-            act.fetch_sub(1, Ordering::Relaxed);
-        }));
-        workers.retain(|h| !h.is_finished());
+        let Some(stream) = hand_to_parked(&threads, stream) else {
+            continue;
+        };
+        counters.threads.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = mpsc::channel();
+        let slot = Arc::new(AtomicU8::new(SERVING));
+        let conn = Connection {
+            registry: registry.clone(),
+            counters: counters.clone(),
+            slot: slot.clone(),
+            local,
+            limits,
+        };
+        let handle = thread::spawn(move || conn.run(stream, &rx));
+        threads.retain(|t| !t.handle.is_finished());
+        threads.push(ConnectionThread { slot, tx, handle });
     }
-    for handle in workers {
+    // Dropping every sender before the first join releases each parked
+    // thread now rather than at its idle deadline.
+    let handles: Vec<thread::JoinHandle<()>> = threads.into_iter().map(|t| t.handle).collect();
+    for handle in handles {
         let _ = handle.join();
     }
     for (name, outcome) in registry.persist_all() {
@@ -157,6 +182,115 @@ pub fn run_http(
         }
     }
     Ok(())
+}
+
+/// A park slot's state word. The thread moves `SERVING → PARKED` when
+/// its connection ends; from `PARKED`, the accept loop's claim
+/// (`→ SERVING`) and the thread's retire (`→ RETIRED`) are each one
+/// compare-and-swap, so exactly one of them wins. All `Relaxed`: the
+/// stream itself travels through the slot's channel, which orders it.
+const SERVING: u8 = 0;
+const PARKED: u8 = 1;
+const RETIRED: u8 = 2;
+
+/// Connection counters: `active` gates `max_connections`; `threads` and
+/// `parked` are what `GET /status` reports as `connection_threads` and
+/// `parked`.
+#[derive(Default)]
+struct Counters {
+    /// Connections being served.
+    active: AtomicU64,
+    /// Connection threads spawned so far.
+    threads: AtomicU64,
+    /// Connection threads parked now.
+    parked: AtomicU64,
+}
+
+/// The accept loop's end of one connection thread. The sender lives
+/// only here, so dropping it is what releases a parked thread.
+struct ConnectionThread {
+    slot: Arc<AtomicU8>,
+    tx: Sender<TcpStream>,
+    handle: thread::JoinHandle<()>,
+}
+
+/// Claim the first parked thread and send it `stream`; the stream comes
+/// back when no thread is parked (or a claimed one is gone).
+fn hand_to_parked(threads: &[ConnectionThread], mut stream: TcpStream) -> Option<TcpStream> {
+    for t in threads {
+        if t.slot
+            .compare_exchange(PARKED, SERVING, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            match t.tx.send(stream) {
+                Ok(()) => return None,
+                // A claimed thread still holds its receiver; this arm
+                // only keeps a stream from ever being dropped unread.
+                Err(SendError(back)) => stream = back,
+            }
+        }
+    }
+    Some(stream)
+}
+
+/// What a connection thread needs across the connections it serves.
+struct Connection {
+    registry: Arc<Registry>,
+    counters: Arc<Counters>,
+    slot: Arc<AtomicU8>,
+    local: SocketAddr,
+    limits: HttpLimits,
+}
+
+impl Connection {
+    /// Serve `first`, then park and serve each stream the accept loop
+    /// sends, until the idle deadline retires the thread or shutdown
+    /// drops the sender.
+    fn run(self, first: TcpStream, rx: &Receiver<TcpStream>) {
+        let idle = self.limits.idle_timeout.or(self.limits.read_timeout);
+        let mut stream = first;
+        loop {
+            handle_connection(
+                &self.registry,
+                &stream,
+                self.local,
+                &self.limits,
+                &self.counters,
+            );
+            self.counters.active.fetch_sub(1, Ordering::Relaxed);
+            self.counters.parked.fetch_add(1, Ordering::Relaxed);
+            self.slot.store(PARKED, Ordering::Relaxed);
+            // Close only once parked: a client that saw this connection
+            // end finds the thread ready for its next one.
+            drop(stream);
+            let next = match idle {
+                Some(deadline) => rx.recv_timeout(deadline),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let next = match next {
+                Ok(next) => Some(next),
+                Err(RecvTimeoutError::Disconnected) => None,
+                Err(RecvTimeoutError::Timeout) => {
+                    let retired = self
+                        .slot
+                        .compare_exchange(PARKED, RETIRED, Ordering::Relaxed, Ordering::Relaxed)
+                        .is_ok();
+                    if retired {
+                        None
+                    } else {
+                        // Lost the race: the accept loop claimed this
+                        // slot, and its stream is on the way.
+                        rx.recv().ok()
+                    }
+                }
+            };
+            self.counters.parked.fetch_sub(1, Ordering::Relaxed);
+            match next {
+                Some(next) => stream = next,
+                None => return,
+            }
+        }
+    }
 }
 
 /// Refuse one over-cap connection: answer `503` + `Retry-After`, then
@@ -194,9 +328,10 @@ fn shed_connection(
 
 fn handle_connection(
     registry: &Registry,
-    stream: TcpStream,
+    stream: &TcpStream,
     local: SocketAddr,
     limits: &HttpLimits,
+    counters: &Counters,
 ) {
     let _ = stream.set_read_timeout(limits.read_timeout);
     let _ = stream.set_write_timeout(limits.write_timeout);
@@ -204,7 +339,7 @@ fn handle_connection(
     // `&TcpStream` implements both `Read` and `Write`, so the buffered
     // reader can hold its borrow across requests while responses go out
     // through a second shared borrow of the raw stream.
-    let mut reader = BufReader::new(&stream);
+    let mut reader = BufReader::new(stream);
     let mut served: u64 = 0;
     loop {
         if served > 0 {
@@ -227,11 +362,15 @@ fn handle_connection(
                     && !was_shutdown
                     && !registry.is_shutting_down()
                     && served < limits.keep_alive_requests;
-                match route(registry, &req) {
-                    Ok(value) => write_response(&mut (&stream), 200, None, keep, &value),
-                    Err(e) => {
-                        write_response(&mut (&stream), e.status, e.retry_after, keep, &e.to_value())
-                    }
+                match route(registry, &req, counters) {
+                    Ok(value) => write_response(&mut (&*stream), 200, None, keep, &value),
+                    Err(e) => write_response(
+                        &mut (&*stream),
+                        e.status,
+                        e.retry_after,
+                        keep,
+                        &e.to_value(),
+                    ),
                 }
                 if was_shutdown {
                     // Wake the accept loop so it observes the shutdown
@@ -246,7 +385,7 @@ fn handle_connection(
                 // After a malformed request the stream position is
                 // unknowable, so the connection cannot be reused.
                 write_response(
-                    &mut (&stream),
+                    &mut (&*stream),
                     e.status,
                     e.retry_after,
                     false,
@@ -445,8 +584,9 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
 }
 
 /// Map the request onto a protocol method and merged params, then
-/// dispatch it.
-fn route(registry: &Registry, req: &Request) -> Result<Value, ApiError> {
+/// dispatch it. `status` gains the frontend's connection-thread
+/// counters.
+fn route(registry: &Registry, req: &Request, counters: &Counters) -> Result<Value, ApiError> {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     let (method, name): (&str, Option<&str>) = match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => ("healthz", None),
@@ -493,7 +633,17 @@ fn route(registry: &Registry, req: &Request) -> Result<Value, ApiError> {
         };
         pairs.push((key.clone(), value));
     }
-    dispatch(registry, method, &Value::Object(pairs))
+    let mut value = dispatch(registry, method, &Value::Object(pairs))?;
+    if let ("status", Value::Object(fields)) = (method, &mut value) {
+        for (key, counter) in [
+            ("connection_threads", &counters.threads),
+            ("parked", &counters.parked),
+        ] {
+            let n = counter.load(Ordering::Relaxed) as f64;
+            fields.push((key.to_string(), Value::Number(n)));
+        }
+    }
+    Ok(value)
 }
 
 fn write_response(

@@ -7,9 +7,11 @@
 //! edits and re-run `update_timing` over the wire for the incremental
 //! price. Two frontends share one protocol layer ([`proto`]):
 //!
-//! * **HTTP/JSON** ([`http`]) — a thread-per-connection HTTP/1.1
-//!   server; concurrent requests against different sessions run in
-//!   parallel (each session behind its own mutex);
+//! * **HTTP/JSON** ([`http`]) — an HTTP/1.1 server with one thread per
+//!   live connection; a thread whose connection ends parks and takes
+//!   the next one instead of exiting. Concurrent requests against
+//!   different sessions run in parallel (each session behind its own
+//!   mutex);
 //! * **JSON-RPC stdio** ([`rpc`]) — line-delimited JSON on
 //!   stdin/stdout, for embedding under a supervisor without opening a
 //!   port.
@@ -69,15 +71,15 @@ pub struct ServeConfig {
     /// connections are shed with `503`. `0` = unlimited.
     pub max_connections: usize,
     /// Socket read/write deadline in milliseconds (HTTP frontend); a
-    /// slow-trickling client gets 408 instead of parking a worker
+    /// slow-trickling client gets 408 instead of holding its connection
     /// thread. `0` disables.
     pub read_timeout_ms: u64,
     /// Most requests one `Connection: keep-alive` connection may carry
     /// before the server closes it; `0` disables keep-alive.
     pub keep_alive_requests: u64,
     /// Idle deadline between keep-alive requests in milliseconds; a
-    /// connection quiet past it is closed silently. `0` falls back to
-    /// the read deadline.
+    /// connection quiet past it is closed silently, and a connection
+    /// thread parked past it exits. `0` falls back to the read deadline.
     pub idle_timeout_ms: u64,
     /// Crash-window width: this many milliseconds of history count
     /// toward quarantine.

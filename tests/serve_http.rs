@@ -485,3 +485,93 @@ fn shutdown_spools_live_sessions_and_exits() {
     let ckpt = server.spool.join("pipe.ckpt");
     assert!(ckpt.exists(), "live session spooled on shutdown");
 }
+
+/// `GET /status`'s connection-thread counters: threads spawned so far and
+/// threads parked now.
+fn thread_counters(server: &Server) -> (u64, u64) {
+    let (status, out) = server.request("GET", "/status", None);
+    assert_eq!(status, 200, "{out:?}");
+    let field = |key: &str| {
+        out[key]
+            .as_f64()
+            .unwrap_or_else(|| panic!("`{key}` in {out:?}")) as u64
+    };
+    (field("connection_threads"), field("parked"))
+}
+
+#[test]
+fn sequential_connections_reuse_a_parked_thread() {
+    // A connection's thread parks before it closes the socket, so each
+    // next connection finds it parked: no spawn per request.
+    let server = Server::start("reuse");
+    for i in 0..200 {
+        let (status, out) = server.request("GET", "/healthz", None);
+        assert_eq!(status, 200, "request {i}: {out:?}");
+    }
+    let (threads, _) = thread_counters(&server);
+    assert!(
+        threads <= 2,
+        "{threads} connection threads for 201 sequential connections"
+    );
+}
+
+#[test]
+fn shutdown_releases_parked_threads_without_waiting_out_their_deadline() {
+    let mut server = Server::start_with("parked-shutdown", &["--idle-timeout-ms", "60000"]);
+    create_session(&server, "pipe");
+    // Three connections live at once need three threads; closing them
+    // parks all three.
+    let streams: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(&server.addr).expect("connect"))
+        .collect();
+    for stream in &streams {
+        send_keep_alive(stream, &server.addr, "GET", "/healthz", None);
+        let (status, _, _) =
+            read_framed_response(&mut BufReader::new(stream)).expect("response arrives");
+        assert_eq!(status, 200);
+    }
+    drop(streams);
+    // The status request wakes one of them; the other two stay parked.
+    let mut parked = 0;
+    for _ in 0..500 {
+        parked = thread_counters(&server).1;
+        if parked >= 2 {
+            break;
+        }
+        thread::sleep(std::time::Duration::from_millis(2));
+    }
+    assert!(parked >= 2, "threads never parked: {parked}");
+
+    let started = std::time::Instant::now();
+    let (status, out) = server.request("POST", "/shutdown", None);
+    assert_eq!(status, 200, "{out:?}");
+    let exit = loop {
+        if let Some(exit) = server.child.try_wait().expect("wait") {
+            break exit;
+        }
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "shutdown is waiting out a parked thread's 60 s idle deadline"
+        );
+        thread::sleep(std::time::Duration::from_millis(5));
+    };
+    assert!(exit.success(), "clean exit: {exit:?}");
+    assert!(
+        server.spool.join("pipe.ckpt").exists(),
+        "live session spooled on shutdown"
+    );
+}
+
+#[test]
+fn a_retire_racing_a_claim_never_drops_a_connection() {
+    // A 1 ms idle deadline against requests about 1 ms apart: parked
+    // threads retire while the accept loop claims them. Every request
+    // must still be answered; a stream handed to a thread that already
+    // left would read as a reset or an empty response.
+    let server = Server::start_with("retire-race", &["--idle-timeout-ms", "1"]);
+    for i in 0..500 {
+        let (status, out) = server.request("GET", "/healthz", None);
+        assert_eq!(status, 200, "request {i}: {out:?}");
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
