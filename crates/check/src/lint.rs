@@ -24,11 +24,18 @@
 //!    library crates must appear in `lint-allowlist.txt` with an **exact**
 //!    per-file count and a reason. More sites than allowed fails; fewer
 //!    also fails (stale entry), keeping the allowlist exhaustive.
+//! 5. **`one-checksum`** — the FNV-1a offset basis (`0xcbf2…2325`, any case,
+//!    with or without `_` separators) may appear only in
+//!    `crates/tdg/src/checksum.rs`, where the one checksum is defined:
+//!    anywhere else it is a hand-copied checksum. Comments and strings
+//!    count too.
 //!
-//! Test code (`#[cfg(test)]` items, `tests/`, `benches/`), `vendor/`, and
-//! doc comments are excluded. Strings and comments are masked before
-//! matching, so a pattern inside a string literal or doc example never
-//! fires.
+//! Rules 1–4 read `crates/*/src` and `src/`, outside `tests/`, `benches/`
+//! and `examples/`; rule 5 reads every `.rs` file of the tree (tests,
+//! benches, examples and `perf_ledger/` too). `#[cfg(test)]` items,
+//! `vendor/` and `target/` are excluded from all five. For rules 1–4
+//! strings and comments are masked before matching, so a pattern inside a
+//! string literal or doc example never fires.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -364,6 +371,13 @@ fn count_occurrences(haystack: &str, needle: &str) -> usize {
     haystack.matches(needle).count()
 }
 
+/// The FNV-1a offset basis as the `one-checksum` rule matches it, split so
+/// this line does not spell it.
+const FNV_BASIS: &str = concat!("cbf2", "9ce4", "8422", "2325");
+
+/// The one file whose non-test code may spell [`FNV_BASIS`].
+const CHECKSUM_HOME: &str = "crates/tdg/src/checksum.rs";
+
 /// Paths exempt from the `raw-atomic`, `seqcst`, and `hb-tag` rules: the
 /// shim and the model checker are where raw atomics and ordering tokens
 /// legitimately live.
@@ -405,6 +419,49 @@ fn extract_hb_tag(comment: &str) -> Option<String> {
     }
 }
 
+/// `source`'s lines, masked, with its `#[cfg(test)]` items marked.
+fn masked_lines(source: &str) -> Vec<MaskedLine> {
+    let mut lines = mask_source(source);
+    mark_test_regions(&mut lines);
+    lines
+}
+
+/// The `one-checksum` rule: flag each non-test line of `source` (its
+/// `lines`, from [`masked_lines`]) that spells the FNV offset basis,
+/// unless `rel` is [`CHECKSUM_HOME`].
+fn one_checksum(rel: &str, source: &str, lines: &[MaskedLine], out: &mut Vec<Diagnostic>) {
+    if rel == CHECKSUM_HOME {
+        return;
+    }
+    for (idx, (line, raw)) in lines.iter().zip(source.split('\n')).enumerate() {
+        let spelled = || {
+            raw.to_ascii_lowercase()
+                .replace('_', "")
+                .contains(FNV_BASIS)
+        };
+        if !line.in_test && spelled() {
+            out.push(Diagnostic {
+                path: rel.to_string(),
+                line: idx + 1,
+                rule: "one-checksum",
+                message: format!(
+                    "the FNV offset basis outside {CHECKSUM_HOME} — a hand-copied checksum; \
+                     call gpasta_tdg::checksum instead"
+                ),
+            });
+        }
+    }
+}
+
+/// Whether every rule reads `rel`; the rest of the tree gets only
+/// `one-checksum`.
+fn is_library_source(rel: &str) -> bool {
+    (rel.starts_with("crates/") || rel.starts_with("src/"))
+        && !rel
+            .split('/')
+            .any(|part| matches!(part, "tests" | "benches" | "examples"))
+}
+
 /// Lint a single file's source. `rel` is the repo-relative path used in
 /// diagnostics and allowlist keys. Returns per-file diagnostics and
 /// appends this file's `hb:` tag uses to `tags`.
@@ -414,9 +471,9 @@ fn lint_source(
     tags: &mut BTreeMap<String, TagUse>,
     panic_counts: &mut BTreeMap<String, (usize, usize)>,
 ) -> Vec<Diagnostic> {
-    let mut lines = mask_source(source);
-    mark_test_regions(&mut lines);
+    let lines = masked_lines(source);
     let mut out = Vec::new();
+    one_checksum(rel, source, &lines, &mut out);
     let shim = is_shim_path(rel);
     let mut unwraps = 0usize;
     let mut expects = 0usize;
@@ -504,10 +561,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(
-                name.as_ref(),
-                "target" | "vendor" | ".git" | "tests" | "benches" | "examples"
-            ) {
+            if matches!(name.as_ref(), "target" | "vendor") || name.starts_with('.') {
                 continue;
             }
             walk(&path, out)?;
@@ -518,16 +572,12 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Lint the workspace rooted at `root` (scans `crates/*/src` and `src/`,
-/// honouring `lint-allowlist.txt` at the root).
+/// Lint the workspace rooted at `root` (every `.rs` file outside `vendor/`
+/// and `target/`; see the module docs for which rules read which files),
+/// honouring `lint-allowlist.txt` at the root.
 pub fn run(root: &Path) -> Result<LintReport, String> {
     let mut files = Vec::new();
-    for top in ["crates", "src"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
-    }
+    walk(root, &mut files)?;
     files.sort();
 
     let mut diagnostics = Vec::new();
@@ -550,7 +600,11 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
             .replace('\\', "/");
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        diagnostics.extend(lint_source(&rel, &source, &mut tags, &mut panic_counts));
+        if is_library_source(&rel) {
+            diagnostics.extend(lint_source(&rel, &source, &mut tags, &mut panic_counts));
+        } else {
+            one_checksum(&rel, &source, &masked_lines(&source), &mut diagnostics);
+        }
     }
 
     // Cross-check hb tags: each needs both halves somewhere in the tree.
@@ -649,6 +703,27 @@ mod tests {
         );
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "raw-atomic");
+    }
+
+    #[test]
+    fn a_hand_copied_fnv_basis_is_flagged_outside_the_checksum() {
+        for src in [
+            "const BASIS: u64 = 0xcbf2_9ce4_8422_2325;\n",
+            "let h = 0xCBF29CE484222325u64; // seeded\n",
+        ] {
+            let d = lint_one("crates/sta/src/report.rs", src);
+            assert_eq!(d.len(), 1, "{src}");
+            assert_eq!(d[0].rule, "one-checksum");
+            assert_eq!(d[0].line, 1);
+            assert!(lint_one(CHECKSUM_HOME, src).is_empty(), "its home");
+        }
+        let in_test = "#[cfg(test)]\nmod t {\n    const B: u64 = 0xcbf29ce484222325;\n}\n";
+        assert!(
+            lint_one("src/shard/wire.rs", in_test).is_empty(),
+            "test code"
+        );
+        let other = "const PRIME: u64 = 0x0000_0100_0000_01b3;\n";
+        assert!(lint_one("src/shard/wire.rs", other).is_empty());
     }
 
     #[test]

@@ -598,7 +598,7 @@ impl<'a> TimingPropagator<'a> {
         let mut arr = [[f32::INFINITY, f32::NEG_INFINITY]; 2]; // [tr][mode]
         let mut slw = [[f32::INFINITY, f32::NEG_INFINITY]; 2];
 
-        for &a in fanin {
+        for a in fanin {
             let ai = a as usize;
             let u = NodeId(soa.from[ai]);
             if soa.is_net(ai) {
@@ -701,7 +701,7 @@ impl<'a> TimingPropagator<'a> {
         let mut arr = [[f32::INFINITY, f32::NEG_INFINITY]; 2]; // [tr][mode]
         let mut slw = [[f32::INFINITY, f32::NEG_INFINITY]; 2];
 
-        for &a in fanin {
+        for a in fanin {
             let arc = self.graph.arc(a);
             let u = arc.from;
             match arc.kind {

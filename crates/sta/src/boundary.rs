@@ -62,7 +62,7 @@ impl ValueSet {
             match update.kind(t) {
                 TaskKind::Fprop => {
                     set.fprop_nodes.push(v.0);
-                    set.arcs.extend_from_slice(graph.fanin(v));
+                    set.arcs.extend(graph.fanin(v));
                 }
                 TaskKind::Bprop => set.req_nodes.push(v.0),
             }
@@ -81,7 +81,7 @@ impl ValueSet {
             let v = update.node(t);
             match update.kind(t) {
                 TaskKind::Fprop => {
-                    for &a in graph.fanin(v) {
+                    for a in graph.fanin(v) {
                         set.fprop_nodes.push(graph.arc(a).from.0);
                     }
                 }
@@ -141,7 +141,7 @@ impl ValueSet {
                 }
             }
             // bprop(u) reads the required time of each fanout node v.
-            for &a in graph.fanin(NodeId(v)) {
+            for a in graph.fanin(NodeId(v)) {
                 let s = b_shard[graph.arc(a).from.index()];
                 if s != NONE && s != bv && last_r[s as usize] != v {
                     last_r[s as usize] = v;

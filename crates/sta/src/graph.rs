@@ -7,9 +7,10 @@
 //! output pin launches a fresh path, so there is no `D -> Q` cell arc.
 
 use crate::library::{CellKind, CellLibrary, TimingSense};
-use crate::netlist::{GateId, Netlist, PinRef};
+use crate::netlist::{GateId, Netlist, PinRef, PortId};
 use gpasta_tdg::BuildTdgError;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Identifier of a timing-graph node (a pin).
@@ -64,155 +65,75 @@ pub struct TimingArcRef {
 }
 
 /// The pin-level timing graph in CSR form with per-edge arc metadata.
+///
+/// A node's id is its position in the level order: nodes sort by
+/// longest-path level, then by pin number (see [`TimingGraph::build`]), so
+/// every arc goes from a lower id to a higher one. Arc ids are grouped by
+/// head node in that order, so the fan-in of `v` is the arc-id range
+/// [`fanin(v)`](TimingGraph::fanin) and a sweep in id order reads the
+/// per-node and per-arc state front to back.
 #[derive(Debug, Clone)]
 pub struct TimingGraph {
     node_kind: Vec<NodeKind>,
     arcs: Vec<TimingArcRef>,
     fwd_off: Vec<u32>,
     fwd_arc: Vec<u32>,
+    /// The fan-in of `v` is the arc ids `rev_off[v]..rev_off[v + 1]`.
     rev_off: Vec<u32>,
-    rev_arc: Vec<u32>,
     /// Node ids that launch paths (primary inputs, DFF outputs).
     sources: Vec<u32>,
-    /// Node ids that terminate paths (primary outputs, DFF `D` pins).
+    /// Node ids that terminate paths (DFF `D` pins, then primary outputs).
     endpoints: Vec<u32>,
-    /// Index of the first gate-input node (see node-numbering scheme).
-    gate_in_base: u32,
-    /// Per-gate offset of its first input-pin node.
+    /// The node of each pin, by pin number.
+    pin_node: Vec<u32>,
+    /// Per gate, the pin number of its first input pin; then one more.
     gate_in_off: Vec<u32>,
-    /// Index of the first gate-output node.
+    /// Pin number of the first gate output pin.
     gate_out_base: u32,
-    /// Index of the first primary-output node.
+    /// Pin number of the first primary output.
     po_base: u32,
-    /// Node ids sorted by `(longest-path level, node id)`: a topological
-    /// order of the arcs, kept from the acyclicity drain of
-    /// [`TimingGraph::build`]. `Timer::update_timing` numbers its tasks
-    /// along it.
-    level_order: Vec<u32>,
     /// Lazily built flat arc view for the propagation hot path.
     soa: OnceLock<ArcSoa>,
-    /// Lazily built position-space adjacency for cone discovery.
-    level_view: OnceLock<LevelView>,
+    /// The head of each fan-out arc, parallel to `fwd_arc`: built by the
+    /// first partial cone (a whole-design update never asks for it).
+    succ: OnceLock<Vec<u32>>,
 }
 
-/// The arcs in *position space*: node `v` is named by its position
-/// `rank[v]` in [`TimingGraph::level_order`], and the node at position `r`
-/// lists the positions of its fan-out (all above `r`) and fan-in (all below
-/// `r`) nodes, CSR. Cone discovery sweeps positions in order, so it reads
-/// these arrays front to back (or back to front) instead of chasing
-/// `rev_off -> rev_arc -> arcs[a]` per step.
-///
-/// Derived state like [`ArcSoa`]: a pure function of the graph, built by
-/// the first partial cone (a whole-design update never asks for it), about
-/// `12 n + 8 arcs` bytes, off the wire and out of equality.
-#[derive(Debug, Clone)]
-pub(crate) struct LevelView {
-    /// Node id to position in the level order (its inverse).
-    pub(crate) rank: Vec<u32>,
-    succ_off: Vec<u32>,
-    succ: Vec<u32>,
-    pred_off: Vec<u32>,
-    pred: Vec<u32>,
-}
-
-impl LevelView {
-    fn build(graph: &TimingGraph) -> Self {
-        let order = &graph.level_order;
-        let mut rank = vec![0u32; order.len()];
-        for (r, &v) in order.iter().enumerate() {
-            rank[v as usize] = r as u32;
-        }
-        let (succ_off, succ) = position_csr(graph, &rank, |v| graph.fanout(v), |arc| arc.to);
-        let (pred_off, pred) = position_csr(graph, &rank, |v| graph.fanin(v), |arc| arc.from);
-        LevelView {
-            rank,
-            succ_off,
-            succ,
-            pred_off,
-            pred,
-        }
-    }
-
-    /// Positions of the fan-out nodes of the node at position `r`.
-    #[inline]
-    pub(crate) fn succ(&self, r: usize) -> &[u32] {
-        &self.succ[self.succ_off[r] as usize..self.succ_off[r + 1] as usize]
-    }
-
-    /// Positions of the fan-in nodes of the node at position `r`.
-    #[inline]
-    pub(crate) fn pred(&self, r: usize) -> &[u32] {
-        &self.pred[self.pred_off[r] as usize..self.pred_off[r + 1] as usize]
-    }
-
-    /// One sweep over the level order: `visit` every position set in
-    /// `bits` — ascending when `UP`, else descending — and, where it
-    /// returns `true`, set the positions of that node's fan-out (`UP`) or
-    /// fan-in. An arc goes up the order, so those lie strictly ahead and
-    /// the same sweep reaches them. Every word is zeroed once it is read
-    /// out: `bits` ends all zero.
-    pub(crate) fn sweep<const UP: bool>(
-        &self,
-        bits: &mut [u64],
-        mut visit: impl FnMut(u32) -> bool,
-    ) {
-        for i in 0..bits.len() {
-            let w = if UP { i } else { bits.len() - 1 - i };
-            let mut todo = bits[w];
-            while todo != 0 {
-                let bit = if UP {
-                    todo.trailing_zeros()
-                } else {
-                    63 - todo.leading_zeros()
-                };
-                let r = w as u32 * 64 + bit;
-                if visit(r) {
-                    let ahead = if UP {
-                        self.succ(r as usize)
-                    } else {
-                        self.pred(r as usize)
-                    };
-                    for &s in ahead {
-                        set_bit(bits, s);
-                    }
-                }
-                // A neighbour may share this word; it sits beyond `bit`.
-                todo = bits[w] & if UP { !1 << bit } else { (1 << bit) - 1 };
-            }
-            bits[w] = 0;
-        }
-    }
-}
-
-/// Set position `r` in a position bitset.
+/// Set bit `r` in a node bitset.
 #[inline]
 pub(crate) fn set_bit(bits: &mut [u64], r: u32) {
     bits[r as usize / 64] |= 1 << (r % 64);
 }
 
-/// Whether position `r` is set in a position bitset.
+/// Whether bit `r` is set in a node bitset.
 #[inline]
 pub(crate) fn bit_is_set(bits: &[u64], r: u32) -> bool {
     bits[r as usize / 64] >> (r % 64) & 1 == 1
 }
 
-/// One direction of [`LevelView`]: per position, the positions at the far
-/// ends of the arcs `arcs_of` lists for the node there.
-fn position_csr<'g>(
-    graph: &'g TimingGraph,
-    rank: &[u32],
-    arcs_of: impl Fn(NodeId) -> &'g [u32],
-    far_end: impl Fn(&TimingArcRef) -> NodeId,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut off = Vec::with_capacity(rank.len() + 1);
-    let mut adj = Vec::with_capacity(graph.arcs.len());
-    off.push(0);
-    for &v in &graph.level_order {
-        let arcs = arcs_of(NodeId(v)).iter();
-        adj.extend(arcs.map(|&a| rank[far_end(graph.arc(a)).index()]));
-        off.push(adj.len() as u32);
+/// Per node, the arcs whose `end` it is: CSR offsets and arc ids, each list
+/// in arc order.
+fn csr(n: usize, arcs: &[TimingArcRef], end: fn(&TimingArcRef) -> NodeId) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for a in arcs {
+        off[end(a).index() + 1] += 1;
     }
-    (off, adj)
+    prefix_sum(&mut off);
+    let mut ids = vec![0u32; arcs.len()];
+    let mut next = off.clone();
+    for (i, a) in arcs.iter().enumerate() {
+        let slot = &mut next[end(a).index()];
+        ids[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    (off, ids)
+}
+
+/// Counts to offsets: each entry becomes the sum of it and all before it.
+fn prefix_sum(counts: &mut [u32]) {
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
 }
 
 /// Flat structure-of-arrays view of the timing arcs, column per field.
@@ -306,14 +227,12 @@ impl PartialEq for TimingGraph {
             && self.fwd_off == other.fwd_off
             && self.fwd_arc == other.fwd_arc
             && self.rev_off == other.rev_off
-            && self.rev_arc == other.rev_arc
             && self.sources == other.sources
             && self.endpoints == other.endpoints
-            && self.gate_in_base == other.gate_in_base
+            && self.pin_node == other.pin_node
             && self.gate_in_off == other.gate_in_off
             && self.gate_out_base == other.gate_out_base
             && self.po_base == other.po_base
-            && self.level_order == other.level_order
     }
 }
 
@@ -325,14 +244,12 @@ impl Serialize for TimingGraph {
             (String::from("fwd_off"), self.fwd_off.to_value()),
             (String::from("fwd_arc"), self.fwd_arc.to_value()),
             (String::from("rev_off"), self.rev_off.to_value()),
-            (String::from("rev_arc"), self.rev_arc.to_value()),
             (String::from("sources"), self.sources.to_value()),
             (String::from("endpoints"), self.endpoints.to_value()),
-            (String::from("gate_in_base"), self.gate_in_base.to_value()),
+            (String::from("pin_node"), self.pin_node.to_value()),
             (String::from("gate_in_off"), self.gate_in_off.to_value()),
             (String::from("gate_out_base"), self.gate_out_base.to_value()),
             (String::from("po_base"), self.po_base.to_value()),
-            (String::from("level_order"), self.level_order.to_value()),
         ]))
     }
 }
@@ -345,16 +262,14 @@ impl Deserialize for TimingGraph {
             fwd_off: Deserialize::from_value(v.expect_field("fwd_off")?)?,
             fwd_arc: Deserialize::from_value(v.expect_field("fwd_arc")?)?,
             rev_off: Deserialize::from_value(v.expect_field("rev_off")?)?,
-            rev_arc: Deserialize::from_value(v.expect_field("rev_arc")?)?,
             sources: Deserialize::from_value(v.expect_field("sources")?)?,
             endpoints: Deserialize::from_value(v.expect_field("endpoints")?)?,
-            gate_in_base: Deserialize::from_value(v.expect_field("gate_in_base")?)?,
+            pin_node: Deserialize::from_value(v.expect_field("pin_node")?)?,
             gate_in_off: Deserialize::from_value(v.expect_field("gate_in_off")?)?,
             gate_out_base: Deserialize::from_value(v.expect_field("gate_out_base")?)?,
             po_base: Deserialize::from_value(v.expect_field("po_base")?)?,
-            level_order: Deserialize::from_value(v.expect_field("level_order")?)?,
             soa: OnceLock::new(),
-            level_view: OnceLock::new(),
+            succ: OnceLock::new(),
         })
     }
 }
@@ -362,8 +277,14 @@ impl Deserialize for TimingGraph {
 impl TimingGraph {
     /// Build the timing graph of `netlist` under `library`.
     ///
-    /// Node numbering: primary inputs first, then all gate input pins (in
-    /// gate order), then all gate output pins, then primary outputs.
+    /// Pins are numbered primary inputs first, then all gate input pins
+    /// (in gate order), then all gate output pins, then primary outputs,
+    /// and arcs net arcs first (by net, then sink), then cell arcs. A node
+    /// id is the pin's position when pins are sorted by longest-path level,
+    /// then by pin number, and a node's fan-in arcs take consecutive ids in
+    /// that order. Each fan-in and fan-out list keeps the arc order of the
+    /// pins, and [`sources`](TimingGraph::sources) and
+    /// [`endpoints`](TimingGraph::endpoints) keep pin order.
     ///
     /// # Errors
     ///
@@ -379,45 +300,38 @@ impl TimingGraph {
             acc += g.cell.num_inputs() as u32;
         }
         gate_in_off.push(acc);
-        let gate_in_base = num_pi;
         let gate_out_base = acc;
         let po_base = gate_out_base + netlist.num_gates() as u32;
-        let num_nodes = po_base + netlist.num_outputs() as u32;
+        let n = (po_base + netlist.num_outputs() as u32) as usize;
 
-        let node_of = |pin: PinRef| -> u32 {
-            match pin {
+        let pin_of = |pin: PinRef| -> NodeId {
+            NodeId(match pin {
                 PinRef::PrimaryInput(p) => p.0,
                 PinRef::GateInput(g, pin) => gate_in_off[g.index()] + u32::from(pin),
                 PinRef::GateOutput(g) => gate_out_base + g.0,
                 PinRef::PrimaryOutput(p) => po_base + p.0,
-            }
+            })
         };
 
-        let mut node_kind = Vec::with_capacity(num_nodes as usize);
-        for p in 0..num_pi {
-            node_kind.push(NodeKind::PrimaryInput(p));
-        }
-        for (g, gate) in netlist.gates().iter().enumerate() {
-            for pin in 0..gate.cell.num_inputs() as u8 {
-                node_kind.push(NodeKind::GateInput(g as u32, pin));
-            }
-        }
-        for g in 0..netlist.num_gates() as u32 {
-            node_kind.push(NodeKind::GateOutput(g));
-        }
-        for p in 0..netlist.num_outputs() as u32 {
-            node_kind.push(NodeKind::PrimaryOutput(p));
-        }
-
-        // Arcs: net arcs then cell arcs.
-        let mut arcs = Vec::new();
-        for (n, net) in netlist.nets().iter().enumerate() {
-            let from = NodeId(node_of(net.driver));
+        // Arcs between pins: net arcs then cell arcs.
+        let comb = netlist.gates().iter().filter(|g| !g.cell.is_sequential());
+        let sinks = netlist.nets().iter().map(|net| net.sinks.len());
+        let num_arcs = sinks.sum::<usize>() + comb.map(|g| g.cell.num_inputs()).sum::<usize>();
+        // The graph's own arrays come before the build's scratch, so that
+        // freeing the scratch leaves them packed.
+        let mut arcs = Vec::with_capacity(num_arcs);
+        let mut pin_node = vec![0u32; n];
+        let mut rev_off = vec![0u32; n + 1];
+        let mut node_fwd_off = vec![0u32; n + 1];
+        let mut node_fwd_arc = vec![0u32; num_arcs];
+        let mut node_kind = vec![NodeKind::PrimaryInput(0); n];
+        for (net_id, net) in netlist.nets().iter().enumerate() {
+            let from = pin_of(net.driver);
             for &sink in &net.sinks {
                 arcs.push(TimingArcRef {
                     from,
-                    to: NodeId(node_of(sink)),
-                    kind: ArcKind::Net { net: n as u32 },
+                    to: pin_of(sink),
+                    kind: ArcKind::Net { net: net_id as u32 },
                 });
             }
         }
@@ -425,99 +339,35 @@ impl TimingGraph {
             if gate.cell.is_sequential() {
                 continue; // no D -> Q combinational arc
             }
-            let out = NodeId(gate_out_base + g as u32);
             for pin in 0..gate.cell.num_inputs() as u8 {
                 arcs.push(TimingArcRef {
-                    from: NodeId(gate_in_off[g] + u32::from(pin)),
-                    to: out,
+                    from: pin_of(PinRef::GateInput(GateId(g as u32), pin)),
+                    to: pin_of(PinRef::GateOutput(GateId(g as u32))),
                     kind: ArcKind::Cell { gate: g as u32 },
                 });
             }
         }
+        let (fwd_off, fwd_arc) = csr(n, &arcs, |a| a.from);
+        let out_of = |p: usize| &fwd_arc[fwd_off[p] as usize..fwd_off[p + 1] as usize];
 
-        // CSR over arcs (forward and reverse).
-        let n = num_nodes as usize;
-        let mut fwd_off = vec![0u32; n + 1];
-        let mut rev_off = vec![0u32; n + 1];
-        for a in &arcs {
-            fwd_off[a.from.index() + 1] += 1;
-            rev_off[a.to.index() + 1] += 1;
-        }
-        for i in 0..n {
-            fwd_off[i + 1] += fwd_off[i];
-            rev_off[i + 1] += rev_off[i];
-        }
-        let mut fwd_arc = vec![0u32; arcs.len()];
-        let mut rev_arc = vec![0u32; arcs.len()];
-        {
-            let mut fc = fwd_off.clone();
-            let mut rc = rev_off.clone();
-            for (i, a) in arcs.iter().enumerate() {
-                let f = &mut fc[a.from.index()];
-                fwd_arc[*f as usize] = i as u32;
-                *f += 1;
-                let r = &mut rc[a.to.index()];
-                rev_arc[*r as usize] = i as u32;
-                *r += 1;
-            }
-        }
-
-        // Sources and endpoints.
-        let mut sources = Vec::new();
-        let mut endpoints = Vec::new();
-        for (i, kind) in node_kind.iter().enumerate() {
-            match *kind {
-                NodeKind::PrimaryInput(_) => sources.push(i as u32),
-                NodeKind::PrimaryOutput(_) => endpoints.push(i as u32),
-                NodeKind::GateOutput(g) => {
-                    if netlist.gates()[g as usize].cell.is_sequential() {
-                        sources.push(i as u32);
-                    }
-                }
-                NodeKind::GateInput(g, pin) => {
-                    let cell = netlist.gates()[g as usize].cell;
-                    if cell.is_sequential() && pin == 0 {
-                        endpoints.push(i as u32); // DFF D pin
-                    }
-                }
-            }
-        }
-
-        let mut graph = TimingGraph {
-            node_kind,
-            arcs,
-            fwd_off,
-            fwd_arc,
-            rev_off,
-            rev_arc,
-            sources,
-            endpoints,
-            gate_in_base,
-            gate_in_off,
-            gate_out_base,
-            po_base,
-            level_order: Vec::new(),
-            soa: OnceLock::new(),
-            level_view: OnceLock::new(),
-        };
-
-        // Acyclicity check (combinational loops). A node is popped only
+        // Acyclicity check (combinational loops). A pin is popped only
         // after all its fan-in, so its longest-path level is final then.
-        let mut indeg: Vec<u32> = (0..n)
-            .map(|v| graph.fanin(NodeId(v as u32)).len() as u32)
-            .collect();
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        let mut indeg = vec![0u32; n];
+        for a in &arcs {
+            indeg[a.to.index()] += 1;
+        }
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&p| indeg[p as usize] == 0).collect();
         let mut level = vec![0u32; n];
         let mut visited = 0;
         while let Some(u) = queue.pop() {
             visited += 1;
             let below = level[u as usize] + 1;
-            for &a in graph.fanout(NodeId(u)) {
-                let v = graph.arcs[a as usize].to.0;
-                level[v as usize] = level[v as usize].max(below);
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v);
+            for &a in out_of(u as usize) {
+                let v = arcs[a as usize].to.index();
+                level[v] = level[v].max(below);
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v as u32);
                 }
             }
         }
@@ -525,43 +375,163 @@ impl TimingGraph {
             let witness = indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
             return Err(BuildTdgError::Cycle { witness });
         }
+        drop((indeg, queue));
 
-        // Level order: a counting sort of the nodes by level, ascending
-        // node id within a level.
+        // The node of each pin: its position when pins are sorted by level,
+        // ascending pin number within a level (a counting sort).
         let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
         let mut cursor = vec![0u32; depth + 1];
         for &l in &level {
             cursor[l as usize + 1] += 1;
         }
-        for l in 0..depth {
-            cursor[l + 1] += cursor[l];
-        }
-        graph.level_order = vec![0; n];
-        for (v, &l) in level.iter().enumerate() {
+        prefix_sum(&mut cursor);
+        for (slot, &l) in pin_node.iter_mut().zip(&level) {
             let r = &mut cursor[l as usize];
-            graph.level_order[*r as usize] = v as u32;
+            *slot = *r;
             *r += 1;
         }
+        drop((level, cursor));
 
-        Ok(graph)
+        // Renumber the arcs' ends, then group the arcs by head node: a
+        // stable counting sort, so each fan-in keeps its pin-arc order.
+        for a in &mut arcs {
+            a.from = NodeId(pin_node[a.from.index()]);
+            a.to = NodeId(pin_node[a.to.index()]);
+            rev_off[a.to.index() + 1] += 1;
+        }
+        prefix_sum(&mut rev_off);
+        let mut next = rev_off.clone();
+        let mut arc_id: Vec<u32> = arcs
+            .iter()
+            .map(|a| {
+                let slot = &mut next[a.to.index()];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
+        // Each fan-out list keeps its pin-arc order, in the new arc ids.
+        for (p, &v) in pin_node.iter().enumerate() {
+            node_fwd_off[v as usize + 1] = out_of(p).len() as u32;
+        }
+        prefix_sum(&mut node_fwd_off);
+        for (p, &v) in pin_node.iter().enumerate() {
+            let at = node_fwd_off[v as usize] as usize;
+            for (slot, &a) in node_fwd_arc[at..].iter_mut().zip(out_of(p)) {
+                *slot = arc_id[a as usize];
+            }
+        }
+        drop((fwd_off, fwd_arc));
+        // Move each arc to its new id, one cycle of the permutation at a time.
+        for i in 0..arcs.len() {
+            while arc_id[i] as usize != i {
+                let j = arc_id[i] as usize;
+                arcs.swap(i, j);
+                arc_id.swap(i, j);
+            }
+        }
+
+        // Kinds, sources and endpoints, in pin order.
+        let gates = netlist.gates();
+        let gate_inputs = gates.iter().enumerate().flat_map(|(g, gate)| {
+            (0..gate.cell.num_inputs() as u8).map(move |pin| NodeKind::GateInput(g as u32, pin))
+        });
+        let pin_kinds = (0..num_pi)
+            .map(NodeKind::PrimaryInput)
+            .chain(gate_inputs)
+            .chain((0..gates.len() as u32).map(NodeKind::GateOutput))
+            .chain((0..netlist.num_outputs() as u32).map(NodeKind::PrimaryOutput));
+        let mut sources = Vec::new();
+        let mut endpoints = Vec::new();
+        let sequential = |g: u32| gates[g as usize].cell.is_sequential();
+        for (kind, &v) in pin_kinds.zip(&pin_node) {
+            node_kind[v as usize] = kind;
+            match kind {
+                NodeKind::PrimaryInput(_) => sources.push(v),
+                NodeKind::PrimaryOutput(_) => endpoints.push(v),
+                NodeKind::GateOutput(g) if sequential(g) => sources.push(v),
+                NodeKind::GateInput(g, 0) if sequential(g) => endpoints.push(v), // DFF D pin
+                _ => {}
+            }
+        }
+
+        Ok(TimingGraph {
+            node_kind,
+            arcs,
+            fwd_off: node_fwd_off,
+            fwd_arc: node_fwd_arc,
+            rev_off,
+            sources,
+            endpoints,
+            pin_node,
+            gate_in_off,
+            gate_out_base,
+            po_base,
+            soa: OnceLock::new(),
+            succ: OnceLock::new(),
+        })
     }
 
-    /// Node ids sorted by `(longest-path level, node id)`; every arc goes
-    /// from an earlier to a later position.
-    #[inline]
-    pub(crate) fn level_order(&self) -> &[u32] {
-        &self.level_order
+    /// One sweep over the node ids: `visit` every id set in `bits` —
+    /// ascending when `UP`, else descending — and, where it returns `true`,
+    /// set the ids of that node's fan-out (`UP`) or fan-in (read from
+    /// `soa`, this graph's [`arc_soa`](TimingGraph::arc_soa)). An arc goes
+    /// up the ids, so those lie strictly ahead and the same sweep reaches
+    /// them. Every word is zeroed once it is read out: `bits` ends all zero.
+    pub(crate) fn sweep<const UP: bool>(
+        &self,
+        soa: &ArcSoa,
+        bits: &mut [u64],
+        mut visit: impl FnMut(u32) -> bool,
+    ) {
+        for i in 0..bits.len() {
+            let w = if UP { i } else { bits.len() - 1 - i };
+            let mut todo = bits[w];
+            while todo != 0 {
+                let bit = if UP {
+                    todo.trailing_zeros()
+                } else {
+                    63 - todo.leading_zeros()
+                };
+                let r = w as u32 * 64 + bit;
+                if visit(r) {
+                    let ahead = if UP {
+                        self.succs(NodeId(r))
+                    } else {
+                        self.preds(soa, NodeId(r))
+                    };
+                    for &s in ahead {
+                        set_bit(bits, s);
+                    }
+                }
+                // A neighbour may share this word; it sits beyond `bit`.
+                todo = bits[w] & if UP { !1 << bit } else { (1 << bit) - 1 };
+            }
+            bits[w] = 0;
+        }
     }
 
-    /// The arcs in position space, built on first use.
+    /// The heads of `v`'s fan-out arcs, in fan-out order; the first call
+    /// builds them for every node.
     #[inline]
-    pub(crate) fn level_view(&self) -> &LevelView {
-        self.level_view.get_or_init(|| LevelView::build(self))
+    pub(crate) fn succs(&self, v: NodeId) -> &[u32] {
+        let heads = self.succ.get_or_init(|| {
+            let head = |&a: &u32| self.arcs[a as usize].to.0;
+            self.fwd_arc.iter().map(head).collect()
+        });
+        &heads[self.fwd_off[v.index()] as usize..self.fwd_off[v.index() + 1] as usize]
+    }
+
+    /// The tails of `v`'s fan-in arcs, in fan-in order: one slice of the
+    /// `from` column of `soa`, this graph's [`arc_soa`](TimingGraph::arc_soa).
+    #[inline]
+    pub(crate) fn preds<'s>(&self, soa: &'s ArcSoa, v: NodeId) -> &'s [u32] {
+        let fanin = self.fanin(v);
+        &soa.from[fanin.start as usize..fanin.end as usize]
     }
 
     #[cfg(test)]
-    pub(crate) fn has_level_view(&self) -> bool {
-        self.level_view.get().is_some()
+    pub(crate) fn has_succ(&self) -> bool {
+        self.succ.get().is_some()
     }
 
     /// Number of nodes (pins).
@@ -594,10 +564,10 @@ impl TimingGraph {
         &self.fwd_arc[self.fwd_off[v.index()] as usize..self.fwd_off[v.index() + 1] as usize]
     }
 
-    /// Arc ids entering `v`.
+    /// Arc ids entering `v`: one range, below the fan-in of every later node.
     #[inline]
-    pub fn fanin(&self, v: NodeId) -> &[u32] {
-        &self.rev_arc[self.rev_off[v.index()] as usize..self.rev_off[v.index() + 1] as usize]
+    pub fn fanin(&self, v: NodeId) -> Range<u32> {
+        self.rev_off[v.index()]..self.rev_off[v.index() + 1]
     }
 
     /// What node `v` represents.
@@ -612,38 +582,68 @@ impl TimingGraph {
         &self.sources
     }
 
-    /// Nodes that terminate timing paths (primary outputs and DFF D pins).
+    /// Nodes that terminate timing paths: DFF D pins in gate order, then
+    /// primary outputs in port order.
     #[inline]
     pub fn endpoints(&self) -> &[u32] {
         &self.endpoints
     }
 
+    /// The node of pin number `pin`.
+    #[inline]
+    fn pin(&self, pin: u32) -> NodeId {
+        NodeId(self.pin_node[pin as usize])
+    }
+
+    /// The node of primary input `port`.
+    #[inline]
+    pub fn input_node(&self, port: PortId) -> NodeId {
+        self.pin(port.0)
+    }
+
+    /// The node of primary output `port`.
+    #[inline]
+    pub fn output_node(&self, port: PortId) -> NodeId {
+        self.pin(self.po_base + port.0)
+    }
+
     /// The node of gate `g`'s output pin.
     #[inline]
     pub fn gate_output_node(&self, g: GateId) -> NodeId {
-        NodeId(self.gate_out_base + g.0)
+        self.pin(self.gate_out_base + g.0)
     }
 
     /// The node of input pin `pin` of gate `g`.
     #[inline]
     pub fn gate_input_node(&self, g: GateId, pin: u8) -> NodeId {
-        NodeId(self.gate_in_off[g.index()] + u32::from(pin))
+        self.pin(self.gate_in_off[g.index()] + u32::from(pin))
     }
 
     /// Where `v` is in [`endpoints`](TimingGraph::endpoints), if it is a
     /// path endpoint.
     pub fn endpoint_index(&self, v: NodeId) -> Option<u32> {
+        let d_pins = self.endpoints.len() + self.po_base as usize - self.num_nodes();
         match self.node_kind(v) {
-            NodeKind::PrimaryOutput(_) | NodeKind::GateInput(_, 0) => {
-                self.endpoints.binary_search(&v.0).ok().map(|i| i as u32)
+            NodeKind::PrimaryOutput(p) => Some(d_pins as u32 + p),
+            // Only a flip-flop's input pins have no fan-out.
+            NodeKind::GateInput(g, 0) if self.fanout(v).is_empty() => {
+                // D pins lead the endpoints, in gate order.
+                let kind = |e: &u32| self.node_kind(NodeId(*e));
+                let before = |e: &u32| matches!(kind(e), NodeKind::GateInput(h, _) if h < g);
+                Some(self.endpoints[..d_pins].partition_point(before) as u32)
             }
             _ => None,
         }
     }
 
     /// Whether `v` is a path endpoint.
+    #[inline]
     pub fn is_endpoint(&self, v: NodeId) -> bool {
-        self.endpoint_index(v).is_some()
+        match self.node_kind(v) {
+            NodeKind::PrimaryOutput(_) => true,
+            NodeKind::GateInput(_, 0) => self.fanout(v).is_empty(),
+            _ => false,
+        }
     }
 
     /// The flat arc view for the propagation hot path, built on first use.
@@ -814,6 +814,221 @@ mod tests {
         assert_eq!(back, g);
         // The restored graph rebuilds an identical SoA on demand.
         assert_eq!(back.arc_soa(&n), g.arc_soa(&n));
+    }
+
+    /// A seeded random design: every gate input hangs off a primary input
+    /// or an earlier gate, about one gate in five is a flip-flop, and some
+    /// gates drive primary outputs, one of them two.
+    fn random_netlist(seed: u64, gates: usize) -> Netlist {
+        const CELLS: [CellKind; 5] = [
+            CellKind::Inv,
+            CellKind::Nand2,
+            CellKind::Xor2,
+            CellKind::Nand3,
+            CellKind::Dff,
+        ];
+        let mut state = seed;
+        let mut draw = |below: usize| {
+            state = gpasta_sched::splitmix64(state);
+            (state % below as u64) as usize
+        };
+        let mut nb = NetlistBuilder::new();
+        let inputs: Vec<_> = (0..5)
+            .map(|i| nb.add_primary_input(format!("i{i}")))
+            .collect();
+        let mut made: Vec<GateId> = Vec::new();
+        for g in 0..gates {
+            let cell = CELLS[draw(CELLS.len())];
+            let gate = nb.add_gate(format!("u{g}"), cell);
+            for pin in 0..cell.num_inputs() as u8 {
+                let from = draw(inputs.len() + g);
+                match from.checked_sub(inputs.len()) {
+                    None => nb.connect_to_gate(inputs[from], gate, pin),
+                    Some(d) => nb.connect_gates(made[d], gate, pin),
+                }
+                .expect("valid");
+            }
+            made.push(gate);
+        }
+        for o in 0..7 {
+            let y = nb.add_primary_output(format!("y{o}"));
+            nb.connect_to_output(made[draw(gates)], y).expect("valid");
+        }
+        nb.build().expect("well-formed")
+    }
+
+    fn numbered_designs() -> Vec<(Netlist, TimingGraph)> {
+        let mut designs = vec![nand_inv()];
+        for seed in 0..6 {
+            let n = random_netlist(seed, 40 + 30 * seed as usize);
+            let g = TimingGraph::build(&n, &CellLibrary::typical()).expect("acyclic");
+            designs.push((n, g));
+        }
+        designs
+    }
+
+    /// An arc as its two ends' kinds and its own: the same on both sides of
+    /// a renumbering.
+    type Named = (NodeKind, NodeKind, ArcKind);
+
+    /// The graph in pin numbers, written out from the netlist: per pin its
+    /// kind, fan-in and fan-out, each list in arc order (net arcs by net
+    /// and sink, then cell arcs).
+    fn pin_scheme(netlist: &Netlist) -> Vec<(NodeKind, Vec<Named>, Vec<Named>)> {
+        let mut kinds: Vec<NodeKind> = (0..netlist.num_inputs() as u32)
+            .map(NodeKind::PrimaryInput)
+            .collect();
+        for (g, gate) in netlist.gates().iter().enumerate() {
+            kinds.extend(
+                (0..gate.cell.num_inputs() as u8).map(|p| NodeKind::GateInput(g as u32, p)),
+            );
+        }
+        kinds.extend((0..netlist.num_gates() as u32).map(NodeKind::GateOutput));
+        kinds.extend((0..netlist.num_outputs() as u32).map(NodeKind::PrimaryOutput));
+        let kind_of = |pin: PinRef| match pin {
+            PinRef::PrimaryInput(p) => NodeKind::PrimaryInput(p.0),
+            PinRef::GateInput(g, p) => NodeKind::GateInput(g.0, p),
+            PinRef::GateOutput(g) => NodeKind::GateOutput(g.0),
+            PinRef::PrimaryOutput(p) => NodeKind::PrimaryOutput(p.0),
+        };
+        let mut arcs: Vec<Named> = Vec::new();
+        for (i, net) in netlist.nets().iter().enumerate() {
+            for &sink in &net.sinks {
+                arcs.push((
+                    kind_of(net.driver),
+                    kind_of(sink),
+                    ArcKind::Net { net: i as u32 },
+                ));
+            }
+        }
+        for (g, gate) in netlist.gates().iter().enumerate() {
+            if !gate.cell.is_sequential() {
+                for p in 0..gate.cell.num_inputs() as u8 {
+                    let (from, to) = (
+                        NodeKind::GateInput(g as u32, p),
+                        NodeKind::GateOutput(g as u32),
+                    );
+                    arcs.push((from, to, ArcKind::Cell { gate: g as u32 }));
+                }
+            }
+        }
+        kinds
+            .into_iter()
+            .map(|k| {
+                let fanin = arcs.iter().filter(|a| a.1 == k).copied().collect();
+                let fanout = arcs.iter().filter(|a| a.0 == k).copied().collect();
+                (k, fanin, fanout)
+            })
+            .collect()
+    }
+
+    /// The node of every pin, through the four lookups, in pin order.
+    fn nodes_in_pin_order(netlist: &Netlist, g: &TimingGraph) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = (0..netlist.num_inputs() as u32)
+            .map(|p| g.input_node(PortId(p)))
+            .collect();
+        for (i, gate) in netlist.gates().iter().enumerate() {
+            let pins = 0..gate.cell.num_inputs() as u8;
+            nodes.extend(pins.map(|p| g.gate_input_node(GateId(i as u32), p)));
+        }
+        let gates = 0..netlist.num_gates() as u32;
+        nodes.extend(gates.map(|i| g.gate_output_node(GateId(i))));
+        let outputs = 0..netlist.num_outputs() as u32;
+        nodes.extend(outputs.map(|p| g.output_node(PortId(p))));
+        nodes
+    }
+
+    #[test]
+    fn every_arc_goes_up_and_each_fan_in_is_a_consecutive_range() {
+        for (n, g) in numbered_designs() {
+            let soa = g.arc_soa(&n);
+            let mut next = 0;
+            for v in 0..g.num_nodes() as u32 {
+                let fanin = g.fanin(NodeId(v));
+                assert_eq!(
+                    fanin.start, next,
+                    "node {v}'s fan-in follows its predecessor's"
+                );
+                next = fanin.end;
+                for a in fanin {
+                    let arc = g.arc(a);
+                    assert_eq!(arc.to, NodeId(v));
+                    assert!(arc.from < arc.to, "arc {a} goes up");
+                }
+                let tails: Vec<u32> = g.fanin(NodeId(v)).map(|a| g.arc(a).from.0).collect();
+                assert_eq!(g.preds(soa, NodeId(v)), &tails[..]);
+                let heads: Vec<u32> = g.fanout(NodeId(v)).iter().map(|&a| g.arc(a).to.0).collect();
+                assert_eq!(g.succs(NodeId(v)), &heads[..]);
+            }
+            assert_eq!(next as usize, g.num_arcs(), "the fan-ins cover every arc");
+        }
+    }
+
+    #[test]
+    fn fan_in_and_fan_out_lists_are_the_pin_lists_renumbered() {
+        for (n, g) in numbered_designs() {
+            let named = |a: u32| {
+                let arc = g.arc(a);
+                (g.node_kind(arc.from), g.node_kind(arc.to), arc.kind)
+            };
+            let nodes = nodes_in_pin_order(&n, &g);
+            for (&v, (kind, fanin, fanout)) in nodes.iter().zip(pin_scheme(&n)) {
+                assert_eq!(g.node_kind(v), kind);
+                assert_eq!(g.fanin(v).map(named).collect::<Vec<_>>(), fanin, "{kind:?}");
+                let out: Vec<Named> = g.fanout(v).iter().map(|&a| named(a)).collect();
+                assert_eq!(out, fanout, "{kind:?}");
+            }
+            // Sources and endpoints keep pin order.
+            let pin_of = |v: &u32| nodes.iter().position(|&w| w.0 == *v);
+            for list in [g.sources(), g.endpoints()] {
+                let pins: Vec<_> = list.iter().map(pin_of).collect();
+                assert!(pins.windows(2).all(|w| w[0] < w[1]), "{pins:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pin_lookups_round_trip_through_node_kind() {
+        for (n, g) in numbered_designs() {
+            let nodes = nodes_in_pin_order(&n, &g);
+            let mut hit = vec![false; g.num_nodes()];
+            for v in &nodes {
+                assert!(!std::mem::replace(&mut hit[v.index()], true), "{v:?} twice");
+            }
+            assert_eq!(nodes.len(), g.num_nodes(), "one node per pin");
+            for p in 0..n.num_inputs() as u32 {
+                let kind = g.node_kind(g.input_node(PortId(p)));
+                assert_eq!(kind, NodeKind::PrimaryInput(p));
+            }
+            for p in 0..n.num_outputs() as u32 {
+                let kind = g.node_kind(g.output_node(PortId(p)));
+                assert_eq!(kind, NodeKind::PrimaryOutput(p));
+            }
+            for (i, gate) in n.gates().iter().enumerate() {
+                let id = GateId(i as u32);
+                let kind = g.node_kind(g.gate_output_node(id));
+                assert_eq!(kind, NodeKind::GateOutput(id.0));
+                for pin in 0..gate.cell.num_inputs() as u8 {
+                    let kind = g.node_kind(g.gate_input_node(id, pin));
+                    assert_eq!(kind, NodeKind::GateInput(id.0, pin));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn endpoint_index_agrees_with_a_linear_scan() {
+        let mut d_pins = 0;
+        for (_, g) in numbered_designs() {
+            let is_d_pin = |e: &&u32| matches!(g.node_kind(NodeId(**e)), NodeKind::GateInput(..));
+            d_pins += g.endpoints().iter().filter(is_d_pin).count();
+            for v in (0..g.num_nodes() as u32).map(NodeId) {
+                let scan = g.endpoints().iter().position(|&e| e == v.0);
+                assert_eq!(g.endpoint_index(v), scan.map(|i| i as u32), "{v:?}");
+                assert_eq!(g.is_endpoint(v), scan.is_some(), "{v:?}");
+            }
+        }
+        assert!(d_pins > 10, "flip-flops end paths too ({d_pins})");
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn k_worst_paths(
             }
             continue;
         }
-        for &a in fanin {
+        for a in fanin {
             let arc = graph.arc(a);
             let from = arc.from;
             let sense = match arc.kind {

@@ -96,7 +96,7 @@ pub fn trace_worst_path(
         // Find the fan-in arc that realised this arrival.
         let arrival = data.arrival(node, tr, Mode::Late);
         let mut best: Option<(NodeId, Tr, f32, f32)> = None; // (from, tr_in, err, delay)
-        for &a in graph.fanin(node) {
+        for a in graph.fanin(node) {
             let arc = graph.arc(a);
             let from = arc.from;
             let sense = match arc.kind {

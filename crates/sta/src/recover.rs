@@ -238,26 +238,26 @@ fn run_changed(
     } = bits;
     endpoints.clear();
     let (graph, data) = (cone.graph(), cone.data());
-    let (view, order) = (graph.level_view(), graph.level_order());
-    let is_seed = |r| bit_is_set(seeds, r);
-    let delays = |v| graph.fanin(v).iter().map(|&a| data.arc_delay_bits(a));
+    let soa = cone.arc_soa();
+    let is_seed = |v| bit_is_set(seeds, v);
+    let delays = |v| graph.fanin(v).map(|a| data.arc_delay_bits(a));
     f.copy_from_slice(seeds);
     b.copy_from_slice(seeds);
     let (mut executed, mut stop) = (0, None);
-    view.sweep::<true>(f, |r| {
-        if !admit(clock, executed, r, &mut stop) {
+    graph.sweep::<true>(soa, f, |id| {
+        if !admit(clock, executed, id, &mut stop) {
             return false;
         }
-        let v = NodeId(order[r as usize]);
+        let v = NodeId(id);
         let found = data.fprop_bits(v);
         arcs.clear();
         arcs.extend(delays(v));
-        payload(TaskId(r));
+        payload(TaskId(id));
         executed += 1;
         endpoints.extend(graph.endpoint_index(v));
-        let moved = is_seed(r) || found != data.fprop_bits(v);
+        let moved = is_seed(id) || found != data.fprop_bits(v);
         if moved || delays(v).ne(arcs.iter().copied()) {
-            view.pred(r as usize).iter().for_each(|&p| set_bit(b, p));
+            graph.preds(soa, v).iter().for_each(|&u| set_bit(b, u));
         }
         moved
     });
@@ -266,16 +266,16 @@ fn run_changed(
         b.fill(0);
         return (executed, stop);
     }
-    let top = 2 * order.len() as u32 - 1;
-    view.sweep::<false>(b, |r| {
-        if !admit(clock, executed, top - r, &mut stop) {
+    let top = 2 * graph.num_nodes() as u32 - 1;
+    graph.sweep::<false>(soa, b, |id| {
+        if !admit(clock, executed, top - id, &mut stop) {
             return false;
         }
-        let v = NodeId(order[r as usize]);
+        let v = NodeId(id);
         let found = data.required_bits(v);
-        payload(TaskId(top - r));
+        payload(TaskId(top - id));
         executed += 1;
-        is_seed(r) || found != data.required_bits(v)
+        is_seed(id) || found != data.required_bits(v)
     });
     (executed, stop)
 }
@@ -664,7 +664,7 @@ mod tests {
         // The premise: the input's own arrival and slew did not move.
         let mut settled = two_cone_timer();
         settled.update_timing().run_sequential();
-        let port = NodeId(a.0);
+        let port = timer.graph().input_node(a);
         assert_eq!(
             timer.data().fprop_bits(port),
             settled.data().fprop_bits(port)
@@ -719,7 +719,7 @@ mod tests {
         let nand = crate::GateId(0);
         for (pin, cap_ff) in [(0, 40.0), (1, 20.0)] {
             let driver = timer.graph().gate_input_node(nand, pin);
-            let driver = timer.graph().arc(timer.graph().fanin(driver)[0]).from;
+            let driver = timer.graph().arc(timer.graph().fanin(driver).start).from;
             let crate::NodeKind::GateOutput(g) = timer.graph().node_kind(driver) else {
                 unreachable!("pins 0 and 1 hang off buffers");
             };
@@ -736,7 +736,7 @@ mod tests {
         let nand = crate::GateId(0);
         let mid_net = |t: &Timer| {
             let pin = t.graph().gate_input_node(nand, 1);
-            let from = t.graph().arc(t.graph().fanin(pin)[0]).from;
+            let from = t.graph().arc(t.graph().fanin(pin).start).from;
             let crate::NodeKind::GateOutput(g) = t.graph().node_kind(from) else {
                 unreachable!("pin 1 hangs off a buffer");
             };
@@ -756,7 +756,7 @@ mod tests {
         let (graph, was, now) = (timer.graph(), settled.data(), timer.data());
         let out = graph.gate_output_node(nand);
         assert_eq!(now.fprop_bits(out), was.fprop_bits(out), "dominated");
-        let arc = graph.fanin(out)[1];
+        let arc = graph.fanin(out).start + 1;
         assert_eq!(graph.arc(arc).from, graph.gate_input_node(nand, 1));
         assert_ne!(now.arc_delay_bits(arc), was.arc_delay_bits(arc));
         let pin = graph.gate_input_node(nand, 1);
@@ -771,8 +771,8 @@ mod tests {
         edit(&mut timer);
         let cone = timer.dirty_cone();
         assert_eq!(cone.num_tasks(), structural, "the same structural cone");
-        // A shared driver is dirtied once per pin it feeds: count positions.
-        let view = cone.graph().level_view();
+        // A shared driver is dirtied once per pin it feeds: count nodes.
+        let (graph, soa) = (cone.graph(), cone.arc_soa());
         let seeds: std::collections::BTreeSet<u32> = {
             let bits = cone.bits.lock();
             let n = cone.graph().num_nodes() as u32;
@@ -783,8 +783,8 @@ mod tests {
             all.extend(neighbours);
             all.len()
         };
-        let succ = seeds.iter().flat_map(|&r| view.succ(r as usize));
-        let pred = seeds.iter().flat_map(|&r| view.pred(r as usize));
+        let succ = seeds.iter().flat_map(|&v| graph.succs(NodeId(v)));
+        let pred = seeds.iter().flat_map(|&v| graph.preds(soa, NodeId(v)));
         let want = with(succ.copied().collect()) + with(pred.copied().collect());
         assert_eq!(cone.run_in_order(), want, "seeds and neighbours");
         assert!(want < structural);
@@ -798,14 +798,14 @@ mod tests {
         // they find: only the seed counts as changed.
         let mut timer = two_cone_timer();
         timer.update_timing().run_sequential();
-        let far_end = |graph: &TimingGraph, arcs: &[u32]| *graph.arc(arcs[0]);
+        let (a, y0) = (crate::PortId(0), crate::PortId(0));
 
         // An unknown mark equals itself. Seed: input `a`; its fprop, the
         // fprop of its one sink, its bprop. NaN != NaN would run one more.
         let graph = timer.graph();
-        let sink = far_end(graph, graph.fanout(NodeId(0))).to;
+        let sink = graph.arc(graph.fanout(graph.input_node(a))[0]).to;
         timer.data().mark_arrival_unknown(sink);
-        timer.set_input_delay(crate::PortId(0), 0.0);
+        timer.set_input_delay(a, 0.0);
         let cone = timer.dirty_cone();
         assert_eq!(executed(&cone, |_| {}), 3);
         drop(cone);
@@ -815,14 +815,13 @@ mod tests {
         // first time, and so reaches *its* fan-in, and not the second time.
         let graph = timer.graph();
         let n = graph.num_nodes() as u32;
-        let y0 = NodeId(n - 2);
-        let driver = far_end(graph, graph.fanin(y0)).from;
-        let bprop_of_driver = 2 * n - 1 - graph.level_view().rank[driver.index()];
+        let driver = graph.arc(graph.fanin(graph.output_node(y0)).start).from;
+        let bprop_of_driver = 2 * n - 1 - driver.0;
         timer
             .data()
             .set_required_bits(driver, [0.0f32.to_bits(); 4]);
         for want in [4, 3] {
-            timer.set_output_delay(crate::PortId(0), 0.0);
+            timer.set_output_delay(y0, 0.0);
             let cone = timer.dirty_cone();
             let minus_zero = |t: TaskId| {
                 if t.0 == bprop_of_driver {

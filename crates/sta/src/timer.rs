@@ -9,7 +9,7 @@
 //! consume.
 
 use crate::analysis::{TimingData, TimingPropagator};
-use crate::graph::{set_bit, NodeId, TimingGraph};
+use crate::graph::{set_bit, ArcSoa, NodeId, TimingGraph};
 use crate::library::CellLibrary;
 use crate::netlist::{GateId, Netlist, PinRef};
 use crate::report::{EndpointSlack, EndpointSummary, TimingReport};
@@ -63,8 +63,8 @@ struct RecycleBin {
     cone_bits: Vec<ConeBits>,
 }
 
-/// The position bitsets of a cone, `n.div_ceil(64)` words each, one bit per
-/// *position in the level order*. They travel with the [`DirtyCone`] —
+/// The node bitsets of a cone, `n.div_ceil(64)` words each, one bit per
+/// node. They travel with the [`DirtyCone`] —
 /// discovery sweeps `f` and `b`, and so does a
 /// [`run_in_order`](DirtyCone::run_in_order) of a partial cone — and come
 /// back through the [`RecycleBin`].
@@ -179,7 +179,7 @@ impl Timer {
         let num_inputs = self.netlist.gates()[g.index()].cell.num_inputs() as u8;
         for pin in 0..num_inputs {
             let node = self.graph.gate_input_node(g, pin);
-            for &a in self.graph.fanin(node) {
+            for a in self.graph.fanin(node) {
                 let arc = *self.graph.arc(a);
                 if let crate::graph::ArcKind::Net { net } = arc.kind {
                     self.data.recompute_net(net, &self.netlist, &self.library);
@@ -203,11 +203,11 @@ impl Timer {
         let driver = n.driver;
         self.data.recompute_net(net, &self.netlist, &self.library);
         let node = match driver {
-            PinRef::PrimaryInput(p) => p.0,
-            PinRef::GateOutput(g) => self.graph.gate_output_node(g).0,
+            PinRef::PrimaryInput(p) => self.graph.input_node(p),
+            PinRef::GateOutput(g) => self.graph.gate_output_node(g),
             _ => unreachable!("nets are driven by inputs or gate outputs"),
         };
-        self.dirty.push(node);
+        self.dirty.push(node.0);
     }
 
     /// Constrain primary input `port`: external logic delivers the signal
@@ -222,8 +222,7 @@ impl Timer {
             "input port out of range"
         );
         self.data.set_input_delay(port.0, delay_ps);
-        // The PI node is the graph node with the same index as the port.
-        self.dirty.push(port.0);
+        self.dirty.push(self.graph.input_node(port).0);
     }
 
     /// Constrain primary output `port`: external logic needs the signal
@@ -240,8 +239,7 @@ impl Timer {
         self.data.set_output_delay(port.0, delay_ps);
         // Dirtying the PO node regenerates the backward cone's required
         // times (its forward cone is empty).
-        let node = self.graph.num_nodes() as u32 - self.netlist.num_outputs() as u32 + port.0;
-        self.dirty.push(node);
+        self.dirty.push(self.graph.output_node(port).0);
     }
 
     /// Whether any modifier is pending.
@@ -317,13 +315,12 @@ impl Timer {
     /// forward closure of the dirty nodes, B ⊇ F the backward closure of F.
     /// Clears the dirty set.
     ///
-    /// Both closures are one [sweep](crate::graph::LevelView::sweep) over
-    /// the level order, in the position space of
-    /// [`TimingGraph::level_view`]: an arc goes up the order, so by the time
-    /// an ascending sweep reaches a position every fan-in that could put it
-    /// in F has been visited, and likewise descending for B. No stack, no
-    /// visited array, no sort — and the ids come out ascending, because
-    /// fprop ids rise and bprop ids fall with the position.
+    /// Both closures are one [sweep](TimingGraph::sweep) over the node ids:
+    /// an arc goes up the ids, so by the time an ascending sweep reaches a
+    /// node every fan-in that could put it in F has been visited, and
+    /// likewise descending for B. No stack, no visited array, no sort — and
+    /// the task ids come out ascending, because fprop ids rise and bprop ids
+    /// fall with the node id.
     fn discover_cone(&mut self) -> (Vec<u32>, usize, ConeBits) {
         let n = self.graph.num_nodes();
         let (mut ids, mut bits) = {
@@ -344,28 +341,28 @@ impl Timer {
             return (ids, 0, bits);
         }
 
-        let view = self.graph.level_view();
+        let (graph, soa) = (&self.graph, self.graph.arc_soa(&self.netlist));
         let ConeBits { seeds, f, b, .. } = &mut bits;
         for set in [&mut *seeds, &mut *f, &mut *b] {
             set.resize(n.div_ceil(64), 0);
         }
         // A bitset, not the list: an edit may dirty a node more than once.
         for v in self.dirty.drain(..) {
-            set_bit(seeds, view.rank[v as usize]);
+            set_bit(seeds, v);
         }
         f.copy_from_slice(seeds);
 
-        // F, ascending: fprop task of position `r` is `r`. F ⊆ B.
-        view.sweep::<true>(f, |r| {
-            ids.push(r);
-            set_bit(b, r);
+        // F, ascending: the fprop task of node `v` is `v`. F ⊆ B.
+        graph.sweep::<true>(soa, f, |v| {
+            ids.push(v);
+            set_bit(b, v);
             true
         });
         let num_fprop = ids.len();
-        // B, descending: bprop task of position `r` is `2n - 1 - r`.
+        // B, descending: the bprop task of node `v` is `2n - 1 - v`.
         let top = 2 * n as u32 - 1;
-        view.sweep::<false>(b, |r| {
-            ids.push(top - r);
+        graph.sweep::<false>(soa, b, |v| {
+            ids.push(top - v);
             true
         });
         (ids, num_fprop, bits)
@@ -589,9 +586,9 @@ fn build_tdg(
 ) -> Tdg {
     let n = graph.num_nodes();
     // Task numbering: task `t` is the set's `t`-th full-space id — fprop
-    // tasks along the graph's level order, then bprop tasks against it. An
-    // arc goes up the level order, fprop follows arcs, bprop runs against
-    // them and after its own fprop, so every TDG edge has `u < v`.
+    // tasks in node order, then bprop tasks against it. An arc goes up the
+    // node ids, fprop follows arcs, bprop runs against them and after its
+    // own fprop, so every TDG edge has `u < v`.
     const NONE: u32 = u32::MAX;
     let UpdateScratch { f_task, b_task } = scratch;
     for map in [&mut *f_task, &mut *b_task] {
@@ -626,7 +623,7 @@ fn build_tdg(
         builder.add_edge(TaskId(t as u32), TaskId(b_task[v as usize]));
     }
     for (t, &v) in task_node.iter().enumerate().skip(num_fprop) {
-        for &a in graph.fanin(NodeId(v)) {
+        for a in graph.fanin(NodeId(v)) {
             // bprop runs against the arc direction.
             let u = graph.arc(a).from.0 as usize;
             builder.add_edge(TaskId(t as u32), TaskId(b_task[u]));
@@ -650,17 +647,15 @@ fn build_tdg(
     builder.build_trusted()
 }
 
-/// The `(kind, node)` behind full-space task id `id`: with `r` the position
-/// of a node in the level order of an `n`-node graph, its fprop task is
-/// `r` and its bprop task `2n - 1 - r`.
+/// The `(kind, node)` behind full-space task id `id`: in an `n`-node graph
+/// the fprop task of node `v` is `v` and its bprop task `2n - 1 - v`.
 fn decode(graph: &TimingGraph, id: u32) -> (TaskKind, NodeId) {
-    let order = graph.level_order();
-    match order.get(id as usize) {
-        Some(&v) => (TaskKind::Fprop, NodeId(v)),
-        None => (
-            TaskKind::Bprop,
-            NodeId(order[2 * order.len() - 1 - id as usize]),
-        ),
+    let n = graph.num_nodes() as u32;
+    if id < n {
+        (TaskKind::Fprop, NodeId(id))
+    } else {
+        assert!(id < 2 * n, "task {id} is outside the full task space");
+        (TaskKind::Bprop, NodeId(2 * n - 1 - id))
     }
 }
 
@@ -670,10 +665,9 @@ fn decode(graph: &TimingGraph, id: u32) -> (TaskKind, NodeId) {
 /// # The full task space
 ///
 /// Every timing-graph node has one fprop and one bprop task, and the *full
-/// task space* numbers all `2n` of them the way a full update does: with
-/// `r` the position of a node in the graph's level order (nodes sorted by
-/// longest-path level, then node id), its fprop task is `r` and its bprop
-/// task is `2n - 1 - r`. A timing arc goes up the level order, fprop tasks
+/// task space* numbers all `2n` of them the way a full update does: the
+/// fprop task of node `v` is `v` and its bprop task is `2n - 1 - v`. A
+/// timing arc goes up the node ids (see [`TimingGraph`]), fprop tasks
 /// depend along arcs, and a bprop task depends on its node's fprop task
 /// and against arcs, so every dependency goes from a lower id to a higher
 /// one. Full-space ids are stable across updates, which is what lets a
@@ -728,6 +722,11 @@ impl<'a> DirtyCone<'a> {
         self.prop.data
     }
 
+    /// The graph's flat arc view, which its sweeps read fan-ins from.
+    pub(crate) fn arc_soa(&self) -> &'a ArcSoa {
+        self.prop.graph.arc_soa(self.prop.netlist)
+    }
+
     /// What the task with full-space id `id` does, and on which node.
     ///
     /// # Panics
@@ -771,7 +770,7 @@ impl<'a> DirtyCone<'a> {
         (0..n).all(|v| {
             let node = NodeId(v as u32);
             let mut fanouts = graph.fanout(node).iter().map(|&a| graph.arc(a).to);
-            let mut fanins = graph.fanin(node).iter().map(|&a| graph.arc(a).from);
+            let mut fanins = graph.fanin(node).map(|a| graph.arc(a).from);
             (!f[v] || (b[v] && fanouts.all(|w| f[w.index()])))
                 && (!b[v] || fanins.all(|u| b[u.index()]))
         })
@@ -784,9 +783,8 @@ impl<'a> DirtyCone<'a> {
 /// # Task numbering
 ///
 /// Task `t` is the cone's `t`-th full-space id (see [`DirtyCone`]): ids
-/// `0..num_fprop_tasks` are forward-propagation tasks, in ascending order
-/// of their node's position in the timing graph's *level order*; the rest
-/// are backward-propagation tasks, in descending order of that position.
+/// `0..num_fprop_tasks` are forward-propagation tasks, in ascending node
+/// id; the rest are backward-propagation tasks, in descending node id.
 /// So **every edge `(u, v)` of every update TDG, full or cone, has
 /// `u < v`**: ascending task id is a topological order, which
 /// [`QuotientTdg::build_in`](gpasta_tdg::QuotientTdg::build_in) checks and
@@ -873,13 +871,12 @@ impl<'a> TimingUpdateTdg<'a> {
     }
 
     /// The stable full-space id of task `t`: the id the same task has in a
-    /// *full* update (after [`Timer::invalidate_all`]). With `r` the
-    /// position of the task's node in the level order of an `n`-node
-    /// graph, that is `r` for an fprop task and `2n - 1 - r` for a bprop
-    /// task. It is the identity on a full update, whose TDG is therefore
-    /// the full-space TDG; on a cone update it is strictly increasing in
-    /// `t` and embeds the cone TDG as an induced subgraph of the
-    /// full-space TDG.
+    /// *full* update (after [`Timer::invalidate_all`]). With `v` the task's
+    /// node in an `n`-node graph, that is `v` for an fprop task and
+    /// `2n - 1 - v` for a bprop task. It is the identity on a full update,
+    /// whose TDG is therefore the full-space TDG; on a cone update it is
+    /// strictly increasing in `t` and embeds the cone TDG as an induced
+    /// subgraph of the full-space TDG.
     ///
     /// # Panics
     ///
@@ -1110,15 +1107,13 @@ mod tests {
         assert_eq!(cone_only.snapshot(), with_tdg.snapshot());
     }
 
-    /// Dirty the nodes at `positions` of the level order and check the cone
-    /// against its definition: the successor closure, in the full-space TDG,
-    /// of the dirty nodes' fprop tasks (the task of position `r` is `r`).
+    /// Dirty the nodes `positions` (a node id is its position in the level
+    /// order) and check the cone against its definition: the successor
+    /// closure, in the full-space TDG, of the dirty nodes' fprop tasks (the
+    /// fprop task of node `v` is `v`).
     fn assert_cone_is_the_closure(timer: &mut Timer, full_tdg: &Tdg, positions: &[u32]) {
         let n = timer.graph.num_nodes();
-        let order = timer.graph.level_order();
-        timer
-            .dirty
-            .extend(positions.iter().map(|&r| order[r as usize]));
+        timer.dirty.extend_from_slice(positions);
         let (ids, num_fprop, bits) = timer.discover_cone();
         assert_eq!(
             ids,
@@ -1189,7 +1184,7 @@ mod tests {
         let full_space = 2 * timer.graph.num_nodes();
         assert_eq!(timer.dirty_cone().num_tasks(), full_space, "full update");
         assert_eq!(timer.dirty_cone().num_tasks(), 0, "nothing is dirty");
-        assert!(!timer.graph.has_level_view());
+        assert!(!timer.graph.has_succ());
         assert!(timer.bin.lock().cone_bits.iter().all(|b| b.f.is_empty()));
         let mut empty = Timer::new(
             NetlistBuilder::new().build().expect("empty is fine"),
@@ -1201,7 +1196,7 @@ mod tests {
         timer.repower_gate(GateId(7), 2.0);
         let before = timer.dirty_cone().ids().to_vec();
         assert!(!before.is_empty() && before.len() < full_space);
-        assert!(timer.graph.has_level_view());
+        assert!(timer.graph.has_succ());
 
         timer.repower_gate(GateId(7), 0.5);
         assert_eq!(timer.dirty_cone().ids(), before, "same edit, same cone");

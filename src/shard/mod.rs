@@ -306,8 +306,10 @@ pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64)
 // ---------------------------------------------------------------------------
 
 // Disjoint from the wire frame kinds. Kind 16 held completed partition
-// ids; a file of that kind is refused, not misread as task ranges.
-const CKPT_KIND: u8 = 17;
+// ids, kind 17 a snapshot indexed by pin number (node ids before they were
+// level positions) under the same TDG fingerprint: a file of either kind
+// is refused, not misread.
+const CKPT_KIND: u8 = 18;
 
 /// The timing snapshot as a shard checkpoint stores it: clock-period bits,
 /// then nine counted arrays.
@@ -652,6 +654,20 @@ mod tests {
             let err = ShardCheckpoint::decode(&ck.encode()).expect_err("malformed ranges");
             assert!(err.to_string().contains("sorted and merged"), "{err}");
         }
+    }
+
+    /// A kind-17 checkpoint indexes its snapshot by pin number and carries
+    /// the TDG fingerprint this numbering keeps: restoring it would put
+    /// every value into another node, so it is refused.
+    #[test]
+    fn a_pin_numbered_checkpoint_is_refused() {
+        let mut old = sample_checkpoint().encode();
+        old[8] = 17;
+        let err = ShardCheckpoint::decode(&old).expect_err("pin-numbered snapshot");
+        assert!(
+            matches!(&err, ShardError::Checkpoint(why) if why.contains("not a shard checkpoint")),
+            "{err}"
+        );
     }
 
     #[test]
