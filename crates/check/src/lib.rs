@@ -19,9 +19,9 @@
 //!   allowlist for `unwrap`/`expect` on non-test library paths.
 //!
 //! [`protocols`] contains the bounded model-check harnesses for the five
-//! scheduler protocols (poison publication, chunked decrement flush,
-//! watchdog stall claim, cancel generations, slack-min), with seeded
-//! mutations proving the checker catches real weakenings.
+//! scheduler protocols (poison publication, chunked decrement flush, stop
+//! latch, cancel generations, slack-min), with seeded mutations proving
+//! the checker catches real weakenings.
 
 pub mod lint;
 pub mod model;

@@ -29,11 +29,18 @@
 //!    `crates/tdg/src/checksum.rs`, where the one checksum is defined:
 //!    anywhere else it is a hand-copied checksum. Comments and strings
 //!    count too.
+//! 6. **`session-scope`** — a session builds no task graph: `src/session.rs`
+//!    never calls `timer.update_timing(` or `install(`, and names none of
+//!    the scheduled path, which lives in `src/scheduled.rs`; and since a
+//!    session checkpoint stores the edit state and restore derives every
+//!    value, neither `src/session.rs` nor `src/checkpoint.rs` names a
+//!    timing snapshot or a net-cap journal. Comments and strings count
+//!    too.
 //!
-//! Rules 1–4 read `crates/*/src` and `src/`, outside `tests/`, `benches/`
-//! and `examples/`; rule 5 reads every `.rs` file of the tree (tests,
-//! benches, examples and `perf_ledger/` too). `#[cfg(test)]` items,
-//! `vendor/` and `target/` are excluded from all five. For rules 1–4
+//! Rules 1–4 and 6 read `crates/*/src` and `src/`, outside `tests/`,
+//! `benches/` and `examples/`; rule 5 reads every `.rs` file of the tree
+//! (tests, benches, examples and `perf_ledger/` too). `#[cfg(test)]`
+//! items, `vendor/` and `target/` are excluded from all six. For rules 1–4
 //! strings and comments are masked before matching, so a pattern inside a
 //! string literal or doc example never fires.
 
@@ -378,6 +385,23 @@ const FNV_BASIS: &str = concat!("cbf2", "9ce4", "8422", "2325");
 /// The one file whose non-test code may spell [`FNV_BASIS`].
 const CHECKSUM_HOME: &str = "crates/tdg/src/checksum.rs";
 
+/// What non-test `src/session.rs` may not name: a whole-design update, a
+/// partition install, and the scheduled path (`crate::core`, the executor,
+/// the quotient arena, the retry policy).
+const SESSION_TERMS: [&str; 7] = [
+    "timer.update_timing(",
+    "release_tdg_buffers",
+    "install(",
+    "crate::core",
+    "Executor",
+    "QuotientArena",
+    "RetryPolicy",
+];
+
+/// What neither non-test `src/session.rs` nor `src/checkpoint.rs` may
+/// name: a stored timing value.
+const SNAPSHOT_TERMS: [&str; 3] = ["restore_snapshot", "TimingSnapshot", "net_cap_journal"];
+
 /// Paths exempt from the `raw-atomic`, `seqcst`, and `hb-tag` rules: the
 /// shim and the model checker are where raw atomics and ordering tokens
 /// legitimately live.
@@ -426,29 +450,64 @@ fn masked_lines(source: &str) -> Vec<MaskedLine> {
     lines
 }
 
-/// The `one-checksum` rule: flag each non-test line of `source` (its
-/// `lines`, from [`masked_lines`]) that spells the FNV offset basis,
-/// unless `rel` is [`CHECKSUM_HOME`].
+/// The non-test lines of `source` (its `lines`, from [`masked_lines`]),
+/// unmasked and numbered from 1: what the rules that count comments and
+/// strings read.
+fn raw_lines<'s>(
+    source: &'s str,
+    lines: &'s [MaskedLine],
+) -> impl Iterator<Item = (usize, &'s str)> {
+    let numbered = lines.iter().zip(source.split('\n')).zip(1..);
+    numbered.filter_map(|((line, raw), no)| (!line.in_test).then_some((no, raw)))
+}
+
+/// The `one-checksum` rule: flag each non-test line of `source` that
+/// spells the FNV offset basis, unless `rel` is [`CHECKSUM_HOME`].
 fn one_checksum(rel: &str, source: &str, lines: &[MaskedLine], out: &mut Vec<Diagnostic>) {
     if rel == CHECKSUM_HOME {
         return;
     }
-    for (idx, (line, raw)) in lines.iter().zip(source.split('\n')).enumerate() {
-        let spelled = || {
-            raw.to_ascii_lowercase()
-                .replace('_', "")
-                .contains(FNV_BASIS)
-        };
-        if !line.in_test && spelled() {
+    for (line, raw) in raw_lines(source, lines) {
+        if raw
+            .to_ascii_lowercase()
+            .replace('_', "")
+            .contains(FNV_BASIS)
+        {
             out.push(Diagnostic {
                 path: rel.to_string(),
-                line: idx + 1,
+                line,
                 rule: "one-checksum",
                 message: format!(
                     "the FNV offset basis outside {CHECKSUM_HOME} — a hand-copied checksum; \
                      call gpasta_tdg::checksum instead"
                 ),
             });
+        }
+    }
+}
+
+/// The `session-scope` rule: flag each non-test line of `src/session.rs`
+/// that spells one of [`SESSION_TERMS`] or [`SNAPSHOT_TERMS`], and of
+/// `src/checkpoint.rs` one of [`SNAPSHOT_TERMS`].
+fn session_scope(rel: &str, source: &str, lines: &[MaskedLine], out: &mut Vec<Diagnostic>) {
+    let session_only: &[&str] = match rel {
+        "src/session.rs" => &SESSION_TERMS,
+        "src/checkpoint.rs" => &[],
+        _ => return,
+    };
+    for (line, raw) in raw_lines(source, lines) {
+        for term in session_only.iter().chain(&SNAPSHOT_TERMS) {
+            if raw.contains(term) {
+                out.push(Diagnostic {
+                    path: rel.to_string(),
+                    line,
+                    rule: "session-scope",
+                    message: format!(
+                        "`{term}` in {rel}: a session builds no task graph and stores no \
+                         timing value — the scheduled path lives in src/scheduled.rs"
+                    ),
+                });
+            }
         }
     }
 }
@@ -474,6 +533,7 @@ fn lint_source(
     let lines = masked_lines(source);
     let mut out = Vec::new();
     one_checksum(rel, source, &lines, &mut out);
+    session_scope(rel, source, &lines, &mut out);
     let shim = is_shim_path(rel);
     let mut unwraps = 0usize;
     let mut expects = 0usize;

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | [`poison_publication`] | Release-before-decrement poison publication (`gpasta-sched::bounded::run_stealing_bounded`) | poisoned set = exact forward closure of the failed unit; a poisoned unit never runs its payload |
 //! | [`chunked_flush`] | worker-local decrement batches, flushed before a worker steals or parks (`DecrementBatch` in `gpasta-sched::bounded::run_stealing_bounded`) | every unit is admitted exactly once, after all its predecessors; a poisoned unit never runs its payload; the run terminates |
-//! | [`watchdog_claim`] | pending→stalled CAS claim (`gpasta-sched::bounded`) | a unit is claimed by at most one of worker/watchdog, and the winner's claim publishes its payload |
+//! | [`stop_latch`] | the first-cause-wins stop latch (`gpasta-sched::bounded::run_stealing_bounded`) | of a deadline and a cancel observed at once, exactly one cause latches and the run reports it |
 //! | [`cancel_generation`] | generation-counted `CancelToken` (`gpasta-tdg::cancel`), at the `u64` wrap boundary | cancellation latches per observer; a cancel consumed by run *k* never re-delivers to run *k+1* |
 //! | [`slack_min`] | NaN-preserving `AtomicF32` slack-min (`gpasta-sta::atomic_f32`) | concurrent min-reduction is order-insensitive and NaN-preserving |
 //! | [`park_handoff`] | park-slot claim vs retire CAS and the shutdown drain (`gpasta::serve::http`) | an accepted stream is served by exactly one thread and never dropped unread; shutdown releases a parked thread at once |
@@ -22,11 +22,10 @@
 //! `cfg(test)`): the poison path's dependency-decrement `AcqRel` →
 //! `Relaxed` (severing the release half of the handoff edge), the same
 //! downgrade on the *batched* decrement, a batch that is published only
-//! after a successful steal (so a worker can park on it), the
-//! watchdog's claim-CAS success ordering `AcqRel` → `Relaxed` (severing
-//! the claim's publication), a park-slot retire by load-then-store
-//! instead of a CAS, and a parked thread that holds a sender to its own
-//! slot. Tests assert the explorer produces a replayable counterexample
+//! after a successful steal (so a worker can park on it), a stop latch
+//! taken by a plain store instead of a CAS, a park-slot retire by
+//! load-then-store instead of a CAS, and a parked thread that holds a
+//! sender to its own slot. Tests assert the explorer produces a replayable counterexample
 //! for each — proof the checker has teeth.
 
 use crate::model::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Mutex, TrackedCell};
@@ -48,8 +47,8 @@ pub const CHUNK_BOUNDS: Bounds = Bounds {
     preemption_bound: None,
 };
 
-/// Pinned bounds for the watchdog-claim harness.
-pub const WATCHDOG_BOUNDS: Bounds = Bounds {
+/// Pinned bounds for the stop-latch harness.
+pub const STOP_BOUNDS: Bounds = Bounds {
     max_schedules: 400_000,
     max_steps: 2_000,
     preemption_bound: None,
@@ -90,13 +89,12 @@ pub enum Mutation {
     /// `Release`-published poison flag, so a poisoned unit can run.
     #[cfg(test)]
     PoisonDecrementRelaxed,
-    /// Downgrade the watchdog's pending→stalled claim-CAS *success*
-    /// ordering from `AcqRel` to `Relaxed`. The claim still wins
-    /// exclusively (CAS atomicity is ordering-independent) but no longer
-    /// publishes the evidence written before it, so an observer that
-    /// `Acquire`-loads the STALLED state races on the evidence cell.
+    /// Latch the stop cause with a plain store instead of the
+    /// `compare_exchange` from running. Two workers that both find the
+    /// latch open then both latch, and the second overwrites the first's
+    /// cause.
     #[cfg(test)]
-    WatchdogClaimRelaxed,
+    StopLatchStore,
     /// Publish a worker's decrement batch only after a steal *succeeds*
     /// instead of before the steal is attempted. A worker whose steal
     /// finds nothing then parks on its batch: the shared successor's
@@ -460,91 +458,68 @@ pub fn chunked_flush(bounds: &Bounds, mutation: Mutation) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Watchdog stall claim
+// 3. Stop latch
 // ---------------------------------------------------------------------------
 
-const PENDING: u8 = 0;
-const DONE: u8 = 1;
-const STALLED: u8 = 2;
+const STOP_RUNNING: u8 = 0;
+const STOP_DEADLINE: u8 = 1;
+const STOP_CANCELLED: u8 = 2;
 
-/// One execution of the watchdog-claim instance: a worker runs the unit
-/// and claims DONE, a watchdog that saw the in-flight beacon claims
-/// STALLED, and an observer consumes whichever claim it sees.
-pub fn watchdog_once(mutation: Mutation) {
-    let (claim_ok, claim_err) = match mutation {
-        #[cfg(test)]
-        Mutation::WatchdogClaimRelaxed => (Ordering::Relaxed, Ordering::Relaxed),
-        // hb: unit-claim
-        _ => (Ordering::AcqRel, Ordering::Acquire),
-    };
-    let inflight = AtomicU32::named("inflight", 0);
-    let state = AtomicU8::named("unit_state", PENDING);
-    let result = TrackedCell::named("result", 0u32);
-    let evidence = TrackedCell::named("evidence", 0u32);
-    let observed = TrackedCell::named("observed", u8::MAX);
-    let (fl, st, res, ev, obs) = (&inflight, &state, &result, &evidence, &observed);
-    run_threads(vec![
-        // Worker: announce, run, claim DONE.
-        Box::new(move || {
-            // hb: inflight-publish
-            fl.store(1, Ordering::Release);
-            res.write(42);
-            // hb: unit-claim
-            let _ = st.compare_exchange(PENDING, DONE, Ordering::AcqRel, Ordering::Acquire);
-        }),
-        // Watchdog: if the unit is visibly in flight, record evidence and
-        // claim STALLED. The claim's success ordering is the mutation
-        // point: it must publish the evidence.
-        Box::new(move || {
-            // hb: inflight-publish
-            let beacon = fl.load(Ordering::Acquire);
-            if beacon == 1 {
-                ev.write(7);
-                let _ = st.compare_exchange(PENDING, STALLED, claim_ok, claim_err);
-            }
-        }),
-        // Observer: consume whichever claim is visible.
-        Box::new(move || {
-            // hb: unit-claim
-            let s = st.load(Ordering::Acquire);
-            obs.write(s);
-            match s {
-                DONE => check(
-                    res.read() == 42,
-                    "DONE claim must publish the unit's result",
-                ),
-                STALLED => {
-                    check(
-                        ev.read() == 7,
-                        "STALLED claim must publish the watchdog's evidence",
-                    );
-                }
-                _ => {}
-            }
-        }),
-    ]);
-    // CAS atomicity: the unit has exactly one owner, and the worker always
-    // claims, so PENDING cannot survive.
-    let final_state = state.load(Ordering::Relaxed);
-    check(
-        final_state != PENDING,
-        "exactly one of worker/watchdog must claim the unit",
-    );
-    match final_state {
-        DONE => count("worker-won"),
-        _ => count("watchdog-won"),
+/// One worker of the stop-latch instance about to admit a unit, whose
+/// budget poll finds `cause`: it reads the latch and, finding the run
+/// still running, tries to latch its cause. Records whether it did.
+fn latch_stop(stop: &AtomicU8, cause: u8, latched: &TrackedCell<bool>, mutation: Mutation) {
+    // hb: stop-latch
+    if stop.load(Ordering::Acquire) != STOP_RUNNING {
+        count("saw-the-latch-before-polling");
+        return;
     }
-    match observed.read() {
-        PENDING => count("observer-saw-pending"),
-        DONE => count("observer-saw-done"),
-        STALLED => count("observer-saw-stalled"),
-        _ => count("observer-unreached"),
+    let won = match mutation {
+        #[cfg(test)]
+        Mutation::StopLatchStore => {
+            stop.store(cause, Ordering::Release);
+            true
+        }
+        // hb: stop-latch
+        _ => stop
+            .compare_exchange(STOP_RUNNING, cause, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok(),
+    };
+    latched.write(won);
+    if won {
+        count(match cause {
+            STOP_DEADLINE => "deadline-latched",
+            _ => "cancel-latched",
+        });
     }
 }
 
-/// Explore the watchdog-claim instance.
-pub fn watchdog_claim(bounds: &Bounds, mutation: Mutation) -> Report {
-    explore(bounds, || watchdog_once(mutation))
+/// One execution of the stop-latch instance, the shape of
+/// `run_stealing_bounded`'s latch: two workers, one whose budget poll
+/// finds the deadline expired and one that finds the token cancelled.
+pub fn stop_latch_once(mutation: Mutation) {
+    let stop = AtomicU8::named("stop", STOP_RUNNING);
+    let deadline = TrackedCell::named("deadline_latched", false);
+    let cancel = TrackedCell::named("cancel_latched", false);
+    let (st, dl, cl) = (&stop, &deadline, &cancel);
+    run_threads(vec![
+        Box::new(move || latch_stop(st, STOP_DEADLINE, dl, mutation)),
+        Box::new(move || latch_stop(st, STOP_CANCELLED, cl, mutation)),
+    ]);
+    let winners: Vec<u8> = [(STOP_DEADLINE, &deadline), (STOP_CANCELLED, &cancel)]
+        .into_iter()
+        .filter_map(|(cause, cell)| cell.read().then_some(cause))
+        .collect();
+    check(winners.len() == 1, "exactly one cause must latch");
+    check(
+        winners.first() == Some(&stop.load(Ordering::Relaxed)),
+        "the run must report the cause that latched",
+    );
+}
+
+/// Explore the stop-latch instance.
+pub fn stop_latch(bounds: &Bounds, mutation: Mutation) -> Report {
+    explore(bounds, || stop_latch_once(mutation))
 }
 
 // ---------------------------------------------------------------------------
@@ -856,6 +831,24 @@ mod tests {
     use super::*;
     use crate::model::replay;
 
+    /// A seeded mutation is caught: `report` holds a counterexample with a
+    /// trace, whose message names one of `expected` (any, if empty), and
+    /// replaying its decisions against `once` reproduces it exactly.
+    fn assert_caught(report: Report, expected: &[&str], once: impl FnMut()) {
+        let v = report
+            .violation
+            .expect("the mutation must yield a counterexample");
+        assert!(!v.trace.is_empty(), "counterexample carries a trace");
+        assert!(
+            expected.is_empty() || expected.iter().any(|e| v.message.contains(e)),
+            "counterexample should name one of {expected:?}: {}",
+            v.message
+        );
+        let replayed = replay(&v.decisions, once);
+        let rv = replayed.violation.expect("replay reproduces the violation");
+        assert_eq!(rv.message, v.message, "replay is deterministic");
+    }
+
     #[test]
     fn poison_protocol_exhaustive_no_violation() {
         let report = poison_publication(&POISON_BOUNDS, Mutation::None);
@@ -884,16 +877,11 @@ mod tests {
 
     #[test]
     fn poison_decrement_mutation_caught_with_replayable_trace() {
-        let report = poison_publication(&POISON_BOUNDS, Mutation::PoisonDecrementRelaxed);
-        let v = report
-            .violation
-            .expect("Relaxed dep-decrement must yield a counterexample");
-        assert!(!v.trace.is_empty(), "counterexample carries a trace");
-        let replayed = replay(&v.decisions, || {
-            poison_once(Mutation::PoisonDecrementRelaxed)
-        });
-        let rv = replayed.violation.expect("replay reproduces the violation");
-        assert_eq!(rv.message, v.message, "replay is deterministic");
+        assert_caught(
+            poison_publication(&POISON_BOUNDS, Mutation::PoisonDecrementRelaxed),
+            &[],
+            || poison_once(Mutation::PoisonDecrementRelaxed),
+        );
     }
 
     #[test]
@@ -923,84 +911,53 @@ mod tests {
 
     #[test]
     fn flush_after_steal_mutation_caught_with_replayable_trace() {
-        let report = chunked_flush(&CHUNK_BOUNDS, Mutation::FlushAfterSteal);
-        let v = report
-            .violation
-            .expect("a worker parking on its batch must yield a counterexample");
-        assert!(
-            v.message.contains("terminate"),
-            "counterexample should be the run that never ends: {}",
-            v.message
+        assert_caught(
+            chunked_flush(&CHUNK_BOUNDS, Mutation::FlushAfterSteal),
+            &["terminate"],
+            || chunked_flush_once(Mutation::FlushAfterSteal),
         );
-        let replayed = replay(&v.decisions, || {
-            chunked_flush_once(Mutation::FlushAfterSteal)
-        });
-        let rv = replayed.violation.expect("replay reproduces the violation");
-        assert_eq!(rv.message, v.message, "replay is deterministic");
     }
 
     #[test]
     fn chunk_decrement_mutation_caught_with_replayable_trace() {
-        let report = chunked_flush(&CHUNK_BOUNDS, Mutation::ChunkDecrementRelaxed);
-        let v = report
-            .violation
-            .expect("Relaxed batched decrement must yield a counterexample");
-        assert!(
-            v.message.contains("poisoned unit") || v.message.contains("data race"),
-            "counterexample should be the stale poison read: {}",
-            v.message
+        assert_caught(
+            chunked_flush(&CHUNK_BOUNDS, Mutation::ChunkDecrementRelaxed),
+            &["poisoned unit", "data race"],
+            || chunked_flush_once(Mutation::ChunkDecrementRelaxed),
         );
-        let replayed = replay(&v.decisions, || {
-            chunked_flush_once(Mutation::ChunkDecrementRelaxed)
-        });
-        let rv = replayed.violation.expect("replay reproduces the violation");
-        assert_eq!(rv.message, v.message, "replay is deterministic");
     }
 
     #[test]
-    fn watchdog_protocol_exhaustive_no_violation() {
-        let report = watchdog_claim(&WATCHDOG_BOUNDS, Mutation::None);
+    fn stop_latch_exhaustive_no_violation() {
+        let report = stop_latch(&STOP_BOUNDS, Mutation::None);
         assert!(
             report.violation.is_none(),
             "unexpected violation:\n{}",
             report.violation.unwrap()
         );
         assert!(report.exhausted, "must drain the DFS frontier");
-        // Exploration must reach both claim outcomes and an observer that
-        // actually saw the stalled claim.
-        assert!(
-            report.counters.contains_key("worker-won"),
-            "{:?}",
-            report.counters
-        );
-        assert!(
-            report.counters.contains_key("watchdog-won"),
-            "{:?}",
-            report.counters
-        );
-        assert!(
-            report.counters.contains_key("observer-saw-stalled"),
-            "{:?}",
-            report.counters
-        );
+        // Either cause can win, and a worker can find the latch already
+        // taken before it polls.
+        for key in [
+            "deadline-latched",
+            "cancel-latched",
+            "saw-the-latch-before-polling",
+        ] {
+            assert!(
+                report.counters.contains_key(key),
+                "{key} never reached: {:?}",
+                report.counters
+            );
+        }
     }
 
     #[test]
-    fn watchdog_claim_mutation_caught_with_replayable_trace() {
-        let report = watchdog_claim(&WATCHDOG_BOUNDS, Mutation::WatchdogClaimRelaxed);
-        let v = report
-            .violation
-            .expect("Relaxed claim-CAS success ordering must yield a counterexample");
-        assert!(
-            v.message.contains("evidence") || v.message.contains("data race"),
-            "counterexample should implicate the unpublished evidence: {}",
-            v.message
+    fn stop_latch_store_mutation_caught_with_replayable_trace() {
+        assert_caught(
+            stop_latch(&STOP_BOUNDS, Mutation::StopLatchStore),
+            &["exactly one cause"],
+            || stop_latch_once(Mutation::StopLatchStore),
         );
-        let replayed = replay(&v.decisions, || {
-            watchdog_once(Mutation::WatchdogClaimRelaxed)
-        });
-        let rv = replayed.violation.expect("replay reproduces the violation");
-        assert_eq!(rv.message, v.message, "replay is deterministic");
     }
 
     #[test]
@@ -1079,35 +1036,19 @@ mod tests {
 
     #[test]
     fn retire_by_store_mutation_caught_with_replayable_trace() {
-        let report = park_handoff(&PARK_BOUNDS, Mutation::RetireByStore);
-        let v = report
-            .violation
-            .expect("a retire by plain store must yield a counterexample");
-        assert!(
-            v.message.contains("dropped unread"),
-            "counterexample should be the stream sent to a thread that left: {}",
-            v.message
+        assert_caught(
+            park_handoff(&PARK_BOUNDS, Mutation::RetireByStore),
+            &["dropped unread"],
+            || park_handoff_once(Mutation::RetireByStore),
         );
-        let replayed = replay(&v.decisions, || park_handoff_once(Mutation::RetireByStore));
-        let rv = replayed.violation.expect("replay reproduces the violation");
-        assert_eq!(rv.message, v.message, "replay is deterministic");
     }
 
     #[test]
     fn parked_holds_sender_mutation_caught_with_replayable_trace() {
-        let report = park_handoff(&PARK_BOUNDS, Mutation::ParkedHoldsSender);
-        let v = report
-            .violation
-            .expect("a parked thread holding its own sender must yield a counterexample");
-        assert!(
-            v.message.contains("release a parked thread"),
-            "counterexample should be the drain that leaves the thread parked: {}",
-            v.message
+        assert_caught(
+            park_handoff(&PARK_BOUNDS, Mutation::ParkedHoldsSender),
+            &["release a parked thread"],
+            || park_handoff_once(Mutation::ParkedHoldsSender),
         );
-        let replayed = replay(&v.decisions, || {
-            park_handoff_once(Mutation::ParkedHoldsSender)
-        });
-        let rv = replayed.violation.expect("replay reproduces the violation");
-        assert_eq!(rv.message, v.message, "replay is deterministic");
     }
 }

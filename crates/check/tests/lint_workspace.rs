@@ -3,6 +3,7 @@
 //! same check CI's `lint` job runs via the `gpasta-check-lint` binary; the
 //! integration test keeps it enforced by plain `cargo test` too.
 
+use gpasta_check::lint::LintReport;
 use std::path::Path;
 
 #[test]
@@ -22,25 +23,45 @@ fn workspace_is_lint_clean() {
     );
 }
 
+/// Lint a temporary tree holding `files` (repo-relative path, text).
+fn lint_tree(name: &str, files: &[(&str, String)]) -> LintReport {
+    let dir = std::env::temp_dir().join(format!("gpasta-lint-{name}-{}", std::process::id()));
+    for (rel, text) in files {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().expect("a file has a parent")).expect("temp tree");
+        std::fs::write(&path, text).expect("write seeded source");
+    }
+    let report = gpasta_check::lint::run(&dir).expect("lint walks the seeded tree");
+    std::fs::remove_dir_all(&dir).ok();
+    report
+}
+
+/// Each diagnostic's path and rule, sorted.
+fn hits(report: &LintReport) -> Vec<(&str, &str)> {
+    let mut hits: Vec<(&str, &str)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.path.as_str(), d.rule))
+        .collect();
+    hits.sort_unstable();
+    hits
+}
+
 #[test]
 fn lint_catches_a_seeded_violation() {
     // Sanity-check that the clean result above is not a no-op scan: a tree
     // containing an untagged Release store must produce a diagnostic.
-    let dir = std::env::temp_dir().join(format!("gpasta-lint-seeded-{}", std::process::id()));
-    let src = dir.join("crates").join("demo").join("src");
-    std::fs::create_dir_all(&src).expect("temp tree");
-    std::fs::write(
-        src.join("lib.rs"),
-        "use gpasta_check::sync::{AtomicBool, Ordering};\n\
-         pub fn publish(flag: &AtomicBool) {\n\
-             flag.store(true, Ordering::Release);\n\
-         }\n",
-    )
-    .expect("write seeded source");
-
-    let report = gpasta_check::lint::run(&dir).expect("lint walks the seeded tree");
-    std::fs::remove_dir_all(&dir).ok();
-
+    let report = lint_tree(
+        "seeded",
+        &[(
+            "crates/demo/src/lib.rs",
+            "use gpasta_check::sync::{AtomicBool, Ordering};\n\
+             pub fn publish(flag: &AtomicBool) {\n\
+                 flag.store(true, Ordering::Release);\n\
+             }\n"
+            .into(),
+        )],
+    );
     assert!(
         report
             .diagnostics
@@ -58,7 +79,6 @@ fn a_hand_copied_basis_is_flagged_anywhere_in_the_tree() {
     // `perf_ledger/` too. The basis is assembled so this file does not
     // spell it.
     let basis = concat!("0xcbf2_9ce4", "_8422_2325");
-    let dir = std::env::temp_dir().join(format!("gpasta-lint-basis-{}", std::process::id()));
     let copied = format!("pub const BASIS: u64 = {basis};\n");
     let in_test = format!("#[cfg(test)]\nmod t {{\n    const B: u64 = {basis};\n}}\n");
     let flagged = [
@@ -68,32 +88,55 @@ fn a_hand_copied_basis_is_flagged_anywhere_in_the_tree() {
         "crates/sta/tests/pin.rs",
         "tests/pin.rs",
     ];
-    let files = flagged.iter().map(|&rel| (rel, copied.clone())).chain([
-        ("crates/tdg/src/checksum.rs", copied.clone()),
-        ("vendor/stub/src/lib.rs", copied.clone()),
-        ("perf_ledger/src/lib.rs", in_test),
-        // Outside the library directories only `one-checksum` applies.
-        (
-            "examples/unwraps.rs",
-            "fn main() { None::<u8>.unwrap(); }\n".into(),
-        ),
-    ]);
-    for (rel, text) in files {
-        let path = dir.join(rel);
-        std::fs::create_dir_all(path.parent().expect("a file has a parent")).expect("temp tree");
-        std::fs::write(&path, text).expect("write seeded source");
-    }
-
-    let report = gpasta_check::lint::run(&dir).expect("lint walks the seeded tree");
-    std::fs::remove_dir_all(&dir).ok();
-
-    let mut hits: Vec<(&str, &str)> = report
-        .diagnostics
+    let files: Vec<(&str, String)> = flagged
         .iter()
-        .map(|d| (d.path.as_str(), d.rule))
+        .map(|&rel| (rel, copied.clone()))
+        .chain([
+            ("crates/tdg/src/checksum.rs", copied.clone()),
+            ("vendor/stub/src/lib.rs", copied.clone()),
+            ("perf_ledger/src/lib.rs", in_test),
+            // Outside the library directories only `one-checksum` applies.
+            (
+                "examples/unwraps.rs",
+                "fn main() { None::<u8>.unwrap(); }\n".into(),
+            ),
+        ])
         .collect();
-    hits.sort_unstable();
+    let report = lint_tree("basis", &files);
     let mut want: Vec<(&str, &str)> = flagged.iter().map(|&rel| (rel, "one-checksum")).collect();
     want.sort_unstable();
-    assert_eq!(hits, want, "{:?}", report.diagnostics);
+    assert_eq!(hits(&report), want, "{:?}", report.diagnostics);
+}
+
+#[test]
+fn a_session_that_names_the_scheduled_path_is_flagged() {
+    // Non-test `src/session.rs` names neither the scheduled path nor a
+    // stored timing value, and `src/checkpoint.rs` no stored timing value.
+    // Test items are exempt, and every other file may name them.
+    let session = "use crate::sched::Executor;\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    use crate::sched::RetryPolicy;\n}\n";
+    let report = lint_tree(
+        "session",
+        &[
+            ("src/session.rs", session.into()),
+            (
+                "src/checkpoint.rs",
+                "type T = TimingSnapshot;\nfn install() {}\n".into(),
+            ),
+            (
+                "src/scheduled.rs",
+                "use crate::sched::{Executor, RetryPolicy};\n".into(),
+            ),
+        ],
+    );
+    assert_eq!(
+        hits(&report),
+        [
+            ("src/checkpoint.rs", "session-scope"),
+            ("src/session.rs", "session-scope"),
+        ],
+        "{:?}",
+        report.diagnostics
+    );
 }

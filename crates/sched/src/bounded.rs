@@ -1,9 +1,9 @@
 //! The wavefront: the one sequential and the one work-stealing dispatch
 //! body behind every `Executor::run_*` entry point, with fault
-//! containment, wall-clock deadlines, cooperative cancellation, and a
-//! hung-task watchdog. It never unwinds into its caller; the plain entry
-//! points ([`Executor::run_tdg`], [`Executor::run_partitioned`]) re-raise
-//! a contained payload panic themselves.
+//! containment, wall-clock deadlines and cooperative cancellation. It
+//! never unwinds into its caller; the plain entry points
+//! ([`Executor::run_tdg`], [`Executor::run_partitioned`]) re-raise a
+//! contained payload panic themselves.
 //!
 //! The dispatch unit is a node of a [`UnitGraph`]: a quotient's partition,
 //! or a single task. Every attempt of every member task runs under
@@ -32,26 +32,10 @@
 //! flushed before its worker steals or parks, so no readiness is ever
 //! stranded.
 //!
-//! The watchdog is a sibling thread inside the same scope. Workers publish
-//! their in-flight unit in a per-worker slot (`(unit+1) << 32 | start_µs`);
-//! the watchdog polls those slots at a fraction of the stall window and
-//! *claims* any unit in flight longer than the window via a per-unit state
-//! CAS (`pending → stalled`). The claim loser is simply whichever side the
-//! CAS rejects: if the worker finishes first the watchdog backs off; if the
-//! watchdog wins it records a [`TaskError::Stalled`] failure, poisons the
-//! unit's forward closure, and advances the completion count so the
-//! wavefront keeps flowing around the hole. A *finite* stall therefore
-//! completes degraded within ~2× the window; a truly infinite hang still
-//! pins its worker thread (threads cannot be killed safely) — that is what
-//! the crash-safe checkpoint/resume path is for. With a window armed, a
-//! worker flushes its batch before *entering* every unit: a hung worker
-//! must not sit on other units' readiness.
-//!
 //! The budget is polled once per unit admission. With
-//! [`RunBudget::unbounded`] that poll is two register tests, and without a
-//! stall window the watchdog bookkeeping is skipped, so the plain entry points cost what the
-//! recovering ones do plus a payload lift (`fault_recovery` bench: within
-//! ± 5 % of each other).
+//! [`RunBudget::unbounded`] that poll is two register tests, so the plain
+//! entry points cost what the recovering ones do plus a payload lift
+//! (`fault_recovery` bench: within ± 5 % of each other).
 
 use crate::executor::{Executor, TaskWork};
 use crate::outcome::{
@@ -68,8 +52,7 @@ use std::time::{Duration, Instant};
 
 /// The time bounds of one run: a wall-clock deadline and a cancel token,
 /// both optional; [`RunBudget::unbounded`] sets neither. The in-order
-/// sweep and the executor honour them alike. The hung-task watchdog is the
-/// executor's ([`Executor::with_stall_window`]).
+/// sweep and the executor honour them alike.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Wall-clock budget for the run. When it expires the scheduler stops
@@ -186,19 +169,6 @@ impl UnitGraph for QuotientTdg {
 }
 
 impl Executor {
-    /// Arm the hung-task watchdog on every run of this executor: a unit in
-    /// flight longer than `window` is claimed as [`TaskError::Stalled`] and
-    /// its forward closure poisoned, so the run completes (degraded)
-    /// instead of wedging. A plain entry point re-raises the claim as a
-    /// panic, like any contained failure. Runs always use the
-    /// work-stealing runner then (the watchdog needs its own thread), even
-    /// with one worker.
-    #[must_use]
-    pub fn with_stall_window(mut self, window: Duration) -> Self {
-        self.stall_window = Some(window);
-        self
-    }
-
     /// Execute every task of `tdg` exactly once, respecting dependencies.
     ///
     /// Returns a [`RunReport`] with the wall-clock time and the number of
@@ -294,16 +264,14 @@ impl Executor {
         let n = units.num_tasks();
         let start = Instant::now();
         let clock = budget.start();
-        let state = RecoveryState::new(policy);
+        let state = RecoveryState {
+            policy,
+            retries: AtomicU64::new(0),
+            failures: Mutex::new(Vec::new()),
+        };
         let run_unit = |u: u32| graph.members(u).all(|t| state.attempt_task(work, u, t));
-        let run = if self.num_workers() == 1 && self.stall_window.is_none() {
-            run_sequential_bounded(
-                n,
-                &units.in_degrees(),
-                |u| units.successors(TaskId(u)),
-                run_unit,
-                &clock,
-            )
+        let run = if self.num_workers() == 1 {
+            run_sequential_bounded(units, run_unit, &clock)
         } else {
             run_stealing_bounded(
                 graph,
@@ -311,8 +279,6 @@ impl Executor {
                 self.chunk_size(),
                 &run_unit,
                 &clock,
-                self.stall_window,
-                &state,
             )
         };
         // Flagged units in id order, and their member tasks sorted.
@@ -353,15 +319,7 @@ struct RecoveryState<'p> {
     failures: Mutex<Vec<FailureRecord>>,
 }
 
-impl<'p> RecoveryState<'p> {
-    fn new(policy: &'p RetryPolicy) -> Self {
-        RecoveryState {
-            policy,
-            retries: AtomicU64::new(0),
-            failures: Mutex::new(Vec::new()),
-        }
-    }
-
+impl RecoveryState<'_> {
     /// Run `task` (dispatched as part of `unit`) with bounded retries.
     /// Returns `true` on success; on permanent failure records a
     /// [`FailureRecord`] and returns `false`.
@@ -455,20 +413,15 @@ fn poll_budget(clock: &BudgetClock) -> u8 {
 /// (their state was final before the stop) and everything else is marked
 /// unfinished, with dependency counting intact so every unit is visited
 /// exactly once and the drain terminates.
-fn run_sequential_bounded<'a, S, R>(
-    n: usize,
-    in_degrees: &[u32],
-    successors: S,
-    run_unit: R,
+fn run_sequential_bounded(
+    units: &Tdg,
+    run_unit: impl Fn(u32) -> bool,
     clock: &BudgetClock,
-) -> BoundedRun
-where
-    S: Fn(u32) -> &'a [u32],
-    R: Fn(u32) -> bool,
-{
+) -> BoundedRun {
+    let n = units.num_tasks();
     let mut poisoned = vec![false; n];
     let mut unfinished = vec![false; n];
-    let mut dep: Vec<u32> = in_degrees.to_vec();
+    let mut dep = units.in_degrees();
     let mut ready: Vec<u32> = (0..n as u32).filter(|&t| dep[t as usize] == 0).collect();
     let mut dispatches = 0u64;
     let mut stop = STOP_RUNNING;
@@ -488,7 +441,7 @@ where
         if poison {
             poisoned[t as usize] = true;
         }
-        for &s in successors(t) {
+        for &s in units.successors(TaskId(t)) {
             if poison {
                 poisoned[s as usize] = true;
             }
@@ -505,20 +458,6 @@ where
         stop: stop_cause(stop),
     }
 }
-
-/// Encode worker `w`'s in-flight unit for the watchdog: `(unit+1) << 32`
-/// ored with the start time in microseconds since run start, truncated to
-/// `u32`. Zero means idle. The truncation wraps every ~71.6 minutes; a
-/// stall spanning a wrap is detected one poll late at worst because ages
-/// are computed with wrapping subtraction in the same 32-bit domain.
-#[inline]
-fn encode_inflight(unit: u32, started_micros: u32) -> u64 {
-    (u64::from(unit) + 1) << 32 | u64::from(started_micros)
-}
-
-const UNIT_PENDING: u8 = 0;
-const UNIT_DONE: u8 = 1;
-const UNIT_STALLED: u8 = 2;
 
 /// Worker-local batch of dependency decrements: `(successor, count)` pairs
 /// accumulated across finished units worth up to `chunk_size` member tasks,
@@ -563,28 +502,23 @@ impl DecrementBatch {
     }
 }
 
-/// Work-stealing bounded recovering wavefront with an optional watchdog.
+/// Work-stealing bounded recovering wavefront.
 ///
-/// Per-unit completion is arbitrated by a `pending → done|stalled` CAS so
-/// the worker that ran a unit and the watchdog that claimed it stalled can
-/// never both account for it. The CAS winner performs the unit's poison
-/// publication, successor decrements, and completion increment; the loser
-/// discards its result. Poison is always stored (`Release`) before the
-/// dependency decrement (`AcqRel`, batched or not) that can ready a
-/// successor, so the inherited-poison check (`Acquire`) observes every
-/// parent failure regardless of interleaving: a unit is only popped after
-/// every predecessor decremented its fan-in count. Weakening that decrement
-/// to `Relaxed`, or letting a worker park on an unflushed batch, are the
+/// Each unit has exactly one claimant: the worker that popped it, which
+/// performs the unit's poison publication, successor decrements and
+/// completion increment. Poison is always stored (`Release`) before the
+/// dependency decrement (`AcqRel`, batched) that can ready a successor, so
+/// the inherited-poison check (`Acquire`) observes every parent failure
+/// regardless of interleaving: a unit is only popped after every
+/// predecessor decremented its fan-in count. Weakening that decrement to
+/// `Relaxed`, or letting a worker park on an unflushed batch, are the
 /// mutations the model checker catches (gpasta-check `chunked_flush`).
-#[allow(clippy::too_many_arguments)]
 fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
     graph: &G,
     workers: usize,
     chunk_size: usize,
     run_unit: &R,
     clock: &BudgetClock,
-    stall_window: Option<Duration>,
-    state: &RecoveryState<'_>,
 ) -> BoundedRun {
     let units = graph.units();
     let n = units.num_tasks();
@@ -597,18 +531,9 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
             stop: StopCause::Completed,
         };
     }
-    let run_start = Instant::now();
-    // Watchdog bookkeeping (in-flight slots, per-unit claim states, and the
-    // per-unit clock read that stamps them) is only paid when a stall window
-    // is armed; without one, no other claimant exists.
-    let watching = stall_window.is_some();
     let dep: Vec<AtomicU32> = units.in_degrees().into_iter().map(AtomicU32::new).collect();
     let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let unfinished: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let unit_state: Vec<AtomicU8> = (0..if watching { n } else { 0 })
-        .map(|_| AtomicU8::new(UNIT_PENDING))
-        .collect();
-    let inflight: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let injector = Injector::new();
     for t in 0..n as u32 {
         if dep[t as usize].load(Ordering::Relaxed) == 0 {
@@ -623,85 +548,15 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
     let stealers: Vec<Stealer<u32>> = locals.iter().map(Worker::stealer).collect();
 
     std::thread::scope(|scope| {
-        // Spawned first so every worker can wake it on its way out: it
-        // polls at a quarter of the window, and a run that completes
-        // between polls must not wait out the rest of that sleep.
-        let watchdog = stall_window.map(|window| {
-            let dep = &dep;
-            let poisoned = &poisoned;
-            let unit_state = &unit_state;
-            let inflight = &inflight;
-            let injector = &injector;
-            let completed = &completed;
-            let handle = scope.spawn(move || {
-                let window_us = window.as_micros().min(u128::from(u32::MAX / 2)) as u64;
-                let poll = Duration::from_micros((window_us / 4).max(50));
-                // hb: run-complete
-                while completed.load(Ordering::Acquire) < n {
-                    std::thread::park_timeout(poll);
-                    // hb: run-complete
-                    if completed.load(Ordering::Acquire) >= n {
-                        break;
-                    }
-                    let now = run_start.elapsed().as_micros() as u32;
-                    for slot in inflight {
-                        let v = slot.load(Ordering::Acquire); // hb: inflight-publish
-                        if v == 0 {
-                            continue;
-                        }
-                        let unit = ((v >> 32) - 1) as u32;
-                        let started = v as u32;
-                        let age = u64::from(now.wrapping_sub(started));
-                        if age <= window_us {
-                            continue;
-                        }
-                        if unit_state[unit as usize]
-                            .compare_exchange(
-                                UNIT_PENDING,
-                                UNIT_STALLED,
-                                Ordering::AcqRel, // hb: unit-claim
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        state.record(
-                            unit,
-                            graph.members(unit).next().unwrap_or(unit),
-                            1,
-                            TaskError::Stalled(format!(
-                                "no progress within the {} µs stall window (in flight {} µs)",
-                                window_us, age
-                            )),
-                        );
-                        poisoned[unit as usize].store(true, Ordering::Release); // hb: poison-publish
-                        for &s in successors(unit) {
-                            poisoned[s as usize].store(true, Ordering::Release); // hb: poison-publish
-                                                                                 // hb: dep-handoff
-                            if dep[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                injector.push(s);
-                            }
-                        }
-                        completed.fetch_add(1, Ordering::Release); // hb: run-complete
-                    }
-                }
-            });
-            handle.thread().clone()
-        });
-
         for (w, local) in locals.into_iter().enumerate() {
             let dep = &dep;
             let poisoned = &poisoned;
             let unfinished = &unfinished;
-            let unit_state = &unit_state;
-            let inflight = &inflight;
             let injector = &injector;
             let stealers = &stealers;
             let completed = &completed;
             let dispatches = &dispatches;
             let stop = &stop;
-            let watchdog = watchdog.clone();
             scope.spawn(move || {
                 let backoff = Backoff::new();
                 let mut batch = DecrementBatch {
@@ -770,39 +625,8 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                         was_poisoned
                     } else {
                         dispatched += 1;
-                        if watching {
-                            // A hung worker must not sit on other units'
-                            // readiness: enter every unit with an empty
-                            // batch.
-                            batch.flush(dep, &local, completed);
-                            let started = run_start.elapsed().as_micros() as u32;
-                            // hb: inflight-publish
-                            inflight[w].store(encode_inflight(t, started), Ordering::Release);
-                        }
                         // hb: poison-publish
                         let ok = !poisoned[t as usize].load(Ordering::Acquire) && run_unit(t);
-                        if watching {
-                            // hb: inflight-publish
-                            inflight[w].store(0, Ordering::Release);
-                            // Success must be AcqRel: the winner's claim
-                            // publishes the unit's result to whoever
-                            // observes the DONE state (the model checker
-                            // catches a Relaxed downgrade here).
-                            if unit_state[t as usize]
-                                .compare_exchange(
-                                    UNIT_PENDING,
-                                    UNIT_DONE,
-                                    Ordering::AcqRel, // hb: unit-claim
-                                    Ordering::Acquire,
-                                )
-                                .is_err()
-                            {
-                                // The watchdog claimed this unit stalled
-                                // and already did its bookkeeping; the
-                                // late result is discarded.
-                                continue;
-                            }
-                        }
                         if !ok {
                             // hb: poison-publish
                             poisoned[t as usize].store(true, Ordering::Release);
@@ -826,9 +650,6 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                 }
                 // One shared RMW per worker per run, not one per unit.
                 dispatches.fetch_add(dispatched, Ordering::Relaxed);
-                if let Some(watchdog) = watchdog {
-                    watchdog.unpark();
-                }
             });
         }
     });
@@ -1171,37 +992,51 @@ mod tests {
 
     #[test]
     fn deadline_mid_run_leaves_exactly_the_unadmitted_closure() {
-        // A chain makes admission order deterministic; a slow payload
-        // guarantees the deadline trips mid-run.
-        let n = 32;
-        let tdg = chain(n);
-        let ran = parking_lot::Mutex::new(Vec::new());
-        let work = |t: TaskId, _a: u32| -> Result<(), TaskError> {
-            std::thread::sleep(Duration::from_millis(2));
-            ran.lock().push(t.0);
-            Ok(())
-        };
-        let outcome = Executor::new(1).run_tdg_recovering_bounded(
-            &tdg,
-            &work,
-            &RetryPolicy::no_retries(),
-            &RunBudget::unbounded().with_deadline(Duration::from_millis(10)),
-        );
-        assert_eq!(outcome.stop, StopCause::DeadlineExpired);
-        let executed = ran.into_inner();
-        assert!(!executed.is_empty(), "some prefix ran");
-        assert!(executed.len() < n, "the deadline tripped mid-run");
-        // Executed tasks are exactly the chain prefix; unfinished is the
-        // forward closure of the first unadmitted task.
-        let first_unadmitted = executed.len() as u32;
-        assert_eq!(
-            outcome.unfinished_tasks,
-            closure_of(&tdg, &[first_unadmitted])
-        );
-        assert_eq!(outcome.salvaged_tasks, executed.len());
-        // Partition: salvage ∪ unfinished = task set, poison empty.
-        assert!(outcome.poisoned_tasks.is_empty());
-        assert_eq!(outcome.salvaged_tasks + outcome.unfinished_tasks.len(), n);
+        // (graph, workers, per-task sleep in ms, deadline in ms). A chain
+        // of slow tasks on one worker makes admission order deterministic;
+        // a layered DAG on two workers stops while one slow source is
+        // still in flight, and that task is waited for, not abandoned.
+        let slow_source = |t: u32| if t == 0 { 60 } else { 0 };
+        let cases = [
+            (chain(32), 1, (|_| 2) as fn(u32) -> u64, 10),
+            (layered(4, 4), 2, slow_source, 5),
+        ];
+        for (tdg, workers, sleep_ms, deadline_ms) in cases {
+            let n = tdg.num_tasks() as u32;
+            let run = |budget: RunBudget| {
+                let ran = parking_lot::Mutex::new(Vec::new());
+                let work = |t: TaskId, _a: u32| -> Result<(), TaskError> {
+                    std::thread::sleep(Duration::from_millis(sleep_ms(t.0)));
+                    ran.lock().push(t.0);
+                    Ok(())
+                };
+                let outcome = Executor::new(workers).run_tdg_recovering_bounded(
+                    &tdg,
+                    &work,
+                    &RetryPolicy::no_retries(),
+                    &budget,
+                );
+                let mut ran = ran.into_inner();
+                ran.sort_unstable();
+                (outcome, ran)
+            };
+            let (outcome, ran) = run(RunBudget::unbounded());
+            assert!(outcome.is_clean(), "workers={workers}: {outcome}");
+            assert_eq!(ran, (0..n).collect::<Vec<_>>(), "every task exactly once");
+
+            let deadline = Duration::from_millis(deadline_ms);
+            let (outcome, ran) = run(RunBudget::unbounded().with_deadline(deadline));
+            assert_eq!(outcome.stop, StopCause::DeadlineExpired);
+            assert!(outcome.poisoned_tasks.is_empty());
+            assert!(ran.contains(&0), "the first (slow) task is salvaged");
+            assert!(ran.len() < n as usize, "the deadline tripped mid-run");
+            // Unfinished is exactly what never ran, and that set is the
+            // forward closure of the unadmitted units.
+            let unadmitted: Vec<u32> = (0..n).filter(|t| ran.binary_search(t).is_err()).collect();
+            assert_eq!(outcome.unfinished_tasks, unadmitted, "workers={workers}");
+            assert_eq!(closure_of(&tdg, &unadmitted), unadmitted);
+            assert_eq!(outcome.salvaged_tasks, ran.len());
+        }
     }
 
     #[test]
@@ -1276,138 +1111,6 @@ mod tests {
                 "salvage ∪ poisoned ∪ unfinished = task set (workers={workers})"
             );
         }
-    }
-
-    #[test]
-    fn watchdog_claims_a_hung_unit_and_the_run_completes() {
-        // The hung task sleeps far beyond the stall window; the watchdog
-        // must quarantine it (and its closure) while the rest completes.
-        // The first worker to reach the injector runs task 1 and then
-        // task 0, so with task 0 hung it enters the hang holding task 1's
-        // decrements: only a batch flushed *before* admission lets the
-        // other worker run tasks 4 and 6 while it is still hung.
-        let tdg = layered(4, 4);
-        let window = Duration::from_millis(5);
-        for hung in [1u32, 0] {
-            let started = Instant::now();
-            let finished = parking_lot::Mutex::new(vec![None; tdg.num_tasks()]);
-            let work = |t: TaskId, _a: u32| -> Result<(), TaskError> {
-                if t.0 == hung {
-                    std::thread::sleep(Duration::from_millis(60));
-                }
-                finished.lock()[t.index()] = Some(started.elapsed());
-                Ok(())
-            };
-            let outcome = Executor::new(2)
-                .with_stall_window(window)
-                .run_tdg_recovering_bounded(
-                    &tdg,
-                    &work,
-                    &RetryPolicy::no_retries(),
-                    &RunBudget::unbounded(),
-                );
-            assert_eq!(outcome.stop, StopCause::Completed, "the run must not hang");
-            assert_eq!(outcome.failures.len(), 1);
-            assert_eq!(outcome.failures[0].unit, hung);
-            assert!(
-                matches!(outcome.failures[0].error, TaskError::Stalled(_)),
-                "got {:?}",
-                outcome.failures[0].error
-            );
-            assert_eq!(outcome.poisoned_tasks, closure_of(&tdg, &[hung]));
-            assert_eq!(
-                outcome.salvaged_tasks,
-                tdg.num_tasks() - outcome.poisoned_tasks.len()
-            );
-            // Everything outside the hung task's closure ran while its
-            // worker was still hung — including units readied by that
-            // worker's own earlier completions.
-            let finished = finished.into_inner();
-            let hang_returned = finished[hung as usize].expect("the hung payload returns");
-            for t in (0..tdg.num_tasks()).filter(|&t| !outcome.poisoned_tasks.contains(&(t as u32)))
-            {
-                let at = finished[t].expect("salvaged tasks ran");
-                assert!(
-                    at < hang_returned,
-                    "hung={hung}: task {t} finished at {at:?}, after the hang returned at {hang_returned:?}"
-                );
-            }
-            // Detection latency: the stall must be claimed well before the
-            // sleeping payload returns on its own. The run still joins the
-            // sleeping thread (~60 ms), so bound the *claim*, not the join:
-            // the claim happened iff the failure record exists, and the
-            // whole run is bounded by the payload sleep plus slack.
-            assert!(
-                started.elapsed() < Duration::from_millis(500),
-                "run took {:?}",
-                started.elapsed()
-            );
-        }
-    }
-
-    #[test]
-    fn watchdog_with_one_worker_still_detects_stalls() {
-        let tdg = chain(6);
-        let work = |t: TaskId, _a: u32| -> Result<(), TaskError> {
-            if t.0 == 2 {
-                std::thread::sleep(Duration::from_millis(40));
-            }
-            Ok(())
-        };
-        let outcome = Executor::new(1)
-            .with_stall_window(Duration::from_millis(4))
-            .run_tdg_recovering_bounded(
-                &tdg,
-                &work,
-                &RetryPolicy::no_retries(),
-                &RunBudget::unbounded(),
-            );
-        assert_eq!(outcome.stop, StopCause::Completed);
-        assert_eq!(outcome.failures.len(), 1);
-        assert_eq!(outcome.failures[0].unit, 2);
-        assert!(matches!(outcome.failures[0].error, TaskError::Stalled(_)));
-        assert_eq!(outcome.poisoned_tasks, closure_of(&tdg, &[2]));
-    }
-
-    #[test]
-    fn fast_payloads_never_trip_the_watchdog() {
-        let tdg = layered(16, 8);
-        let work = |_t: TaskId, _a: u32| -> Result<(), TaskError> { Ok(()) };
-        let outcome = Executor::new(4)
-            .with_stall_window(Duration::from_millis(200))
-            .run_tdg_recovering_bounded(
-                &tdg,
-                &work,
-                &RetryPolicy::no_retries(),
-                &RunBudget::unbounded(),
-            );
-        assert!(outcome.is_clean(), "got {:?}", outcome.failures);
-    }
-
-    /// The watchdog polls at a quarter of its window (here ~9 minutes); a
-    /// run that completes must wake it rather than wait out that sleep.
-    #[test]
-    fn a_long_stall_window_does_not_outlive_the_run() {
-        let tdg = layered(16, 8);
-        let work = |_t: TaskId, _a: u32| -> Result<(), TaskError> {
-            std::thread::sleep(Duration::from_millis(1));
-            Ok(())
-        };
-        let started = Instant::now();
-        let outcome = Executor::new(2)
-            .with_stall_window(Duration::from_secs(3_600))
-            .run_tdg_recovering_bounded(
-                &tdg,
-                &work,
-                &RetryPolicy::no_retries(),
-                &RunBudget::unbounded(),
-            );
-        assert!(outcome.is_clean(), "got {:?}", outcome.failures);
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "run took {:?}",
-            started.elapsed()
-        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use gpasta_tdg::TaskId;
 use std::fmt;
-use std::time::Duration;
 
 /// Typed construction error for [`Executor::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,15 +50,13 @@ impl<F: Fn(TaskId) + Sync> TaskWork for F {
 /// incurs real queue traffic; that per-dispatch cost is what partitioning
 /// reduces.
 ///
-/// With `num_workers == 1` (and no watchdog) the executor runs on the
-/// calling thread with a plain ready queue (still paying per-unit queue
-/// operations, so scheduling cost remains observable on single-core hosts).
+/// With `num_workers == 1` the executor runs on the calling thread with a
+/// plain ready queue (still paying per-unit queue operations, so
+/// scheduling cost remains observable on single-core hosts).
 #[derive(Debug, Clone)]
 pub struct Executor {
     num_workers: usize,
     chunk_size: usize,
-    /// The hung-task watchdog's window ([`Executor::with_stall_window`]).
-    pub(crate) stall_window: Option<Duration>,
 }
 
 /// Default dependency-decrement batch: how many tasks a worker executes
@@ -76,7 +73,6 @@ impl Executor {
         Executor {
             num_workers: num_workers.max(1),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            stall_window: None,
         }
     }
 
@@ -98,11 +94,10 @@ impl Executor {
     /// publish them with **one atomic `fetch_sub` per distinct
     /// successor** instead of one per edge — GRAPHOPT-style batching that
     /// trades a bounded release delay (at most `chunk_size` tasks of work,
-    /// always flushed before the worker steals or parks, and before every
-    /// unit when a watchdog is armed) for far less cross-core contention
-    /// on hot fan-in counters. A partition already amortises its dispatch
-    /// over its members, so partitioned runs hold back few units; `1`
-    /// publishes after every unit.
+    /// always flushed before the worker steals or parks) for far less
+    /// cross-core contention on hot fan-in counters. A partition already
+    /// amortises its dispatch over its members, so partitioned runs hold
+    /// back few units; `1` publishes after every unit.
     #[must_use]
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);

@@ -86,6 +86,14 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The hash of a seeded fault schedule at `(key, attempt)`: what
+/// [`FaultPlan`]'s random rule samples per `(task, attempt)`, and what
+/// places the kill point of a shard attempt in `gpasta`.
+#[inline]
+pub fn fault_hash(seed: u64, key: u32, attempt: u32) -> u64 {
+    splitmix64(seed ^ splitmix64((u64::from(key) << 32) | u64::from(attempt)))
+}
+
 /// A deterministic injection schedule keyed by `(task, attempt)`.
 ///
 /// Two sources compose:
@@ -171,7 +179,7 @@ impl FaultPlan {
         if self.kinds.is_empty() || self.rate <= 0.0 {
             return None;
         }
-        let h = splitmix64(self.seed ^ splitmix64((u64::from(task) << 32) | u64::from(attempt)));
+        let h = fault_hash(self.seed, task, attempt);
         // 53 uniform bits -> [0, 1).
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         if u < self.rate {

@@ -29,13 +29,12 @@
 //!   quarantine (a permanent failure poisons its dispatch unit's forward
 //!   closure while everything else is salvaged). Every run takes a
 //!   [`RunBudget`] (wall-clock deadline, [`CancelToken`] cooperative
-//!   cancellation; [`RunBudget::unbounded`] sets neither), honours the
-//!   executor's hung-task watchdog ([`Executor::with_stall_window`]), and
-//!   reports an early stop as a
-//!   structured partial [`RunOutcome`] whose *unfinished* set is the exact
-//!   forward closure of the unadmitted units ([`StopCause`]); a run polls
-//!   its budget through a [`BudgetClock`] ([`RunBudget::start`]), which an
-//!   unscheduled loop can poll just the same;
+//!   cancellation; [`RunBudget::unbounded`] sets neither) and reports an
+//!   early stop as a structured partial [`RunOutcome`] whose *unfinished*
+//!   set is the exact forward closure of the unadmitted units
+//!   ([`StopCause`]); a run polls its budget through a [`BudgetClock`]
+//!   ([`RunBudget::start`]), which an unscheduled loop can poll just the
+//!   same;
 //! * [`FaultPlan`] / [`FaultyWork`] — deterministic fault injection keyed
 //!   by `(task, attempt)`, the test oracle for the recovering path;
 //! * [`measure_sched_overhead`] — calibrates the per-task scheduling cost on
@@ -82,7 +81,7 @@ mod taskflow;
 
 pub use bounded::{panic_message, BudgetClock, RunBudget};
 pub use executor::{Executor, ExecutorError, TaskWork, DEFAULT_CHUNK_SIZE};
-pub use fault::{splitmix64, FaultKind, FaultPlan, FaultyWork};
+pub use fault::{fault_hash, splitmix64, FaultKind, FaultPlan, FaultyWork};
 pub use gpasta_tdg::{CancelObserver, CancelToken};
 pub use outcome::{FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError};
 pub use overhead::{measure_sched_overhead, OverheadProfile};

@@ -18,16 +18,6 @@ pub enum TaskError {
     /// Permanent: retrying cannot help (detected corruption, payload
     /// panic). The task's dispatch unit is quarantined immediately.
     Fatal(String),
-    /// The watchdog observed no progress on the unit within the stall
-    /// window and quarantined it administratively. Permanent for this run;
-    /// the payload itself may still be executing (a finite stall finishes
-    /// harmlessly, an infinite hang is contained instead of wedging the
-    /// wavefront).
-    Stalled(String),
-    /// The run's wall-clock budget expired before the unit was admitted.
-    /// Not a payload fault: the unit is *unfinished*, not poisoned, and a
-    /// later run with a fresh budget completes it.
-    DeadlineExceeded(String),
 }
 
 impl fmt::Display for TaskError {
@@ -35,8 +25,6 @@ impl fmt::Display for TaskError {
         match self {
             TaskError::Transient(msg) => write!(f, "transient: {msg}"),
             TaskError::Fatal(msg) => write!(f, "fatal: {msg}"),
-            TaskError::Stalled(msg) => write!(f, "stalled: {msg}"),
-            TaskError::DeadlineExceeded(msg) => write!(f, "deadline exceeded: {msg}"),
         }
     }
 }
@@ -330,13 +318,13 @@ mod tests {
                     unit: 8,
                     task: 9,
                     attempts: 2,
-                    error: TaskError::Stalled("no progress for 5ms".into()),
+                    error: TaskError::Transient("lost launch".into()),
                 },
                 FailureRecord {
                     unit: 3,
                     task: 3,
                     attempts: 1,
-                    error: TaskError::DeadlineExceeded("budget spent".into()),
+                    error: TaskError::Fatal("boom".into()),
                 },
             ],
             retries: 5,
@@ -353,8 +341,6 @@ mod tests {
         for err in [
             TaskError::Transient("t".into()),
             TaskError::Fatal("f".into()),
-            TaskError::Stalled("s".into()),
-            TaskError::DeadlineExceeded("d".into()),
         ] {
             let back = TaskError::from_value(&err.to_value()).expect("round trip");
             assert_eq!(back, err);

@@ -34,9 +34,7 @@ pub struct ScheduledTimer {
 impl ScheduledTimer {
     /// Install seq-G-PASTA on `timer`'s full-space TDG. The timer's dirty
     /// set and values are left as they are: a fresh timer's first
-    /// [`update`](ScheduledTimer::update) runs the whole design. A stall
-    /// window on `exec` ([`Executor::with_stall_window`]) is the watchdog
-    /// of every update.
+    /// [`update`](ScheduledTimer::update) runs the whole design.
     ///
     /// # Errors
     ///
@@ -71,7 +69,7 @@ impl ScheduledTimer {
     /// Bring the timing up to date under `budget`: discover the dirty cone,
     /// take its quotient from the partition and run it through the
     /// recovering executor. A run that is not clean — stopped early, or
-    /// with a stalled task quarantined — marks every value it left stale
+    /// with a panicking task quarantined — marks every value it left stale
     /// *unknown* (NaN) and the whole design dirty, so the next update
     /// converges to the exact answer.
     ///

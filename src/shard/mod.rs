@@ -51,7 +51,7 @@ use crate::checkpoint::{
     check_format, modifier_batch, put_arr, put_bytes, put_u32, put_u64, write_atomically, FORMAT,
 };
 use crate::circuits::PaperCircuit;
-use crate::sched::{splitmix64, FaultPlan, RetryPolicy};
+use crate::sched::{fault_hash, splitmix64, FaultPlan, RetryPolicy};
 use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg, ValueSet};
 use crate::tdg::{checksum, ShardPlan, ShardPlanError, Tdg};
 use wire::{Reader, WireError};
@@ -297,8 +297,7 @@ pub(crate) fn run_fingerprint(tdg: &Tdg, plan: &ShardPlan) -> u64 {
 /// dies before the first task, `tasks` after the last one (before the
 /// delta is sent).
 pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64) -> u64 {
-    let h = splitmix64(chaos_seed ^ splitmix64((u64::from(shard) << 32) | u64::from(attempt)));
-    h % (tasks + 1)
+    fault_hash(chaos_seed, shard, attempt) % (tasks + 1)
 }
 
 // ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@
 //! and matches once the session's next update heals it.
 //!
 //! The **path-independence** cases feed the stream to a session, to a
-//! `ScheduledTimer` whose executor has a far stall window, and to a bare
-//! `Timer` run sequentially, on 1, 2 and 4 workers: their bits and counts
+//! `ScheduledTimer` and to a bare `Timer` run sequentially, on 1, 2 and 4
+//! workers: their bits and counts
 //! must agree, across an evict → restore of the session too, and the
 //! `ScheduledTimer`'s partition must stay the one a bare cache installs.
 //!
@@ -542,16 +542,15 @@ fn restored_session_matches_one_that_was_never_evicted() {
 
 /// The [`stream`]'s edits (no update stops early, so nothing degrades)
 /// through a session under an unbounded budget, which runs every cone in
-/// order, a `ScheduledTimer` whose executor has a far stall window, and an
-/// unpartitioned sequential twin, beside a bare partition cache installed
-/// once on the same design. Half way the session is evicted and restored.
+/// order, a `ScheduledTimer`, and an unpartitioned sequential twin, beside
+/// a bare partition cache installed once on the same design. Half way the
+/// session is evicted and restored.
 fn path_independence(circuit: PaperCircuit, scale: f64, seed: u64, edits: usize, workers: usize) {
     let verilog = write_verilog(&circuit.build(scale), circuit.name());
     let sources = DesignSources::verilog_only(verilog.clone());
     let mut free = Session::create("lane", sources, workers).expect("session");
-    // Never trips, but a watchdog is the executor's to keep.
-    let far = Executor::new(workers).with_stall_window(Duration::from_secs(3_600));
-    let mut pinned = ScheduledTimer::new(timer_of(&verilog), far).expect("install");
+    let mut pinned =
+        ScheduledTimer::new(timer_of(&verilog), Executor::new(workers)).expect("install");
     let unbounded = RunBudget::unbounded();
     pinned.update(&unbounded).expect("initial analysis");
     let Lane {
