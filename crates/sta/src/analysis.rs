@@ -7,9 +7,10 @@
 //! paper reports for OpenTimer.
 
 use crate::atomic_f32::AtomicF32;
-use crate::graph::{ArcKind, NodeId, NodeKind, TimingGraph};
-use crate::library::{CellLibrary, TimingSense};
-use crate::netlist::Netlist;
+use crate::graph::{ArcKind, ArcSoa, NodeId, NodeKind, TimingGraph};
+use crate::library::{CellKind, CellLibrary, SlewBracket, TimingSense};
+use crate::netlist::{Gate, GateId, Net, Netlist, PinRef};
+use std::ops::Range;
 
 /// Signal transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,32 +39,46 @@ fn corner(tr: Tr, mode: Mode) -> usize {
     (tr as usize) * 2 + (mode as usize)
 }
 
+/// One node's forward-propagated state, in [`fprop_bits`] order: the four
+/// arrival corners, then the four slew corners. Aligned so that a record
+/// never straddles a cache line: a fan-in read is one line.
+///
+/// [`fprop_bits`]: TimingData::fprop_bits
+#[derive(Debug, Default)]
+#[repr(align(32))]
+struct FwdRecord([AtomicF32; 8]);
+
 /// Mutable per-node / per-arc timing state, shared across propagation tasks.
 ///
 /// Values are stored in [`AtomicF32`] cells: every cell is written by
 /// exactly one task and read only by tasks that depend on it, with the
 /// scheduler's dependency countdown providing the happens-before edge.
+///
+/// Every array is keyed by node, arc or port, in the order the in-order
+/// sweep walks it. The electrical state a forward step reads sits at the
+/// node that reads it: a gate's drive and load at its output pin, a net's
+/// delay at each of its sink pins. [`TimingSnapshot`] and [`EditState`]
+/// stay gate- and net-indexed; [`snapshot`](TimingData::snapshot) and the
+/// other boundary methods translate through the graph's pin → node table.
 #[derive(Debug)]
 pub struct TimingData {
     /// Clock period for endpoint constraints (ps).
     pub clock_period_ps: f32,
-    /// Per node × corner: transition time (ps).
-    slew: Vec<AtomicF32>,
-    /// Per node × corner: arrival time (ps).
-    arrival: Vec<AtomicF32>,
+    /// Per node: arrival and slew corners (ps).
+    fwd: Vec<FwdRecord>,
     /// Per node × corner: required arrival time (ps).
     required: Vec<AtomicF32>,
     /// Per arc × (output transition, mode): cached delay, filled during
     /// forward propagation of the arc's `to` node, consumed by backward
     /// propagation of the arc's `from` node.
     arc_delay: Vec<AtomicF32>,
-    /// Per gate: drive-strength multiplier (mirrors `Gate::drive`; kept here
-    /// so repowering does not need `&mut Netlist`).
-    drive: Vec<AtomicF32>,
-    /// Per gate: capacitive load at the output pin (fF).
-    gate_load: Vec<AtomicF32>,
-    /// Per net: interconnect delay (ps).
-    net_delay: Vec<AtomicF32>,
+    /// Per node: `[drive multiplier, load (fF)]` at a gate's output pin,
+    /// `[interconnect delay (ps), 0]` at a net's sink pin, unused at a
+    /// primary input.
+    elec: Vec<[AtomicF32; 2]>,
+    /// The nets with no sink, ascending, with their delay. No node reads
+    /// it; it is kept so that a snapshot round-trips.
+    sinkless: Vec<(u32, AtomicF32)>,
     /// Per primary input: external arrival offset (`set_input_delay`).
     input_delay: Vec<AtomicF32>,
     /// Per primary output: external required-time margin
@@ -71,30 +86,59 @@ pub struct TimingData {
     output_delay: Vec<AtomicF32>,
 }
 
+/// Where in a node's `elec` pair its drive and load (at a gate's output
+/// pin) or its net delay (at a sink pin) is.
+const DRIVE: usize = 0;
+const LOAD: usize = 1;
+const NET_DELAY: usize = 0;
+
+/// The total capacitance of net `n` (fF): its wire plus each sink's pin,
+/// `pin_cap(g)` at an input of gate `g`.
+fn net_cap(n: &Net, library: &CellLibrary, pin_cap: impl Fn(GateId) -> f32) -> f32 {
+    let mut cap = n.wire_cap_ff;
+    for &sink in &n.sinks {
+        cap += match sink {
+            PinRef::GateInput(g, _) => pin_cap(g),
+            PinRef::PrimaryOutput(_) => library.output_load_ff,
+            _ => 0.0,
+        };
+    }
+    cap
+}
+
+/// The cells that hold a copy of `net`'s delay: one per sink node, or its
+/// entry in `sinkless`.
+fn net_delay_cells<'d>(
+    data: &'d TimingData,
+    graph: &'d TimingGraph,
+    netlist: &'d Netlist,
+    net: u32,
+) -> impl Iterator<Item = &'d AtomicF32> + 'd {
+    let sinks = &netlist.nets()[net as usize].sinks;
+    let at_sinks = sinks
+        .iter()
+        .map(move |&s| &data.elec[graph.pin_ref_node(s).index()][NET_DELAY]);
+    at_sinks.chain(sinks.is_empty().then(|| data.sinkless_cell(net)))
+}
+
 impl TimingData {
     /// Allocate state for `graph` over `netlist`, with every timing value
-    /// cleared and electrical state (loads, net delays) computed from the
-    /// netlist.
+    /// cleared and electrical state (drives, loads, net delays) computed
+    /// from the netlist.
     pub fn new(graph: &TimingGraph, netlist: &Netlist, library: &CellLibrary) -> Self {
         let n = graph.num_nodes();
+        let nets = netlist.nets().iter().enumerate();
         let data = TimingData {
             clock_period_ps: 1_000.0,
-            slew: (0..n * 4).map(|_| AtomicF32::new(0.0)).collect(),
-            arrival: (0..n * 4).map(|_| AtomicF32::new(0.0)).collect(),
+            fwd: (0..n).map(|_| FwdRecord::default()).collect(),
             required: (0..n * 4).map(|_| AtomicF32::new(0.0)).collect(),
             arc_delay: (0..graph.num_arcs() * 4)
                 .map(|_| AtomicF32::new(0.0))
                 .collect(),
-            drive: netlist
-                .gates()
-                .iter()
-                .map(|g| AtomicF32::new(g.drive))
-                .collect(),
-            gate_load: (0..netlist.num_gates())
-                .map(|_| AtomicF32::new(0.0))
-                .collect(),
-            net_delay: (0..netlist.num_nets())
-                .map(|_| AtomicF32::new(0.0))
+            elec: (0..n).map(|_| Default::default()).collect(),
+            sinkless: nets
+                .filter(|(_, net)| net.sinks.is_empty())
+                .map(|(i, _)| (i as u32, AtomicF32::new(0.0)))
                 .collect(),
             input_delay: (0..netlist.num_inputs())
                 .map(|_| AtomicF32::new(0.0))
@@ -103,62 +147,96 @@ impl TimingData {
                 .map(|_| AtomicF32::new(0.0))
                 .collect(),
         };
-        data.recompute_nets(netlist, library);
+        for (g, gate) in netlist.gates().iter().enumerate() {
+            data.set_drive(graph.gate_output_node(GateId(g as u32)), gate.drive);
+        }
+        data.recompute_nets(graph, netlist, library, |_, gate| gate.drive);
         data
     }
 
-    /// [`recompute_net`](TimingData::recompute_net) for every net.
-    fn recompute_nets(&self, netlist: &Netlist, library: &CellLibrary) {
-        for net in 0..netlist.num_nets() {
-            self.recompute_net(net as u32, netlist, library);
+    /// [`recompute_net`](TimingData::recompute_net) for every net, with
+    /// `drive_of(g, gate)` the drive of each gate: one pass over the gates,
+    /// one over the nets and one over the arcs, which stores each delay
+    /// at its sink node in node order.
+    fn recompute_nets(
+        &self,
+        graph: &TimingGraph,
+        netlist: &Netlist,
+        library: &CellLibrary,
+        drive_of: impl Fn(GateId, &Gate) -> f32,
+    ) {
+        let gates = netlist.gates().iter().enumerate();
+        let pin_cap: Vec<f32> = gates
+            .map(|(g, gate)| library.input_cap(gate.cell) * drive_of(GateId(g as u32), gate))
+            .collect();
+        let caps: Vec<f32> = netlist
+            .nets()
+            .iter()
+            .map(|n| net_cap(n, library, |g| pin_cap[g.index()]))
+            .collect();
+        for (n, &cap) in netlist.nets().iter().zip(&caps) {
+            if let PinRef::GateOutput(g) = n.driver {
+                self.elec[graph.gate_output_node(g).index()][LOAD].store(cap);
+            }
+        }
+        let delay = |net: u32| library.wire_res_ps_per_ff * caps[net as usize];
+        for arc in graph.arcs() {
+            if let ArcKind::Net { net } = arc.kind {
+                self.elec[arc.to.index()][NET_DELAY].store(delay(net));
+            }
+        }
+        for (net, cell) in &self.sinkless {
+            cell.store(delay(*net));
         }
     }
 
     /// Recompute the total capacitance, interconnect delay, and (if the
-    /// driver is a gate) driver output load of net `net`. Called at
-    /// construction and by design modifiers.
-    pub fn recompute_net(&self, net: u32, netlist: &Netlist, library: &CellLibrary) {
-        use crate::netlist::PinRef;
+    /// driver is a gate) driver output load of net `net`. Called by design
+    /// modifiers.
+    pub fn recompute_net(
+        &self,
+        net: u32,
+        graph: &TimingGraph,
+        netlist: &Netlist,
+        library: &CellLibrary,
+    ) {
         let n = &netlist.nets()[net as usize];
-        let mut cap = n.wire_cap_ff;
-        for &sink in &n.sinks {
-            cap += match sink {
-                PinRef::GateInput(g, _) => {
-                    let gate = &netlist.gates()[g.index()];
-                    library.input_cap(gate.cell) * self.drive(g.0)
-                }
-                PinRef::PrimaryOutput(_) => library.output_load_ff,
-                _ => 0.0,
-            };
+        let cap = net_cap(n, library, |g| {
+            let gate = &netlist.gates()[g.index()];
+            library.input_cap(gate.cell) * self.drive(graph.gate_output_node(g))
+        });
+        let delay = library.wire_res_ps_per_ff * cap;
+        for cell in net_delay_cells(self, graph, netlist, net) {
+            cell.store(delay);
         }
-        self.net_delay[net as usize].store(library.wire_res_ps_per_ff * cap);
         if let PinRef::GateOutput(g) = n.driver {
-            self.gate_load[g.index()].store(cap);
+            self.elec[graph.gate_output_node(g).index()][LOAD].store(cap);
         }
     }
 
-    /// Drive multiplier of gate `g`.
+    /// Drive multiplier of the gate whose output pin is `v`.
     #[inline]
-    pub fn drive(&self, g: u32) -> f32 {
-        self.drive[g as usize].load()
+    pub fn drive(&self, v: NodeId) -> f32 {
+        self.elec[v.index()][DRIVE].load()
     }
 
-    /// Set the drive multiplier of gate `g` (used by the repower modifier).
+    /// Set the drive multiplier of the gate whose output pin is `v` (used
+    /// by the repower modifier).
     #[inline]
-    pub fn set_drive(&self, g: u32, drive: f32) {
-        self.drive[g as usize].store(drive);
+    pub fn set_drive(&self, v: NodeId, drive: f32) {
+        self.elec[v.index()][DRIVE].store(drive);
     }
 
-    /// Output load of gate `g` (fF).
+    /// Output load of the gate whose output pin is `v` (fF).
     #[inline]
-    pub fn gate_load(&self, g: u32) -> f32 {
-        self.gate_load[g as usize].load()
+    pub fn gate_load(&self, v: NodeId) -> f32 {
+        self.elec[v.index()][LOAD].load()
     }
 
-    /// Interconnect delay of net `net` (ps).
+    /// Interconnect delay of the net arc into sink pin `v` (ps).
     #[inline]
-    pub fn net_delay(&self, net: u32) -> f32 {
-        self.net_delay[net as usize].load()
+    pub fn net_delay(&self, v: NodeId) -> f32 {
+        self.elec[v.index()][NET_DELAY].load()
     }
 
     /// External arrival offset of primary input `p` (ps).
@@ -188,13 +266,13 @@ impl TimingData {
     /// Arrival time at `v` for `(tr, mode)` (ps).
     #[inline]
     pub fn arrival(&self, v: NodeId, tr: Tr, mode: Mode) -> f32 {
-        self.arrival[v.index() * 4 + corner(tr, mode)].load()
+        self.fwd[v.index()].0[corner(tr, mode)].load()
     }
 
     /// Slew at `v` for `(tr, mode)` (ps).
     #[inline]
     pub fn slew(&self, v: NodeId, tr: Tr, mode: Mode) -> f32 {
-        self.slew[v.index() * 4 + corner(tr, mode)].load()
+        self.fwd[v.index()].0[4 + corner(tr, mode)].load()
     }
 
     /// Required arrival time at `v` for `(tr, mode)` (ps).
@@ -229,12 +307,7 @@ impl TimingData {
     /// a stale-but-plausible number is silently wrong. Any slack computed
     /// through an unknown value is NaN, which endpoint reports surface.
     pub fn mark_arrival_unknown(&self, v: NodeId) {
-        for &tr in &TRS {
-            for &mode in &MODES {
-                self.set_arrival(v, tr, mode, f32::NAN);
-                self.set_slew(v, tr, mode, f32::NAN);
-            }
-        }
+        self.set_fwd(v, [f32::NAN; 8]);
     }
 
     /// Mark the required times of `v` (all corners) as unknown (NaN); the
@@ -257,14 +330,28 @@ impl TimingData {
         })
     }
 
+    /// The forward record of `v`: arrival corners, then slew corners.
+    #[inline]
+    fn fwd_of(&self, v: NodeId) -> [f32; 8] {
+        let r = &self.fwd[v.index()].0;
+        std::array::from_fn(|i| r[i].load())
+    }
+
+    #[inline]
+    fn set_fwd(&self, v: NodeId, x: [f32; 8]) {
+        for (c, x) in self.fwd[v.index()].0.iter().zip(x) {
+            c.store(x);
+        }
+    }
+
     #[inline]
     fn set_arrival(&self, v: NodeId, tr: Tr, mode: Mode, x: f32) {
-        self.arrival[v.index() * 4 + corner(tr, mode)].store(x);
+        self.fwd[v.index()].0[corner(tr, mode)].store(x);
     }
 
     #[inline]
     fn set_slew(&self, v: NodeId, tr: Tr, mode: Mode, x: f32) {
-        self.slew[v.index() * 4 + corner(tr, mode)].store(x);
+        self.fwd[v.index()].0[4 + corner(tr, mode)].store(x);
     }
 
     #[inline]
@@ -296,24 +383,16 @@ impl TimingData {
     /// from one computed locally.
     #[inline]
     pub fn fprop_bits(&self, v: NodeId) -> [u32; 8] {
-        let base = v.index() * 4;
-        std::array::from_fn(|i| {
-            if i < 4 {
-                self.arrival[base + i].load_bits()
-            } else {
-                self.slew[base + i - 4].load_bits()
-            }
-        })
+        let r = &self.fwd[v.index()].0;
+        std::array::from_fn(|i| r[i].load_bits())
     }
 
     /// Store raw forward-propagated state of `v`; the inverse of
     /// [`fprop_bits`](TimingData::fprop_bits).
     #[inline]
     pub fn set_fprop_bits(&self, v: NodeId, bits: [u32; 8]) {
-        let base = v.index() * 4;
-        for i in 0..4 {
-            self.arrival[base + i].store_bits(bits[i]);
-            self.slew[base + i].store_bits(bits[i + 4]);
+        for (c, b) in self.fwd[v.index()].0.iter().zip(bits) {
+            c.store_bits(b);
         }
     }
 
@@ -430,50 +509,78 @@ pub struct EditState {
     pub output_delay: Vec<u32>,
 }
 
-fn bits_of(cells: &[AtomicF32]) -> Vec<u32> {
-    cells.iter().map(|c| c.load_bits()).collect()
+/// The bits of `cells`, in order, in an exact-capacity `Vec`.
+fn load_bits<'c>(cells: impl ExactSizeIterator<Item = &'c AtomicF32>) -> Vec<u32> {
+    cells.map(AtomicF32::load_bits).collect()
 }
 
-/// `Err` naming `field` unless `bits` holds `expected` entries.
-fn check_len(expected: usize, bits: &[u32], field: &'static str) -> Result<(), SnapshotMismatch> {
-    if expected == bits.len() {
-        return Ok(());
+/// Store `bits` into `cells`, in order.
+fn store_bits<'c>(cells: impl IntoIterator<Item = &'c AtomicF32>, bits: &[u32]) {
+    for (c, &b) in cells.into_iter().zip(bits) {
+        c.store_bits(b);
     }
-    Err(SnapshotMismatch {
-        field,
-        expected,
-        found: bits.len(),
-    })
 }
 
-/// Store every `(cells, bits, field)` array once every length is checked,
-/// so a mismatch stores nothing.
-fn store_checked(arrays: &[(&[AtomicF32], &[u32], &'static str)]) -> Result<(), SnapshotMismatch> {
-    for &(cells, bits, field) in arrays {
-        check_len(cells.len(), bits, field)?;
+/// `Err` naming the first `(expected, bits, field)` whose `bits` does not
+/// hold `expected` entries.
+fn check_lens(arrays: &[(usize, &[u32], &'static str)]) -> Result<(), SnapshotMismatch> {
+    match arrays
+        .iter()
+        .find(|(expected, bits, _)| *expected != bits.len())
+    {
+        None => Ok(()),
+        Some(&(expected, bits, field)) => Err(SnapshotMismatch {
+            field,
+            expected,
+            found: bits.len(),
+        }),
     }
-    for &(cells, bits, _) in arrays {
-        for (c, &b) in cells.iter().zip(bits) {
-            c.store_bits(b);
-        }
-    }
-    Ok(())
 }
 
 impl TimingData {
+    /// Per gate, in gate order, its `DRIVE` or `LOAD` cell.
+    fn gate_cells<'d>(
+        &'d self,
+        graph: &'d TimingGraph,
+        netlist: &Netlist,
+        which: usize,
+    ) -> impl ExactSizeIterator<Item = &'d AtomicF32> + 'd {
+        (0..netlist.num_gates() as u32)
+            .map(move |g| &self.elec[graph.gate_output_node(GateId(g)).index()][which])
+    }
+
+    /// One cell per net holding its delay, in net order.
+    fn net_cells<'d>(
+        &'d self,
+        graph: &'d TimingGraph,
+        netlist: &'d Netlist,
+    ) -> impl ExactSizeIterator<Item = &'d AtomicF32> + 'd {
+        let nets = netlist.nets().iter().enumerate();
+        nets.map(move |(net, n)| match n.sinks.first() {
+            Some(&s) => &self.elec[graph.pin_ref_node(s).index()][NET_DELAY],
+            None => self.sinkless_cell(net as u32),
+        })
+    }
+
+    /// The delay cell of `net`, a net with no sink.
+    fn sinkless_cell(&self, net: u32) -> &AtomicF32 {
+        let i = self.sinkless.partition_point(|&(m, _)| m < net);
+        &self.sinkless[i].1
+    }
+
     /// The edit state of this timing data over `netlist`, which holds the
     /// wire capacitances.
-    pub(crate) fn edit_state(&self, netlist: &Netlist) -> EditState {
+    pub(crate) fn edit_state(&self, graph: &TimingGraph, netlist: &Netlist) -> EditState {
         EditState {
             clock_period_bits: self.clock_period_ps.to_bits(),
-            drive: bits_of(&self.drive),
+            drive: load_bits(self.gate_cells(graph, netlist, DRIVE)),
             wire_cap: netlist
                 .nets()
                 .iter()
                 .map(|n| n.wire_cap_ff.to_bits())
                 .collect(),
-            input_delay: bits_of(&self.input_delay),
-            output_delay: bits_of(&self.output_delay),
+            input_delay: load_bits(self.input_delay.iter()),
+            output_delay: load_bits(self.output_delay.iter()),
         }
     }
 
@@ -485,59 +592,94 @@ impl TimingData {
     pub(crate) fn set_edit_state(
         &mut self,
         state: &EditState,
+        graph: &TimingGraph,
         netlist: &mut Netlist,
         library: &CellLibrary,
     ) -> Result<(), SnapshotMismatch> {
-        check_len(netlist.num_nets(), &state.wire_cap, "wire_cap")?;
-        store_checked(&[
-            (&self.drive, &state.drive, "drive"),
-            (&self.input_delay, &state.input_delay, "input_delay"),
-            (&self.output_delay, &state.output_delay, "output_delay"),
+        check_lens(&[
+            (netlist.num_nets(), &state.wire_cap, "wire_cap"),
+            (netlist.num_gates(), &state.drive, "drive"),
+            (self.input_delay.len(), &state.input_delay, "input_delay"),
+            (self.output_delay.len(), &state.output_delay, "output_delay"),
         ])?;
+        store_bits(self.gate_cells(graph, netlist, DRIVE), &state.drive);
+        store_bits(&self.input_delay, &state.input_delay);
+        store_bits(&self.output_delay, &state.output_delay);
         self.clock_period_ps = f32::from_bits(state.clock_period_bits);
         for (net, &bits) in netlist.nets.iter_mut().zip(&state.wire_cap) {
             net.wire_cap_ff = f32::from_bits(bits);
         }
-        self.recompute_nets(netlist, library);
+        self.recompute_nets(graph, netlist, library, |g, _| {
+            self.drive(graph.gate_output_node(g))
+        });
         Ok(())
     }
 
-    /// Capture every mutable timing value bit-exactly.
-    pub fn snapshot(&self) -> TimingSnapshot {
+    /// Capture every mutable timing value bit-exactly, translating the
+    /// node-keyed electrical state back to gates and nets through `graph`
+    /// and `netlist` (the design this state was allocated for).
+    pub fn snapshot(&self, graph: &TimingGraph, netlist: &Netlist) -> TimingSnapshot {
+        let n = self.fwd.len();
+        let (mut arrival, mut slew) = (Vec::with_capacity(4 * n), Vec::with_capacity(4 * n));
+        for r in &self.fwd {
+            arrival.extend(r.0[..4].iter().map(AtomicF32::load_bits));
+            slew.extend(r.0[4..].iter().map(AtomicF32::load_bits));
+        }
         TimingSnapshot {
             clock_period_bits: self.clock_period_ps.to_bits(),
-            slew: bits_of(&self.slew),
-            arrival: bits_of(&self.arrival),
-            required: bits_of(&self.required),
-            arc_delay: bits_of(&self.arc_delay),
-            drive: bits_of(&self.drive),
-            gate_load: bits_of(&self.gate_load),
-            net_delay: bits_of(&self.net_delay),
-            input_delay: bits_of(&self.input_delay),
-            output_delay: bits_of(&self.output_delay),
+            slew,
+            arrival,
+            required: load_bits(self.required.iter()),
+            arc_delay: load_bits(self.arc_delay.iter()),
+            drive: load_bits(self.gate_cells(graph, netlist, DRIVE)),
+            gate_load: load_bits(self.gate_cells(graph, netlist, LOAD)),
+            net_delay: load_bits(self.net_cells(graph, netlist)),
+            input_delay: load_bits(self.input_delay.iter()),
+            output_delay: load_bits(self.output_delay.iter()),
         }
     }
 
-    /// Overwrite every mutable timing value from `snap`, bit-exactly. All
-    /// array shapes are checked before the first store, so a mismatched
-    /// snapshot leaves the state untouched.
+    /// Overwrite every mutable timing value from `snap`, bit-exactly: a
+    /// net's delay goes to every sink node of the net. All array shapes
+    /// are checked before the first store, so a mismatched snapshot leaves
+    /// the state untouched.
     ///
     /// # Errors
     ///
     /// [`SnapshotMismatch`] when any array length disagrees with the
     /// design this state was allocated for.
-    pub fn restore(&mut self, snap: &TimingSnapshot) -> Result<(), SnapshotMismatch> {
-        store_checked(&[
-            (&self.slew, &snap.slew, "slew"),
-            (&self.arrival, &snap.arrival, "arrival"),
-            (&self.required, &snap.required, "required"),
-            (&self.arc_delay, &snap.arc_delay, "arc_delay"),
-            (&self.drive, &snap.drive, "drive"),
-            (&self.gate_load, &snap.gate_load, "gate_load"),
-            (&self.net_delay, &snap.net_delay, "net_delay"),
-            (&self.input_delay, &snap.input_delay, "input_delay"),
-            (&self.output_delay, &snap.output_delay, "output_delay"),
+    pub fn restore(
+        &mut self,
+        snap: &TimingSnapshot,
+        graph: &TimingGraph,
+        netlist: &Netlist,
+    ) -> Result<(), SnapshotMismatch> {
+        let (corners, gates) = (4 * self.fwd.len(), netlist.num_gates());
+        check_lens(&[
+            (corners, &snap.slew, "slew"),
+            (corners, &snap.arrival, "arrival"),
+            (self.required.len(), &snap.required, "required"),
+            (self.arc_delay.len(), &snap.arc_delay, "arc_delay"),
+            (gates, &snap.drive, "drive"),
+            (gates, &snap.gate_load, "gate_load"),
+            (netlist.num_nets(), &snap.net_delay, "net_delay"),
+            (self.input_delay.len(), &snap.input_delay, "input_delay"),
+            (self.output_delay.len(), &snap.output_delay, "output_delay"),
         ])?;
+        let records = self.fwd.iter().map(|r| &r.0);
+        store_bits(records.clone().flat_map(|r| &r[..4]), &snap.arrival);
+        store_bits(records.flat_map(|r| &r[4..]), &snap.slew);
+        store_bits(&self.required, &snap.required);
+        store_bits(&self.arc_delay, &snap.arc_delay);
+        store_bits(self.gate_cells(graph, netlist, DRIVE), &snap.drive);
+        store_bits(self.gate_cells(graph, netlist, LOAD), &snap.gate_load);
+        for (net, &bits) in snap.net_delay.iter().enumerate() {
+            for c in net_delay_cells(self, graph, netlist, net as u32) {
+                c.store_bits(bits);
+            }
+        }
+        store_bits(&self.input_delay, &snap.input_delay);
+        store_bits(&self.output_delay, &snap.output_delay);
         self.clock_period_ps = f32::from_bits(snap.clock_period_bits);
         Ok(())
     }
@@ -563,115 +705,145 @@ impl<'a> TimingPropagator<'a> {
     /// current input slews and loads, caches the arc delays for backward
     /// propagation, and merges arrivals (max for late, min for early).
     ///
-    /// Runs on the flat [`ArcSoa`](crate::graph::ArcSoa) columns: per arc
-    /// the loop loads a few dense u32/u8 entries instead of chasing
-    /// `TimingArcRef` → `Gate` (with its embedded name `String`) → a
-    /// library scan. The arithmetic — table lookups, merge order, corner
-    /// indexing — is unchanged, so results are bit-identical to
+    /// Reads in sweep order: `v`'s own electrical state once, each fan-in's
+    /// forward record once, and the flat [`ArcSoa`](crate::graph::ArcSoa)
+    /// columns of its fan-in range. A gate's output pin has only that
+    /// gate's cell arcs in its fan-in, and a sink pin one net arc, so the
+    /// cell, sense, drive, load and load brackets are resolved once per
+    /// node; where the cell's four tables share one slew axis, each fan-in
+    /// corner's slew bracket is resolved once for all four. The arithmetic
+    /// — table lookups, merge order, corner indexing — is unchanged, so
+    /// results are bit-identical to
     /// [`fprop_reference`](Self::fprop_reference).
     pub fn fprop(&self, v: NodeId) {
         let d = self.data;
         let fanin = self.graph.fanin(v);
+        let [x, y] = &d.elec[v.index()];
+        let (x, y) = (x.load(), y.load());
 
         if fanin.is_empty() {
             // Path startpoint: primary input or sequential output.
-            let (arr, slew) = match self.graph.node_kind(v) {
-                NodeKind::GateOutput(g) => {
-                    let gate = &self.netlist.gates()[g as usize];
-                    debug_assert!(gate.cell.is_sequential());
-                    let cell = self.library.cell(gate.cell);
-                    (cell.clk_to_q_ps / d.drive(g), self.library.input_slew_ps)
-                }
-                NodeKind::PrimaryInput(p) => (d.input_delay(p), self.library.input_slew_ps),
-                _ => (0.0, self.library.input_slew_ps),
+            let slew = self.library.input_slew_ps;
+            let arr = match self.graph.node_kind(v) {
+                // A gate output with no fan-in is a flip-flop's, the one
+                // sequential cell; `x` is its drive.
+                NodeKind::GateOutput(_) => self.library.cell(CellKind::Dff).clk_to_q_ps / x,
+                NodeKind::PrimaryInput(p) => d.input_delay(p),
+                _ => 0.0,
             };
-            for &tr in &TRS {
-                for &mode in &MODES {
-                    d.set_arrival(v, tr, mode, arr);
-                    d.set_slew(v, tr, mode, slew);
-                }
-            }
+            d.set_fwd(v, [arr, arr, arr, arr, slew, slew, slew, slew]);
             return;
         }
 
         let soa = self.graph.arc_soa(self.netlist);
-        let mut arr = [[f32::INFINITY, f32::NEG_INFINITY]; 2]; // [tr][mode]
-        let mut slw = [[f32::INFINITY, f32::NEG_INFINITY]; 2];
+        let first = fanin.start as usize;
+        // The new record, arrival then slew corners, at the merge identity.
+        let mut rec: [f32; 8] = std::array::from_fn(|i| pick_init(MODES[i % 2]));
 
-        for a in fanin {
-            let ai = a as usize;
-            let u = NodeId(soa.from[ai]);
-            if soa.is_net(ai) {
-                let delay = d.net_delay(soa.payload[ai]);
+        if soa.is_net(first) {
+            // A sink pin: its one net arc's delay is `x`.
+            let delay = x;
+            for a in fanin {
+                debug_assert!(soa.is_net(a as usize), "a sink pin has only net arcs");
+                let u = d.fwd_of(NodeId(soa.from[a as usize]));
                 for &tr in &TRS {
                     for &mode in &MODES {
-                        let at = d.arrival(u, tr, mode) + delay;
-                        let su = d.slew(u, tr, mode);
+                        let c = corner(tr, mode);
+                        let at = u[c] + delay;
                         // Mild interconnect slew degradation.
-                        let sv = su + 0.1 * delay;
+                        let sv = u[4 + c] + 0.1 * delay;
                         d.set_arc_delay(a, tr, mode, delay);
-                        merge(&mut arr[tr as usize][mode as usize], at, mode);
-                        merge(&mut slw[tr as usize][mode as usize], sv, mode);
-                    }
-                }
-            } else {
-                let gate = soa.payload[ai];
-                let cell = self.library.cell_by_index(soa.cell_idx[ai] as usize);
-                let sense = soa.sense_of(ai);
-                let drive = d.drive(gate);
-                let load = d.gate_load(gate);
-                for &tr_out in &TRS {
-                    let (dtab, stab) = match tr_out {
-                        Tr::Rise => (&cell.tables.delay_rise, &cell.tables.slew_rise),
-                        Tr::Fall => (&cell.tables.delay_fall, &cell.tables.slew_fall),
-                    };
-                    // The load is fixed for the whole arc: resolve each
-                    // table's load-axis bracket once instead of inside
-                    // every (mode, tr_in) lookup. `lookup_at` is
-                    // bit-identical to `lookup` at the same load.
-                    let dlb = dtab.load_bracket(load);
-                    let slb = stab.load_bracket(load);
-                    // Which input transitions can cause tr_out.
-                    let ins: &[Tr] = match sense {
-                        TimingSense::Positive => &[tr_out],
-                        TimingSense::Negative => match tr_out {
-                            Tr::Rise => &[Tr::Fall],
-                            Tr::Fall => &[Tr::Rise],
-                        },
-                        TimingSense::NonUnate => &TRS,
-                    };
-                    for &mode in &MODES {
-                        let mut best_at = pick_init(mode);
-                        let mut best_sv = pick_init(mode);
-                        let mut best_delay = pick_init(mode);
-                        for &tr_in in ins {
-                            let si = d.slew(u, tr_in, mode);
-                            let delay = dtab.lookup_at(si, dlb) / drive;
-                            let sv = stab.lookup_at(si, slb) / drive;
-                            let at = d.arrival(u, tr_in, mode) + delay;
-                            merge(&mut best_at, at, mode);
-                            merge(&mut best_sv, sv, mode);
-                            merge(&mut best_delay, delay, mode);
-                        }
-                        d.set_arc_delay(a, tr_out, mode, best_delay);
-                        merge(&mut arr[tr_out as usize][mode as usize], best_at, mode);
-                        merge(&mut slw[tr_out as usize][mode as usize], best_sv, mode);
+                        merge(&mut rec[c], at, mode);
+                        merge(&mut rec[4 + c], sv, mode);
                     }
                 }
             }
+        } else {
+            // A gate's output pin: drive `x`, load `y`.
+            let ci = soa.cell_idx[first] as usize;
+            if self.library.shares_slew_axis(ci) {
+                self.cell_fanin::<true>(soa, fanin, ci, [x, y], &mut rec);
+            } else {
+                self.cell_fanin::<false>(soa, fanin, ci, [x, y], &mut rec);
+            }
         }
+        d.set_fwd(v, rec);
+    }
 
-        for &tr in &TRS {
-            for &mode in &MODES {
-                d.set_arrival(v, tr, mode, arr[tr as usize][mode as usize]);
-                d.set_slew(v, tr, mode, slw[tr as usize][mode as usize]);
+    /// Merge the cell arcs `fanin` of one gate, whose cell has library
+    /// index `ci` and which has `[drive, load]`, into the record `rec`, and
+    /// cache their delays. With `SHARED` (the cell's four tables share one
+    /// slew axis) a fan-in corner's slew bracket is resolved once for all
+    /// four tables; otherwise each lookup resolves its own.
+    #[inline]
+    fn cell_fanin<const SHARED: bool>(
+        &self,
+        soa: &ArcSoa,
+        fanin: Range<u32>,
+        ci: usize,
+        [drive, load]: [f32; 2],
+        rec: &mut [f32; 8],
+    ) {
+        let d = self.data;
+        let t = &self.library.cell_by_index(ci).tables;
+        let sense = soa.sense_of(fanin.start as usize);
+        // [tr_out]: (delay table, slew table), and their load brackets.
+        let tabs = [(&t.delay_rise, &t.slew_rise), (&t.delay_fall, &t.slew_fall)];
+        let lbs = tabs.map(|(dtab, stab)| (dtab.load_bracket(load), stab.load_bracket(load)));
+        for a in fanin {
+            debug_assert_eq!(soa.cell_idx[a as usize] as usize, ci, "one gate's arcs");
+            let u = d.fwd_of(NodeId(soa.from[a as usize]));
+            // [corner(tr_in, mode)]: the bracket of the fan-in's slew.
+            let sb: [SlewBracket; 4] = if SHARED {
+                std::array::from_fn(|c| t.delay_rise.slew_bracket(u[4 + c]))
+            } else {
+                Default::default()
+            };
+            for &tr_out in &TRS {
+                let ((dtab, stab), (dlb, slb)) = (tabs[tr_out as usize], lbs[tr_out as usize]);
+                // Which input transitions can cause tr_out.
+                let ins: &[Tr] = match sense {
+                    TimingSense::Positive => &[tr_out],
+                    TimingSense::Negative => match tr_out {
+                        Tr::Rise => &[Tr::Fall],
+                        Tr::Fall => &[Tr::Rise],
+                    },
+                    TimingSense::NonUnate => &TRS,
+                };
+                for &mode in &MODES {
+                    let mut best_at = pick_init(mode);
+                    let mut best_sv = pick_init(mode);
+                    let mut best_delay = pick_init(mode);
+                    for &tr_in in ins {
+                        let c = corner(tr_in, mode);
+                        let (dl, sl) = if SHARED {
+                            (
+                                dtab.lookup_bracketed(sb[c], dlb),
+                                stab.lookup_bracketed(sb[c], slb),
+                            )
+                        } else {
+                            (dtab.lookup_at(u[4 + c], dlb), stab.lookup_at(u[4 + c], slb))
+                        };
+                        let delay = dl / drive;
+                        let sv = sl / drive;
+                        let at = u[c] + delay;
+                        merge(&mut best_at, at, mode);
+                        merge(&mut best_sv, sv, mode);
+                        merge(&mut best_delay, delay, mode);
+                    }
+                    d.set_arc_delay(a, tr_out, mode, best_delay);
+                    let c = corner(tr_out, mode);
+                    merge(&mut rec[c], best_at, mode);
+                    merge(&mut rec[4 + c], best_sv, mode);
+                }
             }
         }
     }
 
     /// The legacy AoS forward propagation, kept verbatim as the reference
     /// for the differential layout test (`tests/csr_layout.rs`): the SoA
-    /// hot path must reproduce its stores bit for bit.
+    /// hot path must reproduce its stores bit for bit. Only its reads of
+    /// drive, load and net delay are keyed by node.
     #[doc(hidden)]
     pub fn fprop_reference(&self, v: NodeId) {
         let d = self.data;
@@ -684,7 +856,8 @@ impl<'a> TimingPropagator<'a> {
                     let gate = &self.netlist.gates()[g as usize];
                     debug_assert!(gate.cell.is_sequential());
                     let cell = self.library.cell(gate.cell);
-                    (cell.clk_to_q_ps / d.drive(g), self.library.input_slew_ps)
+                    let drive = d.drive(self.graph.gate_output_node(GateId(g)));
+                    (cell.clk_to_q_ps / drive, self.library.input_slew_ps)
                 }
                 NodeKind::PrimaryInput(p) => (d.input_delay(p), self.library.input_slew_ps),
                 _ => (0.0, self.library.input_slew_ps),
@@ -705,8 +878,8 @@ impl<'a> TimingPropagator<'a> {
             let arc = self.graph.arc(a);
             let u = arc.from;
             match arc.kind {
-                ArcKind::Net { net } => {
-                    let delay = d.net_delay(net);
+                ArcKind::Net { .. } => {
+                    let delay = d.net_delay(arc.to);
                     for &tr in &TRS {
                         for &mode in &MODES {
                             let at = d.arrival(u, tr, mode) + delay;
@@ -722,8 +895,9 @@ impl<'a> TimingPropagator<'a> {
                 ArcKind::Cell { gate } => {
                     let g = &self.netlist.gates()[gate as usize];
                     let cell = self.library.cell(g.cell);
-                    let drive = d.drive(gate);
-                    let load = d.gate_load(gate);
+                    let out = self.graph.gate_output_node(GateId(gate));
+                    let drive = d.drive(out);
+                    let load = d.gate_load(out);
                     for &tr_out in &TRS {
                         let (dtab, stab) = match tr_out {
                             Tr::Rise => (&cell.tables.delay_rise, &cell.tables.slew_rise),
@@ -1101,9 +1275,9 @@ mod tests {
 
         // Double u2's drive; its cell delay halves (its input cap grows,
         // which loads u1's net — recompute it too).
-        data.set_drive(1, 2.0);
+        data.set_drive(f.graph.gate_output_node(crate::GateId(1)), 2.0);
         for net in 0..f.netlist.num_nets() as u32 {
-            data.recompute_net(net, &f.netlist, &f.library);
+            data.recompute_net(net, &f.graph, &f.netlist, &f.library);
         }
         full_pass(&f, &data);
         let fast = data.arrival(po, Tr::Rise, Mode::Late);
@@ -1120,18 +1294,23 @@ mod tests {
         full_pass(&f, &data);
         let po = NodeId(f.graph.endpoints()[0]);
         let before = data.arrival(po, Tr::Rise, Mode::Late);
-        let d0 = data.net_delay(0);
+        let d0 = data.net_delay(po);
 
-        // Fatten every net by 10 fF.
-        for (i, _) in f.netlist.nets().iter().enumerate() {
-            let extra = 10.0 * f.library.wire_res_ps_per_ff;
-            let cur = data.net_delay(i as u32);
-            data.net_delay[i].store(cur + extra);
+        // Fatten every net by 10 fF: its delay sits at each sink node.
+        for v in 0..f.graph.num_nodes() as u32 {
+            let v = NodeId(v);
+            if matches!(
+                f.graph.node_kind(v),
+                NodeKind::GateInput(..) | NodeKind::PrimaryOutput(_)
+            ) {
+                let extra = 10.0 * f.library.wire_res_ps_per_ff;
+                data.elec[v.index()][NET_DELAY].store(data.net_delay(v) + extra);
+            }
         }
         full_pass(&f, &data);
         let after = data.arrival(po, Tr::Rise, Mode::Late);
         assert!(after > before, "more wire cap, more delay");
-        assert!(data.net_delay(0) > d0);
+        assert!(data.net_delay(po) > d0);
     }
 
     #[test]
@@ -1181,14 +1360,19 @@ mod tests {
         // Include awkward values: NaN (unknown marker), signed zero.
         data.mark_arrival_unknown(NodeId(1));
         data.set_required(NodeId(0), Tr::Rise, Mode::Late, -0.0);
-        let snap = data.snapshot();
+        let snap = data.snapshot(&f.graph, &f.netlist);
 
         // Scramble the state, then restore.
         data.clock_period_ps = 123.0;
         full_pass(&f, &data);
-        data.set_drive(0, 7.0);
-        data.restore(&snap).expect("shapes match");
-        assert_eq!(data.snapshot(), snap, "restore is bit-exact");
+        data.set_drive(f.graph.gate_output_node(crate::GateId(0)), 7.0);
+        data.restore(&snap, &f.graph, &f.netlist)
+            .expect("shapes match");
+        assert_eq!(
+            data.snapshot(&f.graph, &f.netlist),
+            snap,
+            "restore is bit-exact"
+        );
         assert!(data.arrival(NodeId(1), Tr::Rise, Mode::Late).is_nan());
         assert!(data
             .required(NodeId(0), Tr::Rise, Mode::Late)
@@ -1200,14 +1384,20 @@ mod tests {
         let f = inv_chain();
         let mut data = TimingData::new(&f.graph, &f.netlist, &f.library);
         full_pass(&f, &data);
-        let before = data.snapshot();
+        let before = data.snapshot(&f.graph, &f.netlist);
         let mut bad = before.clone();
         bad.arc_delay.pop();
         bad.clock_period_bits = 0.0f32.to_bits();
-        let err = data.restore(&bad).expect_err("shape mismatch");
+        let err = data
+            .restore(&bad, &f.graph, &f.netlist)
+            .expect_err("shape mismatch");
         assert_eq!(err.field, "arc_delay");
         assert!(err.to_string().contains("arc_delay"));
-        assert_eq!(data.snapshot(), before, "failed restore must not write");
+        assert_eq!(
+            data.snapshot(&f.graph, &f.netlist),
+            before,
+            "failed restore must not write"
+        );
     }
 
     #[test]
@@ -1269,8 +1459,8 @@ mod tests {
         }
 
         assert_eq!(
-            fast.snapshot(),
-            slow.snapshot(),
+            fast.snapshot(&f.graph, &f.netlist),
+            slow.snapshot(&f.graph, &f.netlist),
             "SoA hot path must be bit-identical to the AoS reference"
         );
     }

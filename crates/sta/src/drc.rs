@@ -97,9 +97,9 @@ pub fn check_design_rules(
         }
     }
     for g in 0..netlist.num_gates() as u32 {
-        let load = data.gate_load(g);
+        let node = graph.gate_output_node(crate::GateId(g));
+        let load = data.gate_load(node);
         if load > max_capacitance_ff {
-            let node = graph.gate_output_node(crate::GateId(g));
             report.cap_violations.push(DrcViolation {
                 node,
                 location: location_of(graph, netlist, node),

@@ -111,24 +111,6 @@ pub(crate) fn bit_is_set(bits: &[u64], r: u32) -> bool {
     bits[r as usize / 64] >> (r % 64) & 1 == 1
 }
 
-/// Per node, the arcs whose `end` it is: CSR offsets and arc ids, each list
-/// in arc order.
-fn csr(n: usize, arcs: &[TimingArcRef], end: fn(&TimingArcRef) -> NodeId) -> (Vec<u32>, Vec<u32>) {
-    let mut off = vec![0u32; n + 1];
-    for a in arcs {
-        off[end(a).index() + 1] += 1;
-    }
-    prefix_sum(&mut off);
-    let mut ids = vec![0u32; arcs.len()];
-    let mut next = off.clone();
-    for (i, a) in arcs.iter().enumerate() {
-        let slot = &mut next[end(a).index()];
-        ids[*slot as usize] = i as u32;
-        *slot += 1;
-    }
-    (off, ids)
-}
-
 /// Counts to offsets: each entry becomes the sum of it and all before it.
 fn prefix_sum(counts: &mut [u32]) {
     for i in 1..counts.len() {
@@ -154,8 +136,6 @@ pub struct ArcSoa {
     pub from: Vec<u32>,
     /// Destination node id per arc.
     pub to: Vec<u32>,
-    /// Net index for net arcs, gate index for cell arcs.
-    pub payload: Vec<u32>,
     /// Library cell index ([`CellLibrary::cell_index`]) for cell arcs;
     /// [`ArcSoa::NET_ARC`] for net arcs.
     pub cell_idx: Vec<u8>,
@@ -173,7 +153,6 @@ impl ArcSoa {
         let mut soa = ArcSoa {
             from: Vec::with_capacity(n),
             to: Vec::with_capacity(n),
-            payload: Vec::with_capacity(n),
             cell_idx: Vec::with_capacity(n),
             sense: Vec::with_capacity(n),
         };
@@ -181,14 +160,12 @@ impl ArcSoa {
             soa.from.push(a.from.0);
             soa.to.push(a.to.0);
             match a.kind {
-                ArcKind::Net { net } => {
-                    soa.payload.push(net);
+                ArcKind::Net { .. } => {
                     soa.cell_idx.push(Self::NET_ARC);
                     soa.sense.push(0);
                 }
                 ArcKind::Cell { gate } => {
                     let cell = netlist.gates()[gate as usize].cell;
-                    soa.payload.push(gate);
                     soa.cell_idx.push(CellLibrary::cell_index(cell) as u8);
                     soa.sense.push(match cell.sense() {
                         TimingSense::Positive => 0,
@@ -313,122 +290,139 @@ impl TimingGraph {
             })
         };
 
-        // Arcs between pins: net arcs then cell arcs.
-        let comb = netlist.gates().iter().filter(|g| !g.cell.is_sequential());
+        // The successor pins of each pin (a driver's net sinks, then a
+        // combinational gate input's output pin), for levelizing.
+        let comb = || {
+            let gates = netlist.gates().iter().enumerate();
+            gates.filter(|(_, g)| !g.cell.is_sequential())
+        };
         let sinks = netlist.nets().iter().map(|net| net.sinks.len());
-        let num_arcs = sinks.sum::<usize>() + comb.map(|g| g.cell.num_inputs()).sum::<usize>();
+        let num_arcs =
+            sinks.sum::<usize>() + comb().map(|(_, g)| g.cell.num_inputs()).sum::<usize>();
         // The graph's own arrays come before the build's scratch, so that
         // freeing the scratch leaves them packed.
-        let mut arcs = Vec::with_capacity(num_arcs);
+        let unset = TimingArcRef {
+            from: NodeId(0),
+            to: NodeId(0),
+            kind: ArcKind::Net { net: 0 },
+        };
+        let mut arcs = vec![unset; num_arcs];
         let mut pin_node = vec![0u32; n];
         let mut rev_off = vec![0u32; n + 1];
         let mut node_fwd_off = vec![0u32; n + 1];
         let mut node_fwd_arc = vec![0u32; num_arcs];
         let mut node_kind = vec![NodeKind::PrimaryInput(0); n];
-        for (net_id, net) in netlist.nets().iter().enumerate() {
+        let mut succ_off = vec![0u32; n + 1];
+        for net in netlist.nets() {
+            succ_off[pin_of(net.driver).index() + 1] += net.sinks.len() as u32;
+        }
+        for (g, gate) in comb() {
+            let first = gate_in_off[g] as usize + 1;
+            for count in &mut succ_off[first..first + gate.cell.num_inputs()] {
+                *count += 1;
+            }
+        }
+        prefix_sum(&mut succ_off);
+        let mut succ = vec![0u32; num_arcs];
+        let mut next = succ_off.clone();
+        let mut put = |from: NodeId, to: NodeId| {
+            let slot = &mut next[from.index()];
+            succ[*slot as usize] = to.0;
+            *slot += 1;
+        };
+        for net in netlist.nets() {
             let from = pin_of(net.driver);
             for &sink in &net.sinks {
-                arcs.push(TimingArcRef {
-                    from,
-                    to: pin_of(sink),
-                    kind: ArcKind::Net { net: net_id as u32 },
-                });
+                put(from, pin_of(sink));
             }
         }
-        for (g, gate) in netlist.gates().iter().enumerate() {
-            if gate.cell.is_sequential() {
-                continue; // no D -> Q combinational arc
-            }
-            for pin in 0..gate.cell.num_inputs() as u8 {
-                arcs.push(TimingArcRef {
-                    from: pin_of(PinRef::GateInput(GateId(g as u32), pin)),
-                    to: pin_of(PinRef::GateOutput(GateId(g as u32))),
-                    kind: ArcKind::Cell { gate: g as u32 },
-                });
+        for (g, gate) in comb() {
+            let out = NodeId(gate_out_base + g as u32);
+            for pin in 0..gate.cell.num_inputs() as u32 {
+                put(NodeId(gate_in_off[g] + pin), out);
             }
         }
-        let (fwd_off, fwd_arc) = csr(n, &arcs, |a| a.from);
-        let out_of = |p: usize| &fwd_arc[fwd_off[p] as usize..fwd_off[p + 1] as usize];
+        drop(next);
+        let succs = |p: usize| &succ[succ_off[p] as usize..succ_off[p + 1] as usize];
 
         // Acyclicity check (combinational loops). A pin is popped only
         // after all its fan-in, so its longest-path level is final then.
-        let mut indeg = vec![0u32; n];
-        for a in &arcs {
-            indeg[a.to.index()] += 1;
+        // Per pin `[unvisited fan-in, level]`, one cache line per visit.
+        let mut fanin = vec![0u32; n];
+        for &h in &succ {
+            fanin[h as usize] += 1;
         }
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&p| indeg[p as usize] == 0).collect();
-        let mut level = vec![0u32; n];
+        let mut state: Vec<[u32; 2]> = fanin.iter().map(|&d| [d, 0]).collect();
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&p| fanin[p as usize] == 0).collect();
         let mut visited = 0;
         while let Some(u) = queue.pop() {
             visited += 1;
-            let below = level[u as usize] + 1;
-            for &a in out_of(u as usize) {
-                let v = arcs[a as usize].to.index();
-                level[v] = level[v].max(below);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v as u32);
+            let below = state[u as usize][1] + 1;
+            for &h in succs(u as usize) {
+                let [indeg, level] = &mut state[h as usize];
+                *level = (*level).max(below);
+                *indeg -= 1;
+                if *indeg == 0 {
+                    queue.push(h);
                 }
             }
         }
         if visited != n {
-            let witness = indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
+            let witness = state.iter().position(|s| s[0] > 0).unwrap_or(0) as u32;
             return Err(BuildTdgError::Cycle { witness });
         }
-        drop((indeg, queue));
+        drop(queue);
 
         // The node of each pin: its position when pins are sorted by level,
         // ascending pin number within a level (a counting sort).
-        let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
+        let depth = state
+            .iter()
+            .map(|s| s[1])
+            .max()
+            .map_or(0, |l| l as usize + 1);
         let mut cursor = vec![0u32; depth + 1];
-        for &l in &level {
-            cursor[l as usize + 1] += 1;
+        for s in &state {
+            cursor[s[1] as usize + 1] += 1;
         }
         prefix_sum(&mut cursor);
-        for (slot, &l) in pin_node.iter_mut().zip(&level) {
-            let r = &mut cursor[l as usize];
+        for (p, (slot, s)) in pin_node.iter_mut().zip(&state).enumerate() {
+            let r = &mut cursor[s[1] as usize];
             *slot = *r;
             *r += 1;
+            rev_off[*r as usize] = fanin[p];
+            node_fwd_off[*r as usize] = succ_off[p + 1] - succ_off[p];
         }
-        drop((level, cursor));
-
-        // Renumber the arcs' ends, then group the arcs by head node: a
-        // stable counting sort, so each fan-in keeps its pin-arc order.
-        for a in &mut arcs {
-            a.from = NodeId(pin_node[a.from.index()]);
-            a.to = NodeId(pin_node[a.to.index()]);
-            rev_off[a.to.index() + 1] += 1;
-        }
+        drop((state, cursor, fanin, succ, succ_off));
         prefix_sum(&mut rev_off);
-        let mut next = rev_off.clone();
-        let mut arc_id: Vec<u32> = arcs
-            .iter()
-            .map(|a| {
-                let slot = &mut next[a.to.index()];
-                *slot += 1;
-                *slot - 1
-            })
-            .collect();
-        // Each fan-out list keeps its pin-arc order, in the new arc ids.
-        for (p, &v) in pin_node.iter().enumerate() {
-            node_fwd_off[v as usize + 1] = out_of(p).len() as u32;
-        }
         prefix_sum(&mut node_fwd_off);
-        for (p, &v) in pin_node.iter().enumerate() {
-            let at = node_fwd_off[v as usize] as usize;
-            for (slot, &a) in node_fwd_arc[at..].iter_mut().zip(out_of(p)) {
-                *slot = arc_id[a as usize];
+
+        // Emit each arc straight into its slot, net arcs (by net, then
+        // sink) then cell arcs: arcs are grouped by head node, and each
+        // fan-in and fan-out list keeps this pin-arc order.
+        let (mut next_in, mut next_out) = (rev_off.clone(), node_fwd_off.clone());
+        let mut emit = |from: NodeId, to: NodeId, kind: ArcKind| {
+            let (from, to) = (NodeId(pin_node[from.index()]), NodeId(pin_node[to.index()]));
+            let id = &mut next_in[to.index()];
+            arcs[*id as usize] = TimingArcRef { from, to, kind };
+            let out = &mut next_out[from.index()];
+            node_fwd_arc[*out as usize] = *id;
+            *id += 1;
+            *out += 1;
+        };
+        for (net_id, net) in netlist.nets().iter().enumerate() {
+            let from = pin_of(net.driver);
+            for &sink in &net.sinks {
+                emit(from, pin_of(sink), ArcKind::Net { net: net_id as u32 });
             }
         }
-        drop((fwd_off, fwd_arc));
-        // Move each arc to its new id, one cycle of the permutation at a time.
-        for i in 0..arcs.len() {
-            while arc_id[i] as usize != i {
-                let j = arc_id[i] as usize;
-                arcs.swap(i, j);
-                arc_id.swap(i, j);
+        for (g, gate) in comb() {
+            let out = NodeId(gate_out_base + g as u32);
+            for pin in 0..gate.cell.num_inputs() as u32 {
+                let gate = g as u32;
+                emit(NodeId(gate_in_off[g] + pin), out, ArcKind::Cell { gate });
             }
         }
+        drop((next_in, next_out));
 
         // Kinds, sources and endpoints, in pin order.
         let gates = netlist.gates();
@@ -619,6 +613,17 @@ impl TimingGraph {
         self.pin(self.gate_in_off[g.index()] + u32::from(pin))
     }
 
+    /// The node of the netlist pin `pin`.
+    #[inline]
+    pub fn pin_ref_node(&self, pin: PinRef) -> NodeId {
+        match pin {
+            PinRef::PrimaryInput(p) => self.input_node(p),
+            PinRef::PrimaryOutput(p) => self.output_node(p),
+            PinRef::GateInput(g, pin) => self.gate_input_node(g, pin),
+            PinRef::GateOutput(g) => self.gate_output_node(g),
+        }
+    }
+
     /// Where `v` is in [`endpoints`](TimingGraph::endpoints), if it is a
     /// path endpoint.
     pub fn endpoint_index(&self, v: NodeId) -> Option<u32> {
@@ -787,14 +792,12 @@ mod tests {
             assert_eq!(soa.from[i], arc.from.0);
             assert_eq!(soa.to[i], arc.to.0);
             match arc.kind {
-                ArcKind::Net { net } => {
+                ArcKind::Net { .. } => {
                     assert!(soa.is_net(i));
-                    assert_eq!(soa.payload[i], net);
                     assert_eq!(soa.sense[i], 0);
                 }
                 ArcKind::Cell { gate } => {
                     assert!(!soa.is_net(i));
-                    assert_eq!(soa.payload[i], gate);
                     let cell = n.gates()[gate as usize].cell;
                     assert_eq!(soa.cell_idx[i] as usize, CellLibrary::cell_index(cell));
                     assert_eq!(soa.sense_of(i), cell.sense());

@@ -220,7 +220,25 @@ impl Lut2D {
     /// [`load_bracket`](Self::load_bracket) at the same load.
     #[inline]
     pub fn lookup_at(&self, slew: f32, lb: LoadBracket) -> f32 {
+        self.lookup_bracketed(self.slew_bracket(slew), lb)
+    }
+
+    /// Resolve the slew-axis bracket once for reuse across the tables
+    /// that share this table's slew axis (see
+    /// [`ArcTables::shares_slew_axis`]).
+    #[inline]
+    pub fn slew_bracket(&self, slew: f32) -> SlewBracket {
         let (i0, i1, ts) = Self::bracket(&self.slew_axis, slew);
+        SlewBracket { i0, i1, ts }
+    }
+
+    /// Bilinear lookup with both brackets pre-resolved; bit-identical to
+    /// [`lookup_at`](Self::lookup_at) when `sb` came from the
+    /// [`slew_bracket`](Self::slew_bracket) of a table with this table's
+    /// slew axis.
+    #[inline]
+    pub fn lookup_bracketed(&self, sb: SlewBracket, lb: LoadBracket) -> f32 {
+        let SlewBracket { i0, i1, ts } = sb;
         let LoadBracket { j0, j1, tl } = lb;
         let cols = self.load_axis.len();
         let v00 = self.values[i0 * cols + j0];
@@ -233,17 +251,23 @@ impl Lut2D {
     }
 
     /// Find the bracketing indices and interpolation fraction for `x` on
-    /// `axis`, clamping outside the grid.
+    /// `axis`, clamping outside the grid. A NaN `x` (the *unknown*
+    /// marker) yields a NaN fraction, so the lookup is NaN too.
     #[inline]
     fn bracket(axis: &[f32], x: f32) -> (usize, usize, f32) {
         let n = axis.len();
-        if n == 1 || x <= axis[0] {
+        if x <= axis[0] {
             return (0, 0, 0.0);
         }
         if x >= axis[n - 1] {
             return (n - 1, n - 1, 0.0);
         }
-        let hi = axis.partition_point(|&a| a <= x);
+        if x.is_nan() {
+            return (0, 0, f32::NAN);
+        }
+        // On a sorted axis the count of points ≤ x is `partition_point`'s
+        // index; counting takes no data-dependent branch.
+        let hi = axis.iter().filter(|&&a| a <= x).count();
         let lo = hi - 1;
         let t = (x - axis[lo]) / (axis[hi] - axis[lo]);
         (lo, hi, t)
@@ -259,6 +283,15 @@ pub struct LoadBracket {
     tl: f32,
 }
 
+/// A pre-resolved slew-axis position: bracketing row indices plus the
+/// interpolation fraction (see [`Lut2D::slew_bracket`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SlewBracket {
+    i0: usize,
+    i1: usize,
+    ts: f32,
+}
+
 /// The four tables of one timing arc.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArcTables {
@@ -270,6 +303,19 @@ pub struct ArcTables {
     pub slew_rise: Lut2D,
     /// Output slew of a falling edge.
     pub slew_fall: Lut2D,
+}
+
+impl ArcTables {
+    /// Whether all four tables have the same slew axis, so that one
+    /// [`SlewBracket`] serves every lookup at a given input slew. The
+    /// programmatic library always shares; a Liberty file may give each
+    /// table its own axes.
+    pub fn shares_slew_axis(&self) -> bool {
+        let axis = self.delay_rise.slew_axis();
+        [&self.delay_fall, &self.slew_rise, &self.slew_fall]
+            .iter()
+            .all(|t| t.slew_axis() == axis)
+    }
 }
 
 /// Per-cell electrical characterisation.
@@ -287,9 +333,12 @@ pub struct CellTiming {
 }
 
 /// A complete library: characterisation for every [`CellKind`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     cells: Vec<CellTiming>,
+    /// Per cell, [`ArcTables::shares_slew_axis`]: decided when the cell is
+    /// set, not per lookup, and kept off the wire.
+    shared_slew: Vec<bool>,
     /// Default primary-input slew (ps).
     pub input_slew_ps: f32,
     /// Primary-output load (fF).
@@ -368,11 +417,22 @@ impl CellLibrary {
             })
             .collect();
 
+        CellLibrary::with_cells(cells, 20.0, 2.0, 0.4)
+    }
+
+    fn with_cells(
+        cells: Vec<CellTiming>,
+        input_slew_ps: f32,
+        output_load_ff: f32,
+        wire_res_ps_per_ff: f32,
+    ) -> Self {
+        let shared_slew = cells.iter().map(|c| c.tables.shares_slew_axis()).collect();
         CellLibrary {
             cells,
-            input_slew_ps: 20.0,
-            output_load_ff: 2.0,
-            wire_res_ps_per_ff: 0.4,
+            shared_slew,
+            input_slew_ps,
+            output_load_ff,
+            wire_res_ps_per_ff,
         }
     }
 
@@ -395,12 +455,55 @@ impl CellLibrary {
     /// Replace the characterisation of `kind` (used by the Liberty
     /// reader and by library-scaling experiments).
     pub fn set_cell(&mut self, kind: CellKind, timing: CellTiming) {
+        self.shared_slew[Self::index(kind)] = timing.tables.shares_slew_axis();
         self.cells[Self::index(kind)] = timing;
+    }
+
+    /// Whether the cell at [`cell_index`](Self::cell_index) `i` has one
+    /// slew axis for its four tables ([`ArcTables::shares_slew_axis`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a valid cell index.
+    #[inline]
+    pub fn shares_slew_axis(&self, i: usize) -> bool {
+        self.shared_slew[i]
     }
 
     /// Input pin capacitance of `kind` (fF).
     pub fn input_cap(&self, kind: CellKind) -> f32 {
         self.cell(kind).input_cap_ff
+    }
+}
+
+// Manual impls: `shared_slew` is derived from `cells`, so the wire
+// carries the same fields a derive of the other four would.
+impl Serialize for CellLibrary {
+    fn to_value(&self) -> serde::value::Value {
+        serde::value::Value::Object(Vec::from([
+            (String::from("cells"), self.cells.to_value()),
+            (String::from("input_slew_ps"), self.input_slew_ps.to_value()),
+            (
+                String::from("output_load_ff"),
+                self.output_load_ff.to_value(),
+            ),
+            (
+                String::from("wire_res_ps_per_ff"),
+                self.wire_res_ps_per_ff.to_value(),
+            ),
+        ]))
+    }
+}
+
+impl Deserialize for CellLibrary {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::FromValueError> {
+        let field = |key| v.expect_field(key);
+        Ok(CellLibrary::with_cells(
+            Deserialize::from_value(field("cells")?)?,
+            Deserialize::from_value(field("input_slew_ps")?)?,
+            Deserialize::from_value(field("output_load_ff")?)?,
+            Deserialize::from_value(field("wire_res_ps_per_ff")?)?,
+        ))
     }
 }
 
@@ -435,6 +538,71 @@ mod tests {
         assert_eq!(lut.lookup(0.0, 0.0), 5.0);
         assert_eq!(lut.lookup(99.0, 99.0), 8.0);
         assert_eq!(lut.lookup(0.0, 99.0), 6.0);
+    }
+
+    #[test]
+    fn a_shared_slew_bracket_looks_up_what_lookup_does() {
+        let lib = CellLibrary::typical();
+        let t = &lib.cell(CellKind::Nand2).tables;
+        assert!(t.shares_slew_axis());
+        let slews = [
+            5.0,
+            40.0,
+            320.0,
+            7.5,
+            33.3,
+            250.0,
+            1.0,
+            -3.0,
+            1e4,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for slew in slews {
+            // One bracket, from the delay-rise table, serves all four.
+            let sb = t.delay_rise.slew_bracket(slew);
+            for tab in [&t.delay_rise, &t.delay_fall, &t.slew_rise, &t.slew_fall] {
+                for load in [0.5, 3.0, 40.0] {
+                    let lb = tab.load_bracket(load);
+                    assert_eq!(
+                        tab.lookup_bracketed(sb, lb).to_bits(),
+                        tab.lookup(slew, load).to_bits(),
+                        "slew {slew}, load {load}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_on_either_axis_looks_up_nan() {
+        let lib = CellLibrary::typical();
+        let t = &lib.cell(CellKind::Inv).tables.delay_rise;
+        assert!(t.lookup(f32::NAN, 1.0).is_nan());
+        assert!(t.lookup(20.0, f32::NAN).is_nan());
+        assert!(t.lookup(f32::NAN, f32::NAN).is_nan());
+        // A one-point axis too: no bracket to search, still unknown.
+        let point = Lut2D::new(vec![1.0], vec![1.0], vec![7.0]);
+        assert!(point.lookup(f32::NAN, 1.0).is_nan());
+        assert!(point.lookup(1.0, f32::NAN).is_nan());
+        assert_eq!(point.lookup(-5.0, 9.0), 7.0);
+    }
+
+    #[test]
+    fn the_slew_axis_decision_follows_set_cell() {
+        let mut lib = CellLibrary::typical();
+        let i = CellLibrary::cell_index(CellKind::Buf);
+        assert!(lib.shares_slew_axis(i));
+        let mut cell = lib.cell(CellKind::Buf).clone();
+        let load = cell.tables.slew_fall.load_axis().to_vec();
+        cell.tables.slew_fall = Lut2D::from_fn(vec![1.0, 50.0, 500.0], load, |s, l| s + l);
+        assert!(!cell.tables.shares_slew_axis());
+        lib.set_cell(CellKind::Buf, cell);
+        assert!(!lib.shares_slew_axis(i));
+        let json = serde_json::to_string(&lib).expect("serializes");
+        let back: CellLibrary = serde_json::from_str(&json).expect("deserializes");
+        assert!(!back.shares_slew_axis(i));
+        assert_eq!(back, lib);
     }
 
     #[test]

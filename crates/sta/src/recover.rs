@@ -172,9 +172,9 @@ fn run_in_order(
     drop(bits);
     // The referee of every skip: the whole cone stores the bits it finds.
     if partial && stop.is_none() && cfg!(debug_assertions) {
-        let settled = cone.data().snapshot();
+        let settled = cone.snapshot();
         cone.ids().iter().for_each(|&id| payload(TaskId(id)));
-        debug_assert!(settled == cone.data().snapshot(), "a skipped task was due");
+        debug_assert!(settled == cone.snapshot(), "a skipped task was due");
     }
     let ids = cone.ids();
     let (stop, done) = match stop {

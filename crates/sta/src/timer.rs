@@ -8,10 +8,10 @@
 //! to date. The TDG is exactly the workload the paper's partitioners
 //! consume.
 
-use crate::analysis::{TimingData, TimingPropagator};
+use crate::analysis::{TimingData, TimingPropagator, TimingSnapshot};
 use crate::graph::{set_bit, ArcSoa, NodeId, TimingGraph};
 use crate::library::CellLibrary;
-use crate::netlist::{GateId, Netlist, PinRef};
+use crate::netlist::{GateId, Netlist};
 use crate::report::{EndpointSlack, EndpointSummary, TimingReport};
 use gpasta_check::sync::Mutex;
 use gpasta_tdg::{TaskId, Tdg, TdgArena};
@@ -171,7 +171,7 @@ impl Timer {
             g.index() < self.netlist.num_gates(),
             "gate {g} out of range"
         );
-        self.data.set_drive(g.0, drive);
+        self.data.set_drive(self.graph.gate_output_node(g), drive);
 
         // Recompute electrical state of every net feeding g, and mark the
         // drivers of those nets dirty (their cell delay depends on the
@@ -182,7 +182,8 @@ impl Timer {
             for a in self.graph.fanin(node) {
                 let arc = *self.graph.arc(a);
                 if let crate::graph::ArcKind::Net { net } = arc.kind {
-                    self.data.recompute_net(net, &self.netlist, &self.library);
+                    let (graph, netlist) = (&self.graph, &self.netlist);
+                    self.data.recompute_net(net, graph, netlist, &self.library);
                     self.dirty.push(arc.from.0);
                 }
             }
@@ -201,13 +202,9 @@ impl Timer {
         let n = &mut self.netlist.nets[net as usize];
         n.wire_cap_ff = cap_ff;
         let driver = n.driver;
-        self.data.recompute_net(net, &self.netlist, &self.library);
-        let node = match driver {
-            PinRef::PrimaryInput(p) => self.graph.input_node(p),
-            PinRef::GateOutput(g) => self.graph.gate_output_node(g),
-            _ => unreachable!("nets are driven by inputs or gate outputs"),
-        };
-        self.dirty.push(node.0);
+        self.data
+            .recompute_net(net, &self.graph, &self.netlist, &self.library);
+        self.dirty.push(self.graph.pin_ref_node(driver).0);
     }
 
     /// Constrain primary input `port`: external logic delivers the signal
@@ -259,7 +256,7 @@ impl Timer {
     /// everything a checkpoint needs: the graph, netlist, and library are
     /// deterministic functions of the design inputs.
     pub fn snapshot(&self) -> crate::analysis::TimingSnapshot {
-        self.data.snapshot()
+        self.data.snapshot(&self.graph, &self.netlist)
     }
 
     /// Restore the timing state captured by [`snapshot`](Timer::snapshot)
@@ -276,7 +273,7 @@ impl Timer {
         &mut self,
         snap: &crate::analysis::TimingSnapshot,
     ) -> Result<(), crate::analysis::SnapshotMismatch> {
-        self.data.restore(snap)?;
+        self.data.restore(snap, &self.graph, &self.netlist)?;
         self.dirty.clear();
         self.full_dirty = false;
         Ok(())
@@ -285,7 +282,7 @@ impl Timer {
     /// The edits made so far, as the values they wrote (see
     /// [`EditState`](crate::analysis::EditState)), pending ones included.
     pub fn edit_state(&self) -> crate::analysis::EditState {
-        self.data.edit_state(&self.netlist)
+        self.data.edit_state(&self.graph, &self.netlist)
     }
 
     /// Put `state` in place of this design's edit state — drives, delays
@@ -303,7 +300,7 @@ impl Timer {
         state: &crate::analysis::EditState,
     ) -> Result<(), crate::analysis::SnapshotMismatch> {
         self.data
-            .set_edit_state(state, &mut self.netlist, &self.library)?;
+            .set_edit_state(state, &self.graph, &mut self.netlist, &self.library)?;
         self.dirty.clear();
         self.full_dirty = true;
         Ok(())
@@ -722,6 +719,12 @@ impl<'a> DirtyCone<'a> {
         self.prop.data
     }
 
+    /// [`Timer::snapshot`] of the timer this cone updates.
+    pub(crate) fn snapshot(&self) -> TimingSnapshot {
+        let prop = &self.prop;
+        prop.data.snapshot(prop.graph, prop.netlist)
+    }
+
     /// The graph's flat arc view, which its sweeps read fan-ins from.
     pub(crate) fn arc_soa(&self) -> &'a ArcSoa {
         self.prop.graph.arc_soa(self.prop.netlist)
@@ -831,6 +834,11 @@ impl<'a> TimingUpdateTdg<'a> {
         self.cone.prop.data
     }
 
+    /// [`Timer::snapshot`] of the timer this update writes into.
+    pub fn snapshot(&self) -> TimingSnapshot {
+        self.cone.snapshot()
+    }
+
     /// Number of forward-propagation tasks (they occupy ids
     /// `0..num_fprop_tasks`).
     pub fn num_fprop_tasks(&self) -> usize {
@@ -937,8 +945,9 @@ impl<'a> TimingUpdateTdg<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{Mode, Tr};
     use crate::library::CellKind;
-    use crate::netlist::NetlistBuilder;
+    use crate::netlist::{NetlistBuilder, PinRef};
 
     fn chain_timer(len: usize) -> Timer {
         let mut nb = NetlistBuilder::new();
@@ -1622,5 +1631,126 @@ mod tests {
         let report = timer.report(1);
         assert!(report.wns_ps < 0.0);
         assert!(report.tns_ps <= report.wns_ps);
+    }
+
+    /// a → INV u0 → NAND2 u1 (pin 1 from b) → DFF ff → INV u2 → y, plus a
+    /// BUF u3 on a whose output net has no sink.
+    fn keyed_design() -> (Timer, [GateId; 5], u32) {
+        use crate::netlist::Net;
+        let mut nb = NetlistBuilder::new();
+        let (a, b) = (nb.add_primary_input("a"), nb.add_primary_input("b"));
+        let y = nb.add_primary_output("y");
+        let u0 = nb.add_gate("u0", CellKind::Inv);
+        let u1 = nb.add_gate("u1", CellKind::Nand2);
+        let ff = nb.add_gate("ff", CellKind::Dff);
+        let u2 = nb.add_gate("u2", CellKind::Inv);
+        let u3 = nb.add_gate("u3", CellKind::Buf);
+        nb.connect_to_gate(a, u0, 0).expect("valid");
+        nb.connect_to_gate(a, u3, 0).expect("valid");
+        nb.connect_gates(u0, u1, 0).expect("valid");
+        nb.connect_to_gate(b, u1, 1).expect("valid");
+        nb.connect_gates(u1, ff, 0).expect("valid");
+        nb.connect_gates(ff, u2, 0).expect("valid");
+        nb.connect_to_output(u2, y).expect("valid");
+        nb.add_wire_cap(PinRef::PrimaryInput(a), 1.5);
+        let mut netlist = nb.build().expect("well-formed");
+        // No builder makes a net without a sink; a deserialized netlist can.
+        netlist.nets.push(Net {
+            driver: PinRef::GateOutput(u3),
+            sinks: Vec::new(),
+            wire_cap_ff: 2.5,
+        });
+        let sinkless = netlist.num_nets() as u32 - 1;
+        let timer = Timer::new(netlist, CellLibrary::typical());
+        (timer, [u0, u1, ff, u2, u3], sinkless)
+    }
+
+    /// The gate- and net-indexed electrical state recomputed from the
+    /// netlist, the library and the `drive` of each gate, as snapshot bits:
+    /// `(drive, gate_load, net_delay)`.
+    fn recomputed(timer: &Timer, drive: &[f32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let (netlist, lib) = (timer.netlist(), &timer.library);
+        let mut load = vec![0.0f32; netlist.num_gates()];
+        let mut delay = Vec::new();
+        for net in netlist.nets() {
+            let mut cap = net.wire_cap_ff;
+            for &sink in &net.sinks {
+                cap += match sink {
+                    PinRef::GateInput(g, _) => {
+                        lib.input_cap(netlist.gates()[g.index()].cell) * drive[g.index()]
+                    }
+                    _ => lib.output_load_ff,
+                };
+            }
+            if let PinRef::GateOutput(g) = net.driver {
+                load[g.index()] = cap;
+            }
+            delay.push((lib.wire_res_ps_per_ff * cap).to_bits());
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(drive), bits(&load), delay)
+    }
+
+    fn assert_keyed(timer: &Timer, drive: &[f32], what: &str) {
+        let snap = timer.snapshot();
+        let want = recomputed(timer, drive);
+        assert_eq!((snap.drive, snap.gate_load, snap.net_delay), want, "{what}");
+    }
+
+    #[test]
+    fn node_keyed_electrical_state_matches_a_recomputation_from_the_netlist() {
+        let (mut timer, [u0, u1, ff, ..], sinkless) = keyed_design();
+        let mut drive = vec![1.0f32; 5];
+        assert_keyed(&timer, &drive, "new");
+
+        // u0 sits on the PI-driven net of `a`; ff's clk→Q reads its drive.
+        for (g, x) in [(u0, 2.0), (ff, 0.5), (u1, 3.0)] {
+            timer.repower_gate(g, x);
+            drive[g.index()] = x;
+            assert_keyed(&timer, &drive, "repower_gate");
+        }
+        timer.update_timing().run_sequential();
+        let q = timer.graph().gate_output_node(ff);
+        let clk_to_q = timer.library.cell(CellKind::Dff).clk_to_q_ps;
+        assert_eq!(
+            timer.data().arrival(q, Tr::Rise, Mode::Late),
+            clk_to_q / 0.5
+        );
+
+        let pi_net = timer
+            .netlist()
+            .nets()
+            .iter()
+            .position(|n| n.driver == PinRef::PrimaryInput(crate::PortId(0)));
+        let pi_net = pi_net.expect("a drives a net") as u32;
+        for (net, cap) in [(pi_net, 4.0), (sinkless, 9.0)] {
+            timer.set_net_cap(net, cap);
+            assert_keyed(&timer, &drive, "set_net_cap");
+        }
+        timer.update_timing().run_sequential();
+        let snap = timer.snapshot();
+
+        // The edit state alone, on a fresh timer of the same design.
+        let (mut fresh, ..) = keyed_design();
+        fresh
+            .set_edit_state(&timer.edit_state())
+            .expect("same design");
+        assert_keyed(&fresh, &drive, "set_edit_state");
+        fresh.update_timing().run_sequential();
+        assert_eq!(fresh.snapshot(), snap);
+
+        // The snapshot alone: the sinkless net's delay has no node, and its
+        // wire cap is not in the snapshot, yet it round-trips.
+        let (mut restored, ..) = keyed_design();
+        restored.restore_snapshot(&snap).expect("same design");
+        assert_eq!(restored.snapshot(), snap, "restore round-trips");
+        assert_eq!(
+            snap.net_delay[sinkless as usize],
+            (timer.library.wire_res_ps_per_ff * 9.0).to_bits()
+        );
+        assert_ne!(
+            restored.netlist().nets()[sinkless as usize].wire_cap_ff,
+            9.0
+        );
     }
 }

@@ -78,17 +78,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             endpoint,
         )
         .expect("endpoint is traceable");
-        let victim: Option<GateId> = path
+        // A gate's drive is kept at its output pin, the step's node.
+        let victim: Option<(GateId, f32)> = path
             .steps
             .iter()
             .filter_map(|step| match timer.graph().node_kind(step.node) {
-                gpasta::sta::NodeKind::GateOutput(g) => Some(GateId(g)),
+                gpasta::sta::NodeKind::GateOutput(g) => {
+                    Some((GateId(g), timer.data().drive(step.node)))
+                }
                 _ => None,
             })
-            .filter(|&g| timer.data().drive(g.0) < MAX_DRIVE)
-            .min_by(|&a, &b| timer.data().drive(a.0).total_cmp(&timer.data().drive(b.0)));
+            .filter(|&(_, drive)| drive < MAX_DRIVE)
+            .min_by(|a, b| a.1.total_cmp(&b.1));
 
-        let Some(gate) = victim else {
+        let Some((gate, drive)) = victim else {
             println!("\nno upsizable gate left on the critical path; stopping");
             println!(
                 "best achieved WNS {:.1} ps at clock {clock:.0} ps",
@@ -96,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             return Ok(());
         };
-        let new_drive = timer.data().drive(gate.0) * 2.0;
+        let new_drive = drive * 2.0;
         timer.repower_gate(gate, new_drive);
         upsized += 1;
         incremental_tasks += run_update(&mut timer, &exec, &partitioner);

@@ -374,7 +374,7 @@ impl Supervisor<'_, '_> {
             seed: self.cfg.seed,
             tdg_fingerprint: self.update.tdg().fingerprint(),
             completed_ranges: covered(self.plan, completed),
-            snapshot: self.update.data().snapshot(),
+            snapshot: self.update.snapshot(),
         }
     }
 

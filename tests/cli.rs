@@ -282,3 +282,44 @@ fn serve_refuses_a_chaos_inject_a_session_cannot_fire() {
         assert!(err.contains("`panic` or `delay"), "{spec}: {err}");
     }
 }
+
+#[test]
+fn a_killed_update_resumes_to_the_straight_runs_output() {
+    let ckpt = tmp(&format!("kill_resume_{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt_arg = ckpt.to_str().expect("utf-8 temp path");
+    let base = [
+        "update",
+        "--circuit",
+        "aes_core",
+        "--scale",
+        "0.005",
+        "--iters",
+        "6",
+        "--seed",
+        "7",
+    ];
+    let run = |extra: &[&str]| gpasta(&[&base[..], extra].concat());
+
+    let killed = run(&["--checkpoint", ckpt_arg, "--kill-after", "2"]);
+    assert!(killed.status.success(), "stderr: {}", stderr(&killed));
+    assert!(
+        stdout(&killed).contains("2/6 iteration(s)"),
+        "{}",
+        stdout(&killed)
+    );
+    let header = std::fs::read(&ckpt).expect("the killed run left a checkpoint");
+    assert!(header.starts_with(b"GPCKPT04"));
+
+    let resumed = run(&["--resume", ckpt_arg]);
+    assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
+    let straight = run(&[]);
+    assert!(straight.status.success(), "stderr: {}", stderr(&straight));
+    assert!(stdout(&straight).contains("6/6 iteration(s)"));
+    assert_eq!(
+        stdout(&resumed),
+        stdout(&straight),
+        "resume is bit-identical"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+}

@@ -12,7 +12,7 @@
 use gpasta_circuits::PaperCircuit;
 use gpasta_core::{DeterGPasta, Gdca, Partitioner, PartitionerOptions, SeqGPasta};
 use gpasta_gpu::Device;
-use gpasta_sta::{CellLibrary, GateId, Timer};
+use gpasta_sta::{CellKind, CellLibrary, GateId, Lut2D, Timer};
 
 /// Small but structurally faithful instances of all six paper circuits.
 const SCALE: f64 = 0.004;
@@ -32,33 +32,40 @@ fn apply_modifiers(timer: &mut Timer, round: u32) {
 
 #[test]
 fn soa_propagation_is_bit_identical_to_the_reference_kernels() {
-    for &circuit in PaperCircuit::all() {
-        // Full update through the SoA hot path.
-        let mut fast = timer_for(circuit);
-        fast.update_timing().run_sequential();
-        // Full update through the legacy AoS kernels.
-        let mut reference = timer_for(circuit);
-        reference.update_timing().run_sequential_reference();
-
-        assert_eq!(
-            fast.snapshot(),
-            reference.snapshot(),
-            "{}: full-update timing state diverged between SoA and reference",
-            circuit.name()
-        );
-
-        // Three incremental rounds over the identical modifier schedule.
-        for round in 0..3u32 {
-            apply_modifiers(&mut fast, round);
+    let libraries = [
+        ("typical", CellLibrary::typical()),
+        ("per-table slew axes", library_with_unshared_slew_axes()),
+    ];
+    for (lib, library) in libraries {
+        for &circuit in PaperCircuit::all() {
+            let timer = || Timer::new(circuit.build(SCALE), library.clone());
+            // Full update through the SoA hot path.
+            let mut fast = timer();
             fast.update_timing().run_sequential();
-            apply_modifiers(&mut reference, round);
+            // Full update through the legacy AoS kernels.
+            let mut reference = timer();
             reference.update_timing().run_sequential_reference();
+
             assert_eq!(
                 fast.snapshot(),
                 reference.snapshot(),
-                "{}: incremental round {round} diverged between SoA and reference",
+                "{} ({lib}): full-update timing state diverged between SoA and reference",
                 circuit.name()
             );
+
+            // Three incremental rounds over the identical modifier schedule.
+            for round in 0..3u32 {
+                apply_modifiers(&mut fast, round);
+                fast.update_timing().run_sequential();
+                apply_modifiers(&mut reference, round);
+                reference.update_timing().run_sequential_reference();
+                assert_eq!(
+                    fast.snapshot(),
+                    reference.snapshot(),
+                    "{} ({lib}): incremental round {round} diverged between SoA and reference",
+                    circuit.name()
+                );
+            }
         }
     }
 }
@@ -140,4 +147,22 @@ fn csr_partitioners_match_their_references_on_the_paper_suite() {
             }
         }
     }
+}
+
+/// A library whose NAND2 tables do not share one slew axis, as a Liberty
+/// file may give them: every other cell keeps the shared axis.
+fn library_with_unshared_slew_axes() -> CellLibrary {
+    let mut library = CellLibrary::typical();
+    let mut nand = library.cell(CellKind::Nand2).clone();
+    let t = &mut nand.tables;
+    let load = t.delay_fall.load_axis().to_vec();
+    t.delay_fall = Lut2D::from_fn(vec![2.0, 15.0, 60.0, 240.0], load.clone(), |s, l| {
+        11.0 + 2.4 * l + 0.11 * s + 0.002 * s * l
+    });
+    t.slew_rise = Lut2D::from_fn(vec![8.0, 30.0, 90.0, 200.0, 400.0], load, |s, l| {
+        4.0 + 2.9 * l + 0.12 * s
+    });
+    assert!(!nand.tables.shares_slew_axis());
+    library.set_cell(CellKind::Nand2, nand);
+    library
 }
