@@ -12,14 +12,14 @@ fn bench_sta(c: &mut Criterion) {
     let library = CellLibrary::typical();
 
     // Raw NLDM lookup (the innermost delay-calculation kernel).
-    let tables = &library.cell(CellKind::Nand2).tables;
+    let table = &library.cell(CellKind::Nand2).tables.delay_rise;
     c.bench_function("nldm_lookup", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;
             for i in 0..100u32 {
                 let s = 5.0 + (i as f32) * 3.0;
                 let l = 0.5 + (i as f32) * 0.3;
-                acc += tables.delay_rise.lookup(s, l);
+                acc += table.lookup_at(s, table.load_bracket(l));
             }
             acc
         })

@@ -2,7 +2,7 @@
 
 use crate::{check_opts, PartitionError, Partitioner, PartitionerOptions};
 use gpasta_gpu::{prims, Device};
-use gpasta_tdg::{Partition, TaskId, Tdg};
+use gpasta_tdg::{Partition, Tdg};
 
 /// The deterministic variant of G-PASTA.
 ///
@@ -70,10 +70,8 @@ impl Partitioner for DeterGPasta {
         let dev = &self.device;
         // CSR id space: every sorted batch is one BFS level, and within a
         // level CSR id order equals original id order, so the packed sort
-        // key `d_pid << 32 | id` ranks tasks identically in either space —
-        // the deterministic output is bit-identical to
-        // [`partition_reference`](DeterGPasta::partition_reference) for
-        // every worker count.
+        // key `d_pid << 32 | id` ranks tasks identically in either space,
+        // and the output is the same for every worker count.
         let csr = tdg.csr();
 
         let num_sources = csr.num_sources() as u32;
@@ -185,123 +183,11 @@ impl Partitioner for DeterGPasta {
     }
 }
 
-impl DeterGPasta {
-    /// The legacy per-`TaskId` path, kept verbatim as the reference for the
-    /// differential layout test (`tests/csr_layout.rs`): the CSR hot path
-    /// is deterministic and must reproduce this output bit for bit.
-    #[doc(hidden)]
-    pub fn partition_reference(
-        &self,
-        tdg: &Tdg,
-        opts: &PartitionerOptions,
-    ) -> Result<Partition, PartitionError> {
-        check_opts(opts)?;
-        let n = tdg.num_tasks();
-        if n == 0 {
-            return Ok(Partition::new(Vec::new()));
-        }
-        let ps = opts.resolve_ps(tdg) as u32;
-        let dev = &self.device;
-
-        let sources = tdg.sources();
-        let num_sources = sources.len() as u32;
-
-        let d_pid = dev.buf_zeroed("deter.d_pid", n);
-        let f_pid = dev.buf_uninit("deter.f_pid", n);
-        let dep_cnt = dev.buf_from_slice("deter.dep_cnt", &tdg.in_degrees());
-        let pid_cnt = dev.buf_zeroed("deter.pid_cnt", n + sources.len() + 1);
-        let handle = dev.buf_uninit("deter.handle", n);
-        let wsize = dev.buf_zeroed("deter.wsize", 1);
-        let mut max_pid = num_sources.saturating_sub(1);
-
-        for (i, s) in sources.iter().enumerate() {
-            handle.store(i, s.0);
-            d_pid.store(s.index(), i as u32);
-        }
-
-        let mut roffset = 0u32;
-        let mut rsize = num_sources;
-        while rsize > 0 {
-            let m = rsize as usize;
-            wsize.store(0, 0);
-
-            let mut keys: Vec<u64> = (0..m)
-                .map(|i| {
-                    let t = handle.load(roffset as usize + i);
-                    (u64::from(d_pid.load(t as usize)) << 32) | u64::from(t)
-                })
-                .collect();
-            prims::sort_u64(dev, &mut keys);
-            let tasks_sorted: Vec<u32> = keys.iter().map(|&k| (k & 0xffff_ffff) as u32).collect();
-            let dpid_sorted: Vec<u32> = keys.iter().map(|&k| (k >> 32) as u32).collect();
-
-            let ones = vec![1u32; m];
-            let (_uniq, sizes) = prims::reduce_by_key(dev, &dpid_sorted, &ones);
-            let fir_tid_arr = prims::exclusive_scan(dev, &sizes);
-
-            let is_full = dev.buf_uninit("deter.is_full", m);
-            {
-                let (is_full, pid_cnt) = (&is_full, &pid_cnt);
-                let (fir_tid_arr, dpid_sorted) = (&fir_tid_arr, &dpid_sorted);
-                dev.launch(m as u32, move |gid| {
-                    let seg = prims::try_segment_of(fir_tid_arr, gid)
-                        .expect("deter.is_full: gid precedes the first segment start");
-                    let used = pid_cnt.load(dpid_sorted[gid as usize] as usize);
-                    let num_left = ps.saturating_sub(used);
-                    let full = u32::from(gid >= fir_tid_arr[seg] + num_left);
-                    is_full.store(gid as usize, full);
-                });
-            }
-            let num_full_arr = prims::inclusive_scan(dev, &is_full.to_vec());
-            let new_partitions = *num_full_arr.last().expect("level is non-empty");
-
-            {
-                let (f_pid, pid_cnt, is_full) = (&f_pid, &pid_cnt, &is_full);
-                let (tasks_sorted, dpid_sorted, num_full_arr) =
-                    (&tasks_sorted, &dpid_sorted, &num_full_arr);
-                dev.launch(m as u32, move |gid| {
-                    let g = gid as usize;
-                    let fp = if is_full.load(g) == 1 {
-                        max_pid + num_full_arr[g]
-                    } else {
-                        dpid_sorted[g]
-                    };
-                    f_pid.store(tasks_sorted[g] as usize, fp);
-                    pid_cnt.fetch_add(fp as usize, 1);
-                });
-            }
-            max_pid += new_partitions;
-
-            {
-                let (handle, d_pid, f_pid, dep_cnt, wsize) =
-                    (&handle, &d_pid, &f_pid, &dep_cnt, &wsize);
-                let tasks_sorted = &tasks_sorted;
-                dev.launch(rsize, move |gid| {
-                    let cur = tasks_sorted[gid as usize];
-                    let fp = f_pid.load(cur as usize);
-                    for &nb in tdg.successors(TaskId(cur)) {
-                        d_pid.fetch_max(nb as usize, fp);
-                        if dep_cnt.fetch_sub(nb as usize, 1) == 1 {
-                            let woffset = wsize.fetch_add(0, 1);
-                            handle.store((roffset + rsize + woffset) as usize, nb);
-                        }
-                    }
-                });
-            }
-
-            roffset += rsize;
-            rsize = wsize.load(0);
-        }
-
-        Ok(Partition::new(f_pid.to_vec()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpasta_circuits::dag;
-    use gpasta_tdg::validate;
+    use gpasta_tdg::{validate, TaskId};
 
     #[test]
     fn identical_across_worker_counts_and_runs() {
@@ -395,26 +281,5 @@ mod tests {
     #[test]
     fn name_matches_paper() {
         assert_eq!(DeterGPasta::new().name(), "deter-G-PASTA");
-    }
-
-    #[test]
-    fn csr_path_matches_reference_for_any_worker_count() {
-        for seed in 0..5u64 {
-            let tdg = dag::random_dag(300, 1.5, seed);
-            for opts in [
-                PartitionerOptions::default(),
-                PartitionerOptions::with_max_size(4),
-            ] {
-                let reference = DeterGPasta::with_device(Device::single())
-                    .partition_reference(&tdg, &opts)
-                    .expect("legacy path");
-                for workers in [1usize, 4] {
-                    let fast = DeterGPasta::with_device(Device::new(workers))
-                        .partition(&tdg, &opts)
-                        .expect("csr path");
-                    assert_eq!(fast, reference, "seed {seed} workers {workers}");
-                }
-            }
-        }
     }
 }

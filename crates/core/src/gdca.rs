@@ -2,7 +2,7 @@
 //! [Bramas & Ketterlin, PeerJ CS 2020].
 
 use crate::{check_opts, PartitionError, Partitioner, PartitionerOptions};
-use gpasta_tdg::{Partition, TaskId, Tdg};
+use gpasta_tdg::{Partition, Tdg};
 
 /// The General DAG Clustering Algorithm, the paper's CPU baseline.
 ///
@@ -48,9 +48,8 @@ impl Partitioner for Gdca {
         // gather), the levelisation itself is cached on the graph (the
         // fig8 Ps sweep re-partitions the same TDG dozens of times), and
         // within a level CSR id order equals original id order, so the
-        // affinity sort key `best << 32 | id` ranks tasks identically —
-        // output bit-identical to
-        // [`partition_reference`](Gdca::partition_reference).
+        // affinity sort key `best << 32 | id` ranks tasks as it would in
+        // original id space.
         let csr = tdg.csr();
         let mut assignment = vec![0u32; n];
         let mut next_cluster = 0u32;
@@ -102,70 +101,11 @@ impl Partitioner for Gdca {
     }
 }
 
-impl Gdca {
-    /// The legacy per-`TaskId` path, kept verbatim as the reference for the
-    /// differential layout test (`tests/csr_layout.rs`): the CSR hot path
-    /// must reproduce its output bit for bit.
-    #[doc(hidden)]
-    pub fn partition_reference(
-        &self,
-        tdg: &Tdg,
-        opts: &PartitionerOptions,
-    ) -> Result<Partition, PartitionError> {
-        check_opts(opts)?;
-        let n = tdg.num_tasks();
-        if n == 0 {
-            return Ok(Partition::new(Vec::new()));
-        }
-        let ps = opts.resolve_ps(tdg);
-
-        let levels = tdg.levels();
-        let mut assignment = vec![0u32; n];
-        let mut next_cluster = 0u32;
-        let mut affinity: Vec<u64> = vec![u64::MAX; n];
-
-        let mut order: Vec<u32> = Vec::new();
-        for l in 0..levels.depth() {
-            order.clear();
-            order.extend_from_slice(levels.tasks_at(l));
-
-            for &t in order.iter() {
-                let mut best = u64::MAX;
-                for &p in tdg.predecessors(TaskId(t)) {
-                    let c = u64::from(assignment[p as usize]);
-                    if c < best {
-                        best = c;
-                    }
-                }
-                affinity[t as usize] = (best << 32) | u64::from(t);
-            }
-            order.sort_unstable_by_key(|&t| affinity[t as usize]);
-
-            let mut in_cluster = 0usize;
-            let mut started = false;
-            for &t in order.iter() {
-                if !started || in_cluster == ps {
-                    if started {
-                        next_cluster += 1;
-                    }
-                    started = true;
-                    in_cluster = 0;
-                }
-                assignment[t as usize] = next_cluster;
-                in_cluster += 1;
-            }
-            next_cluster += 1;
-        }
-
-        Ok(Partition::new(assignment))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpasta_circuits::dag;
-    use gpasta_tdg::{validate, ParallelismProfile, QuotientTdg, TdgBuilder};
+    use gpasta_tdg::{validate, ParallelismProfile, QuotientTdg, TaskId, TdgBuilder};
 
     #[test]
     fn valid_on_random_dags() {
@@ -259,23 +199,5 @@ mod tests {
     #[test]
     fn name_matches_paper() {
         assert_eq!(Gdca::new().name(), "GDCA");
-    }
-
-    #[test]
-    fn csr_path_matches_reference_bit_for_bit() {
-        for seed in 0..8u64 {
-            let tdg = dag::random_dag(400, 1.6, seed);
-            for opts in [
-                PartitionerOptions::default(),
-                PartitionerOptions::with_max_size(2),
-                PartitionerOptions::with_max_size(15),
-            ] {
-                let fast = Gdca::new().partition(&tdg, &opts).expect("csr path");
-                let reference = Gdca::new()
-                    .partition_reference(&tdg, &opts)
-                    .expect("legacy path");
-                assert_eq!(fast, reference, "seed {seed} opts {opts:?}");
-            }
-        }
     }
 }

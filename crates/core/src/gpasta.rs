@@ -3,7 +3,7 @@
 
 use crate::{check_opts, PartitionError, Partitioner, PartitionerOptions};
 use gpasta_gpu::Device;
-use gpasta_tdg::{Partition, TaskId, Tdg};
+use gpasta_tdg::{Partition, Tdg};
 
 /// The GPU-parallel G-PASTA partitioner.
 ///
@@ -67,8 +67,7 @@ impl Partitioner for GPasta {
         // `f_pid` / `dep_cnt` coalesce instead of scattering across the
         // whole original id range. Sources are CSR ids 0..num_sources, and
         // the successor lists keep the original adjacency order, so on a
-        // single-worker device the traversal matches
-        // [`partition_reference`](GPasta::partition_reference) exactly.
+        // single-worker device the traversal is seq-G-PASTA's exactly.
         let csr = tdg.csr();
 
         let num_sources = csr.num_sources() as u32;
@@ -148,92 +147,11 @@ impl Partitioner for GPasta {
     }
 }
 
-impl GPasta {
-    /// The legacy per-`TaskId` path, kept verbatim as the reference for the
-    /// differential layout test (`tests/csr_layout.rs`). On a single-worker
-    /// device the CSR hot path must reproduce its output bit for bit; with
-    /// more workers both are valid but racy.
-    #[doc(hidden)]
-    pub fn partition_reference(
-        &self,
-        tdg: &Tdg,
-        opts: &PartitionerOptions,
-    ) -> Result<Partition, PartitionError> {
-        check_opts(opts)?;
-        let n = tdg.num_tasks();
-        if n == 0 {
-            return Ok(Partition::new(Vec::new()));
-        }
-        let ps = opts.resolve_ps(tdg) as u32;
-        let dev = &self.device;
-
-        let sources = tdg.sources();
-        let num_sources = sources.len() as u32;
-
-        let d_pid = dev.buf_zeroed("gpasta.d_pid", n);
-        let f_pid = dev.buf_uninit("gpasta.f_pid", n);
-        let dep_cnt = dev.buf_from_slice("gpasta.dep_cnt", &tdg.in_degrees());
-        let pid_cnt = dev.buf_zeroed("gpasta.pid_cnt", n + sources.len() + 1);
-        let max_pid = dev.buf_from_slice("gpasta.max_pid", &[num_sources.saturating_sub(1)]);
-        let handle = dev.buf_uninit("gpasta.handle", n);
-        let wsize = dev.buf_zeroed("gpasta.wsize", 1);
-
-        for (i, s) in sources.iter().enumerate() {
-            handle.store(i, s.0);
-            d_pid.store(s.index(), i as u32);
-        }
-
-        let mut roffset = 0u32;
-        let mut rsize = num_sources;
-        while rsize > 0 {
-            wsize.store(0, 0);
-
-            {
-                let (handle, d_pid, f_pid, pid_cnt, max_pid) =
-                    (&handle, &d_pid, &f_pid, &pid_cnt, &max_pid);
-                dev.launch(rsize, move |gid| {
-                    let cur = handle.load((roffset + gid) as usize) as usize;
-                    let cur_pid = d_pid.load(cur);
-                    if pid_cnt.fetch_add(cur_pid as usize, 1) < ps {
-                        f_pid.store(cur, cur_pid);
-                    } else {
-                        let new_pid = max_pid.fetch_add(0, 1) + 1;
-                        f_pid.store(cur, new_pid);
-                        pid_cnt.fetch_add(new_pid as usize, 1);
-                    }
-                });
-            }
-
-            {
-                let (handle, d_pid, f_pid, dep_cnt, wsize) =
-                    (&handle, &d_pid, &f_pid, &dep_cnt, &wsize);
-                dev.launch(rsize, move |gid| {
-                    let cur = handle.load((roffset + gid) as usize);
-                    let fp = f_pid.load(cur as usize);
-                    for &nb in tdg.successors(TaskId(cur)) {
-                        d_pid.fetch_max(nb as usize, fp);
-                        if dep_cnt.fetch_sub(nb as usize, 1) == 1 {
-                            let woffset = wsize.fetch_add(0, 1);
-                            handle.store((roffset + rsize + woffset) as usize, nb);
-                        }
-                    }
-                });
-            }
-
-            roffset += rsize;
-            rsize = wsize.load(0);
-        }
-        debug_assert_eq!(roffset as usize, n, "BFS must reach every task of a DAG");
-
-        Ok(Partition::new(f_pid.to_vec()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpasta_circuits::dag;
-    use gpasta_tdg::{validate, TdgBuilder};
+    use gpasta_tdg::{validate, TaskId, TdgBuilder};
 
     fn figure4() -> Tdg {
         let mut b = TdgBuilder::new(7);
@@ -386,23 +304,5 @@ mod tests {
     #[test]
     fn name_matches_paper() {
         assert_eq!(GPasta::new().name(), "G-PASTA");
-    }
-
-    #[test]
-    fn csr_path_matches_reference_on_single_worker() {
-        // One worker removes the races, so the CSR and legacy traversals
-        // must agree bit for bit.
-        let gp = GPasta::with_device(Device::single());
-        for seed in 0..6u64 {
-            let tdg = dag::random_dag(350, 1.7, seed);
-            for opts in [
-                PartitionerOptions::default(),
-                PartitionerOptions::with_max_size(5),
-            ] {
-                let fast = gp.partition(&tdg, &opts).expect("csr path");
-                let reference = gp.partition_reference(&tdg, &opts).expect("legacy path");
-                assert_eq!(fast, reference, "seed {seed} opts {opts:?}");
-            }
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! seq-G-PASTA: the single-threaded CPU variant of Algorithm 1.
 
 use crate::{check_opts, PartitionError, Partitioner, PartitionerOptions};
-use gpasta_tdg::{CancelObserver, Partition, TaskId, Tdg};
+use gpasta_tdg::{CancelObserver, Partition, Tdg};
 
 /// The sequential CPU implementation of G-PASTA's clustering rule.
 ///
@@ -35,9 +35,9 @@ impl SeqGPasta {
     /// range). Because the frontier at step `k` is exactly level `k`, the
     /// CSR successor lists keep the original adjacency order, and sources
     /// occupy CSR ids `0..num_sources` in the same ascending-id order as
-    /// `Tdg::sources`, the wavefront visits tasks in the same order as the
-    /// legacy per-task path — the result is bit-identical to
-    /// [`partition_reference`](SeqGPasta::partition_reference).
+    /// `Tdg::sources`, the wavefront visits tasks in the order a traversal
+    /// of the original ids would, which is also single-worker G-PASTA's
+    /// order: the two agree bit for bit.
     fn partition_impl(
         &self,
         tdg: &Tdg,
@@ -106,67 +106,6 @@ impl SeqGPasta {
 
         Ok(Partition::new(csr.scatter_to_original(&f_pid)))
     }
-
-    /// The legacy per-task-id path, kept verbatim as the reference for the
-    /// differential layout test (`tests/csr_layout.rs`): the CSR hot path
-    /// must reproduce its output bit for bit.
-    #[doc(hidden)]
-    pub fn partition_reference(
-        &self,
-        tdg: &Tdg,
-        opts: &PartitionerOptions,
-    ) -> Result<Partition, PartitionError> {
-        check_opts(opts)?;
-        let n = tdg.num_tasks();
-        if n == 0 {
-            return Ok(Partition::new(Vec::new()));
-        }
-        let ps = opts.resolve_ps(tdg) as u32;
-
-        let mut d_pid = vec![0u32; n];
-        let mut f_pid = vec![0u32; n];
-        let mut dep_cnt = tdg.in_degrees();
-        let mut pid_cnt = vec![0u32; n + 1];
-        let mut max_pid;
-
-        let mut frontier: Vec<u32> = tdg.sources().iter().map(|s| s.0).collect();
-        for (i, &s) in frontier.iter().enumerate() {
-            d_pid[s as usize] = i as u32;
-        }
-        max_pid = (frontier.len() as u32).saturating_sub(1);
-        pid_cnt.resize(n + frontier.len() + 1, 0);
-
-        let mut next = Vec::new();
-        while !frontier.is_empty() {
-            for &cur in &frontier {
-                let cur_pid = d_pid[cur as usize];
-                let fp = if pid_cnt[cur_pid as usize] < ps {
-                    pid_cnt[cur_pid as usize] += 1;
-                    cur_pid
-                } else {
-                    max_pid += 1;
-                    pid_cnt[max_pid as usize] += 1;
-                    max_pid
-                };
-                f_pid[cur as usize] = fp;
-
-                for &nb in tdg.successors(TaskId(cur)) {
-                    let d = &mut d_pid[nb as usize];
-                    if *d < fp {
-                        *d = fp;
-                    }
-                    dep_cnt[nb as usize] -= 1;
-                    if dep_cnt[nb as usize] == 0 {
-                        next.push(nb);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
-        }
-
-        Ok(Partition::new(f_pid))
-    }
 }
 
 impl Partitioner for SeqGPasta {
@@ -192,7 +131,7 @@ impl Partitioner for SeqGPasta {
 mod tests {
     use super::*;
     use gpasta_circuits::dag;
-    use gpasta_tdg::{validate, TdgBuilder};
+    use gpasta_tdg::{validate, TaskId, TdgBuilder};
 
     #[test]
     fn deterministic_across_runs() {
@@ -283,24 +222,6 @@ mod tests {
     #[test]
     fn name_matches_paper() {
         assert_eq!(SeqGPasta::new().name(), "seq-G-PASTA");
-    }
-
-    #[test]
-    fn csr_path_matches_reference_bit_for_bit() {
-        for seed in 0..8u64 {
-            let tdg = dag::random_dag(400, 1.6, seed);
-            for opts in [
-                PartitionerOptions::default(),
-                PartitionerOptions::with_max_size(3),
-                PartitionerOptions::with_max_size(17),
-            ] {
-                let fast = SeqGPasta::new().partition(&tdg, &opts).expect("csr path");
-                let reference = SeqGPasta::new()
-                    .partition_reference(&tdg, &opts)
-                    .expect("legacy path");
-                assert_eq!(fast, reference, "seed {seed} opts {opts:?}");
-            }
-        }
     }
 
     #[test]

@@ -233,12 +233,6 @@ impl TimingData {
         self.elec[v.index()][LOAD].load()
     }
 
-    /// Interconnect delay of the net arc into sink pin `v` (ps).
-    #[inline]
-    pub fn net_delay(&self, v: NodeId) -> f32 {
-        self.elec[v.index()][NET_DELAY].load()
-    }
-
     /// External arrival offset of primary input `p` (ps).
     #[inline]
     pub fn input_delay(&self, p: u32) -> f32 {
@@ -342,16 +336,6 @@ impl TimingData {
         for (c, x) in self.fwd[v.index()].0.iter().zip(x) {
             c.store(x);
         }
-    }
-
-    #[inline]
-    fn set_arrival(&self, v: NodeId, tr: Tr, mode: Mode, x: f32) {
-        self.fwd[v.index()].0[corner(tr, mode)].store(x);
-    }
-
-    #[inline]
-    fn set_slew(&self, v: NodeId, tr: Tr, mode: Mode, x: f32) {
-        self.fwd[v.index()].0[4 + corner(tr, mode)].store(x);
     }
 
     #[inline]
@@ -711,10 +695,10 @@ impl<'a> TimingPropagator<'a> {
     /// gate's cell arcs in its fan-in, and a sink pin one net arc, so the
     /// cell, sense, drive, load and load brackets are resolved once per
     /// node; where the cell's four tables share one slew axis, each fan-in
-    /// corner's slew bracket is resolved once for all four. The arithmetic
-    /// — table lookups, merge order, corner indexing — is unchanged, so
-    /// results are bit-identical to
-    /// [`fprop_reference`](Self::fprop_reference).
+    /// corner's slew bracket is resolved once for all four. The values are
+    /// the model's as an independent f64 analysis recomputes them from the
+    /// netlist and library (`tests/timing_oracle.rs`); their bits are
+    /// pinned by `crates/sta/tests/report_bits.rs`.
     pub fn fprop(&self, v: NodeId) {
         let d = self.data;
         let fanin = self.graph.fanin(v);
@@ -840,116 +824,13 @@ impl<'a> TimingPropagator<'a> {
         }
     }
 
-    /// The legacy AoS forward propagation, kept verbatim as the reference
-    /// for the differential layout test (`tests/csr_layout.rs`): the SoA
-    /// hot path must reproduce its stores bit for bit. Only its reads of
-    /// drive, load and net delay are keyed by node.
-    #[doc(hidden)]
-    pub fn fprop_reference(&self, v: NodeId) {
-        let d = self.data;
-        let fanin = self.graph.fanin(v);
-
-        if fanin.is_empty() {
-            // Path startpoint: primary input or sequential output.
-            let (arr, slew) = match self.graph.node_kind(v) {
-                NodeKind::GateOutput(g) => {
-                    let gate = &self.netlist.gates()[g as usize];
-                    debug_assert!(gate.cell.is_sequential());
-                    let cell = self.library.cell(gate.cell);
-                    let drive = d.drive(self.graph.gate_output_node(GateId(g)));
-                    (cell.clk_to_q_ps / drive, self.library.input_slew_ps)
-                }
-                NodeKind::PrimaryInput(p) => (d.input_delay(p), self.library.input_slew_ps),
-                _ => (0.0, self.library.input_slew_ps),
-            };
-            for &tr in &TRS {
-                for &mode in &MODES {
-                    d.set_arrival(v, tr, mode, arr);
-                    d.set_slew(v, tr, mode, slew);
-                }
-            }
-            return;
-        }
-
-        let mut arr = [[f32::INFINITY, f32::NEG_INFINITY]; 2]; // [tr][mode]
-        let mut slw = [[f32::INFINITY, f32::NEG_INFINITY]; 2];
-
-        for a in fanin {
-            let arc = self.graph.arc(a);
-            let u = arc.from;
-            match arc.kind {
-                ArcKind::Net { .. } => {
-                    let delay = d.net_delay(arc.to);
-                    for &tr in &TRS {
-                        for &mode in &MODES {
-                            let at = d.arrival(u, tr, mode) + delay;
-                            let su = d.slew(u, tr, mode);
-                            // Mild interconnect slew degradation.
-                            let sv = su + 0.1 * delay;
-                            d.set_arc_delay(a, tr, mode, delay);
-                            merge(&mut arr[tr as usize][mode as usize], at, mode);
-                            merge(&mut slw[tr as usize][mode as usize], sv, mode);
-                        }
-                    }
-                }
-                ArcKind::Cell { gate } => {
-                    let g = &self.netlist.gates()[gate as usize];
-                    let cell = self.library.cell(g.cell);
-                    let out = self.graph.gate_output_node(GateId(gate));
-                    let drive = d.drive(out);
-                    let load = d.gate_load(out);
-                    for &tr_out in &TRS {
-                        let (dtab, stab) = match tr_out {
-                            Tr::Rise => (&cell.tables.delay_rise, &cell.tables.slew_rise),
-                            Tr::Fall => (&cell.tables.delay_fall, &cell.tables.slew_fall),
-                        };
-                        for &mode in &MODES {
-                            // Which input transitions can cause tr_out.
-                            let ins: &[Tr] = match g.cell.sense() {
-                                TimingSense::Positive => &[tr_out],
-                                TimingSense::Negative => match tr_out {
-                                    Tr::Rise => &[Tr::Fall],
-                                    Tr::Fall => &[Tr::Rise],
-                                },
-                                TimingSense::NonUnate => &TRS,
-                            };
-                            let mut best_at = pick_init(mode);
-                            let mut best_sv = pick_init(mode);
-                            let mut best_delay = pick_init(mode);
-                            for &tr_in in ins {
-                                let si = d.slew(u, tr_in, mode);
-                                let delay = dtab.lookup(si, load) / drive;
-                                let sv = stab.lookup(si, load) / drive;
-                                let at = d.arrival(u, tr_in, mode) + delay;
-                                merge(&mut best_at, at, mode);
-                                merge(&mut best_sv, sv, mode);
-                                merge(&mut best_delay, delay, mode);
-                            }
-                            d.set_arc_delay(a, tr_out, mode, best_delay);
-                            merge(&mut arr[tr_out as usize][mode as usize], best_at, mode);
-                            merge(&mut slw[tr_out as usize][mode as usize], best_sv, mode);
-                        }
-                    }
-                }
-            }
-        }
-
-        for &tr in &TRS {
-            for &mode in &MODES {
-                d.set_arrival(v, tr, mode, arr[tr as usize][mode as usize]);
-                d.set_slew(v, tr, mode, slw[tr as usize][mode as usize]);
-            }
-        }
-    }
-
     /// Backward-propagate required arrival time into `v` (the paper's
     /// "required arrival time update" task). Endpoints take their
     /// constraint; interior nodes take the tightest requirement over
     /// fan-out arcs using the arc delays cached by [`fprop`](Self::fprop).
     ///
     /// Like [`fprop`](Self::fprop) this runs on the flat
-    /// [`ArcSoa`](crate::graph::ArcSoa) columns and is bit-identical to
-    /// [`bprop_reference`](Self::bprop_reference).
+    /// [`ArcSoa`](crate::graph::ArcSoa) columns.
     pub fn bprop(&self, v: NodeId) {
         let d = self.data;
 
@@ -991,83 +872,6 @@ impl<'a> TimingPropagator<'a> {
                 TimingSense::Positive
             } else {
                 soa.sense_of(ai)
-            };
-            for &tr_in in &TRS {
-                let outs: &[Tr] = match sense {
-                    TimingSense::Positive => &[tr_in],
-                    TimingSense::Negative => match tr_in {
-                        Tr::Rise => &[Tr::Fall],
-                        Tr::Fall => &[Tr::Rise],
-                    },
-                    TimingSense::NonUnate => &TRS,
-                };
-                for &tr_out in outs {
-                    for &mode in &MODES {
-                        let r = d.required(to, tr_out, mode) - d.arc_delay_of(a, tr_out, mode);
-                        // Required times tighten in the opposite direction
-                        // of arrivals: late takes min, early takes max.
-                        match mode {
-                            Mode::Late => {
-                                let slot = &mut req[tr_in as usize][1];
-                                *slot = slot.min(r);
-                            }
-                            Mode::Early => {
-                                let slot = &mut req[tr_in as usize][0];
-                                *slot = slot.max(r);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for &tr in &TRS {
-            d.set_required(v, tr, Mode::Early, req[tr as usize][0]);
-            d.set_required(v, tr, Mode::Late, req[tr as usize][1]);
-        }
-    }
-
-    /// The legacy AoS backward propagation, kept verbatim as the reference
-    /// for the differential layout test (`tests/csr_layout.rs`).
-    #[doc(hidden)]
-    pub fn bprop_reference(&self, v: NodeId) {
-        let d = self.data;
-
-        if self.graph.is_endpoint(v) {
-            let margin = match self.graph.node_kind(v) {
-                NodeKind::GateInput(g, 0) => {
-                    self.library
-                        .cell(self.netlist.gates()[g as usize].cell)
-                        .setup_ps
-                }
-                NodeKind::PrimaryOutput(p) => d.output_delay(p),
-                _ => 0.0,
-            };
-            for &tr in &TRS {
-                d.set_required(v, tr, Mode::Late, d.clock_period_ps - margin);
-                d.set_required(v, tr, Mode::Early, 0.0);
-            }
-            return;
-        }
-
-        let fanout = self.graph.fanout(v);
-        if fanout.is_empty() {
-            // Dangling node: unconstrained.
-            for &tr in &TRS {
-                d.set_required(v, tr, Mode::Late, f32::INFINITY);
-                d.set_required(v, tr, Mode::Early, f32::NEG_INFINITY);
-            }
-            return;
-        }
-
-        // required_late(v, tr_in) = min over arcs/output transitions caused
-        // by tr_in of (required_late(to, tr_out) - delay(a, tr_out)).
-        let mut req = [[f32::NEG_INFINITY, f32::INFINITY]; 2]; // [tr][mode], early=max, late=min
-        for &a in fanout {
-            let arc = self.graph.arc(a);
-            let to = arc.to;
-            let sense = match arc.kind {
-                ArcKind::Net { .. } => TimingSense::Positive,
-                ArcKind::Cell { gate } => self.netlist.gates()[gate as usize].cell.sense(),
             };
             for &tr_in in &TRS {
                 let outs: &[Tr] = match sense {
@@ -1294,7 +1098,8 @@ mod tests {
         full_pass(&f, &data);
         let po = NodeId(f.graph.endpoints()[0]);
         let before = data.arrival(po, Tr::Rise, Mode::Late);
-        let d0 = data.net_delay(po);
+        let net_delay = |v: NodeId| data.elec[v.index()][NET_DELAY].load();
+        let d0 = net_delay(po);
 
         // Fatten every net by 10 fF: its delay sits at each sink node.
         for v in 0..f.graph.num_nodes() as u32 {
@@ -1304,13 +1109,13 @@ mod tests {
                 NodeKind::GateInput(..) | NodeKind::PrimaryOutput(_)
             ) {
                 let extra = 10.0 * f.library.wire_res_ps_per_ff;
-                data.elec[v.index()][NET_DELAY].store(data.net_delay(v) + extra);
+                data.elec[v.index()][NET_DELAY].store(net_delay(v) + extra);
             }
         }
         full_pass(&f, &data);
         let after = data.arrival(po, Tr::Rise, Mode::Late);
         assert!(after > before, "more wire cap, more delay");
-        assert!(data.net_delay(po) > d0);
+        assert!(net_delay(po) > d0);
     }
 
     #[test]
@@ -1397,71 +1202,6 @@ mod tests {
             data.snapshot(&f.graph, &f.netlist),
             before,
             "failed restore must not write"
-        );
-    }
-
-    #[test]
-    fn soa_propagation_matches_reference_bit_for_bit() {
-        // A mixed design exercising every arm: all three senses, a DFF
-        // (sequential startpoint/endpoint), multi-input cells, and a PO.
-        let mut nb = NetlistBuilder::new();
-        let a = nb.add_primary_input("a");
-        let b = nb.add_primary_input("b");
-        let nand = nb.add_gate("u1", CellKind::Nand2);
-        let xor = nb.add_gate("u2", CellKind::Xor2);
-        let buf = nb.add_gate("u3", CellKind::Buf);
-        let ff = nb.add_gate("ff1", CellKind::Dff);
-        let y = nb.add_primary_output("y");
-        nb.connect_to_gate(a, nand, 0).expect("valid");
-        nb.connect_to_gate(b, nand, 1).expect("valid");
-        nb.connect_gates(nand, xor, 0).expect("valid");
-        nb.connect_to_gate(a, xor, 1).expect("valid");
-        nb.connect_gates(xor, buf, 0).expect("valid");
-        nb.connect_gates(buf, ff, 0).expect("valid");
-        nb.connect_to_output(ff, y).expect("valid");
-        let library = CellLibrary::typical();
-        let netlist = nb.build().expect("well-formed");
-        let graph = TimingGraph::build(&netlist, &library).expect("acyclic");
-        let f = Fixture {
-            netlist,
-            graph,
-            library,
-        };
-
-        let fast = TimingData::new(&f.graph, &f.netlist, &f.library);
-        let slow = TimingData::new(&f.graph, &f.netlist, &f.library);
-        let order = topo_nodes(&f.graph);
-
-        let prop_fast = TimingPropagator {
-            graph: &f.graph,
-            netlist: &f.netlist,
-            library: &f.library,
-            data: &fast,
-        };
-        for &v in &order {
-            prop_fast.fprop(NodeId(v));
-        }
-        for &v in order.iter().rev() {
-            prop_fast.bprop(NodeId(v));
-        }
-
-        let prop_slow = TimingPropagator {
-            graph: &f.graph,
-            netlist: &f.netlist,
-            library: &f.library,
-            data: &slow,
-        };
-        for &v in &order {
-            prop_slow.fprop_reference(NodeId(v));
-        }
-        for &v in order.iter().rev() {
-            prop_slow.bprop_reference(NodeId(v));
-        }
-
-        assert_eq!(
-            fast.snapshot(&f.graph, &f.netlist),
-            slow.snapshot(&f.graph, &f.netlist),
-            "SoA hot path must be bit-identical to the AoS reference"
         );
     }
 

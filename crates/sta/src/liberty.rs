@@ -203,11 +203,17 @@ fn lex(text: &str) -> Result<Vec<(usize, Event)>, ParseLibertyError> {
     Ok(events)
 }
 
+/// A finite number: a NaN or infinite delay, cap or resistance would turn
+/// every arrival it reaches into ±inf, which the slack folds report as
+/// timing met.
 fn parse_f32(line: usize, name: &str, value: &str) -> Result<f32, ParseLibertyError> {
-    value.parse().map_err(|_| ParseLibertyError::Syntax {
-        line,
-        message: format!("attribute `{name}`: `{value}` is not a number"),
-    })
+    match value.parse::<f32>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(ParseLibertyError::Syntax {
+            line,
+            message: format!("attribute `{name}`: `{value}` is not a finite number"),
+        }),
+    }
 }
 
 fn parse_list(line: usize, name: &str, value: &str) -> Result<Vec<f32>, ParseLibertyError> {
@@ -217,6 +223,19 @@ fn parse_list(line: usize, name: &str, value: &str) -> Result<Vec<f32>, ParseLib
         .filter(|s| !s.is_empty())
         .map(|tok| parse_f32(line, name, tok))
         .collect()
+}
+
+/// A table axis: at least one point, strictly increasing — what
+/// [`Lut2D::new`] requires.
+fn parse_axis(line: usize, name: &str, value: &str) -> Result<Vec<f32>, ParseLibertyError> {
+    let axis = parse_list(line, name, value)?;
+    if axis.is_empty() || !axis.windows(2).all(|w| w[0] < w[1]) {
+        return Err(ParseLibertyError::Syntax {
+            line,
+            message: format!("attribute `{name}`: `{value}` is not a strictly increasing axis"),
+        });
+    }
+    Ok(axis)
 }
 
 fn kind_from_name(name: &str) -> Option<CellKind> {
@@ -410,10 +429,10 @@ pub fn parse_liberty(text: &str) -> Result<CellLibrary, ParseLibertyError> {
                         in_cell(&mut cell, line)?.setup = Some(parse_f32(line, &name, &value)?)
                     }
                     (3, "slew_axis") => {
-                        in_lut(&mut lut, line)?.slew_axis = Some(parse_list(line, &name, &value)?)
+                        in_lut(&mut lut, line)?.slew_axis = Some(parse_axis(line, &name, &value)?)
                     }
                     (3, "load_axis") => {
-                        in_lut(&mut lut, line)?.load_axis = Some(parse_list(line, &name, &value)?)
+                        in_lut(&mut lut, line)?.load_axis = Some(parse_axis(line, &name, &value)?)
                     }
                     (3, "values") => {
                         in_lut(&mut lut, line)?.values = Some(parse_list(line, &name, &value)?)
@@ -503,6 +522,31 @@ mod tests {
                 assert!(message.contains("3 values"), "{message}");
             }
             other => panic!("expected syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_malformed_axis_or_number_is_a_syntax_error_at_its_line() {
+        let text = write_liberty(&CellLibrary::typical(), "t");
+        for (attribute, bad) in [
+            ("slew_axis", "\"320, 160, 80, 40, 20, 10, 5\""),
+            ("slew_axis", "\"\""),
+            ("slew_axis", "\"5, NaN, 20, 40, 80, 160, 320\""),
+            ("load_axis", "\"0.5, 1, 1, 4, 8, 16, 32\""),
+            ("wire_res", "NaN"),
+            ("setup", "inf"),
+        ] {
+            let at = |l: &&str| l.trim().starts_with(&format!("{attribute} :"));
+            let first = text.lines().position(|l| at(&l)).expect("attribute");
+            let good = text.lines().find(at).expect("line").trim();
+            let text = text.replacen(good, &format!("{attribute} : {bad};"), 1);
+            match parse_liberty(&text) {
+                Err(ParseLibertyError::Syntax { line, message }) => {
+                    assert_eq!(line, first + 1, "{bad}: {message}");
+                    assert!(message.contains(attribute), "{message}");
+                }
+                other => panic!("{attribute} {bad}: expected a syntax error, got {other:?}"),
+            }
         }
     }
 

@@ -199,25 +199,19 @@ impl Lut2D {
         &self.values
     }
 
-    /// Bilinear lookup at `(slew, load)` with clamped extrapolation.
-    pub fn lookup(&self, slew: f32, load: f32) -> f32 {
-        self.lookup_at(slew, self.load_bracket(load))
-    }
-
-    /// Resolve the load-axis bracket once for reuse across several
-    /// [`lookup_at`](Self::lookup_at) calls at the same output load —
-    /// the hot propagation kernel evaluates up to four `(slew, mode)`
-    /// combinations per table against one load, and the bracket search
-    /// is the part worth hoisting.
+    /// Resolve the load-axis bracket of `load` for reuse across several
+    /// [`lookup_at`](Self::lookup_at) calls at that output load — the hot
+    /// propagation kernel evaluates up to four `(slew, mode)` combinations
+    /// per table against one load, and the bracket search is the part
+    /// worth hoisting.
     #[inline]
     pub fn load_bracket(&self, load: f32) -> LoadBracket {
         let (j0, j1, tl) = Self::bracket(&self.load_axis, load);
         LoadBracket { j0, j1, tl }
     }
 
-    /// Bilinear lookup with a pre-resolved load bracket; bit-identical
-    /// to [`lookup`](Self::lookup) when `lb` came from this table's
-    /// [`load_bracket`](Self::load_bracket) at the same load.
+    /// Bilinear lookup at `(slew, load)` with clamped extrapolation, where
+    /// `lb` is this table's [`load_bracket`](Self::load_bracket) of `load`.
     #[inline]
     pub fn lookup_at(&self, slew: f32, lb: LoadBracket) -> f32 {
         self.lookup_bracketed(self.slew_bracket(slew), lb)
@@ -517,27 +511,32 @@ impl Default for CellLibrary {
 mod tests {
     use super::*;
 
+    /// `lut` at `(slew, load)`.
+    fn lookup(lut: &Lut2D, slew: f32, load: f32) -> f32 {
+        lut.lookup_at(slew, lut.load_bracket(load))
+    }
+
     #[test]
     fn lut_exact_on_grid_points() {
         let lut = Lut2D::new(vec![1.0, 2.0], vec![10.0, 20.0], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(lut.lookup(1.0, 10.0), 1.0);
-        assert_eq!(lut.lookup(1.0, 20.0), 2.0);
-        assert_eq!(lut.lookup(2.0, 10.0), 3.0);
-        assert_eq!(lut.lookup(2.0, 20.0), 4.0);
+        assert_eq!(lookup(&lut, 1.0, 10.0), 1.0);
+        assert_eq!(lookup(&lut, 1.0, 20.0), 2.0);
+        assert_eq!(lookup(&lut, 2.0, 10.0), 3.0);
+        assert_eq!(lookup(&lut, 2.0, 20.0), 4.0);
     }
 
     #[test]
     fn lut_bilinear_midpoint() {
         let lut = Lut2D::new(vec![0.0, 2.0], vec![0.0, 2.0], vec![0.0, 2.0, 2.0, 4.0]);
-        assert_eq!(lut.lookup(1.0, 1.0), 2.0);
+        assert_eq!(lookup(&lut, 1.0, 1.0), 2.0);
     }
 
     #[test]
     fn lut_clamps_outside_grid() {
         let lut = Lut2D::new(vec![1.0, 2.0], vec![1.0, 2.0], vec![5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(lut.lookup(0.0, 0.0), 5.0);
-        assert_eq!(lut.lookup(99.0, 99.0), 8.0);
-        assert_eq!(lut.lookup(0.0, 99.0), 6.0);
+        assert_eq!(lookup(&lut, 0.0, 0.0), 5.0);
+        assert_eq!(lookup(&lut, 99.0, 99.0), 8.0);
+        assert_eq!(lookup(&lut, 0.0, 99.0), 6.0);
     }
 
     #[test]
@@ -566,7 +565,7 @@ mod tests {
                     let lb = tab.load_bracket(load);
                     assert_eq!(
                         tab.lookup_bracketed(sb, lb).to_bits(),
-                        tab.lookup(slew, load).to_bits(),
+                        tab.lookup_at(slew, lb).to_bits(),
                         "slew {slew}, load {load}"
                     );
                 }
@@ -578,14 +577,14 @@ mod tests {
     fn a_nan_on_either_axis_looks_up_nan() {
         let lib = CellLibrary::typical();
         let t = &lib.cell(CellKind::Inv).tables.delay_rise;
-        assert!(t.lookup(f32::NAN, 1.0).is_nan());
-        assert!(t.lookup(20.0, f32::NAN).is_nan());
-        assert!(t.lookup(f32::NAN, f32::NAN).is_nan());
+        assert!(lookup(t, f32::NAN, 1.0).is_nan());
+        assert!(lookup(t, 20.0, f32::NAN).is_nan());
+        assert!(lookup(t, f32::NAN, f32::NAN).is_nan());
         // A one-point axis too: no bracket to search, still unknown.
         let point = Lut2D::new(vec![1.0], vec![1.0], vec![7.0]);
-        assert!(point.lookup(f32::NAN, 1.0).is_nan());
-        assert!(point.lookup(1.0, f32::NAN).is_nan());
-        assert_eq!(point.lookup(-5.0, 9.0), 7.0);
+        assert!(lookup(&point, f32::NAN, 1.0).is_nan());
+        assert!(lookup(&point, 1.0, f32::NAN).is_nan());
+        assert_eq!(lookup(&point, -5.0, 9.0), 7.0);
     }
 
     #[test]
@@ -623,7 +622,7 @@ mod tests {
         for &kind in CellKind::all() {
             let cell = lib.cell(kind);
             assert!(cell.input_cap_ff > 0.0, "{kind} has no input cap");
-            let d = cell.tables.delay_rise.lookup(20.0, 2.0);
+            let d = lookup(&cell.tables.delay_rise, 20.0, 2.0);
             assert!(d > 0.0, "{kind} has nonpositive delay {d}");
         }
     }
@@ -632,15 +631,15 @@ mod tests {
     fn delay_monotone_in_load_and_slew() {
         let lib = CellLibrary::typical();
         let t = &lib.cell(CellKind::Nand2).tables.delay_rise;
-        assert!(t.lookup(20.0, 8.0) > t.lookup(20.0, 1.0));
-        assert!(t.lookup(160.0, 2.0) > t.lookup(10.0, 2.0));
+        assert!(lookup(t, 20.0, 8.0) > lookup(t, 20.0, 1.0));
+        assert!(lookup(t, 160.0, 2.0) > lookup(t, 10.0, 2.0));
     }
 
     #[test]
     fn fall_is_faster_than_rise() {
         let lib = CellLibrary::typical();
         let tables = &lib.cell(CellKind::Inv).tables;
-        assert!(tables.delay_fall.lookup(20.0, 2.0) < tables.delay_rise.lookup(20.0, 2.0));
+        assert!(lookup(&tables.delay_fall, 20.0, 2.0) < lookup(&tables.delay_rise, 20.0, 2.0));
     }
 
     #[test]

@@ -923,23 +923,6 @@ impl<'a> TimingUpdateTdg<'a> {
             self.execute_task(TaskId(t));
         }
     }
-
-    /// Run every task sequentially through the *legacy* propagation
-    /// kernels ([`TimingPropagator::fprop_reference`] /
-    /// [`TimingPropagator::bprop_reference`]) instead of the SoA hot
-    /// path — the oracle of the `csr_layout` differential tests.
-    #[doc(hidden)]
-    pub fn run_sequential_reference(&self) {
-        for &t in self.tdg().levels().order() {
-            let t = TaskId(t);
-            let v = NodeId(self.task_node[t.index()]);
-            if t.index() < self.cone.num_fprop {
-                self.cone.prop.fprop_reference(v);
-            } else {
-                self.cone.prop.bprop_reference(v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -323,3 +323,36 @@ fn a_killed_update_resumes_to_the_straight_runs_output() {
     );
     let _ = std::fs::remove_file(&ckpt);
 }
+
+#[test]
+fn a_shard_run_with_killed_workers_respawns_to_the_clean_runs_bits() {
+    let base = [
+        "shard",
+        "--circuit",
+        "aes_core",
+        "--scale",
+        "0.01",
+        "--shards",
+        "3",
+        "--bits",
+    ];
+    let kills = ["--kill", "0:0", "--kill", "1:0:transient"];
+    let (clean, killed) = (gpasta(&base), gpasta(&[&base[..], &kills].concat()));
+    for run in [&clean, &killed] {
+        assert!(run.status.success(), "stderr: {}", stderr(run));
+    }
+    let (clean, killed) = (stdout(&clean), stdout(&killed));
+    assert!(killed.contains("2 respawn(s)"), "{killed}");
+    // One long-lived worker serves a clean run; each victim takes one
+    // process with it.
+    assert!(clean.contains(" 1 worker process(es) spawned"), "{clean}");
+    assert!(killed.contains(" 3 worker process(es) spawned"), "{killed}");
+    let bits = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.contains("bits"))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert!(!bits(&clean).is_empty(), "{clean}");
+    assert_eq!(bits(&clean), bits(&killed), "recovery is bit-exact");
+}

@@ -3,9 +3,11 @@
 //! arbitrary DAGs — permutation round trip, monotone offsets, preserved
 //! edge multiset and adjacency order, level-major numbering.
 //!
-//! The partitioners' bit-identity to their legacy paths (checked in
-//! `tests/csr_layout.rs` and per-crate unit tests) rests on exactly
-//! these invariants, so they get their own adversarial suite.
+//! The partitioners run in CSR space and visit tasks in the order these
+//! invariants fix, which is what keeps single-worker G-PASTA equal to
+//! seq-G-PASTA and the assignments pinned by
+//! `crates/core/tests/partition_bits.rs` where they are; so they get their
+//! own adversarial suite.
 
 use gpasta::tdg::{TaskId, Tdg, TdgBuilder};
 use proptest::prelude::*;

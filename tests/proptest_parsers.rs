@@ -11,7 +11,7 @@
 
 use gpasta::sta::{
     apply_sdc, parse_liberty, parse_verilog, write_liberty, write_sdc, write_verilog, CellKind,
-    CellLibrary, NetlistBuilder, Timer,
+    CellLibrary, NetlistBuilder, ParseLibertyError, Timer,
 };
 use proptest::prelude::*;
 
@@ -243,6 +243,54 @@ proptest! {
             &text[cut..]
         );
         let _ = parse_liberty(&spliced);
+    }
+}
+
+/// `points` malformed as `form` picks: reversed, empty, or with the point
+/// at `at` replaced by NaN.
+fn malformed_axis(points: &str, form: u8, at: usize) -> String {
+    let mut points: Vec<&str> = points.split(", ").collect();
+    match form {
+        0 => points.reverse(),
+        1 => points.clear(),
+        _ => {
+            let i = at % points.len();
+            points[i] = "NaN";
+        }
+    }
+    points.join(", ")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any one axis of a valid library made reversed, empty or NaN is a
+    /// syntax error at that axis's line, not a panic.
+    #[test]
+    fn liberty_rejects_a_malformed_axis_at_its_line(
+        which in 0usize..1024,
+        form in 0u8..3,
+        at in 0usize..16,
+    ) {
+        let text = write_liberty(&CellLibrary::typical(), "typ");
+        let axes: Vec<usize> = (text.lines().enumerate())
+            .filter(|(_, l)| l.contains("_axis :"))
+            .map(|(i, _)| i)
+            .collect();
+        let line = axes[which % axes.len()];
+        let bad: Vec<String> = (text.lines().enumerate())
+            .map(|(i, l)| match l.split_once('"') {
+                Some((head, points)) if i == line => {
+                    let points = points.trim_end_matches("\";");
+                    format!("{head}\"{}\";", malformed_axis(points, form, at))
+                }
+                _ => l.to_owned(),
+            })
+            .collect();
+        match parse_liberty(&bad.join("\n")) {
+            Err(ParseLibertyError::Syntax { line: got, .. }) => prop_assert_eq!(got, line + 1),
+            other => prop_assert!(false, "expected a syntax error, got {:?}", other),
+        }
     }
 }
 

@@ -575,3 +575,27 @@ fn a_retire_racing_a_claim_never_drops_a_connection() {
         thread::sleep(std::time::Duration::from_millis(1));
     }
 }
+
+#[test]
+fn a_malformed_liberty_axis_is_a_typed_error_and_the_daemon_serves_on() {
+    let server = Server::start("bad-liberty");
+    let typical = gpasta::sta::write_liberty(&gpasta::sta::CellLibrary::typical(), "typ");
+    let axis = "slew_axis : \"5, 10, 20, 40, 80, 160, 320\";";
+    assert!(typical.contains(axis), "the typical library's slew axis");
+    for bad in [
+        "320, 160, 80, 40, 20, 10, 5",
+        "",
+        "5, NaN, 20, 40, 80, 160, 320",
+    ] {
+        let liberty = typical.replacen(axis, &format!("slew_axis : \"{bad}\";"), 1);
+        let body = Value::Object(vec![
+            ("name".to_string(), Value::String("bad".to_string())),
+            ("verilog".to_string(), Value::String(PIPELINE.to_string())),
+            ("liberty".to_string(), Value::String(liberty)),
+        ]);
+        let (status, out) = server.request("POST", "/sessions", Some(&body));
+        assert_eq!(status, 400, "{bad:?}: {out:?}");
+        assert_eq!(out["error"]["kind"], "parse_liberty", "{bad:?}: {out:?}");
+    }
+    create_session(&server, "after");
+}
