@@ -8,7 +8,7 @@
 
 use crate::atomic_f32::AtomicF32;
 use crate::graph::{ArcKind, ArcSoa, NodeId, NodeKind, TimingGraph};
-use crate::library::{CellKind, CellLibrary, SlewBracket, TimingSense};
+use crate::library::{CellKind, CellLibrary, LoadBracket, Lut2D, SlewBracket, TimingSense};
 use crate::netlist::{Gate, GateId, Net, Netlist, PinRef};
 use std::ops::Range;
 
@@ -32,6 +32,11 @@ pub enum Mode {
 
 const TRS: [Tr; 2] = [Tr::Rise, Tr::Fall];
 const MODES: [Mode; 2] = [Mode::Early, Mode::Late];
+
+/// The [`ArcSoa`] sense codes, the `SENSE` of a cell kernel.
+const POSITIVE: u8 = TimingSense::Positive as u8;
+const NEGATIVE: u8 = TimingSense::Negative as u8;
+const NON_UNATE: u8 = TimingSense::NonUnate as u8;
 
 /// Flat index of a `(transition, mode)` corner in per-node/per-arc arrays.
 #[inline]
@@ -66,12 +71,12 @@ pub struct TimingData {
     pub clock_period_ps: f32,
     /// Per node: arrival and slew corners (ps).
     fwd: Vec<FwdRecord>,
-    /// Per node × corner: required arrival time (ps).
-    required: Vec<AtomicF32>,
-    /// Per arc × (output transition, mode): cached delay, filled during
-    /// forward propagation of the arc's `to` node, consumed by backward
-    /// propagation of the arc's `from` node.
-    arc_delay: Vec<AtomicF32>,
+    /// Per node, per corner: required arrival time (ps).
+    required: Vec<[AtomicF32; 4]>,
+    /// Per arc, in arc-id order, per output corner: cached delay, filled
+    /// during forward propagation of the arc's `to` node, consumed by
+    /// backward propagation of the arc's `from` node.
+    arc_delay: Vec<[AtomicF32; 4]>,
     /// Per node: `[drive multiplier, load (fF)]` at a gate's output pin,
     /// `[interconnect delay (ps), 0]` at a net's sink pin, unused at a
     /// primary input.
@@ -131,10 +136,8 @@ impl TimingData {
         let data = TimingData {
             clock_period_ps: 1_000.0,
             fwd: (0..n).map(|_| FwdRecord::default()).collect(),
-            required: (0..n * 4).map(|_| AtomicF32::new(0.0)).collect(),
-            arc_delay: (0..graph.num_arcs() * 4)
-                .map(|_| AtomicF32::new(0.0))
-                .collect(),
+            required: (0..n).map(|_| Default::default()).collect(),
+            arc_delay: (0..graph.num_arcs()).map(|_| Default::default()).collect(),
             elec: (0..n).map(|_| Default::default()).collect(),
             sinkless: nets
                 .filter(|(_, net)| net.sinks.is_empty())
@@ -272,7 +275,7 @@ impl TimingData {
     /// Required arrival time at `v` for `(tr, mode)` (ps).
     #[inline]
     pub fn required(&self, v: NodeId, tr: Tr, mode: Mode) -> f32 {
-        self.required[v.index() * 4 + corner(tr, mode)].load()
+        self.required[v.index()][corner(tr, mode)].load()
     }
 
     /// Setup (late-mode) slack at `v`: worst over transitions of
@@ -308,11 +311,7 @@ impl TimingData {
     /// backward-cone counterpart of
     /// [`mark_arrival_unknown`](TimingData::mark_arrival_unknown).
     pub fn mark_required_unknown(&self, v: NodeId) {
-        for &tr in &TRS {
-            for &mode in &MODES {
-                self.set_required(v, tr, mode, f32::NAN);
-            }
-        }
+        store(&self.required[v.index()], [f32::NAN; 4]);
     }
 
     /// Whether any timing value at `v` is marked unknown (NaN).
@@ -327,37 +326,19 @@ impl TimingData {
     /// The forward record of `v`: arrival corners, then slew corners.
     #[inline]
     fn fwd_of(&self, v: NodeId) -> [f32; 8] {
-        let r = &self.fwd[v.index()].0;
-        std::array::from_fn(|i| r[i].load())
+        load(&self.fwd[v.index()].0)
     }
 
     #[inline]
     fn set_fwd(&self, v: NodeId, x: [f32; 8]) {
-        for (c, x) in self.fwd[v.index()].0.iter().zip(x) {
-            c.store(x);
-        }
-    }
-
-    #[inline]
-    fn set_required(&self, v: NodeId, tr: Tr, mode: Mode, x: f32) {
-        self.required[v.index() * 4 + corner(tr, mode)].store(x);
+        store(&self.fwd[v.index()].0, x);
     }
 
     /// Late-mode cached delay of arc `a` at output transition `tr`,
     /// filled by the last forward propagation. Used by path tracing.
     #[inline]
     pub fn arc_delay_public(&self, a: u32, tr: Tr) -> f32 {
-        self.arc_delay_of(a, tr, Mode::Late)
-    }
-
-    #[inline]
-    fn arc_delay_of(&self, a: u32, tr: Tr, mode: Mode) -> f32 {
-        self.arc_delay[a as usize * 4 + corner(tr, mode)].load()
-    }
-
-    #[inline]
-    fn set_arc_delay(&self, a: u32, tr: Tr, mode: Mode, x: f32) {
-        self.arc_delay[a as usize * 4 + corner(tr, mode)].store(x);
+        self.arc_delay[a as usize][corner(tr, Mode::Late)].load()
     }
 
     /// Raw forward-propagated state of `v` — the four arrival corners then
@@ -383,18 +364,15 @@ impl TimingData {
     /// Raw required-time corners of `v` as `f32` bit patterns.
     #[inline]
     pub fn required_bits(&self, v: NodeId) -> [u32; 4] {
-        let base = v.index() * 4;
-        std::array::from_fn(|i| self.required[base + i].load_bits())
+        let r = &self.required[v.index()];
+        std::array::from_fn(|i| r[i].load_bits())
     }
 
     /// Store raw required-time corners of `v`; the inverse of
     /// [`required_bits`](TimingData::required_bits).
     #[inline]
     pub fn set_required_bits(&self, v: NodeId, bits: [u32; 4]) {
-        let base = v.index() * 4;
-        for (i, &b) in bits.iter().enumerate() {
-            self.required[base + i].store_bits(b);
-        }
+        store_bits(&self.required[v.index()], &bits);
     }
 
     /// Raw cached delay corners of arc `a` as `f32` bit patterns. The
@@ -404,18 +382,15 @@ impl TimingData {
     /// must ship these alongside the node values.
     #[inline]
     pub fn arc_delay_bits(&self, a: u32) -> [u32; 4] {
-        let base = a as usize * 4;
-        std::array::from_fn(|i| self.arc_delay[base + i].load_bits())
+        let r = &self.arc_delay[a as usize];
+        std::array::from_fn(|i| r[i].load_bits())
     }
 
     /// Store raw cached delay corners of arc `a`; the inverse of
     /// [`arc_delay_bits`](TimingData::arc_delay_bits).
     #[inline]
     pub fn set_arc_delay_bits(&self, a: u32, bits: [u32; 4]) {
-        let base = a as usize * 4;
-        for (i, &b) in bits.iter().enumerate() {
-            self.arc_delay[base + i].store_bits(b);
-        }
+        store_bits(&self.arc_delay[a as usize], &bits);
     }
 }
 
@@ -613,8 +588,8 @@ impl TimingData {
             clock_period_bits: self.clock_period_ps.to_bits(),
             slew,
             arrival,
-            required: load_bits(self.required.iter()),
-            arc_delay: load_bits(self.arc_delay.iter()),
+            required: load_bits(self.required.as_flattened().iter()),
+            arc_delay: load_bits(self.arc_delay.as_flattened().iter()),
             drive: load_bits(self.gate_cells(graph, netlist, DRIVE)),
             gate_load: load_bits(self.gate_cells(graph, netlist, LOAD)),
             net_delay: load_bits(self.net_cells(graph, netlist)),
@@ -642,8 +617,8 @@ impl TimingData {
         check_lens(&[
             (corners, &snap.slew, "slew"),
             (corners, &snap.arrival, "arrival"),
-            (self.required.len(), &snap.required, "required"),
-            (self.arc_delay.len(), &snap.arc_delay, "arc_delay"),
+            (corners, &snap.required, "required"),
+            (4 * self.arc_delay.len(), &snap.arc_delay, "arc_delay"),
             (gates, &snap.drive, "drive"),
             (gates, &snap.gate_load, "gate_load"),
             (netlist.num_nets(), &snap.net_delay, "net_delay"),
@@ -653,8 +628,8 @@ impl TimingData {
         let records = self.fwd.iter().map(|r| &r.0);
         store_bits(records.clone().flat_map(|r| &r[..4]), &snap.arrival);
         store_bits(records.flat_map(|r| &r[4..]), &snap.slew);
-        store_bits(&self.required, &snap.required);
-        store_bits(&self.arc_delay, &snap.arc_delay);
+        store_bits(self.required.as_flattened(), &snap.required);
+        store_bits(self.arc_delay.as_flattened(), &snap.arc_delay);
         store_bits(self.gate_cells(graph, netlist, DRIVE), &snap.drive);
         store_bits(self.gate_cells(graph, netlist, LOAD), &snap.gate_load);
         for (net, &bits) in snap.net_delay.iter().enumerate() {
@@ -730,37 +705,41 @@ impl<'a> TimingPropagator<'a> {
             for a in fanin {
                 debug_assert!(soa.is_net(a as usize), "a sink pin has only net arcs");
                 let u = d.fwd_of(NodeId(soa.from[a as usize]));
-                for &tr in &TRS {
-                    for &mode in &MODES {
-                        let c = corner(tr, mode);
-                        let at = u[c] + delay;
-                        // Mild interconnect slew degradation.
-                        let sv = u[4 + c] + 0.1 * delay;
-                        d.set_arc_delay(a, tr, mode, delay);
-                        merge(&mut rec[c], at, mode);
-                        merge(&mut rec[4 + c], sv, mode);
-                    }
+                for c in 0..4 {
+                    let mode = MODES[c % 2];
+                    let at = u[c] + delay;
+                    // Mild interconnect slew degradation.
+                    let sv = u[4 + c] + 0.1 * delay;
+                    merge(&mut rec[c], at, mode);
+                    merge(&mut rec[4 + c], sv, mode);
                 }
+                store(&d.arc_delay[a as usize], [delay; 4]);
             }
         } else {
             // A gate's output pin: drive `x`, load `y`.
             let ci = soa.cell_idx[first] as usize;
-            if self.library.shares_slew_axis(ci) {
-                self.cell_fanin::<true>(soa, fanin, ci, [x, y], &mut rec);
-            } else {
-                self.cell_fanin::<false>(soa, fanin, ci, [x, y], &mut rec);
-            }
+            let kernel = match (self.library.shares_slew_axis(ci), soa.sense[first]) {
+                (true, POSITIVE) => Self::cell_fanin::<true, POSITIVE>,
+                (true, NEGATIVE) => Self::cell_fanin::<true, NEGATIVE>,
+                (true, _) => Self::cell_fanin::<true, NON_UNATE>,
+                (false, POSITIVE) => Self::cell_fanin::<false, POSITIVE>,
+                (false, NEGATIVE) => Self::cell_fanin::<false, NEGATIVE>,
+                (false, _) => Self::cell_fanin::<false, NON_UNATE>,
+            };
+            kernel(self, soa, fanin, ci, [x, y], &mut rec);
         }
         d.set_fwd(v, rec);
     }
 
     /// Merge the cell arcs `fanin` of one gate, whose cell has library
-    /// index `ci` and which has `[drive, load]`, into the record `rec`, and
-    /// cache their delays. With `SHARED` (the cell's four tables share one
-    /// slew axis) a fan-in corner's slew bracket is resolved once for all
-    /// four tables; otherwise each lookup resolves its own.
+    /// index `ci`, whose arcs have sense `SENSE` and which has `[drive,
+    /// load]`, into the record `rec`, and cache their delays. With `SHARED`
+    /// (the cell's four tables share one slew axis) a fan-in corner's slew
+    /// bracket is resolved once for all four tables; otherwise each lookup
+    /// resolves its own. Where the four tables share one load axis the
+    /// load is bracketed once for the gate, otherwise once per table.
     #[inline]
-    fn cell_fanin<const SHARED: bool>(
+    fn cell_fanin<const SHARED: bool, const SENSE: u8>(
         &self,
         soa: &ArcSoa,
         fanin: Range<u32>,
@@ -770,10 +749,13 @@ impl<'a> TimingPropagator<'a> {
     ) {
         let d = self.data;
         let t = &self.library.cell_by_index(ci).tables;
-        let sense = soa.sense_of(fanin.start as usize);
-        // [tr_out]: (delay table, slew table), and their load brackets.
-        let tabs = [(&t.delay_rise, &t.slew_rise), (&t.delay_fall, &t.slew_fall)];
-        let lbs = tabs.map(|(dtab, stab)| (dtab.load_bracket(load), stab.load_bracket(load)));
+        // [tr_out]: [delay table, slew table], and their load brackets.
+        let tabs = [[&t.delay_rise, &t.slew_rise], [&t.delay_fall, &t.slew_fall]];
+        let lbs = if self.library.shares_load_axis(ci) {
+            [[t.delay_rise.load_bracket(load); 2]; 2]
+        } else {
+            tabs.map(|tr_out| tr_out.map(|tab| tab.load_bracket(load)))
+        };
         for a in fanin {
             debug_assert_eq!(soa.cell_idx[a as usize] as usize, ci, "one gate's arcs");
             let u = d.fwd_of(NodeId(soa.from[a as usize]));
@@ -783,54 +765,27 @@ impl<'a> TimingPropagator<'a> {
             } else {
                 Default::default()
             };
-            for &tr_out in &TRS {
-                let ((dtab, stab), (dlb, slb)) = (tabs[tr_out as usize], lbs[tr_out as usize]);
-                // Which input transitions can cause tr_out.
-                let ins: &[Tr] = match sense {
-                    TimingSense::Positive => &[tr_out],
-                    TimingSense::Negative => match tr_out {
-                        Tr::Rise => &[Tr::Fall],
-                        Tr::Fall => &[Tr::Rise],
-                    },
-                    TimingSense::NonUnate => &TRS,
-                };
-                for &mode in &MODES {
-                    let mut best_at = pick_init(mode);
-                    let mut best_sv = pick_init(mode);
-                    let mut best_delay = pick_init(mode);
-                    for &tr_in in ins {
-                        let c = corner(tr_in, mode);
-                        let (dl, sl) = if SHARED {
-                            (
-                                dtab.lookup_bracketed(sb[c], dlb),
-                                stab.lookup_bracketed(sb[c], slb),
-                            )
-                        } else {
-                            (dtab.lookup_at(u[4 + c], dlb), stab.lookup_at(u[4 + c], slb))
-                        };
-                        let delay = dl / drive;
-                        let sv = sl / drive;
-                        let at = u[c] + delay;
-                        merge(&mut best_at, at, mode);
-                        merge(&mut best_sv, sv, mode);
-                        merge(&mut best_delay, delay, mode);
-                    }
-                    d.set_arc_delay(a, tr_out, mode, best_delay);
-                    let c = corner(tr_out, mode);
-                    merge(&mut rec[c], best_at, mode);
-                    merge(&mut rec[4 + c], best_sv, mode);
-                }
-            }
+            let delays = [
+                cell_corner::<SHARED, SENSE, 0>(&tabs, &lbs, &u, &sb, drive, rec),
+                cell_corner::<SHARED, SENSE, 1>(&tabs, &lbs, &u, &sb, drive, rec),
+                cell_corner::<SHARED, SENSE, 2>(&tabs, &lbs, &u, &sb, drive, rec),
+                cell_corner::<SHARED, SENSE, 3>(&tabs, &lbs, &u, &sb, drive, rec),
+            ];
+            store(&d.arc_delay[a as usize], delays);
         }
     }
 
     /// Backward-propagate required arrival time into `v` (the paper's
     /// "required arrival time update" task). Endpoints take their
     /// constraint; interior nodes take the tightest requirement over
-    /// fan-out arcs using the arc delays cached by [`fprop`](Self::fprop).
+    /// fan-out arcs using the arc delays cached by [`fprop`](Self::fprop),
+    /// and a node without fan-out stays unconstrained.
     ///
-    /// Like [`fprop`](Self::fprop) this runs on the flat
-    /// [`ArcSoa`](crate::graph::ArcSoa) columns.
+    /// Per fan-out arc, one 4-lane `required(to) − delay(a)` in output
+    /// corners is merged into `v`'s input corners: as it is for a
+    /// positive arc, with its rise and fall halves swapped for a negative
+    /// one, and for a non-unate one its rise half and then its fall half,
+    /// each on both input transitions.
     pub fn bprop(&self, v: NodeId) {
         let d = self.data;
 
@@ -844,67 +799,31 @@ impl<'a> TimingPropagator<'a> {
                 NodeKind::PrimaryOutput(p) => d.output_delay(p),
                 _ => 0.0,
             };
-            for &tr in &TRS {
-                d.set_required(v, tr, Mode::Late, d.clock_period_ps - margin);
-                d.set_required(v, tr, Mode::Early, 0.0);
-            }
-            return;
-        }
-
-        let fanout = self.graph.fanout(v);
-        if fanout.is_empty() {
-            // Dangling node: unconstrained.
-            for &tr in &TRS {
-                d.set_required(v, tr, Mode::Late, f32::INFINITY);
-                d.set_required(v, tr, Mode::Early, f32::NEG_INFINITY);
-            }
+            let late = d.clock_period_ps - margin;
+            store(&d.required[v.index()], [0.0, late, 0.0, late]);
             return;
         }
 
         let soa = self.graph.arc_soa(self.netlist);
-        // required_late(v, tr_in) = min over arcs/output transitions caused
-        // by tr_in of (required_late(to, tr_out) - delay(a, tr_out)).
-        let mut req = [[f32::NEG_INFINITY, f32::INFINITY]; 2]; // [tr][mode], early=max, late=min
-        for &a in fanout {
+        // Required times tighten in the opposite direction of arrivals:
+        // early lanes take the max, late lanes the min.
+        let (lo, hi) = (f32::NEG_INFINITY, f32::INFINITY);
+        let mut req = [lo, hi, lo, hi];
+        for &a in self.graph.fanout(v) {
             let ai = a as usize;
-            let to = NodeId(soa.to[ai]);
-            let sense = if soa.is_net(ai) {
-                TimingSense::Positive
-            } else {
-                soa.sense_of(ai)
-            };
-            for &tr_in in &TRS {
-                let outs: &[Tr] = match sense {
-                    TimingSense::Positive => &[tr_in],
-                    TimingSense::Negative => match tr_in {
-                        Tr::Rise => &[Tr::Fall],
-                        Tr::Fall => &[Tr::Rise],
-                    },
-                    TimingSense::NonUnate => &TRS,
-                };
-                for &tr_out in outs {
-                    for &mode in &MODES {
-                        let r = d.required(to, tr_out, mode) - d.arc_delay_of(a, tr_out, mode);
-                        // Required times tighten in the opposite direction
-                        // of arrivals: late takes min, early takes max.
-                        match mode {
-                            Mode::Late => {
-                                let slot = &mut req[tr_in as usize][1];
-                                *slot = slot.min(r);
-                            }
-                            Mode::Early => {
-                                let slot = &mut req[tr_in as usize][0];
-                                *slot = slot.max(r);
-                            }
-                        }
-                    }
+            let (to, delay) = (&d.required[soa.to[ai] as usize], &d.arc_delay[ai]);
+            let r = |c: usize| to[c].load() - delay[c].load();
+            let (rise_early, rise_late, fall_early, fall_late) = (r(0), r(1), r(2), r(3));
+            match soa.sense[ai] {
+                POSITIVE => tighten(&mut req, [rise_early, rise_late, fall_early, fall_late]),
+                NEGATIVE => tighten(&mut req, [fall_early, fall_late, rise_early, rise_late]),
+                _ => {
+                    tighten(&mut req, [rise_early, rise_late, rise_early, rise_late]);
+                    tighten(&mut req, [fall_early, fall_late, fall_early, fall_late]);
                 }
             }
         }
-        for &tr in &TRS {
-            d.set_required(v, tr, Mode::Early, req[tr as usize][0]);
-            d.set_required(v, tr, Mode::Late, req[tr as usize][1]);
-        }
+        store(&d.required[v.index()], req);
     }
 }
 
@@ -917,6 +836,86 @@ fn nan_preserving_min(a: f32, b: f32) -> f32 {
         f32::NAN
     } else {
         a.min(b)
+    }
+}
+
+/// Output corner `C` (`corner(tr_out, mode)`) of one cell arc: the arc's
+/// delay at `C`, with the corner's arrival and slew merged into `rec`.
+/// `tabs`, `lbs`, `drive` and `rec` are [`TimingPropagator::cell_fanin`]'s,
+/// `u` the fan-in's record and `sb` its slew brackets. Always inlined with
+/// `C` and `SENSE` constant, so the corner's transition, mode and causing
+/// input transitions are known at compile time.
+#[inline(always)]
+fn cell_corner<const SHARED: bool, const SENSE: u8, const C: usize>(
+    tabs: &[[&Lut2D; 2]; 2],
+    lbs: &[[LoadBracket; 2]; 2],
+    u: &[f32; 8],
+    sb: &[SlewBracket; 4],
+    drive: f32,
+    rec: &mut [f32; 8],
+) -> f32 {
+    let (tr_out, mode) = (TRS[C / 2], MODES[C % 2]);
+    let ([dtab, stab], [dlb, slb]) = (tabs[C / 2], lbs[C / 2]);
+    let mut best_at = pick_init(mode);
+    let mut best_sv = pick_init(mode);
+    let mut best_delay = pick_init(mode);
+    for &tr_in in causes::<SENSE>(tr_out) {
+        let c = corner(tr_in, mode);
+        let (dl, sl) = if SHARED {
+            (
+                dtab.lookup_bracketed(sb[c], dlb),
+                stab.lookup_bracketed(sb[c], slb),
+            )
+        } else {
+            (dtab.lookup_at(u[4 + c], dlb), stab.lookup_at(u[4 + c], slb))
+        };
+        let delay = dl / drive;
+        let sv = sl / drive;
+        let at = u[c] + delay;
+        merge(&mut best_at, at, mode);
+        merge(&mut best_sv, sv, mode);
+        merge(&mut best_delay, delay, mode);
+    }
+    merge(&mut rec[C], best_at, mode);
+    merge(&mut rec[4 + C], best_sv, mode);
+    best_delay
+}
+
+/// Tighten the required-time corners `req` by `r`, lane by lane: an early
+/// lane takes the max, a late lane the min.
+#[inline]
+fn tighten(req: &mut [f32; 4], [re, rl, fe, fl]: [f32; 4]) {
+    *req = [
+        req[0].max(re),
+        req[1].min(rl),
+        req[2].max(fe),
+        req[3].min(fl),
+    ];
+}
+
+/// The input transitions that cause output transition `tr` across a cell
+/// arc of sense `SENSE` ([`TimingSense`] as `u8`): a list known at compile
+/// time once `tr` is.
+#[inline]
+fn causes<const SENSE: u8>(tr: Tr) -> &'static [Tr] {
+    match (SENSE, tr) {
+        (POSITIVE, Tr::Rise) | (NEGATIVE, Tr::Fall) => &[Tr::Rise],
+        (POSITIVE, Tr::Fall) | (NEGATIVE, Tr::Rise) => &[Tr::Fall],
+        _ => &TRS,
+    }
+}
+
+/// The values of `cells`.
+#[inline]
+fn load<const N: usize>(cells: &[AtomicF32; N]) -> [f32; N] {
+    std::array::from_fn(|i| cells[i].load())
+}
+
+/// Store `x` into `cells`.
+#[inline]
+fn store<const N: usize>(cells: &[AtomicF32; N], x: [f32; N]) {
+    for (c, x) in cells.iter().zip(x) {
+        c.store(x);
     }
 }
 
@@ -1164,7 +1163,7 @@ mod tests {
         full_pass(&f, &data);
         // Include awkward values: NaN (unknown marker), signed zero.
         data.mark_arrival_unknown(NodeId(1));
-        data.set_required(NodeId(0), Tr::Rise, Mode::Late, -0.0);
+        data.required[0][corner(Tr::Rise, Mode::Late)].store(-0.0);
         let snap = data.snapshot(&f.graph, &f.netlist);
 
         // Scramble the state, then restore.

@@ -6,7 +6,7 @@
 //! flip-flops break paths: their `D` pin is a timing endpoint and their
 //! output pin launches a fresh path, so there is no `D -> Q` cell arc.
 
-use crate::library::{CellKind, CellLibrary, TimingSense};
+use crate::library::{CellKind, CellLibrary};
 use crate::netlist::{GateId, Netlist, PinRef, PortId};
 use gpasta_tdg::BuildTdgError;
 use serde::{Deserialize, Serialize};
@@ -139,8 +139,8 @@ pub struct ArcSoa {
     /// Library cell index ([`CellLibrary::cell_index`]) for cell arcs;
     /// [`ArcSoa::NET_ARC`] for net arcs.
     pub cell_idx: Vec<u8>,
-    /// Encoded [`TimingSense`] of the traversed cell arc (see
-    /// [`ArcSoa::sense_of`]); `0` for net arcs.
+    /// [`TimingSense`](crate::TimingSense) of the traversed cell arc as
+    /// `u8`; `0`, positive, for net arcs.
     pub sense: Vec<u8>,
 }
 
@@ -167,25 +167,11 @@ impl ArcSoa {
                 ArcKind::Cell { gate } => {
                     let cell = netlist.gates()[gate as usize].cell;
                     soa.cell_idx.push(CellLibrary::cell_index(cell) as u8);
-                    soa.sense.push(match cell.sense() {
-                        TimingSense::Positive => 0,
-                        TimingSense::Negative => 1,
-                        TimingSense::NonUnate => 2,
-                    });
+                    soa.sense.push(cell.sense() as u8);
                 }
             }
         }
         soa
-    }
-
-    /// Decode the `sense` column entry of arc `a`.
-    #[inline]
-    pub fn sense_of(&self, a: usize) -> TimingSense {
-        match self.sense[a] {
-            0 => TimingSense::Positive,
-            1 => TimingSense::Negative,
-            _ => TimingSense::NonUnate,
-        }
     }
 
     /// Whether arc `a` is a net (interconnect) arc.
@@ -800,7 +786,7 @@ mod tests {
                     assert!(!soa.is_net(i));
                     let cell = n.gates()[gate as usize].cell;
                     assert_eq!(soa.cell_idx[i] as usize, CellLibrary::cell_index(cell));
-                    assert_eq!(soa.sense_of(i), cell.sense());
+                    assert_eq!(soa.sense[i], cell.sense() as u8);
                 }
             }
         }

@@ -122,12 +122,12 @@ impl fmt::Display for CellKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TimingSense {
     /// Rising input → rising output (buffer-like).
-    Positive,
+    Positive = 0,
     /// Rising input → falling output (inverter-like).
-    Negative,
+    Negative = 1,
     /// Both input transitions drive both output transitions (XOR-like);
     /// propagation takes the worst case.
-    NonUnate,
+    NonUnate = 2,
 }
 
 /// A 2-D NLDM lookup table: `value[i][j]` at `(slew_axis[i], load_axis[j])`,
@@ -261,7 +261,10 @@ impl Lut2D {
         }
         // On a sorted axis the count of points ≤ x is `partition_point`'s
         // index; counting takes no data-dependent branch.
-        let hi = axis.iter().filter(|&&a| a <= x).count();
+        let mut hi = 0;
+        for &a in axis {
+            hi += usize::from(a <= x);
+        }
         let lo = hi - 1;
         let t = (x - axis[lo]) / (axis[hi] - axis[lo]);
         (lo, hi, t)
@@ -310,6 +313,15 @@ impl ArcTables {
             .iter()
             .all(|t| t.slew_axis() == axis)
     }
+
+    /// Whether all four tables have the same load axis, so that one
+    /// [`LoadBracket`] serves every lookup at a given output load.
+    pub fn shares_load_axis(&self) -> bool {
+        let axis = self.delay_rise.load_axis();
+        [&self.delay_fall, &self.slew_rise, &self.slew_fall]
+            .iter()
+            .all(|t| t.load_axis() == axis)
+    }
 }
 
 /// Per-cell electrical characterisation.
@@ -330,9 +342,11 @@ pub struct CellTiming {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     cells: Vec<CellTiming>,
-    /// Per cell, [`ArcTables::shares_slew_axis`]: decided when the cell is
-    /// set, not per lookup, and kept off the wire.
+    /// Per cell, [`ArcTables::shares_slew_axis`] and
+    /// [`ArcTables::shares_load_axis`]: decided when the cell is set, not
+    /// per lookup, and kept off the wire.
     shared_slew: Vec<bool>,
+    shared_load: Vec<bool>,
     /// Default primary-input slew (ps).
     pub input_slew_ps: f32,
     /// Primary-output load (fF).
@@ -421,9 +435,11 @@ impl CellLibrary {
         wire_res_ps_per_ff: f32,
     ) -> Self {
         let shared_slew = cells.iter().map(|c| c.tables.shares_slew_axis()).collect();
+        let shared_load = cells.iter().map(|c| c.tables.shares_load_axis()).collect();
         CellLibrary {
             cells,
             shared_slew,
+            shared_load,
             input_slew_ps,
             output_load_ff,
             wire_res_ps_per_ff,
@@ -450,6 +466,7 @@ impl CellLibrary {
     /// reader and by library-scaling experiments).
     pub fn set_cell(&mut self, kind: CellKind, timing: CellTiming) {
         self.shared_slew[Self::index(kind)] = timing.tables.shares_slew_axis();
+        self.shared_load[Self::index(kind)] = timing.tables.shares_load_axis();
         self.cells[Self::index(kind)] = timing;
     }
 
@@ -464,14 +481,25 @@ impl CellLibrary {
         self.shared_slew[i]
     }
 
+    /// Whether the cell at [`cell_index`](Self::cell_index) `i` has one
+    /// load axis for its four tables ([`ArcTables::shares_load_axis`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a valid cell index.
+    #[inline]
+    pub fn shares_load_axis(&self, i: usize) -> bool {
+        self.shared_load[i]
+    }
+
     /// Input pin capacitance of `kind` (fF).
     pub fn input_cap(&self, kind: CellKind) -> f32 {
         self.cell(kind).input_cap_ff
     }
 }
 
-// Manual impls: `shared_slew` is derived from `cells`, so the wire
-// carries the same fields a derive of the other four would.
+// Manual impls: `shared_slew` and `shared_load` are derived from `cells`,
+// so the wire carries the same fields a derive of the other four would.
 impl Serialize for CellLibrary {
     fn to_value(&self) -> serde::value::Value {
         serde::value::Value::Object(Vec::from([
@@ -601,6 +629,29 @@ mod tests {
         let json = serde_json::to_string(&lib).expect("serializes");
         let back: CellLibrary = serde_json::from_str(&json).expect("deserializes");
         assert!(!back.shares_slew_axis(i));
+        assert_eq!(back, lib);
+    }
+
+    #[test]
+    fn the_load_axis_decision_follows_set_cell() {
+        let mut lib = CellLibrary::typical();
+        for &kind in CellKind::all() {
+            assert!(
+                lib.shares_load_axis(CellLibrary::cell_index(kind)),
+                "{kind}"
+            );
+        }
+        let i = CellLibrary::cell_index(CellKind::Nor2);
+        let mut cell = lib.cell(CellKind::Nor2).clone();
+        let slew = cell.tables.slew_fall.slew_axis().to_vec();
+        cell.tables.slew_fall = Lut2D::from_fn(slew, vec![0.3, 5.0, 40.0], |s, l| s + l);
+        assert!(cell.tables.shares_slew_axis() && !cell.tables.shares_load_axis());
+        lib.set_cell(CellKind::Nor2, cell);
+        assert!(lib.shares_slew_axis(i) && !lib.shares_load_axis(i));
+        let json = serde_json::to_string(&lib).expect("serializes");
+        assert!(!json.contains("shared"), "the decision stays off the wire");
+        let back: CellLibrary = serde_json::from_str(&json).expect("deserializes");
+        assert!(back.shares_slew_axis(i) && !back.shares_load_axis(i));
         assert_eq!(back, lib);
     }
 

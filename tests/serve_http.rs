@@ -169,6 +169,12 @@ fn cli_bits(repower: &str) -> (String, String) {
 #[test]
 fn http_edit_update_matches_cli_bit_for_bit() {
     let server = Server::start("bits");
+    let (status, health) = server.request("GET", "/healthz", None);
+    assert_eq!(status, 200, "{health:?}");
+    assert_eq!(health["ok"], true);
+    let (status, ready) = server.request("GET", "/readyz", None);
+    assert_eq!(status, 200, "{ready:?}");
+    assert_eq!(ready["ready"], true);
     let created = create_session(&server, "pipe");
     assert_eq!(created["shape"]["gates"], 10u32);
 
@@ -193,6 +199,10 @@ fn http_edit_update_matches_cli_bit_for_bit() {
     let (wns_bits, tns_bits) = cli_bits("u2=4.0");
     assert_eq!(report["report"]["wns_bits"], wns_bits.as_str());
     assert_eq!(report["report"]["tns_bits"], tns_bits.as_str());
+    let (status, top3) = server.request("GET", "/sessions/pipe/report?k=3", None);
+    assert_eq!(status, 200, "{top3:?}");
+    let worst = top3["report"]["worst"].as_array().expect("worst");
+    assert!(!worst.is_empty(), "{top3:?}");
 
     let (status, paths) = server.request("GET", "/sessions/pipe/paths?k=1", None);
     assert_eq!(status, 200, "{paths:?}");
@@ -224,6 +234,13 @@ fn deadline_bounded_update_degrades_then_recovers() {
     assert_eq!(status, 200, "{completed:?}");
     assert_eq!(completed["outcome"]["stop"], "completed");
     let (wns_bits, _) = cli_bits("u2=4.0");
+    assert!(
+        wns_bits.len() == 8
+            && wns_bits
+                .bytes()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+        "eight lowercase hex digits: {wns_bits:?}"
+    );
     assert_eq!(completed["report"]["wns_bits"], wns_bits.as_str());
 }
 
