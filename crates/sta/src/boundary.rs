@@ -30,8 +30,7 @@
 
 use crate::analysis::TimingData;
 use crate::graph::{NodeId, TimingGraph};
-use crate::timer::{TaskKind, TimingUpdateTdg};
-use gpasta_tdg::TaskId;
+use crate::timer::{DirtyCone, TaskKind};
 
 /// A sorted, deduplicated set of timing-storage cells: forward state
 /// (arrival + slew) per node, required times per node, and cached delays
@@ -52,40 +51,38 @@ fn sort_dedup(v: &mut Vec<u32>) {
 }
 
 impl ValueSet {
-    /// The cells written by executing `tasks` of `update`.
-    pub fn writes_of(update: &TimingUpdateTdg<'_>, tasks: &[u32]) -> Self {
-        let graph = update.graph();
+    /// The cells written by executing the tasks with full-space ids `ids`
+    /// of `cone`.
+    pub fn writes_of(cone: &DirtyCone<'_>, ids: &[u32]) -> Self {
+        let graph = cone.graph();
         let mut set = ValueSet::default();
-        for &t in tasks {
-            let t = TaskId(t);
-            let v = update.node(t);
-            match update.kind(t) {
-                TaskKind::Fprop => {
+        for &id in ids {
+            match cone.decode(id) {
+                (TaskKind::Fprop, v) => {
                     set.fprop_nodes.push(v.0);
                     set.arcs.extend(graph.fanin(v));
                 }
-                TaskKind::Bprop => set.req_nodes.push(v.0),
+                (TaskKind::Bprop, v) => set.req_nodes.push(v.0),
             }
         }
         set.normalise();
         set
     }
 
-    /// The cells read by executing `tasks` of `update` (static electrical
-    /// state excluded — both sides recompute it from the design).
-    pub fn reads_of(update: &TimingUpdateTdg<'_>, tasks: &[u32]) -> Self {
-        let graph = update.graph();
+    /// The cells read by executing the tasks with full-space ids `ids` of
+    /// `cone` (static electrical state excluded — both sides recompute it
+    /// from the design).
+    pub fn reads_of(cone: &DirtyCone<'_>, ids: &[u32]) -> Self {
+        let graph = cone.graph();
         let mut set = ValueSet::default();
-        for &t in tasks {
-            let t = TaskId(t);
-            let v = update.node(t);
-            match update.kind(t) {
-                TaskKind::Fprop => {
+        for &id in ids {
+            match cone.decode(id) {
+                (TaskKind::Fprop, v) => {
                     for a in graph.fanin(v) {
                         set.fprop_nodes.push(graph.arc(a).from.0);
                     }
                 }
-                TaskKind::Bprop => {
+                (TaskKind::Bprop, v) => {
                     for &a in graph.fanout(v) {
                         set.req_nodes.push(graph.arc(a).to.0);
                         set.arcs.push(a);
@@ -98,26 +95,26 @@ impl ValueSet {
     }
 
     /// For each shard `s < k`, what [`writes_of`](Self::writes_of) and
-    /// `reads_of(..).minus(writes)` (the references) give for the tasks
-    /// `t` with `owner[t] == s` — in one ascending pass over the nodes and
-    /// one over the arcs, so every set comes out sorted without a sort.
+    /// `reads_of(..).minus(writes)` (the references) give for the cone's
+    /// tasks `cone.ids()[i]` with `owner[i] == s` — in one ascending pass
+    /// over the nodes and one over the arcs, so every set comes out sorted
+    /// without a sort.
     ///
     /// # Panics
     ///
     /// Panics unless `owner` names a shard below `k` for each task.
-    pub fn per_shard(update: &TimingUpdateTdg<'_>, owner: &[u32], k: usize) -> Vec<(Self, Self)> {
+    pub fn per_shard(cone: &DirtyCone<'_>, owner: &[u32], k: usize) -> Vec<(Self, Self)> {
         const NONE: u32 = u32::MAX;
-        let graph = update.graph();
-        assert_eq!(owner.len(), update.tdg().num_tasks(), "one owner per task");
+        let graph = cone.graph();
+        assert_eq!(owner.len(), cone.num_tasks(), "one owner per task");
         // The shard of each node's fprop and bprop task (NONE: no task).
         let mut f_shard = vec![NONE; graph.num_nodes()];
         let mut b_shard = vec![NONE; graph.num_nodes()];
-        for (t, &s) in owner.iter().enumerate() {
-            assert!((s as usize) < k, "task {t} owned by shard {s} of {k}");
-            let t = TaskId(t as u32);
-            match update.kind(t) {
-                TaskKind::Fprop => f_shard[update.node(t).index()] = s,
-                TaskKind::Bprop => b_shard[update.node(t).index()] = s,
+        for (&id, &s) in cone.ids().iter().zip(owner) {
+            assert!((s as usize) < k, "task {id} owned by shard {s} of {k}");
+            match cone.decode(id) {
+                (TaskKind::Fprop, v) => f_shard[v.index()] = s,
+                (TaskKind::Bprop, v) => b_shard[v.index()] = s,
             }
         }
         let mut out = vec![(ValueSet::default(), ValueSet::default()); k];
@@ -331,36 +328,37 @@ mod tests {
     #[test]
     fn writes_and_reads_project_the_semantics() {
         let mut timer = small_timer();
-        let update = timer.update_timing();
-        let all: Vec<u32> = (0..update.tdg().num_tasks() as u32).collect();
-        let writes = ValueSet::writes_of(&update, &all);
-        let reads = ValueSet::reads_of(&update, &all);
-        let graph = update.graph();
+        let cone = timer.dirty_cone();
+        let all = cone.ids().to_vec();
+        let writes = ValueSet::writes_of(&cone, &all);
+        let reads = ValueSet::reads_of(&cone, &all);
+        let graph = cone.graph();
         assert!(writes.in_range_of(graph));
         assert!(reads.in_range_of(graph));
         // A full update writes the forward state of every fprop node and
         // the required time of every bprop node; its external reads are
         // empty (a full run is self-contained).
-        assert_eq!(writes.fprop_nodes.len(), update.num_fprop_tasks());
+        assert_eq!(writes.fprop_nodes.len(), graph.num_nodes());
+        assert_eq!(writes.req_nodes.len(), graph.num_nodes());
         assert!(reads.minus(&writes).is_empty(), "full run needs no inputs");
     }
 
     #[test]
     fn bprop_reads_include_fanout_arc_delays() {
         let mut timer = small_timer();
-        let update = timer.update_timing();
-        let tdg = update.tdg();
+        let cone = timer.dirty_cone();
         // Pick any bprop task of a node with fanout; its read set must
         // name every fanout arc (cached by the far side's fprop).
-        let graph = update.graph();
-        let t = (0..tdg.num_tasks() as u32)
-            .find(|&t| {
-                update.kind(TaskId(t)) == TaskKind::Bprop
-                    && !graph.fanout(update.node(TaskId(t))).is_empty()
+        let graph = cone.graph();
+        let (id, v) = cone
+            .ids()
+            .iter()
+            .map(|&id| (id, cone.decode(id)))
+            .find_map(|(id, (kind, v))| {
+                (kind == TaskKind::Bprop && !graph.fanout(v).is_empty()).then_some((id, v))
             })
             .expect("some bprop task has fanout");
-        let reads = ValueSet::reads_of(&update, &[t]);
-        let v = update.node(TaskId(t));
+        let reads = ValueSet::reads_of(&cone, &[id]);
         for &a in graph.fanout(v) {
             assert!(reads.arcs.contains(&a), "fanout arc {a} must be read");
         }
@@ -369,13 +367,12 @@ mod tests {
     #[test]
     fn export_apply_round_trips_bit_exactly() {
         let mut timer = small_timer();
-        let update = timer.update_timing();
-        update.run_sequential();
-        let all: Vec<u32> = (0..update.tdg().num_tasks() as u32).collect();
-        let writes = ValueSet::writes_of(&update, &all);
-        let data = update.data();
-        let values = BoundaryValues::export(data, writes.clone());
-        drop(update);
+        let cone = timer.dirty_cone();
+        cone.run_in_order();
+        let all = cone.ids().to_vec();
+        let writes = ValueSet::writes_of(&cone, &all);
+        let values = BoundaryValues::export(cone.data(), writes.clone());
+        drop(cone);
         let before = timer.snapshot();
 
         // Scramble every cell the set names, then apply the export: the

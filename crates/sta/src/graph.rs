@@ -8,7 +8,7 @@
 
 use crate::library::{CellKind, CellLibrary};
 use crate::netlist::{GateId, Netlist, PinRef, PortId};
-use gpasta_tdg::BuildTdgError;
+use gpasta_tdg::{BuildTdgError, Checksum};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -524,6 +524,19 @@ impl TimingGraph {
     #[inline]
     pub fn num_arcs(&self) -> usize {
         self.arcs.len()
+    }
+
+    /// A structural checksum: the node count and every arc's endpoints in
+    /// arc-id order. These fix every task of an update and every
+    /// dependency between them, so two processes that rebuilt the same
+    /// design agree on it before they exchange values keyed by node or arc.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Checksum::default();
+        h.update_words(&[self.num_nodes() as u32, self.num_arcs() as u32]);
+        for arc in &self.arcs {
+            h.update_words(&[arc.from.0, arc.to.0]);
+        }
+        h.finish()
     }
 
     /// All arcs, indexed by arc id.

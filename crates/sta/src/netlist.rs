@@ -316,8 +316,9 @@ impl NetlistBuilder {
         let mut nets: Vec<Net> = by_driver
             .into_iter()
             .map(|(driver, mut sinks)| {
-                // Deterministic sink order regardless of hash-map iteration.
-                sinks.sort_by_key(|s| format!("{s:?}"));
+                // Deterministic sink order regardless of hash-map
+                // iteration: by Debug text, rendered once per element.
+                sinks.sort_by_cached_key(|s| format!("{s:?}"));
                 Net {
                     driver,
                     sinks,
@@ -325,7 +326,7 @@ impl NetlistBuilder {
                 }
             })
             .collect();
-        nets.sort_by_key(|n| format!("{:?}", n.driver));
+        nets.sort_by_cached_key(|n| format!("{:?}", n.driver));
 
         Ok(Netlist {
             gates: self.gates,

@@ -720,7 +720,7 @@ impl<'a> DirtyCone<'a> {
     }
 
     /// [`Timer::snapshot`] of the timer this cone updates.
-    pub(crate) fn snapshot(&self) -> TimingSnapshot {
+    pub fn snapshot(&self) -> TimingSnapshot {
         let prop = &self.prop;
         prop.data.snapshot(prop.graph, prop.netlist)
     }
@@ -739,6 +739,27 @@ impl<'a> DirtyCone<'a> {
         decode(self.prop.graph, id)
     }
 
+    /// The full-space ids of the tasks that depend on task `id`, read off
+    /// the timing graph: fprop `v` → the fprop of each fan-out head and
+    /// bprop `v`; bprop `v` → the bprop of each fan-in tail. These are the
+    /// out-edges of the full-space TDG, and a cone is successor-closed, so
+    /// they all lie in the cone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the full task space.
+    pub fn successors(&self, id: u32) -> impl Iterator<Item = u32> + 'a {
+        let graph = self.prop.graph;
+        let top = 2 * graph.num_nodes() as u32 - 1;
+        let (fanout, anchor, fanin) = match decode(graph, id) {
+            (TaskKind::Fprop, v) => (graph.fanout(v), Some(top - v.0), 0..0),
+            (TaskKind::Bprop, v) => (&[][..], None, graph.fanin(v)),
+        };
+        let heads = fanout.iter().map(move |&a| graph.arc(a).to.0);
+        let tails = fanin.map(move |a| top - graph.arc(a).from.0);
+        heads.chain(anchor).chain(tails)
+    }
+
     /// Execute the task with full-space id `id` (the payload the scheduler
     /// dispatches).
     pub fn execute_task(&self, id: TaskId) {
@@ -754,29 +775,19 @@ impl<'a> DirtyCone<'a> {
         move |id| self.execute_task(id)
     }
 
-    /// Whether the cone is successor-closed over the timing graph's arcs:
-    /// with every fprop task its fan-outs' fprop tasks and its own bprop
-    /// task, and with every bprop task its fan-ins' bprop tasks — the
-    /// three kinds of dependency of the full-space TDG, checked without
-    /// building it. A referee for debug builds and tests; O(graph).
+    /// Whether the cone is successor-closed: it holds the
+    /// [`successors`](Self::successors) of each of its tasks — the three
+    /// kinds of dependency of the full-space TDG, checked without building
+    /// it. A referee for debug builds and tests; O(graph).
     #[doc(hidden)]
     pub fn is_successor_closed(&self) -> bool {
-        let graph = self.prop.graph;
-        let n = graph.num_nodes();
-        let (mut f, mut b) = (vec![false; n], vec![false; n]);
+        let mut member = vec![false; 2 * self.prop.graph.num_nodes()];
         for &id in &self.ids {
-            match decode(graph, id) {
-                (TaskKind::Fprop, v) => f[v.index()] = true,
-                (TaskKind::Bprop, v) => b[v.index()] = true,
-            }
+            member[id as usize] = true;
         }
-        (0..n).all(|v| {
-            let node = NodeId(v as u32);
-            let mut fanouts = graph.fanout(node).iter().map(|&a| graph.arc(a).to);
-            let mut fanins = graph.fanin(node).map(|a| graph.arc(a).from);
-            (!f[v] || (b[v] && fanouts.all(|w| f[w.index()])))
-                && (!b[v] || fanins.all(|u| b[u.index()]))
-        })
+        self.ids
+            .iter()
+            .all(|&id| self.successors(id).all(|s| member[s as usize]))
     }
 }
 

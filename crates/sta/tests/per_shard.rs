@@ -1,12 +1,12 @@
 //! `ValueSet::per_shard` against its reference: for every shard, the
-//! one-pass projection equals `writes_of(tasks)` and
-//! `reads_of(tasks).minus(writes)` over that shard's tasks — on random
-//! designs, random owner maps (non-convex ones included), empty shards,
-//! `k` from 1 to 8, full updates and partial cones.
+//! one-pass projection of a dirty cone equals `writes_of(ids)` and
+//! `reads_of(ids).minus(writes)` over that shard's full-space task ids —
+//! on random designs, random owner maps (non-convex ones included), empty
+//! shards, `k` from 1 to 8, whole designs and partial cones.
 
 use gpasta_circuits::{generate_netlist, CircuitSpec};
 use gpasta_sched::splitmix64;
-use gpasta_sta::{CellLibrary, GateId, Timer, TimingUpdateTdg, ValueSet};
+use gpasta_sta::{CellLibrary, DirtyCone, GateId, Timer, ValueSet};
 use proptest::prelude::*;
 
 /// Case count, overridable via `PROPTEST_CASES` (the nightly CI job
@@ -39,15 +39,20 @@ fn owners(n: usize, k: usize, style: u8, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-fn check(update: &TimingUpdateTdg<'_>, owner: &[u32], k: usize) -> Result<(), TestCaseError> {
-    let got = ValueSet::per_shard(update, owner, k);
+/// `owner[i]` is the shard of the cone's `i`-th task.
+fn check(cone: &DirtyCone<'_>, owner: &[u32], k: usize) -> Result<(), TestCaseError> {
+    let got = ValueSet::per_shard(cone, owner, k);
     prop_assert_eq!(got.len(), k);
     for (s, (writes, needed)) in got.iter().enumerate() {
-        let tasks: Vec<u32> = (0..owner.len() as u32)
-            .filter(|&t| owner[t as usize] == s as u32)
+        let ids: Vec<u32> = cone
+            .ids()
+            .iter()
+            .zip(owner)
+            .filter(|&(_, &o)| o == s as u32)
+            .map(|(&id, _)| id)
             .collect();
-        let want_writes = ValueSet::writes_of(update, &tasks);
-        let want_needed = ValueSet::reads_of(update, &tasks).minus(&want_writes);
+        let want_writes = ValueSet::writes_of(cone, &ids);
+        let want_needed = ValueSet::reads_of(cone, &ids).minus(&want_writes);
         prop_assert_eq!(writes, &want_writes, "writes of shard {} of {}", s, k);
         prop_assert_eq!(needed, &want_needed, "boundary of shard {} of {}", s, k);
     }
@@ -72,11 +77,11 @@ proptest! {
         spec.seq_ratio = seq_ratio;
         let mut timer = Timer::new(generate_netlist(&spec), CellLibrary::typical());
 
-        let update = timer.update_timing();
-        let owner = owners(update.tdg().num_tasks(), k, style, owner_seed);
-        check(&update, &owner, k)?;
-        update.run_sequential();
-        drop(update);
+        let cone = timer.dirty_cone();
+        let owner = owners(cone.num_tasks(), k, style, owner_seed);
+        check(&cone, &owner, k)?;
+        cone.run_in_order();
+        drop(cone);
 
         // A partial cone: most nodes have no task in it.
         let (num_gates, num_nets) = (timer.netlist().num_gates(), timer.netlist().num_nets());
@@ -87,8 +92,8 @@ proptest! {
                 timer.set_net_cap(i % num_nets as u32, 10.0 * x);
             }
         }
-        let update = timer.update_timing();
-        let owner = owners(update.tdg().num_tasks(), k, style, !owner_seed);
-        check(&update, &owner, k)?;
+        let cone = timer.dirty_cone();
+        let owner = owners(cone.num_tasks(), k, style, !owner_seed);
+        check(&cone, &owner, k)?;
     }
 }

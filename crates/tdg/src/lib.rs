@@ -76,5 +76,5 @@ pub use partition::{Partition, PartitionId, PartitionStats};
 pub use quotient::{QuotientArena, QuotientTdg};
 pub use recycle::{ArenaTdgBuilder, TdgArena};
 pub use reduce::transitive_reduction;
-pub use shard::{ShardPlan, ShardPlanError};
+pub use shard::{ShardPlan, ShardPlanError, TaskSuccessors};
 pub use topo::{critical_path_len, topo_order, ParallelismProfile};

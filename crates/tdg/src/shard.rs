@@ -1,26 +1,30 @@
-//! Sharding: cutting a TDG's task ids into K contiguous *shards*, the unit
-//! of multi-process distribution.
+//! Sharding: cutting a task graph's ids into K contiguous *shards*, the
+//! unit of multi-process distribution.
 //!
 //! A [`ShardPlan`] is a cut of `0..n`: shard `s` owns the task ids
 //! [`range(s)`](ShardPlan::range) and is executed by one OS worker
 //! process, with only boundary timing values crossing shard edges. No
-//! partition or quotient is involved. A timing update's TDG is numbered so
-//! that every edge goes from a lower to a higher id (fprop by level, then
-//! bprop in reverse level order), so the ids are already a topological
-//! order and any cut of them into runs is a coarser convex partition
-//! (Theorem 1's max-pid rule).
+//! partition or quotient is involved. A timing update's tasks are numbered
+//! so that every dependency goes from a lower to a higher id (fprop by
+//! level, then bprop in reverse level order), so the ids are already a
+//! topological order and any cut of them into runs is a coarser convex
+//! partition (Theorem 1's max-pid rule).
+//!
+//! The plan reads the dependencies through [`TaskSuccessors`], so the
+//! caller need not materialise a [`Tdg`] of the tasks: a timer hands over a
+//! task count and a successor function over its timing graph's three edge
+//! kinds, a test a [`Tdg`].
 //!
 //! # Invariants
 //!
 //! 1. **Contiguity**: the ranges are non-empty and concatenate to `0..n`.
-//! 2. **Shard ids are topological**: every TDG edge goes up, so every
-//!    shard edge goes from a lower to a higher shard id — the shard graph
-//!    is acyclic. [`ShardPlan::build`] refuses a TDG with an edge that
-//!    goes down.
-//! 3. **Determinism**: the plan is a pure function of the TDG and the
-//!    shard count — two processes that build the same TDG compute the same
-//!    plan, which is what lets a worker rediscover its own task set from
-//!    `(design, shards, shard)` alone.
+//! 2. **Shard ids are topological**: every edge goes up, so every shard
+//!    edge goes from a lower to a higher shard id — the shard graph is
+//!    acyclic. [`ShardPlan::build`] refuses an edge that goes down.
+//! 3. **Determinism**: the plan is a pure function of the task graph and
+//!    the shard count — two processes that rebuild the same design compute
+//!    the same plan, which is what lets a worker rediscover its own task
+//!    set from `(design, shards, shard)` alone.
 
 use std::ops::Range;
 
@@ -30,7 +34,7 @@ use crate::graph::{TaskId, Tdg, TdgBuilder};
 /// [`ShardPlan::build`] rejected its inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardPlanError {
-    /// A shard count of zero was requested for a non-empty TDG.
+    /// A shard count of zero was requested for a non-empty task graph.
     NoShards,
     /// The edge `from -> to` goes to a lower id, so runs of ids are not a
     /// topological cut.
@@ -46,7 +50,7 @@ impl std::fmt::Display for ShardPlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardPlanError::NoShards => {
-                write!(f, "cannot shard a non-empty TDG into zero shards")
+                write!(f, "cannot shard a non-empty task graph into zero shards")
             }
             ShardPlanError::EdgeGoesDown { from, to } => {
                 write!(
@@ -60,34 +64,75 @@ impl std::fmt::Display for ShardPlanError {
 
 impl std::error::Error for ShardPlanError {}
 
-/// A cut of a TDG's task ids into contiguous, acyclic shards.
+/// The dependencies a [`ShardPlan`] is cut along: task ids
+/// `0..num_tasks()`, each with the tasks that depend on it. A [`Tdg`] is
+/// one; so is a task count paired with a successor function, `(n, |u| …)`,
+/// which lets a caller plan without building the graph.
+pub trait TaskSuccessors {
+    /// Number of tasks.
+    fn num_tasks(&self) -> usize;
+    /// The tasks (each below [`num_tasks`](Self::num_tasks)) that depend
+    /// on task `u`.
+    fn successors_of(&self, u: u32) -> impl Iterator<Item = u32>;
+}
+
+impl TaskSuccessors for Tdg {
+    fn num_tasks(&self) -> usize {
+        Tdg::num_tasks(self)
+    }
+
+    fn successors_of(&self, u: u32) -> impl Iterator<Item = u32> {
+        self.successors(TaskId(u)).iter().copied()
+    }
+}
+
+impl<F, I> TaskSuccessors for (usize, F)
+where
+    F: Fn(u32) -> I,
+    I: IntoIterator<Item = u32>,
+{
+    fn num_tasks(&self) -> usize {
+        self.0
+    }
+
+    fn successors_of(&self, u: u32) -> impl Iterator<Item = u32> {
+        (self.1)(u).into_iter()
+    }
+}
+
+/// A cut of a task graph's ids into contiguous, acyclic shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// Shard `s` owns task ids `bounds[s]..bounds[s + 1]`.
     bounds: Vec<u32>,
-    /// The coarse DAG over shards (deduplicated shard-crossing TDG edges).
-    /// Shard ids are already topologically ordered.
+    /// The coarse DAG over shards (deduplicated shard-crossing task
+    /// edges). Shard ids are already topologically ordered.
     graph: Tdg,
-    /// TDG edges crossing shard boundaries.
+    /// Task edges crossing shard boundaries.
     edge_cut: usize,
 }
 
 impl ShardPlan {
-    /// Cut `tdg`'s task ids into (at most) `shards` contiguous runs.
+    /// Cut the task ids of `tasks` into (at most) `shards` contiguous
+    /// runs. A duplicate successor counts once in the shard graph and every
+    /// time in [`edge_cut`](Self::edge_cut).
     ///
     /// The shard count is clamped to the task count — asking for more
     /// shards than tasks yields singleton shards, not empty ones. Each
     /// shard takes an equal share of the tasks still left, so sizes differ
-    /// by at most one. An empty TDG produces an empty plan for any
-    /// requested count.
+    /// by at most one. No tasks make an empty plan for any requested
+    /// count.
     ///
     /// # Errors
     ///
-    /// [`ShardPlanError::NoShards`] when `shards == 0` and the TDG is
-    /// non-empty, and [`ShardPlanError::EdgeGoesDown`] when an edge goes
-    /// from a higher id to a lower one.
-    pub fn build(tdg: &Tdg, shards: usize) -> Result<Self, ShardPlanError> {
-        let n = tdg.num_tasks();
+    /// [`ShardPlanError::NoShards`] when `shards == 0` and there are tasks,
+    /// and [`ShardPlanError::EdgeGoesDown`] when an edge goes from a higher
+    /// id to a lower one.
+    pub fn build(
+        tasks: &(impl TaskSuccessors + ?Sized),
+        shards: usize,
+    ) -> Result<Self, ShardPlanError> {
+        let n = tasks.num_tasks();
         if n > 0 && shards == 0 {
             return Err(ShardPlanError::NoShards);
         }
@@ -105,7 +150,7 @@ impl ShardPlan {
         for s in 0..k {
             let hi = bounds[s + 1];
             for u in bounds[s]..hi {
-                for &v in tdg.successors(TaskId(u)) {
+                for v in tasks.successors_of(u) {
                     if v < u {
                         return Err(ShardPlanError::EdgeGoesDown { from: u, to: v });
                     }
@@ -157,7 +202,7 @@ impl ShardPlan {
         &self.graph
     }
 
-    /// TDG edges crossing shard boundaries.
+    /// Task edges crossing shard boundaries.
     #[inline]
     pub fn edge_cut(&self) -> usize {
         self.edge_cut
@@ -324,8 +369,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-        /// On any DAG numbered topologically, every shard count cuts a plan whose TDG edges map to `owner[u] <= owner[v]` and
-        /// whose shard graph is exactly the crossing pairs.
+        /// On any DAG numbered topologically, every shard count cuts a plan
+        /// whose TDG edges map to `owner[u] <= owner[v]` and whose shard
+        /// graph is exactly the crossing pairs, from a `Tdg` or from its
+        /// successor function alike.
         #[test]
         fn range_plans_agree_with_the_tdg_edges(
             tdg in rising_dag(),
@@ -334,6 +381,9 @@ mod tests {
             let plan = ShardPlan::build(&tdg, shards).expect("plan");
             prop_assert_eq!(plan.num_shards(), shards.min(tdg.num_tasks()));
             check_invariants(&plan, &tdg)?;
+            // A task count and a successor function cut the same plan.
+            let by_fn = (tdg.num_tasks(), |u| tdg.successors(TaskId(u)).to_vec());
+            prop_assert_eq!(ShardPlan::build(&by_fn, shards), Ok(plan));
         }
     }
 }

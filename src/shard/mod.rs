@@ -23,14 +23,15 @@
 //!
 //! Supervisor, worker, and the single-process oracle all rebuild the same
 //! context from `(circuit, scale, seed)`: netlist → timer → modifier
-//! schedule → full-update TDG → shard plan (a cut of the TDG's task ids)
-//! → per-shard sets. Every step is a pure function of those inputs, and
-//! both sides prove agreement by exchanging a combined TDG + plan
-//! fingerprint before any value crosses the pipe. Timing values travel as
-//! raw `f32` bit patterns, and any topological execution order of the
-//! update tasks produces identical bits — which together make "killed
-//! anywhere, recovered bit-identical" testable with `assert_eq!` on
-//! snapshots.
+//! schedule → whole-design dirty cone (task id = full-space id) → shard
+//! plan (a cut of the task ids, its dependencies read off the timing
+//! graph: no task graph is built) → per-shard sets. Every step is a pure
+//! function of those inputs, and both sides prove agreement by exchanging
+//! a combined timing-graph + plan fingerprint before any value crosses the
+//! pipe. Timing values travel as raw `f32` bit patterns, and any
+//! topological execution order of the update tasks produces identical
+//! bits — which together make "killed anywhere, recovered bit-identical"
+//! testable with `assert_eq!` on snapshots.
 
 pub mod wire;
 
@@ -52,8 +53,10 @@ use crate::checkpoint::{
 };
 use crate::circuits::PaperCircuit;
 use crate::sched::{fault_hash, splitmix64, FaultPlan, RetryPolicy};
-use crate::sta::{CellLibrary, SnapshotMismatch, Timer, TimingSnapshot, TimingUpdateTdg, ValueSet};
-use crate::tdg::{checksum, ShardPlan, ShardPlanError, Tdg};
+use crate::sta::{
+    CellLibrary, DirtyCone, SnapshotMismatch, Timer, TimingGraph, TimingSnapshot, ValueSet,
+};
+use crate::tdg::{checksum, ShardPlan, ShardPlanError};
 use wire::{Reader, WireError};
 
 /// A sharded run failed.
@@ -196,7 +199,7 @@ pub struct ShardRunOutcome {
     pub tns_bits: u32,
     /// Shards in the plan.
     pub num_shards: usize,
-    /// Update-TDG edges crossing shard boundaries.
+    /// Task dependencies crossing shard boundaries.
     pub edge_cut: usize,
     /// Shards whose workers completed (possibly after respawns).
     pub salvaged: Vec<u32>,
@@ -234,10 +237,23 @@ pub(crate) fn build_timer(circuit: PaperCircuit, scale: f64, seed: u64) -> Timer
     timer
 }
 
+/// The shard plan of a whole-design cone, whose task ids are its
+/// full-space ids: the dependencies are read off the timing graph
+/// ([`DirtyCone::successors`]), so no task graph is built.
+///
+/// # Panics
+///
+/// Panics unless `cone` is the whole design.
+pub(crate) fn plan_of(cone: &DirtyCone<'_>, shards: usize) -> Result<ShardPlan, ShardPlanError> {
+    let n = cone.num_tasks();
+    assert_eq!(n, 2 * cone.graph().num_nodes(), "a whole-design cone");
+    ShardPlan::build(&(n, |t| cone.successors(t)), shards)
+}
+
 /// One shard's share of an update, worked out once per plan.
 #[derive(Debug)]
 pub(crate) struct ShardWork {
-    /// Member tasks, in ascending id — topological: update-TDG edges go up.
+    /// Member tasks, in ascending id — topological: dependencies go up.
     pub(crate) tasks: Range<u32>,
     /// Every cell the tasks write: what the delta must name.
     pub(crate) writes: ValueSet,
@@ -248,8 +264,8 @@ pub(crate) struct ShardWork {
 
 /// Every shard's [`ShardWork`] — a pure function, like the plan, on every
 /// side of the process boundary.
-pub(crate) fn shard_work(update: &TimingUpdateTdg<'_>, plan: &ShardPlan) -> Vec<ShardWork> {
-    ValueSet::per_shard(update, &plan.owners(), plan.num_shards())
+pub(crate) fn shard_work(cone: &DirtyCone<'_>, plan: &ShardPlan) -> Vec<ShardWork> {
+    ValueSet::per_shard(cone, &plan.owners(), plan.num_shards())
         .into_iter()
         .zip(0..)
         .map(|((writes, needed), s)| ShardWork {
@@ -286,10 +302,10 @@ pub(crate) fn covered(plan: &ShardPlan, shards: impl IntoIterator<Item = u32>) -
     out
 }
 
-/// The agreement fingerprint exchanged in `Hello`: TDG identity mixed
-/// with the shard-plan identity.
-pub(crate) fn run_fingerprint(tdg: &Tdg, plan: &ShardPlan) -> u64 {
-    splitmix64(tdg.fingerprint()) ^ plan.fingerprint()
+/// The agreement fingerprint exchanged in `Hello`: the design's
+/// timing-graph checksum mixed with the shard-plan identity.
+pub(crate) fn run_fingerprint(graph: &TimingGraph, plan: &ShardPlan) -> u64 {
+    splitmix64(graph.fingerprint()) ^ plan.fingerprint()
 }
 
 /// Where inside a shard an injected fault fires: a deterministic kill
@@ -306,9 +322,10 @@ pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64)
 
 // Disjoint from the wire frame kinds. Kind 16 held completed partition
 // ids, kind 17 a snapshot indexed by pin number (node ids before they were
-// level positions) under the same TDG fingerprint: a file of either kind
-// is refused, not misread.
-const CKPT_KIND: u8 = 18;
+// level positions) under the same TDG fingerprint, and kind 18 named the
+// design by its update TDG's fingerprint, not its timing graph's: a file
+// of any of these kinds is refused, not misread.
+const CKPT_KIND: u8 = 19;
 
 /// The timing snapshot as a shard checkpoint stores it: clock-period bits,
 /// then nine counted arrays.
@@ -361,9 +378,9 @@ pub struct ShardCheckpoint {
     pub scale_bits: u64,
     /// Modifier-schedule seed.
     pub seed: u64,
-    /// Fingerprint of the update TDG (plan-independent, so the resuming
-    /// supervisor may choose a different shard count).
-    pub tdg_fingerprint: u64,
+    /// [`TimingGraph::fingerprint`] of the design (plan-independent, so
+    /// the resuming supervisor may choose a different shard count).
+    pub design_fingerprint: u64,
     /// Task-id ranges whose values in `snapshot` are final: non-empty,
     /// sorted, merged.
     pub completed_ranges: Vec<Range<u32>>,
@@ -377,7 +394,7 @@ impl ShardCheckpoint {
         put_bytes(&mut p, self.circuit.as_bytes());
         put_u64(&mut p, self.scale_bits);
         put_u64(&mut p, self.seed);
-        put_u64(&mut p, self.tdg_fingerprint);
+        put_u64(&mut p, self.design_fingerprint);
         let flat: Vec<u32> = self
             .completed_ranges
             .iter()
@@ -422,7 +439,7 @@ impl ShardCheckpoint {
         let circuit = String::from_utf8(name).map_err(|_| corrupt("circuit name is not UTF-8"))?;
         let scale_bits = r.u64("scale bits").map_err(take)?;
         let seed = r.u64("seed").map_err(take)?;
-        let tdg_fingerprint = r.u64("tdg fingerprint").map_err(take)?;
+        let design_fingerprint = r.u64("design fingerprint").map_err(take)?;
         let flat = r.arr("completed ranges").map_err(take)?;
         if flat.len() % 2 != 0 {
             return Err(corrupt("a completed range without an end"));
@@ -441,7 +458,7 @@ impl ShardCheckpoint {
             circuit,
             scale_bits,
             seed,
-            tdg_fingerprint,
+            design_fingerprint,
             completed_ranges,
             snapshot,
         })
@@ -549,7 +566,7 @@ mod tests {
             circuit: "aes_core".into(),
             scale_bits: 1.5f64.to_bits(),
             seed: 0xFEED,
-            tdg_fingerprint: 0xABCD_EF01,
+            design_fingerprint: 0xABCD_EF01,
             completed_ranges: vec![0..2, 3..7],
             snapshot: TimingSnapshot {
                 clock_period_bits: 1000.0f32.to_bits(),
@@ -669,6 +686,21 @@ mod tests {
         );
     }
 
+    /// A kind-18 checkpoint names its design by the update TDG's
+    /// fingerprint, which no process computes any more: it is refused with
+    /// a checkpoint error, not matched against the timing graph's.
+    #[test]
+    fn a_kind_18_checkpoint_is_refused() {
+        let mut old = sample_checkpoint().encode();
+        assert_eq!(old[8], CKPT_KIND);
+        old[8] = 18;
+        let err = ShardCheckpoint::decode(&old).expect_err("a TDG-named checkpoint");
+        assert!(
+            matches!(&err, ShardError::Checkpoint(why) if why.contains("not a shard checkpoint")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn fault_points_cover_the_whole_shard_range() {
         // Keyed by (shard, attempt): different keys reach different
@@ -696,10 +728,10 @@ mod tests {
     fn shard_work_matches_the_reference_projection() {
         for circuit in [PaperCircuit::AesCore, PaperCircuit::Leon2] {
             let mut timer = build_timer(circuit, 0.002, 7);
-            let update = timer.update_timing();
+            let cone = timer.dirty_cone();
             for shards in [1, 2, 3, 4, 7] {
-                let plan = ShardPlan::build(update.tdg(), shards).expect("plan");
-                let work = shard_work(&update, &plan);
+                let plan = plan_of(&cone, shards).expect("plan");
+                let work = shard_work(&cone, &plan);
                 assert_eq!(work.len(), plan.num_shards());
                 let mut next = 0;
                 for (s, w) in work.iter().enumerate() {
@@ -707,12 +739,12 @@ mod tests {
                     assert_eq!(w.tasks.start, next, "{what}");
                     next = w.tasks.end;
                     let tasks: Vec<u32> = w.tasks.clone().collect();
-                    let writes = ValueSet::writes_of(&update, &tasks);
-                    let needed = ValueSet::reads_of(&update, &tasks).minus(&writes);
+                    let writes = ValueSet::writes_of(&cone, &tasks);
+                    let needed = ValueSet::reads_of(&cone, &tasks).minus(&writes);
                     assert_eq!(w.writes, writes, "{what}");
                     assert_eq!(w.needed, needed, "{what}");
                 }
-                assert_eq!(next as usize, update.tdg().num_tasks(), "every task once");
+                assert_eq!(next as usize, cone.num_tasks(), "every task once");
             }
         }
     }
@@ -720,13 +752,17 @@ mod tests {
     #[test]
     fn fingerprints_depend_on_the_plan() {
         let mut timer = build_timer(PaperCircuit::AesCore, 0.002, 7);
-        let update = timer.update_timing();
-        let plan2 = ShardPlan::build(update.tdg(), 2).expect("plan");
-        let plan4 = ShardPlan::build(update.tdg(), 4).expect("plan");
-        let f2 = run_fingerprint(update.tdg(), &plan2);
-        assert_eq!(f2, run_fingerprint(update.tdg(), &plan2), "pure");
-        if plan2.num_shards() != plan4.num_shards() {
-            assert_ne!(f2, run_fingerprint(update.tdg(), &plan4));
-        }
+        let cone = timer.dirty_cone();
+        let plan2 = plan_of(&cone, 2).expect("plan");
+        let plan4 = plan_of(&cone, 4).expect("plan");
+        let f2 = run_fingerprint(cone.graph(), &plan2);
+        assert_eq!(f2, run_fingerprint(cone.graph(), &plan2), "pure");
+        assert_ne!(f2, run_fingerprint(cone.graph(), &plan4), "another cut");
+        drop(cone);
+        // Another seed repowers other gates: the same design.
+        let same = build_timer(PaperCircuit::AesCore, 0.002, 8);
+        assert_eq!(same.graph().fingerprint(), timer.graph().fingerprint());
+        let other = build_timer(PaperCircuit::AesCore, 0.003, 7);
+        assert_ne!(other.graph().fingerprint(), timer.graph().fingerprint());
     }
 }

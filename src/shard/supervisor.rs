@@ -53,11 +53,11 @@ use std::time::{Duration, Instant};
 use super::pool::{Action, Event, Pool, State};
 use super::wire::{Frame, InjectedFault, WireError};
 use super::{
-    boundary_set, build_timer, covered, fault_point, run_fingerprint, shard_work, ShardCheckpoint,
-    ShardError, ShardRunConfig, ShardRunOutcome, ShardWork,
+    boundary_set, build_timer, covered, fault_point, plan_of, run_fingerprint, shard_work,
+    ShardCheckpoint, ShardError, ShardRunConfig, ShardRunOutcome, ShardWork,
 };
 use crate::sched::{FaultKind, HeartbeatMonitor};
-use crate::sta::{BoundaryValues, TimingUpdateTdg};
+use crate::sta::{BoundaryValues, DirtyCone, TaskKind};
 use crate::tdg::{ShardPlan, TaskId};
 
 /// What a reader thread heard on its child's stdout — a frame, or why
@@ -173,7 +173,8 @@ impl Drop for Procs {
 
 struct Supervisor<'a, 'b> {
     cfg: &'a ShardRunConfig,
-    update: &'a TimingUpdateTdg<'b>,
+    /// The whole design: task id = full-space id.
+    cone: &'a DirtyCone<'b>,
     plan: &'a ShardPlan,
     /// Per-shard task lists and read/write sets.
     work: &'a [ShardWork],
@@ -225,7 +226,7 @@ impl Supervisor<'_, '_> {
             .as_mut()
             .expect("the pool assigns to live workers");
         let set = boundary_set(self.work, shard, &proc.held);
-        let boundary = BoundaryValues::export(self.update.data(), set);
+        let boundary = BoundaryValues::export(self.cone.data(), set);
         let fault = cfg.faults.fault_at(shard, attempt).map(|kind| {
             let how = match kind {
                 FaultKind::Panic | FaultKind::WrongResult => InjectedFault::Die,
@@ -349,7 +350,7 @@ impl Supervisor<'_, '_> {
         exec_nanos: u64,
         now: Instant,
     ) -> Result<(), ShardError> {
-        delta.apply(self.update.data());
+        delta.apply(self.cone.data());
         self.monitor.stop(slot as u32);
         let actions = self.pool.on(Event::Done { slot, serial }, now);
         debug_assert!(actions.is_empty(), "dispatch waits for the next tick");
@@ -372,9 +373,9 @@ impl Supervisor<'_, '_> {
             circuit: self.cfg.circuit.name().to_string(),
             scale_bits: self.cfg.scale.to_bits(),
             seed: self.cfg.seed,
-            tdg_fingerprint: self.update.tdg().fingerprint(),
+            design_fingerprint: self.cone.graph().fingerprint(),
             completed_ranges: covered(self.plan, completed),
-            snapshot: self.update.snapshot(),
+            snapshot: self.cone.snapshot(),
         }
     }
 
@@ -442,23 +443,21 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
                 "checkpoint scale/seed disagree with the run".into(),
             ));
         }
+        if ck.design_fingerprint != timer.graph().fingerprint() {
+            return Err(ShardError::Checkpoint(
+                "checkpoint design fingerprint disagrees with the rebuilt design".into(),
+            ));
+        }
         timer.restore_snapshot(&ck.snapshot)?;
         // The snapshot cleared the dirty set; re-dirty everything so the
-        // update TDG covers the full design again (idempotent re-runs of
+        // cone covers the full design again (idempotent re-runs of
         // partially covered shards are what make resume correct).
         timer.invalidate_all();
     }
-    let update = timer.update_timing();
-    if let Some(ck) = &resume {
-        if ck.tdg_fingerprint != update.tdg().fingerprint() {
-            return Err(ShardError::Checkpoint(
-                "checkpoint TDG fingerprint disagrees with the rebuilt design".into(),
-            ));
-        }
-    }
-    let plan = ShardPlan::build(update.tdg(), cfg.shards)?;
+    let cone = timer.dirty_cone();
+    let plan = plan_of(&cone, cfg.shards)?;
     let k = plan.num_shards();
-    let work = shard_work(&update, &plan);
+    let work = shard_work(&cone, &plan);
 
     // Shards covered by a checkpointed range are already complete: their
     // values were restored with the snapshot. Partially covered shards
@@ -484,10 +483,10 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
     monitor.start(0, Instant::now());
     let mut sup = Supervisor {
         cfg,
-        update: &update,
+        cone: &cone,
         plan: &plan,
         work: &work,
-        fingerprint: run_fingerprint(update.tdg(), &plan),
+        fingerprint: run_fingerprint(cone.graph(), &plan),
         pool: Pool::new(plan.graph(), &restored, max_workers, cfg.retry.clone()),
         procs,
         monitor,
@@ -520,15 +519,14 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
             }
             if cfg.heal {
                 for t in tasks.clone() {
-                    update.execute_task(TaskId(t));
+                    cone.execute_task(TaskId(t));
                 }
                 healed_tasks += tasks.len() as u64;
             } else {
                 for t in tasks.clone() {
-                    let v = update.node(TaskId(t));
-                    match update.kind(TaskId(t)) {
-                        crate::sta::TaskKind::Fprop => update.data().mark_arrival_unknown(v),
-                        crate::sta::TaskKind::Bprop => update.data().mark_required_unknown(v),
+                    match cone.decode(t) {
+                        (TaskKind::Fprop, v) => cone.data().mark_arrival_unknown(v),
+                        (TaskKind::Bprop, v) => cone.data().mark_required_unknown(v),
                     }
                 }
             }
@@ -554,7 +552,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         pool.respawns(),
         pool.workers_spawned(),
     );
-    drop(update);
+    drop(cone);
     let report = timer.report(1);
     Ok(ShardRunOutcome {
         wns_bits: report.wns_ps.to_bits(),

@@ -69,10 +69,10 @@ pub enum Frame {
     Hello {
         /// Shards in the worker's plan.
         num_shards: u32,
-        /// Tasks in the worker's update TDG.
+        /// Tasks in the worker's whole-design update.
         num_tasks: u64,
-        /// Combined TDG + shard-plan fingerprint; both sides must agree
-        /// before values are exchanged.
+        /// Combined timing-graph + shard-plan fingerprint; both sides must
+        /// agree before values are exchanged.
         fingerprint: u64,
     },
     /// Supervisor → worker: serve one attempt of one shard; opens a round

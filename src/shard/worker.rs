@@ -34,10 +34,10 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use super::wire::{Frame, InjectedFault, WireError};
-use super::{boundary_set, build_timer, run_fingerprint, shard_work, ShardError};
+use super::{boundary_set, build_timer, plan_of, run_fingerprint, shard_work, ShardError};
 use crate::circuits::PaperCircuit;
 use crate::sta::BoundaryValues;
-use crate::tdg::{ShardPlan, TaskId};
+use crate::tdg::TaskId;
 
 /// What a worker process is launched with (parsed from the hidden
 /// `gpasta shard-worker` command line): the inputs of the context
@@ -92,17 +92,17 @@ pub(crate) fn run_worker_io(
     out: &mut impl Write,
 ) -> Result<(), ShardError> {
     let mut timer = build_timer(args.circuit, f64::from_bits(args.scale_bits), args.seed);
-    let update = timer.update_timing();
-    let plan = ShardPlan::build(update.tdg(), args.shards)?;
-    let work = shard_work(&update, &plan);
-    let data = update.data();
+    let cone = timer.dirty_cone();
+    let plan = plan_of(&cone, args.shards)?;
+    let work = shard_work(&cone, &plan);
+    let data = cone.data();
     // Shards this process completed, in the order it served them.
     let mut held: Vec<u32> = Vec::new();
 
     Frame::Hello {
         num_shards: plan.num_shards() as u32,
-        num_tasks: update.tdg().num_tasks() as u64,
-        fingerprint: run_fingerprint(update.tdg(), &plan),
+        num_tasks: cone.num_tasks() as u64,
+        fingerprint: run_fingerprint(cone.graph(), &plan),
     }
     .write_to(out)?;
 
@@ -180,7 +180,7 @@ pub(crate) fn run_worker_io(
                 }
             }
             for t in first + done as u32..first + stop as u32 {
-                update.execute_task(TaskId(t));
+                cone.execute_task(TaskId(t));
             }
             done = stop;
             let now = Instant::now();
@@ -219,7 +219,8 @@ mod tests {
 
     use super::super::run_single_process;
     use super::*;
-    use crate::sta::{TimingUpdateTdg, ValueSet};
+    use crate::sta::{DirtyCone, ValueSet};
+    use crate::tdg::ShardPlan;
 
     const CIRCUIT: PaperCircuit = PaperCircuit::AesCore;
     const SCALE: f64 = 0.002;
@@ -246,12 +247,12 @@ mod tests {
 
     /// Every shard's `(writes, needed)` from the reference projection of
     /// its task range — not from `shard_work` or `boundary_set`.
-    fn reference_sets(update: &TimingUpdateTdg<'_>, plan: &ShardPlan) -> Vec<(ValueSet, ValueSet)> {
+    fn reference_sets(cone: &DirtyCone<'_>, plan: &ShardPlan) -> Vec<(ValueSet, ValueSet)> {
         (0..plan.num_shards() as u32)
             .map(|s| {
                 let tasks: Vec<u32> = plan.range(s).collect();
-                let writes = ValueSet::writes_of(update, &tasks);
-                let needed = ValueSet::reads_of(update, &tasks).minus(&writes);
+                let writes = ValueSet::writes_of(cone, &tasks);
+                let needed = ValueSet::reads_of(cone, &tasks).minus(&writes);
                 (writes, needed)
             })
             .collect()
@@ -308,8 +309,8 @@ mod tests {
         // ids are topological, so after running shards `< s` in place it
         // holds exactly what a supervisor would export for shard `s`.
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
-        let twin = twin.update_timing();
-        let plan = ShardPlan::build(twin.tdg(), shards).expect("plan");
+        let twin = twin.dirty_cone();
+        let plan = plan_of(&twin, shards).expect("plan");
         assert_eq!(plan.num_shards(), shards);
         let sets = reference_sets(&twin, &plan);
         let mut inboxes = [Vec::new(), Vec::new()];
@@ -331,18 +332,18 @@ mod tests {
         );
 
         let mut master = build_timer(CIRCUIT, SCALE, SEED);
-        let update = master.update_timing();
+        let cone = master.dirty_cone();
         for (inbox, stream) in inboxes.into_iter().zip(streams) {
             let mut outbox = Vec::new();
             run_worker_io(&args(shards), &mut Cursor::new(inbox), &mut outbox).expect("worker");
             let mut cursor = Cursor::new(outbox);
             assert_eq!(
                 read_hello(&mut cursor),
-                run_fingerprint(update.tdg(), &plan)
+                run_fingerprint(cone.graph(), &plan)
             );
             for &s in stream {
                 let tasks = plan.range(s).len() as u64;
-                read_round(&mut cursor, &sets[s as usize].0, tasks).apply(update.data());
+                read_round(&mut cursor, &sets[s as usize].0, tasks).apply(cone.data());
             }
             assert!(
                 matches!(Frame::read_from(&mut cursor), Err(WireError::Eof)),
@@ -350,7 +351,7 @@ mod tests {
             );
         }
 
-        drop(update);
+        drop(cone);
         let oracle = run_single_process(CIRCUIT, SCALE, SEED);
         assert_eq!(master.snapshot(), oracle.snapshot, "bit-identical");
     }
@@ -362,8 +363,8 @@ mod tests {
     fn a_full_boundary_to_a_worker_that_holds_it_is_refused() {
         let shards = 2;
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
-        let twin = twin.update_timing();
-        let plan = ShardPlan::build(twin.tdg(), shards).expect("plan");
+        let twin = twin.dirty_cone();
+        let plan = plan_of(&twin, shards).expect("plan");
         let sets = reference_sets(&twin, &plan);
         let cut = sets[1].1.minus(&sets[0].0);
         assert!(
@@ -399,8 +400,8 @@ mod tests {
     fn a_fresh_worker_gets_the_whole_boundary() {
         let shards = 3;
         let mut twin = build_timer(CIRCUIT, SCALE, SEED);
-        let twin = twin.update_timing();
-        let plan = ShardPlan::build(twin.tdg(), shards).expect("plan");
+        let twin = twin.dirty_cone();
+        let plan = plan_of(&twin, shards).expect("plan");
         let work = shard_work(&twin, &plan);
         for (s, job) in work.iter().enumerate() {
             assert_eq!(boundary_set(&work, s as u32, &[]), job.needed, "shard {s}");
@@ -436,13 +437,13 @@ mod tests {
     fn a_wrong_boundary_is_a_protocol_error() {
         let shards = 2;
         let mut timer = build_timer(CIRCUIT, SCALE, SEED);
-        let update = timer.update_timing();
-        let plan = ShardPlan::build(update.tdg(), shards).expect("plan");
+        let cone = timer.dirty_cone();
+        let plan = plan_of(&cone, shards).expect("plan");
         assert!(plan.num_shards() >= 2, "test needs a real split");
 
         // Send shard 1 an empty boundary: its read set is not empty (it
         // depends on shard 0), so the worker must refuse to run.
-        let empty = BoundaryValues::export(update.data(), ValueSet::default());
+        let empty = BoundaryValues::export(cone.data(), ValueSet::default());
         let mut inbox = Vec::new();
         assign(1).write_to(&mut inbox).expect("frame");
         Frame::Boundary(empty).write_to(&mut inbox).expect("frame");
@@ -455,8 +456,8 @@ mod tests {
     #[test]
     fn out_of_range_shards_and_unassigned_boundaries_are_rejected() {
         let mut timer = build_timer(CIRCUIT, SCALE, SEED);
-        let update = timer.update_timing();
-        let empty = BoundaryValues::export(update.data(), ValueSet::default());
+        let cone = timer.dirty_cone();
+        let empty = BoundaryValues::export(cone.data(), ValueSet::default());
         for first in [assign(99), Frame::Boundary(empty)] {
             let mut inbox = Vec::new();
             first.write_to(&mut inbox).expect("frame");

@@ -351,10 +351,13 @@ fn daemon_keeps_serving_other_sessions_through_a_crash() {
     assert_eq!(out["error"]["kind"], "session_crashed");
     let (status, health) = server.request("GET", "/healthz", None);
     assert_eq!(status, 200, "liveness through the crash: {health:?}");
+    assert_eq!(health["ok"], true, "{health:?}");
     let (status, ready) = server.request("GET", "/readyz", None);
     assert_eq!(status, 200, "readiness through the crash: {ready:?}");
+    assert_eq!(ready["ready"], true, "{ready:?}");
     let (status, out) = update(&server, "victim");
     assert_eq!(status, 200, "victim healed: {out:?}");
+    assert_eq!(out["outcome"]["stop"], "completed", "{out:?}");
 
     for (i, handle) in clients.into_iter().enumerate() {
         let bits = handle.join().expect("bystander thread");
@@ -514,6 +517,7 @@ fn shutdown_persists_around_a_crashing_session() {
 
     let (status, out) = server.request("POST", "/shutdown", None);
     assert_eq!(status, 200, "{out:?}");
+    assert_eq!(out["ok"], true, "{out:?}");
     let exit = server.child.wait().expect("server exits");
     assert!(
         exit.success(),
