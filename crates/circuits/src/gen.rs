@@ -220,8 +220,9 @@ pub fn generate_netlist(spec: &CircuitSpec) -> Netlist {
         let pick = rng.gen_range(lo..prior.len());
         match prior[pick] {
             Driver::Pi(p) => nb.connect_input_to_output(p, out),
-            Driver::Gate(g) => nb.connect_to_output(g, out).expect("gate exists"),
+            Driver::Gate(g) => nb.connect_to_output(g, out),
         }
+        .expect("generator taps ports and gates it declared");
     }
 
     // Sprinkle wire capacitance so net delays are non-trivial.

@@ -13,6 +13,13 @@ pub enum ConnectError {
         /// The invalid gate id.
         gate: u32,
     },
+    /// The referenced primary input or output was never declared.
+    UnknownPort {
+        /// The invalid port id.
+        port: u32,
+        /// Whether the port was named as a primary output (else an input).
+        output: bool,
+    },
     /// The referenced input pin index exceeds the cell's input count.
     PinOutOfRange {
         /// The gate whose pin was referenced.
@@ -28,6 +35,10 @@ impl fmt::Display for ConnectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             ConnectError::UnknownGate { gate } => write!(f, "gate g{gate} does not exist"),
+            ConnectError::UnknownPort { port, output } => {
+                let side = if output { "output" } else { "input" };
+                write!(f, "primary {side} {port} does not exist")
+            }
             ConnectError::PinOutOfRange {
                 gate,
                 pin,
@@ -92,6 +103,14 @@ mod tests {
         assert!(ConnectError::UnknownGate { gate: 3 }
             .to_string()
             .contains("g3"));
+        assert_eq!(
+            ConnectError::UnknownPort {
+                port: 3,
+                output: true
+            }
+            .to_string(),
+            "primary output 3 does not exist"
+        );
         let e = BuildNetlistError::UnconnectedPin {
             gate: "u7".into(),
             pin: 1,
