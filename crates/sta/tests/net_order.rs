@@ -111,7 +111,10 @@ mod reference {
 
 mod random_builds {
     use super::reference;
-    use gpasta_sta::{CellKind, GateId, NetlistBuilder, PinRef, PortId};
+    use gpasta_circuits::{generate_netlist, CircuitSpec};
+    use gpasta_sta::{
+        parse_verilog, write_verilog, CellKind, GateId, Netlist, NetlistBuilder, PinRef, PortId,
+    };
     use proptest::prelude::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
@@ -124,12 +127,23 @@ mod random_builds {
             .unwrap_or(256)
     }
 
+    /// A random design and the builder calls made on it, with what the
+    /// reference needs to know of them.
+    struct Calls {
+        nb: NetlistBuilder,
+        names: Vec<(String, CellKind)>,
+        output_names: Vec<String>,
+        num_inputs: u32,
+        connections: Vec<(PinRef, PinRef)>,
+        wire_caps: Vec<(PinRef, f32)>,
+    }
+
     /// A random design and a random sequence of builder calls on it: a full
     /// wiring with some sinks left out, duplicate and conflicting
     /// connections, feed-throughs, and wire caps on drivers with and without
     /// sinks (and on pins that drive nothing), all shuffled. Ids reach into
     /// the thousands so that their decimal texts differ in length.
-    fn check(seed: u64) {
+    fn calls(seed: u64) -> Calls {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nb = NetlistBuilder::new();
         let num_inputs = rng.gen_range(0..6u32);
@@ -218,6 +232,25 @@ mod random_builds {
             .map(|(name, cell, _)| (name.clone(), *cell))
             .collect();
         let output_names: Vec<String> = (0..num_outputs).map(|o| format!("out{o}")).collect();
+        Calls {
+            nb,
+            names,
+            output_names,
+            num_inputs,
+            connections,
+            wire_caps,
+        }
+    }
+
+    fn check(seed: u64) {
+        let Calls {
+            nb,
+            names,
+            output_names,
+            num_inputs,
+            connections,
+            wire_caps,
+        } = calls(seed);
         let want = reference::build(&names, &output_names, &connections, &wire_caps);
         match (nb.build(), want) {
             (Ok(netlist), Ok(nets)) => {
@@ -244,12 +277,55 @@ mod random_builds {
         }
     }
 
+    /// `netlist` with a random drive on some gates, as a repower leaves it.
+    fn repowered(mut netlist: Netlist, seed: u64) -> Netlist {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        for g in 0..netlist.num_gates() {
+            if rng.gen_bool(0.2) {
+                let drive = [0.5, 0.75, 1.3, 2.0, 4.0 / 3.0][rng.gen_range(0..5)];
+                netlist.set_drive(GateId(g as u32), drive);
+            }
+        }
+        netlist
+    }
+
+    /// What `write_verilog` writes, `parse_verilog` reads back to the same
+    /// netlist: nets, sinks, drives and wire caps.
+    fn round_trips(netlist: &Netlist, seed: u64) {
+        let text = write_verilog(netlist, "rt");
+        match parse_verilog(&text) {
+            Ok(back) => assert_eq!(&back, netlist, "seed {seed}:\n{text}"),
+            Err(e) => panic!("seed {seed}: {e}\n{text}"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
         #[test]
         fn build_equals_the_hash_map_and_debug_text_reference(seed in any::<u64>()) {
             check(seed);
+        }
+
+        #[test]
+        fn written_builds_parse_back_to_themselves(seed in any::<u64>()) {
+            if let Ok(netlist) = calls(seed).nb.build() {
+                round_trips(&repowered(netlist, seed), seed);
+            }
+        }
+
+        #[test]
+        fn written_generated_netlists_parse_back_to_themselves(
+            gates in 5usize..400,
+            depth in 2usize..12,
+            seq_ratio in 0.0f64..0.4,
+            seed in any::<u64>(),
+        ) {
+            let mut spec = CircuitSpec::small("rt", seed);
+            spec.num_gates = gates;
+            spec.depth = depth;
+            spec.seq_ratio = seq_ratio;
+            round_trips(&repowered(generate_netlist(&spec), seed), seed);
         }
     }
 }
