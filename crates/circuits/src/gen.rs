@@ -231,7 +231,8 @@ pub fn generate_netlist(spec: &CircuitSpec) -> Netlist {
             nb.add_wire_cap(
                 PinRef::GateOutput(GateId(i as u32)),
                 rng.gen_range(0.2..4.0),
-            );
+            )
+            .expect("generator wires caps on gates it declared");
         }
     }
 

@@ -1,5 +1,6 @@
 //! Error types for netlist construction.
 
+use crate::netlist::PinRef;
 use std::error::Error;
 use std::fmt;
 
@@ -29,6 +30,12 @@ pub enum ConnectError {
         /// The cell's actual input count.
         num_inputs: usize,
     },
+    /// A wire cap named a pin that drives no net: a gate input or a
+    /// primary output.
+    NotADriver {
+        /// The pin.
+        pin: PinRef,
+    },
 }
 
 impl fmt::Display for ConnectError {
@@ -47,6 +54,7 @@ impl fmt::Display for ConnectError {
                 f,
                 "pin {pin} out of range for gate g{gate} with {num_inputs} inputs"
             ),
+            ConnectError::NotADriver { pin } => write!(f, "{pin:?} is a sink, not a driver"),
         }
     }
 }

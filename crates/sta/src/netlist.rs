@@ -251,10 +251,25 @@ impl NetlistBuilder {
         Ok(())
     }
 
-    /// Add `cap_ff` of wire capacitance to the net driven by `driver`.
-    /// A pin that drives no net carries no wire, and its cap is dropped.
-    pub fn add_wire_cap(&mut self, driver: PinRef, cap_ff: f32) {
+    /// Add `cap_ff` of wire capacitance to the net driven by `driver`, a
+    /// primary input or a gate output. A driver without sinks carries no
+    /// wire, and its cap is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConnectError::NotADriver`] for a gate input or a primary
+    /// output, and [`ConnectError::UnknownPort`] /
+    /// [`ConnectError::UnknownGate`] for an undeclared input or gate.
+    pub fn add_wire_cap(&mut self, driver: PinRef, cap_ff: f32) -> Result<(), ConnectError> {
+        match driver {
+            PinRef::PrimaryInput(p) => self.check_input(p)?,
+            PinRef::GateOutput(g) => self.check_gate(g)?,
+            PinRef::GateInput(..) | PinRef::PrimaryOutput(_) => {
+                return Err(ConnectError::NotADriver { pin: driver })
+            }
+        }
         self.wire_caps.push((driver, cap_ff));
+        Ok(())
     }
 
     fn check_input(&self, port: PortId) -> Result<(), ConnectError> {
@@ -327,13 +342,12 @@ impl NetlistBuilder {
             pin_base.push(pins);
             pins += gate.cell.num_inputs();
         }
-        // `None` for a pin that cannot drive (wire caps may name any pin).
         let driver_index = |driver: PinRef| match driver {
-            PinRef::PrimaryInput(p) if p.index() < num_inputs => Some(p.index()),
-            PinRef::GateOutput(g) if num_inputs + g.index() < num_drivers => {
-                Some(num_inputs + g.index())
+            PinRef::PrimaryInput(p) => p.index(),
+            PinRef::GateOutput(g) => num_inputs + g.index(),
+            PinRef::GateInput(..) | PinRef::PrimaryOutput(_) => {
+                unreachable!("connect and wire-cap calls only take inputs and gates as drivers")
             }
-            _ => None,
         };
         let sink_index = |sink: PinRef| match sink {
             PinRef::GateInput(g, pin) => pin_base[g.index()] + usize::from(pin),
@@ -350,9 +364,7 @@ impl NetlistBuilder {
         let mut start = vec![0u32; num_drivers + 1];
         let mut kept = Vec::with_capacity(self.connections.len());
         for &(driver, sink) in &self.connections {
-            let Some(d) = driver_index(driver) else {
-                unreachable!("connect calls only make drivers of inputs and gates")
-            };
+            let d = driver_index(driver);
             let slot = &mut driver_of[sink_index(sink)];
             if *slot == UNDRIVEN {
                 *slot = d as u32;
@@ -386,9 +398,7 @@ impl NetlistBuilder {
 
         let mut wire_cap = vec![0.0f32; num_drivers];
         for &(driver, cap) in &self.wire_caps {
-            if let Some(d) = driver_index(driver) {
-                wire_cap[d] += cap;
-            }
+            wire_cap[driver_index(driver)] += cap;
         }
 
         // A stable counting sort by driver, each driver's sinks in
@@ -664,8 +674,10 @@ mod tests {
     fn wire_caps_accumulate_on_the_net() {
         let mut nb = nand_pair();
         let g1 = GateId(0);
-        nb.add_wire_cap(PinRef::GateOutput(g1), 1.5);
-        nb.add_wire_cap(PinRef::GateOutput(g1), 0.5);
+        nb.add_wire_cap(PinRef::GateOutput(g1), 1.5)
+            .expect("a gate output");
+        nb.add_wire_cap(PinRef::GateOutput(g1), 0.5)
+            .expect("a gate output");
         let n = nb.build().expect("well-formed");
         let net = n
             .nets()
@@ -673,6 +685,47 @@ mod tests {
             .find(|net| net.driver == PinRef::GateOutput(g1))
             .expect("net exists");
         assert_eq!(net.wire_cap_ff, 2.0);
+    }
+
+    #[test]
+    fn wire_cap_on_a_gate_input_is_rejected() {
+        let mut nb = nand_pair();
+        let pin = PinRef::GateInput(GateId(0), 1);
+        assert_eq!(
+            nb.add_wire_cap(pin, 1.0),
+            Err(ConnectError::NotADriver { pin })
+        );
+    }
+
+    #[test]
+    fn wire_cap_on_a_primary_output_is_rejected() {
+        let mut nb = nand_pair();
+        let pin = PinRef::PrimaryOutput(PortId(0));
+        assert_eq!(
+            nb.add_wire_cap(pin, 1.0),
+            Err(ConnectError::NotADriver { pin })
+        );
+    }
+
+    #[test]
+    fn wire_cap_on_an_undeclared_gate_is_rejected() {
+        let mut nb = nand_pair();
+        assert_eq!(
+            nb.add_wire_cap(PinRef::GateOutput(GateId(2)), 1.0),
+            Err(ConnectError::UnknownGate { gate: 2 })
+        );
+    }
+
+    #[test]
+    fn wire_cap_on_an_undeclared_input_is_rejected() {
+        let mut nb = nand_pair();
+        assert_eq!(
+            nb.add_wire_cap(PinRef::PrimaryInput(PortId(2)), 1.0),
+            Err(ConnectError::UnknownPort {
+                port: 2,
+                output: false
+            })
+        );
     }
 
     #[test]

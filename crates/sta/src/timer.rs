@@ -1646,7 +1646,8 @@ mod tests {
         nb.connect_gates(u1, ff, 0).expect("valid");
         nb.connect_gates(ff, u2, 0).expect("valid");
         nb.connect_to_output(u2, y).expect("valid");
-        nb.add_wire_cap(PinRef::PrimaryInput(a), 1.5);
+        nb.add_wire_cap(PinRef::PrimaryInput(a), 1.5)
+            .expect("an input");
         let mut netlist = nb.build().expect("well-formed");
         // No builder makes a net without a sink; a deserialized netlist can.
         netlist.nets.push(Net {

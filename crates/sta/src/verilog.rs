@@ -64,6 +64,11 @@ pub enum ParseVerilogError {
         /// The net.
         net: String,
     },
+    /// Two instances share a name.
+    DuplicateInstance {
+        /// The name.
+        name: String,
+    },
     /// The netlist failed semantic validation after parsing.
     Netlist(String),
 }
@@ -83,6 +88,9 @@ impl fmt::Display for ParseVerilogError {
             ParseVerilogError::UndrivenNet { net } => write!(f, "net `{net}` has no driver"),
             ParseVerilogError::DoubleDrivenNet { net } => {
                 write!(f, "net `{net}` has more than one driver")
+            }
+            ParseVerilogError::DuplicateInstance { name } => {
+                write!(f, "more than one instance is named `{name}`")
             }
             ParseVerilogError::Netlist(msg) => write!(f, "invalid netlist: {msg}"),
         }
@@ -252,10 +260,11 @@ fn kind_from_name(name: &str) -> Option<CellKind> {
 ///
 /// Returns [`ParseVerilogError`] for syntax problems, unknown cells or
 /// pins, undriven nets, or a netlist that fails semantic validation
-/// (multiple drivers, dangling pins). Of several, a malformed pragma wins
-/// (the first one), then an unterminated last statement, then the first
-/// faulty statement before `endmodule`, then a missing module, then the
-/// first undriven net and the netlist's own checks.
+/// (multiple drivers, dangling pins), or two instances of one name. Of
+/// several, a malformed pragma wins (the first one), then an unterminated
+/// last statement, then the first faulty statement before `endmodule`,
+/// then a missing module, then the first instance that repeats a name,
+/// then the first undriven net and the netlist's own checks.
 pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
     let mut reader = Reader::default();
     // A statement that spans lines, joined so far, and its first line.
@@ -325,6 +334,8 @@ struct Reader<'a> {
     /// Whether an `assign` drives each output port.
     assigned: Vec<bool>,
     gate_names: HashMap<Cow<'a, str>, GateId>,
+    /// The name of the first instance that repeats an earlier one's.
+    duplicate: Option<String>,
     drive_pragmas: Vec<(&'a str, f32)>,
     cap_pragmas: Vec<(&'a str, f32)>,
     seen_module: bool,
@@ -394,7 +405,15 @@ impl<'a> Reader<'a> {
             Some("input") => {
                 for name in names(&stmt["input".len()..]) {
                     let id = self.nb.add_primary_input(name);
-                    self.drivers.insert(key(name), PinRef::PrimaryInput(id));
+                    if self
+                        .drivers
+                        .insert(key(name), PinRef::PrimaryInput(id))
+                        .is_some()
+                    {
+                        return Err(ParseVerilogError::DoubleDrivenNet {
+                            net: name.to_owned(),
+                        });
+                    }
                 }
             }
             Some("output") => {
@@ -436,7 +455,11 @@ impl<'a> Reader<'a> {
                     return Err(syntax("instance without a name"));
                 }
                 let gate = self.nb.add_gate(inst_name, kind);
-                self.gate_names.insert(key(inst_name), gate);
+                if self.gate_names.insert(key(inst_name), gate).is_some()
+                    && self.duplicate.is_none()
+                {
+                    self.duplicate = Some(inst_name.to_owned());
+                }
 
                 for conn in names(rest[open + 1..].trim_end_matches(')')) {
                     let conn = conn.strip_prefix('.').ok_or_else(|| {
@@ -482,6 +505,9 @@ impl<'a> Reader<'a> {
                 line: 1,
                 message: "no module declaration".into(),
             });
+        }
+        if let Some(name) = self.duplicate {
+            return Err(ParseVerilogError::DuplicateInstance { name });
         }
 
         // Hand-written netlists often drive an output port directly from
@@ -532,7 +558,7 @@ impl<'a> Reader<'a> {
                 .drivers
                 .get(net)
                 .ok_or_else(|| ParseVerilogError::UndrivenNet { net: net.into() })?;
-            self.nb.add_wire_cap(driver, cap);
+            self.nb.add_wire_cap(driver, cap).map_err(netlist_error)?;
         }
         let mut netlist = self
             .nb
@@ -569,7 +595,8 @@ mod tests {
         nb.connect_to_output(g2, y).expect("valid");
         nb.connect_gates(g2, ff, 0).expect("valid");
         nb.connect_to_output(ff, q).expect("valid");
-        nb.add_wire_cap(PinRef::GateOutput(g1), 2.5);
+        nb.add_wire_cap(PinRef::GateOutput(g1), 2.5)
+            .expect("a gate output");
         let mut n = nb.build().expect("valid");
         n.set_drive(g2, 2.0);
         n
@@ -614,8 +641,10 @@ mod tests {
         nb.connect_to_output(g2, y).expect("valid");
         nb.connect_gates(g2, ff, 0).expect("valid");
         nb.connect_to_output(ff, w0).expect("valid");
-        nb.add_wire_cap(PinRef::GateOutput(g1), 2.5);
-        nb.add_wire_cap(PinRef::PrimaryInput(a), 0.125);
+        nb.add_wire_cap(PinRef::GateOutput(g1), 2.5)
+            .expect("a gate output");
+        nb.add_wire_cap(PinRef::PrimaryInput(a), 0.125)
+            .expect("an input");
         let mut n = nb.build().expect("valid");
         n.set_drive(g2, 2.0);
         n.set_drive(ff, 0.75);
@@ -734,6 +763,36 @@ mod tests {
             parse_verilog(text),
             Err(ParseVerilogError::DoubleDrivenNet { .. })
         ));
+    }
+
+    #[test]
+    fn an_input_declared_after_its_driving_instance_is_a_second_driver() {
+        let text = "module t (y);\n output y;\n INV u1 (.a(a), .y(n0));\n input n0;\n input a;\n assign y = n0;\nendmodule\n";
+        assert_eq!(
+            parse_verilog(text),
+            Err(ParseVerilogError::DoubleDrivenNet { net: "n0".into() })
+        );
+    }
+
+    #[test]
+    fn an_instance_driving_a_declared_input_is_a_second_driver() {
+        let text = "module t (n0, y);\n input n0;\n output y;\n INV u1 (.a(n0), .y(n0));\n assign y = n0;\nendmodule\n";
+        assert_eq!(
+            parse_verilog(text),
+            Err(ParseVerilogError::DoubleDrivenNet { net: "n0".into() })
+        );
+    }
+
+    #[test]
+    fn two_instances_of_one_name_are_rejected() {
+        // The first repeated name is reported, whatever the hash order.
+        let text = "module t (a, y);\n input a;\n output y;\n INV u2 (.a(a), .y(n0));\n INV u1 (.a(n0), .y(n1));\n INV u2 (.a(n1), .y(n2));\n INV u1 (.a(n2), .y(n3));\n assign y = n3;\n // gpasta drive u1 2\nendmodule\n";
+        let e = parse_verilog(text).expect_err("a repeated instance name");
+        assert_eq!(
+            e,
+            ParseVerilogError::DuplicateInstance { name: "u2".into() }
+        );
+        assert_eq!(e.to_string(), "more than one instance is named `u2`");
     }
 
     #[test]

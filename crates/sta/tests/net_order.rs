@@ -113,11 +113,13 @@ mod random_builds {
     use super::reference;
     use gpasta_circuits::{generate_netlist, CircuitSpec};
     use gpasta_sta::{
-        parse_verilog, write_verilog, CellKind, GateId, Netlist, NetlistBuilder, PinRef, PortId,
+        parse_verilog, write_verilog, CellKind, GateId, Netlist, NetlistBuilder, ParseVerilogError,
+        PinRef, PortId,
     };
     use proptest::prelude::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashSet;
 
     /// Case count, overridable via `PROPTEST_CASES`.
     fn cases() -> u32 {
@@ -141,8 +143,9 @@ mod random_builds {
     /// A random design and a random sequence of builder calls on it: a full
     /// wiring with some sinks left out, duplicate and conflicting
     /// connections, feed-throughs, and wire caps on drivers with and without
-    /// sinks (and on pins that drive nothing), all shuffled. Ids reach into
-    /// the thousands so that their decimal texts differ in length.
+    /// sinks (and on pins that drive nothing, which the builder rejects),
+    /// all shuffled. Ids reach into the thousands so that their decimal
+    /// texts differ in length. One design in ten gives two gates one name.
     fn calls(seed: u64) -> Calls {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut nb = NetlistBuilder::new();
@@ -159,11 +162,17 @@ mod random_builds {
         let outputs: Vec<PortId> = (0..num_outputs)
             .map(|o| nb.add_primary_output(format!("out{o}")))
             .collect();
+        let mut gate_names: Vec<String> = (0..num_gates).map(|g| format!("u{g}")).collect();
+        let mut dup_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xd0b1e);
+        if num_gates >= 2 && dup_rng.gen_bool(0.1) {
+            let later = dup_rng.gen_range(1..num_gates as usize);
+            gate_names[later] = gate_names[dup_rng.gen_range(0..later)].clone();
+        }
         let mut gates = Vec::new();
-        for g in 0..num_gates {
+        for name in gate_names {
             let cell = *CellKind::all().choose(&mut rng).expect("cells exist");
-            let id = nb.add_gate(format!("u{g}"), cell);
-            gates.push((format!("u{g}"), cell, id));
+            let id = nb.add_gate(name.clone(), cell);
+            gates.push((name, cell, id));
         }
 
         let mut drivers: Vec<PinRef> = inputs.iter().map(|&p| PinRef::PrimaryInput(p)).collect();
@@ -223,8 +232,19 @@ mod random_builds {
                 _ => PinRef::GateOutput(GateId(rng.gen_range(0..num_gates + 2))),
             };
             let cap = [0.5, 1.25, -0.0, 3.1, 1e-3][rng.gen_range(0..5)];
-            nb.add_wire_cap(driver, cap);
-            wire_caps.push((driver, cap));
+            let drives = match driver {
+                PinRef::PrimaryInput(p) => p.0 < num_inputs,
+                PinRef::GateOutput(g) => g.0 < num_gates,
+                PinRef::GateInput(..) | PinRef::PrimaryOutput(_) => false,
+            };
+            assert_eq!(
+                nb.add_wire_cap(driver, cap).is_ok(),
+                drives,
+                "seed {seed}: wire cap on {driver:?}"
+            );
+            if drives {
+                wire_caps.push((driver, cap));
+            }
         }
 
         let names: Vec<(String, CellKind)> = gates
@@ -290,12 +310,25 @@ mod random_builds {
     }
 
     /// What `write_verilog` writes, `parse_verilog` reads back to the same
-    /// netlist: nets, sinks, drives and wire caps.
+    /// netlist: nets, sinks, drives and wire caps. Unless two instances
+    /// share a name: then it rejects the first name repeated.
     fn round_trips(netlist: &Netlist, seed: u64) {
         let text = write_verilog(netlist, "rt");
-        match parse_verilog(&text) {
-            Ok(back) => assert_eq!(&back, netlist, "seed {seed}:\n{text}"),
-            Err(e) => panic!("seed {seed}: {e}\n{text}"),
+        let mut seen = HashSet::new();
+        let repeated = netlist
+            .gates()
+            .iter()
+            .find(|g| !seen.insert(g.name.as_str()));
+        match (parse_verilog(&text), repeated) {
+            (Ok(back), None) => assert_eq!(&back, netlist, "seed {seed}:\n{text}"),
+            (Err(e), Some(gate)) => assert_eq!(
+                e,
+                ParseVerilogError::DuplicateInstance {
+                    name: gate.name.clone()
+                },
+                "seed {seed}"
+            ),
+            (got, _) => panic!("seed {seed}: {got:?}\n{text}"),
         }
     }
 

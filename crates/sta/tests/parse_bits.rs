@@ -7,7 +7,9 @@
 //!
 //! The constants were captured before the reader and the netlist builder
 //! were rewritten, so the rewrite must reproduce every net order, every
-//! accepted input and every error message of the reader it replaced.
+//! accepted input and every error message of the reader it replaced. The
+//! mutation pin was re-captured once since, when the reader began to reject
+//! an `input` that names a driven net and two instances of one name.
 
 use gpasta_circuits::PaperCircuit;
 use gpasta_sta::{parse_verilog, write_verilog, GateId, Netlist, PinRef};
@@ -33,8 +35,8 @@ const CIRCUITS: &[(PaperCircuit, u64)] = &[
 /// Mutated netlists parsed, how many of them parse, and the checksum of
 /// all their results in order.
 const MUTATIONS: u64 = 2400;
-const MUTATIONS_OK: usize = 654;
-const MUTATIONS_CHECKSUM: u64 = 0xe454f7f329569e07;
+const MUTATIONS_OK: usize = 651;
+const MUTATIONS_CHECKSUM: u64 = 0xdf4b28ecaaf75b31;
 
 fn put_str(bytes: &mut Vec<u8>, s: &str) {
     bytes.extend((s.len() as u32).to_le_bytes());

@@ -351,8 +351,8 @@ fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary), SessionE
 /// `(name hash, id)` pair per object, sorted, and the names stay where the
 /// netlist keeps them. The hash is keyed per session ([`RandomState`]),
 /// so names crafted to collide cannot be prepared in advance; equal hashes
-/// are told apart by comparing names, in id order — of objects sharing a
-/// name the first wins, as a scan would find it.
+/// are told apart by comparing names. Names are unique: `parse_verilog`
+/// rejects a design whose instances share one.
 struct NameIndex {
     hasher: RandomState,
     gates: Vec<(u64, u32)>,
@@ -879,14 +879,14 @@ endmodule
     }
 
     #[test]
-    fn names_resolve_before_indices_and_the_first_of_a_name_wins() {
+    fn names_resolve_before_indices() {
         use crate::sta::{CellKind, NetlistBuilder};
         let mut nb = NetlistBuilder::new();
         let a = nb.add_primary_input("a");
         let y = nb.add_primary_output("y");
-        // Gate 0 is called "2", and gates 1 and 2 share a name.
+        // Gate 0 is called "2".
         let mut prev = None;
-        for name in ["2", "dup", "dup", "tail"] {
+        for name in ["2", "mid", "next", "tail"] {
             let g = nb.add_gate(name, CellKind::Inv);
             match prev {
                 None => nb.connect_to_gate(a, g, 0).expect("valid"),
@@ -901,7 +901,8 @@ endmodule
         let gate_name = |i: u32| netlist.gates()[i as usize].name.as_str();
         let gate = |name: &str| names.resolve(name, &names.gates, gate_name, "gate");
         assert_eq!(gate("2").expect("a name"), 0, "the name, not index 2");
-        assert_eq!(gate("dup").expect("a name"), 1, "the first `dup`");
+        assert_eq!(gate("mid").expect("a name"), 1);
+        assert_eq!(gate("next").expect("a name"), 2);
         assert_eq!(gate("tail").expect("a name"), 3);
         assert_eq!(gate("3").expect("an index"), 3);
         match gate("4") {
