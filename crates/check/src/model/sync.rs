@@ -384,6 +384,12 @@ macro_rules! model_atomic {
                 atomic_into_inner(self.loc) as $ty
             }
         }
+
+        impl Default for $name {
+            fn default() -> Self {
+                Self::new(0)
+            }
+        }
     };
 }
 
@@ -463,6 +469,12 @@ impl AtomicBool {
     }
 }
 
+impl Default for AtomicBool {
+    fn default() -> Self {
+        Self::new(false)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Mutex
 // ---------------------------------------------------------------------------
@@ -533,8 +545,20 @@ impl<T> Mutex<T> {
         }
     }
 
+    /// Exclusive access through `&mut self`: no other thread can hold the
+    /// lock, so this is no scheduling point.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut()
+    }
+
     pub fn into_inner(self) -> T {
         self.inner.into_inner()
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    fn default() -> Self {
+        Self::new(T::default())
     }
 }
 

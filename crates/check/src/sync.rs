@@ -11,7 +11,9 @@
 //! The surface is deliberately the *intersection* the workspace uses:
 //! `AtomicBool`/`AtomicU8`/`AtomicU32`/`AtomicU64`/`AtomicUsize`,
 //! `Ordering`, `fence`, and a `parking_lot`-flavoured `Mutex` (no
-//! poisoning; `lock()` returns the guard directly).
+//! poisoning; `lock()` returns the guard directly), each with `Default`;
+//! plus `StaticAtomicU64` for a `static` counter, which the model does not
+//! route.
 
 #[cfg(not(gpasta_model_check))]
 mod imp {
@@ -30,3 +32,8 @@ mod imp {
 }
 
 pub use imp::*;
+
+/// An atomic counter that backs a `static`: process-global state that is no
+/// protocol's. A model location lives for one exploration and a `static`
+/// outlives it, so this stays the `std` type under the model too.
+pub use std::sync::atomic::AtomicU64 as StaticAtomicU64;

@@ -30,7 +30,7 @@
 //! [`AtomicBuf`](crate::AtomicBuf) constructors carry no shadow, and every
 //! access on them pays only one predictable `Option` null-check.
 
-use gpasta_check::sync::{AtomicU32, AtomicU64, Ordering};
+use gpasta_check::sync::{AtomicU32, AtomicU64, Ordering, StaticAtomicU64};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -53,7 +53,7 @@ thread_local! {
 
 /// Launch epochs are drawn from a process-global counter so tags from two
 /// sanitized devices can never collide on the same epoch number.
-static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(0);
+static GLOBAL_EPOCH: StaticAtomicU64 = StaticAtomicU64::new(0);
 
 pub(crate) fn set_ctx(epoch: u64, gid: u32) {
     CTX.with(|c| c.set((epoch, gid)));
