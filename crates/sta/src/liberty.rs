@@ -238,13 +238,6 @@ fn parse_axis(line: usize, name: &str, value: &str) -> Result<Vec<f32>, ParseLib
     Ok(axis)
 }
 
-fn kind_from_name(name: &str) -> Option<CellKind> {
-    CellKind::all()
-        .iter()
-        .copied()
-        .find(|k| k.to_string() == name)
-}
-
 /// Parse the Liberty subset back into a [`CellLibrary`].
 ///
 /// # Errors
@@ -284,7 +277,7 @@ pub fn parse_liberty(text: &str) -> Result<CellLibrary, ParseLibertyError> {
                 match (keyword.as_str(), depth) {
                     ("library", 1) => {}
                     ("cell", 2) => {
-                        let kind = kind_from_name(&name)
+                        let kind = CellKind::from_name(&name)
                             .ok_or(ParseLibertyError::UnknownCell { name: name.clone() })?;
                         cell = Some(CellDraft {
                             kind,

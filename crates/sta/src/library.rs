@@ -109,6 +109,24 @@ impl CellKind {
             CellKind::Dff => "DFF",
         }
     }
+
+    /// The kind whose [`name`](Self::name) is `name`.
+    pub(crate) fn from_name(name: &str) -> Option<CellKind> {
+        Some(match name {
+            "INV" => CellKind::Inv,
+            "BUF" => CellKind::Buf,
+            "NAND2" => CellKind::Nand2,
+            "NOR2" => CellKind::Nor2,
+            "AND2" => CellKind::And2,
+            "OR2" => CellKind::Or2,
+            "XOR2" => CellKind::Xor2,
+            "NAND3" => CellKind::Nand3,
+            "MUX2" => CellKind::Mux2,
+            "AOI21" => CellKind::Aoi21,
+            "DFF" => CellKind::Dff,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for CellKind {
@@ -538,6 +556,14 @@ impl Default for CellLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_name_inverts_name() {
+        for &kind in CellKind::all() {
+            assert_eq!(CellKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(CellKind::from_name("nand2"), None);
+    }
 
     /// `lut` at `(slew, load)`.
     fn lookup(lut: &Lut2D, slew: f32, load: f32) -> f32 {

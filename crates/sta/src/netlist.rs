@@ -189,6 +189,11 @@ impl NetlistBuilder {
         self.gates.len()
     }
 
+    /// The name of gate `g`, added so far.
+    pub(crate) fn gate_name(&self, g: usize) -> &str {
+        &self.gates[g].name
+    }
+
     /// Wire a primary input to input pin `pin` of `gate`.
     ///
     /// # Errors
@@ -318,8 +323,11 @@ impl NetlistBuilder {
     /// Finalise into a [`Netlist`], merging per-sink connections into nets.
     ///
     /// Nets ascend by their driver and each net's sinks ascend, both in
-    /// the order of the pins' `Debug` text (`text_order_key`); a
-    /// net's wire cap is its driver's caps summed in call order.
+    /// the order of the pins' `Debug` text, without rendering it: the
+    /// variant's name first (`GateInput` < `GateOutput` < `PrimaryInput` <
+    /// `PrimaryOutput`), then the id's decimal text ([`text_order`]), then
+    /// a gate input's pin (one digit). A net's wire cap is its driver's
+    /// caps summed in call order.
     ///
     /// # Errors
     ///
@@ -403,7 +411,7 @@ impl NetlistBuilder {
 
         // A stable counting sort by driver, each driver's sinks in
         // connection order; then each net's sinks (distinct, so their keys
-        // are) and the nets in text order.
+        // are) and the nets in text order: gate outputs, then inputs.
         for d in 0..num_drivers {
             start[d + 1] += start[d];
         }
@@ -413,22 +421,30 @@ impl NetlistBuilder {
             sinks[next[d] as usize] = sink;
             next[d] += 1;
         }
-        let driver_pin = |d: usize| match d.checked_sub(num_inputs) {
-            Some(g) => PinRef::GateOutput(GateId(g as u32)),
-            None => PinRef::PrimaryInput(PortId(d as u32)),
+        let gate_order = text_order(self.gates.len());
+        let gate_place = places(&gate_order);
+        let output_place = places(&text_order(self.outputs.len()));
+        let sink_key = |sink: PinRef| match sink {
+            PinRef::GateInput(g, pin) => u64::from(gate_place[g.index()]) << 8 | u64::from(pin),
+            PinRef::PrimaryOutput(o) => 1 << 40 | u64::from(output_place[o.index()]),
+            PinRef::PrimaryInput(_) | PinRef::GateOutput(_) => {
+                unreachable!("connect calls only make sinks of gate inputs and outputs")
+            }
         };
-        let mut order: Vec<(u64, usize)> = (0..num_drivers)
-            .filter(|&d| start[d] < start[d + 1])
-            .map(|d| (text_order_key(driver_pin(d)), d))
-            .collect();
-        order.sort_unstable();
-        let nets = order
+        let gate_drivers = gate_order
+            .iter()
+            .map(|&g| (num_inputs + g as usize, PinRef::GateOutput(GateId(g))));
+        let input_drivers = text_order(num_inputs)
             .into_iter()
-            .map(|(_, d)| {
+            .map(|p| (p as usize, PinRef::PrimaryInput(PortId(p))));
+        let nets = gate_drivers
+            .chain(input_drivers)
+            .filter(|&(d, _)| start[d] < start[d + 1])
+            .map(|(d, driver)| {
                 let own = &mut sinks[start[d] as usize..start[d + 1] as usize];
-                own.sort_unstable_by_key(|&s| text_order_key(s));
+                own.sort_unstable_by_key(|&s| sink_key(s));
                 Net {
-                    driver: driver_pin(d),
+                    driver,
                     sinks: own.to_vec(),
                     wire_cap_ff: wire_cap[d],
                 }
@@ -444,34 +460,37 @@ impl NetlistBuilder {
     }
 }
 
-/// A key that orders pins as the text of their `Debug` form does
-/// (`"GateInput(GateId(10), 0)"` sorts before `"GateInput(GateId(9), 0)"`),
-/// without rendering it. The variant ranks first, in name order
-/// (`GateInput` < `GateOutput` < `PrimaryInput` < `PrimaryOutput`); then
-/// the id, then a gate input's pin, each as its decimal digits read as a
-/// base-11 number: digit `d` counts `d + 1`, and a place past the last
-/// digit counts 0, as the `)` after the digits sorts before every digit.
-/// Ten places hold a `u32`, three a `u8`; the whole fits in 48 bits.
-pub(crate) fn text_order_key(pin: PinRef) -> u64 {
-    /// `n`'s decimal digits, left-aligned in `places` base-11 places.
-    fn digits(mut n: u32, places: u32) -> u64 {
-        let len = n.checked_ilog10().map_or(1, |l| l + 1);
-        let mut weight = 11u64.pow(places - len);
-        let mut key = 0;
-        for _ in 0..len {
-            key += u64::from(n % 10 + 1) * weight;
-            weight *= 11;
-            n /= 10;
-        }
-        key
+/// The ids `0..n` in the order of their decimal texts (`"10"` before
+/// `"9"`): a depth-first walk of the digit tree, with no sort.
+pub(crate) fn text_order(n: usize) -> Vec<u32> {
+    let mut order = Vec::with_capacity(n);
+    if n == 0 {
+        return order;
     }
-    let (rank, id, pin_key) = match pin {
-        PinRef::GateInput(g, p) => (0, g.0, digits(u32::from(p), 3)),
-        PinRef::GateOutput(g) => (1, g.0, 0),
-        PinRef::PrimaryInput(p) => (2, p.0, 0),
-        PinRef::PrimaryOutput(p) => (3, p.0, 0),
-    };
-    (rank * 11u64.pow(10) + digits(id, 10)) * 11u64.pow(3) + pin_key
+    order.push(0);
+    let mut id = 1;
+    while order.len() < n {
+        order.push(id as u32);
+        if id * 10 < n {
+            id *= 10;
+        } else {
+            // Up past every last digit, and on to the next sibling.
+            while id % 10 == 9 || id + 1 >= n {
+                id /= 10;
+            }
+            id += 1;
+        }
+    }
+    order
+}
+
+/// Each id's place in `order`, a permutation of `0..order.len()`.
+fn places(order: &[u32]) -> Vec<u32> {
+    let mut place = vec![0; order.len()];
+    for (i, &id) in order.iter().enumerate() {
+        place[id as usize] = i as u32;
+    }
+    place
 }
 
 #[cfg(test)]
@@ -632,29 +651,14 @@ mod tests {
     }
 
     #[test]
-    fn text_order_key_orders_pins_as_their_debug_text() {
-        let mut pins = vec![
-            PinRef::PrimaryOutput(PortId(0)),
-            PinRef::GateInput(GateId(u32::MAX), 255),
-            PinRef::PrimaryInput(PortId(10)),
-            PinRef::GateOutput(GateId(9)),
-            PinRef::GateInput(GateId(10), 0),
-            PinRef::GateInput(GateId(1), 2),
-            PinRef::GateInput(GateId(1), 10),
-            PinRef::GateOutput(GateId(100)),
-            PinRef::PrimaryInput(PortId(2)),
-            PinRef::GateInput(GateId(0), 0),
-            PinRef::GateOutput(GateId(u32::MAX)),
-            PinRef::PrimaryOutput(PortId(u32::MAX)),
-        ];
-        for n in [0u32, 1, 9, 10, 11, 19, 99, 100, 101, 999_999, 4_000_000_000] {
-            pins.push(PinRef::GateOutput(GateId(n)));
-            pins.push(PinRef::GateInput(GateId(n), (n % 256) as u8));
+    fn text_order_lists_ids_as_their_decimal_texts_sort() {
+        for n in [
+            0usize, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 110, 999, 1000, 1001, 4321,
+        ] {
+            let mut by_text: Vec<u32> = (0..n as u32).collect();
+            by_text.sort_by_key(|id| id.to_string());
+            assert_eq!(text_order(n), by_text, "n = {n}");
         }
-        let mut by_text = pins.clone();
-        by_text.sort_by_key(|p| format!("{p:?}"));
-        pins.sort_by_key(|&p| text_order_key(p));
-        assert_eq!(pins, by_text);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 use crate::error::ConnectError;
 use crate::library::CellKind;
 use crate::netlist::{GateId, Netlist, NetlistBuilder, PinRef, PortId};
-use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::{self, Write as _};
+use std::hash::BuildHasher;
 
 /// Error produced by [`parse_verilog`].
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +123,14 @@ fn input_pin_index(kind: CellKind, name: &str) -> Option<u8> {
 }
 
 /// Render `netlist` as structural Verilog (module `name`).
+///
+/// Names and ids are copied into one buffer reserved from the design's
+/// size; only the pragmas' floats are rendered by `Display`.
 pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
     let inputs = netlist.input_names();
     let outputs = netlist.output_names();
-    let num_gates = netlist.num_gates();
+    let gates = netlist.gates();
+    let num_gates = gates.len();
     // Wire names must not collide with port names; pick the first prefix
     // whose generated names are all free.
     let prefix = ["n", "w", "net", "gpasta_n"]
@@ -137,27 +142,38 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
                 .any(|port| names_a_wire(port, pfx, num_gates))
         })
         .unwrap_or("gpasta_wire_");
-    // A driver's net name: the port's own name, or the gate's wire.
+    // Gate `g`'s wire, and a driver's net name: the port's own name, or
+    // the gate's wire.
+    let put_wire = |out: &mut String, g: usize| {
+        out.push_str(prefix);
+        put_decimal(out, g);
+    };
     let put_driver = |out: &mut String, driver: PinRef| match driver {
         PinRef::PrimaryInput(p) => out.push_str(&inputs[p.index()]),
-        PinRef::GateOutput(GateId(g)) => {
-            let _ = write!(out, "{prefix}{g}");
-        }
+        PinRef::GateOutput(g) => put_wire(out, g.index()),
         // Never a driver in a built netlist.
         PinRef::PrimaryOutput(_) | PinRef::GateInput(..) => {}
     };
-    // Writing into a `String` cannot fail, so `write!` results are
-    // dropped below.
-    let mut out = String::new();
+    // About 80 bytes per gate: its wire, its instance and its share of the
+    // pragmas.
+    let ports = inputs.len() + outputs.len();
+    let mut out = String::with_capacity(64 + name.len() + 24 * ports + 80 * num_gates);
 
     // Header.
-    let ports: Vec<&str> = inputs.iter().chain(outputs).map(String::as_str).collect();
-    let _ = writeln!(out, "module {name} ({});", ports.join(", "));
+    out.push_str("module ");
+    out.push_str(name);
+    out.push_str(" (");
+    put_list(&mut out, inputs.iter().chain(outputs));
+    out.push_str(");\n");
     if !inputs.is_empty() {
-        let _ = writeln!(out, "  input {};", inputs.join(", "));
+        out.push_str("  input ");
+        put_list(&mut out, inputs.iter());
+        out.push_str(";\n");
     }
     if !outputs.is_empty() {
-        let _ = writeln!(out, "  output {};", outputs.join(", "));
+        out.push_str("  output ");
+        put_list(&mut out, outputs.iter());
+        out.push_str(";\n");
     }
     if num_gates > 0 {
         out.push_str("  wire ");
@@ -165,7 +181,7 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
             if g > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{prefix}{g}");
+            put_wire(&mut out, g);
         }
         out.push_str(";\n");
     }
@@ -173,8 +189,7 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
 
     // The driver of every gate input pin (indexed densely: gate `g`'s
     // pins start at `pin_base[g]`) and of every PO.
-    let gates = netlist.gates();
-    let mut pin_base = Vec::with_capacity(gates.len());
+    let mut pin_base = Vec::with_capacity(num_gates);
     let mut pins = 0;
     for gate in gates {
         pin_base.push(pins);
@@ -196,29 +211,44 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
 
     // Instances.
     for (g, gate) in gates.iter().enumerate() {
-        let _ = write!(out, "  {} {} (", gate.cell, gate.name);
+        out.push_str("  ");
+        out.push_str(gate.cell.name());
+        out.push(' ');
+        out.push_str(&gate.name);
+        out.push_str(" (");
         for pin in 0..gate.cell.num_inputs() {
             let driver = pin_driver[pin_base[g] + pin]
                 .expect("netlist invariant: every input pin is driven");
-            let _ = write!(out, ".{}(", input_pin_name(gate.cell, pin as u8));
+            out.push('.');
+            out.push_str(input_pin_name(gate.cell, pin as u8));
+            out.push('(');
             put_driver(&mut out, driver);
             out.push_str("), ");
         }
-        let _ = writeln!(out, ".{}({prefix}{g}));", output_pin_name(gate.cell));
+        out.push('.');
+        out.push_str(output_pin_name(gate.cell));
+        out.push('(');
+        put_wire(&mut out, g);
+        out.push_str("));\n");
     }
 
     // Primary outputs.
     for (oname, driver) in outputs.iter().zip(po_driver) {
         let driver = driver.expect("netlist invariant: every PO is driven");
-        let _ = write!(out, "  assign {oname} = ");
+        out.push_str("  assign ");
+        out.push_str(oname);
+        out.push_str(" = ");
         put_driver(&mut out, driver);
         out.push_str(";\n");
     }
 
-    // Pragmas for state plain Verilog cannot carry.
+    // Pragmas for state plain Verilog cannot carry. Writing into a
+    // `String` cannot fail, so the `writeln!` results are dropped.
     for gate in gates {
         if gate.drive != 1.0 {
-            let _ = writeln!(out, "  // gpasta drive {} {}", gate.name, gate.drive);
+            out.push_str("  // gpasta drive ");
+            out.push_str(&gate.name);
+            let _ = writeln!(out, " {}", gate.drive);
         }
     }
     for net in netlist.nets() {
@@ -233,6 +263,33 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
     out
 }
 
+/// `names`, separated by `", "`.
+fn put_list<'n>(out: &mut String, names: impl Iterator<Item = &'n String>) {
+    for (i, name) in names.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(name);
+    }
+}
+
+/// `n` in decimal, as `Display` renders it.
+fn put_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
 /// Whether `port` reads `{prefix}{g}` for a gate index `g < num_gates`
 /// (`g` in canonical decimal, as `format!` renders it).
 fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
@@ -244,17 +301,17 @@ fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
     })
 }
 
-fn kind_from_name(name: &str) -> Option<CellKind> {
-    CellKind::all().iter().copied().find(|k| k.name() == name)
-}
-
 /// Parse the structural-Verilog subset back into a [`Netlist`].
 ///
-/// One pass over the lines. A statement that lies within one line is read
-/// in place; only one that spans lines is joined (the lines' text, each
-/// followed by a space) into an owned buffer. Net, port and instance names
-/// are keys into the text, hashed with the standard library's keyed hasher
-/// because netlists arrive from the network.
+/// Two steps over the text. A byte scan finds the lines, comments, pragmas
+/// and `;`-terminated statements; a statement within one line stays a
+/// slice of the text, and only one that spans lines is joined (each line's
+/// code followed by a space) into a copy. Then the statements are read in
+/// order. Every net and port name is a key of one table, a slice of the
+/// text or of a joined copy, hashed with the standard library's keyed
+/// hasher because netlists arrive from the network. Instance names are
+/// hashed with the same key into a list, sorted after the statements, that
+/// rejects a repeated name and resolves the drive pragmas.
 ///
 /// # Errors
 ///
@@ -266,87 +323,128 @@ fn kind_from_name(name: &str) -> Option<CellKind> {
 /// then a missing module, then the first instance that repeats a name,
 /// then the first undriven net and the netlist's own checks.
 pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
-    let mut reader = Reader::default();
-    // A statement that spans lines, joined so far, and its first line.
-    let mut joined = String::new();
-    let mut start_line = 1;
-    for (i, raw) in text.lines().enumerate() {
-        let line = i + 1;
-        let code = match raw.find("//") {
-            Some(at) => {
-                if let Some(pragma) = raw.trim().strip_prefix("// gpasta ") {
-                    reader.pragma(line, pragma)?;
-                }
-                &raw[..at]
+    let scan = Scan::of(text)?;
+    let mut reader = Reader::new(text.len());
+    let mut failed = None;
+    for &(line, stmt) in &scan.statements {
+        let stmt = match stmt {
+            Statement::Text(stmt) => stmt,
+            Statement::Joined(i) => &scan.joined[i],
+            Statement::End => break,
+        };
+        match reader.statement(line, stmt) {
+            Ok(true) => {}
+            // `endmodule`: what follows is not read.
+            Ok(false) => break,
+            Err(e) => {
+                failed = Some(e);
+                break;
             }
-            None => raw,
-        }
-        .trim();
-        if code.is_empty() {
-            continue;
-        }
-        let mut rest = code;
-        if !joined.is_empty() {
-            let Some(end) = code.find(';') else {
-                joined.push_str(code);
-                joined.push(' ');
-                continue;
-            };
-            joined.push_str(&code[..end]);
-            reader.offer(start_line, joined.trim(), |name| {
-                Cow::Owned(name.to_owned())
-            });
-            joined.clear();
-            rest = code[end + 1..].trim_start();
-        }
-        while let Some(end) = rest.find(';') {
-            reader.offer(line, rest[..end].trim(), Cow::Borrowed);
-            rest = rest[end + 1..].trim_start();
-        }
-        if rest == "endmodule" {
-            reader.ended = true;
-        } else if !rest.is_empty() {
-            joined.push_str(rest);
-            joined.push(' ');
-            start_line = line;
         }
     }
-    if !joined.is_empty() {
-        return Err(ParseVerilogError::Syntax {
-            line: start_line,
-            message: format!("unterminated statement `{}`", joined.trim()),
-        });
+    if let Some(e) = failed {
+        return Err(e);
     }
-    reader.finish()
+    reader.finish(scan.drive_pragmas, scan.cap_pragmas)
 }
 
-/// The state of [`parse_verilog`]: the netlist so far and the names seen,
-/// each a key into the text (or, in a statement that spans lines, a copy).
-#[derive(Default)]
-struct Reader<'a> {
-    nb: NetlistBuilder,
-    outputs: HashMap<Cow<'a, str>, PortId>,
-    /// Net name -> driver, filled as inputs and instances are read.
-    drivers: HashMap<Cow<'a, str>, PinRef>,
-    /// (net name, sink), resolved at the end: a later input declaration
-    /// may still take a net's name.
-    sinks: Vec<(Cow<'a, str>, PinRef)>,
-    /// Whether an `assign` drives each output port.
-    assigned: Vec<bool>,
-    gate_names: HashMap<Cow<'a, str>, GateId>,
-    /// The name of the first instance that repeats an earlier one's.
-    duplicate: Option<String>,
+/// A statement found by [`Scan::of`], without its `;`.
+#[derive(Clone, Copy)]
+enum Statement<'a> {
+    /// One that lies within a line.
+    Text(&'a str),
+    /// One that spans lines: an index into [`Scan::joined`].
+    Joined(usize),
+    /// A bare `endmodule`.
+    End,
+}
+
+/// What the byte scan of a text finds: its statements, each with the line
+/// it starts on, and its pragmas.
+struct Scan<'a> {
+    statements: Vec<(usize, Statement<'a>)>,
+    /// The statements that span lines, joined.
+    joined: Vec<String>,
     drive_pragmas: Vec<(&'a str, f32)>,
     cap_pragmas: Vec<(&'a str, f32)>,
-    seen_module: bool,
-    /// `endmodule` or a faulty statement was read: what follows is only
-    /// scanned for pragmas and an unterminated statement.
-    ended: bool,
-    /// The first faulty statement.
-    failed: Option<ParseVerilogError>,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> Scan<'a> {
+    /// Scan `text`, failing at its first malformed pragma or, at the end,
+    /// on an unterminated statement.
+    fn of(text: &'a str) -> Result<Self, ParseVerilogError> {
+        // About one statement per 50 bytes in a written netlist.
+        let mut scan = Scan {
+            statements: Vec::with_capacity(text.len() / 48),
+            joined: Vec::new(),
+            drive_pragmas: Vec::new(),
+            cap_pragmas: Vec::new(),
+        };
+        // A statement that spans lines, joined so far, and its first line.
+        let mut joined = String::new();
+        let mut start_line = 1;
+        let mut unread = text;
+        let mut line = 0;
+        while !unread.is_empty() {
+            line += 1;
+            let raw = match unread.find('\n') {
+                Some(end) => {
+                    let raw = &unread[..end];
+                    unread = &unread[end + 1..];
+                    raw
+                }
+                None => std::mem::take(&mut unread),
+            };
+            let lead = trim_start(raw);
+            if lead.starts_with("//") {
+                if let Some(pragma) = trim_end(lead).strip_prefix("// gpasta ") {
+                    scan.pragma(line, pragma)?;
+                }
+                continue;
+            }
+            let code = trim_end(match find_comment(lead) {
+                Some(at) => &lead[..at],
+                None => lead,
+            });
+            if code.is_empty() {
+                continue;
+            }
+            let mut rest = code;
+            if !joined.is_empty() {
+                let Some(end) = code.find(';') else {
+                    joined.push_str(code);
+                    joined.push(' ');
+                    continue;
+                };
+                joined.push_str(&code[..end]);
+                let at = scan.joined.len();
+                scan.joined.push(trim(&joined).to_owned());
+                scan.statements.push((start_line, Statement::Joined(at)));
+                joined.clear();
+                rest = trim_start(&code[end + 1..]);
+            }
+            while let Some(end) = rest.find(';') {
+                scan.statements
+                    .push((line, Statement::Text(trim(&rest[..end]))));
+                rest = trim_start(&rest[end + 1..]);
+            }
+            if rest == "endmodule" {
+                scan.statements.push((line, Statement::End));
+            } else if !rest.is_empty() {
+                joined.push_str(rest);
+                joined.push(' ');
+                start_line = line;
+            }
+        }
+        if !joined.is_empty() {
+            return Err(ParseVerilogError::Syntax {
+                line: start_line,
+                message: format!("unterminated statement `{}`", trim(&joined)),
+            });
+        }
+        Ok(scan)
+    }
+
     /// Record the pragma `// gpasta <body>` of `line`.
     fn pragma(&mut self, line: usize, body: &'a str) -> Result<(), ParseVerilogError> {
         let mut it = body.split_whitespace();
@@ -372,94 +470,216 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
 
-    /// Read a statement unless the module has ended; keep its fault.
-    fn offer<'s>(&mut self, line: usize, stmt: &'s str, key: impl Fn(&'s str) -> Cow<'a, str>) {
-        if !self.ended {
-            if let Err(e) = self.statement(line, stmt, key) {
-                self.failed = Some(e);
-                self.ended = true;
-            }
+/// Whether byte `b` is a whole character that `char::is_whitespace` holds
+/// for; every other whitespace character is encoded in bytes `>= 0x80`.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r')
+}
+
+/// `str::trim_start`, by bytes while they are ASCII.
+fn trim_start(s: &str) -> &str {
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x80 {
+            return s[i..].trim_start();
+        }
+        if !is_ascii_space(b) {
+            return &s[i..];
+        }
+    }
+    ""
+}
+
+/// `str::trim_end`, by bytes while they are ASCII.
+fn trim_end(s: &str) -> &str {
+    for (i, &b) in s.as_bytes().iter().enumerate().rev() {
+        if b >= 0x80 {
+            return s[..=i].trim_end();
+        }
+        if !is_ascii_space(b) {
+            return &s[..=i];
+        }
+    }
+    ""
+}
+
+/// `str::trim`, by bytes while they are ASCII.
+fn trim(s: &str) -> &str {
+    trim_end(trim_start(s))
+}
+
+/// The first whitespace-separated word of `s`, which starts with none.
+fn first_word(s: &str) -> &str {
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x80 {
+            let end = s[i..]
+                .find(char::is_whitespace)
+                .map_or(s.len(), |at| i + at);
+            return &s[..end];
+        }
+        if is_ascii_space(b) {
+            return &s[..i];
+        }
+    }
+    s
+}
+
+/// Where the first `//` of `s` starts.
+fn find_comment(s: &str) -> Option<usize> {
+    let mut from = 0;
+    while let Some(at) = s[from..].find('/') {
+        let at = from + at;
+        if s.as_bytes().get(at + 1) == Some(&b'/') {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// The non-empty, trimmed items of a comma-separated list.
+fn names(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').map(trim).filter(|s| !s.is_empty())
+}
+
+/// What drives a net.
+#[derive(Clone, Copy)]
+enum Driver {
+    Input(PortId),
+    Gate(GateId),
+}
+
+/// What a net drives.
+#[derive(Clone, Copy)]
+enum Sink {
+    Gate(GateId, u8),
+    Output(PortId),
+}
+
+/// One name of the table: its net's driver, and the last output port
+/// declared by this name.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    driver: Option<Driver>,
+    output: Option<PortId>,
+}
+
+/// The statements' reader: the netlist so far and the one table of net
+/// and port names.
+struct Reader<'k> {
+    nb: NetlistBuilder,
+    /// Name -> its index in `slots`.
+    names: HashMap<&'k str, u32>,
+    slots: Vec<Slot>,
+    /// Per output port: its name's slot, and whether an `assign` drives it.
+    outputs: Vec<(u32, bool)>,
+    /// (slot, sink), resolved at the end: a later input declaration may
+    /// still drive a net.
+    sinks: Vec<(u32, Sink)>,
+    /// Per gate: its name's hash under `names`' key.
+    gate_hashes: Vec<u64>,
+    seen_module: bool,
+}
+
+impl<'k> Reader<'k> {
+    /// A reader for a text of `len` bytes. A written netlist has a net name
+    /// per ≈ 65 bytes and a sink per ≈ 35, so the table and the sink list
+    /// are reserved for a few more and rarely grow.
+    fn new(len: usize) -> Self {
+        Reader {
+            nb: NetlistBuilder::new(),
+            names: HashMap::with_capacity(len / 48),
+            slots: Vec::with_capacity(len / 48),
+            outputs: Vec::new(),
+            sinks: Vec::with_capacity(len / 32),
+            gate_hashes: Vec::with_capacity(len / 64),
+            seen_module: false,
         }
     }
 
-    /// Read one `;`-terminated statement (without its `;`) that starts at
-    /// `line`; `key` makes a slice of it into a name that outlives it.
-    fn statement<'s>(
-        &mut self,
-        line: usize,
-        stmt: &'s str,
-        key: impl Fn(&'s str) -> Cow<'a, str>,
-    ) -> Result<(), ParseVerilogError> {
+    /// The slot of `name`, a new one if the name is new.
+    fn slot(&mut self, name: &'k str) -> usize {
+        let next = self.slots.len();
+        let slot = *self.names.entry(name).or_insert(next as u32) as usize;
+        if slot == next {
+            self.slots.push(Slot::default());
+        }
+        slot
+    }
+
+    /// Make net `name` driven by `driver`, unless it already is.
+    fn drive(&mut self, name: &'k str, driver: Driver) -> Result<(), ParseVerilogError> {
+        let slot = self.slot(name);
+        match self.slots[slot].driver.replace(driver) {
+            Some(_) => Err(ParseVerilogError::DoubleDrivenNet {
+                net: name.to_owned(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Read one statement (without its `;`) that starts at `line`; false
+    /// after `endmodule`.
+    fn statement(&mut self, line: usize, stmt: &'k str) -> Result<bool, ParseVerilogError> {
         let syntax = |message: &str| ParseVerilogError::Syntax {
             line,
             message: message.to_owned(),
         };
-        let names = |list: &'s str| list.split(',').map(str::trim).filter(|s| !s.is_empty());
-        let mut words = stmt.split_whitespace();
-        match words.next() {
+        match first_word(stmt) {
             // Port order and wire declarations are informational in this
             // subset.
-            Some("module") => self.seen_module = true,
-            Some("wire") | None => {}
-            Some("input") => {
+            "module" => self.seen_module = true,
+            "wire" | "" => {}
+            "input" => {
                 for name in names(&stmt["input".len()..]) {
                     let id = self.nb.add_primary_input(name);
-                    if self
-                        .drivers
-                        .insert(key(name), PinRef::PrimaryInput(id))
-                        .is_some()
-                    {
-                        return Err(ParseVerilogError::DoubleDrivenNet {
-                            net: name.to_owned(),
-                        });
-                    }
+                    self.drive(name, Driver::Input(id))?;
                 }
             }
-            Some("output") => {
+            "output" => {
                 for name in names(&stmt["output".len()..]) {
                     let id = self.nb.add_primary_output(name);
-                    self.outputs.insert(key(name), id);
-                    self.assigned.push(false);
+                    let slot = self.slot(name);
+                    self.slots[slot].output = Some(id);
+                    self.outputs.push((slot as u32, false));
                 }
             }
-            Some("assign") => {
+            "assign" => {
                 // assign <output> = <net>
-                let (lhs, rhs) = stmt["assign".len()..]
-                    .trim()
+                let (lhs, rhs) = trim(&stmt["assign".len()..])
                     .split_once('=')
                     .ok_or_else(|| syntax("assign without `=`"))?;
-                let lhs = lhs.trim();
-                let port = *self
-                    .outputs
+                let lhs = trim(lhs);
+                let port = self
+                    .names
                     .get(lhs)
+                    .and_then(|&slot| self.slots[slot as usize].output)
                     .ok_or_else(|| syntax(&format!("assign target `{lhs}` is not an output")))?;
-                self.sinks
-                    .push((key(rhs.trim()), PinRef::PrimaryOutput(port)));
-                self.assigned[port.index()] = true;
+                let slot = self.slot(trim(rhs));
+                self.sinks.push((slot as u32, Sink::Output(port)));
+                self.outputs[port.index()].1 = true;
             }
-            Some("endmodule") => self.ended = true,
-            Some(cell_name) => {
+            "endmodule" => return Ok(false),
+            cell_name => {
                 // CELL instance ( .pin(net), ... )
-                let kind =
-                    kind_from_name(cell_name).ok_or_else(|| ParseVerilogError::UnknownCell {
+                let kind = CellKind::from_name(cell_name).ok_or_else(|| {
+                    ParseVerilogError::UnknownCell {
                         name: cell_name.to_owned(),
-                        instance: words.next().unwrap_or("?").to_owned(),
-                    })?;
-                let rest = stmt[cell_name.len()..].trim();
+                        instance: stmt.split_whitespace().nth(1).unwrap_or("?").to_owned(),
+                    }
+                })?;
+                let rest = trim(&stmt[cell_name.len()..]);
                 let open = rest
                     .find('(')
                     .ok_or_else(|| syntax("instance without a port list"))?;
-                let inst_name = rest[..open].trim();
+                let inst_name = trim(&rest[..open]);
                 if inst_name.is_empty() {
                     return Err(syntax("instance without a name"));
                 }
                 let gate = self.nb.add_gate(inst_name, kind);
-                if self.gate_names.insert(key(inst_name), gate).is_some()
-                    && self.duplicate.is_none()
-                {
-                    self.duplicate = Some(inst_name.to_owned());
-                }
+                self.gate_hashes
+                    .push(self.names.hasher().hash_one(inst_name));
 
                 for conn in names(rest[open + 1..].trim_end_matches(')')) {
                     let conn = conn.strip_prefix('.').ok_or_else(|| {
@@ -468,20 +688,13 @@ impl<'a> Reader<'a> {
                     let p = conn
                         .find('(')
                         .ok_or_else(|| syntax(&format!("malformed connection `.{conn}`")))?;
-                    let pin_name = conn[..p].trim();
-                    let net = conn[p + 1..].trim_end_matches(')').trim();
+                    let pin_name = trim(&conn[..p]);
+                    let net = trim(conn[p + 1..].trim_end_matches(')'));
                     if pin_name == output_pin_name(kind) {
-                        if self
-                            .drivers
-                            .insert(key(net), PinRef::GateOutput(gate))
-                            .is_some()
-                        {
-                            return Err(ParseVerilogError::DoubleDrivenNet {
-                                net: net.to_owned(),
-                            });
-                        }
+                        self.drive(net, Driver::Gate(gate))?;
                     } else if let Some(idx) = input_pin_index(kind, pin_name) {
-                        self.sinks.push((key(net), PinRef::GateInput(gate, idx)));
+                        let slot = self.slot(net);
+                        self.sinks.push((slot as u32, Sink::Gate(gate, idx)));
                     } else {
                         return Err(ParseVerilogError::UnknownPin {
                             instance: inst_name.to_owned(),
@@ -491,86 +704,143 @@ impl<'a> Reader<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// Resolve every sink against its net's driver, apply the pragmas and
-    /// build the netlist.
-    fn finish(mut self) -> Result<Netlist, ParseVerilogError> {
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
-        if !self.seen_module {
+    /// Check the instance names, resolve every sink against its net's
+    /// driver, apply the pragmas and build the netlist.
+    fn finish(
+        self,
+        drive_pragmas: Vec<(&str, f32)>,
+        cap_pragmas: Vec<(&str, f32)>,
+    ) -> Result<Netlist, ParseVerilogError> {
+        let Reader {
+            mut nb,
+            names,
+            slots,
+            outputs,
+            mut sinks,
+            gate_hashes,
+            seen_module,
+        } = self;
+        if !seen_module {
             return Err(ParseVerilogError::Syntax {
                 line: 1,
                 message: "no module declaration".into(),
             });
         }
-        if let Some(name) = self.duplicate {
-            return Err(ParseVerilogError::DuplicateInstance { name });
-        }
+        let instances = Instances::of(gate_hashes, names.hasher().clone(), |g| nb.gate_name(g))?;
 
         // Hand-written netlists often drive an output port directly from
         // an instance pin (`.y(y)`) instead of via `assign`; synthesise the
         // implied output connection for any output that has a driver under
-        // its own name but no explicit sink. (In map order: the builder
-        // sorts each net's sinks.)
-        for (name, &port) in &self.outputs {
-            if !self.assigned[port.index()] {
-                if let Some(PinRef::GateOutput(_)) = self.drivers.get(name) {
-                    self.sinks.push((name.clone(), PinRef::PrimaryOutput(port)));
-                }
+        // its own name but no explicit sink. (Of ports sharing a name, the
+        // last declared is the one the name means.)
+        for (o, &(slot, assigned)) in outputs.iter().enumerate() {
+            let port = PortId(o as u32);
+            let Slot { driver, output } = slots[slot as usize];
+            if !assigned && output == Some(port) && matches!(driver, Some(Driver::Gate(_))) {
+                sinks.push((slot, Sink::Output(port)));
             }
         }
 
         // Resolve sinks against drivers.
-        let nb = &mut self.nb;
         let netlist_error = |e: ConnectError| ParseVerilogError::Netlist(e.to_string());
-        for (net, sink) in self.sinks {
-            let driver = *self
-                .drivers
-                .get(&*net)
-                .ok_or_else(|| ParseVerilogError::UndrivenNet { net: net.into() })?;
+        for &(slot, sink) in &sinks {
+            let Some(driver) = slots[slot as usize].driver else {
+                // Only the error path looks a slot's name up.
+                let net = names
+                    .iter()
+                    .find(|&(_, &s)| s == slot)
+                    .map_or("", |(name, _)| name);
+                return Err(ParseVerilogError::UndrivenNet { net: net.into() });
+            };
             match (driver, sink) {
-                (PinRef::PrimaryInput(p), PinRef::GateInput(g, pin)) => {
-                    nb.connect_to_gate(p, g, pin).map_err(netlist_error)?;
-                }
-                (PinRef::GateOutput(d), PinRef::GateInput(g, pin)) => {
-                    nb.connect_gates(d, g, pin).map_err(netlist_error)?;
-                }
-                (PinRef::GateOutput(d), PinRef::PrimaryOutput(o)) => {
-                    nb.connect_to_output(d, o).map_err(netlist_error)?;
-                }
-                (PinRef::PrimaryInput(p), PinRef::PrimaryOutput(o)) => {
-                    nb.connect_input_to_output(p, o).map_err(netlist_error)?;
-                }
-                other => {
-                    return Err(ParseVerilogError::Netlist(format!(
-                        "unsupported connection {other:?}"
-                    )))
-                }
+                (Driver::Input(p), Sink::Gate(g, pin)) => nb.connect_to_gate(p, g, pin),
+                (Driver::Gate(d), Sink::Gate(g, pin)) => nb.connect_gates(d, g, pin),
+                (Driver::Gate(d), Sink::Output(o)) => nb.connect_to_output(d, o),
+                (Driver::Input(p), Sink::Output(o)) => nb.connect_input_to_output(p, o),
             }
+            .map_err(netlist_error)?;
         }
 
         // Apply pragmas.
-        for (net, cap) in self.cap_pragmas {
-            let driver = *self
-                .drivers
+        for (net, cap) in cap_pragmas {
+            let driver = names
                 .get(net)
+                .and_then(|&slot| slots[slot as usize].driver)
                 .ok_or_else(|| ParseVerilogError::UndrivenNet { net: net.into() })?;
-            self.nb.add_wire_cap(driver, cap).map_err(netlist_error)?;
+            let pin = match driver {
+                Driver::Input(p) => PinRef::PrimaryInput(p),
+                Driver::Gate(g) => PinRef::GateOutput(g),
+            };
+            nb.add_wire_cap(pin, cap).map_err(netlist_error)?;
         }
-        let mut netlist = self
-            .nb
+        let mut netlist = nb
             .build()
             .map_err(|e| ParseVerilogError::Netlist(e.to_string()))?;
-        for (inst, drive) in self.drive_pragmas {
-            let gate = self.gate_names.get(inst).ok_or_else(|| {
-                ParseVerilogError::Netlist(format!("pragma names unknown instance `{inst}`"))
-            })?;
-            netlist.set_drive(*gate, drive);
+        for (inst, drive) in drive_pragmas {
+            let gate = instances
+                .find(inst, |g| &netlist.gates()[g].name)
+                .ok_or_else(|| {
+                    ParseVerilogError::Netlist(format!("pragma names unknown instance `{inst}`"))
+                })?;
+            netlist.set_drive(gate, drive);
         }
         Ok(netlist)
+    }
+}
+
+/// The instance names of a design, each as (keyed hash, gate id), sorted;
+/// equal hashes are told apart by comparing the names.
+struct Instances {
+    hasher: RandomState,
+    by_hash: Vec<(u64, u32)>,
+}
+
+impl Instances {
+    /// The index of the gates whose names `hasher` hashed to `hashes`, or
+    /// the name of the first gate whose name an earlier gate has.
+    fn of<'n>(
+        hashes: Vec<u64>,
+        hasher: RandomState,
+        name_of: impl Fn(usize) -> &'n str,
+    ) -> Result<Self, ParseVerilogError> {
+        let mut by_hash: Vec<(u64, u32)> = hashes
+            .into_iter()
+            .enumerate()
+            .map(|(g, hash)| (hash, g as u32))
+            .collect();
+        by_hash.sort_unstable();
+        let mut repeat: Option<u32> = None;
+        for run in by_hash
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.len() > 1)
+        {
+            for (i, &(_, g)) in run.iter().enumerate().skip(1) {
+                let name = name_of(g as usize);
+                if run[..i].iter().any(|&(_, f)| name_of(f as usize) == name) {
+                    repeat = Some(repeat.map_or(g, |r| r.min(g)));
+                }
+            }
+        }
+        match repeat {
+            Some(g) => Err(ParseVerilogError::DuplicateInstance {
+                name: name_of(g as usize).to_owned(),
+            }),
+            None => Ok(Instances { hasher, by_hash }),
+        }
+    }
+
+    /// The gate named `name`.
+    fn find<'n>(&self, name: &str, name_of: impl Fn(usize) -> &'n str) -> Option<GateId> {
+        let hash = self.hasher.hash_one(name);
+        let first = self.by_hash.partition_point(|&(h, _)| h < hash);
+        self.by_hash[first..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .find(|&&(_, g)| name_of(g as usize) == name)
+            .map(|&(_, g)| GateId(g))
     }
 }
 
