@@ -142,15 +142,21 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
                 .any(|port| names_a_wire(port, pfx, num_gates))
         })
         .unwrap_or("gpasta_wire_");
-    // Gate `g`'s wire, and a driver's net name: the port's own name, or
-    // the gate's wire.
-    let put_wire = |out: &mut String, g: usize| {
-        out.push_str(prefix);
-        put_decimal(out, g);
-    };
+    // Every gate's wire, rendered once, as the wire list and most nets
+    // name it several times: gate `g`'s is
+    // `wires[wire_end[g - 1]..wire_end[g]]` (from 0 for gate 0).
+    let mut wires = String::with_capacity(num_gates * (prefix.len() + 6));
+    let mut wire_end = Vec::with_capacity(num_gates);
+    for g in 0..num_gates {
+        wires.push_str(prefix);
+        put_decimal(&mut wires, g);
+        wire_end.push(wires.len());
+    }
+    let wire = |g: usize| &wires[g.checked_sub(1).map_or(0, |p| wire_end[p])..wire_end[g]];
+    // A driver's net name: the port's own name, or the gate's wire.
     let put_driver = |out: &mut String, driver: PinRef| match driver {
         PinRef::PrimaryInput(p) => out.push_str(&inputs[p.index()]),
-        PinRef::GateOutput(g) => put_wire(out, g.index()),
+        PinRef::GateOutput(g) => out.push_str(wire(g.index())),
         // Never a driver in a built netlist.
         PinRef::PrimaryOutput(_) | PinRef::GateInput(..) => {}
     };
@@ -181,7 +187,7 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
             if g > 0 {
                 out.push_str(", ");
             }
-            put_wire(&mut out, g);
+            out.push_str(wire(g));
         }
         out.push_str(";\n");
     }
@@ -228,7 +234,7 @@ pub fn write_verilog(netlist: &Netlist, name: &str) -> String {
         out.push('.');
         out.push_str(output_pin_name(gate.cell));
         out.push('(');
-        put_wire(&mut out, g);
+        out.push_str(wire(g));
         out.push_str("));\n");
     }
 
