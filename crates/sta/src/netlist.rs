@@ -325,7 +325,7 @@ impl NetlistBuilder {
     /// Nets ascend by their driver and each net's sinks ascend, both in
     /// the order of the pins' `Debug` text, without rendering it: the
     /// variant's name first (`GateInput` < `GateOutput` < `PrimaryInput` <
-    /// `PrimaryOutput`), then the id's decimal text ([`text_order`]), then
+    /// `PrimaryOutput`), then the id's decimal text, then
     /// a gate input's pin (one digit). A net's wire cap is its driver's
     /// caps summed in call order.
     ///
@@ -462,7 +462,7 @@ impl NetlistBuilder {
 
 /// The ids `0..n` in the order of their decimal texts (`"10"` before
 /// `"9"`): a depth-first walk of the digit tree, with no sort.
-pub(crate) fn text_order(n: usize) -> Vec<u32> {
+fn text_order(n: usize) -> Vec<u32> {
     let mut order = Vec::with_capacity(n);
     if n == 0 {
         return order;

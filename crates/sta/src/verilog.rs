@@ -331,25 +331,16 @@ fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
 pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
     let scan = Scan::of(text)?;
     let mut reader = Reader::new(text.len());
-    let mut failed = None;
     for &(line, stmt) in &scan.statements {
         let stmt = match stmt {
             Statement::Text(stmt) => stmt,
             Statement::Joined(i) => &scan.joined[i],
             Statement::End => break,
         };
-        match reader.statement(line, stmt) {
-            Ok(true) => {}
-            // `endmodule`: what follows is not read.
-            Ok(false) => break,
-            Err(e) => {
-                failed = Some(e);
-                break;
-            }
+        // After `endmodule` nothing is read.
+        if !reader.statement(line, stmt)? {
+            break;
         }
-    }
-    if let Some(e) = failed {
-        return Err(e);
     }
     reader.finish(scan.drive_pragmas, scan.cap_pragmas)
 }
