@@ -18,12 +18,35 @@
 //!   `// hb:` labels on every release/acquire half, and an exhaustive
 //!   allowlist for `unwrap`/`expect` on non-test library paths.
 //!
-//! [`protocols`] contains the bounded model-check harnesses for the five
-//! scheduler protocols (poison publication, chunked decrement flush, stop
-//! latch, cancel generations, slack-min), with seeded mutations proving
-//! the checker catches real weakenings.
+//! The protocol harnesses live beside the code they explore, each a
+//! `#[cfg(all(test, gpasta_model_check))] mod model_check` that drives the
+//! shipped function: the decrement batch and the stop latch in
+//! `gpasta-sched`'s `bounded.rs`, `CancelToken` in `gpasta-tdg`'s
+//! `cancel.rs`, the slack min in `gpasta-sta`'s `atomic_f32.rs` and the park
+//! slot in `gpasta`'s `serve/http.rs`. Their seeded mutations are
+//! [`mutant!`] sites. [`protocols`] keeps the one harness with no
+//! production step of its own, poison publication.
 
 pub mod lint;
 pub mod model;
 pub mod protocols;
 pub mod sync;
+
+/// A seeded mutation site: `$shipped` in a normal build; under `--cfg
+/// gpasta_model_check`, `$mutant` instead while the running schedule is
+/// seeded with `$name` ([`model::seed`]). A normal build compiles none of
+/// the mutant's tokens.
+#[macro_export]
+macro_rules! mutant {
+    ($name:literal, $shipped:expr, $mutant:expr $(,)?) => {{
+        #[cfg(gpasta_model_check)]
+        let value = if $crate::model::seeded($name) {
+            $mutant
+        } else {
+            $shipped
+        };
+        #[cfg(not(gpasta_model_check))]
+        let value = $shipped;
+        value
+    }};
+}

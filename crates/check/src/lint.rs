@@ -40,7 +40,8 @@
 //! Rules 1–4 and 6 read `crates/*/src` and `src/`, outside `tests/`,
 //! `benches/` and `examples/`; rule 5 reads every `.rs` file of the tree
 //! (tests, benches, examples and `perf_ledger/` too). `#[cfg(test)]`
-//! items, `vendor/` and `target/` are excluded from all six. For rules 1–4
+//! items (and `#[cfg(all(test, …))]` ones, such as the model-check
+//! harness modules), `vendor/` and `target/` are excluded from all six. For rules 1–4
 //! strings and comments are masked before matching, so a pattern inside a
 //! string literal or doc example never fires.
 
@@ -261,12 +262,20 @@ fn mask_source(source: &str) -> Vec<MaskedLine> {
     lines
 }
 
-/// Mark lines belonging to `#[cfg(test)]` items by brace counting from the
-/// attribute to the end of the following item.
+/// Whether `code` holds a test-only `cfg` attribute: `#[cfg(test)]`, or
+/// `#[cfg(all(test, …))]` such as the model-check harness modules'
+/// `#[cfg(all(test, gpasta_model_check))]`.
+fn is_test_cfg(code: &str) -> bool {
+    let compact: String = code.split_whitespace().collect();
+    compact.contains("#[cfg(test)]") || compact.contains("#[cfg(all(test,")
+}
+
+/// Mark lines belonging to test-only items ([`is_test_cfg`]) by brace
+/// counting from the attribute to the end of the following item.
 fn mark_test_regions(lines: &mut [MaskedLine]) {
     let mut i = 0;
     while i < lines.len() {
-        if lines[i].code.contains("#[cfg(test)]") {
+        if is_test_cfg(&lines[i].code) {
             // Find the item's opening brace, then its matching close.
             let mut depth = 0usize;
             let mut opened = false;
@@ -851,6 +860,24 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n    use std::sync::atomic::AtomicU64;\n    \
                    fn f() { x.unwrap(); y.store(1, Ordering::SeqCst); }\n}\n";
         assert!(lint_one("crates/sched/src/executor.rs", src).is_empty());
+    }
+
+    #[test]
+    fn model_check_test_region_skipped_but_its_cfg_alone_is_not() {
+        let body = "mod model_check {\n    use std::sync::atomic::AtomicU64;\n    \
+                    fn f() { x.unwrap(); y.store(1, Ordering::Release); }\n}\n";
+        let gated = format!("#[cfg(all(test, gpasta_model_check))]\n{body}");
+        assert!(lint_one("crates/sched/src/bounded.rs", &gated).is_empty());
+        let shipped = format!("#[cfg(gpasta_model_check)]\n{body}");
+        let rules: Vec<&str> = lint_one("crates/sched/src/bounded.rs", &shipped)
+            .iter()
+            .map(|d| d.rule)
+            .collect();
+        assert_eq!(
+            rules,
+            ["raw-atomic", "hb-tag"],
+            "a cfg without `test` ships"
+        );
     }
 
     #[test]

@@ -55,6 +55,12 @@
 //! Every violation carries the decision script that produced it;
 //! [`replay`] re-executes exactly that schedule, so a counterexample is a
 //! reproducible artifact, not a flaky observation.
+//!
+//! # Seeded mutations
+//!
+//! A harness body that calls [`seed`] runs that schedule with one named
+//! [`crate::mutant!`] site of the production code swapped for its mutant,
+//! so the mutation gate weakens the code that ships, not a copy of it.
 
 pub mod sync;
 
@@ -236,6 +242,8 @@ struct Shared {
     /// Global SC view: `SeqCst` operations (and fences) merge through this,
     /// modelling SC as AcqRel-plus-total-order (slightly stronger than C11).
     sc: Msg,
+    /// The mutation this schedule was seeded with ([`seed`]).
+    mutant: Option<&'static str>,
 }
 
 impl Shared {
@@ -259,6 +267,7 @@ impl Shared {
         self.violation = None;
         self.abort = false;
         self.sc = Msg::default();
+        self.mutant = None;
     }
 
     /// Resolve one DFS decision point with `options` alternatives. Single-
@@ -458,6 +467,23 @@ pub fn check(cond: bool, message: &str) {
     });
 }
 
+/// Seed the current schedule with the mutation `name`: from here on,
+/// every [`crate::mutant!`] site of that name runs its mutant instead of
+/// the shipped code. Call it from the harness body, before
+/// [`run_threads`]; each schedule starts unseeded.
+pub fn seed(name: &'static str) {
+    let (e, _) = ctx();
+    e.lock().mutant = Some(name);
+}
+
+/// Whether the current schedule was seeded with the mutation `name`
+/// ([`seed`]). Not a scheduling point.
+pub fn seeded(name: &str) -> bool {
+    let (e, _) = ctx();
+    let mutant = e.lock().mutant;
+    mutant == Some(name)
+}
+
 /// Run `bodies` as virtual threads to completion under the exploring
 /// scheduler. Must be called from the harness body (virtual thread 0);
 /// blocks until every virtual thread finished. Panics (model abort) if the
@@ -627,6 +653,7 @@ fn make_exploration(bounds: &Bounds) -> Arc<Exploration> {
             violation: None,
             abort: false,
             sc: Msg::default(),
+            mutant: None,
         }),
         cv: Condvar::new(),
     })
@@ -683,6 +710,68 @@ pub fn explore<F: FnMut()>(bounds: &Bounds, mut body: F) -> Report {
         violation,
         counters,
     }
+}
+
+/// The bounds every in-tree harness is explored under: each instance is
+/// small enough that these exhaust it.
+pub const HARNESS_BOUNDS: Bounds = Bounds {
+    max_schedules: 400_000,
+    max_steps: 2_000,
+    preemption_bound: None,
+};
+
+/// Harness assertion: `report` drained its frontier with no violation,
+/// and every coverage counter in `reached` fired in some schedule. Prints
+/// the schedule count to stderr (shown with `--nocapture`).
+///
+/// # Panics
+///
+/// On a violation, a frontier left undrained, or a counter never reached.
+pub fn assert_exhausted(report: &Report, reached: &[&str]) {
+    eprintln!(
+        "explored {} schedule(s), exhausted: {}",
+        report.schedules, report.exhausted
+    );
+    if let Some(v) = &report.violation {
+        panic!("unexpected violation:\n{v}");
+    }
+    assert!(report.exhausted, "must drain the DFS frontier");
+    for key in reached {
+        assert!(
+            report.counters.contains_key(key),
+            "{key} never reached: {:?}",
+            report.counters
+        );
+    }
+}
+
+/// Mutation-gate assertion: `report` holds a counterexample with a trace,
+/// whose message names one of `expected` (any, if empty), and replaying
+/// its decisions against `once` reproduces it exactly. Prints the
+/// counterexample's message and decision script to stderr.
+///
+/// # Panics
+///
+/// When the mutation went uncaught, the message names none of `expected`,
+/// or the replay does not reproduce the violation.
+pub fn assert_caught(report: Report, expected: &[&str], once: impl FnMut()) {
+    let Some(v) = report.violation else {
+        panic!("the mutation must yield a counterexample");
+    };
+    eprintln!(
+        "caught after {} schedule(s): {} (decisions {:?})",
+        report.schedules, v.message, v.decisions
+    );
+    assert!(!v.trace.is_empty(), "counterexample carries a trace");
+    assert!(
+        expected.is_empty() || expected.iter().any(|e| v.message.contains(e)),
+        "counterexample should name one of {expected:?}: {}",
+        v.message
+    );
+    let Some(rv) = replay(&v.decisions, once).violation else {
+        panic!("replay must reproduce the violation:\n{v}");
+    };
+    assert_eq!(rv.message, v.message, "replay is deterministic");
 }
 
 /// Re-execute exactly one schedule of `body` from a recorded decision

@@ -4,9 +4,15 @@
 //! of `std::sync::atomic` / `parking_lot` directly (enforced by
 //! `gpasta-check-lint`). In a normal build this module is nothing but
 //! re-exports — zero cost, identical codegen. Under `--cfg
-//! gpasta_model_check` (e.g. `RUSTFLAGS="--cfg gpasta_model_check" cargo
-//! test -p gpasta-check`) the same names resolve to the model checker's
-//! instrumented types, so protocol code can be explored without edits.
+//! gpasta_model_check` the same names resolve to the model checker's
+//! instrumented types, so protocol code can be explored without edits:
+//! each crate's `#[cfg(all(test, gpasta_model_check))] mod model_check`
+//! drives its shipped protocol step that way — `DecrementBatch` and
+//! `latch_stop` in `gpasta-sched`'s `bounded.rs`, `CancelToken` in
+//! `gpasta-tdg`'s `cancel.rs`, `AtomicF32::fetch_min_nan_preserving` in
+//! `gpasta-sta`'s `atomic_f32.rs`, and the park slot in `gpasta`'s
+//! `serve/http.rs` (`RUSTFLAGS="--cfg gpasta_model_check" cargo test -p
+//! gpasta-sched -p gpasta-sta -p gpasta-tdg -p gpasta --lib model_check`).
 //!
 //! The surface is deliberately the *intersection* the workspace uses:
 //! `AtomicBool`/`AtomicU8`/`AtomicU32`/`AtomicU64`/`AtomicUsize`,

@@ -44,6 +44,7 @@ use crate::outcome::{
 use crate::report::RunReport;
 use crossbeam_deque::{Injector, Stealer, Worker};
 use crossbeam_utils::Backoff;
+use gpasta_check::mutant;
 use gpasta_check::sync::{
     AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering,
 };
@@ -477,6 +478,16 @@ struct DecrementBatch {
 }
 
 impl DecrementBatch {
+    fn with_capacity(capacity: usize) -> Self {
+        DecrementBatch {
+            pending: Vec::with_capacity(capacity),
+            finished: 0,
+            tasks: 0,
+        }
+    }
+
+    /// Batch one decrement of `succ`'s counter.
+    #[inline]
     fn note(&mut self, succ: u32) {
         // Linear merge: fan-out batches are tiny (≤ chunk_size ·
         // mean-degree with heavy duplication), so a scan beats hashing.
@@ -486,11 +497,25 @@ impl DecrementBatch {
         }
     }
 
-    fn flush(&mut self, dep: &[AtomicU32], local: &Worker<u32>, completed: &AtomicUsize) {
+    /// Count one finished unit of `tasks` member tasks; whether the batch
+    /// now holds `chunk_size` tasks and is due a flush.
+    #[inline]
+    fn finish(&mut self, tasks: usize, chunk_size: usize) -> bool {
+        self.finished += 1;
+        self.tasks += tasks;
+        self.tasks >= chunk_size
+    }
+
+    /// Publish the batch: one `fetch_sub(count)` per distinct successor,
+    /// handing `ready` each successor whose counter this flush brings to
+    /// zero, then the finished-unit count.
+    #[inline]
+    fn flush(&mut self, dep: &[AtomicU32], completed: &AtomicUsize, mut ready: impl FnMut(u32)) {
         for &(s, c) in &self.pending {
             // hb: dep-handoff
-            if dep[s as usize].fetch_sub(c, Ordering::AcqRel) == c {
-                local.push(s);
+            let order = mutant!("flush-relaxed", Ordering::AcqRel, Ordering::Relaxed);
+            if dep[s as usize].fetch_sub(c, order) == c {
+                ready(s);
             }
         }
         self.pending.clear();
@@ -500,6 +525,34 @@ impl DecrementBatch {
             self.tasks = 0;
         }
     }
+}
+
+/// The run's stop cause as a worker admits its next unit: one already
+/// latched, else whatever `poll` finds now, latched so that the first
+/// cause wins. Returns the latched cause (a worker whose latch lost drains
+/// under the winner's), or `STOP_RUNNING` while the run goes on.
+#[inline]
+fn latch_stop(stop: &AtomicU8, poll: impl FnOnce() -> u8) -> u8 {
+    let latched = stop.load(Ordering::Acquire); // hb: stop-latch
+    if latched != STOP_RUNNING {
+        return latched;
+    }
+    let cause = poll();
+    if cause == STOP_RUNNING {
+        return cause;
+    }
+    mutant!(
+        "stop-latch-store",
+        // hb: stop-latch
+        match stop.compare_exchange(STOP_RUNNING, cause, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => cause,
+            Err(first) => first,
+        },
+        {
+            stop.store(cause, Ordering::Release); // hb: stop-latch
+            cause
+        },
+    )
 }
 
 /// Work-stealing bounded recovering wavefront.
@@ -512,7 +565,8 @@ impl DecrementBatch {
 /// regardless of interleaving: a unit is only popped after every
 /// predecessor decremented its fan-in count. Weakening that decrement to
 /// `Relaxed`, or letting a worker park on an unflushed batch, are the
-/// mutations the model checker catches (gpasta-check `chunked_flush`).
+/// mutations the model checker catches (`model_check::chunked_flush`
+/// below, which drives [`DecrementBatch`] itself).
 fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
     graph: &G,
     workers: usize,
@@ -559,11 +613,7 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
             let stop = &stop;
             scope.spawn(move || {
                 let backoff = Backoff::new();
-                let mut batch = DecrementBatch {
-                    pending: Vec::with_capacity(chunk_size.min(n) * 2),
-                    finished: 0,
-                    tasks: 0,
-                };
+                let mut batch = DecrementBatch::with_capacity(chunk_size.min(n) * 2);
                 let mut dispatched = 0u64;
                 loop {
                     let unit = local.pop().or_else(|| {
@@ -571,7 +621,7 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                         // for work elsewhere: a batched edge may be the
                         // only thing standing between the pool and either
                         // new ready units or the termination condition.
-                        batch.flush(dep, &local, completed);
+                        batch.flush(dep, completed, |s| local.push(s));
                         local.pop().or_else(|| {
                             std::iter::repeat_with(|| {
                                 injector.steal_batch_and_pop(&local).or_else(|| {
@@ -598,20 +648,7 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                         continue;
                     };
                     backoff.reset();
-                    let mut cause = stop.load(Ordering::Acquire); // hb: stop-latch
-                    if cause == STOP_RUNNING {
-                        cause = poll_budget(clock);
-                        if cause != STOP_RUNNING {
-                            // First observer wins; losers just see a
-                            // non-zero stop and drain too.
-                            let _ = stop.compare_exchange(
-                                STOP_RUNNING,
-                                cause,
-                                Ordering::AcqRel, // hb: stop-latch
-                                Ordering::Acquire,
-                            );
-                        }
-                    }
+                    let cause = latch_stop(stop, || poll_budget(clock));
                     let poison = if cause != STOP_RUNNING {
                         // Drain without admitting (see the sequential
                         // runner for the semantics).
@@ -642,10 +679,8 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
                         }
                         batch.note(s);
                     }
-                    batch.finished += 1;
-                    batch.tasks += graph.members(t).len();
-                    if batch.tasks >= chunk_size {
-                        batch.flush(dep, &local, completed);
+                    if batch.finish(graph.members(t).len(), chunk_size) {
+                        batch.flush(dep, completed, |s| local.push(s));
                     }
                 }
                 // One shared RMW per worker per run, not one per unit.
@@ -659,6 +694,314 @@ fn run_stealing_bounded<G: UnitGraph, R: Fn(u32) -> bool + Sync>(
         poisoned: poisoned.into_iter().map(AtomicBool::into_inner).collect(),
         unfinished: unfinished.into_iter().map(AtomicBool::into_inner).collect(),
         stop: stop_cause(stop.into_inner()),
+    }
+}
+
+/// Exhaustive model-check harnesses for the two protocol steps of the
+/// stealing wavefront, each driving the shipped function: the decrement
+/// batch ([`DecrementBatch::note`] / [`DecrementBatch::flush`]) and the
+/// stop latch ([`latch_stop`]). Run with `RUSTFLAGS="--cfg
+/// gpasta_model_check" cargo test -p gpasta-sched --lib model_check`.
+#[cfg(all(test, gpasta_model_check))]
+mod model_check {
+    use super::*;
+    use gpasta_check::model::sync::TrackedCell;
+    use gpasta_check::model::{
+        assert_caught, assert_exhausted, check, count, explore, run_threads, seed, Report,
+        HARNESS_BOUNDS,
+    };
+
+    // -----------------------------------------------------------------
+    // Chunked decrement flush
+    // -----------------------------------------------------------------
+
+    /// Member tasks a worker finishes before the chunk rule flushes.
+    const CHUNK: usize = 2;
+    const CHUNK_UNITS: usize = 4;
+
+    /// Bounded instance: sources `0`, `1`, `3` all feed the shared
+    /// successor `2`; unit 0 fails its payload, so unit 2 is poisoned and
+    /// must be admitted (exactly once, after all three predecessors) but
+    /// never run.
+    struct ChunkInstance {
+        poisoned: [AtomicBool; 4],
+        /// Fan-in countdowns: only the shared successor has predecessors.
+        dep: [AtomicU32; 4],
+        completed: AtomicUsize,
+        output: [TrackedCell<u32>; 4],
+        /// Which worker's flush readied unit 2.
+        unit2_admitter: TrackedCell<u32>,
+    }
+
+    fn chunk_succ(unit: u32) -> &'static [u32] {
+        match unit {
+            0 | 1 | 3 => &[2],
+            _ => &[],
+        }
+    }
+
+    /// One stealing worker: a private LIFO of ready units and the shipped
+    /// [`DecrementBatch`] it accumulates between flushes.
+    struct ChunkWorker<'a> {
+        inst: &'a ChunkInstance,
+        id: u32,
+        local: Vec<u32>,
+        batch: DecrementBatch,
+    }
+
+    impl ChunkWorker<'_> {
+        fn flush(&mut self) {
+            let local = &mut self.local;
+            self.batch
+                .flush(&self.inst.dep, &self.inst.completed, |s| local.push(s));
+        }
+
+        /// Admit one unit as the worker loop does: inherit poison or run
+        /// the payload, publish poison on failure, and batch (not
+        /// publish) the successor decrements.
+        fn admit(&mut self, unit: u32) {
+            let inst = self.inst;
+            let is_poisoned = inst.poisoned[unit as usize].load(Ordering::Acquire);
+            if unit == 2 {
+                inst.unit2_admitter.write(self.id);
+                // Admission happens-after every predecessor, poisoned or
+                // not: reading their outputs makes the race detector prove
+                // it.
+                check(
+                    inst.output[1].read() == 101 && inst.output[3].read() == 103,
+                    "a unit must be admitted after all its predecessors",
+                );
+            }
+            // Unit 0's payload fails; everything else succeeds when clean.
+            let ok = !is_poisoned && unit != 0;
+            if ok {
+                inst.output[unit as usize].write(100 + unit);
+            }
+            for &s in chunk_succ(unit) {
+                if !ok {
+                    inst.poisoned[s as usize].store(true, Ordering::Release);
+                }
+                self.batch.note(s);
+            }
+            if self.batch.finish(1, CHUNK) {
+                self.flush();
+            }
+        }
+
+        /// The worker loop, reduced to its local deque: out of local work,
+        /// it flushes and (the seeds being dealt out, so a steal finds
+        /// nothing) parks. `flush_before_steal: false` is the
+        /// `FlushAfterSteal` mutant, which flushes only once a steal has
+        /// succeeded, i.e. never.
+        fn run(mut self, flush_before_steal: bool) {
+            loop {
+                if self.local.is_empty() && flush_before_steal {
+                    self.flush();
+                }
+                let Some(unit) = self.local.pop() else {
+                    return;
+                };
+                self.admit(unit);
+            }
+        }
+    }
+
+    /// One execution of the chunked-flush instance: worker 1 is dealt the
+    /// failing unit 0 (its batch is published by the flush-before-steal
+    /// rule), worker 2 the clean units 1 and 3 (its batch merges their two
+    /// decrements of unit 2 into one `fetch_sub(2)`, published by the
+    /// chunk rule).
+    fn chunked_flush_once(flush_before_steal: bool) {
+        let inst = ChunkInstance {
+            poisoned: [
+                AtomicBool::named("poisoned0", false),
+                AtomicBool::named("poisoned1", false),
+                AtomicBool::named("poisoned2", false),
+                AtomicBool::named("poisoned3", false),
+            ],
+            dep: [
+                AtomicU32::named("dep0", 0),
+                AtomicU32::named("dep1", 0),
+                AtomicU32::named("dep2", 3),
+                AtomicU32::named("dep3", 0),
+            ],
+            completed: AtomicUsize::named("completed", 0),
+            output: [
+                TrackedCell::named("output0", 0),
+                TrackedCell::named("output1", 0),
+                TrackedCell::named("output2", 0),
+                TrackedCell::named("output3", 0),
+            ],
+            unit2_admitter: TrackedCell::named("unit2_admitter", u32::MAX),
+        };
+        let worker = |id: u32, local: Vec<u32>| ChunkWorker {
+            inst: &inst,
+            id,
+            local,
+            batch: DecrementBatch::with_capacity(4),
+        };
+        let (w1, w2) = (worker(1, vec![0]), worker(2, vec![1, 3]));
+        run_threads(vec![
+            Box::new(move || w1.run(flush_before_steal)),
+            Box::new(move || w2.run(flush_before_steal)),
+        ]);
+        // A parked worker exits once `completed` reaches the unit count;
+        // with both workers parked, anything short of it is a run that
+        // never ends.
+        check(
+            inst.completed.load(Ordering::Relaxed) == CHUNK_UNITS,
+            "the run must terminate with every unit accounted for exactly once",
+        );
+        check(
+            inst.dep[2].load(Ordering::Relaxed) == 0,
+            "every batched decrement must be published",
+        );
+        check(
+            inst.poisoned[2].load(Ordering::Relaxed),
+            "failed parent must poison the shared successor",
+        );
+        check(
+            !inst.poisoned[1].load(Ordering::Relaxed) && !inst.poisoned[3].load(Ordering::Relaxed),
+            "poison must not leak outside the forward closure",
+        );
+        check(
+            inst.output[2].read() == 0,
+            "poisoned unit must never run its payload",
+        );
+        check(
+            inst.output[1].read() == 101 && inst.output[3].read() == 103,
+            "unpoisoned units must run",
+        );
+        match inst.unit2_admitter.read() {
+            1 => count("unit2-readied-by-failing-worker"),
+            2 => count("unit2-readied-by-batched-decrement"),
+            _ => count("unit2-never-reached"),
+        }
+    }
+
+    fn chunked_flush(mutant: Option<&'static str>, flush_before_steal: bool) -> Report {
+        explore(&HARNESS_BOUNDS, || {
+            if let Some(name) = mutant {
+                seed(name);
+            }
+            chunked_flush_once(flush_before_steal);
+        })
+    }
+
+    #[test]
+    fn chunked_flush_exhaustive_no_violation() {
+        let report = chunked_flush(None, true);
+        // Either worker's flush must be the one that readies unit 2 in
+        // some schedule: the lone decrement acquiring the batched one and
+        // the batched `fetch_sub(2)` acquiring the poison.
+        assert_exhausted(
+            &report,
+            &[
+                "unit2-readied-by-failing-worker",
+                "unit2-readied-by-batched-decrement",
+            ],
+        );
+        assert!(!report.counters.contains_key("unit2-never-reached"));
+    }
+
+    #[test]
+    fn flush_after_steal_mutation_caught_with_replayable_trace() {
+        assert_caught(chunked_flush(None, false), &["terminate"], || {
+            chunked_flush_once(false)
+        });
+    }
+
+    #[test]
+    fn chunk_decrement_mutation_caught_with_replayable_trace() {
+        assert_caught(
+            chunked_flush(Some("flush-relaxed"), true),
+            &["poisoned unit", "data race"],
+            || {
+                seed("flush-relaxed");
+                chunked_flush_once(true);
+            },
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // Stop latch
+    // -----------------------------------------------------------------
+
+    /// One worker about to admit a unit, whose budget poll would find
+    /// `cause`: records the cause [`latch_stop`] returns (the one it
+    /// drains under) and whether it polled at all.
+    fn admit_under(stop: &AtomicU8, cause: u8, drained: &TrackedCell<u8>) {
+        let mut polled = false;
+        let got = latch_stop(stop, || {
+            polled = true;
+            cause
+        });
+        if !polled {
+            count("saw-the-latch-before-polling");
+        }
+        drained.write(got);
+    }
+
+    /// One execution of the stop-latch instance: two workers, one whose
+    /// budget poll finds the deadline expired and one that finds the token
+    /// cancelled.
+    fn stop_latch_once() {
+        let stop = AtomicU8::named("stop", STOP_RUNNING);
+        let deadline = TrackedCell::named("deadline_worker", STOP_RUNNING);
+        let cancel = TrackedCell::named("cancel_worker", STOP_RUNNING);
+        let (st, dl, cl) = (&stop, &deadline, &cancel);
+        run_threads(vec![
+            Box::new(move || admit_under(st, STOP_DEADLINE, dl)),
+            Box::new(move || admit_under(st, STOP_CANCELLED, cl)),
+        ]);
+        let reported = stop.load(Ordering::Relaxed);
+        check(
+            reported != STOP_RUNNING,
+            "a cause both workers found must latch",
+        );
+        check(
+            deadline.read() == reported && cancel.read() == reported,
+            "exactly one cause latches: every worker drains under the cause the run reports",
+        );
+        count(match reported {
+            STOP_DEADLINE => "deadline-latched",
+            _ => "cancel-latched",
+        });
+    }
+
+    fn stop_latch(mutant: Option<&'static str>) -> Report {
+        explore(&HARNESS_BOUNDS, || {
+            if let Some(name) = mutant {
+                seed(name);
+            }
+            stop_latch_once();
+        })
+    }
+
+    #[test]
+    fn stop_latch_exhaustive_no_violation() {
+        // Either cause can win, and a worker can find the latch already
+        // taken before it polls.
+        assert_exhausted(
+            &stop_latch(None),
+            &[
+                "deadline-latched",
+                "cancel-latched",
+                "saw-the-latch-before-polling",
+            ],
+        );
+    }
+
+    #[test]
+    fn stop_latch_store_mutation_caught_with_replayable_trace() {
+        assert_caught(
+            stop_latch(Some("stop-latch-store")),
+            &["exactly one cause"],
+            || {
+                seed("stop-latch-store");
+                stop_latch_once();
+            },
+        );
     }
 }
 

@@ -50,8 +50,8 @@ impl AtomicF32 {
     /// the NaN and hide the corruption).
     ///
     /// Concurrent callers fold commutatively, so the result is the same
-    /// for every interleaving — the `slack-min` model-check harness in
-    /// `gpasta-check` explores all of them to prove it. The reduction
+    /// for every interleaving — the `model_check` harness below explores
+    /// all of them through this function to prove it. The reduction
     /// transfers only the value itself (no payload to publish), so
     /// `Relaxed` is sufficient.
     pub fn fetch_min_nan_preserving(&self, v: f32) {
@@ -87,6 +87,45 @@ impl Clone for AtomicF32 {
 impl From<f32> for AtomicF32 {
     fn from(v: f32) -> Self {
         AtomicF32::new(v)
+    }
+}
+
+/// Exhaustive model-check harness for
+/// [`AtomicF32::fetch_min_nan_preserving`], driving the shipped CAS loop.
+/// Run with `RUSTFLAGS="--cfg gpasta_model_check" cargo test -p
+/// gpasta-sta --lib model_check`.
+#[cfg(all(test, gpasta_model_check))]
+mod model_check {
+    use super::*;
+    use gpasta_check::model::{assert_exhausted, check, explore, run_threads, HARNESS_BOUNDS};
+
+    /// Two threads fold `inputs` into a cell seeded with `init`; every
+    /// interleaving must end at `expected` (bitwise, so NaN compares like
+    /// any value).
+    fn slack_min(init: f32, inputs: [f32; 2], expected: f32) {
+        let report = explore(&HARNESS_BOUNDS, || {
+            let acc = AtomicF32(AtomicU32::named("slack_bits", init.to_bits()));
+            let a = &acc;
+            run_threads(vec![
+                Box::new(move || a.fetch_min_nan_preserving(inputs[0])),
+                Box::new(move || a.fetch_min_nan_preserving(inputs[1])),
+            ]);
+            check(
+                acc.load_bits() == expected.to_bits(),
+                "slack-min must be order-insensitive and NaN-preserving",
+            );
+        });
+        assert_exhausted(&report, &[]);
+    }
+
+    #[test]
+    fn slack_min_plain_values_order_insensitive() {
+        slack_min(5.0, [3.5, 7.0], 3.5);
+    }
+
+    #[test]
+    fn slack_min_nan_preserving_in_every_interleaving() {
+        slack_min(5.0, [3.5, f32::NAN], f32::NAN);
     }
 }
 

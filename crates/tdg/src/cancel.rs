@@ -50,7 +50,8 @@ impl CancelToken {
     /// The `Release` bump pairs with the `Acquire` polls in
     /// [`CancelToken::generation`]: an observer that sees the new
     /// generation also sees everything the canceller wrote before calling
-    /// `cancel` (e.g. a stop reason).
+    /// `cancel` (e.g. a stop reason). The `model_check` harness below
+    /// explores exactly this function at the `u64` wrap.
     pub fn cancel(&self) {
         self.generation.fetch_add(1, Ordering::Release); // hb: cancel-gen
     }
@@ -95,6 +96,83 @@ impl CancelObserver {
         let token = CancelToken::new();
         let seen = token.generation();
         CancelObserver { token, seen }
+    }
+}
+
+/// Exhaustive model-check harness for [`CancelToken`] at the `u64` wrap
+/// boundary, driving the shipped `cancel` / `observe` / `is_cancelled`.
+/// Run with `RUSTFLAGS="--cfg gpasta_model_check" cargo test -p
+/// gpasta-tdg --lib model_check`.
+#[cfg(all(test, gpasta_model_check))]
+mod model_check {
+    use super::*;
+    use gpasta_check::model::sync::TrackedCell;
+    use gpasta_check::model::{
+        assert_exhausted, check, count, explore, run_threads, HARNESS_BOUNDS,
+    };
+
+    /// One execution of the cancel-generation instance. The counter starts
+    /// at `u64::MAX` so the single concurrent cancel exercises the
+    /// wraparound to 0; observers compare generations by inequality,
+    /// which survives the wrap (an ABA collision would need 2^64 in-flight
+    /// cancels).
+    fn cancel_once() {
+        let token = CancelToken {
+            generation: Arc::new(AtomicU64::named("generation", u64::MAX)),
+        };
+        let reason = TrackedCell::named("reason", 0u32);
+        let run_k_saw = TrackedCell::named("run_k_saw", false);
+        let (canceller, why, saw) = (token.clone(), &reason, &run_k_saw);
+        let runner = token.clone();
+        run_threads(vec![
+            // Canceller: publish the reason, then cancel.
+            Box::new(move || {
+                why.write(9);
+                canceller.cancel();
+            }),
+            // Runner: run k observes at the wrap boundary, polls twice,
+            // then run k+1 starts a fresh observation.
+            Box::new(move || {
+                let run_k = runner.observe();
+                let c1 = run_k.is_cancelled();
+                let c2 = run_k.is_cancelled();
+                check(!c1 || c2, "cancellation must latch per observer");
+                if c2 {
+                    // Delivered cancels may consume the canceller's
+                    // payload.
+                    check(
+                        why.read() == 9,
+                        "a delivered cancel must publish its reason",
+                    );
+                }
+                saw.write(c2);
+                let c3 = runner.observe().is_cancelled();
+                check(
+                    !(c2 && c3),
+                    "a cancel consumed by run k must not re-deliver to run k+1",
+                );
+            }),
+        ]);
+        check(token.generation() == 0, "generation must wrap MAX -> 0");
+        check(
+            !token.observe().is_cancelled(),
+            "post-run observer must start uncancelled",
+        );
+        count(if run_k_saw.read() {
+            "run-k-saw-cancel"
+        } else {
+            "run-k-missed-cancel"
+        });
+    }
+
+    #[test]
+    fn cancel_generation_wrap_exhaustive_no_violation() {
+        // Both delivery outcomes must be reached: run k seeing the cancel
+        // and run k missing it (cancel lands in a later run's window).
+        assert_exhausted(
+            &explore(&HARNESS_BOUNDS, cancel_once),
+            &["run-k-saw-cancel", "run-k-missed-cancel"],
+        );
     }
 }
 

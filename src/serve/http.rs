@@ -40,7 +40,8 @@
 //! `read_timeout`). The slot's state word decides a retire racing a
 //! claim: both are one compare-and-swap from `PARKED`, so exactly one
 //! wins, and a thread whose retire lost still serves the stream it is
-//! sent (the `park_handoff` harness in `gpasta-check` explores it).
+//! sent (the `model_check` harness at the end of this file explores
+//! `ParkSlot::claim` and `ParkSlot::retire`).
 //!
 //! Overload: past `max_connections` live connections the accept loop
 //! sheds immediately with `503` + `Retry-After` (never queues; a parked
@@ -157,7 +158,7 @@ pub fn run_http(
         };
         counters.threads.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let slot = Arc::new(AtomicU8::new(SERVING));
+        let slot = Arc::new(ParkSlot::serving());
         let conn = Connection {
             registry: registry.clone(),
             counters: counters.clone(),
@@ -193,6 +194,47 @@ const SERVING: u8 = 0;
 const PARKED: u8 = 1;
 const RETIRED: u8 = 2;
 
+/// One connection thread's park slot: its state word and the three
+/// moves on it.
+struct ParkSlot(AtomicU8);
+
+impl ParkSlot {
+    fn serving() -> Self {
+        ParkSlot(AtomicU8::new(SERVING))
+    }
+
+    /// The thread's connection ended: it waits for the next stream.
+    fn park(&self) {
+        self.0.store(PARKED, Ordering::Relaxed);
+    }
+
+    /// The accept loop claims the parked thread for a stream; false if
+    /// the thread is serving, or retired first.
+    fn claim(&self) -> bool {
+        self.0
+            .compare_exchange(PARKED, SERVING, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// The parked thread retires at its idle deadline; false if a claim
+    /// won first, so a stream is on its way.
+    fn retire(&self) -> bool {
+        gpasta_check::mutant!(
+            "retire-by-store",
+            self.0
+                .compare_exchange(PARKED, RETIRED, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok(),
+            {
+                let parked = self.0.load(Ordering::Relaxed) == PARKED;
+                if parked {
+                    self.0.store(RETIRED, Ordering::Relaxed);
+                }
+                parked
+            },
+        )
+    }
+}
+
 /// Connection counters: `active` gates `max_connections`; `threads` and
 /// `parked` are what `GET /status` reports as `connection_threads` and
 /// `parked`.
@@ -209,7 +251,7 @@ struct Counters {
 /// The accept loop's end of one connection thread. The sender lives
 /// only here, so dropping it is what releases a parked thread.
 struct ConnectionThread {
-    slot: Arc<AtomicU8>,
+    slot: Arc<ParkSlot>,
     tx: Sender<TcpStream>,
     handle: thread::JoinHandle<()>,
 }
@@ -218,10 +260,7 @@ struct ConnectionThread {
 /// back when no thread is parked (or a claimed one is gone).
 fn hand_to_parked(threads: &[ConnectionThread], mut stream: TcpStream) -> Option<TcpStream> {
     for t in threads {
-        if t.slot
-            .compare_exchange(PARKED, SERVING, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
+        if t.slot.claim() {
             match t.tx.send(stream) {
                 Ok(()) => return None,
                 // A claimed thread still holds its receiver; this arm
@@ -237,7 +276,7 @@ fn hand_to_parked(threads: &[ConnectionThread], mut stream: TcpStream) -> Option
 struct Connection {
     registry: Arc<Registry>,
     counters: Arc<Counters>,
-    slot: Arc<AtomicU8>,
+    slot: Arc<ParkSlot>,
     local: SocketAddr,
     limits: HttpLimits,
 }
@@ -259,7 +298,7 @@ impl Connection {
             );
             self.counters.active.fetch_sub(1, Ordering::Relaxed);
             self.counters.parked.fetch_add(1, Ordering::Relaxed);
-            self.slot.store(PARKED, Ordering::Relaxed);
+            self.slot.park();
             // Close only once parked: a client that saw this connection
             // end finds the thread ready for its next one.
             drop(stream);
@@ -271,11 +310,7 @@ impl Connection {
                 Ok(next) => Some(next),
                 Err(RecvTimeoutError::Disconnected) => None,
                 Err(RecvTimeoutError::Timeout) => {
-                    let retired = self
-                        .slot
-                        .compare_exchange(PARKED, RETIRED, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok();
-                    if retired {
+                    if self.slot.retire() {
                         None
                     } else {
                         // Lost the race: the accept loop claimed this
@@ -683,6 +718,208 @@ fn write_response(
     response.push_str(&text);
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
+}
+
+/// Exhaustive model-check harness for the park slot's handoff, driving
+/// the shipped [`ParkSlot::claim`] and [`ParkSlot::retire`]. Run with
+/// `RUSTFLAGS="--cfg gpasta_model_check" cargo test -p gpasta --lib
+/// model_check`.
+#[cfg(all(test, gpasta_model_check))]
+mod model_check {
+    use super::*;
+    use gpasta_check::model::sync::Mutex;
+    use gpasta_check::model::{
+        assert_caught, assert_exhausted, check, count, explore, run_threads, seed, Report,
+        HARNESS_BOUNDS,
+    };
+
+    /// A park slot's `mpsc` channel: whether a stream is queued, the live
+    /// senders, whether the receiver is still held, and whether the accept
+    /// loop has run its shutdown drain.
+    struct SlotChannel {
+        queued: bool,
+        senders: u32,
+        receiver: bool,
+        drained: bool,
+    }
+
+    /// What became of the parked thread and of the accepted stream. Kept
+    /// outside the model (a plain mutex adds no scheduling points) and
+    /// read after the join.
+    #[derive(Default)]
+    struct ParkLog {
+        accepted: bool,
+        /// Who served the stream, once per serve.
+        served: Vec<&'static str>,
+        claim_won: bool,
+        /// Whether the deadline's retire won; a lost retire leaves the
+        /// thread in `recv` for the stream the claim sends.
+        retire: Option<bool>,
+        released: bool,
+    }
+
+    /// One execution of the park-handoff instance: a connection thread
+    /// parked on its slot, whose idle deadline fires unless a stream or
+    /// the close reaches it first; the accept loop placing one accepted
+    /// stream; and the accept loop's shutdown drain. `senders: 2` is the
+    /// `ParkedHoldsSender` mutant: the parked thread holds a sender to its
+    /// own slot.
+    ///
+    /// The claim and its send run under the channel lock here. The parked
+    /// thread touches the channel only to poll it or to drop its receiver,
+    /// and a poll between a claim and its send sees what a poll before the
+    /// claim sees, so no production schedule is lost; the lock also keeps
+    /// the drain (the same thread as the claim in production) from landing
+    /// between them, while either may still run first.
+    fn park_handoff_once(senders: u32) {
+        let slot = ParkSlot(AtomicU8::named("slot_state", PARKED));
+        let channel = Mutex::named(
+            "slot_channel",
+            SlotChannel {
+                queued: false,
+                senders,
+                receiver: true,
+                drained: false,
+            },
+        );
+        let log = std::sync::Mutex::new(ParkLog::default());
+        let record =
+            |f: &dyn Fn(&mut ParkLog)| f(&mut log.lock().unwrap_or_else(|e| e.into_inner()));
+        let (st, ch, rec) = (&slot, &channel, &record);
+        run_threads(vec![
+            // The parked connection thread.
+            Box::new(move || {
+                // `recv_timeout`: a queued stream, a closed channel (the
+                // thread exits and drops its receiver), or the deadline.
+                {
+                    let mut c = ch.lock();
+                    if std::mem::take(&mut c.queued) {
+                        rec(&|l| l.served.push("parked"));
+                        return;
+                    }
+                    if c.senders == 0 {
+                        c.receiver = false;
+                        rec(&|l| l.released = true);
+                        return;
+                    }
+                    check(
+                        !c.drained,
+                        "shutdown must release a parked thread at once, not at its idle deadline",
+                    );
+                }
+                let retired = st.retire();
+                rec(&|l| l.retire = Some(retired));
+                if retired {
+                    // The thread exits and drops its receiver; a stream
+                    // still queued is lost.
+                    let mut c = ch.lock();
+                    c.receiver = false;
+                    check(
+                        !c.queued,
+                        "a stream was dropped unread: sent to a thread that had left",
+                    );
+                }
+            }),
+            // The accept loop with one accepted stream.
+            Box::new(move || {
+                let mut c = ch.lock();
+                if c.drained {
+                    // The loop has already stopped accepting.
+                    return;
+                }
+                rec(&|l| l.accepted = true);
+                let claimed = st.claim();
+                rec(&|l| l.claim_won = claimed);
+                // `send` fails once the receiver is gone: the stream comes
+                // back.
+                if claimed && c.receiver {
+                    c.queued = true;
+                    return;
+                }
+                drop(c);
+                // No parked thread: spawn one for the stream.
+                rec(&|l| l.served.push("spawned"));
+            }),
+            // The accept loop's shutdown drain: drop its sender.
+            Box::new(move || {
+                let mut c = ch.lock();
+                c.senders -= 1;
+                c.drained = true;
+            }),
+        ]);
+        let mut log = log.into_inner().unwrap_or_else(|e| e.into_inner());
+        if log.retire == Some(false) {
+            // The thread whose retire lost is still in `recv`.
+            let sent = std::mem::take(&mut channel.lock().queued);
+            check(sent, "a thread whose retire lost must be sent its stream");
+            log.served.push("parked");
+        }
+        check(
+            log.served.len() == usize::from(log.accepted),
+            "an accepted stream is served by exactly one thread",
+        );
+        let served_by = log.served.first().copied();
+        for (reached, name) in [
+            (log.claim_won, "claim-won"),
+            (log.retire == Some(true), "retire-won"),
+            (log.retire == Some(false), "retire-lost"),
+            (log.released, "released-by-shutdown"),
+            (!log.accepted, "accepted-after-drain"),
+            (served_by == Some("parked"), "served-by-parked-thread"),
+            (served_by == Some("spawned"), "served-by-spawned-thread"),
+        ] {
+            if reached {
+                count(name);
+            }
+        }
+    }
+
+    fn park_handoff(mutant: Option<&'static str>, senders: u32) -> Report {
+        explore(&HARNESS_BOUNDS, || {
+            if let Some(name) = mutant {
+                seed(name);
+            }
+            park_handoff_once(senders);
+        })
+    }
+
+    #[test]
+    fn park_handoff_exhaustive_no_violation() {
+        // Both sides of the claim/retire race, a retire that lost and
+        // still served, the drain's release, and an accept loop that had
+        // already stopped must all be reached.
+        assert_exhausted(
+            &park_handoff(None, 1),
+            &[
+                "claim-won",
+                "retire-won",
+                "retire-lost",
+                "released-by-shutdown",
+                "accepted-after-drain",
+                "served-by-parked-thread",
+                "served-by-spawned-thread",
+            ],
+        );
+    }
+
+    #[test]
+    fn retire_by_store_mutation_caught_with_replayable_trace() {
+        assert_caught(
+            park_handoff(Some("retire-by-store"), 1),
+            &["dropped unread"],
+            || {
+                seed("retire-by-store");
+                park_handoff_once(1);
+            },
+        );
+    }
+
+    #[test]
+    fn parked_holds_sender_mutation_caught_with_replayable_trace() {
+        assert_caught(park_handoff(None, 2), &["release a parked thread"], || {
+            park_handoff_once(2)
+        });
+    }
 }
 
 #[cfg(test)]
