@@ -39,7 +39,7 @@
 //!   from which one whole-design run derives the rest;
 //! * [`TimingReport`] — setup and hold WNS/TNS and per-endpoint slack
 //!   reporting, plus [`trace_worst_path`] and [`k_worst_paths`] for path
-//!   diagnostics and [`drc`] for electrical design-rule checks;
+//!   diagnostics;
 //! * file interchange: [`verilog`] (structural netlists), [`liberty`]
 //!   (NLDM cell libraries), and [`sdc`] (timing constraints) readers and
 //!   writers, all round-trip tested.
@@ -83,7 +83,6 @@
 mod analysis;
 mod atomic_f32;
 pub mod boundary;
-pub mod drc;
 mod error;
 mod graph;
 pub mod kpaths;
@@ -102,7 +101,6 @@ pub use analysis::{
 };
 pub use atomic_f32::AtomicF32;
 pub use boundary::{BoundaryValues, ValueSet};
-pub use drc::{check_design_rules, DrcReport, DrcViolation};
 pub use error::{BuildNetlistError, ConnectError};
 pub use graph::{ArcKind, NodeId, NodeKind, TimingArcRef, TimingGraph};
 pub use kpaths::k_worst_paths;

@@ -1,12 +1,12 @@
 //! A signoff-style analysis pass: SDC constraints, setup and hold reports,
-//! design-rule checks, and k-worst-path enumeration on a synthetic design.
+//! and k-worst-path enumeration on a synthetic design.
 //!
 //! ```text
 //! cargo run --release --example sta_signoff
 //! ```
 
 use gpasta::circuits::PaperCircuit;
-use gpasta::sta::{apply_sdc, check_design_rules, k_worst_paths, write_sdc, CellLibrary, Timer};
+use gpasta::sta::{apply_sdc, k_worst_paths, write_sdc, CellLibrary, Timer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = CellLibrary::typical();
@@ -44,10 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hold = timer.report_hold(3);
     println!("setup:\n{setup}");
     println!("hold:\n{hold}");
-
-    // Electrical design rules.
-    let drc = check_design_rules(timer.graph(), timer.netlist(), timer.data(), 260.0, 40.0);
-    println!("design rules: {drc}");
 
     // The three worst paths into the most critical endpoint.
     let endpoint = setup.worst.first().expect("endpoints exist");
