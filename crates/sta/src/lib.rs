@@ -112,4 +112,6 @@ pub use recover::RecoveredUpdate;
 pub use report::{EndpointSlack, EndpointSummary, TimingReport};
 pub use sdc::{apply_sdc, write_sdc, ParseSdcError};
 pub use timer::{DirtyCone, TaskKind, Timer, TimingUpdateTdg};
-pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};
+pub use verilog::{
+    parse_verilog, parse_verilog_indexed, write_verilog, KeyedNames, ParseVerilogError,
+};

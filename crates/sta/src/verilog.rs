@@ -329,6 +329,17 @@ fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
 /// then a missing module, then the first instance that repeats a name,
 /// then the first undriven net and the netlist's own checks.
 pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
+    parse_verilog_indexed(text).map(|(netlist, _)| netlist)
+}
+
+/// [`parse_verilog`], also returning the reader's by-name index of the
+/// gates, so a caller that resolves gates by name need not hash and sort
+/// the names again.
+///
+/// # Errors
+///
+/// As [`parse_verilog`].
+pub fn parse_verilog_indexed(text: &str) -> Result<(Netlist, KeyedNames), ParseVerilogError> {
     let scan = Scan::of(text)?;
     let mut reader = Reader::new(text.len());
     for &(line, stmt) in &scan.statements {
@@ -705,12 +716,13 @@ impl<'k> Reader<'k> {
     }
 
     /// Check the instance names, resolve every sink against its net's
-    /// driver, apply the pragmas and build the netlist.
+    /// driver, apply the pragmas and build the netlist and its gates'
+    /// by-name index.
     fn finish(
         self,
         drive_pragmas: Vec<(&str, f32)>,
         cap_pragmas: Vec<(&str, f32)>,
-    ) -> Result<Netlist, ParseVerilogError> {
+    ) -> Result<(Netlist, KeyedNames), ParseVerilogError> {
         let Reader {
             mut nb,
             names,
@@ -726,7 +738,12 @@ impl<'k> Reader<'k> {
                 message: "no module declaration".into(),
             });
         }
-        let instances = Instances::of(gate_hashes, names.hasher().clone(), |g| nb.gate_name(g))?;
+        let instances = KeyedNames::from_hashes(names.hasher().clone(), gate_hashes);
+        if let Some(g) = instances.first_repeat(|g| nb.gate_name(g as usize)) {
+            return Err(ParseVerilogError::DuplicateInstance {
+                name: nb.gate_name(g as usize).to_owned(),
+            });
+        }
 
         // Hand-written netlists often drive an output port directly from
         // an instance pin (`.y(y)`) instead of via `assign`; synthesise the
@@ -778,66 +795,89 @@ impl<'k> Reader<'k> {
             .map_err(|e| ParseVerilogError::Netlist(e.to_string()))?;
         for (inst, drive) in drive_pragmas {
             let gate = instances
-                .find(inst, |g| &netlist.gates()[g].name)
+                .find(inst, |g| &netlist.gates()[g as usize].name)
                 .ok_or_else(|| {
                     ParseVerilogError::Netlist(format!("pragma names unknown instance `{inst}`"))
                 })?;
-            netlist.set_drive(gate, drive);
+            netlist.set_drive(GateId(gate), drive);
         }
-        Ok(netlist)
+        Ok((netlist, instances))
     }
 }
 
-/// The instance names of a design, each as (keyed hash, gate id), sorted;
-/// equal hashes are told apart by comparing the names.
-struct Instances {
+/// A by-name index of a design's objects — its gates, or its ports of one
+/// direction: one `(name hash, id)` pair per object, sorted, while the
+/// names stay where the netlist keeps them. The hash is keyed per index
+/// ([`RandomState`]), so names crafted to collide cannot be prepared in
+/// advance; equal hashes are told apart by comparing names.
+/// [`parse_verilog_indexed`] returns the one its reader builds for the
+/// gates.
+#[derive(Debug, Clone)]
+pub struct KeyedNames {
     hasher: RandomState,
     by_hash: Vec<(u64, u32)>,
 }
 
-impl Instances {
-    /// The index of the gates whose names `hasher` hashed to `hashes`, or
-    /// the name of the first gate whose name an earlier gate has.
-    fn of<'n>(
-        hashes: Vec<u64>,
-        hasher: RandomState,
-        name_of: impl Fn(usize) -> &'n str,
-    ) -> Result<Self, ParseVerilogError> {
+impl KeyedNames {
+    /// The index of `names`, object `i` being the `i`-th, under a fresh
+    /// key.
+    pub fn of<'n>(names: impl IntoIterator<Item = &'n str>) -> Self {
+        let hasher = RandomState::new();
+        let hashes = names
+            .into_iter()
+            .map(|name| hasher.hash_one(name))
+            .collect();
+        KeyedNames::from_hashes(hasher, hashes)
+    }
+
+    /// The index of the objects whose names `hasher` hashed to `hashes`.
+    fn from_hashes(hasher: RandomState, hashes: Vec<u64>) -> Self {
         let mut by_hash: Vec<(u64, u32)> = hashes
             .into_iter()
             .enumerate()
-            .map(|(g, hash)| (hash, g as u32))
+            .map(|(id, hash)| (hash, id as u32))
             .collect();
         by_hash.sort_unstable();
-        let mut repeat: Option<u32> = None;
-        for run in by_hash
-            .chunk_by(|a, b| a.0 == b.0)
-            .filter(|run| run.len() > 1)
-        {
-            for (i, &(_, g)) in run.iter().enumerate().skip(1) {
-                let name = name_of(g as usize);
-                if run[..i].iter().any(|&(_, f)| name_of(f as usize) == name) {
-                    repeat = Some(repeat.map_or(g, |r| r.min(g)));
-                }
-            }
-        }
-        match repeat {
-            Some(g) => Err(ParseVerilogError::DuplicateInstance {
-                name: name_of(g as usize).to_owned(),
-            }),
-            None => Ok(Instances { hasher, by_hash }),
-        }
+        KeyedNames { hasher, by_hash }
     }
 
-    /// The gate named `name`.
-    fn find<'n>(&self, name: &str, name_of: impl Fn(usize) -> &'n str) -> Option<GateId> {
+    /// How many objects the index holds.
+    pub fn len(&self) -> usize {
+        self.by_hash.len()
+    }
+
+    /// Whether the index holds no object.
+    pub fn is_empty(&self) -> bool {
+        self.by_hash.is_empty()
+    }
+
+    /// The lowest id named `name`, `name_of(id)` being object `id`'s name.
+    pub fn find<'n>(&self, name: &str, name_of: impl Fn(u32) -> &'n str) -> Option<u32> {
         let hash = self.hasher.hash_one(name);
         let first = self.by_hash.partition_point(|&(h, _)| h < hash);
         self.by_hash[first..]
             .iter()
             .take_while(|&&(h, _)| h == hash)
-            .find(|&&(_, g)| name_of(g as usize) == name)
-            .map(|&(_, g)| GateId(g))
+            .find(|&&(_, id)| name_of(id) == name)
+            .map(|&(_, id)| id)
+    }
+
+    /// The lowest id whose name a lower id has too.
+    fn first_repeat<'n>(&self, name_of: impl Fn(u32) -> &'n str) -> Option<u32> {
+        let mut repeat: Option<u32> = None;
+        for run in self
+            .by_hash
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.len() > 1)
+        {
+            for (i, &(_, id)) in run.iter().enumerate().skip(1) {
+                let name = name_of(id);
+                if run[..i].iter().any(|&(_, lower)| name_of(lower) == name) {
+                    repeat = Some(repeat.map_or(id, |r| r.min(id)));
+                }
+            }
+        }
+        repeat
     }
 }
 

@@ -49,7 +49,6 @@
 
 use std::error::Error as StdError;
 use std::fmt;
-use std::hash::{BuildHasher, RandomState};
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{
@@ -57,9 +56,9 @@ use crate::checkpoint::{
 };
 use crate::sched::{FaultKind, FaultPlan, RunBudget, StopCause};
 use crate::sta::{
-    apply_sdc, k_worst_paths, parse_liberty, parse_verilog, CellLibrary, EndpointSummary, GateId,
-    Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError, PortId, Timer,
-    TimingPath, TimingReport,
+    apply_sdc, k_worst_paths, parse_liberty, parse_verilog_indexed, CellLibrary, EndpointSummary,
+    GateId, KeyedNames, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
+    PortId, Timer, TimingPath, TimingReport,
 };
 use crate::tdg::{checksum, BuildTdgError};
 
@@ -332,8 +331,11 @@ impl DormantSession {
     }
 }
 
-fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary), SessionError> {
-    let netlist = parse_verilog(&sources.verilog).map_err(SessionError::Verilog)?;
+/// The timer of `sources`, its library, and the reader's by-name index of
+/// its gates.
+fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary, KeyedNames), SessionError> {
+    let (netlist, gates) =
+        parse_verilog_indexed(&sources.verilog).map_err(SessionError::Verilog)?;
     let library = match &sources.liberty {
         Some(text) => parse_liberty(text).map_err(SessionError::Liberty)?,
         None => CellLibrary::typical(),
@@ -343,40 +345,34 @@ fn build_timer(sources: &DesignSources) -> Result<(Timer, CellLibrary), SessionE
     if let Some(sdc) = &sources.sdc {
         apply_sdc(&mut timer, sdc).map_err(SessionError::Sdc)?;
     }
-    Ok((timer, library))
+    Ok((timer, library, gates))
 }
 
-/// A by-name index of a design's gates and ports, built once per session
-/// so an edit resolves its target without scanning the netlist: one
-/// `(name hash, id)` pair per object, sorted, and the names stay where the
-/// netlist keeps them. The hash is keyed per session ([`RandomState`]),
-/// so names crafted to collide cannot be prepared in advance; equal hashes
-/// are told apart by comparing names. Names are unique: `parse_verilog`
-/// rejects a design whose instances share one.
+/// A by-name index of a design's gates and ports, so an edit resolves its
+/// target without scanning the netlist: the gates' index is the one
+/// [`parse_verilog_indexed`] built while reading the design, the ports'
+/// are built beside it. Names are unique: `parse_verilog` rejects a
+/// design whose instances share one.
 struct NameIndex {
-    hasher: RandomState,
-    gates: Vec<(u64, u32)>,
-    inputs: Vec<(u64, u32)>,
-    outputs: Vec<(u64, u32)>,
+    gates: KeyedNames,
+    inputs: KeyedNames,
+    outputs: KeyedNames,
 }
 
 impl NameIndex {
-    fn of(netlist: &Netlist) -> Self {
-        let hasher = RandomState::new();
-        let hashed = |names: &mut dyn Iterator<Item = &String>| {
-            let mut pairs: Vec<(u64, u32)> = names
-                .enumerate()
-                .map(|(i, name)| (hasher.hash_one(name.as_str()), i as u32))
-                .collect();
-            pairs.sort_unstable();
-            pairs
-        };
+    /// The index of `netlist`'s names, `gates` being its gates'.
+    fn with_gates(gates: KeyedNames, netlist: &Netlist) -> Self {
         NameIndex {
-            gates: hashed(&mut netlist.gates().iter().map(|g| &g.name)),
-            inputs: hashed(&mut netlist.input_names().iter()),
-            outputs: hashed(&mut netlist.output_names().iter()),
-            hasher,
+            gates,
+            inputs: KeyedNames::of(netlist.input_names().iter().map(String::as_str)),
+            outputs: KeyedNames::of(netlist.output_names().iter().map(String::as_str)),
         }
+    }
+
+    #[cfg(test)]
+    fn of(netlist: &Netlist) -> Self {
+        let gates = KeyedNames::of(netlist.gates().iter().map(|g| g.name.as_str()));
+        NameIndex::with_gates(gates, netlist)
     }
 
     /// Resolve `name` among the objects `index` covers, `name_of(id)`
@@ -385,14 +381,11 @@ impl NameIndex {
     fn resolve<'a>(
         &self,
         name: &str,
-        index: &[(u64, u32)],
+        index: &KeyedNames,
         name_of: impl Fn(u32) -> &'a str,
         what: &str,
     ) -> Result<u32, SessionError> {
-        let hash = self.hasher.hash_one(name);
-        let first = index.partition_point(|&(h, _)| h < hash);
-        let mut same_hash = index[first..].iter().take_while(|&&(h, _)| h == hash);
-        if let Some(&(_, id)) = same_hash.find(|&&(_, id)| name_of(id) == name) {
+        if let Some(id) = index.find(name, name_of) {
             return Ok(id);
         }
         if let Ok(i) = name.parse::<u32>() {
@@ -491,7 +484,7 @@ impl Session {
         workers: usize,
         restore: Option<&UpdateCheckpoint>,
     ) -> Result<Session, SessionError> {
-        let (mut timer, library) = build_timer(&sources)?;
+        let (mut timer, library, gates) = build_timer(&sources)?;
         let updates_done = match restore {
             None => 0,
             Some(ckpt) => {
@@ -513,7 +506,7 @@ impl Session {
         Ok(Session {
             name,
             sources,
-            names: NameIndex::of(timer.netlist()),
+            names: NameIndex::with_gates(gates, timer.netlist()),
             summary: timer.endpoint_summary(),
             timer,
             library,
