@@ -70,6 +70,15 @@ pub enum ParseVerilogError {
         /// The name.
         name: String,
     },
+    /// A port, net or instance name holds a character that ends or splits
+    /// a name where the writer puts one — whitespace or one of `(),;=` —
+    /// so the netlist could not be written back.
+    InvalidName {
+        /// 1-based line number of the statement.
+        line: usize,
+        /// The name.
+        name: String,
+    },
     /// The netlist failed semantic validation after parsing.
     Netlist(String),
 }
@@ -93,6 +102,10 @@ impl fmt::Display for ParseVerilogError {
             ParseVerilogError::DuplicateInstance { name } => {
                 write!(f, "more than one instance is named `{name}`")
             }
+            ParseVerilogError::InvalidName { line, name } => write!(
+                f,
+                "verilog name `{name}` at line {line} holds whitespace or one of `(),;=`"
+            ),
             ParseVerilogError::Netlist(msg) => write!(f, "invalid netlist: {msg}"),
         }
     }
@@ -322,7 +335,9 @@ fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
 /// # Errors
 ///
 /// Returns [`ParseVerilogError`] for syntax problems, unknown cells or
-/// pins, undriven nets, or a netlist that fails semantic validation
+/// pins, a name [`write_verilog`] could not write back
+/// ([`ParseVerilogError::InvalidName`]), undriven nets, or a netlist that
+/// fails semantic validation
 /// (multiple drivers, dangling pins), or two instances of one name. Of
 /// several, a malformed pragma wins (the first one), then an unterminated
 /// last statement, then the first faulty statement before `endmodule`,
@@ -546,6 +561,23 @@ fn find_comment(s: &str) -> Option<usize> {
     None
 }
 
+/// `name`, unless it holds whitespace or a byte that ends or splits a name
+/// in the written syntax (`(),;=`): a name the writer could not write back
+/// is [`ParseVerilogError::InvalidName`] at `line`.
+fn checked(line: usize, name: &str) -> Result<&str, ParseVerilogError> {
+    let plain = name
+        .bytes()
+        .all(|b| !matches!(b, b'(' | b')' | b',' | b';' | b'=') && !is_ascii_space(b));
+    if plain && (name.is_ascii() || !name.contains(char::is_whitespace)) {
+        Ok(name)
+    } else {
+        Err(ParseVerilogError::InvalidName {
+            line,
+            name: name.to_owned(),
+        })
+    }
+}
+
 /// The non-empty, trimmed items of a comma-separated list.
 fn names(list: &str) -> impl Iterator<Item = &str> {
     list.split(',').map(trim).filter(|s| !s.is_empty())
@@ -641,12 +673,14 @@ impl<'k> Reader<'k> {
             "wire" | "" => {}
             "input" => {
                 for name in names(&stmt["input".len()..]) {
+                    let name = checked(line, name)?;
                     let id = self.nb.add_primary_input(name);
                     self.drive(name, Driver::Input(id))?;
                 }
             }
             "output" => {
                 for name in names(&stmt["output".len()..]) {
+                    let name = checked(line, name)?;
                     let id = self.nb.add_primary_output(name);
                     let slot = self.slot(name);
                     self.slots[slot].output = Some(id);
@@ -664,7 +698,7 @@ impl<'k> Reader<'k> {
                     .get(lhs)
                     .and_then(|&slot| self.slots[slot as usize].output)
                     .ok_or_else(|| syntax(&format!("assign target `{lhs}` is not an output")))?;
-                let slot = self.slot(trim(rhs));
+                let slot = self.slot(checked(line, trim(rhs))?);
                 self.sinks.push((slot as u32, Sink::Output(port)));
                 self.outputs[port.index()].1 = true;
             }
@@ -685,6 +719,7 @@ impl<'k> Reader<'k> {
                 if inst_name.is_empty() {
                     return Err(syntax("instance without a name"));
                 }
+                let inst_name = checked(line, inst_name)?;
                 let gate = self.nb.add_gate(inst_name, kind);
                 self.gate_hashes
                     .push(self.names.hasher().hash_one(inst_name));
@@ -697,7 +732,7 @@ impl<'k> Reader<'k> {
                         .find('(')
                         .ok_or_else(|| syntax(&format!("malformed connection `.{conn}`")))?;
                     let pin_name = trim(&conn[..p]);
-                    let net = trim(conn[p + 1..].trim_end_matches(')'));
+                    let net = checked(line, trim(conn[p + 1..].trim_end_matches(')')))?;
                     if pin_name == output_pin_name(kind) {
                         self.drive(net, Driver::Gate(gate))?;
                     } else if let Some(idx) = input_pin_index(kind, pin_name) {
@@ -1061,6 +1096,42 @@ mod tests {
         let mut timer = crate::timer::Timer::new(n, CellLibrary::typical());
         timer.update_timing().run_sequential();
         assert_eq!(timer.report(1).num_endpoints, 1);
+    }
+
+    #[test]
+    fn a_name_the_writer_cannot_write_back_is_rejected() {
+        // `input a);` declared a net `a)`, which `write_verilog` wrote as
+        // `.a(a))` and which then re-parsed as net `a`.
+        let cases = [
+            ("module t (a, y);\n input a);\n", 2, "a)"),
+            ("module t (y);\n output y=z;\n", 2, "y=z"),
+            (
+                "module t (a);\n input a;\n INV u 1 (.a(a), .y(n));\n",
+                3,
+                "u 1",
+            ),
+            (
+                "module t (a);\n input a;\n INV u1 (.a(a), .y(n\u{a0}0));\n",
+                3,
+                "n\u{a0}0",
+            ),
+            ("module t (y);\n output y;\n assign y = (b;\n", 3, "(b"),
+        ];
+        for (text, line, name) in cases {
+            assert_eq!(
+                parse_verilog(text),
+                Err(ParseVerilogError::InvalidName {
+                    line,
+                    name: name.into()
+                }),
+                "{text}"
+            );
+        }
+        let err = parse_verilog(cases[0].0).expect_err("rejected");
+        assert_eq!(
+            err.to_string(),
+            "verilog name `a)` at line 2 holds whitespace or one of `(),;=`"
+        );
     }
 
     #[test]
