@@ -230,12 +230,6 @@ impl TimingData {
         self.elec[v.index()][DRIVE].store(drive);
     }
 
-    /// Output load of the gate whose output pin is `v` (fF).
-    #[inline]
-    pub fn gate_load(&self, v: NodeId) -> f32 {
-        self.elec[v.index()][LOAD].load()
-    }
-
     /// External arrival offset of primary input `p` (ps).
     #[inline]
     pub fn input_delay(&self, p: u32) -> f32 {

@@ -847,7 +847,7 @@ impl<'k> Reader<'k> {
 /// advance; equal hashes are told apart by comparing names.
 /// [`parse_verilog_indexed`] returns the one its reader builds for the
 /// gates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KeyedNames {
     hasher: RandomState,
     by_hash: Vec<(u64, u32)>,
