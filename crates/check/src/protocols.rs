@@ -23,10 +23,6 @@ use crate::model::sync::{AtomicBool, AtomicU32, TrackedCell};
 use crate::model::{check, count, explore, run_threads, Bounds, Report};
 use crate::sync::Ordering;
 
-/// Pinned bounds for the poison-publication harness (CI uses exactly
-/// these; tests assert exhaustion under them).
-pub const POISON_BOUNDS: Bounds = crate::model::HARNESS_BOUNDS;
-
 /// Seeded ordering weakenings for the mutation gate. The weakened
 /// variant exists only under `cfg(test)`, so no non-test caller can
 /// request it.
@@ -173,7 +169,7 @@ pub fn poison_publication(bounds: &Bounds, mutation: Mutation) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{assert_caught, assert_exhausted};
+    use crate::model::{assert_caught, assert_exhausted, HARNESS_BOUNDS};
 
     #[test]
     fn poison_protocol_exhaustive_no_violation() {
@@ -181,7 +177,7 @@ mod tests {
         // schedule — otherwise the instance never exercised the
         // cross-thread half of the dep-handoff edge.
         assert_exhausted(
-            &poison_publication(&POISON_BOUNDS, Mutation::None),
+            &poison_publication(&HARNESS_BOUNDS, Mutation::None),
             &[
                 "unit2-handed-to-failing-worker",
                 "unit2-handed-to-clean-worker",
@@ -192,7 +188,7 @@ mod tests {
     #[test]
     fn poison_decrement_mutation_caught_with_replayable_trace() {
         assert_caught(
-            poison_publication(&POISON_BOUNDS, Mutation::PoisonDecrementRelaxed),
+            poison_publication(&HARNESS_BOUNDS, Mutation::PoisonDecrementRelaxed),
             &[],
             || poison_once(Mutation::PoisonDecrementRelaxed),
         );
