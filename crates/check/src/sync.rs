@@ -7,8 +7,8 @@
 //! gpasta_model_check` the same names resolve to the model checker's
 //! instrumented types, so protocol code can be explored without edits:
 //! each crate's `#[cfg(all(test, gpasta_model_check))] mod model_check`
-//! drives its shipped protocol step that way — `DecrementBatch` and
-//! `latch_stop` in `gpasta-sched`'s `bounded.rs`, `CancelToken` in
+//! drives its shipped protocol step that way — the decrement batch and
+//! the stop latch in `gpasta-sched`'s `bounded.rs`, `CancelToken` in
 //! `gpasta-tdg`'s `cancel.rs`, `AtomicF32::fetch_min_nan_preserving` in
 //! `gpasta-sta`'s `atomic_f32.rs`, and the park slot in `gpasta`'s
 //! `serve/http.rs` (`RUSTFLAGS="--cfg gpasta_model_check" cargo test -p
