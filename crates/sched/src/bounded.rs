@@ -810,8 +810,11 @@ mod model_check {
     /// failing unit 0 (its batch is published by the flush-before-steal
     /// rule), worker 2 the clean units 1 and 3 (its batch merges their two
     /// decrements of unit 2 into one `fetch_sub(2)`, published by the
-    /// chunk rule).
-    fn chunked_flush_once(flush_before_steal: bool) {
+    /// chunk rule). `mutant` seeds a production mutation.
+    fn chunked_flush_once(mutant: Option<&'static str>, flush_before_steal: bool) {
+        if let Some(name) = mutant {
+            seed(name);
+        }
         let inst = ChunkInstance {
             poisoned: [
                 AtomicBool::named("poisoned0", false),
@@ -881,10 +884,7 @@ mod model_check {
 
     fn chunked_flush(mutant: Option<&'static str>, flush_before_steal: bool) -> Report {
         explore(&HARNESS_BOUNDS, || {
-            if let Some(name) = mutant {
-                seed(name);
-            }
-            chunked_flush_once(flush_before_steal);
+            chunked_flush_once(mutant, flush_before_steal)
         })
     }
 
@@ -907,7 +907,7 @@ mod model_check {
     #[test]
     fn flush_after_steal_mutation_caught_with_replayable_trace() {
         assert_caught(chunked_flush(None, false), &["terminate"], || {
-            chunked_flush_once(false)
+            chunked_flush_once(None, false)
         });
     }
 
@@ -916,10 +916,7 @@ mod model_check {
         assert_caught(
             chunked_flush(Some("flush-relaxed"), true),
             &["poisoned unit", "data race"],
-            || {
-                seed("flush-relaxed");
-                chunked_flush_once(true);
-            },
+            || chunked_flush_once(Some("flush-relaxed"), true),
         );
     }
 
@@ -944,8 +941,11 @@ mod model_check {
 
     /// One execution of the stop-latch instance: two workers, one whose
     /// budget poll finds the deadline expired and one that finds the token
-    /// cancelled.
-    fn stop_latch_once() {
+    /// cancelled. `mutant` seeds a production mutation.
+    fn stop_latch_once(mutant: Option<&'static str>) {
+        if let Some(name) = mutant {
+            seed(name);
+        }
         let stop = AtomicU8::named("stop", STOP_RUNNING);
         let deadline = TrackedCell::named("deadline_worker", STOP_RUNNING);
         let cancel = TrackedCell::named("cancel_worker", STOP_RUNNING);
@@ -970,12 +970,7 @@ mod model_check {
     }
 
     fn stop_latch(mutant: Option<&'static str>) -> Report {
-        explore(&HARNESS_BOUNDS, || {
-            if let Some(name) = mutant {
-                seed(name);
-            }
-            stop_latch_once();
-        })
+        explore(&HARNESS_BOUNDS, || stop_latch_once(mutant))
     }
 
     #[test]
@@ -997,10 +992,7 @@ mod model_check {
         assert_caught(
             stop_latch(Some("stop-latch-store")),
             &["exactly one cause"],
-            || {
-                seed("stop-latch-store");
-                stop_latch_once();
-            },
+            || stop_latch_once(Some("stop-latch-store")),
         );
     }
 }

@@ -770,8 +770,12 @@ mod model_check {
     /// and a poll between a claim and its send sees what a poll before the
     /// claim sees, so no production schedule is lost; the lock also keeps
     /// the drain (the same thread as the claim in production) from landing
-    /// between them, while either may still run first.
-    fn park_handoff_once(senders: u32) {
+    /// between them, while either may still run first. `mutant` seeds a
+    /// production mutation.
+    fn park_handoff_once(mutant: Option<&'static str>, senders: u32) {
+        if let Some(name) = mutant {
+            seed(name);
+        }
         let slot = ParkSlot(AtomicU8::named("slot_state", PARKED));
         let channel = Mutex::named(
             "slot_channel",
@@ -875,12 +879,7 @@ mod model_check {
     }
 
     fn park_handoff(mutant: Option<&'static str>, senders: u32) -> Report {
-        explore(&HARNESS_BOUNDS, || {
-            if let Some(name) = mutant {
-                seed(name);
-            }
-            park_handoff_once(senders);
-        })
+        explore(&HARNESS_BOUNDS, || park_handoff_once(mutant, senders))
     }
 
     #[test]
@@ -907,17 +906,14 @@ mod model_check {
         assert_caught(
             park_handoff(Some("retire-by-store"), 1),
             &["dropped unread"],
-            || {
-                seed("retire-by-store");
-                park_handoff_once(1);
-            },
+            || park_handoff_once(Some("retire-by-store"), 1),
         );
     }
 
     #[test]
     fn parked_holds_sender_mutation_caught_with_replayable_trace() {
         assert_caught(park_handoff(None, 2), &["release a parked thread"], || {
-            park_handoff_once(2)
+            park_handoff_once(None, 2)
         });
     }
 }
