@@ -65,14 +65,7 @@ mod tests {
         assert!(report.meets_timing(), "c17 at 1 ns: {}", report.wns_ps);
         // Critical path: three NAND levels (e.g. n3 -> g11 -> g16 -> g23).
         let worst = &report.worst[0];
-        let path = gpasta_sta::trace_worst_path(
-            timer.graph(),
-            timer.netlist(),
-            &CellLibrary::typical(),
-            timer.data(),
-            worst.node,
-        )
-        .expect("traceable");
+        let path = timer.worst_paths(worst.node, 1).pop().expect("traceable");
         let gate_hops = path
             .steps
             .iter()

@@ -328,13 +328,6 @@ impl TimingData {
         store(&self.fwd[v.index()].0, x);
     }
 
-    /// Late-mode cached delay of arc `a` at output transition `tr`,
-    /// filled by the last forward propagation. Used by path tracing.
-    #[inline]
-    pub fn arc_delay_public(&self, a: u32, tr: Tr) -> f32 {
-        self.arc_delay[a as usize][corner(tr, Mode::Late)].load()
-    }
-
     /// Raw forward-propagated state of `v` — the four arrival corners then
     /// the four slew corners, as `f32` bit patterns. Boundary exchange
     /// between shard processes ships bit patterns, never rounded floats,
@@ -818,6 +811,36 @@ impl<'a> TimingPropagator<'a> {
             }
         }
         store(&d.required[v.index()], req);
+    }
+
+    /// The input transitions that cause output transition `tr_out` across
+    /// arc `a`, each with its late delay: the delay a path through `a` on
+    /// that input transition adds. Where one input transition causes
+    /// `tr_out` that is the cached delay. A non-unate cell arc caches the
+    /// worst over both, so there each input transition gets its own
+    /// `table(late input slew, load) ÷ drive`, bit-identical to the value
+    /// `cell_corner` computes before it merges the two.
+    pub(crate) fn late_delays(&self, a: u32, tr_out: Tr) -> impl Iterator<Item = (Tr, f32)> + '_ {
+        let (soa, ai) = (self.graph.arc_soa(self.netlist), a as usize);
+        let cached = self.data.arc_delay[ai][corner(tr_out, Mode::Late)].load();
+        let tr_ins = match soa.sense[ai] {
+            POSITIVE => causes::<POSITIVE>(tr_out),
+            NEGATIVE => causes::<NEGATIVE>(tr_out),
+            _ => causes::<NON_UNATE>(tr_out),
+        };
+        tr_ins.iter().map(move |&tr_in| {
+            if tr_ins.len() == 1 {
+                return (tr_in, cached);
+            }
+            let t = &self.library.cell_by_index(soa.cell_idx[ai] as usize).tables;
+            let table = [&t.delay_rise, &t.delay_fall][tr_out as usize];
+            let [drive, cap] = load(&self.data.elec[soa.to[ai] as usize]);
+            let slew = self.data.slew(NodeId(soa.from[ai]), tr_in, Mode::Late);
+            (
+                tr_in,
+                table.lookup_at(slew, table.load_bracket(cap)) / drive,
+            )
+        })
     }
 }
 

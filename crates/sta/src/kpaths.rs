@@ -1,17 +1,17 @@
-//! K-worst-path enumeration (path-based-analysis lite).
+//! The path engine: the `k` latest-arriving paths into an endpoint.
 //!
-//! Graph-based analysis keeps one worst arrival per node; signoff flows
-//! also want the *next* most critical paths per endpoint (ECO targeting,
-//! common-path analysis). This module enumerates the `k` latest-arriving
-//! paths into an endpoint with a lazy best-first search over the fan-in
-//! options — the Recursive Enumeration Algorithm shape, run on the arc
-//! delays the forward propagation already cached.
+//! Graph-based analysis keeps one worst arrival per node; the paths say
+//! *why* an endpoint fails (its worst path) and which paths an ECO must
+//! fix next (the `k` worst). [`Timer::worst_paths`] enumerates them with a
+//! lazy best-first search over the fan-in options — the Recursive
+//! Enumeration Algorithm shape — on the arrivals and delays the forward
+//! propagation left.
 
-use crate::analysis::{Mode, TimingData, Tr};
-use crate::graph::{ArcKind, NodeId, TimingGraph};
-use crate::library::TimingSense;
+use crate::analysis::{Mode, Tr};
+use crate::graph::{NodeId, NodeKind, TimingGraph};
 use crate::netlist::Netlist;
 use crate::path::{PathStep, TimingPath};
+use crate::timer::Timer;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -26,17 +26,27 @@ struct Suffix {
     next: Option<Rc<Suffix>>,
 }
 
-/// Heap entry: a partial path ranked by the arrival it can still achieve.
+/// Heap entry: a partial path ranked by how much earlier than the
+/// endpoint's worst arrival its best completion arrives, deeper suffixes
+/// first among equals.
 struct Candidate {
-    /// `arrival(head) + suffix delays`: the exact total arrival of the
-    /// best completion of this partial path.
-    potential: f32,
+    /// The endpoint's worst arrival less its arrival at the suffix's last
+    /// transition, plus what each arc of the suffix gives up:
+    /// `arrival(to) − (arrival(from) + delay)`, exactly zero on an arc that
+    /// set the arrival. A completion along such arcs gives up nothing
+    /// more, so this is exact, and the worst path, the one with no loss,
+    /// reproduces every arrival it passes bit for bit.
+    loss: f32,
+    /// Nodes in the suffix: among equal losses the longest is the closest
+    /// to a startpoint, so each path completes in at most the graph's
+    /// depth of pops.
+    len: u32,
     suffix: Rc<Suffix>,
 }
 
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
-        self.potential == other.potential
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Candidate {}
@@ -47,137 +57,97 @@ impl PartialOrd for Candidate {
 }
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.potential.total_cmp(&other.potential)
+        (other.loss.total_cmp(&self.loss)).then(self.len.cmp(&other.len))
     }
 }
 
-/// Enumerate the `k` latest-arriving late-mode paths ending at `endpoint`,
-/// most critical first.
-///
-/// Requires a completed forward propagation (the search consumes the
-/// cached arc delays). Paths are maximal: they start at a task with no
-/// fan-in (primary input or sequential output). Returns fewer than `k`
-/// paths when the endpoint's fan-in cone has fewer distinct paths.
-pub fn k_worst_paths(
-    graph: &TimingGraph,
-    netlist: &Netlist,
-    data: &TimingData,
-    endpoint: NodeId,
-    k: usize,
-) -> Vec<TimingPath> {
-    if k == 0 {
-        return Vec::new();
-    }
-
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-    // Seed with both endpoint transitions.
-    for tr in [Tr::Rise, Tr::Fall] {
-        heap.push(Candidate {
-            potential: data.arrival(endpoint, tr, Mode::Late),
-            suffix: Rc::new(Suffix {
-                node: endpoint,
-                tr,
-                incr_out: 0.0,
-                next: None,
-            }),
-        });
-    }
-
-    let mut out = Vec::with_capacity(k);
-    // Cap expansions to keep adversarial graphs bounded.
-    let mut expansions = 0usize;
-    let max_expansions = 10_000 + 200 * k * graph.num_nodes().max(1).ilog2() as usize;
-
-    while let Some(Candidate { potential, suffix }) = heap.pop() {
-        expansions += 1;
-        if expansions > max_expansions {
-            break;
-        }
-        let head = suffix.node;
-        let head_tr = suffix.tr;
-        let fanin = graph.fanin(head);
-        if fanin.is_empty() {
-            // Complete maximal path; materialise front-to-back.
-            out.push(materialise(
-                graph, netlist, data, &suffix, potential, endpoint,
-            ));
-            if out.len() == k {
+impl Timer {
+    /// The `k` latest-arriving late-mode paths ending at `endpoint`, most
+    /// critical first.
+    ///
+    /// Requires a completed forward propagation. Paths are maximal: they
+    /// start at a node with no fan-in (primary input or sequential
+    /// output). A step's increment is the delay of the transition the path
+    /// takes (through a non-unate arc, its own input transition's delay),
+    /// and its arrival is the previous step's plus that increment. The
+    /// first path's arrivals are the nodes' reported late arrivals, so its
+    /// slack is the endpoint's reported slack. Returns fewer than `k` paths
+    /// when the endpoint's fan-in cone has fewer.
+    pub fn worst_paths(&self, endpoint: NodeId, k: usize) -> Vec<TimingPath> {
+        let (prop, data) = (self.propagator(), self.data());
+        let at = |v, tr| data.arrival(v, tr, Mode::Late);
+        let worst = at(endpoint, Tr::Rise).max(at(endpoint, Tr::Fall));
+        let mut heap: BinaryHeap<Candidate> = [Tr::Rise, Tr::Fall]
+            .into_iter()
+            .map(|tr| Candidate {
+                loss: worst - at(endpoint, tr),
+                len: 1,
+                suffix: Rc::new(Suffix {
+                    node: endpoint,
+                    tr,
+                    incr_out: 0.0,
+                    next: None,
+                }),
+            })
+            .collect();
+        let mut out = Vec::new();
+        while out.len() < k {
+            let Some(Candidate { loss, len, suffix }) = heap.pop() else {
                 break;
+            };
+            let (head, head_tr) = (suffix.node, suffix.tr);
+            let fanin = self.graph().fanin(head);
+            if fanin.is_empty() {
+                out.push(self.materialise(&suffix));
+                continue;
             }
-            continue;
-        }
-        for a in fanin {
-            let arc = graph.arc(a);
-            let from = arc.from;
-            let sense = match arc.kind {
-                ArcKind::Net { .. } => TimingSense::Positive,
-                ArcKind::Cell { gate } => netlist.gates()[gate as usize].cell.sense(),
-            };
-            let candidates: &[Tr] = match sense {
-                TimingSense::Positive => &[head_tr],
-                TimingSense::Negative => match head_tr {
-                    Tr::Rise => &[Tr::Fall],
-                    Tr::Fall => &[Tr::Rise],
-                },
-                TimingSense::NonUnate => &[Tr::Rise, Tr::Fall],
-            };
-            let delay = data.arc_delay_public(a, head_tr);
-            // Suffix delay accumulated so far = potential - arrival(head).
-            let suffix_delay = potential - data.arrival(head, head_tr, Mode::Late);
-            for &tr_in in candidates {
-                let new_potential = data.arrival(from, tr_in, Mode::Late) + delay + suffix_delay;
-                heap.push(Candidate {
-                    potential: new_potential,
-                    suffix: Rc::new(Suffix {
-                        node: from,
-                        tr: tr_in,
-                        incr_out: delay,
-                        next: Some(Rc::clone(&suffix)),
-                    }),
-                });
+            let arrival = at(head, head_tr);
+            for a in fanin {
+                let from = self.graph().arc(a).from;
+                for (tr_in, delay) in prop.late_delays(a, head_tr) {
+                    heap.push(Candidate {
+                        loss: loss + (arrival - (at(from, tr_in) + delay)),
+                        len: len + 1,
+                        suffix: Rc::new(Suffix {
+                            node: from,
+                            tr: tr_in,
+                            incr_out: delay,
+                            next: Some(Rc::clone(&suffix)),
+                        }),
+                    });
+                }
             }
         }
+        out
     }
-    out
-}
 
-fn materialise(
-    graph: &TimingGraph,
-    netlist: &Netlist,
-    data: &TimingData,
-    suffix: &Rc<Suffix>,
-    total_arrival: f32,
-    endpoint: NodeId,
-) -> TimingPath {
-    let mut steps = Vec::new();
-    let mut cursor = Some(Rc::clone(suffix));
-    let mut arrival = data.arrival(suffix.node, suffix.tr, Mode::Late);
-    let mut incr_in = 0.0f32;
-    while let Some(s) = cursor {
-        steps.push(PathStep {
-            node: s.node,
-            location: location_of(graph, netlist, s.node),
-            rise: matches!(s.tr, Tr::Rise),
-            arrival_ps: arrival,
-            incr_ps: incr_in,
-        });
-        arrival += s.incr_out;
-        incr_in = s.incr_out;
-        cursor = s.next.clone();
-    }
-    // Endpoint slack against this specific path's arrival.
-    let worst_required = [Tr::Rise, Tr::Fall]
-        .into_iter()
-        .map(|tr| data.required(endpoint, tr, Mode::Late))
-        .fold(f32::INFINITY, f32::min);
-    TimingPath {
-        steps,
-        slack_ps: worst_required - total_arrival,
+    /// The path `suffix` spells, front to back: arrivals accumulate from
+    /// the startpoint's, and the slack is the endpoint's required time at
+    /// the path's transition less the path's arrival.
+    fn materialise(&self, suffix: &Suffix) -> TimingPath {
+        let data = self.data();
+        let (mut steps, mut incr_in) = (Vec::new(), 0.0f32);
+        let mut arrival = data.arrival(suffix.node, suffix.tr, Mode::Late);
+        let mut s = suffix;
+        loop {
+            steps.push(PathStep {
+                node: s.node,
+                location: location_of(self.graph(), self.netlist(), s.node),
+                rise: matches!(s.tr, Tr::Rise),
+                arrival_ps: arrival,
+                incr_ps: incr_in,
+            });
+            let Some(next) = &s.next else {
+                let slack_ps = data.required(s.node, s.tr, Mode::Late) - arrival;
+                return TimingPath { steps, slack_ps };
+            };
+            (arrival, incr_in) = (arrival + s.incr_out, s.incr_out);
+            s = next;
+        }
     }
 }
 
 fn location_of(graph: &TimingGraph, netlist: &Netlist, v: NodeId) -> String {
-    use crate::graph::NodeKind;
     match graph.node_kind(v) {
         NodeKind::PrimaryInput(p) => netlist.input_names()[p as usize].clone(),
         NodeKind::PrimaryOutput(p) => netlist.output_names()[p as usize].clone(),
@@ -225,11 +195,12 @@ mod tests {
     fn first_path_matches_gba_worst_arrival() {
         let timer = two_arm_timer();
         let ep = endpoint(&timer);
-        let paths = k_worst_paths(timer.graph(), timer.netlist(), timer.data(), ep, 1);
+        let paths = timer.worst_paths(ep, 1);
         assert_eq!(paths.len(), 1);
         let gba_worst = timer.data().slack_late(ep);
-        assert!(
-            (paths[0].slack_ps - gba_worst).abs() < 0.5,
+        assert_eq!(
+            paths[0].slack_ps.to_bits(),
+            gba_worst.to_bits(),
             "PBA worst {} vs GBA {}",
             paths[0].slack_ps,
             gba_worst
@@ -242,7 +213,7 @@ mod tests {
     fn paths_come_out_sorted_and_distinct() {
         let timer = two_arm_timer();
         let ep = endpoint(&timer);
-        let paths = k_worst_paths(timer.graph(), timer.netlist(), timer.data(), ep, 8);
+        let paths = timer.worst_paths(ep, 8);
         assert!(paths.len() >= 2, "two arms yield at least two paths");
         for w in paths.windows(2) {
             assert!(
@@ -265,7 +236,7 @@ mod tests {
     fn increments_reconstruct_arrivals() {
         let timer = two_arm_timer();
         let ep = endpoint(&timer);
-        for p in k_worst_paths(timer.graph(), timer.netlist(), timer.data(), ep, 4) {
+        for p in timer.worst_paths(ep, 4) {
             let mut acc = p.steps[0].arrival_ps;
             for s in &p.steps[1..] {
                 acc += s.incr_ps;
@@ -284,11 +255,9 @@ mod tests {
     fn k_zero_and_large_k() {
         let timer = two_arm_timer();
         let ep = endpoint(&timer);
-        assert!(k_worst_paths(timer.graph(), timer.netlist(), timer.data(), ep, 0).is_empty());
-        let many = k_worst_paths(timer.graph(), timer.netlist(), timer.data(), ep, 1000);
-        // The two-arm cone has a handful of transition-variant paths, far
-        // fewer than 1000.
-        assert!(many.len() < 64);
+        assert!(timer.worst_paths(ep, 0).is_empty());
+        // Every maximal path once: two inputs × two transitions.
+        assert_eq!(timer.worst_paths(ep, 1000).len(), 4);
     }
 
     #[test]
@@ -304,8 +273,9 @@ mod tests {
         let mut timer = Timer::new(nb.build().expect("valid"), CellLibrary::typical());
         timer.update_timing().run_sequential();
         let ep = NodeId(timer.graph().endpoints()[0]);
-        let paths = k_worst_paths(timer.graph(), timer.netlist(), timer.data(), ep, 16);
-        // Non-unate XOR: input a via rise and fall are distinct paths.
-        assert!(paths.len() >= 4, "got {}", paths.len());
+        let paths = timer.worst_paths(ep, 16);
+        // Non-unate XOR: each input reaches each output transition from
+        // both of its own, so two inputs × two × two transitions.
+        assert_eq!(paths.len(), 8);
     }
 }

@@ -38,8 +38,9 @@
 //!   [`Timer::set_edit_state`] only what edits wrote ([`EditState`]),
 //!   from which one whole-design run derives the rest;
 //! * [`TimingReport`] — setup and hold WNS/TNS and per-endpoint slack
-//!   reporting, plus [`trace_worst_path`] and [`k_worst_paths`] for path
-//!   diagnostics;
+//!   reporting, plus [`Timer::worst_paths`], the one path engine: the `k`
+//!   latest-arriving paths into an endpoint as [`TimingPath`]s, whose
+//!   steps add up and whose worst reproduces the endpoint's slack;
 //! * file interchange: [`verilog`] (structural netlists), [`liberty`]
 //!   (NLDM cell libraries), and [`sdc`] (timing constraints) readers and
 //!   writers, all round-trip tested.
@@ -85,7 +86,7 @@ mod atomic_f32;
 pub mod boundary;
 mod error;
 mod graph;
-pub mod kpaths;
+mod kpaths;
 pub mod liberty;
 mod library;
 mod netlist;
@@ -103,11 +104,10 @@ pub use atomic_f32::AtomicF32;
 pub use boundary::{BoundaryValues, ValueSet};
 pub use error::{BuildNetlistError, ConnectError};
 pub use graph::{ArcKind, NodeId, NodeKind, TimingArcRef, TimingGraph};
-pub use kpaths::k_worst_paths;
 pub use liberty::{parse_liberty, write_liberty, ParseLibertyError};
 pub use library::{CellKind, CellLibrary, Lut2D, TimingSense};
 pub use netlist::{GateId, Netlist, NetlistBuilder, PinRef, PortId};
-pub use path::{trace_worst_path, PathStep, TimingPath};
+pub use path::{PathStep, TimingPath};
 pub use recover::RecoveredUpdate;
 pub use report::{EndpointSlack, EndpointSummary, TimingReport};
 pub use sdc::{apply_sdc, write_sdc, ParseSdcError};

@@ -1,14 +1,12 @@
-//! Critical-path tracing.
+//! Timing paths: what [`Timer::worst_paths`](crate::Timer::worst_paths)
+//! returns.
 //!
 //! After graph-based analysis, the most negative endpoint slack identifies
-//! *where* timing fails; path tracing reconstructs *why*, walking backward
-//! from an endpoint along the arcs that produced the late arrival. This is
-//! the diagnostic output every STA tool provides alongside WNS/TNS.
+//! *where* timing fails; a path says *why*, step by step from a startpoint
+//! to the endpoint. This is the diagnostic output every STA tool provides
+//! alongside WNS/TNS.
 
-use crate::analysis::{Mode, TimingData, Tr};
-use crate::graph::{ArcKind, NodeId, NodeKind, TimingGraph};
-use crate::library::CellLibrary;
-use crate::netlist::Netlist;
+use crate::graph::NodeId;
 use std::fmt;
 
 /// One hop of a traced path.
@@ -26,7 +24,7 @@ pub struct PathStep {
     pub incr_ps: f32,
 }
 
-/// A complete worst path from a startpoint to an endpoint.
+/// A complete path from a startpoint to an endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingPath {
     /// Steps from startpoint (first) to endpoint (last).
@@ -52,122 +50,19 @@ impl fmt::Display for TimingPath {
     }
 }
 
-/// Trace the late-mode worst path ending at `endpoint`.
-///
-/// Walks backward choosing, at each node, the fan-in arc and input
-/// transition whose `arrival + delay` reproduces the node's recorded late
-/// arrival (within rounding), i.e. the path the max-merge actually took.
-///
-/// Returns `None` if `endpoint` has no fan-in (an isolated node).
-pub fn trace_worst_path(
-    graph: &TimingGraph,
-    netlist: &Netlist,
-    library: &CellLibrary,
-    data: &TimingData,
-    endpoint: NodeId,
-) -> Option<TimingPath> {
-    // Pick the endpoint's worst transition.
-    let (mut tr, _) = [Tr::Rise, Tr::Fall]
-        .into_iter()
-        .map(|tr| {
-            let slack =
-                data.required(endpoint, tr, Mode::Late) - data.arrival(endpoint, tr, Mode::Late);
-            (tr, slack)
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))?;
-    let slack_ps = data.required(endpoint, tr, Mode::Late) - data.arrival(endpoint, tr, Mode::Late);
-
-    let mut rev_steps = Vec::new();
-    let mut node = endpoint;
-    let mut incr_out = 0.0f32;
-    loop {
-        rev_steps.push(PathStep {
-            node,
-            location: location_of(graph, netlist, node),
-            rise: matches!(tr, Tr::Rise),
-            arrival_ps: data.arrival(node, tr, Mode::Late),
-            incr_ps: incr_out,
-        });
-        if rev_steps.len() > graph.num_nodes() {
-            debug_assert!(false, "path longer than the graph");
-            break;
-        }
-
-        // Find the fan-in arc that realised this arrival.
-        let arrival = data.arrival(node, tr, Mode::Late);
-        let mut best: Option<(NodeId, Tr, f32, f32)> = None; // (from, tr_in, err, delay)
-        for a in graph.fanin(node) {
-            let arc = graph.arc(a);
-            let from = arc.from;
-            let sense = match arc.kind {
-                ArcKind::Net { .. } => crate::library::TimingSense::Positive,
-                ArcKind::Cell { gate } => netlist.gates()[gate as usize].cell.sense(),
-            };
-            let candidates: &[Tr] = match sense {
-                crate::library::TimingSense::Positive => &[tr],
-                crate::library::TimingSense::Negative => match tr {
-                    Tr::Rise => &[Tr::Fall],
-                    Tr::Fall => &[Tr::Rise],
-                },
-                crate::library::TimingSense::NonUnate => &[Tr::Rise, Tr::Fall],
-            };
-            for &tr_in in candidates {
-                let delay = arc_delay_late(data, a, tr);
-                let err = (data.arrival(from, tr_in, Mode::Late) + delay - arrival).abs();
-                if best.is_none_or(|(_, _, e, _)| err < e) {
-                    best = Some((from, tr_in, err, delay));
-                }
-            }
-        }
-        match best {
-            Some((from, tr_in, _err, delay)) => {
-                node = from;
-                tr = tr_in;
-                incr_out = delay;
-            }
-            None => break, // startpoint reached
-        }
-    }
-
-    let _ = library; // names come from the netlist; library kept for future per-arc annotation
-
-    // The walk recorded, at each node, the delay of the arc *leaving* it
-    // towards the endpoint; shift so each step carries the delay of the
-    // arc *entering* it (the startpoint has none).
-    for i in 0..rev_steps.len() {
-        rev_steps[i].incr_ps = if i + 1 < rev_steps.len() {
-            rev_steps[i + 1].incr_ps
-        } else {
-            0.0
-        };
-    }
-    rev_steps.reverse();
-    Some(TimingPath {
-        steps: rev_steps,
-        slack_ps,
-    })
-}
-
-/// Late-mode cached delay of arc `a` at output transition `tr`.
-fn arc_delay_late(data: &TimingData, a: u32, tr: Tr) -> f32 {
-    data.arc_delay_public(a, tr)
-}
-
-fn location_of(graph: &TimingGraph, netlist: &Netlist, v: NodeId) -> String {
-    match graph.node_kind(v) {
-        NodeKind::PrimaryInput(p) => netlist.input_names()[p as usize].clone(),
-        NodeKind::PrimaryOutput(p) => netlist.output_names()[p as usize].clone(),
-        NodeKind::GateInput(g, pin) => format!("{}.{}", netlist.gates()[g as usize].name, pin),
-        NodeKind::GateOutput(g) => format!("{}.out", netlist.gates()[g as usize].name),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::CellKind;
+    use crate::analysis::{Mode, Tr};
+    use crate::library::{CellKind, CellLibrary};
     use crate::netlist::NetlistBuilder;
     use crate::timer::Timer;
+
+    fn worst_path(timer: &Timer, endpoint: NodeId) -> TimingPath {
+        let mut paths = timer.worst_paths(endpoint, 1);
+        assert_eq!(paths.len(), 1, "the endpoint has fan-in");
+        paths.remove(0)
+    }
 
     fn traced_chain(len: usize) -> (Timer, TimingPath) {
         let mut nb = NetlistBuilder::new();
@@ -187,14 +82,7 @@ mod tests {
         let mut timer = Timer::new(nb.build().expect("valid"), CellLibrary::typical());
         timer.update_timing().run_sequential();
         let endpoint = NodeId(timer.graph().endpoints()[0]);
-        let path = trace_worst_path(
-            timer.graph(),
-            timer.netlist(),
-            &CellLibrary::typical(),
-            timer.data(),
-            endpoint,
-        )
-        .expect("endpoint has fan-in");
+        let path = worst_path(&timer, endpoint);
         (timer, path)
     }
 
@@ -221,14 +109,18 @@ mod tests {
 
     #[test]
     fn increments_sum_to_the_endpoint_arrival() {
-        let (_timer, path) = traced_chain(5);
+        let (timer, path) = traced_chain(5);
         let sum: f32 = path.steps.iter().map(|s| s.incr_ps).sum();
-        let end = path.steps.last().expect("non-empty").arrival_ps;
+        let last = path.steps.last().expect("non-empty");
         let start = path.steps[0].arrival_ps;
         assert!(
-            (start + sum - end).abs() < 0.5,
-            "increments {sum} + start {start} must reach {end}"
+            (start + sum - last.arrival_ps).abs() < 1e-3,
+            "increments {sum} + start {start} must reach {}",
+            last.arrival_ps
         );
+        let tr = if last.rise { Tr::Rise } else { Tr::Fall };
+        let reported = timer.data().arrival(last.node, tr, Mode::Late);
+        assert_eq!(last.arrival_ps.to_bits(), reported.to_bits());
     }
 
     #[test]
@@ -257,14 +149,7 @@ mod tests {
         timer.update_timing().run_sequential();
         let report = timer.report(1);
         assert_eq!(report.worst[0].name, "y_slow");
-        let path = trace_worst_path(
-            timer.graph(),
-            timer.netlist(),
-            &CellLibrary::typical(),
-            timer.data(),
-            report.worst[0].node,
-        )
-        .expect("traceable");
+        let path = worst_path(&timer, report.worst[0].node);
         let locations: Vec<&str> = path.steps.iter().map(|s| s.location.as_str()).collect();
         assert!(
             locations.contains(&"slow2.out"),
@@ -298,14 +183,7 @@ mod tests {
         let mut timer = Timer::new(nb.build().expect("valid"), CellLibrary::typical());
         timer.update_timing().run_sequential();
         let endpoint = NodeId(timer.graph().endpoints()[0]);
-        let path = trace_worst_path(
-            timer.graph(),
-            timer.netlist(),
-            &CellLibrary::typical(),
-            timer.data(),
-            endpoint,
-        )
-        .expect("traceable");
+        let path = worst_path(&timer, endpoint);
         // Transitions flip across each inverter's cell arc: i0.0 -> i0.out.
         let at = |loc: &str| {
             path.steps

@@ -370,13 +370,18 @@ impl Timer {
             ids,
             num_fprop,
             bits: Mutex::new(bits),
-            prop: TimingPropagator {
-                graph: &self.graph,
-                netlist: &self.netlist,
-                library: &self.library,
-                data: &self.data,
-            },
+            prop: self.propagator(),
             bin: Arc::clone(&self.bin),
+        }
+    }
+
+    /// The propagation engine over this timer's design and state.
+    pub(crate) fn propagator(&self) -> TimingPropagator<'_> {
+        TimingPropagator {
+            graph: &self.graph,
+            netlist: &self.netlist,
+            library: &self.library,
+            data: &self.data,
         }
     }
 

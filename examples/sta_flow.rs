@@ -98,13 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Trace the most critical path for diagnosis.
     if let Some(worst) = reference.worst.first() {
-        if let Some(path) = gpasta::sta::trace_worst_path(
-            timer.graph(),
-            timer.netlist(),
-            &CellLibrary::typical(),
-            timer.data(),
-            worst.node,
-        ) {
+        if let Some(path) = timer.worst_paths(worst.node, 1).first() {
             println!();
             print!("{path}");
         }

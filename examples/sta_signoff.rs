@@ -6,7 +6,7 @@
 //! ```
 
 use gpasta::circuits::PaperCircuit;
-use gpasta::sta::{apply_sdc, k_worst_paths, write_sdc, CellLibrary, Timer};
+use gpasta::sta::{apply_sdc, write_sdc, CellLibrary, Timer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = CellLibrary::typical();
@@ -48,16 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The three worst paths into the most critical endpoint.
     let endpoint = setup.worst.first().expect("endpoints exist");
     println!("top paths into {}:", endpoint.name);
-    for (i, path) in k_worst_paths(
-        timer.graph(),
-        timer.netlist(),
-        timer.data(),
-        endpoint.node,
-        3,
-    )
-    .into_iter()
-    .enumerate()
-    {
+    for (i, path) in timer.worst_paths(endpoint.node, 3).iter().enumerate() {
         println!(
             "\n#{} (slack {:.1} ps, {} hops)",
             i + 1,

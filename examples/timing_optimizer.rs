@@ -14,7 +14,7 @@
 use gpasta::circuits::PaperCircuit;
 use gpasta::core::{Partitioner, PartitionerOptions, SeqGPasta};
 use gpasta::sched::Executor;
-use gpasta::sta::{trace_worst_path, CellLibrary, GateId, Timer};
+use gpasta::sta::{CellLibrary, GateId, Timer};
 use gpasta::tdg::QuotientTdg;
 
 const MAX_DRIVE: f32 = 8.0;
@@ -37,8 +37,7 @@ fn run_update(timer: &mut Timer, exec: &Executor, partitioner: &SeqGPasta) -> us
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let library = CellLibrary::typical();
-    let mut timer = Timer::new(PaperCircuit::AesCore.build(0.01), library.clone());
+    let mut timer = Timer::new(PaperCircuit::AesCore.build(0.01), CellLibrary::typical());
     let exec = Executor::host_parallel();
     let partitioner = SeqGPasta::new();
 
@@ -70,14 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Trace the worst path and pick its weakest (lowest-drive) gate.
         let endpoint = report.worst.first().expect("violating endpoint").node;
-        let path = trace_worst_path(
-            timer.graph(),
-            timer.netlist(),
-            &library,
-            timer.data(),
-            endpoint,
-        )
-        .expect("endpoint is traceable");
+        let path = timer
+            .worst_paths(endpoint, 1)
+            .pop()
+            .expect("endpoint is traceable");
         // A gate's drive is kept at its output pin, the step's node.
         let victim: Option<(GateId, f32)> = path
             .steps

@@ -467,13 +467,7 @@ fn sta_cmd(args: &[String]) -> Result<(), Error> {
         );
     }
     for endpoint in report.worst.iter().take(paths) {
-        if let Some(path) = gpasta::sta::trace_worst_path(
-            session.timer().graph(),
-            session.timer().netlist(),
-            session.library(),
-            session.timer().data(),
-            endpoint.node,
-        ) {
+        if let Some(path) = session.timer().worst_paths(endpoint.node, 1).first() {
             println!();
             print!("{path}");
         }

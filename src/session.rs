@@ -56,9 +56,9 @@ use crate::checkpoint::{
 };
 use crate::sched::{FaultKind, FaultPlan, RunBudget, StopCause};
 use crate::sta::{
-    apply_sdc, k_worst_paths, parse_liberty, parse_verilog_indexed, CellLibrary, EndpointSummary,
-    GateId, KeyedNames, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError,
-    PortId, Timer, TimingPath, TimingReport,
+    apply_sdc, parse_liberty, parse_verilog_indexed, CellLibrary, EndpointSummary, GateId,
+    KeyedNames, Netlist, NodeId, ParseLibertyError, ParseSdcError, ParseVerilogError, PortId,
+    Timer, TimingPath, TimingReport,
 };
 use crate::tdg::{checksum, BuildTdgError};
 
@@ -762,13 +762,9 @@ impl Session {
     /// first; empty when the design has no endpoints.
     pub fn worst_paths(&self, k: usize) -> Vec<TimingPath> {
         match self.summary.worst(1).first() {
-            Some(&(_, critical)) => k_worst_paths(
-                self.timer.graph(),
-                self.timer.netlist(),
-                self.timer.data(),
-                NodeId(self.timer.graph().endpoints()[critical as usize]),
-                k,
-            ),
+            Some(&(_, critical)) => self
+                .timer
+                .worst_paths(NodeId(self.timer.graph().endpoints()[critical as usize]), k),
             None => Vec::new(),
         }
     }
