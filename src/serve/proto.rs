@@ -126,6 +126,12 @@ fn f32_bits(v: f32) -> Value {
 
 // ---- request parsing helpers --------------------------------------------
 
+/// The most paths one `paths` request may ask for. The search holds every
+/// partial path it opened and a path carries a name per step, so the
+/// request's `k` is bounded where it enters (`report`'s `k` is clamped to
+/// the endpoint count instead).
+const MAX_PATHS: usize = 1000;
+
 fn req_str<'a>(params: &'a Value, key: &str) -> Result<&'a str, ApiError> {
     params.get(key).and_then(Value::as_str).ok_or_else(|| {
         ApiError::bad_request("missing_field", format!("`{key}` (string) is required"))
@@ -525,6 +531,12 @@ pub fn dispatch(registry: &Registry, method: &str, params: &Value) -> Result<Val
         "paths" => {
             let name = req_str(params, "name")?;
             let k = opt_usize(params, "k", 1)?;
+            if k > MAX_PATHS {
+                return Err(ApiError::bad_request(
+                    "bad_field",
+                    format!("`k` must be at most {MAX_PATHS}, got {k}"),
+                ));
+            }
             let paths = registry.with_live(name, |session| {
                 Value::Array(session.worst_paths(k).iter().map(path_value).collect())
             })?;

@@ -211,6 +211,20 @@ fn http_edit_update_matches_cli_bit_for_bit() {
 }
 
 #[test]
+fn a_huge_path_count_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::start("paths_k");
+    create_session(&server, "pipe");
+    let (status, refused) = server.request("GET", "/sessions/pipe/paths?k=1000000000", None);
+    assert_eq!(status, 400, "{refused:?}");
+    assert_eq!(refused["error"]["kind"], "bad_field");
+    let (status, health) = server.request("GET", "/healthz", None);
+    assert_eq!(status, 200, "{health:?}");
+    let (status, paths) = server.request("GET", "/sessions/pipe/paths?k=3", None);
+    assert_eq!(status, 200, "{paths:?}");
+    assert_eq!(paths["paths"].as_array().expect("paths").len(), 3);
+}
+
+#[test]
 fn deadline_bounded_update_degrades_then_recovers() {
     let server = Server::start("deadline");
     create_session(&server, "pipe");
