@@ -21,10 +21,12 @@ use gpasta_tdg::{Partition, Tdg};
 ///    take `max_pid + num_full_arr[gid]` — fresh ids assigned by sorted
 ///    position rather than by a racy counter.
 ///
-/// The step-2 successor update is unchanged (`atomicMax` is
-/// order-insensitive in its final value), and the next level is re-sorted,
-/// so the complete partition assignment is identical for every worker
-/// count and every run — the property the test suite checks.
+/// The step-2 successor update is one `atomicMax` per edge, order-insensitive
+/// in its final value. The levels are not discovered: each is the id range
+/// the level-ordered CSR view already holds, and it is sorted before use, so
+/// the order in which a level would be discovered never mattered. The
+/// complete partition assignment is identical for every worker count and
+/// every run — the property the test suite checks.
 #[derive(Debug)]
 pub struct DeterGPasta {
     device: Device,
@@ -76,37 +78,27 @@ impl Partitioner for DeterGPasta {
 
         let num_sources = csr.num_sources() as u32;
 
-        // Same init policy as GPasta: `d_pid`/`pid_cnt` rely on their
-        // zeros (atomicMax / occupancy counts); `f_pid`/`handle` are uninit
-        // so a sanitized run's initcheck proves full wavefront coverage.
+        // `d_pid`/`pid_cnt` rely on their zeros (atomicMax / occupancy
+        // counts); `f_pid` is uninit so a sanitized run's initcheck proves
+        // that the levels cover every task.
         let d_pid = dev.buf_zeroed("deter.d_pid", n);
         let f_pid = dev.buf_uninit("deter.f_pid", n);
-        let mut indeg = Vec::with_capacity(n);
-        csr.fill_in_degrees(&mut indeg);
-        let dep_cnt = dev.buf_from_slice("deter.dep_cnt", &indeg);
         let pid_cnt = dev.buf_zeroed("deter.pid_cnt", n + num_sources as usize + 1);
-        let handle = dev.buf_uninit("deter.handle", n);
-        let wsize = dev.buf_zeroed("deter.wsize", 1);
         let mut max_pid = num_sources.saturating_sub(1);
 
         for i in 0..num_sources {
-            handle.store(i as usize, i);
             d_pid.store(i as usize, i);
         }
 
-        let mut roffset = 0u32;
-        let mut rsize = num_sources;
-        while rsize > 0 {
-            let m = rsize as usize;
-            wsize.store(0, 0);
+        for l in 0..csr.depth() {
+            let level = csr.level_range(l);
+            let m = level.len();
 
-            // Step 1: sort the handle slice and the desired-id array by the
-            // packed 64-bit key (Algorithm 2 lines 1–6).
-            let mut keys: Vec<u64> = (0..m)
-                .map(|i| {
-                    let t = handle.load(roffset as usize + i);
-                    (u64::from(d_pid.load(t as usize)) << 32) | u64::from(t)
-                })
+            // Step 1: sort the level by the packed 64-bit key (Algorithm 2
+            // lines 1–6).
+            let mut keys: Vec<u64> = level
+                .clone()
+                .map(|t| (u64::from(d_pid.load(t)) << 32) | t as u64)
                 .collect();
             prims::sort_u64(dev, &mut keys);
             let tasks_sorted: Vec<u32> = keys.iter().map(|&k| (k & 0xffff_ffff) as u32).collect();
@@ -155,28 +147,20 @@ impl Partitioner for DeterGPasta {
             }
             max_pid += new_partitions;
 
-            // Successor update and dependency release — identical to
-            // Algorithm 1 step 2; atomicMax commutes, and the next level is
-            // re-sorted, so determinism is preserved.
+            // Successor update — Algorithm 1 step 2 without the dependency
+            // release: atomicMax commutes, so the next level's desired ids
+            // are the same for every schedule.
             {
-                let (handle, d_pid, f_pid, dep_cnt, wsize) =
-                    (&handle, &d_pid, &f_pid, &dep_cnt, &wsize);
-                let tasks_sorted = &tasks_sorted;
-                dev.launch(rsize, move |gid| {
-                    let cur = tasks_sorted[gid as usize];
+                let (d_pid, f_pid) = (&d_pid, &f_pid);
+                let first = level.start as u32;
+                dev.launch(m as u32, move |gid| {
+                    let cur = first + gid;
                     let fp = f_pid.load(cur as usize);
                     for &nb in csr.successors(cur) {
                         d_pid.fetch_max(nb as usize, fp);
-                        if dep_cnt.fetch_sub(nb as usize, 1) == 1 {
-                            let woffset = wsize.fetch_add(0, 1);
-                            handle.store((roffset + rsize + woffset) as usize, nb);
-                        }
                     }
                 });
             }
-
-            roffset += rsize;
-            rsize = wsize.load(0);
         }
 
         Ok(Partition::new(csr.scatter_to_original(&f_pid.to_vec())))
