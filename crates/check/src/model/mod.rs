@@ -65,11 +65,13 @@
 pub mod sync;
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Sentinel panic payload used to unwind virtual threads on abort. Caught
-/// and swallowed by the explorer; never escapes to the caller.
+/// and swallowed by the explorer; never escapes to the caller. Raised with
+/// `resume_unwind`, which skips the panic hook, so an abort prints nothing
+/// beside the counterexample it ends.
 struct ModelAbort;
 
 /// Exploration bounds. Exploration is exhaustive *relative to these*: the
@@ -362,7 +364,7 @@ impl Exploration {
         }
         if shared.abort {
             drop(shared);
-            std::panic::panic_any(ModelAbort);
+            resume_unwind(Box::new(ModelAbort));
         }
         shared.steps += 1;
         if shared.steps > shared.max_steps {
@@ -376,7 +378,7 @@ impl Exploration {
         drop(shared);
         self.cv.notify_all();
         if aborted {
-            std::panic::panic_any(ModelAbort);
+            resume_unwind(Box::new(ModelAbort));
         }
         r
     }
@@ -433,7 +435,7 @@ impl Exploration {
             }
             if shared.abort {
                 drop(shared);
-                std::panic::panic_any(ModelAbort);
+                resume_unwind(Box::new(ModelAbort));
             }
         }
     }
@@ -610,7 +612,7 @@ pub fn run_threads(bodies: Vec<Box<dyn FnOnce() + Send + '_>>) {
     let aborted = shared.abort;
     drop(shared);
     if aborted {
-        std::panic::panic_any(ModelAbort);
+        resume_unwind(Box::new(ModelAbort));
     }
 }
 
