@@ -65,15 +65,26 @@ impl Checksum {
         self.tail[..rest.len()].copy_from_slice(rest);
     }
 
-    /// Feed `words` as their little-endian bytes.
-    pub fn update_words(&mut self, words: &[u32]) {
-        let mut buf = [0u8; 1024];
-        for piece in words.chunks(buf.len() / 4) {
-            let bytes = &mut buf[..4 * piece.len()];
-            for (b, w) in bytes.chunks_exact_mut(4).zip(piece) {
-                b.copy_from_slice(&w.to_le_bytes());
-            }
-            self.update(bytes);
+    /// Feed `words` as their little-endian bytes. Once no byte is pending,
+    /// two words make one lane, so a short slice costs a few multiplies
+    /// and no buffer.
+    pub fn update_words(&mut self, mut words: &[u32]) {
+        while !self.len.is_multiple_of(8) {
+            let Some((w, rest)) = words.split_first() else {
+                return;
+            };
+            self.update(&w.to_le_bytes());
+            words = rest;
+        }
+        let mut pairs = words.chunks_exact(2);
+        let mut h = self.state;
+        for pair in &mut pairs {
+            h = mix(h, u64::from(pair[0]) | u64::from(pair[1]) << 32);
+        }
+        self.state = h;
+        self.len += 4 * (words.len() & !1) as u64;
+        if let [w] = pairs.remainder() {
+            self.update(&w.to_le_bytes());
         }
     }
 
@@ -143,16 +154,27 @@ mod tests {
         }
     }
 
+    /// Words hash as their little-endian bytes, fed whole or in pieces of
+    /// any length, behind any count of pending bytes.
     #[test]
     fn words_hash_as_their_little_endian_bytes() {
         let words: Vec<u32> = (0..700u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut h = Checksum::default();
-        h.update(&[7]);
-        h.update_words(&words);
-        let mut whole = vec![7];
-        whole.extend_from_slice(&bytes);
-        assert_eq!(h.finish(), checksum(&whole));
+        for lead in 0..8 {
+            let mut whole = sample(lead);
+            whole.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+            for piece in [1, 2, 3, 5, 8, 255, 700] {
+                let mut h = Checksum::default();
+                h.update(&sample(lead));
+                for chunk in words.chunks(piece) {
+                    h.update_words(chunk);
+                }
+                assert_eq!(
+                    h.finish(),
+                    checksum(&whole),
+                    "{lead} bytes, pieces of {piece}"
+                );
+            }
+        }
     }
 
     #[test]
