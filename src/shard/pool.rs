@@ -12,6 +12,14 @@
 //! heartbeat monitor) and a *serial* that is never reused: events carry
 //! both, and an event whose serial is not the slot's current one comes
 //! from a process that was already killed and changes nothing.
+//!
+//! Rounds are pipelined along chains: behind the round a worker is
+//! running, the pool may *queue* one successor of that round's shard whose
+//! every other predecessor is completed, so its frames wait in the
+//! worker's stdin and it starts the moment the round ahead ends. A queued
+//! round is not yet an attempt: it becomes one when the `Done` of the
+//! round ahead starts it, and a worker lost before that hands it back
+//! without spending an attempt or a respawn.
 
 use std::time::{Duration, Instant};
 
@@ -28,6 +36,8 @@ pub(crate) enum State {
     Ready,
     /// A worker is serving it.
     Running,
+    /// Queued behind the round a worker is running, which it succeeds.
+    Queued,
     /// Its delta is applied to the master state.
     Completed,
     /// Retries exhausted.
@@ -56,7 +66,8 @@ pub(crate) enum Action {
     Kill { slot: usize },
     /// Launch a process into the empty `slot` under `serial`.
     Spawn { slot: usize, serial: u64 },
-    /// Send the worker in `slot` this round.
+    /// Send the worker in `slot` this round: it runs now if the worker is
+    /// idle, else it is queued behind the worker's running round.
     Assign {
         slot: usize,
         shard: u32,
@@ -67,7 +78,10 @@ pub(crate) enum Action {
 #[derive(Debug, Clone, Copy)]
 struct Worker {
     serial: u64,
+    /// The round it is running.
     job: Option<(u32, u32)>,
+    /// The shard queued behind `job`, never without one.
+    queued: Option<u32>,
 }
 
 pub(crate) struct Pool<'a> {
@@ -114,6 +128,7 @@ impl<'a> Pool<'a> {
         workers[0] = Some(Worker {
             serial: 0,
             job: None,
+            queued: None,
         });
         Pool {
             graph,
@@ -156,8 +171,14 @@ impl<'a> Pool<'a> {
         self.workers.get(slot)?.and_then(|w| w.job)
     }
 
+    /// The shard queued behind the round in flight on `slot`.
+    #[cfg(test)]
+    pub(crate) fn queued(&self, slot: usize) -> Option<u32> {
+        self.workers.get(slot)?.and_then(|w| w.queued)
+    }
+
     /// Every shard is completed, poisoned or drained — and therefore no
-    /// round is in flight.
+    /// round is in flight or queued.
     pub(crate) fn settled(&self) -> bool {
         self.state
             .iter()
@@ -174,11 +195,8 @@ impl<'a> Pool<'a> {
     }
 
     /// The live worker in `slot`, if `serial` is still its serial.
-    fn current(&mut self, slot: usize, serial: u64) -> Option<&mut Worker> {
-        self.workers
-            .get_mut(slot)?
-            .as_mut()
-            .filter(|w| w.serial == serial)
+    fn current(&self, slot: usize, serial: u64) -> Option<Worker> {
+        self.workers.get(slot)?.filter(|w| w.serial == serial)
     }
 
     /// Advance the bookkeeping by one event observed at `now`. An event
@@ -188,18 +206,36 @@ impl<'a> Pool<'a> {
         let mut actions = Vec::new();
         match event {
             Event::Done { slot, serial } => {
-                let job = self.current(slot, serial).and_then(|w| w.job.take());
-                if let Some((shard, _)) = job {
+                let Some(w) = self.current(slot, serial) else {
+                    return actions;
+                };
+                if let Some((shard, _)) = w.job {
                     self.complete(shard);
                 }
+                // The queued round, if any, starts now.
+                let job = w.queued.map(|shard| self.start(shard));
+                self.workers[slot] = Some(Worker {
+                    job,
+                    queued: None,
+                    ..w
+                });
             }
             Event::Lost { slot, serial } => {
-                if self.current(slot, serial).is_some() {
-                    let job = self.workers[slot].take().and_then(|w| w.job);
-                    actions.push(Action::Kill { slot });
-                    if let Some((shard, attempt)) = job {
-                        self.fail(shard, attempt, now);
-                    }
+                let Some(w) = self.current(slot, serial) else {
+                    return actions;
+                };
+                self.workers[slot] = None;
+                actions.push(Action::Kill { slot });
+                // The queued round never started: it goes back as it was,
+                // and draining below may still take it.
+                if let Some(shard) = w.queued {
+                    self.state[shard as usize] = match self.deps_left[shard as usize] {
+                        0 => State::Ready,
+                        _ => State::Waiting,
+                    };
+                }
+                if let Some((shard, attempt)) = w.job {
+                    self.fail(shard, attempt, now);
                 }
             }
             Event::Tick => self.dispatch(now, &mut actions),
@@ -228,9 +264,10 @@ impl<'a> Pool<'a> {
         }
         self.state[shard as usize] = State::Poisoned;
         // Only waiting descendants drain. After a resume under another
-        // shard count a descendant may already be completed, ready or
-        // running: every direct predecessor of such a shard is complete,
-        // so what it reads is final whatever happens upstream.
+        // shard count a descendant may already be completed, ready,
+        // running or queued: every direct predecessor of such a shard is
+        // complete or running, so what it reads is final whatever happens
+        // upstream.
         for t in forward_closure(self.graph, &[shard]) {
             if self.state[t as usize] == State::Waiting {
                 self.state[t as usize] = State::Unfinished;
@@ -239,7 +276,9 @@ impl<'a> Pool<'a> {
     }
 
     /// Hand every dispatchable shard, in shard-id (topological) order,
-    /// to an idle worker — or to a new one while a slot is empty.
+    /// to an idle worker — or to a new one while a slot is empty. Then
+    /// queue behind each running round without a queue the lowest
+    /// waiting successor whose only unfinished predecessor is that round.
     fn dispatch(&mut self, now: Instant, actions: &mut Vec<Action>) {
         for shard in 0..self.state.len() as u32 {
             let s = shard as usize;
@@ -254,7 +293,7 @@ impl<'a> Pool<'a> {
                 Some(found) => found,
                 None => {
                     let Some(slot) = self.workers.iter().position(Option::is_none) else {
-                        return;
+                        break;
                     };
                     let serial = self.next_serial;
                     self.next_serial += 1;
@@ -262,23 +301,68 @@ impl<'a> Pool<'a> {
                     (slot, serial)
                 }
             };
-            let attempt = self.attempts[s];
-            self.attempts[s] += 1;
-            if attempt > 0 {
-                self.respawns += 1;
-            }
-            self.retry_at[s] = None;
-            self.state[s] = State::Running;
+            let job = self.start(shard);
             self.workers[slot] = Some(Worker {
                 serial,
-                job: Some((shard, attempt)),
+                job: Some(job),
+                queued: None,
             });
             actions.push(Action::Assign {
                 slot,
                 shard,
-                attempt,
+                attempt: job.1,
             });
         }
+        for slot in 0..self.workers.len() {
+            let Some(
+                w @ Worker {
+                    job: Some((running, _)),
+                    queued: None,
+                    ..
+                },
+            ) = self.workers[slot]
+            else {
+                continue;
+            };
+            let next = self
+                .graph
+                .successors(TaskId(running))
+                .iter()
+                .copied()
+                .find(|&q| {
+                    self.state[q as usize] == State::Waiting && self.deps_left[q as usize] == 1
+                });
+            if let Some(shard) = next {
+                self.state[shard as usize] = State::Queued;
+                self.workers[slot] = Some(Worker {
+                    queued: Some(shard),
+                    ..w
+                });
+                actions.push(Action::Assign {
+                    slot,
+                    shard,
+                    attempt: self.attempts[shard as usize],
+                });
+            }
+        }
+    }
+
+    /// Start `shard`: the round becomes an attempt. Returns the
+    /// `(shard, attempt)` its worker now runs.
+    fn start(&mut self, shard: u32) -> (u32, u32) {
+        let s = shard as usize;
+        debug_assert_eq!(
+            self.deps_left[s], 0,
+            "shard {shard} starts over a predecessor"
+        );
+        let attempt = self.attempts[s];
+        self.attempts[s] += 1;
+        if attempt > 0 {
+            self.respawns += 1;
+        }
+        self.retry_at[s] = None;
+        self.state[s] = State::Running;
+        (shard, attempt)
     }
 }
 
@@ -329,6 +413,14 @@ mod tests {
     impl Model<'_> {
         fn step(&mut self, event: Event, now: Instant) {
             let before = self.pool.states().to_vec();
+            let (attempts, respawns) = (self.pool.attempts().to_vec(), self.pool.respawns());
+            let jobs: Vec<_> = (0..self.max_workers).map(|w| self.pool.job(w)).collect();
+            let voided = match event {
+                Event::Lost { slot, serial } if self.live.get(&slot) == Some(&serial) => {
+                    self.pool.queued(slot)
+                }
+                _ => None,
+            };
             for action in self.pool.on(event, now) {
                 match action {
                     Action::Kill { slot } => {
@@ -351,17 +443,72 @@ mod tests {
                         attempt,
                     } => {
                         assert!(self.live.contains_key(&slot), "rounds go to live workers");
-                        assert_eq!(self.pool.job(slot), Some((shard, attempt)));
-                        assert_eq!(before[shard as usize], State::Ready);
+                        let queued = self.pool.queued(slot) == Some(shard);
+                        assert_eq!(
+                            attempt + u32::from(!queued),
+                            self.pool.attempts()[shard as usize],
+                            "only a started round is an attempt"
+                        );
+                        if queued {
+                            // The round ahead is its one unfinished
+                            // predecessor.
+                            assert_eq!(before[shard as usize], State::Waiting);
+                            let (ahead, _) = self.pool.job(slot).expect("queued behind a round");
+                            let preds = self.graph.predecessors(TaskId(shard));
+                            assert!(preds.contains(&ahead), "queued behind a non-predecessor");
+                            for &p in preds.iter().filter(|&&p| p != ahead) {
+                                assert_eq!(
+                                    self.pool.states()[p as usize],
+                                    State::Completed,
+                                    "shard {shard} queued before its predecessor {p}"
+                                );
+                            }
+                        } else {
+                            assert_eq!(self.pool.job(slot), Some((shard, attempt)));
+                            assert_eq!(before[shard as usize], State::Ready);
+                        }
+                    }
+                }
+            }
+            for (slot, &was) in jobs.iter().enumerate() {
+                let queued = self.pool.queued(slot);
+                assert!(
+                    queued.is_none() || self.pool.job(slot).is_some(),
+                    "a queue stands behind a running round"
+                );
+                // A round that started (fresh or from the queue) starts
+                // over completed predecessors only.
+                if let Some((shard, attempt)) = self.pool.job(slot) {
+                    if was != Some((shard, attempt)) {
                         for &p in self.graph.predecessors(TaskId(shard)) {
                             assert_eq!(
                                 self.pool.states()[p as usize],
                                 State::Completed,
-                                "shard {shard} ran before its predecessor {p}"
+                                "shard {shard} started before its predecessor {p}"
                             );
                         }
                     }
                 }
+            }
+            if let Some(q) = voided {
+                assert_eq!(
+                    self.pool.attempts()[q as usize],
+                    attempts[q as usize],
+                    "a voided queued round spends no attempt"
+                );
+                assert!(matches!(
+                    self.pool.states()[q as usize],
+                    State::Ready | State::Waiting | State::Unfinished
+                ));
+            }
+            if matches!(event, Event::Lost { .. }) {
+                assert_eq!(self.pool.respawns(), respawns, "a loss starts nothing");
+            }
+            if self.pool.settled() {
+                assert!(
+                    (0..self.max_workers).all(|w| self.pool.queued(w).is_none()),
+                    "a settled pool has no queued round"
+                );
             }
             assert!(
                 self.live.len() <= self.max_workers,
@@ -382,6 +529,14 @@ mod tests {
                     in_flight,
                     usize::from(is == State::Running),
                     "a running shard is in flight on exactly one worker"
+                );
+                let queued = (0..self.max_workers)
+                    .filter(|&slot| self.pool.queued(slot) == Some(s as u32))
+                    .count();
+                assert_eq!(
+                    queued,
+                    usize::from(is == State::Queued),
+                    "a queued shard waits on exactly one worker"
                 );
                 assert!(self.pool.attempts()[s] <= self.max_retries + 1);
             }
@@ -500,24 +655,90 @@ mod tests {
         }
     }
 
+    /// Each shard of a chain is queued behind the one before it and
+    /// starts on that one's `Done`, on the one worker there is.
     #[test]
     fn a_chain_plan_never_grows_the_pool() {
         let graph = shard_graph(4, 0b10_1001); // 0→1, 1→2, 2→3
         let mut pool = Pool::new(&graph, &[false; 4], 2, retry(3));
         let now = Instant::now();
-        for shard in 0..4 {
-            assert_eq!(
-                pool.on(Event::Tick, now),
-                [Action::Assign {
-                    slot: 0,
-                    shard,
-                    attempt: 0
-                }]
-            );
+        let assign = |shard| Action::Assign {
+            slot: 0,
+            shard,
+            attempt: 0,
+        };
+        assert_eq!(pool.on(Event::Tick, now), [assign(0), assign(1)]);
+        assert_eq!(pool.states()[1], State::Queued);
+        assert_eq!(
+            pool.attempts(),
+            [1, 0, 0, 0],
+            "a queued round is no attempt"
+        );
+        for shard in 1..4 {
             assert!(pool.on(Event::Done { slot: 0, serial: 0 }, now).is_empty());
+            assert_eq!(pool.job(0), Some((shard, 0)), "the queue starts on Done");
+            let next: Vec<Action> = (shard + 1..4).take(1).map(assign).collect();
+            assert_eq!(pool.on(Event::Tick, now), next);
         }
+        assert!(pool.on(Event::Done { slot: 0, serial: 0 }, now).is_empty());
         assert!(pool.settled());
+        assert_eq!(pool.attempts(), [1, 1, 1, 1]);
         assert_eq!(pool.workers_spawned(), 1);
+    }
+
+    /// A worker lost while a round waits behind its running one: the
+    /// running round fails and spends its attempt, the queued one goes
+    /// back to waiting without spending one, and the retry queues it
+    /// again behind itself on the new worker.
+    #[test]
+    fn a_loss_hands_the_queued_round_back_without_an_attempt() {
+        let graph = shard_graph(3, 0b101); // 0→1, 1→2
+        let mut pool = Pool::new(&graph, &[false; 3], 1, retry(2));
+        let t0 = Instant::now();
+        pool.on(Event::Tick, t0);
+        pool.on(Event::Done { slot: 0, serial: 0 }, t0);
+        pool.on(Event::Tick, t0);
+        assert_eq!((pool.job(0), pool.queued(0)), (Some((1, 0)), Some(2)));
+        assert_eq!(
+            pool.on(Event::Lost { slot: 0, serial: 0 }, t0),
+            [Action::Kill { slot: 0 }]
+        );
+        assert_eq!(
+            pool.states(),
+            [State::Completed, State::Ready, State::Waiting]
+        );
+        assert_eq!((pool.attempts(), pool.respawns()), (&[1, 1, 0][..], 0));
+        let later = t0 + Duration::from_millis(2);
+        assert_eq!(
+            pool.on(Event::Tick, later),
+            [
+                Action::Spawn { slot: 0, serial: 1 },
+                Action::Assign {
+                    slot: 0,
+                    shard: 1,
+                    attempt: 1
+                },
+                Action::Assign {
+                    slot: 0,
+                    shard: 2,
+                    attempt: 0
+                },
+            ]
+        );
+        assert_eq!(pool.respawns(), 1);
+        // Lost again with both retries of shard 1 spent: the queued shard
+        // drains with it, still without an attempt.
+        let mut now = later;
+        pool.on(Event::Lost { slot: 0, serial: 1 }, now);
+        now += Duration::from_millis(8);
+        pool.on(Event::Tick, now);
+        pool.on(Event::Lost { slot: 0, serial: 2 }, now);
+        assert_eq!(
+            pool.states(),
+            [State::Completed, State::Poisoned, State::Unfinished]
+        );
+        assert_eq!(pool.attempts(), [1, 3, 0]);
+        assert!(pool.settled() && pool.queued(0).is_none());
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! are alive. The first worker is launched before the supervisor's own
 //! rebuild, so the two rebuilds overlap.
 //!
+//! Rounds are pipelined along chains: behind a worker's running round
+//! the pool queues one successor whose other predecessors are all
+//! completed, and its `Assign` and boundary go down the pipe at once. The
+//! boundary also leaves out what the running round writes, which the
+//! worker holds by the time it starts the queued one. The queued round
+//! starts — and becomes an attempt, with the heartbeat watchdog on it —
+//! with the `Done` of the round ahead; a worker lost before that hands it
+//! back unspent.
+//!
 //! Which shard goes where, what a death costs and when a retry is due is
 //! decided by the pure [`Pool`]; this module carries its decisions out.
 //! Per child, one writer thread feeds stdin from a channel (the event
@@ -27,8 +36,9 @@
 //!   stall window between launch and `Hello` or inside a round is killed
 //!   and reaped. That fails exactly the `(shard, attempt)` in flight on
 //!   it — deltas of shards it completed earlier are already in the master
-//!   state — and the retry goes to an idle or new worker after a bounded
-//!   backoff. An idle worker is not monitored;
+//!   state, and a round queued behind it was no attempt yet — and the
+//!   retry goes to an idle or new worker after a bounded backoff. An idle
+//!   worker is not monitored;
 //! * a shard that exhausts its retries is *poisoned* and its forward
 //!   closure in the shard graph drains as *unfinished* — exactly the
 //!   salvage semantics of the in-process recovering executor, one level
@@ -53,8 +63,8 @@ use std::time::{Duration, Instant};
 use super::pool::{Action, Event, Pool, State};
 use super::wire::{Frame, InjectedFault, WireError};
 use super::{
-    boundary_set, build_timer, covered, fault_point, plan_of, run_fingerprint, shard_work,
-    ShardCheckpoint, ShardError, ShardRunConfig, ShardRunOutcome, ShardWork,
+    boundary_set, build_timer, covered, fault_point, plan_and_work, ShardCheckpoint, ShardError,
+    ShardRunConfig, ShardRunOutcome, ShardWork,
 };
 use crate::sched::{FaultKind, HeartbeatMonitor};
 use crate::sta::{BoundaryValues, DirtyCone, TaskKind};
@@ -81,6 +91,8 @@ struct Proc {
     threads: [JoinHandle<()>; 2],
     greeted: bool,
     round: Option<Round>,
+    /// The shard queued behind `round`: its frames are in the pipe.
+    next: Option<u32>,
     /// Shards this process completed: it holds every cell they wrote, so
     /// its boundaries leave those cells out ([`boundary_set`]).
     held: Vec<u32>,
@@ -143,6 +155,7 @@ impl Proc {
             threads: [writer, reader],
             greeted: false,
             round: None,
+            next: None,
             held: Vec::new(),
         })
     }
@@ -217,15 +230,20 @@ impl Supervisor<'_, '_> {
         Ok(())
     }
 
-    /// Open a round: queue `Assign` and the shard's boundary for the
-    /// worker in `slot` (it reads them once it has said `Hello`).
+    /// Open a round: send `Assign` and the shard's boundary to the worker
+    /// in `slot` (it reads them once it has said `Hello`). Behind a running
+    /// round the new one is queued, and its boundary leaves out the cells
+    /// the running round writes too: the worker holds them by the time it
+    /// starts.
     fn assign(&mut self, slot: usize, shard: u32, attempt: u32, now: Instant) {
         let cfg = self.cfg;
         let work = &self.work[shard as usize];
         let proc = self.procs.0[slot]
             .as_mut()
             .expect("the pool assigns to live workers");
-        let set = boundary_set(self.work, shard, &proc.held);
+        let ahead = proc.round.as_ref().map(|r| r.shard);
+        let held: Vec<u32> = proc.held.iter().copied().chain(ahead).collect();
+        let set = boundary_set(self.work, shard, &held);
         let boundary = BoundaryValues::export(self.cone.data(), set);
         let fault = cfg.faults.fault_at(shard, attempt).map(|kind| {
             let how = match kind {
@@ -251,8 +269,14 @@ impl Supervisor<'_, '_> {
         // reader reports that death.
         let _ = proc.to_child.send(assign);
         let _ = proc.to_child.send(Frame::Boundary(boundary));
-        proc.round = Some(Round { shard, delta: None });
-        self.monitor.start(slot as u32, now);
+        match ahead {
+            // The watchdog keeps covering the running round.
+            Some(_) => proc.next = Some(shard),
+            None => {
+                proc.round = Some(Round { shard, delta: None });
+                self.monitor.start(slot as u32, now);
+            }
+        }
     }
 
     fn handle(
@@ -304,7 +328,7 @@ impl Supervisor<'_, '_> {
             (Ok(Frame::Done { exec_nanos, .. }), Some(round)) => match round.delta.take() {
                 Some(delta) => {
                     proc.held.push(round.shard);
-                    proc.round = None;
+                    proc.round = proc.next.take().map(|shard| Round { shard, delta: None });
                     self.complete(slot, serial, delta, exec_nanos, now)?;
                 }
                 None => self.lose(slot, serial, now, "reported done without a delta")?,
@@ -351,9 +375,14 @@ impl Supervisor<'_, '_> {
         now: Instant,
     ) -> Result<(), ShardError> {
         delta.apply(self.cone.data());
-        self.monitor.stop(slot as u32);
         let actions = self.pool.on(Event::Done { slot, serial }, now);
         debug_assert!(actions.is_empty(), "dispatch waits for the next tick");
+        // The queued round, if any, started with this `Done`: the watchdog
+        // covers it from here.
+        match self.pool.job(slot) {
+            Some(_) => self.monitor.start(slot as u32, now),
+            None => self.monitor.stop(slot as u32),
+        }
         self.worker_exec_nanos += exec_nanos;
         self.completed_new += 1;
         if let Some(path) = &self.cfg.checkpoint_to {
@@ -455,9 +484,8 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         timer.invalidate_all();
     }
     let cone = timer.dirty_cone();
-    let plan = plan_of(&cone, cfg.shards)?;
+    let (plan, work, fingerprint) = plan_and_work(&cone, cfg.shards)?;
     let k = plan.num_shards();
-    let work = shard_work(&cone, &plan);
 
     // Shards covered by a checkpointed range are already complete: their
     // values were restored with the snapshot. Partially covered shards
@@ -486,7 +514,7 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
         cone: &cone,
         plan: &plan,
         work: &work,
-        fingerprint: run_fingerprint(cone.graph(), &plan),
+        fingerprint,
         pool: Pool::new(plan.graph(), &restored, max_workers, cfg.retry.clone()),
         procs,
         monitor,
