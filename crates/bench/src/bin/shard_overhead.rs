@@ -20,6 +20,12 @@
 //!    whenever the baseline is long enough to measure (≥ 20 ms). A
 //!    separate [`run_single_process`] run (level order) anchors bit
 //!    identity across all three schedules.
+//!
+//!    Beside it, unpoliced, a chained run: four shards on at most two
+//!    workers (the ledger's `shard_full` shape), whose rounds queue behind
+//!    one another on one worker, timed wall to wall against a
+//!    [`run_single_process`] run of the same update (`chained4_gain` =
+//!    single-process wall over sharded wall).
 //! 2. **healed bit-identity** — a fixed seed matrix of killed runs
 //!    (SIGKILL on first attempts, plus one retry-exhausted shard that
 //!    must poison and heal) each asserts its final WNS bits equal its
@@ -90,6 +96,8 @@ fn run() -> Result<(), OutputError> {
         let mut raw_ns = Vec::with_capacity(cfg.runs);
         let mut shard_ns = Vec::with_capacity(cfg.runs);
         let mut wall_ms = Vec::with_capacity(cfg.runs);
+        let mut chained_ms = Vec::with_capacity(cfg.runs);
+        let mut single_ms = Vec::with_capacity(cfg.runs);
         for _ in 0..cfg.runs.max(2) {
             let raw = run_in_plan_order(circuit, cfg.scale, SEED);
             raw_ns.push(raw.exec_nanos as f64);
@@ -113,6 +121,22 @@ fn run() -> Result<(), OutputError> {
                 circuit.name()
             );
             shard_ns.push(out.worker_exec_nanos as f64);
+
+            let mut c = ShardRunConfig::new(circuit, cfg.scale, SEED, 4);
+            c.worker_exe = exe.clone();
+            c.max_workers = 2;
+            let t = Instant::now();
+            let out = run_sharded(&c).expect("chained run");
+            chained_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            assert_eq!(
+                out.wns_bits,
+                oracle_wns,
+                "{}: chained run must be bit-identical to in-process",
+                circuit.name()
+            );
+            let t = Instant::now();
+            run_single_process(circuit, cfg.scale, SEED);
+            single_ms.push(t.elapsed().as_secs_f64() * 1e3);
         }
 
         let raw_ms = best(&raw_ns) / 1e6;
@@ -128,13 +152,17 @@ fn run() -> Result<(), OutputError> {
                 circuit.name()
             );
         }
+        let chained_gain = best(&single_ms) / best(&chained_ms);
         println!(
-            "== {} ==\n  in-process {:>9.3} ms | worker loop {:>9.3} ms | overhead {:+.2}% | wall (one spawn+rebuild) {:>9.1} ms",
+            "== {} ==\n  in-process {:>9.3} ms | worker loop {:>9.3} ms | overhead {:+.2}% | wall (one spawn+rebuild) {:>9.1} ms\n  chained 4 shards {:>9.1} ms | single process {:>9.1} ms | gain {:.3}",
             circuit.name(),
             raw_ms,
             shard_ms,
             overhead_pct,
-            best(&wall_ms)
+            best(&wall_ms),
+            best(&chained_ms),
+            best(&single_ms),
+            chained_gain
         );
         overhead_rows.push(Row::new(
             circuit.name(),
@@ -144,6 +172,9 @@ fn run() -> Result<(), OutputError> {
                 ("overhead_pct", overhead_pct),
                 ("wall_ms", best(&wall_ms)),
                 ("policed", if raw_ms >= 20.0 { 1.0 } else { 0.0 }),
+                ("chained4_wall_ms", best(&chained_ms)),
+                ("single_process_wall_ms", best(&single_ms)),
+                ("chained4_gain", chained_gain),
             ],
         ));
     }
