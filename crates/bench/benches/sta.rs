@@ -48,9 +48,10 @@ fn bench_sta(c: &mut Criterion) {
     let netlist = PaperCircuit::AesCore.build(0.05);
     let mut group = c.benchmark_group("update_timing");
     group.sample_size(10);
-    // The path the product runs: the dirty cone swept in id order on the
-    // calling thread, with no task graph — the whole design, and the cone
-    // of one repower (only the tasks a changed value reaches run).
+    // The product's one-thread path: the dirty cone swept in id order on
+    // the calling thread, with no task graph — the whole design (a session
+    // with `workers = 1`), and the cone of one repower (only the tasks a
+    // changed value reaches run).
     group.bench_function("run_in_order", |b| {
         let mut timer = Timer::new(netlist.clone(), library.clone());
         b.iter(|| {

@@ -22,8 +22,9 @@
 //! `#[cfg(all(test, gpasta_model_check))] mod model_check` that drives the
 //! shipped function: the decrement batch and the stop latch in
 //! `gpasta-sched`'s `bounded.rs`, `CancelToken` in `gpasta-tdg`'s
-//! `cancel.rs`, the slack min in `gpasta-sta`'s `atomic_f32.rs` and the park
-//! slot in `gpasta`'s `serve/http.rs`. Their seeded mutations are
+//! `cancel.rs`, the slack min in `gpasta-sta`'s `atomic_f32.rs`, the level
+//! barrier in `gpasta-sta`'s `recover.rs` and the park slot in `gpasta`'s
+//! `serve/http.rs`. Their seeded mutations are
 //! [`mutant!`] sites. [`protocols`] keeps the one harness with no
 //! production step of its own, poison publication.
 

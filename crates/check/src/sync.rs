@@ -10,7 +10,8 @@
 //! drives its shipped protocol step that way — the decrement batch and
 //! the stop latch in `gpasta-sched`'s `bounded.rs`, `CancelToken` in
 //! `gpasta-tdg`'s `cancel.rs`, `AtomicF32::fetch_min_nan_preserving` in
-//! `gpasta-sta`'s `atomic_f32.rs`, and the park slot in `gpasta`'s
+//! `gpasta-sta`'s `atomic_f32.rs`, the level barrier of the whole-design
+//! sweep in `gpasta-sta`'s `recover.rs`, and the park slot in `gpasta`'s
 //! `serve/http.rs` (`RUSTFLAGS="--cfg gpasta_model_check" cargo test -p
 //! gpasta-sched -p gpasta-sta -p gpasta-tdg -p gpasta --lib model_check`).
 //!

@@ -97,6 +97,9 @@ pub struct TimingGraph {
     /// The head of each fan-out arc, parallel to `fwd_arc`: built by the
     /// first partial cone (a whole-design update never asks for it).
     succ: OnceLock<Vec<u32>>,
+    /// Level `l` is the node ids `level_off[l]..level_off[l + 1]`: the
+    /// build's counting sort, kept; recomputed on deserialisation.
+    level_off: Vec<u32>,
 }
 
 /// Set bit `r` in a node bitset.
@@ -219,7 +222,7 @@ impl Serialize for TimingGraph {
 
 impl Deserialize for TimingGraph {
     fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::FromValueError> {
-        Ok(TimingGraph {
+        let mut graph = TimingGraph {
             node_kind: Deserialize::from_value(v.expect_field("node_kind")?)?,
             arcs: Deserialize::from_value(v.expect_field("arcs")?)?,
             fwd_off: Deserialize::from_value(v.expect_field("fwd_off")?)?,
@@ -233,8 +236,30 @@ impl Deserialize for TimingGraph {
             po_base: Deserialize::from_value(v.expect_field("po_base")?)?,
             soa: OnceLock::new(),
             succ: OnceLock::new(),
-        })
+            level_off: Vec::new(),
+        };
+        graph.level_off = level_offsets(&graph.rev_off, &graph.arcs);
+        Ok(graph)
     }
+}
+
+/// The first node id of each level, then the node count, read off the
+/// fan-in ranges: a node's level is one above its highest fan-in's, and
+/// node ids ascend by level.
+fn level_offsets(rev_off: &[u32], arcs: &[TimingArcRef]) -> Vec<u32> {
+    let n = rev_off.len().saturating_sub(1);
+    let mut level = vec![0u32; n];
+    let mut off = Vec::new();
+    for v in 0..n {
+        let fanin = &arcs[rev_off[v] as usize..rev_off[v + 1] as usize];
+        let l = fanin.iter().map(|a| level[a.from.index()] + 1).max();
+        level[v] = l.unwrap_or(0);
+        if off.len() == level[v] as usize {
+            off.push(v as u32);
+        }
+    }
+    off.push(n as u32);
+    off
 }
 
 impl TimingGraph {
@@ -371,6 +396,7 @@ impl TimingGraph {
             cursor[s[1] as usize + 1] += 1;
         }
         prefix_sum(&mut cursor);
+        let level_off = cursor.clone();
         for (p, (slot, s)) in pin_node.iter_mut().zip(&state).enumerate() {
             let r = &mut cursor[s[1] as usize];
             *slot = *r;
@@ -448,6 +474,7 @@ impl TimingGraph {
             po_base,
             soa: OnceLock::new(),
             succ: OnceLock::new(),
+            level_off,
         })
     }
 
@@ -518,6 +545,16 @@ impl TimingGraph {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.node_kind.len()
+    }
+
+    /// The levels as node-id ranges: level `l` is the ids
+    /// `offsets[l]..offsets[l + 1]`, and the last entry is
+    /// [`num_nodes`](TimingGraph::num_nodes). No arc joins two nodes of one
+    /// level, so a level's fprop (or bprop) tasks are independent of each
+    /// other.
+    #[inline]
+    pub fn level_offsets(&self) -> &[u32] {
+        &self.level_off
     }
 
     /// Number of timing arcs.
@@ -818,8 +855,11 @@ mod tests {
         let v = g.to_value();
         let back = TimingGraph::from_value(&v).expect("round trip");
         assert_eq!(back, g);
-        // The restored graph rebuilds an identical SoA on demand.
+        // The restored graph rebuilds an identical SoA on demand, and the
+        // same levels.
         assert_eq!(back.arc_soa(&n), g.arc_soa(&n));
+        assert_eq!(back.level_offsets(), [0, 2, 4, 5, 6, 7, 8]);
+        assert_eq!(back.level_offsets(), g.level_offsets());
     }
 
     /// A seeded random design: every gate input hangs off a primary input
@@ -942,6 +982,24 @@ mod tests {
         let outputs = 0..netlist.num_outputs() as u32;
         nodes.extend(outputs.map(|p| g.output_node(PortId(p))));
         nodes
+    }
+
+    #[test]
+    fn levels_are_id_ranges_no_arc_stays_inside() {
+        for (_, g) in numbered_designs() {
+            let off = g.level_offsets();
+            assert_eq!(
+                off,
+                level_offsets(&g.rev_off, &g.arcs),
+                "sort = fan-in walk"
+            );
+            assert_eq!((off[0], off[off.len() - 1]), (0, g.num_nodes() as u32));
+            assert!(off.windows(2).all(|w| w[0] < w[1]), "no level is empty");
+            let level = |v: NodeId| off.partition_point(|&o| o <= v.0);
+            for arc in g.arcs() {
+                assert!(level(arc.from) < level(arc.to), "{arc:?} stays in a level");
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   [`TimingUpdateTdg::mark_unknown`], and [`TimingUpdateTdg::heal`]
 //!   re-runs just that region to converge to the bit-identical complete
 //!   answer ([`RecoveredUpdate`]); a [`DirtyCone`] honours the same
-//!   budget on the calling thread
-//!   ([`DirtyCone::run_in_order_bounded`]: a stop leaves a suffix of the
+//!   budget on the calling thread, or a whole design level by level on a
+//!   few threads ([`DirtyCone::run_bounded`]: a stop leaves a suffix of the
 //!   cone unfinished, nothing is ever poisoned — a task panic unwinds);
 //!   [`Timer::snapshot`] /
 //!   [`Timer::restore_snapshot`] capture the whole mutable timing state

@@ -1,9 +1,10 @@
 //! Running an update, and degrading it gracefully: a dirty cone in id order
-//! on the calling thread under a deadline and cancel token, or an update
-//! through the recovering executor; salvage every timing value outside the
-//! poisoned or unfinished region, mark that region unknown, and optionally
-//! *heal* — re-run just that region sequentially to converge to the
-//! bit-identical fault-free answer.
+//! under a deadline and cancel token — a whole design level by level on
+//! owned slabs of a few threads, anything else on the calling thread — or
+//! an update through the recovering executor; salvage every timing value
+//! outside the poisoned or unfinished region, mark that region unknown, and
+//! optionally *heal* — re-run just that region sequentially to converge to
+//! the bit-identical fault-free answer.
 //!
 //! The recovery contract leans on two properties of the engine:
 //!
@@ -19,11 +20,16 @@ use crate::analysis::TimingData;
 use crate::graph::{bit_is_set, set_bit, NodeId, TimingGraph};
 use crate::report::EndpointSummary;
 use crate::timer::{ConeBits, DirtyCone, TaskKind, TimingUpdateTdg};
+use gpasta_check::mutant;
+use gpasta_check::sync::{AtomicU32, AtomicUsize, Mutex, Ordering};
 use gpasta_sched::{
     BudgetClock, Executor, FaultPlan, FaultyWork, RetryPolicy, RunBudget, RunOutcome, RunReport,
     StopCause,
 };
 use gpasta_tdg::{QuotientTdg, TaskId};
+use std::ops::Range;
+use std::panic::resume_unwind;
+use std::thread::{self, Thread};
 use std::time::Instant;
 
 /// Result of a recovering timing update: the executor's [`RunOutcome`]
@@ -140,32 +146,38 @@ fn admit(clock: &BudgetClock, executed: usize, id: u32, stop: &mut Stop) -> bool
     stop.is_none()
 }
 
-/// Run `cone` through `payload` on the calling thread under `budget`'s
-/// deadline and cancel token: a whole-design cone front to back, a partial
-/// one by [`run_changed`]. A run that stops before task `t` leaves the
-/// cone's ids `≥ t` unfinished and every other task exact; that suffix is
-/// successor-closed, because every dependency goes up in id. A payload
-/// panic unwinds through here.
+/// Run `cone` through `payload` under `budget`'s deadline and cancel token:
+/// a whole-design cone by [`sweep_levels`] on `threads` threads (on one,
+/// front to back on the calling thread), a partial one by [`run_changed`].
+/// A run that stops before task `t` leaves the cone's ids `≥ t` unfinished
+/// and every other task exact; that suffix is successor-closed, because
+/// every dependency goes up in id. A payload panic unwinds through here.
 fn run_in_order(
     cone: &DirtyCone<'_>,
-    payload: impl Fn(TaskId),
+    payload: impl Fn(TaskId) + Sync,
+    threads: usize,
     budget: &RunBudget,
 ) -> RecoveredUpdate {
     let start = Instant::now();
     let clock = budget.start();
     let mut bits = cone.bits.lock();
     let partial = !bits.seeds.is_empty();
+    let threads = if cone.whole { threads.max(1) } else { 1 };
     let (executed, stop) = if partial {
         run_changed(cone, &mut bits, &payload, &clock)
+    } else if threads > 1 {
+        sweep_levels(cone.graph(), &payload, threads, &clock)
     } else {
-        let (mut ran, mut stop) = (0, None);
-        for chunk in cone.ids().chunks(POLL) {
+        // The whole design's ids, or none.
+        let (ids, mut ran, mut stop) = (0..cone.num_tasks() as u32, 0, None);
+        for lo in ids.clone().step_by(POLL) {
             if let Some(cause) = clock.poll() {
-                stop = Some((cause, chunk[0]));
+                stop = Some((cause, lo));
                 break;
             }
-            chunk.iter().for_each(|&id| payload(TaskId(id)));
+            let chunk = lo..ids.end.min(lo + POLL as u32);
             ran += chunk.len();
+            chunk.for_each(|id| payload(TaskId(id)));
         }
         (ran, stop)
     };
@@ -176,20 +188,22 @@ fn run_in_order(
         cone.ids().iter().for_each(|&id| payload(TaskId(id)));
         debug_assert!(settled == cone.snapshot(), "a skipped task was due");
     }
-    let ids = cone.ids();
-    let (stop, done) = match stop {
-        None => (StopCause::Completed, ids.len()),
-        Some((cause, t)) => (cause, ids.partition_point(|&id| id < t)),
+    let (stop, unfinished) = match stop {
+        None => (StopCause::Completed, Vec::new()),
+        Some((cause, t)) if cone.whole => (cause, (t..cone.num_tasks() as u32).collect()),
+        Some((cause, t)) => {
+            let ids = cone.ids();
+            (cause, ids[ids.partition_point(|&id| id < t)..].to_vec())
+        }
     };
-    let unfinished = ids[done..].to_vec();
     let outcome = RunOutcome {
         report: RunReport {
             elapsed: start.elapsed(),
             tasks_executed: executed,
             dispatches: 0,
-            num_workers: 1,
+            num_workers: threads,
         },
-        salvaged_tasks: done,
+        salvaged_tasks: cone.num_tasks() - unfinished.len(),
         poisoned_tasks: Vec::new(),
         poisoned_units: Vec::new(),
         unfinished_units: unfinished.clone(),
@@ -199,6 +213,271 @@ fn run_in_order(
         stop,
     };
     project(cone.graph(), outcome, |id| cone.decode(id))
+}
+
+/// Run the whole design of `graph` on `threads` threads, level by level:
+/// the fprop levels ascending, then the bprop levels descending. Each is
+/// one contiguous range of task ids, and together they run in the order of
+/// the one-thread loop; no arc joins two nodes of a level, so a level's
+/// tasks are independent. Each level is cut into `threads` owned slabs
+/// `[lo + len·k/T, lo + len·(k+1)/T)`; the caller runs slab 0 and `T − 1`
+/// scoped helpers the others, with a [`LevelBarrier`] between levels. The
+/// caller polls the budget once per level and publishes a stop through the
+/// barrier, so a run stopped before level `i` has run exactly the ids below
+/// its first. The bits are those of the one-thread loop: every task reads
+/// only what earlier levels wrote.
+///
+/// A panicking slab latches the barrier's stop, so no thread waits for it;
+/// the caller joins the helpers and re-raises a helper's panic, so the
+/// payload's panic reaches the caller as it does from the one-thread loop.
+fn sweep_levels(
+    graph: &TimingGraph,
+    payload: &(impl Fn(TaskId) + Sync),
+    threads: usize,
+    clock: &BudgetClock,
+) -> (usize, Stop) {
+    let off = graph.level_offsets();
+    let (depth, top) = (off.len() - 1, 2 * graph.num_nodes() as u32);
+    // Level `i` as task ids: fprop level `i`, then bprop level `2·depth − 1 − i`.
+    let level = |i: usize| match i.checked_sub(depth) {
+        None => off[i]..off[i + 1],
+        Some(j) => top - off[depth - j]..top - off[depth - 1 - j],
+    };
+    let slab = |k: usize, i: usize| {
+        let ids = level(i);
+        let cut = |k: usize| ids.start + (ids.len() * k / threads) as u32;
+        cut(k)..cut(k + 1)
+    };
+    let run = |ids: Range<u32>| ids.for_each(|id| payload(TaskId(id)));
+    if let Some(cause) = clock.poll() {
+        return (0, Some((cause, 0)));
+    }
+    let barrier = LevelBarrier::new(threads);
+    // Slab `k` of every level; the caller's (`k == 0`) polls the budget.
+    let part = |k: usize| {
+        let _latch = barrier.enter();
+        let mut stop = None;
+        for i in 0..2 * depth {
+            if i > 0 {
+                if let Some(cause) = (k == 0).then(|| clock.poll()).flatten() {
+                    stop = Some((cause, level(i).start));
+                    barrier.stop_before(i);
+                }
+                if barrier.wait(i) {
+                    break;
+                }
+            }
+            run(slab(k, i));
+        }
+        stop
+    };
+    thread::scope(|scope| {
+        let part = &part;
+        let helpers: Vec<_> = (1..threads).map(|k| scope.spawn(move || part(k))).collect();
+        let stop = part(0);
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                resume_unwind(panic);
+            }
+        }
+        let executed = stop.map_or(top, |(_, t)| t) as usize;
+        (executed, stop)
+    })
+}
+
+/// How many times a thread at a [`LevelBarrier`] spins before it parks: a
+/// few microseconds, about what slabs of one level differ by, and short
+/// enough that a waiter whose partner was descheduled gives its core back.
+const SPINS: u32 = 256;
+
+/// The barrier between the levels of a [`sweep_levels`] run, on the
+/// `gpasta_check::sync` atomics: each thread counts itself in; the last to
+/// arrive resets the count, advances the generation (`Release`) and
+/// unparks the others, which spin briefly on the generation (`Acquire`) and
+/// then park. A stop names the first level no thread starts — the caller's
+/// budget stop the next one, an unwinding thread level 0 — and releases
+/// every thread waiting to start that level or a later one.
+struct LevelBarrier {
+    threads: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU32,
+    /// The first level not to start; `u32::MAX` while the run goes on.
+    stop_at: AtomicU32,
+    /// The threads that may park here, to unpark.
+    waiters: Mutex<Vec<Thread>>,
+}
+
+/// A thread's stake in a [`LevelBarrier`]: latches its stop if the thread
+/// unwinds, so no other thread waits for it forever.
+struct Latch<'b>(&'b LevelBarrier);
+
+impl Drop for Latch<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.stop_before(0);
+        }
+    }
+}
+
+impl LevelBarrier {
+    fn new(threads: usize) -> Self {
+        LevelBarrier {
+            threads,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU32::new(0),
+            stop_at: AtomicU32::new(u32::MAX),
+            waiters: Mutex::new(Vec::with_capacity(threads)),
+        }
+    }
+
+    /// Register the calling thread before it first waits: a release that
+    /// takes the list after this sees the thread, and one that took it
+    /// before happened before this, so the thread's own check sees it.
+    fn enter(&self) -> Latch<'_> {
+        self.waiters.lock().push(thread::current());
+        Latch(self)
+    }
+
+    /// Count the calling thread in: `None` if it was the last and released
+    /// the others, else the generation to wait past. Everything a thread
+    /// did before it arrived happens before everything any thread does
+    /// after it is released.
+    fn arrive(&self) -> Option<u32> {
+        // This round cannot end before this thread arrives: the generation
+        // read here is the round's.
+        let generation = self.generation.load(Ordering::Relaxed);
+        // hb: level-barrier
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 < self.threads {
+            return Some(generation);
+        }
+        self.arrived.store(0, Ordering::Relaxed);
+        // hb: level-barrier
+        let order = mutant!(
+            "level-release-relaxed",
+            Ordering::Release,
+            Ordering::Relaxed
+        );
+        self.generation.store(generation.wrapping_add(1), order);
+        None
+    }
+
+    /// Whether the run stops before `level`.
+    fn stops_before(&self, level: usize) -> bool {
+        self.stop_at.load(Ordering::Acquire) as usize <= level // hb: sweep-stop
+    }
+
+    /// Whether a thread waiting past `generation` to start `level` may go
+    /// on: the round ended, or the run stops before `level`.
+    fn released(&self, generation: u32, level: usize) -> bool {
+        self.generation.load(Ordering::Acquire) != generation // hb: level-barrier
+            || self.stops_before(level)
+    }
+
+    /// Wait until every thread has finished the level before `level`, or
+    /// the run stops before `level`; returns whether it does.
+    fn wait(&self, level: usize) -> bool {
+        match self.arrive() {
+            None => self.unpark_others(),
+            Some(generation) => {
+                let mut spins = 0;
+                while !self.released(generation, level) {
+                    if spins < SPINS {
+                        spins += 1;
+                        std::hint::spin_loop();
+                    } else {
+                        thread::park();
+                    }
+                }
+            }
+        }
+        self.stops_before(level)
+    }
+
+    /// Start no level from `level` on (an earlier stop stands), and release
+    /// every waiter.
+    fn stop_before(&self, level: usize) {
+        let level = level.min(u32::MAX as usize) as u32;
+        self.stop_at.fetch_min(level, Ordering::Release); // hb: sweep-stop
+        self.unpark_others();
+    }
+
+    fn unpark_others(&self) {
+        let me = thread::current().id();
+        for waiter in self.waiters.lock().iter().filter(|t| t.id() != me) {
+            waiter.unpark();
+        }
+    }
+}
+
+/// Exhaustive model-check harness for the [`LevelBarrier`]'s arrive and
+/// release step, driving the shipped functions. Run with
+/// `RUSTFLAGS="--cfg gpasta_model_check" cargo test -p gpasta-sta --lib
+/// model_check`.
+#[cfg(all(test, gpasta_model_check))]
+mod model_check {
+    use super::*;
+    use gpasta_check::model::sync::TrackedCell;
+    use gpasta_check::model::{
+        assert_caught, assert_exhausted, check, count, explore, run_threads, seed, Report,
+        HARNESS_BOUNDS,
+    };
+
+    /// One thread's part of a level of two slabs: write its slab, arrive,
+    /// and once released — by arriving last, or by finding the generation
+    /// moved on its one look — read what the other slab wrote.
+    fn slab(barrier: &LevelBarrier, mine: &TrackedCell<u32>, other: &TrackedCell<u32>, id: u32) {
+        mine.write(id);
+        let released = match barrier.arrive() {
+            None => {
+                count("arrived-last");
+                true
+            }
+            Some(generation) => barrier.released(generation, 1),
+        };
+        if released {
+            count("released");
+            check(
+                other.read() == 1 - id,
+                "a slab of the next level reads what the last level wrote",
+            );
+        }
+    }
+
+    /// One execution of the two-slab instance. `mutant` seeds a production
+    /// mutation.
+    fn level_once(mutant: Option<&'static str>) {
+        if let Some(name) = mutant {
+            seed(name);
+        }
+        let barrier = LevelBarrier::new(2);
+        let slab0 = TrackedCell::named("slab0", u32::MAX);
+        let slab1 = TrackedCell::named("slab1", u32::MAX);
+        let (b, s0, s1) = (&barrier, &slab0, &slab1);
+        run_threads(vec![
+            Box::new(move || slab(b, s0, s1, 0)),
+            Box::new(move || slab(b, s1, s0, 1)),
+        ]);
+        check(
+            barrier.arrived.load(Ordering::Relaxed) == 0,
+            "the last arrival resets the count for the next level",
+        );
+    }
+
+    fn level(mutant: Option<&'static str>) -> Report {
+        explore(&HARNESS_BOUNDS, || level_once(mutant))
+    }
+
+    #[test]
+    fn level_barrier_exhaustive_no_violation() {
+        assert_exhausted(&level(None), &["arrived-last", "released"]);
+    }
+
+    #[test]
+    fn level_release_mutation_caught_with_replayable_trace() {
+        assert_caught(level(Some("level-release-relaxed")), &["race"], || {
+            level_once(Some("level-release-relaxed"))
+        });
+    }
 }
 
 /// Run only what changed: the two sweeps of cone discovery, reaching a
@@ -298,19 +577,26 @@ impl DirtyCone<'_> {
     /// dirty set describes: the timer is to be discarded, as a `Session`
     /// is by crash-only recovery.
     pub fn run_in_order(&self) -> usize {
-        let rec = self.run_in_order_bounded(&RunBudget::unbounded());
+        let rec = self.run_bounded(1, &RunBudget::unbounded());
         rec.outcome.report.tasks_executed
     }
 
     /// [`run_in_order`](DirtyCone::run_in_order) under `budget`'s deadline
-    /// and cancel token, polled before every 256th task executed. A run
+    /// and cancel token, with a whole-design cone on `threads` threads. On
+    /// the calling thread — a partial cone, or `threads ≤ 1` — the budget
+    /// is polled before every 256th task executed. A whole design on more
+    /// threads runs level by level: each fprop level, then each bprop
+    /// level, cut into `threads` owned slabs with a barrier between levels,
+    /// bit-identical to the one-thread run, polled once per level. A run
     /// that stops before the cone task `t` reports the cone's ids `≥ t` as
     /// unfinished: a successor-closed set, since every dependency goes up
     /// in id, and every value outside it is exact. Nothing is ever
-    /// poisoned, and `outcome.report.tasks_executed` counts the tasks whose
-    /// payload ran. Panics like [`run_in_order`](DirtyCone::run_in_order).
-    pub fn run_in_order_bounded(&self, budget: &RunBudget) -> RecoveredUpdate {
-        run_in_order(self, self.task_fn(), budget)
+    /// poisoned, `outcome.report.tasks_executed` counts the tasks whose
+    /// payload ran, and `outcome.report.num_workers` the threads. Panics
+    /// like [`run_in_order`](DirtyCone::run_in_order), once every thread
+    /// has stopped.
+    pub fn run_bounded(&self, threads: usize, budget: &RunBudget) -> RecoveredUpdate {
+        run_in_order(self, self.task_fn(), threads, budget)
     }
 
     /// After a [`run_in_order`](DirtyCone::run_in_order) that completed:
@@ -470,11 +756,12 @@ mod tests {
     use gpasta_sched::FaultKind;
     use proptest::prelude::prop_assert;
     use proptest::prop_assert_eq;
-    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     /// How many tasks an unbounded in-order run of `cone` executes.
-    fn executed(cone: &DirtyCone<'_>, payload: impl Fn(TaskId)) -> usize {
-        let rec = run_in_order(cone, payload, &RunBudget::unbounded());
+    fn executed(cone: &DirtyCone<'_>, payload: impl Fn(TaskId) + Sync) -> usize {
+        let rec = run_in_order(cone, payload, 1, &RunBudget::unbounded());
         rec.outcome.report.tasks_executed
     }
 
@@ -833,25 +1120,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_in_order_panic_unwinds_with_the_tasks_after_it_not_run() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut timer = two_cone_timer();
-        let cone = timer.dirty_cone();
-        let k = cone.num_tasks() as u32 / 2;
-        let ran = Cell::new(0);
+    /// Run the whole design of `cone` on `threads` threads with a payload
+    /// that panics at task `k`: the panic's text, and how many tasks ran.
+    fn panic_at(cone: &DirtyCone<'_>, k: u32, threads: usize) -> (String, usize) {
+        let ran = AtomicUsize::new(0);
         let payload = |t: TaskId| {
             assert!(t.0 != k, "task {k} exploded");
-            ran.set(ran.get() + 1);
+            ran.fetch_add(1, Relaxed);
         };
         let unbounded = RunBudget::unbounded();
         let panic = catch_unwind(AssertUnwindSafe(|| {
-            run_in_order(&cone, payload, &unbounded)
+            run_in_order(cone, payload, threads, &unbounded)
         }))
         .expect_err("task k panics");
         let text = gpasta_sched::panic_message(panic.as_ref());
+        (text, ran.load(Relaxed))
+    }
+
+    #[test]
+    fn an_in_order_panic_unwinds_with_the_tasks_after_it_not_run() {
+        let mut timer = two_cone_timer();
+        let cone = timer.dirty_cone();
+        let k = cone.num_tasks() as u32 / 2;
+        let (text, ran) = panic_at(&cone, k, 1);
         assert_eq!(text, format!("task {k} exploded"));
-        assert_eq!(ran.get(), k as usize, "nothing after task k ran");
+        assert_eq!(ran, k as usize, "nothing after task k ran");
+    }
+
+    // Mutation `no-latch` (drop the `stop()` from `Latch::drop`) hangs this
+    // test on a thread that waits for the one that unwound.
+    #[test]
+    fn a_panic_in_any_slab_of_the_sweep_reaches_the_caller() {
+        let mut timer = two_cone_timer();
+        let cone = timer.dirty_cone();
+        // The first level of two or more nodes: its first task is slab 0's,
+        // its last slab 1's.
+        let off = cone.graph().level_offsets();
+        let level = off
+            .windows(2)
+            .find(|w| w[1] - w[0] >= 2)
+            .expect("a wide level");
+        for (k, slab) in [(level[1] - 1, "slab 1"), (level[0], "slab 0")] {
+            let (text, ran) = panic_at(&cone, k, 2);
+            assert_eq!(text, format!("task {k} exploded"), "{slab}");
+            assert!(ran < level[1] as usize, "{slab}: no later level ran");
+        }
     }
 
     /// A random design of `gates` gates: every input pin hangs off a
@@ -897,6 +1210,61 @@ mod tests {
         Timer::new(nb.build().expect("well-formed"), CellLibrary::typical())
     }
 
+    /// Where each level of a sweep of `graph`'s whole design ends, as task
+    /// ids: the fprop levels ascending, then the bprop levels descending.
+    fn level_ends(graph: &TimingGraph) -> Vec<usize> {
+        let off = graph.level_offsets();
+        let top = 2 * graph.num_nodes() as u32;
+        let fprop = off[1..].iter().copied();
+        let bprop = off.iter().rev().skip(1).map(|&o| top - o);
+        fprop.chain(bprop).map(|end| end as usize).collect()
+    }
+
+    /// Settle `make()` whole on one thread, and on one to four threads by
+    /// the level sweep; then change the clock and do it again. Every sweep
+    /// leaves the one-thread run's bits.
+    fn assert_sweeps_match_the_in_order_run(make: impl Fn() -> Timer) {
+        let settle = |timer: &mut Timer, threads: usize| {
+            let rec = timer
+                .dirty_cone()
+                .run_bounded(threads, &RunBudget::unbounded());
+            assert!(rec.is_clean());
+            assert_eq!(rec.outcome.report.num_workers, threads);
+            let n = timer.graph().num_nodes();
+            assert_eq!(rec.outcome.report.tasks_executed, 2 * n);
+            timer.snapshot()
+        };
+        let mut oracle = make();
+        let want = [settle(&mut oracle, 1), {
+            oracle.set_clock_period(97.0);
+            settle(&mut oracle, 1)
+        }];
+        for threads in 1..=4 {
+            let mut timer = make();
+            assert!(settle(&mut timer, threads) == want[0], "{threads} threads");
+            timer.set_clock_period(97.0);
+            assert!(
+                settle(&mut timer, threads) == want[1],
+                "{threads} threads, new clock"
+            );
+        }
+    }
+
+    #[test]
+    fn level_sweep_of_the_paper_circuits_matches_the_in_order_run() {
+        // Two nodes a level: narrower than three and four threads.
+        assert_sweeps_match_the_in_order_run(two_cone_timer);
+        for &circuit in gpasta_circuits::PaperCircuit::all() {
+            // The generator builds this crate's netlist as a dependency's
+            // type: carry it over through its serialised form.
+            let value = serde::Serialize::to_value(&circuit.build(0.004));
+            let netlist: crate::Netlist = serde::Deserialize::from_value(&value).expect("one type");
+            assert_sweeps_match_the_in_order_run(|| {
+                Timer::new(netlist.clone(), CellLibrary::typical())
+            });
+        }
+    }
+
     fn cases() -> u32 {
         std::env::var("PROPTEST_CASES")
             .ok()
@@ -907,16 +1275,32 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases()))]
 
-        /// Stop an in-order run of a whole design, or of the cone of a few
-        /// repowers, by a cancel after any number of tasks or by an expired
-        /// deadline: it stops at the next poll. Salvaged ⊎ unfinished is the
-        /// cone and nothing is poisoned; the unfinished set is the cone's
-        /// suffix from the stop and successor-closed in the full-space TDG;
-        /// every value outside it holds the completed update's bits and every
-        /// value in it reads unknown; and a later update of the whole design
-        /// converges to the completed update bit for bit. Mutation
-        /// `stop-task-salvaged` (`partition_point(|&id| id <= t)`) and
-        /// mutation `backward-bits-kept` (drop `b.fill(0)`) fail it.
+        /// The level sweep of a random design equals the one-thread run, bit
+        /// for bit; a design of a few gates has levels narrower than the
+        /// threads, some slabs of which are empty.
+        #[test]
+        fn level_sweep_of_random_designs_matches_the_in_order_run(
+            gates in 1usize..200,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            assert_sweeps_match_the_in_order_run(|| random_timer(gates, seed));
+        }
+
+        /// Stop an in-order run of a whole design, on one to four threads,
+        /// or of the cone of a few repowers, by a cancel after any number of
+        /// tasks or by an expired deadline: it stops at the next poll — on
+        /// one thread after a multiple of 256 tasks, in a sweep at a level's
+        /// first id. Salvaged ⊎ unfinished is the cone and nothing is
+        /// poisoned; the unfinished set is the cone's suffix from the stop
+        /// and successor-closed in the full-space TDG; every value outside it
+        /// holds the completed update's bits and every value in it reads
+        /// unknown; and a later update of the whole design converges to the
+        /// completed update bit for bit. Mutation `stop-task-salvaged`
+        /// (`partition_point(|&id| id <= t)`), mutation `backward-bits-kept`
+        /// (drop `b.fill(0)`), mutation `stop-level-salvaged` (the sweep
+        /// reports `level(i).end` as its stop) and mutation `stop-any-level`
+        /// (`stops_before` ignores its level, so a thread released late
+        /// skips the level before the stop) fail it.
         #[test]
         fn a_stopped_in_order_run_leaves_a_successor_closed_suffix_and_converges(
             gates in 40usize..300,
@@ -924,6 +1308,7 @@ mod tests {
             edits in proptest::collection::vec((proptest::prelude::any::<u32>(), 0.5f32..4.0), 0..4),
             expired in proptest::prelude::any::<bool>(),
             cancel_after in 0usize..1_500,
+            threads in 1usize..5,
         ) {
             let (mut timer, mut oracle) = (random_timer(gates, seed), random_timer(gates, seed));
             let full = oracle.update_timing();
@@ -947,23 +1332,34 @@ mod tests {
             } else {
                 RunBudget::unbounded().with_cancel(token.clone())
             };
-            let calls = Cell::new(0);
+            let calls = AtomicUsize::new(0);
             let payload = |t: TaskId| {
-                if calls.get() == cancel_after {
+                if calls.fetch_add(1, Relaxed) == cancel_after {
                     token.cancel();
                 }
-                calls.set(calls.get() + 1);
                 cone.execute_task(t);
             };
-            let rec = run_in_order(&cone, payload, &budget);
+            let rec = run_in_order(&cone, payload, threads, &budget);
             let outcome = &rec.outcome;
             let executed = outcome.report.tasks_executed;
-            // The first poll after the payload cancelled.
-            let next_poll = (cancel_after / POLL + 1) * POLL;
+            // The polls a cancel after `cancel_after` tasks can land on: on
+            // one thread the next multiple of 256; in a sweep the end of the
+            // cancelling task's level, or — when a helper cancelled after the
+            // caller polled — of the level after it.
+            let polls: Vec<usize> = if cone.whole && threads > 1 {
+                let ends = level_ends(cone.graph());
+                let next = ends.partition_point(|&end| end <= cancel_after);
+                ends[next..].iter().take(2).copied().collect()
+            } else {
+                vec![(cancel_after / POLL + 1) * POLL]
+            };
+            prop_assert_eq!(outcome.report.num_workers, if cone.whole { threads } else { 1 });
             match outcome.stop {
-                StopCause::Completed => prop_assert!(expired || executed <= next_poll),
+                StopCause::Completed => {
+                    prop_assert!(expired || polls.last().is_none_or(|&p| executed <= p))
+                }
                 StopCause::DeadlineExpired => prop_assert!(expired && executed == 0),
-                StopCause::Cancelled => prop_assert_eq!(executed, next_poll),
+                StopCause::Cancelled => prop_assert!(polls.contains(&executed), "{} at {:?}", executed, polls),
             }
             prop_assert!(outcome.poisoned_tasks.is_empty() && outcome.failures.is_empty());
             let ids = cone.ids();

@@ -15,8 +15,12 @@ use crate::netlist::{GateId, Netlist};
 use crate::report::{EndpointSlack, EndpointSummary, TimingReport};
 use gpasta_check::sync::Mutex;
 use gpasta_tdg::{TaskId, TaskSuccessors, Tdg, TdgArena};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// What cone discovery found: the cone's ascending full-space ids, `None`
+/// for the whole design; how many are fprop tasks; the cone's bitsets.
+type Found = (Option<Vec<u32>>, usize, ConeBits);
 
 /// What a task of the `update_timing` TDG does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,7 +311,8 @@ impl Timer {
     }
 
     /// The one cone-discovery body: the dirty cone as ascending full-space
-    /// task ids (see [`DirtyCone`]), how many of them are fprop tasks, and
+    /// task ids (see [`DirtyCone`]) — `None` for the whole design, whose ids
+    /// are `0..2n` and need no list —, how many of them are fprop tasks, and
     /// the cone's bitsets with the dirty nodes kept as `seeds`. F is the
     /// forward closure of the dirty nodes, B ⊇ F the backward closure of F.
     /// Clears the dirty set.
@@ -318,24 +323,18 @@ impl Timer {
     /// likewise descending for B. No stack, no visited array, no sort — and
     /// the task ids come out ascending, because fprop ids rise and bprop ids
     /// fall with the node id.
-    fn discover_cone(&mut self) -> (Vec<u32>, usize, ConeBits) {
+    fn discover_cone(&mut self) -> Found {
         let n = self.graph.num_nodes();
-        let (mut ids, mut bits) = {
-            let mut bin = self.bin.lock();
-            (
-                bin.cone_ids.pop().unwrap_or_default(),
-                bin.cone_bits.pop().unwrap_or_default(),
-            )
-        };
-        ids.clear();
+        let mut bits = self.bin.lock().cone_bits.pop().unwrap_or_default();
         bits.seeds.clear();
         if std::mem::take(&mut self.full_dirty) {
             self.dirty.clear();
-            ids.extend(0..2 * n as u32);
-            return (ids, n, bits);
+            return (None, n, bits);
         }
+        let mut ids = self.bin.lock().cone_ids.pop().unwrap_or_default();
+        ids.clear();
         if self.dirty.is_empty() {
-            return (ids, 0, bits);
+            return (Some(ids), 0, bits);
         }
 
         let (graph, soa) = (&self.graph, self.graph.arc_soa(&self.netlist));
@@ -362,12 +361,13 @@ impl Timer {
             ids.push(top - v);
             true
         });
-        (ids, num_fprop, bits)
+        (Some(ids), num_fprop, bits)
     }
 
-    fn cone(&self, (ids, num_fprop, bits): (Vec<u32>, usize, ConeBits)) -> DirtyCone<'_> {
+    fn cone(&self, (ids, num_fprop, bits): Found) -> DirtyCone<'_> {
         DirtyCone {
-            ids,
+            whole: ids.is_none(),
+            ids: ids.map_or_else(OnceLock::new, OnceLock::from),
             num_fprop,
             bits: Mutex::new(bits),
             prop: self.propagator(),
@@ -419,11 +419,12 @@ impl Timer {
             bin.task_nodes.pop().unwrap_or_default()
         };
 
-        let found = self.discover_cone();
+        let (ids, num_fprop, bits) = self.discover_cone();
+        let ids = ids.unwrap_or_else(|| all_ids(&self.bin, self.graph.num_nodes()));
         let tdg = build_tdg(
             &self.graph,
-            &found.0,
-            found.1,
+            &ids,
+            num_fprop,
             &mut task_node,
             &mut self.scratch,
             &mut self.arena,
@@ -431,7 +432,7 @@ impl Timer {
         let build_time = build_start.elapsed();
 
         TimingUpdateTdg {
-            cone: self.cone(found),
+            cone: self.cone((Some(ids), num_fprop, bits)),
             tdg: Some(tdg),
             task_node,
             build_time,
@@ -649,6 +650,16 @@ fn build_tdg(
     builder.build_trusted()
 }
 
+/// The full task space of an `n`-node graph, `0..2n`, in a buffer from
+/// `bin`: a dropped cone hands every list back, so each list taken here
+/// keeps the bin from growing.
+fn all_ids(bin: &Mutex<RecycleBin>, n: usize) -> Vec<u32> {
+    let mut ids = bin.lock().cone_ids.pop().unwrap_or_default();
+    ids.clear();
+    ids.extend(0..2 * n as u32);
+    ids
+}
+
 /// The `(kind, node)` behind full-space task id `id`: in an `n`-node graph
 /// the fprop task of node `v` is `v` and its bprop task `2n - 1 - v`.
 fn decode(graph: &TimingGraph, id: u32) -> (TaskKind, NodeId) {
@@ -708,7 +719,13 @@ impl TaskSuccessors for TimingGraph {
 #[derive(Debug)]
 pub struct DirtyCone<'a> {
     /// Ascending full-space ids: `num_fprop` fprop tasks, then bprop tasks.
-    ids: Vec<u32>,
+    /// Set at discovery, except for a whole-design cone, whose ids are
+    /// `0..2n`: its runs walk id ranges, and the list is built only if
+    /// [`ids`](DirtyCone::ids) asks for it.
+    ids: OnceLock<Vec<u32>>,
+    /// Whether discovery found the whole design and built no list: then a
+    /// run walks the id ranges, and may sweep them on several threads.
+    pub(crate) whole: bool,
     num_fprop: usize,
     /// Behind a lock only because a run takes `&self`.
     pub(crate) bits: Mutex<ConeBits>,
@@ -719,7 +736,7 @@ pub struct DirtyCone<'a> {
 impl Drop for DirtyCone<'_> {
     fn drop(&mut self) {
         let mut bin = self.bin.lock();
-        bin.cone_ids.push(std::mem::take(&mut self.ids));
+        bin.cone_ids.extend(self.ids.take());
         bin.cone_bits.push(std::mem::take(self.bits.get_mut()));
     }
 }
@@ -727,16 +744,22 @@ impl Drop for DirtyCone<'_> {
 impl<'a> DirtyCone<'a> {
     /// The cone's tasks as ascending full-space ids — the dirty set to feed
     /// an incremental partition cache, and the members of the quotient that
-    /// schedules this cone.
+    /// schedules this cone. A whole-design cone builds its list, `0..2n`,
+    /// on the first call.
     pub fn ids(&self) -> &[u32] {
-        &self.ids
+        let n = self.prop.graph.num_nodes();
+        self.ids.get_or_init(|| all_ids(&self.bin, n))
     }
 
     /// Number of tasks in the cone (0 when nothing was dirty): the closure
     /// of the edits, of which [`run_in_order`](DirtyCone::run_in_order)
     /// executes only those a changed value reaches.
     pub fn num_tasks(&self) -> usize {
-        self.ids.len()
+        if self.whole {
+            2 * self.prop.graph.num_nodes()
+        } else {
+            self.ids().len()
+        }
     }
 
     /// The pin-level timing graph this update propagates over.
@@ -811,11 +834,14 @@ impl<'a> DirtyCone<'a> {
     /// it. A referee for debug builds and tests; O(graph).
     #[doc(hidden)]
     pub fn is_successor_closed(&self) -> bool {
+        if self.whole {
+            return true;
+        }
         let mut member = vec![false; 2 * self.prop.graph.num_nodes()];
-        for &id in &self.ids {
+        for &id in self.ids() {
             member[id as usize] = true;
         }
-        self.ids
+        self.ids()
             .iter()
             .all(|&id| self.successors(id).all(|s| member[s as usize]))
     }
@@ -931,13 +957,13 @@ impl<'a> TimingUpdateTdg<'a> {
     ///
     /// Panics if `t` is out of range.
     pub fn full_space_id(&self, t: TaskId) -> u32 {
-        self.cone.ids[t.index()]
+        self.cone.ids()[t.index()]
     }
 
     /// The full-space ids of every task of this update, indexed by task id
     /// — the dirty set to feed an incremental partition cache.
     pub fn full_space_ids(&self) -> Vec<u32> {
-        self.cone.ids.clone()
+        self.cone.ids().to_vec()
     }
 
     /// Execute one task (the payload the scheduler dispatches).
@@ -1138,6 +1164,19 @@ mod tests {
             .for_each(|&id| cone.execute_task(TaskId(id)));
         drop(cone);
         assert_eq!(cone_only.snapshot(), with_tdg.snapshot());
+
+        // A whole design's list, built for a task graph or on demand, comes
+        // from the bin like any other: the bin does not grow.
+        for timer in [&mut with_tdg, &mut cone_only] {
+            for _ in 0..3 {
+                timer.invalidate_all();
+                drop(timer.update_timing());
+                timer.invalidate_all();
+                let n = timer.graph.num_nodes();
+                assert_eq!(timer.dirty_cone().ids().len(), 2 * n);
+                assert_eq!(timer.bin.lock().cone_ids.len(), 1, "one list, reused");
+            }
+        }
     }
 
     /// Dirty the nodes `positions` (a node id is its position in the level
@@ -1148,6 +1187,7 @@ mod tests {
         let n = timer.graph.num_nodes();
         timer.dirty.extend_from_slice(positions);
         let (ids, num_fprop, bits) = timer.discover_cone();
+        let ids = ids.expect("a partial cone lists its ids");
         assert_eq!(
             ids,
             gpasta_core::forward_closure(full_tdg, positions),
@@ -1240,11 +1280,12 @@ mod tests {
         let mut timer = seeded_timer(5, 4, 8);
         let n = timer.graph.num_nodes() as u32;
         let whole = timer.discover_cone();
+        assert!(whole.0.is_none(), "a whole design lists no ids");
         assert!(timer.cone(whole).is_successor_closed());
         let subset = |timer: &Timer, ids: Vec<u32>| {
             let num_fprop = ids.iter().filter(|&&id| id < n).count();
             timer
-                .cone((ids, num_fprop, ConeBits::default()))
+                .cone((Some(ids), num_fprop, ConeBits::default()))
                 .is_successor_closed()
         };
         // Fprop 0 depends on nothing, so the rest is still closed; bprop of
@@ -1256,9 +1297,10 @@ mod tests {
         for g in [0, 7, 20] {
             timer.repower_gate(GateId(g), 2.0);
             let (ids, num_fprop, bits) = timer.discover_cone();
+            let ids = ids.expect("a partial cone lists its ids");
             let (f, b) = ids.split_at(num_fprop);
             assert!(timer
-                .cone((ids.clone(), num_fprop, bits))
+                .cone((Some(ids.clone()), num_fprop, bits))
                 .is_successor_closed());
             // The last fprop task is a fan-out of one the cone keeps; the
             // last bprop task is an anchor's or a fan-in's.

@@ -55,8 +55,8 @@ pub struct ServeConfig {
     pub stdio: bool,
     /// Directory for eviction checkpoints.
     pub spool: PathBuf,
-    /// Passed to every session as its `workers`, which configures nothing:
-    /// a session runs each update on the calling thread.
+    /// Passed to every session as its `workers`: the most threads a
+    /// whole-design update (create, restore, a clock change) runs on.
     pub workers: usize,
     /// Maximum number of sessions (live plus dormant).
     pub max_sessions: usize,

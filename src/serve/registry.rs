@@ -355,7 +355,7 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry spooling checkpoints under `spool`, passing
-    /// `workers` (which configures nothing) to each session and hosting at
+    /// `workers` (its whole-design runs' thread bound) to each session and hosting at
     /// most `max_sessions` sessions (live or dormant). Default policies: 256
     /// in-flight requests, quarantine after 3 crashes in 60 s, no chaos.
     pub fn new(spool: PathBuf, workers: usize, max_sessions: usize) -> Registry {

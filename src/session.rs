@@ -9,17 +9,18 @@
 //!
 //! * [`Session::create`] parses the [`DesignSources`] (structural
 //!   Verilog, optional Liberty library, optional SDC constraints) and runs
-//!   the initial full analysis in order, on the calling thread — after
-//!   this every [`Session::update_timing`] pays only for its dirty cone,
-//!   the warm path the paper's Figure 7 measures;
+//!   the initial full analysis, level by level on up to `workers` threads
+//!   — after this every [`Session::update_timing`] pays only for its dirty
+//!   cone, the warm path the paper's Figure 7 measures;
 //! * [`Session::apply_edit`] applies validated incremental edits
 //!   ([`Edit`]): gate repower, net-capacitance change, I/O-delay and
 //!   clock-period constraint changes. Validation happens *here*, so bad
 //!   client input surfaces as a typed [`SessionError`] instead of a
 //!   panic inside the timer;
-//! * [`Session::update_timing`] discovers the dirty cone and runs it in
-//!   order on the calling thread under a caller-supplied [`RunBudget`],
-//!   executing only the tasks whose inputs changed, and degrades
+//! * [`Session::update_timing`] discovers the dirty cone and runs it under
+//!   a caller-supplied [`RunBudget`] — a whole design level by level on up
+//!   to `workers` threads, a partial cone in order on the calling thread,
+//!   executing only the tasks whose inputs changed — and degrades
 //!   explicitly on an early stop (affected endpoints read NaN; the whole
 //!   design is re-marked dirty so a later update converges). A task panic
 //!   unwinds: a session that panicked is discarded, not repaired. The
@@ -294,8 +295,8 @@ impl DormantSession {
     /// Rebuild the live session: reparse the sources, put the
     /// checkpoint's edit state in place and run [`Session::create`]'s
     /// whole-design analysis. The values are those the evicted session
-    /// reaches at its next completed update. `workers` configures nothing
-    /// (see [`Session::create`]).
+    /// reaches at its next completed update. `workers` bounds the threads
+    /// of its whole-design runs (see [`Session::create`]).
     ///
     /// # Errors
     ///
@@ -416,8 +417,11 @@ pub struct Session {
     /// Gate and port names → ids, for [`Session::apply_edit`].
     names: NameIndex,
     library: CellLibrary,
-    /// The `workers` given to create or restore; configures nothing.
+    /// The `workers` given to create or restore.
     workers: usize,
+    /// The threads of a whole-design run: `workers`, at most the host's
+    /// available parallelism, read once by create or restore.
+    threads: usize,
     updates_done: u32,
     /// Deterministic chaos schedule, if the hosting daemon installed one
     /// (see [`Session::set_chaos`]). Never serialized; the supervisor
@@ -458,9 +462,10 @@ impl fmt::Debug for Session {
 
 impl Session {
     /// Parse `sources` and run the initial full analysis: the whole-design
-    /// cone in order on the calling thread, as an unbounded update runs it.
-    /// No task graph is built. `workers` configures nothing; it is kept for
-    /// [`Session::workers`] and for callers' source compatibility.
+    /// cone as an unbounded update runs it, level by level on
+    /// `min(workers, available parallelism)` threads (on one thread, in
+    /// order). No task graph is built. Every later whole-design update runs
+    /// on as many threads; a partial cone runs on the calling thread.
     ///
     /// # Errors
     ///
@@ -502,7 +507,11 @@ impl Session {
                 ckpt.updates_done
             }
         };
-        timer.dirty_cone().run_in_order();
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = workers.clamp(1, parallelism);
+        timer
+            .dirty_cone()
+            .run_bounded(threads, &RunBudget::unbounded());
         Ok(Session {
             name,
             sources,
@@ -511,6 +520,7 @@ impl Session {
             timer,
             library,
             workers: workers.max(1),
+            threads,
             updates_done,
             chaos: None,
             tasks_run: [0; 2],
@@ -539,7 +549,7 @@ impl Session {
     }
 
     /// The `workers` the session was created or restored with, at least
-    /// one. It configures nothing: every update runs on the calling thread.
+    /// one: the most threads a whole-design update runs on.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -651,12 +661,16 @@ impl Session {
     }
 
     /// Bring timing up to date under `budget`: discover the dirty cone and
-    /// run it on the calling thread in ascending full-space id, which is a
-    /// topological order — no task graph, quotient or executor — executing
-    /// of a partial cone only the tasks a changed value reaches
-    /// ([`DirtyCone::run_in_order_bounded`](crate::sta::DirtyCone::run_in_order_bounded)).
-    /// The deadline and cancel token are polled every few hundred tasks. The
-    /// cone's results are bit-identical to any scheduled run of it. Debug
+    /// run it with no task graph, quotient or executor
+    /// ([`DirtyCone::run_bounded`](crate::sta::DirtyCone::run_bounded)). A
+    /// whole-design cone runs level by level — each fprop level, then each
+    /// bprop level, cut into owned slabs of `min(workers, available
+    /// parallelism)` threads with a barrier between levels — and the
+    /// deadline and cancel token are polled once per level. A partial cone
+    /// runs on the calling thread in ascending full-space id, which is a
+    /// topological order, executing only the tasks a changed value reaches,
+    /// and polls every few hundred tasks. The cone's results are
+    /// bit-identical to any scheduled run of it. Debug
     /// builds assert that each cone is successor-closed over the timing
     /// graph's arcs: running only the cone is exact because nothing outside
     /// it depends on a task inside it.
@@ -705,7 +719,7 @@ impl Session {
         );
         Self::chaos_point(self.chaos.as_ref(), &self.name, self.updates_done);
 
-        let rec = cone.run_in_order_bounded(budget);
+        let rec = cone.run_bounded(self.threads, budget);
         let clean = rec.is_clean();
         let unknown_endpoints = if clean {
             0
