@@ -63,18 +63,6 @@ impl PaperCircuit {
         }
     }
 
-    /// `update_timing` TDG dependency count reported in Table 1.
-    pub fn paper_deps(self) -> usize {
-        match self {
-            PaperCircuit::AesCore => 86_400,
-            PaperCircuit::DesPerf => 387_300,
-            PaperCircuit::VgaLcd => 498_900,
-            PaperCircuit::Leon3mp => 4_100_000,
-            PaperCircuit::Netcard => 4_900_000,
-            PaperCircuit::Leon2 => 5_300_000,
-        }
-    }
-
     /// Logic depth used for the synthetic stand-in (deeper for the large
     /// SoCs, matching how real designs scale).
     fn depth(self) -> usize {
@@ -130,7 +118,6 @@ mod tests {
         assert_eq!(all.len(), 6);
         for w in all.windows(2) {
             assert!(w[0].paper_tasks() < w[1].paper_tasks());
-            assert!(w[0].paper_deps() < w[1].paper_deps());
         }
     }
 

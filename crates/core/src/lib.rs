@@ -62,7 +62,6 @@ mod deter;
 mod gdca;
 mod gpasta;
 pub mod incremental;
-pub mod refine;
 pub mod sanitize;
 mod sarkar;
 mod seq;
@@ -71,7 +70,6 @@ pub use deter::DeterGPasta;
 pub use gdca::Gdca;
 pub use gpasta::GPasta;
 pub use incremental::{forward_closure, IncrementalError, IncrementalPartitioner, RepairStats};
-pub use refine::merge_chains;
 pub use sarkar::Sarkar;
 pub use seq::SeqGPasta;
 

@@ -137,11 +137,6 @@ impl Device {
         self.attach(AtomicBuf::zeroed(len), name, true)
     }
 
-    /// Allocate a named buffer filled with `value`; born initialised.
-    pub fn buf_filled(&self, name: &str, len: usize, value: u32) -> AtomicBuf {
-        self.attach(AtomicBuf::filled(len, value), name, true)
-    }
-
     /// Allocate a named buffer copied from a host slice (`cudaMemcpy` H2D);
     /// born initialised.
     pub fn buf_from_slice(&self, name: &str, host: &[u32]) -> AtomicBuf {
@@ -456,7 +451,6 @@ mod tests {
         let dev = Device::sanitized(2);
         assert!(dev.is_sanitized());
         assert_eq!(dev.buf_zeroed("a", 4).name(), Some("a"));
-        assert_eq!(dev.buf_filled("b", 4, 1).name(), Some("b"));
         assert_eq!(dev.buf_from_slice("c", &[1]).name(), Some("c"));
         assert_eq!(dev.buf_uninit("d", 4).name(), Some("d"));
         assert_eq!(dev.buf64_zeroed("e", 4).name(), Some("e"));

@@ -37,8 +37,6 @@
 //!   same;
 //! * [`FaultPlan`] / [`FaultyWork`] — deterministic fault injection keyed
 //!   by `(task, attempt)`, the test oracle for the recovering path;
-//! * [`measure_sched_overhead`] — calibrates the per-task scheduling cost on
-//!   the host, reproducing the paper's 0.2–3 µs observation;
 //! * [`sim`] — a deterministic Graham list-scheduling simulator for
 //!   reproducing multi-worker makespans on any host.
 //!
@@ -73,7 +71,6 @@ mod bounded;
 mod executor;
 mod fault;
 mod outcome;
-mod overhead;
 mod report;
 pub mod sim;
 mod supervise;
@@ -84,7 +81,6 @@ pub use executor::{Executor, ExecutorError, TaskWork, DEFAULT_CHUNK_SIZE};
 pub use fault::{fault_hash, splitmix64, FaultKind, FaultPlan, FaultyWork};
 pub use gpasta_tdg::{CancelObserver, CancelToken};
 pub use outcome::{FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError};
-pub use overhead::{measure_sched_overhead, OverheadProfile};
 pub use report::RunReport;
 pub use sim::{simulate_makespan, SimReport};
 pub use supervise::HeartbeatMonitor;

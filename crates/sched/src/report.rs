@@ -23,26 +23,6 @@ pub struct RunReport {
     pub num_workers: usize,
 }
 
-impl RunReport {
-    /// Mean wall-clock time per dispatch. Zero when nothing was dispatched.
-    pub fn time_per_dispatch(&self) -> Duration {
-        if self.dispatches == 0 {
-            Duration::ZERO
-        } else {
-            self.elapsed / u32::try_from(self.dispatches).unwrap_or(u32::MAX)
-        }
-    }
-
-    /// Mean wall-clock time per executed task. Zero when nothing ran.
-    pub fn time_per_task(&self) -> Duration {
-        if self.tasks_executed == 0 {
-            Duration::ZERO
-        } else {
-            self.elapsed / u32::try_from(self.tasks_executed).unwrap_or(u32::MAX)
-        }
-    }
-}
-
 // Hand-written (not derived) because `Duration` has no vendored serde
 // impl: `elapsed` encodes as exact `{secs, nanos}` integers so reports
 // round-trip bit-identically instead of through a lossy float.
@@ -107,30 +87,6 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn per_dispatch_and_per_task_math() {
-        let r = RunReport {
-            elapsed: Duration::from_micros(1000),
-            tasks_executed: 10,
-            dispatches: 5,
-            num_workers: 2,
-        };
-        assert_eq!(r.time_per_dispatch(), Duration::from_micros(200));
-        assert_eq!(r.time_per_task(), Duration::from_micros(100));
-    }
-
-    #[test]
-    fn zero_counts_do_not_divide_by_zero() {
-        let r = RunReport {
-            elapsed: Duration::from_micros(7),
-            tasks_executed: 0,
-            dispatches: 0,
-            num_workers: 1,
-        };
-        assert_eq!(r.time_per_dispatch(), Duration::ZERO);
-        assert_eq!(r.time_per_task(), Duration::ZERO);
-    }
 
     #[test]
     fn serde_round_trip_preserves_elapsed_exactly() {

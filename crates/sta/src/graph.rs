@@ -6,7 +6,7 @@
 //! flip-flops break paths: their `D` pin is a timing endpoint and their
 //! output pin launches a fresh path, so there is no `D -> Q` cell arc.
 
-use crate::library::{CellKind, CellLibrary};
+use crate::library::CellLibrary;
 use crate::netlist::{GateId, Netlist, PinRef, PortId};
 use gpasta_tdg::{BuildTdgError, Checksum};
 use serde::{Deserialize, Serialize};
@@ -699,21 +699,12 @@ impl TimingGraph {
     pub fn arc_soa(&self, netlist: &Netlist) -> &ArcSoa {
         self.soa.get_or_init(|| ArcSoa::build(self, netlist))
     }
-
-    /// The cell kind a gate-related node belongs to, if any.
-    pub fn cell_of(&self, v: NodeId, netlist: &Netlist) -> Option<CellKind> {
-        match self.node_kind(v) {
-            NodeKind::GateInput(g, _) | NodeKind::GateOutput(g) => {
-                Some(netlist.gates()[g as usize].cell)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::library::CellKind;
     use crate::netlist::NetlistBuilder;
 
     /// a,b -> NAND2 -> INV -> y
@@ -769,14 +760,12 @@ mod tests {
 
     #[test]
     fn gate_pin_node_mapping() {
-        let (n, g) = nand_inv();
+        let (_, g) = nand_inv();
         let u1 = GateId(0);
         let in0 = g.gate_input_node(u1, 0);
         assert!(matches!(g.node_kind(in0), NodeKind::GateInput(0, 0)));
         let out = g.gate_output_node(u1);
         assert!(matches!(g.node_kind(out), NodeKind::GateOutput(0)));
-        assert_eq!(g.cell_of(out, &n), Some(CellKind::Nand2));
-        assert_eq!(g.cell_of(NodeId(0), &n), None);
     }
 
     #[test]

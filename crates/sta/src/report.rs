@@ -39,11 +39,6 @@ impl TimingReport {
     pub fn meets_timing(&self) -> bool {
         self.wns_ps >= 0.0
     }
-
-    /// Number of violating endpoints among the reported worst list.
-    pub fn violations_in_worst(&self) -> usize {
-        self.worst.iter().filter(|e| e.slack_ps < 0.0).count()
-    }
 }
 
 /// What a report reads, kept so that one changed slack costs `log₂ E`: a
@@ -341,11 +336,6 @@ mod tests {
         assert!(!r.meets_timing());
         r.wns_ps = 0.0;
         assert!(r.meets_timing());
-    }
-
-    #[test]
-    fn counts_violations() {
-        assert_eq!(report().violations_in_worst(), 1);
     }
 
     #[test]

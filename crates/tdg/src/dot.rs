@@ -1,34 +1,8 @@
-//! Graphviz DOT export for TDGs and partitioned TDGs (debugging aid).
+//! Graphviz DOT export for partitioned TDGs (debugging aid).
 
-use crate::graph::{TaskId, Tdg};
+use crate::graph::Tdg;
 use crate::partition::Partition;
 use std::fmt::Write as _;
-
-/// Render `tdg` as a Graphviz `digraph`.
-///
-/// # Example
-///
-/// ```
-/// use gpasta_tdg::{tdg_to_dot, TdgBuilder, TaskId};
-/// # fn main() -> Result<(), gpasta_tdg::BuildTdgError> {
-/// let mut b = TdgBuilder::new(2);
-/// b.add_edge(TaskId(0), TaskId(1));
-/// let dot = tdg_to_dot(&b.build()?);
-/// assert!(dot.contains("t0 -> t1"));
-/// # Ok(())
-/// # }
-/// ```
-pub fn tdg_to_dot(tdg: &Tdg) -> String {
-    let mut out = String::from("digraph tdg {\n  rankdir=TB;\n  node [shape=circle];\n");
-    for t in 0..tdg.num_tasks() as u32 {
-        let _ = writeln!(out, "  t{t};");
-    }
-    for (u, v) in tdg.edges() {
-        let _ = writeln!(out, "  {u} -> {v};");
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Render `tdg` grouped into clusters by `partition` (one Graphviz
 /// `subgraph cluster_*` per partition).
@@ -64,36 +38,10 @@ pub fn partition_to_dot(tdg: &Tdg, partition: &Partition) -> String {
     out
 }
 
-/// Render only the quotient graph of `partition` over `tdg`.
-///
-/// # Errors
-///
-/// Propagates quotient-construction failures (cyclic partitions).
-pub fn quotient_to_dot(
-    tdg: &Tdg,
-    partition: &Partition,
-) -> Result<String, crate::ValidatePartitionError> {
-    let q = crate::quotient::QuotientTdg::build(tdg, partition)?;
-    let g = q.graph();
-    let mut out = String::from("digraph quotient {\n  rankdir=TB;\n  node [shape=box];\n");
-    for p in 0..g.num_tasks() as u32 {
-        let size = q.execution_order(crate::PartitionId(p)).len();
-        let _ = writeln!(out, "  p{p} [label=\"P{p} ({size} tasks)\"];");
-    }
-    for (u, v) in g.edges() {
-        let _ = writeln!(out, "  p{} -> p{};", u.0, v.0);
-    }
-    out.push_str("}\n");
-    Ok(out)
-}
-
-// Keep TaskId referenced for the doc wording above even in minimal builds.
-const _: fn(TaskId) -> usize = TaskId::index;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TdgBuilder;
+    use crate::graph::{TaskId, TdgBuilder};
 
     fn diamond() -> Tdg {
         let mut b = TdgBuilder::new(4);
@@ -102,18 +50,6 @@ mod tests {
         b.add_edge(TaskId(1), TaskId(3));
         b.add_edge(TaskId(2), TaskId(3));
         b.build().expect("diamond DAG")
-    }
-
-    #[test]
-    fn dot_contains_all_nodes_and_edges() {
-        let dot = tdg_to_dot(&diamond());
-        for t in 0..4 {
-            assert!(dot.contains(&format!("t{t};")));
-        }
-        assert!(dot.contains("t0 -> t1;"));
-        assert!(dot.contains("t2 -> t3;"));
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]
@@ -127,22 +63,5 @@ mod tests {
         assert!(dot.contains("t0 -> t1 [style=bold];"));
         // 1 and 2 share P1, but there is no edge between them; 1 -> 3 crosses.
         assert!(dot.contains("t1 -> t3 [style=bold];"));
-    }
-
-    #[test]
-    fn quotient_dot_labels_sizes() {
-        let tdg = diamond();
-        let p = Partition::new(vec![0, 1, 1, 2]);
-        let dot = quotient_to_dot(&tdg, &p).expect("valid partition");
-        assert!(dot.contains("P1 (2 tasks)"));
-        assert!(dot.contains("p0 -> p1;"));
-        assert!(dot.contains("p1 -> p2;"));
-    }
-
-    #[test]
-    fn quotient_dot_rejects_cyclic_partition() {
-        let tdg = diamond();
-        let p = Partition::new(vec![0, 1, 1, 0]);
-        assert!(quotient_to_dot(&tdg, &p).is_err());
     }
 }

@@ -101,12 +101,6 @@ impl Levels {
         self.level_of[t.index()]
     }
 
-    /// Levels of every task, indexed by task id.
-    #[inline]
-    pub fn levels_by_task(&self) -> &[u32] {
-        &self.level_of
-    }
-
     /// Task ids at level `l`, in ascending id order.
     ///
     /// # Panics

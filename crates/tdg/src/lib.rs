@@ -22,8 +22,7 @@
 //!   checkpoint and shard frame;
 //! * [`validate`] — the paper's validity conditions:
 //!   acyclic quotient, convex partitions, bounded partition size;
-//! * [`transitive_reduction`] — the minimal equivalent DAG, and
-//!   [`io`] — plain-text edge-list interchange.
+//! * [`io`] — plain-text edge-list interchange.
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@ mod level;
 mod partition;
 pub mod quotient;
 mod recycle;
-mod reduce;
 pub mod shard;
 mod topo;
 pub mod validate;
@@ -67,7 +65,7 @@ pub mod validate;
 pub use cancel::{CancelObserver, CancelToken};
 pub use checksum::{checksum, Checksum};
 pub use csr::CsrTdg;
-pub use dot::{partition_to_dot, quotient_to_dot, tdg_to_dot};
+pub use dot::partition_to_dot;
 pub use error::{BuildTdgError, ValidatePartitionError};
 pub use graph::{TaskId, Tdg, TdgBuilder};
 pub use io::{parse_edge_list, write_edge_list, ParseEdgeListError};
@@ -75,6 +73,5 @@ pub use level::Levels;
 pub use partition::{Partition, PartitionId, PartitionStats};
 pub use quotient::{QuotientArena, QuotientTdg};
 pub use recycle::{ArenaTdgBuilder, TdgArena};
-pub use reduce::transitive_reduction;
 pub use shard::{ShardPlan, ShardPlanError, TaskSuccessors};
 pub use topo::{critical_path_len, topo_order, ParallelismProfile};

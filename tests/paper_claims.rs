@@ -3,11 +3,11 @@
 //! tests pin down *who wins* and *why*.
 
 use gpasta::circuits::{dag, PaperCircuit};
-use gpasta::core::{GPasta, Gdca, Partitioner, PartitionerOptions, Sarkar, SeqGPasta};
+use gpasta::core::{DeterGPasta, GPasta, Gdca, Partitioner, PartitionerOptions, Sarkar, SeqGPasta};
 use gpasta::gpu::Device;
 use gpasta::sched::simulate_makespan;
 use gpasta::sta::{CellLibrary, Timer};
-use gpasta::tdg::{ParallelismProfile, QuotientTdg, Tdg};
+use gpasta::tdg::{validate, ParallelismProfile, Partition, QuotientTdg, TaskId, Tdg};
 use std::time::{Duration, Instant};
 
 const DISPATCH_NS: f64 = 800.0;
@@ -63,6 +63,80 @@ fn gpasta_retains_more_parallelism_than_gdca() {
     assert!(
         gp > gdca,
         "G-PASTA parallelism {gp:.2} must exceed GDCA {gdca:.2}"
+    );
+}
+
+/// seq-G-PASTA with the max rule swapped for first-writer-wins: a successor
+/// keeps the *first* desired partition id it receives. Not cycle-free —
+/// that is the point.
+fn first_writer_partition(tdg: &Tdg, ps: usize) -> Partition {
+    const UNSET: u32 = u32::MAX;
+    let n = tdg.num_tasks();
+    let mut d_pid = vec![UNSET; n];
+    let mut f_pid = vec![0u32; n];
+    let mut dep = tdg.in_degrees();
+    let mut pid_cnt = vec![0u32; 2 * n + 1];
+    let mut frontier: Vec<u32> = tdg.sources().iter().map(|s| s.0).collect();
+    for (i, &s) in frontier.iter().enumerate() {
+        d_pid[s as usize] = i as u32;
+    }
+    let mut max_pid = (frontier.len() as u32).saturating_sub(1);
+    let mut next = Vec::new();
+    while !frontier.is_empty() {
+        for &cur in &frontier {
+            let want = d_pid[cur as usize];
+            let fp = if (pid_cnt[want as usize] as usize) < ps {
+                want
+            } else {
+                max_pid += 1;
+                max_pid
+            };
+            pid_cnt[fp as usize] += 1;
+            f_pid[cur as usize] = fp;
+            for &nb in tdg.successors(TaskId(cur)) {
+                if d_pid[nb as usize] == UNSET {
+                    d_pid[nb as usize] = fp;
+                }
+                dep[nb as usize] -= 1;
+                if dep[nb as usize] == 0 {
+                    next.push(nb);
+                }
+            }
+        }
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+    }
+    Partition::new(f_pid)
+}
+
+/// Theorem 1: the max rule (`atomicMax` on the desired partition id) keeps
+/// every quotient acyclic, in all three G-PASTA kernels; first-writer-wins,
+/// the same walk with the rule swapped, does not.
+#[test]
+fn first_writer_wins_makes_cyclic_partitions_the_max_rule_never_does() {
+    let opts = PartitionerOptions::with_max_size(8);
+    let max_rule: [(&str, &dyn Partitioner); 3] = [
+        ("seq-G-PASTA", &SeqGPasta::new()),
+        ("G-PASTA", &GPasta::with_device(Device::single())),
+        ("deter-G-PASTA", &DeterGPasta::with_device(Device::single())),
+    ];
+    let seeds = 40;
+    let mut first_writer_cyclic = 0;
+    for seed in 0..seeds {
+        let tdg = dag::random_dag(400, 1.8, seed);
+        for (name, p) in max_rule {
+            let partition = p.partition(&tdg, &opts).expect("valid options");
+            if let Err(e) = validate::check_acyclic(&tdg, &partition) {
+                panic!("{name} made a cyclic partition on seed {seed}: {e}");
+            }
+        }
+        if validate::check_acyclic(&tdg, &first_writer_partition(&tdg, 8)).is_err() {
+            first_writer_cyclic += 1;
+        }
+    }
+    assert_eq!(
+        first_writer_cyclic, seeds,
+        "first-writer-wins should make a cyclic partition on every seed"
     );
 }
 
