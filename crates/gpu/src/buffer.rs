@@ -23,11 +23,11 @@
 //! --tool racecheck` would report on real hardware, and the in-tree
 //! [sanitizer](crate::SanitizerReport) reports it portably.
 
-use gpasta_check::sync::{AtomicU32, AtomicU64, Ordering};
+use gpasta_check::sync::{AtomicU32, Ordering};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::sanitizer::{BoundsError, Shadow};
+use crate::sanitizer::Shadow;
 
 /// A shared, atomically-accessed `u32` buffer — simulated device global
 /// memory.
@@ -51,13 +51,8 @@ pub struct AtomicBuf {
 impl AtomicBuf {
     /// Allocate `len` zero-initialised elements.
     pub fn zeroed(len: usize) -> Self {
-        Self::filled(len, 0)
-    }
-
-    /// Allocate `len` elements initialised to `value`.
-    pub fn filled(len: usize, value: u32) -> Self {
         AtomicBuf {
-            data: (0..len).map(|_| AtomicU32::new(value)).collect(),
+            data: (0..len).map(|_| AtomicU32::new(0)).collect(),
             shadow: None,
         }
     }
@@ -148,16 +143,6 @@ impl AtomicBuf {
         self.data[i].fetch_max(v, Ordering::Relaxed)
     }
 
-    /// `atomicCAS(&buf[i], current, new)` — returns `Ok(previous)` on
-    /// success, `Err(actual)` on failure.
-    #[inline]
-    pub fn compare_exchange(&self, i: usize, current: u32, new: u32) -> Result<u32, u32> {
-        if let Some(sh) = &self.shadow {
-            sh.on_rmw(i);
-        }
-        self.data[i].compare_exchange(current, new, Ordering::Relaxed, Ordering::Relaxed)
-    }
-
     /// Copy the buffer back to the host (`cudaMemcpy` D2H). Host readback
     /// is not race-checked: it happens after the end-of-launch barrier.
     pub fn to_vec(&self) -> Vec<u32> {
@@ -165,107 +150,6 @@ impl AtomicBuf {
             .iter()
             .map(|a| a.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Overwrite every element with `value` (`cudaMemset`). Marks the whole
-    /// buffer initialised for initcheck purposes.
-    pub fn fill(&self, value: u32) {
-        if let Some(sh) = &self.shadow {
-            sh.mark_initialized(self.len());
-        }
-        for a in self.data.iter() {
-            a.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Copy `src` into this buffer starting at offset 0. Marks the copied
-    /// prefix initialised for initcheck purposes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() > self.len()`.
-    pub fn copy_from_slice(&self, src: &[u32]) {
-        assert!(src.len() <= self.len(), "source slice longer than buffer");
-        if let Some(sh) = &self.shadow {
-            sh.mark_initialized(src.len());
-        }
-        for (a, &v) in self.data.iter().zip(src) {
-            a.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// A bounds-checked view: the same operations, but out-of-range indices
-    /// return a [`BoundsError`] naming the buffer instead of panicking. On
-    /// sanitized buffers the failed access is also recorded in the report.
-    pub fn checked(&self) -> CheckedBuf<'_> {
-        CheckedBuf { buf: self }
-    }
-
-    /// Bounds-checked [`load`](AtomicBuf::load); shorthand for
-    /// `self.checked().load(i)`.
-    pub fn try_load(&self, i: usize) -> Result<u32, BoundsError> {
-        self.checked().load(i)
-    }
-
-    /// Bounds-checked [`store`](AtomicBuf::store); shorthand for
-    /// `self.checked().store(i, v)`.
-    pub fn try_store(&self, i: usize, v: u32) -> Result<(), BoundsError> {
-        self.checked().store(i, v)
-    }
-}
-
-/// Bounds-checked view over an [`AtomicBuf`], created by
-/// [`AtomicBuf::checked`]. Failed accesses yield [`BoundsError`] diagnostics
-/// (buffer name, index, length) instead of a bare slice panic.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckedBuf<'a> {
-    buf: &'a AtomicBuf,
-}
-
-impl CheckedBuf<'_> {
-    fn guard(&self, i: usize) -> Result<(), BoundsError> {
-        if i < self.buf.len() {
-            return Ok(());
-        }
-        if let Some(sh) = &self.buf.shadow {
-            sh.record_out_of_bounds(i);
-        }
-        Err(BoundsError {
-            buffer: self.buf.name().unwrap_or("<unnamed>").to_string(),
-            index: i,
-            len: self.buf.len(),
-        })
-    }
-
-    /// Checked [`AtomicBuf::load`].
-    pub fn load(&self, i: usize) -> Result<u32, BoundsError> {
-        self.guard(i)?;
-        Ok(self.buf.load(i))
-    }
-
-    /// Checked [`AtomicBuf::store`].
-    pub fn store(&self, i: usize, v: u32) -> Result<(), BoundsError> {
-        self.guard(i)?;
-        self.buf.store(i, v);
-        Ok(())
-    }
-
-    /// Checked [`AtomicBuf::fetch_add`].
-    pub fn fetch_add(&self, i: usize, v: u32) -> Result<u32, BoundsError> {
-        self.guard(i)?;
-        Ok(self.buf.fetch_add(i, v))
-    }
-
-    /// Checked [`AtomicBuf::fetch_sub`].
-    pub fn fetch_sub(&self, i: usize, v: u32) -> Result<u32, BoundsError> {
-        self.guard(i)?;
-        Ok(self.buf.fetch_sub(i, v))
-    }
-
-    /// Checked [`AtomicBuf::fetch_max`].
-    pub fn fetch_max(&self, i: usize, v: u32) -> Result<u32, BoundsError> {
-        self.guard(i)?;
-        Ok(self.buf.fetch_max(i, v))
     }
 }
 
@@ -291,103 +175,14 @@ impl From<Vec<u32>> for AtomicBuf {
     }
 }
 
-/// A shared, atomically-accessed `u64` buffer — used for the 64-bit sort
-/// keys of Algorithm 2 (`d_pid << 32 | task_id`). Carries the same optional
-/// sanitizer shadow as [`AtomicBuf`].
-#[derive(Clone)]
-pub struct AtomicBuf64 {
-    data: Arc<[AtomicU64]>,
-    shadow: Option<Arc<Shadow>>,
-}
-
-impl AtomicBuf64 {
-    /// Allocate `len` zero-initialised elements.
-    pub fn zeroed(len: usize) -> Self {
-        AtomicBuf64 {
-            data: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            shadow: None,
-        }
-    }
-
-    /// Copy a host slice into a fresh device buffer.
-    pub fn from_slice(host: &[u64]) -> Self {
-        AtomicBuf64 {
-            data: host.iter().map(|&v| AtomicU64::new(v)).collect(),
-            shadow: None,
-        }
-    }
-
-    /// Attach sanitizer shadow memory (done by the `Device::buf64_*`
-    /// helpers).
-    pub(crate) fn set_shadow(&mut self, shadow: Arc<Shadow>) {
-        self.shadow = Some(shadow);
-    }
-
-    /// The buffer's sanitizer name, if it was allocated through a sanitized
-    /// device.
-    pub fn name(&self) -> Option<&str> {
-        self.shadow.as_deref().map(Shadow::name)
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer has zero elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Relaxed load of element `i`.
-    #[inline]
-    pub fn load(&self, i: usize) -> u64 {
-        if let Some(sh) = &self.shadow {
-            sh.on_load(i);
-        }
-        self.data[i].load(Ordering::Relaxed)
-    }
-
-    /// Relaxed store to element `i`.
-    #[inline]
-    pub fn store(&self, i: usize, v: u64) {
-        if let Some(sh) = &self.shadow {
-            sh.on_store(i);
-        }
-        self.data[i].store(v, Ordering::Relaxed);
-    }
-
-    /// Copy the buffer back to the host.
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.data
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-impl fmt::Debug for AtomicBuf64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("AtomicBuf64");
-        if let Some(name) = self.name() {
-            d.field("name", &name);
-        }
-        d.field("len", &self.len()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn zeroed_and_filled() {
+    fn zeroed_reads_zero() {
         let b = AtomicBuf::zeroed(4);
         assert_eq!(b.to_vec(), vec![0; 4]);
-        let b = AtomicBuf::filled(3, 7);
-        assert_eq!(b.to_vec(), vec![7, 7, 7]);
     }
 
     #[test]
@@ -421,85 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn compare_exchange_success_and_failure() {
-        let b = AtomicBuf::from_slice(&[5]);
-        assert_eq!(b.compare_exchange(0, 5, 6), Ok(5));
-        assert_eq!(b.compare_exchange(0, 5, 7), Err(6));
-        assert_eq!(b.load(0), 6);
-    }
-
-    #[test]
-    fn compare_exchange_failure_leaves_value_untouched() {
-        let b = AtomicBuf::from_slice(&[41]);
-        assert_eq!(b.compare_exchange(0, 99, 1), Err(41));
-        assert_eq!(b.load(0), 41, "failed CAS must not write");
-    }
-
-    #[test]
-    fn fill_and_copy_from_slice() {
-        let b = AtomicBuf::zeroed(3);
-        b.fill(4);
-        assert_eq!(b.to_vec(), vec![4, 4, 4]);
-        b.copy_from_slice(&[1, 2]);
-        assert_eq!(b.to_vec(), vec![1, 2, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "source slice longer than buffer")]
-    fn copy_from_slice_overflow_panics() {
-        AtomicBuf::zeroed(1).copy_from_slice(&[1, 2]);
-    }
-
-    #[test]
     fn zero_length_buffer_edge_cases() {
         let b = AtomicBuf::zeroed(0);
         assert_eq!(b.len(), 0);
         assert!(b.is_empty());
         assert_eq!(b.to_vec(), Vec::<u32>::new());
-        b.fill(7); // memset of nothing is a no-op
-        b.copy_from_slice(&[]); // empty copy is a no-op
-        assert!(
-            b.try_load(0).is_err(),
-            "index 0 of an empty buffer is out of bounds"
-        );
-        let b64 = AtomicBuf64::zeroed(0);
-        assert!(b64.is_empty());
-        assert_eq!(b64.to_vec(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn copy_from_slice_shorter_leaves_tail() {
-        let b = AtomicBuf::filled(4, 9);
-        b.copy_from_slice(&[1]);
-        assert_eq!(b.to_vec(), vec![1, 9, 9, 9]);
-        b.copy_from_slice(&[]); // zero-length source: nothing changes
-        assert_eq!(b.to_vec(), vec![1, 9, 9, 9]);
-    }
-
-    #[test]
-    fn checked_view_reports_name_and_extent() {
-        let b = AtomicBuf::zeroed(3);
-        assert_eq!(b.checked().load(2), Ok(0));
-        assert_eq!(b.checked().store(1, 5), Ok(()));
-        assert_eq!(b.checked().fetch_add(1, 1), Ok(5));
-        assert_eq!(b.checked().fetch_sub(1, 2), Ok(6));
-        assert_eq!(b.checked().fetch_max(1, 9), Ok(4));
-        let err = b.checked().load(3).unwrap_err();
-        assert_eq!(err.buffer, "<unnamed>");
-        assert_eq!(err.index, 3);
-        assert_eq!(err.len, 3);
-        assert!(b.try_store(99, 0).is_err());
         assert!(b.name().is_none());
-    }
-
-    #[test]
-    fn buf64_stores_sort_keys() {
-        let b = AtomicBuf64::zeroed(2);
-        let key = (7u64 << 32) | 42;
-        b.store(0, key);
-        assert_eq!(b.load(0) >> 32, 7);
-        assert_eq!(b.load(0) & 0xffff_ffff, 42);
-        assert_eq!(AtomicBuf64::from_slice(&[1, 2]).to_vec(), vec![1, 2]);
     }
 
     #[test]
@@ -507,8 +229,6 @@ mod tests {
         let b = AtomicBuf::from_slice(&[1, 2]);
         let s = format!("{b:?}");
         assert!(s.contains("len"));
-        let s64 = format!("{:?}", AtomicBuf64::zeroed(1));
-        assert!(s64.contains("AtomicBuf64"));
     }
 
     #[test]

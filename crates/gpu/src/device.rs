@@ -5,7 +5,7 @@ use gpasta_check::sync::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::sanitizer::{self, SanitizerCore, SanitizerReport, Schedule, Shadow};
-use crate::{AtomicBuf, AtomicBuf64};
+use crate::AtomicBuf;
 
 /// The simulated GPU device.
 ///
@@ -87,12 +87,6 @@ impl Device {
         self.schedule
     }
 
-    /// Whether this device carries a sanitizer.
-    #[inline]
-    pub fn is_sanitized(&self) -> bool {
-        self.sanitizer.is_some()
-    }
-
     /// Snapshot the sanitizer findings, or `None` for a plain device.
     /// Clones of a device share one sanitizer, so reports accumulate across
     /// clones.
@@ -107,18 +101,6 @@ impl Device {
     }
 
     fn attach(&self, mut buf: AtomicBuf, name: &str, pre_initialized: bool) -> AtomicBuf {
-        if let Some(core) = &self.sanitizer {
-            buf.set_shadow(Arc::new(Shadow::new(
-                name,
-                core.clone(),
-                buf.len(),
-                pre_initialized,
-            )));
-        }
-        buf
-    }
-
-    fn attach64(&self, mut buf: AtomicBuf64, name: &str, pre_initialized: bool) -> AtomicBuf64 {
         if let Some(core) = &self.sanitizer {
             buf.set_shadow(Arc::new(Shadow::new(
                 name,
@@ -149,23 +131,6 @@ impl Device {
     /// flags any device-side read of a word that was never written.
     pub fn buf_uninit(&self, name: &str, len: usize) -> AtomicBuf {
         self.attach(AtomicBuf::zeroed(len), name, false)
-    }
-
-    /// Allocate a named, zero-initialised 64-bit buffer; born initialised.
-    pub fn buf64_zeroed(&self, name: &str, len: usize) -> AtomicBuf64 {
-        self.attach64(AtomicBuf64::zeroed(len), name, true)
-    }
-
-    /// Allocate a named 64-bit buffer copied from a host slice; born
-    /// initialised.
-    pub fn buf64_from_slice(&self, name: &str, host: &[u64]) -> AtomicBuf64 {
-        self.attach64(AtomicBuf64::from_slice(host), name, true)
-    }
-
-    /// Allocate a named *uninitialised* 64-bit buffer; see
-    /// [`Device::buf_uninit`].
-    pub fn buf64_uninit(&self, name: &str, len: usize) -> AtomicBuf64 {
-        self.attach64(AtomicBuf64::zeroed(len), name, false)
     }
 
     /// Launch a flat grid of `n` logical GPU threads running `kernel` and
@@ -254,40 +219,6 @@ impl Device {
                 }
             }
         }
-    }
-
-    /// CUDA-style two-level launch: `grid_dim` blocks of `block_dim`
-    /// logical threads; the kernel receives `(block_idx, thread_idx)`.
-    ///
-    /// Blocks are distributed across the device workers in arbitrary order
-    /// (like thread blocks across SMs) while the threads *within* a block
-    /// run sequentially on one worker — the bulk-synchronous simplification
-    /// of warp execution. Use this when a kernel's index math is written in
-    /// block/thread terms; [`launch`](Device::launch) covers flat grids.
-    /// Under the sanitizer, all threads of one block share the block's gid:
-    /// intra-block accesses are program-ordered and never race each other.
-    pub fn launch_blocks<F>(&self, grid_dim: u32, block_dim: u32, kernel: F)
-    where
-        F: Fn(u32, u32) + Sync,
-    {
-        if block_dim == 0 {
-            return;
-        }
-        self.launch(grid_dim, |block| {
-            for thread in 0..block_dim {
-                kernel(block, thread);
-            }
-        });
-    }
-
-    /// Convenience: launch and time the kernel under `name` in `timer`.
-    pub fn launch_timed<F>(&self, timer: &crate::KernelTimer, name: &str, n: u32, kernel: F)
-    where
-        F: Fn(u32) + Sync,
-    {
-        let start = std::time::Instant::now();
-        self.launch(n, kernel);
-        timer.record(name, start.elapsed());
     }
 }
 
@@ -438,65 +369,17 @@ mod tests {
     #[test]
     fn plain_device_buffers_are_uninstrumented() {
         let dev = Device::new(2);
-        assert!(!dev.is_sanitized());
         assert!(dev.sanitizer_report().is_none());
         let buf = dev.buf_zeroed("scratch", 8);
         assert!(buf.name().is_none(), "no shadow without a sanitizer");
-        let buf64 = dev.buf64_zeroed("keys", 8);
-        assert!(buf64.name().is_none());
     }
 
     #[test]
     fn sanitized_device_names_buffers() {
         let dev = Device::sanitized(2);
-        assert!(dev.is_sanitized());
         assert_eq!(dev.buf_zeroed("a", 4).name(), Some("a"));
         assert_eq!(dev.buf_from_slice("c", &[1]).name(), Some("c"));
         assert_eq!(dev.buf_uninit("d", 4).name(), Some("d"));
-        assert_eq!(dev.buf64_zeroed("e", 4).name(), Some("e"));
-        assert_eq!(dev.buf64_from_slice("f", &[1]).name(), Some("f"));
-        assert_eq!(dev.buf64_uninit("g", 4).name(), Some("g"));
         assert!(dev.sanitizer_report().unwrap().is_clean());
-    }
-
-    #[test]
-    fn block_launch_covers_grid_times_block() {
-        let dev = Device::new(2);
-        let buf = AtomicBuf::zeroed(12 * 7);
-        dev.launch_blocks(12, 7, |b, t| {
-            buf.fetch_add((b * 7 + t) as usize, 1);
-        });
-        assert!(buf.to_vec().iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn block_launch_threads_run_in_order_within_a_block() {
-        // Threads of one block execute sequentially on one worker, so a
-        // per-block running maximum never observes out-of-order indices.
-        let dev = Device::new(4);
-        let last = AtomicBuf::zeroed(16);
-        let ok = AtomicBuf::filled(1, 1);
-        dev.launch_blocks(16, 32, |b, t| {
-            let prev = last.load(b as usize);
-            if t > 0 && prev != t - 1 + 1 {
-                ok.store(0, 0);
-            }
-            last.store(b as usize, t + 1);
-        });
-        assert_eq!(ok.load(0), 1, "intra-block execution must be sequential");
-    }
-
-    #[test]
-    fn zero_block_dim_is_a_noop() {
-        let dev = Device::new(2);
-        dev.launch_blocks(8, 0, |_b, _t| panic!("kernel must not run"));
-    }
-
-    #[test]
-    fn launch_timed_records() {
-        let dev = Device::new(1);
-        let timer = crate::KernelTimer::new();
-        dev.launch_timed(&timer, "noop", 10, |_| {});
-        assert_eq!(timer.report()[0].1, 1);
     }
 }

@@ -6,16 +6,13 @@
 //! * [`Device`] — scoped worker execution; [`Device::launch`] runs a kernel
 //!   closure once per global thread index `gid in 0..n`, exactly like a flat
 //!   CUDA grid, and blocks until the grid completes (kernel-launch +
-//!   implicit-sync semantics); [`Device::launch_blocks`] adds the two-level
-//!   `(block_idx, thread_idx)` form;
+//!   implicit-sync semantics);
 //! * [`AtomicBuf`] — device global memory as shared atomic arrays;
 //!   `atomicAdd`/`atomicSub`/`atomicMax` map to `fetch_add`/`fetch_sub`/
 //!   `fetch_max` with relaxed ordering, matching CUDA device atomics;
 //! * [`prims`] — the Thrust-style primitives Algorithm 2 needs:
 //!   `sort_by_key`, `reduce_by_key`, `exclusive_scan`, `inclusive_scan`,
-//!   and `binary_search` (all deterministic regardless of worker count);
-//! * [`KernelTimer`] — per-kernel wall-clock accounting, standing in for
-//!   `cudaEvent` timing.
+//!   and `binary_search` (all deterministic regardless of worker count).
 //!
 //! Races between pool workers reproduce the non-determinism of the paper's
 //! Algorithm 1 that motivates the deterministic kernel of Algorithm 2; the
@@ -51,12 +48,9 @@ mod buffer;
 mod device;
 pub mod prims;
 pub mod sanitizer;
-mod timer;
 
-pub use buffer::{AtomicBuf, AtomicBuf64, CheckedBuf};
+pub use buffer::AtomicBuf;
 pub use device::Device;
 pub use sanitizer::{
-    audit_determinism, AuditOutcome, BoundsError, SanitizerReport, Schedule, Verdict, Violation,
-    ViolationKind,
+    audit_determinism, AuditOutcome, SanitizerReport, Schedule, Verdict, Violation, ViolationKind,
 };
-pub use timer::KernelTimer;

@@ -243,14 +243,11 @@ pub fn reduce_by_key(dev: &Device, keys: &[u32], vals: &[u32]) -> (Vec<u32>, Vec
 }
 
 /// Index of the segment (in a sorted array of segment-start offsets) that
-/// contains position `x`: the largest `i` with `starts[i] <= x`.
+/// contains position `x`: the largest `i` with `starts[i] <= x`, or `None`
+/// when `starts` is empty or `x` precedes the first segment.
 ///
 /// Mirrors Algorithm 2 line 13: `binarySearch(gid, fir_tid_arr)` locates the
 /// partition whose first-task offset covers the thread's position.
-///
-/// # Panics
-///
-/// Panics if `starts` is empty or `x < starts[0]`.
 ///
 /// # Example
 ///
@@ -258,26 +255,18 @@ pub fn reduce_by_key(dev: &Device, keys: &[u32], vals: &[u32]) -> (Vec<u32>, Vec
 /// use gpasta_gpu::prims;
 ///
 /// let starts = [0u32, 4, 9];
-/// assert_eq!(prims::segment_of(&starts, 0), 0);
-/// assert_eq!(prims::segment_of(&starts, 3), 0);
-/// assert_eq!(prims::segment_of(&starts, 4), 1);
-/// assert_eq!(prims::segment_of(&starts, 100), 2);
+/// assert_eq!(prims::try_segment_of(&starts, 0), Some(0));
+/// assert_eq!(prims::try_segment_of(&starts, 3), Some(0));
+/// assert_eq!(prims::try_segment_of(&starts, 4), Some(1));
+/// assert_eq!(prims::try_segment_of(&starts, 100), Some(2));
+/// assert_eq!(prims::try_segment_of(&[], 0), None);
+/// assert_eq!(prims::try_segment_of(&[5], 4), None);
 /// ```
-pub fn segment_of(starts: &[u32], x: u32) -> usize {
-    assert!(!starts.is_empty(), "segment array is empty");
-    assert!(x >= starts[0], "position precedes the first segment");
-    // partition_point returns the first index with start > x.
-    starts.partition_point(|&s| s <= x) - 1
-}
-
-/// Non-panicking [`segment_of`]: `None` when `starts` is empty or `x`
-/// precedes the first segment — the checked-view counterpart for host
-/// arrays, so sanitized kernels can surface a diagnostic instead of a bare
-/// assertion failure.
 pub fn try_segment_of(starts: &[u32], x: u32) -> Option<usize> {
     if starts.is_empty() || x < starts[0] {
         return None;
     }
+    // partition_point returns the first index with start > x.
     Some(starts.partition_point(|&s| s <= x) - 1)
 }
 
@@ -393,16 +382,10 @@ mod tests {
     #[test]
     fn segment_of_edges() {
         let starts = [0u32, 1, 2];
-        assert_eq!(segment_of(&starts, 0), 0);
-        assert_eq!(segment_of(&starts, 1), 1);
-        assert_eq!(segment_of(&starts, 2), 2);
-        assert_eq!(segment_of(&starts, u32::MAX), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "segment array is empty")]
-    fn segment_of_empty_panics() {
-        segment_of(&[], 0);
+        assert_eq!(try_segment_of(&starts, 0), Some(0));
+        assert_eq!(try_segment_of(&starts, 1), Some(1));
+        assert_eq!(try_segment_of(&starts, 2), Some(2));
+        assert_eq!(try_segment_of(&starts, u32::MAX), Some(2));
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! - **initcheck** — reading a word of a [`Device::buf_uninit`] allocation
 //!   that no one has written since allocation is flagged. Buffers created
 //!   zeroed or from a host slice are born initialised.
-//! - **boundscheck** — sanitized buffers panic with a named diagnostic
-//!   (buffer, index, length) instead of a bare slice panic, and the
-//!   checked-view API ([`AtomicBuf::checked`](crate::AtomicBuf::checked))
-//!   returns [`BoundsError`] instead of panicking.
+//! - **boundscheck** — an out-of-range access on a sanitized buffer records
+//!   an out-of-bounds violation and panics with a named diagnostic (buffer,
+//!   index, length) instead of a bare slice panic.
 //! - **determinism audit** — [`audit_determinism`] re-runs a computation
 //!   under perturbed interleavings (worker counts × [`Schedule`]s × repeats),
 //!   diffs the outputs, and classifies the computation as
@@ -177,31 +176,6 @@ impl fmt::Display for Violation {
         )
     }
 }
-
-/// An out-of-bounds access reported by the checked-view API instead of a
-/// panic: carries the buffer name and extent so the kernel author sees
-/// *which* device allocation overflowed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundsError {
-    /// Name of the buffer, or `"<unnamed>"` for plain allocations.
-    pub buffer: String,
-    /// The offending index.
-    pub index: usize,
-    /// The buffer length.
-    pub len: usize,
-}
-
-impl fmt::Display for BoundsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "out-of-bounds access on `{}`: index {} but len {}",
-            self.buffer, self.index, self.len
-        )
-    }
-}
-
-impl std::error::Error for BoundsError {}
 
 /// Per-device sanitizer state shared by the [`Device`] and every shadow it
 /// hands out.
@@ -412,13 +386,6 @@ impl Shadow {
         &self.words[i]
     }
 
-    /// Record an out-of-bounds finding without panicking (checked-view API).
-    pub(crate) fn record_out_of_bounds(&self, i: usize) {
-        let (epoch, gid) = ctx();
-        self.core
-            .record(ViolationKind::OutOfBounds, &self.name, i, (gid, gid), epoch);
-    }
-
     /// Instrument a plain store to word `i`.
     pub(crate) fn on_store(&self, i: usize) {
         let (epoch, gid) = ctx();
@@ -451,7 +418,7 @@ impl Shadow {
         w.reader.store(tag_of(epoch, gid), Ordering::Relaxed);
     }
 
-    /// Instrument an atomic read-modify-write (add/sub/max/CAS) of word `i`.
+    /// Instrument an atomic read-modify-write (add/sub/max) of word `i`.
     /// RMW-vs-RMW is never a race; RMW reads, so initcheck applies.
     pub(crate) fn on_rmw(&self, i: usize) {
         let (epoch, gid) = ctx();
@@ -468,13 +435,6 @@ impl Shadow {
         }
         w.rmw.store(tag_of(epoch, gid), Ordering::Relaxed);
         w.init.store(1, Ordering::Relaxed);
-    }
-
-    /// Mark the first `n` words initialised (host memset / H2D copy).
-    pub(crate) fn mark_initialized(&self, n: usize) {
-        for w in self.words.iter().take(n) {
-            w.init.store(1, Ordering::Relaxed);
-        }
     }
 
     /// A recorded tag conflicts if it is from the *same* launch epoch but a
@@ -659,12 +619,6 @@ mod tests {
         let s = v.to_string();
         assert!(s.contains("store/store race"), "{s}");
         assert!(s.contains("`pid`[4]"), "{s}");
-        let e = BoundsError {
-            buffer: "pid".into(),
-            index: 9,
-            len: 4,
-        };
-        assert!(e.to_string().contains("index 9 but len 4"));
     }
 
     #[test]

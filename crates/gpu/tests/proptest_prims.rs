@@ -92,7 +92,7 @@ proptest! {
             .iter()
             .rposition(|&s| s <= x)
             .expect("starts[0] == 0 covers every x");
-        prop_assert_eq!(prims::segment_of(&starts, x), expect);
+        prop_assert_eq!(prims::try_segment_of(&starts, x), Some(expect));
     }
 
     #[test]

@@ -134,40 +134,33 @@ fn initcheck_trusts_zeroed_and_host_initialised_buffers() {
     let dev = Device::sanitized(1);
     let zeroed = dev.buf_zeroed("zeroed", 4);
     let seeded = dev.buf_from_slice("seeded", &[1, 2, 3, 4]);
-    let filled = dev.buf_uninit("filled", 4);
-    filled.fill(9); // cudaMemset marks the words initialised
     let sink = dev.buf_zeroed("sink", 1);
     dev.launch(4, |gid| {
         let i = gid as usize;
-        sink.fetch_add(0, zeroed.load(i) + seeded.load(i) + filled.load(i));
+        sink.fetch_add(0, zeroed.load(i) + seeded.load(i));
     });
     assert!(dev.sanitizer_report().unwrap().is_clean());
 }
 
+/// An overflowing plain store inside a launch is recorded before the named
+/// panic unwinds out of `launch`.
 #[test]
-fn boundscheck_checked_view_reports_instead_of_panicking() {
+fn boundscheck_records_an_overflowing_store_in_a_launch() {
     let dev = Device::sanitized(1);
     let buf = dev.buf_zeroed("small", 3);
-    let seen = dev.buf_zeroed("seen", 1);
-    dev.launch(8, |gid| {
-        // Indices 3..8 overflow; the checked view turns that into an error
-        // value (and a report entry) instead of a panic.
-        match buf.checked().store(gid as usize, 1) {
-            Ok(()) => {}
-            Err(e) => {
-                assert_eq!(e.buffer, "small");
-                assert_eq!(e.len, 3);
-                seen.fetch_add(0, 1);
-            }
-        }
-    });
-    assert_eq!(seen.load(0), 5);
+    let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dev.launch(8, |gid| buf.store(gid as usize, 1));
+    }));
+    assert!(launched.is_err(), "an overflowing store must panic");
     let rep = dev.sanitizer_report().unwrap();
     assert_eq!(
         rep.bounds_count(),
-        5,
-        "each overflowing index is recorded: {rep}"
+        1,
+        "the first overflow is recorded: {rep}"
     );
+    let v = &rep.violations[0];
+    assert_eq!(v.kind, ViolationKind::OutOfBounds);
+    assert_eq!((v.buffer.as_str(), v.index), ("small", 3));
 }
 
 #[test]

@@ -1,16 +1,15 @@
-//! Tour of the simulated GPU device: flat and block launches, atomics,
-//! deterministic primitives, and a frontier-based BFS — the building
-//! blocks Algorithm 1 and Algorithm 2 are made of.
+//! Tour of the simulated GPU device: flat launches, atomics, deterministic
+//! primitives, and a frontier-based BFS — the building blocks Algorithm 1
+//! and Algorithm 2 are made of.
 //!
 //! ```text
 //! cargo run --release --example gpu_kernels
 //! ```
 
-use gpasta::gpu::{prims, AtomicBuf, Device, KernelTimer};
+use gpasta::gpu::{prims, AtomicBuf, Device};
 
 fn main() {
     let dev = Device::host_parallel();
-    let timer = KernelTimer::new();
     println!("device with {} workers\n", dev.num_threads());
 
     // 1. Flat grid: saxpy-style elementwise kernel.
@@ -19,7 +18,7 @@ fn main() {
     let y = AtomicBuf::zeroed(n);
     {
         let (x, y) = (&x, &y);
-        dev.launch_timed(&timer, "saxpy", n as u32, move |gid| {
+        dev.launch(n as u32, move |gid| {
             let i = gid as usize;
             y.store(i, 3 * x.load(i) + 7);
         });
@@ -30,42 +29,22 @@ fn main() {
     let bins = AtomicBuf::zeroed(16);
     {
         let bins = &bins;
-        dev.launch_timed(&timer, "histogram", n as u32, move |gid| {
+        dev.launch(n as u32, move |gid| {
             bins.fetch_add((gid % 16) as usize, 1);
         });
     }
     assert_eq!(bins.to_vec().iter().sum::<u32>(), n as u32);
 
-    // 3. Block launch: per-block partial sums, then one finishing pass.
-    let block_dim = 256u32;
-    let grid_dim = (n as u32).div_ceil(block_dim);
-    let partial = AtomicBuf::zeroed(grid_dim as usize);
-    {
-        let (x, partial) = (&x, &partial);
-        dev.launch_blocks(grid_dim, block_dim, move |block, thread| {
-            let i = (block * block_dim + thread) as usize;
-            if i < n {
-                partial.fetch_add(block as usize, x.load(i) % 5);
-            }
-        });
-    }
-    let total: u64 = partial.to_vec().iter().map(|&v| u64::from(v)).sum();
-    let expect: u64 = (0..n as u32).map(|v| u64::from(v % 5)).sum();
-    assert_eq!(total, expect);
-    println!("block-reduce total {total} across {grid_dim} blocks");
-
-    // 4. Deterministic primitives (Algorithm 2's pipeline).
+    // 3. Deterministic primitives (Algorithm 2's pipeline).
     let mut keys: Vec<u64> = (0..50_000u64)
         .map(|i| (i * 2_654_435_761) % 100_000)
         .collect();
-    timer.time("sort_u64", || prims::sort_u64(&dev, &mut keys));
+    prims::sort_u64(&dev, &mut keys);
     assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     let ones = vec![1u32; keys.len()];
     let small_keys: Vec<u32> = keys.iter().map(|&k| (k / 1000) as u32).collect();
-    let (uniq, counts) = timer.time("reduce_by_key", || {
-        prims::reduce_by_key(&dev, &small_keys, &ones)
-    });
-    let offsets = timer.time("exclusive_scan", || prims::exclusive_scan(&dev, &counts));
+    let (uniq, counts) = prims::reduce_by_key(&dev, &small_keys, &ones);
+    let offsets = prims::exclusive_scan(&dev, &counts);
     println!(
         "sorted {} keys into {} groups; last group starts at offset {}",
         keys.len(),
@@ -73,7 +52,7 @@ fn main() {
         offsets.last().copied().unwrap_or(0)
     );
 
-    // 5. Frontier BFS over a synthetic DAG — the skeleton of the
+    // 4. Frontier BFS over a synthetic DAG — the skeleton of the
     //    partitioning kernel.
     let tdg = gpasta::circuits::dag::layered(256, 64, 2, 42);
     let dep = AtomicBuf::from_slice(&tdg.in_degrees());
@@ -90,7 +69,7 @@ fn main() {
         wsize.store(0, 0);
         {
             let (dep, handle, wsize, tdg) = (&dep, &handle, &wsize, &tdg);
-            dev.launch_timed(&timer, "bfs_wave", rsize, move |gid| {
+            dev.launch(rsize, move |gid| {
                 let cur = handle.load((roffset + gid) as usize);
                 for &nb in tdg.successors(gpasta::tdg::TaskId(cur)) {
                     if dep.fetch_sub(nb as usize, 1) == 1 {
@@ -109,14 +88,4 @@ fn main() {
         "frontier BFS covered {} tasks in {waves} waves",
         tdg.num_tasks()
     );
-
-    println!("\nkernel timings:");
-    for (name, count, total) in timer.report() {
-        println!(
-            "  {:<14} {:>4} launches {:>10.3} ms",
-            name,
-            count,
-            total.as_secs_f64() * 1e3
-        );
-    }
 }

@@ -23,11 +23,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Write both interchange files.
     let verilog = write_verilog(&netlist, "des_perf_demo");
     let liberty = write_liberty(&library, "typical");
-    std::fs::write("des_perf_demo.v", &verilog)?;
-    std::fs::write("typical.lib", &liberty)?;
+    let (v_path, lib_path) = (
+        std::env::temp_dir().join("des_perf_demo.v"),
+        std::env::temp_dir().join("typical.lib"),
+    );
+    std::fs::write(&v_path, &verilog)?;
+    std::fs::write(&lib_path, &liberty)?;
     println!(
-        "wrote des_perf_demo.v ({} lines) and typical.lib ({} lines)",
+        "wrote {} ({} lines) and {} ({} lines)",
+        v_path.display(),
         verilog.lines().count(),
+        lib_path.display(),
         liberty.lines().count()
     );
 

@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Export the G-PASTA result for Graphviz.
     let partition = GPasta::new().partition(&tdg, &PartitionerOptions::default())?;
     let dot = partition_to_dot(&tdg, &partition);
-    std::fs::write("quickstart_partition.dot", &dot)?;
-    println!("wrote quickstart_partition.dot (render with: dot -Tpng -O quickstart_partition.dot)");
+    let path = std::env::temp_dir().join("quickstart_partition.dot");
+    std::fs::write(&path, &dot)?;
+    println!("wrote {0} (render with: dot -Tpng -O {0})", path.display());
     Ok(())
 }

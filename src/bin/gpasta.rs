@@ -50,7 +50,7 @@ usage:
                [--kill <shard:attempt[:kind]> ..]
                [--chaos-seed <n>] [--chaos-rate <f>]
                [--checkpoint <file>] [--resume <file>]
-               [--kill-after-shards <n>] [--no-heal] [--bits]
+               [--kill-after-shards <n>] [--bits]
   gpasta serve [--addr <host:port>] [--stdio] [--spool <dir>]
                [--workers <n>] [--max-sessions <n>]
                [--checkpoint-ms <n>] [--max-inflight <n>]
@@ -701,7 +701,6 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
     let mut checkpoint = None;
     let mut resume = None;
     let mut kill_after_shards = None;
-    let mut heal = true;
     let mut bits = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -731,7 +730,6 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
             "--kill-after-shards" => {
                 kill_after_shards = Some(parse::<u32>("--kill-after-shards", it.next())?)
             }
-            "--no-heal" => heal = false,
             "--bits" => bits = true,
             other => return Err(unexpected(other)),
         }
@@ -759,7 +757,6 @@ fn shard_cmd(args: &[String]) -> Result<(), Error> {
     )
     .with_targets(kills);
     cfg.chaos_seed = chaos_seed;
-    cfg.heal = heal;
     cfg.checkpoint_to = checkpoint;
     cfg.resume_from = resume;
     cfg.kill_after_shards = kill_after_shards;

@@ -151,9 +151,6 @@ pub struct ShardRunConfig {
     pub faults: FaultPlan,
     /// Seed choosing *where inside the shard* an injected fault fires.
     pub chaos_seed: u64,
-    /// Re-run poisoned/unfinished shards in-process at the end so the
-    /// final report matches the single-process oracle bit for bit.
-    pub heal: bool,
     /// Capture the final [`TimingSnapshot`] in the outcome (differential
     /// tests want it; the CLI does not need the allocation).
     pub capture_snapshot: bool,
@@ -181,7 +178,6 @@ impl ShardRunConfig {
             stall_after: Duration::from_secs(10),
             faults: FaultPlan::none(),
             chaos_seed: 0,
-            heal: true,
             capture_snapshot: false,
             worker_exe: std::env::current_exe().unwrap_or_default(),
             checkpoint_to: None,

@@ -67,7 +67,7 @@ use super::{
     ShardRunConfig, ShardRunOutcome, ShardWork,
 };
 use crate::sched::{FaultKind, HeartbeatMonitor};
-use crate::sta::{BoundaryValues, DirtyCone, TaskKind};
+use crate::sta::{BoundaryValues, DirtyCone};
 use crate::tdg::{ShardPlan, TaskId};
 
 /// What a reader thread heard on its child's stdout — a frame, or why
@@ -537,27 +537,18 @@ pub fn run_sharded(cfg: &ShardRunConfig) -> Result<ShardRunOutcome, ShardError> 
 
     // Heal: execute every non-completed shard's tasks in-process, in
     // shard-id (topological) order — bit-identical to what a healthy
-    // worker would have computed. Without healing, mark the stale cone
-    // unknown so nobody mistakes it for a result.
+    // worker would have computed. A killed supervisor leaves them for the
+    // run that resumes its checkpoint.
     let mut healed_tasks = 0u64;
     if !killed {
         for (s, ShardWork { tasks, .. }) in work.iter().enumerate() {
             if states[s] == State::Completed {
                 continue;
             }
-            if cfg.heal {
-                for t in tasks.clone() {
-                    cone.execute_task(TaskId(t));
-                }
-                healed_tasks += tasks.len() as u64;
-            } else {
-                for t in tasks.clone() {
-                    match cone.decode(t) {
-                        (TaskKind::Fprop, v) => cone.data().mark_arrival_unknown(v),
-                        (TaskKind::Bprop, v) => cone.data().mark_required_unknown(v),
-                    }
-                }
+            for t in tasks.clone() {
+                cone.execute_task(TaskId(t));
             }
+            healed_tasks += tasks.len() as u64;
         }
     }
 
