@@ -73,7 +73,6 @@ mod fault;
 mod outcome;
 mod report;
 pub mod sim;
-mod supervise;
 mod taskflow;
 
 pub use bounded::{panic_message, BudgetClock, RunBudget};
@@ -83,5 +82,4 @@ pub use gpasta_tdg::{CancelObserver, CancelToken};
 pub use outcome::{FailureRecord, RecoverableWork, RetryPolicy, RunOutcome, StopCause, TaskError};
 pub use report::RunReport;
 pub use sim::{simulate_makespan, SimReport};
-pub use supervise::HeartbeatMonitor;
 pub use taskflow::Taskflow;

@@ -55,6 +55,7 @@
 
 pub mod checkpoint;
 pub mod errors;
+mod record;
 pub mod scheduled;
 pub mod serve;
 pub mod session;

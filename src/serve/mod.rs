@@ -17,7 +17,7 @@
 //!   port.
 //!
 //! Capacity is managed by eviction: `DELETE /sessions/{name}` writes
-//! the session's edit state to a `GPCKPT04` checkpoint in the spool
+//! the session's edit state to a `GPCKPT05` checkpoint in the spool
 //! directory and keeps only the light
 //! [`DormantSession`](crate::session::DormantSession) residue;
 //! `POST /sessions/{name}/restore` re-admits it, re-deriving every timing

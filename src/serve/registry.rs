@@ -9,7 +9,7 @@
 //! * **live** — an `Arc<Mutex<Session>>` (warm timer) plus its
 //!   [`Supervisor`]: the crash-recovery bookkeeping that
 //!   outlives any particular `Session` value;
-//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT04`
+//! * **dormant** — a [`DormantSession`] (source text plus a `GPCKPT05`
 //!   checkpoint in the spool directory), produced by eviction;
 //! * **quarantined** — the session crashed repeatedly inside the crash
 //!   window (or could not be rebuilt); only an explicit restore or
@@ -870,7 +870,7 @@ impl Registry {
         rows
     }
 
-    /// Evict a session: write its `GPCKPT04` checkpoint (the edit state,
+    /// Evict a session: write its `GPCKPT05` checkpoint (the edit state,
     /// pending edits included) into the spool, and swap the slot to
     /// dormant. Idempotent — evicting a dormant session returns its
     /// existing residue. The write runs no update, so no chaos point and

@@ -26,7 +26,7 @@
 //!   unwinds: a session that panicked is discarded, not repaired. The
 //!   paper's scheduled path is [`crate::scheduled::ScheduledTimer`];
 //! * [`Session::evict_to`] persists the session's edit state through the
-//!   `GPCKPT04` checkpoint format ([`crate::checkpoint`]) and returns a
+//!   `GPCKPT05` checkpoint format ([`crate::checkpoint`]) and returns a
 //!   [`DormantSession`] — the light in-memory residue (source texts plus
 //!   the checkpoint path) from which [`DormantSession::restore`] rebuilds
 //!   the live session.
@@ -258,7 +258,7 @@ pub struct UpdateOutcome {
 }
 
 /// The in-memory residue of an evicted session: design sources and the
-/// path of the `GPCKPT04` checkpoint holding its edit state.
+/// path of the `GPCKPT05` checkpoint holding its edit state.
 /// [`DormantSession::restore`] turns it back into a live [`Session`].
 #[derive(Debug, Clone)]
 pub struct DormantSession {
@@ -784,7 +784,7 @@ impl Session {
     }
 
     /// Persist the session's edit state, pending edits included, through
-    /// the `GPCKPT04` checkpoint format and return the [`DormantSession`]
+    /// the `GPCKPT05` checkpoint format and return the [`DormantSession`]
     /// residue to restore from. No update runs: the restore derives every
     /// value from the edit state (see the [module docs](self)).
     ///

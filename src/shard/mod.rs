@@ -6,10 +6,10 @@
 //! tasks execute inside a long-lived worker process
 //! (`gpasta shard-worker`, [`run_worker`]) that serves one shard after
 //! another while the parent supervisor ([`run_sharded`]) streams boundary
-//! timing values in and shard deltas out over `GPCKPT04`-framed pipes
-//! ([`wire`]). A worker is sent only the boundary cells it does not
-//! already hold (`boundary_set`), and the next round of a chain is queued
-//! in its stdin while the current one runs.
+//! timing values in and shard deltas out over pipes as records of the
+//! one checkpoint-and-frame format ([`wire`]). A worker is sent only the
+//! boundary cells it does not already hold (`boundary_set`), and the next
+//! round of a chain is queued in its stdin while the current one runs.
 //!
 //! The process boundary is what buys fault tolerance: a worker that
 //! panics, exits, or is `SIGKILL`ed takes down only its own address
@@ -36,6 +36,7 @@
 
 pub mod wire;
 
+mod heartbeat;
 mod pool;
 mod supervisor;
 mod worker;
@@ -45,20 +46,20 @@ pub use worker::{run_worker, WorkerArgs};
 
 use std::fmt;
 use std::fs;
+use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::checkpoint::{
-    check_format, modifier_batch, put_arr, put_bytes, put_u32, put_u64, write_atomically, FORMAT,
-};
+use crate::checkpoint::{io_error, modifier_batch};
 use crate::circuits::PaperCircuit;
+use crate::record::{self, put_arr, put_bytes, put_u32, put_u64, Reader, RecordError};
 use crate::sched::{fault_hash, splitmix64, FaultPlan, RetryPolicy};
 use crate::sta::{
     CellLibrary, DirtyCone, SnapshotMismatch, Timer, TimingGraph, TimingSnapshot, ValueSet,
 };
-use crate::tdg::{checksum, ShardPlan, ShardPlanError};
-use wire::{Reader, WireError};
+use crate::tdg::{ShardPlan, ShardPlanError};
+use wire::WireError;
 
 /// A sharded run failed.
 #[derive(Debug)]
@@ -332,11 +333,7 @@ pub(crate) fn fault_point(chaos_seed: u64, shard: u32, attempt: u32, tasks: u64)
 // Shard checkpoint: supervisor hand-off across its own death
 // ---------------------------------------------------------------------------
 
-// Disjoint from the wire frame kinds. Kind 16 held completed partition
-// ids, kind 17 a snapshot indexed by pin number (node ids before they were
-// level positions) under the same TDG fingerprint, and kind 18 named the
-// design by its update TDG's fingerprint, not its timing graph's: a file
-// of any of these kinds is refused, not misread.
+/// The record kind of a shard checkpoint.
 const CKPT_KIND: u8 = 19;
 
 /// The timing snapshot as a shard checkpoint stores it: clock-period bits,
@@ -359,7 +356,7 @@ fn put_snapshot(buf: &mut Vec<u8>, s: &TimingSnapshot) {
 }
 
 /// The section [`put_snapshot`] wrote.
-fn read_snapshot(r: &mut Reader<&[u8]>) -> Result<TimingSnapshot, WireError> {
+fn read_snapshot<R: Read>(r: &mut Reader<R>) -> Result<TimingSnapshot, RecordError> {
     Ok(TimingSnapshot {
         clock_period_bits: r.u32("clock period")?,
         slew: r.arr("slew")?,
@@ -401,7 +398,7 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
         put_bytes(&mut p, self.circuit.as_bytes());
         put_u64(&mut p, self.scale_bits);
@@ -414,65 +411,37 @@ impl ShardCheckpoint {
             .collect();
         put_arr(&mut p, &flat);
         put_snapshot(&mut p, &self.snapshot);
-        let mut buf = FORMAT.to_vec();
-        buf.push(CKPT_KIND);
-        put_u64(&mut buf, p.len() as u64);
-        buf.extend_from_slice(&p);
-        put_u64(&mut buf, checksum(&p));
-        buf
+        record::seal(CKPT_KIND, &p)
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, ShardError> {
-        let corrupt = |why: &str| ShardError::Checkpoint(why.to_string());
-        let head = 8 + 1 + 8;
-        if bytes.len() < head + 8 {
-            return Err(corrupt("file shorter than a checkpoint header"));
-        }
-        check_format(bytes).map_err(|e| ShardError::Checkpoint(e.to_string()))?;
-        if bytes[8] != CKPT_KIND {
-            return Err(corrupt("not a shard checkpoint"));
-        }
-        // The length is as untrusted as the rest: compare without adding
-        // to it (a hostile value would overflow).
-        let len = u64::from_le_bytes(bytes[9..17].try_into().expect("8 bytes"));
-        if len != (bytes.len() - head - 8) as u64 {
-            return Err(corrupt("payload length disagrees with the file size"));
-        }
-        let len = len as usize;
-        let payload = &bytes[head..head + len];
-        let stored = u64::from_le_bytes(bytes[head + len..].try_into().expect("8 bytes"));
-        if stored != checksum(payload) {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let mut r = Reader::new(payload, len as u64);
-        let take = |e: WireError| ShardError::Checkpoint(e.to_string());
-        let name_len = r.u32("circuit name length").map_err(take)? as usize;
-        let name = r.take(name_len, "circuit name").map_err(take)?;
-        let circuit = String::from_utf8(name).map_err(|_| corrupt("circuit name is not UTF-8"))?;
-        let scale_bits = r.u64("scale bits").map_err(take)?;
-        let seed = r.u64("seed").map_err(take)?;
-        let design_fingerprint = r.u64("design fingerprint").map_err(take)?;
-        let flat = r.arr("completed ranges").map_err(take)?;
-        if flat.len() % 2 != 0 {
-            return Err(corrupt("a completed range without an end"));
-        }
-        let completed_ranges: Vec<Range<u32>> = flat.chunks(2).map(|p| p[0]..p[1]).collect();
-        if completed_ranges.iter().any(Range::is_empty)
-            || completed_ranges.windows(2).any(|w| w[0].end >= w[1].start)
-        {
-            return Err(corrupt(
-                "completed ranges are not non-empty, sorted and merged",
-            ));
-        }
-        let snapshot = read_snapshot(&mut r).map_err(take)?;
-        r.done().map_err(take)?;
-        Ok(ShardCheckpoint {
-            circuit,
-            scale_bits,
-            seed,
-            design_fingerprint,
-            completed_ranges,
-            snapshot,
+    fn decode(bytes: &[u8]) -> Result<Self, RecordError> {
+        let corrupt = |why: &str| RecordError::Corrupt(why.to_string());
+        record::open(bytes, CKPT_KIND, |r| {
+            let circuit = String::from_utf8(r.counted_bytes("circuit name")?)
+                .map_err(|_| corrupt("circuit name is not UTF-8"))?;
+            let scale_bits = r.u64("scale bits")?;
+            let seed = r.u64("seed")?;
+            let design_fingerprint = r.u64("design fingerprint")?;
+            let flat = r.arr("completed ranges")?;
+            if flat.len() % 2 != 0 {
+                return Err(corrupt("a completed range without an end"));
+            }
+            let completed_ranges: Vec<Range<u32>> = flat.chunks(2).map(|p| p[0]..p[1]).collect();
+            if completed_ranges.iter().any(Range::is_empty)
+                || completed_ranges.windows(2).any(|w| w[0].end >= w[1].start)
+            {
+                return Err(corrupt(
+                    "completed ranges are not non-empty, sorted and merged",
+                ));
+            }
+            Ok(ShardCheckpoint {
+                circuit,
+                scale_bits,
+                seed,
+                design_fingerprint,
+                completed_ranges,
+                snapshot: read_snapshot(r)?,
+            })
         })
     }
 
@@ -485,9 +454,9 @@ impl ShardCheckpoint {
     ///
     /// [`ShardError::Io`] when the filesystem fails.
     pub fn write_to_path(&self, path: &Path) -> Result<(), ShardError> {
-        write_atomically(path, &self.encode()).map_err(|e| ShardError::Io {
+        record::write_atomically(path, &self.encode(), |path, op, source| ShardError::Io {
             op: "write checkpoint",
-            source: std::io::Error::other(e),
+            source: std::io::Error::other(io_error(path, op, source)),
         })
     }
 
@@ -503,7 +472,7 @@ impl ShardCheckpoint {
             op: "read checkpoint",
             source,
         })?;
-        Self::decode(&bytes)
+        Self::decode(&bytes).map_err(|e| ShardError::Checkpoint(e.to_string()))
     }
 }
 
@@ -570,10 +539,10 @@ pub fn run_in_plan_order(circuit: PaperCircuit, scale: f64, seed: u64) -> Single
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    pub(super) fn sample_checkpoint() -> ShardCheckpoint {
+    pub(crate) fn sample_checkpoint() -> ShardCheckpoint {
         ShardCheckpoint {
             circuit: "aes_core".into(),
             scale_bits: 1.5f64.to_bits(),
@@ -634,83 +603,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Damage and another format version reach the supervisor as a
+    /// checkpoint error naming the defect, a missing file as an I/O error.
     #[test]
     fn corrupt_checkpoints_are_rejected() {
-        let ck = sample_checkpoint();
-        let bytes = ck.encode();
-        assert!(ShardCheckpoint::decode(&bytes).is_ok());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x20;
+        let dir = std::env::temp_dir().join(format!("gpasta-shard-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("hand_off.ckpt");
+        let good = sample_checkpoint().encode();
+        let mut flipped = good.clone();
+        flipped[good.len() - 1] ^= 0x20;
+        let mut old = good.clone();
+        old[6..8].copy_from_slice(b"02");
+        let cut = good[..good.len() - 1].to_vec();
+        for (bytes, why) in [
+            (flipped, "checksum mismatch"),
+            (old, "format version \"02\""),
+            (cut, "mid-record"),
+        ] {
+            std::fs::write(&path, bytes).expect("write");
+            let err = ShardCheckpoint::read_from_path(&path).expect_err(why);
             assert!(
-                ShardCheckpoint::decode(&bad).is_err(),
-                "flip at byte {i} must be detected"
+                matches!(&err, ShardError::Checkpoint(m) if m.contains(why)),
+                "{err}"
             );
         }
-        assert!(
-            ShardCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err(),
-            "truncation must be detected"
-        );
+        std::fs::remove_dir_all(&dir).ok();
+        let err = ShardCheckpoint::read_from_path(&path).expect_err("gone");
+        assert!(matches!(err, ShardError::Io { .. }), "{err}");
     }
 
-    /// A hand-off file sealed as the previous format did ("GPCKPT02",
-    /// the same payload checksum) is refused as another format version,
-    /// not read as this one.
-    #[test]
-    fn a_gpckpt02_checkpoint_is_refused_as_another_format_version() {
-        let mut old = sample_checkpoint().encode();
-        old[..8].copy_from_slice(b"GPCKPT02");
-        let err = ShardCheckpoint::decode(&old).expect_err("old format");
-        assert!(
-            matches!(&err, ShardError::Checkpoint(why) if why.contains("format version \"02\"")),
-            "{err}"
-        );
-    }
-
-    /// A checkpoint of the old kind (completed partition ids) is refused,
-    /// not read as task ranges; so are ranges that are empty, unsorted or
-    /// not merged, even under an intact checksum.
+    /// A record of an old hand-off kind is refused, not read as task
+    /// ranges: 16 held completed partition ids, 17 a snapshot indexed by
+    /// pin number, 18 named the design by its update TDG's fingerprint.
+    /// So are ranges that are empty, unsorted or not merged, even under an
+    /// intact checksum.
     #[test]
     fn old_kind_checkpoints_and_unmerged_ranges_are_refused() {
-        let mut old = sample_checkpoint().encode();
-        old[8] = 16;
-        let err = ShardCheckpoint::decode(&old).expect_err("old kind");
-        assert!(err.to_string().contains("not a shard checkpoint"), "{err}");
+        for kind in [16, 17, 18] {
+            let mut old = sample_checkpoint().encode();
+            old[8] = kind;
+            let err = ShardCheckpoint::decode(&old).expect_err("old kind");
+            assert!(
+                err.to_string().contains(&format!("kind {kind}, not 19")),
+                "{err}"
+            );
+        }
         for ranges in [vec![0..2, 2..5], vec![3..7, 0..2], vec![1..3, 4..4]] {
             let mut ck = sample_checkpoint();
             ck.completed_ranges = ranges;
             let err = ShardCheckpoint::decode(&ck.encode()).expect_err("malformed ranges");
             assert!(err.to_string().contains("sorted and merged"), "{err}");
         }
-    }
-
-    /// A kind-17 checkpoint indexes its snapshot by pin number and carries
-    /// the TDG fingerprint this numbering keeps: restoring it would put
-    /// every value into another node, so it is refused.
-    #[test]
-    fn a_pin_numbered_checkpoint_is_refused() {
-        let mut old = sample_checkpoint().encode();
-        old[8] = 17;
-        let err = ShardCheckpoint::decode(&old).expect_err("pin-numbered snapshot");
-        assert!(
-            matches!(&err, ShardError::Checkpoint(why) if why.contains("not a shard checkpoint")),
-            "{err}"
-        );
-    }
-
-    /// A kind-18 checkpoint names its design by the update TDG's
-    /// fingerprint, which no process computes any more: it is refused with
-    /// a checkpoint error, not matched against the timing graph's.
-    #[test]
-    fn a_kind_18_checkpoint_is_refused() {
-        let mut old = sample_checkpoint().encode();
-        assert_eq!(old[8], CKPT_KIND);
-        old[8] = 18;
-        let err = ShardCheckpoint::decode(&old).expect_err("a TDG-named checkpoint");
-        assert!(
-            matches!(&err, ShardError::Checkpoint(why) if why.contains("not a shard checkpoint")),
-            "{err}"
-        );
     }
 
     #[test]

@@ -60,13 +60,14 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use super::heartbeat::HeartbeatMonitor;
 use super::pool::{Action, Event, Pool, State};
 use super::wire::{Frame, InjectedFault, WireError};
 use super::{
     boundary_set, build_timer, covered, fault_point, plan_and_work, ShardCheckpoint, ShardError,
     ShardRunConfig, ShardRunOutcome, ShardWork,
 };
-use crate::sched::{FaultKind, HeartbeatMonitor};
+use crate::sched::FaultKind;
 use crate::sta::{BoundaryValues, DirtyCone};
 use crate::tdg::{ShardPlan, TaskId};
 

@@ -309,7 +309,7 @@ fn a_killed_update_resumes_to_the_straight_runs_output() {
         stdout(&killed)
     );
     let header = std::fs::read(&ckpt).expect("the killed run left a checkpoint");
-    assert!(header.starts_with(b"GPCKPT04"));
+    assert!(header.starts_with(b"GPCKPT05"));
 
     let resumed = run(&["--resume", ckpt_arg]);
     assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
