@@ -144,28 +144,27 @@ pub fn random_dag(n: usize, avg_degree: f64, seed: u64) -> Tdg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpasta_tdg::critical_path_len;
 
     #[test]
     fn chain_shape() {
         let g = chain(10);
         assert_eq!(g.num_tasks(), 10);
         assert_eq!(g.num_deps(), 9);
-        assert_eq!(critical_path_len(&g), 10);
+        assert_eq!(g.levels().depth(), 10);
     }
 
     #[test]
     fn independent_shape() {
         let g = independent(8);
         assert_eq!(g.num_deps(), 0);
-        assert_eq!(critical_path_len(&g), 1);
+        assert_eq!(g.levels().depth(), 1);
     }
 
     #[test]
     fn layered_shape() {
         let g = layered(16, 10, 2, 1);
         assert_eq!(g.num_tasks(), 160);
-        assert_eq!(critical_path_len(&g), 10);
+        assert_eq!(g.levels().depth(), 10);
         // Every non-source level-1+ task has at least one predecessor.
         let levels = g.levels();
         assert_eq!(levels.depth(), 10);
@@ -183,7 +182,7 @@ mod tests {
         let g = fanin_tree(8);
         assert_eq!(g.num_tasks(), 15);
         assert_eq!(g.num_deps(), 14);
-        assert_eq!(critical_path_len(&g), 4);
+        assert_eq!(g.levels().depth(), 4);
         assert_eq!(g.sinks().len(), 1);
         assert_eq!(g.sources().len(), 8);
     }
@@ -194,7 +193,7 @@ mod tests {
         assert_eq!(g.num_tasks(), 18);
         // fork->arm, arm->join per block: 8 edges, plus 2 series links.
         assert_eq!(g.num_deps(), 26);
-        assert_eq!(critical_path_len(&g), 9);
+        assert_eq!(g.levels().depth(), 9);
     }
 
     #[test]

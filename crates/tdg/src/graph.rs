@@ -4,6 +4,7 @@ use crate::checksum::Checksum;
 use crate::csr::CsrTdg;
 use crate::error::BuildTdgError;
 use crate::level::Levels;
+use crate::recycle::{check_edges, TdgArena};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -46,8 +47,10 @@ impl From<u32> for TaskId {
 /// step 2) while dependency release counts come from fan-in degrees, and the
 /// STA engine propagates backward as well.
 ///
-/// Construction via [`TdgBuilder`] validates that the graph is a DAG; the
-/// invariant holds for the lifetime of the value.
+/// Every `Tdg` is built by one body ([`TdgBuilder`], [`TdgArena`] and the
+/// quotient share it) behind a proof that the graph is a DAG — a cycle
+/// check, or a caller's construction or certificate; the invariant holds
+/// for the lifetime of the value.
 #[derive(Debug, Clone)]
 pub struct Tdg {
     num_edges: usize,
@@ -60,8 +63,8 @@ pub struct Tdg {
     /// real time instead.
     weights: Vec<f32>,
     /// Lazily built level-ordered view (see [`Tdg::csr`]). Excluded from
-    /// equality and serialization: it is derived state, and two equal
-    /// graphs must compare equal whether or not either has built it.
+    /// equality: it is derived state, and two equal graphs must compare
+    /// equal whether or not either has built it.
     csr: OnceLock<CsrTdg>,
 }
 
@@ -76,44 +79,14 @@ impl PartialEq for Tdg {
     }
 }
 
-// Manual serde impls: the cached CSR view is derived state and must stay
-// off the wire (same JSON shape as the former field derive).
-impl Serialize for Tdg {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(Vec::from([
-            (String::from("num_edges"), self.num_edges.to_value()),
-            (String::from("fwd_off"), self.fwd_off.to_value()),
-            (String::from("fwd_adj"), self.fwd_adj.to_value()),
-            (String::from("rev_off"), self.rev_off.to_value()),
-            (String::from("rev_adj"), self.rev_adj.to_value()),
-            (String::from("weights"), self.weights.to_value()),
-        ]))
-    }
-}
-
-impl Deserialize for Tdg {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::FromValueError> {
-        Ok(Tdg {
-            num_edges: Deserialize::from_value(v.expect_field("num_edges")?)?,
-            fwd_off: Deserialize::from_value(v.expect_field("fwd_off")?)?,
-            fwd_adj: Deserialize::from_value(v.expect_field("fwd_adj")?)?,
-            rev_off: Deserialize::from_value(v.expect_field("rev_off")?)?,
-            rev_adj: Deserialize::from_value(v.expect_field("rev_adj")?)?,
-            weights: Deserialize::from_value(v.expect_field("weights")?)?,
-            csr: OnceLock::new(),
-        })
-    }
-}
-
 /// The five owned CSR buffers of a [`Tdg`] — `(fwd_off, fwd_adj,
 /// rev_off, rev_adj, weights)`, the argument order of `from_csr`.
 pub(crate) type CsrBuffers = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<f32>);
 
 impl Tdg {
-    /// Assemble a `Tdg` from pre-built CSR arrays. The caller guarantees
-    /// the arrays are consistent (matching offsets, deduplicated sorted
-    /// adjacency, acyclic edge set); used by the quotient builder's fast
-    /// path, which establishes all three by construction.
+    /// Assemble a `Tdg` from pre-built CSR arrays: the last step of
+    /// [`TdgArena::finish_build`](crate::TdgArena), the one build body,
+    /// whose callers establish that the edge set is acyclic.
     pub(crate) fn from_csr(
         fwd_off: Vec<u32>,
         fwd_adj: Vec<u32>,
@@ -350,118 +323,17 @@ impl TdgBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildTdgError::TaskOutOfRange`] or
-    /// [`BuildTdgError::SelfLoop`] for malformed edges, and
-    /// [`BuildTdgError::Cycle`] if the edge set is not acyclic.
-    pub fn build(mut self) -> Result<Tdg, BuildTdgError> {
-        if self.num_tasks > u32::MAX as usize {
-            return Err(BuildTdgError::TooManyTasks {
-                requested: self.num_tasks,
-            });
-        }
-        let n = self.num_tasks as u32;
-        for &(u, v) in &self.edges {
-            if u >= n {
-                return Err(BuildTdgError::TaskOutOfRange {
-                    task: u,
-                    num_tasks: n,
-                });
-            }
-            if v >= n {
-                return Err(BuildTdgError::TaskOutOfRange {
-                    task: v,
-                    num_tasks: n,
-                });
-            }
-            if u == v {
-                return Err(BuildTdgError::SelfLoop { task: u });
-            }
-        }
-
-        // Sort + dedup so adjacency lists are ordered and duplicate edges
-        // collapse (parallel edges would double-count dep_cnt releases).
-        // Two stable counting sorts replace the comparison sort: O(E + V),
-        // and the resulting order is identical to `sort_unstable + dedup`.
-        let (mut tmp, mut counts) = (Vec::new(), Vec::new());
-        crate::recycle::sort_and_dedup_edges(
-            self.num_tasks,
-            &mut self.edges,
-            &mut tmp,
-            &mut counts,
-        );
-
-        let num_edges = self.edges.len();
-        let n = self.num_tasks;
-
-        // Forward CSR via counting sort over `from`.
-        let mut fwd_off = vec![0u32; n + 1];
-        for &(u, _) in &self.edges {
-            fwd_off[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            fwd_off[i + 1] += fwd_off[i];
-        }
-        let mut fwd_adj = vec![0u32; num_edges];
-        {
-            let mut cursor = fwd_off.clone();
-            for &(u, v) in &self.edges {
-                let c = &mut cursor[u as usize];
-                fwd_adj[*c as usize] = v;
-                *c += 1;
-            }
-        }
-
-        // Reverse CSR via counting sort over `to`.
-        let mut rev_off = vec![0u32; n + 1];
-        for &(_, v) in &self.edges {
-            rev_off[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            rev_off[i + 1] += rev_off[i];
-        }
-        let mut rev_adj = vec![0u32; num_edges];
-        {
-            let mut cursor = rev_off.clone();
-            for &(u, v) in &self.edges {
-                let c = &mut cursor[v as usize];
-                rev_adj[*c as usize] = u;
-                *c += 1;
-            }
-        }
-
-        let tdg = Tdg {
-            num_edges,
-            fwd_off,
-            fwd_adj,
-            rev_off,
-            rev_adj,
-            weights: self.weights,
-            csr: OnceLock::new(),
-        };
-
-        // Kahn's algorithm: if not all tasks become ready, a cycle exists.
-        let mut indeg = tdg.in_degrees();
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut visited = 0usize;
-        while let Some(u) = queue.pop() {
-            visited += 1;
-            for &v in tdg.successors(TaskId(u)) {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if visited != n {
-            let witness = indeg
-                .iter()
-                .position(|&d| d > 0)
-                .expect("unvisited task must have positive residual in-degree")
-                as u32;
-            return Err(BuildTdgError::Cycle { witness });
-        }
-
-        Ok(tdg)
+    /// Returns [`BuildTdgError::TooManyTasks`] if the task count does not
+    /// fit the `u32` id space, [`BuildTdgError::TaskOutOfRange`] or
+    /// [`BuildTdgError::SelfLoop`] for the first malformed edge in
+    /// insertion order, and [`BuildTdgError::Cycle`] if the edge set is
+    /// not acyclic.
+    pub fn build(self) -> Result<Tdg, BuildTdgError> {
+        check_edges(self.num_tasks, &self.edges)?;
+        let mut arena = TdgArena::new();
+        arena.edges = self.edges;
+        arena.weights = self.weights;
+        arena.finish_checked(self.num_tasks)
     }
 }
 
@@ -607,14 +479,6 @@ mod tests {
         b.extend([(TaskId(0), TaskId(1)), (TaskId(1), TaskId(2))]);
         let g = b.build().expect("chain is a DAG");
         assert_eq!(g.num_deps(), 2);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = diamond();
-        let json = serde_json::to_string(&g).expect("serializes");
-        let back: Tdg = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(g, back);
     }
 
     #[test]

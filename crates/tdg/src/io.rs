@@ -7,6 +7,7 @@
 
 use crate::error::BuildTdgError;
 use crate::graph::{TaskId, Tdg, TdgBuilder};
+use crate::recycle::check_task_count;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -148,6 +149,9 @@ pub fn parse_edge_list(text: &str) -> Result<Tdg, ParseEdgeListError> {
         max_id as usize + 1
     };
     let num_tasks = declared_tasks.unwrap_or(implied).max(implied);
+    // Refuse a count past the id space before the builder allocates per
+    // task.
+    check_task_count(num_tasks)?;
 
     let mut b = TdgBuilder::with_capacity(num_tasks, edges.len());
     for (u, v) in edges {
@@ -219,6 +223,23 @@ mod tests {
             parse_edge_list("0 1\n1 0\n"),
             Err(ParseEdgeListError::Graph(BuildTdgError::Cycle { .. }))
         ));
+    }
+
+    #[test]
+    fn task_counts_past_the_id_space_are_refused() {
+        let refused = |text: &str, requested: usize| {
+            assert_eq!(
+                parse_edge_list(text),
+                Err(ParseEdgeListError::Graph(BuildTdgError::TooManyTasks {
+                    requested
+                })),
+                "{text:?}"
+            );
+        };
+        refused("# tasks: 18446744073709551615\n0 1\n", usize::MAX);
+        refused("# tasks: 4294967296\n", 1 << 32);
+        refused("0 4294967295\n", 1 << 32);
+        refused("# tasks: 2\n# weight: 4294967295 1.5\n", 1 << 32);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! provides:
 //!
 //! * [`Tdg`] — an immutable, validated DAG in compressed-sparse-row form with
-//!   both forward (successor) and reverse (predecessor) adjacency, built via
-//!   [`TdgBuilder`];
+//!   both forward (successor) and reverse (predecessor) adjacency. One build
+//!   body makes every `Tdg`: [`TdgBuilder`] runs it once, [`TdgArena`] on
+//!   recycled buffers (checked, or trusted for edges that are valid by
+//!   construction), and the quotient builder on the arena it owns;
 //! * [`Levels`] — BFS levelisation (the backbone of every partitioner in the
-//!   paper) and parallelism profiles;
+//!   paper; its `order()` is a topological order, its `depth()` the
+//!   critical path in tasks) and [`ParallelismProfile`];
 //! * [`Partition`] — a clustering of tasks into partitions, the output type
 //!   of every partitioner, plus [`PartitionStats`];
 //! * [`quotient`] — construction of the *partitioned TDG*
@@ -74,4 +77,4 @@ pub use partition::{Partition, PartitionId, PartitionStats};
 pub use quotient::{QuotientArena, QuotientTdg};
 pub use recycle::{ArenaTdgBuilder, TdgArena};
 pub use shard::{ShardPlan, ShardPlanError, TaskSuccessors};
-pub use topo::{critical_path_len, topo_order, ParallelismProfile};
+pub use topo::ParallelismProfile;

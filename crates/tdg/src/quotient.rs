@@ -6,6 +6,12 @@
 //! has one node per partition and a deduplicated edge `P -> Q` whenever some
 //! task in `P` precedes some task in `Q`.
 //!
+//! The quotient graph is a [`Tdg`] built by the same body as every other:
+//! the cross pairs and the summed member weights are staged in the
+//! [`TdgArena`] a [`QuotientArena`] owns, and the body sorts and
+//! deduplicates the pairs and fills both CSR directions. Only the proof of
+//! acyclicity is the quotient's own.
+//!
 //! # Certificates
 //!
 //! [`QuotientTdg::build_in`] has to establish two orders: that the quotient
@@ -18,7 +24,9 @@
 //!   differ). Then ascending pid is a topological order of the quotient,
 //!   which is therefore acyclic. This is what §3.2's rule
 //!   `pid(i) = max{pid(j) | j ∈ PRE(i)}` produces. *Fallback:* the Kahn
-//!   drain over the quotient, which decides acyclicity for any numbering.
+//!   drain every checked build uses, over the quotient, which decides
+//!   acyclicity for any numbering and names the same witness a
+//!   [`TdgBuilder`](crate::TdgBuilder) over the cross pairs would.
 //! * **task ids rise along every edge** (`u < v`). Then ascending task id
 //!   is a topological order of the TDG, and the member order is a
 //!   sequential counting sort of `0..n` by partition. This is how
@@ -62,12 +70,12 @@
 use crate::error::ValidatePartitionError;
 use crate::graph::{TaskId, Tdg};
 use crate::partition::{Partition, PartitionId};
-use serde::{Deserialize, Serialize};
+use crate::recycle::{kahn_drain, TdgArena};
 use std::borrow::Cow;
 
 /// A quotient TDG: the coarse graph over partitions, plus the sequential
 /// member order of every partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuotientTdg {
     graph: Tdg,
     /// Member tasks of every partition in *original-TDG topological
@@ -78,11 +86,12 @@ pub struct QuotientTdg {
 }
 
 /// Reusable buffers for repeated [`QuotientTdg`] construction — the
-/// [`crate::TdgArena`] lifecycle applied to the quotient. Incremental
-/// flows rebuild the quotient every iteration; the arena owns the edge
-/// staging, CSR, Kahn scratch, and execution-order buffers so
-/// steady-state rebuilds touch the allocator only while a new high-water
-/// mark is being established.
+/// [`TdgArena`] lifecycle applied to the quotient. Incremental flows
+/// rebuild the quotient every iteration; the arena owns the
+/// [`TdgArena`] the quotient graph is built on (edge staging, CSR, Kahn
+/// scratch) and the execution-order buffers, so steady-state rebuilds
+/// touch the allocator only while a new high-water mark is being
+/// established.
 ///
 /// ```text
 /// QuotientTdg::build_in(&tdg, &part, &mut arena) -> QuotientTdg
@@ -95,27 +104,19 @@ pub struct QuotientTdg {
 /// [`QuotientTdg::build`] output (which delegates here).
 #[derive(Debug, Default)]
 pub struct QuotientArena {
-    /// Cross-partition edge staging.
-    cross: Vec<(u32, u32)>,
-    /// Counting-sort / scatter cursors (reused across all passes).
+    /// The quotient graph's build: cross pairs and summed weights are
+    /// staged here and [`TdgArena::finish_build`] turns them into CSR.
+    graph: TdgArena,
+    /// Scatter cursors of the member orders.
     cursor: Vec<u32>,
-    /// Pre-dedup forward offsets.
-    raw_off: Vec<u32>,
-    /// Kahn residual in-degrees.
-    indeg: Vec<u32>,
-    /// Kahn ready stack; the surviving partitions of a restriction.
-    stack: Vec<u32>,
+    /// The surviving partitions of a restriction.
+    survivors: Vec<u32>,
     /// Global topological order of the original TDG.
     topo: Vec<u32>,
     /// Per partition of the quotient being restricted: its member count,
     /// then its new id plus one. All zero between restrictions.
     kept: Vec<u32>,
-    /// Recycled output buffers, if a quotient has been returned.
-    fwd_off: Vec<u32>,
-    fwd_adj: Vec<u32>,
-    rev_off: Vec<u32>,
-    rev_adj: Vec<u32>,
-    weights: Vec<f32>,
+    /// Recycled member-order buffers, if a quotient has been returned.
     exec_flat: Vec<u32>,
     exec_off: Vec<u32>,
 }
@@ -129,81 +130,9 @@ impl QuotientArena {
 
     /// Take a finished quotient's buffers back for the next build.
     pub fn recycle(&mut self, quotient: QuotientTdg) {
-        let QuotientTdg {
-            graph,
-            exec_flat,
-            exec_off,
-        } = quotient;
-        self.recycle_graph(graph);
-        self.exec_flat = exec_flat;
-        self.exec_off = exec_off;
-    }
-
-    fn recycle_graph(&mut self, graph: Tdg) {
-        let (fwd_off, fwd_adj, rev_off, rev_adj, weights) = graph.into_buffers();
-        self.fwd_off = fwd_off;
-        self.fwd_adj = fwd_adj;
-        self.rev_off = rev_off;
-        self.rev_adj = rev_adj;
-        if weights.capacity() > self.weights.capacity() {
-            self.weights = weights;
-        }
-    }
-
-    /// The quotient graph over `weights.len()` partitions whose forward
-    /// CSR is `fwd_off` / `fwd_adj` (rows sorted and deduplicated): the
-    /// reverse CSR is a counting sort of the forward one, on recycled
-    /// buffers.
-    fn graph_from_forward(
-        &mut self,
-        fwd_off: Vec<u32>,
-        fwd_adj: Vec<u32>,
-        weights: Vec<f32>,
-    ) -> Tdg {
-        let np = weights.len();
-        let mut rev_off = std::mem::take(&mut self.rev_off);
-        rev_off.clear();
-        rev_off.resize(np + 1, 0);
-        for &v in &fwd_adj {
-            rev_off[v as usize + 1] += 1;
-        }
-        for p in 0..np {
-            rev_off[p + 1] += rev_off[p];
-        }
-        let mut rev_adj = std::mem::take(&mut self.rev_adj);
-        rev_adj.clear();
-        rev_adj.resize(fwd_adj.len(), 0);
-        let cursor = &mut self.cursor;
-        cursor.clear();
-        cursor.extend_from_slice(&rev_off);
-        for p in 0..np {
-            for &v in &fwd_adj[fwd_off[p] as usize..fwd_off[p + 1] as usize] {
-                rev_adj[cursor[v as usize] as usize] = p as u32;
-                cursor[v as usize] += 1;
-            }
-        }
-        Tdg::from_csr(fwd_off, fwd_adj, rev_off, rev_adj, weights)
-    }
-}
-
-/// LIFO Kahn drain of `graph` on recycled scratch: appends the pop order
-/// to `order`, which holds every node iff the drain met no cycle, and
-/// leaves the residual in-degrees in `indeg`.
-fn kahn_drain(graph: &Tdg, indeg: &mut Vec<u32>, stack: &mut Vec<u32>, order: &mut Vec<u32>) {
-    let n = graph.num_tasks() as u32;
-    indeg.clear();
-    indeg.extend((0..n).map(|t| graph.in_degree(TaskId(t))));
-    stack.clear();
-    stack.extend((0..n).filter(|&t| indeg[t as usize] == 0));
-    order.clear();
-    while let Some(t) = stack.pop() {
-        order.push(t);
-        for &s in graph.successors(TaskId(t)) {
-            indeg[s as usize] -= 1;
-            if indeg[s as usize] == 0 {
-                stack.push(s);
-            }
-        }
+        self.graph.recycle(quotient.graph);
+        self.exec_flat = quotient.exec_flat;
+        self.exec_off = quotient.exec_off;
     }
 }
 
@@ -247,12 +176,12 @@ impl QuotientTdg {
         let np = partition.num_partitions();
         let assignment = partition.assignment();
 
-        // Forward CSR over cross-partition edges via counting sort by
-        // source partition, then per-bucket sort + dedup (buckets are
-        // small, so this beats one global edge sort on large TDGs). The
-        // scan also checks the two certificates of the module docs.
-        let cross = &mut arena.cross;
-        cross.clear();
+        // Cross-partition pairs and summed member weights, built into the
+        // quotient graph by the one build body, which sorts and
+        // deduplicates the pairs. The scan also checks the two
+        // certificates of the module docs.
+        let staged = &mut arena.graph;
+        staged.edges.clear();
         let mut ids_rise = true;
         let mut pids_rise = true;
         for u in 0..n as u32 {
@@ -262,70 +191,23 @@ impl QuotientTdg {
                 let pv = assignment[v as usize];
                 if pu != pv {
                     pids_rise &= pu < pv;
-                    cross.push((pu, pv));
+                    staged.edges.push((pu, pv));
                 }
             }
         }
-        let raw_off = &mut arena.raw_off;
-        raw_off.clear();
-        raw_off.resize(np + 1, 0);
-        for &(pu, _) in cross.iter() {
-            raw_off[pu as usize + 1] += 1;
-        }
-        for p in 0..np {
-            raw_off[p + 1] += raw_off[p];
-        }
-        let mut fwd_adj = std::mem::take(&mut arena.fwd_adj);
-        fwd_adj.clear();
-        fwd_adj.resize(cross.len(), 0);
-        {
-            let cursor = &mut arena.cursor;
-            cursor.clear();
-            cursor.extend_from_slice(raw_off);
-            for &(pu, pv) in cross.iter() {
-                let c = &mut cursor[pu as usize];
-                fwd_adj[*c as usize] = pv;
-                *c += 1;
-            }
-        }
-        // Per-bucket sort + in-place dedup, compacting the arrays.
-        let mut fwd_off = std::mem::take(&mut arena.fwd_off);
-        fwd_off.clear();
-        fwd_off.resize(np + 1, 0);
-        let mut write = 0usize;
-        for p in 0..np {
-            let (lo, hi) = (raw_off[p] as usize, raw_off[p + 1] as usize);
-            fwd_adj[lo..hi].sort_unstable();
-            let mut prev = u32::MAX;
-            for i in lo..hi {
-                let v = fwd_adj[i];
-                if v != prev {
-                    fwd_adj[write] = v;
-                    write += 1;
-                    prev = v;
-                }
-            }
-            fwd_off[p + 1] = write as u32;
-        }
-        fwd_adj.truncate(write);
-
-        // Partition weights: sum of member task weights.
-        let mut weights = std::mem::take(&mut arena.weights);
-        weights.clear();
-        weights.resize(np, 0.0);
+        staged.weights.clear();
+        staged.weights.resize(np, 0.0);
         for (t, &p) in assignment.iter().enumerate() {
-            weights[p as usize] += tdg.weight(TaskId(t as u32));
+            staged.weights[p as usize] += tdg.weight(TaskId(t as u32));
         }
-
-        let graph = arena.graph_from_forward(fwd_off, fwd_adj, weights);
+        let graph = staged.finish_build(np);
 
         // Acyclicity: rising pids are a topological order of the quotient;
         // any other numbering is decided by a drain.
         if !pids_rise {
-            kahn_drain(&graph, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
-            if arena.topo.len() != np {
-                let witness = arena.indeg.iter().position(|&d| d > 0).unwrap_or(0) as u32;
-                arena.recycle_graph(graph);
+            let g = &mut arena.graph;
+            if let Err(witness) = kahn_drain(&graph, &mut g.indeg, &mut g.stack, &mut arena.topo) {
+                g.recycle(graph);
                 return Err(ValidatePartitionError::QuotientCycle {
                     witness_pid: witness,
                 });
@@ -361,7 +243,9 @@ impl QuotientTdg {
         if ids_rise {
             (0..n as u32).for_each(place);
         } else {
-            kahn_drain(tdg, &mut arena.indeg, &mut arena.stack, &mut arena.topo);
+            let g = &mut arena.graph;
+            let drained = kahn_drain(tdg, &mut g.indeg, &mut g.stack, &mut arena.topo);
+            debug_assert!(drained.is_ok(), "a Tdg is acyclic");
             arena.topo.iter().copied().for_each(place);
         }
 
@@ -428,7 +312,7 @@ impl QuotientTdg {
         if kept.len() < self.num_partitions() {
             kept.resize(self.num_partitions(), 0);
         }
-        let mut survivors = std::mem::take(&mut arena.stack);
+        let mut survivors = std::mem::take(&mut arena.survivors);
         survivors.clear();
         for &t in members {
             let p = pid_of[t as usize];
@@ -447,25 +331,23 @@ impl QuotientTdg {
             kept[p as usize] = new as u32 + 1;
         }
 
-        // A surviving row of the full forward CSR, filtered to survivors
-        // and renumbered, is still sorted and deduplicated: the new ids
-        // ascend with the old ones.
-        let mut fwd_off = std::mem::take(&mut arena.fwd_off);
-        fwd_off.clear();
-        fwd_off.push(0);
-        let mut fwd_adj = std::mem::take(&mut arena.fwd_adj);
-        fwd_adj.clear();
-        for &p in &survivors {
-            let row = self.graph.successors(TaskId(p)).iter();
-            fwd_adj.extend(row.filter_map(|&s| kept[s as usize].checked_sub(1)));
-            fwd_off.push(fwd_adj.len() as u32);
+        // A surviving row of the full quotient, filtered to survivors and
+        // renumbered, is still sorted and deduplicated: the new ids ascend
+        // with the old ones.
+        let staged = &mut arena.graph;
+        staged.edges.clear();
+        for (new, &p) in survivors.iter().enumerate() {
+            for &s in self.graph.successors(TaskId(p)) {
+                if let Some(s) = kept[s as usize].checked_sub(1) {
+                    staged.edges.push((new as u32, s));
+                }
+            }
         }
 
         // Members and weights: the counting sort of `build_in`, over the
         // ascending members.
-        let mut weights = std::mem::take(&mut arena.weights);
-        weights.clear();
-        weights.resize(np, 0.0);
+        staged.weights.clear();
+        staged.weights.resize(np, 0.0);
         let mut exec_flat = std::mem::take(&mut arena.exec_flat);
         exec_flat.clear();
         exec_flat.resize(members.len(), 0);
@@ -474,7 +356,7 @@ impl QuotientTdg {
         cursor.extend_from_slice(&exec_off);
         for &t in members {
             let new = (kept[pid_of[t as usize] as usize] - 1) as usize;
-            weights[new] += tdg.weight(TaskId(t));
+            staged.weights[new] += tdg.weight(TaskId(t));
             exec_flat[cursor[new] as usize] = t;
             cursor[new] += 1;
         }
@@ -498,9 +380,9 @@ impl QuotientTdg {
             kept[p as usize] = 0;
         }
         arena.kept = kept;
-        arena.stack = survivors;
+        arena.survivors = survivors;
 
-        let graph = arena.graph_from_forward(fwd_off, fwd_adj, weights);
+        let graph = arena.graph.finish_build(np);
         Cow::Owned(QuotientTdg {
             graph,
             exec_flat,
@@ -652,13 +534,13 @@ mod tests {
         arena.recycle(first);
         let caps = |a: &QuotientArena| {
             (
-                a.cross.capacity(),
+                a.graph.edges.capacity(),
                 a.cursor.capacity(),
                 a.topo.capacity(),
-                a.fwd_off.capacity(),
-                a.fwd_adj.capacity(),
-                a.rev_off.capacity(),
-                a.rev_adj.capacity(),
+                a.graph.fwd_off.capacity(),
+                a.graph.fwd_adj.capacity(),
+                a.graph.rev_off.capacity(),
+                a.graph.rev_adj.capacity(),
                 a.exec_flat.capacity(),
                 a.exec_off.capacity(),
             )

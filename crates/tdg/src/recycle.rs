@@ -1,6 +1,12 @@
-//! Recycled [`Tdg`] construction: build the same validated graph the
-//! [`TdgBuilder`](crate::TdgBuilder) produces, without the per-build
-//! allocations and without the comparison sort.
+//! The one place a [`Tdg`] is built.
+//!
+//! Every graph in this crate comes out of [`TdgArena::finish_build`]: a
+//! [`TdgBuilder`](crate::TdgBuilder) runs it on an arena made from its own
+//! vectors, an [`ArenaTdgBuilder`] on recycled buffers, and the quotient
+//! builder on the [`TdgArena`] its [`QuotientArena`](crate::QuotientArena)
+//! owns. The checked paths put [`check_edges`] in front of it and
+//! [`kahn_drain`] behind it; the quotient proves acyclicity its own way
+//! and falls back to the same drain.
 //!
 //! `Timer::update_timing` builds a fresh TDG every incremental iteration —
 //! the 59 %-of-update "task graph construction" slice of the paper's
@@ -8,13 +14,11 @@
 //! (edge staging, CSR arrays, cycle-check scratch) and takes finished
 //! graphs back via [`TdgArena::recycle`], so steady-state rebuilds touch
 //! the allocator only while a new high-water mark is being established.
-//! DESIGN.md §13 documents the contract.
+//! DESIGN.md §13.4 documents the contract.
 //!
 //! Edge ordering uses two stable counting sorts (by target, then by
-//! source) instead of `sort_unstable` — O(E) instead of O(E log E), and
-//! it yields exactly the `(from, to)`-sorted, deduplicated adjacency the
-//! legacy builder produces, so arena-built graphs are bit-identical to
-//! builder-built ones.
+//! source) — O(E + V), and it yields exactly the `(from, to)`-sorted,
+//! deduplicated adjacency `sort_unstable` + `dedup` would.
 
 use crate::error::BuildTdgError;
 use crate::graph::{TaskId, Tdg};
@@ -35,21 +39,22 @@ use crate::graph::{TaskId, Tdg};
 #[derive(Debug, Default)]
 pub struct TdgArena {
     /// Edge staging area (also the final sorted buffer).
-    edges: Vec<(u32, u32)>,
+    pub(crate) edges: Vec<(u32, u32)>,
     /// Scratch for the first counting-sort pass.
     tmp: Vec<(u32, u32)>,
-    /// Counting-sort bucket cursors.
+    /// Counting-sort bucket cursors; the cycle check's pop order.
     counts: Vec<u32>,
     /// Cycle-check residual in-degrees.
-    indeg: Vec<u32>,
-    /// Cycle-check ready queue.
-    queue: Vec<u32>,
-    /// Recycled CSR output buffers, if a graph has been returned.
-    fwd_off: Vec<u32>,
-    fwd_adj: Vec<u32>,
-    rev_off: Vec<u32>,
-    rev_adj: Vec<u32>,
-    weights: Vec<f32>,
+    pub(crate) indeg: Vec<u32>,
+    /// Cycle-check ready stack.
+    pub(crate) stack: Vec<u32>,
+    /// CSR output buffers, recycled once a graph has been returned.
+    pub(crate) fwd_off: Vec<u32>,
+    pub(crate) fwd_adj: Vec<u32>,
+    pub(crate) rev_off: Vec<u32>,
+    pub(crate) rev_adj: Vec<u32>,
+    /// Staged task weights, moved into the built graph.
+    pub(crate) weights: Vec<f32>,
 }
 
 impl TdgArena {
@@ -82,6 +87,76 @@ impl TdgArena {
         // larger of the two capacities.
         if weights.capacity() > self.weights.capacity() {
             self.weights = weights;
+        }
+    }
+
+    /// The one build body: sort and deduplicate the staged edges (a
+    /// parallel edge would double-count a `dep_cnt` release), fill the
+    /// forward and reverse CSR from them, and move the staged weights in.
+    /// Proves nothing about the edges; [`finish_checked`](Self::finish_checked)
+    /// adds the cycle check.
+    pub(crate) fn finish_build(&mut self, num_tasks: usize) -> Tdg {
+        sort_and_dedup_edges(num_tasks, &mut self.edges, &mut self.tmp, &mut self.counts);
+        let num_edges = self.edges.len();
+
+        // Forward CSR: edges are sorted by (from, to), so one linear scan
+        // fills offsets and adjacency in order.
+        let fwd_off = &mut self.fwd_off;
+        let fwd_adj = &mut self.fwd_adj;
+        fwd_off.clear();
+        fwd_off.resize(num_tasks + 1, 0);
+        fwd_adj.clear();
+        fwd_adj.reserve(num_edges);
+        for &(u, v) in &self.edges {
+            fwd_off[u as usize + 1] += 1;
+            fwd_adj.push(v);
+        }
+        for i in 0..num_tasks {
+            fwd_off[i + 1] += fwd_off[i];
+        }
+
+        // Reverse CSR via counting sort over `to`; iterating the
+        // (from, to)-sorted edges keeps each predecessor list ascending.
+        let rev_off = &mut self.rev_off;
+        let rev_adj = &mut self.rev_adj;
+        rev_off.clear();
+        rev_off.resize(num_tasks + 1, 0);
+        rev_adj.clear();
+        rev_adj.resize(num_edges, 0);
+        for &(_, v) in &self.edges {
+            rev_off[v as usize + 1] += 1;
+        }
+        for i in 0..num_tasks {
+            rev_off[i + 1] += rev_off[i];
+        }
+        self.counts.clear();
+        self.counts.extend_from_slice(&rev_off[..num_tasks]);
+        for &(u, v) in &self.edges {
+            let c = &mut self.counts[v as usize];
+            rev_adj[*c as usize] = u;
+            *c += 1;
+        }
+
+        Tdg::from_csr(
+            std::mem::take(fwd_off),
+            std::mem::take(fwd_adj),
+            std::mem::take(rev_off),
+            std::mem::take(rev_adj),
+            std::mem::take(&mut self.weights),
+        )
+    }
+
+    /// [`finish_build`](Self::finish_build), then the cycle check: a graph
+    /// that does not drain goes back to the arena and the drain's witness
+    /// comes out as [`BuildTdgError::Cycle`].
+    pub(crate) fn finish_checked(&mut self, num_tasks: usize) -> Result<Tdg, BuildTdgError> {
+        let tdg = self.finish_build(num_tasks);
+        match kahn_drain(&tdg, &mut self.indeg, &mut self.stack, &mut self.counts) {
+            Ok(()) => Ok(tdg),
+            Err(witness) => {
+                self.recycle(tdg);
+                Err(BuildTdgError::Cycle { witness })
+            }
         }
     }
 }
@@ -127,35 +202,10 @@ impl ArenaTdgBuilder<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildTdgError::TaskOutOfRange`],
-    /// [`BuildTdgError::SelfLoop`], or [`BuildTdgError::Cycle`] exactly as
-    /// the plain builder does.
+    /// Exactly as [`TdgBuilder::build`](crate::TdgBuilder::build).
     pub fn build(self) -> Result<Tdg, BuildTdgError> {
-        let ArenaTdgBuilder { arena, num_tasks } = self;
-        if num_tasks > u32::MAX as usize {
-            return Err(BuildTdgError::TooManyTasks {
-                requested: num_tasks,
-            });
-        }
-        let n32 = num_tasks as u32;
-        for &(u, v) in &arena.edges {
-            if u >= n32 {
-                return Err(BuildTdgError::TaskOutOfRange {
-                    task: u,
-                    num_tasks: n32,
-                });
-            }
-            if v >= n32 {
-                return Err(BuildTdgError::TaskOutOfRange {
-                    task: v,
-                    num_tasks: n32,
-                });
-            }
-            if u == v {
-                return Err(BuildTdgError::SelfLoop { task: u });
-            }
-        }
-        finish_build(arena, num_tasks, true)
+        check_edges(self.num_tasks, &self.arena.edges)?;
+        self.arena.finish_checked(self.num_tasks)
     }
 
     /// [`build`](Self::build) for callers whose edges are valid and
@@ -173,128 +223,80 @@ impl ArenaTdgBuilder<'_> {
     /// edge set panics on an out-of-bounds index inside construction
     /// instead of reporting a typed error.
     pub fn build_trusted(self) -> Tdg {
-        let ArenaTdgBuilder { arena, num_tasks } = self;
-        #[cfg(debug_assertions)]
-        {
-            let n32 = num_tasks as u32;
-            for &(u, v) in &arena.edges {
-                debug_assert!(u < n32 && v < n32, "edge ({u}, {v}) out of range {n32}");
-                debug_assert!(u != v, "self loop on task {u}");
-            }
+        if !cfg!(debug_assertions) {
+            return self.arena.finish_build(self.num_tasks);
         }
-        match finish_build(arena, num_tasks, cfg!(debug_assertions)) {
+        match self.build() {
             Ok(tdg) => tdg,
             Err(e) => panic!("build_trusted on an invalid edge set: {e}"),
         }
     }
 }
 
-/// Shared tail of [`ArenaTdgBuilder::build`] and
-/// [`ArenaTdgBuilder::build_trusted`]: sort + dedup, CSR construction,
-/// and (when `check_cycles`) the Kahn drain.
-fn finish_build(
-    arena: &mut TdgArena,
-    num_tasks: usize,
-    check_cycles: bool,
-) -> Result<Tdg, BuildTdgError> {
-    sort_and_dedup_edges(
-        num_tasks,
-        &mut arena.edges,
-        &mut arena.tmp,
-        &mut arena.counts,
-    );
-    {
-        let num_edges = arena.edges.len();
+/// `num_tasks` as a task-id bound, or [`BuildTdgError::TooManyTasks`] if
+/// ids `0..num_tasks` do not fit a `u32`.
+pub(crate) fn check_task_count(num_tasks: usize) -> Result<u32, BuildTdgError> {
+    u32::try_from(num_tasks).map_err(|_| BuildTdgError::TooManyTasks {
+        requested: num_tasks,
+    })
+}
 
-        // Forward CSR: edges are sorted by (from, to), so one linear scan
-        // fills offsets and adjacency in order.
-        let fwd_off = &mut arena.fwd_off;
-        let fwd_adj = &mut arena.fwd_adj;
-        fwd_off.clear();
-        fwd_off.resize(num_tasks + 1, 0);
-        fwd_adj.clear();
-        fwd_adj.reserve(num_edges);
-        for &(u, v) in &arena.edges {
-            fwd_off[u as usize + 1] += 1;
-            fwd_adj.push(v);
+/// The edge check of every checked build: the task count fits the id
+/// space, and each edge, in order, names two distinct tasks below it.
+pub(crate) fn check_edges(num_tasks: usize, edges: &[(u32, u32)]) -> Result<(), BuildTdgError> {
+    let n = check_task_count(num_tasks)?;
+    for &(u, v) in edges {
+        if u >= n || v >= n {
+            let task = if u >= n { u } else { v };
+            return Err(BuildTdgError::TaskOutOfRange { task, num_tasks: n });
         }
-        for i in 0..num_tasks {
-            fwd_off[i + 1] += fwd_off[i];
+        if u == v {
+            return Err(BuildTdgError::SelfLoop { task: u });
         }
-
-        // Reverse CSR via counting sort over `to`; iterating the
-        // (from, to)-sorted edges keeps each predecessor list ascending.
-        let rev_off = &mut arena.rev_off;
-        let rev_adj = &mut arena.rev_adj;
-        rev_off.clear();
-        rev_off.resize(num_tasks + 1, 0);
-        rev_adj.clear();
-        rev_adj.resize(num_edges, 0);
-        for &(_, v) in &arena.edges {
-            rev_off[v as usize + 1] += 1;
-        }
-        for i in 0..num_tasks {
-            rev_off[i + 1] += rev_off[i];
-        }
-        arena.counts.clear();
-        arena.counts.extend_from_slice(&rev_off[..num_tasks]);
-        for &(u, v) in &arena.edges {
-            let c = &mut arena.counts[v as usize];
-            rev_adj[*c as usize] = u;
-            *c += 1;
-        }
-
-        let tdg = Tdg::from_csr(
-            std::mem::take(fwd_off),
-            std::mem::take(fwd_adj),
-            std::mem::take(rev_off),
-            std::mem::take(rev_adj),
-            std::mem::take(&mut arena.weights),
-        );
-
-        // Kahn's algorithm on recycled scratch: all tasks must drain.
-        // Trusted builds skip this in release (DAG by construction).
-        if check_cycles {
-            arena.indeg.clear();
-            arena
-                .indeg
-                .extend((0..num_tasks).map(|i| tdg.in_degree(TaskId(i as u32))));
-            arena.queue.clear();
-            arena
-                .queue
-                .extend((0..num_tasks as u32).filter(|&v| arena.indeg[v as usize] == 0));
-            let mut visited = 0usize;
-            while let Some(u) = arena.queue.pop() {
-                visited += 1;
-                for &v in tdg.successors(TaskId(u)) {
-                    arena.indeg[v as usize] -= 1;
-                    if arena.indeg[v as usize] == 0 {
-                        arena.queue.push(v);
-                    }
-                }
-            }
-            if visited != num_tasks {
-                let witness = arena
-                    .indeg
-                    .iter()
-                    .position(|&d| d > 0)
-                    .expect("unvisited task must have positive residual in-degree")
-                    as u32;
-                // Reclaim the rejected graph's buffers before bailing.
-                arena.recycle(tdg);
-                return Err(BuildTdgError::Cycle { witness });
-            }
-        }
-
-        Ok(tdg)
     }
+    Ok(())
+}
+
+/// LIFO Kahn drain of `graph` on recycled scratch: writes the pop order to
+/// `order`, leaving the residual in-degrees in `indeg`. A drain that meets
+/// a cycle strands some nodes; the witness is the lowest id left with a
+/// positive residual in-degree (a node on, or downstream of, a cycle).
+pub(crate) fn kahn_drain(
+    graph: &Tdg,
+    indeg: &mut Vec<u32>,
+    stack: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) -> Result<(), u32> {
+    let n = graph.num_tasks() as u32;
+    indeg.clear();
+    indeg.extend((0..n).map(|t| graph.in_degree(TaskId(t))));
+    stack.clear();
+    stack.extend((0..n).filter(|&t| indeg[t as usize] == 0));
+    order.clear();
+    while let Some(t) = stack.pop() {
+        order.push(t);
+        for &s in graph.successors(TaskId(t)) {
+            indeg[s as usize] -= 1;
+            if indeg[s as usize] == 0 {
+                stack.push(s);
+            }
+        }
+    }
+    if order.len() == n as usize {
+        return Ok(());
+    }
+    let witness = indeg
+        .iter()
+        .position(|&d| d > 0)
+        .expect("unvisited task must have positive residual in-degree");
+    Err(witness as u32)
 }
 
 /// Sort `edges` by `(from, to)` and remove duplicates, using two stable
 /// counting-sort passes (by `to`, then by `from`) — O(E + V), allocation-
 /// free once the scratch buffers reach capacity. Produces exactly the
 /// order `edges.sort_unstable(); edges.dedup()` would.
-pub(crate) fn sort_and_dedup_edges(
+fn sort_and_dedup_edges(
     num_tasks: usize,
     edges: &mut Vec<(u32, u32)>,
     tmp: &mut Vec<(u32, u32)>,
@@ -340,7 +342,6 @@ pub(crate) fn sort_and_dedup_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TdgBuilder;
 
     fn random_edges(seed: u64, n: u32, m: usize) -> Vec<(u32, u32)> {
         // Deterministic LCG; only forward edges (u < v) so the graph is a DAG.
@@ -378,28 +379,6 @@ mod tests {
             let (mut tmp, mut counts) = (Vec::new(), Vec::new());
             sort_and_dedup_edges(50, &mut b, &mut tmp, &mut counts);
             assert_eq!(a, b, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn arena_build_is_bit_identical_to_builder() {
-        for seed in 0..4u64 {
-            let edges = random_edges(seed, 64, 400);
-            let mut legacy = TdgBuilder::new(64);
-            for &(u, v) in &edges {
-                legacy.add_edge(TaskId(u), TaskId(v));
-            }
-            legacy.set_weight(TaskId(7), 99.0);
-            let legacy = legacy.build().expect("DAG");
-
-            let mut arena = TdgArena::new();
-            let mut b = arena.builder(64);
-            for &(u, v) in &edges {
-                b.add_edge(TaskId(u), TaskId(v));
-            }
-            b.set_weight(TaskId(7), 99.0);
-            let fresh = b.build().expect("DAG");
-            assert_eq!(legacy, fresh, "seed {seed}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Topological order, critical path, and parallelism profiles.
+//! Parallelism profiles.
 //!
 //! The paper frames TDG partitioning as a trade-off between scheduling cost
 //! and *TDG parallelism*. [`ParallelismProfile`] quantifies the latter so
@@ -7,45 +7,6 @@
 
 use crate::graph::{TaskId, Tdg};
 use serde::{Deserialize, Serialize};
-
-/// A topological order of the tasks of `tdg` (Kahn's algorithm, ties broken
-/// by ascending task id), as a vector of task ids.
-///
-/// # Example
-///
-/// ```
-/// use gpasta_tdg::{topo_order, TdgBuilder, TaskId};
-/// # fn main() -> Result<(), gpasta_tdg::BuildTdgError> {
-/// let mut b = TdgBuilder::new(3);
-/// b.add_edge(TaskId(2), TaskId(0));
-/// b.add_edge(TaskId(0), TaskId(1));
-/// let tdg = b.build()?;
-/// assert_eq!(topo_order(&tdg), vec![2, 0, 1]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn topo_order(tdg: &Tdg) -> Vec<u32> {
-    tdg.levels().order().to_vec()
-}
-
-/// Length of the critical (longest) path in *task count*, i.e. the number of
-/// tasks on the longest chain. Equals the TDG depth. Zero for empty graphs.
-///
-/// # Example
-///
-/// ```
-/// use gpasta_tdg::{critical_path_len, TdgBuilder, TaskId};
-/// # fn main() -> Result<(), gpasta_tdg::BuildTdgError> {
-/// let mut b = TdgBuilder::new(3);
-/// b.add_edge(TaskId(0), TaskId(1));
-/// b.add_edge(TaskId(1), TaskId(2));
-/// assert_eq!(critical_path_len(&b.build()?), 3);
-/// # Ok(())
-/// # }
-/// ```
-pub fn critical_path_len(tdg: &Tdg) -> usize {
-    tdg.levels().depth()
-}
 
 /// Structural parallelism metrics of a TDG.
 ///
@@ -179,7 +140,7 @@ mod tests {
         b.add_edge(TaskId(0), TaskId(3));
         b.add_edge(TaskId(3), TaskId(1));
         let g = b.build().expect("DAG");
-        let order = topo_order(&g);
+        let order = g.levels().order().to_vec();
         let pos: Vec<usize> = {
             let mut p = vec![0; 6];
             for (i, &t) in order.iter().enumerate() {
@@ -201,7 +162,7 @@ mod tests {
         b.add_edge(TaskId(1), TaskId(6));
         b.add_edge(TaskId(3), TaskId(6));
         b.add_edge(TaskId(5), TaskId(6));
-        assert_eq!(critical_path_len(&b.build().expect("DAG")), 3);
+        assert_eq!(b.build().expect("DAG").levels().depth(), 3);
     }
 
     #[test]

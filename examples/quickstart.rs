@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "TDG: {} tasks, {} dependencies, depth {}\n",
         tdg.num_tasks(),
         tdg.num_deps(),
-        gpasta::tdg::critical_path_len(&tdg)
+        tdg.levels().depth()
     );
 
     let partitioners: Vec<(Box<dyn Partitioner>, PartitionerOptions)> = vec![

@@ -148,6 +148,25 @@ fn malformed_inputs_produce_clean_errors() {
     assert!(stderr(&out).contains("unknown cell"), "{}", stderr(&out));
 }
 
+#[test]
+fn task_counts_past_the_id_space_exit_1_before_allocating() {
+    for (name, text, requested) in [
+        (
+            "huge_header.txt",
+            "# tasks: 18446744073709551615\n0 1\n",
+            "18446744073709551615",
+        ),
+        ("huge_id.txt", "0 4294967295\n", "4294967296"),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, text).expect("write edges");
+        let out = gpasta(&["stats", path.to_str().expect("utf8")]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        let want = format!("requested {requested} tasks, which exceeds the u32 task-id space");
+        assert!(stderr(&out).contains(&want), "{}", stderr(&out));
+    }
+}
+
 /// A layered DAG big enough for a 5% fault rate to reliably fire.
 fn layered_edges(name: &str) -> PathBuf {
     let path = tmp(name);
