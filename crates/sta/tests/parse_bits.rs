@@ -12,6 +12,12 @@
 //! reject an `input` that names a driven net and two instances of one
 //! name, and when it began to reject a name the writer cannot write back
 //! (`InvalidName`). A mutated text that parses must also round-trip.
+//!
+//! A second corpus inserts the bytes a byte-cursor reader most easily
+//! gets wrong: ASCII and Unicode whitespace, a non-ASCII name, a comment
+//! inside a statement and a CRLF inside an instance. Its pin was captured
+//! on the two-pass reader (a byte scan, then a split-and-trim reading of
+//! each statement), before the one-pass reader replaced it.
 
 use gpasta_circuits::PaperCircuit;
 use gpasta_sta::{parse_verilog, write_verilog, GateId, Netlist, PinRef};
@@ -39,6 +45,10 @@ const CIRCUITS: &[(PaperCircuit, u64)] = &[
 const MUTATIONS: u64 = 2400;
 const MUTATIONS_OK: usize = 637;
 const MUTATIONS_CHECKSUM: u64 = 0x677d58f7a1b132a2;
+
+/// The same for the second corpus, [`CURSOR_TOKENS`].
+const CURSOR_MUTATIONS_OK: usize = 317;
+const CURSOR_MUTATIONS_CHECKSUM: u64 = 0x10e5d4f75ec8fda9;
 
 fn put_str(bytes: &mut Vec<u8>, s: &str) {
     bytes.extend((s.len() as u32).to_le_bytes());
@@ -159,20 +169,46 @@ const TOKENS: &[&str] = &[
     "INV ux (.a(in1), .y(n3));",
 ];
 
+/// Tokens of the second corpus: whitespace a cursor must classify as a
+/// name's end (ASCII) or as part of an invalid name (Unicode), a
+/// non-ASCII name, and comments and line breaks inside statements.
+const CURSOR_TOKENS: &[&str] = &[
+    "\t",
+    "\x0b",
+    "\x0c",
+    "\u{85}",
+    "\u{a0}",
+    "\u{2003}",
+    "né5",
+    ".a(né5)",
+    "// c",
+    "\r\n",
+    "INV uc (.a(n1), // c\n .y(n9));",
+    "INV ud (.a(in0),\r\n .y(né5));",
+];
+
+/// The byte offset at or below `at` that starts a character of `text`.
+fn char_start(text: &str, mut at: usize) -> usize {
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
+}
+
 /// `text` with one to three random edits: delete, duplicate, join or split
-/// lines, insert a token, truncate, give an instance a second `a` pin, or
-/// rename a net.
-fn mutate(text: &str, rng: &mut ChaCha8Rng) -> String {
+/// lines, insert one of `tokens`, truncate, give an instance a second `a`
+/// pin, or rename a net.
+fn mutate(text: &str, tokens: &[&str], rng: &mut ChaCha8Rng) -> String {
     let mut text = text.to_owned();
     for _ in 0..rng.gen_range(1..=3) {
-        let at = rng.gen_range(0..=text.len());
+        let at = char_start(&text, rng.gen_range(0..=text.len()));
         match rng.gen_range(0..8) {
             0 => {
                 let start = text[..at].rfind('\n').map_or(0, |i| i + 1);
                 let end = text[at..].find('\n').map_or(text.len(), |i| at + i + 1);
                 text.replace_range(start..end, "");
             }
-            1 => text.insert_str(at, TOKENS.choose(rng).expect("tokens")),
+            1 => text.insert_str(at, tokens.choose(rng).expect("tokens")),
             2 => text.truncate(at),
             3 => {
                 if let Some(i) = text[at..].find('\n') {
@@ -208,14 +244,29 @@ fn mutation_base() -> String {
     write_verilog(&netlist, "mutant")
 }
 
-#[test]
-fn mutated_netlists_parse_or_fail_as_pinned() {
-    let text = mutation_base();
+/// The texts of the `MUTATIONS` seeded mutations of `base` with `tokens`.
+/// With `lead`, each case first gets one token at a random place.
+fn mutations(base: &str, tokens: &'static [&'static str], lead: bool) -> Vec<String> {
+    let mut place = ChaCha8Rng::seed_from_u64(0x5eed);
+    (0..MUTATIONS)
+        .map(|seed| {
+            let mut text = base.to_owned();
+            if lead {
+                let at = char_start(&text, place.gen_range(0..=text.len()));
+                text.insert_str(at, tokens.choose(&mut place).expect("tokens"));
+            }
+            mutate(&text, tokens, &mut ChaCha8Rng::seed_from_u64(seed))
+        })
+        .collect()
+}
+
+/// How many of `texts` parse, and the checksum of all their results in
+/// order: each the parsed netlist's checksum or the error's text.
+fn results(texts: &[String]) -> (usize, u64) {
     let mut results = Vec::new();
     let mut ok = 0;
-    for seed in 0..MUTATIONS {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match parse_verilog(&mutate(&text, &mut rng)) {
+    for text in texts {
+        match parse_verilog(text) {
             Ok(netlist) => {
                 ok += 1;
                 results.extend(format!("ok {:016x}\n", netlist_checksum(&netlist)).bytes());
@@ -223,22 +274,14 @@ fn mutated_netlists_parse_or_fail_as_pinned() {
             Err(e) => results.extend(format!("{e}\n").bytes()),
         }
     }
-    let sum = checksum(&results);
-    assert_eq!(
-        (ok, sum),
-        (MUTATIONS_OK, MUTATIONS_CHECKSUM),
-        "({ok}, {sum:#018x})"
-    );
+    (ok, checksum(&results))
 }
 
-/// Every mutated text that parses round-trips: its netlist, written,
+/// Every text of `texts` that parses round-trips: its netlist, written,
 /// parses back to the same netlist.
-#[test]
-fn mutated_netlists_that_parse_round_trip() {
-    let text = mutation_base();
-    for seed in 0..MUTATIONS {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let Ok(netlist) = parse_verilog(&mutate(&text, &mut rng)) else {
+fn assert_round_trips(texts: &[String]) {
+    for (seed, text) in texts.iter().enumerate() {
+        let Ok(netlist) = parse_verilog(text) else {
             continue;
         };
         match parse_verilog(&write_verilog(&netlist, "mutant")) {
@@ -246,4 +289,37 @@ fn mutated_netlists_that_parse_round_trip() {
             Err(e) => panic!("seed {seed}: the written netlist fails: {e}"),
         }
     }
+}
+
+#[test]
+fn mutated_netlists_parse_or_fail_as_pinned() {
+    let (ok, sum) = results(&mutations(&mutation_base(), TOKENS, false));
+    assert_eq!(
+        (ok, sum),
+        (MUTATIONS_OK, MUTATIONS_CHECKSUM),
+        "({ok}, {sum:#018x})"
+    );
+}
+
+/// Every mutated text that parses round-trips.
+#[test]
+fn mutated_netlists_that_parse_round_trip() {
+    assert_round_trips(&mutations(&mutation_base(), TOKENS, false));
+}
+
+/// The second corpus: one [`CURSOR_TOKENS`] token at a random place, then
+/// the usual edits with those tokens.
+#[test]
+fn cursor_mutated_netlists_parse_or_fail_as_pinned() {
+    let (ok, sum) = results(&mutations(&mutation_base(), CURSOR_TOKENS, true));
+    assert_eq!(
+        (ok, sum),
+        (CURSOR_MUTATIONS_OK, CURSOR_MUTATIONS_CHECKSUM),
+        "({ok}, {sum:#018x})"
+    );
+}
+
+#[test]
+fn cursor_mutated_netlists_that_parse_round_trip() {
+    assert_round_trips(&mutations(&mutation_base(), CURSOR_TOKENS, true));
 }
