@@ -162,6 +162,16 @@ impl NetlistBuilder {
         Self::default()
     }
 
+    /// An empty builder with room for `gates` gates and `connections`
+    /// connections.
+    pub(crate) fn with_capacity(gates: usize, connections: usize) -> Self {
+        NetlistBuilder {
+            gates: Vec::with_capacity(gates),
+            connections: Vec::with_capacity(connections),
+            ..Self::default()
+        }
+    }
+
     /// Declare a primary input.
     pub fn add_primary_input(&mut self, name: impl Into<String>) -> PortId {
         self.inputs.push(name.into());

@@ -322,15 +322,19 @@ fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
 
 /// Parse the structural-Verilog subset back into a [`Netlist`].
 ///
-/// Two steps over the text. A byte scan finds the lines, comments, pragmas
-/// and `;`-terminated statements; a statement within one line stays a
-/// slice of the text, and only one that spans lines is joined (each line's
-/// code followed by a space) into a copy. Then the statements are read in
-/// order. Every net and port name is a key of one table, a slice of the
-/// text or of a joined copy, hashed with the standard library's keyed
-/// hasher because netlists arrive from the network. Instance names are
-/// hashed with the same key into a list, sorted after the statements, that
-/// rejects a repeated name and resolves the drive pragmas.
+/// One pass over the text with a byte cursor. An instance that lies within
+/// its line in the common form `CELL name (.pin(net), ...);`, all printable
+/// ASCII, is read as the cursor meets it: each byte is classified once, and
+/// a name's delimiter test is also its validity check. Any other line —
+/// declarations, `assign`s, pragmas, the `wire` list (skipped by `memchr`),
+/// an instance with a comment, a non-ASCII byte or a fault in it — is read
+/// by the line: trimmed, cut at its `//` comment and split at `;`. Only a
+/// statement that spans lines is joined (each line's code followed by a
+/// space) into a copy. Every net and port name is a key of one table, a
+/// slice of the text hashed with the standard library's keyed hasher
+/// because netlists arrive from the network. Instance names are hashed
+/// with the same key into a list, sorted after the text, that rejects a
+/// repeated name and resolves the drive pragmas.
 ///
 /// # Errors
 ///
@@ -339,10 +343,11 @@ fn names_a_wire(port: &str, prefix: &str, num_gates: usize) -> bool {
 /// ([`ParseVerilogError::InvalidName`]), undriven nets, or a netlist that
 /// fails semantic validation
 /// (multiple drivers, dangling pins), or two instances of one name. Of
-/// several, a malformed pragma wins (the first one), then an unterminated
-/// last statement, then the first faulty statement before `endmodule`,
-/// then a missing module, then the first instance that repeats a name,
-/// then the first undriven net and the netlist's own checks.
+/// several, a malformed pragma wins (the first one, even after a faulty
+/// statement), then an unterminated last statement, then the first faulty
+/// statement before `endmodule`, then a missing module, then the first
+/// instance that repeats a name, then the first undriven net and the
+/// netlist's own checks.
 pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
     parse_verilog_indexed(text).map(|(netlist, _)| netlist)
 }
@@ -355,220 +360,49 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, ParseVerilogError> {
 ///
 /// As [`parse_verilog`].
 pub fn parse_verilog_indexed(text: &str) -> Result<(Netlist, KeyedNames), ParseVerilogError> {
-    let scan = Scan::of(text)?;
-    let mut reader = Reader::new(text.len());
-    for &(line, stmt) in &scan.statements {
-        let stmt = match stmt {
-            Statement::Text(stmt) => stmt,
-            Statement::Joined(i) => &scan.joined[i],
-            Statement::End => break,
-        };
-        // After `endmodule` nothing is read.
-        if !reader.statement(line, stmt)? {
-            break;
-        }
-    }
-    reader.finish(scan.drive_pragmas, scan.cap_pragmas)
-}
-
-/// A statement found by [`Scan::of`], without its `;`.
-#[derive(Clone, Copy)]
-enum Statement<'a> {
-    /// One that lies within a line.
-    Text(&'a str),
-    /// One that spans lines: an index into [`Scan::joined`].
-    Joined(usize),
-    /// A bare `endmodule`.
-    End,
-}
-
-/// What the byte scan of a text finds: its statements, each with the line
-/// it starts on, and its pragmas.
-struct Scan<'a> {
-    statements: Vec<(usize, Statement<'a>)>,
-    /// The statements that span lines, joined.
-    joined: Vec<String>,
-    drive_pragmas: Vec<(&'a str, f32)>,
-    cap_pragmas: Vec<(&'a str, f32)>,
-}
-
-impl<'a> Scan<'a> {
-    /// Scan `text`, failing at its first malformed pragma or, at the end,
-    /// on an unterminated statement.
-    fn of(text: &'a str) -> Result<Self, ParseVerilogError> {
-        // About one statement per 50 bytes in a written netlist.
-        let mut scan = Scan {
-            statements: Vec::with_capacity(text.len() / 48),
-            joined: Vec::new(),
-            drive_pragmas: Vec::new(),
-            cap_pragmas: Vec::new(),
-        };
-        // A statement that spans lines, joined so far, and its first line.
-        let mut joined = String::new();
-        let mut start_line = 1;
-        let mut unread = text;
-        let mut line = 0;
-        while !unread.is_empty() {
-            line += 1;
-            let raw = match unread.find('\n') {
-                Some(end) => {
-                    let raw = &unread[..end];
-                    unread = &unread[end + 1..];
-                    raw
-                }
-                None => std::mem::take(&mut unread),
-            };
-            let lead = trim_start(raw);
-            if lead.starts_with("//") {
-                if let Some(pragma) = trim_end(lead).strip_prefix("// gpasta ") {
-                    scan.pragma(line, pragma)?;
-                }
+    let bytes = text.as_bytes();
+    let mut reader = Reader::new(text);
+    let (mut at, mut line) = (0, 0);
+    while at < bytes.len() {
+        line += 1;
+        // What the cursor leaves of the line, the line reader reads.
+        let mut from = at;
+        let indent = bytes[at..].iter().take_while(|&&b| b == b' ').count();
+        if let Some(end) = reader.instance(at + indent) {
+            if bytes.get(end) == Some(&b'\n') {
+                at = end + 1;
                 continue;
             }
-            let code = trim_end(match find_comment(lead) {
-                Some(at) => &lead[..at],
-                None => lead,
-            });
-            if code.is_empty() {
-                continue;
-            }
-            let mut rest = code;
-            if !joined.is_empty() {
-                let Some(end) = code.find(';') else {
-                    joined.push_str(code);
-                    joined.push(' ');
-                    continue;
-                };
-                joined.push_str(&code[..end]);
-                let at = scan.joined.len();
-                scan.joined.push(trim(&joined).to_owned());
-                scan.statements.push((start_line, Statement::Joined(at)));
-                joined.clear();
-                rest = trim_start(&code[end + 1..]);
-            }
-            while let Some(end) = rest.find(';') {
-                scan.statements
-                    .push((line, Statement::Text(trim(&rest[..end]))));
-                rest = trim_start(&rest[end + 1..]);
-            }
-            if rest == "endmodule" {
-                scan.statements.push((line, Statement::End));
-            } else if !rest.is_empty() {
-                joined.push_str(rest);
-                joined.push(' ');
-                start_line = line;
-            }
+            from = end;
         }
-        if !joined.is_empty() {
-            return Err(ParseVerilogError::Syntax {
-                line: start_line,
-                message: format!("unterminated statement `{}`", trim(&joined)),
-            });
-        }
-        Ok(scan)
+        let end = text[from..].find('\n').map_or(text.len(), |i| from + i);
+        reader.line(line, &text[from..end], from == at)?;
+        at = end + 1;
     }
-
-    /// Record the pragma `// gpasta <body>` of `line`.
-    fn pragma(&mut self, line: usize, body: &'a str) -> Result<(), ParseVerilogError> {
-        let mut it = body.split_whitespace();
-        let kind = it.next().unwrap_or("");
-        let name = it.next().unwrap_or("");
-        let value: f32 =
-            it.next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|_| ParseVerilogError::Syntax {
-                    line,
-                    message: "malformed gpasta pragma".into(),
-                })?;
-        match kind {
-            "drive" => self.drive_pragmas.push((name, value)),
-            "wire_cap" => self.cap_pragmas.push((name, value)),
-            other => {
-                return Err(ParseVerilogError::Syntax {
-                    line,
-                    message: format!("unknown pragma `{other}`"),
-                })
-            }
-        }
-        Ok(())
-    }
+    reader.finish()
 }
 
-/// Whether byte `b` is a whole character that `char::is_whitespace` holds
-/// for; every other whitespace character is encoded in bytes `>= 0x80`.
-fn is_ascii_space(b: u8) -> bool {
-    matches!(b, b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r')
-}
-
-/// `str::trim_start`, by bytes while they are ASCII.
-fn trim_start(s: &str) -> &str {
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x80 {
-            return s[i..].trim_start();
-        }
-        if !is_ascii_space(b) {
-            return &s[i..];
-        }
-    }
-    ""
-}
-
-/// `str::trim_end`, by bytes while they are ASCII.
-fn trim_end(s: &str) -> &str {
-    for (i, &b) in s.as_bytes().iter().enumerate().rev() {
-        if b >= 0x80 {
-            return s[..=i].trim_end();
-        }
-        if !is_ascii_space(b) {
-            return &s[..=i];
-        }
-    }
-    ""
-}
-
-/// `str::trim`, by bytes while they are ASCII.
-fn trim(s: &str) -> &str {
-    trim_end(trim_start(s))
-}
-
-/// The first whitespace-separated word of `s`, which starts with none.
-fn first_word(s: &str) -> &str {
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x80 {
-            let end = s[i..]
-                .find(char::is_whitespace)
-                .map_or(s.len(), |at| i + at);
-            return &s[..end];
-        }
-        if is_ascii_space(b) {
-            return &s[..i];
-        }
-    }
-    s
+/// The end of the name at `at` as the cursor reads one: printable ASCII
+/// but `/` and `(),;=`, a subset of what [`checked`] lets through.
+fn name_end(bytes: &[u8], at: usize) -> usize {
+    let name = |b: &&u8| b.is_ascii_graphic() && !b"(),;=/".contains(b);
+    at + bytes
+        .get(at..)
+        .map_or(0, |rest| rest.iter().take_while(name).count())
 }
 
 /// Where the first `//` of `s` starts.
 fn find_comment(s: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(at) = s[from..].find('/') {
-        let at = from + at;
-        if s.as_bytes().get(at + 1) == Some(&b'/') {
-            return Some(at);
-        }
-        from = at + 1;
-    }
-    None
+    s.match_indices('/')
+        .map(|(at, _)| at)
+        .find(|&at| s.as_bytes().get(at + 1) == Some(&b'/'))
 }
 
 /// `name`, unless it holds whitespace or a byte that ends or splits a name
 /// in the written syntax (`(),;=`): a name the writer could not write back
 /// is [`ParseVerilogError::InvalidName`] at `line`.
 fn checked(line: usize, name: &str) -> Result<&str, ParseVerilogError> {
-    let plain = name
-        .bytes()
-        .all(|b| !matches!(b, b'(' | b')' | b',' | b';' | b'=') && !is_ascii_space(b));
-    if plain && (name.is_ascii() || !name.contains(char::is_whitespace)) {
+    if !name.contains(|c: char| c.is_whitespace() || matches!(c, '(' | ')' | ',' | ';' | '=')) {
         Ok(name)
     } else {
         Err(ParseVerilogError::InvalidName {
@@ -580,7 +414,7 @@ fn checked(line: usize, name: &str) -> Result<&str, ParseVerilogError> {
 
 /// The non-empty, trimmed items of a comma-separated list.
 fn names(list: &str) -> impl Iterator<Item = &str> {
-    list.split(',').map(trim).filter(|s| !s.is_empty())
+    list.split(',').map(str::trim).filter(|s| !s.is_empty())
 }
 
 /// What drives a net.
@@ -605,9 +439,11 @@ struct Slot {
     output: Option<PortId>,
 }
 
-/// The statements' reader: the netlist so far and the one table of net
-/// and port names.
+/// The reader of one text: the netlist so far, the one table of net and
+/// port names, the pragmas, and the statement being joined.
+#[derive(Default)]
 struct Reader<'k> {
+    text: &'k str,
     nb: NetlistBuilder,
     /// Name -> its index in `slots`.
     names: HashMap<&'k str, u32>,
@@ -620,21 +456,33 @@ struct Reader<'k> {
     /// Per gate: its name's hash under `names`' key.
     gate_hashes: Vec<u64>,
     seen_module: bool,
+    drive_pragmas: Vec<(&'k str, f32)>,
+    cap_pragmas: Vec<(&'k str, f32)>,
+    /// A statement that spans lines, joined so far, and its first line.
+    joined: String,
+    start_line: usize,
+    /// Why statements are no longer read: `endmodule`, or the first faulty
+    /// statement's error, which waits until the rest of the text is scanned
+    /// for a malformed pragma and an unterminated statement.
+    stop: Option<Result<(), ParseVerilogError>>,
+    /// Where in the text the line reader looks for the next name.
+    found: usize,
 }
 
 impl<'k> Reader<'k> {
-    /// A reader for a text of `len` bytes. A written netlist has a net name
-    /// per ≈ 65 bytes and a sink per ≈ 35, so the table and the sink list
-    /// are reserved for a few more and rarely grow.
-    fn new(len: usize) -> Self {
+    /// A reader for `text`. A written netlist has a net name per ≈ 55
+    /// bytes, a gate per ≈ 65 and a sink per ≈ 23, so the table, the gates
+    /// and the sinks are reserved for a few more and rarely grow.
+    fn new(text: &'k str) -> Self {
+        let len = text.len();
         Reader {
-            nb: NetlistBuilder::new(),
+            text,
+            nb: NetlistBuilder::with_capacity(len / 60, len / 20),
             names: HashMap::with_capacity(len / 48),
             slots: Vec::with_capacity(len / 48),
-            outputs: Vec::new(),
-            sinks: Vec::with_capacity(len / 32),
+            sinks: Vec::with_capacity(len / 20),
             gate_hashes: Vec::with_capacity(len / 64),
-            seen_module: false,
+            ..Reader::default()
         }
     }
 
@@ -659,28 +507,186 @@ impl<'k> Reader<'k> {
         }
     }
 
-    /// Read one statement (without its `;`) that starts at `line`; false
-    /// after `endmodule`.
-    fn statement(&mut self, line: usize, stmt: &'k str) -> Result<bool, ParseVerilogError> {
+    /// Add gate `name` of `kind`.
+    fn gate(&mut self, name: &str, kind: CellKind) -> GateId {
+        self.gate_hashes.push(self.names.hasher().hash_one(name));
+        self.nb.add_gate(name, kind)
+    }
+
+    /// Connect `net` to input pin `input` of gate `g`, or with no pin, make
+    /// `g` its driver.
+    fn pin(&mut self, g: GateId, input: Option<u8>, net: &'k str) -> Result<(), ParseVerilogError> {
+        let Some(pin) = input else {
+            return self.drive(net, Driver::Gate(g));
+        };
+        let slot = self.slot(net);
+        self.sinks.push((slot as u32, Sink::Gate(g, pin)));
+        Ok(())
+    }
+
+    /// `name`, read from a statement of the line reader (maybe a joined
+    /// copy), as a slice of the text: the first occurrence of its bytes
+    /// from the end of the last one found. A name that passed [`checked`]
+    /// holds no whitespace, so it lies within one line of the text; names
+    /// are found in text order, so the searches cover the text once.
+    fn key(&mut self, name: &str) -> &'k str {
+        let text = self.text;
+        let at = self.found
+            + text[self.found..]
+                .find(name)
+                .expect("a checked name lies in the text");
+        self.found = at + name.len();
+        &text[at..self.found]
+    }
+
+    /// Read the instance at byte `at` if statements are read, none is
+    /// being joined, and it lies within its line exactly as
+    /// [`write_verilog`] writes one — `CELL name (.p(net), .p(net));`, one
+    /// space where the writer puts one, names as [`name_end`] reads them
+    /// and known pins: the end of its `;`. Anything else is `None`, before
+    /// any effect, and left to the line reader.
+    fn instance(&mut self, at: usize) -> Option<usize> {
+        if self.stop.is_some() || !self.joined.is_empty() {
+            return None;
+        }
+        let (text, b) = (self.text, self.text.as_bytes());
+        let word = name_end(b, at);
+        let kind = CellKind::from_name(&text[at..word])?;
+        let name = word + 1;
+        let name_to = name_end(b, name);
+        if b.get(word) != Some(&b' ') || name == name_to || b.get(name_to..name_to + 2)? != b" (" {
+            return None;
+        }
+        // (input pin or the output, net start, net end) of each
+        // connection, in order.
+        let mut conns = [(None, 0, 0); 4];
+        let mut n = 0;
+        let mut at = name_to + 2;
+        let end = loop {
+            let (net, net_to) = (at + 3, name_end(b, at + 3));
+            if n == conns.len() || b.get(at) != Some(&b'.') || b.get(at + 2) != Some(&b'(') {
+                return None;
+            }
+            let pin = text.get(at + 1..at + 2)?;
+            let input = input_pin_index(kind, pin);
+            if input.is_none() && pin != output_pin_name(kind)
+                || net == net_to
+                || b.get(net_to) != Some(&b')')
+            {
+                return None;
+            }
+            conns[n] = (input, net, net_to);
+            n += 1;
+            at = net_to + 3;
+            match b.get(net_to + 1..at)? {
+                b", " => {}
+                b");" => break at,
+                _ => return None,
+            }
+        };
+        let gate = self.gate(&text[name..name_to], kind);
+        for &(input, net, net_to) in &conns[..n] {
+            if let Err(e) = self.pin(gate, input, &text[net..net_to]) {
+                self.stop = Some(Err(e));
+                break;
+            }
+        }
+        self.found = end;
+        Some(end)
+    }
+
+    /// Read `raw`, the rest of line `line`: the whole line when `fresh`,
+    /// else what follows an instance the cursor read. Fails at a malformed
+    /// pragma.
+    fn line(&mut self, line: usize, raw: &'k str, fresh: bool) -> Result<(), ParseVerilogError> {
+        let lead = raw.trim_start();
+        if fresh && lead.starts_with("//") {
+            if let Some(pragma) = lead.trim_end().strip_prefix("// gpasta ") {
+                self.pragma(line, pragma)?;
+            }
+            return Ok(());
+        }
+        let code = match find_comment(lead) {
+            Some(at) => &lead[..at],
+            None => lead,
+        }
+        .trim_end();
+        if code.is_empty() {
+            return Ok(());
+        }
+        let mut rest = code;
+        if !self.joined.is_empty() {
+            let Some(end) = code.find(';') else {
+                self.joined.push_str(code);
+                self.joined.push(' ');
+                return Ok(());
+            };
+            let mut joined = std::mem::take(&mut self.joined);
+            joined.push_str(&code[..end]);
+            self.statement(self.start_line, joined.trim());
+            rest = code[end + 1..].trim_start();
+        }
+        while let Some(end) = rest.find(';') {
+            self.statement(line, rest[..end].trim());
+            rest = rest[end + 1..].trim_start();
+        }
+        if rest == "endmodule" {
+            self.statement(line, rest);
+        } else if !rest.is_empty() {
+            self.joined.push_str(rest);
+            self.joined.push(' ');
+            self.start_line = line;
+        }
+        Ok(())
+    }
+
+    /// Record the pragma `// gpasta <body>` of `line`.
+    fn pragma(&mut self, line: usize, body: &'k str) -> Result<(), ParseVerilogError> {
+        let syntax = |message: String| ParseVerilogError::Syntax { line, message };
+        let mut it = body.split_whitespace();
+        let (kind, name) = (it.next().unwrap_or(""), it.next().unwrap_or(""));
+        let value = it.next().unwrap_or("").parse::<f32>();
+        let value = value.map_err(|_| syntax("malformed gpasta pragma".into()))?;
+        match kind {
+            "drive" => self.drive_pragmas.push((name, value)),
+            "wire_cap" => self.cap_pragmas.push((name, value)),
+            other => return Err(syntax(format!("unknown pragma `{other}`"))),
+        }
+        Ok(())
+    }
+
+    /// Read one statement (without its `;`) that starts at `line`, while
+    /// statements are read.
+    fn statement(&mut self, line: usize, stmt: &str) {
+        if self.stop.is_none() {
+            self.stop = match self.read_statement(line, stmt) {
+                Ok(true) => None,
+                done => Some(done.map(drop)),
+            };
+        }
+    }
+
+    /// Read one statement that starts at `line`; false after `endmodule`.
+    fn read_statement(&mut self, line: usize, stmt: &str) -> Result<bool, ParseVerilogError> {
         let syntax = |message: &str| ParseVerilogError::Syntax {
             line,
             message: message.to_owned(),
         };
-        match first_word(stmt) {
+        match stmt.split(char::is_whitespace).next().unwrap_or("") {
             // Port order and wire declarations are informational in this
             // subset.
             "module" => self.seen_module = true,
             "wire" | "" => {}
             "input" => {
                 for name in names(&stmt["input".len()..]) {
-                    let name = checked(line, name)?;
+                    let name = self.key(checked(line, name)?);
                     let id = self.nb.add_primary_input(name);
                     self.drive(name, Driver::Input(id))?;
                 }
             }
             "output" => {
                 for name in names(&stmt["output".len()..]) {
-                    let name = checked(line, name)?;
+                    let name = self.key(checked(line, name)?);
                     let id = self.nb.add_primary_output(name);
                     let slot = self.slot(name);
                     self.slots[slot].output = Some(id);
@@ -689,16 +695,18 @@ impl<'k> Reader<'k> {
             }
             "assign" => {
                 // assign <output> = <net>
-                let (lhs, rhs) = trim(&stmt["assign".len()..])
+                let (lhs, rhs) = stmt["assign".len()..]
+                    .trim()
                     .split_once('=')
                     .ok_or_else(|| syntax("assign without `=`"))?;
-                let lhs = trim(lhs);
+                let lhs = lhs.trim();
                 let port = self
                     .names
                     .get(lhs)
                     .and_then(|&slot| self.slots[slot as usize].output)
                     .ok_or_else(|| syntax(&format!("assign target `{lhs}` is not an output")))?;
-                let slot = self.slot(checked(line, trim(rhs))?);
+                let net = self.key(checked(line, rhs.trim())?);
+                let slot = self.slot(net);
                 self.sinks.push((slot as u32, Sink::Output(port)));
                 self.outputs[port.index()].1 = true;
             }
@@ -711,18 +719,16 @@ impl<'k> Reader<'k> {
                         instance: stmt.split_whitespace().nth(1).unwrap_or("?").to_owned(),
                     }
                 })?;
-                let rest = trim(&stmt[cell_name.len()..]);
+                let rest = stmt[cell_name.len()..].trim();
                 let open = rest
                     .find('(')
                     .ok_or_else(|| syntax("instance without a port list"))?;
-                let inst_name = trim(&rest[..open]);
+                let inst_name = rest[..open].trim();
                 if inst_name.is_empty() {
                     return Err(syntax("instance without a name"));
                 }
                 let inst_name = checked(line, inst_name)?;
-                let gate = self.nb.add_gate(inst_name, kind);
-                self.gate_hashes
-                    .push(self.names.hasher().hash_one(inst_name));
+                let gate = self.gate(inst_name, kind);
 
                 for conn in names(rest[open + 1..].trim_end_matches(')')) {
                     let conn = conn.strip_prefix('.').ok_or_else(|| {
@@ -731,49 +737,43 @@ impl<'k> Reader<'k> {
                     let p = conn
                         .find('(')
                         .ok_or_else(|| syntax(&format!("malformed connection `.{conn}`")))?;
-                    let pin_name = trim(&conn[..p]);
-                    let net = checked(line, trim(conn[p + 1..].trim_end_matches(')')))?;
-                    if pin_name == output_pin_name(kind) {
-                        self.drive(net, Driver::Gate(gate))?;
-                    } else if let Some(idx) = input_pin_index(kind, pin_name) {
-                        let slot = self.slot(net);
-                        self.sinks.push((slot as u32, Sink::Gate(gate, idx)));
-                    } else {
+                    let pin_name = conn[..p].trim();
+                    let net = checked(line, conn[p + 1..].trim_end_matches(')').trim())?;
+                    let input = input_pin_index(kind, pin_name);
+                    if input.is_none() && pin_name != output_pin_name(kind) {
                         return Err(ParseVerilogError::UnknownPin {
                             instance: inst_name.to_owned(),
                             pin: pin_name.to_owned(),
                         });
                     }
+                    let net = self.key(net);
+                    self.pin(gate, input, net)?;
                 }
             }
         }
         Ok(true)
     }
 
-    /// Check the instance names, resolve every sink against its net's
+    /// Fail on a statement left unterminated or the first faulty one, then
+    /// check the instance names, resolve every sink against its net's
     /// driver, apply the pragmas and build the netlist and its gates'
     /// by-name index.
-    fn finish(
-        self,
-        drive_pragmas: Vec<(&str, f32)>,
-        cap_pragmas: Vec<(&str, f32)>,
-    ) -> Result<(Netlist, KeyedNames), ParseVerilogError> {
-        let Reader {
-            mut nb,
-            names,
-            slots,
-            outputs,
-            mut sinks,
-            gate_hashes,
-            seen_module,
-        } = self;
-        if !seen_module {
+    fn finish(mut self) -> Result<(Netlist, KeyedNames), ParseVerilogError> {
+        if !self.joined.is_empty() {
+            return Err(ParseVerilogError::Syntax {
+                line: self.start_line,
+                message: format!("unterminated statement `{}`", self.joined.trim()),
+            });
+        }
+        self.stop.transpose()?;
+        let (mut nb, names, slots) = (self.nb, self.names, self.slots);
+        if !self.seen_module {
             return Err(ParseVerilogError::Syntax {
                 line: 1,
                 message: "no module declaration".into(),
             });
         }
-        let instances = KeyedNames::from_hashes(names.hasher().clone(), gate_hashes);
+        let instances = KeyedNames::from_hashes(names.hasher().clone(), self.gate_hashes);
         if let Some(g) = instances.first_repeat(|g| nb.gate_name(g as usize)) {
             return Err(ParseVerilogError::DuplicateInstance {
                 name: nb.gate_name(g as usize).to_owned(),
@@ -785,17 +785,17 @@ impl<'k> Reader<'k> {
         // implied output connection for any output that has a driver under
         // its own name but no explicit sink. (Of ports sharing a name, the
         // last declared is the one the name means.)
-        for (o, &(slot, assigned)) in outputs.iter().enumerate() {
+        for (o, &(slot, assigned)) in self.outputs.iter().enumerate() {
             let port = PortId(o as u32);
             let Slot { driver, output } = slots[slot as usize];
             if !assigned && output == Some(port) && matches!(driver, Some(Driver::Gate(_))) {
-                sinks.push((slot, Sink::Output(port)));
+                self.sinks.push((slot, Sink::Output(port)));
             }
         }
 
         // Resolve sinks against drivers.
         let netlist_error = |e: ConnectError| ParseVerilogError::Netlist(e.to_string());
-        for &(slot, sink) in &sinks {
+        for &(slot, sink) in &self.sinks {
             let Some(driver) = slots[slot as usize].driver else {
                 // Only the error path looks a slot's name up.
                 let net = names
@@ -814,7 +814,7 @@ impl<'k> Reader<'k> {
         }
 
         // Apply pragmas.
-        for (net, cap) in cap_pragmas {
+        for (net, cap) in self.cap_pragmas {
             let driver = names
                 .get(net)
                 .and_then(|&slot| slots[slot as usize].driver)
@@ -828,7 +828,7 @@ impl<'k> Reader<'k> {
         let mut netlist = nb
             .build()
             .map_err(|e| ParseVerilogError::Netlist(e.to_string()))?;
-        for (inst, drive) in drive_pragmas {
+        for (inst, drive) in self.drive_pragmas {
             let gate = instances
                 .find(inst, |g| &netlist.gates()[g as usize].name)
                 .ok_or_else(|| {
