@@ -4,6 +4,13 @@
 //! comment; blank lines are skipped; the task count is one more than the
 //! largest id mentioned (or the count given by an optional
 //! `# tasks: <n>` header, which also allows trailing isolated tasks).
+//!
+//! Every task costs memory, so the bytes must back the count: a file may
+//! name at most one task per byte beyond the first 65 536. A larger
+//! count — from the header, an edge or a `# weight:` line — is
+//! [`ParseEdgeListError::TooManyTasks`], refused before anything is
+//! allocated per task. What [`write_edge_list`] writes always passes
+//! unless a graph holds more than 65 536 isolated tasks.
 
 use crate::error::BuildTdgError;
 use crate::graph::{TaskId, Tdg, TdgBuilder};
@@ -27,7 +34,18 @@ pub enum ParseEdgeListError {
     Empty,
     /// The edges did not form a DAG.
     Graph(BuildTdgError),
+    /// The file names more tasks than its bytes back (see the module
+    /// docs).
+    TooManyTasks {
+        /// The task count the file names.
+        tasks: usize,
+        /// The file's length in bytes.
+        bytes: usize,
+    },
 }
+
+/// How many tasks an edge list may name beyond one per byte of its text.
+const FREE_TASKS: usize = 1 << 16;
 
 impl fmt::Display for ParseEdgeListError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -37,6 +55,11 @@ impl fmt::Display for ParseEdgeListError {
             }
             ParseEdgeListError::Empty => f.write_str("edge list is empty"),
             ParseEdgeListError::Graph(e) => write!(f, "invalid graph: {e}"),
+            ParseEdgeListError::TooManyTasks { tasks, bytes } => write!(
+                f,
+                "edge list of {bytes} bytes names {tasks} tasks; at most {} are accepted",
+                bytes + FREE_TASKS
+            ),
         }
     }
 }
@@ -149,9 +172,15 @@ pub fn parse_edge_list(text: &str) -> Result<Tdg, ParseEdgeListError> {
         max_id as usize + 1
     };
     let num_tasks = declared_tasks.unwrap_or(implied).max(implied);
-    // Refuse a count past the id space before the builder allocates per
-    // task.
+    // Refuse a count past the id space, then one the bytes do not back,
+    // before the builder allocates per task.
     check_task_count(num_tasks)?;
+    if num_tasks > text.len() + FREE_TASKS {
+        return Err(ParseEdgeListError::TooManyTasks {
+            tasks: num_tasks,
+            bytes: text.len(),
+        });
+    }
 
     let mut b = TdgBuilder::with_capacity(num_tasks, edges.len());
     for (u, v) in edges {
@@ -240,6 +269,39 @@ mod tests {
         refused("# tasks: 4294967296\n", 1 << 32);
         refused("0 4294967295\n", 1 << 32);
         refused("# tasks: 2\n# weight: 4294967295 1.5\n", 1 << 32);
+    }
+
+    #[test]
+    fn task_counts_the_bytes_do_not_back_are_refused() {
+        let refused = |text: &str, tasks: usize| {
+            assert_eq!(
+                parse_edge_list(text),
+                Err(ParseEdgeListError::TooManyTasks {
+                    tasks,
+                    bytes: text.len()
+                }),
+                "{text:?}"
+            );
+        };
+        refused("# tasks: 4294967295\n", u32::MAX as usize);
+        refused("# tasks: 1\n# weight: 4294967294 1.5\n", u32::MAX as usize);
+        refused("0 4000000000\n", 4_000_000_001);
+        // 15 bytes back 15 + FREE_TASKS tasks, and no more.
+        let text = format!("# tasks: {}\n", 16 + FREE_TASKS);
+        assert_eq!(text.len(), 15);
+        refused(&text, 16 + FREE_TASKS);
+        let text = format!("# tasks: {}\n", 15 + FREE_TASKS);
+        assert_eq!(
+            parse_edge_list(&text).map(|g| g.num_tasks()),
+            Ok(15 + FREE_TASKS)
+        );
+        assert_eq!(
+            ParseEdgeListError::TooManyTasks { tasks: 9, bytes: 1 }.to_string(),
+            format!(
+                "edge list of 1 bytes names 9 tasks; at most {} are accepted",
+                1 + FREE_TASKS
+            )
+        );
     }
 
     #[test]

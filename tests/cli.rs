@@ -167,6 +167,16 @@ fn task_counts_past_the_id_space_exit_1_before_allocating() {
     }
 }
 
+#[test]
+fn a_task_count_the_file_does_not_back_exits_1_before_allocating() {
+    let path = tmp("unbacked_header.txt");
+    std::fs::write(&path, "# tasks: 4294967295\n").expect("write edges");
+    let out = gpasta(&["stats", path.to_str().expect("utf8")]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let want = "edge list of 20 bytes names 4294967295 tasks; at most 65556 are accepted";
+    assert!(stderr(&out).contains(want), "{}", stderr(&out));
+}
+
 /// A layered DAG big enough for a 5% fault rate to reliably fire.
 fn layered_edges(name: &str) -> PathBuf {
     let path = tmp(name);
