@@ -54,7 +54,7 @@
 //! slot's sender (which releases each parked thread at once), joins its
 //! connection threads, and runs the registry's persist pass.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::Arc;
@@ -579,17 +579,8 @@ pub fn parse_request(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<R
     }
 
     let body = if content_length > 0 {
-        let mut buf = vec![0u8; content_length];
-        reader.read_exact(&mut buf).map_err(|e| {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                io_api(&e)
-            } else {
-                ApiError::bad_request("bad_request", "body shorter than Content-Length")
-            }
-        })?;
+        let mut buf = Vec::new();
+        read_body(reader, content_length, &mut buf)?;
         let text = String::from_utf8(buf)
             .map_err(|_| ApiError::bad_request("bad_request", "request body is not UTF-8"))?;
         Some(serde_json::from_str::<Value>(&text).map_err(|e| {
@@ -606,6 +597,30 @@ pub fn parse_request(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<R
         body,
         keep_alive,
     })
+}
+
+/// How much of a body's declared length is reserved before its bytes
+/// arrive; the rest grows as they do.
+const BODY_RESERVE: usize = 64 * 1024;
+
+/// Append the `len`-byte body to `buf`, which grows as bytes arrive, so a
+/// client that declares a large body and sends little costs what it sent.
+fn read_body(reader: &mut impl Read, len: usize, buf: &mut Vec<u8>) -> Result<(), ApiError> {
+    buf.reserve(len.min(BODY_RESERVE));
+    let short = || ApiError::bad_request("bad_request", "body shorter than Content-Length");
+    match reader.take(len as u64).read_to_end(buf) {
+        Ok(read) if read == len => Ok(()),
+        Ok(_) => Err(short()),
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            Err(io_api(&e))
+        }
+        Err(_) => Err(short()),
+    }
 }
 
 fn parse_query(q: &str) -> Vec<(String, String)> {
@@ -1005,6 +1020,21 @@ mod tests {
         let err = parse_bytes(b"POST /x HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
             .expect_err("oversized body rejected");
         assert_eq!(err.status, 413);
+    }
+
+    #[test]
+    fn a_declared_body_costs_what_was_sent() {
+        let mut head = Vec::from(&b"POST /x HTTP/1.1\r\nContent-Length: 16777216\r\n\r\n"[..]);
+        head.extend(b"0123456789");
+        let err = parse_bytes(&head).expect_err("short body");
+        assert_eq!(err.status, 400);
+        assert_eq!(err.message, "body shorter than Content-Length");
+
+        let mut buf = Vec::new();
+        let err = read_body(&mut &b"0123456789"[..], 16 << 20, &mut buf).expect_err("short body");
+        assert_eq!(err.message, "body shorter than Content-Length");
+        assert_eq!(buf, b"0123456789");
+        assert!(buf.capacity() <= 10 + BODY_RESERVE, "{}", buf.capacity());
     }
 
     #[test]
