@@ -29,8 +29,17 @@ fn arb_dag(max_n: usize) -> impl Strategy<Value = Tdg> {
         })
 }
 
+/// Case count: `default`, unless `PROPTEST_CASES` overrides it (the
+/// nightly CI job raises it).
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     #[test]
     fn edge_lists_round_trip_arbitrary_dags(tdg in arb_dag(80)) {

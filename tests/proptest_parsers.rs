@@ -148,8 +148,17 @@ fn tiny_timer() -> Timer {
     Timer::new(nb.build().expect("well-formed"), CellLibrary::typical())
 }
 
+/// Case count: `default`, unless `PROPTEST_CASES` overrides it (the
+/// nightly CI job raises it).
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
     // --- garbage token streams: any outcome but a panic ---------------
 
@@ -262,7 +271,7 @@ fn malformed_axis(points: &str, form: u8, at: usize) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
 
     /// Any one axis of a valid library made reversed, empty or NaN is a
     /// syntax error at that axis's line, not a panic.
