@@ -366,14 +366,11 @@ pub fn parse_verilog_indexed(text: &str) -> Result<(Netlist, KeyedNames), ParseV
     while at < bytes.len() {
         line += 1;
         // What the cursor leaves of the line, the line reader reads.
-        let mut from = at;
         let indent = bytes[at..].iter().take_while(|&&b| b == b' ').count();
-        if let Some(end) = reader.instance(at + indent) {
-            if bytes.get(end) == Some(&b'\n') {
-                at = end + 1;
-                continue;
-            }
-            from = end;
+        let from = reader.instance(at + indent).unwrap_or(at);
+        if from > at && bytes.get(from) == Some(&b'\n') {
+            at = from + 1;
+            continue;
         }
         let end = text[from..].find('\n').map_or(text.len(), |i| from + i);
         reader.line(line, &text[from..end], from == at)?;
@@ -386,9 +383,9 @@ pub fn parse_verilog_indexed(text: &str) -> Result<(Netlist, KeyedNames), ParseV
 /// but `/` and `(),;=`, a subset of what [`checked`] lets through.
 fn name_end(bytes: &[u8], at: usize) -> usize {
     let name = |b: &&u8| b.is_ascii_graphic() && !b"(),;=/".contains(b);
-    at + bytes
+    bytes
         .get(at..)
-        .map_or(0, |rest| rest.iter().take_while(name).count())
+        .map_or(at, |rest| at + rest.iter().take_while(name).count())
 }
 
 /// Where the first `//` of `s` starts.
@@ -524,19 +521,21 @@ impl<'k> Reader<'k> {
         Ok(())
     }
 
-    /// `name`, read from a statement of the line reader (maybe a joined
-    /// copy), as a slice of the text: the first occurrence of its bytes
-    /// from the end of the last one found. A name that passed [`checked`]
-    /// holds no whitespace, so it lies within one line of the text; names
-    /// are found in text order, so the searches cover the text once.
-    fn key(&mut self, name: &str) -> &'k str {
-        let text = self.text;
-        let at = self.found
-            + text[self.found..]
-                .find(name)
-                .expect("a checked name lies in the text");
-        self.found = at + name.len();
-        &text[at..self.found]
+    /// `name`, read at `line` by the line reader (maybe from a joined copy),
+    /// as a slice of the text: the first occurrence of its bytes from the
+    /// end of the last one found. A [`checked`] name holds no whitespace, so
+    /// it lies within one line; names come in text order, so the searches
+    /// cover the text once. One not found is refused as an invalid name.
+    fn key(&mut self, line: usize, name: &str) -> Result<&'k str, ParseVerilogError> {
+        let (text, from) = (self.text, self.found);
+        let Some(at) = text[from..].find(name) else {
+            return Err(ParseVerilogError::InvalidName {
+                line,
+                name: name.into(),
+            });
+        };
+        self.found = from + at + name.len();
+        Ok(&text[from + at..self.found])
     }
 
     /// Read the instance at byte `at` if statements are read, none is
@@ -557,8 +556,7 @@ impl<'k> Reader<'k> {
         if b.get(word) != Some(&b' ') || name == name_to || b.get(name_to..name_to + 2)? != b" (" {
             return None;
         }
-        // (input pin or the output, net start, net end) of each
-        // connection, in order.
+        // Each connection's input pin (none for the output) and net span.
         let mut conns = [(None, 0, 0); 4];
         let mut n = 0;
         let mut at = name_to + 2;
@@ -679,14 +677,14 @@ impl<'k> Reader<'k> {
             "wire" | "" => {}
             "input" => {
                 for name in names(&stmt["input".len()..]) {
-                    let name = self.key(checked(line, name)?);
+                    let name = self.key(line, checked(line, name)?)?;
                     let id = self.nb.add_primary_input(name);
                     self.drive(name, Driver::Input(id))?;
                 }
             }
             "output" => {
                 for name in names(&stmt["output".len()..]) {
-                    let name = self.key(checked(line, name)?);
+                    let name = self.key(line, checked(line, name)?)?;
                     let id = self.nb.add_primary_output(name);
                     let slot = self.slot(name);
                     self.slots[slot].output = Some(id);
@@ -705,7 +703,7 @@ impl<'k> Reader<'k> {
                     .get(lhs)
                     .and_then(|&slot| self.slots[slot as usize].output)
                     .ok_or_else(|| syntax(&format!("assign target `{lhs}` is not an output")))?;
-                let net = self.key(checked(line, rhs.trim())?);
+                let net = self.key(line, checked(line, rhs.trim())?)?;
                 let slot = self.slot(net);
                 self.sinks.push((slot as u32, Sink::Output(port)));
                 self.outputs[port.index()].1 = true;
@@ -746,7 +744,7 @@ impl<'k> Reader<'k> {
                             pin: pin_name.to_owned(),
                         });
                     }
-                    let net = self.key(net);
+                    let net = self.key(line, net)?;
                     self.pin(gate, input, net)?;
                 }
             }
